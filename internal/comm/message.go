@@ -195,6 +195,9 @@ func (Solved) Kind() string { return "solved" }
 // given peer — the master's migration of long-running subproblems toward
 // better-connected resources (paper §3.4).
 type Migrate struct {
+	// SplitID is the transfer token the master tracks the move under; the
+	// donor echoes it in its SplitDone and in the payload it ships.
+	SplitID  int
 	PeerID   int
 	PeerAddr string
 }

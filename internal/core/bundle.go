@@ -17,8 +17,8 @@ import (
 // writes a self-contained directory that captures everything needed to
 // diagnose the run offline — the flight-log tail, pprof captures, the
 // metrics/history window, a scheduler + per-client state dump, and the
-// effective config. The DES writes the same bundle shape synchronously
-// so bundles are deterministic and testable.
+// effective config. The DES shell writes the same bundle inline, without
+// the CPU capture, so bundles are deterministic and testable.
 
 // bundleEventTail bounds the flight-log section: the newest events are
 // the ones a postmortem needs, and a long-lived service's full log can
@@ -40,7 +40,7 @@ type BundleSpec struct {
 	Alerts  []Alert              // watchdog alert feed at capture time
 	Events  []trace.FEvent       // flight log (tail is taken here)
 	// CPUProfileDur captures a CPU profile of this length into
-	// pprof/cpu.pprof. 0 skips it — the DES uses 0 so bundle contents
+	// pprof/cpu.pprof. 0 skips it — the DES skips it so bundle contents
 	// stay deterministic and writing stays instant.
 	CPUProfileDur time.Duration
 }

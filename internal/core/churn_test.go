@@ -51,8 +51,9 @@ func TestHeartbeatAggregationSurvivesChurn(t *testing.T) {
 	m := newChurnMaster(t)
 
 	join := func(id int) *masterClient {
-		c := &masterClient{id: id, addr: "addr", out: make(chan comm.Message, 8)}
+		c := &masterClient{id: id, addr: "addr"}
 		m.clients[id] = c
+		m.order = append(m.order, id)
 		return c
 	}
 
@@ -74,7 +75,7 @@ func TestHeartbeatAggregationSurvivesChurn(t *testing.T) {
 	// Client 1 goes idle and is lost. Its lifetime contribution must
 	// survive the departure.
 	c1.busy = false
-	if _, err := m.clientLost(c1); err != nil {
+	if _, err := m.clientLost(c1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if m.clients[1] != nil {
@@ -133,9 +134,10 @@ func TestProgressSnapshotCoverageFromSolved(t *testing.T) {
 	m.jobs[0].assigned = true
 	m.jobs[0].outstanding = 2
 
-	c1 := &masterClient{id: 1, addr: "a", busy: true, out: make(chan comm.Message, 8)}
-	c2 := &masterClient{id: 2, addr: "b", busy: true, out: make(chan comm.Message, 8)}
+	c1 := &masterClient{id: 1, addr: "a", busy: true}
+	c2 := &masterClient{id: 2, addr: "b", busy: true}
 	m.clients[1], m.clients[2] = c1, c2
+	m.order = []int{1, 2}
 
 	done, err := m.handleSolved(c1, comm.Solved{ClientID: 1, Status: solver.StatusUNSAT, Depth: 1})
 	if err != nil {
@@ -168,5 +170,114 @@ func TestProgressSnapshotCoverageFromSolved(t *testing.T) {
 	}
 	if snap.ETASeconds != 0 {
 		t.Fatalf("ETA at exhaustion = %v, want 0", snap.ETASeconds)
+	}
+}
+
+// TestRootNackIsRequeued is the master half of D2: a client that bounces
+// the initial whole-problem assignment (SplitID 0) used to be left marked
+// busy with the root subproblem gone — the job could never finish. The
+// root now travels like any other master-held subproblem, so a nack puts
+// it back on the backlog and the next idle client gets it.
+func TestRootNackIsRequeued(t *testing.T) {
+	m := newChurnMaster(t)
+	for id := 1; id <= 2; id++ {
+		m.clients[id] = &masterClient{id: id, addr: "a", rank: float64(3 - id), sentBase: map[int]bool{}}
+		m.order = append(m.order, id)
+	}
+	j := m.jobs[0]
+	m.assignRoot(j)
+	m.serveBacklog()
+	c1, c2 := m.clients[1], m.clients[2]
+	if !c1.busy || j.outstanding != 1 {
+		t.Fatalf("root not handed to the best-ranked client: busy=%v outstanding=%d", c1.busy, j.outstanding)
+	}
+	// Client 1 bounces it; make it ineligible so the requeue must move on.
+	c1.reserved = true
+	if done := m.handleSplitDone(c1, comm.SplitDone{ClientID: 1, OK: false, Err: "already busy"}); done {
+		t.Fatal("a bounced root ended the run")
+	}
+	if c1.busy {
+		t.Fatal("nacking client still marked busy")
+	}
+	if !c2.busy || j.outstanding != 1 || len(j.subBacklog) != 0 {
+		t.Fatalf("root not reassigned: c2.busy=%v outstanding=%d queued=%d", c2.busy, j.outstanding, len(j.subBacklog))
+	}
+	if done := m.handleSplitDone(c2, comm.SplitDone{ClientID: 2, OK: true}); done {
+		t.Fatal("root ack ended the run")
+	}
+	done, err := m.handleSolved(c2, comm.Solved{ClientID: 2, Status: solver.StatusUNSAT})
+	if err != nil || !done {
+		t.Fatalf("refuting the requeued root: done=%v err=%v", done, err)
+	}
+	if got := m.jobs[0].prog.Units(); got != coverageFull {
+		t.Fatalf("coverage %d units, want exactly %d", got, coverageFull)
+	}
+}
+
+// TestWatchSampleCountsSilenceFromAssignment: idle clients do not
+// heartbeat, so a client put back to work after a long idle spell must be
+// judged from its assignment, not from the stale report before the gap —
+// otherwise the heartbeat-gap rule fires the moment it goes busy.
+func TestWatchSampleCountsSilenceFromAssignment(t *testing.T) {
+	m := newChurnMaster(t)
+	m.clients[1] = &masterClient{id: 1, addr: "a", busy: true, lastHBSec: 10, assignedAt: 100}
+	m.order = []int{1}
+	s := m.watchSample(105)
+	if got := s.Clients[0].LastHeartbeatSec; got != 100 {
+		t.Fatalf("silence anchored at %v, want the assignment at 100", got)
+	}
+	if alerts := evalWatchdog(DefaultWatchdogConfig(), []WatchSample{s}); len(alerts) != 0 {
+		t.Fatalf("freshly reassigned client flagged: %+v", alerts)
+	}
+}
+
+// TestClientLostRequeuesSalvage drives the recovery path the DES shell
+// feeds: an assignment the lost client never acknowledged goes back
+// exactly once (whether or not the shell also caught it on the wire), a
+// running subproblem comes back as its salvaged checkpoint, and the
+// outstanding count — what UNSAT-by-exhaustion rests on — stays exact.
+func TestClientLostRequeuesSalvage(t *testing.T) {
+	m := newChurnMaster(t)
+	join := func(id int) *masterClient {
+		c := &masterClient{id: id, addr: "a", rank: float64(10 - id), sentBase: map[int]bool{}}
+		m.clients[id] = c
+		m.order = append(m.order, id)
+		return c
+	}
+	c1, c2 := join(1), join(2)
+	j := m.jobs[0]
+	m.assignRoot(j)
+	m.serveBacklog()
+	root := m.pendingAssigns[1].sub
+	if root == nil || !c1.busy {
+		t.Fatal("root not in flight to client 1")
+	}
+	// Client 1 dies before acking; the payload was still on the wire, so
+	// the shell's salvage names the very subproblem the master holds.
+	if done, err := m.clientLost(c1, []*solver.Subproblem{root}); done || err != nil {
+		t.Fatalf("clientLost: done=%v err=%v", done, err)
+	}
+	if got := m.pendingAssigns[2]; got.sub != root || got.origin != fromRoot || !c2.busy {
+		t.Fatalf("root not requeued to client 2 as a root: %+v", got)
+	}
+	if j.outstanding != 1 || len(j.subBacklog) != 0 {
+		t.Fatalf("outstanding=%d queued=%d after requeue, want 1 and 0 (double-counted salvage?)", j.outstanding, len(j.subBacklog))
+	}
+	// Client 2 starts it, then dies mid-run leaving a checkpoint.
+	m.handleSplitDone(c2, comm.SplitDone{ClientID: 2, OK: true})
+	c3 := join(3)
+	cp := &solver.Subproblem{NumVars: 2, Depth: 0}
+	if done, err := m.clientLost(c2, []*solver.Subproblem{cp}); done || err != nil {
+		t.Fatalf("clientLost: done=%v err=%v", done, err)
+	}
+	if got := m.pendingAssigns[3]; got.sub != cp || got.origin != fromCrash || got.donor != 2 {
+		t.Fatalf("checkpoint not handed to client 3 as crash recovery: %+v", got)
+	}
+	if j.outstanding != 1 {
+		t.Fatalf("outstanding=%d, want 1", j.outstanding)
+	}
+	m.handleSplitDone(c3, comm.SplitDone{ClientID: 3, OK: true})
+	if done, err := m.handleSolved(c3, comm.Solved{ClientID: 3, Status: solver.StatusUNSAT}); err != nil || !done {
+		t.Fatalf("refuting the recovered subproblem: done=%v err=%v", done, err)
 	}
 }

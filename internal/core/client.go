@@ -105,13 +105,28 @@ func (c *ClientConfig) withDefaults() ClientConfig {
 	return out
 }
 
-// Client is one live GridSAT worker. Run blocks until the master shuts it
-// down or the connection drops.
+// Client is one GridSAT worker: a state machine stepped by handleIdle (a
+// control message while waiting for work), solveSlice (one solver quantum)
+// and handle (a control message at a slice boundary). Like Master it
+// touches the world only through a clock and an outbox, so the same value
+// runs under NewClient + Run (goroutines, comm.Transport, wall clock) and
+// under RunDistributed (grid.Sim events, virtual clock).
 type Client struct {
-	cfg      ClientConfig
-	id       int
-	master   comm.Conn
-	listener comm.Listener
+	cfg ClientConfig
+	id  int
+	// now is the shell's clock in seconds; send its outbox — the zero
+	// SplitPeer addresses the master, anything else a peer client.
+	now  func() float64
+	send func(to comm.SplitPeer, msg comm.Message) error
+	// slice bounds one solver quantum (the memory cap is added per slice);
+	// sequential makes a portfolio step its workers one after another in
+	// index order instead of racing them on goroutines. Both are the
+	// shell's choice: the DES budgets propagations and needs the total
+	// order to stay deterministic at Threads > 1.
+	slice      solver.Limits
+	sequential bool
+	// addr is this client's P2P endpoint as peers are told it.
+	addr string
 
 	// base is the current subproblem's formula; bases caches every
 	// BaseProblem received, keyed by job (a scheduling master ships one
@@ -127,13 +142,17 @@ type Client struct {
 	// depth/coverage reporting always go through slv.
 	slv *solver.Solver
 	// port is the in-host portfolio (nil when Threads <= 1). slv aliases
-	// port.Pathfinder() while it is non-nil.
+	// port.Pathfinder() while it is non-nil. pool totals the exchange
+	// telemetry of every portfolio already torn down.
 	port       *portfolio
-	recvAt     time.Time // when the current subproblem arrived
-	xferTime   time.Duration
+	pool       poolStats
+	recvAt     float64 // when the current subproblem arrived
+	xferTime   float64
 	busy       bool
 	splitWhy   comm.SplitReason
 	splitAsked bool
+	// regErr records a rejected registration.
+	regErr error
 
 	// shares batches OnLearn clauses for the master with duplicate
 	// suppression; it outlives individual subproblems, so clauses learned
@@ -148,21 +167,27 @@ type Client struct {
 	// worrying about per-subproblem counter resets.
 	lastHB solver.Stats
 
-	control chan comm.Message
-	stopped chan struct{}
-
 	flight *trace.Flight
 	// lastEv is this client's most recent flight event, carried as the
 	// causal parent on its next stamped message.
 	lastEv uint64
+
+	// Live shell only: the master connection, the P2P listener, and the
+	// queue masterLoop/peerLoop feed and Run drains.
+	master   comm.Conn
+	listener comm.Listener
+	control  chan comm.Message
+	stopped  chan struct{}
 }
 
-// femit records a flight event and remembers it as the causal parent for
-// the next outbound message. No-op without a recorder.
+// femit records a flight event stamped with the shell's clock and
+// remembers it as the causal parent for the next outbound message. No-op
+// without a recorder.
 func (c *Client) femit(ev trace.FEvent) uint64 {
 	if c.flight == nil {
 		return 0
 	}
+	ev.VSec = c.now()
 	id := c.flight.Emit(ev)
 	c.lastEv = id
 	return id
@@ -172,24 +197,62 @@ func (c *Client) femit(ev trace.FEvent) uint64 {
 // (current Lamport time + last local event) when tracing is on.
 func (c *Client) sendMaster(msg comm.Message) error {
 	if c.flight != nil {
-		return c.master.Send(comm.Traced{
+		msg = comm.Traced{
 			Info: comm.TraceInfo{Lamport: c.flight.Tick(), Parent: c.lastEv},
 			Msg:  msg,
-		})
+		}
 	}
-	return c.master.Send(msg)
+	return c.send(comm.SplitPeer{}, msg)
 }
 
-// NewClient dials the master and registers.
-func NewClient(cfg ClientConfig) (*Client, error) {
+// newClient builds the worker alone — no connection, listener or
+// goroutine — wired to the given shell seams.
+func newClient(cfg ClientConfig, now func() float64, send func(comm.SplitPeer, comm.Message) error) (*Client, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Transport == nil {
-		return nil, errors.New("core: client needs a transport")
-	}
 	strategy, err := solver.ParseStrategy(cfg.SplitStrategy)
 	if err != nil {
 		return nil, err
 	}
+	c := &Client{
+		cfg:      cfg,
+		now:      now,
+		send:     send,
+		slice:    solver.Limits{MaxConflicts: cfg.SliceConflicts},
+		strategy: strategy,
+		bases:    map[int]*cnf.Formula{},
+		shares: newShareAggregator(cfg.ShareFlushCount, cfg.ShareFlushInterval.Seconds(),
+			cfg.ShareWindow, cfg.SharePendingMax, now()),
+		flight: cfg.Flight,
+	}
+	if cfg.Metrics != nil {
+		c.shareDedup = cfg.Metrics.Counter("gridsat_client_share_dedup_total",
+			"clauses suppressed by the client's share dedup window")
+	}
+	return c, nil
+}
+
+// register announces the client to the master (paper §3.3).
+func (c *Client) register() error {
+	return c.send(comm.SplitPeer{}, comm.Register{
+		Addr:         c.addr,
+		HostName:     c.cfg.HostName,
+		FreeMemBytes: c.cfg.FreeMemBytes,
+		SpeedHint:    c.cfg.SpeedHint,
+	})
+}
+
+// NewClient builds the live shell around a client: it dials the master,
+// registers, and starts the receive loops.
+func NewClient(cfg ClientConfig) (*Client, error) {
+	if cfg.Transport == nil {
+		return nil, errors.New("core: client needs a transport")
+	}
+	started := time.Now()
+	c, err := newClient(cfg, func() float64 { return time.Since(started).Seconds() }, nil)
+	if err != nil {
+		return nil, err
+	}
+	c.send = c.transmit
 	l, err := cfg.Transport.Listen(cfg.ListenAddr)
 	if err != nil {
 		return nil, err
@@ -199,59 +262,51 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		l.Close()
 		return nil, err
 	}
-	c := &Client{
-		cfg:      cfg,
-		strategy: strategy,
-		master:   mc,
-		listener: l,
-		bases:    map[int]*cnf.Formula{},
-		shares:   newShareAggregator(cfg.ShareFlushCount, cfg.ShareFlushInterval, cfg.ShareWindow, cfg.SharePendingMax),
-		control:  make(chan comm.Message, 256),
-		stopped:  make(chan struct{}),
-		flight:   cfg.Flight,
-	}
-	if cfg.Metrics != nil {
-		c.shareDedup = cfg.Metrics.Counter("gridsat_client_share_dedup_total",
-			"clauses suppressed by the client's share dedup window")
-	}
-	if err := mc.Send(comm.Register{
-		Addr:         l.Addr(),
-		HostName:     cfg.HostName,
-		FreeMemBytes: cfg.FreeMemBytes,
-		SpeedHint:    cfg.SpeedHint,
-	}); err != nil {
+	c.master, c.listener, c.addr = mc, l, l.Addr()
+	c.control = make(chan comm.Message, 256)
+	c.stopped = make(chan struct{})
+	fail := func(err error) (*Client, error) {
 		l.Close()
 		mc.Close()
 		return nil, err
+	}
+	if err := c.register(); err != nil {
+		return fail(err)
 	}
 	ack, err := mc.Recv()
 	if err != nil {
-		l.Close()
-		mc.Close()
-		return nil, err
+		return fail(err)
 	}
-	ra, ok := ack.(comm.RegisterAck)
-	if !ok {
-		l.Close()
-		mc.Close()
-		return nil, fmt.Errorf("core: expected register-ack, got %s", ack.Kind())
+	if _, ok := ack.(comm.RegisterAck); !ok {
+		return fail(fmt.Errorf("core: expected register-ack, got %s", ack.Kind()))
 	}
-	if ra.Rejected {
-		l.Close()
-		mc.Close()
-		return nil, fmt.Errorf("core: registration rejected: %s", ra.Reason)
+	if c.handleIdle(ack); c.regErr != nil {
+		return fail(c.regErr)
 	}
-	c.id = ra.ClientID
 	go c.masterLoop()
 	go c.peerLoop()
 	return c, nil
+}
+
+// transmit is the live outbox: the master connection, or a one-shot dial
+// to a peer's P2P endpoint.
+func (c *Client) transmit(to comm.SplitPeer, msg comm.Message) error {
+	if to.Addr == "" {
+		return c.master.Send(msg)
+	}
+	conn, err := c.cfg.Transport.Dial(to.Addr)
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	return conn.Send(msg)
 }
 
 // ID returns the master-assigned client ID.
 func (c *Client) ID() int { return c.id }
 
 // Addr returns the client's P2P address.
-func (c *Client) Addr() string { return c.listener.Addr() }
+func (c *Client) Addr() string { return c.addr }
 
 func (c *Client) masterLoop() {
 	for {
@@ -307,14 +362,14 @@ func (c *Client) Run() error {
 			continue
 		}
 		// Busy: solve one slice, then drain the control plane.
-		if done, err := c.solveSlice(); done || err != nil {
+		if err := c.solveSlice(); err != nil {
 			return err
 		}
 	drain:
 		for {
 			select {
 			case msg := <-c.control:
-				if done := c.handleBusy(msg); done {
+				if done := c.handle(msg); done {
 					return nil
 				}
 			case <-c.stopped:
@@ -326,9 +381,27 @@ func (c *Client) Run() error {
 	}
 }
 
+// handle takes one control message at a slice boundary. It dispatches on
+// the client's state now, not the state the slice started in: the slice
+// may just have ended the subproblem (or an earlier message in the same
+// drain may have stopped it), and an assignment that lands in that window
+// must start, not be dropped.
+func (c *Client) handle(msg comm.Message) bool {
+	if c.busy {
+		return c.handleBusy(msg)
+	}
+	return c.handleIdle(msg)
+}
+
 func (c *Client) handleIdle(msg comm.Message) bool {
 	msg, _ = comm.Unwrap(msg)
 	switch m := msg.(type) {
+	case comm.RegisterAck:
+		if m.Rejected {
+			c.regErr = fmt.Errorf("core: registration rejected: %s", m.Reason)
+			return true
+		}
+		c.id = m.ClientID
 	case comm.BaseProblem:
 		c.bases[m.Job] = m.Formula
 		if m.Job == 0 {
@@ -339,6 +412,9 @@ func (c *Client) handleIdle(msg comm.Message) bool {
 	case comm.SplitAssign:
 		// The assignment raced with this client finishing its subproblem;
 		// report failure so the master releases the reserved recipient.
+		_ = c.sendMaster(comm.SplitDone{ClientID: c.id, SplitID: m.SplitID, OK: false,
+			Err: "donor already idle"})
+	case comm.Migrate:
 		_ = c.sendMaster(comm.SplitDone{ClientID: c.id, SplitID: m.SplitID, OK: false,
 			Err: "donor already idle"})
 	case comm.Preempt:
@@ -362,10 +438,15 @@ func (c *Client) handleBusy(msg comm.Message) bool {
 		// A scheduling master may pre-ship another job's formula while this
 		// client is still busy (reserved as a split recipient).
 		c.bases[m.Job] = m.Formula
+	case comm.SplitPayload:
+		// Only a confused sender assigns to a busy client; bounce the
+		// payload (startSubproblem hands it back as leftover) so the
+		// search space is requeued rather than lost.
+		c.startSubproblem(m.SplitID, m.Job, m.Subs)
 	case comm.SplitAssign:
 		c.performSplit(m.SplitID, m.Peers)
 	case comm.Migrate:
-		c.performMigrate(m.PeerAddr)
+		c.performMigrate(m.SplitID, comm.SplitPeer{ID: m.PeerID, Addr: m.PeerAddr})
 	case comm.Preempt:
 		c.performPreempt(m.Job, m.Seq)
 	case comm.StopWork:
@@ -434,6 +515,7 @@ func (c *Client) startSubproblem(splitID, job int, subs []*solver.Subproblem) {
 			_ = c.sendMaster(comm.SplitDone{ClientID: c.id, SplitID: splitID, OK: false, Err: err.Error()})
 			return
 		}
+		port.sequential = c.sequential
 		c.port = port
 		c.slv = port.Pathfinder()
 	} else {
@@ -449,71 +531,67 @@ func (c *Client) startSubproblem(splitID, job int, subs []*solver.Subproblem) {
 	c.busy = true
 	c.splitAsked = false
 	c.lastHB = solver.Stats{} // fresh solver: deltas restart from zero
-	c.recvAt = time.Now()
+	c.recvAt = c.now()
 	if sub.Assumptions != nil {
-		// Rough transfer-time proxy in the live runtime: proportional to
-		// payload size. The DES runner models it from the network.
-		c.xferTime = time.Duration(len(sub.Assumptions)+16*len(sub.Learnts)) * time.Microsecond
+		// Rough transfer-time proxy, proportional to payload size (a
+		// microsecond per assumption, 16 per learnt clause).
+		c.xferTime = float64(len(sub.Assumptions)+16*len(sub.Learnts)) * 1e-6
 	}
 	_ = c.sendMaster(comm.SplitDone{ClientID: c.id, SplitID: splitID, OK: true})
 }
 
 // solveSlice advances the solver one quantum and handles terminal states
 // and split triggers.
-func (c *Client) solveSlice() (bool, error) {
-	budget := int64(0)
-	if c.cfg.FreeMemBytes > 0 {
-		budget = c.cfg.FreeMemBytes * 60 / 100
+func (c *Client) solveSlice() error {
+	return c.finishSlice(c.searchSlice())
+}
+
+// memBudget is the clause-database allowance: 60% of free memory (§3.3).
+func (c *Client) memBudget() int64 { return c.cfg.FreeMemBytes * 60 / 100 }
+
+// searchSlice is the compute half of a slice — the only part that costs
+// solver time, which is what the DES prices in virtual seconds.
+func (c *Client) searchSlice() solver.Result {
+	lim := c.slice
+	lim.MaxMemoryBytes = c.memBudget()
+	if c.port != nil {
+		return c.port.Solve(lim)
 	}
-	lim := solver.Limits{
-		MaxConflicts:   c.cfg.SliceConflicts,
-		MaxMemoryBytes: budget,
-	}
-	var res solver.Result
+	return c.slv.Solve(lim)
+}
+
+// finishSlice is the control half: flush shares, heartbeat, report a
+// verdict, or evaluate the split triggers.
+func (c *Client) finishSlice(res solver.Result) error {
 	worker := 0
 	if c.port != nil {
-		res = c.port.Solve(lim)
 		// Pool clauses within the cluster bound ride the normal
 		// master-mediated share path; the aggregator dedups and ranks.
 		c.port.DrainClusterShares(c.shares.Learn)
-		if w := c.port.Winner(); w >= 0 {
-			worker = w
-		}
-	} else {
-		res = c.slv.Solve(lim)
+		worker = max(c.port.Winner(), 0)
 	}
 	c.flushShares()
 	c.sliceCount++
 	if c.cfg.HeartbeatEvery > 0 && c.sliceCount%c.cfg.HeartbeatEvery == 0 {
 		c.sendHeartbeat(true)
 	}
-	switch res.Status {
-	case solver.StatusSAT:
+	if res.Status != solver.StatusUnknown {
 		c.busy = false
 		c.drainShares()        // don't strand learned clauses in the aggregator
 		c.sendHeartbeat(false) // flush the tail deltas before Solved
-		return false, c.sendMaster(comm.Solved{ClientID: c.id, Status: res.Status,
-			Model: res.Model, Depth: c.slv.PathDepth(), Worker: worker, Job: c.job})
-	case solver.StatusUNSAT:
-		c.busy = false
-		c.drainShares()
-		c.sendHeartbeat(false)
 		// An extra worker's UNSAT refutes a (possibly pre-split) superset
 		// of the pathfinder's subspace, so reporting at the pathfinder's
 		// depth never over-counts coverage.
-		depth := c.slv.PathDepth()
-		if err := c.sendMaster(comm.Solved{ClientID: c.id, Status: res.Status, Depth: depth, Worker: worker, Job: c.job}); err != nil {
-			return false, err
-		}
-		c.slv = nil
-		c.port = nil
-		return false, nil
+		solved := comm.Solved{ClientID: c.id, Status: res.Status, Model: res.Model,
+			Depth: c.slv.PathDepth(), Worker: worker, Job: c.job}
+		c.dropSolver()
+		return c.sendMaster(solved)
 	}
 	// Still unknown: evaluate the split triggers.
 	dec := SplitDecision{
-		MemBudgetBytes:      budget,
+		MemBudgetBytes:      c.memBudget(),
 		MemPressureFraction: 0.8,
-		TransferTime:        c.xferTime.Seconds(),
+		TransferTime:        c.xferTime,
 		MinRunTime:          c.cfg.MinRunTime.Seconds(),
 	}
 	if res.Reason == solver.ReasonMemLimit {
@@ -524,16 +602,25 @@ func (c *Client) solveSlice() (bool, error) {
 		c.requestSplit(comm.SplitMemoryPressure)
 		freed := c.shedMemory()
 		c.femit(trace.FEvent{Kind: trace.FEvMemShed, Client: c.id, N: freed})
-		return false, nil
+		return nil
 	}
-	if ask, why := dec.ShouldSplit(c.memoryBytes(), time.Since(c.recvAt).Seconds()); ask {
+	if ask, why := dec.ShouldSplit(c.memoryBytes(), c.now()-c.recvAt); ask {
 		reason := comm.SplitTimeout
 		if why == WhyMemory {
 			reason = comm.SplitMemoryPressure
 		}
 		c.requestSplit(reason)
 	}
-	return false, nil
+	return nil
+}
+
+// dropSolver forgets the current engine(s), folding a portfolio's pool
+// telemetry into the client's running totals first.
+func (c *Client) dropSolver() {
+	if c.port != nil {
+		c.pool.add(c.port.PoolStats())
+	}
+	c.slv, c.port = nil, nil
 }
 
 // sendHeartbeat reports the current solver gauges plus the counter
@@ -593,8 +680,7 @@ func (c *Client) shedMemory() int64 {
 	return c.slv.ShedMemory()
 }
 
-// heartbeatDeltas maps a solver Stats delta onto the wire struct; one
-// place, so new telemetry fields cannot drift between runtime and DES.
+// heartbeatDeltas maps a solver Stats delta onto the wire struct.
 func heartbeatDeltas(d solver.Stats) comm.SolverDeltas {
 	return comm.SolverDeltas{
 		Decisions:      d.Decisions,
@@ -642,12 +728,12 @@ func (c *Client) performSplit(splitID int, peers []comm.SplitPeer) {
 	// lost. The master releases the unserved peers (the suffix after Used).
 	used := 0
 	for used < len(peers) && used < len(batch) {
-		if err := c.sendToPeer(splitID, peers[used].Addr, batch[used]); err != nil {
+		if err := c.sendToPeer(splitID, peers[used], batch[used]); err != nil {
 			break
 		}
 		used++
 	}
-	c.recvAt = time.Now() // the narrowed problem restarts the timeout clock
+	c.recvAt = c.now() // the narrowed problem restarts the timeout clock
 	_ = c.sendMaster(comm.SplitDone{ClientID: c.id, SplitID: splitID, OK: true,
 		Used: used, Leftover: batch[used:]})
 }
@@ -668,24 +754,30 @@ func (c *Client) checkpointSub() *solver.Subproblem {
 func (c *Client) stopSolving() {
 	if c.port != nil {
 		c.port.StopAll()
-		c.port = nil
 	} else if c.slv != nil {
 		c.slv.Stop()
 	}
-	c.slv = nil
+	c.dropSolver()
 	c.busy = false
 }
 
-// performMigrate ships the whole current problem to the peer and goes idle.
-func (c *Client) performMigrate(peerAddr string) {
+// performMigrate ships the whole current problem to the peer and goes
+// idle (§3.4). The master tracks the move like a one-recipient split: it
+// hears SplitDone from both ends, then this client's Solved(unknown).
+func (c *Client) performMigrate(splitID int, peer comm.SplitPeer) {
 	if c.slv == nil || !c.busy {
+		_ = c.sendMaster(comm.SplitDone{ClientID: c.id, SplitID: splitID, OK: false, Err: "no active subproblem"})
 		return
 	}
-	sub := c.checkpointSub()
-	if err := c.sendToPeer(0, peerAddr, sub); err != nil {
-		return // keep solving; migration failed
+	if err := c.sendToPeer(splitID, peer, c.checkpointSub()); err != nil {
+		// Keep solving; the master releases the reserved peer.
+		_ = c.sendMaster(comm.SplitDone{ClientID: c.id, SplitID: splitID, OK: false, Err: err.Error()})
+		return
 	}
+	c.drainShares()        // don't strand learned clauses
+	c.sendHeartbeat(false) // flush the tail deltas while the solver lives
 	c.stopSolving()
+	_ = c.sendMaster(comm.SplitDone{ClientID: c.id, SplitID: splitID, OK: true, Used: 1})
 	_ = c.sendMaster(comm.Solved{ClientID: c.id, Status: solver.StatusUnknown, Job: c.job})
 }
 
@@ -717,26 +809,21 @@ func (c *Client) performStop(job, seq int) {
 	_ = c.sendMaster(comm.Preempted{ClientID: c.id, Job: job, Seq: seq})
 }
 
-func (c *Client) sendToPeer(splitID int, addr string, sub *solver.Subproblem) error {
-	conn, err := c.cfg.Transport.Dial(addr)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	return conn.Send(comm.SplitPayload{SplitID: splitID, From: c.id, Job: c.job,
+func (c *Client) sendToPeer(splitID int, peer comm.SplitPeer, sub *solver.Subproblem) error {
+	return c.send(peer, comm.SplitPayload{SplitID: splitID, From: c.id, Job: c.job,
 		Subs: []*solver.Subproblem{sub}})
 }
 
 // flushShares sends a batch to the master when the aggregator's flush
 // policy (count or interval) says it is time.
 func (c *Client) flushShares() {
-	c.sendShareBatch(c.shares.TakeBatch(time.Now()))
+	c.sendShareBatch(c.shares.TakeBatch(c.now()))
 }
 
 // drainShares force-flushes whatever is pending — called when the client
 // finishes a subproblem so nothing learned is lost.
 func (c *Client) drainShares() {
-	c.sendShareBatch(c.shares.Drain())
+	c.sendShareBatch(c.shares.Drain(c.now()))
 }
 
 func (c *Client) sendShareBatch(batch []cnf.Clause) {

@@ -172,6 +172,14 @@ type poolStats struct {
 	Dropped   int64
 }
 
+// add accumulates another snapshot into s.
+func (s *poolStats) add(o poolStats) {
+	s.Published += o.Published
+	s.Delivered += o.Delivered
+	s.Lost += o.Lost
+	s.Dropped += o.Dropped
+}
+
 func (p *hostPool) Stats() poolStats {
 	return poolStats{
 		Published: p.published.Load(),

@@ -11,11 +11,10 @@ import (
 // explicit Job entity (queued → running → preempted → done/cancelled),
 // the SchedPolicy interface deciding how many clients each concurrently
 // running job holds (malleable allocation, in Mallob's sense), and the
-// admission control that bounds how much work the service accepts. Both
-// runtimes — the live master behind `gridsat serve` and the DES runner's
-// multi-job workloads — share these pieces, so a policy benchmarked
-// deterministically in the DES is the same code that schedules a real
-// deployment.
+// admission control that bounds how much work the service accepts. The
+// master behind `gridsat serve` and the one the DES steps through
+// multi-job workloads are the same code, so a policy benchmarked
+// deterministically in the DES is what schedules a real deployment.
 
 // JobState is a job's lifecycle state.
 type JobState int

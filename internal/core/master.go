@@ -1,11 +1,11 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -113,8 +113,10 @@ type Result struct {
 	// MaxClients is the peak number of simultaneously busy clients —
 	// the last column of the paper's Table 1.
 	MaxClients int
-	// Splits counts completed subproblem transfers.
-	Splits int
+	// Splits counts completed subproblem transfers; Migrations counts
+	// whole-subproblem moves to better resources (§3.4).
+	Splits     int
+	Migrations int
 	// SharedClauses counts clauses the master fanned out.
 	SharedClauses int
 	// Threads is the widest in-host portfolio observed across the run's
@@ -194,24 +196,28 @@ type ClientStatus struct {
 }
 
 type masterClient struct {
-	id           int
-	conn         comm.Conn
-	out          chan comm.Message
-	addr         string
-	hostName     string
-	speed        float64
-	memBytes     int64
+	id       int
+	addr     string
+	hostName string
+	// rank and freeMem are what placement decides on: seeded from the
+	// client's Register (speed hint × free MB, free bytes) and replaced
+	// whenever the shell hands over a fresher forecast (noteForecast).
+	// usedMem is the latest heartbeat's arena size — a different quantity,
+	// reported in /status and to the watchdog, never ranked or admitted on.
+	rank         float64
+	freeMem      int64
+	usedMem      int64
 	busy         bool
-	reserved     bool // chosen as split recipient; payload in flight
-	assignedAt   time.Time
-	pendingSplit bool // has an unserved split request
+	reserved     bool    // chosen as split recipient; payload in flight
+	assignedAt   float64 // master clock seconds
+	pendingSplit bool    // has an unserved split request
 	// job is the job this client is (or was last) working for; 0 is the
 	// implicit single job of a non-serve master, so every legacy code path
 	// reads and writes job 0 without knowing jobs exist.
 	job int
-	// preempting marks a Preempt in flight: the client stays busy (its
-	// subproblem is live until the checkpoint arrives) but must not be
-	// preempted again or offered new work.
+	// preempting marks a Preempt, StopWork or Migrate in flight: the client
+	// stays busy (its subproblem is live until the ack arrives) but must
+	// not be stopped again or offered new work.
 	preempting bool
 	// stopSeq numbers this client's Preempt/StopWork sends. The client
 	// echoes it in Preempted, letting the master drop acks from preempts
@@ -283,9 +289,13 @@ type splitGroup struct {
 	// recipients (a prefix of the assignment order) it actually served.
 	donorDone  bool
 	used       int
-	assignedAt time.Time
+	assignedAt float64
 	// issueEv is the split-issue flight event, parent of the accept/fail.
 	issueEv uint64
+	// migrate marks a §3.4 whole-problem move riding the same exchange: one
+	// recipient, the donor goes idle, and the accept is logged as a
+	// migration instead of a split.
+	migrate bool
 }
 
 // settledCount returns how many recipient legs have concluded.
@@ -297,28 +307,41 @@ func (g *splitGroup) done() bool {
 	return g.donorDone && g.settledCount() == len(g.recipients)
 }
 
-// backlogSub is one leftover cofactor from an over-producing split, queued
-// until a client goes idle. It keeps its origin so the flight log's accept
-// event attaches the eventual recipient under the right split.
+// subOrigin says where a queued subproblem came from, which decides the
+// flight events its eventual assignment emits.
+type subOrigin int
+
+const (
+	fromSplit   subOrigin = iota // leftover cofactor: split-accept under its split
+	fromRoot                     // a job's whole search space: assign
+	fromPreempt                  // preempted checkpoint: migrate → job-resume under the preempt
+	fromCrash                    // salvaged from a lost client: recover under the client-leave
+)
+
+// backlogSub is one subproblem the master holds until a client goes idle:
+// a job's root, a leftover cofactor from an over-producing split, a
+// preempted checkpoint, or what a lost client left behind. donor and
+// issueEv name the client it came from and the flight event (split-issue,
+// job-preempt or client-leave) its assignment hangs under.
 type backlogSub struct {
 	sub     *solver.Subproblem
+	origin  subOrigin
 	splitID int
 	donor   int
 	issueEv uint64
 	// job owns the queued subproblem (0 for the implicit single job).
 	job int
-	// resume marks a preempted subproblem: donor is then the client it was
-	// checkpointed from and issueEv its job-preempt flight event, so the
-	// eventual assignment emits the migrate→resume chain instead of a
-	// split-accept.
-	resume bool
 }
 
 type masterEvent struct {
 	clientID int
 	msg      comm.Message
 	err      error
-	conn     comm.Conn // set for new connections
+	// salvage rides on a client-lost event (err != nil) when the shell could
+	// recover the dead client's work: its §3.4 checkpoint and any payloads
+	// it never started. nil means nothing is recoverable (the live shell).
+	salvage []*solver.Subproblem
+	conn    comm.Conn // set for new connections (live shell only)
 	// status, when non-nil, requests a StatusSnapshot instead of carrying
 	// a protocol message.
 	status chan<- StatusSnapshot
@@ -361,15 +384,26 @@ type masterJob struct {
 	shared int
 }
 
-// Master coordinates a live GridSAT run. Create with NewMaster, then call
-// Run, which blocks until the problem is decided, the timeout expires, or
-// an unrecoverable error occurs. In serve mode (MasterConfig.Serve) Run
-// instead hosts a multi-job scheduling service until Shutdown.
+// Master is GridSAT's control plane: client registration, placement, the
+// five-message split exchange, clause relay, job scheduling, migration and
+// recovery — one single-threaded state machine stepped by handle. It reads
+// time and sends messages only through two seams, so the same value runs
+// under two shells: NewMaster + Run (goroutines, comm.Transport, wall
+// clock — the deployed master; in serve mode a multi-job service until
+// Shutdown) and RunDistributed (grid.Sim events, virtual clock).
 type Master struct {
-	cfg         MasterConfig
-	listener    comm.Listener
-	events      chan masterEvent
-	clients     map[int]*masterClient
+	cfg MasterConfig
+	// now is the shell's clock in seconds (wall since Run started, or
+	// virtual); send is its outbox, addressed by client ID. writeBundle
+	// takes a frozen postmortem spec off the state machine's hands.
+	now         func() float64
+	send        func(to int, msg comm.Message)
+	writeBundle func(BundleSpec)
+
+	clients map[int]*masterClient
+	// order lists client IDs ascending (IDs are issued monotonically), so
+	// every walk that sends, logs or allocates is deterministic.
+	order       []int
 	nextID      int
 	nextSplitID int
 	// fanout is the per-split recipient budget of the configured strategy
@@ -390,38 +424,44 @@ type Master struct {
 	admission Admission
 	// pendingSplits tracks in-flight subproblem transfers by token.
 	pendingSplits map[int]*splitGroup
-	// pendingAssigns tracks backlog cofactors in flight to a recipient, by
-	// recipient ID, until its SplitDone settles (or requeues) them.
+	// pendingAssigns tracks master-held subproblems (roots included) in
+	// flight to a recipient, by recipient ID, until its SplitDone settles
+	// (or requeues) them.
 	pendingAssigns map[int]backlogSub
 	// sharedDropped counts best-effort ShareClauses messages discarded
-	// because a client's outbound queue was full. Event-loop only.
+	// because a client's outbound queue was full.
 	sharedDropped int64
 	result        Result
-	trace         []string // debug event log for tests
-	started       time.Time
 	// clusterAgg sums every heartbeat delta ever received, independent of
 	// the clients map, so totals survive client churn (a departed client's
 	// contribution is never lost).
 	clusterAgg comm.SolverDeltas
 
-	reg      *obs.Registry
-	log      *obs.Logger
-	httpSrv  *http.Server
-	httpAddr string
-	met      masterMetrics
-	flight   *trace.Flight
+	reg    *obs.Registry
+	log    *obs.Logger
+	met    masterMetrics
+	flight *trace.Flight
 	// inTI is the trace metadata of the message currently being handled
-	// (zero for untraced messages). Event-loop only.
+	// (zero for untraced messages).
 	inTI comm.TraceInfo
 
 	// hist is the time-series store behind GET /history (mutex-guarded:
-	// the event loop samples, HTTP reads). wd is the anomaly watchdog;
-	// its window and alert feed are event-loop only (read via apply).
+	// the state machine samples, HTTP reads). wd is the anomaly watchdog.
 	hist *history.Store
 	wd   *watchdog
 	// bundleSeq numbers postmortem bundles so their directory names are
-	// unique and deterministic. Event-loop only.
+	// unique and deterministic.
 	bundleSeq int
+
+	// Live shell only (nil/zero under the DES): the listener and event
+	// queue Run drains, each client's connection and bounded outbound
+	// queue, and the introspection server.
+	listener comm.Listener
+	events   chan masterEvent
+	links    map[int]*masterLink
+	started  time.Time
+	httpSrv  *http.Server
+	httpAddr string
 	// draining flips when Shutdown is requested; POST /debug/bundle
 	// answers 409 after that (the state it would capture is going away).
 	draining atomic.Bool
@@ -430,9 +470,9 @@ type Master struct {
 	build obs.BuildInfo
 }
 
-// femit records a flight event, merging the in-flight message's Lamport
-// stamp so this log's timestamps exceed the cause's. No-op without a
-// recorder. Event-loop only.
+// femit records a flight event stamped with the shell's clock, merging the
+// in-flight message's Lamport stamp so this log's timestamps exceed the
+// cause's. No-op without a recorder.
 func (m *Master) femit(ev trace.FEvent) uint64 {
 	if m.flight == nil {
 		return 0
@@ -440,6 +480,7 @@ func (m *Master) femit(ev trace.FEvent) uint64 {
 	if ev.Lamport == 0 {
 		ev.Lamport = m.inTI.Lamport
 	}
+	ev.VSec = m.now()
 	return m.flight.Emit(ev)
 }
 
@@ -530,23 +571,16 @@ func (m *Master) updateGauges() {
 	m.met.outstanding.Set(int64(m.outstandingTotal()))
 }
 
-// NewMaster builds a master and starts listening; the returned master's
-// Addr is dialable immediately, so clients may be launched before Run.
-func NewMaster(cfg MasterConfig) (*Master, error) {
+// newMaster builds the control plane alone — no listener, goroutine or
+// HTTP server — wired to the given shell seams.
+func newMaster(cfg MasterConfig, now func() float64, send func(int, comm.Message), writeBundle func(BundleSpec)) (*Master, error) {
 	if cfg.Formula == nil && !cfg.Serve {
 		return nil, errors.New("core: master needs a formula")
-	}
-	if cfg.Transport == nil {
-		return nil, errors.New("core: master needs a transport")
 	}
 	if _, err := solver.ParseStrategy(cfg.SplitStrategy); err != nil {
 		return nil, err
 	}
 	policy, err := ParseSchedPolicy(cfg.SchedPolicy)
-	if err != nil {
-		return nil, err
-	}
-	l, err := cfg.Transport.Listen(cfg.ListenAddr)
 	if err != nil {
 		return nil, err
 	}
@@ -560,8 +594,9 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 	}
 	m := &Master{
 		cfg:            cfg,
-		listener:       l,
-		events:         make(chan masterEvent, 256),
+		now:            now,
+		send:           send,
+		writeBundle:    writeBundle,
 		clients:        map[int]*masterClient{},
 		fanout:         solver.StrategyFanout(cfg.SplitStrategy),
 		jobs:           map[int]*masterJob{},
@@ -575,7 +610,6 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 		met:            newMasterMetrics(reg),
 		flight:         cfg.Flight,
 	}
-	m.build = obs.RegisterBuildInfo(reg)
 	if cfg.HistoryPeriod >= 0 {
 		period := cfg.HistoryPeriod
 		if period == 0 {
@@ -602,87 +636,8 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 		// placed against the flight log's causal order.
 		m.log = m.log.WithLamport(cfg.Flight)
 	}
-	if cfg.MetricsAddr != "" {
-		extra := append([]obs.Endpoint{}, cfg.ExtraEndpoints...)
-		extra = append(extra, []obs.Endpoint{
-			{Path: "/progress", H: func(w http.ResponseWriter, _ *http.Request) {
-				w.Header().Set("Content-Type", "application/json")
-				enc := json.NewEncoder(w)
-				enc.SetIndent("", "  ")
-				_ = enc.Encode(m.Progress())
-			}},
-			{Path: "GET /healthz", H: func(w http.ResponseWriter, _ *http.Request) {
-				// Liveness: the introspection server answering is the
-				// signal; no event-loop round-trip, so a wedged loop
-				// still lets /healthz distinguish process-up from gone.
-				writeJSON(w, http.StatusOK, map[string]any{
-					"status": "ok", "build": m.build, "draining": m.draining.Load(),
-				})
-			}},
-			{Path: "GET /history", H: func(w http.ResponseWriter, _ *http.Request) {
-				if m.hist == nil {
-					writeError(w, http.StatusNotFound, errors.New("core: history sampling disabled"))
-					return
-				}
-				w.Header().Set("Content-Type", "application/json")
-				_ = m.hist.WriteJSON(w)
-			}},
-			{Path: "GET /alerts", H: func(w http.ResponseWriter, _ *http.Request) {
-				writeJSON(w, http.StatusOK, alertsResponse{Alerts: m.Alerts()})
-			}},
-			{Path: "POST /debug/bundle", H: func(w http.ResponseWriter, r *http.Request) {
-				dir, err := m.TriggerBundle(r.URL.Query().Get("reason"))
-				switch {
-				case errors.Is(err, ErrDraining):
-					writeError(w, http.StatusConflict, err)
-				case errors.Is(err, ErrNoBundleDir):
-					writeError(w, http.StatusServiceUnavailable, err)
-				case err != nil:
-					writeError(w, http.StatusInternalServerError, err)
-				default:
-					writeJSON(w, http.StatusOK, map[string]string{"bundle": dir})
-				}
-			}},
-		}...)
-		if f := m.flight; f != nil {
-			extra = append(extra,
-				obs.Endpoint{Path: "/trace", H: func(w http.ResponseWriter, _ *http.Request) {
-					w.Header().Set("Content-Type", "application/x-ndjson")
-					_ = f.WriteJSONL(w)
-				}},
-				obs.Endpoint{Path: "/trace.json", H: func(w http.ResponseWriter, _ *http.Request) {
-					w.Header().Set("Content-Type", "application/json")
-					_ = trace.WritePerfetto(w, f.Events())
-				}},
-				obs.Endpoint{Path: "/tree", H: func(w http.ResponseWriter, _ *http.Request) {
-					w.Header().Set("Content-Type", "application/json")
-					_ = trace.BuildLineage(f.Events()).WriteJSON(w)
-				}},
-				obs.Endpoint{Path: "/tree.dot", H: func(w http.ResponseWriter, _ *http.Request) {
-					w.Header().Set("Content-Type", "text/vnd.graphviz")
-					_ = trace.BuildLineage(f.Events()).WriteDOT(w)
-				}},
-			)
-		}
-		srv, addr, err := obs.Serve(cfg.MetricsAddr,
-			obs.Handler(reg, func() any { return m.Status() }, extra...))
-		if err != nil {
-			l.Close()
-			return nil, fmt.Errorf("core: metrics server: %w", err)
-		}
-		m.httpSrv, m.httpAddr = srv, addr
-		m.log.Info("introspection server up", "addr", addr)
-	}
-	go m.acceptLoop()
 	return m, nil
 }
-
-// Addr returns the master's dialable address.
-func (m *Master) Addr() string { return m.listener.Addr() }
-
-// MetricsAddr returns the bound introspection address ("" when
-// MasterConfig.MetricsAddr was empty).
-func (m *Master) MetricsAddr() string { return m.httpAddr }
 
 // Metrics returns the master's registry (the config's, or the private
 // one allocated when none was supplied).
@@ -718,39 +673,6 @@ type StatusSnapshot struct {
 	Jobs []JobSnapshot
 	// Clients are the live per-client aggregates, sorted by ID.
 	Clients []ClientStatus
-}
-
-// Status asynchronously requests a snapshot from a running master. It
-// blocks until the event loop serves it (or the master has exited, in
-// which case the zero snapshot returns).
-func (m *Master) Status() StatusSnapshot {
-	reply := make(chan StatusSnapshot, 1)
-	select {
-	case m.events <- masterEvent{status: reply}:
-		select {
-		case s := <-reply:
-			return s
-		case <-time.After(2 * time.Second):
-		}
-	case <-time.After(2 * time.Second):
-	}
-	return StatusSnapshot{}
-}
-
-// Progress asynchronously requests the cluster progress estimate from a
-// running master, served through the event loop like Status.
-func (m *Master) Progress() ProgressSnapshot {
-	reply := make(chan ProgressSnapshot, 1)
-	select {
-	case m.events <- masterEvent{progress: reply}:
-		select {
-		case s := <-reply:
-			return s
-		case <-time.After(2 * time.Second):
-		}
-	case <-time.After(2 * time.Second):
-	}
-	return ProgressSnapshot{}
 }
 
 // jobOf resolves the job a client's messages belong to (nil once the job
@@ -806,8 +728,8 @@ func (m *Master) jobSnapshot(j *masterJob, withModel bool) JobSnapshot {
 		snap.TurnaroundSec = j.FinishedAt - j.SubmittedAt
 	}
 	// The job's conflict throughput is the sum of its busy clients' EWMAs.
-	for _, c := range m.clients {
-		if c.job == j.ID && c.busy {
+	for _, id := range m.order {
+		if c := m.clients[id]; c.job == j.ID && c.busy {
 			snap.ConflictRate += c.confRate
 		}
 	}
@@ -849,9 +771,7 @@ func (m *Master) progressSnapshot() ProgressSnapshot {
 			m.clusterAgg.Implications),
 		Jobs: m.jobSnapshots(),
 	}
-	if !m.started.IsZero() {
-		snap.WallSeconds = time.Since(m.started).Seconds()
-	}
+	snap.WallSeconds = m.now()
 	if !m.serve {
 		// Single-job mode: the scalar coverage fields are job 0's, exactly
 		// as before the scheduler existed.
@@ -879,7 +799,8 @@ func (m *Master) progressSnapshot() ProgressSnapshot {
 	case solver.StatusUNSAT:
 		snap.Verdict = "UNSAT"
 	}
-	for _, c := range m.clients {
+	for _, id := range m.order {
+		c := m.clients[id]
 		if c.addr == "" {
 			continue
 		}
@@ -892,142 +813,22 @@ func (m *Master) progressSnapshot() ProgressSnapshot {
 			Busy:            c.busy,
 			Depth:           c.depth,
 			ConflictsPerSec: c.confRate,
-			MemBytes:        c.memBytes,
+			MemBytes:        c.usedMem,
 		}
 		if c.agg.Imported > 0 {
 			row.ImportUseRatio = float64(c.agg.ImportedUseful) / float64(c.agg.Imported)
 		}
 		snap.Clients = append(snap.Clients, row)
 	}
-	sort.Slice(snap.Clients, func(i, j int) bool { return snap.Clients[i].ID < snap.Clients[j].ID })
 	markStragglers(snap.Clients)
 	return snap
 }
 
-func (m *Master) acceptLoop() {
-	for {
-		conn, err := m.listener.Accept()
-		if err != nil {
-			return
-		}
-		m.events <- masterEvent{conn: conn}
-	}
-}
-
-func (m *Master) readLoop(id int, conn comm.Conn) {
-	for {
-		msg, err := conn.Recv()
-		if err != nil {
-			m.events <- masterEvent{clientID: id, err: err}
-			return
-		}
-		m.events <- masterEvent{clientID: id, msg: msg}
-	}
-}
-
-// writeLoop drains a client's outbound queue so a slow or stalled client
-// can never block the master's single-threaded event loop.
-func (m *Master) writeLoop(c *masterClient) {
-	for msg := range c.out {
-		var err error
-		if e, ok := msg.(*comm.EncodedMessage); ok {
-			// Pre-serialized broadcast: write the shared frame verbatim
-			// instead of re-encoding per peer.
-			err = c.conn.SendEncoded(e)
-		} else {
-			err = c.conn.Send(msg)
-		}
-		if err != nil {
-			return
-		}
-	}
-}
-
-// send queues msg for c. Best-effort clause shares (plain or
-// pre-encoded) are dropped when the queue is full, and the drop is
-// counted; control messages wait for room.
-func (m *Master) send(c *masterClient, msg comm.Message) {
-	select {
-	case c.out <- msg:
-	default:
-		if msg.Kind() == (comm.ShareClauses{}).Kind() {
-			m.sharedDropped++
-			m.met.sharedDropped.Inc()
-			return
-		}
-		c.out <- msg
-	}
-}
-
-// Run serves the protocol until termination. It owns all master state;
-// every message is handled on this single goroutine.
-func (m *Master) Run() (Result, error) {
-	m.started = time.Now()
-	m.femit(trace.FEvent{Kind: trace.FEvRunStart, N: int64(m.cfg.ExpectedClients)})
-	defer m.listener.Close()
-	var timeout <-chan time.Time
-	if m.cfg.Timeout > 0 {
-		t := time.NewTimer(m.cfg.Timeout)
-		defer t.Stop()
-		timeout = t.C
-	}
-	defer func() {
-		if m.httpSrv != nil {
-			_ = m.httpSrv.Close()
-		}
-	}()
-	var rebalance <-chan time.Time
-	if m.serve {
-		period := m.cfg.RebalancePeriod
-		if period <= 0 {
-			period = 250 * time.Millisecond
-		}
-		t := time.NewTicker(period)
-		defer t.Stop()
-		rebalance = t.C
-	}
-	var sampler <-chan time.Time
-	if m.hist != nil {
-		period := m.cfg.HistoryPeriod
-		if period <= 0 {
-			period = time.Second
-		}
-		t := time.NewTicker(period)
-		defer t.Stop()
-		sampler = t.C
-	}
-	for {
-		select {
-		case <-rebalance:
-			m.maybeRebalance()
-			m.updateGauges()
-		case <-sampler:
-			m.sampleTick()
-		case ev := <-m.events:
-			done, err := m.handle(ev)
-			if err != nil {
-				m.finishResult()
-				m.shutdownAll()
-				return m.result, err
-			}
-			if done {
-				m.result.Wall = time.Since(m.started)
-				m.finishResult()
-				m.log.Info("run decided", "status", m.result.Status,
-					"wall", m.result.Wall, "splits", m.result.Splits)
-				m.shutdownAll()
-				return m.result, nil
-			}
-		case <-timeout:
-			m.result.Status = solver.StatusUnknown
-			m.result.Wall = time.Since(m.started)
-			m.femit(trace.FEvent{Kind: trace.FEvVerdict, Detail: "UNKNOWN"})
-			m.finishResult()
-			m.log.Warn("run timed out", "after", m.cfg.Timeout)
-			m.shutdownAll()
-			return m.result, nil
-		}
-	}
+// timeOut ends an undecided run: verdict UNKNOWN, result frozen.
+func (m *Master) timeOut() {
+	m.result.Status = solver.StatusUnknown
+	m.femit(trace.FEvent{Kind: trace.FEvVerdict, Detail: "UNKNOWN"})
+	m.finishResult()
 }
 
 // finishResult freezes the per-client aggregates into the Result, and
@@ -1040,7 +841,7 @@ func (m *Master) finishResult() {
 	if !m.serve {
 		j0 := m.jobs[0]
 		if j0.FinishedAt == 0 {
-			j0.FinishedAt = m.nowSec()
+			j0.FinishedAt = m.now()
 			if j0.StartedAt > 0 {
 				m.met.solveLat.Observe(j0.FinishedAt - j0.StartedAt)
 			}
@@ -1054,7 +855,8 @@ func (m *Master) finishResult() {
 // Event-loop only.
 func (m *Master) clientStatuses() []ClientStatus {
 	out := make([]ClientStatus, 0, len(m.clients))
-	for _, c := range m.clients {
+	for _, id := range m.order {
+		c := m.clients[id]
 		if c.addr == "" {
 			continue // connection still mid-registration
 		}
@@ -1063,7 +865,7 @@ func (m *Master) clientStatuses() []ClientStatus {
 			Host:           c.hostName,
 			Busy:           c.busy,
 			Reserved:       c.reserved,
-			MemBytes:       c.memBytes,
+			MemBytes:       c.usedMem,
 			DBLearnts:      c.dbLearnts,
 			Depth:          c.depth,
 			Decisions:      c.agg.Decisions,
@@ -1080,7 +882,6 @@ func (m *Master) clientStatuses() []ClientStatus {
 			Workers:              c.workers,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -1101,9 +902,7 @@ func (m *Master) statusSnapshot() StatusSnapshot {
 		Jobs:          m.jobSnapshots(),
 		Clients:       m.clientStatuses(),
 	}
-	if !m.started.IsZero() {
-		snap.WallSeconds = time.Since(m.started).Seconds()
-	}
+	snap.WallSeconds = m.now()
 	if m.cfg.CommMetrics != nil {
 		snap.CodecFallbackFrames = m.cfg.CommMetrics.FallbackFrames()
 	}
@@ -1124,6 +923,25 @@ func (m *Master) statusSnapshot() StatusSnapshot {
 	return snap
 }
 
+// connect admits a new, not yet registered client and issues its ID; the
+// shell routes that ID's traffic from then on.
+func (m *Master) connect() int {
+	m.nextID++
+	m.clients[m.nextID] = &masterClient{id: m.nextID, sentBase: map[int]bool{}}
+	m.order = append(m.order, m.nextID)
+	return m.nextID
+}
+
+// forget drops a client from the pool.
+func (m *Master) forget(id int) {
+	delete(m.clients, id)
+	if i := slices.Index(m.order, id); i >= 0 {
+		m.order = slices.Delete(m.order, i, i+1)
+	}
+}
+
+// handle steps the state machine by one event. The bool reports that a
+// single-job run is decided (a serving master only ends on Shutdown).
 func (m *Master) handle(ev masterEvent) (bool, error) {
 	if ev.progress != nil {
 		ev.progress <- m.progressSnapshot()
@@ -1138,14 +956,8 @@ func (m *Master) handle(ev masterEvent) (bool, error) {
 		m.updateGauges()
 		return done, nil
 	}
-	if ev.conn != nil { // new connection: wait for its Register
-		m.nextID++
-		id := m.nextID
-		mc := &masterClient{id: id, conn: ev.conn, out: make(chan comm.Message, 1024),
-			sentBase: map[int]bool{}}
-		m.clients[id] = mc
-		go m.readLoop(id, ev.conn)
-		go m.writeLoop(mc)
+	if ev.conn != nil { // new live connection: wait for its Register
+		m.attach(ev.conn)
 		return false, nil
 	}
 	c := m.clients[ev.clientID]
@@ -1155,7 +967,8 @@ func (m *Master) handle(ev masterEvent) (bool, error) {
 
 	if ev.err != nil {
 		m.inTI = comm.TraceInfo{}
-		return m.clientLost(c)
+		defer m.updateGauges()
+		return m.clientLost(c, ev.salvage)
 	}
 	// Strip the trace envelope (if any) so the dispatch below sees the
 	// payload; the metadata feeds femit's Lamport merge and Parent links.
@@ -1194,7 +1007,7 @@ func (m *Master) handleStatusReport(c *masterClient, msg comm.StatusReport) {
 		m.femit(trace.FEvent{Kind: trace.FEvImportUse, Client: c.id, N: n,
 			Parent: m.inTI.Parent})
 	}
-	c.memBytes = msg.MemBytes
+	c.usedMem = msg.MemBytes
 	c.dbLearnts = msg.Learnts
 	c.depth = msg.Depth
 	c.workers = msg.Workers
@@ -1206,19 +1019,16 @@ func (m *Master) handleStatusReport(c *masterClient, msg comm.StatusReport) {
 	if j := m.jobOf(c); j != nil {
 		j.agg.Add(msg.Deltas)
 	}
-	// Conflict-rate EWMA for utilization and straggler detection; anchored
-	// to the run clock, so pre-Run heartbeats (none in practice) are skipped.
-	if !m.started.IsZero() {
-		now := time.Since(m.started).Seconds()
-		if dt := now - c.lastHBSec; dt > 0 {
-			inst := float64(msg.Deltas.Conflicts) / dt
-			if c.haveRate {
-				c.confRate = progressEWMAAlpha*inst + (1-progressEWMAAlpha)*c.confRate
-			} else {
-				c.confRate, c.haveRate = inst, true
-			}
-			c.lastHBSec = now
+	// Conflict-rate EWMA for utilization and straggler detection.
+	now := m.now()
+	if dt := now - c.lastHBSec; dt > 0 {
+		inst := float64(msg.Deltas.Conflicts) / dt
+		if c.haveRate {
+			c.confRate = progressEWMAAlpha*inst + (1-progressEWMAAlpha)*c.confRate
+		} else {
+			c.confRate, c.haveRate = inst, true
 		}
+		c.lastHBSec = now
 	}
 	if g := c.gauges; g != nil {
 		g.mem.Set(msg.MemBytes)
@@ -1248,27 +1058,26 @@ func (m *Master) handleRegister(c *masterClient, msg comm.Register) error {
 		m.met.rejected.Inc()
 		m.log.Warn("registration rejected", "host", msg.HostName,
 			"free_mem", msg.FreeMemBytes, "min_mem", m.cfg.MinMemBytes)
-		m.send(c, comm.RegisterAck{Rejected: true,
+		m.send(c.id, comm.RegisterAck{Rejected: true,
 			Reason: fmt.Sprintf("free memory %d below minimum %d", msg.FreeMemBytes, m.cfg.MinMemBytes)})
-		delete(m.clients, c.id)
+		m.forget(c.id)
 		return nil
 	}
 	c.addr = msg.Addr
 	c.hostName = msg.HostName
-	c.speed = msg.SpeedHint
-	c.memBytes = msg.FreeMemBytes
+	c.freeMem = msg.FreeMemBytes
+	c.rank = msg.SpeedHint * float64(msg.FreeMemBytes>>20)
 	c.gauges = newClientGauges(m.reg, c.id)
-	c.gauges.mem.Set(msg.FreeMemBytes)
 	m.log.Info("client registered", "id", c.id, "host", msg.HostName,
 		"addr", msg.Addr, "free_mem", msg.FreeMemBytes)
 	m.femit(trace.FEvent{Kind: trace.FEvClientJoin, Client: c.id,
 		Detail: msg.HostName, Parent: m.inTI.Parent})
-	m.send(c, comm.RegisterAck{ClientID: c.id})
+	m.send(c.id, comm.RegisterAck{ClientID: c.id})
 	if !m.serve {
 		// Single-job mode: every client gets the one formula up front,
 		// exactly as the pre-scheduler master did.
 		c.sentBase[0] = true
-		m.send(c, comm.BaseProblem{Formula: m.cfg.Formula})
+		m.send(c.id, comm.BaseProblem{Formula: m.cfg.Formula})
 		j0 := m.jobs[0]
 		if !j0.assigned && m.registeredCount() >= max(1, m.cfg.ExpectedClients) {
 			m.assignRoot(j0)
@@ -1292,7 +1101,7 @@ func (m *Master) ensureBase(c *masterClient, j *masterJob) {
 		return
 	}
 	c.sentBase[j.ID] = true
-	m.send(c, comm.BaseProblem{Formula: j.Formula, Job: j.ID})
+	m.send(c.id, comm.BaseProblem{Formula: j.Formula, Job: j.ID})
 }
 
 // markStarted moves a job to running on its first (or renewed) client
@@ -1300,7 +1109,7 @@ func (m *Master) ensureBase(c *masterClient, j *masterJob) {
 func (m *Master) markStarted(j *masterJob) {
 	switch j.State {
 	case JobQueued:
-		j.StartedAt = m.nowSec()
+		j.StartedAt = m.now()
 		j.State = JobRunning
 		m.met.queueWait.Observe(j.StartedAt - j.SubmittedAt)
 		if m.serve {
@@ -1311,38 +1120,26 @@ func (m *Master) markStarted(j *masterJob) {
 	}
 }
 
-// nowSec is the master's run clock (seconds since Run started).
-func (m *Master) nowSec() float64 {
-	if m.started.IsZero() {
-		return 0
+// noteForecast replaces a client's placement rank and free-memory
+// forecast with fresher data from the shell's resource monitor (the DES
+// feeds NWS forecasts at every monitor tick; the live shell has only the
+// client's own Register and never calls this).
+func (m *Master) noteForecast(id int, rank float64, freeMem int64) {
+	if c := m.clients[id]; c != nil {
+		c.rank, c.freeMem = rank, freeMem
 	}
-	return time.Since(m.started).Seconds()
 }
 
-// assignRoot hands a job's whole search space to the best idle client
+// assignRoot queues a job's whole search space as its first backlog entry
 // ("The first client to register with the master is sent the entire
-// problem" — with ranking, the best-ranked registrant).
+// problem" — with ranking, the best-ranked registrant); serveSubBacklog
+// hands it out like any other master-held subproblem, so a bounced root
+// is requeued, not lost.
 func (m *Master) assignRoot(j *masterJob) {
-	target, ok := PickSplitTarget(m.idleCandidates(), m.cfg.MinMemBytes)
-	if !ok {
-		return
-	}
-	c := m.clients[target.ID]
-	m.ensureBase(c, j)
-	sub := &solver.Subproblem{NumVars: j.Formula.NumVars}
-	m.send(c, comm.SplitPayload{From: 0, Job: j.ID, Subs: []*solver.Subproblem{sub}})
 	j.assigned = true
-	c.busy = true
-	c.job = j.ID
-	c.assignedAt = time.Now()
 	j.outstanding++
-	m.markStarted(j)
-	if j.FirstAssignAt == 0 {
-		j.FirstAssignAt = m.nowSec()
-		m.met.firstAssign.Observe(j.FirstAssignAt - j.SubmittedAt)
-	}
-	m.femit(trace.FEvent{Kind: trace.FEvAssign, Client: c.id, Job: j.ID})
-	m.noteBusyCount()
+	j.subBacklog = append(j.subBacklog, backlogSub{origin: fromRoot, job: j.ID,
+		sub: &solver.Subproblem{NumVars: j.Formula.NumVars}})
 }
 
 func (m *Master) handleSplitRequest(c *masterClient, msg comm.SplitRequest) {
@@ -1355,8 +1152,8 @@ func (m *Master) handleSplitRequest(c *masterClient, msg comm.SplitRequest) {
 		Client: c.id, Job: j.ID, Detail: msg.Why.String(), Parent: m.inTI.Parent})
 	j.backlog = append(j.backlog, BacklogEntry{
 		ClientID:    c.id,
-		AssignedAt:  float64(c.assignedAt.UnixNano()),
-		RequestedAt: float64(time.Now().UnixNano()),
+		AssignedAt:  c.assignedAt,
+		RequestedAt: m.now(),
 	})
 	m.serveBacklog()
 }
@@ -1385,10 +1182,6 @@ func (m *Master) serveBacklog() {
 		if !j.assigned {
 			// First allocation: the job starts from its root subproblem.
 			m.assignRoot(j)
-			deficit = targets[j.ID] - m.heldClients(j.ID)
-			if deficit <= 0 {
-				continue
-			}
 		}
 		deficit = m.serveSubBacklog(j, deficit)
 		if deficit > 0 {
@@ -1446,7 +1239,7 @@ func (m *Master) serveSplitBacklog(j *masterJob, limit int) {
 		j.outstanding += len(peers) // each in-flight leg counts as outstanding work
 		m.nextSplitID++
 		g := &splitGroup{donor: donor.id, job: j.ID, settled: map[int]bool{},
-			assignedAt: time.Now()}
+			assignedAt: m.now()}
 		for _, p := range peers {
 			g.recipients = append(g.recipients, p.ID)
 		}
@@ -1454,18 +1247,19 @@ func (m *Master) serveSplitBacklog(j *masterJob, limit int) {
 			Peer: peers[0].ID, N: int64(len(peers)), SplitID: m.nextSplitID,
 			Parent: donor.splitReqEv})
 		m.pendingSplits[m.nextSplitID] = g
-		m.send(donor, comm.SplitAssign{SplitID: m.nextSplitID, Peers: peers})
+		m.send(donor.id, comm.SplitAssign{SplitID: m.nextSplitID, Peers: peers})
 		if limit > 0 {
 			limit -= len(peers)
 		}
 	}
 }
 
-// serveSubBacklog hands a job's queued cofactors (leftover split products
-// and preempted checkpoints) to idle clients — cheaper than asking a busy
-// client to split. The subproblems are already counted in outstanding
-// (they are live search space), so assignment only flips the recipient
-// busy. Returns the remaining assignment budget.
+// serveSubBacklog hands a job's master-held subproblems (its root,
+// leftover split products, preempted checkpoints, salvage from lost
+// clients) to idle clients — cheaper than asking a busy client to split.
+// The subproblems are already counted in outstanding (they are live search
+// space), so assignment only flips the recipient busy. Returns the
+// remaining assignment budget.
 func (m *Master) serveSubBacklog(j *masterJob, limit int) int {
 	for len(j.subBacklog) > 0 && limit != 0 {
 		target, ok := PickSplitTarget(m.idleCandidates(), m.cfg.MinMemBytes)
@@ -1477,12 +1271,16 @@ func (m *Master) serveSubBacklog(j *masterJob, limit int) int {
 		c := m.clients[target.ID]
 		m.ensureBase(c, j)
 		m.pendingAssigns[c.id] = entry
-		m.send(c, comm.SplitPayload{SplitID: entry.splitID, From: entry.donor,
+		m.send(c.id, comm.SplitPayload{SplitID: entry.splitID, From: entry.donor,
 			Job: j.ID, Subs: []*solver.Subproblem{entry.sub}})
 		c.busy = true
 		c.job = j.ID
-		c.assignedAt = time.Now()
+		c.assignedAt = m.now()
 		m.markStarted(j)
+		if entry.origin == fromRoot && j.FirstAssignAt == 0 {
+			j.FirstAssignAt = m.now()
+			m.met.firstAssign.Observe(j.FirstAssignAt - j.SubmittedAt)
+		}
 		m.noteBusyCount()
 		if limit > 0 {
 			limit--
@@ -1492,12 +1290,16 @@ func (m *Master) serveSubBacklog(j *masterJob, limit int) int {
 }
 
 func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) bool {
-	// A backlog-served cofactor acks with the split ID it descended from.
+	// A master-held subproblem acks with the split ID it descended from
+	// (0 for roots, preempted checkpoints and salvage).
 	if entry, ok := m.pendingAssigns[c.id]; ok && entry.splitID == msg.SplitID {
 		delete(m.pendingAssigns, c.id)
 		j := m.jobs[entry.job]
 		if msg.OK {
-			if entry.resume {
+			switch entry.origin {
+			case fromRoot:
+				m.femit(trace.FEvent{Kind: trace.FEvAssign, Client: c.id, Job: entry.job})
+			case fromPreempt:
 				// A preempted checkpoint came back to life on a new client:
 				// the flight log records the checkpoint's travel and the
 				// resume under the job-preempt event that created it.
@@ -1505,7 +1307,10 @@ func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) bool {
 					Peer: c.id, Job: entry.job, Parent: entry.issueEv})
 				m.femit(trace.FEvent{Kind: trace.FEvJobResume, Client: c.id,
 					Job: entry.job, Parent: entry.issueEv})
-			} else {
+			case fromCrash:
+				m.femit(trace.FEvent{Kind: trace.FEvRecover, Client: c.id,
+					Job: entry.job, Parent: entry.issueEv})
+			default:
 				m.result.Splits++
 				if j != nil {
 					j.splits++
@@ -1515,7 +1320,7 @@ func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) bool {
 					Peer: entry.donor, SplitID: entry.splitID, Parent: entry.issueEv})
 			}
 		} else {
-			// The assignment bounced; requeue the cofactor — it is still
+			// The assignment bounced; requeue the subproblem — it is still
 			// live search space and stays counted in outstanding.
 			c.busy = false
 			m.femit(trace.FEvent{Kind: trace.FEvSplitFail, Client: c.id,
@@ -1531,16 +1336,16 @@ func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) bool {
 	}
 	g, ok := m.pendingSplits[msg.SplitID]
 	if !ok {
-		// Initial-assignment ack (SplitID 0), an already-settled group, or a
-		// transfer whose job ended while the payload was in flight. In the
-		// last case the recipient just started solving a dead job: stop it
-		// and keep it busy master-side until its idle ack.
+		// An already-settled group, or a transfer whose job ended while the
+		// payload was in flight. In the last case the recipient just started
+		// solving a dead job: stop it and keep it busy master-side until its
+		// idle ack.
 		if m.serve && msg.OK && !c.busy {
 			if j := m.jobOf(c); j != nil && !j.State.Active() {
 				c.busy = true
 				c.preempting = true
 				c.stopSeq++
-				m.send(c, comm.StopWork{Job: j.ID, Seq: c.stopSeq})
+				m.send(c.id, comm.StopWork{Job: j.ID, Seq: c.stopSeq})
 			}
 		}
 		return m.checkExhausted(m.jobOf(c))
@@ -1554,6 +1359,9 @@ func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) bool {
 		} else {
 			m.femit(trace.FEvent{Kind: trace.FEvSplitFail, Client: g.donor,
 				SplitID: msg.SplitID, Parent: g.issueEv, Detail: msg.Err})
+			if g.migrate {
+				c.preempting = false // the move is off; the donor solves on
+			}
 		}
 		g.used = used
 		// Peers are served in assignment order, so everyone beyond the Used
@@ -1583,24 +1391,26 @@ func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) bool {
 				SplitID: msg.SplitID, N: int64(len(msg.Leftover)), Parent: g.issueEv})
 		}
 	} else { // Figure 3, message (4): one recipient's leg concluded
-		member := false
-		for _, id := range g.recipients {
-			member = member || id == c.id
-		}
-		if !member || g.settled[c.id] {
+		if !slices.Contains(g.recipients, c.id) || g.settled[c.id] {
 			return false
 		}
 		g.settled[c.id] = true
 		c.reserved = false
 		if msg.OK {
 			c.busy = true
-			c.assignedAt = time.Now()
-			m.result.Splits++
-			j.splits++
-			m.met.splits.Inc()
-			m.met.splitLat.Observe(time.Since(g.assignedAt).Seconds())
-			m.femit(trace.FEvent{Kind: trace.FEvSplitAccept, Client: c.id,
-				Peer: g.donor, SplitID: msg.SplitID, Parent: g.issueEv})
+			c.assignedAt = m.now()
+			if g.migrate {
+				m.result.Migrations++
+				m.femit(trace.FEvent{Kind: trace.FEvMigrate, Client: g.donor,
+					Peer: c.id, Job: g.job})
+			} else {
+				m.result.Splits++
+				j.splits++
+				m.met.splits.Inc()
+				m.met.splitLat.Observe(m.now() - g.assignedAt)
+				m.femit(trace.FEvent{Kind: trace.FEvSplitAccept, Client: c.id,
+					Peer: g.donor, SplitID: msg.SplitID, Parent: g.issueEv})
+			}
 			m.noteBusyCount()
 		} else {
 			m.femit(trace.FEvent{Kind: trace.FEvSplitFail, Client: c.id,
@@ -1654,11 +1464,12 @@ func (m *Master) handleShare(c *masterClient, msg comm.ShareClauses) {
 	if e, err := comm.EncodeMessage(out); err == nil {
 		out = e
 	}
-	for _, other := range m.clients {
+	for _, id := range m.order {
+		other := m.clients[id]
 		if other.id == c.id || other.addr == "" || other.job != j.ID {
 			continue
 		}
-		m.send(other, out)
+		m.send(other.id, out)
 	}
 }
 
@@ -1709,7 +1520,7 @@ func (m *Master) handleSolved(c *masterClient, msg comm.Solved) (bool, error) {
 			Job: j.ID, Parent: m.inTI.Parent})
 		// Fold the refuted prefix into the job's coverage estimate: a
 		// depth-d subproblem retires 2^-d of the root search space.
-		units := j.prog.CloseSubproblem(msg.Depth, time.Since(m.started).Seconds())
+		units := j.prog.CloseSubproblem(msg.Depth, m.now())
 		m.femit(trace.FEvent{Kind: trace.FEvProgress, Client: c.id, Job: j.ID,
 			N: int64(units), Detail: fmt.Sprintf("depth=%d", msg.Depth), Parent: ev})
 		// This half of the space is exhausted. If nothing else is
@@ -1717,6 +1528,10 @@ func (m *Master) handleSolved(c *masterClient, msg comm.Solved) (bool, error) {
 		if m.checkExhausted(j) {
 			return !m.serve, nil
 		}
+		m.serveBacklog()
+	default:
+		// StatusUnknown: the client handed its whole problem to a peer
+		// (migration); it is idle and may take queued work.
 		m.serveBacklog()
 	}
 	return false, nil
@@ -1747,49 +1562,145 @@ func (m *Master) checkExhausted(j *masterJob) bool {
 	return false
 }
 
-// clientLost implements the paper's limited fault handling: a lost idle
-// client is forgotten; a lost busy client is unrecoverable in the live
-// single-job runtime (the DES runner models checkpoint recovery). The
-// scheduling service instead fails only the job whose subproblem went
-// down with the client — one bad host must not take out the service.
-func (m *Master) clientLost(c *masterClient) (bool, error) {
-	if c.busy || c.reserved {
-		if !m.serve {
-			return false, fmt.Errorf("core: lost client %d while it held a subproblem", c.id)
-		}
-		j := m.jobOf(c)
-		m.log.Warn("busy client lost; failing its job", "client", c.id,
-			"host", c.hostName, "job", c.job)
-		m.femit(trace.FEvent{Kind: trace.FEvClientLeave, Client: c.id, Detail: c.hostName})
-		delete(m.clients, c.id)
-		if j != nil && j.State.Active() {
-			// The lost subproblem's search space is unrecoverable live, so
-			// the job cannot conclude soundly: end it UNKNOWN.
-			m.finishJob(j, solver.StatusUnknown, nil)
-		}
-		m.updateGauges()
+// clientLost handles a client's departure. An idle client is simply
+// forgotten. For one that held work, what happens depends on whether the
+// shell could salvage it (ev.salvage: the §3.4 checkpoint of its running
+// subproblem plus any payloads it never started): salvaged subproblems go
+// back on the job's backlog for the next idle client; with nothing
+// salvaged — the live shell, where a dead process leaves no checkpoint —
+// the search space is gone, which is fatal for a single-job run and fails
+// just that job in the scheduling service.
+func (m *Master) clientLost(c *masterClient, salvage []*solver.Subproblem) (bool, error) {
+	held := c.busy || c.reserved
+	if held && salvage == nil && !m.serve {
+		return false, fmt.Errorf("core: lost client %d while it held a subproblem", c.id)
+	}
+	m.log.Warn("client lost", "client", c.id, "host", c.hostName, "held", held, "job", c.job)
+	leaveEv := m.femit(trace.FEvent{Kind: trace.FEvClientLeave, Client: c.id, Detail: c.hostName})
+	m.forget(c.id)
+	j := m.jobOf(c)
+	if !held || j == nil || !j.State.Active() {
 		return false, nil
 	}
-	m.log.Warn("idle client lost", "client", c.id, "host", c.hostName)
-	m.femit(trace.FEvent{Kind: trace.FEvClientLeave, Client: c.id, Detail: c.hostName})
-	delete(m.clients, c.id)
-	if m.serve {
-		m.updateGauges()
+	if salvage == nil {
+		// The lost subproblem's search space is unrecoverable, so the job
+		// cannot conclude soundly: end it UNKNOWN.
+		m.finishJob(j, solver.StatusUnknown, nil)
+		return false, nil
 	}
-	return false, nil
+	// Every slot the client held unwinds (its running subproblem or a
+	// master-held assignment in flight to it, its legs of in-flight
+	// transfers), then everything recoverable takes a fresh slot at the
+	// head of the backlog: an assignment it never acknowledged goes back
+	// as it was (the master still holds it, whether or not the shell
+	// caught it on the wire), the salvage as recover-on-crash entries.
+	if c.busy {
+		j.outstanding--
+	}
+	var requeue []backlogSub
+	pending, unacked := m.pendingAssigns[c.id]
+	if unacked {
+		delete(m.pendingAssigns, c.id)
+		requeue = append(requeue, pending)
+	}
+	for _, sub := range salvage {
+		if !unacked || sub != pending.sub {
+			requeue = append(requeue, backlogSub{sub: sub, origin: fromCrash, donor: c.id, issueEv: leaveEv, job: j.ID})
+		}
+	}
+	for _, splitID := range m.sortedSplitIDs() {
+		g := m.pendingSplits[splitID]
+		switch {
+		case g.donor == c.id && !g.donorDone:
+			// Links are FIFO, so a donor whose SplitDone has not arrived
+			// never split: none of its recipients will get a payload.
+			m.femit(trace.FEvent{Kind: trace.FEvSplitFail, Client: g.donor,
+				Peer: g.recipients[0], SplitID: splitID, Parent: g.issueEv, Detail: "client lost"})
+			for _, rid := range g.recipients {
+				if g.settled[rid] {
+					continue
+				}
+				if r := m.clients[rid]; r != nil {
+					r.reserved = false
+				}
+				m.jobs[g.job].outstanding--
+			}
+			delete(m.pendingSplits, splitID)
+		case !g.settled[c.id] && slices.Contains(g.recipients, c.id):
+			g.settled[c.id] = true
+			m.femit(trace.FEvent{Kind: trace.FEvSplitFail, Client: c.id, Peer: g.donor,
+				SplitID: splitID, Parent: g.issueEv, Detail: "client lost"})
+			m.jobs[g.job].outstanding--
+			if g.done() {
+				delete(m.pendingSplits, splitID)
+			}
+		}
+	}
+	j.outstanding += len(requeue)
+	j.subBacklog = append(requeue, j.subBacklog...)
+	m.serveBacklog()
+	return m.checkExhausted(j), nil
+}
+
+// sortedSplitIDs lists the in-flight transfer tokens ascending, so walks
+// that emit or release stay deterministic.
+func (m *Master) sortedSplitIDs() []int {
+	return slices.Sorted(maps.Keys(m.pendingSplits))
+}
+
+// maybeMigrate is the paper's §3.4 migration decision: when the best idle
+// client outranks the weakest busy one by factor — Blue Horizon nodes just
+// joined, a cluster freed up — the weakest's whole subproblem moves there
+// instead of being split. Only clients that have held their subproblem for
+// minHeld seconds are candidates. The shell calls this after refreshing
+// forecasts (noteForecast); factor <= 0 disables migration.
+func (m *Master) maybeMigrate(factor, minHeld float64) {
+	if factor <= 0 {
+		return
+	}
+	target, ok := PickSplitTarget(m.idleCandidates(), m.cfg.MinMemBytes)
+	if !ok {
+		return
+	}
+	var weakest *masterClient
+	for _, id := range m.order {
+		c := m.clients[id]
+		if !c.busy || c.preempting || m.now()-c.assignedAt < minHeld {
+			continue
+		}
+		if weakest == nil || c.rank < weakest.rank {
+			weakest = c
+		}
+	}
+	if weakest == nil || target.Rank < factor*weakest.rank {
+		return
+	}
+	j := m.jobOf(weakest)
+	if j == nil || !j.State.Active() {
+		return
+	}
+	// The move rides the split exchange with one recipient: the donor
+	// ships its checkpoint peer-to-peer and reports Solved(unknown).
+	r := m.clients[target.ID]
+	r.reserved = true
+	r.job = j.ID
+	m.ensureBase(r, j)
+	weakest.preempting = true
+	j.outstanding++
+	m.nextSplitID++
+	m.pendingSplits[m.nextSplitID] = &splitGroup{donor: weakest.id, job: j.ID,
+		recipients: []int{r.id}, settled: map[int]bool{}, assignedAt: m.now(), migrate: true}
+	m.send(weakest.id, comm.Migrate{SplitID: m.nextSplitID, PeerID: r.id, PeerAddr: r.addr})
 }
 
 func (m *Master) idleCandidates() []Candidate {
 	var out []Candidate
-	for _, c := range m.clients {
+	for _, id := range m.order {
+		c := m.clients[id]
 		if c.busy || c.reserved || c.addr == "" {
 			continue
 		}
-		out = append(out, Candidate{
-			ID:       c.id,
-			Rank:     c.speed * float64(c.memBytes>>20),
-			MemBytes: c.memBytes,
-		})
+		out = append(out, Candidate{ID: c.id, Rank: c.rank, MemBytes: c.freeMem})
 	}
 	return out
 }
@@ -1804,40 +1715,17 @@ func (m *Master) registeredCount() int {
 	return n
 }
 
-func (m *Master) noteBusyCount() {
+// busyCount is how many clients hold a subproblem right now.
+func (m *Master) busyCount() int {
 	n := 0
 	for _, c := range m.clients {
 		if c.busy {
 			n++
 		}
 	}
-	if n > m.result.MaxClients {
-		m.result.MaxClients = n
-	}
+	return n
 }
 
-func (m *Master) shutdownAll() {
-	for _, c := range m.clients {
-		m.send(c, comm.Shutdown{})
-	}
-	// Give clients a moment to drain, then cut connections.
-	time.AfterFunc(100*time.Millisecond, func() {
-		for _, c := range m.clients {
-			_ = c.conn.Close()
-		}
-	})
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+func (m *Master) noteBusyCount() {
+	m.result.MaxClients = max(m.result.MaxClients, m.busyCount())
 }

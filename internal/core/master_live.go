@@ -1,0 +1,321 @@
+package core
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+	"time"
+
+	"gridsat/internal/comm"
+	"gridsat/internal/obs"
+	"gridsat/internal/trace"
+)
+
+// This file is the live shell around Master: the listener and per-client
+// read/write goroutines that turn a comm.Transport into masterEvents, the
+// wall clock, the bounded outbound queues behind the outbox, the event
+// loop with its timers, and the HTTP introspection server. None of the
+// protocol lives here — see master.go.
+
+// masterLink is the live shell's half of a client: its connection and the
+// queue writeLoop drains, so a slow peer never blocks the event loop.
+type masterLink struct {
+	conn comm.Conn
+	out  chan comm.Message
+}
+
+// NewMaster builds the live shell around a master and starts listening;
+// the returned master's Addr is dialable immediately, so clients may be
+// launched before Run.
+func NewMaster(cfg MasterConfig) (*Master, error) {
+	if cfg.Transport == nil {
+		return nil, errors.New("core: master needs a transport")
+	}
+	m, err := newMaster(cfg, nil, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	m.now, m.send, m.writeBundle = m.wallNow, m.enqueue, m.writeBundleAsync
+	l, err := cfg.Transport.Listen(cfg.ListenAddr)
+	if err != nil {
+		return nil, err
+	}
+	m.listener = l
+	m.events = make(chan masterEvent, 256)
+	m.links = map[int]*masterLink{}
+	m.build = obs.RegisterBuildInfo(m.reg)
+	if cfg.MetricsAddr != "" {
+		extra := append([]obs.Endpoint{}, cfg.ExtraEndpoints...)
+		extra = append(extra, []obs.Endpoint{
+			{Path: "/progress", H: func(w http.ResponseWriter, _ *http.Request) {
+				w.Header().Set("Content-Type", "application/json")
+				enc := json.NewEncoder(w)
+				enc.SetIndent("", "  ")
+				_ = enc.Encode(m.Progress())
+			}},
+			{Path: "GET /healthz", H: func(w http.ResponseWriter, _ *http.Request) {
+				// Liveness: the introspection server answering is the
+				// signal; no event-loop round-trip, so a wedged loop
+				// still lets /healthz distinguish process-up from gone.
+				writeJSON(w, http.StatusOK, map[string]any{
+					"status": "ok", "build": m.build, "draining": m.draining.Load(),
+				})
+			}},
+			{Path: "GET /history", H: func(w http.ResponseWriter, _ *http.Request) {
+				if m.hist == nil {
+					writeError(w, http.StatusNotFound, errors.New("core: history sampling disabled"))
+					return
+				}
+				w.Header().Set("Content-Type", "application/json")
+				_ = m.hist.WriteJSON(w)
+			}},
+			{Path: "GET /alerts", H: func(w http.ResponseWriter, _ *http.Request) {
+				writeJSON(w, http.StatusOK, alertsResponse{Alerts: m.Alerts()})
+			}},
+			{Path: "POST /debug/bundle", H: func(w http.ResponseWriter, r *http.Request) {
+				dir, err := m.TriggerBundle(r.URL.Query().Get("reason"))
+				switch {
+				case errors.Is(err, ErrDraining):
+					writeError(w, http.StatusConflict, err)
+				case errors.Is(err, ErrNoBundleDir):
+					writeError(w, http.StatusServiceUnavailable, err)
+				case err != nil:
+					writeError(w, http.StatusInternalServerError, err)
+				default:
+					writeJSON(w, http.StatusOK, map[string]string{"bundle": dir})
+				}
+			}},
+		}...)
+		if f := m.flight; f != nil {
+			extra = append(extra,
+				obs.Endpoint{Path: "/trace", H: func(w http.ResponseWriter, _ *http.Request) {
+					w.Header().Set("Content-Type", "application/x-ndjson")
+					_ = f.WriteJSONL(w)
+				}},
+				obs.Endpoint{Path: "/trace.json", H: func(w http.ResponseWriter, _ *http.Request) {
+					w.Header().Set("Content-Type", "application/json")
+					_ = trace.WritePerfetto(w, f.Events())
+				}},
+				obs.Endpoint{Path: "/tree", H: func(w http.ResponseWriter, _ *http.Request) {
+					w.Header().Set("Content-Type", "application/json")
+					_ = trace.BuildLineage(f.Events()).WriteJSON(w)
+				}},
+				obs.Endpoint{Path: "/tree.dot", H: func(w http.ResponseWriter, _ *http.Request) {
+					w.Header().Set("Content-Type", "text/vnd.graphviz")
+					_ = trace.BuildLineage(f.Events()).WriteDOT(w)
+				}},
+			)
+		}
+		srv, addr, err := obs.Serve(cfg.MetricsAddr,
+			obs.Handler(m.reg, func() any { return m.Status() }, extra...))
+		if err != nil {
+			l.Close()
+			return nil, fmt.Errorf("core: metrics server: %w", err)
+		}
+		m.httpSrv, m.httpAddr = srv, addr
+		m.log.Info("introspection server up", "addr", addr)
+	}
+	go m.acceptLoop()
+	return m, nil
+}
+
+// Addr returns the master's dialable address.
+func (m *Master) Addr() string { return m.listener.Addr() }
+
+// MetricsAddr returns the bound introspection address ("" when
+// MasterConfig.MetricsAddr was empty).
+func (m *Master) MetricsAddr() string { return m.httpAddr }
+
+// Status asynchronously requests a snapshot from a running master. It
+// blocks until the event loop serves it (or the master has exited, in
+// which case the zero snapshot returns).
+func (m *Master) Status() StatusSnapshot {
+	reply := make(chan StatusSnapshot, 1)
+	select {
+	case m.events <- masterEvent{status: reply}:
+		select {
+		case s := <-reply:
+			return s
+		case <-time.After(2 * time.Second):
+		}
+	case <-time.After(2 * time.Second):
+	}
+	return StatusSnapshot{}
+}
+
+// Progress asynchronously requests the cluster progress estimate from a
+// running master, served through the event loop like Status.
+func (m *Master) Progress() ProgressSnapshot {
+	reply := make(chan ProgressSnapshot, 1)
+	select {
+	case m.events <- masterEvent{progress: reply}:
+		select {
+		case s := <-reply:
+			return s
+		case <-time.After(2 * time.Second):
+		}
+	case <-time.After(2 * time.Second):
+	}
+	return ProgressSnapshot{}
+}
+
+func (m *Master) acceptLoop() {
+	for {
+		conn, err := m.listener.Accept()
+		if err != nil {
+			return
+		}
+		m.events <- masterEvent{conn: conn}
+	}
+}
+
+// attach admits a freshly accepted connection: the core issues its client
+// ID, the shell gives it a link and the two goroutines that serve it.
+func (m *Master) attach(conn comm.Conn) {
+	id := m.connect()
+	// 1024 queued messages absorb a share burst to a slow peer before
+	// best-effort drops start (see enqueue).
+	l := &masterLink{conn: conn, out: make(chan comm.Message, 1024)}
+	m.links[id] = l
+	go m.readLoop(id, conn)
+	go m.writeLoop(l)
+}
+
+func (m *Master) readLoop(id int, conn comm.Conn) {
+	for {
+		msg, err := conn.Recv()
+		if err != nil {
+			m.events <- masterEvent{clientID: id, err: err}
+			return
+		}
+		m.events <- masterEvent{clientID: id, msg: msg}
+	}
+}
+
+// writeLoop drains a client's outbound queue so a slow or stalled client
+// can never block the master's single-threaded event loop.
+func (m *Master) writeLoop(l *masterLink) {
+	for msg := range l.out {
+		var err error
+		if e, ok := msg.(*comm.EncodedMessage); ok {
+			// Pre-serialized broadcast: write the shared frame verbatim
+			// instead of re-encoding per peer.
+			err = l.conn.SendEncoded(e)
+		} else {
+			err = l.conn.Send(msg)
+		}
+		if err != nil {
+			return
+		}
+	}
+}
+
+// enqueue is the live outbox: it queues msg for client `to`. Best-effort
+// clause shares (plain or pre-encoded) are dropped when the queue is full,
+// and the drop is counted; control messages wait for room.
+func (m *Master) enqueue(to int, msg comm.Message) {
+	l := m.links[to]
+	if l == nil {
+		return
+	}
+	select {
+	case l.out <- msg:
+	default:
+		if msg.Kind() == (comm.ShareClauses{}).Kind() {
+			m.sharedDropped++
+			m.met.sharedDropped.Inc()
+			return
+		}
+		l.out <- msg
+	}
+}
+
+// Run serves the protocol until termination. It owns all master state;
+// every message is handled on this single goroutine.
+func (m *Master) Run() (Result, error) {
+	m.started = time.Now()
+	m.femit(trace.FEvent{Kind: trace.FEvRunStart, N: int64(m.cfg.ExpectedClients)})
+	defer m.listener.Close()
+	var timeout <-chan time.Time
+	if m.cfg.Timeout > 0 {
+		t := time.NewTimer(m.cfg.Timeout)
+		defer t.Stop()
+		timeout = t.C
+	}
+	defer func() {
+		if m.httpSrv != nil {
+			_ = m.httpSrv.Close()
+		}
+	}()
+	var rebalance <-chan time.Time
+	if m.serve {
+		period := m.cfg.RebalancePeriod
+		if period <= 0 {
+			period = 250 * time.Millisecond
+		}
+		t := time.NewTicker(period)
+		defer t.Stop()
+		rebalance = t.C
+	}
+	var sampler <-chan time.Time
+	if m.hist != nil {
+		period := m.cfg.HistoryPeriod
+		if period <= 0 {
+			period = time.Second
+		}
+		t := time.NewTicker(period)
+		defer t.Stop()
+		sampler = t.C
+	}
+	for {
+		select {
+		case <-rebalance:
+			m.maybeRebalance()
+			m.updateGauges()
+		case <-sampler:
+			m.sampleTick()
+		case ev := <-m.events:
+			done, err := m.handle(ev)
+			if err != nil {
+				m.finishResult()
+				m.shutdownAll()
+				return m.result, err
+			}
+			if done {
+				m.result.Wall = time.Since(m.started)
+				m.finishResult()
+				m.log.Info("run decided", "status", m.result.Status,
+					"wall", m.result.Wall, "splits", m.result.Splits)
+				m.shutdownAll()
+				return m.result, nil
+			}
+		case <-timeout:
+			m.result.Wall = time.Since(m.started)
+			m.timeOut()
+			m.log.Warn("run timed out", "after", m.cfg.Timeout)
+			m.shutdownAll()
+			return m.result, nil
+		}
+	}
+}
+
+// wallNow is the live shell's clock: seconds since Run started (0 before).
+func (m *Master) wallNow() float64 {
+	if m.started.IsZero() {
+		return 0
+	}
+	return time.Since(m.started).Seconds()
+}
+
+func (m *Master) shutdownAll() {
+	for _, id := range m.order {
+		m.send(id, comm.Shutdown{})
+	}
+	// Give clients a moment to drain, then cut connections.
+	time.AfterFunc(100*time.Millisecond, func() {
+		for _, l := range m.links {
+			_ = l.conn.Close()
+		}
+	})
+}

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -48,7 +47,7 @@ func (m *Master) Alerts() []Alert {
 // store, derive the per-job/per-client series the dashboard sparkline
 // columns read, and feed the watchdog. Event-loop only.
 func (m *Master) sampleTick() {
-	t := m.nowSec()
+	t := m.now()
 	if m.hist != nil {
 		m.hist.SampleSnapshot(t, m.reg.Snapshot())
 		m.sampleDerived(t)
@@ -88,11 +87,12 @@ func (m *Master) sampleDerived(t float64) {
 	if activeJobs > 1 {
 		coverage /= float64(activeJobs)
 	}
-	for _, c := range m.clients {
+	for _, id := range m.order {
+		c := m.clients[id]
 		if c.addr == "" {
 			continue
 		}
-		memBytes += c.memBytes
+		memBytes += c.usedMem
 		if c.busy {
 			busy++
 			confRate += c.confRate
@@ -117,25 +117,27 @@ func (m *Master) sampleDerived(t float64) {
 func (m *Master) watchSample(t float64) WatchSample {
 	s := WatchSample{TSec: t}
 	var rows []ClientProgress
-	for _, c := range m.clients {
+	for _, id := range m.order {
+		c := m.clients[id]
 		if c.addr == "" {
 			continue
 		}
-		s.MemBytes += c.memBytes
+		s.MemBytes += c.usedMem
 		if c.busy {
 			s.Busy++
 		}
 		rows = append(rows, ClientProgress{ID: c.id, Busy: c.busy,
-			ConflictsPerSec: c.confRate, MemBytes: c.memBytes})
+			ConflictsPerSec: c.confRate, MemBytes: c.usedMem})
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].ID < rows[j].ID })
 	markStragglers(rows)
 	for _, r := range rows {
 		c := m.clients[r.ID]
-		hb := c.lastHBSec
+		// Silence counts from the last heartbeat or the current
+		// assignment, whichever is later: idle clients do not report, so a
+		// client put back to work after a long idle spell is not declared
+		// silent before its first report is even due.
+		hb := max(c.lastHBSec, c.assignedAt)
 		if hb == 0 {
-			// No heartbeat yet: anchor to now so a freshly assigned client
-			// is not declared silent before its first report is even due.
 			hb = t
 		}
 		s.Clients = append(s.Clients, WatchClient{ID: r.ID, Busy: r.Busy,
@@ -171,12 +173,15 @@ func (m *Master) TriggerBundle(reason string) (string, error) {
 	return WriteBundle(spec)
 }
 
-// captureBundle writes a bundle for a loop-internal trigger (job
-// failure, cancellation, watchdog alert). The spec is copied out of loop
-// state synchronously, then written on its own goroutine. Event-loop
-// only.
+// captureBundle freezes a bundle for a state-machine trigger (job failure,
+// cancellation, watchdog alert) and hands it to the shell to write.
 func (m *Master) captureBundle(reason string) {
-	spec := m.bundleSpec(reason)
+	m.writeBundle(m.bundleSpec(reason))
+}
+
+// writeBundleAsync is the live shell's bundle sink: the write (and its
+// CPU-profile capture) runs on its own goroutine, off the event loop.
+func (m *Master) writeBundleAsync(spec BundleSpec) {
 	logger := m.log
 	go func() {
 		dir, err := WriteBundle(spec)
@@ -235,7 +240,7 @@ func (m *Master) bundleSpec(reason string) BundleSpec {
 		Dir:     m.cfg.BundleDir,
 		Name:    fmt.Sprintf("bundle-%03d-%s", m.bundleSeq, sanitizeReason(reason)),
 		Reason:  reason,
-		TSec:    m.nowSec(),
+		TSec:    m.now(),
 		Config:  cfg,
 		State:   bundleState{Status: m.statusSnapshot(), Progress: m.progressSnapshot()},
 		Metrics: m.reg.Snapshot(),

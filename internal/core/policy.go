@@ -10,10 +10,13 @@
 // transfer subproblems peer-to-peer (Figure 3), and share short learned
 // clauses with every other client.
 //
-// The same decision policies drive two runtimes: the live runtime in this
-// package (goroutines over comm.Transport — TCP or in-process) and the
-// deterministic discrete-event runtime in runner.go used by the benchmark
-// harness to reproduce the paper's tables on a single physical core.
+// All of it is written once, as two message-driven state machines (Master,
+// Client) that read time and send messages only through a clock and an
+// outbox. Two shells drive them: the live one in this package (goroutines
+// over comm.Transport — TCP or in-process — and the wall clock) and the
+// deterministic discrete-event one in runner.go (grid.Sim events and the
+// virtual clock), which the benchmark harness uses to reproduce the
+// paper's tables on a single physical core.
 package core
 
 import "sort"

@@ -40,6 +40,11 @@ type portfolio struct {
 	// winner is the worker index that produced the last verdict (-1 while
 	// undecided) — the flight log's worker attribution.
 	winner int
+	// sequential makes Solve step the workers one after another in index
+	// order on the calling goroutine, each for its full quantum — the
+	// deterministic schedule the DES needs (pool publish/drain order
+	// becomes a total order). Chosen by the owning client's shell.
+	sequential bool
 }
 
 // portWorker is one diversified solver plus its pool read position.
@@ -99,43 +104,52 @@ func (p *portfolio) Winner() int { return p.winner }
 // Threads returns the worker count.
 func (p *portfolio) Threads() int { return len(p.workers) }
 
-// Solve runs one slice on every worker concurrently: each drains its pool
-// imports, then searches under the per-worker limits (the memory budget
-// is divided evenly). The first worker to reach a verdict cancels the
-// rest; SAT wins over UNSAT, lower index breaks ties, so the merged
-// result is deterministic for a deterministic set of finisher verdicts.
+// Solve runs one slice on every worker: each drains its pool imports, then
+// searches under the per-worker limits (the memory budget is divided
+// evenly). Raced on goroutines, the first worker to reach a verdict
+// cancels the rest; stepped sequentially, every worker runs its quantum.
+// Either way SAT wins over UNSAT and lower index breaks ties, so the
+// merged result is deterministic for a deterministic set of verdicts.
 func (p *portfolio) Solve(lim solver.Limits) solver.Result {
 	per := lim
 	if lim.MaxMemoryBytes > 0 {
 		per.MaxMemoryBytes = lim.MaxMemoryBytes / int64(len(p.workers))
 	}
 	results := make([]solver.Result, len(p.workers))
-	var first atomic.Int32
-	first.Store(-1)
-	var wg sync.WaitGroup
-	for _, w := range p.workers {
-		wg.Add(1)
-		go func(w *portWorker) {
-			defer wg.Done()
-			if entries := p.pool.Drain(w.cur, w.idx, w.prof.ImportBudget); len(entries) != 0 {
-				batch := make([]cnf.Clause, len(entries))
-				for i, e := range entries {
-					batch[i] = e.lits
-				}
-				_ = w.slv.ImportClauses(batch)
+	step := func(w *portWorker) {
+		if entries := p.pool.Drain(w.cur, w.idx, w.prof.ImportBudget); len(entries) != 0 {
+			batch := make([]cnf.Clause, len(entries))
+			for i, e := range entries {
+				batch[i] = e.lits
 			}
-			res := w.slv.Solve(per)
-			results[w.idx] = res
-			if res.Status != solver.StatusUnknown && first.CompareAndSwap(-1, int32(w.idx)) {
-				for _, o := range p.workers {
-					if o != w {
-						o.slv.Stop()
+			_ = w.slv.ImportClauses(batch)
+		}
+		results[w.idx] = w.slv.Solve(per)
+	}
+	if p.sequential {
+		for _, w := range p.workers {
+			step(w)
+		}
+	} else {
+		var first atomic.Int32
+		first.Store(-1)
+		var wg sync.WaitGroup
+		for _, w := range p.workers {
+			wg.Add(1)
+			go func(w *portWorker) {
+				defer wg.Done()
+				step(w)
+				if results[w.idx].Status != solver.StatusUnknown && first.CompareAndSwap(-1, int32(w.idx)) {
+					for _, o := range p.workers {
+						if o != w {
+							o.slv.Stop()
+						}
 					}
 				}
-			}
-		}(w)
+			}(w)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	for i, r := range results {
 		if r.Status == solver.StatusSAT {
 			p.winner = i

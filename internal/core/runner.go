@@ -1,25 +1,32 @@
 package core
 
 import (
-	"fmt"
+	"errors"
+	"math"
 	"math/rand"
-	"sort"
+	"slices"
+	"time"
 
 	"gridsat/internal/cnf"
 	"gridsat/internal/comm"
 	"gridsat/internal/grid"
-	"gridsat/internal/obs/history"
 	"gridsat/internal/solver"
 	"gridsat/internal/trace"
 )
 
-// The DES runner executes GridSAT's master/client policies over the
-// simulated grid in virtual time. Client computation advances in quanta of
-// solver propagations; a quantum of w propagations on a host with relative
+// The DES runner is the second shell around the control plane: it drives
+// one real Master and N real Clients — the values `gridsat serve` and
+// `gridsat client` run — with no goroutines or listeners, delivering their
+// comm.Message values as grid.Sim events in virtual time. What lives here
+// is only the grid model: client launch jitter, the virtual transport
+// (delay = Network.Transfer of the message's real wire size, FIFO per
+// link), compute time (a quantum of w propagations on a host with relative
 // speed s and current availability a takes w/(R·s·a) virtual seconds,
-// where R is PropsPerVSec. Because every event is deterministic, a 34-host
-// distributed run reproduces exactly on a single physical core — this is
-// the apparatus behind the Table-1/Table-2 benchmarks.
+// where R is PropsPerVSec), NWS forecasts feeding the master's placement
+// ranks, the batch system, failure injection, and timeline sampling.
+// Because every event is deterministic, a 34-host distributed run
+// reproduces exactly on a single physical core — this is the apparatus
+// behind the Table-1/Table-2 benchmarks.
 
 // RunnerConfig configures a simulated run (sequential or distributed).
 type RunnerConfig struct {
@@ -28,8 +35,8 @@ type RunnerConfig struct {
 	// Jobs switches the DES into multi-job scheduling mode: Formula is
 	// ignored and each SimJob arrives at its ArrivalVSec, contending for
 	// clients under SchedPolicy exactly like submissions to the live
-	// `gridsat serve` master. Empty = the historical single-job run,
-	// bit-identical to the pre-scheduler runner.
+	// `gridsat serve` master (it is the same master, in serve mode).
+	// Empty = the classic single-job run.
 	Jobs []SimJob
 	// SchedPolicy names the malleable allocation policy for multi-job
 	// runs ("fifo", "fair-share", "priority"; "" = fifo). Ignored when
@@ -66,8 +73,8 @@ type RunnerConfig struct {
 	// (the pathfinder) runs the unmodified options and alone drives the
 	// split, checkpoint and migration policies, while workers 1..K-1 run
 	// diversified profiles over the same subproblem and exchange learnt
-	// clauses through the in-host pool. 0 or 1 = single-solver clients,
-	// bit-identical to the historical runner.
+	// clauses through the in-host pool, stepped in worker-index order so
+	// the run stays deterministic. 0 or 1 = single-solver clients.
 	Threads int
 	// Batch, when non-nil, adds a Blue Horizon-style batch job (Table 2).
 	Batch *BatchPlan
@@ -87,20 +94,21 @@ type RunnerConfig struct {
 	// Because the simulation is deterministic, re-running the same config
 	// reproduces the flight log exactly — the basis of the replay verifier.
 	Flight *trace.Flight
-	// P2PSharing delivers shared clauses directly between clients instead
-	// of relaying through the master. The paper routes the (large) split
-	// payloads peer-to-peer for exactly this reason; sharing topology is
-	// the analogous choice for the (small, frequent) clause messages.
+	// P2PSharing prices each relayed share batch as if it had travelled
+	// directly from the sharing client to the recipient instead of through
+	// the master (the relay itself — dedup, fan-out — is the master's
+	// either way). The paper routes the (large) split payloads peer-to-peer
+	// for exactly this reason; sharing topology is the analogous choice
+	// for the (small, frequent) clause messages.
 	P2PSharing bool
 	// SplitStrategy names the split engine ("first-decision", "dilemma",
 	// "dilemma-veto"; "" = first-decision). A multi-way strategy makes the
 	// simulated master reserve up to its fanout in idle recipients per
 	// split and backlog any cofactors the pool cannot absorb.
 	SplitStrategy string
-	// Watchdog enables the anomaly watchdog over the monitor ticks, with
-	// thresholds in virtual seconds (zero fields take the live defaults).
-	// nil disables it entirely, keeping pre-watchdog flight logs (and the
-	// replay verifier) byte-identical.
+	// Watchdog enables the master's history sampler and anomaly watchdog,
+	// ticked at the monitor period, with thresholds in virtual seconds
+	// (zero fields take the live defaults). nil disables both.
 	Watchdog *WatchdogConfig
 	// BundleDir, when non-empty, writes postmortem black-box bundles —
 	// the same directory shape the live master produces — on watchdog
@@ -236,8 +244,9 @@ type SimResult struct {
 	Shared     int
 	// TotalProps is the real work executed across all clients.
 	TotalProps int64
-	// Msgs/Bytes total the modeled protocol traffic (every simulated
-	// network transfer), the DES counterpart of the live runtime's
+	// Msgs/Bytes total the protocol traffic: every message the master and
+	// clients sent, at its real wire size (comm.WireSize, trace envelope
+	// excluded) — the DES counterpart of the live runtime's
 	// instrumented-transport counters.
 	Msgs  int64
 	Bytes int64
@@ -261,9 +270,10 @@ type SimResult struct {
 	Coverage          float64
 	CoverageUnits     uint64
 	ClosedSubproblems int64
-	// Agg sums solver counters across every client solver the run created,
-	// the DES counterpart of the master's churn-proof cluster totals; its
-	// import-usefulness fields feed the share-efficacy view.
+	// Agg sums solver counters across every client solver the run created:
+	// the master's churn-proof heartbeat totals plus whatever live solvers
+	// had not yet reported when the run ended. Its import-usefulness
+	// fields feed the share-efficacy view.
 	Agg comm.SolverDeltas
 	// Threads is the per-client portfolio width the run was configured
 	// with (1 = single-solver clients).
@@ -339,200 +349,126 @@ func RunSequential(cfg RunnerConfig) SimResult {
 	}
 }
 
-// simClient is one simulated GridSAT client.
-type simClient struct {
-	id   int
+// desClient is the shell's half of one simulated client: where it runs,
+// and the state the live shell keeps in goroutines and channels.
+type desClient struct {
+	cl   *Client
 	host *grid.Host
-	// job owns this client's current (or last) subproblem; 0 is the
-	// implicit single job of a non-multi run.
-	job int
-
-	slv *solver.Solver
-	// extras are the in-host portfolio workers beyond the pathfinder
-	// (Threads-1 of them; nil on single-threaded runs). They race the
-	// pathfinder for a verdict but never split, checkpoint or migrate, and
-	// they keep solving the subproblem as received even after the
-	// pathfinder narrows its own space by donating cofactors — a wider
-	// ancestor space, so their UNSAT still covers the pathfinder's.
-	extras []*solver.Solver
-	// pool/curs are the workers' lock-free clause exchange and one read
-	// cursor per worker. The DES drives the pool single-threaded, so every
-	// drain is deterministic.
-	pool *hostPool
-	curs []*poolCursor
-	// slotMem is the per-worker memory budget (memBudget/Threads; equal to
-	// memBudget on single-threaded runs).
-	slotMem    int64
-	registered bool
-	busy       bool
-	dead       bool
-	reserved   bool
-	migrating  bool // whole problem in flight to a better host
-	stepping   bool // a compute quantum is in flight
-	recvAt     float64
-	xferTime   float64
-	assignedAt float64
-	splitAsked bool
-	// splitReqEv is the flight-log ID of this client's pending split
-	// request, the causal parent of the split-issue it produces.
-	splitReqEv uint64
-	memBudget  int64
-	// queued split assignments, served at the next quantum boundary.
-	assigns []runnerAssign
+	// id is the master-issued client ID (known from connect, before the
+	// client itself learns it from RegisterAck).
+	id int
+	// inbox queues control messages that arrive while a compute quantum is
+	// in flight; they are handled at the slice boundary, like the live
+	// client's control channel.
+	inbox    []comm.Message
+	stepping bool
+	dead     bool
+	// inflight holds subproblems sent to this client that it has not
+	// started yet (on the wire or in the inbox). If the host crashes they
+	// are salvaged along with its checkpoint.
+	inflight []*solver.Subproblem
 }
 
-type runnerAssign struct {
-	splitID    int
-	recipients []int
-}
-
-// runnerSplit is one in-flight multi-way transfer in the DES: the donor
-// splits and ships one cofactor per reserved recipient. resolved marks
-// recipient legs that have concluded (accepted, failed, or released).
-type runnerSplit struct {
-	donor      int
-	recipients []int
-	resolved   map[int]bool
-	issueEv    uint64
-	// job owns every cofactor the split produces.
-	job int
-}
-
-func (g *runnerSplit) left() int { return len(g.recipients) - len(g.resolved) }
-
-// runner holds the DES master state.
+// runner is the DES shell: the simulation kernel, the grid model, and the
+// one Master and many Clients it steps.
 type runner struct {
-	cfg     RunnerConfig
-	sim     *grid.Sim
-	info    *grid.InfoService
-	clients map[int]*simClient
-	order   []int // deterministic iteration order (host IDs)
-	master  *grid.Host
+	cfg   RunnerConfig
+	sim   *grid.Sim
+	info  *grid.InfoService
+	m     *Master
+	mhost *grid.Host
+	// clients is keyed by master-issued ID (0 is the master itself on every
+	// link); order is launch order, byHost finds a host's client.
+	clients map[int]*desClient
+	byHost  map[int]*desClient
+	order   []int
+	// arrive is the latest scheduled arrival on each directed link: links
+	// are FIFO, like the TCP connections they stand for.
+	arrive map[[2]int]float64
+	// frame/relayed cache the decode of the master's last pre-encoded
+	// broadcast, so a fan-out is decoded once, not once per recipient.
+	frame   *comm.EncodedMessage
+	relayed comm.Message
+	// submitted counts cfg.Jobs arrivals so far (multi-job runs end when
+	// every job has arrived and is terminal).
+	submitted int
+	// tail sums solver work the master never heard about: deltas a client
+	// had not heartbeated when it crashed or the run ended.
+	tail comm.SolverDeltas
+	pool poolStats
 
-	nextSplitID int
-	pending     map[int]*runnerSplit
-	// strategy is the split engine donors run; fanout is its per-split
-	// recipient budget.
-	strategy solver.SplitStrategy
-	fanout   int
-
-	// jobs is every job the run knows, keyed by ID; jobOrder is the
-	// deterministic submission order. A single-job run owns exactly
-	// jobs[0], created before the simulation starts, so every historical
-	// code path reads and writes job 0 without knowing jobs exist.
-	jobs     map[int]*runnerJob
-	jobOrder []int
-	// multi marks a scheduling-mode run (cfg.Jobs non-empty): job
-	// lifecycle events are emitted, the policy reallocates clients at
-	// arrivals, finishes and monitor ticks, and the run ends when every
-	// job is terminal.
-	multi  bool
-	policy SchedPolicy
-	// targets is the most recent per-job client allocation (multi only).
-	targets map[int]int
-
-	done   bool
-	res    SimResult
-	flight *trace.Flight
-	// hist/wd mirror the live master's history sampler and anomaly
-	// watchdog, fed at each monitor tick in virtual time (nil when
-	// cfg.Watchdog is nil); bundleSeq numbers the deterministic bundles.
-	hist      *history.Store
-	wd        *watchdog
-	bundleSeq int
-	// profs are the per-worker diversification profiles shared by every
-	// portfolio client (nil when Threads <= 1); index 0 is the pathfinder
-	// identity profile, whose import/export pool budgets still apply.
-	profs []solver.Profile
-	// verdictClient/verdictWorker locate the solver whose result decided a
-	// SAT run (0/0 for UNSAT/timeout), recorded on the verdict flight event.
-	verdictClient int
-	verdictWorker int
-	batchJob      *grid.BatchJob
-	batchSys      *grid.BatchSystem
-	rng           *rand.Rand
+	done     bool
+	res      SimResult
+	batchJob *grid.BatchJob
+	batchSys *grid.BatchSystem
+	rng      *rand.Rand
 }
 
-// emit records a flight event stamped with the current virtual time; a nil
-// recorder makes it a no-op, so untraced runs pay nothing. The simulation
-// is single-threaded, so event order (and thus the whole log) is
-// deterministic.
-func (r *runner) emit(ev trace.FEvent) uint64 {
-	if r.flight == nil {
-		return 0
-	}
-	ev.VSec = r.sim.Now()
-	return r.flight.Emit(ev)
-}
+// errCrashed is the error a simulated host failure hands the master.
+var errCrashed = errors.New("core: simulated host failure")
+
+func vsecDuration(v float64) time.Duration { return time.Duration(v * float64(time.Second)) }
 
 // RunDistributed simulates a full GridSAT run over the configured grid.
 func RunDistributed(cfg RunnerConfig) SimResult {
 	cfg = cfg.withDefaults()
-	strategy, err := solver.ParseStrategy(cfg.SplitStrategy)
-	if err != nil {
-		strategy = solver.FirstDecision{}
+	// The DES degrades unknown strategy/policy names to the defaults; the
+	// CLI rejects them at the flag boundary.
+	if _, err := solver.ParseStrategy(cfg.SplitStrategy); err != nil {
+		cfg.SplitStrategy = ""
+	}
+	if _, err := ParseSchedPolicy(cfg.SchedPolicy); err != nil {
+		cfg.SchedPolicy = ""
 	}
 	r := &runner{
-		cfg:      cfg,
-		sim:      grid.NewSim(),
-		info:     grid.NewInfoService(cfg.Grid),
-		clients:  map[int]*simClient{},
-		pending:  map[int]*runnerSplit{},
-		jobs:     map[int]*runnerJob{},
-		strategy: strategy,
-		fanout:   solver.StrategyFanout(cfg.SplitStrategy),
-		flight:   cfg.Flight,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		cfg:     cfg,
+		sim:     grid.NewSim(),
+		info:    grid.NewInfoService(cfg.Grid),
+		clients: map[int]*desClient{},
+		byHost:  map[int]*desClient{},
+		arrive:  map[[2]int]float64{},
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+	}
+	mcfg := MasterConfig{
+		Formula:       cfg.Formula,
+		Flight:        cfg.Flight,
+		SplitStrategy: cfg.SplitStrategy,
+		Serve:         len(cfg.Jobs) > 0,
+		SchedPolicy:   cfg.SchedPolicy,
+		// Every configured job is admitted; the DES studies scheduling,
+		// not admission control.
+		Admission:        Admission{MaxActive: len(cfg.Jobs)},
+		HistoryPeriod:    -1,
+		BundleDir:        cfg.BundleDir,
+		BundleCPUProfile: -1, // a CPU capture would make bundles nondeterministic
 	}
 	if cfg.Watchdog != nil {
-		r.wd = newWatchdog(cfg.Watchdog.withDefaults())
-		r.hist = history.New(history.Config{IntervalSec: cfg.MonitorPeriodVSec})
+		mcfg.HistoryPeriod = vsecDuration(cfg.MonitorPeriodVSec)
+		mcfg.Watchdog = cfg.Watchdog
 	}
-	if len(cfg.Jobs) > 0 {
-		r.multi = true
-		policy, perr := ParseSchedPolicy(cfg.SchedPolicy)
-		if perr != nil {
-			policy, _ = ParseSchedPolicy("")
+	m, err := newMaster(mcfg, r.sim.Now, r.toClient, func(spec BundleSpec) {
+		// Written inline: no goroutine, so bundle contents are reproducible.
+		if dir, err := WriteBundle(spec); err == nil {
+			r.res.Bundles = append(r.res.Bundles, dir)
 		}
-		r.policy = policy
-		// Jobs are created up front but submitted at their arrival times,
-		// in submission order (arrival time, then config order).
-		arrivals := make([]*runnerJob, 0, len(cfg.Jobs))
-		for i, sj := range cfg.Jobs {
-			j := newRunnerJob(i+1, sj.Name, sj.Formula, sj.Priority)
-			j.cancelAt = sj.CancelVSec
-			arrivals = append(arrivals, j)
-		}
-		for i, sj := range cfg.Jobs {
-			j := arrivals[i]
-			r.sim.At(sj.ArrivalVSec, func() { r.submitSimJob(j) })
-		}
-	} else {
-		// The implicit single job: every historical code path reads and
-		// writes job 0 without knowing jobs exist.
-		j := newRunnerJob(0, "", cfg.Formula, 1)
-		j.State = JobQueued
-		r.jobs[0] = j
-		r.jobOrder = append(r.jobOrder, 0)
+	})
+	if err != nil {
+		panic(err) // only a single-job config without a Formula gets here
 	}
-	r.master = cfg.Grid.HostByID(cfg.MasterHostID)
-	if r.master == nil && len(cfg.Grid.Hosts) > 0 {
-		r.master = cfg.Grid.Hosts[len(cfg.Grid.Hosts)-1]
+	r.m = m
+	r.mhost = cfg.Grid.HostByID(cfg.MasterHostID)
+	if r.mhost == nil && len(cfg.Grid.Hosts) > 0 {
+		r.mhost = cfg.Grid.Hosts[len(cfg.Grid.Hosts)-1]
 	}
-	r.res.Threads = 1
-	if cfg.Threads > 1 {
-		r.res.Threads = cfg.Threads
-		baseOpts := solver.DefaultOptions()
-		if cfg.SolverOptions != nil {
-			baseOpts = *cfg.SolverOptions
-		}
-		r.profs = make([]solver.Profile, cfg.Threads)
-		for w := range r.profs {
-			r.profs[w] = solver.ProfileFor(w, baseOpts.Seed)
-		}
+	r.res.Threads = max(1, cfg.Threads)
+
+	// Jobs are submitted at their arrival times, in arrival order.
+	for _, sj := range cfg.Jobs {
+		r.sim.At(sj.ArrivalVSec, func() { r.submit(sj) })
 	}
 
-	// NWS monitoring: sample every host periodically.
+	// NWS monitoring: sample every host periodically and hand the master
+	// the fresh forecasts it ranks placement (and migration) by.
 	r.info.Observe(0)
 	var monitor func()
 	monitor = func() {
@@ -540,11 +476,17 @@ func RunDistributed(cfg RunnerConfig) SimResult {
 			return
 		}
 		r.info.Observe(r.sim.Now())
-		r.emit(trace.FEvent{Kind: trace.FEvHeartbeat, N: int64(r.busyCount())})
-		r.sample(r.busyCount())
-		r.obsTick()
-		r.maybeMigrate()
-		r.rebalance() // multi-job: periodic reallocation (no-op otherwise)
+		for _, hi := range r.info.Snapshot() {
+			if dc := r.byHost[hi.Host.ID]; dc != nil && !dc.dead {
+				m.noteForecast(dc.id, hi.Rank, hi.MemForecast)
+			}
+		}
+		m.sampleTick()
+		m.maybeMigrate(cfg.MigrationFactor, cfg.SplitTimeoutVSec)
+		if m.serve {
+			m.maybeRebalance() // periodic reallocation, like the live ticker
+		}
+		r.settle()
 		r.sim.After(cfg.MonitorPeriodVSec, monitor)
 	}
 	r.sim.After(cfg.MonitorPeriodVSec, monitor)
@@ -563,42 +505,16 @@ func RunDistributed(cfg RunnerConfig) SimResult {
 		n++
 		r.launch(h)
 	}
-	r.emit(trace.FEvent{Kind: trace.FEvRunStart, N: int64(n)})
+	m.femit(trace.FEvent{Kind: trace.FEvRunStart, N: int64(n)})
 
 	// Fault injection: schedule the configured client crashes.
 	for _, fp := range cfg.Failures {
-		fp := fp
-		r.sim.At(fp.AtVSec, func() { r.failClient(fp.HostID + 1) })
+		r.sim.At(fp.AtVSec, func() { r.fail(fp.HostID) })
 	}
 
 	// Table 2: submit the batch job; its nodes join when it starts.
 	if cfg.Batch != nil {
-		var batchNodes []*grid.Host
-		for _, h := range cfg.Grid.Hosts {
-			if h.Batch {
-				batchNodes = append(batchNodes, h)
-			}
-		}
-		bs := grid.NewBatchSystem(r.sim, batchNodes, cfg.Batch.MeanQueueWaitVSec, cfg.Seed+77)
-		job, err := bs.Submit(minInt(cfg.Batch.Nodes, len(batchNodes)), cfg.Batch.WalltimeVSec,
-			func(j *grid.BatchJob) {
-				if r.done {
-					return
-				}
-				r.res.BatchStartVSec = j.StartAt
-				for _, h := range j.Nodes {
-					r.launch(h)
-				}
-			},
-			func(*grid.BatchJob) {
-				if cfg.Batch.TerminateOnEnd && !r.done {
-					r.finish(OutcomeTimeout, solver.StatusUnknown, nil)
-				}
-			})
-		if err == nil {
-			r.batchJob = job
-			r.batchSys = bs
-		}
+		r.submitBatch()
 	}
 
 	// Drive the simulation event by event so the run stops the moment a
@@ -612,7 +528,7 @@ func RunDistributed(cfg RunnerConfig) SimResult {
 		r.sim.Step()
 	}
 	if !r.done {
-		r.finish(OutcomeTimeout, solver.StatusUnknown, nil)
+		r.finish(OutcomeTimeout)
 		r.res.VSec = cfg.TimeoutVSec
 	} else {
 		r.res.VSec = r.sim.Now()
@@ -620,1048 +536,437 @@ func RunDistributed(cfg RunnerConfig) SimResult {
 	return r.res
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// absorbStats folds a client's solver lifetime counters — the pathfinder's
-// and every portfolio extra's — into the run's cluster aggregate. Called
-// exactly once per solver instance, at retirement (sub-UNSAT, migration,
-// crash) or at finish for still-live solvers.
-func (r *runner) absorbStats(c *simClient) {
-	if c.slv != nil {
-		r.res.Agg.Add(heartbeatDeltas(c.slv.Stats()))
-	}
-	for _, ex := range c.extras {
-		r.res.Agg.Add(heartbeatDeltas(ex.Stats()))
-	}
-}
-
-// retire absorbs every engine on c into the cluster aggregate and drops
-// them, folding the host pool's exchange telemetry into the run totals.
-// The one funnel for ending a client's solvers, so per-engine absorption
-// stays exactly-once.
-func (r *runner) retire(c *simClient) {
-	r.absorbStats(c)
-	c.slv = nil
-	c.extras = nil
-	if c.pool != nil {
-		st := c.pool.Stats()
-		r.res.PoolPublished += st.Published
-		r.res.PoolDelivered += st.Delivered
-		r.res.PoolLost += st.Lost
-		r.res.PoolDropped += st.Dropped
-		c.pool = nil
-		c.curs = nil
-	}
-}
-
-// attachSolvers equips c with a freshly built pathfinder plus, when the
-// run is configured with Threads > 1, the diversified portfolio extras and
-// their in-host clause pool. build constructs one engine from the given
-// options. Worker 0 always receives the unmodified base engine options —
-// only its pool export bound widens, and OnLearn gating is export-only —
-// so single-threaded runs are bit-identical to the pre-portfolio runner
-// and the pathfinder's trajectory never depends on K.
-func (r *runner) attachSolvers(c *simClient, build func(solver.Options) (*solver.Solver, error)) error {
-	base := r.clientOpts(c)
-	k := len(r.profs)
-	if k <= 1 {
-		slv, err := build(base)
-		if err != nil {
-			return err
-		}
-		c.slv = slv
-		c.slotMem = c.memBudget
-		return nil
-	}
-	opts0 := base
-	opts0.ShareMaxLen = max(r.profs[0].ExportMaxLen, base.ShareMaxLen)
-	slv, err := build(opts0)
-	if err != nil {
-		return err
-	}
-	c.slv = slv
-	c.slotMem = c.memBudget / int64(k)
-	c.pool = newHostPool(k, poolRingCapacity)
-	c.curs = make([]*poolCursor, k)
-	for w := range c.curs {
-		c.curs[w] = c.pool.NewCursor()
-	}
-	c.extras = c.extras[:0]
-	for w := 1; w < k; w++ {
-		opts := r.profs[w].Apply(base)
-		opts.ShareMaxLen = max(r.profs[w].ExportMaxLen, base.ShareMaxLen)
-		ex, err := build(opts)
-		if err != nil {
-			// The pathfinder is live; a failed extra just narrows the
-			// portfolio (deterministically: the same build fails at every
-			// width). Stop here to keep worker indices dense.
-			break
-		}
-		c.extras = append(c.extras, ex)
-	}
-	return nil
-}
-
-// worker returns engine w on c: 0 is the pathfinder, 1.. the extras.
-func (c *simClient) worker(w int) *solver.Solver {
-	if w == 0 {
-		return c.slv
-	}
-	return c.extras[w-1]
-}
-
-func (c *simClient) workerCount() int { return 1 + len(c.extras) }
-
-// poolClauses projects drained pool entries to their clause payloads
-// (shared, immutable; solver imports clone on receipt).
-func poolClauses(entries []poolEntry) []cnf.Clause {
-	out := make([]cnf.Clause, len(entries))
-	for i, e := range entries {
-		out[i] = e.lits
-	}
-	return out
-}
-
-// closeSub folds a refuted subproblem into its job's coverage estimate,
-// emitting the progress flight event and appending the deterministic
-// series point.
-func (r *runner) closeSub(j *runnerJob, clientID, depth int) {
-	units := j.prog.CloseSubproblem(depth, r.sim.Now())
-	r.emit(trace.FEvent{Kind: trace.FEvProgress, Client: clientID, Job: j.ID,
-		N: int64(units), Detail: fmt.Sprintf("depth=%d", depth)})
-	r.res.Progress = append(r.res.Progress, ProgressPoint{
-		VSec:     r.sim.Now(),
-		Units:    units,
-		Coverage: float64(units) / float64(coverageFull),
-		Depth:    depth,
-	})
-}
-
-func (r *runner) finish(outcome SimOutcome, st solver.Status, model cnf.Assignment) {
-	if r.done {
-		return
-	}
-	r.done = true
-	// Freeze the cluster aggregate: absorb every still-live solver in
-	// deterministic order (retired solvers were absorbed at retirement).
-	for _, id := range r.order {
-		if c := r.clients[id]; c != nil {
-			r.retire(c)
+// submitBatch queues the Blue Horizon-style job; each allocated node
+// becomes one more client when (if) the job starts.
+func (r *runner) submitBatch() {
+	plan := r.cfg.Batch
+	var nodes []*grid.Host
+	for _, h := range r.cfg.Grid.Hosts {
+		if h.Batch {
+			nodes = append(nodes, h)
 		}
 	}
-	if r.multi {
-		for _, id := range r.jobOrder {
-			r.res.ClosedSubproblems += r.jobs[id].prog.Closed()
-		}
-		r.finishJobResults()
-	} else {
-		j := r.jobs[0]
-		r.res.CoverageUnits = j.prog.Units()
-		r.res.Coverage = j.prog.Fraction()
-		r.res.ClosedSubproblems = j.prog.Closed()
-	}
-	r.res.Outcome = outcome
-	r.res.Status = st
-	r.res.Model = model
-	if r.wd != nil {
-		r.res.Alerts = r.wd.feed()
-	}
-	if !r.multi {
-		// Multi-job runs emit one verdict per job as it finishes; the
-		// single-job run keeps its historical run-level verdict event.
-		detail := "UNKNOWN"
-		switch st {
-		case solver.StatusSAT:
-			detail = "SAT"
-		case solver.StatusUNSAT:
-			detail = "UNSAT"
-		}
-		r.emit(trace.FEvent{Kind: trace.FEvVerdict, Client: r.verdictClient,
-			Worker: r.verdictWorker, Detail: detail})
-	}
-	r.sample(0) // every run ends with the client count collapsing to zero
-	// Solved before the batch allocation arrived: withdraw the job
-	// (Table 2: "the job queued from the Blue Horizon is canceled").
-	if outcome == OutcomeSolved && r.batchJob != nil && r.batchJob.State == grid.JobQueued {
-		r.batchSys.Cancel(r.batchJob)
-		r.res.BatchCanceled = true
+	bs := grid.NewBatchSystem(r.sim, nodes, plan.MeanQueueWaitVSec, r.cfg.Seed+77)
+	job, err := bs.Submit(min(plan.Nodes, len(nodes)), plan.WalltimeVSec,
+		func(j *grid.BatchJob) {
+			if r.done {
+				return
+			}
+			r.res.BatchStartVSec = j.StartAt
+			for _, h := range j.Nodes {
+				r.launch(h)
+			}
+		},
+		func(*grid.BatchJob) {
+			if plan.TerminateOnEnd {
+				r.finish(OutcomeTimeout)
+			}
+		})
+	if err == nil {
+		r.batchJob, r.batchSys = job, bs
 	}
 }
 
-// launch schedules a client start on h after the jittered spawn latency.
+// launch starts a client on h after the jittered spawn latency: a real
+// Client whose clock is the simulation's and whose outbox is the virtual
+// transport, registering with the master like any other.
 func (r *runner) launch(h *grid.Host) {
 	delay := r.cfg.LaunchDelayVSec * (0.5 + r.rng.Float64())
 	r.sim.After(delay, func() {
 		if r.done {
 			return
 		}
-		c := &simClient{
-			id:        h.ID + 1, // client IDs are 1-based like the live master
-			host:      h,
-			memBudget: h.MemBytes / r.cfg.MemDivisor * 60 / 100,
+		dc := &desClient{host: h, id: r.m.connect()}
+		cl, err := newClient(ClientConfig{
+			HostName:       h.Name,
+			FreeMemBytes:   h.MemBytes / r.cfg.MemDivisor,
+			SpeedHint:      h.Speed,
+			ShareMaxLen:    r.cfg.ShareMaxLen,
+			MinRunTime:     vsecDuration(r.cfg.SplitTimeoutVSec),
+			HeartbeatEvery: 1,
+			SplitStrategy:  r.cfg.SplitStrategy,
+			Threads:        r.cfg.Threads,
+			SolverOptions:  r.cfg.SolverOptions,
+			Flight:         r.cfg.Flight,
+		}, r.sim.Now, func(to comm.SplitPeer, msg comm.Message) error {
+			return r.fromClient(dc, to, msg)
+		})
+		if err != nil {
+			return // unreachable: the strategy name was normalized above
 		}
-		c.registered = true
-		r.clients[c.id] = c
-		r.order = append(r.order, c.id)
-		r.emit(trace.FEvent{Kind: trace.FEvClientJoin, Client: c.id, Detail: h.Name})
-		if r.multi {
-			r.rebalance()
-			return
-		}
-		if j := r.jobs[0]; !j.assigned {
-			r.assignRoot(j, c)
-		} else {
-			r.serveBacklog()
-		}
+		cl.addr = h.Name
+		cl.slice = solver.Limits{MaxPropagations: r.cfg.QuantumProps}
+		cl.sequential = true
+		dc.cl = cl
+		r.clients[dc.id] = dc
+		r.byHost[h.ID] = dc
+		r.order = append(r.order, dc.id)
+		_ = cl.register()
 	})
 }
 
-// xfer models one protocol message of the given encoded size: it accrues
-// the simulated traffic totals (SimResult.Msgs/Bytes) and returns the
-// modeled network delay. Every simulated transfer goes through here so
-// the DES reports the same traffic summary the live runtime measures on
-// its instrumented transport.
-func (r *runner) xfer(from, to *grid.Host, bytes int64) float64 {
+// host maps a link endpoint to its machine: 0 is the master.
+func (r *runner) host(id int) *grid.Host {
+	if id == 0 {
+		return r.mhost
+	}
+	return r.clients[id].host
+}
+
+// charge accrues one protocol message to the traffic totals at its real
+// frame size and returns that size. The trace envelope is observability,
+// not protocol, and is not charged: tracing must not change what it
+// observes.
+func (r *runner) charge(msg comm.Message) int64 {
+	inner, _ := comm.Unwrap(msg)
+	bytes := comm.WireSize(inner)
 	r.res.Msgs++
 	r.res.Bytes += bytes
-	return r.cfg.Grid.Network.Transfer(from, to, bytes)
+	return bytes
 }
 
-// assignRoot ships a job's whole problem to its first client.
-func (r *runner) assignRoot(j *runnerJob, c *simClient) {
-	j.assigned = true
-	c.job = j.ID
-	c.reserved = true // holds the client through the transfer
-	bytes := int64(j.Formula.NumLiterals()*4 + 64)
-	delay := r.xfer(r.master, c.host, bytes)
-	j.outstanding++
-	r.sim.After(delay, func() {
-		c.reserved = false
-		if r.done || c.dead {
-			return
-		}
-		if !j.State.Active() {
-			// The job was cancelled while the root was in flight.
-			r.serveBacklog()
-			return
-		}
-		_ = r.attachSolvers(c, func(opts solver.Options) (*solver.Solver, error) {
-			return solver.New(j.Formula, opts), nil
-		})
-		c.busy = true
-		c.recvAt = r.sim.Now()
-		c.assignedAt = r.sim.Now()
-		c.xferTime = delay
-		r.markSimStarted(j)
-		r.emit(trace.FEvent{Kind: trace.FEvAssign, Client: c.id, Job: j.ID})
-		r.noteBusy()
-		r.scheduleStep(c)
-	})
+// fifo turns a transit time on the link from→to into an arrival time that
+// never overtakes what the link already carries.
+func (r *runner) fifo(from, to int, transit float64) float64 {
+	key := [2]int{from, to}
+	at := max(r.sim.Now()+transit, r.arrive[key])
+	r.arrive[key] = at
+	return at
 }
 
-func (r *runner) clientOpts(c *simClient) solver.Options {
-	opts := solver.DefaultOptions()
-	if r.cfg.SolverOptions != nil {
-		opts = *r.cfg.SolverOptions
-	}
-	opts.ShareMaxLen = r.cfg.ShareMaxLen
-	return opts
+// xfer puts msg on the wire from→to and returns its arrival time.
+func (r *runner) xfer(from, to int, msg comm.Message) float64 {
+	return r.fifo(from, to, r.cfg.Grid.Network.Transfer(r.host(from), r.host(to), r.charge(msg)))
 }
 
-// scheduleStep runs one compute quantum for c and schedules its effects.
-func (r *runner) scheduleStep(c *simClient) {
-	if r.done || !c.busy || c.stepping || c.slv == nil {
+// toClient is the master's outbox.
+func (r *runner) toClient(to int, msg comm.Message) {
+	dc := r.clients[to]
+	if dc == nil || dc.dead {
 		return
 	}
-	c.stepping = true
-
-	// One compute quantum on a Threads-core host: every worker advances by
-	// up to QuantumProps "in parallel", so the quantum's virtual duration
-	// is the slowest worker's, while TotalProps accrues the sum (the real
-	// work done). Workers run in index order and drain the in-host pool
-	// before computing, so the whole exchange is deterministic — the same
-	// lock-free pool the live portfolio races on, driven single-threaded.
-	// Worker 0 (the pathfinder) alone feeds the split/memory policies.
-	type workerVerdict struct {
-		worker int
-		status solver.Status
-		model  cnf.Assignment
-	}
-	type workerShed struct {
-		worker int
-		freed  int64
-	}
-	var cluster []cnf.Clause
-	var verdicts []workerVerdict
-	var sheds []workerShed
-	var res solver.Result
-	var maxDelta, sumDelta int64
-	shareLen := r.cfg.ShareMaxLen
-	for w := 0; w < c.workerCount(); w++ {
-		w := w
-		s := c.worker(w)
-		if c.pool != nil {
-			if batch := poolClauses(c.pool.Drain(c.curs[w], w, r.profs[w].ImportBudget)); len(batch) > 0 {
-				_ = s.ImportClauses(batch)
-			}
-		}
-		s.SetOnLearn(func(cl cnf.Clause, lbd int) {
-			// The engine's export bound is the wider pool bound; re-filter
-			// to the cluster share bound for the master-mediated broadcast.
-			if shareLen > 0 && len(cl) <= shareLen {
-				cluster = append(cluster, cl)
-			}
-			if c.pool != nil {
-				c.pool.Publish(w, cl, lbd)
-			}
-		})
-		before := s.Stats().Propagations
-		wres := s.Solve(solver.Limits{
-			MaxPropagations: r.cfg.QuantumProps,
-			MaxMemoryBytes:  c.slotMem,
-		})
-		delta := s.Stats().Propagations - before
-		if delta < 1 {
-			delta = 1 // even an immediately-decided quantum takes some time
-		}
-		sumDelta += delta
-		if delta > maxDelta {
-			maxDelta = delta
-		}
-		if w == 0 {
-			res = wres
-			continue
-		}
-		if wres.Status != solver.StatusUnknown {
-			verdicts = append(verdicts, workerVerdict{w, wres.Status, wres.Model})
-		} else if wres.Reason == solver.ReasonMemLimit {
-			// Extras shed on their own; only the pathfinder's pressure
-			// drives the split policy below.
-			sheds = append(sheds, workerShed{w, s.ShedMemory()})
-		}
-	}
-	r.res.TotalProps += sumDelta
-	avail := r.cfg.Grid.Availability(c.host, r.sim.Now())
-	dur := float64(maxDelta) / (r.cfg.PropsPerVSec * c.host.Speed * avail)
-
-	r.sim.After(dur, func() {
-		c.stepping = false
-		if r.done || c.dead {
-			return
-		}
-		if len(cluster) > 0 {
-			r.broadcast(c, cluster)
-		}
-		for _, sh := range sheds {
-			r.emit(trace.FEvent{Kind: trace.FEvMemShed, Client: c.id, Worker: sh.worker, N: sh.freed})
-		}
-		// Merge worker verdicts, pathfinder first: the lowest-indexed
-		// verified SAT wins (the DES counterpart of the live portfolio's
-		// first-finisher CAS with deterministic tie-break).
-		if res.Status != solver.StatusUnknown {
-			verdicts = append([]workerVerdict{{0, res.Status, res.Model}}, verdicts...)
-		}
-		j := r.jobOf(c)
-		sawSAT := false
-		for _, v := range verdicts {
-			if v.status != solver.StatusSAT {
-				continue
-			}
-			sawSAT = true
-			// A model is a model even if the subproblem migrated away (or
-			// was preempted) mid-quantum; the master verifies before
-			// declaring success (§3.4).
-			if err := j.Formula.Verify(v.model); err == nil {
-				if r.multi {
-					r.finishSimJob(j, solver.StatusSAT, v.model, c.id, v.worker)
-					return
-				}
-				r.verdictClient = c.id
-				r.verdictWorker = v.worker
-				r.finish(OutcomeSolved, solver.StatusSAT, v.model)
-				return
-			}
-		}
-		if sawSAT {
-			return
-		}
-		if c.slv == nil || !c.busy {
-			// The subproblem migrated to a better host mid-quantum; its
-			// new owner redoes this slice. Any split assignments queued
-			// for us must be released or their reservations leak.
-			r.serveAssigns(c)
-			return
-		}
-		for _, v := range verdicts {
-			if v.status != solver.StatusUNSAT {
-				continue
-			}
-			// An extra refutes the subproblem as received — a (possibly
-			// wider) ancestor of the pathfinder's current space, since
-			// donated cofactors stay outstanding elsewhere. Closing at the
-			// pathfinder's depth therefore never over-counts coverage.
-			depth := c.slv.PathDepth()
-			r.retire(c)
-			c.busy = false
-			c.splitAsked = false
-			r.emit(trace.FEvent{Kind: trace.FEvSubUNSAT, Client: c.id, Worker: v.worker, Job: j.ID})
-			r.closeSub(j, c.id, depth)
-			j.outstanding--
-			r.sample(r.busyCount())
-			r.serveAssigns(c) // release any split assignments queued for us
-			if r.done {
-				return
-			}
-			if r.jobExhausted(j) {
-				return
-			}
-			r.serveBacklog()
-			return
-		}
-		// Still running: serve any queued split assignments, then evaluate
-		// the split triggers, then keep computing.
-		r.serveAssigns(c)
-		if res.Reason == solver.ReasonMemLimit {
-			r.requestSplit(c, "mem-pressure")
-			freed := c.slv.ShedMemory()
-			r.emit(trace.FEvent{Kind: trace.FEvMemShed, Client: c.id, N: freed})
-		} else {
-			dec := SplitDecision{
-				MemBudgetBytes:      c.slotMem,
-				MemPressureFraction: 0.8,
-				TransferTime:        c.xferTime,
-				MinRunTime:          r.cfg.SplitTimeoutVSec,
-			}
-			if ask, why := dec.ShouldSplit(c.slv.MemoryBytes(), r.sim.Now()-c.recvAt); ask {
-				reason := "timeout"
-				if why == WhyMemory {
-					reason = "mem-pressure"
-				}
-				r.requestSplit(c, reason)
-			}
-		}
-		r.scheduleStep(c)
-	})
-}
-
-// broadcast implements the master-mediated clause sharing of the live
-// runtime: dedup at the master (per job — fingerprints are only
-// meaningful within one formula), then deliver to the job's other busy
-// clients with the modeled network delay.
-func (r *runner) broadcast(from *simClient, clauses []cnf.Clause) {
-	j := r.jobOf(from)
-	flushEv := r.emit(trace.FEvent{Kind: trace.FEvShareFlush, Client: from.id, N: int64(len(clauses))})
-	// Copy fresh clauses instead of filtering in place: the callback below
-	// retains the batch past this call, and clauses aliases the donor
-	// solver's learnt storage.
-	var fresh []cnf.Clause
-	for _, cl := range clauses {
-		if !j.seen.Add(cl.Fingerprint()) {
-			continue
-		}
-		fresh = append(fresh, cl.Clone())
-	}
-	if len(fresh) == 0 {
+	e, ok := msg.(*comm.EncodedMessage)
+	if !ok {
+		r.deliverAt(r.xfer(0, to, msg), dc, msg)
 		return
 	}
-	r.res.Shared += len(fresh)
-	relayEv := r.emit(trace.FEvent{Kind: trace.FEvShareRelay, Client: from.id,
-		N: int64(len(fresh)), Parent: flushEv})
-	bytes := int64(len(fresh) * 32)
-	toMaster := r.xfer(from.host, r.master, bytes)
-	for _, id := range r.order {
-		other := r.clients[id]
-		if other.id == from.id || other.job != from.job {
-			continue
-		}
-		var delay float64
-		if r.cfg.P2PSharing {
-			delay = r.xfer(from.host, other.host, bytes)
-		} else {
-			delay = toMaster + r.xfer(r.master, other.host, bytes)
-		}
-		batch := fresh
-		r.sim.After(delay, func() {
-			if r.done || other.dead || other.slv == nil {
-				return
-			}
-			// Cluster imports fan out to every in-host worker, like the
-			// live portfolio's ImportClauses.
-			for w := 0; w < other.workerCount(); w++ {
-				_ = other.worker(w).ImportClauses(batch)
-			}
-			r.emit(trace.FEvent{Kind: trace.FEvShareMerge, Client: other.id,
-				Peer: from.id, N: int64(len(batch)), Parent: relayEv})
-		})
+	// A relayed share batch: the master encodes once and hands every peer
+	// the same frame. Decode it once too; recipients only read it.
+	if e != r.frame {
+		r.frame = e
+		r.relayed, _ = e.Decode()
 	}
-}
-
-func (r *runner) requestSplit(c *simClient, why string) {
-	if c.splitAsked || !c.busy {
-		return
-	}
-	c.splitAsked = true
-	delay := r.xfer(c.host, r.master, 64)
-	r.sim.After(delay, func() {
-		if r.done || !c.busy {
-			c.splitAsked = false
-			return
-		}
-		c.splitReqEv = r.emit(trace.FEvent{Kind: trace.FEvSplitRequest, Client: c.id, Detail: why})
-		j := r.jobOf(c)
-		j.backlog = append(j.backlog, BacklogEntry{
-			ClientID:    c.id,
-			AssignedAt:  c.assignedAt,
-			RequestedAt: r.sim.Now(),
-		})
-		r.serveBacklog()
-	})
-}
-
-// serveBacklog pairs queued work with idle resources across every active
-// job in submission order, exactly like the live master but using NWS
-// forecast ranks; in multi-job mode the policy's targets cap how many
-// clients each job may take, so serving never undoes a reallocation.
-func (r *runner) serveBacklog() {
-	if r.done {
-		return
-	}
-	for _, id := range r.schedOrder() {
-		j := r.jobs[id]
-		if !j.State.Active() {
-			continue
-		}
-		r.serveJob(j)
-	}
-}
-
-// serveJob drains one job's queues into idle clients: recovered orphans
-// first, then backlogged cofactors and preempted checkpoints, then the
-// unstarted root, then split requests (each reserving up to the
-// strategy's fanout in idle recipients).
-func (r *runner) serveJob(j *runnerJob) {
-	r.serveOrphans(j)
-	r.serveSubBacklog(j)
-	if r.multi && !j.assigned && r.capacity(j) > 0 {
-		if target, ok := PickSplitTarget(r.idleCandidates(), 0); ok {
-			r.assignRoot(j, r.clients[target.ID])
-		}
-	}
-	for {
-		if r.multi && r.capacity(j) <= 0 {
-			return
-		}
-		i := NextFromBacklog(j.backlog)
-		if i < 0 {
-			return
-		}
-		donor := r.clients[j.backlog[i].ClientID]
-		if donor == nil || !donor.busy || donor.job != j.ID {
-			j.backlog = append(j.backlog[:i], j.backlog[i+1:]...)
-			continue
-		}
-		budget := max(1, r.fanout)
-		if r.multi {
-			if cap := r.capacity(j); cap < budget {
-				budget = cap
-			}
-		}
-		var recips []int
-		cands := r.idleCandidates()
-		for len(recips) < budget {
-			target, ok := PickSplitTarget(cands, 0)
-			if !ok {
-				break
-			}
-			rec := r.clients[target.ID]
-			rec.reserved = true
-			rec.job = j.ID
-			recips = append(recips, rec.id)
-			kept := cands[:0]
-			for _, cd := range cands {
-				if cd.ID != target.ID {
-					kept = append(kept, cd)
-				}
-			}
-			cands = kept
-		}
-		if len(recips) == 0 {
-			return
-		}
-		j.backlog = append(j.backlog[:i], j.backlog[i+1:]...)
-		donor.splitAsked = false
-		j.outstanding += len(recips)
-		r.nextSplitID++
-		splitID := r.nextSplitID
-		issueEv := r.emit(trace.FEvent{Kind: trace.FEvSplitIssue, Client: donor.id,
-			Peer: recips[0], N: int64(len(recips)), SplitID: splitID, Parent: donor.splitReqEv})
-		r.pending[splitID] = &runnerSplit{donor: donor.id, recipients: recips,
-			resolved: map[int]bool{}, issueEv: issueEv, job: j.ID}
-		delay := r.xfer(r.master, donor.host, 64)
-		r.sim.After(delay, func() {
-			if r.done {
-				return
-			}
-			donor.assigns = append(donor.assigns, runnerAssign{splitID: splitID, recipients: recips})
-			// An idle donor serves the assignment immediately (it will not
-			// step again); a busy one serves it at its quantum boundary.
-			if !donor.busy {
-				r.serveAssigns(donor)
-			}
-		})
-	}
-}
-
-// resolveLeg concludes one recipient leg without an acceptance: the
-// reservation and its outstanding slot unwind, and the group is forgotten
-// once every leg has concluded.
-func (r *runner) resolveLeg(g *runnerSplit, splitID, rid int, detail string) {
-	if g.resolved[rid] {
-		return
-	}
-	g.resolved[rid] = true
-	if rec := r.clients[rid]; rec != nil {
-		rec.reserved = false
-	}
-	r.emit(trace.FEvent{Kind: trace.FEvSplitFail, Client: rid, Peer: g.donor,
-		SplitID: splitID, Parent: g.issueEv, Detail: detail})
-	r.jobs[g.job].outstanding--
-	if g.left() == 0 {
-		delete(r.pending, splitID)
-	}
-}
-
-// serveAssigns performs queued split transfers for a donor at a quantum
-// boundary (or immediately when the donor has gone idle). The strategy may
-// produce fewer cofactors than reserved recipients (extras are released)
-// or more (extras ride to the master's sub-backlog).
-func (r *runner) serveAssigns(c *simClient) {
-	for len(c.assigns) > 0 {
-		a := c.assigns[0]
-		c.assigns = c.assigns[1:]
-		g := r.pending[a.splitID]
-		if g == nil {
-			continue
-		}
-		j := r.jobs[g.job]
-		if !c.busy || c.slv == nil {
-			r.releasePending(a.splitID)
-			continue
-		}
-		batch, err := r.strategy.Split(c.slv, r.cfg.ShareMaxLen, 10000)
-		if err != nil {
-			r.releasePending(a.splitID)
-			continue
-		}
-		c.recvAt = r.sim.Now() // the narrowed problem restarts the clock
-		served := minInt(len(batch), len(a.recipients))
-		// Recipients beyond the batch never get a payload: release them.
-		for _, rid := range a.recipients[served:] {
-			r.resolveLeg(g, a.splitID, rid, "released unused")
-		}
-		// Cofactors beyond the recipients are new live search space queued
-		// at the master; model the donor-to-master transfer once.
-		if len(batch) > served {
-			var bytes int64
-			for _, sub := range batch[served:] {
-				j.subBacklog = append(j.subBacklog, backlogSub{sub: sub,
-					splitID: a.splitID, donor: c.id, issueEv: g.issueEv, job: j.ID})
-				j.outstanding++
-				bytes += subproblemBytes(sub)
-			}
-			r.xfer(c.host, r.master, bytes)
-			r.emit(trace.FEvent{Kind: trace.FEvSplitBacklog, Client: c.id,
-				SplitID: a.splitID, N: int64(len(batch) - served), Parent: g.issueEv})
-		}
-		for i := 0; i < served; i++ {
-			sub := batch[i]
-			rid := a.recipients[i]
-			recipient := r.clients[rid]
-			if recipient == nil || g.resolved[rid] {
-				// The leg already unwound (recipient crashed between the
-				// assignment and this quantum); its cofactor is still live
-				// search space, so it joins the backlog instead of vanishing.
-				j.subBacklog = append(j.subBacklog, backlogSub{sub: sub,
-					splitID: a.splitID, donor: c.id, issueEv: g.issueEv, job: j.ID})
-				j.outstanding++
-				continue
-			}
-			delay := r.xfer(c.host, recipient.host, subproblemBytes(sub))
-			r.sim.After(delay, func() {
-				if r.done || g.resolved[rid] || recipient.dead {
-					return
-				}
-				g.resolved[rid] = true
-				if g.left() == 0 {
-					delete(r.pending, a.splitID)
-				}
-				recipient.reserved = false
-				err := r.attachSolvers(recipient, func(opts solver.Options) (*solver.Solver, error) {
-					return solver.NewFromSubproblem(j.Formula, sub, opts)
-				})
-				if err != nil {
-					r.emit(trace.FEvent{Kind: trace.FEvSplitFail, Client: recipient.id,
-						Peer: c.id, SplitID: a.splitID, Parent: g.issueEv, Detail: err.Error()})
-					j.outstanding--
-					r.serveBacklog()
-					return
-				}
-				recipient.busy = true
-				recipient.job = j.ID
-				recipient.recvAt = r.sim.Now()
-				recipient.assignedAt = r.sim.Now()
-				recipient.xferTime = delay
-				r.res.Splits++
-				r.emit(trace.FEvent{Kind: trace.FEvSplitAccept, Client: recipient.id,
-					Peer: c.id, SplitID: a.splitID, Parent: g.issueEv})
-				r.noteBusy()
-				r.scheduleStep(recipient)
-			})
-		}
-	}
-	r.serveBacklog()
-}
-
-// serveSubBacklog ships one job's queued leftover cofactors and preempted
-// checkpoints (already counted in outstanding) from the master to idle
-// clients. A resume entry restarts a preempted subproblem, emitting the
-// migrate → resume chain under its job-preempt event instead of a
-// split-accept.
-func (r *runner) serveSubBacklog(j *runnerJob) {
-	for len(j.subBacklog) > 0 {
-		if r.multi && r.capacity(j) <= 0 {
-			return
-		}
-		target, ok := PickSplitTarget(r.idleCandidates(), 0)
-		if !ok {
-			return
-		}
-		entry := j.subBacklog[0]
-		j.subBacklog = j.subBacklog[1:]
-		c := r.clients[target.ID]
-		c.reserved = true
-		c.job = j.ID
-		delay := r.xfer(r.master, c.host, subproblemBytes(entry.sub))
-		r.sim.After(delay, func() {
-			if r.done || c.dead {
-				return
-			}
-			c.reserved = false
-			if !j.State.Active() {
-				r.serveBacklog()
-				return
-			}
-			err := r.attachSolvers(c, func(opts solver.Options) (*solver.Solver, error) {
-				return solver.NewFromSubproblem(j.Formula, entry.sub, opts)
-			})
-			if err != nil {
-				r.emit(trace.FEvent{Kind: trace.FEvSplitFail, Client: c.id,
-					Peer: entry.donor, SplitID: entry.splitID, Parent: entry.issueEv, Detail: err.Error()})
-				j.outstanding--
-				r.serveBacklog()
-				return
-			}
-			c.busy = true
-			c.recvAt = r.sim.Now()
-			c.assignedAt = r.sim.Now()
-			c.xferTime = delay
-			if entry.resume {
-				r.markSimStarted(j)
-				r.emit(trace.FEvent{Kind: trace.FEvMigrate, Client: entry.donor,
-					Peer: c.id, Job: j.ID, Parent: entry.issueEv})
-				r.emit(trace.FEvent{Kind: trace.FEvJobResume, Client: c.id,
-					Job: j.ID, Parent: entry.issueEv})
-			} else {
-				r.res.Splits++
-				r.emit(trace.FEvent{Kind: trace.FEvSplitAccept, Client: c.id,
-					Peer: entry.donor, SplitID: entry.splitID, Parent: entry.issueEv})
-			}
-			r.noteBusy()
-			r.scheduleStep(c)
-		})
-	}
-}
-
-// maybeMigrate implements the paper's §3.4 migration policy: when a much
-// better resource sits idle (for example, Blue Horizon nodes just joined
-// or a cluster freed up), the master directs the weakest long-running busy
-// client to hand its whole problem over instead of splitting it.
-func (r *runner) maybeMigrate() {
-	if r.cfg.MigrationFactor <= 0 {
-		return
-	}
-	target, ok := PickSplitTarget(r.idleCandidates(), 0)
+	sc, ok := r.relayed.(comm.ShareClauses)
 	if !ok {
 		return
 	}
-	// Find the busy client on the weakest host that has held its problem
-	// for at least one split-timeout period.
-	var weakest *simClient
-	var weakestRank float64
-	for _, id := range r.order {
-		c := r.clients[id]
-		if !c.busy || c.slv == nil || c.migrating {
-			continue
-		}
-		if r.sim.Now()-c.recvAt < r.cfg.SplitTimeoutVSec {
-			continue
-		}
-		rank := r.info.Forecast(c.host).Rank
-		if weakest == nil || rank < weakestRank {
-			weakest = c
-			weakestRank = rank
-		}
+	n := r.cfg.Grid.Network
+	bytes := r.charge(e)
+	transit := n.Transfer(r.mhost, dc.host, bytes)
+	if src := r.clients[sc.From]; src != nil && r.cfg.P2PSharing {
+		// Price the batch as a direct transfer from its origin: it left
+		// there one origin→master trip ago.
+		transit = max(0, n.Transfer(src.host, dc.host, bytes)-n.Transfer(src.host, r.mhost, bytes))
 	}
-	if weakest == nil || target.Rank < r.cfg.MigrationFactor*weakestRank {
-		return
-	}
-	recipient := r.clients[target.ID]
-	if recipient == nil || recipient.id == weakest.id {
-		return
-	}
-	// The whole problem moves: level-0 assignments plus learned clauses.
-	// Only the pathfinder's state migrates; the donor's extras are torn
-	// down and the recipient rebuilds a fresh portfolio from the
-	// checkpoint, exactly like the live client's performMigrate.
-	j := r.jobOf(weakest)
-	cp := weakest.slv.Checkpoint(solver.HeavyCheckpoint, 10000)
-	sub := &solver.Subproblem{NumVars: cp.NumVars, Assumptions: cp.Level0,
-		Learnts: cp.Learnts, Depth: cp.Depth}
-	r.retire(weakest)
-	weakest.migrating = true
-	weakest.busy = false
-	weakest.splitAsked = false
-	r.serveAssigns(weakest) // release split assignments queued for the donor
-	recipient.reserved = true
-	recipient.job = j.ID
-	bytes := subproblemBytes(sub)
-	delay := r.xfer(weakest.host, recipient.host, bytes)
-	r.sim.After(delay, func() {
-		weakest.migrating = false
-		if r.done || recipient.dead {
-			j.outstanding-- // the piece is lost with the recipient
-			recipient.reserved = false
-			r.jobExhausted(j)
-			return
-		}
-		recipient.reserved = false
-		if !j.State.Active() {
-			return
-		}
-		err := r.attachSolvers(recipient, func(opts solver.Options) (*solver.Solver, error) {
-			return solver.NewFromSubproblem(j.Formula, sub, opts)
+	r.deliverAt(r.fifo(0, to, transit), dc, sc)
+}
+
+// fromClient is every client's outbox: the zero peer is the master.
+func (r *runner) fromClient(dc *desClient, to comm.SplitPeer, msg comm.Message) error {
+	if to.Addr == "" {
+		r.sim.At(r.xfer(dc.id, 0, msg), func() {
+			r.stepMaster(masterEvent{clientID: dc.id, msg: msg})
+			if _, ok := msg.(comm.Register); ok && !r.done {
+				// The Register carried the host's static attributes; from
+				// here on the master ranks it by forecast like the rest.
+				hi := r.info.Forecast(dc.host)
+				r.m.noteForecast(dc.id, hi.Rank, hi.MemForecast)
+			}
 		})
-		if err != nil {
+		return nil
+	}
+	peer := r.clients[to.ID]
+	if peer == nil || peer.dead {
+		return errors.New("core: peer is gone") // the live dial would fail
+	}
+	r.deliverAt(r.xfer(dc.id, to.ID, msg), peer, msg)
+	return nil
+}
+
+// deliverAt schedules msg's arrival at dc. Subproblems are tracked from
+// send to start so a crash in between loses nothing.
+func (r *runner) deliverAt(at float64, dc *desClient, msg comm.Message) {
+	if p, ok := msg.(comm.SplitPayload); ok {
+		dc.inflight = append(dc.inflight, p.Subs...)
+	}
+	r.sim.At(at, func() {
+		if r.done || dc.dead {
 			return
 		}
-		recipient.busy = true
-		recipient.recvAt = r.sim.Now()
-		recipient.assignedAt = r.sim.Now()
-		recipient.xferTime = delay
-		r.res.Migrations++
-		r.emit(trace.FEvent{Kind: trace.FEvMigrate, Client: weakest.id, Peer: recipient.id, Job: j.ID})
-		r.noteBusy()
-		r.scheduleStep(recipient)
+		if dc.stepping {
+			dc.inbox = append(dc.inbox, msg)
+			return
+		}
+		r.hand(dc, msg, dc.cl.handleIdle) // not stepping means idle
+		r.step(dc)
 	})
 }
 
-// failClient simulates a crash (paper §3.4). An idle client is simply
-// forgotten ("the master becomes aware of it and marks the resource as
-// free" — here the host is lost outright). A busy client's subproblem is
-// rebuilt from its light checkpoint — the level-0 assignments, with the
-// initial clauses re-read from the problem file — and queued for
-// reassignment to an idle resource.
-func (r *runner) failClient(id int) {
-	c := r.clients[id]
-	if c == nil || r.done {
+// hand passes one message to the client through the given handler.
+func (r *runner) hand(dc *desClient, msg comm.Message, handle func(comm.Message) bool) {
+	if p, ok := msg.(comm.SplitPayload); ok {
+		for _, sub := range p.Subs {
+			if i := slices.Index(dc.inflight, sub); i >= 0 {
+				dc.inflight = slices.Delete(dc.inflight, i, i+1)
+			}
+		}
+	}
+	handle(msg)
+}
+
+// stepMaster steps the master by one event and folds the consequences
+// into the run.
+func (r *runner) stepMaster(ev masterEvent) {
+	if r.done {
 		return
 	}
-	j := r.jobOf(c)
-	var orphan *solver.Subproblem
-	if c.busy && c.slv != nil {
-		cp := c.slv.Checkpoint(solver.LightCheckpoint, 0)
-		orphan = &solver.Subproblem{NumVars: cp.NumVars, Assumptions: cp.Level0, Depth: cp.Depth}
-	}
-	r.retire(c)
-	c.dead = true
-	c.busy = false
-	leaveEv := r.emit(trace.FEvent{Kind: trace.FEvClientLeave, Client: id, Detail: "crash"})
-	// Remove the client; in-flight messages to it become no-ops because
-	// its entry disappears.
-	delete(r.clients, id)
-	for i, v := range r.order {
-		if v == id {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
-	// Reservations and transfers involving the dead client unwind. Walk
-	// the pending map in split-ID order so the emitted split-fail events
-	// (and thus the flight log) stay deterministic.
-	var pendIDs []int
-	for splitID := range r.pending {
-		pendIDs = append(pendIDs, splitID)
-	}
-	sort.Ints(pendIDs)
-	for _, splitID := range pendIDs {
-		g := r.pending[splitID]
-		if g.donor == id {
-			// The donor died: every unresolved leg unwinds.
-			r.emit(trace.FEvent{Kind: trace.FEvSplitFail, Client: g.donor,
-				Peer: g.recipients[0], SplitID: splitID, Parent: g.issueEv, Detail: "client lost"})
-			for _, rid := range g.recipients {
-				if g.resolved[rid] {
-					continue
-				}
-				g.resolved[rid] = true
-				if rec := r.clients[rid]; rec != nil {
-					rec.reserved = false
-				}
-				r.jobs[g.job].outstanding--
-			}
-			delete(r.pending, splitID)
-			continue
-		}
-		for _, rid := range g.recipients {
-			if rid == id && !g.resolved[rid] {
-				r.resolveLeg(g, splitID, rid, "client lost")
-			}
-		}
-	}
-	if orphan != nil && j.State.Active() {
-		j.orphans = append(j.orphans, orphanEntry{sub: orphan, ev: leaveEv})
-		// The crashed client's outstanding piece survives as an orphan; no
-		// change to the outstanding count.
-		r.serveOrphans(j)
-	}
-	// Unwinding in-flight legs may have exhausted any job's search space.
-	for _, jid := range r.jobOrder {
-		if r.done {
-			return
-		}
-		r.jobExhausted(r.jobs[jid])
+	done, err := r.m.handle(ev)
+	switch {
+	case err != nil:
+		r.finish(OutcomeTimeout) // an invalid model: no sound verdict exists
+	case done:
+		r.finish(OutcomeSolved)
+	default:
+		r.settle()
 	}
 }
 
-// serveOrphans reassigns one job's checkpointed subproblems (from crashed
-// clients) to idle resources.
-func (r *runner) serveOrphans(j *runnerJob) {
-	for len(j.orphans) > 0 {
-		if r.multi && r.capacity(j) <= 0 {
+// settle runs after anything that may have changed the master's state:
+// it samples the busy count and ends a multi-job run once every job has
+// arrived and reached a verdict or cancellation.
+func (r *runner) settle() {
+	if r.done {
+		return
+	}
+	r.sample(r.m.busyCount())
+	if !r.m.serve || r.submitted < len(r.cfg.Jobs) {
+		return
+	}
+	for _, id := range r.m.jobOrder {
+		if r.m.jobs[id].State.Active() {
 			return
 		}
-		target, ok := PickSplitTarget(r.idleCandidates(), 0)
-		if !ok {
-			return
-		}
-		entry := j.orphans[0]
-		j.orphans = j.orphans[1:]
-		c := r.clients[target.ID]
-		c.reserved = true
-		c.job = j.ID
-		bytes := subproblemBytes(entry.sub)
-		delay := r.xfer(r.master, c.host, bytes)
-		r.sim.After(delay, func() {
-			if r.done || c.dead {
-				return
+	}
+	r.finish(OutcomeSolved)
+}
+
+// submit admits one configured job at its arrival time and schedules its
+// cancellation, if any.
+func (r *runner) submit(sj SimJob) {
+	if r.done {
+		return
+	}
+	r.submitted++
+	id, err := r.m.submit(sj.Name, sj.Formula, sj.Priority)
+	if err == nil && sj.CancelVSec > 0 {
+		r.sim.At(sj.CancelVSec, func() {
+			if !r.done {
+				_ = r.m.cancel(id) // already finished: nothing to cancel
+				r.settle()
 			}
-			c.reserved = false
-			if !j.State.Active() {
-				r.serveBacklog()
-				return
-			}
-			err := r.attachSolvers(c, func(opts solver.Options) (*solver.Solver, error) {
-				return solver.NewFromSubproblem(j.Formula, entry.sub, opts)
-			})
-			if err != nil {
-				return
-			}
-			c.busy = true
-			c.recvAt = r.sim.Now()
-			c.assignedAt = r.sim.Now()
-			c.xferTime = delay
-			r.emit(trace.FEvent{Kind: trace.FEvRecover, Client: c.id, Job: j.ID, Parent: entry.ev})
-			r.noteBusy()
-			r.scheduleStep(c)
 		})
 	}
+	r.settle()
 }
 
-// releasePending undoes a whole group's reservations when its transfers
-// will never happen (the donor went idle or could not split).
-func (r *runner) releasePending(splitID int) {
-	g := r.pending[splitID]
-	if g == nil {
-		return
+// engines lists a client's live solvers, pathfinder first.
+func engines(c *Client) []*solver.Solver {
+	if c.port == nil {
+		return []*solver.Solver{c.slv}
 	}
-	j := r.jobs[g.job]
-	r.emit(trace.FEvent{Kind: trace.FEvSplitFail, Client: g.donor,
-		Peer: g.recipients[0], SplitID: splitID, Parent: g.issueEv})
-	delete(r.pending, splitID)
-	for _, rid := range g.recipients {
-		if g.resolved[rid] {
-			continue
-		}
-		if rec := r.clients[rid]; rec != nil {
-			rec.reserved = false
-		}
-		j.outstanding--
-	}
-	if r.jobExhausted(j) {
-		return
-	}
-	r.serveBacklog()
-}
-
-func subproblemBytes(sub *solver.Subproblem) int64 {
-	n := len(sub.Assumptions) * 4
-	for _, c := range sub.Learnts {
-		n += len(c)*4 + 8
-	}
-	return int64(n + 64)
-}
-
-func (r *runner) idleCandidates() []Candidate {
-	var out []Candidate
-	for _, id := range r.order {
-		c := r.clients[id]
-		if c.busy || c.reserved || c.migrating || !c.registered {
-			continue
-		}
-		info := r.info.Forecast(c.host)
-		out = append(out, Candidate{ID: c.id, Rank: info.Rank, MemBytes: info.MemForecast})
+	out := make([]*solver.Solver, len(c.port.workers))
+	for i, w := range c.port.workers {
+		out[i] = w.slv
 	}
 	return out
 }
 
-func (r *runner) noteBusy() {
-	n := r.busyCount()
-	if n > r.res.MaxClients {
-		r.res.MaxClients = n
+// step runs one compute quantum for dc and schedules its slice boundary.
+// On a Threads-core host every worker advances "in parallel", so the
+// quantum lasts as long as the busiest worker's propagations take on this
+// host right now, while TotalProps accrues the sum (the real work done).
+func (r *runner) step(dc *desClient) {
+	cl := dc.cl
+	if r.done || dc.dead || dc.stepping || !cl.busy {
+		return
 	}
-	r.sample(n)
+	dc.stepping = true
+	slvs := engines(cl)
+	before := make([]int64, len(slvs))
+	for i, s := range slvs {
+		before[i] = s.Stats().Propagations
+	}
+	res := cl.searchSlice()
+	var longest int64
+	for i, s := range slvs {
+		d := max(s.Stats().Propagations-before[i], 1) // even an instant verdict takes some time
+		r.res.TotalProps += d
+		longest = max(longest, d)
+	}
+	avail := r.cfg.Grid.Availability(dc.host, r.sim.Now())
+	r.sim.After(float64(longest)/(r.cfg.PropsPerVSec*dc.host.Speed*avail), func() {
+		if r.done || dc.dead {
+			return
+		}
+		_ = cl.finishSlice(res)
+		// The control poll closes the slice an instant (one ulp) later, so
+		// a message arriving at exactly the boundary — a zero-delay reply
+		// to what finishSlice just sent — is seen by this poll, as it can
+		// be live.
+		r.sim.At(math.Nextafter(r.sim.Now(), math.Inf(1)), func() {
+			dc.stepping = false
+			if r.done || dc.dead {
+				return
+			}
+			inbox := dc.inbox
+			dc.inbox = nil
+			for _, msg := range inbox {
+				r.hand(dc, msg, cl.handle)
+			}
+			r.step(dc)
+		})
+	})
 }
 
-func (r *runner) busyCount() int {
-	n := 0
-	for _, c := range r.clients {
-		if c.busy {
-			n++
-		}
+// unreported is the solver work c has done since its last heartbeat.
+func unreported(c *Client) comm.SolverDeltas {
+	if c.slv == nil {
+		return comm.SolverDeltas{}
 	}
-	return n
+	return heartbeatDeltas(solver.StatsDelta(c.stats(), c.lastHB))
+}
+
+// retire takes a client out of the run for good (crash or end of run),
+// keeping the solver and pool counters the master never saw.
+func (r *runner) retire(dc *desClient) {
+	r.tail.Add(unreported(dc.cl))
+	dc.cl.dropSolver()
+	r.pool.add(dc.cl.pool)
+	dc.dead = true
+}
+
+// fail simulates a host crash (paper §3.4). What can be recovered — the
+// light checkpoint of a running subproblem (level-0 assignments; the
+// initial clauses are re-read from the problem file) and any subproblem
+// still on its way to the host — rides to the master on the client-lost
+// event, which arrives behind everything the client already sent, the way
+// a dropped connection is noticed live.
+func (r *runner) fail(hostID int) {
+	dc := r.byHost[hostID]
+	if r.done || dc == nil || dc.dead {
+		return
+	}
+	salvage := []*solver.Subproblem{}
+	if dc.cl.busy && dc.cl.slv != nil {
+		cp := dc.cl.slv.Checkpoint(solver.LightCheckpoint, 0)
+		salvage = append(salvage, &solver.Subproblem{NumVars: cp.NumVars, Assumptions: cp.Level0, Depth: cp.Depth})
+	}
+	salvage = append(salvage, dc.inflight...)
+	r.retire(dc)
+	r.sim.At(r.fifo(dc.id, 0, r.cfg.Grid.Network.Transfer(dc.host, r.mhost, 0)), func() {
+		r.stepMaster(masterEvent{clientID: dc.id, err: errCrashed, salvage: salvage})
+	})
 }
 
 // sample appends a timeline point, collapsing consecutive equal counts.
+// The curve starts when the first client goes busy ("this number starts
+// at one") and its peak is the run's MaxClients.
 func (r *runner) sample(busy int) {
 	tl := r.res.Timeline
-	if len(tl) > 0 && tl[len(tl)-1].Busy == busy && tl[len(tl)-1].VSec == r.sim.Now() {
+	if len(tl) == 0 && busy == 0 {
 		return
 	}
+	if len(tl) > 0 && tl[len(tl)-1].Busy == busy {
+		return
+	}
+	r.res.MaxClients = max(r.res.MaxClients, busy)
 	r.res.Timeline = append(tl, TimelinePoint{VSec: r.sim.Now(), Busy: busy})
+}
+
+// finish ends the run and assembles the SimResult from the master's state.
+func (r *runner) finish(outcome SimOutcome) {
+	if r.done {
+		return
+	}
+	r.done = true
+	m := r.m
+	if outcome == OutcomeSolved || m.serve {
+		m.finishResult()
+	} else {
+		m.timeOut() // single-job: the run-level UNKNOWN verdict
+	}
+	for _, id := range r.order {
+		if dc := r.clients[id]; !dc.dead {
+			r.retire(dc)
+		}
+	}
+	res := &r.res
+	res.Outcome = outcome
+	res.Splits = m.result.Splits
+	res.Shared = m.result.SharedClauses
+	res.Migrations = m.result.Migrations
+	res.Agg = m.clusterAgg
+	res.Agg.Add(r.tail)
+	res.PoolPublished, res.PoolDelivered = r.pool.Published, r.pool.Delivered
+	res.PoolLost, res.PoolDropped = r.pool.Lost, r.pool.Dropped
+	if m.wd != nil {
+		res.Alerts = m.wd.feed()
+	}
+	if m.serve {
+		r.finishJobs()
+	} else {
+		j := m.jobs[0]
+		res.Status, res.Model = m.result.Status, m.result.Model
+		res.Progress = j.prog.Series()
+		res.CoverageUnits = j.prog.Units()
+		res.Coverage = j.prog.Fraction()
+		res.ClosedSubproblems = j.prog.Closed()
+	}
+	r.sample(0) // every run ends with the client count collapsing to zero
+	// Solved before the batch allocation arrived: withdraw the job
+	// (Table 2: "the job queued from the Blue Horizon is canceled").
+	if outcome == OutcomeSolved && r.batchJob != nil && r.batchJob.State == grid.JobQueued {
+		r.batchSys.Cancel(r.batchJob)
+		res.BatchCanceled = true
+	}
+}
+
+// finishJobs freezes per-job outcomes into the result (multi-job runs).
+func (r *runner) finishJobs() {
+	firstSubmit, lastFinish := -1.0, 0.0
+	for _, id := range r.m.jobOrder {
+		j := r.m.jobs[id]
+		r.res.Jobs = append(r.res.Jobs, SimJobResult{
+			ID:             j.ID,
+			Name:           j.Name,
+			Verdict:        r.m.jobSnapshot(j, false).Verdict,
+			Status:         j.status,
+			Model:          j.model,
+			SubmitVSec:     j.SubmittedAt,
+			StartVSec:      j.StartedAt,
+			FinishVSec:     j.FinishedAt,
+			TurnaroundVSec: j.TurnaroundSec(),
+			Preemptions:    j.Preemptions,
+			Coverage:       j.prog.Fraction(),
+		})
+		r.res.Preemptions += j.Preemptions
+		r.res.ClosedSubproblems += j.prog.Closed()
+		if firstSubmit < 0 || j.SubmittedAt < firstSubmit {
+			firstSubmit = j.SubmittedAt
+		}
+		lastFinish = max(lastFinish, j.FinishedAt)
+	}
+	if firstSubmit >= 0 && lastFinish > firstSubmit {
+		r.res.MakespanVSec = lastFinish - firstSubmit
+	}
 }

@@ -230,18 +230,68 @@ func TestRunDistributedSingleJobUnchanged(t *testing.T) {
 	}
 }
 
-// TestSimJobDemandAndCapacity pins the DES demand estimate the policies
-// apportion against.
-func TestSimJobDemandAndCapacity(t *testing.T) {
-	r := &runner{fanout: 2}
-	j := newRunnerJob(1, "x", nil, 1)
-	if d := r.simJobDemand(j); d != 1 {
+// TestJobDemand pins the demand estimate the policies apportion against —
+// the one both shells now share.
+func TestJobDemand(t *testing.T) {
+	m := &Master{fanout: 2}
+	j := &masterJob{Job: &Job{ID: 1}}
+	if d := m.jobDemand(j); d != 1 {
 		t.Fatalf("unstarted job demand %d, want 1 (the root)", d)
 	}
 	j.assigned = true
 	j.outstanding = 3
 	j.backlog = []BacklogEntry{{ClientID: 1}}
-	if d := r.simJobDemand(j); d != 5 {
+	if d := m.jobDemand(j); d != 5 {
 		t.Fatalf("demand %d, want outstanding 3 + backlog 1×fanout 2 = 5", d)
+	}
+}
+
+// TestRunDistributedAssignmentAtSliceBoundary is the D2 regression, at the
+// exact instant the live defect needed a race to hit. One client runs on
+// the master's own host, so the link between them has zero delay: the
+// slice that refutes job 1's last subproblem sends Solved, the master
+// answers in the same virtual instant with job 2's root, and the payload
+// is waiting in the client's control queue when the slice boundary is
+// polled — after the client has gone idle. Handling it as if the client
+// were still busy (the old drain) dropped it and wedged job 2 for ever.
+func TestRunDistributedAssignmentAtSliceBoundary(t *testing.T) {
+	jobs := []SimJob{
+		{Name: "first", Formula: gen.Pigeonhole(6), Priority: 1, ArrivalVSec: 1},
+		{Name: "second", Formula: gen.Pigeonhole(6), Priority: 1, ArrivalVSec: 2},
+	}
+	fl := trace.NewFlight(nil)
+	cfg := desSchedConfig(jobs, "fifo", 10_000)
+	cfg.MaxClients = 1   // only host 0 gets a client…
+	cfg.MasterHostID = 0 // …and the master sits on it: a zero-delay link
+	cfg.Flight = fl
+	res := RunDistributed(cfg)
+	if res.Outcome != OutcomeSolved {
+		t.Fatalf("outcome %v (jobs: %+v)", res.Outcome, res.Jobs)
+	}
+	for id := 1; id <= 2; id++ {
+		jr := jobByID(t, res, id)
+		if jr.Verdict != "UNSAT" || jr.Coverage != 1 {
+			t.Fatalf("job %d: verdict %q coverage %v, want UNSAT with the whole space refuted", id, jr.Verdict, jr.Coverage)
+		}
+	}
+	// The window really was hit: job 2's root went out in the same instant
+	// job 1's last refutation came in.
+	var lastUNSAT, secondStart float64
+	units := map[int]int64{}
+	for _, ev := range fl.Events() {
+		switch {
+		case ev.Kind == trace.FEvSubUNSAT && ev.Job == 1:
+			lastUNSAT = ev.VSec
+		case ev.Kind == trace.FEvJobStart && ev.Job == 2:
+			secondStart = ev.VSec
+		case ev.Kind == trace.FEvProgress:
+			units[ev.Job] = ev.N
+		}
+	}
+	if secondStart == 0 || secondStart != lastUNSAT {
+		t.Fatalf("job 2 started at %v, job 1's last refutation was at %v: not the same instant", secondStart, lastUNSAT)
+	}
+	if units[1] != int64(coverageFull) || units[2] != int64(coverageFull) {
+		t.Fatalf("coverage units %v, want exactly %d for both jobs", units, coverageFull)
 	}
 }

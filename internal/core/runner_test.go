@@ -9,6 +9,7 @@ import (
 	"gridsat/internal/gen"
 	"gridsat/internal/grid"
 	"gridsat/internal/solver"
+	"gridsat/internal/trace"
 )
 
 func desConfig(f *cnf.Formula, timeout float64) RunnerConfig {
@@ -397,29 +398,163 @@ func TestRunDistributedTimeline(t *testing.T) {
 	}
 }
 
-// TestLiveAndSimulatedRuntimesAgree cross-validates the two runtimes: the
-// goroutine/transport implementation and the DES must reach the same
-// SAT/UNSAT verdicts (they share policies but none of the execution code).
-func TestLiveAndSimulatedRuntimesAgree(t *testing.T) {
-	for seed := int64(60); seed < 66; seed++ {
-		f := gen.RandomKSAT(25, 106, 3, seed)
-		sim := RunDistributed(desConfig(f, 100_000))
-		if sim.Outcome != OutcomeSolved {
-			t.Fatalf("seed %d: DES %v", seed, sim.Outcome)
-		}
-		live, err := Solve(f, JobConfig{
-			Clients:        3,
-			ClientMemBytes: 64 << 20,
-			ShareMaxLen:    10,
-			Timeout:        time.Minute,
-			MinRunTime:     5 * time.Millisecond,
-			SliceConflicts: 200,
+// TestRunDistributedFlightLogsRepeat is the determinism guard for the
+// shared control plane: the same config must produce the same flight log,
+// event for event, on every path that walks the master's client, job and
+// transfer tables — plain splitting, K=4 portfolios, multi-job scheduling
+// with preemption, and crash recovery. (CI also runs it at -count=2.)
+func TestRunDistributedFlightLogsRepeat(t *testing.T) {
+	configs := map[string]func() RunnerConfig{
+		"single-job": func() RunnerConfig {
+			cfg := desConfig(gen.Pigeonhole(8), 10_000)
+			cfg.SplitTimeoutVSec = 5
+			return cfg
+		},
+		"portfolio-k4": func() RunnerConfig {
+			cfg := desConfig(gen.Pigeonhole(8), 10_000)
+			cfg.SplitTimeoutVSec = 5
+			cfg.Threads = 4
+			return cfg
+		},
+		"multi-job-preempt": func() RunnerConfig {
+			cfg := desSchedConfig([]SimJob{
+				{Name: "long", Formula: gen.Pigeonhole(8), Priority: 1, ArrivalVSec: 1},
+				{Name: "late", Formula: gen.Pigeonhole(7), Priority: 1, ArrivalVSec: 25},
+			}, "fair-share", 100_000)
+			cfg.MaxClients = 2
+			return cfg
+		},
+		"crash-recovery": func() RunnerConfig {
+			cfg := desConfig(gen.Pigeonhole(8), 10_000)
+			cfg.SplitTimeoutVSec = 5
+			cfg.Failures = []FailurePlan{{HostID: 0, AtVSec: 30}, {HostID: 1, AtVSec: 45}}
+			return cfg
+		},
+	}
+	for name, mk := range configs {
+		t.Run(name, func(t *testing.T) {
+			run := func() (SimResult, []trace.FEvent) {
+				fl := trace.NewFlight(nil)
+				cfg := mk()
+				cfg.Flight = fl
+				return RunDistributed(cfg), fl.Events()
+			}
+			r1, e1 := run()
+			r2, e2 := run()
+			if r1.Outcome != OutcomeSolved {
+				t.Fatalf("outcome %v", r1.Outcome)
+			}
+			if name == "multi-job-preempt" && r1.Preemptions == 0 {
+				t.Fatal("config no longer preempts; pick one that does")
+			}
+			if name == "crash-recovery" && trace.CountByKind(e1)[trace.FEvRecover] == 0 {
+				t.Fatal("config no longer recovers a crashed client's work; pick one that does")
+			}
+			if r1.VSec != r2.VSec || r1.TotalProps != r2.TotalProps || r1.Msgs != r2.Msgs || r1.Bytes != r2.Bytes {
+				t.Fatalf("results diverge: %v/%d/%d/%d vs %v/%d/%d/%d", r1.VSec, r1.TotalProps, r1.Msgs, r1.Bytes,
+					r2.VSec, r2.TotalProps, r2.Msgs, r2.Bytes)
+			}
+			if len(e1) != len(e2) {
+				t.Fatalf("flight logs diverge: %d vs %d events", len(e1), len(e2))
+			}
+			for i := range e1 {
+				if e1[i] != e2[i] {
+					t.Fatalf("flight event %d diverges:\n%+v\n%+v", i, e1[i], e2[i])
+				}
+			}
 		})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+	}
+}
+
+// incidentalKinds are flight-event kinds whose presence depends on timing
+// or on what the search happened to learn, not on which runtime ran: a
+// split leg that lost a race, an arena shed, an import that got used.
+var incidentalKinds = map[string]bool{
+	trace.FEvSplitFail: true, trace.FEvMemShed: true, trace.FEvImportUse: true,
+}
+
+// checkFlightShape asserts what every correct single-job UNSAT flight log
+// has, whichever shell recorded it, and returns its non-incidental kinds.
+func checkFlightShape(t *testing.T, runtime string, evs []trace.FEvent) map[string]bool {
+	t.Helper()
+	if err := trace.Validate(evs); err != nil {
+		t.Fatalf("%s flight log invalid: %v", runtime, err)
+	}
+	if v := trace.Verdict(evs); v != "UNSAT" {
+		t.Fatalf("%s flight verdict %q, want UNSAT", runtime, v)
+	}
+	counts := trace.CountByKind(evs)
+	if counts[trace.FEvSplitAccept] == 0 {
+		t.Fatalf("%s run never split; the comparison would be vacuous", runtime)
+	}
+	if leaves := len(trace.BuildLineage(evs).Leaves()); int64(leaves) != counts[trace.FEvSplitAccept]+1 {
+		t.Fatalf("%s lineage has %d leaves, want accepts+1 = %d", runtime, leaves, counts[trace.FEvSplitAccept]+1)
+	}
+	var units int64
+	for _, ev := range evs {
+		if ev.Kind == trace.FEvProgress {
+			units = ev.N
 		}
-		if live.Status != sim.Status {
-			t.Fatalf("seed %d: live=%v sim=%v", seed, live.Status, sim.Status)
+	}
+	if units != int64(coverageFull) {
+		t.Fatalf("%s coverage closed at %d units, want exactly %d", runtime, units, coverageFull)
+	}
+	kinds := map[string]bool{}
+	for k := range counts {
+		if !incidentalKinds[k] {
+			kinds[k] = true
+		}
+	}
+	return kinds
+}
+
+// TestLiveAndSimulatedRuntimesAgree runs the same instance through both
+// shells — core.Solve (goroutines over the in-process transport) and
+// RunDistributed (the DES) — around the one control plane. Both flight
+// logs must validate, carry a leaves == accepts+1 lineage, close exactly
+// the full search space, and use the same set of event kinds: a kind only
+// one runtime emits means a behaviour exists twice, or in one place only.
+func TestLiveAndSimulatedRuntimesAgree(t *testing.T) {
+	f := gen.RandomKSAT(190, 809, 3, 1)
+	if st := solver.New(f, solver.DefaultOptions()).Solve(solver.Limits{}).Status; st != solver.StatusUNSAT {
+		t.Fatalf("fixture is %v, want an UNSAT instance", st)
+	}
+	simFlight := trace.NewFlight(nil)
+	cfg := desConfig(f, 100_000)
+	cfg.MaxClients = 3
+	cfg.SplitTimeoutVSec = 2
+	cfg.Flight = simFlight
+	sim := RunDistributed(cfg)
+	if sim.Outcome != OutcomeSolved || sim.Status != solver.StatusUNSAT || sim.CoverageUnits != coverageFull {
+		t.Fatalf("DES: %v/%v, %d coverage units", sim.Outcome, sim.Status, sim.CoverageUnits)
+	}
+	liveFlight := trace.NewFlight(nil)
+	live, err := Solve(f, JobConfig{
+		Clients:        3,
+		ClientMemBytes: 64 << 20,
+		ShareMaxLen:    10,
+		Timeout:        time.Minute,
+		MinRunTime:     2 * time.Millisecond,
+		SliceConflicts: 100,
+		Flight:         liveFlight,
+	})
+	defer dumpFlight(t, liveFlight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live.Status != sim.Status {
+		t.Fatalf("live=%v sim=%v", live.Status, sim.Status)
+	}
+	simKinds := checkFlightShape(t, "DES", simFlight.Events())
+	liveKinds := checkFlightShape(t, "live", liveFlight.Events())
+	for k := range simKinds {
+		if !liveKinds[k] {
+			t.Errorf("kind %q emitted by the DES only", k)
+		}
+	}
+	for k := range liveKinds {
+		if !simKinds[k] {
+			t.Errorf("kind %q emitted by the live runtime only", k)
 		}
 	}
 }

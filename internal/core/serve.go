@@ -79,8 +79,8 @@ func (m *Master) submit(name string, f *cnf.Formula, priority int) (int, error) 
 	}
 	var active int
 	var activeBytes int64
-	for _, j := range m.jobs {
-		if j.State.Active() {
+	for _, id := range m.jobOrder {
+		if j := m.jobs[id]; j.State.Active() {
 			active++
 			activeBytes += FormulaMemBytes(j.Formula)
 		}
@@ -95,7 +95,7 @@ func (m *Master) submit(name string, f *cnf.Formula, priority int) (int, error) 
 	id := m.nextJobID
 	j := &masterJob{
 		Job: &Job{ID: id, Name: name, Priority: priority, Formula: f,
-			State: JobQueued, SubmittedAt: m.nowSec()},
+			State: JobQueued, SubmittedAt: m.now()},
 		seenShared: newClauseWindow(m.cfg.ShareWindow),
 	}
 	m.jobs[id] = j
@@ -129,7 +129,7 @@ func (m *Master) cancel(id int) error {
 		return fmt.Errorf("core: job %d already %s", id, j.State)
 	}
 	j.State = JobCancelled
-	j.FinishedAt = m.nowSec()
+	j.FinishedAt = m.now()
 	j.outstanding = 0
 	j.backlog = nil
 	j.subBacklog = nil
@@ -244,14 +244,14 @@ func (m *Master) maybeRebalance() {
 // are skipped — their transfers must settle first.
 func (m *Master) preemptClients(j *masterJob, n int) {
 	var cands []*masterClient
-	for _, c := range m.clients {
-		if c.job == j.ID && c.busy && !c.preempting && !c.reserved {
+	for _, id := range m.order {
+		if c := m.clients[id]; c.job == j.ID && c.busy && !c.preempting && !c.reserved {
 			cands = append(cands, c)
 		}
 	}
 	sort.Slice(cands, func(a, b int) bool {
-		if !cands[a].assignedAt.Equal(cands[b].assignedAt) {
-			return cands[a].assignedAt.After(cands[b].assignedAt)
+		if cands[a].assignedAt != cands[b].assignedAt {
+			return cands[a].assignedAt > cands[b].assignedAt
 		}
 		return cands[a].id > cands[b].id
 	})
@@ -260,7 +260,7 @@ func (m *Master) preemptClients(j *masterJob, n int) {
 		c.preempting = true
 		c.stopSeq++
 		m.log.Info("preempting client", "client", c.id, "job", j.ID)
-		m.send(c, comm.Preempt{Job: j.ID, Seq: c.stopSeq})
+		m.send(c.id, comm.Preempt{Job: j.ID, Seq: c.stopSeq})
 	}
 }
 
@@ -286,7 +286,7 @@ func (m *Master) handlePreempted(c *masterClient, msg comm.Preempted) {
 		j.Preemptions++
 		pe := m.femit(trace.FEvent{Kind: trace.FEvJobPreempt, Client: c.id, Job: j.ID})
 		j.subBacklog = append(j.subBacklog, backlogSub{sub: msg.Sub, donor: c.id,
-			issueEv: pe, job: j.ID, resume: true})
+			origin: fromPreempt, issueEv: pe, job: j.ID})
 		if j.State == JobRunning && m.heldClients(j.ID) == 0 {
 			j.State = JobPreempted
 		}
@@ -305,7 +305,7 @@ func (m *Master) finishJob(j *masterJob, status solver.Status, model cnf.Assignm
 	j.status = status
 	j.model = model
 	j.State = JobDone
-	j.FinishedAt = m.nowSec()
+	j.FinishedAt = m.now()
 	j.outstanding = 0
 	j.backlog = nil
 	j.subBacklog = nil
@@ -337,7 +337,8 @@ func (m *Master) finishJob(j *masterJob, status solver.Status, model cnf.Assignm
 // get StopWork and stay busy master-side until their idle ack, so new
 // work is never raced against a still-running solver. Event-loop only.
 func (m *Master) releaseJob(j *masterJob) {
-	for id, g := range m.pendingSplits {
+	for _, id := range m.sortedSplitIDs() {
+		g := m.pendingSplits[id]
 		if g.job != j.ID {
 			continue
 		}
@@ -353,16 +354,17 @@ func (m *Master) releaseJob(j *masterJob) {
 	}
 	for cid, entry := range m.pendingAssigns {
 		if entry.job == j.ID {
-			delete(m.pendingAssigns, cid)
+			delete(m.pendingAssigns, cid) // no send, no event: order-free
 		}
 	}
-	for _, c := range m.clients {
+	for _, id := range m.order {
+		c := m.clients[id]
 		if c.job != j.ID || !c.busy || c.preempting {
 			continue
 		}
 		c.preempting = true
 		c.stopSeq++
-		m.send(c, comm.StopWork{Job: j.ID, Seq: c.stopSeq})
+		m.send(c.id, comm.StopWork{Job: j.ID, Seq: c.stopSeq})
 	}
 }
 

@@ -561,3 +561,59 @@ func TestServeSchedulerChurn(t *testing.T) {
 	<-done
 	wg.Wait()
 }
+
+// TestServeSecondJobAfterHeartbeats is the D1 regression: with the CLI's
+// default 128 MB -min-mem, a client's first heartbeat used to overwrite the
+// free memory it registered with by the few MB its clause arena uses, so
+// placement rejected every client that had ever reported and no job after
+// the first was ever assigned.
+func TestServeSecondJobAfterHeartbeats(t *testing.T) {
+	tr := comm.NewInprocTransport()
+	m, done := serveMaster(t, tr, MasterConfig{ListenAddr: "master", MinMemBytes: 128 << 20})
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		cl, err := NewClient(ClientConfig{
+			Transport:      tr,
+			MasterAddr:     "master",
+			HostName:       fmt.Sprintf("host-%d", i),
+			FreeMemBytes:   256 << 20,
+			SliceConflicts: 100,
+			MinRunTime:     5 * time.Millisecond,
+			HeartbeatEvery: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() { defer wg.Done(); _ = cl.Run() }()
+	}
+	first, err := m.Submit("first", gen.Pigeonhole(7), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap := waitJobState(t, m, first, time.Minute); snap.Verdict != "UNSAT" {
+		t.Fatalf("first job verdict %q, want UNSAT", snap.Verdict)
+	}
+	heartbeated := 0
+	for _, c := range m.Status().Clients {
+		if c.Conflicts > 0 {
+			heartbeated++
+			if c.MemBytes <= 0 || c.MemBytes >= 128<<20 {
+				t.Errorf("client %d reports %d bytes; /status must show used arena memory, not free memory", c.ID, c.MemBytes)
+			}
+		}
+	}
+	if heartbeated == 0 {
+		t.Fatal("no client heartbeated during the first job; the test would prove nothing")
+	}
+	second, err := m.Submit("second", gen.Pigeonhole(6), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap := waitJobState(t, m, second, 30*time.Second); snap.Verdict != "UNSAT" {
+		t.Fatalf("second job verdict %q, want UNSAT", snap.Verdict)
+	}
+	m.Shutdown()
+	<-done
+	wg.Wait()
+}

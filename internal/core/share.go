@@ -3,7 +3,6 @@ package core
 import (
 	"sort"
 	"sync"
-	"time"
 
 	"gridsat/internal/cnf"
 )
@@ -25,10 +24,9 @@ func newClauseWindow(capacity int) *clauseWindow {
 	if capacity <= 0 {
 		capacity = 1 << 16
 	}
-	return &clauseWindow{
-		cap: capacity,
-		cur: make(map[uint64]struct{}, capacity),
-	}
+	// The first epoch grows on demand: most windows (one per client, one
+	// per job) never see anywhere near cap fingerprints.
+	return &clauseWindow{cap: capacity, cur: map[uint64]struct{}{}}
 }
 
 // Contains reports whether fp is remembered.
@@ -82,20 +80,21 @@ type shareAggregator struct {
 	pending    []pendingShare // sorted by (LBD, length), best first
 	pendingMax int
 	flushCount int
-	flushEvery time.Duration
-	lastFlush  time.Time
+	// flushEvery and lastFlush are seconds on the owning client's clock.
+	flushEvery float64
+	lastFlush  float64
 	window     *clauseWindow
 
 	dedupHits int64 // clauses suppressed as already seen
 	overflow  int64 // clauses dropped from a full pending batch
 }
 
-func newShareAggregator(flushCount int, flushEvery time.Duration, windowCap, pendingMax int) *shareAggregator {
+func newShareAggregator(flushCount int, flushEvery float64, windowCap, pendingMax int, now float64) *shareAggregator {
 	if flushCount <= 0 {
 		flushCount = 16
 	}
 	if flushEvery <= 0 {
-		flushEvery = 100 * time.Millisecond
+		flushEvery = 0.1
 	}
 	if pendingMax < flushCount {
 		pendingMax = 64 * flushCount
@@ -104,7 +103,7 @@ func newShareAggregator(flushCount int, flushEvery time.Duration, windowCap, pen
 		pendingMax: pendingMax,
 		flushCount: flushCount,
 		flushEvery: flushEvery,
-		lastFlush:  time.Now(),
+		lastFlush:  now,
 		window:     newClauseWindow(windowCap),
 	}
 }
@@ -186,13 +185,13 @@ func (a *shareAggregator) NoteReceived(cs []cnf.Clause) {
 // flush policy says it is time: the batch reached flushCount, or
 // flushEvery has elapsed since the last flush with anything pending.
 // Otherwise it returns nil.
-func (a *shareAggregator) TakeBatch(now time.Time) []cnf.Clause {
+func (a *shareAggregator) TakeBatch(now float64) []cnf.Clause {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if len(a.pending) == 0 {
 		return nil
 	}
-	if len(a.pending) < a.flushCount && now.Sub(a.lastFlush) < a.flushEvery {
+	if len(a.pending) < a.flushCount && now-a.lastFlush < a.flushEvery {
 		return nil
 	}
 	return a.takeLocked(now)
@@ -200,16 +199,16 @@ func (a *shareAggregator) TakeBatch(now time.Time) []cnf.Clause {
 
 // Drain returns whatever is pending regardless of policy — used when the
 // client finishes a subproblem so nothing learned is lost.
-func (a *shareAggregator) Drain() []cnf.Clause {
+func (a *shareAggregator) Drain(now float64) []cnf.Clause {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if len(a.pending) == 0 {
 		return nil
 	}
-	return a.takeLocked(time.Now())
+	return a.takeLocked(now)
 }
 
-func (a *shareAggregator) takeLocked(now time.Time) []cnf.Clause {
+func (a *shareAggregator) takeLocked(now float64) []cnf.Clause {
 	out := make([]cnf.Clause, len(a.pending))
 	for i, p := range a.pending {
 		out[i] = p.c

@@ -55,8 +55,8 @@ func clauseOfLen(start, n int) cnf.Clause {
 }
 
 func TestShareAggregatorFlushByCount(t *testing.T) {
-	a := newShareAggregator(3, time.Hour, 0, 0)
-	now := time.Now()
+	a := newShareAggregator(3, 3600, 0, 0, 0)
+	now := 0.0
 	a.Learn(cnf.NewClause(1, 2), 0)
 	a.Learn(cnf.NewClause(3, 4), 0)
 	if got := a.TakeBatch(now); got != nil {
@@ -73,25 +73,25 @@ func TestShareAggregatorFlushByCount(t *testing.T) {
 }
 
 func TestShareAggregatorFlushByInterval(t *testing.T) {
-	a := newShareAggregator(100, 10*time.Millisecond, 0, 0)
-	start := time.Now()
+	a := newShareAggregator(100, 0.010, 0, 0, 0)
+	start := 0.0
 	a.Learn(cnf.NewClause(1, 2), 0)
 	if got := a.TakeBatch(start); got != nil {
 		t.Fatal("flushed before the interval elapsed")
 	}
-	got := a.TakeBatch(start.Add(20 * time.Millisecond))
+	got := a.TakeBatch(start + 0.020)
 	if len(got) != 1 {
 		t.Fatalf("interval flush returned %d clauses, want 1", len(got))
 	}
 }
 
 func TestShareAggregatorShortestFirst(t *testing.T) {
-	a := newShareAggregator(100, time.Hour, 0, 0)
+	a := newShareAggregator(100, 3600, 0, 0, 0)
 	a.Learn(clauseOfLen(1, 5), 0)
 	a.Learn(clauseOfLen(10, 2), 0)
 	a.Learn(clauseOfLen(20, 8), 0)
 	a.Learn(clauseOfLen(30, 3), 0)
-	got := a.Drain()
+	got := a.Drain(0)
 	for i := 1; i < len(got); i++ {
 		if len(got[i-1]) > len(got[i]) {
 			t.Fatalf("batch not shortest-first: lengths %d then %d", len(got[i-1]), len(got[i]))
@@ -103,14 +103,14 @@ func TestShareAggregatorShortestFirst(t *testing.T) {
 }
 
 func TestShareAggregatorOverflowDropsLongest(t *testing.T) {
-	a := newShareAggregator(2, time.Hour, 0, 2)
+	a := newShareAggregator(2, 3600, 0, 2, 0)
 	a.Learn(clauseOfLen(1, 6), 0) // the long one — should be evicted
 	a.Learn(clauseOfLen(10, 2), 0)
 	a.Learn(clauseOfLen(20, 3), 0)
 	if a.Overflow() != 1 {
 		t.Fatalf("overflow = %d, want 1", a.Overflow())
 	}
-	got := a.Drain()
+	got := a.Drain(0)
 	if len(got) != 2 {
 		t.Fatalf("kept %d clauses, want 2", len(got))
 	}
@@ -122,7 +122,7 @@ func TestShareAggregatorOverflowDropsLongest(t *testing.T) {
 }
 
 func TestShareAggregatorDedupAndPrune(t *testing.T) {
-	a := newShareAggregator(100, time.Hour, 0, 0)
+	a := newShareAggregator(100, 3600, 0, 0, 0)
 	c1, c2 := cnf.NewClause(1, 2), cnf.NewClause(3, 4, 5)
 	a.Learn(c1, 0)
 	a.Learn(c2, 0)
@@ -136,12 +136,12 @@ func TestShareAggregatorDedupAndPrune(t *testing.T) {
 	if a.DedupHits() != 2 {
 		t.Fatalf("dedup hits = %d after NoteReceived prune, want 2", a.DedupHits())
 	}
-	got := a.Drain()
+	got := a.Drain(0)
 	if len(got) != 1 || got[0].Key() != c1.Key() {
 		t.Fatalf("pending after prune = %v, want just %v", got, c1)
 	}
 	a.Learn(cnf.NewClause(3, 4, 5), 0)
-	if got := a.Drain(); got != nil {
+	if got := a.Drain(0); got != nil {
 		t.Fatalf("re-learned a clause already received from a peer: %v", got)
 	}
 }

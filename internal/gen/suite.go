@@ -188,6 +188,11 @@ func Suite() []Instance {
 			Build: func() *cnf.Formula { return plant4(100, 11, 1) }},
 
 		// ---- Section 3: solved by neither in Table 1 (Table 2 reattempts) ----
+		// The satisfiable rows that must stay unsolved in Table 2 as well
+		// (sha1, cnt10, hanoi6) are sized with a margin, not picked by seed:
+		// whether ~90 clients stumble on a planted model within the batch
+		// walltime is luck, and any change to message timing reshuffles it
+		// (PR 13 re-pinned them 40 variables up for that reason).
 		{Name: "comb1", Expected: StatusUnknown, Section: SecUnsolved, Challenge: true, PaperZChaff: PaperTimeOut, PaperGridSAT: PaperTimeOut, PaperMaxClients: 34,
 			Table2: true, Table2Result: 0,
 			Build: func() *cnf.Formula { return r3x(360, 4.5, 7) }},
@@ -196,16 +201,20 @@ func Suite() []Instance {
 			Build: func() *cnf.Formula { return plantHard(410, 4.8, 7) }},
 		{Name: "rand_net70-25-5", Expected: StatusUNSAT, Section: SecUnsolved, Challenge: true, PaperZChaff: PaperTimeOut, PaperGridSAT: PaperTimeOut, PaperMaxClients: 34,
 			Table2: true, Table2Result: 30837,
-			Build: func() *cnf.Formula { return r3u(255, 3) }},
+			// Ratio 4.24, not r3u's 4.26: the row has to outlast Table 1's
+			// 1200 vs on GrADS yet fall to Table 2's faster testbed before
+			// the batch start at 1801 vs; dropping the last few clauses
+			// centres it in that window (re-pinned in PR 13).
+			Build: func() *cnf.Formula { return r3x(255, 4.24, 3) }},
 		{Name: "sha1", Expected: StatusSAT, Section: SecUnsolved, Challenge: true, PaperZChaff: PaperTimeOut, PaperGridSAT: PaperTimeOut, PaperMaxClients: 34,
 			Table2: true, Table2Result: 0,
-			Build: func() *cnf.Formula { return plantHard(420, 5.0, 2) }},
+			Build: func() *cnf.Formula { return plantHard(460, 5.0, 2) }},
 		{Name: "3bitadd_31", Expected: StatusUNSAT, Section: SecUnsolved, Challenge: true, PaperZChaff: PaperTimeOut, PaperGridSAT: PaperTimeOut, PaperMaxClients: 34,
 			Table2: true, Table2Result: 0,
 			Build: func() *cnf.Formula { return r3x(360, 4.5, 8) }},
 		{Name: "cnt10", Expected: StatusSAT, Section: SecUnsolved, Challenge: true, PaperZChaff: PaperTimeOut, PaperGridSAT: PaperTimeOut, PaperMaxClients: 34,
 			Table2: true, Table2Result: 0,
-			Build: func() *cnf.Formula { return plantHard(390, 4.8, 6) }},
+			Build: func() *cnf.Formula { return plantHard(430, 4.8, 6) }},
 		{Name: "glassybp-v399-s499089820", Expected: StatusSAT, Section: SecUnsolved, Challenge: true, PaperZChaff: PaperTimeOut, PaperGridSAT: PaperTimeOut, PaperMaxClients: 34,
 			Table2: true, Table2Result: 5472,
 			Build: func() *cnf.Formula { return plantHard(355, 4.8, 13) }},
@@ -214,7 +223,7 @@ func Suite() []Instance {
 			Build: func() *cnf.Formula { return r3x(340, 4.45, 2) }},
 		{Name: "hanoi6", Expected: StatusSAT, Section: SecUnsolved, Challenge: true, PaperZChaff: PaperTimeOut, PaperGridSAT: PaperTimeOut, PaperMaxClients: 34,
 			Table2: true, Table2Result: 0,
-			Build: func() *cnf.Formula { return plantHard(440, 5.0, 5) }},
+			Build: func() *cnf.Formula { return plantHard(480, 5.0, 5) }},
 	}
 }
 

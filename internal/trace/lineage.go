@@ -36,8 +36,8 @@ type LineageNode struct {
 	// donor-continuation halves).
 	SplitID int    `json:"split_id,omitempty"`
 	Status  string `json:"status"`
-	// BornVSec / EndVSec bound the node's lifetime in DES virtual time
-	// (zero in live runs, which have no deterministic clock).
+	// BornVSec / EndVSec bound the node's lifetime on the recording
+	// shell's clock (virtual seconds in the DES, seconds since start live).
 	BornVSec float64 `json:"born_vsec,omitempty"`
 	EndVSec  float64 `json:"end_vsec,omitempty"`
 	// BornEv is the flight-log event that created the node.

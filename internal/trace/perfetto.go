@@ -16,10 +16,10 @@ import (
 // clients side by side and a client visibly hops between groups when the
 // scheduler reassigns it.
 //
-// Timestamps are microseconds. DES logs use virtual seconds (VSec * 1e6);
-// live logs, which record no deterministic clock, fall back to Lamport
-// time (1 tick = 1 µs) — the ordering is exact even though the spacing is
-// notional.
+// Timestamps are microseconds on the recording shell's clock (VSec * 1e6:
+// virtual seconds for DES logs, seconds since start for live ones); logs
+// that carry no clock fall back to Lamport time (1 tick = 1 µs) — the
+// ordering is exact even though the spacing is notional.
 
 type perfettoEvent struct {
 	Name  string         `json:"name"`
@@ -176,10 +176,10 @@ func WritePerfetto(w io.Writer, events []FEvent) error {
 	return enc.Encode(doc)
 }
 
-// perfettoTimestamps maps each event to microseconds: virtual time when the
-// log has any (DES runs), Lamport ticks otherwise. Ties in virtual time are
-// broken by spreading events a nominal 0.1 µs apart so the UI keeps them
-// ordered.
+// perfettoTimestamps maps each event to microseconds: the shell clock when
+// the log carries one, Lamport ticks otherwise. Ties (and the small skews
+// between a live master's and its clients' clocks) are resolved by
+// spreading events a nominal 0.1 µs apart so the UI keeps log order.
 func perfettoTimestamps(events []FEvent) []float64 {
 	hasVSec := false
 	for _, ev := range events {
