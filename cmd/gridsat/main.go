@@ -341,7 +341,6 @@ func cmdMaster(args []string) error {
 		MetricsAddr:     *metricsAddr,
 		Logger:          logger,
 		Flight:          fl,
-		CommMetrics:     cm,
 	})
 	if err != nil {
 		return err
@@ -402,13 +401,12 @@ func cmdServe(args []string) error {
 		return err
 	}
 	reg := obs.NewRegistry()
-	cm := comm.NewMetrics(reg)
 	// The API endpoints are consumed by NewMaster, so the service is built
 	// unbound and attached once the master exists (requests in the gap
 	// get 503).
 	svc := core.NewService(nil)
 	m, err := core.NewMaster(core.MasterConfig{
-		Transport:       comm.Instrument(comm.TCPTransport{}, cm),
+		Transport:       comm.Instrument(comm.TCPTransport{}, comm.NewMetrics(reg)),
 		ListenAddr:      *listen,
 		MinMemBytes:     *minMem,
 		Timeout:         *timeout,
@@ -417,7 +415,6 @@ func cmdServe(args []string) error {
 		MetricsAddr:     *apiAddr,
 		Logger:          logger,
 		Flight:          fl,
-		CommMetrics:     cm,
 		Serve:           true,
 		SchedPolicy:     *policy,
 		Admission:       core.Admission{MaxActive: *maxJobs, MemBudgetBytes: *memBudget},

@@ -1,57 +1,10 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
-	"fmt"
-	"strings"
-
 	"gridsat/internal/cnf"
 	"gridsat/internal/comm"
 	"gridsat/internal/solver"
 )
-
-// WireResult is one row of the clause-sharing codec ablation: the bytes
-// each codec needs to move the same captured ShareClauses traffic.
-type WireResult struct {
-	Instance string
-	Batches  int
-	Clauses  int
-	Lits     int
-	// GobStream is a persistent gob stream (type descriptors amortized
-	// across batches) — the old transport's steady state.
-	GobStream int64
-	// GobFrame re-encodes every batch standalone, descriptors included —
-	// the unit cost of the retained gob fallback frames.
-	GobFrame int64
-	// Binary is the framed binary codec (delta-coded sorted literals).
-	Binary int64
-}
-
-// GobStreamRatio is steady-state gob bytes over binary bytes.
-func (r WireResult) GobStreamRatio() float64 {
-	if r.Binary == 0 {
-		return 0
-	}
-	return float64(r.GobStream) / float64(r.Binary)
-}
-
-// GobFrameRatio is standalone gob-frame bytes over binary bytes.
-func (r WireResult) GobFrameRatio() float64 {
-	if r.Binary == 0 {
-		return 0
-	}
-	return float64(r.GobFrame) / float64(r.Binary)
-}
-
-// BytesPerLit is the binary codec's cost per shared literal.
-func (r WireResult) BytesPerLit() float64 {
-	if r.Lits == 0 {
-		return 0
-	}
-	return float64(r.Binary) / float64(r.Lits)
-}
 
 // CaptureShareTraffic runs the sequential engine over f with clause export
 // enabled and packs the OnLearn stream into ShareClauses batches of
@@ -85,92 +38,4 @@ func CaptureShareTraffic(f *cnf.Formula, shareMaxLen, batchSize int, maxConflict
 		batches = append(batches, comm.ShareClauses{From: 1, Clauses: cur})
 	}
 	return batches
-}
-
-// countWriter counts bytes written, for sizing gob streams.
-type countWriter struct{ n int64 }
-
-func (w *countWriter) Write(p []byte) (int, error) {
-	w.n += int64(len(p))
-	return len(p), nil
-}
-
-// gobStreamBytes sizes the batches over one persistent gob stream of
-// Message values — the old transport's steady state, type names and
-// descriptors amortized across the connection.
-func gobStreamBytes(batches []comm.ShareClauses) int64 {
-	var cw countWriter
-	enc := gob.NewEncoder(&cw)
-	for _, b := range batches {
-		var m comm.Message = b
-		if err := enc.Encode(&m); err != nil {
-			panic(err)
-		}
-	}
-	return cw.n
-}
-
-// gobFrameBytes sizes each batch as a standalone framed gob blob — byte
-// for byte what the codec's gob-fallback frames carry for kinds without a
-// binary encoder (codec ID, length prefix, interface-encoded payload with
-// descriptors re-sent every frame).
-func gobFrameBytes(batches []comm.ShareClauses) int64 {
-	var total int64
-	for _, b := range batches {
-		var buf bytes.Buffer
-		var m comm.Message = b
-		if err := gob.NewEncoder(&buf).Encode(&m); err != nil {
-			panic(err)
-		}
-		total += 1 + int64(uvarintLen(uint64(buf.Len()))) + int64(buf.Len())
-	}
-	return total
-}
-
-func uvarintLen(v uint64) int {
-	var tmp [binary.MaxVarintLen64]byte
-	return binary.PutUvarint(tmp[:], v)
-}
-
-// binaryFrameBytes sizes each batch through the framed binary codec.
-func binaryFrameBytes(batches []comm.ShareClauses) int64 {
-	var total int64
-	for _, b := range batches {
-		e, err := comm.EncodeMessage(b)
-		if err != nil {
-			panic(err)
-		}
-		total += int64(e.WireLen())
-	}
-	return total
-}
-
-// CompareWire sizes the captured traffic under every codec arm.
-func CompareWire(instance string, batches []comm.ShareClauses) WireResult {
-	r := WireResult{Instance: instance, Batches: len(batches)}
-	for _, b := range batches {
-		r.Clauses += len(b.Clauses)
-		for _, c := range b.Clauses {
-			r.Lits += len(c)
-		}
-	}
-	r.GobStream = gobStreamBytes(batches)
-	r.GobFrame = gobFrameBytes(batches)
-	r.Binary = binaryFrameBytes(batches)
-	return r
-}
-
-// RenderWire formats codec-ablation rows as the markdown table used in
-// EXPERIMENTS.md.
-func RenderWire(rows []WireResult) string {
-	var b strings.Builder
-	b.WriteString("| instance | batches | clauses | lits | gob stream B | gob frame B | binary B | B/lit | stream ratio | frame ratio |\n")
-	b.WriteString("|---|---|---|---|---|---|---|---|---|---|\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "| %s | %d | %d | %d | %d | %d | %d | %.2f | %.2fx | %.2fx |\n",
-			r.Instance, r.Batches, r.Clauses, r.Lits,
-			r.GobStream, r.GobFrame, r.Binary,
-			r.BytesPerLit(), r.GobStreamRatio(), r.GobFrameRatio())
-	}
-	return b.String()
 }

@@ -1,10 +1,7 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/gob"
 	"testing"
-	"time"
 
 	"gridsat/internal/comm"
 	"gridsat/internal/gen"
@@ -20,60 +17,30 @@ func captureOrSkip(t testing.TB) []comm.ShareClauses {
 	return batches
 }
 
-// TestWireCodecBeatsGob is the acceptance check for the binary clause
-// codec: on real captured share traffic the binary frames must be at
-// least 3x smaller than the standalone gob frames they replace, and
-// cheaper to encode.
-func TestWireCodecBeatsGob(t *testing.T) {
-	batches := captureOrSkip(t)
-	r := CompareWire("pigeonhole-9", batches)
-	t.Logf("codec sizes: %+v (stream %.2fx, frame %.2fx, %.2f B/lit)",
-		r, r.GobStreamRatio(), r.GobFrameRatio(), r.BytesPerLit())
-	if r.Binary <= 0 || r.GobFrame <= 0 {
-		t.Fatalf("degenerate measurement: %+v", r)
-	}
-	if r.GobFrame < 3*r.Binary {
-		t.Errorf("binary frames only %.2fx smaller than standalone gob, want >= 3x",
-			r.GobFrameRatio())
-	}
-	// The stream arm amortizes gob's type descriptors, so its ratio is
-	// smaller — but binary must still win outright.
-	if r.GobStream <= r.Binary {
-		t.Errorf("binary (%d B) not smaller than steady-state gob stream (%d B)",
-			r.Binary, r.GobStream)
-	}
-
-	// Encode cost: time both arms over identical input. Gob pays
-	// reflection and descriptor costs per frame; the margin is large
-	// enough that a direct comparison is stable even on a loaded box.
-	const rounds = 20
-	start := time.Now()
-	for i := 0; i < rounds; i++ {
-		binaryFrameBytes(batches)
-	}
-	binElapsed := time.Since(start)
-	start = time.Now()
-	for i := 0; i < rounds; i++ {
-		gobFrameBytes(batches)
-	}
-	gobElapsed := time.Since(start)
-	t.Logf("encode time over %d rounds: binary %v, gob %v", rounds, binElapsed, gobElapsed)
-	if binElapsed >= gobElapsed {
-		t.Errorf("binary encode (%v) not faster than gob encode (%v)", binElapsed, gobElapsed)
-	}
-}
-
-// TestWireRoundtripOnRealTraffic decodes every binary frame back and
-// checks nothing is lost: same clause multiset per batch (modulo the
-// codec's canonical ordering).
-func TestWireRoundtripOnRealTraffic(t *testing.T) {
-	batches := captureOrSkip(t)
+// encodeAll frames every batch and returns the frames and their total size.
+func encodeAll(t testing.TB, batches []comm.ShareClauses) ([]*comm.EncodedMessage, int64) {
+	t.Helper()
+	frames := make([]*comm.EncodedMessage, len(batches))
+	var total int64
 	for i, b := range batches {
 		e, err := comm.EncodeMessage(b)
 		if err != nil {
 			t.Fatalf("batch %d: encode: %v", i, err)
 		}
-		m, err := e.Decode()
+		frames[i] = e
+		total += int64(e.WireLen())
+	}
+	return frames, total
+}
+
+// TestWireRoundtripOnRealTraffic decodes every frame back and checks
+// nothing is lost: same clause multiset per batch (modulo the clause
+// block's canonical ordering).
+func TestWireRoundtripOnRealTraffic(t *testing.T) {
+	batches := captureOrSkip(t)
+	frames, _ := encodeAll(t, batches)
+	for i, b := range batches {
+		m, err := frames[i].Decode()
 		if err != nil {
 			t.Fatalf("batch %d: decode: %v", i, err)
 		}
@@ -100,39 +67,28 @@ func TestWireRoundtripOnRealTraffic(t *testing.T) {
 	}
 }
 
-func BenchmarkWireEncodeGob(b *testing.B) {
+func BenchmarkWireEncode(b *testing.B) {
 	batches := captureOrSkip(b)
 	b.ResetTimer()
 	var total int64
 	for i := 0; i < b.N; i++ {
-		total = gobFrameBytes(batches)
+		_, total = encodeAll(b, batches)
 	}
-	reportWire(b, batches, total)
-}
-
-func BenchmarkWireEncodeBinary(b *testing.B) {
-	batches := captureOrSkip(b)
-	b.ResetTimer()
-	var total int64
-	for i := 0; i < b.N; i++ {
-		total = binaryFrameBytes(batches)
-	}
-	reportWire(b, batches, total)
-}
-
-func BenchmarkWireDecodeBinary(b *testing.B) {
-	batches := captureOrSkip(b)
-	encoded := make([]*comm.EncodedMessage, len(batches))
-	for i, batch := range batches {
-		e, err := comm.EncodeMessage(batch)
-		if err != nil {
-			b.Fatal(err)
+	var lits int
+	for _, batch := range batches {
+		for _, c := range batch.Clauses {
+			lits += len(c)
 		}
-		encoded[i] = e
 	}
+	b.ReportMetric(float64(total)/float64(lits), "B/lit")
+	b.ReportMetric(float64(total)/float64(len(batches)), "B/batch")
+}
+
+func BenchmarkWireDecode(b *testing.B) {
+	frames, _ := encodeAll(b, captureOrSkip(b))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, e := range encoded {
+		for _, e := range frames {
 			if _, err := e.Decode(); err != nil {
 				b.Fatal(err)
 			}
@@ -140,58 +96,33 @@ func BenchmarkWireDecodeBinary(b *testing.B) {
 	}
 }
 
-// BenchmarkShareFanoutEncodeOnce measures the broadcast path the master
-// uses: serialize each batch once, then hand the same frame to N peers.
+// The two fan-out arms price the master's share broadcast to 16 peers:
+// serialize each batch once and hand every peer the same frame (what the
+// master does), against a fresh serialization per peer.
+const fanoutPeers = 16
+
 func BenchmarkShareFanoutEncodeOnce(b *testing.B) {
-	const peers = 16
 	batches := captureOrSkip(b)
 	b.ResetTimer()
 	var sent int64
 	for i := 0; i < b.N; i++ {
-		for _, batch := range batches {
-			e, err := comm.EncodeMessage(batch)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for p := 0; p < peers; p++ {
-				sent += int64(e.WireLen()) // same frame, no re-encode
-			}
+		frames, _ := encodeAll(b, batches)
+		for _, e := range frames {
+			sent += fanoutPeers * int64(e.WireLen()) // same frame, no re-encode
 		}
 	}
 	_ = sent
 }
 
-// BenchmarkShareFanoutEncodePerPeer is the arm encode-once replaces:
-// every peer pays a fresh gob serialization of the same batch.
 func BenchmarkShareFanoutEncodePerPeer(b *testing.B) {
-	const peers = 16
 	batches := captureOrSkip(b)
 	b.ResetTimer()
 	var sent int64
 	for i := 0; i < b.N; i++ {
-		for _, batch := range batches {
-			for p := 0; p < peers; p++ {
-				var buf bytes.Buffer
-				var m comm.Message = batch
-				if err := gob.NewEncoder(&buf).Encode(&m); err != nil {
-					b.Fatal(err)
-				}
-				sent += int64(buf.Len())
-			}
+		for p := 0; p < fanoutPeers; p++ {
+			_, n := encodeAll(b, batches)
+			sent += n
 		}
 	}
 	_ = sent
-}
-
-func reportWire(b *testing.B, batches []comm.ShareClauses, totalBytes int64) {
-	var lits int
-	for _, batch := range batches {
-		for _, c := range batch.Clauses {
-			lits += len(c)
-		}
-	}
-	if lits > 0 {
-		b.ReportMetric(float64(totalBytes)/float64(lits), "B/lit")
-	}
-	b.ReportMetric(float64(totalBytes)/float64(len(batches)), "B/batch")
 }

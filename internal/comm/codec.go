@@ -3,65 +3,43 @@ package comm
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"math/bits"
+	"reflect"
 	"slices"
 
 	"gridsat/internal/cnf"
-	"gridsat/internal/solver"
 )
 
-// This file is the wire codec: every connection carries length-prefixed
-// frames, and each frame self-describes its encoding. The hot
-// clause-sharing messages (ShareClauses, SplitPayload, StatusReport) use a
-// compact binary form — sorted literals, bit-packed per-clause deltas —
-// while every other (cold, infrequent) control message falls back to a
-// standalone gob blob inside the frame. The frame's codec byte is the
-// negotiation: a receiver never needs out-of-band knowledge to decode.
+// This file is the frame half of the wire codec plus the bit-packed clause
+// block. Every connection carries length-prefixed frames, all in the one
+// binary codec: the frame's first byte names the message kind, and the
+// kind's field list in kinds.go lays out the payload. There is no second
+// encoding and nothing to negotiate.
 //
 // Frame layout:
 //
-//	[1 byte codec ID][uvarint payload length][payload]
+//	[1 byte kind ID | traced flag][trace header][uvarint payload length][payload]
 //
-// Clause payloads canonicalize clause order (shortest first, then
-// lexicographic by sorted literals) and literal order (ascending) — both
-// are semantically free for learned-clause exchange, because receivers
-// normalize imported clauses anyway, and shortest-first is exactly the
-// priority order the sharing pipeline wants when batches are dropped.
-
-// Frame codec IDs. frameGob is the negotiated fallback for message kinds
-// without a dedicated binary encoder.
-const (
-	frameGob    byte = 0x00
-	frameShare  byte = 0x01
-	frameSplit  byte = 0x02
-	frameStatus byte = 0x03
-)
+// Learned-clause batches inside a payload are clause blocks, which
+// canonicalize clause order (shortest first, then lexicographic by sorted
+// literals) and literal order (ascending) — both are semantically free for
+// learned-clause exchange, because receivers normalize imported clauses
+// anyway, and shortest-first is exactly the priority order the sharing
+// pipeline wants when batches are dropped.
 
 // frameTracedFlag marks a frame carrying a causal-trace header: two
-// uvarints (Lamport timestamp, parent event ID) between the codec byte and
-// the length prefix. The flag composes with every codec ID, so hot binary
-// kinds stay binary when traced, and an untraced receiver of an untraced
-// stream sees exactly the old format.
+// uvarints (Lamport timestamp, parent event ID) between the kind byte and
+// the length prefix. The flag composes with every kind, and an untraced
+// frame pays nothing for it.
 const frameTracedFlag byte = 0x80
 
-// frameJobFlag marks a frame whose binary payload belongs to a scheduler
-// job: one uvarint (the job ID) sits between the trace header (if any)
-// and the length prefix. Job 0 — the implicit single job — never sets
-// the flag, so single-job streams are byte-identical to pre-scheduler
-// ones, and legacy frames decode with Job = 0. Gob fallback frames carry
-// the job inside the blob and never set the flag.
-const frameJobFlag byte = 0x40
+// maxHeader is the longest frame header: kind byte, trace header, length.
+const maxHeader = 1 + 3*binary.MaxVarintLen64
 
-// maxFramePayload bounds a frame so a corrupt or hostile length prefix
-// cannot drive a huge allocation. The paper's largest split payloads are
-// hundreds of MB; 1 GiB leaves headroom.
-const maxFramePayload = 1 << 30
-
-// maxClausesPerFrame bounds the decoded clause count per message.
+// maxClausesPerFrame bounds the decoded clause count per clause block.
 const maxClausesPerFrame = 1 << 24
 
 // EncodedMessage is a message serialized once into its complete wire
@@ -83,8 +61,7 @@ func (e *EncodedMessage) WireLen() int { return len(e.frame) }
 // Frame exposes the raw frame bytes. Callers must not mutate them.
 func (e *EncodedMessage) Frame() []byte { return e.frame }
 
-// EncodeMessage serializes m into its wire frame: binary for the hot
-// clause-path kinds, a standalone gob blob for everything else.
+// EncodeMessage serializes m into its wire frame.
 func EncodeMessage(m Message) (*EncodedMessage, error) {
 	if e, ok := m.(*EncodedMessage); ok {
 		return e, nil
@@ -93,69 +70,33 @@ func EncodeMessage(m Message) (*EncodedMessage, error) {
 	if t, ok := m.(Traced); ok {
 		ti, m = &t.Info, t.Msg
 	}
-	var id byte
-	var payload []byte
-	job := 0
-	switch v := m.(type) {
-	case ShareClauses:
-		id, payload, job = frameShare, encodeShare(v), v.Job
-	case SplitPayload:
-		id, payload, job = frameSplit, encodeSplit(v), v.Job
-	case StatusReport:
-		id, payload, job = frameStatus, encodeStatus(v), v.Job
-	default:
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&m); err != nil {
-			return nil, fmt.Errorf("comm: gob frame: %w", err)
-		}
-		id, payload = frameGob, buf.Bytes()
+	k := kindByType[reflect.TypeOf(m)]
+	if k == nil {
+		return nil, fmt.Errorf("comm: no wire kind for %T", m)
 	}
-	if len(payload) > maxFramePayload {
-		return nil, fmt.Errorf("comm: frame payload %d exceeds limit", len(payload))
+	// The payload is encoded behind room for the largest header, and the
+	// header — whose length depends on the payload's — is then written
+	// right-aligned into that room: one buffer, no copy of the payload.
+	c := coder{buf: make([]byte, maxHeader, 128)}
+	k.code(&c, m)
+	if c.err != nil {
+		return nil, c.err
 	}
-	if job < 0 {
-		return nil, fmt.Errorf("comm: negative job tag %d", job)
+	n := len(c.buf) - maxHeader
+	if n > k.limit {
+		return nil, fmt.Errorf("comm: %s payload %d exceeds limit %d", m.Kind(), n, k.limit)
 	}
-	frame := make([]byte, 0, len(payload)+4*binary.MaxVarintLen32+1)
-	flags := id
+	var hdr [maxHeader]byte
+	h := append(hdr[:0], k.id)
 	if ti != nil {
-		flags |= frameTracedFlag
+		h[0] |= frameTracedFlag
+		h = binary.AppendUvarint(h, ti.Lamport)
+		h = binary.AppendUvarint(h, ti.Parent)
 	}
-	if job != 0 {
-		flags |= frameJobFlag
-	}
-	frame = append(frame, flags)
-	if ti != nil {
-		frame = binary.AppendUvarint(frame, ti.Lamport)
-		frame = binary.AppendUvarint(frame, ti.Parent)
-	}
-	if job != 0 {
-		frame = binary.AppendUvarint(frame, uint64(job))
-	}
-	frame = binary.AppendUvarint(frame, uint64(len(payload)))
-	frame = append(frame, payload...)
+	h = binary.AppendUvarint(h, uint64(n))
+	frame := c.buf[maxHeader-len(h):]
+	copy(frame, h)
 	return &EncodedMessage{kind: m.Kind(), frame: frame}, nil
-}
-
-// IsFallback reports whether this frame used the gob fallback codec — the
-// signal behind gridsat_comm_codec_fallback_frames_total.
-func (e *EncodedMessage) IsFallback() bool {
-	return len(e.frame) > 0 && e.frame[0]&^(frameTracedFlag|frameJobFlag) == frameGob
-}
-
-// HasBinaryCodec reports whether m encodes with a dedicated binary frame
-// codec rather than the gob fallback. Instrumented transports use it to
-// count fallback frames without re-encoding the message.
-func HasBinaryCodec(m Message) bool {
-	switch v := m.(type) {
-	case ShareClauses, SplitPayload, StatusReport:
-		return true
-	case Traced:
-		return HasBinaryCodec(v.Msg)
-	case *EncodedMessage:
-		return !v.IsFallback()
-	}
-	return false
 }
 
 // Decode reconstructs the message from the frame. Each call returns a
@@ -190,33 +131,28 @@ func readMessage(r frameReader) (Message, error) {
 			return nil, fmt.Errorf("comm: trace header: %w", err)
 		}
 	}
-	job := uint64(0)
-	if id&frameJobFlag != 0 {
-		id &^= frameJobFlag
-		if job, err = binary.ReadUvarint(r); err != nil {
-			return nil, fmt.Errorf("comm: job header: %w", err)
-		}
-		if job > 1<<31 {
-			return nil, fmt.Errorf("comm: job tag %d out of range", job)
-		}
+	k := kindByID[id]
+	if k == nil {
+		return nil, fmt.Errorf("comm: unknown frame kind 0x%02x", id)
 	}
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, fmt.Errorf("comm: frame length: %w", err)
 	}
-	if n > maxFramePayload {
-		return nil, fmt.Errorf("comm: frame payload %d exceeds limit", n)
+	if n > uint64(k.limit) {
+		return nil, fmt.Errorf("comm: frame kind 0x%02x payload %d exceeds limit %d", id, n, k.limit)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("comm: frame body: %w", err)
-	}
-	m, err := decodePayload(id, payload)
+	payload, err := readPayload(r, int(n))
 	if err != nil {
-		return m, err
+		return nil, err
 	}
-	if job != 0 {
-		m = withJob(m, int(job))
+	c := coder{buf: payload, dec: true}
+	m := k.code(&c, nil)
+	if c.err == nil && len(c.buf) != 0 {
+		c.fail("%d bytes after the last field of %s", len(c.buf), m.Kind())
+	}
+	if c.err != nil {
+		return nil, c.err
 	}
 	if ti == nil {
 		return m, nil
@@ -224,68 +160,36 @@ func readMessage(r frameReader) (Message, error) {
 	return Traced{Info: *ti, Msg: m}, nil
 }
 
-// withJob stamps a frame-header job tag onto the decoded binary message.
-// Gob frames never carry the flag (the job travels inside the blob), so
-// unknown kinds pass through untouched.
-func withJob(m Message, job int) Message {
-	switch v := m.(type) {
-	case ShareClauses:
-		v.Job = job
-		return v
-	case SplitPayload:
-		v.Job = job
-		return v
-	case StatusReport:
-		v.Job = job
-		return v
-	}
-	return m
-}
-
-func decodePayload(id byte, payload []byte) (Message, error) {
-	switch id {
-	case frameGob:
-		var m Message
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&m); err != nil {
-			return nil, fmt.Errorf("comm: gob frame: %w", err)
+// readPayload reads the n payload bytes the length prefix announced. The
+// prefix is the sender's claim, so the buffer starts small and grows only
+// as bytes actually arrive: a frame that claims a gigabyte and delivers
+// ten bytes costs one small allocation, not a gigabyte.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, 64<<10))
+	for got := 0; ; {
+		m, err := io.ReadFull(r, buf[got:])
+		if got += m; err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // mid-frame is never a clean close
+			}
+			return nil, fmt.Errorf("comm: frame body: %w", err)
 		}
-		return m, nil
-	case frameShare:
-		return decodeShare(payload)
-	case frameSplit:
-		return decodeSplit(payload)
-	case frameStatus:
-		return decodeStatus(payload)
-	default:
-		return nil, fmt.Errorf("comm: unknown frame codec 0x%02x", id)
+		if got == n {
+			return buf, nil
+		}
+		buf = append(buf, make([]byte, min(n-got, got))...) // at most double
 	}
 }
 
 // WireSize returns the exact frame size m occupies on the wire, used by
-// transport instrumentation. It returns 0 when m cannot be encoded.
+// transport instrumentation and the simulator's network model. It returns
+// 0 when m cannot be encoded.
 func WireSize(m Message) int64 {
-	if e, ok := m.(*EncodedMessage); ok {
-		return int64(e.WireLen())
-	}
 	e, err := EncodeMessage(m)
 	if err != nil {
 		return 0
 	}
 	return int64(e.WireLen())
-}
-
-// ---- varint / zigzag helpers ----
-
-func appendZigzag(b []byte, v int64) []byte {
-	return binary.AppendUvarint(b, uint64(v<<1)^uint64(v>>63))
-}
-
-func readZigzag(r io.ByteReader) (int64, error) {
-	u, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, err
-	}
-	return int64(u>>1) ^ -int64(u&1), nil
 }
 
 // ---- bit-level clause block codec ----
@@ -752,186 +656,4 @@ func readClauseBlock(buf []byte) ([]cnf.Clause, []byte, error) {
 		out = append(out, c)
 	}
 	return out, rest[r.pos:], nil
-}
-
-// ---- per-kind binary encoders ----
-
-func encodeShare(m ShareClauses) []byte {
-	b := appendZigzag(nil, int64(m.From))
-	return appendClauseBlock(b, m.Clauses)
-}
-
-func decodeShare(payload []byte) (Message, error) {
-	br := bytes.NewReader(payload)
-	from, err := readZigzag(br)
-	if err != nil {
-		return nil, err
-	}
-	cs, _, err := readClauseBlock(payload[len(payload)-br.Len():])
-	if err != nil {
-		return nil, err
-	}
-	return ShareClauses{From: int(from), Clauses: cs}, nil
-}
-
-// encodeSplit packs a subproblem batch: zigzag SplitID and From, a
-// uvarint subproblem count, then each subproblem's header, assumption
-// list, and clause block back to back. Clause blocks self-delimit
-// (readClauseBlock returns the leftover bytes), so no per-subproblem
-// length prefix is needed.
-func encodeSplit(m SplitPayload) []byte {
-	b := appendZigzag(nil, int64(m.SplitID))
-	b = appendZigzag(b, int64(m.From))
-	b = binary.AppendUvarint(b, uint64(len(m.Subs)))
-	for _, sub := range m.Subs {
-		b = appendZigzag(b, int64(sub.NumVars))
-		b = appendZigzag(b, int64(sub.Depth))
-		// Assumptions are a trail prefix: order is meaningful, keep it
-		// verbatim.
-		b = binary.AppendUvarint(b, uint64(len(sub.Assumptions)))
-		for _, l := range sub.Assumptions {
-			b = binary.AppendUvarint(b, uint64(l))
-		}
-		b = appendClauseBlock(b, sub.Learnts)
-	}
-	return b
-}
-
-func decodeSplit(payload []byte) (Message, error) {
-	br := bytes.NewReader(payload)
-	splitID, err := readZigzag(br)
-	if err != nil {
-		return nil, err
-	}
-	from, err := readZigzag(br)
-	if err != nil {
-		return nil, err
-	}
-	count, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	if count > maxClausesPerFrame {
-		return nil, fmt.Errorf("comm: subproblem count %d exceeds limit", count)
-	}
-	out := SplitPayload{SplitID: int(splitID), From: int(from)}
-	rest := payload[len(payload)-br.Len():]
-	for i := uint64(0); i < count; i++ {
-		var sub *solver.Subproblem
-		sub, rest, err = decodeSubproblem(rest)
-		if err != nil {
-			return nil, err
-		}
-		out.Subs = append(out.Subs, sub)
-	}
-	return out, nil
-}
-
-// decodeSubproblem reads one subproblem off buf, returning the leftover
-// bytes so batch members decode back to back.
-func decodeSubproblem(buf []byte) (*solver.Subproblem, []byte, error) {
-	br := bytes.NewReader(buf)
-	nv, err := readZigzag(br)
-	if err != nil {
-		return nil, nil, err
-	}
-	depth, err := readZigzag(br)
-	if err != nil {
-		return nil, nil, err
-	}
-	na, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, nil, err
-	}
-	if na > maxClausesPerFrame {
-		return nil, nil, fmt.Errorf("comm: assumption count %d exceeds limit", na)
-	}
-	sub := &solver.Subproblem{NumVars: int(nv), Depth: int(depth)}
-	if na > 0 {
-		sub.Assumptions = make([]cnf.Lit, na)
-		for i := range sub.Assumptions {
-			u, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, nil, err
-			}
-			if u > uint64(^uint32(0)) {
-				return nil, nil, fmt.Errorf("comm: literal %d out of range", u)
-			}
-			sub.Assumptions[i] = cnf.Lit(u)
-		}
-	}
-	cs, rest, err := readClauseBlock(buf[len(buf)-br.Len():])
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(cs) > 0 {
-		sub.Learnts = cs
-	}
-	return sub, rest, nil
-}
-
-func encodeStatus(m StatusReport) []byte {
-	b := appendZigzag(nil, int64(m.ClientID))
-	b = appendZigzag(b, m.MemBytes)
-	b = appendZigzag(b, int64(m.Learnts))
-	b = appendZigzag(b, m.Conflicts)
-	if m.Busy {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	b = appendZigzag(b, int64(m.Depth))
-	b = appendZigzag(b, m.Deltas.Decisions)
-	b = appendZigzag(b, m.Deltas.Conflicts)
-	b = appendZigzag(b, m.Deltas.Propagations)
-	b = appendZigzag(b, m.Deltas.Implications)
-	b = appendZigzag(b, m.Deltas.Learned)
-	b = appendZigzag(b, m.Deltas.ReclaimedBytes)
-	b = appendZigzag(b, m.Deltas.Imported)
-	b = appendZigzag(b, m.Deltas.ImportedImplications)
-	b = appendZigzag(b, m.Deltas.ImportedResolutions)
-	b = appendZigzag(b, m.Deltas.ImportedUseful)
-	return b
-}
-
-func decodeStatus(payload []byte) (Message, error) {
-	br := bytes.NewReader(payload)
-	var out StatusReport
-	id, err := readZigzag(br)
-	if err != nil {
-		return nil, err
-	}
-	out.ClientID = int(id)
-	if out.MemBytes, err = readZigzag(br); err != nil {
-		return nil, err
-	}
-	learnts, err := readZigzag(br)
-	if err != nil {
-		return nil, err
-	}
-	out.Learnts = int(learnts)
-	if out.Conflicts, err = readZigzag(br); err != nil {
-		return nil, err
-	}
-	busy, err := br.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	out.Busy = busy != 0
-	depth, err := readZigzag(br)
-	if err != nil {
-		return nil, err
-	}
-	out.Depth = int(depth)
-	for _, p := range []*int64{
-		&out.Deltas.Decisions, &out.Deltas.Conflicts, &out.Deltas.Propagations,
-		&out.Deltas.Implications, &out.Deltas.Learned, &out.Deltas.ReclaimedBytes,
-		&out.Deltas.Imported, &out.Deltas.ImportedImplications,
-		&out.Deltas.ImportedResolutions, &out.Deltas.ImportedUseful,
-	} {
-		if *p, err = readZigzag(br); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

@@ -1,9 +1,13 @@
 package comm
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"gridsat/internal/cnf"
@@ -13,6 +17,9 @@ import (
 // canonClauses puts a clause batch in codec-canonical order so tests can
 // compare decoded output against semantically-equal input.
 func canonClauses(cs []cnf.Clause) []cnf.Clause { return canonicalize(cs) }
+
+// frameID is the first byte of an untraced frame of m's kind.
+func frameID(m Message) byte { return kindByType[reflect.TypeOf(m)].id }
 
 func randClauses(r *rand.Rand, n, vars, maxLen int) []cnf.Clause {
 	out := make([]cnf.Clause, n)
@@ -48,9 +55,6 @@ func TestShareClausesBinaryRoundtrip(t *testing.T) {
 		e, err := EncodeMessage(in)
 		if err != nil {
 			t.Fatalf("case %d: encode: %v", i, err)
-		}
-		if e.frame[0] != frameShare {
-			t.Fatalf("case %d: frame codec = %#x, want frameShare", i, e.frame[0])
 		}
 		got, err := e.Decode()
 		if err != nil {
@@ -143,9 +147,6 @@ func TestSplitPayloadBinaryRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.frame[0] != frameSplit {
-		t.Fatalf("frame codec = %#x, want frameSplit", e.frame[0])
-	}
 	got, err := e.Decode()
 	if err != nil {
 		t.Fatal(err)
@@ -227,60 +228,76 @@ func TestSplitPayloadMultiSubRoundtrip(t *testing.T) {
 	}
 }
 
-// TestStatusReportBinaryRoundtrip exercises the flat-field codec,
-// including negative deltas.
-func TestStatusReportBinaryRoundtrip(t *testing.T) {
-	in := StatusReport{
-		ClientID:  42,
-		MemBytes:  64 << 20,
-		Learnts:   1999,
-		Conflicts: 123456789,
-		Busy:      true,
-		Deltas: SolverDeltas{
-			Decisions: 10, Conflicts: 20, Propagations: 1 << 40,
-			Learned: 5, ReclaimedBytes: -3,
-		},
+// TestEveryKindRoundtrip is the codec's structural check: every kind,
+// every field (see allMessages), through EncodeMessage and Decode, plain
+// and inside a trace envelope. A second encode of the decoded value must
+// reproduce the frame byte for byte.
+func TestEveryKindRoundtrip(t *testing.T) {
+	for _, in := range allMessages() {
+		for _, want := range []Message{in, Traced{Info: TraceInfo{Lamport: 1234, Parent: 77}, Msg: in}} {
+			e, err := EncodeMessage(want)
+			if err != nil {
+				t.Fatalf("%s: %v", in.Kind(), err)
+			}
+			if e.Kind() != in.Kind() {
+				t.Errorf("frame kind %q, want %q", e.Kind(), in.Kind())
+			}
+			got, err := e.Decode()
+			if err != nil {
+				t.Fatalf("%s: decode: %v", in.Kind(), err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: payload mangled:\n got %+v\nwant %+v", in.Kind(), got, want)
+			}
+			again, err := EncodeMessage(got)
+			if err != nil || !bytes.Equal(again.Frame(), e.Frame()) {
+				t.Errorf("%s: re-encoding the decoded message changed the frame (%v)", in.Kind(), err)
+			}
+		}
 	}
-	e, err := EncodeMessage(in)
+}
+
+// TestBaseProblemTravelsVerbatim: the formula is not learned-clause
+// traffic. Clause order, literal order and duplicate literals all survive,
+// so a TCP client seeds its solver exactly as the master's copy would.
+func TestBaseProblemTravelsVerbatim(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	f := &cnf.Formula{NumVars: 300, Clauses: randClauses(r, 400, 300, 9), Comment: "verbatim"}
+	if reflect.DeepEqual(f.Clauses, canonClauses(f.Clauses)) {
+		t.Fatal("test formula is already canonical; it would not notice a reordering")
+	}
+	e, err := EncodeMessage(BaseProblem{Formula: f})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if e.frame[0] != frameStatus {
-		t.Fatalf("frame codec = %#x, want frameStatus", e.frame[0])
 	}
 	got, err := e.Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, in) {
-		t.Fatalf("got %+v, want %+v", got, in)
+	if !reflect.DeepEqual(got.(BaseProblem).Formula, f) {
+		t.Fatal("decoded formula differs from the one sent")
+	}
+	// A nil formula is representable too.
+	e, _ = EncodeMessage(BaseProblem{Job: 1})
+	if got, err = e.Decode(); err != nil || !reflect.DeepEqual(got, BaseProblem{Job: 1}) {
+		t.Fatalf("nil formula: %+v, %v", got, err)
 	}
 }
 
-// TestGobFallbackRoundtrip checks every cold control message survives the
-// frameGob path structurally.
-func TestGobFallbackRoundtrip(t *testing.T) {
-	for _, in := range allMessages() {
-		switch in.(type) {
-		case ShareClauses, SplitPayload, StatusReport:
-			continue // binary kinds covered elsewhere
-		}
-		e, err := EncodeMessage(in)
-		if err != nil {
-			t.Fatalf("%s: %v", in.Kind(), err)
-		}
-		if e.frame[0] != frameGob {
-			t.Fatalf("%s: frame codec = %#x, want frameGob", in.Kind(), e.frame[0])
-		}
-		got, err := e.Decode()
-		if err != nil {
-			t.Fatalf("%s: decode: %v", in.Kind(), err)
-		}
-		if !reflect.DeepEqual(got, in) {
-			t.Errorf("%s: payload mangled:\n got %+v\nwant %+v", in.Kind(), got, in)
-		}
+// TestUnknownMessageTypeDoesNotEncode: the kind table is the protocol; a
+// message type outside it has no frame.
+func TestUnknownMessageTypeDoesNotEncode(t *testing.T) {
+	if _, err := EncodeMessage(strangeMessage{}); err == nil {
+		t.Fatal("a message type with no kind encoded")
+	}
+	if WireSize(strangeMessage{}) != 0 {
+		t.Fatal("WireSize of an unencodable message must be 0")
 	}
 }
+
+type strangeMessage struct{}
+
+func (strangeMessage) Kind() string { return "status" }
 
 // TestEncodedMessagePassthrough: encoding an already-encoded message is
 // the identity, so fan-out code can be oblivious to what it queues.
@@ -313,19 +330,24 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 	}
 	for cut := 0; cut < len(good.frame); cut++ {
 		e := &EncodedMessage{kind: good.kind, frame: good.frame[:cut]}
-		if _, err := e.Decode(); err == nil && cut < len(good.frame)-1 {
-			// Truncating only the final padding byte may still decode;
-			// anything shorter must fail.
+		if _, err := e.Decode(); err == nil {
 			t.Errorf("truncated frame at %d/%d decoded", cut, len(good.frame))
 		}
 	}
+	share, split, status := frameID(ShareClauses{}), frameID(SplitPayload{}), frameID(StatusReport{})
 	hostile := [][]byte{
-		{0x42, 0x00},                                           // unknown codec ID
-		{frameShare, 0xff, 0xff, 0xff, 0x7f},                   // length prefix >> body
-		{frameShare, 0x02, 0x00, 0xff},                         // clause count then garbage
-		{frameSplit, 0x01, 0x02},                               // truncated header
-		{frameStatus, 0x01, 0x80},                              // unterminated varint
-		{frameShare, 0x06, 0x00, 0xff, 0xff, 0xff, 0xff, 0x7f}, // huge clause count
+		{0x00},                          // the retired gob codec ID
+		{0x00, 0x00},                    // ... with an empty payload
+		{0x42, 0x00},                    // unknown kind ID
+		{share, 0xff, 0xff, 0xff, 0x7f}, // length prefix >> body
+		{share, 0x03, 0x00, 0x00, 0xff}, // clause count then garbage
+		{split, 0x01, 0x02},             // truncated header
+		{status, 0x01, 0x80},            // unterminated varint
+		{share, 0x07, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0x7f}, // huge clause count
+		{frameID(Shutdown{}), 0x01, 0x00},                       // bytes after the last field
+		{frameID(RegisterAck{}), 0x03, 0x02, 0x02, 0x00},        // boolean byte 2
+		{frameID(SplitAssign{}), 0x02, 0x02, 0x7f},              // list count the payload cannot hold
+		{frameID(Register{}), 0x02, 0x7f, 0x41},                 // string length past the payload
 	}
 	for i, f := range hostile {
 		e := &EncodedMessage{kind: "x", frame: f}
@@ -345,5 +367,52 @@ func TestWireSizeMatchesFrames(t *testing.T) {
 	}
 	if WireSize(m) != int64(len(e.frame)) || WireSize(e) != int64(len(e.frame)) {
 		t.Fatalf("WireSize plain=%d encoded=%d, frame=%d", WireSize(m), WireSize(e), len(e.frame))
+	}
+}
+
+// TestHostileLengthPrefixAllocatesLittle: the length prefix is the
+// sender's claim, not a fact. A ten-byte frame that announces a gigabyte
+// must fail on the missing bytes without the gigabyte ever being reserved.
+func TestHostileLengthPrefixAllocatesLittle(t *testing.T) {
+	frame := binary.AppendUvarint([]byte{frameID(ShareClauses{})}, capBulk)
+	frame = append(frame, 0x02, 0x00, 0x01, 0x00)
+	if len(frame) != 10 {
+		t.Fatalf("frame is %d bytes, want 10", len(frame))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := (&EncodedMessage{frame: frame}).Decode()
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a frame ten bytes long claiming 1 GiB decoded")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
+		t.Fatalf("decoding allocated %d bytes, want < 2 MiB", got)
+	}
+}
+
+// TestPerKindPayloadCap: kinds that carry no clauses, subproblems, formula
+// or model are capped at 64 KiB on both sides.
+func TestPerKindPayloadCap(t *testing.T) {
+	frame := binary.AppendUvarint([]byte{frameID(Register{})}, 1<<20)
+	frame = append(frame, make([]byte, 1<<20)...)
+	if _, err := (&EncodedMessage{frame: frame}).Decode(); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+		t.Fatalf("a register frame claiming 1 MiB: %v", err)
+	}
+	if _, err := EncodeMessage(Register{HostName: strings.Repeat("h", 1<<20)}); err == nil {
+		t.Fatal("a 1 MiB register message encoded")
+	}
+	bulk := map[string]bool{}
+	for _, m := range []Message{ShareClauses{}, SplitPayload{}, SplitDone{}, BaseProblem{}, Solved{}, Preempted{}} {
+		bulk[m.Kind()] = true
+	}
+	for _, m := range allMessages() {
+		want := 64 << 10
+		if bulk[m.Kind()] {
+			want = 1 << 30
+		}
+		if got := kindByType[reflect.TypeOf(m)].limit; got != want {
+			t.Errorf("%s: payload cap %d, want %d", m.Kind(), got, want)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package comm
 
 import (
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -9,32 +11,121 @@ import (
 	"gridsat/internal/solver"
 )
 
+// allMessages is the codec fixture: exactly one value of every protocol
+// kind, with every field — nested ones included — set to something other
+// than its zero value (TestFixtureSetsEveryField enforces that), so a
+// structural round-trip comparison notices any field the codec drops.
+// Learned-clause batches are given in the clause block's canonical order
+// and so compare equal after a round trip; the base formula is
+// deliberately not canonical, because it must travel verbatim.
 func allMessages() []Message {
-	f := cnf.NewFormula(3)
-	f.Add(1, -2).Add(2, 3)
+	f := cnf.NewFormula(5)
+	f.Add(4, -2, 1).Add(-5, 3, 3).Add(2).Add(1, -4)
+	f.Comment = "fixture"
+	sub := func(depth int) *solver.Subproblem {
+		return &solver.Subproblem{
+			NumVars:     5,
+			Depth:       depth,
+			Assumptions: []cnf.Lit{cnf.NegLit(3), cnf.PosLit(0), cnf.PosLit(2)},
+			Learnts:     canonicalize([]cnf.Clause{cnf.NewClause(2, 3), cnf.NewClause(-1, 4, 5), cnf.NewClause(-2)}),
+		}
+	}
 	return []Message{
 		Register{Addr: "a:1", HostName: "h", FreeMemBytes: 1 << 30, SpeedHint: 1.5},
-		RegisterAck{ClientID: 3},
-		RegisterAck{Rejected: true, Reason: "below minimum memory"},
-		BaseProblem{Formula: f},
-		SplitRequest{ClientID: 2, Why: SplitMemoryPressure},
+		RegisterAck{ClientID: 3, Rejected: true, Reason: "below minimum memory"},
+		BaseProblem{Formula: f, Job: 2},
+		SplitRequest{ClientID: 2, Why: SplitTimeout},
 		SplitAssign{SplitID: 9, Peers: []SplitPeer{{ID: 4, Addr: "b:2"}, {ID: 5, Addr: "b:3"}}},
-		SplitPayload{From: 2, Subs: []*solver.Subproblem{{
-			NumVars:     3,
-			Depth:       1,
-			Assumptions: []cnf.Lit{cnf.PosLit(0)},
-			Learnts:     []cnf.Clause{cnf.NewClause(2, 3)},
-		}}},
-		SplitDone{ClientID: 2, OK: true, Used: 1},
-		SplitDone{ClientID: 4, OK: false, Err: "boom"},
-		ShareClauses{From: 1, Clauses: []cnf.Clause{cnf.NewClause(-1, 2)}},
-		Solved{ClientID: 1, Status: solver.StatusSAT, Model: cnf.Assignment{cnf.True, cnf.False, cnf.True}},
-		Migrate{PeerID: 7, PeerAddr: "c:3"},
+		SplitPayload{SplitID: 9, From: 2, Job: 2, Subs: []*solver.Subproblem{sub(1), sub(2)}},
+		SplitDone{ClientID: 4, SplitID: 9, OK: true, Err: "boom", Used: 1, Leftover: []*solver.Subproblem{sub(3)}},
+		ShareClauses{From: 1, Job: 2, Clauses: canonicalize([]cnf.Clause{cnf.NewClause(-1, 2), cnf.NewClause(3)})},
+		Solved{ClientID: 1, Status: solver.StatusSAT, Model: cnf.Assignment{cnf.True, cnf.False, cnf.Undef, cnf.True},
+			Depth: 3, Worker: 1, Job: 2},
+		Migrate{SplitID: 11, PeerID: 7, PeerAddr: "c:3"},
 		Shutdown{},
-		StatusReport{ClientID: 2, MemBytes: 42, Learnts: 7, Conflicts: 99, Busy: true},
+		Preempt{Job: 2, Seq: 5},
+		Preempted{ClientID: 3, Job: 2, Sub: sub(4), Seq: 5},
+		StopWork{Job: 2, Seq: 6},
+		StatusReport{ClientID: 2, MemBytes: 42, Learnts: 7, Conflicts: 99, Busy: true, Depth: 2, Job: 2,
+			Deltas: SolverDeltas{Decisions: 1, Conflicts: 2, Propagations: 1 << 40, Implications: 4, Learned: 5,
+				ReclaimedBytes: -6, Imported: 7, ImportedImplications: 8, ImportedResolutions: 9, ImportedUseful: 10},
+			Workers: []WorkerReport{
+				{Worker: 1, Profile: "pathfinder", Conflicts: 50, Propagations: 900, Restarts: 3, Learnts: 4, MemBytes: 20},
+				{Worker: 2, Profile: "luby-neg", Conflicts: 49, Propagations: 800, Restarts: 2, Learnts: 3, MemBytes: 22},
+			}},
 	}
 }
 
+// unsetFields lists the paths under v that hold a zero value. Slices of
+// scalars only need to be non-empty: literal 0 and truth value Undef are
+// legitimate elements.
+func unsetFields(v reflect.Value, path string) []string {
+	switch v.Kind() {
+	case reflect.Struct:
+		var out []string
+		for i := 0; i < v.NumField(); i++ {
+			out = append(out, unsetFields(v.Field(i), path+"."+v.Type().Field(i).Name)...)
+		}
+		return out
+	case reflect.Pointer:
+		if !v.IsNil() {
+			return unsetFields(v.Elem(), path)
+		}
+	case reflect.Slice:
+		var out []string
+		switch v.Type().Elem().Kind() {
+		case reflect.Struct, reflect.Pointer, reflect.Slice:
+			for i := 0; i < v.Len(); i++ {
+				out = append(out, unsetFields(v.Index(i), fmt.Sprintf("%s[%d]", path, i))...)
+			}
+		}
+		if v.Len() > 0 {
+			return out
+		}
+	default:
+		if !v.IsZero() {
+			return nil
+		}
+	}
+	return []string{path}
+}
+
+// TestFixtureSetsEveryField is what makes the round-trip tests a complete
+// check of the codec: there is one fixture per row of the kind table, and
+// a field added to any message struct fails here until the fixture sets
+// it — after which the structural round trip fails until the kind's field
+// list carries it.
+func TestFixtureSetsEveryField(t *testing.T) {
+	have := map[reflect.Type]bool{}
+	for _, m := range allMessages() {
+		typ := reflect.TypeOf(m)
+		if have[typ] {
+			t.Errorf("two fixtures for %s", typ)
+		}
+		have[typ] = true
+		if m.Kind() == "" {
+			t.Errorf("%s has an empty Kind", typ)
+		}
+		for _, path := range unsetFields(reflect.ValueOf(m), typ.Name()) {
+			t.Errorf("fixture leaves %s zero", path)
+		}
+	}
+	if len(kinds) != 15 || len(kindByID) != len(kinds) || len(kindByType) != len(kinds) {
+		t.Fatalf("kind table: %d rows, %d distinct IDs, %d distinct types; want 15 of each",
+			len(kinds), len(kindByID), len(kindByType))
+	}
+	for _, k := range kinds {
+		if !have[k.typ] {
+			t.Errorf("no fixture for kind 0x%02x (%s)", k.id, k.typ)
+		}
+		if k.id == 0 || k.id&frameTracedFlag != 0 {
+			t.Errorf("kind %s has unusable frame ID 0x%02x", k.typ, k.id)
+		}
+	}
+}
+
+// roundtrip sends the whole fixture a→b and requires every message to
+// arrive structurally identical.
 func roundtrip(t *testing.T, a, b Conn) {
 	t.Helper()
 	msgs := allMessages()
@@ -54,8 +145,8 @@ func roundtrip(t *testing.T, a, b Conn) {
 		if err != nil {
 			t.Fatalf("recv: %v", err)
 		}
-		if got.Kind() != want.Kind() {
-			t.Fatalf("kind %q, want %q", got.Kind(), want.Kind())
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s mangled in transit:\n got %+v\nwant %+v", want.Kind(), got, want)
 		}
 	}
 	wg.Wait()
@@ -86,58 +177,6 @@ func TestTCPRoundtrip(t *testing.T) {
 	defer server.Close()
 	roundtrip(t, client, server)
 	roundtrip(t, server, client) // and the other direction
-}
-
-func TestTCPPayloadFidelity(t *testing.T) {
-	tr := TCPTransport{}
-	l, _ := tr.Listen("127.0.0.1:0")
-	defer l.Close()
-	accepted := make(chan Conn, 1)
-	go func() {
-		c, _ := l.Accept()
-		accepted <- c
-	}()
-	client, err := tr.Dial(l.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	server := <-accepted
-	defer client.Close()
-	defer server.Close()
-
-	f := cnf.NewFormula(4)
-	f.Add(1, -2, 3).Add(-4)
-	f.Comment = "payload"
-	if err := client.Send(BaseProblem{Formula: f}); err != nil {
-		t.Fatal(err)
-	}
-	m, err := server.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := m.(BaseProblem)
-	if !ok {
-		t.Fatalf("decoded %T", m)
-	}
-	if got.Formula.NumVars != 4 || got.Formula.NumClauses() != 2 || got.Formula.Comment != "payload" {
-		t.Fatalf("formula mangled: %+v", got.Formula)
-	}
-	if got.Formula.Clauses[0][1] != cnf.NegLit(1) {
-		t.Fatalf("literal mangled: %v", got.Formula.Clauses[0])
-	}
-
-	sub := &solver.Subproblem{NumVars: 4, Assumptions: []cnf.Lit{cnf.NegLit(3)}}
-	if err := client.Send(SplitPayload{From: 9, Subs: []*solver.Subproblem{sub}}); err != nil {
-		t.Fatal(err)
-	}
-	m, err = server.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := m.(SplitPayload)
-	if sp.From != 9 || len(sp.Subs) != 1 || len(sp.Subs[0].Assumptions) != 1 || sp.Subs[0].Assumptions[0] != cnf.NegLit(3) {
-		t.Fatalf("subproblem mangled: %+v", sp)
-	}
 }
 
 func TestInprocRoundtrip(t *testing.T) {
@@ -270,14 +309,10 @@ func TestSplitReasonString(t *testing.T) {
 func TestMessageKindsUnique(t *testing.T) {
 	seen := map[string]bool{}
 	for _, m := range allMessages() {
-		k := m.Kind()
-		if k == "" {
-			t.Fatalf("%T has empty kind", m)
+		if seen[m.Kind()] {
+			t.Fatalf("duplicate kind %q", m.Kind())
 		}
-		if seen[k] && k != "register-ack" && k != "split-done" {
-			t.Fatalf("duplicate kind %q", k)
-		}
-		seen[k] = true
+		seen[m.Kind()] = true
 	}
 }
 

@@ -24,8 +24,6 @@ func FuzzSplitPayloadRoundTrip(f *testing.F) {
 			t.Skip()
 		}
 		r := rand.New(rand.NewSource(seed))
-		// Job 0 keeps the legacy frame layout; non-zero jobs exercise the
-		// frameJobFlag header.
 		in := SplitPayload{SplitID: int(r.Int31()), From: r.Intn(100) - 50, Job: r.Intn(4)}
 		for i := 0; i < nSubs; i++ {
 			sub := &solver.Subproblem{NumVars: nVars, Depth: r.Intn(64)}
@@ -80,27 +78,31 @@ func FuzzSplitPayloadRoundTrip(f *testing.F) {
 }
 
 // FuzzDecodeFrame feeds arbitrary bytes to the frame decoder: it must
-// reject or decode, never panic.
+// reject or decode, never panic — and whatever it accepts must encode
+// again. The corpus starts from one valid frame of every kind, plain and
+// traced, so mutation reaches every field list.
 func FuzzDecodeFrame(f *testing.F) {
-	good, _ := EncodeMessage(SplitPayload{SplitID: 3, Subs: []*solver.Subproblem{{
-		NumVars:     10,
-		Depth:       2,
-		Assumptions: []cnf.Lit{cnf.PosLit(1)},
-		Learnts:     []cnf.Clause{cnf.NewClause(2, -3)},
-	}}})
-	f.Add(good.Frame())
-	f.Add([]byte{frameSplit})
-	f.Add([]byte{frameSplit, 0xff, 0xff, 0xff, 0xff, 0xff})
-	// Job-tagged frames: a well-formed one plus truncated/garbage job
-	// headers, so the frameJobFlag path is fuzzed too.
-	tagged, _ := EncodeMessage(ShareClauses{From: 2, Job: 7,
-		Clauses: []cnf.Clause{cnf.NewClause(1, -2)}})
-	f.Add(tagged.Frame())
-	f.Add([]byte{frameShare | frameJobFlag})
-	f.Add([]byte{frameShare | frameJobFlag, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
-	f.Add([]byte{frameSplit | frameTracedFlag | frameJobFlag, 0x01, 0x02, 0x03})
+	for _, m := range allMessages() {
+		for _, m := range []Message{m, Traced{Info: TraceInfo{Lamport: 9, Parent: 2}, Msg: m}} {
+			e, err := EncodeMessage(m)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(e.Frame())
+		}
+	}
+	split := frameID(SplitPayload{})
+	f.Add([]byte{0x00}) // the retired gob codec ID
+	f.Add([]byte{split})
+	f.Add([]byte{split, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{split | frameTracedFlag, 0x01, 0x02, 0x03})
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		e := EncodedMessage{frame: frame}
-		_, _ = e.Decode() // must not panic
+		m, err := (&EncodedMessage{frame: frame}).Decode()
+		if err != nil {
+			return
+		}
+		if _, err := EncodeMessage(m); err != nil {
+			t.Fatalf("decoded %s does not encode: %v", m.Kind(), err)
+		}
 	})
 }

@@ -15,17 +15,12 @@ import (
 //	gridsat_comm_bytes_total{dir="recv",kind="share-clauses"} 80640
 //	gridsat_comm_conns_total{role="dial"} 5
 //
-// Byte counts are exact frame sizes from the wire codec: pre-encoded
-// messages report their frame length directly, and plain messages are
-// sized through WireSize, which produces the same frame Send would write.
+// Byte counts are exact frame sizes from the wire codec: every send is
+// encoded once and that frame's length is what is counted and written.
 type Metrics struct {
 	reg   *obs.Registry
 	dials *obs.Counter
 	accps *obs.Counter
-	// fallback counts frames that used the gob fallback codec instead of a
-	// dedicated binary encoder — a canary for binary-codec coverage
-	// regressions (a hot kind silently dropping to gob shows up here).
-	fallback *obs.Counter
 
 	mu      sync.RWMutex
 	perKind map[string]*kindCounters
@@ -43,16 +38,12 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		reg = obs.NewRegistry()
 	}
 	return &Metrics{
-		reg:      reg,
-		dials:    reg.Counter("gridsat_comm_conns_total", "connections opened by role", obs.L("role", "dial")),
-		accps:    reg.Counter("gridsat_comm_conns_total", "connections opened by role", obs.L("role", "accept")),
-		fallback: reg.Counter("gridsat_comm_codec_fallback_frames_total", "frames sent with the gob fallback codec instead of a binary encoder"),
-		perKind:  map[string]*kindCounters{},
+		reg:     reg,
+		dials:   reg.Counter("gridsat_comm_conns_total", "connections opened by role", obs.L("role", "dial")),
+		accps:   reg.Counter("gridsat_comm_conns_total", "connections opened by role", obs.L("role", "accept")),
+		perKind: map[string]*kindCounters{},
 	}
 }
-
-// FallbackFrames returns how many sent frames used the gob fallback codec.
-func (m *Metrics) FallbackFrames() int64 { return m.fallback.Value() }
 
 func (m *Metrics) kind(k string) *kindCounters {
 	m.mu.RLock()
@@ -177,17 +168,15 @@ func newInstrumentedConn(c Conn, m *Metrics) *instrumentedConn {
 	return &instrumentedConn{inner: c, m: m}
 }
 
+// Send encodes m once and ships the frame, so the bytes counted are the
+// bytes written — and an in-process pipe carries real frames, which its
+// receiver decodes, instead of passing the value by reference.
 func (c *instrumentedConn) Send(m Message) error {
-	if err := c.inner.Send(m); err != nil {
+	e, err := EncodeMessage(m)
+	if err != nil {
 		return err
 	}
-	kc := c.m.kind(m.Kind())
-	kc.sentMsgs.Inc()
-	kc.sentBytes.Add(WireSize(m))
-	if !HasBinaryCodec(m) {
-		c.m.fallback.Inc()
-	}
-	return nil
+	return c.SendEncoded(e)
 }
 
 func (c *instrumentedConn) SendEncoded(e *EncodedMessage) error {
@@ -197,9 +186,6 @@ func (c *instrumentedConn) SendEncoded(e *EncodedMessage) error {
 	kc := c.m.kind(e.Kind())
 	kc.sentMsgs.Inc()
 	kc.sentBytes.Add(int64(e.WireLen()))
-	if e.IsFallback() {
-		c.m.fallback.Inc()
-	}
 	return nil
 }
 

@@ -1,15 +1,14 @@
 // Package comm is GridSAT's messaging layer, standing in for the EveryWare
 // toolkit the paper built on. It defines the typed messages of the
 // master–client protocol (including the five-message split exchange of
-// Figure 3), a framed binary wire codec — bit-packed clause blocks for the
-// hot clause-bearing kinds, gob fallback frames for cold control messages —
-// and two interchangeable transports: real TCP (net) for deployment and an
-// in-process channel transport for tests and single-machine runs.
+// Figure 3), one framed binary wire codec — every kind lists its fields
+// once in kinds.go; learned-clause batches travel as bit-packed clause
+// blocks — and two interchangeable transports: real TCP (net) for
+// deployment and an in-process channel transport for tests and
+// single-machine runs.
 package comm
 
 import (
-	"encoding/gob"
-
 	"gridsat/internal/cnf"
 	"gridsat/internal/solver"
 )
@@ -335,21 +334,3 @@ type WorkerReport struct {
 
 // Kind implements Message.
 func (StatusReport) Kind() string { return "status" }
-
-func init() {
-	gob.Register(Register{})
-	gob.Register(RegisterAck{})
-	gob.Register(BaseProblem{})
-	gob.Register(SplitRequest{})
-	gob.Register(SplitAssign{})
-	gob.Register(SplitPayload{})
-	gob.Register(SplitDone{})
-	gob.Register(ShareClauses{})
-	gob.Register(Solved{})
-	gob.Register(Migrate{})
-	gob.Register(Shutdown{})
-	gob.Register(StatusReport{})
-	gob.Register(Preempt{})
-	gob.Register(Preempted{})
-	gob.Register(StopWork{})
-}

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"gridsat/internal/obs"
 	"gridsat/internal/solver"
 )
 
@@ -17,9 +16,6 @@ func TestTracedEnvelopeBinaryRoundtrip(t *testing.T) {
 	}
 	if e.frame[0]&frameTracedFlag == 0 {
 		t.Fatalf("frame byte %#x missing traced flag", e.frame[0])
-	}
-	if e.IsFallback() {
-		t.Error("status has a binary codec; traced wrapper must not force gob")
 	}
 	got, err := e.Decode()
 	if err != nil {
@@ -154,67 +150,5 @@ func TestClockConcurrentMonotonic(t *testing.T) {
 	// 4 goroutines tick 1000 times each; observes add at least one each.
 	if c.Now() < 8000 {
 		t.Fatalf("clock lost updates: %d", c.Now())
-	}
-}
-
-// TestFallbackFrameCounter pins the satellite metric: gob-encoded frames
-// (messages without a dedicated binary codec) increment
-// gridsat_comm_codec_fallback_frames_total, binary frames do not.
-func TestFallbackFrameCounter(t *testing.T) {
-	reg := obs.NewRegistry()
-	m := NewMetrics(reg)
-	tr := Instrument(NewInprocTransport(), m)
-	l, err := tr.Listen("master")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	accepted := make(chan Conn, 1)
-	go func() {
-		c, _ := l.Accept()
-		accepted <- c
-	}()
-	client, err := tr.Dial("master")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	server := <-accepted
-
-	// Binary-codec kinds: no fallback counted.
-	for _, msg := range []Message{
-		StatusReport{ClientID: 1},
-		ShareClauses{From: 1},
-		Traced{Info: TraceInfo{Lamport: 1}, Msg: StatusReport{ClientID: 1}},
-	} {
-		if err := client.Send(msg); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := server.Recv(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := m.FallbackFrames(); got != 0 {
-		t.Fatalf("fallback frames after binary sends = %d, want 0", got)
-	}
-
-	// Gob-only kinds fall back, traced or not.
-	for _, msg := range []Message{
-		Register{Addr: "a", HostName: "h"},
-		Traced{Info: TraceInfo{Lamport: 2}, Msg: Register{Addr: "b", HostName: "h"}},
-	} {
-		if err := client.Send(msg); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := server.Recv(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := m.FallbackFrames(); got != 2 {
-		t.Fatalf("fallback frames = %d, want 2", got)
-	}
-	snap := reg.Snapshot()
-	if got := snap.CounterValue("gridsat_comm_codec_fallback_frames_total"); got != 2 {
-		t.Fatalf("registry fallback counter = %d, want 2", got)
 	}
 }

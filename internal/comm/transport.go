@@ -73,8 +73,8 @@ func (t *tcpListener) Close() error { return t.l.Close() }
 func (t *tcpListener) Addr() string { return t.l.Addr().String() }
 
 // frameConn moves codec frames over a byte stream. Frames are
-// self-describing (codec byte + length prefix), so Send can pick the
-// binary encoding per kind while the peer decodes without negotiation.
+// self-describing (kind byte + length prefix), so the peer decodes with
+// no negotiation.
 type frameConn struct {
 	c      net.Conn
 	w      *bufio.Writer

@@ -225,8 +225,7 @@ func TestLiveSolveSharedFlight(t *testing.T) {
 // endpoints stay up while we fetch.
 func TestLiveTraceEndpoints(t *testing.T) {
 	reg := obs.NewRegistry()
-	cm := comm.NewMetrics(reg)
-	tr := comm.Instrument(comm.NewInprocTransport(), cm)
+	tr := comm.Instrument(comm.NewInprocTransport(), comm.NewMetrics(reg))
 	fl := trace.NewFlight(nil)
 	m, err := NewMaster(MasterConfig{
 		Transport:       tr,
@@ -237,7 +236,6 @@ func TestLiveTraceEndpoints(t *testing.T) {
 		Metrics:         reg,
 		MetricsAddr:     "127.0.0.1:0",
 		Flight:          fl,
-		CommMetrics:     cm,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -322,16 +320,13 @@ func TestLiveTraceEndpoints(t *testing.T) {
 	if !strings.HasPrefix(fetch("/tree.dot"), "digraph lineage {") {
 		t.Error("/tree.dot is not a DOT graph")
 	}
-	// /status surfaces the flight length and codec fallback counter.
+	// /status surfaces the flight length.
 	var snap StatusSnapshot
 	if err := json.Unmarshal([]byte(fetch("/status")), &snap); err != nil {
 		t.Fatalf("/status: %v", err)
 	}
 	if snap.FlightEvents == 0 {
 		t.Error("/status reports zero flight events mid-run")
-	}
-	if snap.CodecFallbackFrames == 0 {
-		t.Error("/status reports zero fallback frames; register frames are gob")
 	}
 
 	launch(3)

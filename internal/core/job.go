@@ -80,7 +80,6 @@ func Solve(f *cnf.Formula, cfg JobConfig) (Result, error) {
 		MetricsAddr:     cfg.MetricsAddr,
 		Logger:          cfg.Logger,
 		Flight:          cfg.Flight,
-		CommMetrics:     cm,
 		SplitStrategy:   cfg.SplitStrategy,
 	})
 	if err != nil {

@@ -190,6 +190,61 @@ func TestTCPEndToEnd(t *testing.T) {
 	}
 }
 
+// TestTCPWorkerRowsReachStatus: a portfolio client's per-worker heartbeat
+// rows must survive the real wire, not only the by-reference in-process
+// pipe — /status shows both workers and the result reports the width.
+func TestTCPWorkerRowsReachStatus(t *testing.T) {
+	tr := comm.TCPTransport{}
+	m, err := NewMaster(MasterConfig{
+		Transport:       tr,
+		ListenAddr:      "127.0.0.1:0",
+		Formula:         gen.Pigeonhole(9),
+		Timeout:         60 * time.Second,
+		ExpectedClients: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan Result, 1)
+	go func() {
+		r, _ := m.Run()
+		done <- r
+	}()
+	cl, err := NewClient(ClientConfig{
+		Transport:      tr,
+		MasterAddr:     m.Addr(),
+		ListenAddr:     "127.0.0.1:0",
+		FreeMemBytes:   64 << 20,
+		SliceConflicts: 200,
+		HeartbeatEvery: 1,
+		Threads:        2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = cl.Run() }()
+
+	var res Result
+	for rows := 0; rows != 2; {
+		select {
+		case res = <-done:
+			t.Fatalf("run ended (%v) before /status showed two worker rows (last saw %d)", res.Status, rows)
+		default:
+		}
+		for _, c := range m.Status().Clients {
+			rows = len(c.Workers)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	res = <-done
+	if res.Status != solver.StatusUNSAT {
+		t.Fatalf("run ended %v", res.Status)
+	}
+	if res.Threads != 2 {
+		t.Fatalf("Result.Threads = %d, want 2", res.Threads)
+	}
+}
+
 // TestFigure3SplitProtocol captures the live message flow and checks the
 // paper's five-message split exchange appears: (1) split-request from the
 // donor to the master, (2) split-assign from the master to the donor,

@@ -55,9 +55,6 @@ type MasterConfig struct {
 	// introspection server additionally exposes /trace, /trace.json (Chrome
 	// trace-event format) and /tree (split lineage).
 	Flight *trace.Flight
-	// CommMetrics, when set, lets /status report wire-codec counters
-	// (gob-fallback frames) alongside the pool view.
-	CommMetrics *comm.Metrics
 	// SplitStrategy names the split engine clients run ("first-decision",
 	// "dilemma", "dilemma-veto"; "" = first-decision). The master only uses
 	// its fanout: a 2^k dilemma strategy can hand cofactors to up to 2^k-1
@@ -660,10 +657,6 @@ type StatusSnapshot struct {
 	// SharedDropped counts best-effort clause-share messages the master
 	// discarded because a client's outbound queue was full.
 	SharedDropped int64
-	// CodecFallbackFrames counts frames sent with the gob fallback codec
-	// instead of a dedicated binary encoder (0 when the transport is
-	// uninstrumented) — a live canary for codec-coverage regressions.
-	CodecFallbackFrames int64
 	// FlightEvents is the flight recorder's event count (0 without one).
 	FlightEvents int
 	// WallSeconds is the elapsed run time (0 before Run starts).
@@ -903,9 +896,6 @@ func (m *Master) statusSnapshot() StatusSnapshot {
 		Clients:       m.clientStatuses(),
 	}
 	snap.WallSeconds = m.now()
-	if m.cfg.CommMetrics != nil {
-		snap.CodecFallbackFrames = m.cfg.CommMetrics.FallbackFrames()
-	}
 	if m.flight != nil {
 		snap.FlightEvents = m.flight.Len()
 	}
