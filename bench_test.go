@@ -7,6 +7,7 @@
 package gridsat_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -247,17 +248,83 @@ func BenchmarkSolverPigeonhole(b *testing.B) {
 	}
 }
 
-// BenchmarkSolverPropagation measures BCP on a propagation-heavy run.
+// solverRegimes is one instance per regime of the gridbench seq-mix
+// workload: random 3-SAT at the threshold (short clauses, scattered
+// watches), pigeonhole (long clauses, conflict-heavy) and an adder miter
+// (structured, long implication chains).
+var solverRegimes = []struct {
+	name string
+	f    *cnf.Formula
+}{
+	{"random-n200", gen.RandomKSAT(200, 852, 3, 3)},
+	{"php9", gen.Pigeonhole(9)},
+	{"adder-miter-192", gen.AdderMiter(192)},
+}
+
+// BenchmarkSolverPropagation measures BCP throughput per regime: 2000
+// conflicts of search from a fresh solver (construction off the clock),
+// reported as props/s and ns/prop. props/op is the step count: it is
+// pinned elsewhere (TestSearchIsStepIdentical) and must not move between
+// two engines being compared, so a change here is a change in cost per
+// step, not in the number of steps.
 func BenchmarkSolverPropagation(b *testing.B) {
-	f := gen.RandomKSAT(200, 852, 3, 3)
-	b.ReportAllocs()
-	var props int64
-	for i := 0; i < b.N; i++ {
-		s := solver.New(f, solver.DefaultOptions())
-		s.Solve(solver.Limits{MaxConflicts: 2000})
-		props += s.Stats().Propagations
+	for _, in := range solverRegimes {
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var props int64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s := solver.New(in.f, solver.DefaultOptions())
+				b.StartTimer()
+				s.Solve(solver.Limits{MaxConflicts: 2000})
+				props += s.Stats().Propagations
+			}
+			b.ReportMetric(float64(props)/float64(b.N), "props/op")
+			b.ReportMetric(float64(props)/b.Elapsed().Seconds(), "props/s")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(props), "ns/prop")
+		})
 	}
-	b.ReportMetric(float64(props)/float64(b.N), "props/op")
+}
+
+// BenchmarkSolverConflictPath measures analyze → (minimize) → backjump →
+// record on the conflict-heavy regime, with a share callback installed so
+// the escaping clone is on the path. allocs/conflict counts every heap
+// allocation during search: with the conflict path on solver-owned scratch
+// what remains is the exported clone (one per shared clause) plus the
+// amortized growth of the arena, the learnt list and the watch lists.
+func BenchmarkSolverConflictPath(b *testing.B) {
+	for _, minimize := range []bool{false, true} {
+		name := "firstuip"
+		if minimize {
+			name = "minimize"
+		}
+		b.Run(name, func(b *testing.B) {
+			opts := solver.DefaultOptions()
+			opts.MinimizeLearnts = minimize
+			opts.ShareMaxLen = 10
+			exported := 0
+			opts.OnLearn = func(cnf.Clause, int) { exported++ }
+			var conflicts int64
+			var mallocs uint64
+			var ms runtime.MemStats
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s := solver.New(solverRegimes[1].f, opts)
+				runtime.ReadMemStats(&ms)
+				before := ms.Mallocs
+				b.StartTimer()
+				s.Solve(solver.Limits{MaxConflicts: 4000})
+				b.StopTimer()
+				runtime.ReadMemStats(&ms)
+				mallocs += ms.Mallocs - before
+				conflicts += s.Stats().Conflicts
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(conflicts)/b.Elapsed().Seconds(), "conflicts/s")
+			b.ReportMetric(float64(mallocs)/float64(conflicts), "allocs/conflict")
+			b.ReportMetric(float64(exported)/float64(conflicts), "exports/conflict")
+		})
+	}
 }
 
 // BenchmarkDIMACSRoundtrip measures formula serialization.

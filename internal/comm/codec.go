@@ -595,6 +595,17 @@ func (r *bitReader) readInterior(s cnf.Clause, lo, hi uint32) error {
 	return nil
 }
 
+// blockLitsPerByte bounds what a clause block may decode to. A clause costs
+// at least one bit of the stream, but a literal can cost none (an interior
+// literal whose feasible range has collapsed to one value), so a few KiB
+// can claim 2^24 clauses of 2^20 literals each. readClauseBlock therefore
+// trusts neither count: it sizes the clause slice for at most one clause
+// per byte it was given (append grows it for the rare denser block) and
+// charges every literal against this many per byte. A clause that is not a
+// tautology costs about a bit per literal or more — 8 per byte — so only a
+// block no encoder of real clauses emits runs out.
+const blockLitsPerByte = 16
+
 // readClauseBlock decodes a clause block; buf must start at the uvarint
 // clause count and extend at least to the end of the bitstream.
 func readClauseBlock(buf []byte) ([]cnf.Clause, []byte, error) {
@@ -619,7 +630,8 @@ func readClauseBlock(buf []byte) ([]cnf.Clause, []byte, error) {
 	}
 	rest = buf[len(buf)-br.Len():]
 	r := bitReader{buf: rest}
-	out := make([]cnf.Clause, 0, n)
+	out := make([]cnf.Clause, 0, min(n, uint64(len(rest))))
+	budget := blockLitsPerByte*len(rest) + 64 // literals left to decode
 	prevLen := uint64(0)
 	prevFirst := int64(0)
 	for i := uint64(0); i < n; i++ {
@@ -630,6 +642,9 @@ func readClauseBlock(buf []byte) ([]cnf.Clause, []byte, error) {
 		l := prevLen + g - 1
 		if l > 1<<20 {
 			return nil, nil, fmt.Errorf("comm: clause length %d exceeds limit", l)
+		}
+		if budget -= int(l); budget < 0 {
+			return nil, nil, fmt.Errorf("comm: clause block decodes to more than %d literals per byte", blockLitsPerByte)
 		}
 		prevLen = l
 		c := make(cnf.Clause, l)

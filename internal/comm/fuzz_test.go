@@ -1,8 +1,11 @@
 package comm
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"gridsat/internal/cnf"
@@ -96,6 +99,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{split})
 	f.Add([]byte{split, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{split | frameTracedFlag, 0x01, 0x02, 0x03})
+	f.Add(hostileShareFrame(1<<20, 512))
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		m, err := (&EncodedMessage{frame: frame}).Decode()
 		if err != nil {
@@ -105,4 +109,51 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("decoded %s does not encode: %v", m.Kind(), err)
 		}
 	})
+}
+
+// hostileShareFrame is a share frame whose clause block, about size bytes
+// long, claims 2^24 clauses of clauseLen literals each and pays almost
+// nothing for them: the first clause's interior literals exactly fill
+// (0, maxLit], so each costs no bits, and every later clause repeats the
+// first for two bits.
+func hostileShareFrame(clauseLen uint64, size int) []byte {
+	var c coder
+	from, job := 0, 0
+	c.int(&from)
+	c.int(&job)
+	b := binary.AppendUvarint(c.buf, maxClausesPerFrame)
+	b = binary.AppendUvarint(b, clauseLen-1) // block-wide maximum literal
+	var w bitWriter
+	w.writeGamma(clauseLen + 1) // length, as a delta from 0
+	w.writeGamma(1)             // first literal 0
+	for len(w.buf) < size {
+		w.writeGamma(1) // same length
+		w.writeGamma(1) // same first literal
+	}
+	b = append(b, w.finish()...)
+	frame := binary.AppendUvarint([]byte{frameID(ShareClauses{})}, uint64(len(b)))
+	return append(frame, b...)
+}
+
+// TestClauseBlockAllocationIsBoundedByItsBytes: a block of at most 4 KiB
+// that claims gigabytes must be refused having allocated under 1 MiB —
+// whether one clause alone breaks the budget or thousands of modest ones
+// add up to it.
+func TestClauseBlockAllocationIsBoundedByItsBytes(t *testing.T) {
+	for _, clauseLen := range []uint64{1 << 20, 1000} {
+		frame := hostileShareFrame(clauseLen, 4000)
+		if len(frame) > 4096 {
+			t.Fatalf("hostile frame is %d bytes, want <= 4096", len(frame))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := (&EncodedMessage{frame: frame}).Decode()
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "literals per byte") {
+			t.Fatalf("clauses of %d literals: err = %v, want the decode budget to refuse the block", clauseLen, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("clauses of %d literals: refusing a %d-byte frame allocated %d bytes", clauseLen, len(frame), got)
+		}
+	}
 }

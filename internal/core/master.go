@@ -6,6 +6,7 @@ import (
 	"maps"
 	"net/http"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -452,10 +453,14 @@ type Master struct {
 
 	// Live shell only (nil/zero under the DES): the listener and event
 	// queue Run drains, each client's connection and bounded outbound
-	// queue, and the introspection server.
+	// queue, and the introspection server. loops counts the accept, read
+	// and write goroutines Run waits for; stopped is closed when Run stops
+	// serving, so none of them blocks on the event queue after that.
 	listener comm.Listener
 	events   chan masterEvent
 	links    map[int]*masterLink
+	loops    sync.WaitGroup
+	stopped  chan struct{}
 	started  time.Time
 	httpSrv  *http.Server
 	httpAddr string

@@ -43,6 +43,7 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 	}
 	m.listener = l
 	m.events = make(chan masterEvent, 256)
+	m.stopped = make(chan struct{})
 	m.links = map[int]*masterLink{}
 	m.build = obs.RegisterBuildInfo(m.reg)
 	if cfg.MetricsAddr != "" {
@@ -116,6 +117,7 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 		m.httpSrv, m.httpAddr = srv, addr
 		m.log.Info("introspection server up", "addr", addr)
 	}
+	m.loops.Add(1)
 	go m.acceptLoop()
 	return m, nil
 }
@@ -160,13 +162,29 @@ func (m *Master) Progress() ProgressSnapshot {
 	return ProgressSnapshot{}
 }
 
+// post hands an event from a shell goroutine to the event loop. It reports
+// false once Run has stopped serving: nothing reads the queue any more, so
+// the event is dropped rather than blocking its goroutine for ever.
+func (m *Master) post(ev masterEvent) bool {
+	select {
+	case m.events <- ev:
+		return true
+	case <-m.stopped:
+		return false
+	}
+}
+
 func (m *Master) acceptLoop() {
+	defer m.loops.Done()
 	for {
 		conn, err := m.listener.Accept()
 		if err != nil {
 			return
 		}
-		m.events <- masterEvent{conn: conn}
+		if !m.post(masterEvent{conn: conn}) {
+			_ = conn.Close()
+			return
+		}
 	}
 }
 
@@ -178,24 +196,30 @@ func (m *Master) attach(conn comm.Conn) {
 	// best-effort drops start (see enqueue).
 	l := &masterLink{conn: conn, out: make(chan comm.Message, 1024)}
 	m.links[id] = l
+	m.loops.Add(2)
 	go m.readLoop(id, conn)
 	go m.writeLoop(l)
 }
 
+// readLoop reads until the connection ends, also after Run has stopped
+// serving: what a client sent before it saw Shutdown is still consumed
+// (and counted by an instrumented transport) before Run returns.
 func (m *Master) readLoop(id int, conn comm.Conn) {
+	defer m.loops.Done()
 	for {
 		msg, err := conn.Recv()
 		if err != nil {
-			m.events <- masterEvent{clientID: id, err: err}
+			m.post(masterEvent{clientID: id, err: err})
 			return
 		}
-		m.events <- masterEvent{clientID: id, msg: msg}
+		m.post(masterEvent{clientID: id, msg: msg})
 	}
 }
 
 // writeLoop drains a client's outbound queue so a slow or stalled client
 // can never block the master's single-threaded event loop.
 func (m *Master) writeLoop(l *masterLink) {
+	defer m.loops.Done()
 	for msg := range l.out {
 		var err error
 		if e, ok := msg.(*comm.EncodedMessage); ok {
@@ -232,11 +256,13 @@ func (m *Master) enqueue(to int, msg comm.Message) {
 }
 
 // Run serves the protocol until termination. It owns all master state;
-// every message is handled on this single goroutine.
+// every message is handled on this single goroutine. It returns once the
+// shell's accept, read and write goroutines have exited, so nothing of
+// this master touches a connection, a metric or the event queue afterwards.
 func (m *Master) Run() (Result, error) {
 	m.started = time.Now()
 	m.femit(trace.FEvent{Kind: trace.FEvRunStart, N: int64(m.cfg.ExpectedClients)})
-	defer m.listener.Close()
+	defer m.stopLoops()
 	var timeout <-chan time.Time
 	if m.cfg.Timeout > 0 {
 		t := time.NewTimer(m.cfg.Timeout)
@@ -312,10 +338,41 @@ func (m *Master) shutdownAll() {
 	for _, id := range m.order {
 		m.send(id, comm.Shutdown{})
 	}
-	// Give clients a moment to drain, then cut connections.
-	time.AfterFunc(100*time.Millisecond, func() {
-		for _, l := range m.links {
-			_ = l.conn.Close()
+}
+
+// stopLoops ends the shell's goroutines and waits for them. The accept
+// loop ends with the listener. Each write loop flushes what is queued (the
+// Shutdown above) and ends with its queue. Each read loop ends when its
+// client, having read Shutdown, hangs up; a peer that has not done so
+// within the grace period is cut off.
+func (m *Master) stopLoops() {
+	close(m.stopped)
+	_ = m.listener.Close()
+	for _, l := range m.links {
+		close(l.out)
+	}
+	exited := make(chan struct{})
+	go func() {
+		m.loops.Wait()
+		close(exited)
+	}()
+	select {
+	case <-exited:
+	case <-time.After(100 * time.Millisecond):
+	}
+	for _, l := range m.links {
+		_ = l.conn.Close()
+	}
+	<-exited
+	// A connection accepted but never attached is still in the queue.
+	for {
+		select {
+		case ev := <-m.events:
+			if ev.conn != nil {
+				_ = ev.conn.Close()
+			}
+		default:
+			return
 		}
-	})
+	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -22,6 +23,24 @@ func desConfig(f *cnf.Formula, timeout float64) RunnerConfig {
 		ShareMaxLen:  10,
 		MasterHostID: -1,
 		Seed:         1,
+	}
+}
+
+// TestSimSummaryIsPinned holds `gridsat sim -threads 1 -testbed grads` on
+// Pigeonhole(8) to the summary line the engine of commit 16d7597 (PR 14)
+// printed. Virtual time is charged per propagation, so a solver change
+// that alters the search by one step moves these numbers; one that only
+// makes steps cheaper cannot.
+func TestSimSummaryIsPinned(t *testing.T) {
+	res := RunDistributed(RunnerConfig{
+		Grid: grid.TestbedGrADS(1), Formula: gen.Pigeonhole(8), TimeoutVSec: 6000,
+		Threads: 1, ShareMaxLen: 10, MasterHostID: -1, Seed: 1,
+	})
+	got := fmt.Sprintf("outcome=%s vsec=%.1f splits=%d shared=%d work=%d-props msgs=%d bytes=%d",
+		res.Outcome, res.VSec, res.Splits, res.Shared, res.TotalProps, res.Msgs, res.Bytes)
+	const want = "outcome=solved vsec=239.5 splits=13 shared=5 work=261686-props msgs=366 bytes=48820"
+	if got != want {
+		t.Fatalf("sim summary moved:\n got %s\nwant %s", got, want)
 	}
 }
 

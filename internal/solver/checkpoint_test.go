@@ -107,7 +107,7 @@ func TestCheckpointAfterSplitRestoresDonorHalf(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Donor committed to the complement of the recipient's split literal.
-	if restored.assigns.LitValue(splitLit) != cnf.False {
+	if restored.vals[splitLit] != cnf.False {
 		t.Fatal("restored donor lost its committed split assignment")
 	}
 }

@@ -7,64 +7,67 @@ import "gridsat/internal/cnf"
 // literal with the highest counter; assigned literals are filtered lazily
 // by the caller and re-pushed on backtrack.
 type litHeap struct {
-	act  *[]float64
+	act  []float64 // shares the solver's activity array, which is never reallocated
 	data []cnf.Lit
 	pos  []int32 // position of each literal in data, -1 if absent
 }
 
-func newLitHeap(act *[]float64) litHeap {
-	n := len(*act)
-	pos := make([]int32, n)
+func newLitHeap(act []float64) litHeap {
+	pos := make([]int32, len(act))
 	for i := range pos {
 		pos[i] = -1
 	}
 	return litHeap{act: act, pos: pos}
 }
 
-func (h *litHeap) less(i, j int) bool {
-	a := *h.act
-	ai, aj := a[h.data[i]], a[h.data[j]]
-	if ai != aj {
-		return ai < aj
-	}
-	// Deterministic tie-break: lower literal wins (max-heap keeps it lower).
-	return h.data[i] > h.data[j]
+// above reports whether literal x with activity ax outranks literal y with
+// activity ay. Deterministic tie-break: the lower literal wins.
+func above(ax float64, x cnf.Lit, ay float64, y cnf.Lit) bool {
+	return ax > ay || ax == ay && x < y
 }
 
-func (h *litHeap) swap(i, j int) {
-	h.data[i], h.data[j] = h.data[j], h.data[i]
-	h.pos[h.data[i]] = int32(i)
-	h.pos[h.data[j]] = int32(j)
-}
+// up and down sift a hole rather than swapping: the moving literal is held
+// in locals and written once, where it lands. The comparisons made and the
+// resulting order are those of the textbook swap-based sift.
 
 func (h *litHeap) up(i int) {
+	act, data, pos := h.act, h.data, h.pos
+	x := data[i]
+	ax := act[x]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(parent, i) {
-			return
+		y := data[parent]
+		if !above(ax, x, act[y], y) {
+			break
 		}
-		h.swap(parent, i)
+		data[i], pos[y] = y, int32(i)
 		i = parent
 	}
+	data[i], pos[x] = x, int32(i)
 }
 
 func (h *litHeap) down(i int) {
-	n := len(h.data)
+	act, data, pos := h.act, h.data, h.pos
+	x := data[i]
+	ax := act[x]
 	for {
-		l, r := 2*i+1, 2*i+2
-		largest := i
-		if l < n && h.less(largest, l) {
-			largest = l
+		c := 2*i + 1
+		if c >= len(data) {
+			break
 		}
-		if r < n && h.less(largest, r) {
-			largest = r
+		y := data[c]
+		if r := c + 1; r < len(data) {
+			if z := data[r]; above(act[z], z, act[y], y) {
+				c, y = r, z
+			}
 		}
-		if largest == i {
-			return
+		if !above(act[y], y, ax, x) {
+			break
 		}
-		h.swap(i, largest)
-		i = largest
+		data[i], pos[y] = y, int32(i)
+		i = c
 	}
+	data[i], pos[x] = x, int32(i)
 }
 
 // push inserts l if absent; no-op when already present.
@@ -91,7 +94,7 @@ func (h *litHeap) popMax() (cnf.Lit, bool) {
 	}
 	top := h.data[0]
 	last := len(h.data) - 1
-	h.swap(0, last)
+	h.data[0] = h.data[last]
 	h.data = h.data[:last]
 	h.pos[top] = -1
 	if last > 0 {

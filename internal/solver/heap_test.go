@@ -9,7 +9,7 @@ import (
 
 func TestHeapBasicOrder(t *testing.T) {
 	act := []float64{5, 1, 9, 3}
-	h := newLitHeap(&act)
+	h := newLitHeap(act)
 	for l := 0; l < 4; l++ {
 		h.push(cnf.Lit(l))
 	}
@@ -27,7 +27,7 @@ func TestHeapBasicOrder(t *testing.T) {
 
 func TestHeapDuplicatePushIgnored(t *testing.T) {
 	act := []float64{1, 2}
-	h := newLitHeap(&act)
+	h := newLitHeap(act)
 	h.push(0)
 	h.push(0)
 	h.push(1)
@@ -38,7 +38,7 @@ func TestHeapDuplicatePushIgnored(t *testing.T) {
 
 func TestHeapUpdateAfterBump(t *testing.T) {
 	act := []float64{1, 2, 3}
-	h := newLitHeap(&act)
+	h := newLitHeap(act)
 	for l := 0; l < 3; l++ {
 		h.push(cnf.Lit(l))
 	}
@@ -51,7 +51,7 @@ func TestHeapUpdateAfterBump(t *testing.T) {
 
 func TestHeapTieBreakDeterministic(t *testing.T) {
 	act := []float64{7, 7, 7}
-	h := newLitHeap(&act)
+	h := newLitHeap(act)
 	h.push(2)
 	h.push(0)
 	h.push(1)
@@ -69,7 +69,7 @@ func TestHeapRandomizedAgainstSort(t *testing.T) {
 		for i := range act {
 			act[i] = float64(rng.Intn(16))
 		}
-		h := newLitHeap(&act)
+		h := newLitHeap(act)
 		for l := 0; l < n; l++ {
 			h.push(cnf.Lit(l))
 		}
@@ -95,7 +95,7 @@ func TestHeapRandomizedAgainstSort(t *testing.T) {
 
 func TestHeapPushAfterPop(t *testing.T) {
 	act := []float64{4, 8}
-	h := newLitHeap(&act)
+	h := newLitHeap(act)
 	h.push(0)
 	h.push(1)
 	l, _ := h.popMax()
@@ -108,5 +108,33 @@ func TestHeapPushAfterPop(t *testing.T) {
 	}
 	if got, _ := h.popMax(); got != 1 {
 		t.Fatalf("re-pushed literal lost: %v", got)
+	}
+}
+
+// BenchmarkLitHeap is the VSIDS access mix of one conflict: a few bumps
+// (activity up, sift up), then a decision's popMax and, as on backtrack,
+// the literal pushed back.
+func BenchmarkLitHeap(b *testing.B) {
+	const n = 4000
+	rng := rand.New(rand.NewSource(1))
+	act := make([]float64, n)
+	for i := range act {
+		act[i] = rng.Float64()
+	}
+	h := newLitHeap(act)
+	for l := 0; l < n; l++ {
+		h.push(cnf.Lit(l))
+	}
+	inc := 0.01
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < 8; k++ {
+			l := cnf.Lit(rng.Intn(n))
+			act[l] += inc
+			h.update(l)
+		}
+		inc *= 1.0001
+		top, _ := h.popMax()
+		h.push(top)
 	}
 }

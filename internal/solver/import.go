@@ -107,7 +107,7 @@ func (s *Solver) mergeOne(c cnf.Clause, local bool) bool {
 	// Partition: true literals (satisfied => discard), unknown, false.
 	nTrue, nUndef := 0, 0
 	for _, l := range c {
-		switch s.assigns.LitValue(l) {
+		switch s.vals[l] {
 		case cnf.True:
 			nTrue++
 		case cnf.Undef:
@@ -134,7 +134,7 @@ func (s *Solver) mergeOne(c cnf.Clause, local bool) bool {
 			}
 		}
 		for _, l := range c {
-			if s.assigns.LitValue(l) == cnf.Undef {
+			if s.vals[l] == cnf.Undef {
 				s.uncheckedEnqueue(l, CRefUndef)
 				if taint {
 					s.taint(l.Var())
@@ -148,7 +148,7 @@ func (s *Solver) mergeOne(c cnf.Clause, local bool) bool {
 	// the watched positions are valid.
 	sorted := c.Clone()
 	sort.SliceStable(sorted, func(i, j int) bool {
-		return s.assigns.LitValue(sorted[i]) == cnf.Undef && s.assigns.LitValue(sorted[j]) != cnf.Undef
+		return s.vals[sorted[i]] == cnf.Undef && s.vals[sorted[j]] != cnf.Undef
 	})
 	r := s.ca.Alloc(sorted, true, local, clauseAct(s.actInc))
 	// An import's true glue is unknown here (the exporter's levels are

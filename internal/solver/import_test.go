@@ -42,8 +42,8 @@ func TestImportFourCases(t *testing.T) {
 	if got := len(s.learnts) - learntsBefore; got != 1 {
 		t.Fatalf("learned DB grew by %d, want exactly 1 (case 2 only)", got)
 	}
-	if s.assigns.LitValue(cnf.PosLit(4)) != cnf.True { // V5 implied by case 1
-		t.Fatalf("case-1 implication missing: V5 = %v", s.assigns.LitValue(cnf.PosLit(4)))
+	if s.vals[cnf.PosLit(4)] != cnf.True { // V5 implied by case 1
+		t.Fatalf("case-1 implication missing: V5 = %v", s.vals[cnf.PosLit(4)])
 	}
 	if s.Stats().Imported != 3 {
 		t.Fatalf("Imported = %d, want 3", s.Stats().Imported)

@@ -47,8 +47,8 @@ func checkInvariants(t *testing.T, s *Solver) {
 			t.Fatalf("trail[%d]: variable %d assigned twice", i, v.DIMACS())
 		}
 		seenVars[v] = true
-		if s.assigns.LitValue(l) != cnf.True {
-			t.Fatalf("trail[%d]: literal %v not true in assigns", i, l)
+		if s.vals[l] != cnf.True || s.vals[l.Not()] != cnf.False {
+			t.Fatalf("trail[%d]: literal %v not true (and its complement false) in vals", i, l)
 		}
 		lvl := 0
 		for _, lim := range s.trailLim {
@@ -61,7 +61,8 @@ func checkInvariants(t *testing.T, s *Solver) {
 		}
 	}
 	for v := 0; v < s.nVars; v++ {
-		if s.assigns[v] != cnf.Undef && !seenVars[cnf.Var(v)] {
+		pos, neg := s.vals[cnf.PosLit(cnf.Var(v))], s.vals[cnf.NegLit(cnf.Var(v))]
+		if (pos != cnf.Undef || neg != cnf.Undef) && !seenVars[cnf.Var(v)] {
 			t.Fatalf("variable %d assigned but absent from trail", v+1)
 		}
 	}
@@ -75,7 +76,7 @@ func checkInvariants(t *testing.T, s *Solver) {
 		for _, r := range liveClauses(s) {
 			falsified := true
 			for i, n := 0, s.ca.Size(r); i < n; i++ {
-				if s.assigns.LitValue(s.ca.Lit(r, i)) != cnf.False {
+				if s.vals[s.ca.Lit(r, i)] != cnf.False {
 					falsified = false
 					break
 				}
@@ -124,7 +125,7 @@ func checkWatcherInvariant(t *testing.T, s *Solver) {
 		}
 		satisfied := false
 		for i := 0; i < n; i++ {
-			if s.assigns.LitValue(s.ca.Lit(r, i)) == cnf.True {
+			if s.vals[s.ca.Lit(r, i)] == cnf.True {
 				satisfied = true
 				break
 			}
@@ -133,7 +134,7 @@ func checkWatcherInvariant(t *testing.T, s *Solver) {
 			continue
 		}
 		for j := 0; j < 2; j++ {
-			if s.assigns.LitValue(s.ca.Lit(r, j)) == cnf.False {
+			if s.vals[s.ca.Lit(r, j)] == cnf.False {
 				t.Fatalf("unsatisfied clause %v watched by false literal %v",
 					s.clauseAt(r), s.ca.Lit(r, j))
 			}

@@ -43,7 +43,7 @@ func (s *Solver) simplifyList(list []ClauseRef) []ClauseRef {
 		w := 2
 		for k := 2; k < n; k++ {
 			l := ca.Lit(r, k)
-			if s.assigns.LitValue(l) == cnf.False {
+			if s.vals[l] == cnf.False {
 				if s.tainted[l.Var()] {
 					// Strengthening by an assumption-dependent assignment
 					// restricts the clause to this guiding path.
@@ -64,7 +64,7 @@ func (s *Solver) simplifyList(list []ClauseRef) []ClauseRef {
 func (s *Solver) satisfiedAtLevel0(r ClauseRef) bool {
 	for i, n := 0, s.ca.Size(r); i < n; i++ {
 		l := s.ca.Lit(r, i)
-		if s.assigns.LitValue(l) == cnf.True && s.level[l.Var()] == 0 {
+		if s.vals[l] == cnf.True && s.level[l.Var()] == 0 {
 			return true
 		}
 	}
@@ -125,5 +125,5 @@ func (s *Solver) ShedMemory() int64 {
 // locked reports whether r is the antecedent of a current assignment.
 func (s *Solver) locked(r ClauseRef) bool {
 	l0 := s.ca.Lit(r, 0)
-	return s.reason[l0.Var()] == r && s.assigns.LitValue(l0) == cnf.True
+	return s.reason[l0.Var()] == r && s.vals[l0] == cnf.True
 }

@@ -332,7 +332,11 @@ type Solver struct {
 
 	watches [][]watcher // indexed by Lit
 
-	assigns  cnf.Assignment
+	// vals is the one truth-value store, indexed by literal: vals[l] and
+	// vals[l^1] are set together on enqueue and cleared together on
+	// backtrack, so BCP reads a literal's value in one load with no
+	// per-variable lookup or sign flip.
+	vals     []cnf.LBool
 	level    []int32
 	reason   []ClauseRef
 	trail    []cnf.Lit
@@ -345,7 +349,7 @@ type Solver struct {
 	actInc   float64
 
 	maxLearnts  int
-	lastLearnt  cnf.Clause
+	lastLearnt  cnf.Clause // own buffer: a copy of the last clause record saw
 	model       cnf.Assignment
 	status      Status
 	emptyClause bool // an empty clause was added: trivially UNSAT
@@ -364,6 +368,15 @@ type Solver struct {
 	importWaitConflicts   int
 	lastSimplifyTrail     int
 	seen                  []bool // scratch for analyze
+	// Conflict-path scratch, reused from conflict to conflict: analyze
+	// builds the learned clause and its guiding-path dependencies in
+	// learntBuf/depsBuf (valid until the next analyze); minimize and
+	// litRedundant walk the implication graph over the other three.
+	learntBuf cnf.Clause
+	depsBuf   []cnf.Lit
+	redStack  []cnf.Lit
+	redMarked []cnf.Var
+	redGone   []cnf.Var
 	// lbdSeen/lbdTick stamp decision levels during LBD computation, so
 	// counting distinct levels among a learned clause's literals costs one
 	// pass and no allocation per conflict.
@@ -390,15 +403,20 @@ type Solver struct {
 // New builds a solver over f's clauses with the given options.
 // The formula is copied; the solver never mutates f.
 func New(f *cnf.Formula, opts Options) *Solver {
-	words := hdrWords * len(f.Clauses)
+	occ := make([]int, 2*f.NumVars)
+	lits := 0
 	for _, c := range f.Clauses {
-		words += len(c)
+		lits += len(c)
+		for _, l := range c {
+			occ[l]++
+		}
 	}
+	words := hdrWords*len(f.Clauses) + lits
 	s := &Solver{
 		opts:     opts,
 		nVars:    f.NumVars,
 		ca:       NewArena(words + words/2),
-		assigns:  cnf.NewAssignment(f.NumVars),
+		vals:     make([]cnf.LBool, 2*f.NumVars),
 		level:    make([]int32, f.NumVars),
 		reason:   make([]ClauseRef, f.NumVars),
 		watches:  make([][]watcher, 2*f.NumVars),
@@ -408,6 +426,14 @@ func New(f *cnf.Formula, opts Options) *Solver {
 		seen:     make([]bool, f.NumVars),
 		tainted:  make([]bool, f.NumVars),
 		lbdSeen:  make([]int32, f.NumVars+1),
+	}
+	// One slab backs every watch list, cut by occurrence count: problem
+	// clauses alone can never put more watchers on ¬l's list than l has
+	// occurrences, so a list reallocates only once learnt clauses outgrow it.
+	slab := make([]watcher, lits)
+	for l, n := range occ {
+		s.watches[l^1] = slab[:0:n]
+		slab = slab[n:]
 	}
 	for v := range s.reason {
 		s.reason[v] = CRefUndef
@@ -421,7 +447,7 @@ func New(f *cnf.Formula, opts Options) *Solver {
 			s.phaseFlip[v] = s.rng.Intn(2) == 1
 		}
 	}
-	s.heap = newLitHeap(&s.activity)
+	s.heap = newLitHeap(s.activity)
 	for _, c := range f.Clauses {
 		s.addProblemClause(c)
 	}
@@ -445,7 +471,8 @@ func New(f *cnf.Formula, opts Options) *Solver {
 
 // addProblemClause normalizes and installs an original clause.
 func (s *Solver) addProblemClause(c cnf.Clause) {
-	norm, taut := c.Clone().Normalize()
+	s.learntBuf = append(s.learntBuf[:0], c...) // scratch: Alloc copies what survives
+	norm, taut := s.learntBuf.Normalize()
 	if taut {
 		return
 	}
@@ -467,7 +494,7 @@ func (s *Solver) addProblemClause(c cnf.Clause) {
 
 // pendingUnit enqueues a level-0 fact; contradictions mark UNSAT.
 func (s *Solver) pendingUnit(l cnf.Lit) {
-	switch s.assigns.LitValue(l) {
+	switch s.vals[l] {
 	case cnf.True:
 		return
 	case cnf.False:
@@ -496,7 +523,7 @@ func (s *Solver) NumVars() int { return s.nVars }
 func (s *Solver) DecisionLevel() int { return len(s.trailLim) }
 
 // Value returns the current value of v.
-func (s *Solver) Value(v cnf.Var) cnf.LBool { return s.assigns.Value(v) }
+func (s *Solver) Value(v cnf.Var) cnf.LBool { return s.vals[cnf.PosLit(v)] }
 
 // LevelOf returns the decision level at which v was assigned; meaningless
 // for unassigned variables.
@@ -551,7 +578,7 @@ func (s *Solver) Assume(lits ...cnf.Lit) error {
 		if int(l.Var()) >= s.nVars {
 			return fmt.Errorf("solver: assumption %v out of range", l)
 		}
-		switch s.assigns.LitValue(l) {
+		switch s.vals[l] {
 		case cnf.True:
 			continue
 		case cnf.False:
@@ -587,7 +614,7 @@ func (s *Solver) Level0Lits() []cnf.Lit {
 
 // uncheckedEnqueue records a new assignment with its antecedent clause.
 func (s *Solver) uncheckedEnqueue(l cnf.Lit, from ClauseRef) {
-	s.assigns.Set(l)
+	s.vals[l], s.vals[l^1] = cnf.True, cnf.False
 	s.level[l.Var()] = int32(s.DecisionLevel())
 	s.reason[l.Var()] = from
 	s.trail = append(s.trail, l)
@@ -611,65 +638,72 @@ func (s *Solver) uncheckedEnqueue(l cnf.Lit, from ClauseRef) {
 
 // propagate runs BCP over the watch lists; it returns the conflicting
 // clause's reference or CRefUndef. This is the >90%-of-runtime hot path
-// the paper describes; clause headers and literals are read straight from
-// the contiguous arena slab, so a clause visit touches one cache line for
-// short clauses.
+// the paper describes, so a watcher visit is ordered by cost: the blocker's
+// value (one byte of vals) is tested first, and only when it is not true is
+// the clause's header and body read from the arena slab — a satisfied
+// clause costs no clause-memory access at all. The watcher of a deleted
+// clause is therefore dropped here only once its blocker stops being true;
+// until then it is inert, and garbageCollect filters every such watcher
+// before the slab under it is reused. The list is compacted in place behind
+// the read index, and the watcher visit order, the position-0/1 swaps in
+// clause memory and the order of appends to other lists are exactly those
+// of the straightforward loop: learnt-clause literal order reaches the
+// wire and checkpoints.
 func (s *Solver) propagate() ClauseRef {
 	popped := int64(0)
 	data := s.ca.data // no allocation happens during propagation
-	for s.qhead < len(s.trail) {
+	vals := s.vals
+	confl := CRefUndef
+	for confl == CRefUndef && s.qhead < len(s.trail) {
 		p := s.trail[s.qhead] // p is true; visit watchers of p's complement
 		s.qhead++
-		s.stats.Propagations++
 		popped++
+		falseLit := p.Not()
 		ws := s.watches[p]
-		kept := ws[:0]
-		confl := CRefUndef
-		for i := 0; i < len(ws); i++ {
+		i, j := 0, 0
+		for i < len(ws) {
 			w := ws[i]
+			i++
+			if vals[w.blocker] == cnf.True {
+				ws[j] = w
+				j++
+				continue
+			}
 			h := data[w.ref]
 			if h&flagDeleted != 0 {
 				continue // lazily drop watchers of deleted clauses
 			}
-			if s.assigns.LitValue(w.blocker) == cnf.True {
-				kept = append(kept, w)
-				continue
-			}
 			base := int(w.ref) + hdrWords
 			n := int(h >> flagBits & sizeMask)
-			falseLit := p.Not()
+			lits := data[base : base+n : base+n]
 			// Ensure the false literal is at position 1.
-			if cnf.Lit(data[base]) == falseLit {
-				data[base], data[base+1] = data[base+1], data[base]
+			if cnf.Lit(lits[0]) == falseLit {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			first := cnf.Lit(data[base])
-			if first != w.blocker && s.assigns.LitValue(first) == cnf.True {
-				kept = append(kept, watcher{ref: w.ref, blocker: first})
+			first := cnf.Lit(lits[0])
+			w.blocker = first
+			if vals[first] == cnf.True {
+				ws[j] = w
+				j++
 				continue
 			}
 			// Look for a new literal to watch.
-			moved := false
-			for k := 2; k < n; k++ {
-				if s.assigns.LitValue(cnf.Lit(data[base+k])) != cnf.False {
-					data[base+1], data[base+k] = data[base+k], data[base+1]
-					nw := cnf.Lit(data[base+1]).Not()
-					s.watches[nw] = append(s.watches[nw], watcher{ref: w.ref, blocker: first})
-					moved = true
-					break
-				}
+			k := 2
+			for k < len(lits) && vals[lits[k]] == cnf.False {
+				k++
 			}
-			if moved {
+			if k < len(lits) {
+				lits[1], lits[k] = lits[k], lits[1]
+				nw := lits[1] ^ 1
+				s.watches[nw] = append(s.watches[nw], w)
 				continue
 			}
 			// Clause is unit or conflicting on first.
-			kept = append(kept, watcher{ref: w.ref, blocker: first})
-			if s.assigns.LitValue(first) == cnf.False {
-				// Conflict: keep remaining watchers and bail out.
-				for i++; i < len(ws); i++ {
-					if data[ws[i].ref]&flagDeleted == 0 {
-						kept = append(kept, ws[i])
-					}
-				}
+			ws[j] = w
+			j++
+			if vals[first] == cnf.False {
+				// Conflict: keep the remaining watchers and bail out.
+				j += copy(ws[j:], ws[i:])
 				confl = w.ref
 				s.qhead = len(s.trail)
 				break
@@ -694,18 +728,13 @@ func (s *Solver) propagate() ClauseRef {
 			}
 			s.uncheckedEnqueue(first, w.ref)
 		}
-		s.watches[p] = kept
-		if confl != CRefUndef {
-			if c := s.opts.Counters; c != nil {
-				c.Propagations.Add(popped)
-			}
-			return confl
-		}
+		s.watches[p] = ws[:j]
 	}
+	s.stats.Propagations += popped
 	if c := s.opts.Counters; c != nil {
 		c.Propagations.Add(popped)
 	}
-	return CRefUndef
+	return confl
 }
 
 // analyze performs FirstUIP conflict analysis (paper §2.2–2.3): walk the
@@ -720,8 +749,12 @@ func (s *Solver) propagate() ClauseRef {
 // constraint: the short clause stored locally is valid only under this
 // client's assumptions, but appending deps yields a clause implied by the
 // base formula alone, which is what gets shared globally.
+//
+// learnt and deps live in solver-owned scratch and stay valid until the
+// next analyze; record clones whatever outlives that.
 func (s *Solver) analyze(confl ClauseRef) (learnt cnf.Clause, back int, deps []cnf.Lit, localUsed bool, lbd int) {
-	learnt = make(cnf.Clause, 1) // learnt[0] reserved for the UIP literal
+	learnt = append(s.learntBuf[:0], cnf.NoLit) // learnt[0] reserved for the UIP literal
+	deps = s.depsBuf[:0]
 	counter := 0
 	p := cnf.NoLit
 	idx := len(s.trail) - 1
@@ -785,8 +818,9 @@ func (s *Solver) analyze(confl ClauseRef) (learnt cnf.Clause, back int, deps []c
 	}
 	learnt[0] = p.Not()
 	if s.opts.MinimizeLearnts {
-		learnt = s.minimize(learnt, &deps)
+		learnt, deps = s.minimize(learnt, deps)
 	}
+	s.learntBuf, s.depsBuf = learnt, deps // keep whatever capacity they grew
 	for _, q := range learnt[1:] {
 		s.seen[q.Var()] = false
 	}
@@ -833,44 +867,49 @@ func (s *Solver) computeLBD(c cnf.Clause) int {
 // while chasing reasons are added to deps so shared clauses stay globally
 // valid. Requires seen[] to be set exactly for learnt[1:] and deps, which
 // analyze guarantees; removed literals' seen bits are cleared here.
-func (s *Solver) minimize(learnt cnf.Clause, deps *[]cnf.Lit) cnf.Clause {
+func (s *Solver) minimize(learnt cnf.Clause, deps []cnf.Lit) (cnf.Clause, []cnf.Lit) {
 	w := 1
-	var removed []cnf.Var
+	gone := s.redGone[:0]
 	for i := 1; i < len(learnt); i++ {
 		q := learnt[i]
-		if s.reason[q.Var()] == CRefUndef || !s.litRedundant(q, deps) {
+		redundant := false
+		if s.reason[q.Var()] != CRefUndef {
+			deps, redundant = s.litRedundant(q, deps)
+		}
+		if !redundant {
 			learnt[w] = q
 			w++
 		} else {
 			// Keep the seen bit until every literal is checked: a removed
 			// literal is implied by the rest, so later redundancy checks
 			// may soundly treat it as still present.
-			removed = append(removed, q.Var())
+			gone = append(gone, q.Var())
 		}
 	}
-	for _, v := range removed {
+	for _, v := range gone {
 		s.seen[v] = false
 	}
-	return learnt[:w]
+	s.redGone = gone
+	return learnt[:w], deps
 }
 
 // litRedundant reports whether q's falsity is implied by the other clause
 // literals, walking the implication graph. New tainted level-0 literals
-// found on the way are appended to deps (and marked seen).
-func (s *Solver) litRedundant(q cnf.Lit, deps *[]cnf.Lit) bool {
-	stack := []cnf.Lit{q}
-	var marked []cnf.Var // vars temporarily marked during this check
-	var pendingDeps []cnf.Lit
+// found on the way are appended to deps (and marked seen); a failed check
+// leaves deps and seen as it found them.
+func (s *Solver) litRedundant(q cnf.Lit, deps []cnf.Lit) ([]cnf.Lit, bool) {
+	stack := append(s.redStack[:0], q)
+	marked := s.redMarked[:0] // vars temporarily marked during this check
+	found := len(deps)        // deps[found:] are this check's discoveries
+	redundant := true
+walk:
 	for len(stack) > 0 {
 		l := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		c := s.reason[l.Var()]
 		if c == CRefUndef {
-			// Walked back to a decision: q is not redundant. Roll back.
-			for _, v := range marked {
-				s.seen[v] = false
-			}
-			return false
+			redundant = false // walked back to a decision
+			break
 		}
 		for k, n := 0, s.ca.Size(c); k < n; k++ {
 			r := s.ca.Lit(c, k)
@@ -882,34 +921,33 @@ func (s *Solver) litRedundant(q cnf.Lit, deps *[]cnf.Lit) bool {
 				if s.tainted[v] {
 					s.seen[v] = true
 					marked = append(marked, v) // dedup within this check
-					pendingDeps = append(pendingDeps, r)
+					deps = append(deps, r)
 				}
 				continue
 			}
 			if s.reason[v] == CRefUndef {
-				for _, mv := range marked {
-					s.seen[mv] = false
-				}
-				return false
+				redundant = false
+				break walk
 			}
 			s.seen[v] = true
 			marked = append(marked, v)
 			stack = append(stack, r)
 		}
 	}
-	// Redundant: keep dep marks (they are real dependencies of the clause)
-	// but clear the non-dep interior marks.
-	depVars := map[cnf.Var]bool{}
-	for _, d := range pendingDeps {
-		depVars[d.Var()] = true
-	}
+	// Clear every temporary mark; on success the dependencies found are
+	// real dependencies of the clause and keep theirs.
 	for _, v := range marked {
-		if !depVars[v] {
-			s.seen[v] = false
-		}
+		s.seen[v] = false
 	}
-	*deps = append(*deps, pendingDeps...)
-	return true
+	if redundant {
+		for _, d := range deps[found:] {
+			s.seen[d.Var()] = true
+		}
+	} else {
+		deps = deps[:found]
+	}
+	s.redStack, s.redMarked = stack, marked
+	return deps, redundant
 }
 
 // backtrackTo undoes all assignments above the given decision level.
@@ -919,11 +957,12 @@ func (s *Solver) backtrackTo(level int) {
 	}
 	bound := s.trailLim[level]
 	for i := len(s.trail) - 1; i >= bound; i-- {
-		v := s.trail[i].Var()
+		l := s.trail[i]
+		v := l.Var()
 		if s.savedPhase != nil {
-			s.savedPhase[v] = s.assigns[v]
+			s.savedPhase[v] = s.vals[cnf.PosLit(v)]
 		}
-		s.assigns.Unset(v)
+		s.vals[l], s.vals[l^1] = cnf.Undef, cnf.Undef
 		s.reason[v] = CRefUndef
 		if s.tainted[v] {
 			s.tainted[v] = false
@@ -948,25 +987,23 @@ func (s *Solver) backtrackTo(level int) {
 // under the base formula alone; derivations through local-only clauses
 // cannot be repaired that way and are never exported.
 func (s *Solver) record(learnt cnf.Clause, deps []cnf.Lit, localUsed bool, lbd int) {
-	s.lastLearnt = learnt
 	s.stats.Learned++
 	if c := s.opts.Counters; c != nil {
 		c.Learned.Inc()
 	}
+	// learnt and deps are analyze's scratch: what a callback receives must
+	// be its own copy.
 	if s.opts.OnLemma != nil {
-		lemma := learnt.Clone()
-		lemma = append(lemma, deps...)
-		s.opts.OnLemma(lemma)
+		s.opts.OnLemma(concat(learnt, deps))
 	}
 	local := localUsed || len(deps) > 0
 	if !localUsed && s.opts.OnLearn != nil && s.opts.ShareMaxLen > 0 &&
 		len(learnt)+len(deps) <= s.opts.ShareMaxLen {
-		global := learnt.Clone()
-		global = append(global, deps...)
-		s.opts.OnLearn(global, lbd)
+		s.opts.OnLearn(concat(learnt, deps), lbd)
 		s.stats.Exported++
 	}
 	if len(learnt) == 1 {
+		s.lastLearnt = append(s.lastLearnt[:0], learnt...)
 		s.uncheckedEnqueue(learnt[0], CRefUndef)
 		if local {
 			s.taint(learnt[0].Var())
@@ -982,6 +1019,7 @@ func (s *Solver) record(learnt cnf.Clause, deps []cnf.Lit, localUsed bool, lbd i
 		}
 	}
 	learnt[1], learnt[best] = learnt[best], learnt[1]
+	s.lastLearnt = append(s.lastLearnt[:0], learnt...)
 	r := s.ca.Alloc(learnt, true, local, clauseAct(s.actInc))
 	s.ca.SetLBD(r, lbd)
 	s.learnts = append(s.learnts, r)
@@ -990,6 +1028,11 @@ func (s *Solver) record(learnt cnf.Clause, deps []cnf.Lit, localUsed bool, lbd i
 		c.ArenaBytes.Set(s.ca.LiveBytes())
 	}
 	s.uncheckedEnqueue(learnt[0], r)
+}
+
+// concat returns a fresh clause: a's literals followed by b's.
+func concat(a cnf.Clause, b []cnf.Lit) cnf.Clause {
+	return append(append(make(cnf.Clause, 0, len(a)+len(b)), a...), b...)
 }
 
 // clauseAct narrows the VSIDS-era activity to the arena's float32 slot.
@@ -1038,7 +1081,7 @@ func (s *Solver) decide() bool {
 		if !ok {
 			return false
 		}
-		if s.assigns.Value(l.Var()) != cnf.Undef {
+		if s.vals[l] != cnf.Undef {
 			continue
 		}
 		switch s.opts.Phase {
@@ -1175,7 +1218,10 @@ func (s *Solver) Solve(lim Limits) Result {
 			s.reduceDB()
 		}
 		if !s.decide() {
-			s.model = s.assigns.Clone()
+			s.model = make(cnf.Assignment, s.nVars)
+			for v := range s.model {
+				s.model[v] = s.Value(cnf.Var(v))
+			}
 			s.status = StatusSAT
 			return s.finished()
 		}

@@ -174,7 +174,7 @@ func TestSplitHalvesAreDisjoint(t *testing.T) {
 	if donor.Value(splitLit.Var()) == cnf.Undef {
 		t.Fatal("donor does not fix the split variable")
 	}
-	if donor.assigns.LitValue(splitLit) != cnf.False {
+	if donor.vals[splitLit] != cnf.False {
 		t.Fatal("recipient's split literal is not the complement of the donor's")
 	}
 	if donor.LevelOf(splitLit.Var()) != 0 {

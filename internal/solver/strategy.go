@@ -256,7 +256,7 @@ func (d *Dilemma) candidates(s *Solver) []splitCandidate {
 	}
 	var cands []splitCandidate
 	for v := cnf.Var(0); int(v) < s.nVars; v++ {
-		if s.assigns.Value(v) != cnf.Undef {
+		if s.vals[cnf.PosLit(v)] != cnf.Undef {
 			continue
 		}
 		act := s.activity[cnf.PosLit(v)]
