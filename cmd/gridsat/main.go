@@ -506,8 +506,8 @@ func cmdCheckProof(args []string) error {
 }
 
 // cmdTop is the live cluster dashboard: it polls a running master's
-// /progress and /status endpoints (served on -metrics-addr) and repaints a
-// fixed-width terminal frame until the run reaches a verdict.
+// /status endpoint (served on -metrics-addr) and repaints a fixed-width
+// terminal frame until the run reaches a verdict.
 func cmdTop(args []string) error {
 	fs := flag.NewFlagSet("top", flag.ExitOnError)
 	addr := fs.String("addr", "localhost:8080", "master introspection address (its -metrics-addr)")
@@ -518,16 +518,12 @@ func cmdTop(args []string) error {
 	base := "http://" + strings.TrimPrefix(*addr, "http://")
 	client := &http.Client{Timeout: 5 * time.Second}
 	for {
-		var p core.ProgressSnapshot
-		if err := fetchJSON(client, base+"/progress", &p); err != nil {
-			return fmt.Errorf("fetch %s/progress: %w", base, err)
+		var st core.ClusterState
+		if err := fetchJSON(client, base+"/status", &st); err != nil {
+			return fmt.Errorf("fetch %s/status: %w", base, err)
 		}
-		// /status and /history are best-effort: the frame degrades
-		// gracefully (missing backlog/split totals, no sparklines) when
-		// either is unavailable.
-		var s core.StatusSnapshot
-		_ = fetchJSON(client, base+"/status", &s)
-		frame := core.RenderTopSparks(p, s, fetchSparks(client, base), *width)
+		// /history is best-effort: without it the frame has no sparklines.
+		frame := core.RenderTop(st, fetchSparks(client, base), *width)
 		if *once {
 			fmt.Print(frame)
 			return nil
@@ -535,7 +531,7 @@ func cmdTop(args []string) error {
 		// Home the cursor and clear below: the fixed-width frame overwrites
 		// the previous one without flicker.
 		fmt.Print("\x1b[H\x1b[2J" + frame)
-		if p.Verdict != "" {
+		if st.Verdict != "" {
 			return nil
 		}
 		time.Sleep(*interval)

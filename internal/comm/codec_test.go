@@ -374,7 +374,7 @@ func TestWireSizeMatchesFrames(t *testing.T) {
 // sender's claim, not a fact. A ten-byte frame that announces a gigabyte
 // must fail on the missing bytes without the gigabyte ever being reserved.
 func TestHostileLengthPrefixAllocatesLittle(t *testing.T) {
-	frame := binary.AppendUvarint([]byte{frameID(ShareClauses{})}, capBulk)
+	frame := binary.AppendUvarint([]byte{frameID(ShareClauses{})}, CapBulk)
 	frame = append(frame, 0x02, 0x00, 0x01, 0x00)
 	if len(frame) != 10 {
 		t.Fatalf("frame is %d bytes, want 10", len(frame))

@@ -20,10 +20,12 @@ import (
 // Payload caps, enforced on both sides before any payload byte is read.
 // Kinds that carry clauses, subproblems, a formula or a model scale with
 // the instance (the paper's largest split payloads are hundreds of MB);
-// every other kind is a handful of scalars and short strings.
+// every other kind is a handful of scalars and short strings. CapBulk is
+// exported because it is also the largest formula worth admitting: the
+// job API bounds its request bodies by it.
 const (
 	capControl = 64 << 10
-	capBulk    = 1 << 30
+	CapBulk    = 1 << 30
 )
 
 // kind is one row of the kind table.
@@ -49,12 +51,12 @@ func kindOf[T Message](id byte, limit int, fields func(*coder, *T)) *kind {
 
 // kinds is the wire protocol. IDs are stable: add new kinds at the end.
 var kinds = []*kind{
-	kindOf(0x01, capBulk, func(c *coder, m *ShareClauses) {
+	kindOf(0x01, CapBulk, func(c *coder, m *ShareClauses) {
 		c.int(&m.From)
 		c.int(&m.Job)
 		c.clauses(&m.Clauses)
 	}),
-	kindOf(0x02, capBulk, func(c *coder, m *SplitPayload) {
+	kindOf(0x02, CapBulk, func(c *coder, m *SplitPayload) {
 		c.int(&m.SplitID)
 		c.int(&m.From)
 		c.int(&m.Job)
@@ -100,7 +102,7 @@ var kinds = []*kind{
 		c.bool(&m.Rejected)
 		c.str(&m.Reason)
 	}),
-	kindOf(0x06, capBulk, func(c *coder, m *BaseProblem) {
+	kindOf(0x06, CapBulk, func(c *coder, m *BaseProblem) {
 		c.formula(&m.Formula)
 		c.int(&m.Job)
 	}),
@@ -115,7 +117,7 @@ var kinds = []*kind{
 			c.str(&p.Addr)
 		})
 	}),
-	kindOf(0x09, capBulk, func(c *coder, m *SplitDone) {
+	kindOf(0x09, CapBulk, func(c *coder, m *SplitDone) {
 		c.int(&m.ClientID)
 		c.int(&m.SplitID)
 		c.bool(&m.OK)
@@ -123,7 +125,7 @@ var kinds = []*kind{
 		c.int(&m.Used)
 		c.subs(&m.Leftover)
 	}),
-	kindOf(0x0a, capBulk, func(c *coder, m *Solved) {
+	kindOf(0x0a, CapBulk, func(c *coder, m *Solved) {
 		c.int(&m.ClientID)
 		c.int((*int)(&m.Status))
 		c.assignment(&m.Model)
@@ -141,7 +143,7 @@ var kinds = []*kind{
 		c.int(&m.Job)
 		c.int(&m.Seq)
 	}),
-	kindOf(0x0e, capBulk, func(c *coder, m *Preempted) {
+	kindOf(0x0e, CapBulk, func(c *coder, m *Preempted) {
 		c.int(&m.ClientID)
 		c.int(&m.Job)
 		if opt(c, &m.Sub) {

@@ -261,24 +261,24 @@ func (StopWork) Kind() string { return "stop-work" }
 // client's previous StatusReport, so the master can maintain a live
 // cluster-wide view by summation alone — no per-client reset handling.
 type SolverDeltas struct {
-	Decisions    int64
-	Conflicts    int64
-	Propagations int64
-	Implications int64
-	Learned      int64
+	Decisions    int64 `json:"decisions"`
+	Conflicts    int64 `json:"conflicts"`
+	Propagations int64 `json:"propagations"`
+	Implications int64 `json:"implications"`
+	Learned      int64 `json:"learned"`
 	// ReclaimedBytes counts bytes the client's clause-arena GC returned
 	// (learned-clause shedding + compaction) since the last report.
-	ReclaimedBytes int64
+	ReclaimedBytes int64 `json:"reclaimed_bytes"`
 	// Import-usefulness telemetry (see solver.Stats): Imported counts
 	// peer clauses merged into the database; ImportedImplications and
 	// ImportedResolutions count the BCP implications and conflict-analysis
 	// resolutions those clauses produced; ImportedUseful counts distinct
 	// imported clauses used at least once. The master aggregates these into
 	// the cluster's share-efficacy view.
-	Imported             int64
-	ImportedImplications int64
-	ImportedResolutions  int64
-	ImportedUseful       int64
+	Imported             int64 `json:"imported"`
+	ImportedImplications int64 `json:"imported_implications"`
+	ImportedResolutions  int64 `json:"imported_resolutions"`
+	ImportedUseful       int64 `json:"imported_useful"`
 }
 
 // Add accumulates another delta into d.

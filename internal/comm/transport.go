@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"time"
 )
 
 // Conn is a bidirectional, message-oriented connection.
@@ -50,9 +51,13 @@ func (TCPTransport) Listen(addr string) (Listener, error) {
 	return &tcpListener{l: l}, nil
 }
 
+// dialTimeout bounds a TCP connect: room for three SYN retransmits, far
+// short of the kernel's two minutes against a host that drops packets.
+const dialTimeout = 10 * time.Second
+
 // Dial implements Transport.
 func (TCPTransport) Dial(addr string) (Conn, error) {
-	c, err := net.Dial("tcp", addr)
+	c, err := (&net.Dialer{Timeout: dialTimeout}).Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}

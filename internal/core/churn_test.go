@@ -64,7 +64,7 @@ func TestHeartbeatAggregationSurvivesChurn(t *testing.T) {
 	m.handleStatusReport(c2, comm.StatusReport{ClientID: 2, Busy: true, Depth: 3,
 		Deltas: churnDeltas(50, 600, 20, 5)})
 
-	snap := m.progressSnapshot()
+	snap := m.state()
 	if snap.Conflicts != 150 || snap.Implications != 1600 {
 		t.Fatalf("pre-churn totals: conflicts=%d implications=%d", snap.Conflicts, snap.Implications)
 	}
@@ -81,7 +81,7 @@ func TestHeartbeatAggregationSurvivesChurn(t *testing.T) {
 	if m.clients[1] != nil {
 		t.Fatal("lost client still registered")
 	}
-	snap = m.progressSnapshot()
+	snap = m.state()
 	if snap.Conflicts != 150 {
 		t.Fatalf("conflicts after leave = %d, want 150 (departed work lost)", snap.Conflicts)
 	}
@@ -94,7 +94,7 @@ func TestHeartbeatAggregationSurvivesChurn(t *testing.T) {
 	c3 := join(3)
 	m.handleStatusReport(c3, comm.StatusReport{ClientID: 3, Busy: true, Depth: 1,
 		Deltas: churnDeltas(25, 200, 10, 4)})
-	snap = m.progressSnapshot()
+	snap = m.state()
 	if snap.Conflicts != 175 || snap.Implications != 1800 {
 		t.Fatalf("post-recover totals: conflicts=%d implications=%d (double-count or loss)",
 			snap.Conflicts, snap.Implications)
@@ -115,7 +115,7 @@ func TestHeartbeatAggregationSurvivesChurn(t *testing.T) {
 		Deltas: churnDeltas(5, 40, 0, 0)})
 	m.handleStatusReport(c2, comm.StatusReport{ClientID: 2, Busy: true, Depth: 3,
 		Deltas: churnDeltas(5, 40, 0, 0)})
-	snap = m.progressSnapshot()
+	snap = m.state()
 	if snap.Conflicts != 185 || snap.Implications != 1880 {
 		t.Fatalf("survivor deltas misfolded: conflicts=%d implications=%d", snap.Conflicts, snap.Implications)
 	}
@@ -124,11 +124,11 @@ func TestHeartbeatAggregationSurvivesChurn(t *testing.T) {
 	}
 }
 
-// TestProgressSnapshotCoverageFromSolved checks the master's coverage
+// TestStateCoverageFromSolved checks the master's coverage
 // accounting through handleSolved: refuting depth-1 halves adds exactly
 // half the space each, the verdict flips at full coverage, and depth
 // reported by the client is what the estimator uses.
-func TestProgressSnapshotCoverageFromSolved(t *testing.T) {
+func TestStateCoverageFromSolved(t *testing.T) {
 	m := newChurnMaster(t)
 	m.started = time.Now()
 	m.jobs[0].assigned = true
@@ -146,9 +146,9 @@ func TestProgressSnapshotCoverageFromSolved(t *testing.T) {
 	if done {
 		t.Fatal("run declared done with half the space outstanding")
 	}
-	snap := m.progressSnapshot()
-	if snap.Units != coverageFull/2 {
-		t.Fatalf("units after one depth-1 closure = %d, want %d", snap.Units, coverageFull/2)
+	snap := m.state()
+	if got := snap.Jobs[0].Units; got != coverageFull/2 || snap.Coverage != 0.5 {
+		t.Fatalf("after one depth-1 closure: %d units, coverage %v; want %d and 0.5", got, snap.Coverage, coverageFull/2)
 	}
 	if snap.Verdict != "" {
 		t.Fatalf("verdict %q before exhaustion", snap.Verdict)
@@ -161,9 +161,9 @@ func TestProgressSnapshotCoverageFromSolved(t *testing.T) {
 	if !done {
 		t.Fatal("exhausted space did not end the run")
 	}
-	snap = m.progressSnapshot()
-	if snap.Units != coverageFull || snap.Coverage != 1.0 {
-		t.Fatalf("final coverage %v (%d units), want exactly 1.0", snap.Coverage, snap.Units)
+	snap = m.state()
+	if got := snap.Jobs[0].Units; got != coverageFull || snap.Coverage != 1.0 {
+		t.Fatalf("final coverage %v (%d units), want exactly 1.0", snap.Coverage, got)
 	}
 	if snap.Verdict != "UNSAT" {
 		t.Fatalf("verdict %q, want UNSAT", snap.Verdict)
@@ -222,7 +222,9 @@ func TestWatchSampleCountsSilenceFromAssignment(t *testing.T) {
 	m := newChurnMaster(t)
 	m.clients[1] = &masterClient{id: 1, addr: "a", busy: true, lastHBSec: 10, assignedAt: 100}
 	m.order = []int{1}
-	s := m.watchSample(105)
+	m.now = func() float64 { return 105 }
+	st := m.state()
+	s := st.watch()
 	if got := s.Clients[0].LastHeartbeatSec; got != 100 {
 		t.Fatalf("silence anchored at %v, want the assignment at 100", got)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"gridsat/internal/cnf"
@@ -173,11 +174,20 @@ type Client struct {
 	lastEv uint64
 
 	// Live shell only: the master connection, the P2P listener, and the
-	// queue masterLoop/peerLoop feed and Run drains.
+	// queue masterLoop/peerLoop feed and Run drains. stop closes stopped —
+	// masterLoop when the master disappears, Run when it returns — so no
+	// loop blocks on the queue after that. loops counts masterLoop, peerLoop
+	// and its per-connection readers, which Run waits for; peers holds the
+	// P2P connections still being read (nil once Run is leaving), so a
+	// peer that connected and went silent cannot hold Run back.
 	master   comm.Conn
 	listener comm.Listener
 	control  chan comm.Message
 	stopped  chan struct{}
+	stop     func()
+	loops    sync.WaitGroup
+	peerMu   sync.Mutex
+	peers    map[comm.Conn]struct{}
 }
 
 // femit records a flight event stamped with the shell's clock and
@@ -265,6 +275,8 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	c.master, c.listener, c.addr = mc, l, l.Addr()
 	c.control = make(chan comm.Message, 256)
 	c.stopped = make(chan struct{})
+	c.stop = sync.OnceFunc(func() { close(c.stopped) })
+	c.peers = map[comm.Conn]struct{}{}
 	fail := func(err error) (*Client, error) {
 		l.Close()
 		mc.Close()
@@ -283,6 +295,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if c.handleIdle(ack); c.regErr != nil {
 		return fail(c.regErr)
 	}
+	c.loops.Add(2)
 	go c.masterLoop()
 	go c.peerLoop()
 	return c, nil
@@ -309,10 +322,11 @@ func (c *Client) ID() int { return c.id }
 func (c *Client) Addr() string { return c.addr }
 
 func (c *Client) masterLoop() {
+	defer c.loops.Done()
 	for {
 		msg, err := c.master.Recv()
 		if err != nil {
-			close(c.stopped)
+			c.stop()
 			return
 		}
 		select {
@@ -325,13 +339,29 @@ func (c *Client) masterLoop() {
 
 // peerLoop accepts P2P connections carrying split payloads from donors.
 func (c *Client) peerLoop() {
+	defer c.loops.Done()
 	for {
 		conn, err := c.listener.Accept()
 		if err != nil {
 			return
 		}
+		c.peerMu.Lock()
+		if c.peers == nil { // Run is leaving
+			c.peerMu.Unlock()
+			_ = conn.Close()
+			return
+		}
+		c.peers[conn] = struct{}{}
+		c.peerMu.Unlock()
+		c.loops.Add(1)
 		go func() {
-			defer conn.Close()
+			defer c.loops.Done()
+			defer func() {
+				c.peerMu.Lock()
+				delete(c.peers, conn)
+				c.peerMu.Unlock()
+				_ = conn.Close()
+			}()
 			msg, err := conn.Recv()
 			if err != nil {
 				return
@@ -344,11 +374,26 @@ func (c *Client) peerLoop() {
 	}
 }
 
+// stopLoops ends the shell's goroutines and waits for them, so nothing of
+// this client touches a connection or the control queue once Run returns.
+func (c *Client) stopLoops() {
+	c.stop()
+	_ = c.listener.Close()
+	_ = c.master.Close()
+	c.peerMu.Lock()
+	for conn := range c.peers {
+		_ = conn.Close()
+	}
+	c.peers = nil
+	c.peerMu.Unlock()
+	c.loops.Wait()
+}
+
 // Run is the client's main loop: wait for work, solve in slices, obey the
-// control plane. Returns when the master sends Shutdown or disappears.
+// control plane. Returns when the master sends Shutdown or disappears,
+// after joining the goroutines NewClient started.
 func (c *Client) Run() error {
-	defer c.listener.Close()
-	defer c.master.Close()
+	defer c.stopLoops()
 	for {
 		if !c.busy {
 			select {

@@ -321,7 +321,7 @@ func TestLiveTraceEndpoints(t *testing.T) {
 		t.Error("/tree.dot is not a DOT graph")
 	}
 	// /status surfaces the flight length.
-	var snap StatusSnapshot
+	var snap ClusterState
 	if err := json.Unmarshal([]byte(fetch("/status")), &snap); err != nil {
 		t.Fatalf("/status: %v", err)
 	}

@@ -84,13 +84,17 @@ func (j *Job) TurnaroundSec() float64 {
 	return j.FinishedAt - j.SubmittedAt
 }
 
-// JobSnapshot is the JSON view of one job served by the /jobs API,
-// /status, /progress and `gridsat top`.
+// JobSnapshot is the JSON view of one job: a row of ClusterState.Jobs
+// (and so of /status, /progress, GET /jobs and `gridsat top`) and the
+// GET /jobs/{id} document.
 type JobSnapshot struct {
 	ID       int    `json:"id"`
 	Name     string `json:"name,omitempty"`
 	Priority int    `json:"priority"`
 	State    string `json:"state"`
+	// Searching is set while the job is active and its root subproblem has
+	// been issued: the jobs whose coverage ClusterState.Coverage averages.
+	Searching bool `json:"searching"`
 	// Clients is how many clients the job currently holds.
 	Clients       int     `json:"clients"`
 	SubmittedAt   float64 `json:"submitted_at"`
@@ -105,8 +109,10 @@ type JobSnapshot struct {
 	SolveSec      float64 `json:"solve_sec,omitempty"`
 	TurnaroundSec float64 `json:"turnaround_sec,omitempty"`
 	// Coverage is the refuted search-space fraction (the per-job progress
-	// estimator); ConflictRate is the job's aggregate conflicts/sec EWMA.
+	// estimator) and Units the same total in exact fixed-point units of
+	// 2^-62; ConflictRate is the job's aggregate conflicts/sec EWMA.
 	Coverage     float64 `json:"coverage"`
+	Units        uint64  `json:"units"`
 	ConflictRate float64 `json:"conflict_rate"`
 	// Verdict is "" until the job is done, then SAT/UNSAT/UNKNOWN (or
 	// CANCELLED).

@@ -231,7 +231,7 @@ func TestTCPWorkerRowsReachStatus(t *testing.T) {
 			t.Fatalf("run ended (%v) before /status showed two worker rows (last saw %d)", res.Status, rows)
 		default:
 		}
-		for _, c := range m.Status().Clients {
+		for _, c := range m.State().Clients {
 			rows = len(c.Workers)
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -398,7 +398,7 @@ func (r *recordingTransport) snapshot() []traceEntry {
 	return append([]traceEntry(nil), r.log...)
 }
 
-func TestMasterStatusSnapshot(t *testing.T) {
+func TestMasterStateSnapshot(t *testing.T) {
 	tr := comm.NewInprocTransport()
 	f := gen.Pigeonhole(8) // light enough to finish under -race slowdown
 	m, err := NewMaster(MasterConfig{
@@ -432,7 +432,7 @@ func TestMasterStatusSnapshot(t *testing.T) {
 	// Poll until work is visibly in flight.
 	sawBusy := false
 	for i := 0; i < 200; i++ {
-		snap := m.Status()
+		snap := m.State()
 		if snap.Busy > 0 && snap.Registered == 3 {
 			sawBusy = true
 			break

@@ -42,8 +42,8 @@ type MasterConfig struct {
 	Logger *obs.Logger
 	// MetricsAddr, when non-empty, serves live HTTP introspection on
 	// that address (":0" picks a port — see MetricsAddr()): /metrics is
-	// Prometheus text, /status is the JSON StatusSnapshot with
-	// per-client aggregates, and /debug/pprof is the Go profiler.
+	// Prometheus text, /status (and /progress) the JSON ClusterState,
+	// and /debug/pprof is the Go profiler.
 	MetricsAddr string
 	// ShareWindow caps the master's clause duplicate-suppression window
 	// (fingerprints per epoch; total memory is bounded at twice this).
@@ -120,9 +120,9 @@ type Result struct {
 	// Threads is the widest in-host portfolio observed across the run's
 	// clients (1 when every client ran single-threaded).
 	Threads int
-	// Clients holds the end-of-run per-client aggregates built from the
-	// heartbeat stream, sorted by ID (see ClientStatus).
-	Clients []ClientStatus
+	// Clients holds the end-of-run per-client rows of the final
+	// ClusterState, sorted by ID.
+	Clients []ClientState
 	// Comm is the wire-traffic summary, filled by runners that instrument
 	// their transport (Solve, cmd/gridsat); zero when uninstrumented.
 	Comm comm.Totals
@@ -159,38 +159,6 @@ func jobLatency(j *Job) *JobLatency {
 		l.TurnaroundSec = j.FinishedAt - j.SubmittedAt
 	}
 	return l
-}
-
-// ClientStatus is one client's view in a StatusSnapshot or final Result:
-// identity, current state, and solver-stat totals aggregated from the
-// heartbeat deltas.
-type ClientStatus struct {
-	ID       int    `json:"id"`
-	Host     string `json:"host,omitempty"`
-	Busy     bool   `json:"busy"`
-	Reserved bool   `json:"reserved"`
-	// MemBytes and DBLearnts are the latest reported gauges.
-	MemBytes  int64 `json:"mem_bytes"`
-	DBLearnts int   `json:"db_learnts"`
-	// Depth is the guiding-path depth of the client's current subproblem.
-	Depth int `json:"depth"`
-	// Counter totals summed from StatusReport deltas.
-	Decisions    int64 `json:"decisions"`
-	Conflicts    int64 `json:"conflicts"`
-	Propagations int64 `json:"propagations"`
-	Implications int64 `json:"implications"`
-	Learned      int64 `json:"learned"`
-	// ReclaimedBytes totals the bytes the client's clause-arena GC has
-	// returned (memory-pressure shedding + compaction).
-	ReclaimedBytes int64 `json:"reclaimed_bytes"`
-	// Import-usefulness totals (see comm.SolverDeltas).
-	Imported             int64 `json:"imported"`
-	ImportedUseful       int64 `json:"imported_useful"`
-	ImportedImplications int64 `json:"imported_implications"`
-	ImportedResolutions  int64 `json:"imported_resolutions"`
-	// Workers is the client's latest per-worker portfolio breakdown
-	// (absent for single-threaded clients).
-	Workers []comm.WorkerReport `json:"workers,omitempty"`
 }
 
 type masterClient struct {
@@ -340,12 +308,7 @@ type masterEvent struct {
 	// it never started. nil means nothing is recoverable (the live shell).
 	salvage []*solver.Subproblem
 	conn    comm.Conn // set for new connections (live shell only)
-	// status, when non-nil, requests a StatusSnapshot instead of carrying
-	// a protocol message.
-	status chan<- StatusSnapshot
-	// progress, when non-nil, requests a ProgressSnapshot the same way.
-	progress chan<- ProgressSnapshot
-	// apply, when non-nil, runs a scheduler request (submit, cancel, job
+	// apply, when non-nil, runs a request (submit, cancel, state and job
 	// queries, shutdown) on the event loop; its return value ends Run when
 	// true. The closure owns its own reply channel.
 	apply func() bool
@@ -560,17 +523,18 @@ func (m *Master) updateGauges() {
 			res++
 		}
 	}
-	var backlog, subBacklog int
+	var backlog, subBacklog, outstanding int
 	for _, j := range m.jobs {
 		backlog += len(j.backlog)
 		subBacklog += len(j.subBacklog)
+		outstanding += j.outstanding
 	}
 	m.met.registered.Set(reg)
 	m.met.busy.Set(busy)
 	m.met.reserved.Set(res)
 	m.met.backlog.Set(int64(backlog))
 	m.met.subBacklog.Set(int64(subBacklog))
-	m.met.outstanding.Set(int64(m.outstandingTotal()))
+	m.met.outstanding.Set(int64(outstanding))
 }
 
 // newMaster builds the control plane alone — no listener, goroutine or
@@ -645,181 +609,11 @@ func newMaster(cfg MasterConfig, now func() float64, send func(int, comm.Message
 // one allocated when none was supplied).
 func (m *Master) Metrics() *obs.Registry { return m.reg }
 
-// StatusSnapshot is a point-in-time view of the master's pool, served
-// through the event loop so it is always consistent.
-type StatusSnapshot struct {
-	Registered int
-	Busy       int
-	Reserved   int
-	Backlog    int
-	// SubBacklog counts leftover split cofactors queued at the master,
-	// waiting for an idle client (dilemma splits can out-produce the pool).
-	SubBacklog int
-	// Outstanding counts live subproblems (busy + in-flight transfers).
-	Outstanding int
-	Splits      int
-	Shared      int
-	// SharedDropped counts best-effort clause-share messages the master
-	// discarded because a client's outbound queue was full.
-	SharedDropped int64
-	// FlightEvents is the flight recorder's event count (0 without one).
-	FlightEvents int
-	// WallSeconds is the elapsed run time (0 before Run starts).
-	WallSeconds float64
-	// Jobs are the scheduler's per-job rows in submission order (one row,
-	// job 0, for a single-job master).
-	Jobs []JobSnapshot
-	// Clients are the live per-client aggregates, sorted by ID.
-	Clients []ClientStatus
-}
-
 // jobOf resolves the job a client's messages belong to (nil once the job
 // has been forgotten — terminal jobs are kept, so nil means "never
 // existed", which only unroutable traffic produces). Event-loop only.
 func (m *Master) jobOf(c *masterClient) *masterJob {
 	return m.jobs[c.job]
-}
-
-// heldClients counts the clients a job currently holds (busy or reserved,
-// including ones mid-preemption). Event-loop only.
-func (m *Master) heldClients(jobID int) int {
-	n := 0
-	for _, c := range m.clients {
-		if c.job == jobID && (c.busy || c.reserved) {
-			n++
-		}
-	}
-	return n
-}
-
-// outstandingTotal sums live subproblems across every job.
-func (m *Master) outstandingTotal() int {
-	n := 0
-	for _, j := range m.jobs {
-		n += j.outstanding
-	}
-	return n
-}
-
-// jobSnapshot builds one job's external view. Event-loop only.
-func (m *Master) jobSnapshot(j *masterJob, withModel bool) JobSnapshot {
-	snap := JobSnapshot{
-		ID:            j.ID,
-		Name:          j.Name,
-		Priority:      j.Priority,
-		State:         j.State.String(),
-		Clients:       m.heldClients(j.ID),
-		SubmittedAt:   j.SubmittedAt,
-		StartedAt:     j.StartedAt,
-		FirstAssignAt: j.FirstAssignAt,
-		FinishedAt:    j.FinishedAt,
-		Preemptions:   j.Preemptions,
-		Coverage:      j.prog.Fraction(),
-	}
-	if j.StartedAt > 0 {
-		snap.QueueWaitSec = j.StartedAt - j.SubmittedAt
-	}
-	if j.FinishedAt > 0 {
-		if j.StartedAt > 0 {
-			snap.SolveSec = j.FinishedAt - j.StartedAt
-		}
-		snap.TurnaroundSec = j.FinishedAt - j.SubmittedAt
-	}
-	// The job's conflict throughput is the sum of its busy clients' EWMAs.
-	for _, id := range m.order {
-		if c := m.clients[id]; c.job == j.ID && c.busy {
-			snap.ConflictRate += c.confRate
-		}
-	}
-	switch {
-	case j.State == JobCancelled:
-		snap.Verdict = "CANCELLED"
-	case j.status == solver.StatusSAT:
-		snap.Verdict = "SAT"
-		if withModel {
-			for _, l := range j.model.TrueLits() {
-				snap.Model = append(snap.Model, l.DIMACS())
-			}
-		}
-	case j.status == solver.StatusUNSAT:
-		snap.Verdict = "UNSAT"
-	case j.State == JobDone:
-		snap.Verdict = "UNKNOWN"
-	}
-	return snap
-}
-
-// jobSnapshots lists every job in submission order. Event-loop only.
-func (m *Master) jobSnapshots() []JobSnapshot {
-	out := make([]JobSnapshot, 0, len(m.jobOrder))
-	for _, id := range m.jobOrder {
-		out = append(out, m.jobSnapshot(m.jobs[id], false))
-	}
-	return out
-}
-
-// progressSnapshot builds the /progress view. Event-loop only.
-func (m *Master) progressSnapshot() ProgressSnapshot {
-	snap := ProgressSnapshot{
-		Outstanding:  m.outstandingTotal(),
-		Conflicts:    m.clusterAgg.Conflicts,
-		Implications: m.clusterAgg.Implications,
-		Efficacy: efficacyFrom(m.clusterAgg.Imported, m.clusterAgg.ImportedUseful,
-			m.clusterAgg.ImportedImplications, m.clusterAgg.ImportedResolutions,
-			m.clusterAgg.Implications),
-		Jobs: m.jobSnapshots(),
-	}
-	snap.WallSeconds = m.now()
-	if !m.serve {
-		// Single-job mode: the scalar coverage fields are job 0's, exactly
-		// as before the scheduler existed.
-		j0 := m.jobs[0]
-		snap.Coverage = j0.prog.Fraction()
-		snap.Units = j0.prog.Units()
-		snap.ClosedSubproblems = j0.prog.Closed()
-		snap.MaxClosedDepth = j0.prog.MaxDepth()
-		snap.RatePerSec = j0.prog.Rate()
-		snap.ETASeconds = j0.prog.ETASeconds()
-	} else {
-		// Serve mode: coverage is per job (see Jobs); the scalars report
-		// only the job-independent tallies.
-		for _, id := range m.jobOrder {
-			j := m.jobs[id]
-			snap.ClosedSubproblems += j.prog.Closed()
-			if d := j.prog.MaxDepth(); d > snap.MaxClosedDepth {
-				snap.MaxClosedDepth = d
-			}
-		}
-	}
-	switch m.result.Status {
-	case solver.StatusSAT:
-		snap.Verdict = "SAT"
-	case solver.StatusUNSAT:
-		snap.Verdict = "UNSAT"
-	}
-	for _, id := range m.order {
-		c := m.clients[id]
-		if c.addr == "" {
-			continue
-		}
-		snap.Registered++
-		if c.busy {
-			snap.Busy++
-		}
-		row := ClientProgress{
-			ID:              c.id,
-			Busy:            c.busy,
-			Depth:           c.depth,
-			ConflictsPerSec: c.confRate,
-			MemBytes:        c.usedMem,
-		}
-		if c.agg.Imported > 0 {
-			row.ImportUseRatio = float64(c.agg.ImportedUseful) / float64(c.agg.Imported)
-		}
-		snap.Clients = append(snap.Clients, row)
-	}
-	markStragglers(snap.Clients)
-	return snap
 }
 
 // timeOut ends an undecided run: verdict UNKNOWN, result frozen.
@@ -832,7 +626,7 @@ func (m *Master) timeOut() {
 // finishResult freezes the per-client aggregates into the Result, and
 // for a single-job run stamps job 0's end time and SLO decomposition.
 func (m *Master) finishResult() {
-	m.result.Clients = m.clientStatuses()
+	m.result.Clients = m.state().Clients
 	if m.result.Threads == 0 {
 		m.result.Threads = 1 // no portfolio heartbeat seen: single-threaded
 	}
@@ -847,75 +641,6 @@ func (m *Master) finishResult() {
 		}
 		m.result.Latency = jobLatency(j0.Job)
 	}
-}
-
-// clientStatuses builds the per-client aggregate list, sorted by ID.
-// Event-loop only.
-func (m *Master) clientStatuses() []ClientStatus {
-	out := make([]ClientStatus, 0, len(m.clients))
-	for _, id := range m.order {
-		c := m.clients[id]
-		if c.addr == "" {
-			continue // connection still mid-registration
-		}
-		out = append(out, ClientStatus{
-			ID:             c.id,
-			Host:           c.hostName,
-			Busy:           c.busy,
-			Reserved:       c.reserved,
-			MemBytes:       c.usedMem,
-			DBLearnts:      c.dbLearnts,
-			Depth:          c.depth,
-			Decisions:      c.agg.Decisions,
-			Conflicts:      c.agg.Conflicts,
-			Propagations:   c.agg.Propagations,
-			Implications:   c.agg.Implications,
-			Learned:        c.agg.Learned,
-			ReclaimedBytes: c.agg.ReclaimedBytes,
-
-			Imported:             c.agg.Imported,
-			ImportedUseful:       c.agg.ImportedUseful,
-			ImportedImplications: c.agg.ImportedImplications,
-			ImportedResolutions:  c.agg.ImportedResolutions,
-			Workers:              c.workers,
-		})
-	}
-	return out
-}
-
-// statusSnapshot builds the /status view. Event-loop only.
-func (m *Master) statusSnapshot() StatusSnapshot {
-	var backlog, subBacklog int
-	for _, j := range m.jobs {
-		backlog += len(j.backlog)
-		subBacklog += len(j.subBacklog)
-	}
-	snap := StatusSnapshot{
-		Backlog:       backlog,
-		SubBacklog:    subBacklog,
-		Outstanding:   m.outstandingTotal(),
-		Splits:        m.result.Splits,
-		Shared:        m.result.SharedClauses,
-		SharedDropped: m.sharedDropped,
-		Jobs:          m.jobSnapshots(),
-		Clients:       m.clientStatuses(),
-	}
-	snap.WallSeconds = m.now()
-	if m.flight != nil {
-		snap.FlightEvents = m.flight.Len()
-	}
-	for _, c := range m.clients {
-		if c.addr != "" {
-			snap.Registered++
-		}
-		if c.busy {
-			snap.Busy++
-		}
-		if c.reserved {
-			snap.Reserved++
-		}
-	}
-	return snap
 }
 
 // connect admits a new, not yet registered client and issues its ID; the
@@ -938,15 +663,7 @@ func (m *Master) forget(id int) {
 // handle steps the state machine by one event. The bool reports that a
 // single-job run is decided (a serving master only ends on Shutdown).
 func (m *Master) handle(ev masterEvent) (bool, error) {
-	if ev.progress != nil {
-		ev.progress <- m.progressSnapshot()
-		return false, nil
-	}
-	if ev.status != nil {
-		ev.status <- m.statusSnapshot()
-		return false, nil
-	}
-	if ev.apply != nil { // scheduler request (submit/cancel/query/shutdown)
+	if ev.apply != nil { // submit/cancel/query/shutdown
 		done := ev.apply()
 		m.updateGauges()
 		return done, nil
@@ -1170,7 +887,7 @@ func (m *Master) serveBacklog() {
 		if !j.State.Active() {
 			continue
 		}
-		deficit := targets[j.ID] - m.heldClients(j.ID)
+		deficit := targets[j.ID] - m.loadOf(j.ID).held
 		if deficit <= 0 {
 			continue
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -49,11 +48,9 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 	if cfg.MetricsAddr != "" {
 		extra := append([]obs.Endpoint{}, cfg.ExtraEndpoints...)
 		extra = append(extra, []obs.Endpoint{
+			// /progress is the same document as /status, kept for the URL.
 			{Path: "/progress", H: func(w http.ResponseWriter, _ *http.Request) {
-				w.Header().Set("Content-Type", "application/json")
-				enc := json.NewEncoder(w)
-				enc.SetIndent("", "  ")
-				_ = enc.Encode(m.Progress())
+				writeJSON(w, http.StatusOK, m.State())
 			}},
 			{Path: "GET /healthz", H: func(w http.ResponseWriter, _ *http.Request) {
 				// Liveness: the introspection server answering is the
@@ -109,7 +106,7 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 			)
 		}
 		srv, addr, err := obs.Serve(cfg.MetricsAddr,
-			obs.Handler(m.reg, func() any { return m.Status() }, extra...))
+			obs.Handler(m.reg, func() any { return m.State() }, extra...))
 		if err != nil {
 			l.Close()
 			return nil, fmt.Errorf("core: metrics server: %w", err)
@@ -128,39 +125,6 @@ func (m *Master) Addr() string { return m.listener.Addr() }
 // MetricsAddr returns the bound introspection address ("" when
 // MasterConfig.MetricsAddr was empty).
 func (m *Master) MetricsAddr() string { return m.httpAddr }
-
-// Status asynchronously requests a snapshot from a running master. It
-// blocks until the event loop serves it (or the master has exited, in
-// which case the zero snapshot returns).
-func (m *Master) Status() StatusSnapshot {
-	reply := make(chan StatusSnapshot, 1)
-	select {
-	case m.events <- masterEvent{status: reply}:
-		select {
-		case s := <-reply:
-			return s
-		case <-time.After(2 * time.Second):
-		}
-	case <-time.After(2 * time.Second):
-	}
-	return StatusSnapshot{}
-}
-
-// Progress asynchronously requests the cluster progress estimate from a
-// running master, served through the event loop like Status.
-func (m *Master) Progress() ProgressSnapshot {
-	reply := make(chan ProgressSnapshot, 1)
-	select {
-	case m.events <- masterEvent{progress: reply}:
-		select {
-		case s := <-reply:
-			return s
-		case <-time.After(2 * time.Second):
-		}
-	case <-time.After(2 * time.Second):
-	}
-	return ProgressSnapshot{}
-}
 
 // post hands an event from a shell goroutine to the event loop. It reports
 // false once Run has stopped serving: nothing reads the queue any more, so

@@ -43,113 +43,45 @@ func (m *Master) Alerts() []Alert {
 	return out
 }
 
-// sampleTick is one sampler period: fold the registry into the history
-// store, derive the per-job/per-client series the dashboard sparkline
-// columns read, and feed the watchdog. Event-loop only.
+// sampleTick is one sampler period: build one ClusterState, fold the
+// registry and the state's cluster/job/client series (the ones the
+// dashboard sparklines read) into the history store, and feed the same
+// state to the watchdog — and to the bundle of any alert it fires.
+// Event-loop only.
 func (m *Master) sampleTick() {
-	t := m.now()
-	if m.hist != nil {
-		m.hist.SampleSnapshot(t, m.reg.Snapshot())
-		m.sampleDerived(t)
+	st := m.state()
+	t := st.WallSeconds
+	if h := m.hist; h != nil {
+		h.SampleSnapshot(t, m.reg.Snapshot())
+		for _, j := range st.Jobs {
+			if j.Searching {
+				h.Observe(fmt.Sprintf("job.%d.coverage", j.ID), t, j.Coverage)
+			}
+		}
+		for _, c := range st.Clients {
+			h.Observe(fmt.Sprintf("client.%d.conflict_rate", c.ID), t, c.ConflictsPerSec)
+		}
+		h.Observe("cluster.coverage", t, st.Coverage)
+		h.Observe("cluster.busy", t, float64(st.Busy))
+		h.Observe("cluster.queue_depth", t, float64(st.Backlog+st.SubBacklog))
+		h.Observe("cluster.conflict_rate", t, st.ConflictRate)
+		h.Observe("cluster.mem_bytes", t, float64(st.MemBytes))
+		if st.Imported > 0 {
+			h.Observe("cluster.share_efficacy", t, st.Efficacy.UsefulRatio)
+		}
 	}
 	if m.wd == nil {
 		return
 	}
-	for _, a := range m.wd.observe(m.watchSample(t)) {
+	for _, a := range m.wd.observe(st.watch()) {
 		m.femit(trace.FEvent{Kind: trace.FEvAnomaly, Client: a.Client,
 			Detail: a.Rule + ": " + a.Detail})
 		m.log.Warn("watchdog alert", "rule", a.Rule, "subject", a.Subject,
 			"detail", a.Detail)
 		if m.cfg.BundleDir != "" {
-			m.captureBundle("anomaly-" + a.Rule)
+			m.writeBundle(m.bundleSpec("anomaly-"+a.Rule, st))
 		}
 	}
-}
-
-// sampleDerived records the cluster/job/client series that have no
-// direct registry counterpart. Event-loop only.
-func (m *Master) sampleDerived(t float64) {
-	var busy int
-	var memBytes int64
-	var queueDepth int
-	var confRate float64
-	var coverage float64
-	var activeJobs int
-	for _, id := range m.jobOrder {
-		j := m.jobs[id]
-		queueDepth += len(j.backlog) + len(j.subBacklog)
-		if j.State.Active() && j.assigned {
-			coverage += j.prog.Fraction()
-			activeJobs++
-			m.hist.Observe(fmt.Sprintf("job.%d.coverage", j.ID), t, j.prog.Fraction())
-		}
-	}
-	if activeJobs > 1 {
-		coverage /= float64(activeJobs)
-	}
-	for _, id := range m.order {
-		c := m.clients[id]
-		if c.addr == "" {
-			continue
-		}
-		memBytes += c.usedMem
-		if c.busy {
-			busy++
-			confRate += c.confRate
-		}
-		m.hist.Observe(fmt.Sprintf("client.%d.conflict_rate", c.id), t, c.confRate)
-	}
-	m.hist.Observe("cluster.coverage", t, coverage)
-	m.hist.Observe("cluster.busy", t, float64(busy))
-	m.hist.Observe("cluster.queue_depth", t, float64(queueDepth))
-	m.hist.Observe("cluster.conflict_rate", t, confRate)
-	m.hist.Observe("cluster.mem_bytes", t, float64(memBytes))
-	if m.clusterAgg.Imported > 0 {
-		m.hist.Observe("cluster.share_efficacy", t,
-			float64(m.clusterAgg.ImportedUseful)/float64(m.clusterAgg.Imported))
-	}
-}
-
-// watchSample builds the watchdog's view of the current tick. Straggler
-// flags come from the same markStragglers pass /progress uses, so the
-// watchdog and the dashboard never disagree about who is slow.
-// Event-loop only.
-func (m *Master) watchSample(t float64) WatchSample {
-	s := WatchSample{TSec: t}
-	var rows []ClientProgress
-	for _, id := range m.order {
-		c := m.clients[id]
-		if c.addr == "" {
-			continue
-		}
-		s.MemBytes += c.usedMem
-		if c.busy {
-			s.Busy++
-		}
-		rows = append(rows, ClientProgress{ID: c.id, Busy: c.busy,
-			ConflictsPerSec: c.confRate, MemBytes: c.usedMem})
-	}
-	markStragglers(rows)
-	for _, r := range rows {
-		c := m.clients[r.ID]
-		// Silence counts from the last heartbeat or the current
-		// assignment, whichever is later: idle clients do not report, so a
-		// client put back to work after a long idle spell is not declared
-		// silent before its first report is even due.
-		hb := max(c.lastHBSec, c.assignedAt)
-		if hb == 0 {
-			hb = t
-		}
-		s.Clients = append(s.Clients, WatchClient{ID: r.ID, Busy: r.Busy,
-			Straggler: r.Straggler, LastHeartbeatSec: hb, MemBytes: r.MemBytes})
-	}
-	for _, id := range m.jobOrder {
-		j := m.jobs[id]
-		if j.State.Active() && j.assigned {
-			s.Coverage += j.prog.Fraction()
-		}
-	}
-	return s
 }
 
 // TriggerBundle captures a postmortem bundle on demand (POST
@@ -167,16 +99,10 @@ func (m *Master) TriggerBundle(reason string) (string, error) {
 		reason = "manual"
 	}
 	var spec BundleSpec
-	if err := m.apply(func() { spec = m.bundleSpec(reason) }); err != nil {
+	if err := m.apply(func() { spec = m.bundleSpec(reason, m.state()) }); err != nil {
 		return "", err
 	}
 	return WriteBundle(spec)
-}
-
-// captureBundle freezes a bundle for a state-machine trigger (job failure,
-// cancellation, watchdog alert) and hands it to the shell to write.
-func (m *Master) captureBundle(reason string) {
-	m.writeBundle(m.bundleSpec(reason))
 }
 
 // writeBundleAsync is the live shell's bundle sink: the write (and its
@@ -208,16 +134,11 @@ type bundleConfig struct {
 	Build            any            `json:"build"`
 }
 
-// bundleState is the state.json "state" payload: the same pool and
-// progress views /status and /progress serve.
-type bundleState struct {
-	Status   StatusSnapshot   `json:"status"`
-	Progress ProgressSnapshot `json:"progress"`
-}
-
-// bundleSpec freezes everything a bundle captures out of loop state.
+// bundleSpec freezes everything a bundle captures out of loop state; st
+// becomes its state.json. The state machine's own triggers (job failure,
+// cancellation, watchdog alert) hand the spec to the shell's writeBundle.
 // Event-loop only.
-func (m *Master) bundleSpec(reason string) BundleSpec {
+func (m *Master) bundleSpec(reason string, st ClusterState) BundleSpec {
 	m.bundleSeq++
 	cfg := bundleConfig{
 		Serve:         m.serve,
@@ -242,7 +163,7 @@ func (m *Master) bundleSpec(reason string) BundleSpec {
 		Reason:  reason,
 		TSec:    m.now(),
 		Config:  cfg,
-		State:   bundleState{Status: m.statusSnapshot(), Progress: m.progressSnapshot()},
+		State:   st,
 		Metrics: m.reg.Snapshot(),
 	}
 	if m.hist != nil {

@@ -219,7 +219,7 @@ func TestLiveMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("/status: %v", err)
 	}
-	var snap StatusSnapshot
+	var snap ClusterState
 	if err := json.NewDecoder(sresp.Body).Decode(&snap); err != nil {
 		t.Errorf("/status is not JSON: %v", err)
 	}
@@ -300,7 +300,7 @@ func TestStatusShowsPerClientReclamation(t *testing.T) {
 	const want = int64(100_000 + 23_456)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		snap := m.Status()
+		snap := m.State()
 		var got int64
 		for _, c := range snap.Clients {
 			if c.ID == ra.ClientID {

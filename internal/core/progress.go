@@ -1,6 +1,10 @@
 package core
 
-import "sort"
+import (
+	"sort"
+
+	"gridsat/internal/comm"
+)
 
 // This file is the cluster progress estimator. GridSAT's guiding-path
 // splits cut the search space in half at every fork (paper Figure 2), so
@@ -166,41 +170,21 @@ type ShareEfficacy struct {
 	ImplicationShare float64 `json:"implication_share"`
 }
 
-// efficacyFrom derives the ratio view from aggregated cluster deltas.
-func efficacyFrom(imported, useful, impl, resol, allImpl int64) ShareEfficacy {
+// efficacyOf derives the ratio view from aggregated solver deltas.
+func efficacyOf(d comm.SolverDeltas) ShareEfficacy {
 	e := ShareEfficacy{
-		Imported:             imported,
-		ImportedUseful:       useful,
-		ImportedImplications: impl,
-		ImportedResolutions:  resol,
+		Imported:             d.Imported,
+		ImportedUseful:       d.ImportedUseful,
+		ImportedImplications: d.ImportedImplications,
+		ImportedResolutions:  d.ImportedResolutions,
 	}
-	if imported > 0 {
-		e.UsefulRatio = float64(useful) / float64(imported)
+	if d.Imported > 0 {
+		e.UsefulRatio = float64(d.ImportedUseful) / float64(d.Imported)
 	}
-	if allImpl > 0 {
-		e.ImplicationShare = float64(impl) / float64(allImpl)
+	if d.Implications > 0 {
+		e.ImplicationShare = float64(d.ImportedImplications) / float64(d.Implications)
 	}
 	return e
-}
-
-// ClientProgress is one client's row in a ProgressSnapshot: where it is in
-// the split tree and how fast it is burning through its subspace.
-type ClientProgress struct {
-	ID   int  `json:"id"`
-	Busy bool `json:"busy"`
-	// Depth is the guiding-path depth of the client's current subproblem.
-	Depth int `json:"depth"`
-	// ConflictsPerSec is the EWMA conflict throughput from heartbeats.
-	ConflictsPerSec float64 `json:"conflicts_per_sec"`
-	// Utilization is this client's throughput relative to the cluster's
-	// fastest client (1 = pacing the cluster, 0 = idle or stalled).
-	Utilization float64 `json:"utilization"`
-	// ImportUseRatio is the client's lifetime ImportedUseful / Imported.
-	ImportUseRatio float64 `json:"import_use_ratio"`
-	MemBytes       int64   `json:"mem_bytes"`
-	// Straggler marks a busy client whose conflict rate has fallen far
-	// below the busy-pool median — a candidate for migration (§3.4).
-	Straggler bool `json:"straggler,omitempty"`
 }
 
 // stragglerFraction: a busy client below this fraction of the busy-pool
@@ -208,9 +192,9 @@ type ClientProgress struct {
 // two-client run never flags the slower half).
 const stragglerFraction = 0.25
 
-// markStragglers fills Utilization and Straggler across a snapshot's
-// client rows, in place. Pure and deterministic for testability.
-func markStragglers(clients []ClientProgress) {
+// markStragglers fills Utilization and Straggler across a state's client
+// rows, in place. Pure and deterministic for testability.
+func markStragglers(clients []ClientState) {
 	var maxRate float64
 	var busyRates []float64
 	for _, c := range clients {
@@ -239,36 +223,4 @@ func markStragglers(clients []ClientProgress) {
 			clients[i].Straggler = true
 		}
 	}
-}
-
-// ProgressSnapshot is the /progress JSON payload: the cluster coverage
-// estimate, its rate and ETA, share-efficacy totals, and per-client rows.
-type ProgressSnapshot struct {
-	WallSeconds float64 `json:"wall_seconds"`
-	// Coverage is the refuted fraction of the root search space; Units is
-	// the same total in exact fixed-point units of 2^-62.
-	Coverage float64 `json:"coverage"`
-	Units    uint64  `json:"units"`
-	// ClosedSubproblems counts refuted subproblems; MaxClosedDepth is the
-	// deepest refuted guiding path.
-	ClosedSubproblems int64 `json:"closed_subproblems"`
-	MaxClosedDepth    int   `json:"max_closed_depth"`
-	// RatePerSec is the EWMA coverage rate; ETASeconds projects time to
-	// full coverage at that rate (-1 while unknown, 0 when exhausted).
-	RatePerSec float64 `json:"rate_per_sec"`
-	ETASeconds float64 `json:"eta_seconds"`
-	// Verdict is "" while running, else SAT/UNSAT/UNKNOWN.
-	Verdict     string `json:"verdict,omitempty"`
-	Registered  int    `json:"registered"`
-	Busy        int    `json:"busy"`
-	Outstanding int    `json:"outstanding"`
-	// Conflicts and Implications are cluster-lifetime totals summed from
-	// heartbeat deltas (churn-proof: they survive client departures).
-	Conflicts    int64         `json:"conflicts"`
-	Implications int64         `json:"implications"`
-	Efficacy     ShareEfficacy `json:"efficacy"`
-	// Jobs are the scheduler's per-job rows in submission order (a
-	// single-job master reports the one implicit job 0).
-	Jobs    []JobSnapshot    `json:"jobs,omitempty"`
-	Clients []ClientProgress `json:"clients"`
 }

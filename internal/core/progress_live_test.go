@@ -67,7 +67,7 @@ func TestLiveProgressEndpointAndTop(t *testing.T) {
 
 	// Poll /progress until the cluster is visibly working: all three
 	// clients registered and conflicts flowing through heartbeat deltas.
-	var snap ProgressSnapshot
+	var snap ClusterState
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		resp, err := http.Get("http://" + addr + "/progress")
@@ -102,8 +102,8 @@ func TestLiveProgressEndpointAndTop(t *testing.T) {
 		t.Fatalf("busy rows %d disagree with snapshot busy %d", busyRows, snap.Busy)
 	}
 
-	// /status joins the same frame; render it like `gridsat top` does.
-	var status StatusSnapshot
+	// /status serves the same document; render it like `gridsat top` does.
+	var status ClusterState
 	resp, err := http.Get("http://" + addr + "/status")
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,10 @@ func TestLiveProgressEndpointAndTop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := RenderTop(snap, status, TopWidth)
+	if len(status.Clients) != 3 || len(status.Jobs) != 1 || status.Registered != snap.Registered {
+		t.Fatalf("/status is not the /progress document: %+v", status)
+	}
+	frame := RenderTop(status, nil, TopWidth)
 	if !strings.Contains(frame, "GridSAT running") {
 		t.Errorf("live frame missing headline:\n%s", frame)
 	}

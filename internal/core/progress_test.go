@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"gridsat/internal/comm"
 	"gridsat/internal/gen"
 	"gridsat/internal/solver"
 	"gridsat/internal/trace"
@@ -84,7 +85,7 @@ func TestProgressTrackerETA(t *testing.T) {
 }
 
 func TestMarkStragglers(t *testing.T) {
-	clients := []ClientProgress{
+	clients := []ClientState{
 		{ID: 1, Busy: true, ConflictsPerSec: 1000},
 		{ID: 2, Busy: true, ConflictsPerSec: 900},
 		{ID: 3, Busy: true, ConflictsPerSec: 100}, // < 0.25 × median (900)
@@ -108,7 +109,7 @@ func TestMarkStragglers(t *testing.T) {
 	}
 
 	// Two busy clients: no straggler call, however slow the second one is.
-	two := []ClientProgress{
+	two := []ClientState{
 		{ID: 1, Busy: true, ConflictsPerSec: 1000},
 		{ID: 2, Busy: true, ConflictsPerSec: 1},
 	}
@@ -118,15 +119,16 @@ func TestMarkStragglers(t *testing.T) {
 	}
 }
 
-func TestEfficacyFrom(t *testing.T) {
-	e := efficacyFrom(200, 50, 1000, 100, 10000)
+func TestEfficacyOf(t *testing.T) {
+	e := efficacyOf(comm.SolverDeltas{Imported: 200, ImportedUseful: 50,
+		ImportedImplications: 1000, ImportedResolutions: 100, Implications: 10000})
 	if e.UsefulRatio != 0.25 {
 		t.Fatalf("useful ratio = %v, want 0.25", e.UsefulRatio)
 	}
 	if e.ImplicationShare != 0.1 {
 		t.Fatalf("implication share = %v, want 0.1", e.ImplicationShare)
 	}
-	zero := efficacyFrom(0, 0, 0, 0, 0)
+	zero := efficacyOf(comm.SolverDeltas{})
 	if zero.UsefulRatio != 0 || zero.ImplicationShare != 0 {
 		t.Fatal("zero imports must yield zero ratios, not NaN")
 	}

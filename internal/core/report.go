@@ -27,8 +27,8 @@ type Report struct {
 	Threads       int `json:"threads"`
 	Splits        int `json:"splits"`
 	SharedClauses int `json:"shared_clauses"`
-	// Clients are the per-client heartbeat aggregates, sorted by ID.
-	Clients []ClientStatus `json:"clients,omitempty"`
+	// Clients are the final ClusterState's per-client rows, sorted by ID.
+	Clients []ClientState `json:"clients,omitempty"`
 	// Comm is the per-kind wire traffic (zero when the transport was
 	// not instrumented).
 	Comm comm.Totals `json:"comm"`

@@ -302,8 +302,7 @@ type SimResult struct {
 // Efficacy derives the share-efficacy ratios from the run's aggregated
 // solver counters.
 func (r SimResult) Efficacy() ShareEfficacy {
-	return efficacyFrom(r.Agg.Imported, r.Agg.ImportedUseful,
-		r.Agg.ImportedImplications, r.Agg.ImportedResolutions, r.Agg.Implications)
+	return efficacyOf(r.Agg)
 }
 
 // RunSequential simulates the paper's zChaff baseline: the engine on the
@@ -910,27 +909,24 @@ func (r *runner) finish(outcome SimOutcome) {
 			r.retire(dc)
 		}
 	}
+	st := m.state()
 	res := &r.res
 	res.Outcome = outcome
-	res.Splits = m.result.Splits
-	res.Shared = m.result.SharedClauses
-	res.Migrations = m.result.Migrations
-	res.Agg = m.clusterAgg
+	res.Splits, res.Shared, res.Migrations = st.Splits, st.Shared, st.Migrations
+	res.Agg = st.SolverDeltas
 	res.Agg.Add(r.tail)
 	res.PoolPublished, res.PoolDelivered = r.pool.Published, r.pool.Delivered
 	res.PoolLost, res.PoolDropped = r.pool.Lost, r.pool.Dropped
 	if m.wd != nil {
 		res.Alerts = m.wd.feed()
 	}
+	res.ClosedSubproblems = st.ClosedSubproblems
 	if m.serve {
-		r.finishJobs()
+		r.finishJobs(st.Jobs)
 	} else {
-		j := m.jobs[0]
 		res.Status, res.Model = m.result.Status, m.result.Model
-		res.Progress = j.prog.Series()
-		res.CoverageUnits = j.prog.Units()
-		res.Coverage = j.prog.Fraction()
-		res.ClosedSubproblems = j.prog.Closed()
+		res.Progress = m.jobs[0].prog.Series()
+		res.CoverageUnits, res.Coverage = st.Jobs[0].Units, st.Jobs[0].Coverage
 	}
 	r.sample(0) // every run ends with the client count collapsing to zero
 	// Solved before the batch allocation arrived: withdraw the job
@@ -942,29 +938,28 @@ func (r *runner) finish(outcome SimOutcome) {
 }
 
 // finishJobs freezes per-job outcomes into the result (multi-job runs).
-func (r *runner) finishJobs() {
+func (r *runner) finishJobs(rows []JobSnapshot) {
 	firstSubmit, lastFinish := -1.0, 0.0
-	for _, id := range r.m.jobOrder {
-		j := r.m.jobs[id]
+	for _, row := range rows {
+		j := r.m.jobs[row.ID]
 		r.res.Jobs = append(r.res.Jobs, SimJobResult{
-			ID:             j.ID,
-			Name:           j.Name,
-			Verdict:        r.m.jobSnapshot(j, false).Verdict,
+			ID:             row.ID,
+			Name:           row.Name,
+			Verdict:        row.Verdict,
 			Status:         j.status,
 			Model:          j.model,
-			SubmitVSec:     j.SubmittedAt,
-			StartVSec:      j.StartedAt,
-			FinishVSec:     j.FinishedAt,
-			TurnaroundVSec: j.TurnaroundSec(),
-			Preemptions:    j.Preemptions,
-			Coverage:       j.prog.Fraction(),
+			SubmitVSec:     row.SubmittedAt,
+			StartVSec:      row.StartedAt,
+			FinishVSec:     row.FinishedAt,
+			TurnaroundVSec: row.TurnaroundSec,
+			Preemptions:    row.Preemptions,
+			Coverage:       row.Coverage,
 		})
-		r.res.Preemptions += j.Preemptions
-		r.res.ClosedSubproblems += j.prog.Closed()
-		if firstSubmit < 0 || j.SubmittedAt < firstSubmit {
-			firstSubmit = j.SubmittedAt
+		r.res.Preemptions += row.Preemptions
+		if firstSubmit < 0 || row.SubmittedAt < firstSubmit {
+			firstSubmit = row.SubmittedAt
 		}
-		lastFinish = max(lastFinish, j.FinishedAt)
+		lastFinish = max(lastFinish, row.FinishedAt)
 	}
 	if firstSubmit >= 0 && lastFinish > firstSubmit {
 		r.res.MakespanVSec = lastFinish - firstSubmit

@@ -128,20 +128,26 @@ func (m *Master) cancel(id int) error {
 	if !j.State.Active() {
 		return fmt.Errorf("core: job %d already %s", id, j.State)
 	}
-	j.State = JobCancelled
-	j.FinishedAt = m.now()
-	j.outstanding = 0
-	j.backlog = nil
-	j.subBacklog = nil
+	j.end(JobCancelled, m.now())
 	m.met.turnaround.Observe(j.FinishedAt - j.SubmittedAt)
 	m.femit(trace.FEvent{Kind: trace.FEvJobCancel, Job: j.ID})
 	m.log.Info("job cancelled", "job", j.ID)
 	if m.cfg.BundleDir != "" {
-		m.captureBundle(fmt.Sprintf("job-%d-cancelled", j.ID))
+		m.writeBundle(m.bundleSpec(fmt.Sprintf("job-%d-cancelled", j.ID), m.state()))
 	}
 	m.releaseJob(j)
 	m.maybeRebalance()
 	return nil
+}
+
+// end makes the job terminal: its queued work is dropped, and so is its
+// input — nothing reads a finished job's formula or share-dedup window,
+// and a long-lived service must not pin every formula it ever solved. The
+// verdict, model and snapshot fields stay.
+func (j *masterJob) end(state JobState, now float64) {
+	j.State, j.FinishedAt = state, now
+	j.outstanding, j.backlog, j.subBacklog = 0, nil, nil
+	j.Formula, j.seenShared = nil, nil
 }
 
 // JobStatus returns one job's snapshot; withModel includes a SAT job's
@@ -163,11 +169,7 @@ func (m *Master) JobStatus(id int, withModel bool) (JobSnapshot, error) {
 }
 
 // Jobs lists every job the service has seen, in submission order.
-func (m *Master) Jobs() []JobSnapshot {
-	var out []JobSnapshot
-	_ = m.apply(func() { out = m.jobSnapshots() })
-	return out
-}
+func (m *Master) Jobs() []JobSnapshot { return m.State().Jobs }
 
 // Shutdown stops a serving master: Run returns after the pool is told to
 // shut down. Queued and running jobs end where they are (their snapshots
@@ -231,7 +233,7 @@ func (m *Master) maybeRebalance() {
 		if !j.State.Active() || !j.assigned {
 			continue
 		}
-		if over := m.heldClients(j.ID) - targets[j.ID]; over > 0 {
+		if over := m.loadOf(j.ID).held - targets[j.ID]; over > 0 {
 			m.preemptClients(j, over)
 		}
 	}
@@ -287,7 +289,7 @@ func (m *Master) handlePreempted(c *masterClient, msg comm.Preempted) {
 		pe := m.femit(trace.FEvent{Kind: trace.FEvJobPreempt, Client: c.id, Job: j.ID})
 		j.subBacklog = append(j.subBacklog, backlogSub{sub: msg.Sub, donor: c.id,
 			origin: fromPreempt, issueEv: pe, job: j.ID})
-		if j.State == JobRunning && m.heldClients(j.ID) == 0 {
+		if j.State == JobRunning && m.loadOf(j.ID).held == 0 {
 			j.State = JobPreempted
 		}
 		m.log.Info("client preempted", "client", c.id, "job", j.ID,
@@ -304,29 +306,18 @@ func (m *Master) finishJob(j *masterJob, status solver.Status, model cnf.Assignm
 	}
 	j.status = status
 	j.model = model
-	j.State = JobDone
-	j.FinishedAt = m.now()
-	j.outstanding = 0
-	j.backlog = nil
-	j.subBacklog = nil
+	j.end(JobDone, m.now())
 	if j.StartedAt > 0 {
 		m.met.solveLat.Observe(j.FinishedAt - j.StartedAt)
 	}
 	m.met.turnaround.Observe(j.FinishedAt - j.SubmittedAt)
-	verdict := "UNKNOWN"
-	switch status {
-	case solver.StatusSAT:
-		verdict = "SAT"
-	case solver.StatusUNSAT:
-		verdict = "UNSAT"
-	}
-	m.femit(trace.FEvent{Kind: trace.FEvJobDone, Job: j.ID, Detail: verdict})
-	m.log.Info("job finished", "job", j.ID, "verdict", verdict,
+	m.femit(trace.FEvent{Kind: trace.FEvJobDone, Job: j.ID, Detail: status.String()})
+	m.log.Info("job finished", "job", j.ID, "verdict", status,
 		"turnaround", j.TurnaroundSec(), "preemptions", j.Preemptions)
 	if status == solver.StatusUnknown && m.cfg.BundleDir != "" {
 		// A job that ends without a verdict (lost client, invalid model)
 		// is exactly what a postmortem bundle is for.
-		m.captureBundle(fmt.Sprintf("job-%d-failed", j.ID))
+		m.writeBundle(m.bundleSpec(fmt.Sprintf("job-%d-failed", j.ID), m.state()))
 	}
 	m.releaseJob(j)
 	m.maybeRebalance()
@@ -400,6 +391,11 @@ func (s *Service) master(w http.ResponseWriter) *Master {
 	return m
 }
 
+// maxSubmitBytes bounds a POST /jobs body: what the wire allows the
+// BaseProblem frame that ships the formula to a client — one that cannot be
+// framed cannot be solved. A variable only so a test can shrink it.
+var maxSubmitBytes int64 = comm.CapBulk
+
 // submitResponse is the POST /jobs reply.
 type submitResponse struct {
 	ID int `json:"id"`
@@ -446,7 +442,13 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if m == nil {
 		return
 	}
-	f, err := cnf.ParseDIMACS(r.Body)
+	f, err := cnf.ParseDIMACS(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("DIMACS body exceeds %d bytes", tooBig.Limit))
+		return
+	}
 	if err != nil {
 		resp := errorResponse{Error: fmt.Errorf("parse DIMACS body: %w", err).Error()}
 		var pe *cnf.ParseError

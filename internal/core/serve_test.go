@@ -595,7 +595,7 @@ func TestServeSecondJobAfterHeartbeats(t *testing.T) {
 		t.Fatalf("first job verdict %q, want UNSAT", snap.Verdict)
 	}
 	heartbeated := 0
-	for _, c := range m.Status().Clients {
+	for _, c := range m.State().Clients {
 		if c.Conflicts > 0 {
 			heartbeated++
 			if c.MemBytes <= 0 || c.MemBytes >= 128<<20 {

@@ -432,9 +432,9 @@ func TestMasterDropsSharesWhenQueueFull(t *testing.T) {
 	// reading: two consecutive snapshots and the registry counter agree.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		snap := m.Status()
+		snap := m.State()
 		counter := reg.Snapshot().CounterValue("gridsat_master_shared_dropped_total")
-		again := m.Status()
+		again := m.State()
 		if snap.SharedDropped > 0 && snap.SharedDropped == again.SharedDropped &&
 			counter == snap.SharedDropped {
 			break
@@ -478,9 +478,9 @@ func TestMasterShareWindowBounded(t *testing.T) {
 	// distinct, so Shared counts them all); the Status reply channel then
 	// gives the happens-before edge that makes reading the window safe.
 	deadline := time.Now().Add(10 * time.Second)
-	for m.Status().Shared != 40*window {
+	for m.State().Shared != 40*window {
 		if time.Now().After(deadline) {
-			t.Fatalf("master processed %d shares, want %d", m.Status().Shared, 40*window)
+			t.Fatalf("master processed %d shares, want %d", m.State().Shared, 40*window)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

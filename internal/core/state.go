@@ -1,0 +1,279 @@
+package core
+
+import (
+	"gridsat/internal/comm"
+	"gridsat/internal/solver"
+)
+
+// ClusterState is the master's one point-in-time view of itself: the
+// pool, the backlog, who holds which job, the coverage estimate and the
+// solver totals. Every introspection surface is a function of this value
+// — GET /status and GET /progress serve it verbatim, GET /jobs is its Jobs,
+// the history sampler and the watchdog read one per tick, a bundle's
+// state.json freezes one, `gridsat top` renders one, and Result, Report and
+// SimResult take their totals from the last one — so no two surfaces can
+// disagree about what "busy" or "coverage" means.
+type ClusterState struct {
+	// WallSeconds is the master clock at the snapshot (wall seconds since
+	// Run started, or virtual seconds under the DES).
+	WallSeconds float64 `json:"wall_seconds"`
+	// Verdict is "" while running, else SAT/UNSAT (single-job masters;
+	// serve-mode verdicts are per job).
+	Verdict string `json:"verdict,omitempty"`
+
+	// Pool tallies over registered clients. MemBytes sums their reported
+	// arena sizes; ConflictRate sums the busy ones' conflicts/sec EWMAs.
+	Registered   int     `json:"registered"`
+	Busy         int     `json:"busy"`
+	Reserved     int     `json:"reserved"`
+	MemBytes     int64   `json:"mem_bytes"`
+	ConflictRate float64 `json:"conflict_rate"`
+	// Backlog counts queued split requests, SubBacklog the subproblems the
+	// master holds for the next idle client (roots, leftover cofactors,
+	// checkpoints), Outstanding every live subproblem (busy + in flight +
+	// queued), each summed over jobs.
+	Backlog     int `json:"backlog"`
+	SubBacklog  int `json:"sub_backlog"`
+	Outstanding int `json:"outstanding"`
+	Splits      int `json:"splits"`
+	Migrations  int `json:"migrations"`
+	Shared      int `json:"shared"`
+	// SharedDropped counts best-effort clause-share messages discarded on
+	// full client queues; FlightEvents is the flight recorder's length (0
+	// without one). Both keep the spelling GET /status has always used:
+	// encoding/json matches keys case-insensitively but not across an
+	// underscore, and deployed readers decode into fields of these names.
+	SharedDropped int64 `json:"SharedDropped"`
+	FlightEvents  int   `json:"FlightEvents"`
+
+	// Coverage is the mean refuted search-space fraction of the jobs listed
+	// as Searching (a single-job master has one job, so it is that job's);
+	// RatePerSec is the mean of their EWMA coverage rates; ETASeconds is
+	// the time to full Coverage at that rate (-1 while unknown, 0 when
+	// exhausted).
+	Coverage   float64 `json:"coverage"`
+	RatePerSec float64 `json:"rate_per_sec"`
+	ETASeconds float64 `json:"eta_seconds"`
+	// ClosedSubproblems counts refuted subproblems over every job;
+	// MaxClosedDepth is the deepest refuted guiding path.
+	ClosedSubproblems int64 `json:"closed_subproblems"`
+	MaxClosedDepth    int   `json:"max_closed_depth"`
+
+	// SolverDeltas are the cluster-lifetime solver totals summed from every
+	// heartbeat ever received (churn-proof: a departed client's work stays
+	// counted); Efficacy is their share-usefulness view.
+	comm.SolverDeltas
+	Efficacy ShareEfficacy `json:"efficacy"`
+
+	// Jobs are the per-job rows in submission order (one row, job 0, for a
+	// single-job master); Clients the registered clients sorted by ID.
+	Jobs    []JobSnapshot `json:"jobs"`
+	Clients []ClientState `json:"clients"`
+}
+
+// ClientState is one registered client's row in a ClusterState: identity,
+// what it is doing, where it is in the split tree, how fast it is going,
+// and its solver totals aggregated from heartbeat deltas.
+type ClientState struct {
+	ID       int    `json:"id"`
+	Host     string `json:"host,omitempty"`
+	Busy     bool   `json:"busy"`
+	Reserved bool   `json:"reserved"`
+	// MemBytes and DBLearnts are the latest reported gauges; Depth is the
+	// guiding-path depth of the client's current subproblem.
+	MemBytes  int64 `json:"mem_bytes"`
+	DBLearnts int   `json:"db_learnts"`
+	Depth     int   `json:"depth"`
+	// ConflictsPerSec is the EWMA conflict throughput from heartbeats;
+	// Utilization is that relative to the cluster's fastest client (1 =
+	// pacing the cluster, 0 = idle or stalled).
+	ConflictsPerSec float64 `json:"conflicts_per_sec"`
+	Utilization     float64 `json:"utilization"`
+	// ImportUseRatio is the client's lifetime ImportedUseful / Imported.
+	ImportUseRatio float64 `json:"import_use_ratio"`
+	// Straggler marks a busy client whose conflict rate has fallen far
+	// below the busy-pool median — a candidate for migration (§3.4).
+	Straggler bool `json:"straggler,omitempty"`
+	// LastHeartbeatSec is when the client was last heard from: its latest
+	// heartbeat or its current assignment, whichever is later — idle
+	// clients do not report, so one put back to work after a long idle
+	// spell is not silent before its first report is even due.
+	LastHeartbeatSec float64 `json:"last_heartbeat_sec"`
+	// SolverDeltas are the client's counter totals summed from its
+	// StatusReport deltas.
+	comm.SolverDeltas
+	// Workers is the client's latest per-worker portfolio breakdown
+	// (absent for single-threaded clients).
+	Workers []comm.WorkerReport `json:"workers,omitempty"`
+}
+
+// state builds the ClusterState: one pass over the clients — which also
+// accumulates each job's held-client count and conflict throughput — and
+// one over the jobs. It reads and never writes: no flight event, no
+// mutation, so building one cannot perturb a deterministic run.
+// Event-loop only.
+func (m *Master) state() ClusterState {
+	now := m.now()
+	st := ClusterState{
+		WallSeconds:   now,
+		Splits:        m.result.Splits,
+		Migrations:    m.result.Migrations,
+		Shared:        m.result.SharedClauses,
+		SharedDropped: m.sharedDropped,
+		ETASeconds:    -1,
+		SolverDeltas:  m.clusterAgg,
+		Efficacy:      efficacyOf(m.clusterAgg),
+		Jobs:          make([]JobSnapshot, 0, len(m.jobOrder)),
+		Clients:       make([]ClientState, 0, len(m.order)),
+	}
+	if m.result.Status != solver.StatusUnknown {
+		st.Verdict = m.result.Status.String()
+	}
+	if m.flight != nil {
+		st.FlightEvents = m.flight.Len()
+	}
+
+	loads := make(map[int]jobLoad, len(m.jobOrder))
+	for _, id := range m.order {
+		c := m.clients[id]
+		if c.addr == "" {
+			continue // connection still mid-registration
+		}
+		row := ClientState{
+			ID: c.id, Host: c.hostName, Busy: c.busy, Reserved: c.reserved,
+			MemBytes: c.usedMem, DBLearnts: c.dbLearnts, Depth: c.depth,
+			ConflictsPerSec:  c.confRate,
+			ImportUseRatio:   efficacyOf(c.agg).UsefulRatio,
+			LastHeartbeatSec: max(c.lastHBSec, c.assignedAt),
+			SolverDeltas:     c.agg,
+			Workers:          c.workers,
+		}
+		if row.LastHeartbeatSec == 0 {
+			row.LastHeartbeatSec = now
+		}
+		st.Registered++
+		st.MemBytes += c.usedMem
+		if c.busy {
+			st.Busy++
+			st.ConflictRate += c.confRate
+		}
+		if c.reserved {
+			st.Reserved++
+		}
+		l := loads[c.job]
+		l.add(c)
+		loads[c.job] = l
+		st.Clients = append(st.Clients, row)
+	}
+	markStragglers(st.Clients)
+
+	searching := 0
+	for _, id := range m.jobOrder {
+		j := m.jobs[id]
+		row := j.snapshot(loads[id])
+		st.Backlog += len(j.backlog)
+		st.SubBacklog += len(j.subBacklog)
+		st.Outstanding += j.outstanding
+		st.ClosedSubproblems += j.prog.Closed()
+		st.MaxClosedDepth = max(st.MaxClosedDepth, j.prog.MaxDepth())
+		if row.Searching {
+			searching++
+			st.Coverage += row.Coverage
+			st.RatePerSec += j.prog.Rate()
+		}
+		st.Jobs = append(st.Jobs, row)
+	}
+	if searching > 0 {
+		st.Coverage /= float64(searching)
+		st.RatePerSec /= float64(searching)
+		switch {
+		case st.Coverage >= 1:
+			st.ETASeconds = 0
+		case st.RatePerSec > 0:
+			st.ETASeconds = (1 - st.Coverage) / st.RatePerSec
+		}
+	}
+	return st
+}
+
+// State returns the running master's ClusterState, built on its event
+// loop so it is always consistent (the zero value once the master has
+// exited).
+func (m *Master) State() ClusterState {
+	var st ClusterState
+	_ = m.apply(func() { st = m.state() })
+	return st
+}
+
+// jobLoad is what a job takes from the client table: how many clients
+// hold it (busy or reserved, including ones mid-preemption) — the number
+// the scheduler allocates against — and the summed conflict throughput of
+// the busy ones.
+type jobLoad struct {
+	held int
+	rate float64
+}
+
+func (l *jobLoad) add(c *masterClient) {
+	if c.busy {
+		l.rate += c.confRate
+	}
+	if c.busy || c.reserved {
+		l.held++
+	}
+}
+
+// loadOf walks the client table for one job's load. Event-loop only.
+func (m *Master) loadOf(jobID int) jobLoad {
+	var l jobLoad
+	for _, id := range m.order {
+		if c := m.clients[id]; c.job == jobID {
+			l.add(c)
+		}
+	}
+	return l
+}
+
+// snapshot builds the job's external row around its load.
+func (j *masterJob) snapshot(load jobLoad) JobSnapshot {
+	lat := jobLatency(j.Job)
+	snap := JobSnapshot{
+		ID:            j.ID,
+		Name:          j.Name,
+		Priority:      j.Priority,
+		State:         j.State.String(),
+		Searching:     j.State.Active() && j.assigned,
+		Clients:       load.held,
+		SubmittedAt:   j.SubmittedAt,
+		StartedAt:     j.StartedAt,
+		FirstAssignAt: j.FirstAssignAt,
+		FinishedAt:    j.FinishedAt,
+		Preemptions:   j.Preemptions,
+		QueueWaitSec:  lat.QueueWaitSec,
+		SolveSec:      lat.SolveSec,
+		TurnaroundSec: lat.TurnaroundSec,
+		Coverage:      j.prog.Fraction(),
+		Units:         j.prog.Units(),
+		ConflictRate:  load.rate,
+	}
+	switch {
+	case j.State == JobCancelled:
+		snap.Verdict = "CANCELLED"
+	case j.State == JobDone || j.status != solver.StatusUnknown:
+		snap.Verdict = j.status.String() // SAT, UNSAT, or UNKNOWN for a job that ended without one
+	}
+	return snap
+}
+
+// jobSnapshot builds one job's row alone, for GET /jobs/{id}: one walk of
+// the client table for that job, never a whole ClusterState. withModel adds
+// a SAT verdict's assignment. Event-loop only.
+func (m *Master) jobSnapshot(j *masterJob, withModel bool) JobSnapshot {
+	snap := j.snapshot(m.loadOf(j.ID))
+	if withModel && snap.Verdict == "SAT" {
+		for _, l := range j.model.TrueLits() {
+			snap.Model = append(snap.Model, l.DIMACS())
+		}
+	}
+	return snap
+}

@@ -1,0 +1,351 @@
+package core
+
+import (
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+
+	"gridsat/internal/cnf"
+	"gridsat/internal/comm"
+	"gridsat/internal/solver"
+	"gridsat/internal/trace"
+)
+
+// bareMaster builds a serve-mode master with no shell: the test steps its
+// handlers directly, at a clock it sets, and the outbox goes nowhere.
+func bareMaster(t *testing.T, now *float64) *Master {
+	t.Helper()
+	m, err := newMaster(MasterConfig{Serve: true, Flight: trace.NewFlight(nil)},
+		func() float64 { return *now },
+		func(int, comm.Message) {}, func(BundleSpec) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// populate fills m with nClients × nJobs of hand-built state in every
+// shape the view has to count: jobs in all five lifecycle states with and
+// without a root issued, clients idle, busy, reserved and preempting, and
+// one connection still mid-registration.
+func populate(m *Master, nClients, nJobs int) {
+	for id := 1; id <= nJobs; id++ {
+		j := &masterJob{Job: &Job{ID: id, Name: fmt.Sprintf("job-%d", id), Priority: 1 + id%3,
+			State: JobState(id % 5), SubmittedAt: float64(id)}, outstanding: id % 4}
+		j.assigned = j.State != JobQueued || id%2 == 0
+		if j.State != JobQueued {
+			j.StartedAt, j.FirstAssignAt = j.SubmittedAt+1, j.SubmittedAt+2
+		}
+		if !j.State.Active() {
+			j.FinishedAt = j.SubmittedAt + 10
+		}
+		if j.State == JobDone && id%2 == 0 {
+			j.status = solver.StatusUNSAT
+		}
+		for d := 1; d <= id%4; d++ {
+			j.prog.CloseSubproblem(d+1, float64(10*id+d))
+		}
+		j.backlog = make([]BacklogEntry, id%3)
+		j.subBacklog = make([]backlogSub, id%2)
+		m.jobs[id] = j
+		m.jobOrder = append(m.jobOrder, id)
+	}
+	for i := 0; i < nClients; i++ {
+		id := m.connect()
+		c := m.clients[id]
+		if id == 2 {
+			continue // mid-registration: no addr yet
+		}
+		c.addr, c.hostName = fmt.Sprintf("addr-%d", id), fmt.Sprintf("host-%d", id)
+		if nJobs > 0 {
+			c.job = 1 + id%nJobs
+		}
+		c.busy = id%3 != 0
+		c.reserved = !c.busy && id%2 == 0
+		c.preempting = c.busy && id%5 == 0
+		c.usedMem, c.dbLearnts, c.depth = int64(id)<<20, 100*id, id%9
+		c.confRate = 37.5 * float64(id%11)
+		c.lastHBSec, c.assignedAt = float64(id%4), float64(id%6)
+		c.agg = comm.SolverDeltas{Conflicts: int64(10 * id), Implications: int64(1000 * id),
+			Imported: int64(id % 7), ImportedUseful: int64(id % 3)}
+		m.clusterAgg.Add(c.agg)
+	}
+	m.result.Splits, m.result.Migrations, m.result.SharedClauses = 3*nClients, nJobs, 17*nClients
+	m.sharedDropped = int64(nClients / 2)
+	m.femit(trace.FEvent{Kind: trace.FEvRunStart})
+}
+
+// TestStateMatchesBruteForceRecount checks every tally of the one-pass
+// builder against an independent recount over the raw tables, and that
+// building a state is pure: twice in a row gives deep-equal values and
+// records nothing in the flight log.
+func TestStateMatchesBruteForceRecount(t *testing.T) {
+	for _, size := range [][2]int{{0, 0}, {1, 1}, {3, 0}, {7, 3}, {40, 12}} {
+		nClients, nJobs := size[0], size[1]
+		t.Run(fmt.Sprintf("%dx%d", nClients, nJobs), func(t *testing.T) {
+			now := 123.0
+			m := bareMaster(t, &now)
+			populate(m, nClients, nJobs)
+			events := m.flight.Len()
+			st := m.state()
+			if again := m.state(); !reflect.DeepEqual(st, again) {
+				t.Fatalf("two states in a row differ:\n%+v\n%+v", st, again)
+			}
+			if m.flight.Len() != events {
+				t.Fatalf("building a state emitted %d flight events", m.flight.Len()-events)
+			}
+
+			want := ClusterState{WallSeconds: now, FlightEvents: events, ETASeconds: -1,
+				Splits: 3 * nClients, Migrations: nJobs, Shared: 17 * nClients,
+				SharedDropped: int64(nClients / 2)}
+			ids := make([]int, 0, len(m.clients))
+			for id := range m.clients {
+				ids = append(ids, id)
+			}
+			slices.Sort(ids)
+			held, rate := map[int]int{}, map[int]float64{}
+			var rows []int
+			for _, id := range ids {
+				c := m.clients[id]
+				if c.addr == "" {
+					continue
+				}
+				rows = append(rows, id)
+				want.Registered++
+				want.MemBytes += c.usedMem
+				want.SolverDeltas.Add(c.agg)
+				if c.busy {
+					want.Busy++
+					want.ConflictRate += c.confRate
+					rate[c.job] += c.confRate
+				}
+				if c.reserved {
+					want.Reserved++
+				}
+				if c.busy || c.reserved {
+					held[c.job]++
+				}
+			}
+			searching := 0
+			for _, j := range m.jobs {
+				want.Backlog += len(j.backlog)
+				want.SubBacklog += len(j.subBacklog)
+				want.Outstanding += j.outstanding
+				want.ClosedSubproblems += j.prog.Closed()
+				want.MaxClosedDepth = max(want.MaxClosedDepth, j.prog.MaxDepth())
+			}
+			for _, id := range m.jobOrder {
+				if j := m.jobs[id]; j.State.Active() && j.assigned {
+					searching++
+					want.Coverage += j.prog.Fraction()
+					want.RatePerSec += j.prog.Rate()
+				}
+			}
+			if searching > 0 {
+				want.Coverage /= float64(searching)
+				want.RatePerSec /= float64(searching)
+				if want.RatePerSec > 0 {
+					want.ETASeconds = (1 - want.Coverage) / want.RatePerSec
+				}
+			}
+			want.Efficacy = efficacyOf(want.SolverDeltas)
+
+			got := st
+			got.Jobs, got.Clients = nil, nil
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("tallies:\n got %+v\nwant %+v", got, want)
+			}
+			if len(st.Clients) != len(rows) || len(st.Jobs) != nJobs {
+				t.Fatalf("%d client rows and %d job rows, want %d and %d",
+					len(st.Clients), len(st.Jobs), len(rows), nJobs)
+			}
+			for i, row := range st.Clients {
+				c := m.clients[rows[i]]
+				if row.ID != c.id || row.Host != c.hostName || row.Busy != c.busy ||
+					row.Reserved != c.reserved || row.MemBytes != c.usedMem ||
+					row.DBLearnts != c.dbLearnts || row.Depth != c.depth ||
+					row.ConflictsPerSec != c.confRate || row.SolverDeltas != c.agg {
+					t.Errorf("client row %d = %+v, client %+v", i, row, c)
+				}
+				if last := max(c.lastHBSec, c.assignedAt); last != 0 && row.LastHeartbeatSec != last ||
+					last == 0 && row.LastHeartbeatSec != now {
+					t.Errorf("client %d last heard at %v", c.id, row.LastHeartbeatSec)
+				}
+			}
+			for i, row := range st.Jobs {
+				j := m.jobs[m.jobOrder[i]]
+				if row.ID != j.ID || row.State != j.State.String() || row.Clients != held[j.ID] ||
+					row.ConflictRate != rate[j.ID] || row.Coverage != j.prog.Fraction() ||
+					row.Units != j.prog.Units() || row.Searching != (j.State.Active() && j.assigned) {
+					t.Errorf("job row %d = %+v (held %d, rate %v)", i, row, held[j.ID], rate[j.ID])
+				}
+				if one := m.jobSnapshot(j, false); !reflect.DeepEqual(one, row) {
+					t.Errorf("GET /jobs/%d row %+v differs from the state's %+v", j.ID, one, row)
+				}
+			}
+		})
+	}
+}
+
+// serveJobAtHalf adds a client to a bare serve-mode master and submits a
+// job; whichever idle client gets its root, the test splits it in two by
+// hand and refutes one depth-1 half: the job is running at exactly 50 %
+// coverage.
+func serveJobAtHalf(t *testing.T, m *Master, f *cnf.Formula) *masterJob {
+	t.Helper()
+	c := m.clients[m.connect()]
+	if err := m.handleRegister(c, comm.Register{Addr: "a", FreeMemBytes: 64 << 20, SpeedHint: 1}); err != nil {
+		t.Fatal(err)
+	}
+	id, err := m.submit("half", f, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := m.jobs[id]
+	for _, c := range m.clients {
+		if c.busy && c.job == id {
+			j.outstanding++ // the other half, held elsewhere
+			if _, err := m.handleSolved(c, comm.Solved{Status: solver.StatusUNSAT, Depth: 1}); err != nil {
+				t.Fatal(err)
+			}
+			return j
+		}
+	}
+	t.Fatalf("root of job %d not handed to an idle client", id)
+	return nil
+}
+
+// TestClusterCoverageHasOneDefinition: cluster coverage is the mean
+// coverage of the searching jobs, and the dashboard header, the
+// cluster.coverage series and the watchdog's stall rule all read that one
+// number. They used to read 0 (serve mode), the mean and the sum.
+func TestClusterCoverageHasOneDefinition(t *testing.T) {
+	now := 1.0
+	m := bareMaster(t, &now)
+	f := cnf.NewFormula(2)
+	f.Add(1, 2)
+	serveJobAtHalf(t, m, f)
+
+	check := func(want float64, bar string) {
+		t.Helper()
+		now++
+		st := m.state()
+		m.sampleTick() // same instant, same tables: the same state
+		series := m.hist.LastValues("cluster.coverage", 1)
+		watched := m.wd.win[len(m.wd.win)-1].Coverage
+		if st.Coverage != want || len(series) != 1 || series[0] != want || watched != want {
+			t.Fatalf("coverage: state %v, series %v, watchdog %v; want %v everywhere",
+				st.Coverage, series, watched, want)
+		}
+		if head := strings.SplitN(RenderTop(st, nil, 80), "\n", 2)[0]; !strings.Contains(head, bar) {
+			t.Fatalf("dashboard header %q lacks %q", head, bar)
+		}
+	}
+	check(0.5, "=-")
+	check(0.5, " 50.0%")
+
+	// A second job at 50 % and a third that has not started: the mean is
+	// over the two searching ones.
+	serveJobAtHalf(t, m, f)
+	if _, err := m.submit("queued", f, 1); err != nil {
+		t.Fatal(err)
+	}
+	check(0.5, " 50.0%")
+	j2 := m.jobs[2]
+	j2.prog.CloseSubproblem(2, now)
+	check(0.625, " 62.5%")
+}
+
+// TestFinishedJobDropsItsInput: a terminal job keeps its verdict, model
+// and snapshot but no longer pins its formula or its share-dedup window,
+// and traffic that arrives for it afterwards is still harmless.
+func TestFinishedJobDropsItsInput(t *testing.T) {
+	now := 1.0
+	m := bareMaster(t, &now)
+	f := cnf.NewFormula(2)
+	f.Add(1, 2)
+	c := m.clients[m.connect()]
+	if err := m.handleRegister(c, comm.Register{Addr: "a", FreeMemBytes: 64 << 20, SpeedHint: 1}); err != nil {
+		t.Fatal(err)
+	}
+	sat, _ := m.submit("sat", f, 1)
+	model := cnf.NewAssignment(2)
+	model.Set(cnf.LitFromDIMACS(1))
+	model.Set(cnf.LitFromDIMACS(2))
+	if _, err := m.handleSolved(c, comm.Solved{Status: solver.StatusSAT, Model: model}); err != nil {
+		t.Fatal(err)
+	}
+	cancelled, _ := m.submit("cancelled", f, 1)
+	if err := m.cancel(cancelled); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{sat, cancelled} {
+		if j := m.jobs[id]; j.State.Active() || j.Formula != nil || j.seenShared != nil {
+			t.Fatalf("job %d: state %v, formula %v, dedup window %v", id, j.State, j.Formula, j.seenShared)
+		}
+	}
+	res := m.jobSnapshot(m.jobs[sat], true)
+	if res.Verdict != "SAT" || !slices.Equal(res.Model, []int{1, 2}) {
+		t.Fatalf("result of the finished job: %+v", res)
+	}
+	// Late traffic from a client still tagged with the finished job.
+	c.job, c.busy = sat, true
+	m.handleShare(c, comm.ShareClauses{From: c.id, Job: sat, Clauses: []cnf.Clause{cnf.NewClause(1, 2)}})
+	if done := m.handleSplitDone(c, comm.SplitDone{ClientID: c.id, SplitID: 99, OK: true}); done {
+		t.Fatal("a late SplitDone ended the service")
+	}
+	if done, err := m.handleSolved(c, comm.Solved{Status: solver.StatusSAT, Model: model}); done || err != nil {
+		t.Fatalf("late Solved: done=%v err=%v", done, err)
+	}
+	if again := m.jobSnapshot(m.jobs[sat], true); !reflect.DeepEqual(again, res) {
+		t.Fatalf("late traffic changed the finished job: %+v", again)
+	}
+}
+
+// endlessDIMACS streams comment lines for ever, counting what was read.
+type endlessDIMACS struct{ read int64 }
+
+func (e *endlessDIMACS) Read(p []byte) (int, error) {
+	const line = "c filler filler filler filler filler filler filler filler\n"
+	n := 0
+	for n+len(line) <= len(p) {
+		n += copy(p[n:], line)
+	}
+	if n == 0 {
+		n = copy(p, line)
+	}
+	e.read += int64(n)
+	return n, nil
+}
+
+// TestSubmitBodyIsBounded: POST /jobs stops reading at maxSubmitBytes and
+// answers 413 with the structured error, instead of parsing whatever
+// arrives for as long as it arrives.
+func TestSubmitBodyIsBounded(t *testing.T) {
+	defer func(old int64) { maxSubmitBytes = old }(maxSubmitBytes)
+	maxSubmitBytes = 4 << 10
+	now := 1.0
+	svc := NewService(bareMaster(t, &now))
+
+	body := &endlessDIMACS{}
+	rec := httptest.NewRecorder()
+	svc.handleSubmit(rec, httptest.NewRequest(http.MethodPost, "/jobs", io.NopCloser(body)))
+	if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), `"error"`) {
+		t.Fatalf("oversize submit: HTTP %d %s", rec.Code, rec.Body)
+	}
+	if body.read > maxSubmitBytes+128<<10 {
+		t.Fatalf("read %d bytes of a body bounded at %d", body.read, maxSubmitBytes)
+	}
+
+	// Under the limit the body is parsed as before.
+	rec = httptest.NewRecorder()
+	svc.handleSubmit(rec, httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader("p cnf zero 3")))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("malformed small submit: HTTP %d, want 400", rec.Code)
+	}
+}

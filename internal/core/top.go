@@ -4,15 +4,14 @@ import (
 	"fmt"
 	"strings"
 
-	"gridsat/internal/comm"
 	"gridsat/internal/obs/history"
 )
 
 // This file renders the `gridsat top` dashboard: a fixed-width terminal
-// frame summarizing a running cluster from the master's /progress and
-// /status payloads. Rendering is a pure function of the two snapshots, so
-// one frame is exactly reproducible from canned inputs — the golden test
-// locks the layout, and the subcommand just polls and reprints.
+// frame summarizing a running cluster from the master's ClusterState (its
+// /status payload). Rendering is a pure function of that value, so one
+// frame is exactly reproducible from canned inputs — the golden test locks
+// the layout, and the subcommand just polls and reprints.
 
 // TopWidth is the default dashboard frame width in columns.
 const TopWidth = 80
@@ -36,48 +35,43 @@ const (
 	topSparkCell = 10
 )
 
-// RenderTop renders one dashboard frame from a progress snapshot and a
-// status snapshot. Every line is padded or truncated to exactly width
-// runes (minimum 40), so a refreshing terminal fully overwrites the
-// previous frame without clearing artifacts.
-func RenderTop(p ProgressSnapshot, s StatusSnapshot, width int) string {
-	return RenderTopSparks(p, s, nil, width)
-}
-
-// RenderTopSparks is RenderTop plus optional history sparklines: a
-// cluster trend line under the counters and a per-client conflict-rate
-// column. sp == nil reproduces RenderTop byte for byte.
-func RenderTopSparks(p ProgressSnapshot, s StatusSnapshot, sp *TopSparks, width int) string {
+// RenderTop renders one dashboard frame from a ClusterState. Every line is
+// padded or truncated to exactly width runes (minimum 40), so a refreshing
+// terminal fully overwrites the previous frame without clearing artifacts.
+// sp optionally adds history sparklines — a cluster trend line under the
+// counters and a per-client conflict-rate column; nil renders the
+// history-free frame.
+func RenderTop(st ClusterState, sp *TopSparks, width int) string {
 	if width < 40 {
 		width = 40
 	}
 	var b strings.Builder
 
-	verdict := p.Verdict
+	verdict := st.Verdict
 	if verdict == "" {
 		verdict = "running"
 	}
-	head := fmt.Sprintf("GridSAT %s  wall %s", verdict, fmtSeconds(p.WallSeconds))
+	head := fmt.Sprintf("GridSAT %s  wall %s", verdict, fmtSeconds(st.WallSeconds))
 	barRoom := width - len(head) - 12 // "  [" + bar + "] " + percent
 	if barRoom > 8 {
-		head += fmt.Sprintf("  [%s] %5.1f%%", progressBar(p.Coverage, barRoom), p.Coverage*100)
+		head += fmt.Sprintf("  [%s] %5.1f%%", progressBar(st.Coverage, barRoom), st.Coverage*100)
 	}
 	writeLine(&b, head, width)
 
 	writeLine(&b, fmt.Sprintf(
 		"closed %s subproblems  max depth %d  rate %s/s  ETA %s",
-		fmtCount(p.ClosedSubproblems), p.MaxClosedDepth,
-		fmtPercent(p.RatePerSec), fmtETA(p.ETASeconds)), width)
+		fmtCount(st.ClosedSubproblems), st.MaxClosedDepth,
+		fmtPercent(st.RatePerSec), fmtETA(st.ETASeconds)), width)
 
 	writeLine(&b, fmt.Sprintf(
 		"clients %d registered, %d busy  outstanding %d  backlog %d  splits %d  shared %s",
-		p.Registered, p.Busy, p.Outstanding, s.Backlog, s.Splits,
-		fmtCount(int64(s.Shared))), width)
+		st.Registered, st.Busy, st.Outstanding, st.Backlog, st.Splits,
+		fmtCount(int64(st.Shared))), width)
 
-	e := p.Efficacy
+	e := st.Efficacy
 	writeLine(&b, fmt.Sprintf(
 		"conflicts %s  implications %s  imported %s  useful %.1f%%  impl-share %.1f%%",
-		fmtCount(p.Conflicts), fmtCount(p.Implications), fmtCount(e.Imported),
+		fmtCount(st.Conflicts), fmtCount(st.Implications), fmtCount(e.Imported),
 		e.UsefulRatio*100, e.ImplicationShare*100), width)
 
 	if sp != nil && (len(sp.Coverage) > 0 || len(sp.Rate) > 0) {
@@ -89,11 +83,11 @@ func RenderTopSparks(p ProgressSnapshot, s StatusSnapshot, sp *TopSparks, width 
 	// Serve-mode masters carry the scheduler's per-job rows. A single-job
 	// master reports one implicit row (job 0), which the frame omits — the
 	// header line already tells that whole story.
-	if len(s.Jobs) > 0 && !(len(s.Jobs) == 1 && s.Jobs[0].ID == 0) {
+	if len(st.Jobs) > 0 && !(len(st.Jobs) == 1 && st.Jobs[0].ID == 0) {
 		writeLine(&b, "", width)
 		writeLine(&b, fmt.Sprintf("%4s  %-10s  %-9s  %3s  %4s  %6s  %8s  %-9s",
 			"JOB", "NAME", "STATE", "PRI", "CLI", "COV", "CONF/S", "VERDICT"), width)
-		for _, j := range s.Jobs {
+		for _, j := range st.Jobs {
 			verdict := j.Verdict
 			if verdict == "" {
 				verdict = "-"
@@ -113,15 +107,7 @@ func RenderTopSparks(p ProgressSnapshot, s StatusSnapshot, sp *TopSparks, width 
 	}
 	writeLine(&b, head2, width)
 
-	// The /progress client rows carry rates and depths; join the /status
-	// rows by ID for the learned-clause gauge and the per-worker view.
-	learnts := map[int]int{}
-	workers := map[int][]comm.WorkerReport{}
-	for _, c := range s.Clients {
-		learnts[c.ID] = c.DBLearnts
-		workers[c.ID] = c.Workers
-	}
-	for _, c := range p.Clients {
+	for _, c := range st.Clients {
 		state := "idle"
 		switch {
 		case c.Straggler:
@@ -131,7 +117,7 @@ func RenderTopSparks(p ProgressSnapshot, s StatusSnapshot, sp *TopSparks, width 
 		}
 		row := fmt.Sprintf("%4d  %-5s  %5d  %9.1f  %4.0f%%  %6.1f%%  %8s  %8d",
 			c.ID, state, c.Depth, c.ConflictsPerSec, c.Utilization*100,
-			c.ImportUseRatio*100, fmtBytes(c.MemBytes), learnts[c.ID])
+			c.ImportUseRatio*100, fmtBytes(c.MemBytes), c.DBLearnts)
 		if clientSparks {
 			row += "  " + history.Spark(sp.ClientRate[c.ID], topSparkCell)
 		}
@@ -139,7 +125,7 @@ func RenderTopSparks(p ProgressSnapshot, s StatusSnapshot, sp *TopSparks, width 
 		// Portfolio clients get one indented sub-row per in-host worker,
 		// with its diversification tag and point-in-time gauges. MEM and
 		// LEARNTS stay aligned with the parent columns.
-		for _, w := range workers[c.ID] {
+		for _, w := range c.Workers {
 			writeLine(&b, fmt.Sprintf("      w%-2d %-14.14s  conf %-7s rst %-4s%8s  %8d",
 				w.Worker, workerTag(w.Profile), fmtCount(w.Conflicts),
 				fmtCount(w.Restarts), fmtBytes(w.MemBytes), w.Learnts), width)

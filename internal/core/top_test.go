@@ -7,44 +7,37 @@ import (
 	"gridsat/internal/comm"
 )
 
-// topTestSnapshots builds the canned /progress + /status payload pair the
-// golden frame is rendered from.
-func topTestSnapshots() (ProgressSnapshot, StatusSnapshot) {
-	p := ProgressSnapshot{
+// topTestState builds the canned ClusterState the golden frame is
+// rendered from.
+func topTestState() ClusterState {
+	return ClusterState{
 		WallSeconds: 95.2, Coverage: 0.421875,
 		ClosedSubproblems: 57, MaxClosedDepth: 12,
 		RatePerSec: 0.0034, ETASeconds: 170.0,
 		Registered: 4, Busy: 3, Outstanding: 4,
-		Conflicts: 1234567, Implications: 45678901,
+		Backlog: 2, Splits: 14, Shared: 1234,
+		SolverDeltas: comm.SolverDeltas{Conflicts: 1234567, Implications: 45678901},
 		Efficacy: ShareEfficacy{Imported: 2345, ImportedUseful: 966,
 			ImportedImplications: 3609876, ImportedResolutions: 45678,
 			UsefulRatio: 0.412, ImplicationShare: 0.079},
-		Clients: []ClientProgress{
-			{ID: 1, Busy: true, Depth: 5, ConflictsPerSec: 1234.5, Utilization: 1.0, ImportUseRatio: 0.412, MemBytes: 12 << 20},
-			{ID: 2, Busy: true, Depth: 9, ConflictsPerSec: 123.4, Utilization: 0.0999, ImportUseRatio: 0.10, MemBytes: 9 << 20, Straggler: true},
-			{ID: 3, Busy: true, Depth: 7, ConflictsPerSec: 987.6, Utilization: 0.8, ImportUseRatio: 0.25, MemBytes: 31 << 20},
-			{ID: 4, Busy: false, Depth: 0, ConflictsPerSec: 0, Utilization: 0, ImportUseRatio: 0, MemBytes: 1 << 20},
+		Clients: []ClientState{
+			{ID: 1, Busy: true, Depth: 5, ConflictsPerSec: 1234.5, Utilization: 1.0, ImportUseRatio: 0.412, MemBytes: 12 << 20, DBLearnts: 4567},
+			{ID: 2, Busy: true, Depth: 9, ConflictsPerSec: 123.4, Utilization: 0.0999, ImportUseRatio: 0.10, MemBytes: 9 << 20, Straggler: true, DBLearnts: 123},
+			// Client 3 runs a two-worker in-host portfolio: its row carries
+			// per-worker gauges rendered as indented sub-rows.
+			{ID: 3, Busy: true, Depth: 7, ConflictsPerSec: 987.6, Utilization: 0.8, ImportUseRatio: 0.25, MemBytes: 31 << 20, DBLearnts: 2048,
+				Workers: []comm.WorkerReport{
+					{Worker: 0, Profile: "w0: pathfinder (base options)",
+						Conflicts: 1500, Restarts: 12, Learnts: 1024, MemBytes: 16 << 20},
+					{Worker: 1, Profile: "w1: seed=0xdeadbeef phase=neg save=false decay=128 restart=luby/512 import=96 export<=20",
+						Conflicts: 548, Restarts: 7, Learnts: 900, MemBytes: 15 << 20},
+				}},
+			{ID: 4, Busy: false, Depth: 0, ConflictsPerSec: 0, Utilization: 0, ImportUseRatio: 0, MemBytes: 1 << 20, DBLearnts: 0},
 		},
 	}
-	s := StatusSnapshot{
-		Backlog: 2, Splits: 14, Shared: 1234,
-		Clients: []ClientStatus{
-			{ID: 1, DBLearnts: 4567}, {ID: 2, DBLearnts: 123},
-			// Client 3 runs a two-worker in-host portfolio: its /status row
-			// carries per-worker gauges rendered as indented sub-rows.
-			{ID: 3, DBLearnts: 2048, Workers: []comm.WorkerReport{
-				{Worker: 0, Profile: "w0: pathfinder (base options)",
-					Conflicts: 1500, Restarts: 12, Learnts: 1024, MemBytes: 16 << 20},
-				{Worker: 1, Profile: "w1: seed=0xdeadbeef phase=neg save=false decay=128 restart=luby/512 import=96 export<=20",
-					Conflicts: 548, Restarts: 7, Learnts: 900, MemBytes: 15 << 20},
-			}},
-			{ID: 4, DBLearnts: 0},
-		},
-	}
-	return p, s
 }
 
-// topGolden is the expected 80-column frame for topTestSnapshots. The
+// topGolden is the expected 80-column frame for topTestState. The
 // renderer is pure, so any layout change must update this fixture
 // deliberately.
 const topGolden = "" +
@@ -62,8 +55,8 @@ const topGolden = "" +
 	"   4  idle       0        0.0     0%     0.0%    1.0MiB         0               \n"
 
 func TestRenderTopGolden(t *testing.T) {
-	p, s := topTestSnapshots()
-	got := RenderTop(p, s, 80)
+	st := topTestState()
+	got := RenderTop(st, nil, 80)
 	if got != topGolden {
 		t.Errorf("frame drifted from golden.\ngot:\n%s\nwant:\n%s", got, topGolden)
 		gl := strings.Split(got, "\n")
@@ -77,8 +70,8 @@ func TestRenderTopGolden(t *testing.T) {
 	}
 }
 
-// topJobsGolden is the expected 80-column frame when the /status payload
-// carries the scheduler's per-job rows (a serve-mode master): the job
+// topJobsGolden is the expected 80-column frame when the state carries
+// the scheduler's per-job rows (a serve-mode master): the job
 // table appears between the cluster summary and the client table, long
 // names truncate, and finished jobs show their verdict.
 const topJobsGolden = "" +
@@ -100,17 +93,17 @@ const topJobsGolden = "" +
 	"      w1  neg+luby        conf 548     rst 7    15.0MiB       900               \n" +
 	"   4  idle       0        0.0     0%     0.0%    1.0MiB         0               \n"
 
-// TestRenderTopJobsGolden locks the serve-mode frame layout. A status
-// payload with one implicit job 0 must NOT grow the section — that is the
+// TestRenderTopJobsGolden locks the serve-mode frame layout. A state
+// with one implicit job 0 must NOT grow the section — that is the
 // single-job frame, pinned byte-for-byte by TestRenderTopGolden.
 func TestRenderTopJobsGolden(t *testing.T) {
-	p, s := topTestSnapshots()
-	s.Jobs = []JobSnapshot{
+	st := topTestState()
+	st.Jobs = []JobSnapshot{
 		{ID: 1, Name: "php9", Priority: 1, State: "running", Clients: 2, Coverage: 0.253, ConflictRate: 812.5},
 		{ID: 2, Name: "factoring-xl", Priority: 3, State: "running", Clients: 1, Coverage: 0.04, ConflictRate: 96.1},
 		{ID: 3, Name: "rand3sat", Priority: 2, State: "done", Verdict: "SAT"},
 	}
-	got := RenderTop(p, s, 80)
+	got := RenderTop(st, nil, 80)
 	if got != topJobsGolden {
 		gl := strings.Split(got, "\n")
 		wl := strings.Split(topJobsGolden, "\n")
@@ -124,8 +117,8 @@ func TestRenderTopJobsGolden(t *testing.T) {
 	}
 
 	// The implicit single-job row keeps the classic frame.
-	s.Jobs = []JobSnapshot{{ID: 0, State: "running"}}
-	if RenderTop(p, s, 80) != topGolden {
+	st.Jobs = []JobSnapshot{{ID: 0, State: "running"}}
+	if RenderTop(st, nil, 80) != topGolden {
 		t.Error("implicit job-0 row changed the single-job frame")
 	}
 }
@@ -133,9 +126,9 @@ func TestRenderTopJobsGolden(t *testing.T) {
 // TestRenderTopFixedWidth checks the overwrite invariant: every line of a
 // frame is exactly the requested width, whatever the payload.
 func TestRenderTopFixedWidth(t *testing.T) {
-	p, s := topTestSnapshots()
+	st := topTestState()
 	for _, w := range []int{40, 60, 80, 120} {
-		frame := RenderTop(p, s, w)
+		frame := RenderTop(st, nil, w)
 		for i, line := range strings.Split(strings.TrimSuffix(frame, "\n"), "\n") {
 			if len(line) != w {
 				t.Fatalf("width %d, line %d is %d columns: %q", w, i+1, len(line), line)
@@ -143,7 +136,7 @@ func TestRenderTopFixedWidth(t *testing.T) {
 		}
 	}
 	// Absurdly narrow requests clamp to the 40-column floor.
-	frame := RenderTop(p, s, 1)
+	frame := RenderTop(st, nil, 1)
 	for _, line := range strings.Split(strings.TrimSuffix(frame, "\n"), "\n") {
 		if len(line) != 40 {
 			t.Fatalf("clamped frame line is %d columns", len(line))
@@ -151,10 +144,10 @@ func TestRenderTopFixedWidth(t *testing.T) {
 	}
 }
 
-// TestRenderTopEmpty renders the zero snapshots — the frame a dashboard
+// TestRenderTopEmpty renders the zero state — the frame a dashboard
 // shows the instant it connects, before any heartbeat arrives.
 func TestRenderTopEmpty(t *testing.T) {
-	frame := RenderTop(ProgressSnapshot{ETASeconds: -1}, StatusSnapshot{}, 80)
+	frame := RenderTop(ClusterState{ETASeconds: -1}, nil, 80)
 	if !strings.Contains(frame, "GridSAT running") {
 		t.Error("empty frame lost the headline")
 	}
@@ -166,11 +159,11 @@ func TestRenderTopEmpty(t *testing.T) {
 // TestRenderTopVerdict shows the final frame carries the verdict and a
 // saturated bar.
 func TestRenderTopVerdict(t *testing.T) {
-	p, s := topTestSnapshots()
-	p.Verdict = "UNSAT"
-	p.Coverage = 1.0
-	p.ETASeconds = 0
-	frame := RenderTop(p, s, 80)
+	st := topTestState()
+	st.Verdict = "UNSAT"
+	st.Coverage = 1.0
+	st.ETASeconds = 0
+	frame := RenderTop(st, nil, 80)
 	if !strings.Contains(frame, "GridSAT UNSAT") {
 		t.Error("verdict missing from headline")
 	}
@@ -185,16 +178,13 @@ func TestRenderTopVerdict(t *testing.T) {
 	}
 }
 
-// TestRenderTopSparks covers the history-backed frame: nil sparks must
-// reproduce RenderTop byte for byte, and populated sparks add the
+// TestRenderTopSparks covers the history-backed frame: nil and empty
+// sparks render the same history-free frame, and populated sparks add the
 // cluster trend line and the per-client HISTORY column while keeping
 // every line at the fixed width.
 func TestRenderTopSparks(t *testing.T) {
-	p, s := topTestSnapshots()
-	if RenderTopSparks(p, s, nil, 80) != RenderTop(p, s, 80) {
-		t.Fatal("nil sparks changed the frame")
-	}
-	if RenderTopSparks(p, s, &TopSparks{}, 80) != RenderTop(p, s, 80) {
+	st := topTestState()
+	if RenderTop(st, &TopSparks{}, 80) != RenderTop(st, nil, 80) {
 		t.Fatal("empty sparks changed the frame")
 	}
 	sp := &TopSparks{
@@ -205,7 +195,7 @@ func TestRenderTopSparks(t *testing.T) {
 			2: {400, 200, 123.4},
 		},
 	}
-	frame := RenderTopSparks(p, s, sp, 80)
+	frame := RenderTop(st, sp, 80)
 	if !strings.Contains(frame, "trend  cov [") {
 		t.Error("trend line missing")
 	}
@@ -223,7 +213,7 @@ func TestRenderTopSparks(t *testing.T) {
 	}
 	// Two more lines than the plain frame: trend + nothing else (the
 	// HISTORY column widens rows, it does not add them).
-	plain := strings.Count(RenderTop(p, s, 80), "\n")
+	plain := strings.Count(RenderTop(st, nil, 80), "\n")
 	if got := strings.Count(frame, "\n"); got != plain+1 {
 		t.Errorf("spark frame has %d lines, want %d", got, plain+1)
 	}

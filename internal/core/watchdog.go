@@ -110,13 +110,26 @@ type WatchClient struct {
 	MemBytes         int64   `json:"mem_bytes"`
 }
 
-// WatchSample is one tick of cluster state as the watchdog sees it.
+// WatchSample is one tick of cluster state as the watchdog retains it:
+// the few ClusterState fields its rules read, so a two-minute window does
+// not pin two minutes of full job and client lists.
 type WatchSample struct {
 	TSec     float64       `json:"t_sec"`
 	Coverage float64       `json:"coverage"`
 	Busy     int           `json:"busy"`
 	MemBytes int64         `json:"mem_bytes"`
 	Clients  []WatchClient `json:"clients,omitempty"`
+}
+
+// watch reduces a state to its watchdog sample.
+func (st *ClusterState) watch() WatchSample {
+	s := WatchSample{TSec: st.WallSeconds, Coverage: st.Coverage, Busy: st.Busy,
+		MemBytes: st.MemBytes, Clients: make([]WatchClient, len(st.Clients))}
+	for i, c := range st.Clients {
+		s.Clients[i] = WatchClient{ID: c.ID, Busy: c.Busy, Straggler: c.Straggler,
+			LastHeartbeatSec: c.LastHeartbeatSec, MemBytes: c.MemBytes}
+	}
+	return s
 }
 
 // Rule names, used as the Alert.Rule discriminator and in FEvAnomaly

@@ -74,6 +74,15 @@ type Endpoint struct {
 	H    http.HandlerFunc
 }
 
+// A connection gets readHeaderTimeout to deliver its request headers and
+// idleTimeout between requests, so a peer that connects and stalls cannot
+// hold a server goroutine for ever. Writes have no deadline:
+// /debug/pprof/profile and bundle capture stream for tens of seconds.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Serve starts an HTTP server for h on addr (":0" picks an ephemeral
 // port) and returns the server plus the bound address. The caller owns
 // shutdown via srv.Close.
@@ -82,7 +91,7 @@ func Serve(addr string, h http.Handler) (*http.Server, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	srv := &http.Server{Handler: h}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	go func() { _ = srv.Serve(ln) }()
 	return srv, ln.Addr().String(), nil
 }

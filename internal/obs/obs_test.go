@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -263,5 +264,34 @@ func TestServeEphemeral(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
 		t.Fatalf("status %d", resp.StatusCode)
+	}
+}
+
+// TestServeDropsStalledHeader: a peer that connects and sends half a
+// request header is hung up on once readHeaderTimeout passes, instead of
+// holding a server goroutine for as long as it likes.
+func TestServeDropsStalledHeader(t *testing.T) {
+	t.Parallel()
+	srv, addr, err := Serve("127.0.0.1:0", Handler(NewRegistry(), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /metrics HTTP/1.1\r\nHost: stalled\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_ = conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second))
+	_, err = io.Copy(io.Discard, conn) // returns nil when the server hangs up
+	if err != nil {
+		t.Fatalf("server kept the stalled connection open for %v: %v", time.Since(start), err)
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout/2 {
+		t.Fatalf("hung up after %v, before the header deadline", waited)
 	}
 }

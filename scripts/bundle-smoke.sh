@@ -5,7 +5,8 @@
 # structured 400 with the parse line, then captures a bundle via POST
 # /debug/bundle and another by cancelling a long job mid-run — and
 # asserts every bundle carries all five sections (flight log, pprof,
-# metrics+history, state, config) plus its manifest. Artifacts land in
+# metrics+history, state, config) plus its manifest, and that state.json
+# is one ClusterState with the client and the job in it. Artifacts land in
 # $SMOKE_DIR (default /tmp/gridsat-bundle-smoke) for CI upload.
 set -euo pipefail
 
@@ -100,6 +101,16 @@ check_bundle() { # dir
   done
   grep -q '"sections"' "$dir/MANIFEST.json" \
     || { echo "FAIL: bundle $dir manifest lists no sections"; exit 1; }
+  # state.json holds one ClusterState (not a status/progress pair) with
+  # the client and the job in it: indented JSON opens a non-empty array
+  # with a bare "[" at the end of the line.
+  if grep -q '"status":\|"progress":' "$dir/state.json"; then
+    echo "FAIL: bundle $dir state.json still nests status/progress views"; exit 1
+  fi
+  for list in clients jobs; do
+    grep -q "\"$list\": \[\$" "$dir/state.json" \
+      || { echo "FAIL: bundle $dir state.json has no $list"; exit 1; }
+  done
 }
 
 FOUND=0
