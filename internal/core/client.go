@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gridsat/internal/cnf"
@@ -44,9 +45,11 @@ type ClientConfig struct {
 	// SplitLearntMaxLen / Count bound clauses forwarded inside a split.
 	SplitLearntMaxLen   int
 	SplitLearntMaxCount int
-	// SliceConflicts is the solver quantum between control-plane checks.
+	// SliceConflicts is the solver quantum between control-plane checks
+	// (clause merges and share flushes; control kinds cut a slice short).
 	SliceConflicts int64
-	// MinRunTime floors the split timeout (see SplitDecision).
+	// MinRunTime floors the split timeout (see SplitDecision); 0 uses
+	// liveSplitFloor.
 	MinRunTime time.Duration
 	// HeartbeatEvery sends a StatusReport to the master after this many
 	// solver slices (0 = every 8 slices).
@@ -80,6 +83,21 @@ type ClientConfig struct {
 	Flight *trace.Flight
 }
 
+// liveSplitFloor is the wall-clock floor under §3.3's "split once the
+// subproblem has run twice as long as it took to receive" when the
+// configuration names none. The paper's 100 s guards a wide-area Grid
+// against ping-pong, and the DES keeps that scale: it always passes its own
+// floor (Config.SplitTimeoutVSec). On a loopback cluster a split round trip
+// (assign, peer-to-peer payload, accept) measured ≈ 35 ms when the donor
+// answered at its next slice boundary, which is what 100 ms ≈ 3 round
+// trips was sized on; now that the assignment cuts the slice it is ≈ 4 ms.
+// The sweep in EXPERIMENTS.md ("Live split floor"): at 500 ms the second
+// client idles through the first half of a second-long job (wall time
+// +57 %), at 20 ms jobs that live for tens of milliseconds start paying
+// for splits they cannot use; 100 ms is the smallest of the three that
+// costs them nothing.
+const liveSplitFloor = 100 * time.Millisecond
+
 func (c *ClientConfig) withDefaults() ClientConfig {
 	out := *c
 	if out.SliceConflicts == 0 {
@@ -89,7 +107,7 @@ func (c *ClientConfig) withDefaults() ClientConfig {
 		out.SpeedHint = 1
 	}
 	if out.MinRunTime == 0 {
-		out.MinRunTime = 500 * time.Millisecond
+		out.MinRunTime = liveSplitFloor
 	}
 	if out.ShareMaxLen == 0 {
 		out.ShareMaxLen = 10
@@ -145,8 +163,13 @@ type Client struct {
 	// port is the in-host portfolio (nil when Threads <= 1). slv aliases
 	// port.Pathfinder() while it is non-nil. pool totals the exchange
 	// telemetry of every portfolio already torn down.
-	port       *portfolio
-	pool       poolStats
+	port *portfolio
+	pool poolStats
+	// cut stops the engine(s) of the subproblem in flight — Solver.Stop, or
+	// every worker of a portfolio — and is nil while there is none. It is
+	// the one piece of solving state another goroutine may touch: the live
+	// shell's masterLoop calls it to end a slice early (see interrupts).
+	cut        atomic.Pointer[func()]
 	recvAt     float64 // when the current subproblem arrived
 	xferTime   float64
 	busy       bool
@@ -334,7 +357,37 @@ func (c *Client) masterLoop() {
 		case <-c.stopped:
 			return
 		}
+		// Queue first, then cut: Run looks at the queue before every slice,
+		// so a cut that lands between slices (or on a solver already gone)
+		// still finds its message handled before the next full slice, at
+		// the price of at most one empty one.
+		if interrupts(msg) {
+			c.cutSlice()
+		}
 	}
+}
+
+// cutSlice stops the engine(s) in flight, if any; Solve returns
+// ReasonStopped at its next step and stays resumable. Safe from any
+// goroutine.
+func (c *Client) cutSlice() {
+	if cut := c.cut.Load(); cut != nil {
+		(*cut)()
+	}
+}
+
+// interrupts reports whether a master message ends the running slice
+// instead of waiting for its boundary: the kinds somebody else is blocked
+// on (an idle peer waiting for its half, a scheduler waiting for the
+// client, a cluster waiting to stop). Shared clauses and base formulas
+// keep merging at slice boundaries, which is the paper's design.
+func interrupts(msg comm.Message) bool {
+	msg, _ = comm.Unwrap(msg)
+	switch msg.(type) {
+	case comm.SplitAssign, comm.Migrate, comm.Preempt, comm.StopWork, comm.Shutdown:
+		return true
+	}
+	return false
 }
 
 // peerLoop accepts P2P connections carrying split payloads from donors.
@@ -395,38 +448,33 @@ func (c *Client) stopLoops() {
 func (c *Client) Run() error {
 	defer c.stopLoops()
 	for {
-		if !c.busy {
+		var msg comm.Message
+		if c.busy {
+			// Busy: drain the control plane, then solve one slice.
 			select {
-			case msg := <-c.control:
-				if done := c.handleIdle(msg); done {
-					return nil
-				}
-			case <-c.stopped:
-				return nil
-			}
-			continue
-		}
-		// Busy: solve one slice, then drain the control plane.
-		if err := c.solveSlice(); err != nil {
-			return err
-		}
-	drain:
-		for {
-			select {
-			case msg := <-c.control:
-				if done := c.handle(msg); done {
-					return nil
-				}
+			case msg = <-c.control:
 			case <-c.stopped:
 				return nil
 			default:
-				break drain
+				if err := c.solveSlice(); err != nil {
+					return err
+				}
+				continue
 			}
+		} else {
+			select {
+			case msg = <-c.control:
+			case <-c.stopped:
+				return nil
+			}
+		}
+		if done := c.handle(msg); done {
+			return nil
 		}
 	}
 }
 
-// handle takes one control message at a slice boundary. It dispatches on
+// handle takes one control message between slices. It dispatches on
 // the client's state now, not the state the slice started in: the slice
 // may just have ended the subproblem (or an earlier message in the same
 // drain may have stopped it), and an assignment that lands in that window
@@ -573,15 +621,19 @@ func (c *Client) startSubproblem(splitID, job int, subs []*solver.Subproblem) {
 		}
 		c.slv = slv
 	}
+	cut := c.slv.Stop
+	if c.port != nil {
+		cut = c.port.StopAll
+	}
+	c.cut.Store(&cut)
 	c.busy = true
 	c.splitAsked = false
 	c.lastHB = solver.Stats{} // fresh solver: deltas restart from zero
 	c.recvAt = c.now()
-	if sub.Assumptions != nil {
-		// Rough transfer-time proxy, proportional to payload size (a
-		// microsecond per assumption, 16 per learnt clause).
-		c.xferTime = float64(len(sub.Assumptions)+16*len(sub.Learnts)) * 1e-6
-	}
+	// Rough transfer-time proxy, proportional to payload size (a
+	// microsecond per assumption, 16 per learnt clause); a root assignment
+	// carries neither, so it waits out the bare floor.
+	c.xferTime = float64(len(sub.Assumptions)+16*len(sub.Learnts)) * 1e-6
 	_ = c.sendMaster(comm.SplitDone{ClientID: c.id, SplitID: splitID, OK: true})
 }
 
@@ -666,6 +718,7 @@ func (c *Client) dropSolver() {
 		c.pool.add(c.port.PoolStats())
 	}
 	c.slv, c.port = nil, nil
+	c.cut.Store(nil)
 }
 
 // sendHeartbeat reports the current solver gauges plus the counter
@@ -797,11 +850,7 @@ func (c *Client) checkpointSub() *solver.Subproblem {
 
 // stopSolving tears the active solver (or portfolio) down and goes idle.
 func (c *Client) stopSolving() {
-	if c.port != nil {
-		c.port.StopAll()
-	} else if c.slv != nil {
-		c.slv.Stop()
-	}
+	c.cutSlice()
 	c.dropSolver()
 	c.busy = false
 }

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -213,6 +214,93 @@ func TestStopFromOtherGoroutine(t *testing.T) {
 	r := s.Solve(Limits{MaxConflicts: 10})
 	if r.Reason != ReasonConflictLimit && r.Reason != ReasonSolved {
 		t.Fatalf("post-stop solve: %v", r.Reason)
+	}
+}
+
+// A Stop that lands mid-Solve ends that call only: the search picks up at
+// the step it left, so however often a run is interrupted — here from a
+// second goroutine, as the live client's receive loop does — it reaches the
+// verdict, the model and the very counters of the uninterrupted run.
+func TestStopMidSolveThenResumeIsTheSameSearch(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		f    *cnf.Formula
+	}{
+		{"unsat", gen.Pigeonhole(8)},
+		{"sat", gen.PlantedKSAT(200, 840, 3, 5)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ref := New(tc.f, DefaultOptions())
+			want := ref.Solve(Limits{})
+
+			s := New(tc.f, DefaultOptions())
+			quit := make(chan struct{})
+			var stopper sync.WaitGroup
+			stopper.Add(1)
+			go func() {
+				defer stopper.Done()
+				for {
+					select {
+					case <-quit:
+						return
+					default:
+						s.Stop()
+						time.Sleep(50 * time.Microsecond)
+					}
+				}
+			}()
+			var got Result
+			stops := 0
+			for {
+				got = s.Solve(Limits{})
+				if got.Status != StatusUnknown {
+					break
+				}
+				if got.Reason != ReasonStopped {
+					t.Fatalf("unlimited Solve returned %v", got.Reason)
+				}
+				stops++
+			}
+			close(quit)
+			stopper.Wait()
+			if got.Status != want.Status {
+				t.Fatalf("interrupted %d times: verdict %v, uninterrupted %v", stops, got.Status, want.Status)
+			}
+			if got.Status == StatusSAT {
+				if err := tc.f.Verify(got.Model); err != nil {
+					t.Fatalf("model after %d stops rejected: %v", stops, err)
+				}
+			}
+			if s.Stats() != ref.Stats() {
+				t.Fatalf("interrupted %d times: stats %+v, uninterrupted %+v", stops, s.Stats(), ref.Stats())
+			}
+			t.Logf("%d stops over %d conflicts", stops, s.Stats().Conflicts)
+		})
+	}
+}
+
+// A Stop that finds no Solve running is not lost and not hoarded: the next
+// Solve returns at once having done nothing, and the one after runs its
+// full quantum, however many Stops piled up.
+func TestStopBetweenSolvesCostsOneEmptySlice(t *testing.T) {
+	s := New(gen.Pigeonhole(10), DefaultOptions())
+	if r := s.Solve(Limits{MaxConflicts: 50}); r.Reason != ReasonConflictLimit {
+		t.Fatalf("warm-up slice: %v", r.Reason)
+	}
+	before := s.Stats()
+	s.Stop()
+	s.Stop()
+	if r := s.Solve(Limits{MaxConflicts: 50}); r.Reason != ReasonStopped || r.Status != StatusUnknown {
+		t.Fatalf("slice after Stop: %v %v", r.Status, r.Reason)
+	}
+	if s.Stats() != before {
+		t.Fatalf("the empty slice searched: %+v, before %+v", s.Stats(), before)
+	}
+	if r := s.Solve(Limits{MaxConflicts: 50}); r.Reason != ReasonConflictLimit {
+		t.Fatalf("second slice after Stop: %v", r.Reason)
+	}
+	if got := s.Stats().Conflicts - before.Conflicts; got != 50 {
+		t.Fatalf("second slice ran %d conflicts, want its full 50", got)
 	}
 }
 
