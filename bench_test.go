@@ -116,7 +116,7 @@ func BenchmarkFigure1ConflictAnalysis(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		j := 0
-		opts := solver.DefaultOptions()
+		opts := solver.Fidelity2003()
 		opts.DecisionOverride = func(*solver.Solver) cnf.Lit {
 			if j < len(script) {
 				l := script[j]
@@ -142,7 +142,7 @@ func BenchmarkFigure2Split(b *testing.B) {
 	f := gen.Pigeonhole(9)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := solver.New(f, solver.DefaultOptions())
+		s := solver.New(f, solver.Fidelity2003())
 		s.Solve(solver.Limits{MaxConflicts: 50})
 		if s.DecisionLevel() == 0 {
 			b.Fatal("nothing to split")
@@ -241,7 +241,7 @@ func BenchmarkSolverPigeonhole(b *testing.B) {
 	f := gen.Pigeonhole(8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := solver.New(f, solver.DefaultOptions())
+		s := solver.New(f, solver.Fidelity2003())
 		if r := s.Solve(solver.Limits{}); r.Status != solver.StatusUNSAT {
 			b.Fatal("wrong answer")
 		}
@@ -274,7 +274,7 @@ func BenchmarkSolverPropagation(b *testing.B) {
 			var props int64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				s := solver.New(in.f, solver.DefaultOptions())
+				s := solver.New(in.f, solver.Fidelity2003())
 				b.StartTimer()
 				s.Solve(solver.Limits{MaxConflicts: 2000})
 				props += s.Stats().Propagations
@@ -299,7 +299,7 @@ func BenchmarkSolverConflictPath(b *testing.B) {
 			name = "minimize"
 		}
 		b.Run(name, func(b *testing.B) {
-			opts := solver.DefaultOptions()
+			opts := solver.Fidelity2003()
 			opts.MinimizeLearnts = minimize
 			opts.ShareMaxLen = 10
 			exported := 0
@@ -365,7 +365,7 @@ func BenchmarkInstrumentationOverhead(b *testing.B) {
 	f := gen.Pigeonhole(8)
 	b.Run("off", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s := solver.New(f, solver.DefaultOptions())
+			s := solver.New(f, solver.Fidelity2003())
 			if r := s.Solve(solver.Limits{}); r.Status != solver.StatusUNSAT {
 				b.Fatal("wrong answer")
 			}
@@ -374,7 +374,7 @@ func BenchmarkInstrumentationOverhead(b *testing.B) {
 	b.Run("on", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			rec := trace.NewRecorder(1 << 14)
-			opts := solver.DefaultOptions()
+			opts := solver.Fidelity2003()
 			opts.Instrument = rec.Hook()
 			s := solver.New(f, opts)
 			if r := s.Solve(solver.Limits{}); r.Status != solver.StatusUNSAT {
@@ -384,13 +384,13 @@ func BenchmarkInstrumentationOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationMinimization compares the 2003-faithful engine against
-// learned-clause minimization (a post-Chaff refinement, off by default).
-func BenchmarkAblationMinimization(b *testing.B) {
+// BenchmarkAblationEngine compares the 2003-faithful engine against
+// learned-clause minimization alone and against the shipped preset.
+func BenchmarkAblationEngine(b *testing.B) {
 	f := ablationFormula()
 	for i := 0; i < b.N; i++ {
-		out := bench.AblationMinimization(f, bench.Options{Seed: 1})
-		if len(out) != 2 {
+		out := bench.AblationEngine(f, bench.Options{Seed: 1})
+		if len(out) != 3 {
 			b.Fatal("sweep incomplete")
 		}
 	}
@@ -412,7 +412,7 @@ func BenchmarkPreprocess(b *testing.B) {
 func BenchmarkProofCheck(b *testing.B) {
 	f := gen.Pigeonhole(7)
 	var lemmas []cnf.Clause
-	opts := solver.DefaultOptions()
+	opts := solver.Fidelity2003()
 	opts.OnLemma = func(c cnf.Clause) { lemmas = append(lemmas, c.Clone()) }
 	if r := solver.New(f, opts).Solve(solver.Limits{}); r.Status != solver.StatusUNSAT {
 		b.Fatal("php7 must be UNSAT")

@@ -29,7 +29,7 @@ func main() {
 		rows        = flag.String("rows", "", "comma-separated row filter")
 		scale       = flag.Float64("scale", 1.0, "budget scale factor (1.0 = paper-faithful)")
 		seed        = flag.Int64("seed", 1, "grid contention seed")
-		ablation    = flag.String("ablation", "", "sharelen | splittimeout | pruning | ranking | minimize | topology | split | hybrid | sched")
+		ablation    = flag.String("ablation", "", "sharelen | splittimeout | pruning | ranking | engine | topology | split | hybrid | sched")
 		schedJobs   = flag.Int("sched-jobs", 8, "job count for the sched ablation's Poisson workload")
 		schedGap    = flag.Float64("sched-gap", 8, "mean inter-arrival gap (vsec) for the sched ablation")
 		ablationOut = flag.String("ablation-out", "", "also write the ablation's machine-readable JSON here (split and hybrid)")
@@ -143,9 +143,9 @@ func runAblation(kind, outPath string, opts bench.Options) {
 	case "ranking":
 		fmt.Print(bench.RenderAblation("NWS scheduler ranking vs flat placement",
 			bench.AblationRanking(f, opts)))
-	case "minimize":
-		fmt.Print(bench.RenderAblation("learned-clause minimization (post-Chaff refinement)",
-			bench.AblationMinimization(f, opts)))
+	case "engine":
+		fmt.Print(bench.RenderAblation("engine preset (Fidelity2003 vs the shipped DefaultOptions)",
+			bench.AblationEngine(f, opts)))
 	case "topology":
 		fmt.Print(bench.RenderAblation("clause-sharing topology (master relay vs P2P)",
 			bench.AblationSharingTopology(f, opts)))

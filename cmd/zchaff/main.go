@@ -55,7 +55,7 @@ func main() {
 		}
 	}
 
-	opts := solver.DefaultOptions()
+	opts := solver.Fidelity2003() // the paper's sequential baseline
 	opts.PruneLevel0 = !*noPrune
 	opts.Seed = *seed
 	if *noRestart {

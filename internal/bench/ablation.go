@@ -61,7 +61,7 @@ func AblationPruning(f *cnf.Formula, opts Options) []AblationResult {
 	var out []AblationResult
 	for _, prune := range []bool{true, false} {
 		cfg := ablationConfig(f, opts)
-		so := solver.DefaultOptions()
+		so := solver.Fidelity2003()
 		so.PruneLevel0 = prune
 		cfg.SolverOptions = &so
 		out = append(out, AblationResult{
@@ -114,19 +114,25 @@ func RenderAblation(name string, results []AblationResult) string {
 	return b.String()
 }
 
-// AblationMinimization compares the 2003-faithful engine (no learned-
-// clause minimization) against the post-Chaff refinement, distributed.
-func AblationMinimization(f *cnf.Formula, opts Options) []AblationResult {
+// AblationEngine prices the two engine presets distributed, in virtual
+// seconds: the paper's 2003 client, that client with learned-clause
+// minimization alone, and the shipped engine (minimization plus
+// LBD-ordered database reduction).
+func AblationEngine(f *cnf.Formula, opts Options) []AblationResult {
+	minimized := solver.Fidelity2003()
+	minimized.MinimizeLearnts = true
 	var out []AblationResult
-	for _, min := range []bool{false, true} {
+	for _, arm := range []struct {
+		label string
+		so    solver.Options
+	}{
+		{"fidelity2003", solver.Fidelity2003()},
+		{"+minimize", minimized},
+		{"default", solver.DefaultOptions()},
+	} {
 		cfg := ablationConfig(f, opts)
-		so := solver.DefaultOptions()
-		so.MinimizeLearnts = min
-		cfg.SolverOptions = &so
-		out = append(out, AblationResult{
-			Label:  fmt.Sprintf("minimize-learnts=%v", min),
-			Result: core.RunDistributed(cfg),
-		})
+		cfg.SolverOptions = &arm.so
+		out = append(out, AblationResult{Label: arm.label, Result: core.RunDistributed(cfg)})
 	}
 	return out
 }

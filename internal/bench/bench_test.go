@@ -183,10 +183,10 @@ func TestOutcomeCells(t *testing.T) {
 	}
 }
 
-func TestAblationMinimizationRuns(t *testing.T) {
+func TestAblationEngineRuns(t *testing.T) {
 	f := gen.Pigeonhole(8)
-	out := AblationMinimization(f, Options{Seed: 1})
-	if len(out) != 2 {
+	out := AblationEngine(f, Options{Seed: 1})
+	if len(out) != 3 {
 		t.Fatal("sweep incomplete")
 	}
 	for _, r := range out {

@@ -56,7 +56,7 @@ func AblationInstrumentation(f *cnf.Formula, rounds int) []OverheadResult {
 	for _, arm := range arms {
 		best := OverheadResult{Label: arm.label}
 		for i := 0; i < rounds; i++ {
-			opts := solver.DefaultOptions()
+			opts := solver.Fidelity2003()
 			arm.tune(&opts)
 			s := solver.New(f, opts)
 			start := time.Now()

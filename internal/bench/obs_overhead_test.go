@@ -40,7 +40,7 @@ func TestAblationInstrumentationDeterminism(t *testing.T) {
 func solveArm(b *testing.B, f *cnf.Formula, tune func(*solver.Options)) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		opts := solver.DefaultOptions()
+		opts := solver.Fidelity2003()
 		tune(&opts)
 		s := solver.New(f, opts)
 		if res := s.Solve(solver.Limits{}); res.Status == solver.StatusUnknown {

@@ -14,7 +14,7 @@ func CaptureShareTraffic(f *cnf.Formula, shareMaxLen, batchSize int, maxConflict
 	if batchSize <= 0 {
 		batchSize = 16
 	}
-	opts := solver.DefaultOptions()
+	opts := solver.Fidelity2003()
 	opts.ShareMaxLen = shareMaxLen
 	var batches []comm.ShareClauses
 	var cur []cnf.Clause

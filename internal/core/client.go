@@ -65,7 +65,8 @@ type ClientConfig struct {
 	// master as one client. 0 or 1 preserves single-solver behavior
 	// exactly; the pathfinder (worker 0) always runs the base options.
 	Threads int
-	// SolverOptions tunes the engine; zero value uses solver defaults.
+	// SolverOptions tunes the engine; nil runs solver.DefaultOptions, the
+	// shipped engine (the DES passes solver.Fidelity2003 here).
 	SolverOptions *solver.Options
 	// Counters, when set, receives the always-on solver metrics
 	// (decisions, conflicts, propagations, ...) for every subproblem this

@@ -392,7 +392,9 @@ type Master struct {
 	// sharedDropped counts best-effort ShareClauses messages discarded
 	// because a client's outbound queue was full.
 	sharedDropped int64
-	result        Result
+	// shareTo is handleShare's recipient list, reused from batch to batch.
+	shareTo []int
+	result  Result
 	// clusterAgg sums every heartbeat delta ever received, independent of
 	// the clients map, so totals survive client churn (a departed client's
 	// contribution is never lost).
@@ -1151,37 +1153,52 @@ func (m *Master) handleShare(c *masterClient, msg comm.ShareClauses) {
 	if j == nil || !j.State.Active() {
 		return
 	}
-	// Copy on receipt: over the in-process transport the sender may still
-	// hold (and mutate) the slices it sent, so the fan-out must never
-	// alias them. Duplicate suppression is by bounded fingerprint window;
-	// a rare collision or eviction only costs one best-effort share.
-	var fresh []cnf.Clause
-	for _, cl := range msg.Clauses {
-		if !j.seenShared.Add(cl.Fingerprint()) {
-			m.met.shareDedup.Inc()
-			continue
-		}
-		fresh = append(fresh, cl.Clone())
-	}
-	if len(fresh) == 0 {
-		return
-	}
-	m.result.SharedClauses += len(fresh)
-	j.shared += len(fresh)
-	m.met.shared.Add(int64(len(fresh)))
-	m.femit(trace.FEvent{Kind: trace.FEvShareRelay, Client: c.id, Job: j.ID,
-		N: int64(len(fresh)), Parent: m.inTI.Parent})
-	// Encode the batch once; every peer's writeLoop sends the same frame.
-	var out comm.Message = comm.ShareClauses{From: c.id, Job: j.ID, Clauses: fresh}
-	if e, err := comm.EncodeMessage(out); err == nil {
-		out = e
-	}
+	// Recipients first: a job held by the sender alone (every job too short
+	// to split) has none, and then nothing is copied or encoded. The dedup
+	// window, the counters and the relay event do not depend on who listens.
+	to := m.shareTo[:0]
 	for _, id := range m.order {
 		other := m.clients[id]
 		if other.id == c.id || other.addr == "" || other.job != j.ID {
 			continue
 		}
-		m.send(other.id, out)
+		to = append(to, other.id)
+	}
+	m.shareTo = to
+	// Copy on receipt: over the in-process transport the sender may still
+	// hold (and mutate) the slices it sent, so the fan-out must never
+	// alias them. Duplicate suppression is by bounded fingerprint window;
+	// a rare collision or eviction only costs one best-effort share.
+	var fresh []cnf.Clause
+	n := 0
+	for _, cl := range msg.Clauses {
+		if !j.seenShared.Add(cl.Fingerprint()) {
+			m.met.shareDedup.Inc()
+			continue
+		}
+		n++
+		if len(to) > 0 {
+			fresh = append(fresh, cl.Clone())
+		}
+	}
+	if n == 0 {
+		return
+	}
+	m.result.SharedClauses += n
+	j.shared += n
+	m.met.shared.Add(int64(n))
+	m.femit(trace.FEvent{Kind: trace.FEvShareRelay, Client: c.id, Job: j.ID,
+		N: int64(n), Parent: m.inTI.Parent})
+	if len(to) == 0 {
+		return
+	}
+	// Encode the batch once; every peer's writeLoop sends the same frame.
+	var out comm.Message = comm.ShareClauses{From: c.id, Job: j.ID, Clauses: fresh}
+	if e, err := comm.EncodeMessage(out); err == nil {
+		out = e
+	}
+	for _, id := range to {
+		m.send(id, out)
 	}
 }
 

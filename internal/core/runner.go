@@ -67,7 +67,8 @@ type RunnerConfig struct {
 	MasterHostID int
 	// MaxClients caps the pool (0 = all hosts).
 	MaxClients int
-	// SolverOptions tunes client engines; nil uses solver defaults.
+	// SolverOptions tunes client engines; nil runs solver.Fidelity2003,
+	// the paper's engine, which every virtual-time table is pinned to.
 	SolverOptions *solver.Options
 	// Threads is each simulated client's in-host portfolio width: worker 0
 	// (the pathfinder) runs the unmodified options and alone drives the
@@ -205,6 +206,10 @@ func (c *RunnerConfig) withDefaults() RunnerConfig {
 	if out.MasterHostID < 0 && len(c.Grid.Hosts) > 0 {
 		out.MasterHostID = c.Grid.Hosts[len(c.Grid.Hosts)-1].ID
 	}
+	if out.SolverOptions == nil {
+		so := solver.Fidelity2003()
+		out.SolverOptions = &so
+	}
 	return out
 }
 
@@ -311,17 +316,18 @@ func (r SimResult) Efficacy() ShareEfficacy {
 // zChaff 2003 did (no aggressive database reduction), so hard instances
 // genuinely exhaust memory — the "MEM_OUT" rows of Table 1.
 func RunSequential(cfg RunnerConfig) SimResult {
+	// Read before withDefaults fills in the clients' preset, which reduces.
+	opts := solver.Fidelity2003()
+	opts.MaxLearnts = 1 << 30 // zChaff-2003-style retention
+	if cfg.SolverOptions != nil {
+		opts = *cfg.SolverOptions
+	}
 	cfg = cfg.withDefaults()
 	host := cfg.Grid.Hosts[0]
 	for _, h := range cfg.Grid.Hosts {
 		if h.Speed > host.Speed {
 			host = h
 		}
-	}
-	opts := solver.DefaultOptions()
-	opts.MaxLearnts = 1 << 30 // zChaff-2003-style retention
-	if cfg.SolverOptions != nil {
-		opts = *cfg.SolverOptions
 	}
 	s := solver.New(cfg.Formula, opts)
 	memBudget := host.MemBytes / cfg.MemDivisor * 60 / 100

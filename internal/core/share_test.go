@@ -11,6 +11,7 @@ import (
 	"gridsat/internal/comm"
 	"gridsat/internal/gen"
 	"gridsat/internal/obs"
+	"gridsat/internal/trace"
 )
 
 // TestClauseWindowBounded is the regression test for the unbounded
@@ -486,5 +487,87 @@ func TestMasterShareWindowBounded(t *testing.T) {
 	}
 	if got := m.jobs[0].seenShared.Len(); got > 2*window {
 		t.Fatalf("share window holds %d fingerprints after sustained sharing, want <= %d", got, 2*window)
+	}
+}
+
+// TestMasterShareRelayPicksRecipientsFirst steps handleShare on a master
+// with a captured outbox. A job held by its sender alone — every job too
+// short to split — has nobody to relay to: nothing is sent, and the batch
+// is neither cloned nor encoded (at the parent commit every fresh clause
+// was cloned and the batch encoded before the recipient loop found no one),
+// while the dedup window, the shared counters and the relay event behave as
+// with an audience. With other holders the batch is encoded once.
+func TestMasterShareRelayPicksRecipientsFirst(t *testing.T) {
+	type sent struct {
+		to  int
+		msg comm.Message
+	}
+	const batchLen = 64
+	batch := func(round int) comm.ShareClauses {
+		cs := make([]cnf.Clause, batchLen)
+		for i := range cs {
+			cs[i] = cnf.NewClause(round*batchLen+i+1, -(round*batchLen + i + 2))
+		}
+		return comm.ShareClauses{From: 1, Clauses: cs}
+	}
+	for _, holders := range []int{1, 2, 3} {
+		t.Run(fmt.Sprintf("holders=%d", holders), func(t *testing.T) {
+			var outbox []sent
+			fl := trace.NewFlight(nil)
+			m, err := newMaster(MasterConfig{Formula: gen.Pigeonhole(4), Flight: fl},
+				func() float64 { return 0 },
+				func(to int, msg comm.Message) { outbox = append(outbox, sent{to, msg}) },
+				func(BundleSpec) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < holders; i++ {
+				c := m.clients[m.connect()]
+				c.addr, c.busy = fmt.Sprintf("addr-%d", c.id), true
+			}
+			m.clients[m.connect()].job = 7 // registered elsewhere: never a recipient
+			sender := m.clients[1]
+
+			m.handleShare(sender, batch(0))
+			if got := m.result.SharedClauses; got != batchLen {
+				t.Fatalf("shared counter = %d, want %d", got, batchLen)
+			}
+			if n := len(fl.Events()); n != 1 || fl.Events()[0].Kind != trace.FEvShareRelay || fl.Events()[0].N != batchLen {
+				t.Fatalf("flight log after one batch: %+v", fl.Events())
+			}
+			m.handleShare(sender, batch(0)) // all duplicates now
+			if m.result.SharedClauses != batchLen || len(fl.Events()) != 1 {
+				t.Fatal("a replayed batch got past the dedup window")
+			}
+			if len(outbox) != holders-1 {
+				t.Fatalf("%d sends, want %d", len(outbox), holders-1)
+			}
+			for _, s := range outbox {
+				if s.to == sender.id {
+					t.Fatal("batch relayed back to its sender")
+				}
+				if s.msg != outbox[0].msg {
+					t.Fatal("recipients got separately encoded frames")
+				}
+				if _, ok := s.msg.(*comm.EncodedMessage); !ok {
+					t.Fatalf("relayed %T, want one encoded frame", s.msg)
+				}
+			}
+			if holders > 1 {
+				return
+			}
+			// No recipient: a batch of fresh clauses must cost far fewer
+			// allocations than one clone per clause.
+			round := 0
+			allocs := testing.AllocsPerRun(20, func() {
+				round++
+				m.handleShare(sender, batch(round))
+			})
+			// batch() itself allocates batchLen clauses + 1 slice per round.
+			if own := float64(batchLen + 1); allocs > own+batchLen/4 {
+				t.Fatalf("%.0f allocations per %d-clause batch with nobody to relay to (the batch itself is %.0f)",
+					allocs, batchLen, own)
+			}
+		})
 	}
 }

@@ -10,13 +10,20 @@ import (
 	"gridsat/internal/solver"
 )
 
-// solveWithProof runs the engine with proof logging and returns the
-// formula's status plus the captured lemma stream.
+// solveWithProof runs the shipped engine with proof logging and returns
+// the formula's status plus the captured lemma stream.
 func solveWithProof(t *testing.T, f *cnf.Formula) (solver.Status, []cnf.Clause) {
+	t.Helper()
+	status, lemmas, _ := solveWithProofUnder(t, f, solver.DefaultOptions())
+	return status, lemmas
+}
+
+// solveWithProofUnder is solveWithProof for a given engine configuration;
+// it also returns the run's counters.
+func solveWithProofUnder(t *testing.T, f *cnf.Formula, opts solver.Options) (solver.Status, []cnf.Clause, solver.Stats) {
 	t.Helper()
 	var buf bytes.Buffer
 	pw := NewWriter(&buf)
-	opts := solver.DefaultOptions()
 	opts.OnLemma = pw.Hook()
 	s := solver.New(f, opts)
 	r := s.Solve(solver.Limits{})
@@ -27,7 +34,7 @@ func solveWithProof(t *testing.T, f *cnf.Formula) (solver.Status, []cnf.Clause) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r.Status, lemmas
+	return r.Status, lemmas, s.Stats()
 }
 
 func TestUNSATProofChecks(t *testing.T) {
@@ -41,12 +48,51 @@ func TestUNSATProofChecks(t *testing.T) {
 		{"r3-120", gen.RandomKSAT(120, 511, 3, 1)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			status, lemmas := solveWithProof(t, tc.f)
+			for _, p := range []struct {
+				name string
+				opts solver.Options
+			}{
+				{"Fidelity2003", solver.Fidelity2003()}, // what `zchaff -proof` logs
+				{"DefaultOptions", solver.DefaultOptions()},
+			} {
+				t.Run(p.name, func(t *testing.T) {
+					status, lemmas, _ := solveWithProofUnder(t, tc.f, p.opts)
+					if status != solver.StatusUNSAT {
+						t.Fatalf("expected UNSAT, got %v", status)
+					}
+					if len(lemmas) == 0 {
+						t.Fatal("no lemmas emitted")
+					}
+					if err := Check(tc.f, lemmas); err != nil {
+						t.Fatalf("proof rejected: %v", err)
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestProofUnderLBDReduction: the shipped engine minimizes every lemma and
+// deletes learnts by glue; a log taken through OnLemma while both happen
+// must still be a RUP refutation. The cap is tightened so reductions fire
+// many times on instances this small.
+func TestProofUnderLBDReduction(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		f    *cnf.Formula
+	}{
+		{"php7", gen.Pigeonhole(7)},
+		{"r3-120", gen.RandomKSAT(120, 511, 3, 1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := solver.DefaultOptions()
+			opts.MaxLearnts = 100
+			status, lemmas, stats := solveWithProofUnder(t, tc.f, opts)
 			if status != solver.StatusUNSAT {
 				t.Fatalf("expected UNSAT, got %v", status)
 			}
-			if len(lemmas) == 0 {
-				t.Fatal("no lemmas emitted")
+			if stats.Deleted == 0 {
+				t.Fatal("no reduction deleted anything: the fixture does not cover reduceDB")
 			}
 			if err := Check(tc.f, lemmas); err != nil {
 				t.Fatalf("proof rejected: %v", err)
@@ -164,19 +210,11 @@ func TestCheckErrorStrings(t *testing.T) {
 // TestProofWithMinimization: the minimized engine's proofs must check too.
 func TestProofWithMinimization(t *testing.T) {
 	f := gen.Pigeonhole(7)
-	var buf bytes.Buffer
-	pw := NewWriter(&buf)
-	opts := solver.DefaultOptions()
+	opts := solver.Fidelity2003()
 	opts.MinimizeLearnts = true
-	opts.OnLemma = pw.Hook()
-	s := solver.New(f, opts)
-	if r := s.Solve(solver.Limits{}); r.Status != solver.StatusUNSAT {
-		t.Fatalf("got %v", r.Status)
-	}
-	pw.Flush()
-	lemmas, err := Parse(&buf)
-	if err != nil {
-		t.Fatal(err)
+	status, lemmas, _ := solveWithProofUnder(t, f, opts)
+	if status != solver.StatusUNSAT {
+		t.Fatalf("got %v", status)
 	}
 	if err := Check(f, lemmas); err != nil {
 		t.Fatalf("minimized proof rejected: %v", err)

@@ -60,31 +60,33 @@ func TestHeavyCheckpointCap(t *testing.T) {
 // TestCheckpointPreservesAnswer: restoring from a mid-run checkpoint must
 // reach the same SAT/UNSAT verdict as the oracle on the original formula.
 func TestCheckpointPreservesAnswer(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		f := gen.RandomKSAT(10, 43, 3, seed)
-		want, _ := brute.Solve(f, 0)
-		s := New(f, DefaultOptions())
-		s.Solve(Limits{MaxConflicts: 3})
-		if s.Status() != StatusUnknown {
-			continue
-		}
-		for _, kind := range []CheckpointKind{LightCheckpoint, HeavyCheckpoint} {
-			cp := s.Checkpoint(kind, 0)
-			restored, err := Restore(f, cp, DefaultOptions())
-			if err != nil {
-				t.Fatal(err)
+	underEachPreset(t, func(t *testing.T, preset func() Options) {
+		for seed := int64(0); seed < 20; seed++ {
+			f := gen.RandomKSAT(10, 43, 3, seed)
+			want, _ := brute.Solve(f, 0)
+			s := New(f, preset())
+			s.Solve(Limits{MaxConflicts: 3})
+			if s.Status() != StatusUnknown {
+				continue
 			}
-			r := restored.Solve(Limits{})
-			if (r.Status == StatusSAT) != (want == brute.SAT) {
-				t.Fatalf("seed %d kind %d: restored=%v brute=%v", seed, kind, r.Status, want)
-			}
-			if r.Status == StatusSAT {
-				if err := f.Verify(r.Model); err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
+			for _, kind := range []CheckpointKind{LightCheckpoint, HeavyCheckpoint} {
+				cp := s.Checkpoint(kind, 0)
+				restored, err := Restore(f, cp, preset())
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := restored.Solve(Limits{})
+				if (r.Status == StatusSAT) != (want == brute.SAT) {
+					t.Fatalf("seed %d kind %d: restored=%v brute=%v", seed, kind, r.Status, want)
+				}
+				if r.Status == StatusSAT {
+					if err := f.Verify(r.Model); err != nil {
+						t.Fatalf("seed %d: %v", seed, err)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestCheckpointAfterSplitPreservesHalf: a checkpoint taken after a split

@@ -31,7 +31,7 @@ func figure1Formula() *cnf.Formula {
 // clause 8 at the same level.
 func TestFigure1Walkthrough(t *testing.T) {
 	var checked bool
-	opts := DefaultOptions()
+	opts := Fidelity2003()
 	step := 0
 	opts.DecisionOverride = func(s *Solver) cnf.Lit {
 		switch step {
@@ -79,7 +79,7 @@ func TestFigure1ConflictAnalysis(t *testing.T) {
 		cnf.PosLit(10), // L6: V11 = true → cascade → conflict
 	}
 	i := 0
-	opts := DefaultOptions()
+	opts := Fidelity2003()
 	opts.DecisionOverride = func(s *Solver) cnf.Lit {
 		if i < len(script) {
 			l := script[i]
@@ -146,7 +146,7 @@ func TestFigure1ConflictAnalysis(t *testing.T) {
 // when search continues past the analyzed conflict.
 func TestFigure1FullSolve(t *testing.T) {
 	f := figure1Formula()
-	s := New(f, DefaultOptions())
+	s := New(f, Fidelity2003())
 	r := s.Solve(Limits{})
 	if r.Status != StatusSAT {
 		t.Fatalf("got %v", r.Status)

@@ -123,38 +123,40 @@ func TestImportHonoredInResult(t *testing.T) {
 // TestImportSoundness checks that importing clauses learned by a second
 // solver on the same formula never changes the answer.
 func TestImportSoundness(t *testing.T) {
-	for seed := int64(0); seed < 25; seed++ {
-		f := gen.RandomKSAT(10, 43, 3, seed)
-		want, _ := brute.Solve(f, 0)
+	underEachPreset(t, func(t *testing.T, preset func() Options) {
+		for seed := int64(0); seed < 25; seed++ {
+			f := gen.RandomKSAT(10, 43, 3, seed)
+			want, _ := brute.Solve(f, 0)
 
-		// Harvest clauses from an exporting solver.
-		var mu sync.Mutex
-		var shared []cnf.Clause
-		expOpts := DefaultOptions()
-		expOpts.ShareMaxLen = 4
-		expOpts.OnLearn = func(c cnf.Clause, _ int) {
-			mu.Lock()
-			shared = append(shared, c)
-			mu.Unlock()
-		}
-		New(f, expOpts).Solve(Limits{})
+			// Harvest clauses from an exporting solver.
+			var mu sync.Mutex
+			var shared []cnf.Clause
+			expOpts := preset()
+			expOpts.ShareMaxLen = 4
+			expOpts.OnLearn = func(c cnf.Clause, _ int) {
+				mu.Lock()
+				shared = append(shared, c)
+				mu.Unlock()
+			}
+			New(f, expOpts).Solve(Limits{})
 
-		// Feed them to a fresh solver mid-flight.
-		s := New(f, DefaultOptions())
-		s.Solve(Limits{MaxConflicts: 2})
-		if err := s.ImportClauses(shared); err != nil {
-			t.Fatal(err)
-		}
-		r := s.Solve(Limits{})
-		if (r.Status == StatusSAT) != (want == brute.SAT) {
-			t.Fatalf("seed %d: with imports got %v, brute says %v", seed, r.Status, want)
-		}
-		if r.Status == StatusSAT {
-			if err := f.Verify(r.Model); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
+			// Feed them to a fresh solver mid-flight.
+			s := New(f, preset())
+			s.Solve(Limits{MaxConflicts: 2})
+			if err := s.ImportClauses(shared); err != nil {
+				t.Fatal(err)
+			}
+			r := s.Solve(Limits{})
+			if (r.Status == StatusSAT) != (want == brute.SAT) {
+				t.Fatalf("seed %d: with imports got %v, brute says %v", seed, r.Status, want)
+			}
+			if r.Status == StatusSAT {
+				if err := f.Verify(r.Model); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestImportMergeForcedRestart: a solver deep in search with a waiting

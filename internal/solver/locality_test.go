@@ -24,55 +24,59 @@ func impliedByBase(f *cnf.Formula, c cnf.Clause) bool {
 // derivation used the assumptions are "only valid for the current client"
 // and must stay local.
 func TestExportedClausesGloballyValidUnderAssumptions(t *testing.T) {
-	for seed := int64(0); seed < 12; seed++ {
-		f := gen.RandomKSAT(14, 60, 3, seed)
-		var exported []cnf.Clause
-		opts := DefaultOptions()
-		opts.ShareMaxLen = 14
-		opts.OnLearn = func(c cnf.Clause, _ int) { exported = append(exported, c) }
-		s := New(f, opts)
-		// Guiding-path assumptions, as a split recipient would get.
-		if err := s.Assume(cnf.PosLit(0), cnf.NegLit(1), cnf.PosLit(2)); err != nil {
-			t.Fatal(err)
-		}
-		if s.Status() != StatusUnknown {
-			continue
-		}
-		s.Solve(Limits{})
-		for _, c := range exported {
-			if !impliedByBase(f, c) {
-				t.Fatalf("seed %d: exported clause %v not implied by the base formula", seed, c)
+	underEachPreset(t, func(t *testing.T, preset func() Options) {
+		for seed := int64(0); seed < 12; seed++ {
+			f := gen.RandomKSAT(14, 60, 3, seed)
+			var exported []cnf.Clause
+			opts := preset()
+			opts.ShareMaxLen = 14
+			opts.OnLearn = func(c cnf.Clause, _ int) { exported = append(exported, c) }
+			s := New(f, opts)
+			// Guiding-path assumptions, as a split recipient would get.
+			if err := s.Assume(cnf.PosLit(0), cnf.NegLit(1), cnf.PosLit(2)); err != nil {
+				t.Fatal(err)
+			}
+			if s.Status() != StatusUnknown {
+				continue
+			}
+			s.Solve(Limits{})
+			for _, c := range exported {
+				if !impliedByBase(f, c) {
+					t.Fatalf("seed %d: exported clause %v not implied by the base formula", seed, c)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestExportedClausesGloballyValidAfterSplit covers the donor side: after
 // Split promotes the first decision into level 0, subsequent exports must
 // still be implied by the base formula.
 func TestExportedClausesGloballyValidAfterSplit(t *testing.T) {
-	for seed := int64(20); seed < 30; seed++ {
-		f := gen.RandomKSAT(14, 60, 3, seed)
-		var exported []cnf.Clause
-		opts := DefaultOptions()
-		opts.ShareMaxLen = 14
-		opts.OnLearn = func(c cnf.Clause, _ int) { exported = append(exported, c) }
-		s := New(f, opts)
-		s.Solve(Limits{MaxConflicts: 3})
-		if s.Status() != StatusUnknown || s.DecisionLevel() == 0 {
-			continue
-		}
-		exported = nil // only audit post-split exports
-		if _, err := s.Split(0, 0); err != nil {
-			t.Fatal(err)
-		}
-		s.Solve(Limits{})
-		for _, c := range exported {
-			if !impliedByBase(f, c) {
-				t.Fatalf("seed %d: post-split export %v not implied by base formula", seed, c)
+	underEachPreset(t, func(t *testing.T, preset func() Options) {
+		for seed := int64(20); seed < 30; seed++ {
+			f := gen.RandomKSAT(14, 60, 3, seed)
+			var exported []cnf.Clause
+			opts := preset()
+			opts.ShareMaxLen = 14
+			opts.OnLearn = func(c cnf.Clause, _ int) { exported = append(exported, c) }
+			s := New(f, opts)
+			s.Solve(Limits{MaxConflicts: 3})
+			if s.Status() != StatusUnknown || s.DecisionLevel() == 0 {
+				continue
+			}
+			exported = nil // only audit post-split exports
+			if _, err := s.Split(0, 0); err != nil {
+				t.Fatal(err)
+			}
+			s.Solve(Limits{})
+			for _, c := range exported {
+				if !impliedByBase(f, c) {
+					t.Fatalf("seed %d: post-split export %v not implied by base formula", seed, c)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestLocalImportNotReExported: clauses forwarded inside a split payload
@@ -130,27 +134,29 @@ func TestNoTaintWithoutAssumptions(t *testing.T) {
 // TestSubproblemStillSolvesWithLocalClauses: locality must not hurt
 // completeness — split halves still reach the right answers.
 func TestSubproblemAnswersUnchangedByLocality(t *testing.T) {
-	for seed := int64(40); seed < 52; seed++ {
-		f := gen.RandomKSAT(12, 51, 3, seed)
-		want, _ := brute.Solve(f, 0)
-		donor := New(f, DefaultOptions())
-		donor.Solve(Limits{MaxConflicts: 2})
-		if donor.Status() != StatusUnknown || donor.DecisionLevel() == 0 {
-			continue
+	underEachPreset(t, func(t *testing.T, preset func() Options) {
+		for seed := int64(40); seed < 52; seed++ {
+			f := gen.RandomKSAT(12, 51, 3, seed)
+			want, _ := brute.Solve(f, 0)
+			donor := New(f, preset())
+			donor.Solve(Limits{MaxConflicts: 2})
+			if donor.Status() != StatusUnknown || donor.DecisionLevel() == 0 {
+				continue
+			}
+			sub, err := donor.Split(12, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, err := NewFromSubproblem(f, sub, preset())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sat := donor.Solve(Limits{}).Status == StatusSAT || rec.Solve(Limits{}).Status == StatusSAT
+			if sat != (want == brute.SAT) {
+				t.Fatalf("seed %d: halves say %v, brute %v", seed, sat, want)
+			}
 		}
-		sub, err := donor.Split(12, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, err := NewFromSubproblem(f, sub, DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sat := donor.Solve(Limits{}).Status == StatusSAT || rec.Solve(Limits{}).Status == StatusSAT
-		if sat != (want == brute.SAT) {
-			t.Fatalf("seed %d: halves say %v, brute %v", seed, sat, want)
-		}
-	}
+	})
 }
 
 // TestMinimizationSoundness: with minimization on, answers match the

@@ -71,11 +71,12 @@ func (s *Solver) satisfiedAtLevel0(r ClauseRef) bool {
 	return false
 }
 
-// reduceDB halves the learned-clause database, keeping high-activity and
-// short clauses plus any clause that is currently a reason ("locked").
-// Mirrors the paper's observation (§4.2) that antecedent clauses must be
-// retained while inactive learned clauses can be discarded under memory
-// pressure. The arena compacts once a fifth of the slab is reclaimable.
+// reduceDB halves the learned-clause database in Options.Reduce's order,
+// keeping binary clauses and any clause that is currently a reason
+// ("locked"). Mirrors the paper's observation (§4.2) that antecedent
+// clauses must be retained while inactive learned clauses can be discarded
+// under memory pressure. The arena compacts once a fifth of the slab is
+// reclaimable.
 func (s *Solver) reduceDB() {
 	ca := s.ca
 	live := s.learnts[:0]
@@ -85,14 +86,23 @@ func (s *Solver) reduceDB() {
 		}
 	}
 	s.learnts = live
-	sort.Slice(s.learnts, func(i, j int) bool {
-		return ca.Act(s.learnts[i]) < ca.Act(s.learnts[j])
-	})
+	byLBD := s.opts.Reduce == ReduceByLBD
+	if byLBD {
+		// Stable, so within one LBD the list order — oldest first — decides.
+		sort.SliceStable(s.learnts, func(i, j int) bool {
+			return ca.LBD(s.learnts[i]) > ca.LBD(s.learnts[j])
+		})
+	} else {
+		sort.Slice(s.learnts, func(i, j int) bool {
+			return ca.Act(s.learnts[i]) < ca.Act(s.learnts[j])
+		})
+	}
 	target := len(s.learnts) / 2
 	removed := 0
 	kept := s.learnts[:0]
 	for _, r := range s.learnts {
-		if removed < target && ca.Size(r) > 2 && !s.locked(r) {
+		glue := byLBD && ca.LBD(r) <= 2
+		if removed < target && ca.Size(r) > 2 && !glue && !s.locked(r) {
 			s.detach(r)
 			s.stats.Deleted++
 			removed++

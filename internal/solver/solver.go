@@ -98,8 +98,10 @@ type Limits struct {
 	MaxMemoryBytes int64
 }
 
-// Options configures the engine. The zero value is usable; DefaultOptions
-// supplies the tuning the benchmarks use.
+// Options configures the engine. The zero value is usable. Two presets
+// name the configurations in use: DefaultOptions is the engine the shipped
+// commands run, Fidelity2003 the paper's zChaff-2003 client that every
+// EXPERIMENTS.md table is pinned to.
 type Options struct {
 	// DecayInterval is the number of conflicts between VSIDS decays
 	// (Chaff divides all literal counters by 2 periodically).
@@ -128,12 +130,18 @@ type Options struct {
 	// the import buffer has been non-empty for this many conflicts.
 	// 0 means imports merge only when search naturally reaches level 0.
 	ImportMergeConflicts int
-	// MaxLearnts is the initial learned-clause cap before database
-	// reduction; 0 derives it from the problem size.
+	// MaxLearnts is the initial learned-clause cap: reduceDB runs when the
+	// learnt list outgrows it, deletes half in Reduce's order and raises
+	// the cap by a fifth. 0 derives it from the problem size (a third of
+	// the problem clauses + 2000) under either preset.
 	MaxLearnts int
+	// Reduce selects which half reduceDB deletes. The zero value,
+	// ReduceByAge, is the 2003 engine's; DefaultOptions sets ReduceByLBD.
+	Reduce ReduceOrder
 	// MinimizeLearnts enables recursive learned-clause minimization, a
-	// post-Chaff refinement (the 2003 engine did not minimize). Off by
-	// default for fidelity; the ablation benchmark quantifies its effect.
+	// post-Chaff refinement (the 2003 engine did not minimize): on in
+	// DefaultOptions, off in Fidelity2003. `benchtab -ablation engine`
+	// quantifies its effect distributed.
 	MinimizeLearnts bool
 	// PhaseSaving makes decisions reuse the variable's last assigned
 	// polarity (progress saving, another post-Chaff refinement). Off by
@@ -297,14 +305,46 @@ func (m PhaseMode) String() string {
 	return fmt.Sprintf("PhaseMode(%d)", int(m))
 }
 
-// DefaultOptions returns the tuning used throughout the benchmarks.
-func DefaultOptions() Options {
+// ReduceOrder names the order in which reduceDB gives up learnt clauses.
+type ReduceOrder int
+
+// Reduction orders.
+const (
+	// ReduceByAge deletes the half with the lowest age key, the VSIDS
+	// increment at learn time narrowed to float32. The key saturates at
+	// MaxFloat32 after 128 decays (≈ 32.8k conflicts at DecayInterval 256);
+	// from then on new clauses tie and the half deleted is whatever
+	// sort.Slice leaves in front. Kept as is: every EXPERIMENTS.md table is
+	// pinned to this engine.
+	ReduceByAge ReduceOrder = iota
+	// ReduceByLBD deletes the half with the highest LBD (glue), oldest first
+	// within one LBD, and never a clause of glue <= 2. Age is the learnt
+	// list's own order, which cannot saturate.
+	ReduceByLBD
+)
+
+// Fidelity2003 returns the paper's client: zChaff 2003 as §2 describes it,
+// with no learnt-clause minimization and age-keyed database reduction.
+// Figure 1, Tables 1 and 2, the DES (`gridsat sim`, cmd/benchtab) and
+// cmd/zchaff run it, so the reproduction does not move when the shipped
+// engine does.
+func Fidelity2003() Options {
 	return Options{
 		DecayInterval:        256,
 		RestartBase:          512,
 		PruneLevel0:          true,
 		ImportMergeConflicts: 2048,
 	}
+}
+
+// DefaultOptions returns the engine `gridsat solve`, `run`, `serve` jobs
+// and `client` ship: Fidelity2003 plus recursive learnt-clause minimization
+// and LBD-ordered database reduction.
+func DefaultOptions() Options {
+	o := Fidelity2003()
+	o.MinimizeLearnts = true
+	o.Reduce = ReduceByLBD
+	return o
 }
 
 // Clauses live in a contiguous arena (see arena.go) and are addressed by

@@ -18,7 +18,7 @@ import (
 func TestFigure2Split(t *testing.T) {
 	f := figure1Formula()
 	step := 0
-	opts := DefaultOptions()
+	opts := Fidelity2003()
 	opts.DecisionOverride = func(s *Solver) cnf.Lit {
 		if step == 0 {
 			step++

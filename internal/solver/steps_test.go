@@ -15,9 +15,10 @@ import (
 )
 
 // updateSteps regenerates testdata/steps.json from the engine under test.
-// The committed file was written by the engine of commit 16d7597 (PR 14),
-// before PR 15 touched the kernel; regenerate it only in a PR that means
-// to change the search itself.
+// The Fidelity2003 records were written by the engine of commit 16d7597
+// (PR 14), before PR 15 touched the kernel, under DefaultOptions' values of
+// that time; PR 18 added the DefaultOptions/ records without touching them.
+// Regenerate only in a PR that means to change the search itself.
 var updateSteps = flag.Bool("update-steps", false, "rewrite testdata/steps.json from this engine")
 
 const stepsFile = "testdata/steps.json"
@@ -98,27 +99,35 @@ func (e *emitHash) record(s *Solver, r Result) stepRecord {
 // first phase to split, import or checkpoint.
 const pauseAt = 150
 
-// stepScenarios maps a scenario name to a run over one formula. Each
-// returns one record per solver it drove to completion.
+// stepCell names one record of the matrix. The 2003 engine's cells keep the
+// bare "instance/scenario" names they had when it was the only engine; any
+// other preset's carry its constructor's name in front.
+func stepCell(preset, instance, scenario string) string {
+	if preset == "Fidelity2003" {
+		return instance + "/" + scenario
+	}
+	return preset + "/" + instance + "/" + scenario
+}
+
+// stepScenarios maps a scenario name to a run over one formula from one
+// preset's options. Each returns one record per solver it drove to
+// completion.
 var stepScenarios = []struct {
 	name string
-	run  func(f *cnf.Formula) []stepRecord
+	run  func(f *cnf.Formula, o Options) []stepRecord
 }{
-	{"default", func(f *cnf.Formula) []stepRecord { return runPlain(f, DefaultOptions()) }},
-	{"minimize+phase", func(f *cnf.Formula) []stepRecord {
-		o := DefaultOptions()
+	{"default", runPlain},
+	{"minimize+phase", func(f *cnf.Formula, o Options) []stepRecord {
 		o.MinimizeLearnts, o.PhaseSaving = true, true
 		return runPlain(f, o)
 	}},
-	{"seed7", func(f *cnf.Formula) []stepRecord {
-		o := DefaultOptions()
+	{"seed7", func(f *cnf.Formula, o Options) []stepRecord {
 		o.Seed = 7
 		return runPlain(f, o)
 	}},
-	{"small-db", func(f *cnf.Formula) []stepRecord {
+	{"small-db", func(f *cnf.Formula, o Options) []stepRecord {
 		// A tight learnt cap forces reduceDB, lazy watcher drops and arena
 		// compaction many times per run.
-		o := DefaultOptions()
 		o.MaxLearnts = 120
 		o.RestartBase = 64
 		return runPlain(f, o)
@@ -139,8 +148,7 @@ func runPlain(f *cnf.Formula, o Options) []stepRecord {
 // recipient is rebuilt by NewFromSubproblem with forwarded learnts — the
 // taint, deps and local-clause paths of analyze and record. Minimization
 // is on so litRedundant's dependency bookkeeping is walked too.
-func runSplit(f *cnf.Formula) []stepRecord {
-	o := DefaultOptions()
+func runSplit(f *cnf.Formula, o Options) []stepRecord {
 	o.MinimizeLearnts = true
 	ed := newEmitHash()
 	donor := New(f, ed.hook(o))
@@ -168,8 +176,8 @@ func runSplit(f *cnf.Formula) []stepRecord {
 // differently-seeded solver learned from the same formula (so they are
 // implied by it), then finishes: mergeImports' four cases and the
 // imported-clause attribution in propagate and analyze.
-func runImport(f *cnf.Formula) []stepRecord {
-	po := DefaultOptions()
+func runImport(f *cnf.Formula, o Options) []stepRecord {
+	po := o
 	po.Seed = 99
 	po.ShareMaxLen = 6
 	var shared []cnf.Clause
@@ -177,7 +185,7 @@ func runImport(f *cnf.Formula) []stepRecord {
 	New(f, po).Solve(Limits{MaxConflicts: 400})
 
 	e := newEmitHash()
-	s := New(f, e.hook(DefaultOptions()))
+	s := New(f, e.hook(o))
 	r := s.Solve(Limits{MaxConflicts: pauseAt})
 	if r.Reason != ReasonSolved {
 		if err := s.ImportClauses(shared); err != nil {
@@ -190,16 +198,16 @@ func runImport(f *cnf.Formula) []stepRecord {
 
 // runCheckpoint pauses, takes a heavy checkpoint, restores it into a
 // fresh solver and finishes there.
-func runCheckpoint(f *cnf.Formula) []stepRecord {
+func runCheckpoint(f *cnf.Formula, o Options) []stepRecord {
 	e := newEmitHash()
-	s := New(f, e.hook(DefaultOptions()))
+	s := New(f, e.hook(o))
 	r := s.Solve(Limits{MaxConflicts: pauseAt})
 	if r.Reason == ReasonSolved {
 		return []stepRecord{e.record(s, r)}
 	}
 	cp := s.Checkpoint(HeavyCheckpoint, 0)
 	e2 := newEmitHash()
-	s2, err := Restore(f, cp, e2.hook(DefaultOptions()))
+	s2, err := Restore(f, cp, e2.hook(o))
 	if err != nil {
 		panic(err)
 	}
@@ -213,8 +221,10 @@ func TestSearchIsStepIdentical(t *testing.T) {
 	got := map[string][]stepRecord{}
 	for _, in := range stepInstances {
 		f := in.f()
-		for _, sc := range stepScenarios {
-			got[in.name+"/"+sc.name] = sc.run(f)
+		for _, p := range enginePresets {
+			for _, sc := range stepScenarios {
+				got[stepCell(p.name, in.name, sc.name)] = sc.run(f, p.opts())
+			}
 		}
 	}
 	if *updateSteps {

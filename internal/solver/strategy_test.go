@@ -52,60 +52,66 @@ func TestStrategyPartitionProperty(t *testing.T) {
 		want, _ := brute.Solve(f, 0)
 		for _, st := range strategiesUnderTest(t) {
 			t.Run(fmt.Sprintf("%s/%s", name, st.Name()), func(t *testing.T) {
-				donor := New(f, DefaultOptions())
-				if st.Name() == "first-decision" {
-					// First-decision needs a decision on the stack; the
-					// dilemma strategies can carve up a fresh donor.
-					donor.Solve(Limits{MaxConflicts: 4})
-					if donor.Status() != StatusUnknown {
-						t.Skip("decided before a split was possible")
-					}
-					if donor.DecisionLevel() == 0 {
-						t.Skip("no decision to fork on")
-					}
-				}
-				batch, err := st.Split(donor, 10, 0)
-				if err == ErrNothingToSplit {
-					t.Skip("nothing to split")
-				}
-				if err != nil {
-					// The dilemma prepass may legitimately refute the donor;
-					// then the whole space is the donor's and it must be UNSAT.
-					if donor.Status() == StatusUNSAT {
-						if want != brute.UNSAT {
-							t.Fatalf("split refuted the donor but brute says %v", want)
-						}
-						return
-					}
-					t.Fatal(err)
-				}
-				if len(batch) > st.MaxBatch() {
-					t.Fatalf("batch of %d exceeds MaxBatch %d", len(batch), st.MaxBatch())
-				}
-				gotSAT := false
-				if r := donor.Solve(Limits{}); r.Status == StatusSAT {
-					gotSAT = true
-					if err := f.Verify(r.Model); err != nil {
-						t.Fatalf("donor model invalid: %v", err)
-					}
-				}
-				for i, sub := range batch {
-					rec, err := NewFromSubproblem(f, sub, DefaultOptions())
-					if err != nil {
-						t.Fatalf("cofactor %d: %v", i, err)
-					}
-					if r := rec.Solve(Limits{}); r.Status == StatusSAT {
-						gotSAT = true
-						if err := f.Verify(r.Model); err != nil {
-							t.Fatalf("cofactor %d model invalid: %v", i, err)
-						}
-					}
-				}
-				if gotSAT != (want == brute.SAT) {
-					t.Fatalf("parts say SAT=%v, brute says %v", gotSAT, want)
-				}
+				underEachPreset(t, func(t *testing.T, preset func() Options) {
+					checkPartition(t, f, st, want, preset)
+				})
 			})
 		}
+	}
+}
+
+func checkPartition(t *testing.T, f *cnf.Formula, st SplitStrategy, want brute.Result, preset func() Options) {
+	donor := New(f, preset())
+	if st.Name() == "first-decision" {
+		// First-decision needs a decision on the stack; the
+		// dilemma strategies can carve up a fresh donor.
+		donor.Solve(Limits{MaxConflicts: 4})
+		if donor.Status() != StatusUnknown {
+			t.Skip("decided before a split was possible")
+		}
+		if donor.DecisionLevel() == 0 {
+			t.Skip("no decision to fork on")
+		}
+	}
+	batch, err := st.Split(donor, 10, 0)
+	if err == ErrNothingToSplit {
+		t.Skip("nothing to split")
+	}
+	if err != nil {
+		// The dilemma prepass may legitimately refute the donor;
+		// then the whole space is the donor's and it must be UNSAT.
+		if donor.Status() == StatusUNSAT {
+			if want != brute.UNSAT {
+				t.Fatalf("split refuted the donor but brute says %v", want)
+			}
+			return
+		}
+		t.Fatal(err)
+	}
+	if len(batch) > st.MaxBatch() {
+		t.Fatalf("batch of %d exceeds MaxBatch %d", len(batch), st.MaxBatch())
+	}
+	gotSAT := false
+	if r := donor.Solve(Limits{}); r.Status == StatusSAT {
+		gotSAT = true
+		if err := f.Verify(r.Model); err != nil {
+			t.Fatalf("donor model invalid: %v", err)
+		}
+	}
+	for i, sub := range batch {
+		rec, err := NewFromSubproblem(f, sub, preset())
+		if err != nil {
+			t.Fatalf("cofactor %d: %v", i, err)
+		}
+		if r := rec.Solve(Limits{}); r.Status == StatusSAT {
+			gotSAT = true
+			if err := f.Verify(r.Model); err != nil {
+				t.Fatalf("cofactor %d model invalid: %v", i, err)
+			}
+		}
+	}
+	if gotSAT != (want == brute.SAT) {
+		t.Fatalf("parts say SAT=%v, brute says %v", gotSAT, want)
 	}
 }
 
@@ -115,38 +121,40 @@ func TestStrategyPartitionProperty(t *testing.T) {
 func TestStrategyPartitionRandomSweep(t *testing.T) {
 	for _, st := range strategiesUnderTest(t) {
 		t.Run(st.Name(), func(t *testing.T) {
-			for seed := int64(0); seed < 30; seed++ {
-				f := gen.RandomKSAT(10, 42, 3, seed)
-				want, _ := brute.Solve(f, 0)
-				donor := New(f, DefaultOptions())
-				donor.Solve(Limits{MaxConflicts: 2})
-				if donor.Status() != StatusUnknown {
-					continue
-				}
-				if st.Name() == "first-decision" && donor.DecisionLevel() == 0 {
-					continue
-				}
-				batch, err := st.Split(donor, 10, 0)
-				if err != nil {
-					if donor.Status() == StatusUNSAT && want == brute.UNSAT {
+			underEachPreset(t, func(t *testing.T, preset func() Options) {
+				for seed := int64(0); seed < 30; seed++ {
+					f := gen.RandomKSAT(10, 42, 3, seed)
+					want, _ := brute.Solve(f, 0)
+					donor := New(f, preset())
+					donor.Solve(Limits{MaxConflicts: 2})
+					if donor.Status() != StatusUnknown {
 						continue
 					}
-					t.Fatalf("seed %d: %v (donor %v, brute %v)", seed, err, donor.Status(), want)
-				}
-				gotSAT := donor.Solve(Limits{}).Status == StatusSAT
-				for _, sub := range batch {
-					rec, err := NewFromSubproblem(f, sub, DefaultOptions())
+					if st.Name() == "first-decision" && donor.DecisionLevel() == 0 {
+						continue
+					}
+					batch, err := st.Split(donor, 10, 0)
 					if err != nil {
-						t.Fatalf("seed %d: %v", seed, err)
+						if donor.Status() == StatusUNSAT && want == brute.UNSAT {
+							continue
+						}
+						t.Fatalf("seed %d: %v (donor %v, brute %v)", seed, err, donor.Status(), want)
 					}
-					if rec.Solve(Limits{}).Status == StatusSAT {
-						gotSAT = true
+					gotSAT := donor.Solve(Limits{}).Status == StatusSAT
+					for _, sub := range batch {
+						rec, err := NewFromSubproblem(f, sub, preset())
+						if err != nil {
+							t.Fatalf("seed %d: %v", seed, err)
+						}
+						if rec.Solve(Limits{}).Status == StatusSAT {
+							gotSAT = true
+						}
+					}
+					if gotSAT != (want == brute.SAT) {
+						t.Fatalf("seed %d: parts say SAT=%v, brute says %v", seed, gotSAT, want)
 					}
 				}
-				if gotSAT != (want == brute.SAT) {
-					t.Fatalf("seed %d: parts say SAT=%v, brute says %v", seed, gotSAT, want)
-				}
-			}
+			})
 		})
 	}
 }
