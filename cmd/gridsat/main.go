@@ -596,7 +596,7 @@ func cmdSim(args []string) error {
 	fs := flag.NewFlagSet("sim", flag.ExitOnError)
 	testbed := fs.String("testbed", "grads", "grads (34 hosts) or table2 (27 hosts)")
 	timeout := fs.Float64("timeout-vsec", 6000, "virtual-second budget")
-	threads := fs.Int("threads", runtime.NumCPU(), "simulated portfolio workers per client (1 = classic single-solver clients; pin for cross-machine reproducibility)")
+	threads := fs.Int("threads", runtime.NumCPU(), "simulated portfolio workers per simulated client (1 = classic single-solver clients; pin for cross-machine reproducibility). Not the simulator's own parallelism: it computes its clients on every core GOMAXPROCS allows, by itself, with the same result")
 	shareLen := fs.Int("share-len", 10, "maximum shared clause length")
 	splitStrategy := fs.String("split-strategy", "", "split engine: "+solver.StrategyNames)
 	seed := fs.Int64("seed", 1, "contention/jitter seed")

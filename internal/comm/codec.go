@@ -9,6 +9,7 @@ import (
 	"math/bits"
 	"reflect"
 	"slices"
+	"sync"
 
 	"gridsat/internal/cnf"
 )
@@ -61,39 +62,49 @@ func (e *EncodedMessage) WireLen() int { return len(e.frame) }
 // Frame exposes the raw frame bytes. Callers must not mutate them.
 func (e *EncodedMessage) Frame() []byte { return e.frame }
 
+// encodeInto runs m's field list into c.buf, behind the maxHeader bytes of
+// room c.buf must already hold, and appends the frame header that goes in
+// front of that payload to hdr. The frame is len(h) + n bytes.
+func encodeInto(c *coder, m Message, hdr []byte) (h []byte, n int, err error) {
+	t, traced := m.(Traced)
+	if traced {
+		m = t.Msg
+	}
+	k := kindByType[reflect.TypeOf(m)]
+	if k == nil {
+		return nil, 0, fmt.Errorf("comm: no wire kind for %T", m)
+	}
+	k.code(c, m)
+	if c.err != nil {
+		return nil, 0, c.err
+	}
+	n = len(c.buf) - maxHeader
+	if n > k.limit {
+		return nil, 0, fmt.Errorf("comm: %s payload %d exceeds limit %d", m.Kind(), n, k.limit)
+	}
+	h = append(hdr, k.id)
+	if traced {
+		h[len(h)-1] |= frameTracedFlag
+		h = binary.AppendUvarint(h, t.Info.Lamport)
+		h = binary.AppendUvarint(h, t.Info.Parent)
+	}
+	return binary.AppendUvarint(h, uint64(n)), n, nil
+}
+
 // EncodeMessage serializes m into its wire frame.
 func EncodeMessage(m Message) (*EncodedMessage, error) {
 	if e, ok := m.(*EncodedMessage); ok {
 		return e, nil
 	}
-	var ti *TraceInfo
-	if t, ok := m.(Traced); ok {
-		ti, m = &t.Info, t.Msg
-	}
-	k := kindByType[reflect.TypeOf(m)]
-	if k == nil {
-		return nil, fmt.Errorf("comm: no wire kind for %T", m)
-	}
 	// The payload is encoded behind room for the largest header, and the
 	// header — whose length depends on the payload's — is then written
 	// right-aligned into that room: one buffer, no copy of the payload.
 	c := coder{buf: make([]byte, maxHeader, 128)}
-	k.code(&c, m)
-	if c.err != nil {
-		return nil, c.err
-	}
-	n := len(c.buf) - maxHeader
-	if n > k.limit {
-		return nil, fmt.Errorf("comm: %s payload %d exceeds limit %d", m.Kind(), n, k.limit)
-	}
 	var hdr [maxHeader]byte
-	h := append(hdr[:0], k.id)
-	if ti != nil {
-		h[0] |= frameTracedFlag
-		h = binary.AppendUvarint(h, ti.Lamport)
-		h = binary.AppendUvarint(h, ti.Parent)
+	h, _, err := encodeInto(&c, m, hdr[:0])
+	if err != nil {
+		return nil, err
 	}
-	h = binary.AppendUvarint(h, uint64(n))
 	frame := c.buf[maxHeader-len(h):]
 	copy(frame, h)
 	return &EncodedMessage{kind: m.Kind(), frame: frame}, nil
@@ -103,7 +114,8 @@ func EncodeMessage(m Message) (*EncodedMessage, error) {
 // fresh value with no aliasing into the frame, so one frame may be decoded
 // independently by many receivers.
 func (e *EncodedMessage) Decode() (Message, error) {
-	return readMessage(bytes.NewReader(e.frame))
+	m, _, err := readMessage(bytes.NewReader(e.frame))
+	return m, err
 }
 
 // frameReader is what readMessage needs: buffered byte-at-a-time access
@@ -113,51 +125,58 @@ type frameReader interface {
 	io.ByteReader
 }
 
-// readMessage reads and decodes one frame from r. Trace-flagged frames
-// come back wrapped in Traced so the receive loop can merge the clock.
-func readMessage(r frameReader) (Message, error) {
+// uvarintLen is the number of bytes binary.AppendUvarint writes for v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// readMessage reads and decodes one frame from r, and reports the frame's
+// length as this codec writes it (EncodeMessage(m).WireLen()). Trace-flagged
+// frames come back wrapped in Traced so the receive loop can merge the clock.
+func readMessage(r frameReader) (m Message, frameLen int, err error) {
 	id, err := r.ReadByte()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
+	frameLen = 1
 	var ti *TraceInfo
 	if id&frameTracedFlag != 0 {
 		id &^= frameTracedFlag
 		ti = &TraceInfo{}
 		if ti.Lamport, err = binary.ReadUvarint(r); err != nil {
-			return nil, fmt.Errorf("comm: trace header: %w", err)
+			return nil, 0, fmt.Errorf("comm: trace header: %w", err)
 		}
 		if ti.Parent, err = binary.ReadUvarint(r); err != nil {
-			return nil, fmt.Errorf("comm: trace header: %w", err)
+			return nil, 0, fmt.Errorf("comm: trace header: %w", err)
 		}
+		frameLen += uvarintLen(ti.Lamport) + uvarintLen(ti.Parent)
 	}
 	k := kindByID[id]
 	if k == nil {
-		return nil, fmt.Errorf("comm: unknown frame kind 0x%02x", id)
+		return nil, 0, fmt.Errorf("comm: unknown frame kind 0x%02x", id)
 	}
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
-		return nil, fmt.Errorf("comm: frame length: %w", err)
+		return nil, 0, fmt.Errorf("comm: frame length: %w", err)
 	}
 	if n > uint64(k.limit) {
-		return nil, fmt.Errorf("comm: frame kind 0x%02x payload %d exceeds limit %d", id, n, k.limit)
+		return nil, 0, fmt.Errorf("comm: frame kind 0x%02x payload %d exceeds limit %d", id, n, k.limit)
 	}
+	frameLen += uvarintLen(n) + int(n)
 	payload, err := readPayload(r, int(n))
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	c := coder{buf: payload, dec: true}
-	m := k.code(&c, nil)
+	m = k.code(&c, nil)
 	if c.err == nil && len(c.buf) != 0 {
 		c.fail("%d bytes after the last field of %s", len(c.buf), m.Kind())
 	}
 	if c.err != nil {
-		return nil, c.err
+		return nil, 0, c.err
 	}
 	if ti == nil {
-		return m, nil
+		return m, frameLen, nil
 	}
-	return Traced{Info: *ti, Msg: m}, nil
+	return Traced{Info: *ti, Msg: m}, frameLen, nil
 }
 
 // readPayload reads the n payload bytes the length prefix announced. The
@@ -181,15 +200,32 @@ func readPayload(r io.Reader, n int) ([]byte, error) {
 	}
 }
 
-// WireSize returns the exact frame size m occupies on the wire, used by
-// transport instrumentation and the simulator's network model. It returns
-// 0 when m cannot be encoded.
+// sizers holds WireSize's scratch: coders whose payload buffer and clause
+// scratch are reused from call to call.
+var sizers = sync.Pool{New: func() any {
+	return &coder{buf: make([]byte, maxHeader, 1024), scratch: new(clauseScratch)}
+}}
+
+// WireSize returns the exact frame size m occupies on the wire —
+// EncodeMessage(m).WireLen() — used by transport instrumentation and by the
+// simulator's network model, which prices every message through it. It runs
+// the same field list into a pooled scratch buffer and keeps only the
+// length, so it allocates nothing. It returns 0 when m cannot be encoded.
 func WireSize(m Message) int64 {
-	e, err := EncodeMessage(m)
+	if e, ok := m.(*EncodedMessage); ok {
+		return int64(e.WireLen())
+	}
+	c := sizers.Get().(*coder)
+	defer func() {
+		c.buf, c.err = c.buf[:maxHeader], nil
+		sizers.Put(c)
+	}()
+	var hdr [maxHeader]byte
+	h, n, err := encodeInto(c, m, hdr[:0])
 	if err != nil {
 		return 0
 	}
-	return int64(e.WireLen())
+	return int64(len(h) + n)
 }
 
 // ---- bit-level clause block codec ----
@@ -310,14 +346,22 @@ func (r *bitReader) readGamma() (uint64, error) {
 	return 1<<zeros | low, nil
 }
 
+// clauseScratch is reusable backing for canonicalize: the clause slice it
+// returns and the literals of the clauses it had to clone.
+type clauseScratch struct {
+	out  []cnf.Clause
+	lits cnf.Clause
+}
+
 // canonicalize returns the batch in codec-canonical form: a fresh clause
 // slice, literals strictly ascending within each clause, clauses ordered
 // shortest first and lexicographically within a length. Input clauses are
 // never modified; clauses that are already strictly increasing — the
 // common case, since the share aggregator normalizes at learn time — are
 // aliased rather than cloned, so a canonical batch encodes without any
-// per-literal copying or sorting.
-func canonicalize(cs []cnf.Clause) []cnf.Clause {
+// per-literal copying or sorting. With a non-nil sc the result lives in
+// sc's backing instead and is valid until sc's next use.
+func canonicalize(cs []cnf.Clause, sc *clauseScratch) []cnf.Clause {
 	dirty := 0 // total literals across clauses that still need clone+sort
 	for _, c := range cs {
 		if !strictlyIncreasing(c) {
@@ -327,10 +371,17 @@ func canonicalize(cs []cnf.Clause) []cnf.Clause {
 	// One backing array for every clone; clauses are short and many, so
 	// per-clause allocations would dominate the encode cost.
 	var backing cnf.Clause
-	if dirty > 0 {
-		backing = make(cnf.Clause, dirty)
+	var out []cnf.Clause
+	if sc != nil {
+		sc.lits = slices.Grow(sc.lits[:0], dirty)
+		sc.out = slices.Grow(sc.out[:0], len(cs))
+		backing, out = sc.lits[:dirty], sc.out[:len(cs)]
+	} else {
+		if dirty > 0 {
+			backing = make(cnf.Clause, dirty)
+		}
+		out = make([]cnf.Clause, len(cs))
 	}
-	out := make([]cnf.Clause, len(cs))
 	for i, c := range cs {
 		if strictlyIncreasing(c) {
 			out[i] = c
@@ -433,8 +484,8 @@ func sortLits(c cnf.Clause) {
 // literals within a length group are non-decreasing too, so their zigzag
 // deltas stay small; the remaining sorted literals are binary-
 // interpolative coded within [first, maxLit].
-func appendClauseBlock(b []byte, cs []cnf.Clause) []byte {
-	cs = canonicalize(cs)
+func appendClauseBlock(b []byte, cs []cnf.Clause, sc *clauseScratch) []byte {
+	cs = canonicalize(cs, sc)
 	b = binary.AppendUvarint(b, uint64(len(cs)))
 	if len(cs) == 0 {
 		return b
@@ -452,9 +503,10 @@ func appendClauseBlock(b []byte, cs []cnf.Clause) []byte {
 	for _, c := range cs {
 		total += len(c)
 	}
-	// Presize for ~2 B per literal plus per-clause headers; the codec
-	// lands well under that, so appends never reallocate mid-encode.
-	w := bitWriter{buf: make([]byte, 0, 2*total+4*len(cs)+8)}
+	// The bitstream goes straight onto b, presized for ~2 B per literal
+	// plus per-clause headers; the codec lands well under that, so appends
+	// never reallocate mid-encode.
+	w := bitWriter{buf: slices.Grow(b, 2*total+4*len(cs)+8)}
 	prevLen := uint64(0)
 	prevFirst := int64(0)
 	for _, c := range cs {
@@ -472,7 +524,7 @@ func appendClauseBlock(b []byte, cs []cnf.Clause) []byte {
 			w.writeInterior(c[1:], uint32(first), maxLit)
 		}
 	}
-	return append(b, w.finish()...)
+	return w.finish()
 }
 
 // Bounded values x ∈ [0, r] use a minimal (phase-in) binary code: with

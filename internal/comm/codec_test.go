@@ -16,7 +16,7 @@ import (
 
 // canonClauses puts a clause batch in codec-canonical order so tests can
 // compare decoded output against semantically-equal input.
-func canonClauses(cs []cnf.Clause) []cnf.Clause { return canonicalize(cs) }
+func canonClauses(cs []cnf.Clause) []cnf.Clause { return canonicalize(cs, nil) }
 
 // frameID is the first byte of an untraced frame of m's kind.
 func frameID(m Message) byte { return kindByType[reflect.TypeOf(m)].id }
@@ -357,16 +357,39 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 	}
 }
 
-// TestWireSizeMatchesFrames pins WireSize to the exact frame length for
-// both plain and pre-encoded messages.
+// TestWireSizeMatchesFrames pins WireSize to the exact frame length: for
+// the fixture of every kind, traced and untraced, for a share batch that is
+// not in canonical order (the one input canonicalize has to clone), and for
+// a pre-encoded frame — and to doing it without allocating, because the DES
+// prices every message of a run through it on its one event loop.
 func TestWireSizeMatchesFrames(t *testing.T) {
-	m := ShareClauses{From: 2, Clauses: []cnf.Clause{cnf.NewClause(1, -2), cnf.NewClause(3)}}
-	e, err := EncodeMessage(m)
-	if err != nil {
-		t.Fatal(err)
+	msgs := append(allMessages(),
+		ShareClauses{From: 2, Clauses: []cnf.Clause{cnf.NewClause(3, 1, -2, 3), cnf.NewClause(3), cnf.NewClause(-7, 4)}})
+	for _, m := range allMessages() {
+		msgs = append(msgs, Traced{Info: TraceInfo{Lamport: 1 << 20, Parent: 300}, Msg: m})
 	}
-	if WireSize(m) != int64(len(e.frame)) || WireSize(e) != int64(len(e.frame)) {
-		t.Fatalf("WireSize plain=%d encoded=%d, frame=%d", WireSize(m), WireSize(e), len(e.frame))
+	for _, m := range msgs {
+		e, err := EncodeMessage(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := WireSize(m); got != int64(e.WireLen()) {
+			t.Errorf("WireSize(%T %s) = %d, frame is %d bytes", m, m.Kind(), got, e.WireLen())
+		}
+		if got := WireSize(e); got != int64(e.WireLen()) {
+			t.Errorf("WireSize(encoded %s) = %d, frame is %d bytes", m.Kind(), got, e.WireLen())
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	// The first pass above grew the pooled scratch to fit every fixture.
+	if n := testing.AllocsPerRun(100, func() {
+		for _, m := range msgs {
+			WireSize(m)
+		}
+	}); n != 0 {
+		t.Errorf("WireSize allocates: %v allocations per pass over %d messages", n, len(msgs))
 	}
 }
 

@@ -27,7 +27,7 @@ func allMessages() []Message {
 			NumVars:     5,
 			Depth:       depth,
 			Assumptions: []cnf.Lit{cnf.NegLit(3), cnf.PosLit(0), cnf.PosLit(2)},
-			Learnts:     canonicalize([]cnf.Clause{cnf.NewClause(2, 3), cnf.NewClause(-1, 4, 5), cnf.NewClause(-2)}),
+			Learnts:     canonicalize([]cnf.Clause{cnf.NewClause(2, 3), cnf.NewClause(-1, 4, 5), cnf.NewClause(-2)}, nil),
 		}
 	}
 	return []Message{
@@ -38,7 +38,7 @@ func allMessages() []Message {
 		SplitAssign{SplitID: 9, Peers: []SplitPeer{{ID: 4, Addr: "b:2"}, {ID: 5, Addr: "b:3"}}},
 		SplitPayload{SplitID: 9, From: 2, Job: 2, Subs: []*solver.Subproblem{sub(1), sub(2)}},
 		SplitDone{ClientID: 4, SplitID: 9, OK: true, Err: "boom", Used: 1, Leftover: []*solver.Subproblem{sub(3)}},
-		ShareClauses{From: 1, Job: 2, Clauses: canonicalize([]cnf.Clause{cnf.NewClause(-1, 2), cnf.NewClause(3)})},
+		ShareClauses{From: 1, Job: 2, Clauses: canonicalize([]cnf.Clause{cnf.NewClause(-1, 2), cnf.NewClause(3)}, nil)},
 		Solved{ClientID: 1, Status: solver.StatusSAT, Model: cnf.Assignment{cnf.True, cnf.False, cnf.Undef, cnf.True},
 			Depth: 3, Worker: 1, Job: 2},
 		Migrate{SplitID: 11, PeerID: 7, PeerAddr: "c:3"},

@@ -159,13 +159,24 @@ func (l *instrumentedListener) Accept() (Conn, error) {
 func (l *instrumentedListener) Close() error { return l.inner.Close() }
 func (l *instrumentedListener) Addr() string { return l.inner.Addr() }
 
+// sizedRecver is what this package's own connections add to Conn: a Recv
+// that also reports the length of the frame it consumed, so counting the
+// bytes received does not mean encoding the message again. The length is
+// negative when the message never was a frame (an in-process pipe passing
+// a value by reference).
+type sizedRecver interface {
+	recvFrame() (m Message, frameLen int, err error)
+}
+
 type instrumentedConn struct {
 	inner Conn
+	sized sizedRecver // inner, when it can report frame lengths; else nil
 	m     *Metrics
 }
 
 func newInstrumentedConn(c Conn, m *Metrics) *instrumentedConn {
-	return &instrumentedConn{inner: c, m: m}
+	sized, _ := c.(sizedRecver)
+	return &instrumentedConn{inner: c, sized: sized, m: m}
 }
 
 // Send encodes m once and ships the frame, so the bytes counted are the
@@ -189,14 +200,22 @@ func (c *instrumentedConn) SendEncoded(e *EncodedMessage) error {
 	return nil
 }
 
-func (c *instrumentedConn) Recv() (Message, error) {
-	m, err := c.inner.Recv()
+func (c *instrumentedConn) Recv() (m Message, err error) {
+	n := -1
+	if c.sized != nil {
+		m, n, err = c.sized.recvFrame()
+	} else {
+		m, err = c.inner.Recv()
+	}
 	if err != nil {
 		return nil, err
 	}
 	kc := c.m.kind(m.Kind())
 	kc.recvMsgs.Inc()
-	kc.recvBytes.Add(WireSize(m))
+	if n < 0 {
+		n = int(WireSize(m)) // no frame was read: size the message itself
+	}
+	kc.recvBytes.Add(int64(n))
 	return m, nil
 }
 

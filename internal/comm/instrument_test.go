@@ -128,3 +128,70 @@ func TestInstrumentOverTCP(t *testing.T) {
 		t.Errorf("status bytes sent=%d recv=%d, want exact frame total %d", kt.BytesSent, kt.BytesRecv, want)
 	}
 }
+
+// TestRecvBytesAreTheFrameRead fixes what gridsat_comm_bytes_total{dir=recv}
+// means on a fixed exchange: every kind's fixture, untraced and traced, over
+// a loopback TCP pair. Recv counts the frame the connection read — it no
+// longer encodes each received message again to learn its size — and that
+// must be, kind by kind, the bytes the sender counted as written. The
+// totals are literals taken from the commit before the change, so the
+// metric reads the same on both sides of it.
+func TestRecvBytesAreTheFrameRead(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := NewMetrics(reg)
+	tr := Instrument(TCPTransport{}, m)
+	l, err := tr.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	accepted := make(chan Conn, 1)
+	go func() {
+		c, _ := l.Accept()
+		accepted <- c
+	}()
+	client, err := tr.Dial(l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	server := <-accepted
+	defer server.Close()
+
+	want := map[string]int64{}
+	for _, msg := range allMessages() {
+		for _, out := range []Message{msg, Traced{Info: TraceInfo{Lamport: 1 << 20, Parent: 300}, Msg: msg}} {
+			e, err := EncodeMessage(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[msg.Kind()] += int64(e.WireLen())
+			if err := client.Send(out); err != nil {
+				t.Fatal(err)
+			}
+			got, err := server.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, out) {
+				t.Errorf("%s arrived as %+v", msg.Kind(), got)
+			}
+		}
+	}
+	if len(want) != len(kinds) {
+		t.Fatalf("exchanged %d kinds, the protocol has %d", len(want), len(kinds))
+	}
+	totals := m.Totals()
+	for k, n := range want {
+		if kt := totals.PerKind[k]; kt.BytesSent != n || kt.BytesRecv != n || kt.MsgsSent != 2 || kt.MsgsRecv != 2 {
+			t.Errorf("%s: %+v, want 2 messages and %d bytes each way", k, kt, n)
+		}
+	}
+	const pinned = 599
+	snap := reg.Snapshot()
+	for _, dir := range []string{"send", "recv"} {
+		if got := snap.CounterValue("gridsat_comm_bytes_total", obs.L("dir", dir)); got != pinned {
+			t.Errorf("gridsat_comm_bytes_total{dir=%s} = %d, the parent commit read %d", dir, got, pinned)
+		}
+	}
+}

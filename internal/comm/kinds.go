@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
 
 	"gridsat/internal/cnf"
 	"gridsat/internal/solver"
@@ -39,12 +40,23 @@ type kind struct {
 }
 
 func kindOf[T Message](id byte, limit int, fields func(*coder, *T)) *kind {
+	// A field list takes a pointer so that one list serves both directions,
+	// which means encoding runs it over a copy of the message; fields is a
+	// func value, so that copy would be a heap allocation per encode. The
+	// copies are pooled instead, and cleared so they pin nothing.
+	copies := sync.Pool{New: func() any { return new(T) }}
 	return &kind{id: id, typ: reflect.TypeFor[T](), limit: limit, code: func(c *coder, m Message) Message {
-		v, _ := m.(T)
-		fields(c, &v)
 		if !c.dec {
+			v := copies.Get().(*T)
+			*v, _ = m.(T)
+			fields(c, v)
+			var zero T
+			*v = zero
+			copies.Put(v)
 			return m // nothing to box: the caller already has it
 		}
+		var v T
+		fields(c, &v)
 		return v
 	}}
 }
@@ -178,6 +190,9 @@ type coder struct {
 	buf []byte // encoding: the payload so far; decoding: the bytes still unread
 	dec bool
 	err error
+	// scratch, when non-nil, backs clause canonicalization while encoding
+	// (WireSize's pooled coders set it; a coder used once leaves it nil).
+	scratch *clauseScratch
 }
 
 func (c *coder) fail(format string, a ...any) {
@@ -321,7 +336,7 @@ func (c *coder) lits(p *[]cnf.Lit) { list(c, p, 1, (*coder).lit) }
 // canonicalizes clause and literal order (see appendClauseBlock).
 func (c *coder) clauses(p *[]cnf.Clause) {
 	if !c.dec {
-		c.buf = appendClauseBlock(c.buf, *p)
+		c.buf = appendClauseBlock(c.buf, *p, c.scratch)
 		return
 	}
 	if c.err != nil {

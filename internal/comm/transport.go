@@ -110,6 +110,12 @@ func (f *frameConn) SendEncoded(e *EncodedMessage) error {
 }
 
 func (f *frameConn) Recv() (Message, error) {
+	m, _, err := f.recvFrame()
+	return m, err
+}
+
+// recvFrame is Recv plus the length of the frame it read (see sizedRecver).
+func (f *frameConn) recvFrame() (Message, int, error) {
 	f.recvMu.Lock()
 	defer f.recvMu.Unlock()
 	return readMessage(f.r)
@@ -236,6 +242,13 @@ func (p *pipeConn) SendEncoded(e *EncodedMessage) error {
 }
 
 func (p *pipeConn) Recv() (Message, error) {
+	m, _, err := p.recvFrame()
+	return m, err
+}
+
+// recvFrame is Recv plus the length of the frame it decoded, or -1 for a
+// message that crossed by reference and never had one (see sizedRecver).
+func (p *pipeConn) recvFrame() (Message, int, error) {
 	select {
 	case m := <-p.in:
 		return pipeDecode(m)
@@ -245,18 +258,19 @@ func (p *pipeConn) Recv() (Message, error) {
 		case m := <-p.in:
 			return pipeDecode(m)
 		default:
-			return nil, errors.New("comm: pipe closed")
+			return nil, 0, errors.New("comm: pipe closed")
 		}
 	}
 }
 
 // pipeDecode unwraps frames that arrived via SendEncoded. Plain messages
 // pass through by reference (the in-process fast path).
-func pipeDecode(m Message) (Message, error) {
+func pipeDecode(m Message) (Message, int, error) {
 	if e, ok := m.(*EncodedMessage); ok {
-		return e.Decode()
+		m, err := e.Decode()
+		return m, e.WireLen(), err
 	}
-	return m, nil
+	return m, -1, nil
 }
 
 func (p *pipeConn) Close() error {

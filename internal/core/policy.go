@@ -16,7 +16,7 @@
 // over comm.Transport — TCP or in-process — and the wall clock) and the
 // deterministic discrete-event one in runner.go (grid.Sim events and the
 // virtual clock), which the benchmark harness uses to reproduce the
-// paper's tables on a single physical core.
+// paper's tables, bit for bit on however many cores it is given.
 package core
 
 import "sort"

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
+	"sync"
 	"time"
 
 	"gridsat/internal/cnf"
@@ -16,17 +18,37 @@ import (
 
 // The DES runner is the second shell around the control plane: it drives
 // one real Master and N real Clients — the values `gridsat serve` and
-// `gridsat client` run — with no goroutines or listeners, delivering their
-// comm.Message values as grid.Sim events in virtual time. What lives here
-// is only the grid model: client launch jitter, the virtual transport
-// (delay = Network.Transfer of the message's real wire size, FIFO per
-// link), compute time (a quantum of w propagations on a host with relative
-// speed s and current availability a takes w/(R·s·a) virtual seconds,
-// where R is PropsPerVSec), NWS forecasts feeding the master's placement
-// ranks, the batch system, failure injection, and timeline sampling.
-// Because every event is deterministic, a 34-host distributed run
-// reproduces exactly on a single physical core — this is the apparatus
-// behind the Table-1/Table-2 benchmarks.
+// `gridsat client` run — with no listeners, delivering their comm.Message
+// values as grid.Sim events in virtual time. What lives here is only the
+// grid model: client launch jitter, the virtual transport (delay =
+// Network.Transfer of the message's real wire size, FIFO per link),
+// compute time (a quantum of w propagations on a host with relative speed
+// s and current availability a takes w/(R·s·a) virtual seconds, where R is
+// PropsPerVSec), NWS forecasts feeding the master's placement ranks, the
+// batch system, failure injection, and timeline sampling.
+//
+// One goroutine — RunDistributed's — runs every event: the master, every
+// client's control half, the transport. The only thing that leaves it is
+// the compute half of a slice, which reads and writes nothing but its own
+// client's solver and runs on one of runtime.GOMAXPROCS(0) workers. The
+// order of events is that of a kernel that computed each quantum inline at
+// its virtual start, whatever the worker count and however the workers are
+// scheduled, by three rules (see settleQuanta, launchQuantum, joinQuanta):
+//
+//  1. the event loop runs the event at T only when every quantum in flight
+//     has either finished — its end event is then in the queue — or has
+//     published p propagations with T < t0 + p/rate, so it cannot end at or
+//     before T (the progress bound);
+//  2. a quantum's end event takes its place in the scheduling order when
+//     the quantum is launched (grid.Sim.Reserve), so equal-time ties break
+//     as if the end had been scheduled then;
+//  3. whatever reads a computing client from the loop — a crash's
+//     checkpoint, the unreported tail, the verdict's TotalProps — first
+//     waits for that quantum to finish.
+//
+// So a 34-host distributed run reproduces exactly, event for event, on one
+// core or on many — this is the apparatus behind the Table-1/Table-2
+// benchmarks.
 
 // RunnerConfig configures a simulated run (sequential or distributed).
 type RunnerConfig struct {
@@ -69,6 +91,10 @@ type RunnerConfig struct {
 	MaxClients int
 	// SolverOptions tunes client engines; nil runs solver.Fidelity2003,
 	// the paper's engine, which every virtual-time table is pinned to.
+	// Callback fields (Instrument, OnLemma, OnLearn) are invoked from the
+	// runner's worker goroutines: serially for any one solver, concurrently
+	// across clients, so a callback shared by all clients must synchronize
+	// what it touches. A shared Counters needs nothing: it is atomic.
 	SolverOptions *solver.Options
 	// Threads is each simulated client's in-host portfolio width: worker 0
 	// (the pathfinder) runs the unmodified options and alone drives the
@@ -374,6 +400,34 @@ type desClient struct {
 	inflight []*solver.Subproblem
 }
 
+// quantum is one compute quantum in flight: launched by the event loop at
+// its virtual start t0, computed by a worker, and handed back to the loop
+// as the slice-end event at t0 + longest/rate.
+type quantum struct {
+	t0   float64
+	rate float64 // propagations per virtual second on this host at t0
+	// ticket is the end event's place in the scheduling order, reserved at
+	// launch: where the inline kernel called sim.After.
+	ticket grid.Ticket
+	// search is the compute half, run on a worker; it calls publish with
+	// the propagations done so far whenever it has a new count. end is the
+	// control half, run by the event loop at the slice's virtual end.
+	search func(publish func(done int64)) (longest, total int64)
+	end    func()
+
+	// Guarded by runner.mu: done is the last published count, finished is
+	// set with longest (the busiest engine's propagations, which price the
+	// quantum) and total (every engine's, which TotalProps accrues).
+	done           int64
+	finished       bool
+	longest, total int64
+}
+
+// notBefore is the earliest virtual time q can end given the progress it
+// has published: done <= longest, and both the conversion and the sum are
+// monotone in floating point, so notBefore() <= the end event's time.
+func (q *quantum) notBefore() float64 { return q.t0 + float64(q.done)/q.rate }
+
 // runner is the DES shell: the simulation kernel, the grid model, and the
 // one Master and many Clients it steps.
 type runner struct {
@@ -401,6 +455,19 @@ type runner struct {
 	// had not heartbeated when it crashed or the run ended.
 	tail comm.SolverDeltas
 	pool poolStats
+
+	// quanta lists the compute quanta in flight, in launch order; work
+	// feeds them to the workers first in, first out. Only the event loop
+	// touches quanta. mu orders the workers' progress reports with the
+	// loop's reads of them; advanced wakes the loop when the quantum it
+	// waits for (awaited) can no longer end at or before horizon, or has
+	// finished.
+	quanta   []*quantum
+	work     chan *quantum
+	mu       sync.Mutex
+	advanced sync.Cond
+	awaited  *quantum
+	horizon  float64
 
 	done     bool
 	res      SimResult
@@ -434,6 +501,9 @@ func RunDistributed(cfg RunnerConfig) SimResult {
 		arrive:  map[[2]int]float64{},
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}
+	// A client computes at most one quantum at a time and a host runs at
+	// most one client, so a queue of len(Hosts) never blocks the loop.
+	defer r.startWorkers(runtime.GOMAXPROCS(0), len(cfg.Grid.Hosts))()
 	mcfg := MasterConfig{
 		Formula:       cfg.Formula,
 		Flight:        cfg.Flight,
@@ -522,16 +592,7 @@ func RunDistributed(cfg RunnerConfig) SimResult {
 		r.submitBatch()
 	}
 
-	// Drive the simulation event by event so the run stops the moment a
-	// result is known (and a still-queued batch job can be canceled, as
-	// the paper's GridSAT did when a problem was solved pre-allocation).
-	for !r.done {
-		t, ok := r.sim.NextAt()
-		if !ok || t > cfg.TimeoutVSec {
-			break
-		}
-		r.sim.Step()
-	}
+	r.run()
 	if !r.done {
 		r.finish(OutcomeTimeout)
 		r.res.VSec = cfg.TimeoutVSec
@@ -539,6 +600,150 @@ func RunDistributed(cfg RunnerConfig) SimResult {
 		r.res.VSec = r.sim.Now()
 	}
 	return r.res
+}
+
+// run drives the simulation event by event so the run stops the moment a
+// result is known (and a still-queued batch job can be canceled, as the
+// paper's GridSAT did when a problem was solved pre-allocation). It returns
+// when the run is done, the queue is empty or the next event is past the
+// time-out — in each case only once no quantum in flight could have put an
+// earlier event in the queue.
+func (r *runner) run() {
+	for !r.done {
+		t, ok := r.sim.NextAt()
+		h := r.cfg.TimeoutVSec
+		if ok {
+			h = min(h, t)
+		}
+		if r.settleQuanta(h) {
+			continue // an end event joined the queue: look at its head again
+		}
+		if !ok || t > r.cfg.TimeoutVSec {
+			return
+		}
+		r.sim.Step()
+	}
+}
+
+// startWorkers starts the n goroutines that compute quanta, fed first in,
+// first out through a queue of the given length; the returned function
+// stops them and returns when they have exited. Every quantum must have
+// been joined by then, which finish sees to.
+func (r *runner) startWorkers(n, queue int) (stop func()) {
+	r.advanced.L = &r.mu
+	r.work = make(chan *quantum, queue)
+	var wg sync.WaitGroup
+	for range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for q := range r.work {
+				longest, total := q.search(func(done int64) {
+					r.mu.Lock()
+					q.done = done
+					r.wake(q)
+					r.mu.Unlock()
+				})
+				r.mu.Lock()
+				q.longest, q.total, q.finished = longest, total, true
+				r.wake(q)
+				r.mu.Unlock()
+			}
+		}()
+	}
+	return func() {
+		close(r.work)
+		wg.Wait()
+	}
+}
+
+// wake signals the event loop if q is the quantum it waits for and q has
+// finished or can no longer end at or before the loop's horizon. Called by
+// a worker with mu held.
+func (r *runner) wake(q *quantum) {
+	if r.awaited == q && (q.finished || r.horizon < q.notBefore()) {
+		r.advanced.Signal()
+	}
+}
+
+// launchQuantum starts a compute quantum at the current virtual time on a
+// host doing rate propagations per virtual second. The end event's place
+// in the scheduling order is taken here, where the inline kernel scheduled
+// it, so equal-time ties break as they always did.
+func (r *runner) launchQuantum(rate float64, search func(publish func(int64)) (longest, total int64), end func()) {
+	q := &quantum{t0: r.sim.Now(), rate: rate, ticket: r.sim.Reserve(), search: search, end: end}
+	r.quanta = append(r.quanta, q)
+	r.work <- q
+}
+
+// await blocks the event loop — on the condition variable, never spinning —
+// until q has finished or has published enough progress that it cannot end
+// at or before virtual time h. Called with mu held.
+func (r *runner) await(q *quantum, h float64) {
+	for !q.finished && !(h < q.notBefore()) {
+		r.awaited, r.horizon = q, h
+		r.advanced.Wait()
+	}
+	r.awaited = nil
+}
+
+// land queues the end event of a finished quantum, at the time the inline
+// kernel computed at launch — t0 + longest/rate — and in the place reserved
+// then. TotalProps accrues here, which is why finish joins first. Called
+// with mu held.
+func (r *runner) land(q *quantum) {
+	r.sim.AtTicket(q.ticket, q.t0+float64(q.longest)/q.rate, q.end)
+	r.res.TotalProps += q.total
+}
+
+// landFinished lands every quantum that has finished and drops it from
+// r.quanta. Called with mu held.
+func (r *runner) landFinished() {
+	kept := r.quanta[:0]
+	for _, q := range r.quanta {
+		if q.finished {
+			r.land(q)
+		} else {
+			kept = append(kept, q)
+		}
+	}
+	clear(r.quanta[len(kept):])
+	r.quanta = kept
+}
+
+// settleQuanta makes the kernel's queue safe to step up to virtual time h:
+// it lands every quantum that has finished and, if there was none, waits
+// until each quantum in flight cannot end at or before h and lands those
+// that finished meanwhile. It reports whether it landed any: the caller
+// must then look at the queue again, since an end event may precede h —
+// which is also why it lands before it waits: the event that is next may
+// already be known, and may launch more work.
+func (r *runner) settleQuanta(h float64) (landed bool) {
+	n := len(r.quanta)
+	if n == 0 {
+		return false
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.landFinished(); len(r.quanta) == n {
+		for _, q := range r.quanta {
+			r.await(q, h)
+		}
+		r.landFinished()
+	}
+	return len(r.quanta) < n
+}
+
+// joinQuanta waits for every quantum in flight to finish and lands it.
+// Anything that reads a client which may be computing goes through it
+// first: the inline kernel had run the whole quantum by then.
+func (r *runner) joinQuanta() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, q := range r.quanta {
+		r.await(q, math.Inf(1))
+	}
+	r.landFinished()
 }
 
 // submitBatch queues the Blue Horizon-style job; each allocated node
@@ -796,30 +1001,69 @@ func engines(c *Client) []*solver.Solver {
 	return out
 }
 
-// step runs one compute quantum for dc and schedules its slice boundary.
+// progressProps is how many propagations a worker runs between progress
+// reports: small enough that the event loop rarely waits long for the bound
+// to pass the next event (256 propagations are a quarter of a virtual second
+// on a speed-1 host, a twentieth of the default quantum), large enough that
+// re-entering Solve costs nothing measurable.
+const progressProps = 256
+
+// searchQuantum is the compute half of cl's slice as a worker runs it:
+// Client.searchSlice, with a single solver's quantum cut into resumed Solve
+// calls of progressProps propagations so progress can be published between
+// them. Solve checks its limits at the top of its loop, before every
+// propagate, so a call that stops at a propagation limit and the call that
+// resumes it take the steps one call would have taken
+// (solver.TestChunkedSliceIsTheSameSearch). A portfolio slice stays one
+// opaque call: no progress until it is done, which is the inline order.
 // On a Threads-core host every worker advances "in parallel", so the
-// quantum lasts as long as the busiest worker's propagations take on this
-// host right now, while TotalProps accrues the sum (the real work done).
+// quantum lasts as long as the busiest engine's propagations take, while
+// TotalProps accrues the sum (the real work done).
+func searchQuantum(cl *Client, publish func(done int64)) (res solver.Result, longest, total int64) {
+	slvs := engines(cl)
+	before := make([]int64, len(slvs))
+	for i, s := range slvs {
+		before[i] = s.Stats().Propagations
+	}
+	quantum := cl.slice.MaxPropagations
+	if cl.port != nil || quantum <= 0 {
+		res = cl.searchSlice()
+	} else {
+		lim := cl.slice
+		lim.MaxMemoryBytes = cl.memBudget()
+		for done := int64(0); ; publish(done) {
+			lim.MaxPropagations = min(progressProps, quantum-done)
+			res = cl.slv.Solve(lim)
+			done = cl.slv.Stats().Propagations - before[0]
+			if res.Reason != solver.ReasonPropLimit || done >= quantum {
+				break
+			}
+		}
+	}
+	for i, s := range slvs {
+		d := max(s.Stats().Propagations-before[i], 1) // even an instant verdict takes some time
+		total += d
+		longest = max(longest, d)
+	}
+	return res, longest, total
+}
+
+// step launches one compute quantum for dc; its slice boundary is scheduled
+// when it lands (settleQuanta). Until then dc.stepping parks every message
+// for dc in its inbox, so nothing on the event loop touches the client the
+// worker is computing.
 func (r *runner) step(dc *desClient) {
 	cl := dc.cl
 	if r.done || dc.dead || dc.stepping || !cl.busy {
 		return
 	}
 	dc.stepping = true
-	slvs := engines(cl)
-	before := make([]int64, len(slvs))
-	for i, s := range slvs {
-		before[i] = s.Stats().Propagations
-	}
-	res := cl.searchSlice()
-	var longest int64
-	for i, s := range slvs {
-		d := max(s.Stats().Propagations-before[i], 1) // even an instant verdict takes some time
-		r.res.TotalProps += d
-		longest = max(longest, d)
-	}
 	avail := r.cfg.Grid.Availability(dc.host, r.sim.Now())
-	r.sim.After(float64(longest)/(r.cfg.PropsPerVSec*dc.host.Speed*avail), func() {
+	var res solver.Result // written by the worker, read after the quantum has landed
+	r.launchQuantum(r.cfg.PropsPerVSec*dc.host.Speed*avail, func(publish func(int64)) (longest, total int64) {
+		res, longest, total = searchQuantum(cl, publish)
+		return longest, total
+	}, func() {
 		if r.done || dc.dead {
 			return
 		}
@@ -871,6 +1115,7 @@ func (r *runner) fail(hostID int) {
 	if r.done || dc == nil || dc.dead {
 		return
 	}
+	r.joinQuanta() // the checkpoint is of the state the running quantum leaves
 	salvage := []*solver.Subproblem{}
 	if dc.cl.busy && dc.cl.slv != nil {
 		cp := dc.cl.slv.Checkpoint(solver.LightCheckpoint, 0)
@@ -904,6 +1149,9 @@ func (r *runner) finish(outcome SimOutcome) {
 		return
 	}
 	r.done = true
+	// Quanta in flight when the verdict lands were computed in full by the
+	// inline kernel: TotalProps and each client's unreported tail count them.
+	r.joinQuanta()
 	m := r.m
 	if outcome == OutcomeSolved || m.serve {
 		m.finishResult()

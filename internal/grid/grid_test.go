@@ -36,6 +36,54 @@ func TestSimEqualTimesFIFO(t *testing.T) {
 	}
 }
 
+// A reserved ticket is a place in the scheduling order, not a time: an
+// event queued under it long after — from a later event, when its time is
+// finally known — still ties with equal-time events as if At had been
+// called where Reserve was.
+func TestSimReservedTicketKeepsItsPlace(t *testing.T) {
+	s := NewSim()
+	var order []string
+	s.At(5, func() { order = append(order, "before") })
+	tk := s.Reserve()
+	s.At(5, func() { order = append(order, "after") })
+	s.At(2, func() {
+		s.At(5, func() { order = append(order, "last") })
+		s.AtTicket(tk, 5, func() { order = append(order, "reserved") })
+		s.AtTicket(s.Reserve(), 1, func() { order = append(order, "clamped") }) // the past clamps to now
+	})
+	s.Run(10)
+	want := []string{"clamped", "before", "reserved", "after", "last"}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
+		}
+	}
+}
+
+// BenchmarkSimSelfRescheduling is gridbench's grid.sim_events_per_s probe
+// as a benchmark: each handler schedules the next, a million times per op.
+func BenchmarkSimSelfRescheduling(b *testing.B) {
+	for range b.N {
+		const events = 1_000_000
+		s := NewSim()
+		n := 0
+		var tick func()
+		tick = func() {
+			if n++; n < events {
+				s.After(1, tick)
+			}
+		}
+		s.At(0, tick)
+		s.Run(events + 1)
+		if n != events {
+			b.Fatalf("%d events ran", n)
+		}
+	}
+}
+
 func TestSimNestedScheduling(t *testing.T) {
 	s := NewSim()
 	var times []float64

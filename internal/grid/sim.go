@@ -8,14 +8,19 @@
 // Time is virtual: the package provides a deterministic discrete-event
 // simulation kernel (Sim). GridSAT's benchmark harness advances client
 // computation in work units (solver propagations) that convert to virtual
-// seconds through each host's speed and current availability, so a 34-host
-// distributed run can be reproduced exactly on a single physical core.
+// seconds through each host's speed and current availability. The kernel
+// is one event loop on one goroutine; core.RunDistributed computes its
+// clients' work quanta on worker goroutines beside it and hands each
+// quantum's end back as an event whose place in the order was fixed when
+// the quantum started (Reserve/AtTicket), so a 34-host run reproduces
+// exactly on however many physical cores the host has.
 package grid
 
 import "container/heap"
 
 // Sim is a deterministic discrete-event simulation kernel. Events with
-// equal timestamps run in scheduling order.
+// equal timestamps run in scheduling order. It is not safe for concurrent
+// use: every method is called from the one goroutine that steps it.
 type Sim struct {
 	now float64
 	seq int64
@@ -30,11 +35,28 @@ func (s *Sim) Now() float64 { return s.now }
 
 // At schedules fn at absolute virtual time t (clamped to now).
 func (s *Sim) At(t float64, fn func()) {
+	s.AtTicket(s.Reserve(), t, fn)
+}
+
+// Ticket is a place in the scheduling order, taken by Reserve for an event
+// whose time is not known yet.
+type Ticket int64
+
+// Reserve takes the next place in the scheduling order without scheduling
+// anything. An event later queued under the ticket ties with equal-time
+// events exactly as if At had been called where Reserve was.
+func (s *Sim) Reserve() Ticket {
+	s.seq++
+	return Ticket(s.seq)
+}
+
+// AtTicket schedules fn at absolute virtual time t (clamped to now) in the
+// place tk reserved. A ticket is good for one event.
+func (s *Sim) AtTicket(tk Ticket, t float64, fn func()) {
 	if t < s.now {
 		t = s.now
 	}
-	s.seq++
-	heap.Push(&s.pq, &event{t: t, seq: s.seq, fn: fn})
+	heap.Push(&s.pq, &event{t: t, seq: int64(tk), fn: fn})
 }
 
 // After schedules fn d virtual seconds from now.
