@@ -7,7 +7,6 @@
 //	benchtab -ablation sharelen    clause-share-length sweep
 //	benchtab -ablation sched       scheduling-policy sweep (Poisson workload)
 //	benchtab -bhonly               par32-1-c Blue-Horizon-only rerun
-//	benchtab -snapshot BENCH_6.json   machine-readable CI perf snapshot
 //
 // Times are virtual seconds at the fixed scale (1 vsec ≈ 10 paper
 // seconds); runs are deterministic.
@@ -35,7 +34,6 @@ func main() {
 		ablationOut = flag.String("ablation-out", "", "also write the ablation's machine-readable JSON here (split and hybrid)")
 		threads     = flag.Int("threads", 0, "portfolio workers per simulated client (0/1 = single-solver)")
 		bhOnly      = flag.Bool("bhonly", false, "rerun par32-1-c on Blue Horizon alone")
-		snapshot    = flag.String("snapshot", "", "write a machine-readable perf snapshot (JSON) to this path")
 		quiet       = flag.Bool("q", false, "suppress per-row progress")
 	)
 	flag.Parse()
@@ -92,16 +90,6 @@ func main() {
 		res := bench.BlueHorizonOnly(inst, opts)
 		fmt.Printf("par32-1-c on Blue Horizon alone: outcome=%v vsec=%.0f batch-start=%.0f batch-time=%.0f\n",
 			res.Outcome, res.VSec, res.BatchStartVSec, res.VSec-res.BatchStartVSec)
-	}
-	if *snapshot != "" {
-		did = true
-		snap := bench.BuildSnapshot(opts)
-		if err := bench.WriteSnapshot(*snapshot, snap); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d rows, scale %g, seed %d)\n",
-			*snapshot, len(snap.Rows), snap.Scale, snap.Seed)
 	}
 	if !did {
 		flag.Usage()

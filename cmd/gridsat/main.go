@@ -367,8 +367,8 @@ func cmdMaster(args []string) error {
 	return writeReport(*reportPath, fs.Arg(0), res, fl)
 }
 
-// cmdServe boots the long-lived multi-job scheduling service: a serve-mode
-// master whose /jobs HTTP API (submit, status, cancel, result) rides the
+// cmdServe boots the long-lived multi-job scheduling service: a master
+// with no job of its own, whose /jobs HTTP API (submit, status, cancel, result) rides the
 // introspection server. Ctrl-C shuts the pool down cleanly.
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
@@ -415,7 +415,6 @@ func cmdServe(args []string) error {
 		MetricsAddr:     *apiAddr,
 		Logger:          logger,
 		Flight:          fl,
-		Serve:           true,
 		SchedPolicy:     *policy,
 		Admission:       core.Admission{MaxActive: *maxJobs, MemBudgetBytes: *memBudget},
 		RebalancePeriod: *rebalance,

@@ -128,10 +128,3 @@ func RenderSchedAblation(results []SchedResult) string {
 	}
 	return b.String()
 }
-
-// SchedSnapshotWorkload is the fixed trace the CI snapshot's scheduler
-// section replays: six mixed jobs arriving densely enough (mean 8-vsec
-// gaps) that the policies actually diverge on the 4-client cluster.
-func SchedSnapshotWorkload() []core.SimJob {
-	return PoissonWorkload(6, 8, 5)
-}

@@ -28,7 +28,7 @@ func TestPoissonWorkloadDeterministic(t *testing.T) {
 
 // TestAblationSched runs the policy sweep on a short trace and checks
 // every policy solves every job and the sweep is deterministic across
-// reruns (the snapshot-diffing property).
+// reruns.
 func TestAblationSched(t *testing.T) {
 	jobs := PoissonWorkload(4, 20, 3)
 	run := func() []SchedResult { return AblationSched(jobs, Options{Seed: 1}) }

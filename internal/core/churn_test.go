@@ -75,9 +75,7 @@ func TestHeartbeatAggregationSurvivesChurn(t *testing.T) {
 	// Client 1 goes idle and is lost. Its lifetime contribution must
 	// survive the departure.
 	c1.busy = false
-	if _, err := m.clientLost(c1, nil); err != nil {
-		t.Fatal(err)
-	}
+	m.clientLost(c1, nil)
 	if m.clients[1] != nil {
 		t.Fatal("lost client still registered")
 	}
@@ -124,22 +122,25 @@ func TestHeartbeatAggregationSurvivesChurn(t *testing.T) {
 	}
 }
 
-// TestStateCoverageFromSolved checks the master's coverage
-// accounting through handleSolved: refuting depth-1 halves adds exactly
-// half the space each, the verdict flips at full coverage, and depth
-// reported by the client is what the estimator uses.
+// from drives the master's one entry point with a message from client id.
+func from(id int, msg comm.Message) masterEvent { return masterEvent{clientID: id, msg: msg} }
+
+// TestStateCoverageFromSolved checks the master's coverage accounting
+// through handle: refuting depth-1 halves adds exactly half the space each,
+// the job is done UNSAT — and the one-shot run with it — at full coverage
+// (after which it is no longer in the cluster mean), and depth reported by
+// the client is what the estimator uses.
 func TestStateCoverageFromSolved(t *testing.T) {
 	m := newChurnMaster(t)
 	m.started = time.Now()
 	m.jobs[0].assigned = true
 	m.jobs[0].outstanding = 2
 
-	c1 := &masterClient{id: 1, addr: "a", busy: true}
-	c2 := &masterClient{id: 2, addr: "b", busy: true}
-	m.clients[1], m.clients[2] = c1, c2
+	m.clients[1] = &masterClient{id: 1, addr: "a", busy: true}
+	m.clients[2] = &masterClient{id: 2, addr: "b", busy: true}
 	m.order = []int{1, 2}
 
-	done, err := m.handleSolved(c1, comm.Solved{ClientID: 1, Status: solver.StatusUNSAT, Depth: 1})
+	done, err := m.handle(from(1, comm.Solved{ClientID: 1, Status: solver.StatusUNSAT, Depth: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,26 +151,36 @@ func TestStateCoverageFromSolved(t *testing.T) {
 	if got := snap.Jobs[0].Units; got != coverageFull/2 || snap.Coverage != 0.5 {
 		t.Fatalf("after one depth-1 closure: %d units, coverage %v; want %d and 0.5", got, snap.Coverage, coverageFull/2)
 	}
-	if snap.Verdict != "" {
-		t.Fatalf("verdict %q before exhaustion", snap.Verdict)
+	if snap.Jobs[0].Verdict != "" {
+		t.Fatalf("verdict %q before exhaustion", snap.Jobs[0].Verdict)
 	}
 
-	done, err = m.handleSolved(c2, comm.Solved{ClientID: 2, Status: solver.StatusUNSAT, Depth: 1})
+	done, err = m.handle(from(2, comm.Solved{ClientID: 2, Status: solver.StatusUNSAT, Depth: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !done {
 		t.Fatal("exhausted space did not end the run")
 	}
+	m.finishResult()
 	snap = m.state()
-	if got := snap.Jobs[0].Units; got != coverageFull || snap.Coverage != 1.0 {
-		t.Fatalf("final coverage %v (%d units), want exactly 1.0", snap.Coverage, got)
+	if got := snap.Jobs[0].Units; got != coverageFull {
+		t.Fatalf("final coverage %d units, want exactly %d", got, uint64(coverageFull))
 	}
-	if snap.Verdict != "UNSAT" {
-		t.Fatalf("verdict %q, want UNSAT", snap.Verdict)
+	if snap.Jobs[0].Verdict != "UNSAT" || snap.Jobs[0].State != "done" || snap.Verdict != "UNSAT" {
+		t.Fatalf("job verdict %q state %q, run verdict %q; want UNSAT, done, UNSAT",
+			snap.Jobs[0].Verdict, snap.Jobs[0].State, snap.Verdict)
 	}
-	if snap.ETASeconds != 0 {
-		t.Fatalf("ETA at exhaustion = %v, want 0", snap.ETASeconds)
+	if m.result.Status != solver.StatusUNSAT {
+		t.Fatalf("result status %v, want UNSAT", m.result.Status)
+	}
+	// A finished job leaves the cluster mean, here as in a service: the
+	// job's own row keeps its final coverage.
+	if snap.Jobs[0].Searching || snap.Jobs[0].Coverage != 1.0 {
+		t.Fatalf("finished job row: searching=%v coverage=%v; want false, 1", snap.Jobs[0].Searching, snap.Jobs[0].Coverage)
+	}
+	if snap.Coverage != 0 || snap.ETASeconds != -1 {
+		t.Fatalf("cluster coverage %v eta %v with no job searching; want 0, -1", snap.Coverage, snap.ETASeconds)
 	}
 }
 
@@ -181,19 +192,21 @@ func TestStateCoverageFromSolved(t *testing.T) {
 func TestRootNackIsRequeued(t *testing.T) {
 	m := newChurnMaster(t)
 	for id := 1; id <= 2; id++ {
-		m.clients[id] = &masterClient{id: id, addr: "a", rank: float64(3 - id), sentBase: map[int]bool{}}
-		m.order = append(m.order, id)
+		m.connect()
+		if _, err := m.handle(from(id, comm.Register{Addr: "a", FreeMemBytes: 1 << 20, SpeedHint: float64(3 - id)})); err != nil {
+			t.Fatal(err)
+		}
 	}
 	j := m.jobs[0]
-	m.assignRoot(j)
-	m.serveBacklog()
 	c1, c2 := m.clients[1], m.clients[2]
-	if !c1.busy || j.outstanding != 1 {
-		t.Fatalf("root not handed to the best-ranked client: busy=%v outstanding=%d", c1.busy, j.outstanding)
+	if !c1.busy || c2.busy || j.outstanding != 1 {
+		t.Fatalf("root not handed to the first registrant: busy=%v,%v outstanding=%d", c1.busy, c2.busy, j.outstanding)
 	}
-	// Client 1 bounces it; make it ineligible so the requeue must move on.
-	c1.reserved = true
-	if done := m.handleSplitDone(c1, comm.SplitDone{ClientID: 1, OK: false, Err: "already busy"}); done {
+	// Client 1 bounces it, and its memory forecast has dropped under the
+	// floor meanwhile, so the requeue must move on.
+	m.cfg.MinMemBytes = 1 << 10
+	m.noteForecast(1, c1.rank, 0)
+	if done, _ := m.handle(from(1, comm.SplitDone{ClientID: 1, OK: false, Err: "already busy"})); done {
 		t.Fatal("a bounced root ended the run")
 	}
 	if c1.busy {
@@ -202,15 +215,15 @@ func TestRootNackIsRequeued(t *testing.T) {
 	if !c2.busy || j.outstanding != 1 || len(j.subBacklog) != 0 {
 		t.Fatalf("root not reassigned: c2.busy=%v outstanding=%d queued=%d", c2.busy, j.outstanding, len(j.subBacklog))
 	}
-	if done := m.handleSplitDone(c2, comm.SplitDone{ClientID: 2, OK: true}); done {
+	if done, _ := m.handle(from(2, comm.SplitDone{ClientID: 2, OK: true})); done {
 		t.Fatal("root ack ended the run")
 	}
-	done, err := m.handleSolved(c2, comm.Solved{ClientID: 2, Status: solver.StatusUNSAT})
+	done, err := m.handle(from(2, comm.Solved{ClientID: 2, Status: solver.StatusUNSAT}))
 	if err != nil || !done {
 		t.Fatalf("refuting the requeued root: done=%v err=%v", done, err)
 	}
-	if got := m.jobs[0].prog.Units(); got != coverageFull {
-		t.Fatalf("coverage %d units, want exactly %d", got, coverageFull)
+	if got := j.prog.Units(); got != coverageFull {
+		t.Fatalf("coverage %d units, want exactly %d", got, uint64(coverageFull))
 	}
 }
 
@@ -240,25 +253,28 @@ func TestWatchSampleCountsSilenceFromAssignment(t *testing.T) {
 // outstanding count — what UNSAT-by-exhaustion rests on — stays exact.
 func TestClientLostRequeuesSalvage(t *testing.T) {
 	m := newChurnMaster(t)
-	join := func(id int) *masterClient {
-		c := &masterClient{id: id, addr: "a", rank: float64(10 - id), sentBase: map[int]bool{}}
-		m.clients[id] = c
-		m.order = append(m.order, id)
-		return c
+	join := func() *masterClient {
+		id := m.connect()
+		if _, err := m.handle(from(id, comm.Register{Addr: "a", FreeMemBytes: 1 << 20, SpeedHint: float64(10 - id)})); err != nil {
+			t.Fatal(err)
+		}
+		return m.clients[id]
 	}
-	c1, c2 := join(1), join(2)
+	lose := func(c *masterClient, salvage ...*solver.Subproblem) {
+		t.Helper()
+		if done, err := m.handle(masterEvent{clientID: c.id, err: errCrashed, salvage: salvage}); done || err != nil {
+			t.Fatalf("losing client %d: done=%v err=%v", c.id, done, err)
+		}
+	}
+	c1, c2 := join(), join()
 	j := m.jobs[0]
-	m.assignRoot(j)
-	m.serveBacklog()
 	root := m.pendingAssigns[1].sub
 	if root == nil || !c1.busy {
 		t.Fatal("root not in flight to client 1")
 	}
 	// Client 1 dies before acking; the payload was still on the wire, so
 	// the shell's salvage names the very subproblem the master holds.
-	if done, err := m.clientLost(c1, []*solver.Subproblem{root}); done || err != nil {
-		t.Fatalf("clientLost: done=%v err=%v", done, err)
-	}
+	lose(c1, root)
 	if got := m.pendingAssigns[2]; got.sub != root || got.origin != fromRoot || !c2.busy {
 		t.Fatalf("root not requeued to client 2 as a root: %+v", got)
 	}
@@ -266,20 +282,64 @@ func TestClientLostRequeuesSalvage(t *testing.T) {
 		t.Fatalf("outstanding=%d queued=%d after requeue, want 1 and 0 (double-counted salvage?)", j.outstanding, len(j.subBacklog))
 	}
 	// Client 2 starts it, then dies mid-run leaving a checkpoint.
-	m.handleSplitDone(c2, comm.SplitDone{ClientID: 2, OK: true})
-	c3 := join(3)
+	m.handle(from(2, comm.SplitDone{ClientID: 2, OK: true}))
+	c3 := join()
 	cp := &solver.Subproblem{NumVars: 2, Depth: 0}
-	if done, err := m.clientLost(c2, []*solver.Subproblem{cp}); done || err != nil {
-		t.Fatalf("clientLost: done=%v err=%v", done, err)
-	}
+	lose(c2, cp)
 	if got := m.pendingAssigns[3]; got.sub != cp || got.origin != fromCrash || got.donor != 2 {
 		t.Fatalf("checkpoint not handed to client 3 as crash recovery: %+v", got)
 	}
 	if j.outstanding != 1 {
 		t.Fatalf("outstanding=%d, want 1", j.outstanding)
 	}
-	m.handleSplitDone(c3, comm.SplitDone{ClientID: 3, OK: true})
-	if done, err := m.handleSolved(c3, comm.Solved{ClientID: 3, Status: solver.StatusUNSAT}); err != nil || !done {
+	m.handle(from(3, comm.SplitDone{ClientID: 3, OK: true}))
+	if done, err := m.handle(from(3, comm.Solved{ClientID: 3, Status: solver.StatusUNSAT})); err != nil || !done {
 		t.Fatalf("refuting the recovered subproblem: done=%v err=%v", done, err)
+	}
+	if m.jobs[0].status != solver.StatusUNSAT || c3.busy {
+		t.Fatalf("job 0 status %v, client 3 busy=%v; want UNSAT and idle", m.jobs[0].status, c3.busy)
+	}
+}
+
+// TestSplitBacklogSweepsStaleHeadAtLimitZero: a job already holding its
+// whole target is served with limit 0, and that must still drop the stale
+// requests ahead of the first live one. An entry left behind keeps its old
+// AssignedAt; if its client goes busy again before the next look, it splits
+// the new subproblem ahead of clients that have run longer (what moved
+// bart15 at flight event 6691 when a draft returned before sweeping).
+func TestSplitBacklogSweepsStaleHeadAtLimitZero(t *testing.T) {
+	now := 100.0
+	m := bareMaster(t, &now)
+	var sent []comm.Message
+	m.send = func(_ int, msg comm.Message) { sent = append(sent, msg) }
+	f := cnf.NewFormula(2)
+	f.Add(1, 2)
+	id, err := m.submit("j", f, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := m.jobs[id]
+	join := func(busy bool) *masterClient {
+		c := m.clients[m.connect()]
+		c.addr, c.busy, c.job, c.freeMem = "a", busy, id, 1<<20
+		return c
+	}
+	gone, live, idle := join(false), join(true), join(false)
+	gone.pendingSplit, live.pendingSplit, idle.rank = true, true, 1 // idle outranks gone
+	j.backlog = []BacklogEntry{
+		{ClientID: live.id, AssignedAt: 20, RequestedAt: 40},
+		{ClientID: gone.id, AssignedAt: 10, RequestedAt: 30}, // longest-running: the head
+	}
+	m.serveSplitBacklog(j, 0)
+	if len(j.backlog) != 1 || j.backlog[0].ClientID != live.id {
+		t.Fatalf("backlog after a limit-0 pass: %+v, want only the live request", j.backlog)
+	}
+	if len(sent) != 0 || idle.reserved || len(m.pendingSplits) != 0 || !live.pendingSplit {
+		t.Fatalf("limit 0 served something: sent %v, idle reserved=%v, transfers %d", sent, idle.reserved, len(m.pendingSplits))
+	}
+	// With room for one recipient the live request is served to the idle client.
+	m.serveSplitBacklog(j, 1)
+	if len(j.backlog) != 0 || !idle.reserved || len(sent) == 0 {
+		t.Fatalf("limit 1: backlog %+v, idle reserved=%v, sent %v", j.backlog, idle.reserved, sent)
 	}
 }

@@ -29,22 +29,10 @@ type ClientConfig struct {
 	// ShareMaxLen bounds exported learned clauses (paper: 10 and 3);
 	// 0 uses the default, negative disables sharing entirely.
 	ShareMaxLen int
-	// ShareFlushCount flushes the share aggregator once this many fresh
-	// clauses are pending (0 = default 16).
-	ShareFlushCount int
-	// ShareFlushInterval flushes a non-empty aggregator after this long
-	// even below ShareFlushCount (0 = default 100ms).
-	ShareFlushInterval time.Duration
 	// ShareWindow caps the duplicate-suppression fingerprint window the
 	// client uses to avoid re-exporting clauses it already saw (its own
 	// or received from peers). 0 uses a default.
 	ShareWindow int
-	// SharePendingMax bounds the aggregator's pending batch; when full,
-	// the longest pending clause is dropped first (0 = default).
-	SharePendingMax int
-	// SplitLearntMaxLen / Count bound clauses forwarded inside a split.
-	SplitLearntMaxLen   int
-	SplitLearntMaxCount int
 	// SliceConflicts is the solver quantum between control-plane checks
 	// (clause merges and share flushes; control kinds cut a slice short).
 	SliceConflicts int64
@@ -62,8 +50,8 @@ type ClientConfig struct {
 	// Threads is the in-host portfolio width: the client runs this many
 	// diversified solver workers over each subproblem, exchanging learnt
 	// clauses through a lock-free in-host pool, and presents itself to the
-	// master as one client. 0 or 1 preserves single-solver behavior
-	// exactly; the pathfinder (worker 0) always runs the base options.
+	// master as one client. 0 or 1 is one solver and no pool; the
+	// pathfinder (worker 0) always runs the base options.
 	Threads int
 	// SolverOptions tunes the engine; nil runs solver.DefaultOptions, the
 	// shipped engine (the DES passes solver.Fidelity2003 here).
@@ -99,6 +87,11 @@ type ClientConfig struct {
 // costs them nothing.
 const liveSplitFloor = 100 * time.Millisecond
 
+// splitLearntMaxCount caps the learnt clauses a subproblem carries to its
+// recipient (a split cofactor, a migration or preemption checkpoint); their
+// length is bounded like any shared clause's, by ShareMaxLen.
+const splitLearntMaxCount = 10000
+
 func (c *ClientConfig) withDefaults() ClientConfig {
 	out := *c
 	if out.SliceConflicts == 0 {
@@ -112,12 +105,6 @@ func (c *ClientConfig) withDefaults() ClientConfig {
 	}
 	if out.ShareMaxLen == 0 {
 		out.ShareMaxLen = 10
-	}
-	if out.SplitLearntMaxLen == 0 {
-		out.SplitLearntMaxLen = out.ShareMaxLen
-	}
-	if out.SplitLearntMaxCount == 0 {
-		out.SplitLearntMaxCount = 10000
 	}
 	if out.HeartbeatEvery == 0 {
 		out.HeartbeatEvery = 8
@@ -149,27 +136,26 @@ type Client struct {
 	addr string
 
 	// base is the current subproblem's formula; bases caches every
-	// BaseProblem received, keyed by job (a scheduling master ships one
-	// formula per job; single-job masters use the implicit job 0).
+	// BaseProblem received, keyed by job (the master ships one formula per
+	// job; a one-shot run's only job is 0).
 	base  *cnf.Formula
 	bases map[int]*cnf.Formula
 	// job is the job the current (or last) subproblem belongs to; tagged
 	// onto every outbound Solved/StatusReport/ShareClauses/SplitPayload.
 	job      int
 	strategy solver.SplitStrategy
-	// slv is the active solver: the only solver when single-threaded, the
-	// portfolio's pathfinder when Threads > 1. Splits, migration and
-	// depth/coverage reporting always go through slv.
-	slv *solver.Solver
-	// port is the in-host portfolio (nil when Threads <= 1). slv aliases
-	// port.Pathfinder() while it is non-nil. pool totals the exchange
-	// telemetry of every portfolio already torn down.
+	// port is the in-host portfolio solving the current subproblem (one
+	// worker unless Threads > 1) and slv its pathfinder, both nil while
+	// idle. Searching, sharing and the heartbeat totals go through port;
+	// splits, migration and depth/coverage reporting through slv. pool
+	// totals the exchange telemetry of every portfolio already torn down.
 	port *portfolio
+	slv  *solver.Solver
 	pool poolStats
-	// cut stops the engine(s) of the subproblem in flight — Solver.Stop, or
-	// every worker of a portfolio — and is nil while there is none. It is
-	// the one piece of solving state another goroutine may touch: the live
-	// shell's masterLoop calls it to end a slice early (see interrupts).
+	// cut stops every worker of the portfolio in flight and is nil while
+	// there is none. It is the one piece of solving state another goroutine
+	// may touch: the live shell's masterLoop calls it to end a slice early
+	// (see interrupts).
 	cut        atomic.Pointer[func()]
 	recvAt     float64 // when the current subproblem arrived
 	xferTime   float64
@@ -254,9 +240,8 @@ func newClient(cfg ClientConfig, now func() float64, send func(comm.SplitPeer, c
 		slice:    solver.Limits{MaxConflicts: cfg.SliceConflicts},
 		strategy: strategy,
 		bases:    map[int]*cnf.Formula{},
-		shares: newShareAggregator(cfg.ShareFlushCount, cfg.ShareFlushInterval.Seconds(),
-			cfg.ShareWindow, cfg.SharePendingMax, now()),
-		flight: cfg.Flight,
+		shares:   newShareAggregator(shareFlushCount, shareFlushEvery, cfg.ShareWindow, 0, now()),
+		flight:   cfg.Flight,
 	}
 	if cfg.Metrics != nil {
 		c.shareDedup = cfg.Metrics.Counter("gridsat_client_share_dedup_total",
@@ -552,11 +537,7 @@ func (c *Client) handleBusy(msg comm.Message) bool {
 			// are sound only within their own job's formula, hence the tag
 			// filter.
 			c.shares.NoteReceived(m.Clauses)
-			if c.port != nil {
-				_ = c.port.ImportClauses(m.Clauses)
-			} else {
-				_ = c.slv.ImportClauses(m.Clauses)
-			}
+			_ = c.port.ImportClauses(m.Clauses)
 			c.femit(trace.FEvent{Kind: trace.FEvShareMerge, Client: c.id, Peer: m.From,
 				Job: c.job, N: int64(len(m.Clauses)), Lamport: ti.Lamport, Parent: ti.Parent})
 		}
@@ -599,33 +580,19 @@ func (c *Client) startSubproblem(splitID, job int, subs []*solver.Subproblem) {
 	if c.cfg.Counters != nil {
 		opts.Counters = c.cfg.Counters
 	}
-	if c.cfg.Threads > 1 {
-		// Portfolio client: K diversified workers over this subproblem.
-		// Learnt clauses flow through the in-host pool; the ones within
-		// the cluster share bound are forwarded to the aggregator between
-		// slices (see solveSlice), not directly from OnLearn.
-		port, err := newPortfolio(c.base, sub, opts, c.cfg.Threads, c.cfg.ShareMaxLen)
-		if err != nil {
-			_ = c.sendMaster(comm.SplitDone{ClientID: c.id, SplitID: splitID, OK: false, Err: err.Error()})
-			return
-		}
-		port.sequential = c.sequential
-		c.port = port
-		c.slv = port.Pathfinder()
-	} else {
-		// OnLearn passes a fresh copy, so the aggregator may retain it.
-		opts.OnLearn = c.shares.Learn
-		slv, err := solver.NewFromSubproblem(c.base, sub, opts)
-		if err != nil {
-			_ = c.sendMaster(comm.SplitDone{ClientID: c.id, SplitID: splitID, OK: false, Err: err.Error()})
-			return
-		}
-		c.slv = slv
+	// One worker exports straight to the aggregator (OnLearn passes a fresh
+	// copy, so it may retain it). K > 1 diversified workers publish to the
+	// in-host pool instead, and the clauses within the cluster share bound
+	// are forwarded to the aggregator between slices (see finishSlice).
+	opts.OnLearn = c.shares.Learn
+	port, err := newPortfolio(c.base, sub, opts, max(1, c.cfg.Threads), c.cfg.ShareMaxLen)
+	if err != nil {
+		_ = c.sendMaster(comm.SplitDone{ClientID: c.id, SplitID: splitID, OK: false, Err: err.Error()})
+		return
 	}
-	cut := c.slv.Stop
-	if c.port != nil {
-		cut = c.port.StopAll
-	}
+	port.sequential = c.sequential
+	c.port, c.slv = port, port.Pathfinder()
+	cut := port.StopAll
 	c.cut.Store(&cut)
 	c.busy = true
 	c.splitAsked = false
@@ -652,22 +619,16 @@ func (c *Client) memBudget() int64 { return c.cfg.FreeMemBytes * 60 / 100 }
 func (c *Client) searchSlice() solver.Result {
 	lim := c.slice
 	lim.MaxMemoryBytes = c.memBudget()
-	if c.port != nil {
-		return c.port.Solve(lim)
-	}
-	return c.slv.Solve(lim)
+	return c.port.Solve(lim)
 }
 
 // finishSlice is the control half: flush shares, heartbeat, report a
 // verdict, or evaluate the split triggers.
 func (c *Client) finishSlice(res solver.Result) error {
-	worker := 0
-	if c.port != nil {
-		// Pool clauses within the cluster bound ride the normal
-		// master-mediated share path; the aggregator dedups and ranks.
-		c.port.DrainClusterShares(c.shares.Learn)
-		worker = max(c.port.Winner(), 0)
-	}
+	// Pool clauses within the cluster bound ride the normal master-mediated
+	// share path; the aggregator dedups and ranks.
+	c.port.DrainClusterShares(c.shares.Learn)
+	worker := max(c.port.Winner(), 0)
 	c.flushShares()
 	c.sliceCount++
 	if c.cfg.HeartbeatEvery > 0 && c.sliceCount%c.cfg.HeartbeatEvery == 0 {
@@ -698,11 +659,11 @@ func (c *Client) finishSlice(res solver.Result) error {
 		// for an idle resource (paper §4.2). The freed bytes reach the
 		// master through the next heartbeat's ReclaimedBytes delta.
 		c.requestSplit(comm.SplitMemoryPressure)
-		freed := c.shedMemory()
+		freed := c.port.ShedMemory()
 		c.femit(trace.FEvent{Kind: trace.FEvMemShed, Client: c.id, N: freed})
 		return nil
 	}
-	if ask, why := dec.ShouldSplit(c.memoryBytes(), c.now()-c.recvAt); ask {
+	if ask, why := dec.ShouldSplit(c.port.MemoryBytes(), c.now()-c.recvAt); ask {
 		reason := comm.SplitTimeout
 		if why == WhyMemory {
 			reason = comm.SplitMemoryPressure
@@ -712,10 +673,10 @@ func (c *Client) finishSlice(res solver.Result) error {
 	return nil
 }
 
-// dropSolver forgets the current engine(s), folding a portfolio's pool
+// dropSolver forgets the current engine(s), folding the portfolio's pool
 // telemetry into the client's running totals first.
 func (c *Client) dropSolver() {
-	if c.port != nil {
+	if c.slv != nil {
 		c.pool.add(c.port.PoolStats())
 	}
 	c.slv, c.port = nil, nil
@@ -729,54 +690,20 @@ func (c *Client) sendHeartbeat(busy bool) {
 	if c.slv == nil {
 		return
 	}
-	st := c.stats()
+	st := c.port.Stats()
 	d := solver.StatsDelta(st, c.lastHB)
 	c.lastHB = st
-	hb := comm.StatusReport{
+	_ = c.sendMaster(comm.StatusReport{
 		ClientID:  c.id,
-		MemBytes:  c.memoryBytes(),
-		Learnts:   c.numLearnts(),
+		MemBytes:  c.port.MemoryBytes(),
+		Learnts:   c.port.NumLearnts(),
 		Conflicts: st.Conflicts,
 		Busy:      busy,
 		Depth:     c.slv.PathDepth(),
 		Job:       c.job,
 		Deltas:    heartbeatDeltas(d),
-	}
-	if c.port != nil {
-		hb.Workers = c.port.WorkerReports()
-	}
-	_ = c.sendMaster(hb)
-}
-
-// stats/memoryBytes/numLearnts/shedMemory present the host's solving
-// state as one client: the portfolio's workers summed when one is
-// running, the single solver otherwise.
-func (c *Client) stats() solver.Stats {
-	if c.port != nil {
-		return c.port.Stats()
-	}
-	return c.slv.Stats()
-}
-
-func (c *Client) memoryBytes() int64 {
-	if c.port != nil {
-		return c.port.MemoryBytes()
-	}
-	return c.slv.MemoryBytes()
-}
-
-func (c *Client) numLearnts() int {
-	if c.port != nil {
-		return c.port.NumLearnts()
-	}
-	return c.slv.NumLearnts()
-}
-
-func (c *Client) shedMemory() int64 {
-	if c.port != nil {
-		return c.port.ShedMemory()
-	}
-	return c.slv.ShedMemory()
+		Workers:   c.port.WorkerReports(),
+	})
 }
 
 // heartbeatDeltas maps a solver Stats delta onto the wire struct.
@@ -815,7 +742,7 @@ func (c *Client) performSplit(splitID int, peers []comm.SplitPeer) {
 		_ = c.sendMaster(comm.SplitDone{ClientID: c.id, SplitID: splitID, OK: false, Err: "no active subproblem"})
 		return
 	}
-	batch, err := c.strategy.Split(c.slv, c.cfg.SplitLearntMaxLen, c.cfg.SplitLearntMaxCount)
+	batch, err := c.strategy.Split(c.slv, c.cfg.ShareMaxLen, splitLearntMaxCount)
 	if err != nil {
 		_ = c.sendMaster(comm.SplitDone{ClientID: c.id, SplitID: splitID, OK: false, Err: err.Error()})
 		return
@@ -844,7 +771,7 @@ func (c *Client) checkpointSub() *solver.Subproblem {
 	return &solver.Subproblem{
 		NumVars:     c.base.NumVars,
 		Assumptions: c.slv.Level0Lits(),
-		Learnts:     c.slv.ExportLearnts(c.cfg.SplitLearntMaxLen, c.cfg.SplitLearntMaxCount),
+		Learnts:     c.slv.ExportLearnts(c.cfg.ShareMaxLen, splitLearntMaxCount),
 		Depth:       c.slv.PathDepth(),
 	}
 }

@@ -7,11 +7,11 @@ import (
 	"gridsat/internal/cnf"
 )
 
-// This file is the scheduler layer on top of the single-job core: the
-// explicit Job entity (queued → running → preempted → done/cancelled),
-// the SchedPolicy interface deciding how many clients each concurrently
-// running job holds (malleable allocation, in Mallob's sense), and the
-// admission control that bounds how much work the service accepts. The
+// This file is the scheduler's vocabulary: the explicit Job entity
+// (queued → running → preempted → done/cancelled), the SchedPolicy
+// interface deciding how many clients each concurrently running job holds
+// (malleable allocation, in Mallob's sense), and the admission control
+// that bounds how much work the service accepts. The
 // master behind `gridsat serve` and the one the DES steps through
 // multi-job workloads are the same code, so a policy benchmarked
 // deterministically in the DES is what schedules a real deployment.
@@ -160,9 +160,6 @@ func ParseSchedPolicy(name string) (SchedPolicy, error) {
 	}
 	return nil, fmt.Errorf("core: unknown scheduling policy %q (want fifo, fair-share or priority)", name)
 }
-
-// SchedPolicyNames documents the -sched-policy vocabulary for CLI help.
-const SchedPolicyNames = "fifo (default), fair-share, priority"
 
 // fifoPolicy runs jobs to completion in submission order: the oldest
 // active job gets every client (bounded by its demand; leftovers spill to

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -125,14 +128,30 @@ func TestMasterRejectsLowMemoryClient(t *testing.T) {
 	}
 }
 
+// TestMasterNeedsFormulaAndTransport: what a master needs is a transport.
+// The formula only decides what it starts with — none is a service with an
+// empty queue, one is the same service with job 0 admitted.
 func TestMasterNeedsFormulaAndTransport(t *testing.T) {
-	if _, err := NewMaster(MasterConfig{Transport: comm.NewInprocTransport()}); err == nil {
-		t.Fatal("master without formula accepted")
-	}
 	f := cnf.NewFormula(1)
 	f.Add(1)
 	if _, err := NewMaster(MasterConfig{Formula: f}); err == nil {
 		t.Fatal("master without transport accepted")
+	}
+	for _, tc := range []struct {
+		formula *cnf.Formula
+		jobs    []int
+	}{{nil, nil}, {f, []int{0}}} {
+		m, err := NewMaster(MasterConfig{Transport: comm.NewInprocTransport(), Formula: tc.formula})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(m.jobOrder, tc.jobs) {
+			t.Fatalf("formula %v: jobs %v, want %v", tc.formula != nil, m.jobOrder, tc.jobs)
+		}
+		if j := m.jobs[0]; j != nil && (j.State != JobQueued || j.Formula != f || j.Priority != 1) {
+			t.Fatalf("job 0 admitted as %+v", j.Job)
+		}
+		_ = m.listener.Close()
 	}
 }
 
@@ -504,5 +523,75 @@ func TestJobUnknownStrategyRejected(t *testing.T) {
 	cfg.SplitStrategy = "bogus"
 	if _, err := Solve(gen.Pigeonhole(6), cfg); err == nil {
 		t.Fatal("unknown split strategy accepted")
+	}
+}
+
+// TestOneShotRunNamesWhyItHasNoVerdict: job 0 of a one-shot master can end
+// without a verdict in two ways — a client is lost holding the only copy of
+// a subproblem (the live shell has no checkpoint to salvage), or a model
+// fails Verify — and Run, whose error Solve returns as it is, must name the
+// cause. The scripted client speaks the registration handshake and takes
+// the root like a real one, then misbehaves.
+func TestOneShotRunNamesWhyItHasNoVerdict(t *testing.T) {
+	f := cnf.NewFormula(2)
+	f.Add(1, 2)
+	for _, tc := range []struct {
+		name      string
+		misbehave func(conn comm.Conn)
+		want      string
+	}{
+		{"lost client", func(conn comm.Conn) { _ = conn.Close() },
+			"core: lost client 1 while it held a subproblem"},
+		{"invalid model", func(conn comm.Conn) {
+			_ = conn.Send(comm.Solved{ClientID: 1, Status: solver.StatusSAT, Model: cnf.NewAssignment(3)})
+		}, "core: client 1 reported an invalid model"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := comm.NewInprocTransport()
+			m, err := NewMaster(MasterConfig{Transport: tr, ListenAddr: "m", Formula: f, Timeout: time.Minute})
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn, err := tr.Dial("m")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go func() {
+				defer conn.Close()
+				_ = conn.Send(comm.Register{Addr: "nowhere", HostName: "scripted", FreeMemBytes: 1 << 30, SpeedHint: 1})
+				for {
+					msg, err := conn.Recv()
+					if err != nil {
+						return
+					}
+					if p, ok := msg.(comm.SplitPayload); ok { // the root
+						_ = conn.Send(comm.SplitDone{ClientID: 1, SplitID: p.SplitID, OK: true})
+						tc.misbehave(conn)
+					}
+				}
+			}()
+			res, err := m.Run()
+			if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+				t.Fatalf("Run error %v, want %q", err, tc.want)
+			}
+			if res.Status != solver.StatusUnknown || res.Model != nil {
+				t.Fatalf("result %v with a model of %d: want UNKNOWN and none", res.Status, len(res.Model))
+			}
+		})
+	}
+}
+
+// TestSolveReturnsTheLostClientError takes the same loss through Solve: the
+// one client's Run goroutine exits from inside its first conflict, which
+// hangs up on the master the way a killed process does.
+func TestSolveReturnsTheLostClientError(t *testing.T) {
+	opts := solver.DefaultOptions()
+	opts.OnLemma = func(cnf.Clause) { runtime.Goexit() }
+	res, err := Solve(gen.Pigeonhole(6), JobConfig{Clients: 1, Timeout: time.Minute, SolverOptions: &opts})
+	if err == nil || err.Error() != "core: lost client 1 while it held a subproblem" {
+		t.Fatalf("Solve error %v, want the lost-client error", err)
+	}
+	if res.Status != solver.StatusUnknown {
+		t.Fatalf("status %v, want UNKNOWN", res.Status)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"maps"
 	"net/http"
@@ -23,7 +22,10 @@ type MasterConfig struct {
 	Transport comm.Transport
 	// ListenAddr is where clients register ("" lets the transport choose).
 	ListenAddr string
-	// Formula is the problem to solve.
+	// Formula, when non-nil, makes this a one-shot master: the formula is
+	// admitted as job 0 before the first client registers, and Run returns
+	// with that job's verdict. nil builds a service that lives until
+	// Shutdown; jobs arrive through Submit (or the HTTP API — see Service).
 	Formula *cnf.Formula
 	// MinMemBytes rejects clients below this free-memory floor
 	// (128 MB in the paper; tests use small values).
@@ -31,9 +33,9 @@ type MasterConfig struct {
 	// Timeout aborts the run without an answer (the paper's 6000 s /
 	// 12000 s overall time outs). Zero means no timeout.
 	Timeout time.Duration
-	// ExpectedClients, when positive, makes Run wait for that many
-	// registrations before assigning the problem, which keeps small test
-	// topologies deterministic. Zero assigns to the first registrant.
+	// ExpectedClients, when positive, holds every job's root back until
+	// that many clients have registered, which keeps small test topologies
+	// deterministic. Zero assigns to the first registrant.
 	ExpectedClients int
 	// Metrics receives the master's counters, gauges, and histograms;
 	// nil allocates a private registry (reachable via Metrics()).
@@ -62,24 +64,16 @@ type MasterConfig struct {
 	// idle peers per split, so that many recipients are reserved per
 	// assignment when available.
 	SplitStrategy string
-	// Serve turns the master into a long-lived multi-job scheduling
-	// service: Formula becomes optional, jobs arrive through Submit (or the
-	// HTTP API layered on top — see Service), clients are reassigned
-	// between concurrently running jobs under SchedPolicy (malleable
-	// allocation, with checkpoint/preemption), and Run exits only on
-	// Shutdown, a timeout, or a fatal error. Without Serve the master is
-	// the classic single-job runtime, bit-identical to its pre-scheduler
-	// behavior.
-	Serve bool
-	// SchedPolicy names the serve-mode allocation policy: "fifo" (default),
-	// "fair-share" or "priority". See ParseSchedPolicy.
+	// SchedPolicy names the policy that moves clients between concurrently
+	// running jobs (malleable allocation, with checkpoint/preemption):
+	// "fifo" (default), "fair-share" or "priority". See ParseSchedPolicy.
 	SchedPolicy string
-	// Admission bounds what the serve-mode queue accepts (active-job cap
-	// and formula memory budget); the zero value derives the cap from the
-	// registered client count.
+	// Admission bounds what Submit accepts (active-job cap and formula
+	// memory budget); the zero value derives the cap from the registered
+	// client count.
 	Admission Admission
-	// RebalancePeriod is how often serve mode reviews the allocation and
-	// preempts over-allocated jobs (0 = 250ms).
+	// RebalancePeriod is how often Run reviews the allocation and preempts
+	// over-allocated jobs (0 = 250ms).
 	RebalancePeriod time.Duration
 	// ExtraEndpoints adds handlers to the introspection server (the serve
 	// API installs its /jobs routes this way). Ignored without MetricsAddr.
@@ -126,8 +120,8 @@ type Result struct {
 	// Comm is the wire-traffic summary, filled by runners that instrument
 	// their transport (Solve, cmd/gridsat); zero when uninstrumented.
 	Comm comm.Totals
-	// Latency decomposes the run's lifecycle SLOs (single-job runs only;
-	// serve-mode jobs carry theirs in their JobSnapshot).
+	// Latency decomposes job 0's lifecycle SLOs (nil without one; every
+	// job carries its own in its JobSnapshot).
 	Latency *JobLatency
 }
 
@@ -177,9 +171,8 @@ type masterClient struct {
 	reserved     bool    // chosen as split recipient; payload in flight
 	assignedAt   float64 // master clock seconds
 	pendingSplit bool    // has an unserved split request
-	// job is the job this client is (or was last) working for; 0 is the
-	// implicit single job of a non-serve master, so every legacy code path
-	// reads and writes job 0 without knowing jobs exist.
+	// job is the job this client is (or was last) working for. The zero
+	// value names job 0 — see newMaster on what that does to a one-shot run.
 	job int
 	// preempting marks a Preempt, StopWork or Migrate in flight: the client
 	// stays busy (its subproblem is live until the ack arrives) but must
@@ -295,7 +288,7 @@ type backlogSub struct {
 	splitID int
 	donor   int
 	issueEv uint64
-	// job owns the queued subproblem (0 for the implicit single job).
+	// job owns the queued subproblem.
 	job int
 }
 
@@ -315,10 +308,8 @@ type masterEvent struct {
 }
 
 // masterJob is one job's solving state at the master: the Job identity
-// plus all the bookkeeping that used to be woven through the master as
-// singletons — split backlog, leftover cofactors, outstanding-work count,
-// coverage estimator, clause-dedup window and verdict. A non-serve master
-// has exactly one, the implicit job 0.
+// plus its split backlog, leftover cofactors, outstanding-work count,
+// coverage estimator, clause-dedup window and verdict.
 type masterJob struct {
 	*Job
 	// backlog queues unserved split requests from this job's clients;
@@ -330,9 +321,12 @@ type masterJob struct {
 	// transfers + queued cofactors).
 	assigned    bool
 	outstanding int
-	// status and model are the job's verdict (StatusUnknown while running).
+	// status and model are the job's verdict (StatusUnknown while running);
+	// cause says why a job is done without one (a client lost with the only
+	// copy of a subproblem, a model that failed Verify).
 	status solver.Status
 	model  cnf.Assignment
+	cause  error
 	// seenShared suppresses re-broadcast of this job's already-fanned-out
 	// clauses (clauses are sound only within their job's formula).
 	seenShared *clauseWindow
@@ -350,8 +344,9 @@ type masterJob struct {
 // recovery — one single-threaded state machine stepped by handle. It reads
 // time and sends messages only through two seams, so the same value runs
 // under two shells: NewMaster + Run (goroutines, comm.Transport, wall
-// clock — the deployed master; in serve mode a multi-job service until
-// Shutdown) and RunDistributed (grid.Sim events, virtual clock).
+// clock — the deployed master) and RunDistributed (grid.Sim events, virtual
+// clock). It has jobs, not a mode: a one-shot run is the service whose only
+// job was admitted at construction (see newMaster).
 type Master struct {
 	cfg MasterConfig
 	// now is the shell's clock in seconds (wall since Run started, or
@@ -371,16 +366,12 @@ type Master struct {
 	// (1 for first-decision, 2^k-1 for a 2^k dilemma).
 	fanout int
 	// jobs holds every job by ID (terminal ones included, so results stay
-	// queryable); jobOrder is submission order. A non-serve master has the
-	// single implicit job 0.
+	// queryable); jobOrder is submission order.
 	jobs     map[int]*masterJob
 	jobOrder []int
-	// nextJobID issues serve-mode job IDs, starting at 1 so job 0 stays
-	// the single-job sentinel everywhere (flight logs, wire tags).
+	// nextJobID issues Submit's job IDs, starting at 1: ID 0 belongs to the
+	// job a one-shot master admits at construction.
 	nextJobID int
-	// serve, policy and admission are the scheduling service knobs
-	// (see MasterConfig.Serve).
-	serve     bool
 	policy    SchedPolicy
 	admission Admission
 	// pendingSplits tracks in-flight subproblem transfers by token.
@@ -540,11 +531,9 @@ func (m *Master) updateGauges() {
 }
 
 // newMaster builds the control plane alone — no listener, goroutine or
-// HTTP server — wired to the given shell seams.
+// HTTP server — wired to the given shell seams (all nil: the live shell's,
+// which are methods of the value built here).
 func newMaster(cfg MasterConfig, now func() float64, send func(int, comm.Message), writeBundle func(BundleSpec)) (*Master, error) {
-	if cfg.Formula == nil && !cfg.Serve {
-		return nil, errors.New("core: master needs a formula")
-	}
 	if _, err := solver.ParseStrategy(cfg.SplitStrategy); err != nil {
 		return nil, err
 	}
@@ -568,7 +557,6 @@ func newMaster(cfg MasterConfig, now func() float64, send func(int, comm.Message
 		clients:        map[int]*masterClient{},
 		fanout:         solver.StrategyFanout(cfg.SplitStrategy),
 		jobs:           map[int]*masterJob{},
-		serve:          cfg.Serve,
 		policy:         policy,
 		admission:      cfg.Admission,
 		pendingSplits:  map[int]*splitGroup{},
@@ -590,19 +578,23 @@ func newMaster(cfg MasterConfig, now func() float64, send func(int, comm.Message
 		}
 		m.wd = newWatchdog(wcfg)
 	}
-	if !cfg.Serve {
-		// Single-job mode: the whole classic runtime is job 0 — no
-		// lifecycle events, no wire tags, no allocation policy.
-		m.jobs[0] = &masterJob{
-			Job:        &Job{ID: 0, Priority: 1, Formula: cfg.Formula, State: JobQueued},
-			seenShared: newClauseWindow(cfg.ShareWindow),
-		}
-		m.jobOrder = []int{0}
+	if now == nil {
+		m.now, m.send, m.writeBundle = m.wallNow, m.enqueue, m.writeBundleAsync
 	}
 	if cfg.Flight != nil {
 		// Stamp log lines with the recorder's Lamport time so they can be
 		// placed against the flight log's causal order.
 		m.log = m.log.WithLamport(cfg.Flight)
+	}
+	if cfg.Formula != nil {
+		// A one-shot run is a service with one job, admitted here unchecked
+		// under the ID Submit never issues. 0 is also what the wire tags, the
+		// flight log's Job field and masterClient.job read when unset, so the
+		// run's frames and events carry no job — and handleShare, which
+		// relays to the clients whose job is the sender's, reaches clients of
+		// a one-shot master that have not worked yet (they drop the batch).
+		// des_msgs/des_bytes and every virtual-time table pin that traffic.
+		m.admit(0, "", cfg.Formula, 1)
 	}
 	return m, nil
 }
@@ -618,22 +610,19 @@ func (m *Master) jobOf(c *masterClient) *masterJob {
 	return m.jobs[c.job]
 }
 
-// timeOut ends an undecided run: verdict UNKNOWN, result frozen.
+// timeOut ends an undecided run: verdict UNKNOWN, result frozen. It ends
+// the run, not its jobs: nothing is finished, stopped or bundled.
 func (m *Master) timeOut() {
-	m.result.Status = solver.StatusUnknown
 	m.femit(trace.FEvent{Kind: trace.FEvVerdict, Detail: "UNKNOWN"})
 	m.finishResult()
 }
 
-// finishResult freezes the per-client aggregates into the Result, and
-// for a single-job run stamps job 0's end time and SLO decomposition.
+// finishResult freezes the Result: the per-client aggregates, and what a
+// one-shot run reports of its job 0 — verdict, model and SLO decomposition,
+// with the end time stamped here when the run ended before the job did.
 func (m *Master) finishResult() {
-	m.result.Clients = m.state().Clients
-	if m.result.Threads == 0 {
-		m.result.Threads = 1 // no portfolio heartbeat seen: single-threaded
-	}
-	if !m.serve {
-		j0 := m.jobs[0]
+	if j0 := m.jobs[0]; j0 != nil {
+		m.result.Status, m.result.Model = j0.status, j0.model
 		if j0.FinishedAt == 0 {
 			j0.FinishedAt = m.now()
 			if j0.StartedAt > 0 {
@@ -642,6 +631,10 @@ func (m *Master) finishResult() {
 			m.met.turnaround.Observe(j0.FinishedAt - j0.SubmittedAt)
 		}
 		m.result.Latency = jobLatency(j0.Job)
+	}
+	m.result.Clients = m.state().Clients
+	if m.result.Threads == 0 {
+		m.result.Threads = 1 // no portfolio heartbeat seen: single-threaded
 	}
 }
 
@@ -662,51 +655,59 @@ func (m *Master) forget(id int) {
 	}
 }
 
-// handle steps the state machine by one event. The bool reports that a
-// single-job run is decided (a serving master only ends on Shutdown).
-func (m *Master) handle(ev masterEvent) (bool, error) {
-	if ev.apply != nil { // submit/cancel/query/shutdown
-		done := ev.apply()
-		m.updateGauges()
-		return done, nil
-	}
-	if ev.conn != nil { // new live connection: wait for its Register
+// handle steps the state machine by one event. done ends the run: Shutdown
+// was asked for, or this is a one-shot master and its job 0 has ended — with
+// err naming the cause when it ended without a verdict.
+func (m *Master) handle(ev masterEvent) (done bool, err error) {
+	switch {
+	case ev.apply != nil: // submit/cancel/query/shutdown
+		done = ev.apply()
+	case ev.conn != nil: // new live connection: wait for its Register
 		m.attach(ev.conn)
 		return false, nil
+	default:
+		m.dispatch(ev)
 	}
+	m.updateGauges()
+	if j0 := m.jobs[0]; j0 != nil && !j0.State.Active() {
+		return true, j0.cause
+	}
+	return done, nil
+}
+
+// dispatch routes one client event — a message, or the loss of the client —
+// to its handler.
+func (m *Master) dispatch(ev masterEvent) {
 	c := m.clients[ev.clientID]
 	if c == nil {
-		return false, nil
+		return
 	}
-
 	if ev.err != nil {
 		m.inTI = comm.TraceInfo{}
-		defer m.updateGauges()
-		return m.clientLost(c, ev.salvage)
+		m.clientLost(c, ev.salvage)
+		return
 	}
 	// Strip the trace envelope (if any) so the dispatch below sees the
 	// payload; the metadata feeds femit's Lamport merge and Parent links.
 	unwrapped, ti := comm.Unwrap(ev.msg)
 	m.inTI = ti
 	m.countMsg(unwrapped.Kind())
-	defer m.updateGauges()
 	switch msg := unwrapped.(type) {
 	case comm.Register:
-		return false, m.handleRegister(c, msg)
+		m.handleRegister(c, msg)
 	case comm.SplitRequest:
 		m.handleSplitRequest(c, msg)
 	case comm.SplitDone:
-		return m.handleSplitDone(c, msg), nil
+		m.handleSplitDone(c, msg)
 	case comm.ShareClauses:
 		m.handleShare(c, msg)
 	case comm.Solved:
-		return m.handleSolved(c, msg)
+		m.handleSolved(c, msg)
 	case comm.Preempted:
 		m.handlePreempted(c, msg)
 	case comm.StatusReport:
 		m.handleStatusReport(c, msg)
 	}
-	return false, nil
 }
 
 // handleStatusReport folds a heartbeat into the live cluster view: the
@@ -765,7 +766,7 @@ func (m *Master) handleStatusReport(c *masterClient, msg comm.StatusReport) {
 		"learnts", msg.Learnts, "conflicts+", msg.Deltas.Conflicts)
 }
 
-func (m *Master) handleRegister(c *masterClient, msg comm.Register) error {
+func (m *Master) handleRegister(c *masterClient, msg comm.Register) {
 	if msg.FreeMemBytes < m.cfg.MinMemBytes {
 		// Paper §3.3: clients on low-memory resources terminate; they
 		// would split constantly and add only communication overhead.
@@ -775,7 +776,7 @@ func (m *Master) handleRegister(c *masterClient, msg comm.Register) error {
 		m.send(c.id, comm.RegisterAck{Rejected: true,
 			Reason: fmt.Sprintf("free memory %d below minimum %d", msg.FreeMemBytes, m.cfg.MinMemBytes)})
 		m.forget(c.id)
-		return nil
+		return
 	}
 	c.addr = msg.Addr
 	c.hostName = msg.HostName
@@ -787,29 +788,23 @@ func (m *Master) handleRegister(c *masterClient, msg comm.Register) error {
 	m.femit(trace.FEvent{Kind: trace.FEvClientJoin, Client: c.id,
 		Detail: msg.HostName, Parent: m.inTI.Parent})
 	m.send(c.id, comm.RegisterAck{ClientID: c.id})
-	if !m.serve {
-		// Single-job mode: every client gets the one formula up front,
-		// exactly as the pre-scheduler master did.
-		c.sentBase[0] = true
-		m.send(c.id, comm.BaseProblem{Formula: m.cfg.Formula})
-		j0 := m.jobs[0]
-		if !j0.assigned && m.registeredCount() >= max(1, m.cfg.ExpectedClients) {
-			m.assignRoot(j0)
+	// The oldest active job's formula rides with the ack: under fifo it is
+	// the job a fresh client will most likely serve (with one job: every
+	// client has the formula before its first split, as in the paper). Any
+	// other job's goes out when the client is first picked for it.
+	for _, id := range m.jobOrder {
+		if j := m.jobs[id]; j.State.Active() {
+			m.ensureBase(c, j)
+			break
 		}
-		// A fresh idle client may be able to serve the backlog.
-		m.serveBacklog()
-		return nil
 	}
-	// Serve mode: base formulas go out lazily per job; a fresh client just
-	// joins the allocatable pool.
+	// A fresh idle client changes every job's share, and may serve a backlog.
 	m.maybeRebalance()
-	return nil
 }
 
 // ensureBase sends a job's base formula to a client that has not cached
-// it yet — serve mode ships formulas lazily, right before the client is
-// reserved or assigned for the job. Single-job masters send the formula
-// at registration, so this is a no-op there.
+// it yet; called right before the client is reserved or assigned for the
+// job (and at registration, for the oldest job).
 func (m *Master) ensureBase(c *masterClient, j *masterJob) {
 	if c.sentBase[j.ID] {
 		return
@@ -819,16 +814,14 @@ func (m *Master) ensureBase(c *masterClient, j *masterJob) {
 }
 
 // markStarted moves a job to running on its first (or renewed) client
-// assignment, stamping StartedAt and the serve-mode lifecycle event.
+// assignment, stamping StartedAt and the lifecycle event.
 func (m *Master) markStarted(j *masterJob) {
 	switch j.State {
 	case JobQueued:
 		j.StartedAt = m.now()
 		j.State = JobRunning
 		m.met.queueWait.Observe(j.StartedAt - j.SubmittedAt)
-		if m.serve {
-			m.femit(trace.FEvent{Kind: trace.FEvJobStart, Job: j.ID})
-		}
+		m.femit(trace.FEvent{Kind: trace.FEvJobStart, Job: j.ID})
 	case JobPreempted:
 		j.State = JobRunning
 	}
@@ -872,45 +865,35 @@ func (m *Master) handleSplitRequest(c *masterClient, msg comm.SplitRequest) {
 	m.serveBacklog()
 }
 
-// serveBacklog places queued work on idle resources. A single-job master
-// serves the one implicit job without limits — the pre-scheduler control
-// flow exactly. In serve mode each active job gets clients only up to its
-// policy target, in submission order, so the allocation stays malleable.
+// serveBacklog places queued work on idle resources: each active job gets
+// clients up to its policy target, in submission order, so the allocation
+// stays malleable. With one job the target is whatever the job can use, and
+// this is the paper's flow: idle resources absorb its splits.
 func (m *Master) serveBacklog() {
-	if !m.serve {
-		j := m.jobs[0]
-		m.serveSubBacklog(j, -1)
-		m.serveSplitBacklog(j, -1)
-		return
-	}
 	targets := m.allocTargets()
 	for _, id := range m.jobOrder {
 		j := m.jobs[id]
 		if !j.State.Active() {
 			continue
 		}
-		deficit := targets[j.ID] - m.loadOf(j.ID).held
-		if deficit <= 0 {
-			continue
-		}
-		if !j.assigned {
+		deficit := max(0, targets[j.ID]-m.loadOf(j.ID).held)
+		if deficit > 0 && !j.assigned && m.registeredCount() >= m.cfg.ExpectedClients {
 			// First allocation: the job starts from its root subproblem.
 			m.assignRoot(j)
 		}
-		deficit = m.serveSubBacklog(j, deficit)
-		if deficit > 0 {
-			m.serveSplitBacklog(j, deficit)
-		}
+		m.serveSplitBacklog(j, m.serveSubBacklog(j, deficit))
 	}
 }
 
 // serveSplitBacklog serves a job's queued split requests, longest-running
 // requester first. A request reserves up to the strategy's fanout in idle
 // recipients, so a dilemma donor can shed all its cofactors in one
-// exchange; limit caps how many recipients may be reserved in total
-// (negative = unbounded, the single-job mode).
+// exchange; limit caps how many recipients may be reserved in total. Stale
+// requests ahead of the first live one are dropped whatever the limit: an
+// entry left behind keeps its AssignedAt and would jump the queue if its
+// client went busy again.
 func (m *Master) serveSplitBacklog(j *masterJob, limit int) {
-	for limit != 0 {
+	for {
 		i := NextFromBacklog(j.backlog)
 		if i < 0 {
 			return
@@ -921,10 +904,10 @@ func (m *Master) serveSplitBacklog(j *masterJob, limit int) {
 			j.backlog = append(j.backlog[:i], j.backlog[i+1:]...)
 			continue
 		}
-		budget := max(1, m.fanout)
-		if limit > 0 && limit < budget {
-			budget = limit
+		if limit <= 0 {
+			return
 		}
+		budget := min(max(1, m.fanout), limit)
 		var peers []comm.SplitPeer
 		cands := m.idleCandidates()
 		for len(peers) < budget {
@@ -962,9 +945,7 @@ func (m *Master) serveSplitBacklog(j *masterJob, limit int) {
 			Parent: donor.splitReqEv})
 		m.pendingSplits[m.nextSplitID] = g
 		m.send(donor.id, comm.SplitAssign{SplitID: m.nextSplitID, Peers: peers})
-		if limit > 0 {
-			limit -= len(peers)
-		}
+		limit -= len(peers)
 	}
 }
 
@@ -975,7 +956,7 @@ func (m *Master) serveSplitBacklog(j *masterJob, limit int) {
 // space), so assignment only flips the recipient busy. Returns the
 // remaining assignment budget.
 func (m *Master) serveSubBacklog(j *masterJob, limit int) int {
-	for len(j.subBacklog) > 0 && limit != 0 {
+	for len(j.subBacklog) > 0 && limit > 0 {
 		target, ok := PickSplitTarget(m.idleCandidates(), m.cfg.MinMemBytes)
 		if !ok {
 			return limit
@@ -996,14 +977,12 @@ func (m *Master) serveSubBacklog(j *masterJob, limit int) int {
 			m.met.firstAssign.Observe(j.FirstAssignAt - j.SubmittedAt)
 		}
 		m.noteBusyCount()
-		if limit > 0 {
-			limit--
-		}
+		limit--
 	}
 	return limit
 }
 
-func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) bool {
+func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) {
 	// A master-held subproblem acks with the split ID it descended from
 	// (0 for roots, preempted checkpoints and salvage).
 	if entry, ok := m.pendingAssigns[c.id]; ok && entry.splitID == msg.SplitID {
@@ -1046,7 +1025,8 @@ func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) bool {
 			}
 			m.serveBacklog()
 		}
-		return m.checkExhausted(m.jobs[entry.job])
+		m.checkExhausted(m.jobs[entry.job])
+		return
 	}
 	g, ok := m.pendingSplits[msg.SplitID]
 	if !ok {
@@ -1054,7 +1034,7 @@ func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) bool {
 		// payload was in flight. In the last case the recipient just started
 		// solving a dead job: stop it and keep it busy master-side until its
 		// idle ack.
-		if m.serve && msg.OK && !c.busy {
+		if msg.OK && !c.busy {
 			if j := m.jobOf(c); j != nil && !j.State.Active() {
 				c.busy = true
 				c.preempting = true
@@ -1062,7 +1042,8 @@ func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) bool {
 				m.send(c.id, comm.StopWork{Job: j.ID, Seq: c.stopSeq})
 			}
 		}
-		return m.checkExhausted(m.jobOf(c))
+		m.checkExhausted(m.jobOf(c))
+		return
 	}
 	j := m.jobs[g.job]
 	if c.id == g.donor { // Figure 3, message (5)
@@ -1106,7 +1087,7 @@ func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) bool {
 		}
 	} else { // Figure 3, message (4): one recipient's leg concluded
 		if !slices.Contains(g.recipients, c.id) || g.settled[c.id] {
-			return false
+			return
 		}
 		g.settled[c.id] = true
 		c.reserved = false
@@ -1143,7 +1124,7 @@ func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) bool {
 		delete(m.pendingSplits, msg.SplitID)
 	}
 	m.serveBacklog()
-	return m.checkExhausted(j)
+	m.checkExhausted(j)
 }
 
 func (m *Master) handleShare(c *masterClient, msg comm.ShareClauses) {
@@ -1202,13 +1183,13 @@ func (m *Master) handleShare(c *masterClient, msg comm.ShareClauses) {
 	}
 }
 
-func (m *Master) handleSolved(c *masterClient, msg comm.Solved) (bool, error) {
+func (m *Master) handleSolved(c *masterClient, msg comm.Solved) {
 	if !c.busy {
-		return false, nil
+		return
 	}
 	j := m.jobOf(c)
 	if j == nil {
-		return false, nil
+		return
 	}
 	c.busy = false
 	c.pendingSplit = false
@@ -1217,7 +1198,7 @@ func (m *Master) handleSolved(c *masterClient, msg comm.Solved) (bool, error) {
 		// The job ended (cancelled, or decided by a peer) while this client
 		// was still solving; the stale verdict just frees the client.
 		m.serveBacklog()
-		return false, nil
+		return
 	}
 	j.outstanding--
 	m.log.Info("subproblem solved", "client", c.id, "job", j.ID,
@@ -1226,24 +1207,15 @@ func (m *Master) handleSolved(c *masterClient, msg comm.Solved) (bool, error) {
 	case solver.StatusSAT:
 		// Verify the assignment before declaring success (paper §3.4).
 		if err := j.Formula.Verify(msg.Model); err != nil {
-			if !m.serve {
-				return false, fmt.Errorf("core: client %d reported an invalid model: %w", c.id, err)
-			}
-			// One job's bad model must not kill the service.
+			// No sound verdict exists; the job ends, the service goes on.
 			m.log.Warn("invalid model", "client", c.id, "job", j.ID, "err", err)
-			m.finishJob(j, solver.StatusUnknown, nil)
-			return false, nil
+			m.finishJob(j, solver.StatusUnknown, nil,
+				fmt.Errorf("core: client %d reported an invalid model: %w", c.id, err))
+			return
 		}
 		m.femit(trace.FEvent{Kind: trace.FEvVerdict, Client: c.id, Worker: msg.Worker,
 			Job: j.ID, Detail: "SAT", Parent: m.inTI.Parent})
-		if !m.serve {
-			m.result.Status = solver.StatusSAT
-			m.result.Model = msg.Model
-			j.status, j.model = solver.StatusSAT, msg.Model
-			return true, nil
-		}
-		m.finishJob(j, solver.StatusSAT, msg.Model)
-		return false, nil
+		m.finishJob(j, solver.StatusSAT, msg.Model, nil)
 	case solver.StatusUNSAT:
 		ev := m.femit(trace.FEvent{Kind: trace.FEvSubUNSAT, Client: c.id, Worker: msg.Worker,
 			Job: j.ID, Parent: m.inTI.Parent})
@@ -1254,41 +1226,28 @@ func (m *Master) handleSolved(c *masterClient, msg comm.Solved) (bool, error) {
 			N: int64(units), Detail: fmt.Sprintf("depth=%d", msg.Depth), Parent: ev})
 		// This half of the space is exhausted. If nothing else is
 		// outstanding, the whole job is unsatisfiable.
-		if m.checkExhausted(j) {
-			return !m.serve, nil
+		if !m.checkExhausted(j) {
+			m.serveBacklog()
 		}
-		m.serveBacklog()
 	default:
 		// StatusUnknown: the client handed its whole problem to a peer
 		// (migration); it is idle and may take queued work.
 		m.serveBacklog()
 	}
-	return false, nil
 }
 
-// checkExhausted reports (and records) a job's unsatisfiability: its
-// problem was handed out and no subproblem remains outstanding anywhere —
-// "all the clients are idle, which means that the instance is
+// checkExhausted ends a job as unsatisfiable, and reports that it did, when
+// its problem was handed out and no subproblem remains outstanding anywhere
+// — "all the clients are idle, which means that the instance is
 // unsatisfiable" (§3.4). Checked after every event that can decrement the
 // outstanding-work count, including failed split transfers.
 func (m *Master) checkExhausted(j *masterJob) bool {
-	if j == nil || !j.State.Active() {
+	if j == nil || !j.State.Active() || !j.assigned || j.outstanding != 0 {
 		return false
 	}
-	if j.assigned && j.outstanding == 0 && j.status == solver.StatusUnknown {
-		if !m.serve {
-			j.status = solver.StatusUNSAT
-			m.result.Status = solver.StatusUNSAT
-			m.femit(trace.FEvent{Kind: trace.FEvVerdict, Detail: "UNSAT"})
-			return true
-		}
-		m.femit(trace.FEvent{Kind: trace.FEvVerdict, Job: j.ID, Detail: "UNSAT"})
-		m.finishJob(j, solver.StatusUNSAT, nil)
-		// One job's exhaustion never ends the service: callers feed this
-		// straight into handle()'s done flag, which must stay false here.
-		return false
-	}
-	return false
+	m.femit(trace.FEvent{Kind: trace.FEvVerdict, Job: j.ID, Detail: "UNSAT"})
+	m.finishJob(j, solver.StatusUNSAT, nil, nil)
+	return true
 }
 
 // clientLost handles a client's departure. An idle client is simply
@@ -1297,25 +1256,22 @@ func (m *Master) checkExhausted(j *masterJob) bool {
 // subproblem plus any payloads it never started): salvaged subproblems go
 // back on the job's backlog for the next idle client; with nothing
 // salvaged — the live shell, where a dead process leaves no checkpoint —
-// the search space is gone, which is fatal for a single-job run and fails
-// just that job in the scheduling service.
-func (m *Master) clientLost(c *masterClient, salvage []*solver.Subproblem) (bool, error) {
+// the search space is gone, and the job ends without a verdict.
+func (m *Master) clientLost(c *masterClient, salvage []*solver.Subproblem) {
 	held := c.busy || c.reserved
-	if held && salvage == nil && !m.serve {
-		return false, fmt.Errorf("core: lost client %d while it held a subproblem", c.id)
-	}
 	m.log.Warn("client lost", "client", c.id, "host", c.hostName, "held", held, "job", c.job)
 	leaveEv := m.femit(trace.FEvent{Kind: trace.FEvClientLeave, Client: c.id, Detail: c.hostName})
 	m.forget(c.id)
 	j := m.jobOf(c)
 	if !held || j == nil || !j.State.Active() {
-		return false, nil
+		return
 	}
 	if salvage == nil {
 		// The lost subproblem's search space is unrecoverable, so the job
 		// cannot conclude soundly: end it UNKNOWN.
-		m.finishJob(j, solver.StatusUnknown, nil)
-		return false, nil
+		m.finishJob(j, solver.StatusUnknown, nil,
+			fmt.Errorf("core: lost client %d while it held a subproblem", c.id))
+		return
 	}
 	// Every slot the client held unwinds (its running subproblem or a
 	// master-held assignment in flight to it, its legs of in-flight
@@ -1368,7 +1324,7 @@ func (m *Master) clientLost(c *masterClient, salvage []*solver.Subproblem) (bool
 	j.outstanding += len(requeue)
 	j.subBacklog = append(requeue, j.subBacklog...)
 	m.serveBacklog()
-	return m.checkExhausted(j), nil
+	m.checkExhausted(j)
 }
 
 // sortedSplitIDs lists the in-flight transfer tokens ascending, so walks

@@ -35,7 +35,6 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.now, m.send, m.writeBundle = m.wallNow, m.enqueue, m.writeBundleAsync
 	l, err := cfg.Transport.Listen(cfg.ListenAddr)
 	if err != nil {
 		return nil, err
@@ -238,16 +237,12 @@ func (m *Master) Run() (Result, error) {
 			_ = m.httpSrv.Close()
 		}
 	}()
-	var rebalance <-chan time.Time
-	if m.serve {
-		period := m.cfg.RebalancePeriod
-		if period <= 0 {
-			period = 250 * time.Millisecond
-		}
-		t := time.NewTicker(period)
-		defer t.Stop()
-		rebalance = t.C
+	period := m.cfg.RebalancePeriod
+	if period <= 0 {
+		period = 250 * time.Millisecond
 	}
+	rebalance := time.NewTicker(period)
+	defer rebalance.Stop()
 	var sampler <-chan time.Time
 	if m.hist != nil {
 		period := m.cfg.HistoryPeriod
@@ -260,7 +255,7 @@ func (m *Master) Run() (Result, error) {
 	}
 	for {
 		select {
-		case <-rebalance:
+		case <-rebalance.C:
 			m.maybeRebalance()
 			m.updateGauges()
 		case <-sampler:

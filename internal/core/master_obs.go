@@ -141,7 +141,7 @@ type bundleConfig struct {
 func (m *Master) bundleSpec(reason string, st ClusterState) BundleSpec {
 	m.bundleSeq++
 	cfg := bundleConfig{
-		Serve:         m.serve,
+		Serve:         m.cfg.Formula == nil,
 		SchedPolicy:   m.policy.Name(),
 		SplitStrategy: m.cfg.SplitStrategy,
 		MinMemBytes:   m.cfg.MinMemBytes,

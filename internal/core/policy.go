@@ -19,8 +19,6 @@
 // paper's tables, bit for bit on however many cores it is given.
 package core
 
-import "sort"
-
 // SplitDecision captures the client-side split trigger policy (paper
 // §3.3): request help when the clause database is predicted to outgrow
 // the memory budget, or when the subproblem has run for twice the time it
@@ -134,17 +132,4 @@ func NextFromBacklog(backlog []BacklogEntry) int {
 		}
 	}
 	return best
-}
-
-// RankCandidates sorts candidates best-first with the deterministic
-// tie-break, without mutating the input.
-func RankCandidates(cands []Candidate) []Candidate {
-	out := append([]Candidate(nil), cands...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Rank != out[j].Rank {
-			return out[i].Rank > out[j].Rank
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
 }

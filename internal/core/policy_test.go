@@ -87,17 +87,6 @@ func TestNextFromBacklog(t *testing.T) {
 	}
 }
 
-func TestRankCandidates(t *testing.T) {
-	in := []Candidate{{ID: 2, Rank: 1}, {ID: 1, Rank: 3}, {ID: 3, Rank: 3}}
-	out := RankCandidates(in)
-	if out[0].ID != 1 || out[1].ID != 3 || out[2].ID != 2 {
-		t.Fatalf("order = %v", out)
-	}
-	if in[0].ID != 2 {
-		t.Fatal("input mutated")
-	}
-}
-
 func TestSplitWhyString(t *testing.T) {
 	if WhyMemory.String() != "memory" || WhyTimeout.String() != "timeout" || WhyNone.String() != "none" {
 		t.Error("SplitWhy strings wrong")

@@ -32,8 +32,13 @@ import (
 // when the workers are quiescent (the live client's control loop already
 // has exactly that shape). ImportClauses and MemoryBytes are safe at any
 // time (the solver's import buffer and arena counter are atomic).
+//
+// Every client solves through one, also at K = 1, where it is the one
+// solver and nothing else: no pool, no diversification, no goroutine — the
+// single-solver client of the paper, step for step.
 type portfolio struct {
-	workers    []*portWorker
+	workers []*portWorker
+	// pool is the in-host exchange, nil when there is one worker.
 	pool       *hostPool
 	clusterCur *poolCursor
 	clusterLen int
@@ -64,13 +69,21 @@ const poolRingCapacity = 1024
 // ProfileFor(i, baseOpts.Seed) applied to baseOpts; worker 0 is baseOpts
 // unchanged. clusterLen is the cluster share bound: pool clauses at most
 // that long are forwarded to the master-mediated share path by
-// DrainClusterShares (non-positive disables cluster forwarding).
+// DrainClusterShares (non-positive disables cluster forwarding). A lone
+// worker has no pool to publish to: it runs baseOpts as they are, OnLearn
+// and export bound included, so its learnt clauses go where the caller
+// pointed them.
 func newPortfolio(base *cnf.Formula, sub *solver.Subproblem, baseOpts solver.Options, threads, clusterLen int) (*portfolio, error) {
-	p := &portfolio{
-		pool:       newHostPool(threads, poolRingCapacity),
-		clusterLen: clusterLen,
-		winner:     -1,
+	p := &portfolio{clusterLen: clusterLen, winner: -1}
+	if threads == 1 {
+		slv, err := solver.NewFromSubproblem(base, sub, baseOpts)
+		if err != nil {
+			return nil, err
+		}
+		p.workers = []*portWorker{{slv: slv}}
+		return p, nil
 	}
+	p.pool = newHostPool(threads, poolRingCapacity)
 	p.clusterCur = p.pool.NewCursor()
 	for i := 0; i < threads; i++ {
 		prof := solver.ProfileFor(i, baseOpts.Seed)
@@ -111,6 +124,13 @@ func (p *portfolio) Threads() int { return len(p.workers) }
 // Either way SAT wins over UNSAT and lower index breaks ties, so the
 // merged result is deterministic for a deterministic set of verdicts.
 func (p *portfolio) Solve(lim solver.Limits) solver.Result {
+	if len(p.workers) == 1 {
+		res := p.workers[0].slv.Solve(lim)
+		if res.Status != solver.StatusUnknown {
+			p.winner = 0
+		}
+		return res
+	}
 	per := lim
 	if lim.MaxMemoryBytes > 0 {
 		per.MaxMemoryBytes = lim.MaxMemoryBytes / int64(len(p.workers))
@@ -197,6 +217,9 @@ func (p *portfolio) ImportClauses(cs []cnf.Clause) error {
 // normalizes in place and pool entries are shared with the workers.
 // Between slices only.
 func (p *portfolio) DrainClusterShares(fn func(c cnf.Clause, lbd int)) {
+	if p.pool == nil {
+		return
+	}
 	entries := p.pool.Drain(p.clusterCur, -1, 0)
 	if p.clusterLen <= 0 {
 		return
@@ -245,11 +268,20 @@ func (p *portfolio) ShedMemory() int64 {
 	return freed
 }
 
-// PoolStats returns the exchange telemetry snapshot.
-func (p *portfolio) PoolStats() poolStats { return p.pool.Stats() }
+// PoolStats returns the exchange telemetry snapshot (zero without a pool).
+func (p *portfolio) PoolStats() poolStats {
+	if p.pool == nil {
+		return poolStats{}
+	}
+	return p.pool.Stats()
+}
 
-// WorkerReports builds the per-worker heartbeat rows. Between slices only.
+// WorkerReports builds the per-worker heartbeat rows, nil for a lone
+// worker: the report's own totals are that worker's. Between slices only.
 func (p *portfolio) WorkerReports() []comm.WorkerReport {
+	if len(p.workers) == 1 {
+		return nil
+	}
 	out := make([]comm.WorkerReport, len(p.workers))
 	for i, w := range p.workers {
 		st := w.slv.Stats()

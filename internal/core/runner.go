@@ -54,11 +54,11 @@ import (
 type RunnerConfig struct {
 	Grid    *grid.Grid
 	Formula *cnf.Formula
-	// Jobs switches the DES into multi-job scheduling mode: Formula is
-	// ignored and each SimJob arrives at its ArrivalVSec, contending for
-	// clients under SchedPolicy exactly like submissions to the live
-	// `gridsat serve` master (it is the same master, in serve mode).
-	// Empty = the classic single-job run.
+	// Jobs makes the run a multi-job workload: Formula is ignored and each
+	// SimJob arrives at its ArrivalVSec, contending for clients under
+	// SchedPolicy exactly like submissions to `gridsat serve` (it is the same
+	// master), and the result carries one row per job. Empty = a one-shot
+	// run of Formula, the master's job 0.
 	Jobs []SimJob
 	// SchedPolicy names the malleable allocation policy for multi-job
 	// runs ("fifo", "fair-share", "priority"; "" = fifo). Ignored when
@@ -81,9 +81,6 @@ type RunnerConfig struct {
 	// MemDivisor scales host memory down to solver-budget scale, keeping
 	// the paper's memory-pressure dynamics at our reduced problem sizes.
 	MemDivisor int64
-	// LaunchDelayVSec is the mean client start-up latency (spawning an
-	// empty client on a Grid resource); actual delays jitter around it.
-	LaunchDelayVSec float64
 	// MasterHostID locates the master (the paper ran it at UCSD).
 	// -1 picks the last host.
 	MasterHostID int
@@ -222,9 +219,6 @@ func (c *RunnerConfig) withDefaults() RunnerConfig {
 	}
 	if out.MemDivisor == 0 {
 		out.MemDivisor = 100
-	}
-	if out.LaunchDelayVSec == 0 {
-		out.LaunchDelayVSec = 4
 	}
 	if out.MonitorPeriodVSec == 0 {
 		out.MonitorPeriodVSec = 30
@@ -505,10 +499,8 @@ func RunDistributed(cfg RunnerConfig) SimResult {
 	// most one client, so a queue of len(Hosts) never blocks the loop.
 	defer r.startWorkers(runtime.GOMAXPROCS(0), len(cfg.Grid.Hosts))()
 	mcfg := MasterConfig{
-		Formula:       cfg.Formula,
 		Flight:        cfg.Flight,
 		SplitStrategy: cfg.SplitStrategy,
-		Serve:         len(cfg.Jobs) > 0,
 		SchedPolicy:   cfg.SchedPolicy,
 		// Every configured job is admitted; the DES studies scheduling,
 		// not admission control.
@@ -521,6 +513,9 @@ func RunDistributed(cfg RunnerConfig) SimResult {
 		mcfg.HistoryPeriod = vsecDuration(cfg.MonitorPeriodVSec)
 		mcfg.Watchdog = cfg.Watchdog
 	}
+	if len(cfg.Jobs) == 0 {
+		mcfg.Formula = cfg.Formula
+	}
 	m, err := newMaster(mcfg, r.sim.Now, r.toClient, func(spec BundleSpec) {
 		// Written inline: no goroutine, so bundle contents are reproducible.
 		if dir, err := WriteBundle(spec); err == nil {
@@ -528,7 +523,7 @@ func RunDistributed(cfg RunnerConfig) SimResult {
 		}
 	})
 	if err != nil {
-		panic(err) // only a single-job config without a Formula gets here
+		panic(err) // unreachable: both names were normalized above
 	}
 	r.m = m
 	r.mhost = cfg.Grid.HostByID(cfg.MasterHostID)
@@ -558,9 +553,7 @@ func RunDistributed(cfg RunnerConfig) SimResult {
 		}
 		m.sampleTick()
 		m.maybeMigrate(cfg.MigrationFactor, cfg.SplitTimeoutVSec)
-		if m.serve {
-			m.maybeRebalance() // periodic reallocation, like the live ticker
-		}
+		m.maybeRebalance() // periodic reallocation, like the live ticker
 		r.settle()
 		r.sim.After(cfg.MonitorPeriodVSec, monitor)
 	}
@@ -777,11 +770,15 @@ func (r *runner) submitBatch() {
 	}
 }
 
+// launchDelayVSec is the mean client start-up latency (spawning an empty
+// client on a Grid resource); actual delays jitter around it.
+const launchDelayVSec = 4
+
 // launch starts a client on h after the jittered spawn latency: a real
 // Client whose clock is the simulation's and whose outbox is the virtual
 // transport, registering with the master like any other.
 func (r *runner) launch(h *grid.Host) {
-	delay := r.cfg.LaunchDelayVSec * (0.5 + r.rng.Float64())
+	delay := launchDelayVSec * (0.5 + r.rng.Float64())
 	r.sim.After(delay, func() {
 		if r.done {
 			return
@@ -943,7 +940,7 @@ func (r *runner) stepMaster(ev masterEvent) {
 	done, err := r.m.handle(ev)
 	switch {
 	case err != nil:
-		r.finish(OutcomeTimeout) // an invalid model: no sound verdict exists
+		r.finish(OutcomeTimeout) // job 0 ended without a sound verdict
 	case done:
 		r.finish(OutcomeSolved)
 	default:
@@ -951,23 +948,20 @@ func (r *runner) stepMaster(ev masterEvent) {
 	}
 }
 
-// settle runs after anything that may have changed the master's state:
-// it samples the busy count and ends a multi-job run once every job has
-// arrived and reached a verdict or cancellation.
+// settle runs after anything that may have changed the master's state: it
+// ends the run once every job has arrived and reached a verdict or
+// cancellation (a one-shot run's job 0 ends it sooner, through handle), and
+// samples the busy count otherwise.
 func (r *runner) settle() {
 	if r.done {
 		return
 	}
-	r.sample(r.m.busyCount())
-	if !r.m.serve || r.submitted < len(r.cfg.Jobs) {
+	active := func(id int) bool { return r.m.jobs[id].State.Active() }
+	if r.submitted == len(r.cfg.Jobs) && !slices.ContainsFunc(r.m.jobOrder, active) {
+		r.finish(OutcomeSolved)
 		return
 	}
-	for _, id := range r.m.jobOrder {
-		if r.m.jobs[id].State.Active() {
-			return
-		}
-	}
-	r.finish(OutcomeSolved)
+	r.sample(r.m.busyCount())
 }
 
 // submit admits one configured job at its arrival time and schedules its
@@ -991,9 +985,6 @@ func (r *runner) submit(sj SimJob) {
 
 // engines lists a client's live solvers, pathfinder first.
 func engines(c *Client) []*solver.Solver {
-	if c.port == nil {
-		return []*solver.Solver{c.slv}
-	}
 	out := make([]*solver.Solver, len(c.port.workers))
 	for i, w := range c.port.workers {
 		out[i] = w.slv
@@ -1014,8 +1005,9 @@ const progressProps = 256
 // them. Solve checks its limits at the top of its loop, before every
 // propagate, so a call that stops at a propagation limit and the call that
 // resumes it take the steps one call would have taken
-// (solver.TestChunkedSliceIsTheSameSearch). A portfolio slice stays one
-// opaque call: no progress until it is done, which is the inline order.
+// (solver.TestChunkedSliceIsTheSameSearch). The slice of a portfolio of
+// several workers stays one opaque call: no progress until it is done,
+// which is the inline order.
 // On a Threads-core host every worker advances "in parallel", so the
 // quantum lasts as long as the busiest engine's propagations take, while
 // TotalProps accrues the sum (the real work done).
@@ -1026,7 +1018,7 @@ func searchQuantum(cl *Client, publish func(done int64)) (res solver.Result, lon
 		before[i] = s.Stats().Propagations
 	}
 	quantum := cl.slice.MaxPropagations
-	if cl.port != nil || quantum <= 0 {
+	if len(slvs) > 1 || quantum <= 0 {
 		res = cl.searchSlice()
 	} else {
 		lim := cl.slice
@@ -1092,7 +1084,7 @@ func unreported(c *Client) comm.SolverDeltas {
 	if c.slv == nil {
 		return comm.SolverDeltas{}
 	}
-	return heartbeatDeltas(solver.StatsDelta(c.stats(), c.lastHB))
+	return heartbeatDeltas(solver.StatsDelta(c.port.Stats(), c.lastHB))
 }
 
 // retire takes a client out of the run for good (crash or end of run),
@@ -1153,10 +1145,11 @@ func (r *runner) finish(outcome SimOutcome) {
 	// inline kernel: TotalProps and each client's unreported tail count them.
 	r.joinQuanta()
 	m := r.m
-	if outcome == OutcomeSolved || m.serve {
+	multi := len(r.cfg.Jobs) > 0
+	if outcome == OutcomeSolved || multi {
 		m.finishResult()
 	} else {
-		m.timeOut() // single-job: the run-level UNKNOWN verdict
+		m.timeOut() // a one-shot run's UNKNOWN verdict
 	}
 	for _, id := range r.order {
 		if dc := r.clients[id]; !dc.dead {
@@ -1175,7 +1168,7 @@ func (r *runner) finish(outcome SimOutcome) {
 		res.Alerts = m.wd.feed()
 	}
 	res.ClosedSubproblems = st.ClosedSubproblems
-	if m.serve {
+	if multi {
 		r.finishJobs(st.Jobs)
 	} else {
 		res.Status, res.Model = m.result.Status, m.result.Model

@@ -71,7 +71,8 @@ func TestDESWatchdogStallEmitsAnomalyAndBundle(t *testing.T) {
 		t.Fatalf("anomaly detail %q lacks rule prefix", anomalies[0].Detail)
 	}
 
-	// One bundle, deterministically named, with every section present.
+	// One bundle, deterministically named, with every section present. The
+	// time-out ends the run, not job 0: no job-0-failed bundle joins it.
 	if len(res.Bundles) != 1 {
 		t.Fatalf("bundles = %v, want exactly one", res.Bundles)
 	}

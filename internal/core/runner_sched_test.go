@@ -1,6 +1,8 @@
 package core
 
 import (
+	"os"
+	"slices"
 	"testing"
 
 	"gridsat/internal/brute"
@@ -203,11 +205,13 @@ func TestRunDistributedSchedDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunDistributedSingleJobUnchanged guards the bit-identity contract:
-// a single-job run through the scheduler-aware runner must produce the
-// same verdict, virtual time, and flight log as before the refactor —
-// job 0 stays implicit and no scheduler events leak into the log.
+// TestRunDistributedSingleJobUnchanged holds a one-shot run to the flight
+// log the master wrote while it still had a single-job mode: the golden file
+// is commit 836712f's log of this very configuration, and today's is that
+// plus exactly job 0's three lifecycle events. IDs, Lamport stamps and parent
+// links shift by those three and are not compared.
 func TestRunDistributedSingleJobUnchanged(t *testing.T) {
+	const golden = "testdata/oneshot_ph8_parent.flight.jsonl"
 	fl := trace.NewFlight(nil)
 	cfg := desConfig(gen.Pigeonhole(8), 10_000)
 	cfg.Flight = fl
@@ -216,16 +220,91 @@ func TestRunDistributedSingleJobUnchanged(t *testing.T) {
 		t.Fatalf("got %v/%v", res.Outcome, res.Status)
 	}
 	if res.Jobs != nil || res.Preemptions != 0 {
-		t.Fatalf("single-job run grew scheduler results: %+v", res.Jobs)
+		t.Fatalf("one-shot run grew per-job results: %+v", res.Jobs)
 	}
+	var got []trace.FEvent
+	var lifecycle []string
 	for _, ev := range fl.Events() {
 		if ev.Job != 0 {
-			t.Fatalf("single-job event carries a job tag: %+v", ev)
+			t.Fatalf("one-shot event carries a job tag: %+v", ev)
 		}
 		switch ev.Kind {
-		case trace.FEvJobSubmit, trace.FEvJobStart, trace.FEvJobPreempt,
-			trace.FEvJobResume, trace.FEvJobDone, trace.FEvJobCancel:
-			t.Fatalf("single-job run emitted scheduler lifecycle event %+v", ev)
+		case trace.FEvJobSubmit, trace.FEvJobStart, trace.FEvJobDone:
+			lifecycle = append(lifecycle, ev.Kind)
+		default:
+			got = append(got, ev)
+		}
+	}
+	if !slices.Equal(lifecycle, []string{trace.FEvJobSubmit, trace.FEvJobStart, trace.FEvJobDone}) {
+		t.Fatalf("job 0 lifecycle events %v, want one submit, start and done", lifecycle)
+	}
+	fd, err := os.Open(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fd.Close()
+	want, err := trace.ReadJSONL(fd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d events besides job 0's lifecycle, the single-job master logged %d", len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		g.ID, g.Lamport, g.Parent = 0, 0, 0
+		w.ID, w.Lamport, w.Parent = 0, 0, 0
+		if g != w {
+			t.Fatalf("event %d diverges from the single-job master's:\n got %+v\nwant %+v", i, g, w)
+		}
+	}
+}
+
+// TestOneShotIsAOneJobService: a formula handed to the runner as its one
+// Formula (the master's job 0, admitted at construction) and as the only
+// SimJob, arriving at t=0 (job 1, submitted like any other), is the same run
+// — one control flow took both. What may differ is what the job's ID costs
+// on the wire (a tag on every frame, and no relay to clients that have not
+// worked for job 1 yet), so Msgs and Bytes are not compared.
+func TestOneShotIsAOneJobService(t *testing.T) {
+	bart15, _ := gen.ByName("bart15")
+	for _, inst := range []struct {
+		name    string
+		formula *cnf.Formula
+	}{{"ph8", gen.Pigeonhole(8)}, {"bart15", bart15.Build()}} {
+		for _, strategy := range []string{"first-decision", "dilemma"} {
+			t.Run(inst.name+"/"+strategy, func(t *testing.T) {
+				cfg := desConfig(inst.formula, 6000)
+				cfg.SplitStrategy = strategy
+				shot := RunDistributed(cfg)
+				cfg.Formula = nil
+				cfg.Jobs = []SimJob{{Name: inst.name, Formula: inst.formula, Priority: 1}}
+				svc := RunDistributed(cfg)
+				if len(svc.Jobs) != 1 || shot.Jobs != nil {
+					t.Fatalf("per-job rows: one-shot %+v, service %+v", shot.Jobs, svc.Jobs)
+				}
+				job := svc.Jobs[0]
+				if shot.Outcome != OutcomeSolved || svc.Outcome != OutcomeSolved || job.Status != shot.Status ||
+					job.Verdict != shot.Status.String() {
+					t.Fatalf("one-shot %v/%v, service %v/%v (%q)", shot.Outcome, shot.Status, svc.Outcome, job.Status, job.Verdict)
+				}
+				if shot.Status == solver.StatusSAT && inst.formula.Verify(job.Model) != nil {
+					t.Fatal("the service's model does not satisfy the formula")
+				}
+				type totals struct {
+					vsec                       float64
+					splits, shared, maxClients int
+					props                      int64
+				}
+				a := totals{shot.VSec, shot.Splits, shot.Shared, shot.MaxClients, shot.TotalProps}
+				b := totals{svc.VSec, svc.Splits, svc.Shared, svc.MaxClients, svc.TotalProps}
+				if a != b || job.FinishVSec != shot.VSec {
+					t.Fatalf("one-shot %+v\n service %+v (job finished at %v)", a, b, job.FinishVSec)
+				}
+				if !slices.Equal(shot.Timeline, svc.Timeline) {
+					t.Fatalf("timelines differ: %d points vs %d", len(shot.Timeline), len(svc.Timeline))
+				}
+			})
 		}
 	}
 }

@@ -26,21 +26,38 @@ func desConfig(f *cnf.Formula, timeout float64) RunnerConfig {
 	}
 }
 
-// TestSimSummaryIsPinned holds `gridsat sim -threads 1 -testbed grads` on
-// Pigeonhole(8) to the summary line the engine of commit 16d7597 (PR 14)
-// printed. Virtual time is charged per propagation, so a solver change
-// that alters the search by one step moves these numbers; one that only
-// makes steps cheaper cannot.
+// TestSimSummaryIsPinned holds `gridsat sim -threads 1 -testbed grads` to
+// the summary lines it printed at commit 16d7597 (PR 14) for Pigeonhole(8)
+// and at 836712f (PR 19) for bart15 — the run that saturates the 34-client
+// pool, ends SAT with 11 clients still busy (each gets one StopWork, the
+// only traffic PR 19 did not have: it printed msgs=12895 bytes=1165355) and
+// diverges at flight event 6691 if serveSplitBacklog skips its stale-entry
+// sweep when the job is at its target. Virtual time is charged per
+// propagation, so a solver change that alters the search by one step moves
+// these numbers; one that only makes steps cheaper cannot.
 func TestSimSummaryIsPinned(t *testing.T) {
-	res := RunDistributed(RunnerConfig{
-		Grid: grid.TestbedGrADS(1), Formula: gen.Pigeonhole(8), TimeoutVSec: 6000,
-		Threads: 1, ShareMaxLen: 10, MasterHostID: -1, Seed: 1,
-	})
-	got := fmt.Sprintf("outcome=%s vsec=%.1f splits=%d shared=%d work=%d-props msgs=%d bytes=%d",
-		res.Outcome, res.VSec, res.Splits, res.Shared, res.TotalProps, res.Msgs, res.Bytes)
-	const want = "outcome=solved vsec=239.5 splits=13 shared=5 work=261686-props msgs=366 bytes=48820"
-	if got != want {
-		t.Fatalf("sim summary moved:\n got %s\nwant %s", got, want)
+	bart15, _ := gen.ByName("bart15")
+	for _, row := range []struct {
+		formula    *cnf.Formula
+		status     solver.Status
+		maxClients int
+		want       string
+	}{
+		{gen.Pigeonhole(8), solver.StatusUNSAT, 3,
+			"outcome=solved vsec=239.5 splits=13 shared=5 work=261686-props msgs=366 bytes=48820"},
+		{bart15.Build(), solver.StatusSAT, 34,
+			"outcome=solved vsec=222.9 splits=96 shared=1928 work=2132250-props msgs=12906 bytes=1165399"},
+	} {
+		res := RunDistributed(RunnerConfig{
+			Grid: grid.TestbedGrADS(1), Formula: row.formula, TimeoutVSec: 6000,
+			Threads: 1, ShareMaxLen: 10, MasterHostID: -1, Seed: 1,
+		})
+		got := fmt.Sprintf("outcome=%s vsec=%.1f splits=%d shared=%d work=%d-props msgs=%d bytes=%d",
+			res.Outcome, res.VSec, res.Splits, res.Shared, res.TotalProps, res.Msgs, res.Bytes)
+		if got != row.want || res.Status != row.status || res.MaxClients != row.maxClients {
+			t.Errorf("sim summary moved:\n got %v max-clients=%d %s\nwant %v max-clients=%d %s",
+				res.Status, res.MaxClients, got, row.status, row.maxClients, row.want)
+		}
 	}
 }
 

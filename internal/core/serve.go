@@ -17,19 +17,15 @@ import (
 	"gridsat/internal/trace"
 )
 
-// This file is the serve-mode half of the master: the multi-job
-// scheduling service. Jobs arrive through Submit (or the HTTP API in
-// Endpoints), wait in the admission-controlled queue, and hold clients
-// according to the configured SchedPolicy. Allocation is malleable in
-// Mallob's sense — the scheduler moves clients between running jobs at
-// runtime by preempting them (checkpoint via the §3.4 migration
-// machinery) and resuming the checkpointed subproblem on whichever
-// client the policy hands it to next. All scheduler state lives on the
-// master's single event loop; the public methods below marshal onto it
-// through masterEvent.apply closures.
-
-// ErrNotServing is returned by scheduling calls on a single-job master.
-var ErrNotServing = errors.New("core: master is not a scheduling service (set MasterConfig.Serve)")
+// This file is the job half of the master: the scheduling service. Jobs
+// arrive through Submit (or the HTTP API in Endpoints), wait in the
+// admission-controlled queue, and hold clients according to the configured
+// SchedPolicy. Allocation is malleable in Mallob's sense — the scheduler
+// moves clients between running jobs at runtime by preempting them
+// (checkpoint via the §3.4 migration machinery) and resuming the
+// checkpointed subproblem on whichever client the policy hands it to next.
+// All scheduler state lives on the master's single event loop; the public
+// methods below marshal onto it through masterEvent.apply closures.
 
 // ErrNoSuchJob is returned for job IDs the service has never issued.
 var ErrNoSuchJob = errors.New("core: no such job")
@@ -58,8 +54,7 @@ func (m *Master) apply(fn func()) error {
 
 // Submit queues a formula as a new job and returns its ID. Priority
 // below 1 is clamped to 1; it only matters under the "priority" policy.
-// Fails when admission control rejects the job or the master is not in
-// serve mode.
+// Fails when admission control rejects the job.
 func (m *Master) Submit(name string, f *cnf.Formula, priority int) (int, error) {
 	if f == nil {
 		return 0, errors.New("core: submit needs a formula")
@@ -74,9 +69,6 @@ func (m *Master) Submit(name string, f *cnf.Formula, priority int) (int, error) 
 
 // submit is Submit's event-loop half.
 func (m *Master) submit(name string, f *cnf.Formula, priority int) (int, error) {
-	if !m.serve {
-		return 0, ErrNotServing
-	}
 	var active int
 	var activeBytes int64
 	for _, id := range m.jobOrder {
@@ -88,23 +80,23 @@ func (m *Master) submit(name string, f *cnf.Formula, priority int) (int, error) 
 	if err := m.admission.Admit(FormulaMemBytes(f), active, activeBytes, m.registeredCount()); err != nil {
 		return 0, err
 	}
-	if priority < 1 {
-		priority = 1
-	}
 	m.nextJobID++
-	id := m.nextJobID
-	j := &masterJob{
+	m.admit(m.nextJobID, name, f, max(1, priority))
+	m.maybeRebalance()
+	return m.nextJobID, nil
+}
+
+// admit queues f as job id, submitted now.
+func (m *Master) admit(id int, name string, f *cnf.Formula, priority int) {
+	m.jobs[id] = &masterJob{
 		Job: &Job{ID: id, Name: name, Priority: priority, Formula: f,
 			State: JobQueued, SubmittedAt: m.now()},
 		seenShared: newClauseWindow(m.cfg.ShareWindow),
 	}
-	m.jobs[id] = j
 	m.jobOrder = append(m.jobOrder, id)
 	m.femit(trace.FEvent{Kind: trace.FEvJobSubmit, Job: id, Detail: name, N: int64(priority)})
 	m.log.Info("job submitted", "job", id, "name", name, "priority", priority,
 		"vars", f.NumVars, "clauses", len(f.Clauses))
-	m.maybeRebalance()
-	return id, nil
 }
 
 // CancelJob cancels a queued or running job; its clients are stopped and
@@ -118,9 +110,6 @@ func (m *Master) CancelJob(id int) error {
 }
 
 func (m *Master) cancel(id int) error {
-	if !m.serve {
-		return ErrNotServing
-	}
 	j := m.jobs[id]
 	if j == nil {
 		return fmt.Errorf("%w: %d", ErrNoSuchJob, id)
@@ -171,8 +160,8 @@ func (m *Master) JobStatus(id int, withModel bool) (JobSnapshot, error) {
 // Jobs lists every job the service has seen, in submission order.
 func (m *Master) Jobs() []JobSnapshot { return m.State().Jobs }
 
-// Shutdown stops a serving master: Run returns after the pool is told to
-// shut down. Queued and running jobs end where they are (their snapshots
+// Shutdown stops the master: Run returns after the pool is told to shut
+// down. Queued and running jobs end where they are (their snapshots
 // remain queryable until the process exits).
 func (m *Master) Shutdown() {
 	m.draining.Store(true)
@@ -220,13 +209,8 @@ func (m *Master) allocTargets() map[int]int {
 
 // maybeRebalance reviews the allocation: jobs over their policy target
 // give up clients (checkpoint preemption), jobs under it get queued work
-// placed on idle clients. Single-job masters skip straight to the
-// classic backlog service. Event-loop only.
+// placed on idle clients. Event-loop only.
 func (m *Master) maybeRebalance() {
-	if !m.serve {
-		m.serveBacklog()
-		return
-	}
 	targets := m.allocTargets()
 	for _, id := range m.jobOrder {
 		j := m.jobs[id]
@@ -298,14 +282,14 @@ func (m *Master) handlePreempted(c *masterClient, msg comm.Preempted) {
 	m.maybeRebalance()
 }
 
-// finishJob records a job's verdict and releases everything it holds.
-// Event-loop only.
-func (m *Master) finishJob(j *masterJob, status solver.Status, model cnf.Assignment) {
+// finishJob records a job's verdict — or, with StatusUnknown, the cause of
+// its ending without one — and releases everything it holds. Event-loop
+// only.
+func (m *Master) finishJob(j *masterJob, status solver.Status, model cnf.Assignment, cause error) {
 	if !j.State.Active() {
 		return
 	}
-	j.status = status
-	j.model = model
+	j.status, j.model, j.cause = status, model, cause
 	j.end(JobDone, m.now())
 	if j.StartedAt > 0 {
 		m.met.solveLat.Observe(j.FinishedAt - j.StartedAt)
@@ -359,7 +343,7 @@ func (m *Master) releaseJob(j *masterJob) {
 	}
 }
 
-// Service wraps a serving master with its HTTP/JSON job API. Install the
+// Service wraps a master with its HTTP/JSON job API. Install the
 // routes by passing Endpoints() through MasterConfig.ExtraEndpoints (the
 // gridsat serve command does this), so the API shares the introspection
 // server with /metrics, /status and /progress. Because ExtraEndpoints is

@@ -13,15 +13,15 @@ import (
 	"gridsat/internal/cnf"
 	"gridsat/internal/comm"
 	"gridsat/internal/gen"
+	"gridsat/internal/solver"
 	"gridsat/internal/trace"
 )
 
-// serveMaster boots a serve-mode master on tr and runs its event loop.
-// The returned channel yields Run's result after Shutdown (or timeout).
+// serveMaster boots a master without a job of its own on tr and runs its
+// event loop. The returned channel yields Run's result after Shutdown (or timeout).
 func serveMaster(t *testing.T, tr comm.Transport, cfg MasterConfig) (*Master, chan Result) {
 	t.Helper()
 	cfg.Transport = tr
-	cfg.Serve = true
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 2 * time.Minute
 	}
@@ -445,7 +445,7 @@ func TestServeHTTPAPI(t *testing.T) {
 
 // TestServeAdmissionAndErrors pins the Go-API edges: admission control
 // rejects past the active cap and frees a slot when a job ends; a
-// single-job master refuses scheduling calls outright.
+// one-shot master takes the same calls, job 0 included.
 func TestServeAdmissionAndErrors(t *testing.T) {
 	tr := comm.NewInprocTransport()
 	m, done := serveMaster(t, tr, MasterConfig{
@@ -478,26 +478,36 @@ func TestServeAdmissionAndErrors(t *testing.T) {
 	m.Shutdown()
 	<-done
 
-	// A classic single-job master refuses every scheduling call.
+	// A one-shot master is the same service with job 0 already admitted: it
+	// takes a second job behind it, and cancelling job 0 ends its run.
 	sm, err := NewMaster(MasterConfig{
 		Transport:  tr,
-		ListenAddr: "serve-single",
+		ListenAddr: "serve-one-shot",
 		Formula:    f,
 		Timeout:    time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sdone := make(chan Result, 1)
-	go func() { res, _ := sm.Run(); sdone <- res }()
-	if _, err := sm.Submit("x", f, 1); err == nil {
-		t.Fatal("Submit on a single-job master succeeded")
+	type runResult struct {
+		res Result
+		err error
 	}
-	if err := sm.CancelJob(0); err == nil {
-		t.Fatal("CancelJob on a single-job master succeeded")
+	sdone := make(chan runResult, 1)
+	go func() { res, err := sm.Run(); sdone <- runResult{res, err} }()
+	if id, err := sm.Submit("x", f, 1); err != nil || id != 1 {
+		t.Fatalf("Submit on a one-shot master: id=%d err=%v, want job 1", id, err)
 	}
-	sm.Shutdown()
-	<-sdone
+	if jobs := sm.Jobs(); len(jobs) != 2 || jobs[0].ID != 0 || jobs[0].State != "queued" {
+		t.Fatalf("jobs of a one-shot master: %+v", jobs)
+	}
+	if err := sm.CancelJob(0); err != nil {
+		t.Fatalf("CancelJob(0) on a one-shot master: %v", err)
+	}
+	out := <-sdone
+	if out.err != nil || out.res.Status != solver.StatusUnknown {
+		t.Fatalf("run after cancelling job 0: status=%v err=%v, want UNKNOWN and no error", out.res.Status, out.err)
+	}
 }
 
 // TestServeSchedulerChurn hammers the scheduler with arrivals, cancels

@@ -89,13 +89,17 @@ type shareAggregator struct {
 	overflow  int64 // clauses dropped from a full pending batch
 }
 
+// A client flushes its aggregator once shareFlushCount fresh clauses are
+// pending, or shareFlushEvery seconds (on its clock) after the last flush if
+// anything is.
+const (
+	shareFlushCount = 16
+	shareFlushEvery = 0.1
+)
+
+// newShareAggregator builds an aggregator with the given flush policy; a
+// pendingMax below flushCount means 64 batches' worth.
 func newShareAggregator(flushCount int, flushEvery float64, windowCap, pendingMax int, now float64) *shareAggregator {
-	if flushCount <= 0 {
-		flushCount = 16
-	}
-	if flushEvery <= 0 {
-		flushEvery = 0.1
-	}
 	if pendingMax < flushCount {
 		pendingMax = 64 * flushCount
 	}

@@ -527,16 +527,17 @@ func TestMasterShareRelayPicksRecipientsFirst(t *testing.T) {
 			}
 			m.clients[m.connect()].job = 7 // registered elsewhere: never a recipient
 			sender := m.clients[1]
+			admitted := fl.Len() // job 0's submit event
 
 			m.handleShare(sender, batch(0))
 			if got := m.result.SharedClauses; got != batchLen {
 				t.Fatalf("shared counter = %d, want %d", got, batchLen)
 			}
-			if n := len(fl.Events()); n != 1 || fl.Events()[0].Kind != trace.FEvShareRelay || fl.Events()[0].N != batchLen {
-				t.Fatalf("flight log after one batch: %+v", fl.Events())
+			if evs := fl.Events()[admitted:]; len(evs) != 1 || evs[0].Kind != trace.FEvShareRelay || evs[0].N != batchLen {
+				t.Fatalf("flight log after one batch: %+v", evs)
 			}
 			m.handleShare(sender, batch(0)) // all duplicates now
-			if m.result.SharedClauses != batchLen || len(fl.Events()) != 1 {
+			if m.result.SharedClauses != batchLen || fl.Len() != admitted+1 {
 				t.Fatal("a replayed batch got past the dedup window")
 			}
 			if len(outbox) != holders-1 {

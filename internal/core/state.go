@@ -17,8 +17,8 @@ type ClusterState struct {
 	// WallSeconds is the master clock at the snapshot (wall seconds since
 	// Run started, or virtual seconds under the DES).
 	WallSeconds float64 `json:"wall_seconds"`
-	// Verdict is "" while running, else SAT/UNSAT (single-job masters;
-	// serve-mode verdicts are per job).
+	// Verdict is a finished one-shot run's SAT/UNSAT, "" otherwise (every
+	// job's own verdict is in its Jobs row).
 	Verdict string `json:"verdict,omitempty"`
 
 	// Pool tallies over registered clients. MemBytes sums their reported
@@ -47,10 +47,11 @@ type ClusterState struct {
 	FlightEvents  int   `json:"FlightEvents"`
 
 	// Coverage is the mean refuted search-space fraction of the jobs listed
-	// as Searching (a single-job master has one job, so it is that job's);
-	// RatePerSec is the mean of their EWMA coverage rates; ETASeconds is
-	// the time to full Coverage at that rate (-1 while unknown, 0 when
-	// exhausted).
+	// as Searching (a one-shot run has one job, so it is that job's), 0
+	// with none; RatePerSec is the mean of their EWMA coverage rates;
+	// ETASeconds is the time to full Coverage at that rate, -1 while
+	// unknown. A finished job leaves the mean and keeps its final value in
+	// its own row, so the state after a one-shot verdict reads 0 and -1.
 	Coverage   float64 `json:"coverage"`
 	RatePerSec float64 `json:"rate_per_sec"`
 	ETASeconds float64 `json:"eta_seconds"`
@@ -66,7 +67,7 @@ type ClusterState struct {
 	Efficacy ShareEfficacy `json:"efficacy"`
 
 	// Jobs are the per-job rows in submission order (one row, job 0, for a
-	// single-job master); Clients the registered clients sorted by ID.
+	// one-shot run); Clients the registered clients sorted by ID.
 	Jobs    []JobSnapshot `json:"jobs"`
 	Clients []ClientState `json:"clients"`
 }

@@ -16,11 +16,11 @@ import (
 	"gridsat/internal/trace"
 )
 
-// bareMaster builds a serve-mode master with no shell: the test steps its
+// bareMaster builds a master with no job and no shell: the test steps its
 // handlers directly, at a clock it sets, and the outbox goes nowhere.
 func bareMaster(t *testing.T, now *float64) *Master {
 	t.Helper()
-	m, err := newMaster(MasterConfig{Serve: true, Flight: trace.NewFlight(nil)},
+	m, err := newMaster(MasterConfig{Flight: trace.NewFlight(nil)},
 		func() float64 { return *now },
 		func(int, comm.Message) {}, func(BundleSpec) {})
 	if err != nil {
@@ -192,16 +192,14 @@ func TestStateMatchesBruteForceRecount(t *testing.T) {
 	}
 }
 
-// serveJobAtHalf adds a client to a bare serve-mode master and submits a
+// serveJobAtHalf adds a client to a bare master and submits a
 // job; whichever idle client gets its root, the test splits it in two by
 // hand and refutes one depth-1 half: the job is running at exactly 50 %
 // coverage.
 func serveJobAtHalf(t *testing.T, m *Master, f *cnf.Formula) *masterJob {
 	t.Helper()
 	c := m.clients[m.connect()]
-	if err := m.handleRegister(c, comm.Register{Addr: "a", FreeMemBytes: 64 << 20, SpeedHint: 1}); err != nil {
-		t.Fatal(err)
-	}
+	m.handleRegister(c, comm.Register{Addr: "a", FreeMemBytes: 64 << 20, SpeedHint: 1})
 	id, err := m.submit("half", f, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -210,9 +208,7 @@ func serveJobAtHalf(t *testing.T, m *Master, f *cnf.Formula) *masterJob {
 	for _, c := range m.clients {
 		if c.busy && c.job == id {
 			j.outstanding++ // the other half, held elsewhere
-			if _, err := m.handleSolved(c, comm.Solved{Status: solver.StatusUNSAT, Depth: 1}); err != nil {
-				t.Fatal(err)
-			}
+			m.handleSolved(c, comm.Solved{Status: solver.StatusUNSAT, Depth: 1})
 			return j
 		}
 	}
@@ -223,7 +219,7 @@ func serveJobAtHalf(t *testing.T, m *Master, f *cnf.Formula) *masterJob {
 // TestClusterCoverageHasOneDefinition: cluster coverage is the mean
 // coverage of the searching jobs, and the dashboard header, the
 // cluster.coverage series and the watchdog's stall rule all read that one
-// number. They used to read 0 (serve mode), the mean and the sum.
+// number. They used to read 0 (under `gridsat serve`), the mean and the sum.
 func TestClusterCoverageHasOneDefinition(t *testing.T) {
 	now := 1.0
 	m := bareMaster(t, &now)
@@ -270,16 +266,12 @@ func TestFinishedJobDropsItsInput(t *testing.T) {
 	f := cnf.NewFormula(2)
 	f.Add(1, 2)
 	c := m.clients[m.connect()]
-	if err := m.handleRegister(c, comm.Register{Addr: "a", FreeMemBytes: 64 << 20, SpeedHint: 1}); err != nil {
-		t.Fatal(err)
-	}
+	m.handleRegister(c, comm.Register{Addr: "a", FreeMemBytes: 64 << 20, SpeedHint: 1})
 	sat, _ := m.submit("sat", f, 1)
 	model := cnf.NewAssignment(2)
 	model.Set(cnf.LitFromDIMACS(1))
 	model.Set(cnf.LitFromDIMACS(2))
-	if _, err := m.handleSolved(c, comm.Solved{Status: solver.StatusSAT, Model: model}); err != nil {
-		t.Fatal(err)
-	}
+	m.handleSolved(c, comm.Solved{Status: solver.StatusSAT, Model: model})
 	cancelled, _ := m.submit("cancelled", f, 1)
 	if err := m.cancel(cancelled); err != nil {
 		t.Fatal(err)
@@ -296,11 +288,13 @@ func TestFinishedJobDropsItsInput(t *testing.T) {
 	// Late traffic from a client still tagged with the finished job.
 	c.job, c.busy = sat, true
 	m.handleShare(c, comm.ShareClauses{From: c.id, Job: sat, Clauses: []cnf.Clause{cnf.NewClause(1, 2)}})
-	if done := m.handleSplitDone(c, comm.SplitDone{ClientID: c.id, SplitID: 99, OK: true}); done {
-		t.Fatal("a late SplitDone ended the service")
-	}
-	if done, err := m.handleSolved(c, comm.Solved{Status: solver.StatusSAT, Model: model}); done || err != nil {
-		t.Fatalf("late Solved: done=%v err=%v", done, err)
+	for _, late := range []comm.Message{
+		comm.SplitDone{ClientID: c.id, SplitID: 99, OK: true},
+		comm.Solved{Status: solver.StatusSAT, Model: model},
+	} {
+		if done, err := m.handle(from(c.id, late)); done || err != nil {
+			t.Fatalf("late %s: done=%v err=%v", late.Kind(), done, err)
+		}
 	}
 	if again := m.jobSnapshot(m.jobs[sat], true); !reflect.DeepEqual(again, res) {
 		t.Fatalf("late traffic changed the finished job: %+v", again)

@@ -80,9 +80,9 @@ func RenderTop(st ClusterState, sp *TopSparks, width int) string {
 			history.Spark(sp.Rate, topSparkWide)), width)
 	}
 
-	// Serve-mode masters carry the scheduler's per-job rows. A single-job
-	// master reports one implicit row (job 0), which the frame omits — the
-	// header line already tells that whole story.
+	// The per-job rows. A state whose only row is job 0 is a one-shot run's,
+	// and the frame omits the table: the header line already tells that
+	// whole story.
 	if len(st.Jobs) > 0 && !(len(st.Jobs) == 1 && st.Jobs[0].ID == 0) {
 		writeLine(&b, "", width)
 		writeLine(&b, fmt.Sprintf("%4s  %-10s  %-9s  %3s  %4s  %6s  %8s  %-9s",

@@ -71,7 +71,7 @@ func TestRenderTopGolden(t *testing.T) {
 }
 
 // topJobsGolden is the expected 80-column frame when the state carries
-// the scheduler's per-job rows (a serve-mode master): the job
+// per-job rows worth a table (anything but a lone job 0): the job
 // table appears between the cluster summary and the client table, long
 // names truncate, and finished jobs show their verdict.
 const topJobsGolden = "" +
@@ -93,9 +93,9 @@ const topJobsGolden = "" +
 	"      w1  neg+luby        conf 548     rst 7    15.0MiB       900               \n" +
 	"   4  idle       0        0.0     0%     0.0%    1.0MiB         0               \n"
 
-// TestRenderTopJobsGolden locks the serve-mode frame layout. A state
-// with one implicit job 0 must NOT grow the section — that is the
-// single-job frame, pinned byte-for-byte by TestRenderTopGolden.
+// TestRenderTopJobsGolden locks the frame layout with a job table. A state
+// whose only job is job 0 must NOT grow the section — that is the one-shot
+// frame, pinned byte-for-byte by TestRenderTopGolden.
 func TestRenderTopJobsGolden(t *testing.T) {
 	st := topTestState()
 	st.Jobs = []JobSnapshot{
@@ -107,7 +107,7 @@ func TestRenderTopJobsGolden(t *testing.T) {
 	if got != topJobsGolden {
 		gl := strings.Split(got, "\n")
 		wl := strings.Split(topJobsGolden, "\n")
-		t.Errorf("serve-mode frame drifted from golden.\ngot:\n%s", got)
+		t.Errorf("job-table frame drifted from golden.\ngot:\n%s", got)
 		for i := 0; i < len(gl) && i < len(wl); i++ {
 			if gl[i] != wl[i] {
 				t.Errorf("first diff at line %d:\ngot:  %q\nwant: %q", i+1, gl[i], wl[i])
@@ -116,10 +116,10 @@ func TestRenderTopJobsGolden(t *testing.T) {
 		}
 	}
 
-	// The implicit single-job row keeps the classic frame.
+	// A lone job 0 keeps the classic frame.
 	st.Jobs = []JobSnapshot{{ID: 0, State: "running"}}
 	if RenderTop(st, nil, 80) != topGolden {
-		t.Error("implicit job-0 row changed the single-job frame")
+		t.Error("a lone job-0 row changed the one-shot frame")
 	}
 }
 

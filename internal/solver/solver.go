@@ -602,10 +602,6 @@ func (s *Solver) MemoryBytes() int64 {
 // ReasonStopped at the next decision boundary. Safe from any goroutine.
 func (s *Solver) Stop() { s.stop.Store(true) }
 
-// SetOnLearn replaces the learned-clause export callback. Must only be
-// called while Solve is not running (e.g. between work slices).
-func (s *Solver) SetOnLearn(fn func(c cnf.Clause, lbd int)) { s.opts.OnLearn = fn }
-
 // Assume enqueues assumption literals at decision level 0 — the mechanism
 // by which a split recipient adopts its subproblem's guiding assignments.
 // It must be called before Solve. A conflicting assumption set marks the

@@ -44,9 +44,8 @@ const (
 	FEvImportUse    = "import-use"    // Client first used an imported clause; N = uses this window
 	FEvVerdict      = "verdict"       // run decided (Detail = SAT/UNSAT/UNKNOWN)
 
-	// Multi-job scheduler lifecycle kinds. Single-job runs never emit
-	// them (the implicit job is ID 0), so pre-scheduler logs stay valid
-	// and bit-identical.
+	// Job lifecycle kinds. A one-shot run emits submit, start and done
+	// once each, for its job 0.
 	FEvJobSubmit  = "job-submit"  // Job entered the queue (N = priority, Detail = name)
 	FEvJobStart   = "job-start"   // Job received its first client allocation
 	FEvJobPreempt = "job-preempt" // Client checkpointed Job's subproblem back to the queue
@@ -91,10 +90,9 @@ type FEvent struct {
 	// Client (0 = the pathfinder, also the only worker on
 	// single-threaded clients). Set on verdict/sub-unsat events.
 	Worker int `json:"worker,omitempty"`
-	// Job keys the event to a scheduler job. 0 is the implicit
-	// single-job run (omitted from the JSONL line), so logs recorded
-	// before the scheduler existed — and single-job logs after it —
-	// are byte-identical to each other.
+	// Job keys the event to a job. 0 is a one-shot run's only job and is
+	// omitted from the JSONL line, so a one-shot log names no job at all,
+	// like the logs recorded before jobs existed.
 	Job     int     `json:"job,omitempty"`
 	Peer    int     `json:"peer,omitempty"`
 	SplitID int     `json:"split,omitempty"`
@@ -293,10 +291,9 @@ func Verdict(events []FEvent) string {
 	return ""
 }
 
-// JobVerdicts returns the per-job outcomes recorded in a multi-job log:
-// the Detail of each job's job-done (or job-cancel, as "CANCELLED")
-// event. Single-job logs have no job lifecycle events and return an
-// empty map.
+// JobVerdicts returns the per-job outcomes recorded in a log: the Detail
+// of each job's job-done (or job-cancel, as "CANCELLED") event. A one-shot
+// log has the one entry of its job 0.
 func JobVerdicts(events []FEvent) map[int]string {
 	out := map[int]string{}
 	for _, ev := range events {

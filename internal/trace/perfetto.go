@@ -36,8 +36,8 @@ type perfettoEvent struct {
 }
 
 // perfettoPid is the base "process" ID; job J renders as process
-// perfettoPid+J, so the implicit single job (ID 0) keeps the historical
-// pid 1 and every scheduler job gets its own track group.
+// perfettoPid+J, so a one-shot run's job 0 keeps the historical pid 1 and
+// every submitted job gets its own track group.
 const perfettoPid = 1
 
 // WritePerfetto writes events as a Chrome trace-event JSON document.
