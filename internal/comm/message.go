@@ -51,9 +51,9 @@ func (RegisterAck) Kind() string { return "register-ack" }
 // (the initial clauses "are obtained from the problem file", §3.4).
 type BaseProblem struct {
 	Formula *cnf.Formula
-	// Job keys the formula to a scheduler job. 0 is the implicit
-	// single-job run; a multi-job master sends one BaseProblem per job a
-	// client is allocated to, and the client caches them by ID.
+	// Job keys the formula to a scheduler job (0 = job 0 of a one-shot
+	// run); the master sends one BaseProblem per job a client is allocated
+	// to, and the client caches them by ID.
 	Job int
 }
 
@@ -119,9 +119,9 @@ func (SplitAssign) Kind() string { return "split-assign" }
 type SplitPayload struct {
 	SplitID int // 0 for the master's initial whole-problem assignment
 	From    int
-	// Job tags the subproblems with their scheduler job (0 = the implicit
-	// single job), so a multi-job recipient solves against the right base
-	// formula and the master credits the right job's coverage.
+	// Job tags the subproblems with their scheduler job (0 = job 0 of a
+	// one-shot run), so the recipient solves against the right base
+	// formula.
 	Job  int
 	Subs []*solver.Subproblem
 }
@@ -181,9 +181,9 @@ type Solved struct {
 	// single-threaded clients — the pathfinder), for the flight log's
 	// worker attribution.
 	Worker int
-	// Job attributes the verdict to a scheduler job (0 = the implicit
-	// single job), so the master ignores a verdict that raced a
-	// reassignment.
+	// Job attributes the verdict to a scheduler job (0 = job 0 of a
+	// one-shot run), so the master ignores a verdict on another job's
+	// subproblem than the one it has the client down for.
 	Job int
 }
 
@@ -309,9 +309,8 @@ type StatusReport struct {
 	// currently working (0 when idle or on the root problem).
 	Depth  int
 	Deltas SolverDeltas
-	// Job is the scheduler job the client is currently allocated to
-	// (0 = the implicit single job), so the master folds the deltas into
-	// the right job's aggregates.
+	// Job is the scheduler job the client is currently working for
+	// (0 = job 0 of a one-shot run).
 	Job int
 	// Workers carries per-worker rows when the client runs an in-host
 	// portfolio (nil for single-threaded clients). Point-in-time gauges,

@@ -133,12 +133,24 @@ func from(id int, msg comm.Message) masterEvent { return masterEvent{clientID: i
 func TestStateCoverageFromSolved(t *testing.T) {
 	m := newChurnMaster(t)
 	m.started = time.Now()
-	m.jobs[0].assigned = true
-	m.jobs[0].outstanding = 2
-
-	m.clients[1] = &masterClient{id: 1, addr: "a", busy: true}
-	m.clients[2] = &masterClient{id: 2, addr: "b", busy: true}
-	m.order = []int{1, 2}
+	// Client 1 takes the root and splits it with client 2: two holders.
+	for id := 1; id <= 2; id++ {
+		m.connect()
+		m.handle(from(id, comm.Register{Addr: "a", FreeMemBytes: 1 << 20, SpeedHint: 1}))
+	}
+	for _, ev := range []masterEvent{
+		from(1, comm.SplitDone{ClientID: 1, OK: true}), // the root is accepted
+		from(1, comm.SplitRequest{ClientID: 1}),        // reserves client 2
+		from(1, comm.SplitDone{ClientID: 1, SplitID: 1, OK: true, Used: 1}),
+		from(2, comm.SplitDone{ClientID: 2, SplitID: 1, OK: true}),
+	} {
+		if done, err := m.handle(ev); done || err != nil {
+			t.Fatalf("splitting the root: %s gave done=%v err=%v", ev.msg.Kind(), done, err)
+		}
+	}
+	if st := m.state(); st.Busy != 2 || st.Outstanding != 2 {
+		t.Fatalf("after the split: %d busy, %d outstanding; want 2 and 2", st.Busy, st.Outstanding)
+	}
 
 	done, err := m.handle(from(1, comm.Solved{ClientID: 1, Status: solver.StatusUNSAT, Depth: 1}))
 	if err != nil {
@@ -199,8 +211,8 @@ func TestRootNackIsRequeued(t *testing.T) {
 	}
 	j := m.jobs[0]
 	c1, c2 := m.clients[1], m.clients[2]
-	if !c1.busy || c2.busy || j.outstanding != 1 {
-		t.Fatalf("root not handed to the first registrant: busy=%v,%v outstanding=%d", c1.busy, c2.busy, j.outstanding)
+	if got := m.state().Outstanding; !c1.busy || c2.busy || got != 1 {
+		t.Fatalf("root not handed to the first registrant: busy=%v,%v outstanding=%d", c1.busy, c2.busy, got)
 	}
 	// Client 1 bounces it, and its memory forecast has dropped under the
 	// floor meanwhile, so the requeue must move on.
@@ -212,8 +224,8 @@ func TestRootNackIsRequeued(t *testing.T) {
 	if c1.busy {
 		t.Fatal("nacking client still marked busy")
 	}
-	if !c2.busy || j.outstanding != 1 || len(j.subBacklog) != 0 {
-		t.Fatalf("root not reassigned: c2.busy=%v outstanding=%d queued=%d", c2.busy, j.outstanding, len(j.subBacklog))
+	if got := m.state().Outstanding; !c2.busy || got != 1 || len(j.subBacklog) != 0 {
+		t.Fatalf("root not reassigned: c2.busy=%v outstanding=%d queued=%d", c2.busy, got, len(j.subBacklog))
 	}
 	if done, _ := m.handle(from(2, comm.SplitDone{ClientID: 2, OK: true})); done {
 		t.Fatal("root ack ended the run")
@@ -278,8 +290,8 @@ func TestClientLostRequeuesSalvage(t *testing.T) {
 	if got := m.pendingAssigns[2]; got.sub != root || got.origin != fromRoot || !c2.busy {
 		t.Fatalf("root not requeued to client 2 as a root: %+v", got)
 	}
-	if j.outstanding != 1 || len(j.subBacklog) != 0 {
-		t.Fatalf("outstanding=%d queued=%d after requeue, want 1 and 0 (double-counted salvage?)", j.outstanding, len(j.subBacklog))
+	if got := m.state().Outstanding; got != 1 || len(j.subBacklog) != 0 {
+		t.Fatalf("outstanding=%d queued=%d after requeue, want 1 and 0 (double-counted salvage?)", got, len(j.subBacklog))
 	}
 	// Client 2 starts it, then dies mid-run leaving a checkpoint.
 	m.handle(from(2, comm.SplitDone{ClientID: 2, OK: true}))
@@ -289,8 +301,8 @@ func TestClientLostRequeuesSalvage(t *testing.T) {
 	if got := m.pendingAssigns[3]; got.sub != cp || got.origin != fromCrash || got.donor != 2 {
 		t.Fatalf("checkpoint not handed to client 3 as crash recovery: %+v", got)
 	}
-	if j.outstanding != 1 {
-		t.Fatalf("outstanding=%d, want 1", j.outstanding)
+	if got := m.state().Outstanding; got != 1 {
+		t.Fatalf("outstanding=%d, want 1", got)
 	}
 	m.handle(from(3, comm.SplitDone{ClientID: 3, OK: true}))
 	if done, err := m.handle(from(3, comm.Solved{ClientID: 3, Status: solver.StatusUNSAT})); err != nil || !done {

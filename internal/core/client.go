@@ -145,12 +145,12 @@ type Client struct {
 	job      int
 	strategy solver.SplitStrategy
 	// port is the in-host portfolio solving the current subproblem (one
-	// worker unless Threads > 1) and slv its pathfinder, both nil while
-	// idle. Searching, sharing and the heartbeat totals go through port;
-	// splits, migration and depth/coverage reporting through slv. pool
-	// totals the exchange telemetry of every portfolio already torn down.
+	// worker unless Threads > 1), nil while idle: holding one is what being
+	// busy means. Searching, sharing and the heartbeat totals go through
+	// port; splits, migration and depth/coverage reporting through its
+	// pathfinder. pool totals the exchange telemetry of every portfolio
+	// already torn down.
 	port *portfolio
-	slv  *solver.Solver
 	pool poolStats
 	// cut stops every worker of the portfolio in flight and is nil while
 	// there is none. It is the one piece of solving state another goroutine
@@ -159,7 +159,6 @@ type Client struct {
 	cut        atomic.Pointer[func()]
 	recvAt     float64 // when the current subproblem arrived
 	xferTime   float64
-	busy       bool
 	splitWhy   comm.SplitReason
 	splitAsked bool
 	// regErr records a rejected registration.
@@ -199,6 +198,9 @@ type Client struct {
 	peerMu   sync.Mutex
 	peers    map[comm.Conn]struct{}
 }
+
+// busy reports whether the client holds a subproblem.
+func (c *Client) busy() bool { return c.port != nil }
 
 // femit records a flight event stamped with the shell's clock and
 // remembers it as the causal parent for the next outbound message. No-op
@@ -435,7 +437,7 @@ func (c *Client) Run() error {
 	defer c.stopLoops()
 	for {
 		var msg comm.Message
-		if c.busy {
+		if c.busy() {
 			// Busy: drain the control plane, then solve one slice.
 			select {
 			case msg = <-c.control:
@@ -466,7 +468,7 @@ func (c *Client) Run() error {
 // drain may have stopped it), and an assignment that lands in that window
 // must start, not be dropped.
 func (c *Client) handle(msg comm.Message) bool {
-	if c.busy {
+	if c.busy() {
 		return c.handleBusy(msg)
 	}
 	return c.handleIdle(msg)
@@ -531,7 +533,7 @@ func (c *Client) handleBusy(msg comm.Message) bool {
 	case comm.StopWork:
 		c.performStop(m.Job, m.Seq)
 	case comm.ShareClauses:
-		if c.slv != nil && m.Job == c.job {
+		if m.Job == c.job {
 			// Remember what arrived before importing: clauses received
 			// from peers must never be re-exported by this client. Shares
 			// are sound only within their own job's formula, hence the tag
@@ -560,7 +562,7 @@ func (c *Client) startSubproblem(splitID, job int, subs []*solver.Subproblem) {
 		return
 	}
 	sub := subs[0]
-	if c.busy {
+	if c.busy() {
 		_ = c.sendMaster(comm.SplitDone{ClientID: c.id, SplitID: splitID, OK: false,
 			Err: "already busy", Leftover: subs})
 		return
@@ -591,10 +593,9 @@ func (c *Client) startSubproblem(splitID, job int, subs []*solver.Subproblem) {
 		return
 	}
 	port.sequential = c.sequential
-	c.port, c.slv = port, port.Pathfinder()
+	c.port = port
 	cut := port.StopAll
 	c.cut.Store(&cut)
-	c.busy = true
 	c.splitAsked = false
 	c.lastHB = solver.Stats{} // fresh solver: deltas restart from zero
 	c.recvAt = c.now()
@@ -635,14 +636,13 @@ func (c *Client) finishSlice(res solver.Result) error {
 		c.sendHeartbeat(true)
 	}
 	if res.Status != solver.StatusUnknown {
-		c.busy = false
 		c.drainShares()        // don't strand learned clauses in the aggregator
 		c.sendHeartbeat(false) // flush the tail deltas before Solved
 		// An extra worker's UNSAT refutes a (possibly pre-split) superset
 		// of the pathfinder's subspace, so reporting at the pathfinder's
 		// depth never over-counts coverage.
 		solved := comm.Solved{ClientID: c.id, Status: res.Status, Model: res.Model,
-			Depth: c.slv.PathDepth(), Worker: worker, Job: c.job}
+			Depth: c.port.Pathfinder().PathDepth(), Worker: worker, Job: c.job}
 		c.dropSolver()
 		return c.sendMaster(solved)
 	}
@@ -676,10 +676,10 @@ func (c *Client) finishSlice(res solver.Result) error {
 // dropSolver forgets the current engine(s), folding the portfolio's pool
 // telemetry into the client's running totals first.
 func (c *Client) dropSolver() {
-	if c.slv != nil {
+	if c.busy() {
 		c.pool.add(c.port.PoolStats())
 	}
-	c.slv, c.port = nil, nil
+	c.port = nil
 	c.cut.Store(nil)
 }
 
@@ -687,7 +687,7 @@ func (c *Client) dropSolver() {
 // increments since the previous heartbeat; the master aggregates the
 // deltas into its live cluster view.
 func (c *Client) sendHeartbeat(busy bool) {
-	if c.slv == nil {
+	if !c.busy() {
 		return
 	}
 	st := c.port.Stats()
@@ -699,7 +699,7 @@ func (c *Client) sendHeartbeat(busy bool) {
 		Learnts:   c.port.NumLearnts(),
 		Conflicts: st.Conflicts,
 		Busy:      busy,
-		Depth:     c.slv.PathDepth(),
+		Depth:     c.port.Pathfinder().PathDepth(),
 		Job:       c.job,
 		Deltas:    heartbeatDeltas(d),
 		Workers:   c.port.WorkerReports(),
@@ -738,11 +738,11 @@ func (c *Client) requestSplit(why comm.SplitReason) {
 // actually served plus any leftover cofactors for the master to backlog.
 func (c *Client) performSplit(splitID int, peers []comm.SplitPeer) {
 	c.splitAsked = false
-	if c.slv == nil || !c.busy {
+	if !c.busy() {
 		_ = c.sendMaster(comm.SplitDone{ClientID: c.id, SplitID: splitID, OK: false, Err: "no active subproblem"})
 		return
 	}
-	batch, err := c.strategy.Split(c.slv, c.cfg.ShareMaxLen, splitLearntMaxCount)
+	batch, err := c.strategy.Split(c.port.Pathfinder(), c.cfg.ShareMaxLen, splitLearntMaxCount)
 	if err != nil {
 		_ = c.sendMaster(comm.SplitDone{ClientID: c.id, SplitID: splitID, OK: false, Err: err.Error()})
 		return
@@ -768,11 +768,12 @@ func (c *Client) performSplit(splitID int, peers []comm.SplitPeer) {
 // subproblem: the guiding path (level-0 literals) plus the bounded
 // learnt-clause export (§3.4 HeavyCheckpoint over the wire).
 func (c *Client) checkpointSub() *solver.Subproblem {
+	slv := c.port.Pathfinder()
 	return &solver.Subproblem{
 		NumVars:     c.base.NumVars,
-		Assumptions: c.slv.Level0Lits(),
-		Learnts:     c.slv.ExportLearnts(c.cfg.ShareMaxLen, splitLearntMaxCount),
-		Depth:       c.slv.PathDepth(),
+		Assumptions: slv.Level0Lits(),
+		Learnts:     slv.ExportLearnts(c.cfg.ShareMaxLen, splitLearntMaxCount),
+		Depth:       slv.PathDepth(),
 	}
 }
 
@@ -780,14 +781,13 @@ func (c *Client) checkpointSub() *solver.Subproblem {
 func (c *Client) stopSolving() {
 	c.cutSlice()
 	c.dropSolver()
-	c.busy = false
 }
 
 // performMigrate ships the whole current problem to the peer and goes
 // idle (§3.4). The master tracks the move like a one-recipient split: it
 // hears SplitDone from both ends, then this client's Solved(unknown).
 func (c *Client) performMigrate(splitID int, peer comm.SplitPeer) {
-	if c.slv == nil || !c.busy {
+	if !c.busy() {
 		_ = c.sendMaster(comm.SplitDone{ClientID: c.id, SplitID: splitID, OK: false, Err: "no active subproblem"})
 		return
 	}
@@ -807,7 +807,7 @@ func (c *Client) performMigrate(splitID int, peer comm.SplitPeer) {
 // job: checkpoint the subproblem, stop, and ship the checkpoint to the
 // master, which backlogs it until the job gets a client again.
 func (c *Client) performPreempt(job, seq int) {
-	if c.slv == nil || !c.busy || job != c.job {
+	if !c.busy() || job != c.job {
 		// Raced with the subproblem ending (or a stale job tag): a bare ack
 		// returns the client to the pool.
 		_ = c.sendMaster(comm.Preempted{ClientID: c.id, Job: job, Seq: seq})
@@ -824,7 +824,7 @@ func (c *Client) performPreempt(job, seq int) {
 // or cancelled, so the work is worthless — and acks with a bare
 // Preempted so the master returns this client to the pool.
 func (c *Client) performStop(job, seq int) {
-	if c.slv != nil && c.busy && job == c.job {
+	if c.busy() && job == c.job {
 		c.sendHeartbeat(false)
 		c.stopSolving()
 	}

@@ -169,7 +169,7 @@ func TestRootAssignmentForgetsThePreviousTransferTime(t *testing.T) {
 	}
 	c.handleIdle(comm.SplitPayload{SplitID: 1, Subs: []*solver.Subproblem{{
 		NumVars: f.NumVars, Assumptions: []cnf.Lit{cnf.LitFromDIMACS(1)}, Learnts: learnts, Depth: 1}}})
-	if !c.busy {
+	if !c.busy() {
 		t.Fatalf("split subproblem did not start: %v", sent)
 	}
 	now += 0.2
@@ -180,13 +180,13 @@ func TestRootAssignmentForgetsThePreviousTransferTime(t *testing.T) {
 		t.Fatalf("asked for a split %d times at 0.2 s of a 0.32 s timeout", n)
 	}
 	c.handle(comm.StopWork{Job: 0, Seq: 1})
-	if c.busy {
+	if c.busy() {
 		t.Fatal("StopWork left the client busy")
 	}
 
 	// The root of the next job on the same client: floor only.
 	c.handleIdle(comm.SplitPayload{SplitID: 2, Subs: []*solver.Subproblem{{NumVars: f.NumVars}}})
-	if !c.busy {
+	if !c.busy() {
 		t.Fatalf("root subproblem did not start: %v", sent)
 	}
 	now += liveSplitFloor.Seconds() + 0.01

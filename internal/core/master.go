@@ -244,10 +244,8 @@ type splitGroup struct {
 	// those whose leg has concluded (accepted, failed, or released unused).
 	recipients []int
 	settled    map[int]bool
-	// donorDone is set once the donor's SplitDone arrived; used is how many
-	// recipients (a prefix of the assignment order) it actually served.
+	// donorDone is set once the donor's SplitDone arrived.
 	donorDone  bool
-	used       int
 	assignedAt float64
 	// issueEv is the split-issue flight event, parent of the accept/fail.
 	issueEv uint64
@@ -257,13 +255,10 @@ type splitGroup struct {
 	migrate bool
 }
 
-// settledCount returns how many recipient legs have concluded.
-func (g *splitGroup) settledCount() int { return len(g.settled) }
-
 // done reports whether the group can be forgotten: the donor reported and
 // every recipient leg concluded.
 func (g *splitGroup) done() bool {
-	return g.donorDone && g.settledCount() == len(g.recipients)
+	return g.donorDone && len(g.settled) == len(g.recipients)
 }
 
 // subOrigin says where a queued subproblem came from, which decides the
@@ -308,19 +303,17 @@ type masterEvent struct {
 }
 
 // masterJob is one job's solving state at the master: the Job identity
-// plus its split backlog, leftover cofactors, outstanding-work count,
-// coverage estimator, clause-dedup window and verdict.
+// plus its split backlog, leftover cofactors, coverage estimator,
+// clause-dedup window and verdict. Who holds its subproblems is read off
+// the client table (see tally), not kept here.
 type masterJob struct {
 	*Job
 	// backlog queues unserved split requests from this job's clients;
 	// subBacklog queues its leftover cofactors and preempted checkpoints.
 	backlog    []BacklogEntry
 	subBacklog []backlogSub
-	// assigned is set once the root subproblem was handed out; outstanding
-	// counts the job's live subproblems (busy clients + in-flight
-	// transfers + queued cofactors).
-	assigned    bool
-	outstanding int
+	// assigned is set once the root subproblem was queued for handing out.
+	assigned bool
 	// status and model are the job's verdict (StatusUnknown while running);
 	// cause says why a job is done without one (a client lost with the only
 	// copy of a subproblem, a model that failed Verify).
@@ -330,13 +323,8 @@ type masterJob struct {
 	// seenShared suppresses re-broadcast of this job's already-fanned-out
 	// clauses (clauses are sound only within their job's formula).
 	seenShared *clauseWindow
-	// prog is the job's coverage estimator; agg sums its clients'
-	// heartbeat deltas (churn-proof: survives client departures).
+	// prog is the job's coverage estimator.
 	prog ProgressTracker
-	agg  comm.SolverDeltas
-	// splits and shared are this job's shares of the cluster counters.
-	splits int
-	shared int
 }
 
 // Master is GridSAT's control plane: client registration, placement, the
@@ -457,7 +445,7 @@ type masterMetrics struct {
 	reserved      *obs.Gauge
 	backlog       *obs.Gauge
 	subBacklog    *obs.Gauge
-	outstanding   *obs.Gauge
+	live          *obs.Gauge
 	splitLat      *obs.Histogram
 	// Job-lifecycle SLO histograms: queue wait (submit → first client),
 	// first assignment (submit → root handed out), solve (start →
@@ -482,7 +470,7 @@ func newMasterMetrics(reg *obs.Registry) masterMetrics {
 		reserved:      reg.Gauge("gridsat_master_reserved_clients", "clients reserved for in-flight transfers"),
 		backlog:       reg.Gauge("gridsat_master_split_backlog", "queued unserved split requests"),
 		subBacklog:    reg.Gauge("gridsat_master_sub_backlog", "leftover split cofactors waiting for an idle client"),
-		outstanding:   reg.Gauge("gridsat_master_outstanding_subproblems", "live subproblems (busy + in flight)"),
+		live:          reg.Gauge("gridsat_master_outstanding_subproblems", "live subproblems (busy + in flight)"),
 		splitLat:      reg.Histogram("gridsat_master_split_latency_seconds", "SplitAssign to recipient SplitDone", nil),
 		queueWait:     reg.Histogram("gridsat_job_queue_wait_seconds", "job submission to first client allocation", nil),
 		firstAssign:   reg.Histogram("gridsat_job_first_assign_seconds", "job submission to root subproblem handed out", nil),
@@ -501,33 +489,22 @@ func (m *Master) countMsg(kind string) {
 	c.Inc()
 }
 
-// updateGauges recomputes the pool gauges; called from the event loop
-// after any state change (O(clients), which is tiny next to the wire).
+// updateGauges republishes the pool gauges after any state change
+// (O(clients), which is tiny next to the wire).
 func (m *Master) updateGauges() {
-	var reg, busy, res int64
-	for _, c := range m.clients {
-		if c.addr != "" {
-			reg++
-		}
-		if c.busy {
-			busy++
-		}
-		if c.reserved {
-			res++
-		}
-	}
-	var backlog, subBacklog, outstanding int
+	t := m.tally()
+	m.met.registered.Set(int64(t.registered))
+	m.met.busy.Set(int64(t.busy))
+	m.met.reserved.Set(int64(t.reserved))
+	var backlog, subBacklog, live int
 	for _, j := range m.jobs {
 		backlog += len(j.backlog)
 		subBacklog += len(j.subBacklog)
-		outstanding += j.outstanding
+		live += t.outstanding(j)
 	}
-	m.met.registered.Set(reg)
-	m.met.busy.Set(busy)
-	m.met.reserved.Set(res)
 	m.met.backlog.Set(int64(backlog))
 	m.met.subBacklog.Set(int64(subBacklog))
-	m.met.outstanding.Set(int64(outstanding))
+	m.met.live.Set(int64(live))
 }
 
 // newMaster builds the control plane alone — no listener, goroutine or
@@ -625,10 +602,7 @@ func (m *Master) finishResult() {
 		m.result.Status, m.result.Model = j0.status, j0.model
 		if j0.FinishedAt == 0 {
 			j0.FinishedAt = m.now()
-			if j0.StartedAt > 0 {
-				m.met.solveLat.Observe(j0.FinishedAt - j0.StartedAt)
-			}
-			m.met.turnaround.Observe(j0.FinishedAt - j0.SubmittedAt)
+			j0.observeEnd(&m.met)
 		}
 		m.result.Latency = jobLatency(j0.Job)
 	}
@@ -731,9 +705,6 @@ func (m *Master) handleStatusReport(c *masterClient, msg comm.StatusReport) {
 	}
 	c.agg.Add(msg.Deltas)
 	m.clusterAgg.Add(msg.Deltas)
-	if j := m.jobOf(c); j != nil {
-		j.agg.Add(msg.Deltas)
-	}
 	// Conflict-rate EWMA for utilization and straggler detection.
 	now := m.now()
 	if dt := now - c.lastHBSec; dt > 0 {
@@ -844,7 +815,6 @@ func (m *Master) noteForecast(id int, rank float64, freeMem int64) {
 // is requeued, not lost.
 func (m *Master) assignRoot(j *masterJob) {
 	j.assigned = true
-	j.outstanding++
 	j.subBacklog = append(j.subBacklog, backlogSub{origin: fromRoot, job: j.ID,
 		sub: &solver.Subproblem{NumVars: j.Formula.NumVars}})
 }
@@ -870,14 +840,15 @@ func (m *Master) handleSplitRequest(c *masterClient, msg comm.SplitRequest) {
 // stays malleable. With one job the target is whatever the job can use, and
 // this is the paper's flow: idle resources absorb its splits.
 func (m *Master) serveBacklog() {
-	targets := m.allocTargets()
+	t := m.tally() // for every job: placing a job's work changes only its own load
+	targets := m.allocTargets(t)
 	for _, id := range m.jobOrder {
 		j := m.jobs[id]
 		if !j.State.Active() {
 			continue
 		}
-		deficit := max(0, targets[j.ID]-m.loadOf(j.ID).held)
-		if deficit > 0 && !j.assigned && m.registeredCount() >= m.cfg.ExpectedClients {
+		deficit := max(0, targets[j.ID]-t.load(j.ID).held)
+		if deficit > 0 && !j.assigned && t.registered >= m.cfg.ExpectedClients {
 			// First allocation: the job starts from its root subproblem.
 			m.assignRoot(j)
 		}
@@ -933,7 +904,6 @@ func (m *Master) serveSplitBacklog(j *masterJob, limit int) {
 		}
 		j.backlog = append(j.backlog[:i], j.backlog[i+1:]...)
 		donor.pendingSplit = false
-		j.outstanding += len(peers) // each in-flight leg counts as outstanding work
 		m.nextSplitID++
 		g := &splitGroup{donor: donor.id, job: j.ID, settled: map[int]bool{},
 			assignedAt: m.now()}
@@ -952,9 +922,9 @@ func (m *Master) serveSplitBacklog(j *masterJob, limit int) {
 // serveSubBacklog hands a job's master-held subproblems (its root,
 // leftover split products, preempted checkpoints, salvage from lost
 // clients) to idle clients — cheaper than asking a busy client to split.
-// The subproblems are already counted in outstanding (they are live search
-// space), so assignment only flips the recipient busy. Returns the
-// remaining assignment budget.
+// A queued subproblem is live search space where it lies; assignment moves
+// it from the queue to the recipient, busy from the moment it is sent.
+// Returns the remaining assignment budget.
 func (m *Master) serveSubBacklog(j *masterJob, limit int) int {
 	for len(j.subBacklog) > 0 && limit > 0 {
 		target, ok := PickSplitTarget(m.idleCandidates(), m.cfg.MinMemBytes)
@@ -976,7 +946,7 @@ func (m *Master) serveSubBacklog(j *masterJob, limit int) int {
 			j.FirstAssignAt = m.now()
 			m.met.firstAssign.Observe(j.FirstAssignAt - j.SubmittedAt)
 		}
-		m.noteBusyCount()
+		m.result.MaxClients = max(m.result.MaxClients, m.tally().busy)
 		limit--
 	}
 	return limit
@@ -1005,27 +975,22 @@ func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) {
 					Job: entry.job, Parent: entry.issueEv})
 			default:
 				m.result.Splits++
-				if j != nil {
-					j.splits++
-				}
 				m.met.splits.Inc()
 				m.femit(trace.FEvent{Kind: trace.FEvSplitAccept, Client: c.id,
 					Peer: entry.donor, SplitID: entry.splitID, Parent: entry.issueEv})
 			}
 		} else {
 			// The assignment bounced; requeue the subproblem — it is still
-			// live search space and stays counted in outstanding.
+			// live search space. A Preempt sent behind the payload will be
+			// answered by an idle client: that ack is stale.
 			c.busy = false
+			c.preempting = false
 			m.femit(trace.FEvent{Kind: trace.FEvSplitFail, Client: c.id,
 				Peer: entry.donor, SplitID: entry.splitID, Parent: entry.issueEv, Detail: msg.Err})
-			if j != nil && j.State.Active() {
-				j.subBacklog = append(j.subBacklog, entry)
-			} else if j != nil {
-				j.outstanding--
-			}
+			j.subBacklog = append(j.subBacklog, entry)
 			m.serveBacklog()
 		}
-		m.checkExhausted(m.jobs[entry.job])
+		m.checkExhausted(j)
 		return
 	}
 	g, ok := m.pendingSplits[msg.SplitID]
@@ -1058,10 +1023,9 @@ func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) {
 				c.preempting = false // the move is off; the donor solves on
 			}
 		}
-		g.used = used
 		// Peers are served in assignment order, so everyone beyond the Used
-		// prefix will never get a payload: release their reservations and
-		// the outstanding slots reserved for them.
+		// prefix will never get a payload: release their reservations. What
+		// they would have searched is the donor's still, or rides back below.
 		for _, id := range g.recipients[used:] {
 			if g.settled[id] {
 				continue
@@ -1072,16 +1036,8 @@ func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) {
 			}
 			m.femit(trace.FEvent{Kind: trace.FEvSplitFail, Client: id,
 				Peer: g.donor, SplitID: msg.SplitID, Parent: g.issueEv, Detail: "released unused"})
-			j.outstanding--
 		}
-		// Cofactors beyond the assigned peers ride back here for the
-		// backlog; each is new live search space.
 		if len(msg.Leftover) > 0 {
-			for _, sub := range msg.Leftover {
-				j.subBacklog = append(j.subBacklog, backlogSub{sub: sub,
-					splitID: msg.SplitID, donor: g.donor, issueEv: g.issueEv, job: g.job})
-				j.outstanding++
-			}
 			m.femit(trace.FEvent{Kind: trace.FEvSplitBacklog, Client: g.donor,
 				SplitID: msg.SplitID, N: int64(len(msg.Leftover)), Parent: g.issueEv})
 		}
@@ -1100,25 +1056,30 @@ func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) {
 					Peer: c.id, Job: g.job})
 			} else {
 				m.result.Splits++
-				j.splits++
 				m.met.splits.Inc()
 				m.met.splitLat.Observe(m.now() - g.assignedAt)
 				m.femit(trace.FEvent{Kind: trace.FEvSplitAccept, Client: c.id,
 					Peer: g.donor, SplitID: msg.SplitID, Parent: g.issueEv})
 			}
-			m.noteBusyCount()
+			m.result.MaxClients = max(m.result.MaxClients, m.tally().busy)
 		} else {
 			m.femit(trace.FEvent{Kind: trace.FEvSplitFail, Client: c.id,
 				Peer: g.donor, SplitID: msg.SplitID, Parent: g.issueEv, Detail: msg.Err})
-			j.outstanding--
-			// If the recipient handed the payload back, it is still live
-			// search space: requeue it rather than losing the cofactor.
-			for _, sub := range msg.Leftover {
-				j.subBacklog = append(j.subBacklog, backlogSub{sub: sub,
-					splitID: msg.SplitID, donor: g.donor, issueEv: g.issueEv, job: g.job})
-				j.outstanding++
+			if len(msg.Leftover) == 0 {
+				// A recipient answers only a payload it received, and this one
+				// did not hand it back: the cofactor is gone, unsearched.
+				m.finishJob(j, solver.StatusUnknown, nil,
+					fmt.Errorf("core: client %d dropped its cofactor of split %d: %s", c.id, msg.SplitID, msg.Err))
+				return
 			}
 		}
+	}
+	// What rides back is live search space again, the master's to hand out:
+	// the donor's cofactors beyond the peers it served, or the payload a
+	// recipient could not start.
+	for _, sub := range msg.Leftover {
+		j.subBacklog = append(j.subBacklog, backlogSub{sub: sub,
+			splitID: msg.SplitID, donor: g.donor, issueEv: g.issueEv, job: g.job})
 	}
 	if g.done() {
 		delete(m.pendingSplits, msg.SplitID)
@@ -1166,7 +1127,6 @@ func (m *Master) handleShare(c *masterClient, msg comm.ShareClauses) {
 		return
 	}
 	m.result.SharedClauses += n
-	j.shared += n
 	m.met.shared.Add(int64(n))
 	m.femit(trace.FEvent{Kind: trace.FEvShareRelay, Client: c.id, Job: j.ID,
 		N: int64(n), Parent: m.inTI.Parent})
@@ -1184,8 +1144,8 @@ func (m *Master) handleShare(c *masterClient, msg comm.ShareClauses) {
 }
 
 func (m *Master) handleSolved(c *masterClient, msg comm.Solved) {
-	if !c.busy {
-		return
+	if !c.busy || msg.Job != c.job {
+		return // idle already, or a verdict on another job's subproblem
 	}
 	j := m.jobOf(c)
 	if j == nil {
@@ -1200,9 +1160,8 @@ func (m *Master) handleSolved(c *masterClient, msg comm.Solved) {
 		m.serveBacklog()
 		return
 	}
-	j.outstanding--
 	m.log.Info("subproblem solved", "client", c.id, "job", j.ID,
-		"status", msg.Status, "outstanding", j.outstanding)
+		"status", msg.Status, "outstanding", m.tally().outstanding(j))
 	switch msg.Status {
 	case solver.StatusSAT:
 		// Verify the assignment before declaring success (paper §3.4).
@@ -1216,6 +1175,7 @@ func (m *Master) handleSolved(c *masterClient, msg comm.Solved) {
 		m.femit(trace.FEvent{Kind: trace.FEvVerdict, Client: c.id, Worker: msg.Worker,
 			Job: j.ID, Detail: "SAT", Parent: m.inTI.Parent})
 		m.finishJob(j, solver.StatusSAT, msg.Model, nil)
+		return
 	case solver.StatusUNSAT:
 		ev := m.femit(trace.FEvent{Kind: trace.FEvSubUNSAT, Client: c.id, Worker: msg.Worker,
 			Job: j.ID, Parent: m.inTI.Parent})
@@ -1224,25 +1184,24 @@ func (m *Master) handleSolved(c *masterClient, msg comm.Solved) {
 		units := j.prog.CloseSubproblem(msg.Depth, m.now())
 		m.femit(trace.FEvent{Kind: trace.FEvProgress, Client: c.id, Job: j.ID,
 			N: int64(units), Detail: fmt.Sprintf("depth=%d", msg.Depth), Parent: ev})
-		// This half of the space is exhausted. If nothing else is
-		// outstanding, the whole job is unsatisfiable.
-		if !m.checkExhausted(j) {
-			m.serveBacklog()
-		}
-	default:
-		// StatusUnknown: the client handed its whole problem to a peer
-		// (migration); it is idle and may take queued work.
+	}
+	// This part of the space is exhausted — or, with StatusUnknown, handed
+	// whole to a peer (migration), who may have refuted it already. If
+	// nothing else is live the job is unsatisfiable; else the client is idle
+	// and may take queued work.
+	if !m.checkExhausted(j) {
 		m.serveBacklog()
 	}
 }
 
 // checkExhausted ends a job as unsatisfiable, and reports that it did, when
-// its problem was handed out and no subproblem remains outstanding anywhere
-// — "all the clients are idle, which means that the instance is
-// unsatisfiable" (§3.4). Checked after every event that can decrement the
-// outstanding-work count, including failed split transfers.
+// its problem was handed out and no subproblem of it is live anywhere — "all
+// the clients are idle, which means that the instance is unsatisfiable"
+// (§3.4), read off the same table that says who holds the job. Checked
+// after every event that can take a subproblem away from a client or the
+// queue, including failed split transfers.
 func (m *Master) checkExhausted(j *masterJob) bool {
-	if j == nil || !j.State.Active() || !j.assigned || j.outstanding != 0 {
+	if j == nil || !j.State.Active() || !j.assigned || m.tally().outstanding(j) != 0 {
 		return false
 	}
 	m.femit(trace.FEvent{Kind: trace.FEvVerdict, Job: j.ID, Detail: "UNSAT"})
@@ -1250,13 +1209,14 @@ func (m *Master) checkExhausted(j *masterJob) bool {
 	return true
 }
 
-// clientLost handles a client's departure. An idle client is simply
-// forgotten. For one that held work, what happens depends on whether the
-// shell could salvage it (ev.salvage: the §3.4 checkpoint of its running
-// subproblem plus any payloads it never started): salvaged subproblems go
-// back on the job's backlog for the next idle client; with nothing
-// salvaged — the live shell, where a dead process leaves no checkpoint —
-// the search space is gone, and the job ends without a verdict.
+// clientLost handles a client's departure. An idle client with no transfer
+// in flight is simply forgotten. For one that held work, what happens
+// depends on whether the shell could salvage it (ev.salvage: the §3.4
+// checkpoint of its running subproblem plus any payloads it never started):
+// salvaged subproblems go back on the job's backlog for the next idle
+// client; with nothing salvaged — the live shell, where a dead process
+// leaves no checkpoint — the search space is gone, and the job ends without
+// a verdict.
 func (m *Master) clientLost(c *masterClient, salvage []*solver.Subproblem) {
 	held := c.busy || c.reserved
 	m.log.Warn("client lost", "client", c.id, "host", c.hostName, "held", held, "job", c.job)
@@ -1264,41 +1224,44 @@ func (m *Master) clientLost(c *masterClient, salvage []*solver.Subproblem) {
 	m.forget(c.id)
 	j := m.jobOf(c)
 	if !held || j == nil || !j.State.Active() {
-		return
-	}
-	if salvage == nil {
+		j = nil // it held nothing anybody still wants
+	} else if salvage == nil {
 		// The lost subproblem's search space is unrecoverable, so the job
-		// cannot conclude soundly: end it UNKNOWN.
+		// cannot conclude soundly: end it UNKNOWN, its transfers with it.
 		m.finishJob(j, solver.StatusUnknown, nil,
 			fmt.Errorf("core: lost client %d while it held a subproblem", c.id))
-		return
+		j = nil
 	}
-	// Every slot the client held unwinds (its running subproblem or a
-	// master-held assignment in flight to it, its legs of in-flight
-	// transfers), then everything recoverable takes a fresh slot at the
-	// head of the backlog: an assignment it never acknowledged goes back
-	// as it was (the master still holds it, whether or not the shell
+	// Everything the client held left the table with it (its running
+	// subproblem or a master-held assignment in flight to it; its legs of
+	// in-flight transfers settle below), and everything recoverable goes
+	// to the head of the backlog: an assignment it never acknowledged goes
+	// back as it was (the master still holds it, whether or not the shell
 	// caught it on the wire), the salvage as recover-on-crash entries.
-	if c.busy {
-		j.outstanding--
-	}
-	var requeue []backlogSub
-	pending, unacked := m.pendingAssigns[c.id]
-	if unacked {
-		delete(m.pendingAssigns, c.id)
-		requeue = append(requeue, pending)
-	}
-	for _, sub := range salvage {
-		if !unacked || sub != pending.sub {
-			requeue = append(requeue, backlogSub{sub: sub, origin: fromCrash, donor: c.id, issueEv: leaveEv, job: j.ID})
+	unwound := j != nil
+	if unwound {
+		var requeue []backlogSub
+		pending, unacked := m.pendingAssigns[c.id]
+		if unacked {
+			delete(m.pendingAssigns, c.id)
+			requeue = append(requeue, pending)
 		}
+		for _, sub := range salvage {
+			if !unacked || sub != pending.sub {
+				requeue = append(requeue, backlogSub{sub: sub, origin: fromCrash, donor: c.id, issueEv: leaveEv, job: j.ID})
+			}
+		}
+		j.subBacklog = append(requeue, j.subBacklog...)
 	}
 	for _, splitID := range m.sortedSplitIDs() {
 		g := m.pendingSplits[splitID]
 		switch {
 		case g.donor == c.id && !g.donorDone:
 			// Links are FIFO, so a donor whose SplitDone has not arrived
-			// never split: none of its recipients will get a payload.
+			// never split: none of its recipients will get a payload. (The
+			// donor may hold nothing any more: its verdict passed the
+			// SplitAssign on the wire.)
+			unwound = true
 			m.femit(trace.FEvent{Kind: trace.FEvSplitFail, Client: g.donor,
 				Peer: g.recipients[0], SplitID: splitID, Parent: g.issueEv, Detail: "client lost"})
 			for _, rid := range g.recipients {
@@ -1308,23 +1271,25 @@ func (m *Master) clientLost(c *masterClient, salvage []*solver.Subproblem) {
 				if r := m.clients[rid]; r != nil {
 					r.reserved = false
 				}
-				m.jobs[g.job].outstanding--
 			}
 			delete(m.pendingSplits, splitID)
 		case !g.settled[c.id] && slices.Contains(g.recipients, c.id):
+			unwound = true
 			g.settled[c.id] = true
 			m.femit(trace.FEvent{Kind: trace.FEvSplitFail, Client: c.id, Peer: g.donor,
 				SplitID: splitID, Parent: g.issueEv, Detail: "client lost"})
-			m.jobs[g.job].outstanding--
 			if g.done() {
 				delete(m.pendingSplits, splitID)
 			}
 		}
 	}
-	j.outstanding += len(requeue)
-	j.subBacklog = append(requeue, j.subBacklog...)
+	if !unwound {
+		return
+	}
 	m.serveBacklog()
-	m.checkExhausted(j)
+	for _, id := range m.jobOrder {
+		m.checkExhausted(m.jobs[id])
+	}
 }
 
 // sortedSplitIDs lists the in-flight transfer tokens ascending, so walks
@@ -1371,7 +1336,7 @@ func (m *Master) maybeMigrate(factor, minHeld float64) {
 	r.job = j.ID
 	m.ensureBase(r, j)
 	weakest.preempting = true
-	j.outstanding++
+	weakest.stopSeq++ // no ack answers a Migrate: one still in flight is from an older stop
 	m.nextSplitID++
 	m.pendingSplits[m.nextSplitID] = &splitGroup{donor: weakest.id, job: j.ID,
 		recipients: []int{r.id}, settled: map[int]bool{}, assignedAt: m.now(), migrate: true}
@@ -1388,29 +1353,4 @@ func (m *Master) idleCandidates() []Candidate {
 		out = append(out, Candidate{ID: c.id, Rank: c.rank, MemBytes: c.freeMem})
 	}
 	return out
-}
-
-func (m *Master) registeredCount() int {
-	n := 0
-	for _, c := range m.clients {
-		if c.addr != "" {
-			n++
-		}
-	}
-	return n
-}
-
-// busyCount is how many clients hold a subproblem right now.
-func (m *Master) busyCount() int {
-	n := 0
-	for _, c := range m.clients {
-		if c.busy {
-			n++
-		}
-	}
-	return n
-}
-
-func (m *Master) noteBusyCount() {
-	m.result.MaxClients = max(m.result.MaxClients, m.busyCount())
 }

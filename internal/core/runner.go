@@ -961,7 +961,7 @@ func (r *runner) settle() {
 		r.finish(OutcomeSolved)
 		return
 	}
-	r.sample(r.m.busyCount())
+	r.sample(r.m.tally().busy)
 }
 
 // submit admits one configured job at its arrival time and schedules its
@@ -1025,8 +1025,8 @@ func searchQuantum(cl *Client, publish func(done int64)) (res solver.Result, lon
 		lim.MaxMemoryBytes = cl.memBudget()
 		for done := int64(0); ; publish(done) {
 			lim.MaxPropagations = min(progressProps, quantum-done)
-			res = cl.slv.Solve(lim)
-			done = cl.slv.Stats().Propagations - before[0]
+			res = slvs[0].Solve(lim)
+			done = slvs[0].Stats().Propagations - before[0]
 			if res.Reason != solver.ReasonPropLimit || done >= quantum {
 				break
 			}
@@ -1046,7 +1046,7 @@ func searchQuantum(cl *Client, publish func(done int64)) (res solver.Result, lon
 // worker is computing.
 func (r *runner) step(dc *desClient) {
 	cl := dc.cl
-	if r.done || dc.dead || dc.stepping || !cl.busy {
+	if r.done || dc.dead || dc.stepping || !cl.busy() {
 		return
 	}
 	dc.stepping = true
@@ -1081,7 +1081,7 @@ func (r *runner) step(dc *desClient) {
 
 // unreported is the solver work c has done since its last heartbeat.
 func unreported(c *Client) comm.SolverDeltas {
-	if c.slv == nil {
+	if !c.busy() {
 		return comm.SolverDeltas{}
 	}
 	return heartbeatDeltas(solver.StatsDelta(c.port.Stats(), c.lastHB))
@@ -1109,8 +1109,8 @@ func (r *runner) fail(hostID int) {
 	}
 	r.joinQuanta() // the checkpoint is of the state the running quantum leaves
 	salvage := []*solver.Subproblem{}
-	if dc.cl.busy && dc.cl.slv != nil {
-		cp := dc.cl.slv.Checkpoint(solver.LightCheckpoint, 0)
+	if dc.cl.busy() {
+		cp := dc.cl.port.Pathfinder().Checkpoint(solver.LightCheckpoint, 0)
 		salvage = append(salvage, &solver.Subproblem{NumVars: cp.NumVars, Assumptions: cp.Level0, Depth: cp.Depth})
 	}
 	salvage = append(salvage, dc.inflight...)

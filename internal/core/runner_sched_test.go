@@ -7,6 +7,7 @@ import (
 
 	"gridsat/internal/brute"
 	"gridsat/internal/cnf"
+	"gridsat/internal/comm"
 	"gridsat/internal/gen"
 	"gridsat/internal/grid"
 	"gridsat/internal/solver"
@@ -312,15 +313,32 @@ func TestOneShotIsAOneJobService(t *testing.T) {
 // TestJobDemand pins the demand estimate the policies apportion against —
 // the one both shells now share.
 func TestJobDemand(t *testing.T) {
-	m := &Master{fanout: 2}
-	j := &masterJob{Job: &Job{ID: 1}}
-	if d := m.jobDemand(j); d != 1 {
+	now := 1.0
+	m := bareMaster(t, &now)
+	m.fanout = 2
+	f := cnf.NewFormula(2)
+	f.Add(1, 2)
+	id, err := m.submit("j", f, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := m.jobs[id]
+	if d := m.jobDemand(m.tally(), j); d != 1 {
 		t.Fatalf("unstarted job demand %d, want 1 (the root)", d)
 	}
-	j.assigned = true
-	j.outstanding = 3
-	j.backlog = []BacklogEntry{{ClientID: 1}}
-	if d := m.jobDemand(j); d != 5 {
+	// Three live subproblems — the root on the only client, two cofactors
+	// queued behind it — and that client's split request, which no idle
+	// client can serve.
+	c := m.clients[m.connect()]
+	m.handle(from(c.id, comm.Register{Addr: "a", FreeMemBytes: 64 << 20, SpeedHint: 1}))
+	for range 2 {
+		j.subBacklog = append(j.subBacklog, backlogSub{job: id, sub: &solver.Subproblem{NumVars: 2, Depth: 1}})
+	}
+	m.handle(from(c.id, comm.SplitRequest{ClientID: c.id}))
+	if !c.busy || len(j.backlog) != 1 || len(j.subBacklog) != 2 {
+		t.Fatalf("setup: busy=%v backlog=%d queued=%d", c.busy, len(j.backlog), len(j.subBacklog))
+	}
+	if d := m.jobDemand(m.tally(), j); d != 5 {
 		t.Fatalf("demand %d, want outstanding 3 + backlog 1×fanout 2 = 5", d)
 	}
 }

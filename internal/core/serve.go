@@ -77,7 +77,7 @@ func (m *Master) submit(name string, f *cnf.Formula, priority int) (int, error) 
 			activeBytes += FormulaMemBytes(j.Formula)
 		}
 	}
-	if err := m.admission.Admit(FormulaMemBytes(f), active, activeBytes, m.registeredCount()); err != nil {
+	if err := m.admission.Admit(FormulaMemBytes(f), active, activeBytes, m.tally().registered); err != nil {
 		return 0, err
 	}
 	m.nextJobID++
@@ -118,7 +118,7 @@ func (m *Master) cancel(id int) error {
 		return fmt.Errorf("core: job %d already %s", id, j.State)
 	}
 	j.end(JobCancelled, m.now())
-	m.met.turnaround.Observe(j.FinishedAt - j.SubmittedAt)
+	j.observeEnd(&m.met)
 	m.femit(trace.FEvent{Kind: trace.FEvJobCancel, Job: j.ID})
 	m.log.Info("job cancelled", "job", j.ID)
 	if m.cfg.BundleDir != "" {
@@ -135,8 +135,18 @@ func (m *Master) cancel(id int) error {
 // verdict, model and snapshot fields stay.
 func (j *masterJob) end(state JobState, now float64) {
 	j.State, j.FinishedAt = state, now
-	j.outstanding, j.backlog, j.subBacklog = 0, nil, nil
+	j.backlog, j.subBacklog = nil, nil
 	j.Formula, j.seenShared = nil, nil
+}
+
+// observeEnd records the SLOs of a job whose FinishedAt was just stamped:
+// turnaround always, solve time when it started and was not cancelled (a
+// cancelled job has no verdict to time).
+func (j *masterJob) observeEnd(met *masterMetrics) {
+	if j.StartedAt > 0 && j.State != JobCancelled {
+		met.solveLat.Observe(j.FinishedAt - j.StartedAt)
+	}
+	met.turnaround.Observe(j.FinishedAt - j.SubmittedAt)
 }
 
 // JobStatus returns one job's snapshot; withModel includes a SAT job's
@@ -181,8 +191,8 @@ func (m *Master) Shutdown() {
 // plus the root assignment if it never started. Demand feeds the policy
 // so FIFO spillover and fair-share redistribution have something to cap
 // against; it grows as the job's clients ask to split.
-func (m *Master) jobDemand(j *masterJob) int {
-	d := j.outstanding + len(j.backlog)*max(1, m.fanout)
+func (m *Master) jobDemand(t poolTally, j *masterJob) int {
+	d := t.outstanding(j) + len(j.backlog)*max(1, m.fanout)
 	if !j.assigned {
 		d++
 	}
@@ -194,7 +204,7 @@ func (m *Master) jobDemand(j *masterJob) int {
 
 // allocTargets asks the policy how many clients each active job should
 // hold, given the registered pool. Event-loop only.
-func (m *Master) allocTargets() map[int]int {
+func (m *Master) allocTargets(t poolTally) map[int]int {
 	var claims []SchedShare
 	for _, id := range m.jobOrder {
 		j := m.jobs[id]
@@ -202,22 +212,23 @@ func (m *Master) allocTargets() map[int]int {
 			continue
 		}
 		claims = append(claims, SchedShare{JobID: j.ID, Priority: j.Priority,
-			Demand: m.jobDemand(j)})
+			Demand: m.jobDemand(t, j)})
 	}
-	return m.policy.Allocate(claims, m.registeredCount())
+	return m.policy.Allocate(claims, t.registered)
 }
 
 // maybeRebalance reviews the allocation: jobs over their policy target
 // give up clients (checkpoint preemption), jobs under it get queued work
 // placed on idle clients. Event-loop only.
 func (m *Master) maybeRebalance() {
-	targets := m.allocTargets()
+	t := m.tally() // asking a client to stop takes nothing off the table yet
+	targets := m.allocTargets(t)
 	for _, id := range m.jobOrder {
 		j := m.jobs[id]
 		if !j.State.Active() || !j.assigned {
 			continue
 		}
-		if over := m.loadOf(j.ID).held - targets[j.ID]; over > 0 {
+		if over := t.load(j.ID).held - targets[j.ID]; over > 0 {
 			m.preemptClients(j, over)
 		}
 	}
@@ -251,10 +262,10 @@ func (m *Master) preemptClients(j *masterJob, n int) {
 }
 
 // handlePreempted folds a client's checkpoint ack back into the
-// scheduler: the checkpointed subproblem joins its job's backlog (still
-// counted outstanding — it is live search space), and the client returns
-// to the allocatable pool. A nil Sub is a plain stop ack (StopWork, or a
-// preempt that raced the client going idle). Event-loop only.
+// scheduler: the checkpointed subproblem joins its job's backlog (it is
+// live search space, now the master's to hand out), and the client returns
+// to the allocatable pool. A nil Sub is a plain stop ack: the answer to a
+// StopWork, whose job is over. Event-loop only.
 func (m *Master) handlePreempted(c *masterClient, msg comm.Preempted) {
 	if !c.preempting || msg.Seq != c.stopSeq {
 		// Stale ack: the preempt this answers was beaten by a verdict
@@ -263,17 +274,27 @@ func (m *Master) handlePreempted(c *masterClient, msg comm.Preempted) {
 		// orphan that new assignment, so the ack is dropped outright.
 		return
 	}
-	wasBusy := c.busy
+	// A preempting client is busy (only busy clients are stopped, and what
+	// clears busy clears preempting), on the job the table says.
 	c.busy = false
 	c.preempting = false
 	c.pendingSplit = false
-	j := m.jobs[msg.Job]
-	if j != nil && j.State.Active() && msg.Sub != nil && wasBusy {
+	j := m.jobOf(c)
+	if j != nil && j.State.Active() {
+		if msg.Sub == nil {
+			// It gave up a subproblem of a running job and returned nothing.
+			// An honest client cannot — had its search ended first, FIFO puts
+			// the Solved ahead and makes this ack stale — and the search space
+			// is gone as surely as with a lost client.
+			m.finishJob(j, solver.StatusUnknown, nil,
+				fmt.Errorf("core: client %d acknowledged a preempt of job %d without its checkpoint", c.id, j.ID))
+			return
+		}
 		j.Preemptions++
 		pe := m.femit(trace.FEvent{Kind: trace.FEvJobPreempt, Client: c.id, Job: j.ID})
 		j.subBacklog = append(j.subBacklog, backlogSub{sub: msg.Sub, donor: c.id,
 			origin: fromPreempt, issueEv: pe, job: j.ID})
-		if j.State == JobRunning && m.loadOf(j.ID).held == 0 {
+		if j.State == JobRunning && m.tally().load(j.ID).held == 0 {
 			j.State = JobPreempted
 		}
 		m.log.Info("client preempted", "client", c.id, "job", j.ID,
@@ -291,10 +312,7 @@ func (m *Master) finishJob(j *masterJob, status solver.Status, model cnf.Assignm
 	}
 	j.status, j.model, j.cause = status, model, cause
 	j.end(JobDone, m.now())
-	if j.StartedAt > 0 {
-		m.met.solveLat.Observe(j.FinishedAt - j.StartedAt)
-	}
-	m.met.turnaround.Observe(j.FinishedAt - j.SubmittedAt)
+	j.observeEnd(&m.met)
 	m.femit(trace.FEvent{Kind: trace.FEvJobDone, Job: j.ID, Detail: status.String()})
 	m.log.Info("job finished", "job", j.ID, "verdict", status,
 		"turnaround", j.TurnaroundSec(), "preemptions", j.Preemptions)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"gridsat/internal/comm"
 	"gridsat/internal/solver"
 )
@@ -108,15 +110,20 @@ type ClientState struct {
 	Workers []comm.WorkerReport `json:"workers,omitempty"`
 }
 
-// state builds the ClusterState: one pass over the clients — which also
-// accumulates each job's held-client count and conflict throughput — and
-// one over the jobs. It reads and never writes: no flight event, no
+// state builds the ClusterState: the tally's counts, then one row per
+// client and one per job. It reads and never writes: no flight event, no
 // mutation, so building one cannot perturb a deterministic run.
 // Event-loop only.
 func (m *Master) state() ClusterState {
 	now := m.now()
+	t := m.tally()
 	st := ClusterState{
 		WallSeconds:   now,
+		Registered:    t.registered,
+		Busy:          t.busy,
+		Reserved:      t.reserved,
+		MemBytes:      t.memBytes,
+		ConflictRate:  t.confRate,
 		Splits:        m.result.Splits,
 		Migrations:    m.result.Migrations,
 		Shared:        m.result.SharedClauses,
@@ -134,7 +141,6 @@ func (m *Master) state() ClusterState {
 		st.FlightEvents = m.flight.Len()
 	}
 
-	loads := make(map[int]jobLoad, len(m.jobOrder))
 	for _, id := range m.order {
 		c := m.clients[id]
 		if c.addr == "" {
@@ -152,18 +158,6 @@ func (m *Master) state() ClusterState {
 		if row.LastHeartbeatSec == 0 {
 			row.LastHeartbeatSec = now
 		}
-		st.Registered++
-		st.MemBytes += c.usedMem
-		if c.busy {
-			st.Busy++
-			st.ConflictRate += c.confRate
-		}
-		if c.reserved {
-			st.Reserved++
-		}
-		l := loads[c.job]
-		l.add(c)
-		loads[c.job] = l
 		st.Clients = append(st.Clients, row)
 	}
 	markStragglers(st.Clients)
@@ -171,10 +165,10 @@ func (m *Master) state() ClusterState {
 	searching := 0
 	for _, id := range m.jobOrder {
 		j := m.jobs[id]
-		row := j.snapshot(loads[id])
+		row := j.snapshot(t.load(id))
 		st.Backlog += len(j.backlog)
 		st.SubBacklog += len(j.subBacklog)
-		st.Outstanding += j.outstanding
+		st.Outstanding += t.outstanding(j)
 		st.ClosedSubproblems += j.prog.Closed()
 		st.MaxClosedDepth = max(st.MaxClosedDepth, j.prog.MaxDepth())
 		if row.Searching {
@@ -211,28 +205,73 @@ func (m *Master) State() ClusterState {
 // the scheduler allocates against — and the summed conflict throughput of
 // the busy ones.
 type jobLoad struct {
+	job  int
 	held int
 	rate float64
 }
 
-func (l *jobLoad) add(c *masterClient) {
-	if c.busy {
-		l.rate += c.confRate
-	}
-	if c.busy || c.reserved {
-		l.held++
-	}
+// poolTally is one reading of the client table: the pool counts and each
+// job's load. Every count the master acts on or reports — gauges,
+// ClusterState, allocation, the UNSAT test — is taken from one, so "is
+// this job exhausted" cannot disagree with "who holds this job".
+type poolTally struct {
+	registered, busy, reserved int
+	memBytes                   int64
+	confRate                   float64   // summed over busy clients
+	loads                      []jobLoad // one per job a client is down for
 }
 
-// loadOf walks the client table for one job's load. Event-loop only.
-func (m *Master) loadOf(jobID int) jobLoad {
-	var l jobLoad
-	for _, id := range m.order {
-		if c := m.clients[id]; c.job == jobID {
-			l.add(c)
+// load is what jobID takes from the table (zero when no client is on it).
+func (t poolTally) load(jobID int) jobLoad {
+	for _, l := range t.loads {
+		if l.job == jobID {
+			return l
 		}
 	}
-	return l
+	return jobLoad{}
+}
+
+// outstanding counts an active job's live subproblems: one per client busy
+// on it, one per client reserved for it (one unsettled leg of a
+// pendingSplits group: a cofactor in the making or on its way) and one per
+// subproblem queued for it. A terminal job has none, whoever still acks.
+func (t poolTally) outstanding(j *masterJob) int {
+	if !j.State.Active() {
+		return 0
+	}
+	return t.load(j.ID).held + len(j.subBacklog)
+}
+
+// tally walks the client table, the only walk that counts it. Clients
+// still mid-registration hold nothing and are not counted. Event-loop only.
+func (m *Master) tally() poolTally {
+	var t poolTally
+	for _, id := range m.order {
+		c := m.clients[id]
+		if c.addr == "" {
+			continue
+		}
+		t.registered++
+		t.memBytes += c.usedMem
+		i := slices.IndexFunc(t.loads, func(l jobLoad) bool { return l.job == c.job })
+		if i < 0 {
+			i = len(t.loads)
+			t.loads = append(t.loads, jobLoad{job: c.job})
+		}
+		l := &t.loads[i]
+		if c.busy {
+			t.busy++
+			t.confRate += c.confRate
+			l.rate += c.confRate
+		}
+		if c.reserved {
+			t.reserved++
+		}
+		if c.busy || c.reserved {
+			l.held++
+		}
+	}
+	return t
 }
 
 // snapshot builds the job's external row around its load.
@@ -270,7 +309,7 @@ func (j *masterJob) snapshot(load jobLoad) JobSnapshot {
 // the client table for that job, never a whole ClusterState. withModel adds
 // a SAT verdict's assignment. Event-loop only.
 func (m *Master) jobSnapshot(j *masterJob, withModel bool) JobSnapshot {
-	snap := j.snapshot(m.loadOf(j.ID))
+	snap := j.snapshot(m.tally().load(j.ID))
 	if withModel && snap.Verdict == "SAT" {
 		for _, l := range j.model.TrueLits() {
 			snap.Model = append(snap.Model, l.DIMACS())

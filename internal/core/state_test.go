@@ -36,7 +36,7 @@ func bareMaster(t *testing.T, now *float64) *Master {
 func populate(m *Master, nClients, nJobs int) {
 	for id := 1; id <= nJobs; id++ {
 		j := &masterJob{Job: &Job{ID: id, Name: fmt.Sprintf("job-%d", id), Priority: 1 + id%3,
-			State: JobState(id % 5), SubmittedAt: float64(id)}, outstanding: id % 4}
+			State: JobState(id % 5), SubmittedAt: float64(id)}}
 		j.assigned = j.State != JobQueued || id%2 == 0
 		if j.State != JobQueued {
 			j.StartedAt, j.FirstAssignAt = j.SubmittedAt+1, j.SubmittedAt+2
@@ -135,7 +135,9 @@ func TestStateMatchesBruteForceRecount(t *testing.T) {
 			for _, j := range m.jobs {
 				want.Backlog += len(j.backlog)
 				want.SubBacklog += len(j.subBacklog)
-				want.Outstanding += j.outstanding
+				if j.State.Active() {
+					want.Outstanding += held[j.ID] + len(j.subBacklog)
+				}
 				want.ClosedSubproblems += j.prog.Closed()
 				want.MaxClosedDepth = max(want.MaxClosedDepth, j.prog.MaxDepth())
 			}
@@ -194,8 +196,8 @@ func TestStateMatchesBruteForceRecount(t *testing.T) {
 
 // serveJobAtHalf adds a client to a bare master and submits a
 // job; whichever idle client gets its root, the test splits it in two by
-// hand and refutes one depth-1 half: the job is running at exactly 50 %
-// coverage.
+// hand — the other half queued at the master — and refutes one depth-1
+// half: the job is running at exactly 50 % coverage.
 func serveJobAtHalf(t *testing.T, m *Master, f *cnf.Formula) *masterJob {
 	t.Helper()
 	c := m.clients[m.connect()]
@@ -207,8 +209,9 @@ func serveJobAtHalf(t *testing.T, m *Master, f *cnf.Formula) *masterJob {
 	j := m.jobs[id]
 	for _, c := range m.clients {
 		if c.busy && c.job == id {
-			j.outstanding++ // the other half, held elsewhere
-			m.handleSolved(c, comm.Solved{Status: solver.StatusUNSAT, Depth: 1})
+			j.subBacklog = append(j.subBacklog, backlogSub{job: id,
+				sub: &solver.Subproblem{NumVars: f.NumVars, Depth: 1}})
+			m.handleSolved(c, comm.Solved{Status: solver.StatusUNSAT, Depth: 1, Job: id})
 			return j
 		}
 	}
@@ -271,7 +274,7 @@ func TestFinishedJobDropsItsInput(t *testing.T) {
 	model := cnf.NewAssignment(2)
 	model.Set(cnf.LitFromDIMACS(1))
 	model.Set(cnf.LitFromDIMACS(2))
-	m.handleSolved(c, comm.Solved{Status: solver.StatusSAT, Model: model})
+	m.handleSolved(c, comm.Solved{Status: solver.StatusSAT, Model: model, Job: sat})
 	cancelled, _ := m.submit("cancelled", f, 1)
 	if err := m.cancel(cancelled); err != nil {
 		t.Fatal(err)
@@ -290,7 +293,7 @@ func TestFinishedJobDropsItsInput(t *testing.T) {
 	m.handleShare(c, comm.ShareClauses{From: c.id, Job: sat, Clauses: []cnf.Clause{cnf.NewClause(1, 2)}})
 	for _, late := range []comm.Message{
 		comm.SplitDone{ClientID: c.id, SplitID: 99, OK: true},
-		comm.Solved{Status: solver.StatusSAT, Model: model},
+		comm.Solved{Status: solver.StatusSAT, Model: model, Job: sat},
 	} {
 		if done, err := m.handle(from(c.id, late)); done || err != nil {
 			t.Fatalf("late %s: done=%v err=%v", late.Kind(), done, err)

@@ -64,12 +64,14 @@ sleep 2
 
 # The sampler has ticked by now: /history serves series, /alerts the
 # (empty, healthy) watchdog feed.
-curl -sf "http://$API/history" | grep -q '"series"' \
+# (each buffered to a file: grep -q's early exit would SIGPIPE curl under
+# pipefail on a page of tens of kilobytes — /history failed one run in five)
+curl -sf "http://$API/history" >"$SMOKE_DIR/history.json"
+grep -q '"series"' "$SMOKE_DIR/history.json" \
   || { echo "FAIL: /history has no series"; exit 1; }
-curl -sf "http://$API/alerts" | grep -q '"alerts"' \
+curl -sf "http://$API/alerts" >"$SMOKE_DIR/alerts.json"
+grep -q '"alerts"' "$SMOKE_DIR/alerts.json" \
   || { echo "FAIL: /alerts has no feed"; exit 1; }
-# (buffered to a file: grep -q's early exit would SIGPIPE curl under
-# pipefail on the large metrics page)
 curl -sf "http://$API/metrics" >"$SMOKE_DIR/metrics.txt"
 grep -q 'gridsat_build_info' "$SMOKE_DIR/metrics.txt" \
   || { echo "FAIL: /metrics lacks gridsat_build_info"; exit 1; }
