@@ -89,9 +89,10 @@ func BenchmarkTable2BatchJoin(b *testing.B) {
 		g := grid.TestbedTable2(2)
 		g.AddBlueHorizon(bench.Table2BatchNodes)
 		res := core.RunDistributed(core.RunnerConfig{
-			Grid: g, Formula: f, TimeoutVSec: 100_000,
-			ShareMaxLen: bench.Table2ShareLen, MasterHostID: -1, Seed: 1,
-			SplitTimeoutVSec: 5, MaxClients: 4,
+			Grid:        g,
+			Master:      core.MasterConfig{Formula: f},
+			Client:      core.ClientConfig{ShareMaxLen: bench.Table2ShareLen, MinRunTime: 5 * time.Second},
+			TimeoutVSec: 100_000, Seed: 1, MaxClients: 4,
 			Batch: &core.BatchPlan{Nodes: bench.Table2BatchNodes, WalltimeVSec: 100_000, MeanQueueWaitVSec: 20},
 		})
 		if res.Outcome != core.OutcomeSolved || res.BatchStartVSec <= 0 {
@@ -167,12 +168,10 @@ func BenchmarkFigure3SplitProtocol(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := core.Solve(f, core.JobConfig{
-			Clients:        3,
-			ClientMemBytes: 64 << 20,
-			ShareMaxLen:    10,
-			Timeout:        2 * time.Minute,
-			MinRunTime:     time.Millisecond,
-			SliceConflicts: 200,
+			Clients: 3,
+			Timeout: 2 * time.Minute,
+			Client: core.ClientConfig{FreeMemBytes: 64 << 20, ShareMaxLen: 10,
+				MinRunTime: time.Millisecond, SliceConflicts: 200},
 		})
 		if err != nil {
 			b.Fatal(err)

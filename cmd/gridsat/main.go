@@ -160,56 +160,104 @@ func cmdSolve(args []string) error {
 	return nil
 }
 
-func cmdRun(args []string) error {
+// outputs are the flags the solving modes share: the structured log level
+// and where the report and the flight log with its two views are written.
+type outputs struct {
+	log, report, trace, perfetto, dot string
+}
+
+// traceFlags registers -trace and -trace-perfetto, and -trace-dot when dot.
+func (o *outputs) traceFlags(fs *flag.FlagSet, dot bool) {
+	fs.StringVar(&o.trace, "trace", "", "record the control-plane flight log as JSONL here")
+	fs.StringVar(&o.perfetto, "trace-perfetto", "", "also render the flight log as a Perfetto trace here")
+	if dot {
+		fs.StringVar(&o.dot, "trace-dot", "", "also render the split-lineage tree as Graphviz DOT here")
+	}
+}
+
+// reportFlags registers -report and -log (off by default), which run and
+// master share.
+func (o *outputs) reportFlags(fs *flag.FlagSet) {
+	fs.StringVar(&o.report, "report", "", "write a machine-readable JSON run report here")
+	fs.StringVar(&o.log, "log", "", "structured log level (debug|info|warn|error; empty = off)")
+}
+
+// validate rejects a -split-strategy, -sched or -log value that names
+// nothing ("" is each one's default).
+func validate(strategy, policy, level string) error {
+	if _, err := solver.ParseStrategy(strategy); err != nil {
+		return err
+	}
+	if _, err := core.ParseSchedPolicy(policy); err != nil {
+		return err
+	}
+	if level != "" {
+		_, err := obs.ParseLevel(level)
+		return err
+	}
+	return nil
+}
+
+// runCmd is `gridsat run` parsed: the in-process job and its outputs.
+type runCmd struct {
+	job      core.JobConfig
+	out      outputs
+	instance string
+}
+
+func runFlags(c *runCmd) *flag.FlagSet {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	clients := fs.Int("clients", 4, "number of in-process clients")
-	threads := fs.Int("threads", runtime.NumCPU(), "portfolio workers per client (1 = classic single-solver clients)")
-	shareLen := fs.Int("share-len", 10, "maximum shared clause length")
-	splitStrategy := fs.String("split-strategy", "", "split engine: "+solver.StrategyNames)
-	timeout := fs.Duration("timeout", 10*time.Minute, "overall budget")
-	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /status and pprof here during the run")
-	reportPath := fs.String("report", "", "write a machine-readable JSON run report here")
-	logLevel := fs.String("log", "", "structured log level (debug|info|warn|error; empty = off)")
-	tracePath := fs.String("trace", "", "record the control-plane flight log as JSONL here")
-	perfettoPath := fs.String("trace-perfetto", "", "also render the flight log as a Perfetto trace here")
-	dotPath := fs.String("trace-dot", "", "also render the split-lineage tree as Graphviz DOT here")
+	fs.IntVar(&c.job.Clients, "clients", 4, "number of in-process clients")
+	fs.IntVar(&c.job.Client.Threads, "threads", runtime.NumCPU(), "portfolio workers per client (1 = classic single-solver clients)")
+	fs.IntVar(&c.job.Client.ShareMaxLen, "share-len", 10, "maximum shared clause length")
+	fs.StringVar(&c.job.Client.SplitStrategy, "split-strategy", "", "split engine: "+solver.StrategyNames)
+	fs.DurationVar(&c.job.Master.Timeout, "timeout", 10*time.Minute, "overall budget")
+	fs.StringVar(&c.job.Master.MetricsAddr, "metrics-addr", "", "serve /metrics, /status and pprof here during the run")
+	c.out.reportFlags(fs)
+	c.out.traceFlags(fs, true)
+	return fs
+}
+
+func parseRun(args []string) (runCmd, error) {
+	var c runCmd
+	fs := runFlags(&c)
 	fs.Parse(args)
-	f, err := loadCNF(fs.Arg(0))
+	c.instance = fs.Arg(0)
+	return c, validate(c.job.Client.SplitStrategy, "", c.out.log)
+}
+
+func cmdRun(args []string) error {
+	c, err := parseRun(args)
 	if err != nil {
 		return err
 	}
-	logger, err := runLogger(*logLevel)
+	f, err := loadCNF(c.instance)
 	if err != nil {
 		return err
 	}
-	fl, closeFlight, err := flightRecorder(*tracePath)
+	if c.job.Master.Logger, err = runLogger(c.out.log); err != nil {
+		return err
+	}
+	fl, closeFlight, err := flightRecorder(c.out.trace)
 	if err != nil {
 		return err
 	}
-	res, err := core.Solve(f, core.JobConfig{
-		Clients:       *clients,
-		Threads:       *threads,
-		ShareMaxLen:   *shareLen,
-		SplitStrategy: *splitStrategy,
-		Timeout:       *timeout,
-		MetricsAddr:   *metricsAddr,
-		Logger:        logger,
-		Flight:        fl,
-	})
+	c.job.Master.Flight = fl
+	res, err := core.Solve(f, c.job)
 	if err != nil {
 		return err
 	}
 	if err := closeFlight(); err != nil {
 		return err
 	}
-	if err := writeTraceViews(fl, *perfettoPath, *dotPath); err != nil {
+	if err := writeTraceViews(fl, c.out.perfetto, c.out.dot); err != nil {
 		return err
 	}
 	report(res.Status, res.Model, f)
 	fmt.Printf("c wall=%.3fs max-clients=%d threads=%d splits=%d shared-clauses=%d msgs=%d bytes=%d\n",
 		res.Wall.Seconds(), res.MaxClients, res.Threads, res.Splits, res.SharedClauses,
 		res.Comm.MsgsSent, res.Comm.BytesSent)
-	return writeReport(*reportPath, fs.Arg(0), res, fl)
+	return writeReport(c.out.report, c.instance, res, fl)
 }
 
 // runLogger builds the stderr structured logger for -log; "" disables.
@@ -217,7 +265,11 @@ func runLogger(level string) (*obs.Logger, error) {
 	if level == "" {
 		return nil, nil
 	}
-	return obs.NewLogger(os.Stderr, obs.ParseLevel(level)), nil
+	lvl, err := obs.ParseLevel(level)
+	if err != nil {
+		return nil, err
+	}
+	return obs.NewLogger(os.Stderr, lvl), nil
 }
 
 // flightRecorder opens the -trace flight recorder streaming JSONL to path;
@@ -301,47 +353,54 @@ func writeReport(path, instance string, res core.Result, fl *trace.Flight) error
 	return nil
 }
 
-func cmdMaster(args []string) error {
+// masterCmd is `gridsat master` parsed: a TCP master and its outputs.
+type masterCmd struct {
+	cfg      core.MasterConfig
+	out      outputs
+	instance string
+}
+
+func masterFlags(c *masterCmd) *flag.FlagSet {
 	fs := flag.NewFlagSet("master", flag.ExitOnError)
-	listen := fs.String("listen", ":7070", "TCP listen address")
-	minMem := fs.Int64("min-mem", 128<<20, "minimum client free memory (bytes)")
-	timeout := fs.Duration("timeout", 0, "overall budget (0 = none)")
-	expected := fs.Int("expect-clients", 0, "wait for this many registrations before starting")
-	splitStrategy := fs.String("split-strategy", "", "split engine: "+solver.StrategyNames)
-	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /status and pprof here during the run")
-	reportPath := fs.String("report", "", "write a machine-readable JSON run report here")
-	logLevel := fs.String("log", "", "structured log level (debug|info|warn|error; empty = off)")
-	tracePath := fs.String("trace", "", "record the control-plane flight log as JSONL here")
-	perfettoPath := fs.String("trace-perfetto", "", "also render the flight log as a Perfetto trace here")
-	dotPath := fs.String("trace-dot", "", "also render the split-lineage tree as Graphviz DOT here")
+	fs.StringVar(&c.cfg.ListenAddr, "listen", ":7070", "TCP listen address")
+	fs.Int64Var(&c.cfg.MinMemBytes, "min-mem", 128<<20, "minimum client free memory (bytes)")
+	fs.DurationVar(&c.cfg.Timeout, "timeout", 0, "overall budget (0 = none)")
+	fs.IntVar(&c.cfg.ExpectedClients, "expect-clients", 0, "wait for this many registrations before starting")
+	fs.StringVar(&c.cfg.SplitStrategy, "split-strategy", "", "split engine: "+solver.StrategyNames)
+	fs.StringVar(&c.cfg.MetricsAddr, "metrics-addr", "", "serve /metrics, /status and pprof here during the run")
+	c.out.reportFlags(fs)
+	c.out.traceFlags(fs, true)
+	return fs
+}
+
+func parseMaster(args []string) (masterCmd, error) {
+	var c masterCmd
+	fs := masterFlags(&c)
 	fs.Parse(args)
-	f, err := loadCNF(fs.Arg(0))
+	c.instance = fs.Arg(0)
+	return c, validate(c.cfg.SplitStrategy, "", c.out.log)
+}
+
+func cmdMaster(args []string) error {
+	c, err := parseMaster(args)
 	if err != nil {
 		return err
 	}
-	logger, err := runLogger(*logLevel)
+	if c.cfg.Formula, err = loadCNF(c.instance); err != nil {
+		return err
+	}
+	if c.cfg.Logger, err = runLogger(c.out.log); err != nil {
+		return err
+	}
+	fl, closeFlight, err := flightRecorder(c.out.trace)
 	if err != nil {
 		return err
 	}
-	fl, closeFlight, err := flightRecorder(*tracePath)
-	if err != nil {
-		return err
-	}
-	reg := obs.NewRegistry()
-	cm := comm.NewMetrics(reg)
-	m, err := core.NewMaster(core.MasterConfig{
-		Transport:       comm.Instrument(comm.TCPTransport{}, cm),
-		ListenAddr:      *listen,
-		Formula:         f,
-		MinMemBytes:     *minMem,
-		Timeout:         *timeout,
-		ExpectedClients: *expected,
-		SplitStrategy:   *splitStrategy,
-		Metrics:         reg,
-		MetricsAddr:     *metricsAddr,
-		Logger:          logger,
-		Flight:          fl,
-	})
+	c.cfg.Flight = fl
+	c.cfg.Metrics = obs.NewRegistry()
+	cm := comm.NewMetrics(c.cfg.Metrics)
+	c.cfg.Transport = comm.Instrument(comm.TCPTransport{}, cm)
+	m, err := core.NewMaster(c.cfg)
 	if err != nil {
 		return err
 	}
@@ -357,76 +416,79 @@ func cmdMaster(args []string) error {
 	if err := closeFlight(); err != nil {
 		return err
 	}
-	if err := writeTraceViews(fl, *perfettoPath, *dotPath); err != nil {
+	if err := writeTraceViews(fl, c.out.perfetto, c.out.dot); err != nil {
 		return err
 	}
-	report(res.Status, res.Model, f)
+	report(res.Status, res.Model, c.cfg.Formula)
 	fmt.Printf("c wall=%.3fs max-clients=%d splits=%d shared-clauses=%d msgs=%d bytes=%d\n",
 		res.Wall.Seconds(), res.MaxClients, res.Splits, res.SharedClauses,
 		res.Comm.MsgsSent, res.Comm.BytesSent)
-	return writeReport(*reportPath, fs.Arg(0), res, fl)
+	return writeReport(c.out.report, c.instance, res, fl)
+}
+
+// serveCmd is `gridsat serve` parsed: a master with no job of its own and
+// its outputs.
+type serveCmd struct {
+	cfg core.MasterConfig
+	out outputs
+}
+
+func serveFlags(c *serveCmd) *flag.FlagSet {
+	fs := flag.NewFlagSet("serve", flag.ExitOnError)
+	fs.StringVar(&c.cfg.ListenAddr, "listen", ":7070", "TCP listen address for solver clients")
+	fs.StringVar(&c.cfg.MetricsAddr, "api-addr", ":8080", "HTTP address for the /jobs API (also serves /metrics, /status, /progress)")
+	fs.StringVar(&c.cfg.SchedPolicy, "sched", "fifo", "allocation policy: fifo | fair-share | priority")
+	fs.IntVar(&c.cfg.Admission.MaxActive, "max-jobs", 0, "admission cap on active jobs (0 = derive from client count)")
+	fs.Int64Var(&c.cfg.Admission.MemBudgetBytes, "mem-budget", 0, "admission cap on summed active formula bytes (0 = unbounded)")
+	fs.Int64Var(&c.cfg.MinMemBytes, "min-mem", 128<<20, "minimum client free memory (bytes)")
+	fs.DurationVar(&c.cfg.RebalancePeriod, "rebalance", 0, "allocation review period (0 = 250ms)")
+	fs.DurationVar(&c.cfg.Timeout, "timeout", 0, "shut the service down after this long (0 = run until interrupted)")
+	fs.StringVar(&c.cfg.SplitStrategy, "split-strategy", "", "split engine: "+solver.StrategyNames)
+	fs.StringVar(&c.out.log, "log", "info", "structured log level (debug|info|warn|error; empty = off)")
+	c.out.traceFlags(fs, false)
+	fs.StringVar(&c.cfg.BundleDir, "bundle-dir", "", "write postmortem black-box bundles here on job failure/cancel, watchdog alerts, and POST /debug/bundle (empty = off)")
+	return fs
+}
+
+func parseServe(args []string) (serveCmd, error) {
+	var c serveCmd
+	serveFlags(&c).Parse(args)
+	if c.cfg.MetricsAddr == "" {
+		return c, fmt.Errorf("serve needs -api-addr: the /jobs API rides the introspection server")
+	}
+	return c, validate(c.cfg.SplitStrategy, c.cfg.SchedPolicy, c.out.log)
 }
 
 // cmdServe boots the long-lived multi-job scheduling service: a master
 // with no job of its own, whose /jobs HTTP API (submit, status, cancel, result) rides the
 // introspection server. Ctrl-C shuts the pool down cleanly.
 func cmdServe(args []string) error {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	listen := fs.String("listen", ":7070", "TCP listen address for solver clients")
-	apiAddr := fs.String("api-addr", ":8080", "HTTP address for the /jobs API (also serves /metrics, /status, /progress)")
-	policy := fs.String("sched", "fifo", "allocation policy: fifo | fair-share | priority")
-	maxJobs := fs.Int("max-jobs", 0, "admission cap on active jobs (0 = derive from client count)")
-	memBudget := fs.Int64("mem-budget", 0, "admission cap on summed active formula bytes (0 = unbounded)")
-	minMem := fs.Int64("min-mem", 128<<20, "minimum client free memory (bytes)")
-	rebalance := fs.Duration("rebalance", 0, "allocation review period (0 = 250ms)")
-	timeout := fs.Duration("timeout", 0, "shut the service down after this long (0 = run until interrupted)")
-	splitStrategy := fs.String("split-strategy", "", "split engine: "+solver.StrategyNames)
-	logLevel := fs.String("log", "info", "structured log level (debug|info|warn|error; empty = off)")
-	tracePath := fs.String("trace", "", "record the control-plane flight log as JSONL here")
-	perfettoPath := fs.String("trace-perfetto", "", "also render the flight log as a Perfetto trace here")
-	bundleDir := fs.String("bundle-dir", "", "write postmortem black-box bundles here on job failure/cancel, watchdog alerts, and POST /debug/bundle (empty = off)")
-	fs.Parse(args)
-	if *apiAddr == "" {
-		return fmt.Errorf("serve needs -api-addr: the /jobs API rides the introspection server")
-	}
-	if _, err := core.ParseSchedPolicy(*policy); err != nil {
-		return err
-	}
-	logger, err := runLogger(*logLevel)
+	c, err := parseServe(args)
 	if err != nil {
 		return err
 	}
-	fl, closeFlight, err := flightRecorder(*tracePath)
+	if c.cfg.Logger, err = runLogger(c.out.log); err != nil {
+		return err
+	}
+	fl, closeFlight, err := flightRecorder(c.out.trace)
 	if err != nil {
 		return err
 	}
-	reg := obs.NewRegistry()
+	c.cfg.Flight = fl
+	c.cfg.Metrics = obs.NewRegistry()
+	c.cfg.Transport = comm.Instrument(comm.TCPTransport{}, comm.NewMetrics(c.cfg.Metrics))
 	// The API endpoints are consumed by NewMaster, so the service is built
 	// unbound and attached once the master exists (requests in the gap
 	// get 503).
 	svc := core.NewService(nil)
-	m, err := core.NewMaster(core.MasterConfig{
-		Transport:       comm.Instrument(comm.TCPTransport{}, comm.NewMetrics(reg)),
-		ListenAddr:      *listen,
-		MinMemBytes:     *minMem,
-		Timeout:         *timeout,
-		SplitStrategy:   *splitStrategy,
-		Metrics:         reg,
-		MetricsAddr:     *apiAddr,
-		Logger:          logger,
-		Flight:          fl,
-		SchedPolicy:     *policy,
-		Admission:       core.Admission{MaxActive: *maxJobs, MemBudgetBytes: *memBudget},
-		RebalancePeriod: *rebalance,
-		ExtraEndpoints:  svc.Endpoints(),
-		BundleDir:       *bundleDir,
-	})
+	c.cfg.ExtraEndpoints = svc.Endpoints()
+	m, err := core.NewMaster(c.cfg)
 	if err != nil {
 		return err
 	}
 	svc.Attach(m)
 	fmt.Fprintln(os.Stderr, "gridsat serve: clients on", m.Addr())
-	fmt.Fprintln(os.Stderr, "gridsat serve: job API on http://"+m.MetricsAddr()+"/jobs (policy "+*policy+")")
+	fmt.Fprintln(os.Stderr, "gridsat serve: job API on http://"+m.MetricsAddr()+"/jobs (policy "+c.cfg.SchedPolicy+")")
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -444,31 +506,36 @@ func cmdServe(args []string) error {
 	if err := closeFlight(); err != nil {
 		return err
 	}
-	return writeTraceViews(fl, *perfettoPath, "")
+	return writeTraceViews(fl, c.out.perfetto, "")
+}
+
+func clientFlags(cfg *core.ClientConfig) *flag.FlagSet {
+	fs := flag.NewFlagSet("client", flag.ExitOnError)
+	fs.StringVar(&cfg.MasterAddr, "master", "localhost:7070", "master address")
+	fs.StringVar(&cfg.ListenAddr, "listen", ":0", "P2P listen address")
+	fs.Int64Var(&cfg.FreeMemBytes, "mem", 512<<20, "free memory to report and budget from")
+	fs.Float64Var(&cfg.SpeedHint, "speed", 1.0, "relative CPU speed hint")
+	fs.IntVar(&cfg.Threads, "threads", runtime.NumCPU(), "portfolio workers on this host (1 = classic single-solver client)")
+	fs.IntVar(&cfg.ShareMaxLen, "share-len", 10, "maximum shared clause length")
+	fs.StringVar(&cfg.SplitStrategy, "split-strategy", "", "split engine: "+solver.StrategyNames)
+	return fs
+}
+
+// parseClient parses `gridsat client` into the TCP client it runs.
+func parseClient(args []string) (core.ClientConfig, error) {
+	var cfg core.ClientConfig
+	clientFlags(&cfg).Parse(args)
+	return cfg, validate(cfg.SplitStrategy, "", "")
 }
 
 func cmdClient(args []string) error {
-	fs := flag.NewFlagSet("client", flag.ExitOnError)
-	master := fs.String("master", "localhost:7070", "master address")
-	listen := fs.String("listen", ":0", "P2P listen address")
-	mem := fs.Int64("mem", 512<<20, "free memory to report and budget from")
-	speed := fs.Float64("speed", 1.0, "relative CPU speed hint")
-	threads := fs.Int("threads", runtime.NumCPU(), "portfolio workers on this host (1 = classic single-solver client)")
-	shareLen := fs.Int("share-len", 10, "maximum shared clause length")
-	splitStrategy := fs.String("split-strategy", "", "split engine: "+solver.StrategyNames)
-	fs.Parse(args)
-	host, _ := os.Hostname()
-	cl, err := core.NewClient(core.ClientConfig{
-		Transport:     comm.TCPTransport{},
-		MasterAddr:    *master,
-		ListenAddr:    *listen,
-		HostName:      host,
-		FreeMemBytes:  *mem,
-		SpeedHint:     *speed,
-		Threads:       *threads,
-		ShareMaxLen:   *shareLen,
-		SplitStrategy: *splitStrategy,
-	})
+	cfg, err := parseClient(args)
+	if err != nil {
+		return err
+	}
+	cfg.Transport = comm.TCPTransport{}
+	cfg.HostName, _ = os.Hostname()
+	cl, err := core.NewClient(cfg)
 	if err != nil {
 		return err
 	}
@@ -591,85 +658,95 @@ func fetchJSON(c *http.Client, url string, out any) error {
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-func cmdSim(args []string) error {
+// simCmd is `gridsat sim` parsed: the run's configuration less the parts
+// config builds fresh for every run, and what the command does around it.
+type simCmd struct {
+	cfg                                 core.RunnerConfig
+	testbed, timeline                   string
+	sequential, batch, replay, watchdog bool
+	out                                 outputs
+	instance                            string
+}
+
+func simFlags(c *simCmd) *flag.FlagSet {
 	fs := flag.NewFlagSet("sim", flag.ExitOnError)
-	testbed := fs.String("testbed", "grads", "grads (34 hosts) or table2 (27 hosts)")
-	timeout := fs.Float64("timeout-vsec", 6000, "virtual-second budget")
-	threads := fs.Int("threads", runtime.NumCPU(), "simulated portfolio workers per simulated client (1 = classic single-solver clients; pin for cross-machine reproducibility). Not the simulator's own parallelism: it computes its clients on every core GOMAXPROCS allows, by itself, with the same result")
-	shareLen := fs.Int("share-len", 10, "maximum shared clause length")
-	splitStrategy := fs.String("split-strategy", "", "split engine: "+solver.StrategyNames)
-	seed := fs.Int64("seed", 1, "contention/jitter seed")
-	sequential := fs.Bool("sequential", false, "run the dedicated sequential baseline instead")
-	batch := fs.Bool("batch", false, "submit a Blue Horizon batch job (table2 testbed)")
-	timeline := fs.String("timeline", "", "write the active-clients-over-time curve as CSV")
-	tracePath := fs.String("trace", "", "record the control-plane flight log as JSONL here")
-	perfettoPath := fs.String("trace-perfetto", "", "also render the flight log as a Perfetto trace here")
-	dotPath := fs.String("trace-dot", "", "also render the split-lineage tree as Graphviz DOT here")
-	replay := fs.Bool("replay", false, "re-run the simulation and verify it reproduces the flight log exactly")
-	watchdog := fs.Bool("watchdog", false, "run the anomaly watchdog over the simulated cluster (virtual-time thresholds)")
-	bundleDir := fs.String("bundle-dir", "", "write deterministic postmortem bundles here on anomalies and job failure/cancel (implies -watchdog)")
+	fs.StringVar(&c.testbed, "testbed", "grads", "grads (34 hosts) or table2 (27 hosts)")
+	fs.Float64Var(&c.cfg.TimeoutVSec, "timeout-vsec", 6000, "virtual-second budget")
+	fs.IntVar(&c.cfg.Client.Threads, "threads", runtime.NumCPU(), "simulated portfolio workers per simulated client (1 = classic single-solver clients; pin for cross-machine reproducibility). Not the simulator's own parallelism: it computes its clients on every core GOMAXPROCS allows, by itself, with the same result")
+	fs.IntVar(&c.cfg.Client.ShareMaxLen, "share-len", 10, "maximum shared clause length")
+	fs.StringVar(&c.cfg.Client.SplitStrategy, "split-strategy", "", "split engine: "+solver.StrategyNames)
+	fs.Int64Var(&c.cfg.Seed, "seed", 1, "contention/jitter seed")
+	fs.BoolVar(&c.sequential, "sequential", false, "run the dedicated sequential baseline instead")
+	fs.BoolVar(&c.batch, "batch", false, "submit a Blue Horizon batch job (table2 testbed)")
+	fs.StringVar(&c.timeline, "timeline", "", "write the active-clients-over-time curve as CSV")
+	c.out.traceFlags(fs, true)
+	fs.BoolVar(&c.replay, "replay", false, "re-run the simulation and verify it reproduces the flight log exactly")
+	fs.BoolVar(&c.watchdog, "watchdog", false, "run the anomaly watchdog over the simulated cluster (virtual-time thresholds)")
+	fs.StringVar(&c.cfg.Master.BundleDir, "bundle-dir", "", "write deterministic postmortem bundles here on anomalies and job failure/cancel (implies -watchdog)")
+	return fs
+}
+
+func parseSim(args []string) (simCmd, error) {
+	var c simCmd
+	fs := simFlags(&c)
 	fs.Parse(args)
-	f, err := loadCNF(fs.Arg(0))
+	c.instance = fs.Arg(0)
+	// The DES degrades unknown strategies to first-decision; reject them
+	// loudly at the flag boundary instead.
+	return c, validate(c.cfg.Client.SplitStrategy, "", "")
+}
+
+// config builds one run's configuration. The grid is mutated during a run,
+// so replay verification needs a fresh, identically-seeded one per run.
+func (c *simCmd) config(f *cnf.Formula, fl *trace.Flight) (core.RunnerConfig, error) {
+	cfg := c.cfg
+	switch c.testbed {
+	case "grads":
+		cfg.Grid = grid.TestbedGrADS(cfg.Seed)
+	case "table2":
+		cfg.Grid = grid.TestbedTable2(cfg.Seed)
+	default:
+		return cfg, fmt.Errorf("unknown testbed %q", c.testbed)
+	}
+	cfg.Master.Formula, cfg.Master.Flight = f, fl
+	if c.watchdog || cfg.Master.BundleDir != "" {
+		cfg.Master.Watchdog = &core.WatchdogConfig{}
+	}
+	if c.batch {
+		cfg.Grid.AddBlueHorizon(64)
+		cfg.Batch = &core.BatchPlan{
+			Nodes: 64, WalltimeVSec: 720, MeanQueueWaitVSec: 1980, TerminateOnEnd: true,
+		}
+	}
+	return cfg, nil
+}
+
+func cmdSim(args []string) error {
+	c, err := parseSim(args)
 	if err != nil {
 		return err
 	}
-	// The DES degrades unknown strategies to first-decision; reject them
-	// loudly at the flag boundary instead.
-	if _, err := solver.ParseStrategy(*splitStrategy); err != nil {
+	f, err := loadCNF(c.instance)
+	if err != nil {
 		return err
 	}
-	// The grid is mutated during a run, so replay verification needs a
-	// fresh, identically-seeded config per run — hence a constructor.
-	mkCfg := func() (core.RunnerConfig, error) {
-		var g *grid.Grid
-		switch *testbed {
-		case "grads":
-			g = grid.TestbedGrADS(*seed)
-		case "table2":
-			g = grid.TestbedTable2(*seed)
-		default:
-			return core.RunnerConfig{}, fmt.Errorf("unknown testbed %q", *testbed)
-		}
-		cfg := core.RunnerConfig{
-			Grid:          g,
-			Formula:       f,
-			TimeoutVSec:   *timeout,
-			Threads:       *threads,
-			ShareMaxLen:   *shareLen,
-			SplitStrategy: *splitStrategy,
-			MasterHostID:  -1,
-			Seed:          *seed,
-		}
-		if *watchdog || *bundleDir != "" {
-			cfg.Watchdog = &core.WatchdogConfig{}
-			cfg.BundleDir = *bundleDir
-		}
-		if *batch {
-			g.AddBlueHorizon(64)
-			cfg.Batch = &core.BatchPlan{
-				Nodes: 64, WalltimeVSec: 720, MeanQueueWaitVSec: 1980, TerminateOnEnd: true,
-			}
-		}
-		return cfg, nil
-	}
-	if *sequential && (*tracePath != "" || *replay) {
+	if c.sequential && (c.out.trace != "" || c.replay) {
 		return fmt.Errorf("-trace/-replay need the distributed runner (drop -sequential)")
 	}
-	fl, closeFlight, err := flightRecorder(*tracePath)
+	fl, closeFlight, err := flightRecorder(c.out.trace)
 	if err != nil {
 		return err
 	}
 	// -replay needs the events in memory even without a -trace file.
-	if *replay && fl == nil {
+	if c.replay && fl == nil {
 		fl = trace.NewFlight(nil)
 	}
-	cfg, err := mkCfg()
+	cfg, err := c.config(f, fl)
 	if err != nil {
 		return err
 	}
-	cfg.Flight = fl
 	var res core.SimResult
-	if *sequential {
+	if c.sequential {
 		res = core.RunSequential(cfg)
 	} else {
 		res = core.RunDistributed(cfg)
@@ -677,16 +754,15 @@ func cmdSim(args []string) error {
 	if err := closeFlight(); err != nil {
 		return err
 	}
-	if err := writeTraceViews(fl, *perfettoPath, *dotPath); err != nil {
+	if err := writeTraceViews(fl, c.out.perfetto, c.out.dot); err != nil {
 		return err
 	}
-	if *replay {
+	if c.replay {
 		err := trace.ReplayVerify(fl.Events(), func(f2 *trace.Flight) error {
-			cfg2, err := mkCfg()
+			cfg2, err := c.config(f, f2)
 			if err != nil {
 				return err
 			}
-			cfg2.Flight = f2
 			core.RunDistributed(cfg2)
 			return nil
 		})
@@ -705,8 +781,8 @@ func cmdSim(args []string) error {
 	for _, b := range res.Bundles {
 		fmt.Fprintln(os.Stderr, "gridsat: postmortem bundle written to", b)
 	}
-	if *timeline != "" && !*sequential {
-		fd, err := os.Create(*timeline)
+	if c.timeline != "" && !c.sequential {
+		fd, err := os.Create(c.timeline)
 		if err != nil {
 			return err
 		}
@@ -715,7 +791,7 @@ func cmdSim(args []string) error {
 		for _, p := range res.Timeline {
 			fmt.Fprintf(fd, "%.3f,%d\n", p.VSec, p.Busy)
 		}
-		fmt.Fprintf(os.Stderr, "gridsat: timeline (%d samples) written to %s\n", len(res.Timeline), *timeline)
+		fmt.Fprintf(os.Stderr, "gridsat: timeline (%d samples) written to %s\n", len(res.Timeline), c.timeline)
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"time"
 
 	"gridsat/internal/cnf"
 	"gridsat/internal/core"
@@ -36,13 +37,14 @@ func runScenario(title string, f *cnf.Formula, queueWaitVSec float64) {
 	g := grid.TestbedTable2(1)
 	g.AddBlueHorizon(64)
 	res := core.RunDistributed(core.RunnerConfig{
-		Grid:             g,
-		Formula:          f,
-		TimeoutVSec:      100_000,
-		ShareMaxLen:      3, // the paper's second-experiment setting
-		SplitTimeoutVSec: 5,
-		MasterHostID:     -1,
-		Seed:             1,
+		Grid:   g,
+		Master: core.MasterConfig{Formula: f},
+		Client: core.ClientConfig{
+			ShareMaxLen: 3,               // the paper's second-experiment setting
+			MinRunTime:  5 * time.Second, // split-timeout floor, in virtual seconds
+		},
+		TimeoutVSec: 100_000,
+		Seed:        1,
 		Batch: &core.BatchPlan{
 			Nodes:             64,
 			WalltimeVSec:      720, // the 12-hour job at 1/60 scale

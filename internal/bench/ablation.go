@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
 	"gridsat/internal/cnf"
 	"gridsat/internal/core"
@@ -27,9 +28,9 @@ func AblationShareLen(f *cnf.Formula, lens []int, opts Options) []AblationResult
 	var out []AblationResult
 	for _, l := range lens {
 		cfg := ablationConfig(f, opts)
-		cfg.ShareMaxLen = l
+		cfg.Client.ShareMaxLen = l
 		if l == 0 {
-			cfg.ShareMaxLen = -1 // negative disables sharing entirely
+			cfg.Client.ShareMaxLen = -1 // negative disables sharing entirely
 		}
 		out = append(out, AblationResult{
 			Label:  fmt.Sprintf("share-len=%d", l),
@@ -46,7 +47,7 @@ func AblationSplitTimeout(f *cnf.Formula, timeouts []float64, opts Options) []Ab
 	var out []AblationResult
 	for _, to := range timeouts {
 		cfg := ablationConfig(f, opts)
-		cfg.SplitTimeoutVSec = to
+		cfg.Client.MinRunTime = time.Duration(to * float64(time.Second)) // virtual seconds
 		out = append(out, AblationResult{
 			Label:  fmt.Sprintf("split-timeout=%gvs", to),
 			Result: core.RunDistributed(cfg),
@@ -63,7 +64,7 @@ func AblationPruning(f *cnf.Formula, opts Options) []AblationResult {
 		cfg := ablationConfig(f, opts)
 		so := solver.Fidelity2003()
 		so.PruneLevel0 = prune
-		cfg.SolverOptions = &so
+		cfg.Client.SolverOptions = &so
 		out = append(out, AblationResult{
 			Label:  fmt.Sprintf("prune-level0=%v", prune),
 			Result: core.RunDistributed(cfg),
@@ -92,13 +93,11 @@ func AblationRanking(f *cnf.Formula, opts Options) []AblationResult {
 
 func ablationConfig(f *cnf.Formula, opts Options) core.RunnerConfig {
 	return core.RunnerConfig{
-		Grid:         grid.TestbedGrADS(opts.Seed + 1),
-		Formula:      f,
-		TimeoutVSec:  ChallengeBudgetVSec * opts.scale(),
-		Threads:      opts.Threads,
-		ShareMaxLen:  Table1ShareLen,
-		MasterHostID: -1,
-		Seed:         opts.Seed,
+		Grid:        grid.TestbedGrADS(opts.Seed + 1),
+		Master:      core.MasterConfig{Formula: f},
+		Client:      core.ClientConfig{Threads: opts.Threads, ShareMaxLen: Table1ShareLen},
+		TimeoutVSec: ChallengeBudgetVSec * opts.scale(),
+		Seed:        opts.Seed,
 	}
 }
 
@@ -131,7 +130,7 @@ func AblationEngine(f *cnf.Formula, opts Options) []AblationResult {
 		{"default", solver.DefaultOptions()},
 	} {
 		cfg := ablationConfig(f, opts)
-		cfg.SolverOptions = &arm.so
+		cfg.Client.SolverOptions = &arm.so
 		out = append(out, AblationResult{Label: arm.label, Result: core.RunDistributed(cfg)})
 	}
 	return out
@@ -158,8 +157,8 @@ func AblationSplitStrategy(f *cnf.Formula, opts Options) []StrategyResult {
 	for _, strategy := range []string{"first-decision", "dilemma", "dilemma-veto"} {
 		fl := trace.NewFlight(nil)
 		cfg := ablationConfig(f, opts)
-		cfg.SplitStrategy = strategy
-		cfg.Flight = fl
+		cfg.Client.SplitStrategy = strategy
+		cfg.Master.Flight = fl
 		res := core.RunDistributed(cfg)
 		out = append(out, StrategyResult{
 			Strategy: strategy,
@@ -245,7 +244,7 @@ func AblationHybrid(f *cnf.Formula, name string, opts Options) []HybridResult {
 	var out []HybridResult
 	for _, a := range arms {
 		cfg := ablationConfig(f, opts)
-		cfg.Threads = a.threads
+		cfg.Client.Threads = a.threads
 		cfg.MaxClients = a.maxClients
 		res := core.RunDistributed(cfg)
 		out = append(out, HybridResult{

@@ -113,16 +113,15 @@ func runTable1Row(inst gen.Instance, opts Options) Row {
 		budget = ChallengeBudgetVSec
 	}
 	seqCfg := core.RunnerConfig{
-		Grid:         g,
-		Formula:      f,
-		TimeoutVSec:  ZChaffBudgetVSec * opts.scale(),
-		ShareMaxLen:  Table1ShareLen,
-		MasterHostID: -1,
-		Seed:         opts.Seed,
+		Grid:        g,
+		Master:      core.MasterConfig{Formula: f},
+		Client:      core.ClientConfig{ShareMaxLen: Table1ShareLen},
+		TimeoutVSec: ZChaffBudgetVSec * opts.scale(),
+		Seed:        opts.Seed,
 	}
 	distCfg := seqCfg
 	distCfg.TimeoutVSec = budget * opts.scale()
-	distCfg.Threads = opts.Threads // the sequential baseline stays single-solver
+	distCfg.Client.Threads = opts.Threads // the sequential baseline stays single-solver
 	row := Row{
 		Inst:    inst,
 		ZChaff:  core.RunSequential(seqCfg),
@@ -160,18 +159,16 @@ func runTable2Row(inst gen.Instance, opts Options) Row {
 	g.AddBlueHorizon(Table2BatchNodes)
 	cfg := core.RunnerConfig{
 		Grid:        g,
-		Formula:     f,
+		Master:      core.MasterConfig{Formula: f},
+		Client:      core.ClientConfig{Threads: opts.Threads, ShareMaxLen: Table2ShareLen},
 		TimeoutVSec: (Table2QueueWaitVSec*1.8 + Table2WalltimeVSec) * opts.scale(),
-		Threads:     opts.Threads,
-		ShareMaxLen: Table2ShareLen,
 		Batch: &core.BatchPlan{
 			Nodes:             Table2BatchNodes,
 			WalltimeVSec:      Table2WalltimeVSec * opts.scale(),
 			MeanQueueWaitVSec: Table2QueueWaitVSec * opts.scale(),
 			TerminateOnEnd:    true,
 		},
-		MasterHostID: -1,
-		Seed:         opts.Seed,
+		Seed: opts.Seed,
 	}
 	return Row{Inst: inst, GridSAT: core.RunDistributed(cfg)}
 }
@@ -188,17 +185,16 @@ func BlueHorizonOnly(inst gen.Instance, opts Options) core.SimResult {
 	wall := Table2WalltimeVSec * 8 * opts.scale()
 	cfg := core.RunnerConfig{
 		Grid:        g,
-		Formula:     f,
+		Master:      core.MasterConfig{Formula: f},
+		Client:      core.ClientConfig{ShareMaxLen: Table2ShareLen},
 		TimeoutVSec: Table2QueueWaitVSec*1.8*opts.scale() + wall,
-		ShareMaxLen: Table2ShareLen,
 		Batch: &core.BatchPlan{
 			Nodes:             Table2BatchNodes,
 			WalltimeVSec:      wall,
 			MeanQueueWaitVSec: Table2QueueWaitVSec * opts.scale(),
 			TerminateOnEnd:    true,
 		},
-		MasterHostID: -1,
-		Seed:         opts.Seed,
+		Seed: opts.Seed,
 	}
 	return core.RunDistributed(cfg)
 }

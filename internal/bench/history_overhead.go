@@ -56,15 +56,13 @@ func AblationHistorySampler(f *cnf.Formula, rounds int) []HistoryOverheadResult 
 		for i := 0; i < rounds; i++ {
 			cfg := core.RunnerConfig{
 				Grid:              grid.TestbedGrADS(1),
-				Formula:           f,
+				Master:            core.MasterConfig{Formula: f, Watchdog: arm.wd},
+				Client:            core.ClientConfig{ShareMaxLen: 10},
 				TimeoutVSec:       10_000,
 				PropsPerVSec:      1000,
 				QuantumProps:      5000,
-				ShareMaxLen:       10,
-				MasterHostID:      -1,
 				MonitorPeriodVSec: 5,
 				Seed:              1,
-				Watchdog:          arm.wd,
 			}
 			start := time.Now()
 			res := core.RunDistributed(cfg)

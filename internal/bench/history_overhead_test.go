@@ -42,15 +42,13 @@ func samplerArm(b *testing.B, wd *core.WatchdogConfig) {
 	for i := 0; i < b.N; i++ {
 		cfg := core.RunnerConfig{
 			Grid:              grid.TestbedGrADS(1),
-			Formula:           f,
+			Master:            core.MasterConfig{Formula: f, Watchdog: wd},
+			Client:            core.ClientConfig{ShareMaxLen: 10},
 			TimeoutVSec:       10_000,
 			PropsPerVSec:      1000,
 			QuantumProps:      5000,
-			ShareMaxLen:       10,
-			MasterHostID:      -1,
 			MonitorPeriodVSec: 5,
 			Seed:              1,
-			Watchdog:          wd,
 		}
 		if res := core.RunDistributed(cfg); res.Outcome != core.OutcomeSolved {
 			b.Fatal("benchmark instance did not decide")

@@ -79,7 +79,7 @@ func AblationSched(jobs []core.SimJob, opts Options) []SchedResult {
 		// number the sweep exists to compare.
 		cfg.TimeoutVSec = ChallengeBudgetVSec
 		cfg.Jobs = jobs
-		cfg.SchedPolicy = policy
+		cfg.Master.SchedPolicy = policy
 		cfg.MaxClients = SchedWorkloadClients
 		cfg.MonitorPeriodVSec = 10
 		res := core.RunDistributed(cfg)

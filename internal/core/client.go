@@ -29,15 +29,12 @@ type ClientConfig struct {
 	// ShareMaxLen bounds exported learned clauses (paper: 10 and 3);
 	// 0 uses the default, negative disables sharing entirely.
 	ShareMaxLen int
-	// ShareWindow caps the duplicate-suppression fingerprint window the
-	// client uses to avoid re-exporting clauses it already saw (its own
-	// or received from peers). 0 uses a default.
-	ShareWindow int
 	// SliceConflicts is the solver quantum between control-plane checks
 	// (clause merges and share flushes; control kinds cut a slice short).
 	SliceConflicts int64
 	// MinRunTime floors the split timeout (see SplitDecision); 0 uses
-	// liveSplitFloor.
+	// liveSplitFloor. It is read on the shell's clock: wall time live,
+	// virtual seconds under the DES (the paper's 100 s is 10 there).
 	MinRunTime time.Duration
 	// HeartbeatEvery sends a StatusReport to the master after this many
 	// solver slices (0 = every 8 slices).
@@ -75,9 +72,9 @@ type ClientConfig struct {
 // liveSplitFloor is the wall-clock floor under §3.3's "split once the
 // subproblem has run twice as long as it took to receive" when the
 // configuration names none. The paper's 100 s guards a wide-area Grid
-// against ping-pong, and the DES keeps that scale: it always passes its own
-// floor (Config.SplitTimeoutVSec). On a loopback cluster a split round trip
-// (assign, peer-to-peer payload, accept) measured ≈ 35 ms when the donor
+// against ping-pong, and the DES keeps that scale: RunnerConfig defaults
+// MinRunTime to 10 virtual seconds. On a loopback cluster a split round
+// trip (assign, peer-to-peer payload, accept) measured ≈ 35 ms when the donor
 // answered at its next slice boundary, which is what 100 ms ≈ 3 round
 // trips was sized on; now that the assignment cuts the slice it is ≈ 4 ms.
 // The sweep in EXPERIMENTS.md ("Live split floor"): at 500 ms the second
@@ -242,7 +239,7 @@ func newClient(cfg ClientConfig, now func() float64, send func(comm.SplitPeer, c
 		slice:    solver.Limits{MaxConflicts: cfg.SliceConflicts},
 		strategy: strategy,
 		bases:    map[int]*cnf.Formula{},
-		shares:   newShareAggregator(shareFlushCount, shareFlushEvery, cfg.ShareWindow, 0, now()),
+		shares:   newShareAggregator(shareFlushCount, shareFlushEvery, shareWindowCap, 0, now()),
 		flight:   cfg.Flight,
 	}
 	if cfg.Metrics != nil {

@@ -49,7 +49,7 @@ func dumpFlight(t *testing.T, f *trace.Flight) {
 func TestDESFlightLogValidatesAndMatchesResult(t *testing.T) {
 	f := trace.NewFlight(nil)
 	cfg := desConfig(gen.Pigeonhole(8), 10_000)
-	cfg.Flight = f
+	cfg.Master.Flight = f
 	res := RunDistributed(cfg)
 	defer dumpFlight(t, f)
 	if res.Outcome != OutcomeSolved || res.Status != solver.StatusUNSAT {
@@ -95,7 +95,7 @@ func TestDESFlightLogValidatesAndMatchesResult(t *testing.T) {
 func TestDESFlightLineageLeafCount(t *testing.T) {
 	f := trace.NewFlight(nil)
 	cfg := desConfig(gen.Pigeonhole(8), 10_000)
-	cfg.Flight = f
+	cfg.Master.Flight = f
 	res := RunDistributed(cfg)
 	defer dumpFlight(t, f)
 	if res.Splits == 0 {
@@ -118,7 +118,7 @@ func TestDESFlightReplayVerify(t *testing.T) {
 	}
 	rec := trace.NewFlight(nil)
 	cfg := mk()
-	cfg.Flight = rec
+	cfg.Master.Flight = rec
 	res := RunDistributed(cfg)
 	defer dumpFlight(t, rec)
 	if res.Outcome != OutcomeSolved {
@@ -126,7 +126,7 @@ func TestDESFlightReplayVerify(t *testing.T) {
 	}
 	err := trace.ReplayVerify(rec.Events(), func(f *trace.Flight) error {
 		cfg := mk()
-		cfg.Flight = f
+		cfg.Master.Flight = f
 		if r := RunDistributed(cfg); r.Outcome != OutcomeSolved {
 			return fmt.Errorf("replay run did not solve: %v", r.Outcome)
 		}
@@ -140,7 +140,7 @@ func TestDESFlightReplayVerify(t *testing.T) {
 	err = trace.ReplayVerify(rec.Events(), func(f *trace.Flight) error {
 		cfg := mk()
 		cfg.MaxClients = 1
-		cfg.Flight = f
+		cfg.Master.Flight = f
 		RunDistributed(cfg)
 		return nil
 	})
@@ -153,7 +153,7 @@ func TestDESFlightRecordsFailureRecovery(t *testing.T) {
 	f := trace.NewFlight(nil)
 	cfg := desConfig(gen.Pigeonhole(8), 10_000)
 	cfg.Failures = []FailurePlan{{HostID: 0, AtVSec: 5}}
-	cfg.Flight = f
+	cfg.Master.Flight = f
 	res := RunDistributed(cfg)
 	defer dumpFlight(t, f)
 	if res.Outcome != OutcomeSolved {
@@ -182,10 +182,10 @@ func TestDESFlightRecordsFailureRecovery(t *testing.T) {
 func TestLiveSolveSharedFlight(t *testing.T) {
 	f := trace.NewFlight(nil)
 	res, err := Solve(gen.Pigeonhole(7), JobConfig{
-		Clients:    3,
-		Timeout:    30 * time.Second,
-		MinRunTime: 10 * time.Millisecond,
-		Flight:     f,
+		Clients: 3,
+		Timeout: 30 * time.Second,
+		Master:  MasterConfig{Flight: f},
+		Client:  ClientConfig{MinRunTime: 10 * time.Millisecond},
 	})
 	defer dumpFlight(t, f)
 	if err != nil {

@@ -9,50 +9,53 @@ import (
 	"gridsat/internal/comm"
 	"gridsat/internal/obs"
 	"gridsat/internal/solver"
-	"gridsat/internal/trace"
 )
 
 // JobConfig describes a self-contained distributed run: a master plus a
 // pool of clients inside one process, connected by an in-process transport.
 // This is the programmatic front end used by examples, tests and the CLI's
 // "run" mode; real multi-machine deployments launch cmd/gridsat master and
-// client processes over TCP instead.
+// client processes over TCP instead. It holds the master's and the clients'
+// configurations as deployed; Solve hands Master to NewMaster and Client to
+// every NewClient, writing over them only what it models: in stamp the
+// in-process transport and addresses, one registry (Master.Metrics, or a
+// private one) for the transport, master, clients and solver counters, and
+// one split strategy (Client's) and flight recorder (Master's) for both
+// halves; at launch each client's host name. Client.FreeMemBytes 0 is
+// 256 MiB.
 type JobConfig struct {
-	// Clients is the pool size (the paper's testbed had 34).
+	// Clients is the pool size (the paper's testbed had 34; 0 = 4).
 	Clients int
-	// ClientMemBytes is each simulated client's free memory.
-	ClientMemBytes int64
-	// ShareMaxLen bounds shared learned clauses (paper: 10 and 3).
-	ShareMaxLen int
-	// Timeout bounds the whole run; zero means none.
-	Timeout time.Duration
-	// MinRunTime floors the client split timeout; small values make test
-	// runs split eagerly.
-	MinRunTime time.Duration
-	// SliceConflicts is the per-client solver quantum.
-	SliceConflicts int64
-	// Threads is each client's in-host portfolio width (0 or 1 =
-	// single-solver clients, the historical behavior).
+	// Threads and Timeout, when non-zero, override Client.Threads and
+	// Master.Timeout.
 	Threads int
-	// SolverOptions overrides engine tuning for every client.
-	SolverOptions *solver.Options
-	// SplitStrategy names the split engine every client runs
-	// ("first-decision", "dilemma", "dilemma-veto"; "" = first-decision).
-	SplitStrategy string
-	// Metrics receives every observability series for the run (comm
-	// traffic, master pool state, solver counters). nil allocates a
-	// private registry, so instrumentation is always on — it is cheap
-	// (see internal/bench's instrumentation ablation).
-	Metrics *obs.Registry
-	// MetricsAddr, when non-empty, serves /metrics, /status and pprof
-	// from the master for the duration of the run.
-	MetricsAddr string
-	// Logger receives structured run logs; nil discards them.
-	Logger *obs.Logger
-	// Flight, when non-nil, records the run's control-plane flight log.
-	// Master and clients share the one recorder, so causal parent IDs
-	// resolve within a single log.
-	Flight *trace.Flight
+	Timeout time.Duration
+	Master  MasterConfig
+	Client  ClientConfig
+}
+
+// stamp writes what the in-process shell models over the held
+// configurations (see JobConfig), f as the master's job 0.
+func (cfg *JobConfig) stamp(f *cnf.Formula, tr comm.Transport, reg *obs.Registry) {
+	m, cl := &cfg.Master, &cfg.Client
+	m.Transport, m.ListenAddr = tr, "master"
+	m.Formula = f
+	m.ExpectedClients = cfg.Clients
+	m.Metrics = reg
+	m.SplitStrategy = cl.SplitStrategy
+	if cfg.Timeout != 0 {
+		m.Timeout = cfg.Timeout
+	}
+	cl.Transport, cl.MasterAddr, cl.ListenAddr = tr, "master", ""
+	cl.Metrics = reg
+	cl.Counters = solver.NewCounters(reg)
+	cl.Flight = m.Flight
+	if cfg.Threads != 0 {
+		cl.Threads = cfg.Threads
+	}
+	if cl.FreeMemBytes == 0 {
+		cl.FreeMemBytes = 256 << 20
+	}
 }
 
 // Solve runs a complete GridSAT job over f and blocks for the result.
@@ -60,28 +63,13 @@ func Solve(f *cnf.Formula, cfg JobConfig) (Result, error) {
 	if cfg.Clients <= 0 {
 		cfg.Clients = 4
 	}
-	if cfg.ClientMemBytes == 0 {
-		cfg.ClientMemBytes = 256 << 20
-	}
-	reg := cfg.Metrics
+	reg := cfg.Master.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	cm := comm.NewMetrics(reg)
-	tr := comm.Instrument(comm.NewInprocTransport(), cm)
-	counters := solver.NewCounters(reg)
-	master, err := NewMaster(MasterConfig{
-		Transport:       tr,
-		ListenAddr:      "master",
-		Formula:         f,
-		Timeout:         cfg.Timeout,
-		ExpectedClients: cfg.Clients,
-		Metrics:         reg,
-		MetricsAddr:     cfg.MetricsAddr,
-		Logger:          cfg.Logger,
-		Flight:          cfg.Flight,
-		SplitStrategy:   cfg.SplitStrategy,
-	})
+	cfg.stamp(f, comm.Instrument(comm.NewInprocTransport(), cm), reg)
+	master, err := NewMaster(cfg.Master)
 	if err != nil {
 		return Result{}, err
 	}
@@ -98,22 +86,8 @@ func Solve(f *cnf.Formula, cfg JobConfig) (Result, error) {
 
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Clients; i++ {
-		cl, err := NewClient(ClientConfig{
-			Transport:      tr,
-			MasterAddr:     "master",
-			HostName:       fmt.Sprintf("client-%02d", i),
-			FreeMemBytes:   cfg.ClientMemBytes,
-			SpeedHint:      1,
-			ShareMaxLen:    cfg.ShareMaxLen,
-			SliceConflicts: cfg.SliceConflicts,
-			MinRunTime:     cfg.MinRunTime,
-			Threads:        cfg.Threads,
-			SolverOptions:  cfg.SolverOptions,
-			SplitStrategy:  cfg.SplitStrategy,
-			Counters:       counters,
-			Metrics:        reg,
-			Flight:         cfg.Flight,
-		})
+		cfg.Client.HostName = fmt.Sprintf("client-%02d", i)
+		cl, err := NewClient(cfg.Client)
 		if err != nil {
 			return Result{}, fmt.Errorf("core: launching client %d: %w", i, err)
 		}

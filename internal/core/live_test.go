@@ -17,12 +17,14 @@ import (
 
 func quickJob(clients int) JobConfig {
 	return JobConfig{
-		Clients:        clients,
-		ClientMemBytes: 64 << 20,
-		ShareMaxLen:    10,
-		Timeout:        60 * time.Second,
-		MinRunTime:     5 * time.Millisecond, // split eagerly in tests
-		SliceConflicts: 200,
+		Clients: clients,
+		Timeout: 60 * time.Second,
+		Client: ClientConfig{
+			FreeMemBytes:   64 << 20,
+			ShareMaxLen:    10,
+			MinRunTime:     5 * time.Millisecond, // split eagerly in tests
+			SliceConflicts: 200,
+		},
 	}
 }
 
@@ -475,7 +477,7 @@ func TestJobSolveDilemmaUNSAT(t *testing.T) {
 	for _, strategy := range []string{"dilemma", "dilemma-veto"} {
 		t.Run(strategy, func(t *testing.T) {
 			cfg := quickJob(6)
-			cfg.SplitStrategy = strategy
+			cfg.Client.SplitStrategy = strategy
 			res, err := Solve(gen.Pigeonhole(9), cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -500,7 +502,7 @@ func TestJobDilemmaAgainstBrute(t *testing.T) {
 		f := gen.RandomKSAT(12, 50, 3, seed)
 		want, _ := brute.Solve(f, 0)
 		cfg := quickJob(3)
-		cfg.SplitStrategy = "dilemma"
+		cfg.Client.SplitStrategy = "dilemma"
 		res, err := Solve(f, cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -520,7 +522,7 @@ func TestJobDilemmaAgainstBrute(t *testing.T) {
 // fast at construction, not at the first split.
 func TestJobUnknownStrategyRejected(t *testing.T) {
 	cfg := quickJob(2)
-	cfg.SplitStrategy = "bogus"
+	cfg.Client.SplitStrategy = "bogus"
 	if _, err := Solve(gen.Pigeonhole(6), cfg); err == nil {
 		t.Fatal("unknown split strategy accepted")
 	}
@@ -587,7 +589,7 @@ func TestOneShotRunNamesWhyItHasNoVerdict(t *testing.T) {
 func TestSolveReturnsTheLostClientError(t *testing.T) {
 	opts := solver.DefaultOptions()
 	opts.OnLemma = func(cnf.Clause) { runtime.Goexit() }
-	res, err := Solve(gen.Pigeonhole(6), JobConfig{Clients: 1, Timeout: time.Minute, SolverOptions: &opts})
+	res, err := Solve(gen.Pigeonhole(6), JobConfig{Clients: 1, Timeout: time.Minute, Client: ClientConfig{SolverOptions: &opts}})
 	if err == nil || err.Error() != "core: lost client 1 while it held a subproblem" {
 		t.Fatalf("Solve error %v, want the lost-client error", err)
 	}

@@ -47,10 +47,6 @@ type MasterConfig struct {
 	// Prometheus text, /status (and /progress) the JSON ClusterState,
 	// and /debug/pprof is the Go profiler.
 	MetricsAddr string
-	// ShareWindow caps the master's clause duplicate-suppression window
-	// (fingerprints per epoch; total memory is bounded at twice this).
-	// Zero uses a default sized for long runs.
-	ShareWindow int
 	// Flight, when non-nil, records the master's control-plane events
 	// (joins, splits, relays, verdict) as a causal flight log. In-process
 	// jobs share one recorder between master and clients, so the Parent
@@ -73,7 +69,8 @@ type MasterConfig struct {
 	// client count.
 	Admission Admission
 	// RebalancePeriod is how often Run reviews the allocation and preempts
-	// over-allocated jobs (0 = 250ms).
+	// over-allocated jobs (0 = 250ms; the DES reviews at its monitor ticks
+	// instead).
 	RebalancePeriod time.Duration
 	// ExtraEndpoints adds handlers to the introspection server (the serve
 	// API installs its /jobs routes this way). Ignored without MetricsAddr.
@@ -92,9 +89,17 @@ type MasterConfig struct {
 	// /debug/bundle, a self-contained diagnosis directory is written
 	// under it (see WriteBundle).
 	BundleDir string
-	// BundleCPUProfile is the CPU-profile capture length inside a bundle
-	// (0 = 200ms; negative skips the CPU capture, heap is always taken).
-	BundleCPUProfile time.Duration
+}
+
+func (c *MasterConfig) withDefaults() MasterConfig {
+	out := *c
+	if out.RebalancePeriod <= 0 {
+		out.RebalancePeriod = 250 * time.Millisecond
+	}
+	if out.HistoryPeriod == 0 {
+		out.HistoryPeriod = time.Second
+	}
+	return out
 }
 
 // Result is the outcome of a distributed run.
@@ -511,6 +516,7 @@ func (m *Master) updateGauges() {
 // HTTP server — wired to the given shell seams (all nil: the live shell's,
 // which are methods of the value built here).
 func newMaster(cfg MasterConfig, now func() float64, send func(int, comm.Message), writeBundle func(BundleSpec)) (*Master, error) {
+	cfg = cfg.withDefaults()
 	if _, err := solver.ParseStrategy(cfg.SplitStrategy); err != nil {
 		return nil, err
 	}
@@ -543,12 +549,8 @@ func newMaster(cfg MasterConfig, now func() float64, send func(int, comm.Message
 		met:            newMasterMetrics(reg),
 		flight:         cfg.Flight,
 	}
-	if cfg.HistoryPeriod >= 0 {
-		period := cfg.HistoryPeriod
-		if period == 0 {
-			period = time.Second
-		}
-		m.hist = history.New(history.Config{IntervalSec: period.Seconds()})
+	if cfg.HistoryPeriod > 0 {
+		m.hist = history.New(history.Config{IntervalSec: cfg.HistoryPeriod.Seconds()})
 		wcfg := DefaultWatchdogConfig()
 		if cfg.Watchdog != nil {
 			wcfg = cfg.Watchdog.withDefaults()

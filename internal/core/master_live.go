@@ -237,19 +237,11 @@ func (m *Master) Run() (Result, error) {
 			_ = m.httpSrv.Close()
 		}
 	}()
-	period := m.cfg.RebalancePeriod
-	if period <= 0 {
-		period = 250 * time.Millisecond
-	}
-	rebalance := time.NewTicker(period)
+	rebalance := time.NewTicker(m.cfg.RebalancePeriod)
 	defer rebalance.Stop()
 	var sampler <-chan time.Time
 	if m.hist != nil {
-		period := m.cfg.HistoryPeriod
-		if period <= 0 {
-			period = time.Second
-		}
-		t := time.NewTicker(period)
+		t := time.NewTicker(m.cfg.HistoryPeriod)
 		defer t.Stop()
 		sampler = t.C
 	}

@@ -102,13 +102,19 @@ func (m *Master) TriggerBundle(reason string) (string, error) {
 	if err := m.apply(func() { spec = m.bundleSpec(reason, m.state()) }); err != nil {
 		return "", err
 	}
+	spec.CPUProfileDur = bundleCPUProfile
 	return WriteBundle(spec)
 }
+
+// bundleCPUProfile is how long a live bundle profiles the CPU; the DES's
+// inline sink never does, so its bundles stay deterministic.
+const bundleCPUProfile = 200 * time.Millisecond
 
 // writeBundleAsync is the live shell's bundle sink: the write (and its
 // CPU-profile capture) runs on its own goroutine, off the event loop.
 func (m *Master) writeBundleAsync(spec BundleSpec) {
 	logger := m.log
+	spec.CPUProfileDur = bundleCPUProfile
 	go func() {
 		dir, err := WriteBundle(spec)
 		if err != nil {
@@ -127,7 +133,6 @@ type bundleConfig struct {
 	SchedPolicy      string         `json:"sched_policy"`
 	SplitStrategy    string         `json:"split_strategy"`
 	MinMemBytes      int64          `json:"min_mem_bytes"`
-	ShareWindow      int            `json:"share_window"`
 	HistoryPeriodSec float64        `json:"history_period_sec"`
 	Watchdog         WatchdogConfig `json:"watchdog"`
 	BundleDir        string         `json:"bundle_dir"`
@@ -145,14 +150,11 @@ func (m *Master) bundleSpec(reason string, st ClusterState) BundleSpec {
 		SchedPolicy:   m.policy.Name(),
 		SplitStrategy: m.cfg.SplitStrategy,
 		MinMemBytes:   m.cfg.MinMemBytes,
-		ShareWindow:   m.cfg.ShareWindow,
 		BundleDir:     m.cfg.BundleDir,
 		Build:         m.build,
 	}
-	if p := m.cfg.HistoryPeriod; p > 0 {
-		cfg.HistoryPeriodSec = p.Seconds()
-	} else if m.hist != nil {
-		cfg.HistoryPeriodSec = 1
+	if m.hist != nil {
+		cfg.HistoryPeriodSec = m.cfg.HistoryPeriod.Seconds()
 	}
 	if m.wd != nil {
 		cfg.Watchdog = m.wd.cfg
@@ -174,12 +176,6 @@ func (m *Master) bundleSpec(reason string, st ClusterState) BundleSpec {
 	}
 	if m.flight != nil {
 		spec.Events = m.flight.Events()
-	}
-	switch d := m.cfg.BundleCPUProfile; {
-	case d > 0:
-		spec.CPUProfileDur = d
-	case d == 0:
-		spec.CPUProfileDur = 200 * time.Millisecond
 	}
 	return spec
 }

@@ -45,7 +45,7 @@ func checkPromText(t *testing.T, body string) {
 func TestJobMetricsAndReport(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := quickJob(4)
-	cfg.Metrics = reg
+	cfg.Master.Metrics = reg
 	f := gen.Pigeonhole(8)
 	res, err := Solve(f, cfg)
 	if err != nil {

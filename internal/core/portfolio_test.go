@@ -148,9 +148,9 @@ func TestPortfolioCheckpointRoundTrip(t *testing.T) {
 func TestJobPortfolioSolve(t *testing.T) {
 	f := gen.Pigeonhole(8)
 	res, err := Solve(f, JobConfig{
-		Clients:     3,
-		Threads:     3,
-		ShareMaxLen: 10,
+		Clients: 3,
+		Threads: 3,
+		Client:  ClientConfig{ShareMaxLen: 10},
 	})
 	if err != nil {
 		t.Fatal(err)

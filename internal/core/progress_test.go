@@ -145,8 +145,8 @@ func TestDESProgressMonotoneReachesFull(t *testing.T) {
 		t.Fatal("grid_10_20 missing from the Table-1 suite")
 	}
 	cfg := desConfig(inst.Build(), 10_000)
-	cfg.SplitTimeoutVSec = 5
-	cfg.ShareMaxLen = 40
+	cfg.Client.MinRunTime = vsecDuration(5)
+	cfg.Client.ShareMaxLen = 40
 	res := RunDistributed(cfg)
 	if res.Outcome != OutcomeSolved || res.Status != solver.StatusUNSAT {
 		t.Fatalf("got %v/%v", res.Outcome, res.Status)
@@ -198,7 +198,7 @@ func TestDESProgressMonotoneReachesFull(t *testing.T) {
 func TestDESProgressDeterministic(t *testing.T) {
 	build := func() SimResult {
 		cfg := desConfig(gen.Pigeonhole(8), 10_000)
-		cfg.SplitTimeoutVSec = 5
+		cfg.Client.MinRunTime = vsecDuration(5)
 		return RunDistributed(cfg)
 	}
 	a, b := build(), build()
@@ -221,8 +221,8 @@ func TestDESProgressDeterministic(t *testing.T) {
 func TestDESProgressFlightEventsMatchSeries(t *testing.T) {
 	fl := trace.NewFlight(nil)
 	cfg := desConfig(gen.Pigeonhole(8), 10_000)
-	cfg.SplitTimeoutVSec = 5
-	cfg.Flight = fl
+	cfg.Client.MinRunTime = vsecDuration(5)
+	cfg.Master.Flight = fl
 	res := RunDistributed(cfg)
 	if res.Status != solver.StatusUNSAT {
 		t.Fatalf("got %v", res.Status)

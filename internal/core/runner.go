@@ -50,20 +50,46 @@ import (
 // core or on many — this is the apparatus behind the Table-1/Table-2
 // benchmarks.
 
-// RunnerConfig configures a simulated run (sequential or distributed).
+// RunnerConfig configures a simulated run (sequential or distributed). It
+// holds the master's and the clients' configurations as they would be
+// deployed, and adds only what the DES models: the grid and its failures,
+// the virtual clock, the batch system, the job arrivals. RunDistributed hands
+// Master to the one newMaster and Client to every newClient, writing over
+// them only what the shell models: in stamp the heartbeat cadence, the
+// admission cap, the sampler period, and one split strategy (Client's) and
+// flight recorder (Master's) for both halves; at launch each client's host
+// (name, free memory, speed). Fields only the live shell reads (Transport,
+// addresses, Timeout, RebalancePeriod, SliceConflicts, ...) are ignored.
 type RunnerConfig struct {
-	Grid    *grid.Grid
-	Formula *cnf.Formula
-	// Jobs makes the run a multi-job workload: Formula is ignored and each
-	// SimJob arrives at its ArrivalVSec, contending for clients under
-	// SchedPolicy exactly like submissions to `gridsat serve` (it is the same
-	// master), and the result carries one row per job. Empty = a one-shot
-	// run of Formula, the master's job 0.
+	Grid *grid.Grid
+	// Master configures the control plane. Master.Formula is the one-shot
+	// run's instance, the master's job 0; Master.SchedPolicy moves clients
+	// between Jobs; a non-nil Master.Watchdog turns on the history sampler
+	// and anomaly watchdog, ticked at the monitor period with thresholds in
+	// virtual seconds (zero fields take the live defaults); Master.BundleDir
+	// writes postmortem bundles synchronously with deterministic names and
+	// no CPU profile, so a replayed run reproduces them. Master.Flight records
+	// the run's control-plane events in virtual time; the simulation is
+	// deterministic, so the same config reproduces the log exactly.
+	Master MasterConfig
+	// Client configures every simulated client. Client.SolverOptions nil
+	// runs solver.Fidelity2003, the paper's engine, which every
+	// virtual-time table is pinned to; its callbacks (Instrument, OnLemma,
+	// OnLearn) are invoked from the runner's worker goroutines — serially
+	// for any one solver, concurrently across clients — so one shared by
+	// all clients must synchronize what it touches (a shared Counters is
+	// atomic). Client.MinRunTime is the split-timeout floor in virtual
+	// seconds (0 = 10, the paper's 100 s at this scale). With Client.Threads
+	// K > 1, worker 0 (the pathfinder) drives the split, checkpoint and
+	// migration policies while workers 1..K-1 run diversified profiles,
+	// stepped in worker-index order so the run stays deterministic.
+	Client ClientConfig
+	// Jobs makes the run a multi-job workload: Master.Formula is ignored and
+	// each SimJob arrives at its ArrivalVSec, contending for clients under
+	// Master.SchedPolicy exactly like submissions to `gridsat serve` (it is
+	// the same master), and the result carries one row per job. Empty = a
+	// one-shot run of Master.Formula, the master's job 0.
 	Jobs []SimJob
-	// SchedPolicy names the malleable allocation policy for multi-job
-	// runs ("fifo", "fair-share", "priority"; "" = fifo). Ignored when
-	// Jobs is empty.
-	SchedPolicy string
 	// PropsPerVSec is R: solver propagations per virtual second on a
 	// dedicated speed-1.0 host. The benchmark harness uses 1000, which
 	// maps the synthetic instances onto the paper's time scale (paper
@@ -73,33 +99,8 @@ type RunnerConfig struct {
 	QuantumProps int64
 	// TimeoutVSec bounds the run in virtual seconds.
 	TimeoutVSec float64
-	// ShareMaxLen bounds shared learned clauses (paper: 10 and 3);
-	// 0 uses the default, negative disables sharing entirely.
-	ShareMaxLen int
-	// SplitTimeoutVSec floors the client split timeout (paper: 100 s).
-	SplitTimeoutVSec float64
-	// MemDivisor scales host memory down to solver-budget scale, keeping
-	// the paper's memory-pressure dynamics at our reduced problem sizes.
-	MemDivisor int64
-	// MasterHostID locates the master (the paper ran it at UCSD).
-	// -1 picks the last host.
-	MasterHostID int
 	// MaxClients caps the pool (0 = all hosts).
 	MaxClients int
-	// SolverOptions tunes client engines; nil runs solver.Fidelity2003,
-	// the paper's engine, which every virtual-time table is pinned to.
-	// Callback fields (Instrument, OnLemma, OnLearn) are invoked from the
-	// runner's worker goroutines: serially for any one solver, concurrently
-	// across clients, so a callback shared by all clients must synchronize
-	// what it touches. A shared Counters needs nothing: it is atomic.
-	SolverOptions *solver.Options
-	// Threads is each simulated client's in-host portfolio width: worker 0
-	// (the pathfinder) runs the unmodified options and alone drives the
-	// split, checkpoint and migration policies, while workers 1..K-1 run
-	// diversified profiles over the same subproblem and exchange learnt
-	// clauses through the in-host pool, stepped in worker-index order so
-	// the run stays deterministic. 0 or 1 = single-solver clients.
-	Threads int
 	// Batch, when non-nil, adds a Blue Horizon-style batch job (Table 2).
 	Batch *BatchPlan
 	// Failures schedules client crashes — the fault-tolerance extension of
@@ -113,11 +114,6 @@ type RunnerConfig struct {
 	// factor, the whole subproblem moves there (e.g. from a lone remote
 	// desktop to a freshly freed cluster node). 0 disables migration.
 	MigrationFactor float64
-	// Flight, when non-nil, records the run's control-plane events (splits,
-	// shares, churn, verdict) stamped with virtual time and Lamport clocks.
-	// Because the simulation is deterministic, re-running the same config
-	// reproduces the flight log exactly — the basis of the replay verifier.
-	Flight *trace.Flight
 	// P2PSharing prices each relayed share batch as if it had travelled
 	// directly from the sharing client to the recipient instead of through
 	// the master (the relay itself — dedup, fan-out — is the master's
@@ -125,24 +121,13 @@ type RunnerConfig struct {
 	// for exactly this reason; sharing topology is the analogous choice
 	// for the (small, frequent) clause messages.
 	P2PSharing bool
-	// SplitStrategy names the split engine ("first-decision", "dilemma",
-	// "dilemma-veto"; "" = first-decision). A multi-way strategy makes the
-	// simulated master reserve up to its fanout in idle recipients per
-	// split and backlog any cofactors the pool cannot absorb.
-	SplitStrategy string
-	// Watchdog enables the master's history sampler and anomaly watchdog,
-	// ticked at the monitor period, with thresholds in virtual seconds
-	// (zero fields take the live defaults). nil disables both.
-	Watchdog *WatchdogConfig
-	// BundleDir, when non-empty, writes postmortem black-box bundles —
-	// the same directory shape the live master produces — on watchdog
-	// alerts and job failures/cancellations. Bundles are written
-	// synchronously with deterministic names and no CPU profile, so a
-	// replayed run reproduces them exactly.
-	BundleDir string
 	// Seed drives launch jitter.
 	Seed int64
 }
+
+// memDivisor scales host memory down to solver-budget scale, keeping the
+// paper's memory-pressure dynamics at our reduced problem sizes.
+const memDivisor = 100
 
 // TimelinePoint is one sample of the active-client count.
 type TimelinePoint struct {
@@ -211,26 +196,46 @@ func (c *RunnerConfig) withDefaults() RunnerConfig {
 	if out.QuantumProps == 0 {
 		out.QuantumProps = 5000
 	}
-	if out.ShareMaxLen == 0 {
-		out.ShareMaxLen = 10
-	}
-	if out.SplitTimeoutVSec == 0 {
-		out.SplitTimeoutVSec = 10 // the paper's 100 s at 1/10 time scale
-	}
-	if out.MemDivisor == 0 {
-		out.MemDivisor = 100
+	if out.Client.MinRunTime == 0 {
+		out.Client.MinRunTime = 10 * time.Second // the paper's 100 s at 1/10 time scale
 	}
 	if out.MonitorPeriodVSec == 0 {
 		out.MonitorPeriodVSec = 30
 	}
-	if out.MasterHostID < 0 && len(c.Grid.Hosts) > 0 {
-		out.MasterHostID = c.Grid.Hosts[len(c.Grid.Hosts)-1].ID
-	}
-	if out.SolverOptions == nil {
+	if out.Client.SolverOptions == nil {
 		so := solver.Fidelity2003()
-		out.SolverOptions = &so
+		out.Client.SolverOptions = &so
 	}
 	return out
+}
+
+// stamp writes what the DES models over the held configurations, except
+// each client's host, which launch stamps: every configured job is admitted
+// (the DES studies scheduling, not admission control); the history sampler
+// runs at the monitor period when a watchdog is configured and is off
+// otherwise; a client heartbeats every slice; the master learns the
+// clients' split strategy and the clients share the master's flight
+// recorder. Unknown strategy and policy names degrade to the defaults — the
+// CLI rejects them at the flag boundary.
+func (c *RunnerConfig) stamp() {
+	m, cl := &c.Master, &c.Client
+	if _, err := solver.ParseStrategy(cl.SplitStrategy); err != nil {
+		cl.SplitStrategy = ""
+	}
+	if _, err := ParseSchedPolicy(m.SchedPolicy); err != nil {
+		m.SchedPolicy = ""
+	}
+	if len(c.Jobs) > 0 {
+		m.Formula = nil
+	}
+	m.Admission = Admission{MaxActive: len(c.Jobs)}
+	m.HistoryPeriod = -1
+	if m.Watchdog != nil {
+		m.HistoryPeriod = vsecDuration(c.MonitorPeriodVSec)
+	}
+	m.SplitStrategy = cl.SplitStrategy
+	cl.HeartbeatEvery = 1
+	cl.Flight = m.Flight
 }
 
 // SimOutcome classifies how a simulated run ended.
@@ -318,7 +323,7 @@ type SimResult struct {
 	Preemptions  int
 	MakespanVSec float64
 	// Alerts is the watchdog's alert feed (virtual-time stamps; nil when
-	// RunnerConfig.Watchdog was nil) and Bundles the postmortem bundle
+	// RunnerConfig.Master.Watchdog was nil) and Bundles the postmortem bundle
 	// directories written during the run, in capture order.
 	Alerts  []Alert
 	Bundles []string
@@ -339,8 +344,8 @@ func RunSequential(cfg RunnerConfig) SimResult {
 	// Read before withDefaults fills in the clients' preset, which reduces.
 	opts := solver.Fidelity2003()
 	opts.MaxLearnts = 1 << 30 // zChaff-2003-style retention
-	if cfg.SolverOptions != nil {
-		opts = *cfg.SolverOptions
+	if cfg.Client.SolverOptions != nil {
+		opts = *cfg.Client.SolverOptions
 	}
 	cfg = cfg.withDefaults()
 	host := cfg.Grid.Hosts[0]
@@ -349,8 +354,8 @@ func RunSequential(cfg RunnerConfig) SimResult {
 			host = h
 		}
 	}
-	s := solver.New(cfg.Formula, opts)
-	memBudget := host.MemBytes / cfg.MemDivisor * 60 / 100
+	s := solver.New(cfg.Master.Formula, opts)
+	memBudget := host.MemBytes / memDivisor * 60 / 100
 	var vsec float64
 	var props int64
 	for {
@@ -478,14 +483,7 @@ func vsecDuration(v float64) time.Duration { return time.Duration(v * float64(ti
 // RunDistributed simulates a full GridSAT run over the configured grid.
 func RunDistributed(cfg RunnerConfig) SimResult {
 	cfg = cfg.withDefaults()
-	// The DES degrades unknown strategy/policy names to the defaults; the
-	// CLI rejects them at the flag boundary.
-	if _, err := solver.ParseStrategy(cfg.SplitStrategy); err != nil {
-		cfg.SplitStrategy = ""
-	}
-	if _, err := ParseSchedPolicy(cfg.SchedPolicy); err != nil {
-		cfg.SchedPolicy = ""
-	}
+	cfg.stamp()
 	r := &runner{
 		cfg:     cfg,
 		sim:     grid.NewSim(),
@@ -498,39 +496,20 @@ func RunDistributed(cfg RunnerConfig) SimResult {
 	// A client computes at most one quantum at a time and a host runs at
 	// most one client, so a queue of len(Hosts) never blocks the loop.
 	defer r.startWorkers(runtime.GOMAXPROCS(0), len(cfg.Grid.Hosts))()
-	mcfg := MasterConfig{
-		Flight:        cfg.Flight,
-		SplitStrategy: cfg.SplitStrategy,
-		SchedPolicy:   cfg.SchedPolicy,
-		// Every configured job is admitted; the DES studies scheduling,
-		// not admission control.
-		Admission:        Admission{MaxActive: len(cfg.Jobs)},
-		HistoryPeriod:    -1,
-		BundleDir:        cfg.BundleDir,
-		BundleCPUProfile: -1, // a CPU capture would make bundles nondeterministic
-	}
-	if cfg.Watchdog != nil {
-		mcfg.HistoryPeriod = vsecDuration(cfg.MonitorPeriodVSec)
-		mcfg.Watchdog = cfg.Watchdog
-	}
-	if len(cfg.Jobs) == 0 {
-		mcfg.Formula = cfg.Formula
-	}
-	m, err := newMaster(mcfg, r.sim.Now, r.toClient, func(spec BundleSpec) {
+	m, err := newMaster(cfg.Master, r.sim.Now, r.toClient, func(spec BundleSpec) {
 		// Written inline: no goroutine, so bundle contents are reproducible.
 		if dir, err := WriteBundle(spec); err == nil {
 			r.res.Bundles = append(r.res.Bundles, dir)
 		}
 	})
 	if err != nil {
-		panic(err) // unreachable: both names were normalized above
+		panic(err) // unreachable: stamp normalized both names
 	}
 	r.m = m
-	r.mhost = cfg.Grid.HostByID(cfg.MasterHostID)
-	if r.mhost == nil && len(cfg.Grid.Hosts) > 0 {
-		r.mhost = cfg.Grid.Hosts[len(cfg.Grid.Hosts)-1]
+	if n := len(cfg.Grid.Hosts); n > 0 {
+		r.mhost = cfg.Grid.Hosts[n-1] // the paper ran its master at UCSD
 	}
-	r.res.Threads = max(1, cfg.Threads)
+	r.res.Threads = max(1, cfg.Client.Threads)
 
 	// Jobs are submitted at their arrival times, in arrival order.
 	for _, sj := range cfg.Jobs {
@@ -552,7 +531,7 @@ func RunDistributed(cfg RunnerConfig) SimResult {
 			}
 		}
 		m.sampleTick()
-		m.maybeMigrate(cfg.MigrationFactor, cfg.SplitTimeoutVSec)
+		m.maybeMigrate(cfg.MigrationFactor, cfg.Client.MinRunTime.Seconds())
 		m.maybeRebalance() // periodic reallocation, like the live ticker
 		r.settle()
 		r.sim.After(cfg.MonitorPeriodVSec, monitor)
@@ -784,22 +763,13 @@ func (r *runner) launch(h *grid.Host) {
 			return
 		}
 		dc := &desClient{host: h, id: r.m.connect()}
-		cl, err := newClient(ClientConfig{
-			HostName:       h.Name,
-			FreeMemBytes:   h.MemBytes / r.cfg.MemDivisor,
-			SpeedHint:      h.Speed,
-			ShareMaxLen:    r.cfg.ShareMaxLen,
-			MinRunTime:     vsecDuration(r.cfg.SplitTimeoutVSec),
-			HeartbeatEvery: 1,
-			SplitStrategy:  r.cfg.SplitStrategy,
-			Threads:        r.cfg.Threads,
-			SolverOptions:  r.cfg.SolverOptions,
-			Flight:         r.cfg.Flight,
-		}, r.sim.Now, func(to comm.SplitPeer, msg comm.Message) error {
+		ccfg := r.cfg.Client
+		ccfg.HostName, ccfg.FreeMemBytes, ccfg.SpeedHint = h.Name, h.MemBytes/memDivisor, h.Speed
+		cl, err := newClient(ccfg, r.sim.Now, func(to comm.SplitPeer, msg comm.Message) error {
 			return r.fromClient(dc, to, msg)
 		})
 		if err != nil {
-			return // unreachable: the strategy name was normalized above
+			return // unreachable: stamp normalized the strategy name
 		}
 		cl.addr = h.Name
 		cl.slice = solver.Limits{MaxPropagations: r.cfg.QuantumProps}

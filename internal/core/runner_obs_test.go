@@ -21,7 +21,7 @@ func desStallConfig(bundleDir string) RunnerConfig {
 	cfg := desConfig(gen.Pigeonhole(10), 100)
 	cfg.MaxClients = 1
 	cfg.MonitorPeriodVSec = 5
-	cfg.Watchdog = &WatchdogConfig{
+	cfg.Master.Watchdog = &WatchdogConfig{
 		StallWindowSec:     30,
 		StallMinBusy:       1,
 		StragglerWindowSec: -1,
@@ -29,7 +29,7 @@ func desStallConfig(bundleDir string) RunnerConfig {
 		HeartbeatGapSec:    -1,
 		CooldownSec:        1e9,
 	}
-	cfg.BundleDir = bundleDir
+	cfg.Master.BundleDir = bundleDir
 	return cfg
 }
 
@@ -42,7 +42,7 @@ func TestDESWatchdogStallEmitsAnomalyAndBundle(t *testing.T) {
 	dir := t.TempDir()
 	fl := trace.NewFlight(nil)
 	cfg := desStallConfig(dir)
-	cfg.Flight = fl
+	cfg.Master.Flight = fl
 	res := RunDistributed(cfg)
 	if res.Outcome != OutcomeTimeout {
 		t.Fatalf("stall run outcome = %v, want TIME_OUT", res.Outcome)
@@ -120,7 +120,7 @@ func TestDESWatchdogStallEmitsAnomalyAndBundle(t *testing.T) {
 			t.Fatalf("coverage moved (%v at t=%v); stall was not a stall", p.V, p.T)
 		}
 	}
-	if pts[len(pts)-1].T-pts[0].T < cfg.Watchdog.StallWindowSec {
+	if pts[len(pts)-1].T-pts[0].T < cfg.Master.Watchdog.StallWindowSec {
 		t.Fatalf("history window %v vsec shorter than the stall window",
 			pts[len(pts)-1].T-pts[0].T)
 	}
@@ -129,7 +129,7 @@ func TestDESWatchdogStallEmitsAnomalyAndBundle(t *testing.T) {
 	// reproduces the recorded stream, FEvAnomaly included.
 	if err := trace.ReplayVerify(fl.Events(), func(f *trace.Flight) error {
 		rerun := desStallConfig(t.TempDir())
-		rerun.Flight = f
+		rerun.Master.Flight = f
 		RunDistributed(rerun)
 		return nil
 	}); err != nil {
@@ -145,9 +145,9 @@ func TestDESWatchdogNilIsOff(t *testing.T) {
 		fl := trace.NewFlight(nil)
 		cfg := desConfig(gen.Pigeonhole(8), 10_000)
 		cfg.MonitorPeriodVSec = 5
-		cfg.Watchdog = wd
-		cfg.BundleDir = bundleDir
-		cfg.Flight = fl
+		cfg.Master.Watchdog = wd
+		cfg.Master.BundleDir = bundleDir
+		cfg.Master.Flight = fl
 		return fl.Events(), RunDistributed(cfg)
 	}
 	offEvents, offRes := run(nil, "")

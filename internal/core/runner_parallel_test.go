@@ -21,7 +21,7 @@ import (
 func TestParallelDESIsTheSerialDES(t *testing.T) {
 	ph8 := func() RunnerConfig {
 		cfg := desConfig(gen.Pigeonhole(8), 10_000)
-		cfg.SplitTimeoutVSec = 5
+		cfg.Client.MinRunTime = vsecDuration(5)
 		return cfg
 	}
 	configs := []struct {
@@ -32,7 +32,7 @@ func TestParallelDESIsTheSerialDES(t *testing.T) {
 		{"first-decision", ph8, nil},
 		{"dilemma", func() RunnerConfig {
 			cfg := ph8()
-			cfg.SplitStrategy = "dilemma"
+			cfg.Client.SplitStrategy = "dilemma"
 			return cfg
 		}, nil},
 		{"batch-terminate-on-end", func() RunnerConfig {
@@ -81,7 +81,7 @@ func TestParallelDESIsTheSerialDES(t *testing.T) {
 		}},
 		{"portfolio-k2", func() RunnerConfig {
 			cfg := ph8()
-			cfg.Threads = 2
+			cfg.Client.Threads = 2
 			return cfg
 		}, nil},
 		{"three-jobs-preempt-cancel", func() RunnerConfig {
@@ -107,7 +107,7 @@ func TestParallelDESIsTheSerialDES(t *testing.T) {
 				runtime.GOMAXPROCS(procs)
 				fl := trace.NewFlight(nil)
 				cfg := tc.mk()
-				cfg.Flight = fl
+				cfg.Master.Flight = fl
 				res := RunDistributed(cfg)
 				var log bytes.Buffer
 				if err := fl.WriteJSONL(&log); err != nil {

@@ -18,8 +18,8 @@ import (
 
 func portfolioDESConfig(f *cnf.Formula, threads int) RunnerConfig {
 	cfg := desConfig(f, 100_000)
-	cfg.SplitTimeoutVSec = 5
-	cfg.Threads = threads
+	cfg.Client.MinRunTime = vsecDuration(5)
+	cfg.Client.Threads = threads
 	return cfg
 }
 
@@ -84,14 +84,14 @@ func TestRunDistributedPortfolioDeterministic(t *testing.T) {
 func TestRunDistributedPortfolioReplayVerify(t *testing.T) {
 	record := trace.NewFlight(nil)
 	cfg := portfolioDESConfig(gen.Pigeonhole(8), 4)
-	cfg.Flight = record
+	cfg.Master.Flight = record
 	res := RunDistributed(cfg)
 	if res.Status != solver.StatusUNSAT {
 		t.Fatalf("got %v", res.Status)
 	}
 	if err := trace.ReplayVerify(record.Events(), func(f *trace.Flight) error {
 		rerun := portfolioDESConfig(gen.Pigeonhole(8), 4)
-		rerun.Flight = f
+		rerun.Master.Flight = f
 		RunDistributed(rerun)
 		return nil
 	}); err != nil {
@@ -106,9 +106,9 @@ func TestRunDistributedThreadsOneBitIdentical(t *testing.T) {
 	run := func(threads int) ([]trace.FEvent, SimResult) {
 		fl := trace.NewFlight(nil)
 		cfg := desConfig(gen.Pigeonhole(8), 100_000)
-		cfg.SplitTimeoutVSec = 5
-		cfg.Threads = threads
-		cfg.Flight = fl
+		cfg.Client.MinRunTime = vsecDuration(5)
+		cfg.Client.Threads = threads
+		cfg.Master.Flight = fl
 		res := RunDistributed(cfg)
 		return fl.Events(), res
 	}
@@ -141,7 +141,7 @@ func TestRunDistributedPortfolioMigration(t *testing.T) {
 	cfg := desConfig(gen.Pigeonhole(10), 100_000)
 	cfg.Grid = g
 	cfg.MaxClients = 2
-	cfg.Threads = 2
+	cfg.Client.Threads = 2
 	cfg.MigrationFactor = 2
 	cfg.MonitorPeriodVSec = 10
 	cfg.Batch = &BatchPlan{Nodes: 8, WalltimeVSec: 100_000, MeanQueueWaitVSec: 15}

@@ -17,13 +17,12 @@ import (
 func desSchedConfig(jobs []SimJob, policy string, timeout float64) RunnerConfig {
 	return RunnerConfig{
 		Grid:              grid.TestbedGrADS(1),
+		Master:            MasterConfig{SchedPolicy: policy},
+		Client:            ClientConfig{ShareMaxLen: 10},
 		Jobs:              jobs,
-		SchedPolicy:       policy,
 		TimeoutVSec:       timeout,
 		PropsPerVSec:      1000,
 		QuantumProps:      5000,
-		ShareMaxLen:       10,
-		MasterHostID:      -1,
 		MonitorPeriodVSec: 10,
 		Seed:              1,
 	}
@@ -63,7 +62,7 @@ func TestRunDistributedTwoConcurrentJobs(t *testing.T) {
 	}
 	fl := trace.NewFlight(nil)
 	cfg := desSchedConfig(jobs, "fair-share", 50_000)
-	cfg.Flight = fl
+	cfg.Master.Flight = fl
 	res := RunDistributed(cfg)
 	if res.Outcome != OutcomeSolved {
 		t.Fatalf("outcome %v, want solved (jobs: %+v)", res.Outcome, res.Jobs)
@@ -110,7 +109,7 @@ func TestRunDistributedSchedPreemptChain(t *testing.T) {
 	// Two clients total, so the long job provably holds the whole cluster
 	// when the second job arrives — its start REQUIRES a preemption.
 	cfg.MaxClients = 2
-	cfg.Flight = fl
+	cfg.Master.Flight = fl
 	res := RunDistributed(cfg)
 	if res.Outcome != OutcomeSolved {
 		t.Fatalf("outcome %v (jobs: %+v)", res.Outcome, res.Jobs)
@@ -183,7 +182,7 @@ func TestRunDistributedSchedDeterministic(t *testing.T) {
 		}
 		fl := trace.NewFlight(nil)
 		cfg := desSchedConfig(jobs, "priority", 100_000)
-		cfg.Flight = fl
+		cfg.Master.Flight = fl
 		return RunDistributed(cfg), fl.Events()
 	}
 	r1, e1 := mk()
@@ -215,7 +214,7 @@ func TestRunDistributedSingleJobUnchanged(t *testing.T) {
 	const golden = "testdata/oneshot_ph8_parent.flight.jsonl"
 	fl := trace.NewFlight(nil)
 	cfg := desConfig(gen.Pigeonhole(8), 10_000)
-	cfg.Flight = fl
+	cfg.Master.Flight = fl
 	res := RunDistributed(cfg)
 	if res.Outcome != OutcomeSolved || res.Status != solver.StatusUNSAT {
 		t.Fatalf("got %v/%v", res.Outcome, res.Status)
@@ -276,9 +275,9 @@ func TestOneShotIsAOneJobService(t *testing.T) {
 		for _, strategy := range []string{"first-decision", "dilemma"} {
 			t.Run(inst.name+"/"+strategy, func(t *testing.T) {
 				cfg := desConfig(inst.formula, 6000)
-				cfg.SplitStrategy = strategy
+				cfg.Client.SplitStrategy = strategy
 				shot := RunDistributed(cfg)
-				cfg.Formula = nil
+				cfg.Master.Formula = nil
 				cfg.Jobs = []SimJob{{Name: inst.name, Formula: inst.formula, Priority: 1}}
 				svc := RunDistributed(cfg)
 				if len(svc.Jobs) != 1 || shot.Jobs != nil {
@@ -344,8 +343,9 @@ func TestJobDemand(t *testing.T) {
 }
 
 // TestRunDistributedAssignmentAtSliceBoundary is the D2 regression, at the
-// exact instant the live defect needed a race to hit. One client runs on
-// the master's own host, so the link between them has zero delay: the
+// exact instant the live defect needed a race to hit. The grid is one host,
+// the last one, so the one client runs on the master's host and the link
+// between them has zero delay: the
 // slice that refutes job 1's last subproblem sends Solved, the master
 // answers in the same virtual instant with job 2's root, and the payload
 // is waiting in the client's control queue when the slice boundary is
@@ -358,9 +358,8 @@ func TestRunDistributedAssignmentAtSliceBoundary(t *testing.T) {
 	}
 	fl := trace.NewFlight(nil)
 	cfg := desSchedConfig(jobs, "fifo", 10_000)
-	cfg.MaxClients = 1   // only host 0 gets a client…
-	cfg.MasterHostID = 0 // …and the master sits on it: a zero-delay link
-	cfg.Flight = fl
+	cfg.Grid.Hosts = cfg.Grid.Hosts[:1] // host 0 gets the client and the master: a zero-delay link
+	cfg.Master.Flight = fl
 	res := RunDistributed(cfg)
 	if res.Outcome != OutcomeSolved {
 		t.Fatalf("outcome %v (jobs: %+v)", res.Outcome, res.Jobs)

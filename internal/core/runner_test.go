@@ -16,12 +16,11 @@ import (
 func desConfig(f *cnf.Formula, timeout float64) RunnerConfig {
 	return RunnerConfig{
 		Grid:         grid.TestbedGrADS(1),
-		Formula:      f,
+		Master:       MasterConfig{Formula: f},
+		Client:       ClientConfig{ShareMaxLen: 10},
 		TimeoutVSec:  timeout,
 		PropsPerVSec: 1000,
 		QuantumProps: 5000,
-		ShareMaxLen:  10,
-		MasterHostID: -1,
 		Seed:         1,
 	}
 }
@@ -49,8 +48,8 @@ func TestSimSummaryIsPinned(t *testing.T) {
 			"outcome=solved vsec=222.9 splits=96 shared=1928 work=2132250-props msgs=12906 bytes=1165399"},
 	} {
 		res := RunDistributed(RunnerConfig{
-			Grid: grid.TestbedGrADS(1), Formula: row.formula, TimeoutVSec: 6000,
-			Threads: 1, ShareMaxLen: 10, MasterHostID: -1, Seed: 1,
+			Grid: grid.TestbedGrADS(1), Master: MasterConfig{Formula: row.formula}, TimeoutVSec: 6000,
+			Client: ClientConfig{Threads: 1, ShareMaxLen: 10}, Seed: 1,
 		})
 		got := fmt.Sprintf("outcome=%s vsec=%.1f splits=%d shared=%d work=%d-props msgs=%d bytes=%d",
 			res.Outcome, res.VSec, res.Splits, res.Shared, res.TotalProps, res.Msgs, res.Bytes)
@@ -98,7 +97,9 @@ func TestRunSequentialTimeout(t *testing.T) {
 
 func TestRunSequentialMemOut(t *testing.T) {
 	cfg := desConfig(gen.Pigeonhole(10), 100_000)
-	cfg.MemDivisor = 20_000 // starve the baseline
+	for _, h := range cfg.Grid.Hosts {
+		h.MemBytes /= 200 // starve the baseline
+	}
 	res := RunSequential(cfg)
 	if res.Outcome != OutcomeMemOut {
 		t.Fatalf("got %v", res.Outcome)
@@ -156,10 +157,10 @@ func TestRunDistributedDeterministic(t *testing.T) {
 func TestRunDistributedSplitsOnHardInstance(t *testing.T) {
 	f := gen.Pigeonhole(9)
 	cfg := desConfig(f, 10_000)
-	cfg.SplitTimeoutVSec = 5
+	cfg.Client.MinRunTime = vsecDuration(5)
 	// Pigeonhole learns long clauses, and globally valid exports carry
 	// their guiding-path literals; a wider share bound keeps them flowing.
-	cfg.ShareMaxLen = 40
+	cfg.Client.ShareMaxLen = 40
 	res := RunDistributed(cfg)
 	if res.Outcome != OutcomeSolved {
 		t.Fatalf("got %v", res.Outcome)
@@ -210,7 +211,7 @@ func TestRunDistributedSlowdownOnSymmetricInstance(t *testing.T) {
 	// work — the paper's grid_10_20 row (0.31x) shows exactly this.
 	f := gen.Pigeonhole(9)
 	cfg := desConfig(f, 100_000)
-	cfg.SplitTimeoutVSec = 5
+	cfg.Client.MinRunTime = vsecDuration(5)
 	seq := RunSequential(cfg)
 	dist := RunDistributed(cfg)
 	if seq.Outcome != OutcomeSolved || dist.Outcome != OutcomeSolved {
@@ -263,7 +264,7 @@ func TestRunDistributedBatchNodesJoin(t *testing.T) {
 	f := gen.Pigeonhole(10) // hard enough to outlast the short queue wait
 	cfg := desConfig(f, 100_000)
 	cfg.Grid = g
-	cfg.SplitTimeoutVSec = 5
+	cfg.Client.MinRunTime = vsecDuration(5)
 	cfg.MaxClients = 4
 	cfg.Batch = &BatchPlan{Nodes: 16, WalltimeVSec: 100_000, MeanQueueWaitVSec: 20}
 	res := RunDistributed(cfg)
@@ -308,7 +309,7 @@ func TestSimOutcomeString(t *testing.T) {
 func TestRunDistributedCrashRecovery(t *testing.T) {
 	f := gen.Pigeonhole(9)
 	cfg := desConfig(f, 100_000)
-	cfg.SplitTimeoutVSec = 5
+	cfg.Client.MinRunTime = vsecDuration(5)
 	cfg.Failures = []FailurePlan{
 		{HostID: 0, AtVSec: 30},
 		{HostID: 1, AtVSec: 45},
@@ -327,7 +328,7 @@ func TestRunDistributedCrashRecoveryPreservesAnswer(t *testing.T) {
 		f := gen.RandomKSAT(20, 85, 3, seed)
 		want, _ := brute.Solve(f, 0)
 		cfg := desConfig(f, 100_000)
-		cfg.SplitTimeoutVSec = 2
+		cfg.Client.MinRunTime = vsecDuration(2)
 		cfg.Failures = []FailurePlan{{HostID: 0, AtVSec: 10}, {HostID: 2, AtVSec: 14}}
 		res := RunDistributed(cfg)
 		if res.Outcome != OutcomeSolved {
@@ -389,7 +390,7 @@ func TestRunDistributedMigrationPreservesAnswer(t *testing.T) {
 		cfg := desConfig(f, 100_000)
 		cfg.MigrationFactor = 1.2
 		cfg.MonitorPeriodVSec = 5
-		cfg.SplitTimeoutVSec = 2
+		cfg.Client.MinRunTime = vsecDuration(2)
 		res := RunDistributed(cfg)
 		if res.Outcome != OutcomeSolved {
 			t.Fatalf("seed %d: %v", seed, res.Outcome)
@@ -405,7 +406,7 @@ func TestRunDistributedMigrationPreservesAnswer(t *testing.T) {
 func TestRunDistributedTimeline(t *testing.T) {
 	f := gen.Pigeonhole(9)
 	cfg := desConfig(f, 100_000)
-	cfg.SplitTimeoutVSec = 5
+	cfg.Client.MinRunTime = vsecDuration(5)
 	res := RunDistributed(cfg)
 	if res.Outcome != OutcomeSolved {
 		t.Fatalf("got %v", res.Outcome)
@@ -443,13 +444,13 @@ func TestRunDistributedFlightLogsRepeat(t *testing.T) {
 	configs := map[string]func() RunnerConfig{
 		"single-job": func() RunnerConfig {
 			cfg := desConfig(gen.Pigeonhole(8), 10_000)
-			cfg.SplitTimeoutVSec = 5
+			cfg.Client.MinRunTime = vsecDuration(5)
 			return cfg
 		},
 		"portfolio-k4": func() RunnerConfig {
 			cfg := desConfig(gen.Pigeonhole(8), 10_000)
-			cfg.SplitTimeoutVSec = 5
-			cfg.Threads = 4
+			cfg.Client.MinRunTime = vsecDuration(5)
+			cfg.Client.Threads = 4
 			return cfg
 		},
 		"multi-job-preempt": func() RunnerConfig {
@@ -462,7 +463,7 @@ func TestRunDistributedFlightLogsRepeat(t *testing.T) {
 		},
 		"crash-recovery": func() RunnerConfig {
 			cfg := desConfig(gen.Pigeonhole(8), 10_000)
-			cfg.SplitTimeoutVSec = 5
+			cfg.Client.MinRunTime = vsecDuration(5)
 			cfg.Failures = []FailurePlan{{HostID: 0, AtVSec: 30}, {HostID: 1, AtVSec: 45}}
 			return cfg
 		},
@@ -472,7 +473,7 @@ func TestRunDistributedFlightLogsRepeat(t *testing.T) {
 			run := func() (SimResult, []trace.FEvent) {
 				fl := trace.NewFlight(nil)
 				cfg := mk()
-				cfg.Flight = fl
+				cfg.Master.Flight = fl
 				return RunDistributed(cfg), fl.Events()
 			}
 			r1, e1 := run()
@@ -558,21 +559,18 @@ func TestLiveAndSimulatedRuntimesAgree(t *testing.T) {
 	simFlight := trace.NewFlight(nil)
 	cfg := desConfig(f, 100_000)
 	cfg.MaxClients = 3
-	cfg.SplitTimeoutVSec = 2
-	cfg.Flight = simFlight
+	cfg.Client.MinRunTime = vsecDuration(2)
+	cfg.Master.Flight = simFlight
 	sim := RunDistributed(cfg)
 	if sim.Outcome != OutcomeSolved || sim.Status != solver.StatusUNSAT || sim.CoverageUnits != coverageFull {
 		t.Fatalf("DES: %v/%v, %d coverage units", sim.Outcome, sim.Status, sim.CoverageUnits)
 	}
 	liveFlight := trace.NewFlight(nil)
 	live, err := Solve(f, JobConfig{
-		Clients:        3,
-		ClientMemBytes: 64 << 20,
-		ShareMaxLen:    10,
-		Timeout:        time.Minute,
-		MinRunTime:     2 * time.Millisecond,
-		SliceConflicts: 100,
-		Flight:         liveFlight,
+		Clients: 3,
+		Master:  MasterConfig{Timeout: time.Minute, Flight: liveFlight},
+		Client: ClientConfig{FreeMemBytes: 64 << 20, ShareMaxLen: 10,
+			MinRunTime: 2 * time.Millisecond, SliceConflicts: 100},
 	})
 	defer dumpFlight(t, liveFlight)
 	if err != nil {

@@ -91,7 +91,7 @@ func (m *Master) admit(id int, name string, f *cnf.Formula, priority int) {
 	m.jobs[id] = &masterJob{
 		Job: &Job{ID: id, Name: name, Priority: priority, Formula: f,
 			State: JobQueued, SubmittedAt: m.now()},
-		seenShared: newClauseWindow(m.cfg.ShareWindow),
+		seenShared: newClauseWindow(shareWindowCap),
 	}
 	m.jobOrder = append(m.jobOrder, id)
 	m.femit(trace.FEvent{Kind: trace.FEvJobSubmit, Job: id, Detail: name, N: int64(priority)})

@@ -20,9 +20,13 @@ type clauseWindow struct {
 	cur, prev map[uint64]struct{}
 }
 
+// shareWindowCap is the epoch size of every share window, the master's
+// per-job one and each client's: 2^16 fingerprints, sized for long runs.
+const shareWindowCap = 1 << 16
+
 func newClauseWindow(capacity int) *clauseWindow {
 	if capacity <= 0 {
-		capacity = 1 << 16
+		capacity = shareWindowCap
 	}
 	// The first epoch grows on demand: most windows (one per client, one
 	// per job) never see anywhere near cap fingerprints.

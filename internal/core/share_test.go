@@ -449,8 +449,8 @@ func TestMasterDropsSharesWhenQueueFull(t *testing.T) {
 }
 
 // TestMasterShareWindowBounded drives sustained sharing through a live
-// master configured with a small window and checks the duplicate-
-// suppression state honors the bound (satellite of the unbounded
+// master whose job window is shrunk to a small cap and checks the
+// duplicate-suppression state honors the bound (satellite of the unbounded
 // seenClauses-map fix).
 func TestMasterShareWindowBounded(t *testing.T) {
 	const window = 64
@@ -460,11 +460,11 @@ func TestMasterShareWindowBounded(t *testing.T) {
 		Formula:         gen.Pigeonhole(6),
 		Timeout:         60 * time.Second,
 		ExpectedClients: 2, // never reached: the run idles while we flood
-		ShareWindow:     window,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.jobs[0].seenShared = newClauseWindow(window) // before Run: nothing else reads it yet
 	go m.Run()
 
 	sender := fakeClient(t, m.cfg.Transport, "bound-master", 0, true)

@@ -41,9 +41,9 @@ func TestCoverageKWaySplitBitExact(t *testing.T) {
 // dilemmaDESConfig is the DES config the dilemma acceptance tests share.
 func dilemmaDESConfig(strategy string) RunnerConfig {
 	cfg := desConfig(gen.Pigeonhole(8), 10_000)
-	cfg.SplitTimeoutVSec = 5
-	cfg.ShareMaxLen = 40
-	cfg.SplitStrategy = strategy
+	cfg.Client.MinRunTime = vsecDuration(5)
+	cfg.Client.ShareMaxLen = 40
+	cfg.Client.SplitStrategy = strategy
 	return cfg
 }
 
@@ -76,8 +76,8 @@ func TestRunDistributedDilemmaAgainstBrute(t *testing.T) {
 		f := gen.RandomKSAT(20, 85, 3, seed)
 		want, _ := brute.Solve(f, 0)
 		cfg := desConfig(f, 10_000)
-		cfg.SplitTimeoutVSec = 5
-		cfg.SplitStrategy = "dilemma"
+		cfg.Client.MinRunTime = vsecDuration(5)
+		cfg.Client.SplitStrategy = "dilemma"
 		res := RunDistributed(cfg)
 		if res.Outcome != OutcomeSolved {
 			t.Fatalf("seed %d: %v", seed, res.Outcome)
@@ -99,7 +99,7 @@ func TestRunDistributedDilemmaAgainstBrute(t *testing.T) {
 func TestRunDistributedDilemmaReplayVerify(t *testing.T) {
 	record := trace.NewFlight(nil)
 	cfg := dilemmaDESConfig("dilemma")
-	cfg.Flight = record
+	cfg.Master.Flight = record
 	res := RunDistributed(cfg)
 	if res.Status != solver.StatusUNSAT {
 		t.Fatalf("got %v", res.Status)
@@ -111,7 +111,7 @@ func TestRunDistributedDilemmaReplayVerify(t *testing.T) {
 	}
 	if err := trace.ReplayVerify(recorded, func(f *trace.Flight) error {
 		rerun := dilemmaDESConfig("dilemma")
-		rerun.Flight = f
+		rerun.Master.Flight = f
 		RunDistributed(rerun)
 		return nil
 	}); err != nil {
@@ -125,7 +125,7 @@ func TestRunDistributedDilemmaReplayVerify(t *testing.T) {
 func TestRunDistributedDilemmaLineage(t *testing.T) {
 	fl := trace.NewFlight(nil)
 	cfg := dilemmaDESConfig("dilemma")
-	cfg.Flight = fl
+	cfg.Master.Flight = fl
 	res := RunDistributed(cfg)
 	if res.Status != solver.StatusUNSAT {
 		t.Fatalf("got %v", res.Status)

@@ -38,18 +38,20 @@ func (l Level) String() string {
 }
 
 // ParseLevel maps a flag string ("debug", "info", "warn", "error") to a
-// Level; unknown strings default to Info.
-func ParseLevel(s string) Level {
+// Level, case-insensitively; anything else is an error naming the accepted
+// levels.
+func ParseLevel(s string) (Level, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "debug":
-		return LevelDebug
+		return LevelDebug, nil
+	case "info":
+		return LevelInfo, nil
 	case "warn", "warning":
-		return LevelWarn
+		return LevelWarn, nil
 	case "error":
-		return LevelError
-	default:
-		return LevelInfo
+		return LevelError, nil
 	}
+	return LevelInfo, fmt.Errorf("obs: unknown log level %q (want debug, info, warn or error)", s)
 }
 
 // Logger is a small leveled structured logger writing one line per event:

@@ -211,10 +211,15 @@ func TestNopLoggerSilent(t *testing.T) {
 
 func TestParseLevel(t *testing.T) {
 	cases := map[string]Level{"debug": LevelDebug, "INFO": LevelInfo,
-		"Warning": LevelWarn, "error": LevelError, "bogus": LevelInfo}
+		"Warning": LevelWarn, "error": LevelError}
 	for in, want := range cases {
-		if got := ParseLevel(in); got != want {
-			t.Errorf("ParseLevel(%q) = %v, want %v", in, got, want)
+		if got, err := ParseLevel(in); got != want || err != nil {
+			t.Errorf("ParseLevel(%q) = %v, %v, want %v", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"bogus", "degub", ""} {
+		if _, err := ParseLevel(in); err == nil || !strings.Contains(err.Error(), "debug, info, warn or error") {
+			t.Errorf("ParseLevel(%q) error = %v, want one listing the accepted levels", in, err)
 		}
 	}
 }

@@ -59,14 +59,17 @@ func (s *Solver) PendingImports() int {
 
 func (s *Solver) hasImports() bool { return s.PendingImports() > 0 }
 
+// importMergeConflicts is how many conflicts an import buffer may wait
+// before the solver forces a restart to merge it; one value serves both
+// presets and every portfolio profile.
+const importMergeConflicts = 2048
+
 // needMergeRestart reports whether the import buffer has waited long enough
-// that the solver should force a restart to merge it (Options.
-// ImportMergeConflicts). Without this, a client deep in its search would
-// never benefit from clauses its peers share.
+// that the solver should force a restart to merge it. Without this, a
+// client deep in its search would never benefit from clauses its peers
+// share.
 func (s *Solver) needMergeRestart() bool {
-	return s.opts.ImportMergeConflicts > 0 &&
-		s.importWaitConflicts >= s.opts.ImportMergeConflicts &&
-		s.hasImports()
+	return s.importWaitConflicts >= s.importMergeAfter && s.hasImports()
 }
 
 // mergeImports merges the queued clauses into the database. It implements

@@ -160,13 +160,14 @@ func TestImportSoundness(t *testing.T) {
 }
 
 // TestImportMergeForcedRestart: a solver deep in search with a waiting
-// import buffer must eventually restart to merge (ImportMergeConflicts).
+// import buffer must eventually restart to merge (importMergeConflicts,
+// shortened here).
 func TestImportMergeForcedRestart(t *testing.T) {
 	opts := DefaultOptions()
 	opts.RestartBase = 0 // disable normal restarts
-	opts.ImportMergeConflicts = 16
 	f := gen.Pigeonhole(9)
 	s := New(f, opts)
+	s.importMergeAfter = 16
 	s.Solve(Limits{MaxConflicts: 8}) // get into the search
 	if err := s.ImportClause(cnf.NewClause(1, 2, 3)); err != nil {
 		t.Fatal(err)

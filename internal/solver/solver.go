@@ -126,10 +126,6 @@ type Options struct {
 	// (the paper's "inconsequential clause" pruning, §3.1). The paper also
 	// backports this to its sequential baseline; it defaults to on.
 	PruneLevel0 bool
-	// ImportMergeConflicts forces a restart to merge imported clauses when
-	// the import buffer has been non-empty for this many conflicts.
-	// 0 means imports merge only when search naturally reaches level 0.
-	ImportMergeConflicts int
 	// MaxLearnts is the initial learned-clause cap: reduceDB runs when the
 	// learnt list outgrows it, deletes half in Reduce's order and raises
 	// the cap by a fifth. 0 derives it from the problem size (a third of
@@ -330,10 +326,9 @@ const (
 // engine does.
 func Fidelity2003() Options {
 	return Options{
-		DecayInterval:        256,
-		RestartBase:          512,
-		PruneLevel0:          true,
-		ImportMergeConflicts: 2048,
+		DecayInterval: 256,
+		RestartBase:   512,
+		PruneLevel0:   true,
 	}
 }
 
@@ -394,9 +389,12 @@ type Solver struct {
 	status      Status
 	emptyClause bool // an empty clause was added: trivially UNSAT
 
-	// Shared-clause import buffer (paper §3.2): merged at level 0.
-	importMu  sync.Mutex
-	importBuf []pendingImport
+	// Shared-clause import buffer (paper §3.2): merged at level 0, or by a
+	// forced restart once it has waited importMergeAfter conflicts
+	// (importMergeConflicts; a test may shorten it).
+	importMu         sync.Mutex
+	importBuf        []pendingImport
+	importMergeAfter int
 
 	stop atomic.Bool
 
@@ -466,6 +464,8 @@ func New(f *cnf.Formula, opts Options) *Solver {
 		seen:     make([]bool, f.NumVars),
 		tainted:  make([]bool, f.NumVars),
 		lbdSeen:  make([]int32, f.NumVars+1),
+
+		importMergeAfter: importMergeConflicts,
 	}
 	// One slab backs every watch list, cut by occurrence count: problem
 	// clauses alone can never put more watchers on ¬l's list than l has
