@@ -5,7 +5,7 @@
 //	benchtab -table 2              regenerate Table 2 (9 rows + batch)
 //	benchtab -table 1 -rows 6pipe,dp12s12
 //	benchtab -ablation sharelen    clause-share-length sweep
-//	benchtab -ablation sched       scheduling-policy sweep (Poisson workload)
+//	benchtab -ablation sched       multi-job scheduling (Poisson workload)
 //	benchtab -bhonly               par32-1-c Blue-Horizon-only rerun
 //
 // Times are virtual seconds at the fixed scale (1 vsec ≈ 10 paper
@@ -77,7 +77,7 @@ func main() {
 		did = true
 		if *ablation == "sched" {
 			jobs := bench.PoissonWorkload(*schedJobs, *schedGap, *seed)
-			fmt.Printf("ablation: scheduling policy over a %d-job Poisson workload (mean gap %gvs, %d clients)\n",
+			fmt.Printf("ablation: scheduling a %d-job Poisson workload (mean gap %gvs, %d clients)\n",
 				*schedJobs, *schedGap, bench.SchedWorkloadClients)
 			fmt.Print(bench.RenderSchedAblation(bench.AblationSched(jobs, opts)))
 		} else {

@@ -182,13 +182,10 @@ func (o *outputs) reportFlags(fs *flag.FlagSet) {
 	fs.StringVar(&o.log, "log", "", "structured log level (debug|info|warn|error; empty = off)")
 }
 
-// validate rejects a -split-strategy, -sched or -log value that names
-// nothing ("" is each one's default).
-func validate(strategy, policy, level string) error {
+// validate rejects a -split-strategy or -log value that names nothing (""
+// is each one's default).
+func validate(strategy, level string) error {
 	if _, err := solver.ParseStrategy(strategy); err != nil {
-		return err
-	}
-	if _, err := core.ParseSchedPolicy(policy); err != nil {
 		return err
 	}
 	if level != "" {
@@ -223,7 +220,7 @@ func parseRun(args []string) (runCmd, error) {
 	fs := runFlags(&c)
 	fs.Parse(args)
 	c.instance = fs.Arg(0)
-	return c, validate(c.job.Client.SplitStrategy, "", c.out.log)
+	return c, validate(c.job.Client.SplitStrategy, c.out.log)
 }
 
 func cmdRun(args []string) error {
@@ -378,7 +375,7 @@ func parseMaster(args []string) (masterCmd, error) {
 	fs := masterFlags(&c)
 	fs.Parse(args)
 	c.instance = fs.Arg(0)
-	return c, validate(c.cfg.SplitStrategy, "", c.out.log)
+	return c, validate(c.cfg.SplitStrategy, c.out.log)
 }
 
 func cmdMaster(args []string) error {
@@ -437,11 +434,9 @@ func serveFlags(c *serveCmd) *flag.FlagSet {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	fs.StringVar(&c.cfg.ListenAddr, "listen", ":7070", "TCP listen address for solver clients")
 	fs.StringVar(&c.cfg.MetricsAddr, "api-addr", ":8080", "HTTP address for the /jobs API (also serves /metrics, /status, /progress)")
-	fs.StringVar(&c.cfg.SchedPolicy, "sched", "fifo", "allocation policy: fifo | fair-share | priority")
 	fs.IntVar(&c.cfg.Admission.MaxActive, "max-jobs", 0, "admission cap on active jobs (0 = derive from client count)")
 	fs.Int64Var(&c.cfg.Admission.MemBudgetBytes, "mem-budget", 0, "admission cap on summed active formula bytes (0 = unbounded)")
 	fs.Int64Var(&c.cfg.MinMemBytes, "min-mem", 128<<20, "minimum client free memory (bytes)")
-	fs.DurationVar(&c.cfg.RebalancePeriod, "rebalance", 0, "allocation review period (0 = 250ms)")
 	fs.DurationVar(&c.cfg.Timeout, "timeout", 0, "shut the service down after this long (0 = run until interrupted)")
 	fs.StringVar(&c.cfg.SplitStrategy, "split-strategy", "", "split engine: "+solver.StrategyNames)
 	fs.StringVar(&c.out.log, "log", "info", "structured log level (debug|info|warn|error; empty = off)")
@@ -456,7 +451,7 @@ func parseServe(args []string) (serveCmd, error) {
 	if c.cfg.MetricsAddr == "" {
 		return c, fmt.Errorf("serve needs -api-addr: the /jobs API rides the introspection server")
 	}
-	return c, validate(c.cfg.SplitStrategy, c.cfg.SchedPolicy, c.out.log)
+	return c, validate(c.cfg.SplitStrategy, c.out.log)
 }
 
 // cmdServe boots the long-lived multi-job scheduling service: a master
@@ -488,7 +483,7 @@ func cmdServe(args []string) error {
 	}
 	svc.Attach(m)
 	fmt.Fprintln(os.Stderr, "gridsat serve: clients on", m.Addr())
-	fmt.Fprintln(os.Stderr, "gridsat serve: job API on http://"+m.MetricsAddr()+"/jobs (policy "+c.cfg.SchedPolicy+")")
+	fmt.Fprintln(os.Stderr, "gridsat serve: job API on http://"+m.MetricsAddr()+"/jobs")
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -525,7 +520,7 @@ func clientFlags(cfg *core.ClientConfig) *flag.FlagSet {
 func parseClient(args []string) (core.ClientConfig, error) {
 	var cfg core.ClientConfig
 	clientFlags(&cfg).Parse(args)
-	return cfg, validate(cfg.SplitStrategy, "", "")
+	return cfg, validate(cfg.SplitStrategy, "")
 }
 
 func cmdClient(args []string) error {
@@ -693,7 +688,7 @@ func parseSim(args []string) (simCmd, error) {
 	c.instance = fs.Arg(0)
 	// The DES degrades unknown strategies to first-decision; reject them
 	// loudly at the flag boundary instead.
-	return c, validate(c.cfg.Client.SplitStrategy, "", "")
+	return c, validate(c.cfg.Client.SplitStrategy, "")
 }
 
 // config builds one run's configuration. The grid is mutated during a run,

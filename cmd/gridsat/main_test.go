@@ -75,11 +75,9 @@ var flagTable = map[string][]flagRow{
 	"serve": {
 		{"listen", ":7171", "cfg.ListenAddr", ":7171"},
 		{"api-addr", "127.0.0.1:9", "cfg.MetricsAddr", "127.0.0.1:9"},
-		{"sched", "fair-share", "cfg.SchedPolicy", "fair-share"},
 		{"max-jobs", "3", "cfg.Admission.MaxActive", "3"},
 		{"mem-budget", "4096", "cfg.Admission.MemBudgetBytes", "4096"},
 		{"min-mem", "0", "cfg.MinMemBytes", "0"},
-		{"rebalance", "1s", "cfg.RebalancePeriod", "1s"},
 		{"timeout", "90s", "cfg.Timeout", "1m30s"},
 		{"split-strategy", "dilemma", "cfg.SplitStrategy", "dilemma"},
 		{"log", "", "out.log", ""},
@@ -173,9 +171,8 @@ func TestFlagsLandInOneField(t *testing.T) {
 	}
 }
 
-// TestBadNamesAreRejected: a flag value that names no split strategy,
-// scheduling policy or log level is an error at parse time, not a silent
-// default.
+// TestBadNamesAreRejected: a flag value that names no split strategy or
+// log level is an error at parse time, not a silent default.
 func TestBadNamesAreRejected(t *testing.T) {
 	for _, tc := range []struct {
 		mode string
@@ -187,7 +184,6 @@ func TestBadNamesAreRejected(t *testing.T) {
 		{"serve", []string{"-split-strategy", "halves"}, "halves"},
 		{"client", []string{"-split-strategy", "halves"}, "halves"},
 		{"sim", []string{"-split-strategy", "halves"}, "halves"},
-		{"serve", []string{"-sched", "lottery"}, "lottery"},
 		{"run", []string{"-log", "degub"}, "degub"},
 		{"master", []string{"-log", "degub"}, "degub"},
 		{"serve", []string{"-log", "degub"}, "degub"},

@@ -11,9 +11,9 @@ import (
 )
 
 // SchedWorkloadClients caps the simulated cluster for the scheduler
-// ablation. A small cluster keeps the policies honest: with the full
-// GrADS testbed every job gets idle hosts and no policy ever has to
-// preempt, which would make the sweep a no-op.
+// ablation. A small cluster makes the jobs contend: with the full GrADS
+// testbed every job gets idle hosts and the order in which they are
+// served never matters.
 const SchedWorkloadClients = 4
 
 // PoissonWorkload generates an n-job arrival trace with exponential
@@ -21,9 +21,9 @@ const SchedWorkloadClients = 4
 // model batch schedulers are evaluated under). Jobs cycle through a
 // small mixed pool — UNSAT pigeonhole refutations of two sizes and
 // satisfiable random 3-SAT — with priorities cycling 1..3 so the
-// priority policy has something to order by. Fixed (n, meanGap, seed)
-// produce an identical trace, so every policy in a sweep sees the same
-// workload and reruns are byte-reproducible.
+// scheduler's priority order has something to order by. Fixed (n,
+// meanGap, seed) produce an identical trace, so reruns are
+// byte-reproducible.
 func PoissonWorkload(n int, meanGapVSec float64, seed int64) []core.SimJob {
 	rng := rand.New(rand.NewSource(seed))
 	pool := []struct {
@@ -49,82 +49,56 @@ func PoissonWorkload(n int, meanGapVSec float64, seed int64) []core.SimJob {
 	return jobs
 }
 
-// SchedResult is one scheduling policy's row in the ablation: the run
-// plus the aggregate service metrics the policies trade off against
-// each other.
+// SchedResult is the scheduler's row in the ablation: the run plus the
+// aggregate service metrics of the workload.
 type SchedResult struct {
-	Policy             string  `json:"policy"`
 	Jobs               int     `json:"jobs"`
 	Solved             int     `json:"solved"`
 	MakespanVSec       float64 `json:"makespan_vsec"`
 	MeanTurnaroundVSec float64 `json:"mean_turnaround_vsec"`
 	MaxTurnaroundVSec  float64 `json:"max_turnaround_vsec"`
-	Preemptions        int     `json:"preemptions"`
 	Result             core.SimResult
 }
 
-// AblationSched replays the same job trace under each scheduling policy
-// on a deliberately small cluster (SchedWorkloadClients) and reports
-// makespan, turnaround, and how many malleable preemptions each policy
-// paid to get there. The interesting contrast: fifo minimizes
-// preemptions but starves late arrivals; fair-share trades preemptions
-// for turnaround; priority serves the priority-3 jobs first regardless.
-func AblationSched(jobs []core.SimJob, opts Options) []SchedResult {
-	var out []SchedResult
-	for _, policy := range []string{"fifo", "fair-share", "priority"} {
-		cfg := ablationConfig(nil, opts)
-		// Unscaled budget: Scale shrinks per-instance budgets for CI
-		// speed, but the sweep's CPU cost is already bounded by the small
-		// workload, and a truncated run would corrupt every turnaround
-		// number the sweep exists to compare.
-		cfg.TimeoutVSec = ChallengeBudgetVSec
-		cfg.Jobs = jobs
-		cfg.Master.SchedPolicy = policy
-		cfg.MaxClients = SchedWorkloadClients
-		cfg.MonitorPeriodVSec = 10
-		res := core.RunDistributed(cfg)
-		out = append(out, schedResult(policy, res))
-		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf("%-12s sched ablation done", policy))
-		}
-	}
-	return out
-}
-
-func schedResult(policy string, res core.SimResult) SchedResult {
-	r := SchedResult{
-		Policy:       policy,
-		Jobs:         len(res.Jobs),
-		MakespanVSec: res.MakespanVSec,
-		Preemptions:  res.Preemptions,
-		Result:       res,
-	}
+// AblationSched replays a job trace on a deliberately small cluster
+// (SchedWorkloadClients) and reports makespan and turnaround: how the one
+// scheduling rule — idle clients serve the highest-priority job first,
+// nobody is taken off running work — fares when jobs contend.
+func AblationSched(jobs []core.SimJob, opts Options) SchedResult {
+	cfg := ablationConfig(nil, opts)
+	// Unscaled budget: Scale shrinks per-instance budgets for CI speed, but
+	// the run's CPU cost is already bounded by the small workload, and a
+	// truncated run would corrupt every turnaround number it reports.
+	cfg.TimeoutVSec = ChallengeBudgetVSec
+	cfg.Jobs = jobs
+	cfg.MaxClients = SchedWorkloadClients
+	cfg.MonitorPeriodVSec = 10
+	res := core.RunDistributed(cfg)
+	r := SchedResult{Jobs: len(res.Jobs), MakespanVSec: res.MakespanVSec, Result: res}
 	var sum float64
 	for _, j := range res.Jobs {
 		if j.Verdict == "SAT" || j.Verdict == "UNSAT" {
 			r.Solved++
 		}
 		sum += j.TurnaroundVSec
-		if j.TurnaroundVSec > r.MaxTurnaroundVSec {
-			r.MaxTurnaroundVSec = j.TurnaroundVSec
-		}
+		r.MaxTurnaroundVSec = max(r.MaxTurnaroundVSec, j.TurnaroundVSec)
 	}
 	if len(res.Jobs) > 0 {
 		r.MeanTurnaroundVSec = sum / float64(len(res.Jobs))
 	}
+	if opts.Progress != nil {
+		opts.Progress("sched ablation done")
+	}
 	return r
 }
 
-// RenderSchedAblation formats the policy sweep as the EXPERIMENTS.md
-// markdown table.
-func RenderSchedAblation(results []SchedResult) string {
+// RenderSchedAblation formats the run as the EXPERIMENTS.md markdown
+// table.
+func RenderSchedAblation(r SchedResult) string {
 	var b strings.Builder
-	b.WriteString("| policy | jobs | solved | makespan (vsec) | mean turnaround | max turnaround | preemptions |\n")
-	b.WriteString("|---|---|---|---|---|---|---|\n")
-	for _, r := range results {
-		fmt.Fprintf(&b, "| %s | %d | %d | %.1f | %.1f | %.1f | %d |\n",
-			r.Policy, r.Jobs, r.Solved, r.MakespanVSec,
-			r.MeanTurnaroundVSec, r.MaxTurnaroundVSec, r.Preemptions)
-	}
+	b.WriteString("| jobs | solved | makespan (vsec) | mean turnaround | max turnaround |\n")
+	b.WriteString("|---|---|---|---|---|\n")
+	fmt.Fprintf(&b, "| %d | %d | %.1f | %.1f | %.1f |\n",
+		r.Jobs, r.Solved, r.MakespanVSec, r.MeanTurnaroundVSec, r.MaxTurnaroundVSec)
 	return b.String()
 }

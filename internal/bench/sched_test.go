@@ -7,7 +7,7 @@ import (
 )
 
 // TestPoissonWorkloadDeterministic: the arrival trace is a pure function
-// of (n, meanGap, seed) — the property every policy comparison rests on.
+// of (n, meanGap, seed) — the property every scheduler comparison rests on.
 func TestPoissonWorkloadDeterministic(t *testing.T) {
 	a := PoissonWorkload(6, 25, 5)
 	b := PoissonWorkload(6, 25, 5)
@@ -26,33 +26,24 @@ func TestPoissonWorkloadDeterministic(t *testing.T) {
 	}
 }
 
-// TestAblationSched runs the policy sweep on a short trace and checks
-// every policy solves every job and the sweep is deterministic across
-// reruns.
+// TestAblationSched runs the scheduler on a short trace and checks every
+// job is solved and the run is deterministic across reruns.
 func TestAblationSched(t *testing.T) {
 	jobs := PoissonWorkload(4, 20, 3)
-	run := func() []SchedResult { return AblationSched(jobs, Options{Seed: 1}) }
-	res := run()
-	if len(res) != 3 {
-		t.Fatalf("got %d policies, want 3", len(res))
+	run := func() SchedResult { return AblationSched(jobs, Options{Seed: 1}) }
+	r := run()
+	if r.Jobs != 4 || r.Solved != 4 {
+		t.Fatalf("solved %d/%d jobs: %+v", r.Solved, r.Jobs, r.Result.Jobs)
 	}
-	for _, r := range res {
-		if r.Jobs != 4 || r.Solved != 4 {
-			t.Fatalf("%s solved %d/%d jobs: %+v", r.Policy, r.Solved, r.Jobs, r.Result.Jobs)
-		}
-		if r.MakespanVSec <= 0 || r.MeanTurnaroundVSec <= 0 {
-			t.Fatalf("%s has empty service metrics: %+v", r.Policy, r)
-		}
+	if r.MakespanVSec <= 0 || r.MeanTurnaroundVSec <= 0 {
+		t.Fatalf("empty service metrics: %+v", r)
 	}
-	a, _ := json.Marshal(res)
+	a, _ := json.Marshal(r)
 	b, _ := json.Marshal(run())
 	if string(a) != string(b) {
 		t.Fatal("sched ablation is not deterministic for a fixed trace")
 	}
-	table := RenderSchedAblation(res)
-	for _, policy := range []string{"fifo", "fair-share", "priority"} {
-		if !strings.Contains(table, policy) {
-			t.Fatalf("rendered table lost the %s row:\n%s", policy, table)
-		}
+	if table := RenderSchedAblation(r); !strings.Contains(table, "| 4 | 4 |") {
+		t.Fatalf("rendered table lost the row:\n%s", table)
 	}
 }

@@ -426,7 +426,7 @@ func TestPerKindPayloadCap(t *testing.T) {
 		t.Fatal("a 1 MiB register message encoded")
 	}
 	bulk := map[string]bool{}
-	for _, m := range []Message{ShareClauses{}, SplitPayload{}, SplitDone{}, BaseProblem{}, Solved{}, Preempted{}} {
+	for _, m := range []Message{ShareClauses{}, SplitPayload{}, SplitDone{}, BaseProblem{}, Solved{}} {
 		bulk[m.Kind()] = true
 	}
 	for _, m := range allMessages() {

@@ -43,8 +43,7 @@ func allMessages() []Message {
 			Depth: 3, Worker: 1, Job: 2},
 		Migrate{SplitID: 11, PeerID: 7, PeerAddr: "c:3"},
 		Shutdown{},
-		Preempt{Job: 2, Seq: 5},
-		Preempted{ClientID: 3, Job: 2, Sub: sub(4), Seq: 5},
+		Stopped{ClientID: 3, Job: 2, Seq: 5},
 		StopWork{Job: 2, Seq: 6},
 		StatusReport{ClientID: 2, MemBytes: 42, Learnts: 7, Conflicts: 99, Busy: true, Depth: 2, Job: 2,
 			Deltas: SolverDeltas{Decisions: 1, Conflicts: 2, Propagations: 1 << 40, Implications: 4, Learned: 5,
@@ -110,8 +109,8 @@ func TestFixtureSetsEveryField(t *testing.T) {
 			t.Errorf("fixture leaves %s zero", path)
 		}
 	}
-	if len(kinds) != 15 || len(kindByID) != len(kinds) || len(kindByType) != len(kinds) {
-		t.Fatalf("kind table: %d rows, %d distinct IDs, %d distinct types; want 15 of each",
+	if len(kinds) != 14 || len(kindByID) != len(kinds) || len(kindByType) != len(kinds) {
+		t.Fatalf("kind table: %d rows, %d distinct IDs, %d distinct types; want 14 of each",
 			len(kinds), len(kindByID), len(kindByType))
 	}
 	for _, k := range kinds {

@@ -95,7 +95,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 	}
 	split := frameID(SplitPayload{})
-	f.Add([]byte{0x00}) // the retired gob codec ID
+	f.Add([]byte{0x00})                         // the retired gob codec ID
+	f.Add([]byte{0x0d, 0x00})                   // a retired kind ID
+	f.Add([]byte{0x0d | frameTracedFlag, 0x00}) // the same, traced
 	f.Add([]byte{split})
 	f.Add([]byte{split, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{split | frameTracedFlag, 0x01, 0x02, 0x03})

@@ -151,16 +151,10 @@ var kinds = []*kind{
 		c.str(&m.PeerAddr)
 	}),
 	kindOf(0x0c, capControl, func(*coder, *Shutdown) {}),
-	kindOf(0x0d, capControl, func(c *coder, m *Preempt) {
-		c.int(&m.Job)
-		c.int(&m.Seq)
-	}),
-	kindOf(0x0e, CapBulk, func(c *coder, m *Preempted) {
+	// 0x0d is retired: no frame may reuse it.
+	kindOf(0x0e, capControl, func(c *coder, m *Stopped) {
 		c.int(&m.ClientID)
 		c.int(&m.Job)
-		if opt(c, &m.Sub) {
-			c.sub(m.Sub)
-		}
 		c.int(&m.Seq)
 	}),
 	kindOf(0x0f, capControl, func(c *coder, m *StopWork) {

@@ -210,47 +210,25 @@ type Shutdown struct{}
 // Kind implements Message.
 func (Shutdown) Kind() string { return "shutdown" }
 
-// Preempt directs a client to checkpoint its current subproblem and hand
-// it back to the master, so the scheduler can reassign the client to
-// another job. It reuses the §3.4 checkpoint machinery that Migrate uses,
-// but the subproblem returns to the owning job's backlog instead of
-// moving to a named peer.
-type Preempt struct {
-	// Job is the job being preempted; a client that has already moved on
-	// (the preempt raced a verdict) ignores a stale one.
-	Job int
-	// Seq is the master's per-client stop token, echoed back in
-	// Preempted so the master can discard acks from preempts that a
-	// verdict already beat.
-	Seq int
-}
-
-// Kind implements Message.
-func (Preempt) Kind() string { return "preempt" }
-
-// Preempted is the client's answer to Preempt (and to StopWork, with a
-// nil Sub): the checkpointed subproblem travels back to the master for
-// requeueing, and the client is idle again.
-type Preempted struct {
+// Stopped is the client's answer to StopWork: it dropped the subproblem
+// and is idle again.
+type Stopped struct {
 	ClientID int
 	Job      int
-	// Sub is the checkpointed subproblem (level-0 guiding path + learned
-	// clauses); nil when there was nothing to return — the client raced
-	// to a verdict, or the stop was a cancellation that discards work.
-	Sub *solver.Subproblem
-	// Seq echoes the token from the Preempt/StopWork being acknowledged.
+	// Seq echoes the token from the StopWork being acknowledged.
 	Seq int
 }
 
 // Kind implements Message.
-func (Preempted) Kind() string { return "preempted" }
+func (Stopped) Kind() string { return "stopped" }
 
 // StopWork tells a client to abandon its current subproblem without
 // returning it — the owning job already reached a verdict or was
-// cancelled. The client acknowledges with Preempted{Sub: nil}.
+// cancelled. The client acknowledges with Stopped.
 type StopWork struct {
 	Job int
-	// Seq is the master's per-client stop token; see Preempt.Seq.
+	// Seq is the master's per-client stop token, echoed back in Stopped so
+	// the master can discard acks from stops that a verdict already beat.
 	Seq int
 }
 

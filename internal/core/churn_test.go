@@ -313,12 +313,12 @@ func TestClientLostRequeuesSalvage(t *testing.T) {
 	}
 }
 
-// TestSplitBacklogSweepsStaleHeadAtLimitZero: a job already holding its
-// whole target is served with limit 0, and that must still drop the stale
-// requests ahead of the first live one. An entry left behind keeps its old
-// AssignedAt; if its client goes busy again before the next look, it splits
-// the new subproblem ahead of clients that have run longer (what moved
-// bart15 at flight event 6691 when a draft returned before sweeping).
+// TestSplitBacklogSweepsStaleHeadAtLimitZero: a pass that can place
+// nothing — no client is idle — must still drop the stale requests ahead of
+// the first live one. An entry left behind keeps its old AssignedAt; if its
+// client goes busy again before the next look, it splits the new subproblem
+// ahead of clients that have run longer (what moved bart15 at flight event
+// 6691 when a draft returned before sweeping).
 func TestSplitBacklogSweepsStaleHeadAtLimitZero(t *testing.T) {
 	now := 100.0
 	m := bareMaster(t, &now)
@@ -331,27 +331,29 @@ func TestSplitBacklogSweepsStaleHeadAtLimitZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := m.jobs[id]
-	join := func(busy bool) *masterClient {
+	join := func() *masterClient {
 		c := m.clients[m.connect()]
-		c.addr, c.busy, c.job, c.freeMem = "a", busy, id, 1<<20
+		c.addr, c.busy, c.job, c.freeMem = "a", true, id, 1<<20
 		return c
 	}
-	gone, live, idle := join(false), join(true), join(false)
-	gone.pendingSplit, live.pendingSplit, idle.rank = true, true, 1 // idle outranks gone
+	gone, live, other := join(), join(), join()
+	gone.pendingSplit, live.pendingSplit = true, true
 	j.backlog = []BacklogEntry{
 		{ClientID: live.id, AssignedAt: 20, RequestedAt: 40},
 		{ClientID: gone.id, AssignedAt: 10, RequestedAt: 30}, // longest-running: the head
 	}
-	m.serveSplitBacklog(j, 0)
+	m.forget(gone.id) // its subproblem ended and it left; every other client is busy
+	m.serveSplitBacklog(j)
 	if len(j.backlog) != 1 || j.backlog[0].ClientID != live.id {
-		t.Fatalf("backlog after a limit-0 pass: %+v, want only the live request", j.backlog)
+		t.Fatalf("backlog after a pass with nothing idle: %+v, want only the live request", j.backlog)
 	}
-	if len(sent) != 0 || idle.reserved || len(m.pendingSplits) != 0 || !live.pendingSplit {
-		t.Fatalf("limit 0 served something: sent %v, idle reserved=%v, transfers %d", sent, idle.reserved, len(m.pendingSplits))
+	if len(sent) != 0 || len(m.pendingSplits) != 0 || !live.pendingSplit {
+		t.Fatalf("a pass with nothing idle served something: sent %v, transfers %d", sent, len(m.pendingSplits))
 	}
-	// With room for one recipient the live request is served to the idle client.
-	m.serveSplitBacklog(j, 1)
-	if len(j.backlog) != 0 || !idle.reserved || len(sent) == 0 {
-		t.Fatalf("limit 1: backlog %+v, idle reserved=%v, sent %v", j.backlog, idle.reserved, sent)
+	// With a client idle the live request is served to it.
+	other.busy = false
+	m.serveSplitBacklog(j)
+	if len(j.backlog) != 0 || !other.reserved || len(sent) == 0 {
+		t.Fatalf("with client %d idle: backlog %+v, reserved=%v, sent %v", other.id, j.backlog, other.reserved, sent)
 	}
 }

@@ -85,7 +85,7 @@ type ClientConfig struct {
 const liveSplitFloor = 100 * time.Millisecond
 
 // splitLearntMaxCount caps the learnt clauses a subproblem carries to its
-// recipient (a split cofactor, a migration or preemption checkpoint); their
+// recipient (a split cofactor or a migration checkpoint); their
 // length is bounded like any shared clause's, by ShareMaxLen.
 const splitLearntMaxCount = 10000
 
@@ -369,7 +369,7 @@ func (c *Client) cutSlice() {
 func interrupts(msg comm.Message) bool {
 	msg, _ = comm.Unwrap(msg)
 	switch msg.(type) {
-	case comm.SplitAssign, comm.Migrate, comm.Preempt, comm.StopWork, comm.Shutdown:
+	case comm.SplitAssign, comm.Migrate, comm.StopWork, comm.Shutdown:
 		return true
 	}
 	return false
@@ -495,12 +495,10 @@ func (c *Client) handleIdle(msg comm.Message) bool {
 	case comm.Migrate:
 		_ = c.sendMaster(comm.SplitDone{ClientID: c.id, SplitID: m.SplitID, OK: false,
 			Err: "donor already idle"})
-	case comm.Preempt:
-		// The preempt raced with this client going idle; a bare ack lets
-		// the master return it to the pool.
-		_ = c.sendMaster(comm.Preempted{ClientID: c.id, Job: m.Job, Seq: m.Seq})
 	case comm.StopWork:
-		_ = c.sendMaster(comm.Preempted{ClientID: c.id, Job: m.Job, Seq: m.Seq})
+		// The stop raced with this client going idle; the ack still lets
+		// the master return it to the pool.
+		_ = c.sendMaster(comm.Stopped{ClientID: c.id, Job: m.Job, Seq: m.Seq})
 	case comm.ShareClauses:
 		// Idle clients have no solver; drop (they get a fresh split later).
 	case comm.Shutdown:
@@ -525,8 +523,6 @@ func (c *Client) handleBusy(msg comm.Message) bool {
 		c.performSplit(m.SplitID, m.Peers)
 	case comm.Migrate:
 		c.performMigrate(m.SplitID, comm.SplitPeer{ID: m.PeerID, Addr: m.PeerAddr})
-	case comm.Preempt:
-		c.performPreempt(m.Job, m.Seq)
 	case comm.StopWork:
 		c.performStop(m.Job, m.Seq)
 	case comm.ShareClauses:
@@ -800,32 +796,15 @@ func (c *Client) performMigrate(splitID int, peer comm.SplitPeer) {
 	_ = c.sendMaster(comm.Solved{ClientID: c.id, Status: solver.StatusUnknown, Job: c.job})
 }
 
-// performPreempt answers the scheduler taking this client away from its
-// job: checkpoint the subproblem, stop, and ship the checkpoint to the
-// master, which backlogs it until the job gets a client again.
-func (c *Client) performPreempt(job, seq int) {
-	if !c.busy() || job != c.job {
-		// Raced with the subproblem ending (or a stale job tag): a bare ack
-		// returns the client to the pool.
-		_ = c.sendMaster(comm.Preempted{ClientID: c.id, Job: job, Seq: seq})
-		return
-	}
-	c.drainShares()        // don't strand learned clauses
-	c.sendHeartbeat(false) // flush the tail deltas while the solver lives
-	sub := c.checkpointSub()
-	c.stopSolving()
-	_ = c.sendMaster(comm.Preempted{ClientID: c.id, Job: job, Sub: sub, Seq: seq})
-}
-
 // performStop discards the current subproblem outright — its job is done
-// or cancelled, so the work is worthless — and acks with a bare
-// Preempted so the master returns this client to the pool.
+// or cancelled, so the work is worthless — and acks with Stopped so the
+// master returns this client to the pool.
 func (c *Client) performStop(job, seq int) {
 	if c.busy() && job == c.job {
 		c.sendHeartbeat(false)
 		c.stopSolving()
 	}
-	_ = c.sendMaster(comm.Preempted{ClientID: c.id, Job: job, Seq: seq})
+	_ = c.sendMaster(comm.Stopped{ClientID: c.id, Job: job, Seq: seq})
 }
 
 func (c *Client) sendToPeer(splitID int, peer comm.SplitPeer, sub *solver.Subproblem) error {

@@ -20,7 +20,7 @@ func TestConfigSurface(t *testing.T) {
 		want string
 	}{
 		{MasterConfig{}, "Transport ListenAddr Formula MinMemBytes Timeout ExpectedClients Metrics Logger " +
-			"MetricsAddr Flight SplitStrategy SchedPolicy Admission RebalancePeriod ExtraEndpoints " +
+			"MetricsAddr Flight SplitStrategy Admission ExtraEndpoints " +
 			"HistoryPeriod Watchdog BundleDir"},
 		{ClientConfig{}, "Transport MasterAddr ListenAddr HostName FreeMemBytes SpeedHint ShareMaxLen " +
 			"SliceConflicts MinRunTime HeartbeatEvery SplitStrategy Threads SolverOptions Counters Metrics Flight"},

@@ -18,17 +18,11 @@ import (
 // is driven through handle alone and read through ClusterState alone.
 //
 // What the master sends is acted on at once (a split is made, a payload
-// started or bounced, a checkpoint taken); what a client sends waits in its
-// FIFO uplink until the schedule delivers it. So the master always acts on
+// started or bounced, a checkpoint taken); what a client sends, a
+// recipient's accept included, waits in its FIFO uplink until the schedule
+// delivers it. So the master always acts on
 // old news — a verdict, a loss or an ack it has not seen yet — which is
 // where every accounting defect so far has lived.
-//
-// One race is left out (ROADMAP, open defect D4): a job ending while a
-// recipient's accept of one of its transfers is in flight. The master frees
-// the recipient at once and may reserve it again before the accept lands;
-// it then never stops the dead subproblem. Here a recipient that starts a
-// peer's payload is heard at once: its uplink is drained through the accept
-// before anything else happens.
 
 // upMsg is one event on a client's uplink, with what its arrival does to
 // the set of unrefuted subproblems (nil: nothing).
@@ -66,8 +60,7 @@ type exhaustWorld struct {
 		msg comm.Message
 	}
 	clients  map[int]*scriptedClient
-	ids      []int             // every client ever connected, in order
-	accepted []*scriptedClient // started a peer's payload; uplink to be drained
+	ids      []int // every client ever connected, in order
 	promises map[int]*promise
 	// live[job] is the job's unrefuted subproblems wherever they are; a job
 	// leaves the map when it ends. root[job] stands in for the whole
@@ -83,14 +76,14 @@ type exhaustWorld struct {
 	did        map[string]int
 }
 
-func newExhaustWorld(t *testing.T, seed int64, strategy, policy string, hostile bool) *exhaustWorld {
+func newExhaustWorld(t *testing.T, seed int64, strategy string, hostile bool) *exhaustWorld {
 	w := &exhaustWorld{t: t, rng: rand.New(rand.NewSource(seed)), now: 1, hostile: hostile,
 		clients: map[int]*scriptedClient{}, promises: map[int]*promise{},
 		live: map[int]map[*solver.Subproblem]bool{}, root: map[int]*solver.Subproblem{},
 		dropped: map[int]int{}, unsalvaged: map[int]bool{}, did: map[string]int{}}
 	w.formula = cnf.NewFormula(2)
 	w.formula.Add(1, 2)
-	m, err := newMaster(MasterConfig{SplitStrategy: strategy, SchedPolicy: policy, Flight: trace.NewFlight(nil)},
+	m, err := newMaster(MasterConfig{SplitStrategy: strategy, Flight: trace.NewFlight(nil)},
 		func() float64 { return w.now },
 		func(to int, msg comm.Message) {
 			w.sent = append(w.sent, struct {
@@ -132,13 +125,6 @@ func (w *exhaustWorld) step(what string, ev masterEvent, effect func()) {
 		w.receive(w.clients[s.to], s.msg)
 	}
 	w.check(what)
-	for len(w.accepted) > 0 {
-		c := w.accepted[0]
-		w.accepted = w.accepted[1:]
-		for len(c.up) > 0 {
-			w.deliverFrom(c)
-		}
-	}
 }
 
 func (w *exhaustWorld) apply(what string, fn func()) {
@@ -237,24 +223,6 @@ func (w *exhaustWorld) receive(c *scriptedClient, msg comm.Message) {
 		w.split(c, msg)
 	case comm.Migrate:
 		w.migrate(c, msg)
-	case comm.Preempt:
-		if c.gone {
-			return
-		}
-		ack := comm.Preempted{ClientID: c.id, Job: msg.Job, Seq: msg.Seq}
-		if c.sub != nil && msg.Job == c.job {
-			if w.hostile && w.rng.Intn(4) == 0 {
-				w.did["bare ack"]++
-				job, by := c.job, c.id
-				c.queue(ack, func() { w.drop(job, by) })
-			} else {
-				ack.Sub = c.sub
-				c.queue(ack, nil)
-			}
-			c.sub = nil
-			return
-		}
-		c.queue(ack, nil) // raced with going idle
 	case comm.StopWork:
 		if c.gone {
 			return
@@ -262,7 +230,7 @@ func (w *exhaustWorld) receive(c *scriptedClient, msg comm.Message) {
 		if msg.Job == c.job {
 			c.sub = nil // the job is over; so is tracking it
 		}
-		c.queue(comm.Preempted{ClientID: c.id, Job: msg.Job, Seq: msg.Seq}, nil)
+		c.queue(comm.Stopped{ClientID: c.id, Job: msg.Job, Seq: msg.Seq}, nil)
 	}
 }
 
@@ -290,9 +258,6 @@ func (w *exhaustWorld) start(c *scriptedClient, splitID, job int, sub *solver.Su
 		return
 	default:
 		c.sub, done.OK = sub, true
-		if !fromMaster {
-			w.accepted = append(w.accepted, c)
-		}
 	}
 	c.queue(done, nil)
 }
@@ -362,10 +327,14 @@ func (w *exhaustWorld) migrate(c *scriptedClient, msg comm.Migrate) {
 		return
 	}
 	settle := func() { delete(w.promises, msg.SplitID) }
+	off := func() { w.remove(p.job, moved); settle() }
 	peer := w.clients[msg.PeerID]
 	if c.sub == nil || peer.gone || w.rng.Intn(8) == 0 {
-		c.queue(comm.SplitDone{ClientID: c.id, SplitID: msg.SplitID, Err: "the move is off"},
-			func() { w.remove(p.job, moved); settle() })
+		c.queue(comm.SplitDone{ClientID: c.id, SplitID: msg.SplitID, Err: "the move is off"}, off)
+		return
+	}
+	if w.hostile && w.rng.Intn(4) == 0 {
+		w.bareAck(c, msg.SplitID, off)
 		return
 	}
 	w.did["migrate"]++
@@ -377,6 +346,17 @@ func (w *exhaustWorld) migrate(c *scriptedClient, msg comm.Migrate) {
 	c.queue(comm.SplitDone{ClientID: c.id, SplitID: msg.SplitID, OK: true, Used: 1}, settle)
 	c.queue(comm.Solved{ClientID: c.id, Status: solver.StatusUnknown, Job: job},
 		func() { w.remove(job, old) })
+}
+
+// bareAck is a donor answering Migrate by dropping its subproblem and
+// acknowledging a stop it was never sent, echoing the master's stop token
+// so the ack is not stale; then it calls the move off.
+func (w *exhaustWorld) bareAck(c *scriptedClient, splitID int, off func()) {
+	w.did["bare ack"]++
+	job, by := c.job, c.id
+	c.sub = nil
+	c.queue(comm.Stopped{ClientID: c.id, Job: job, Seq: w.m.clients[c.id].stopSeq}, func() { w.drop(job, by) })
+	c.queue(comm.SplitDone{ClientID: c.id, SplitID: splitID, Err: "the move is off"}, off)
 }
 
 // Environment actions. Each returns false when it does not apply now.
@@ -536,7 +516,7 @@ func (w *exhaustWorld) cancel() bool {
 }
 
 func (w *exhaustWorld) tick() bool {
-	w.apply("rebalance", w.m.maybeRebalance)
+	w.apply("serve", w.m.serveBacklog)
 	return true
 }
 
@@ -581,29 +561,43 @@ func (w *exhaustWorld) drain() {
 // are run against a master that is told nothing but its own messages.
 func TestUNSATOnlyWhenEverySubproblemIsRefuted(t *testing.T) {
 	t.Run("a bare ack from a busy client ends its job UNKNOWN", func(t *testing.T) {
-		w := newExhaustWorld(t, 1, "first-decision", "fair-share", false)
-		w.register()
-		w.register()
+		w := newExhaustWorld(t, 1, "first-decision", false)
+		for range 3 {
+			w.register()
+		}
 		w.submit()
 		for w.deliver() { // the root is accepted
 		}
-		w.requestSplit()
-		for w.deliver() { // …and split: job 1 holds both clients
+		for try := 0; w.m.state().Busy < 2; try++ { // …and split: job 1 holds two clients, the third is idle
+			if try == 20 {
+				t.Fatal("setup: job 1 never split")
+			}
+			w.requestSplit()
+			for w.deliver() {
+			}
 		}
 		if st := w.m.state(); st.Busy != 2 || st.Outstanding != 2 {
 			t.Fatalf("setup: %d busy, %d outstanding; want 2 and 2", st.Busy, st.Outstanding)
 		}
-		w.submit() // fair share takes one client away from job 1
-		victim := w.pick(func(c *scriptedClient) bool { return len(c.up) > 0 })
-		if victim == nil || victim.sub != nil {
-			t.Fatalf("no client was preempted for job 2: %+v", w.m.state().Jobs)
+		// The idle client looks far faster, so the master moves the weakest
+		// busy client's subproblem there; that donor drops it and acks a stop.
+		idle := w.pick(func(c *scriptedClient) bool { return c.sub == nil })
+		w.m.noteForecast(idle.id, 1e6, 1<<20)
+		w.m.maybeMigrate(2, 0)
+		var victim *scriptedClient
+		for _, s := range w.sent {
+			if mig, ok := s.msg.(comm.Migrate); ok {
+				victim = w.clients[s.to]
+				w.bareAck(victim, mig.SplitID, nil)
+			}
 		}
-		// The preempted client kept its word; replace the ack with a bare one.
-		ack := victim.up[0].ev.msg.(comm.Preempted)
-		ack.Sub = nil
-		victim.up[0] = upMsg{ev: from(victim.id, ack), effect: func() { w.drop(1, victim.id) }}
+		w.sent = nil
+		if victim == nil {
+			t.Fatalf("no busy client was asked to migrate: %+v", w.m.state().Clients)
+		}
 		w.deliver() // check: job 1 is done/UNKNOWN and names the client
-		w.drain()   // the service keeps serving: job 2 gets the clients
+		w.submit()
+		w.drain() // the service keeps serving: job 2 gets the clients
 		if row := w.m.state().Jobs[1]; row.Verdict != "UNSAT" {
 			t.Fatalf("job 2 after job 1 failed: %+v", row)
 		}
@@ -633,8 +627,7 @@ func TestUNSATOnlyWhenEverySubproblemIsRefuted(t *testing.T) {
 	for _, strategy := range []string{"first-decision", "dilemma"} {
 		for _, nJobs := range []int{1, 3} {
 			for seed := int64(1); seed <= 75; seed++ {
-				policy := []string{"fifo", "fair-share", "priority"}[seed%3]
-				w := newExhaustWorld(t, seed, strategy, policy, seed%2 == 0)
+				w := newExhaustWorld(t, seed, strategy, seed%2 == 0)
 				for range 4 {
 					w.register()
 				}
@@ -663,7 +656,7 @@ func TestUNSATOnlyWhenEverySubproblemIsRefuted(t *testing.T) {
 		}
 	}
 	// The schedules must have gone where the accounting is hard.
-	for _, what := range []string{"split-done (failed)", "preempted", "client lost", "migrate",
+	for _, what := range []string{"split-done (failed)", "stopped", "client lost", "migrate",
 		"bare ack", "dropped cofactor", "lost with its subproblem", "cancel"} {
 		if did[what] == 0 {
 			t.Errorf("no schedule exercised %q: %v", what, did)

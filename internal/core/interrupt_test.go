@@ -119,7 +119,6 @@ func TestInterruptsOnlyForControlKinds(t *testing.T) {
 	}{
 		{comm.SplitAssign{}, true},
 		{comm.Migrate{}, true},
-		{comm.Preempt{}, true},
 		{comm.StopWork{}, true},
 		{comm.Shutdown{}, true},
 		{comm.Traced{Msg: comm.StopWork{}}, true},

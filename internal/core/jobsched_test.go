@@ -1,123 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
+	"gridsat/internal/cnf"
+	"gridsat/internal/comm"
 	"gridsat/internal/gen"
+	"gridsat/internal/trace"
 )
-
-func shares(prios ...int) []SchedShare {
-	out := make([]SchedShare, len(prios))
-	for i, p := range prios {
-		out[i] = SchedShare{JobID: i + 1, Priority: p}
-	}
-	return out
-}
-
-func allocSum(m map[int]int) int {
-	s := 0
-	for _, n := range m {
-		s += n
-	}
-	return s
-}
-
-func TestParseSchedPolicy(t *testing.T) {
-	for name, want := range map[string]string{
-		"": "fifo", "fifo": "fifo", "fair-share": "fair-share", "priority": "priority",
-	} {
-		p, err := ParseSchedPolicy(name)
-		if err != nil {
-			t.Fatalf("%q: %v", name, err)
-		}
-		if p.Name() != want {
-			t.Errorf("%q parsed as %q", name, p.Name())
-		}
-	}
-	if _, err := ParseSchedPolicy("bogus"); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-}
-
-// TestFIFOAllocatesOldestFirst: FIFO is run-to-completion in submission
-// order — the whole pool to job 1, spillover only past its demand cap.
-func TestFIFOAllocatesOldestFirst(t *testing.T) {
-	p, _ := ParseSchedPolicy("fifo")
-	got := p.Allocate(shares(1, 9, 5), 6)
-	if got[1] != 6 || got[2] != 0 || got[3] != 0 {
-		t.Fatalf("fifo allocation %v", got)
-	}
-	// A demand-capped head job spills the rest to the next in line.
-	jobs := shares(1, 1, 1)
-	jobs[0].Demand = 2
-	got = p.Allocate(jobs, 6)
-	if got[1] != 2 || got[2] != 4 {
-		t.Fatalf("fifo with demand cap: %v", got)
-	}
-}
-
-// TestFairShareSplitsEvenly: equal shares with the remainder to the
-// earliest-submitted jobs, never exceeding the pool.
-func TestFairShareSplitsEvenly(t *testing.T) {
-	p, _ := ParseSchedPolicy("fair-share")
-	got := p.Allocate(shares(1, 9, 5), 7)
-	if got[1] != 3 || got[2] != 2 || got[3] != 2 {
-		t.Fatalf("fair-share allocation %v", got)
-	}
-	if allocSum(got) != 7 {
-		t.Fatalf("allocated %d of 7", allocSum(got))
-	}
-	// Fewer clients than jobs: earliest jobs win, none goes negative.
-	got = p.Allocate(shares(1, 1, 1, 1), 2)
-	if allocSum(got) != 2 || got[1] != 1 || got[2] != 1 {
-		t.Fatalf("scarce fair-share: %v", got)
-	}
-}
-
-// TestPriorityWeighted: allocation tracks priority proportionally
-// (largest remainder), and a zero/absent priority defaults to weight 1.
-func TestPriorityWeighted(t *testing.T) {
-	p, _ := ParseSchedPolicy("priority")
-	got := p.Allocate(shares(3, 1), 8)
-	if got[1] != 6 || got[2] != 2 {
-		t.Fatalf("priority 3:1 over 8 clients: %v", got)
-	}
-	got = p.Allocate(shares(0, 0), 4)
-	if got[1] != 2 || got[2] != 2 {
-		t.Fatalf("defaulted weights: %v", got)
-	}
-	// Demand caps redirect surplus to jobs that can still use clients.
-	jobs := shares(10, 1)
-	jobs[0].Demand = 3
-	got = p.Allocate(jobs, 8)
-	if got[1] != 3 || got[2] != 5 {
-		t.Fatalf("demand-capped priority: %v", got)
-	}
-}
-
-// TestAllocateDeterministic: policies are pure functions — same input,
-// same allocation — which the DES replay verifier depends on.
-func TestAllocateDeterministic(t *testing.T) {
-	jobs := shares(2, 7, 7, 1, 4)
-	for _, name := range []string{"fifo", "fair-share", "priority"} {
-		p, _ := ParseSchedPolicy(name)
-		a := p.Allocate(jobs, 13)
-		for i := 0; i < 10; i++ {
-			b := p.Allocate(jobs, 13)
-			if len(a) != len(b) {
-				t.Fatalf("%s: nondeterministic allocation", name)
-			}
-			for k, v := range a {
-				if b[k] != v {
-					t.Fatalf("%s: job %d got %d then %d", name, k, v, b[k])
-				}
-			}
-		}
-		if allocSum(a) > 13 {
-			t.Fatalf("%s over-allocated: %v", name, a)
-		}
-	}
-}
 
 // TestAdmissionControl covers both axes: the client-count-derived active
 // cap and the formula memory budget.
@@ -165,14 +56,13 @@ func TestFormulaMemBytes(t *testing.T) {
 
 func TestJobLifecycleStates(t *testing.T) {
 	for s, want := range map[JobState]string{
-		JobQueued: "queued", JobRunning: "running", JobPreempted: "preempted",
-		JobDone: "done", JobCancelled: "cancelled",
+		JobQueued: "queued", JobRunning: "running", JobDone: "done", JobCancelled: "cancelled",
 	} {
 		if s.String() != want {
 			t.Errorf("%d renders as %q, want %q", s, s, want)
 		}
 	}
-	for _, s := range []JobState{JobQueued, JobRunning, JobPreempted} {
+	for _, s := range []JobState{JobQueued, JobRunning} {
 		if !s.Active() {
 			t.Errorf("%v should be active", s)
 		}
@@ -189,5 +79,87 @@ func TestJobLifecycleStates(t *testing.T) {
 	j.State = JobRunning
 	if j.TurnaroundSec() != 0 {
 		t.Fatal("unfinished job has a turnaround")
+	}
+}
+
+// TestIdleClientsServeHigherPriorityFirst: an idle client serves the
+// highest-priority job that has queued work for it, jobs of equal priority
+// in submission order, and nothing is taken from a busy client when a more
+// important job arrives.
+func TestIdleClientsServeHigherPriorityFirst(t *testing.T) {
+	type sent struct {
+		to  int
+		msg comm.Message
+	}
+	var outbox []sent
+	m, err := newMaster(MasterConfig{Flight: trace.NewFlight(nil)}, func() float64 { return 1 },
+		func(to int, msg comm.Message) { outbox = append(outbox, sent{to, msg}) }, func(BundleSpec) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func(what string, ev masterEvent) {
+		t.Helper()
+		if done, err := m.handle(ev); done || err != nil {
+			t.Fatalf("%s: done=%v err=%v", what, done, err)
+		}
+	}
+	f := cnf.NewFormula(2)
+	f.Add(1, 2)
+	submit := func(priority int) int {
+		t.Helper()
+		var id int
+		step("submit", masterEvent{apply: func() bool {
+			var err error
+			if id, err = m.submit("", f, priority); err != nil {
+				t.Fatal(err)
+			}
+			return false
+		}})
+		return id
+	}
+	join := func() *masterClient {
+		t.Helper()
+		id := m.connect()
+		step("register", from(id, comm.Register{Addr: fmt.Sprintf("c%d", id), FreeMemBytes: 1 << 20, SpeedHint: 1}))
+		return m.clients[id]
+	}
+
+	// A priority-1 job holds the only client, which asks for help.
+	a := join()
+	low := submit(1)
+	step("root accepted", from(a.id, comm.SplitDone{ClientID: a.id, OK: true}))
+	step("split request", from(a.id, comm.SplitRequest{ClientID: a.id}))
+	if !a.busy || a.job != low || len(m.jobs[low].backlog) != 1 {
+		t.Fatalf("setup: client %d busy=%v on job %d, job %d backlog %d", a.id, a.busy, a.job, low, len(m.jobs[low].backlog))
+	}
+
+	// Two priority-2 jobs arrive; the busy client is left alone.
+	outbox = nil
+	high, twin := submit(2), submit(2)
+	for _, s := range outbox {
+		if s.to == a.id {
+			t.Fatalf("busy client %d of job %d was sent %s when jobs %d and %d arrived", a.id, low, s.msg.Kind(), high, twin)
+		}
+	}
+	if !a.busy || a.stopping || a.job != low {
+		t.Fatalf("busy client %d: busy=%v stopping=%v job=%d, want still on job %d", a.id, a.busy, a.stopping, a.job, low)
+	}
+
+	// Each new idle client goes to the first job in priority, then
+	// submission, order that has queued work for it.
+	for _, want := range []struct {
+		job  int
+		why  string
+		root bool // handed the job's root; else reserved for its split
+	}{
+		{high, "priority 2 before job 1's split request, and before its equal submitted later", true},
+		{twin, "the other priority-2 job before the priority-1 one", true},
+		{low, "the priority-1 split request once the priority-2 jobs have their clients", false},
+	} {
+		c := join()
+		if c.job != want.job || c.busy != want.root || c.reserved == want.root {
+			t.Fatalf("idle client %d went to job %d (busy=%v reserved=%v), want job %d: %s",
+				c.id, c.job, c.busy, c.reserved, want.job, want.why)
+		}
 	}
 }

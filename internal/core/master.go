@@ -60,18 +60,10 @@ type MasterConfig struct {
 	// idle peers per split, so that many recipients are reserved per
 	// assignment when available.
 	SplitStrategy string
-	// SchedPolicy names the policy that moves clients between concurrently
-	// running jobs (malleable allocation, with checkpoint/preemption):
-	// "fifo" (default), "fair-share" or "priority". See ParseSchedPolicy.
-	SchedPolicy string
 	// Admission bounds what Submit accepts (active-job cap and formula
 	// memory budget); the zero value derives the cap from the registered
 	// client count.
 	Admission Admission
-	// RebalancePeriod is how often Run reviews the allocation and preempts
-	// over-allocated jobs (0 = 250ms; the DES reviews at its monitor ticks
-	// instead).
-	RebalancePeriod time.Duration
 	// ExtraEndpoints adds handlers to the introspection server (the serve
 	// API installs its /jobs routes this way). Ignored without MetricsAddr.
 	ExtraEndpoints []obs.Endpoint
@@ -93,9 +85,6 @@ type MasterConfig struct {
 
 func (c *MasterConfig) withDefaults() MasterConfig {
 	out := *c
-	if out.RebalancePeriod <= 0 {
-		out.RebalancePeriod = 250 * time.Millisecond
-	}
 	if out.HistoryPeriod == 0 {
 		out.HistoryPeriod = time.Second
 	}
@@ -179,15 +168,15 @@ type masterClient struct {
 	// job is the job this client is (or was last) working for. The zero
 	// value names job 0 — see newMaster on what that does to a one-shot run.
 	job int
-	// preempting marks a Preempt, StopWork or Migrate in flight: the client
-	// stays busy (its subproblem is live until the ack arrives) but must
-	// not be stopped again or offered new work.
-	preempting bool
-	// stopSeq numbers this client's Preempt/StopWork sends. The client
-	// echoes it in Preempted, letting the master drop acks from preempts
-	// that a racing verdict already beat — the client may have been
-	// reassigned by the time a stale ack lands, and honoring it would
-	// wrongly free a busy client.
+	// stopping marks a StopWork or Migrate in flight: the client stays busy
+	// (its subproblem is live until the ack or the verdict arrives) but
+	// must not be stopped again or offered new work.
+	stopping bool
+	// stopSeq numbers this client's StopWork sends. The client echoes it in
+	// Stopped, letting the master drop acks from stops that a racing
+	// verdict already beat — the client may have been reassigned by the
+	// time a stale ack lands, and honoring it would wrongly free a busy
+	// client.
 	stopSeq int
 	// sentBase records which jobs' base formulas this client has cached, so
 	// the scheduler sends each BaseProblem at most once per client.
@@ -271,17 +260,16 @@ func (g *splitGroup) done() bool {
 type subOrigin int
 
 const (
-	fromSplit   subOrigin = iota // leftover cofactor: split-accept under its split
-	fromRoot                     // a job's whole search space: assign
-	fromPreempt                  // preempted checkpoint: migrate → job-resume under the preempt
-	fromCrash                    // salvaged from a lost client: recover under the client-leave
+	fromSplit subOrigin = iota // leftover cofactor: split-accept under its split
+	fromRoot                   // a job's whole search space: assign
+	fromCrash                  // salvaged from a lost client: recover under the client-leave
 )
 
 // backlogSub is one subproblem the master holds until a client goes idle:
-// a job's root, a leftover cofactor from an over-producing split, a
-// preempted checkpoint, or what a lost client left behind. donor and
-// issueEv name the client it came from and the flight event (split-issue,
-// job-preempt or client-leave) its assignment hangs under.
+// a job's root, a leftover cofactor from an over-producing split, or what
+// a lost client left behind. donor and issueEv name the client it came
+// from and the flight event (split-issue or client-leave) its assignment
+// hangs under.
 type backlogSub struct {
 	sub     *solver.Subproblem
 	origin  subOrigin
@@ -314,7 +302,7 @@ type masterEvent struct {
 type masterJob struct {
 	*Job
 	// backlog queues unserved split requests from this job's clients;
-	// subBacklog queues its leftover cofactors and preempted checkpoints.
+	// subBacklog queues its root, leftover cofactors and salvage.
 	backlog    []BacklogEntry
 	subBacklog []backlogSub
 	// assigned is set once the root subproblem was queued for handing out.
@@ -365,7 +353,6 @@ type Master struct {
 	// nextJobID issues Submit's job IDs, starting at 1: ID 0 belongs to the
 	// job a one-shot master admits at construction.
 	nextJobID int
-	policy    SchedPolicy
 	admission Admission
 	// pendingSplits tracks in-flight subproblem transfers by token.
 	pendingSplits map[int]*splitGroup
@@ -520,10 +507,6 @@ func newMaster(cfg MasterConfig, now func() float64, send func(int, comm.Message
 	if _, err := solver.ParseStrategy(cfg.SplitStrategy); err != nil {
 		return nil, err
 	}
-	policy, err := ParseSchedPolicy(cfg.SchedPolicy)
-	if err != nil {
-		return nil, err
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -540,7 +523,6 @@ func newMaster(cfg MasterConfig, now func() float64, send func(int, comm.Message
 		clients:        map[int]*masterClient{},
 		fanout:         solver.StrategyFanout(cfg.SplitStrategy),
 		jobs:           map[int]*masterJob{},
-		policy:         policy,
 		admission:      cfg.Admission,
 		pendingSplits:  map[int]*splitGroup{},
 		pendingAssigns: map[int]backlogSub{},
@@ -679,8 +661,8 @@ func (m *Master) dispatch(ev masterEvent) {
 		m.handleShare(c, msg)
 	case comm.Solved:
 		m.handleSolved(c, msg)
-	case comm.Preempted:
-		m.handlePreempted(c, msg)
+	case comm.Stopped:
+		m.handleStopped(c, msg)
 	case comm.StatusReport:
 		m.handleStatusReport(c, msg)
 	}
@@ -761,23 +743,20 @@ func (m *Master) handleRegister(c *masterClient, msg comm.Register) {
 	m.femit(trace.FEvent{Kind: trace.FEvClientJoin, Client: c.id,
 		Detail: msg.HostName, Parent: m.inTI.Parent})
 	m.send(c.id, comm.RegisterAck{ClientID: c.id})
-	// The oldest active job's formula rides with the ack: under fifo it is
-	// the job a fresh client will most likely serve (with one job: every
+	// The formula of the job first in serving order rides with the ack: it
+	// is the job a fresh client will most likely serve (with one job: every
 	// client has the formula before its first split, as in the paper). Any
 	// other job's goes out when the client is first picked for it.
-	for _, id := range m.jobOrder {
-		if j := m.jobs[id]; j.State.Active() {
-			m.ensureBase(c, j)
-			break
-		}
+	if jobs := m.servingOrder(); len(jobs) > 0 {
+		m.ensureBase(c, jobs[0])
 	}
-	// A fresh idle client changes every job's share, and may serve a backlog.
-	m.maybeRebalance()
+	// A fresh idle client may serve a backlog.
+	m.serveBacklog()
 }
 
 // ensureBase sends a job's base formula to a client that has not cached
 // it yet; called right before the client is reserved or assigned for the
-// job (and at registration, for the oldest job).
+// job (and at registration, for the job first in serving order).
 func (m *Master) ensureBase(c *masterClient, j *masterJob) {
 	if c.sentBase[j.ID] {
 		return
@@ -786,18 +765,16 @@ func (m *Master) ensureBase(c *masterClient, j *masterJob) {
 	m.send(c.id, comm.BaseProblem{Formula: j.Formula, Job: j.ID})
 }
 
-// markStarted moves a job to running on its first (or renewed) client
-// assignment, stamping StartedAt and the lifecycle event.
+// markStarted moves a job to running on its first client assignment,
+// stamping StartedAt and the lifecycle event.
 func (m *Master) markStarted(j *masterJob) {
-	switch j.State {
-	case JobQueued:
-		j.StartedAt = m.now()
-		j.State = JobRunning
-		m.met.queueWait.Observe(j.StartedAt - j.SubmittedAt)
-		m.femit(trace.FEvent{Kind: trace.FEvJobStart, Job: j.ID})
-	case JobPreempted:
-		j.State = JobRunning
+	if j.State != JobQueued {
+		return
 	}
+	j.StartedAt = m.now()
+	j.State = JobRunning
+	m.met.queueWait.Observe(j.StartedAt - j.SubmittedAt)
+	m.femit(trace.FEvent{Kind: trace.FEvJobStart, Job: j.ID})
 }
 
 // noteForecast replaces a client's placement rank and free-memory
@@ -823,7 +800,7 @@ func (m *Master) assignRoot(j *masterJob) {
 
 func (m *Master) handleSplitRequest(c *masterClient, msg comm.SplitRequest) {
 	j := m.jobOf(c)
-	if j == nil || !c.busy || c.pendingSplit || c.preempting {
+	if j == nil || !c.busy || c.pendingSplit || c.stopping {
 		return // idle clients cannot split; duplicates are ignored
 	}
 	c.pendingSplit = true
@@ -837,53 +814,56 @@ func (m *Master) handleSplitRequest(c *masterClient, msg comm.SplitRequest) {
 	m.serveBacklog()
 }
 
-// serveBacklog places queued work on idle resources: each active job gets
-// clients up to its policy target, in submission order, so the allocation
-// stays malleable. With one job the target is whatever the job can use, and
+// servingOrder lists the active jobs in the order idle clients serve them:
+// higher priority first, then submission order. Event-loop only.
+func (m *Master) servingOrder() []*masterJob {
+	var jobs []*masterJob
+	for _, id := range m.jobOrder {
+		if j := m.jobs[id]; j.State.Active() {
+			jobs = append(jobs, j)
+		}
+	}
+	slices.SortStableFunc(jobs, func(a, b *masterJob) int { return b.Priority - a.Priority })
+	return jobs
+}
+
+// serveBacklog places queued work on idle resources, one job at a time in
+// serving order: each job takes the idle clients its queued work can use
+// before the next job sees any, and no client is taken off running work.
+// A job starts from its root once a client is idle for it. With one job
 // this is the paper's flow: idle resources absorb its splits.
 func (m *Master) serveBacklog() {
-	t := m.tally() // for every job: placing a job's work changes only its own load
-	targets := m.allocTargets(t)
-	for _, id := range m.jobOrder {
-		j := m.jobs[id]
-		if !j.State.Active() {
-			continue
-		}
-		deficit := max(0, targets[j.ID]-t.load(j.ID).held)
-		if deficit > 0 && !j.assigned && t.registered >= m.cfg.ExpectedClients {
-			// First allocation: the job starts from its root subproblem.
+	registered := m.tally().registered
+	for _, j := range m.servingOrder() {
+		if !j.assigned && registered >= m.cfg.ExpectedClients && len(m.idleCandidates()) > 0 {
 			m.assignRoot(j)
 		}
-		m.serveSplitBacklog(j, m.serveSubBacklog(j, deficit))
+		m.serveSubBacklog(j)
+		m.serveSplitBacklog(j)
 	}
 }
 
 // serveSplitBacklog serves a job's queued split requests, longest-running
 // requester first. A request reserves up to the strategy's fanout in idle
 // recipients, so a dilemma donor can shed all its cofactors in one
-// exchange; limit caps how many recipients may be reserved in total. Stale
-// requests ahead of the first live one are dropped whatever the limit: an
-// entry left behind keeps its AssignedAt and would jump the queue if its
-// client went busy again.
-func (m *Master) serveSplitBacklog(j *masterJob, limit int) {
+// exchange. Stale requests ahead of the first live one are dropped even
+// when no client is idle: an entry left behind keeps its AssignedAt and
+// would jump the queue if its client went busy again.
+func (m *Master) serveSplitBacklog(j *masterJob) {
 	for {
 		i := NextFromBacklog(j.backlog)
 		if i < 0 {
 			return
 		}
 		donor := m.clients[j.backlog[i].ClientID]
-		if donor == nil || !donor.busy || donor.job != j.ID || donor.preempting {
+		if donor == nil || !donor.busy || donor.job != j.ID || donor.stopping {
 			// Requester vanished, finished, or was reassigned; drop the entry.
 			j.backlog = append(j.backlog[:i], j.backlog[i+1:]...)
 			continue
 		}
-		if limit <= 0 {
-			return
-		}
-		budget := min(max(1, m.fanout), limit)
 		var peers []comm.SplitPeer
 		cands := m.idleCandidates()
-		for len(peers) < budget {
+		for len(peers) < max(1, m.fanout) {
 			target, ok := PickSplitTarget(cands, m.cfg.MinMemBytes)
 			if !ok {
 				break
@@ -917,21 +897,19 @@ func (m *Master) serveSplitBacklog(j *masterJob, limit int) {
 			Parent: donor.splitReqEv})
 		m.pendingSplits[m.nextSplitID] = g
 		m.send(donor.id, comm.SplitAssign{SplitID: m.nextSplitID, Peers: peers})
-		limit -= len(peers)
 	}
 }
 
 // serveSubBacklog hands a job's master-held subproblems (its root,
-// leftover split products, preempted checkpoints, salvage from lost
-// clients) to idle clients — cheaper than asking a busy client to split.
-// A queued subproblem is live search space where it lies; assignment moves
-// it from the queue to the recipient, busy from the moment it is sent.
-// Returns the remaining assignment budget.
-func (m *Master) serveSubBacklog(j *masterJob, limit int) int {
-	for len(j.subBacklog) > 0 && limit > 0 {
+// leftover split products, salvage from lost clients) to idle clients —
+// cheaper than asking a busy client to split. A queued subproblem is live
+// search space where it lies; assignment moves it from the queue to the
+// recipient, busy from the moment it is sent.
+func (m *Master) serveSubBacklog(j *masterJob) {
+	for len(j.subBacklog) > 0 {
 		target, ok := PickSplitTarget(m.idleCandidates(), m.cfg.MinMemBytes)
 		if !ok {
-			return limit
+			return
 		}
 		entry := j.subBacklog[0]
 		j.subBacklog = j.subBacklog[1:]
@@ -949,70 +927,55 @@ func (m *Master) serveSubBacklog(j *masterJob, limit int) int {
 			m.met.firstAssign.Observe(j.FirstAssignAt - j.SubmittedAt)
 		}
 		m.result.MaxClients = max(m.result.MaxClients, m.tally().busy)
-		limit--
 	}
-	return limit
 }
 
 func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) {
 	// A master-held subproblem acks with the split ID it descended from
-	// (0 for roots, preempted checkpoints and salvage).
+	// (0 for roots and salvage).
 	if entry, ok := m.pendingAssigns[c.id]; ok && entry.splitID == msg.SplitID {
 		delete(m.pendingAssigns, c.id)
 		j := m.jobs[entry.job]
-		if msg.OK {
-			switch entry.origin {
-			case fromRoot:
-				m.femit(trace.FEvent{Kind: trace.FEvAssign, Client: c.id, Job: entry.job})
-			case fromPreempt:
-				// A preempted checkpoint came back to life on a new client:
-				// the flight log records the checkpoint's travel and the
-				// resume under the job-preempt event that created it.
-				m.femit(trace.FEvent{Kind: trace.FEvMigrate, Client: entry.donor,
-					Peer: c.id, Job: entry.job, Parent: entry.issueEv})
-				m.femit(trace.FEvent{Kind: trace.FEvJobResume, Client: c.id,
-					Job: entry.job, Parent: entry.issueEv})
-			case fromCrash:
-				m.femit(trace.FEvent{Kind: trace.FEvRecover, Client: c.id,
-					Job: entry.job, Parent: entry.issueEv})
-			default:
-				m.result.Splits++
-				m.met.splits.Inc()
-				m.femit(trace.FEvent{Kind: trace.FEvSplitAccept, Client: c.id,
-					Peer: entry.donor, SplitID: entry.splitID, Parent: entry.issueEv})
-			}
-		} else {
+		switch {
+		case !j.State.Active():
+			// The job ended while the payload travelled. The client has been
+			// busy since the send, so releaseJob stopped it (unless a Migrate
+			// had, which settles on its own) and its ack frees it; whatever
+			// it bounced ended with the job.
+			return
+		case !msg.OK:
 			// The assignment bounced; requeue the subproblem — it is still
-			// live search space. A Preempt sent behind the payload will be
-			// answered by an idle client: that ack is stale.
+			// live search space. The client is idle again: a Migrate sent
+			// behind the payload fails at it.
 			c.busy = false
-			c.preempting = false
+			c.stopping = false
 			m.femit(trace.FEvent{Kind: trace.FEvSplitFail, Client: c.id,
 				Peer: entry.donor, SplitID: entry.splitID, Parent: entry.issueEv, Detail: msg.Err})
 			j.subBacklog = append(j.subBacklog, entry)
 			m.serveBacklog()
+		case entry.origin == fromRoot:
+			m.femit(trace.FEvent{Kind: trace.FEvAssign, Client: c.id, Job: entry.job})
+		case entry.origin == fromCrash:
+			m.femit(trace.FEvent{Kind: trace.FEvRecover, Client: c.id,
+				Job: entry.job, Parent: entry.issueEv})
+		default:
+			m.result.Splits++
+			m.met.splits.Inc()
+			m.femit(trace.FEvent{Kind: trace.FEvSplitAccept, Client: c.id,
+				Peer: entry.donor, SplitID: entry.splitID, Parent: entry.issueEv})
 		}
 		m.checkExhausted(j)
 		return
 	}
 	g, ok := m.pendingSplits[msg.SplitID]
 	if !ok {
-		// An already-settled group, or a transfer whose job ended while the
-		// payload was in flight. In the last case the recipient just started
-		// solving a dead job: stop it and keep it busy master-side until its
-		// idle ack.
-		if msg.OK && !c.busy {
-			if j := m.jobOf(c); j != nil && !j.State.Active() {
-				c.busy = true
-				c.preempting = true
-				c.stopSeq++
-				m.send(c.id, comm.StopWork{Job: j.ID, Seq: c.stopSeq})
-			}
-		}
-		m.checkExhausted(m.jobOf(c))
-		return
+		return // a leg of a transfer that has settled already
 	}
+	// A transfer outlives its job: its legs still report, and a recipient
+	// is not free while a payload may be on its way to it.
 	j := m.jobs[g.job]
+	live := j.State.Active()
+	var lost error
 	if c.id == g.donor { // Figure 3, message (5)
 		g.donorDone = true
 		used := 0
@@ -1022,7 +985,10 @@ func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) {
 			m.femit(trace.FEvent{Kind: trace.FEvSplitFail, Client: g.donor,
 				SplitID: msg.SplitID, Parent: g.issueEv, Detail: msg.Err})
 			if g.migrate {
-				c.preempting = false // the move is off; the donor solves on
+				c.stopping = false // the move is off; the donor solves on…
+				if !live && c.busy && c.job == g.job {
+					m.stop(c) // …a job that has ended since
+				}
 			}
 		}
 		// Peers are served in assignment order, so everyone beyond the Used
@@ -1049,7 +1015,12 @@ func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) {
 		}
 		g.settled[c.id] = true
 		c.reserved = false
-		if msg.OK {
+		switch {
+		case msg.OK && !live:
+			// The recipient started a subproblem of a job that has ended.
+			c.busy = true
+			m.stop(c)
+		case msg.OK:
 			c.busy = true
 			c.assignedAt = m.now()
 			if g.migrate {
@@ -1064,27 +1035,31 @@ func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) {
 					Peer: g.donor, SplitID: msg.SplitID, Parent: g.issueEv})
 			}
 			m.result.MaxClients = max(m.result.MaxClients, m.tally().busy)
-		} else {
+		default:
 			m.femit(trace.FEvent{Kind: trace.FEvSplitFail, Client: c.id,
 				Peer: g.donor, SplitID: msg.SplitID, Parent: g.issueEv, Detail: msg.Err})
-			if len(msg.Leftover) == 0 {
+			if len(msg.Leftover) == 0 && live {
 				// A recipient answers only a payload it received, and this one
 				// did not hand it back: the cofactor is gone, unsearched.
-				m.finishJob(j, solver.StatusUnknown, nil,
-					fmt.Errorf("core: client %d dropped its cofactor of split %d: %s", c.id, msg.SplitID, msg.Err))
-				return
+				lost = fmt.Errorf("core: client %d dropped its cofactor of split %d: %s", c.id, msg.SplitID, msg.Err)
 			}
 		}
 	}
-	// What rides back is live search space again, the master's to hand out:
-	// the donor's cofactors beyond the peers it served, or the payload a
-	// recipient could not start.
-	for _, sub := range msg.Leftover {
-		j.subBacklog = append(j.subBacklog, backlogSub{sub: sub,
-			splitID: msg.SplitID, donor: g.donor, issueEv: g.issueEv, job: g.job})
-	}
 	if g.done() {
 		delete(m.pendingSplits, msg.SplitID)
+	}
+	if lost != nil {
+		m.finishJob(j, solver.StatusUnknown, nil, lost)
+		return
+	}
+	// What rides back is live search space again, the master's to hand out:
+	// the donor's cofactors beyond the peers it served, or the payload a
+	// recipient could not start. A dead job's is dropped with it.
+	if live {
+		for _, sub := range msg.Leftover {
+			j.subBacklog = append(j.subBacklog, backlogSub{sub: sub,
+				splitID: msg.SplitID, donor: g.donor, issueEv: g.issueEv, job: g.job})
+		}
 	}
 	m.serveBacklog()
 	m.checkExhausted(j)
@@ -1155,7 +1130,7 @@ func (m *Master) handleSolved(c *masterClient, msg comm.Solved) {
 	}
 	c.busy = false
 	c.pendingSplit = false
-	c.preempting = false // a verdict beat any in-flight preempt
+	c.stopping = false // a verdict beat any in-flight stop
 	if !j.State.Active() {
 		// The job ended (cancelled, or decided by a peer) while this client
 		// was still solving; the stale verdict just frees the client.
@@ -1240,12 +1215,12 @@ func (m *Master) clientLost(c *masterClient, salvage []*solver.Subproblem) {
 	// to the head of the backlog: an assignment it never acknowledged goes
 	// back as it was (the master still holds it, whether or not the shell
 	// caught it on the wire), the salvage as recover-on-crash entries.
+	pending, unacked := m.pendingAssigns[c.id]
+	delete(m.pendingAssigns, c.id)
 	unwound := j != nil
 	if unwound {
 		var requeue []backlogSub
-		pending, unacked := m.pendingAssigns[c.id]
 		if unacked {
-			delete(m.pendingAssigns, c.id)
 			requeue = append(requeue, pending)
 		}
 		for _, sub := range salvage {
@@ -1317,7 +1292,7 @@ func (m *Master) maybeMigrate(factor, minHeld float64) {
 	var weakest *masterClient
 	for _, id := range m.order {
 		c := m.clients[id]
-		if !c.busy || c.preempting || m.now()-c.assignedAt < minHeld {
+		if !c.busy || c.stopping || m.now()-c.assignedAt < minHeld {
 			continue
 		}
 		if weakest == nil || c.rank < weakest.rank {
@@ -1337,7 +1312,7 @@ func (m *Master) maybeMigrate(factor, minHeld float64) {
 	r.reserved = true
 	r.job = j.ID
 	m.ensureBase(r, j)
-	weakest.preempting = true
+	weakest.stopping = true
 	weakest.stopSeq++ // no ack answers a Migrate: one still in flight is from an older stop
 	m.nextSplitID++
 	m.pendingSplits[m.nextSplitID] = &splitGroup{donor: weakest.id, job: j.ID,

@@ -237,8 +237,6 @@ func (m *Master) Run() (Result, error) {
 			_ = m.httpSrv.Close()
 		}
 	}()
-	rebalance := time.NewTicker(m.cfg.RebalancePeriod)
-	defer rebalance.Stop()
 	var sampler <-chan time.Time
 	if m.hist != nil {
 		t := time.NewTicker(m.cfg.HistoryPeriod)
@@ -247,9 +245,6 @@ func (m *Master) Run() (Result, error) {
 	}
 	for {
 		select {
-		case <-rebalance.C:
-			m.maybeRebalance()
-			m.updateGauges()
 		case <-sampler:
 			m.sampleTick()
 		case ev := <-m.events:

@@ -130,7 +130,6 @@ func (m *Master) writeBundleAsync(spec BundleSpec) {
 // and are captured by the state dump instead).
 type bundleConfig struct {
 	Serve            bool           `json:"serve"`
-	SchedPolicy      string         `json:"sched_policy"`
 	SplitStrategy    string         `json:"split_strategy"`
 	MinMemBytes      int64          `json:"min_mem_bytes"`
 	HistoryPeriodSec float64        `json:"history_period_sec"`
@@ -147,7 +146,6 @@ func (m *Master) bundleSpec(reason string, st ClusterState) BundleSpec {
 	m.bundleSeq++
 	cfg := bundleConfig{
 		Serve:         m.cfg.Formula == nil,
-		SchedPolicy:   m.policy.Name(),
 		SplitStrategy: m.cfg.SplitStrategy,
 		MinMemBytes:   m.cfg.MinMemBytes,
 		BundleDir:     m.cfg.BundleDir,

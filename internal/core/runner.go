@@ -59,12 +59,12 @@ import (
 // admission cap, the sampler period, and one split strategy (Client's) and
 // flight recorder (Master's) for both halves; at launch each client's host
 // (name, free memory, speed). Fields only the live shell reads (Transport,
-// addresses, Timeout, RebalancePeriod, SliceConflicts, ...) are ignored.
+// addresses, Timeout, SliceConflicts, ...) are ignored.
 type RunnerConfig struct {
 	Grid *grid.Grid
 	// Master configures the control plane. Master.Formula is the one-shot
-	// run's instance, the master's job 0; Master.SchedPolicy moves clients
-	// between Jobs; a non-nil Master.Watchdog turns on the history sampler
+	// run's instance, the master's job 0; a non-nil Master.Watchdog turns on
+	// the history sampler
 	// and anomaly watchdog, ticked at the monitor period with thresholds in
 	// virtual seconds (zero fields take the live defaults); Master.BundleDir
 	// writes postmortem bundles synchronously with deterministic names and
@@ -85,10 +85,10 @@ type RunnerConfig struct {
 	// stepped in worker-index order so the run stays deterministic.
 	Client ClientConfig
 	// Jobs makes the run a multi-job workload: Master.Formula is ignored and
-	// each SimJob arrives at its ArrivalVSec, contending for clients under
-	// Master.SchedPolicy exactly like submissions to `gridsat serve` (it is
-	// the same master), and the result carries one row per job. Empty = a
-	// one-shot run of Master.Formula, the master's job 0.
+	// each SimJob arrives at its ArrivalVSec, contending for idle clients
+	// exactly like submissions to `gridsat serve` (it is the same master),
+	// and the result carries one row per job. Empty = a one-shot run of
+	// Master.Formula, the master's job 0.
 	Jobs []SimJob
 	// PropsPerVSec is R: solver propagations per virtual second on a
 	// dedicated speed-1.0 host. The benchmark harness uses 1000, which
@@ -145,7 +145,7 @@ type FailurePlan struct {
 type SimJob struct {
 	Name    string
 	Formula *cnf.Formula
-	// Priority weighs this job under the priority policy (>= 1).
+	// Priority orders this job for idle clients (>= 1; higher first).
 	Priority int
 	// ArrivalVSec is when the job is submitted (virtual seconds).
 	ArrivalVSec float64
@@ -169,8 +169,6 @@ type SimJobResult struct {
 	StartVSec      float64
 	FinishVSec     float64
 	TurnaroundVSec float64
-	// Preemptions counts clients taken from this job mid-subproblem.
-	Preemptions int
 	// Coverage is the job's refuted search-space fraction at the end.
 	Coverage float64
 }
@@ -215,15 +213,12 @@ func (c *RunnerConfig) withDefaults() RunnerConfig {
 // runs at the monitor period when a watchdog is configured and is off
 // otherwise; a client heartbeats every slice; the master learns the
 // clients' split strategy and the clients share the master's flight
-// recorder. Unknown strategy and policy names degrade to the defaults — the
-// CLI rejects them at the flag boundary.
+// recorder. An unknown strategy name degrades to the default — the CLI
+// rejects it at the flag boundary.
 func (c *RunnerConfig) stamp() {
 	m, cl := &c.Master, &c.Client
 	if _, err := solver.ParseStrategy(cl.SplitStrategy); err != nil {
 		cl.SplitStrategy = ""
-	}
-	if _, err := ParseSchedPolicy(m.SchedPolicy); err != nil {
-		m.SchedPolicy = ""
 	}
 	if len(c.Jobs) > 0 {
 		m.Formula = nil
@@ -317,10 +312,9 @@ type SimResult struct {
 	PoolLost      int64
 	PoolDropped   int64
 	// Jobs carries per-job outcomes for multi-job runs (nil otherwise),
-	// in submission order; Preemptions totals their preemption counts and
-	// MakespanVSec spans first submission to last finish.
+	// in submission order; MakespanVSec spans first submission to last
+	// finish.
 	Jobs         []SimJobResult
-	Preemptions  int
 	MakespanVSec float64
 	// Alerts is the watchdog's alert feed (virtual-time stamps; nil when
 	// RunnerConfig.Master.Watchdog was nil) and Bundles the postmortem bundle
@@ -532,7 +526,7 @@ func RunDistributed(cfg RunnerConfig) SimResult {
 		}
 		m.sampleTick()
 		m.maybeMigrate(cfg.MigrationFactor, cfg.Client.MinRunTime.Seconds())
-		m.maybeRebalance() // periodic reallocation, like the live ticker
+		m.serveBacklog() // a fresh forecast can lift a host over MinMemBytes
 		r.settle()
 		r.sim.After(cfg.MonitorPeriodVSec, monitor)
 	}
@@ -1169,10 +1163,8 @@ func (r *runner) finishJobs(rows []JobSnapshot) {
 			StartVSec:      row.StartedAt,
 			FinishVSec:     row.FinishedAt,
 			TurnaroundVSec: row.TurnaroundSec,
-			Preemptions:    row.Preemptions,
 			Coverage:       row.Coverage,
 		})
-		r.res.Preemptions += row.Preemptions
 		if firstSubmit < 0 || row.SubmittedAt < firstSubmit {
 			firstSubmit = row.SubmittedAt
 		}

@@ -84,17 +84,17 @@ func TestParallelDESIsTheSerialDES(t *testing.T) {
 			cfg.Client.Threads = 2
 			return cfg
 		}, nil},
-		{"three-jobs-preempt-cancel", func() RunnerConfig {
+		{"three-jobs-cancel", func() RunnerConfig {
 			cfg := desSchedConfig([]SimJob{
 				{Name: "long", Formula: gen.Pigeonhole(8), Priority: 1, ArrivalVSec: 1},
 				{Name: "late", Formula: gen.Pigeonhole(7), Priority: 1, ArrivalVSec: 25},
 				{Name: "doomed", Formula: gen.Pigeonhole(10), Priority: 1, ArrivalVSec: 30, CancelVSec: 60},
-			}, "fair-share", 100_000)
+			}, 100_000)
 			cfg.MaxClients = 2
 			return cfg
 		}, func(t *testing.T, res SimResult, _ []trace.FEvent) {
-			if doomed := res.Jobs[2]; res.Preemptions == 0 || doomed.Verdict != "CANCELLED" || doomed.StartVSec == 0 {
-				t.Fatalf("%d preemptions, doomed job %+v; pick a config that preempts, and cancels a job that is computing", res.Preemptions, doomed)
+			if doomed := res.Jobs[2]; doomed.Verdict != "CANCELLED" || doomed.StartVSec == 0 {
+				t.Fatalf("doomed job %+v; pick a config that cancels a job that is computing", doomed)
 			}
 		}},
 	}

@@ -7,17 +7,15 @@ import (
 
 	"gridsat/internal/brute"
 	"gridsat/internal/cnf"
-	"gridsat/internal/comm"
 	"gridsat/internal/gen"
 	"gridsat/internal/grid"
 	"gridsat/internal/solver"
 	"gridsat/internal/trace"
 )
 
-func desSchedConfig(jobs []SimJob, policy string, timeout float64) RunnerConfig {
+func desSchedConfig(jobs []SimJob, timeout float64) RunnerConfig {
 	return RunnerConfig{
 		Grid:              grid.TestbedGrADS(1),
-		Master:            MasterConfig{SchedPolicy: policy},
 		Client:            ClientConfig{ShareMaxLen: 10},
 		Jobs:              jobs,
 		TimeoutVSec:       timeout,
@@ -52,8 +50,8 @@ func jobByID(t *testing.T, res SimResult, id int) SimJobResult {
 }
 
 // TestRunDistributedTwoConcurrentJobs is the DES half of the multi-job
-// acceptance criterion: two jobs overlap in virtual time under fair-share
-// and both reach correct verdicts.
+// acceptance criterion: two jobs overlap in virtual time — the second takes
+// the clients the first cannot use — and both reach correct verdicts.
 func TestRunDistributedTwoConcurrentJobs(t *testing.T) {
 	sat := schedSATFormula(t)
 	jobs := []SimJob{
@@ -61,7 +59,7 @@ func TestRunDistributedTwoConcurrentJobs(t *testing.T) {
 		{Name: "sat", Formula: sat, Priority: 1, ArrivalVSec: 2},
 	}
 	fl := trace.NewFlight(nil)
-	cfg := desSchedConfig(jobs, "fair-share", 50_000)
+	cfg := desSchedConfig(jobs, 50_000)
 	cfg.Master.Flight = fl
 	res := RunDistributed(cfg)
 	if res.Outcome != OutcomeSolved {
@@ -95,61 +93,6 @@ func TestRunDistributedTwoConcurrentJobs(t *testing.T) {
 	}
 }
 
-// TestRunDistributedSchedPreemptChain asserts a real malleable
-// reassignment inside the DES: a long job absorbs the cluster, a second
-// arrival forces a preemption, and the flight log shows the
-// preempt → migrate → resume chain with matching parents.
-func TestRunDistributedSchedPreemptChain(t *testing.T) {
-	jobs := []SimJob{
-		{Name: "long", Formula: gen.Pigeonhole(9), Priority: 1, ArrivalVSec: 1},
-		{Name: "late", Formula: gen.Pigeonhole(7), Priority: 1, ArrivalVSec: 40},
-	}
-	fl := trace.NewFlight(nil)
-	cfg := desSchedConfig(jobs, "fair-share", 200_000)
-	// Two clients total, so the long job provably holds the whole cluster
-	// when the second job arrives — its start REQUIRES a preemption.
-	cfg.MaxClients = 2
-	cfg.Master.Flight = fl
-	res := RunDistributed(cfg)
-	if res.Outcome != OutcomeSolved {
-		t.Fatalf("outcome %v (jobs: %+v)", res.Outcome, res.Jobs)
-	}
-	j1, j2 := jobByID(t, res, 1), jobByID(t, res, 2)
-	if j1.Verdict != "UNSAT" || j2.Verdict != "UNSAT" {
-		t.Fatalf("verdicts %q/%q, want UNSAT/UNSAT (lost search space?)", j1.Verdict, j2.Verdict)
-	}
-	if res.Preemptions < 1 {
-		t.Fatalf("preemptions = %d, want >= 1", res.Preemptions)
-	}
-	var preempt, migrate, resume *trace.FEvent
-	evs := fl.Events()
-	for i := range evs {
-		ev := &evs[i]
-		switch {
-		case ev.Kind == trace.FEvJobPreempt && preempt == nil:
-			preempt = ev
-		case ev.Kind == trace.FEvMigrate && preempt != nil && ev.Parent == preempt.ID && migrate == nil:
-			migrate = ev
-		case ev.Kind == trace.FEvJobResume && preempt != nil && ev.Parent == preempt.ID && resume == nil:
-			resume = ev
-		}
-	}
-	if preempt == nil || migrate == nil || resume == nil {
-		t.Fatalf("incomplete preempt chain: preempt=%v migrate=%v resume=%v",
-			preempt != nil, migrate != nil, resume != nil)
-	}
-	if migrate.Client != preempt.Client {
-		t.Fatalf("migrate donor %d is not the preempted client %d", migrate.Client, preempt.Client)
-	}
-	if resume.Client != migrate.Peer {
-		t.Fatalf("resume client %d is not the migrate recipient %d", resume.Client, migrate.Peer)
-	}
-	if migrate.Job != preempt.Job || resume.Job != preempt.Job {
-		t.Fatalf("chain crosses jobs: preempt job %d, migrate %d, resume %d",
-			preempt.Job, migrate.Job, resume.Job)
-	}
-}
-
 // TestRunDistributedSchedCancel cancels a job mid-run and expects the
 // survivor to finish normally while the cancelled one reports CANCELLED.
 func TestRunDistributedSchedCancel(t *testing.T) {
@@ -157,7 +100,7 @@ func TestRunDistributedSchedCancel(t *testing.T) {
 		{Name: "doomed", Formula: gen.Pigeonhole(10), Priority: 1, ArrivalVSec: 1, CancelVSec: 60},
 		{Name: "keeper", Formula: gen.Pigeonhole(7), Priority: 1, ArrivalVSec: 5},
 	}
-	res := RunDistributed(desSchedConfig(jobs, "fifo", 200_000))
+	res := RunDistributed(desSchedConfig(jobs, 200_000))
 	if res.Outcome != OutcomeSolved {
 		t.Fatalf("outcome %v (jobs: %+v)", res.Outcome, res.Jobs)
 	}
@@ -181,13 +124,13 @@ func TestRunDistributedSchedDeterministic(t *testing.T) {
 			{Name: "c", Formula: gen.Pigeonhole(7), Priority: 1, ArrivalVSec: 6},
 		}
 		fl := trace.NewFlight(nil)
-		cfg := desSchedConfig(jobs, "priority", 100_000)
+		cfg := desSchedConfig(jobs, 100_000)
 		cfg.Master.Flight = fl
 		return RunDistributed(cfg), fl.Events()
 	}
 	r1, e1 := mk()
 	r2, e2 := mk()
-	if r1.VSec != r2.VSec || r1.Preemptions != r2.Preemptions || len(r1.Jobs) != len(r2.Jobs) {
+	if r1.VSec != r2.VSec || len(r1.Jobs) != len(r2.Jobs) {
 		t.Fatalf("results diverge: %+v vs %+v", r1, r2)
 	}
 	for i := range r1.Jobs {
@@ -219,7 +162,7 @@ func TestRunDistributedSingleJobUnchanged(t *testing.T) {
 	if res.Outcome != OutcomeSolved || res.Status != solver.StatusUNSAT {
 		t.Fatalf("got %v/%v", res.Outcome, res.Status)
 	}
-	if res.Jobs != nil || res.Preemptions != 0 {
+	if res.Jobs != nil {
 		t.Fatalf("one-shot run grew per-job results: %+v", res.Jobs)
 	}
 	var got []trace.FEvent
@@ -309,39 +252,6 @@ func TestOneShotIsAOneJobService(t *testing.T) {
 	}
 }
 
-// TestJobDemand pins the demand estimate the policies apportion against —
-// the one both shells now share.
-func TestJobDemand(t *testing.T) {
-	now := 1.0
-	m := bareMaster(t, &now)
-	m.fanout = 2
-	f := cnf.NewFormula(2)
-	f.Add(1, 2)
-	id, err := m.submit("j", f, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j := m.jobs[id]
-	if d := m.jobDemand(m.tally(), j); d != 1 {
-		t.Fatalf("unstarted job demand %d, want 1 (the root)", d)
-	}
-	// Three live subproblems — the root on the only client, two cofactors
-	// queued behind it — and that client's split request, which no idle
-	// client can serve.
-	c := m.clients[m.connect()]
-	m.handle(from(c.id, comm.Register{Addr: "a", FreeMemBytes: 64 << 20, SpeedHint: 1}))
-	for range 2 {
-		j.subBacklog = append(j.subBacklog, backlogSub{job: id, sub: &solver.Subproblem{NumVars: 2, Depth: 1}})
-	}
-	m.handle(from(c.id, comm.SplitRequest{ClientID: c.id}))
-	if !c.busy || len(j.backlog) != 1 || len(j.subBacklog) != 2 {
-		t.Fatalf("setup: busy=%v backlog=%d queued=%d", c.busy, len(j.backlog), len(j.subBacklog))
-	}
-	if d := m.jobDemand(m.tally(), j); d != 5 {
-		t.Fatalf("demand %d, want outstanding 3 + backlog 1×fanout 2 = 5", d)
-	}
-}
-
 // TestRunDistributedAssignmentAtSliceBoundary is the D2 regression, at the
 // exact instant the live defect needed a race to hit. The grid is one host,
 // the last one, so the one client runs on the master's host and the link
@@ -357,7 +267,7 @@ func TestRunDistributedAssignmentAtSliceBoundary(t *testing.T) {
 		{Name: "second", Formula: gen.Pigeonhole(6), Priority: 1, ArrivalVSec: 2},
 	}
 	fl := trace.NewFlight(nil)
-	cfg := desSchedConfig(jobs, "fifo", 10_000)
+	cfg := desSchedConfig(jobs, 10_000)
 	cfg.Grid.Hosts = cfg.Grid.Hosts[:1] // host 0 gets the client and the master: a zero-delay link
 	cfg.Master.Flight = fl
 	res := RunDistributed(cfg)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -19,13 +18,12 @@ import (
 
 // This file is the job half of the master: the scheduling service. Jobs
 // arrive through Submit (or the HTTP API in Endpoints), wait in the
-// admission-controlled queue, and hold clients according to the configured
-// SchedPolicy. Allocation is malleable in Mallob's sense — the scheduler
-// moves clients between running jobs at runtime by preempting them
-// (checkpoint via the §3.4 migration machinery) and resuming the
-// checkpointed subproblem on whichever client the policy hands it to next.
-// All scheduler state lives on the master's single event loop; the public
-// methods below marshal onto it through masterEvent.apply closures.
+// admission-controlled queue, and are served by idle clients in priority
+// order (serveBacklog). Like GridSAT's master, the service never takes a
+// client off running work: a job's clients come back when its subproblems
+// end, and the job's end stops them. All scheduler state lives on the
+// master's single event loop; the public methods below marshal onto it
+// through masterEvent.apply closures.
 
 // ErrNoSuchJob is returned for job IDs the service has never issued.
 var ErrNoSuchJob = errors.New("core: no such job")
@@ -53,8 +51,9 @@ func (m *Master) apply(fn func()) error {
 }
 
 // Submit queues a formula as a new job and returns its ID. Priority
-// below 1 is clamped to 1; it only matters under the "priority" policy.
-// Fails when admission control rejects the job.
+// below 1 is clamped to 1; idle clients serve higher priorities first and
+// equal ones in submission order. Fails when admission control rejects the
+// job.
 func (m *Master) Submit(name string, f *cnf.Formula, priority int) (int, error) {
 	if f == nil {
 		return 0, errors.New("core: submit needs a formula")
@@ -82,7 +81,7 @@ func (m *Master) submit(name string, f *cnf.Formula, priority int) (int, error) 
 	}
 	m.nextJobID++
 	m.admit(m.nextJobID, name, f, max(1, priority))
-	m.maybeRebalance()
+	m.serveBacklog()
 	return m.nextJobID, nil
 }
 
@@ -125,7 +124,7 @@ func (m *Master) cancel(id int) error {
 		m.writeBundle(m.bundleSpec(fmt.Sprintf("job-%d-cancelled", j.ID), m.state()))
 	}
 	m.releaseJob(j)
-	m.maybeRebalance()
+	m.serveBacklog()
 	return nil
 }
 
@@ -185,122 +184,31 @@ func (m *Master) Shutdown() {
 	}
 }
 
-// jobDemand estimates how many clients a job can put to work right now:
-// its live subproblems (busy clients, in-flight transfers, queued
-// cofactors) plus the recipients its queued split requests could serve,
-// plus the root assignment if it never started. Demand feeds the policy
-// so FIFO spillover and fair-share redistribution have something to cap
-// against; it grows as the job's clients ask to split.
-func (m *Master) jobDemand(t poolTally, j *masterJob) int {
-	d := t.outstanding(j) + len(j.backlog)*max(1, m.fanout)
-	if !j.assigned {
-		d++
-	}
-	if d < 1 {
-		d = 1
-	}
-	return d
-}
-
-// allocTargets asks the policy how many clients each active job should
-// hold, given the registered pool. Event-loop only.
-func (m *Master) allocTargets(t poolTally) map[int]int {
-	var claims []SchedShare
-	for _, id := range m.jobOrder {
-		j := m.jobs[id]
-		if !j.State.Active() {
-			continue
-		}
-		claims = append(claims, SchedShare{JobID: j.ID, Priority: j.Priority,
-			Demand: m.jobDemand(t, j)})
-	}
-	return m.policy.Allocate(claims, t.registered)
-}
-
-// maybeRebalance reviews the allocation: jobs over their policy target
-// give up clients (checkpoint preemption), jobs under it get queued work
-// placed on idle clients. Event-loop only.
-func (m *Master) maybeRebalance() {
-	t := m.tally() // asking a client to stop takes nothing off the table yet
-	targets := m.allocTargets(t)
-	for _, id := range m.jobOrder {
-		j := m.jobs[id]
-		if !j.State.Active() || !j.assigned {
-			continue
-		}
-		if over := t.load(j.ID).held - targets[j.ID]; over > 0 {
-			m.preemptClients(j, over)
-		}
-	}
-	m.serveBacklog()
-}
-
-// preemptClients asks up to n of a job's busy clients to checkpoint and
-// stop, newest assignment first (the least progress is lost), ties to
-// the higher ID for determinism. Reserved and already-preempting clients
-// are skipped — their transfers must settle first.
-func (m *Master) preemptClients(j *masterJob, n int) {
-	var cands []*masterClient
-	for _, id := range m.order {
-		if c := m.clients[id]; c.job == j.ID && c.busy && !c.preempting && !c.reserved {
-			cands = append(cands, c)
-		}
-	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].assignedAt != cands[b].assignedAt {
-			return cands[a].assignedAt > cands[b].assignedAt
-		}
-		return cands[a].id > cands[b].id
-	})
-	for i := 0; i < n && i < len(cands); i++ {
-		c := cands[i]
-		c.preempting = true
-		c.stopSeq++
-		m.log.Info("preempting client", "client", c.id, "job", j.ID)
-		m.send(c.id, comm.Preempt{Job: j.ID, Seq: c.stopSeq})
-	}
-}
-
-// handlePreempted folds a client's checkpoint ack back into the
-// scheduler: the checkpointed subproblem joins its job's backlog (it is
-// live search space, now the master's to hand out), and the client returns
-// to the allocatable pool. A nil Sub is a plain stop ack: the answer to a
-// StopWork, whose job is over. Event-loop only.
-func (m *Master) handlePreempted(c *masterClient, msg comm.Preempted) {
-	if !c.preempting || msg.Seq != c.stopSeq {
-		// Stale ack: the preempt this answers was beaten by a verdict
-		// (handleSolved cleared preempting and freed the client), and the
+// handleStopped folds a client's stop ack back into the pool. Only
+// StopWork is acknowledged, and only a terminal job's clients are stopped,
+// so an ack that names the outstanding stop while the client's job is
+// still active is outside input — a client that gave a live subproblem up
+// and returned nothing. Its search space is gone as surely as with a lost
+// client, and the job ends without a verdict. Event-loop only.
+func (m *Master) handleStopped(c *masterClient, msg comm.Stopped) {
+	if !c.stopping || msg.Seq != c.stopSeq {
+		// Stale ack: the stop this answers was beaten by a verdict
+		// (handleSolved cleared stopping and freed the client), and the
 		// client may since have been reassigned. Clearing busy here would
 		// orphan that new assignment, so the ack is dropped outright.
 		return
 	}
-	// A preempting client is busy (only busy clients are stopped, and what
-	// clears busy clears preempting), on the job the table says.
+	// A stopping client is busy (only busy clients are stopped, and what
+	// clears busy clears stopping), on the job the table says.
 	c.busy = false
-	c.preempting = false
+	c.stopping = false
 	c.pendingSplit = false
-	j := m.jobOf(c)
-	if j != nil && j.State.Active() {
-		if msg.Sub == nil {
-			// It gave up a subproblem of a running job and returned nothing.
-			// An honest client cannot — had its search ended first, FIFO puts
-			// the Solved ahead and makes this ack stale — and the search space
-			// is gone as surely as with a lost client.
-			m.finishJob(j, solver.StatusUnknown, nil,
-				fmt.Errorf("core: client %d acknowledged a preempt of job %d without its checkpoint", c.id, j.ID))
-			return
-		}
-		j.Preemptions++
-		pe := m.femit(trace.FEvent{Kind: trace.FEvJobPreempt, Client: c.id, Job: j.ID})
-		j.subBacklog = append(j.subBacklog, backlogSub{sub: msg.Sub, donor: c.id,
-			origin: fromPreempt, issueEv: pe, job: j.ID})
-		if j.State == JobRunning && m.tally().load(j.ID).held == 0 {
-			j.State = JobPreempted
-		}
-		m.log.Info("client preempted", "client", c.id, "job", j.ID,
-			"depth", msg.Sub.Depth, "learnts", len(msg.Sub.Learnts))
+	if j := m.jobOf(c); j != nil && j.State.Active() {
+		m.finishJob(j, solver.StatusUnknown, nil,
+			fmt.Errorf("core: client %d acknowledged a stop of job %d, which was still running", c.id, j.ID))
+		return
 	}
-	m.maybeRebalance()
+	m.serveBacklog()
 }
 
 // finishJob records a job's verdict — or, with StatusUnknown, the cause of
@@ -315,50 +223,35 @@ func (m *Master) finishJob(j *masterJob, status solver.Status, model cnf.Assignm
 	j.observeEnd(&m.met)
 	m.femit(trace.FEvent{Kind: trace.FEvJobDone, Job: j.ID, Detail: status.String()})
 	m.log.Info("job finished", "job", j.ID, "verdict", status,
-		"turnaround", j.TurnaroundSec(), "preemptions", j.Preemptions)
+		"turnaround", j.TurnaroundSec())
 	if status == solver.StatusUnknown && m.cfg.BundleDir != "" {
 		// A job that ends without a verdict (lost client, invalid model)
 		// is exactly what a postmortem bundle is for.
 		m.writeBundle(m.bundleSpec(fmt.Sprintf("job-%d-failed", j.ID), m.state()))
 	}
 	m.releaseJob(j)
-	m.maybeRebalance()
+	m.serveBacklog()
 }
 
-// releaseJob drops a terminal job's in-flight transfers and stops its
-// clients: reserved recipients are released immediately; busy clients
-// get StopWork and stay busy master-side until their idle ack, so new
-// work is never raced against a still-running solver. Event-loop only.
+// releaseJob stops a terminal job's busy clients. Each gets StopWork and
+// stays busy master-side until its ack, so new work is never raced against
+// a still-running solver. The job's transfers stay until each leg reports
+// (handleSplitDone stops a recipient that started a payload of it) or its
+// client is lost: a reserved recipient is not free while a payload may
+// still reach it. Event-loop only.
 func (m *Master) releaseJob(j *masterJob) {
-	for _, id := range m.sortedSplitIDs() {
-		g := m.pendingSplits[id]
-		if g.job != j.ID {
-			continue
-		}
-		for _, rid := range g.recipients {
-			if g.settled[rid] {
-				continue
-			}
-			if r := m.clients[rid]; r != nil {
-				r.reserved = false
-			}
-		}
-		delete(m.pendingSplits, id)
-	}
-	for cid, entry := range m.pendingAssigns {
-		if entry.job == j.ID {
-			delete(m.pendingAssigns, cid) // no send, no event: order-free
-		}
-	}
 	for _, id := range m.order {
-		c := m.clients[id]
-		if c.job != j.ID || !c.busy || c.preempting {
-			continue
+		if c := m.clients[id]; c.job == j.ID && c.busy && !c.stopping {
+			m.stop(c)
 		}
-		c.preempting = true
-		c.stopSeq++
-		m.send(c.id, comm.StopWork{Job: j.ID, Seq: c.stopSeq})
 	}
+}
+
+// stop tells a busy client to abandon its subproblem, whose job has ended.
+func (m *Master) stop(c *masterClient) {
+	c.stopping = true
+	c.stopSeq++
+	m.send(c.id, comm.StopWork{Job: c.job, Seq: c.stopSeq})
 }
 
 // Service wraps a master with its HTTP/JSON job API. Install the

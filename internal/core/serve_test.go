@@ -25,9 +25,6 @@ func serveMaster(t *testing.T, tr comm.Transport, cfg MasterConfig) (*Master, ch
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 2 * time.Minute
 	}
-	if cfg.RebalancePeriod == 0 {
-		cfg.RebalancePeriod = 5 * time.Millisecond
-	}
 	m, err := NewMaster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -94,28 +91,6 @@ func waitJobState(t *testing.T, m *Master, id int, within time.Duration) JobSnap
 	}
 }
 
-// waitJobClients polls until the job holds at least n clients.
-func waitJobClients(t *testing.T, m *Master, id, n int, within time.Duration) {
-	t.Helper()
-	deadline := time.Now().Add(within)
-	for {
-		snap, err := m.JobStatus(id, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if snap.Clients >= n {
-			return
-		}
-		if snap.State == "done" {
-			t.Fatalf("job %d finished before holding %d clients", id, n)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %d holds %d clients after %v, want >= %d", id, snap.Clients, within, n)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
 // modelSatisfies checks a DIMACS-literal model against every clause.
 func modelSatisfies(f *cnf.Formula, model []int) bool {
 	val := map[int]bool{}
@@ -162,16 +137,15 @@ func satTestFormula(t *testing.T) *cnf.Formula {
 }
 
 // TestServeTwoConcurrentJobs is the service's basic contract over the
-// in-process transport: two jobs submitted back to back run under
-// fair-share and both reach correct verdicts — the UNSAT one by
-// exhaustion, the SAT one with a model that satisfies its formula.
+// in-process transport: two jobs submitted back to back share the pool and
+// both reach correct verdicts — the UNSAT one by exhaustion, the SAT one
+// with a model that satisfies its formula.
 func TestServeTwoConcurrentJobs(t *testing.T) {
 	tr := comm.NewInprocTransport()
 	fl := trace.NewFlight(nil)
 	m, done := serveMaster(t, tr, MasterConfig{
-		ListenAddr:  "serve-master",
-		SchedPolicy: "fair-share",
-		Flight:      fl,
+		ListenAddr: "serve-master",
+		Flight:     fl,
 	})
 	wg := serveClients(t, tr, "serve-master", 3, fl)
 
@@ -218,104 +192,6 @@ func TestServeTwoConcurrentJobs(t *testing.T) {
 	wg.Wait()
 }
 
-// TestServeMalleableReassignment is the acceptance test for malleable
-// allocation over live TCP: a long UNSAT job absorbs both clients, a
-// second job arrives, and fair-share must take a client from the first
-// job via checkpoint preemption. Both clients provably start on job 1
-// (we wait for Clients == 2 before submitting job 2), so whichever
-// client job 2's root lands on was reassigned between jobs mid-run. The
-// flight log must show the full preempt → migrate → resume chain for
-// job 1's checkpointed subproblem, and both verdicts must be correct —
-// the UNSAT one proving no search space was lost across the preemption.
-func TestServeMalleableReassignment(t *testing.T) {
-	tr := comm.TCPTransport{}
-	fl := trace.NewFlight(nil)
-	m, done := serveMaster(t, tr, MasterConfig{
-		ListenAddr:  "127.0.0.1:0",
-		SchedPolicy: "fair-share",
-		Flight:      fl,
-	})
-	wg := serveClients(t, tr, m.Addr(), 2, fl)
-
-	long := gen.Pigeonhole(9)
-	sat := satTestFormula(t)
-
-	id1, err := m.Submit("long-unsat", long, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both clients must be working job 1 before job 2 arrives, so the
-	// only way job 2 can start is by taking one of them.
-	waitJobClients(t, m, id1, 2, 30*time.Second)
-
-	id2, err := m.Submit("short-sat", sat, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := waitJobState(t, m, id2, time.Minute)
-	s1 := waitJobState(t, m, id1, time.Minute)
-	if s1.Verdict != "UNSAT" {
-		t.Fatalf("job %d verdict %q, want UNSAT (search space lost across preemption?)", id1, s1.Verdict)
-	}
-	if s2.Verdict != "SAT" || !modelSatisfies(sat, s2.Model) {
-		t.Fatalf("job %d verdict %q model %v, want satisfying SAT", id2, s2.Verdict, s2.Model)
-	}
-	if s1.Preemptions < 1 {
-		t.Fatalf("job %d preemptions = %d, want >= 1", id1, s1.Preemptions)
-	}
-
-	m.Shutdown()
-	<-done
-	wg.Wait()
-
-	// The causal chain in the flight log: job 1 loses a client to a
-	// checkpoint (job-preempt), job 2 starts on a client that was job
-	// 1's, and job 1's checkpoint later travels to a client (migrate)
-	// and resumes there (job-resume), both pointing back at the
-	// preempt event that created it.
-	evs := fl.Events()
-	var preempt, migrate, resume, assign2 *trace.FEvent
-	for i := range evs {
-		ev := &evs[i]
-		switch {
-		case ev.Kind == trace.FEvJobPreempt && ev.Job == id1 && preempt == nil:
-			preempt = ev
-		case ev.Kind == trace.FEvAssign && ev.Job == id2 && assign2 == nil:
-			assign2 = ev
-		case ev.Kind == trace.FEvMigrate && ev.Job == id1 && preempt != nil &&
-			ev.Parent == preempt.ID && migrate == nil:
-			migrate = ev
-		case ev.Kind == trace.FEvJobResume && ev.Job == id1 && preempt != nil &&
-			ev.Parent == preempt.ID && resume == nil:
-			resume = ev
-		}
-	}
-	if preempt == nil {
-		t.Fatal("flight log has no job-preempt event for job 1")
-	}
-	if assign2 == nil {
-		t.Fatal("flight log has no assign event for job 2 — it never took a client")
-	}
-	if migrate == nil || resume == nil {
-		t.Fatalf("flight log missing the migrate/resume pair under preempt %d (migrate=%v resume=%v)",
-			preempt.ID, migrate != nil, resume != nil)
-	}
-	if !(preempt.ID < migrate.ID && migrate.ID < resume.ID) {
-		t.Fatalf("chain out of order: preempt=%d migrate=%d resume=%d",
-			preempt.ID, migrate.ID, resume.ID)
-	}
-	if migrate.Client != preempt.Client {
-		t.Fatalf("migrate donor %d is not the preempted client %d", migrate.Client, preempt.Client)
-	}
-	if resume.Client != migrate.Peer {
-		t.Fatalf("resume client %d is not the migrate recipient %d", resume.Client, migrate.Peer)
-	}
-	if verdicts := trace.JobVerdicts(evs); verdicts[id1] != "UNSAT" || verdicts[id2] != "SAT" {
-		t.Fatalf("flight-log verdicts %v disagree with API", verdicts)
-	}
-}
-
 // TestServeHTTPAPI drives the service purely over HTTP: submit via a
 // DIMACS POST body, poll status, fetch the result with its model, list
 // jobs, cancel a long-running job mid-run, and get proper error codes
@@ -325,7 +201,6 @@ func TestServeHTTPAPI(t *testing.T) {
 	svc := NewService(nil) // late-bound: endpoints go into the config first
 	m, done := serveMaster(t, tr, MasterConfig{
 		ListenAddr:     "serve-http",
-		SchedPolicy:    "fair-share",
 		MetricsAddr:    "127.0.0.1:0",
 		ExtraEndpoints: svc.Endpoints(),
 	})
@@ -510,17 +385,15 @@ func TestServeAdmissionAndErrors(t *testing.T) {
 	}
 }
 
-// TestServeSchedulerChurn hammers the scheduler with arrivals, cancels
-// and late-joining clients at a small rebalance period — the -race CI
-// target. Every job must still reach a terminal state and the verdicts
-// that do land must be correct.
+// TestServeSchedulerChurn hammers the scheduler with arrivals of mixed
+// priority, cancels and late-joining clients — the -race CI target. Every
+// job must still reach a terminal state and the verdicts that do land must
+// be correct.
 func TestServeSchedulerChurn(t *testing.T) {
 	tr := comm.NewInprocTransport()
 	m, done := serveMaster(t, tr, MasterConfig{
-		ListenAddr:      "serve-churn",
-		SchedPolicy:     "priority",
-		RebalancePeriod: 2 * time.Millisecond,
-		Admission:       Admission{MaxActive: 16},
+		ListenAddr: "serve-churn",
+		Admission:  Admission{MaxActive: 16},
 	})
 	wg := serveClients(t, tr, "serve-churn", 2, nil)
 

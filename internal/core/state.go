@@ -201,9 +201,8 @@ func (m *Master) State() ClusterState {
 }
 
 // jobLoad is what a job takes from the client table: how many clients
-// hold it (busy or reserved, including ones mid-preemption) — the number
-// the scheduler allocates against — and the summed conflict throughput of
-// the busy ones.
+// hold it (busy or reserved, including ones being stopped) and the summed
+// conflict throughput of the busy ones.
 type jobLoad struct {
 	job  int
 	held int
@@ -212,7 +211,7 @@ type jobLoad struct {
 
 // poolTally is one reading of the client table: the pool counts and each
 // job's load. Every count the master acts on or reports — gauges,
-// ClusterState, allocation, the UNSAT test — is taken from one, so "is
+// ClusterState, the root's start, the UNSAT test — is taken from one, so "is
 // this job exhausted" cannot disagree with "who holds this job".
 type poolTally struct {
 	registered, busy, reserved int
@@ -288,7 +287,6 @@ func (j *masterJob) snapshot(load jobLoad) JobSnapshot {
 		StartedAt:     j.StartedAt,
 		FirstAssignAt: j.FirstAssignAt,
 		FinishedAt:    j.FinishedAt,
-		Preemptions:   j.Preemptions,
 		QueueWaitSec:  lat.QueueWaitSec,
 		SolveSec:      lat.SolveSec,
 		TurnaroundSec: lat.TurnaroundSec,

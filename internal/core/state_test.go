@@ -30,13 +30,13 @@ func bareMaster(t *testing.T, now *float64) *Master {
 }
 
 // populate fills m with nClients × nJobs of hand-built state in every
-// shape the view has to count: jobs in all five lifecycle states with and
-// without a root issued, clients idle, busy, reserved and preempting, and
+// shape the view has to count: jobs in all four lifecycle states with and
+// without a root issued, clients idle, busy, reserved and stopping, and
 // one connection still mid-registration.
 func populate(m *Master, nClients, nJobs int) {
 	for id := 1; id <= nJobs; id++ {
 		j := &masterJob{Job: &Job{ID: id, Name: fmt.Sprintf("job-%d", id), Priority: 1 + id%3,
-			State: JobState(id % 5), SubmittedAt: float64(id)}}
+			State: JobState(id % 4), SubmittedAt: float64(id)}}
 		j.assigned = j.State != JobQueued || id%2 == 0
 		if j.State != JobQueued {
 			j.StartedAt, j.FirstAssignAt = j.SubmittedAt+1, j.SubmittedAt+2
@@ -67,7 +67,7 @@ func populate(m *Master, nClients, nJobs int) {
 		}
 		c.busy = id%3 != 0
 		c.reserved = !c.busy && id%2 == 0
-		c.preempting = c.busy && id%5 == 0
+		c.stopping = c.busy && id%5 == 0
 		c.usedMem, c.dbLearnts, c.depth = int64(id)<<20, 100*id, id%9
 		c.confRate = 37.5 * float64(id%11)
 		c.lastHBSec, c.assignedAt = float64(id%4), float64(id%6)

@@ -46,12 +46,10 @@ const (
 
 	// Job lifecycle kinds. A one-shot run emits submit, start and done
 	// once each, for its job 0.
-	FEvJobSubmit  = "job-submit"  // Job entered the queue (N = priority, Detail = name)
-	FEvJobStart   = "job-start"   // Job received its first client allocation
-	FEvJobPreempt = "job-preempt" // Client checkpointed Job's subproblem back to the queue
-	FEvJobResume  = "job-resume"  // a preempted subproblem restarted on Client (Parent = preempt)
-	FEvJobDone    = "job-done"    // Job reached a verdict (Detail = SAT/UNSAT/UNKNOWN)
-	FEvJobCancel  = "job-cancel"  // Job was cancelled by the submitter
+	FEvJobSubmit = "job-submit" // Job entered the queue (N = priority, Detail = name)
+	FEvJobStart  = "job-start"  // Job received its first client allocation
+	FEvJobDone   = "job-done"   // Job reached a verdict (Detail = SAT/UNSAT/UNKNOWN)
+	FEvJobCancel = "job-cancel" // Job was cancelled by the submitter
 
 	// FEvAnomaly records a fired watchdog rule (Detail = "rule: detail",
 	// Client set for per-client rules). Emitted only when a watchdog is
@@ -69,8 +67,7 @@ var KnownKinds = map[string]bool{
 	FEvMemShed: true, FEvMigrate: true, FEvRecover: true,
 	FEvSubUNSAT: true, FEvProgress: true, FEvImportUse: true,
 	FEvVerdict:   true,
-	FEvJobSubmit: true, FEvJobStart: true, FEvJobPreempt: true,
-	FEvJobResume: true, FEvJobDone: true, FEvJobCancel: true,
+	FEvJobSubmit: true, FEvJobStart: true, FEvJobDone: true, FEvJobCancel: true,
 	FEvAnomaly: true,
 }
 

@@ -8,7 +8,8 @@ import (
 )
 
 // jobTestLog is a compact two-job scheduler log exercising the full job
-// lifecycle vocabulary plus a preempt→migrate→resume reassignment.
+// lifecycle vocabulary plus a migration of job 1's subproblem onto the
+// client that worked for job 2.
 func jobTestLog() []FEvent {
 	f := NewFlight(nil)
 	f.Emit(FEvent{Kind: FEvRunStart, N: 2})
@@ -20,20 +21,17 @@ func jobTestLog() []FEvent {
 	f.Emit(FEvent{Kind: FEvAssign, Client: 1, Job: 1})
 	f.Emit(FEvent{Kind: FEvJobStart, Job: 2})
 	f.Emit(FEvent{Kind: FEvAssign, Client: 2, Job: 2})
-	p := f.Emit(FEvent{Kind: FEvJobPreempt, Client: 1, Job: 1})
+	f.Emit(FEvent{Kind: FEvJobCancel, Job: 2})
 	f.Emit(FEvent{Kind: FEvMigrate, Client: 1, Peer: 2, Job: 1})
-	f.Emit(FEvent{Kind: FEvJobResume, Client: 2, Job: 1, Parent: p})
 	f.Emit(FEvent{Kind: FEvSubUNSAT, Client: 2, Job: 1})
 	f.Emit(FEvent{Kind: FEvJobDone, Job: 1, Detail: "UNSAT"})
-	f.Emit(FEvent{Kind: FEvJobCancel, Job: 2})
 	return f.Events()
 }
 
 // TestJobKindsKnown: every job lifecycle kind is in the validation
 // vocabulary, so a scheduler log passes Validate.
 func TestJobKindsKnown(t *testing.T) {
-	for _, k := range []string{FEvJobSubmit, FEvJobStart, FEvJobPreempt,
-		FEvJobResume, FEvJobDone, FEvJobCancel} {
+	for _, k := range []string{FEvJobSubmit, FEvJobStart, FEvJobDone, FEvJobCancel} {
 		if !KnownKinds[k] {
 			t.Errorf("job kind %q missing from KnownKinds", k)
 		}
@@ -118,8 +116,9 @@ func TestJobRoundTripJSONL(t *testing.T) {
 }
 
 // TestPerfettoPerJobTracks: a multi-job log renders one track group per
-// job (pid = perfettoPid + job) with process_name metadata, and the
-// preempted subproblem's resume span lands in the owning job's group.
+// job (pid = perfettoPid + job) with process_name metadata, and a
+// subproblem migrated onto another job's former client lands in the owning
+// job's group.
 func TestPerfettoPerJobTracks(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WritePerfetto(&buf, jobTestLog()); err != nil {
@@ -138,26 +137,26 @@ func TestPerfettoPerJobTracks(t *testing.T) {
 		t.Fatal(err)
 	}
 	groups := map[int]string{}
-	sawResume := false
+	sawMigrated := false
 	for _, e := range doc.TraceEvents {
 		if e.Ph == "M" && e.Name == "process_name" {
 			groups[e.Pid], _ = e.Args["name"].(string)
 		}
-		if e.Ph == "X" && e.Name == "resumed" {
-			sawResume = true
+		if e.Ph == "X" && e.Name == "migrated-in" {
+			sawMigrated = true
 			if e.Pid != perfettoPid+1 {
-				t.Errorf("resumed span in pid %d, want job 1's group %d", e.Pid, perfettoPid+1)
+				t.Errorf("migrated-in span in pid %d, want job 1's group %d", e.Pid, perfettoPid+1)
 			}
 			if e.Tid != 2 {
-				t.Errorf("resumed span on tid %d, want client 2", e.Tid)
+				t.Errorf("migrated-in span on tid %d, want client 2", e.Tid)
 			}
 		}
 	}
 	if groups[perfettoPid+1] != "job 1" || groups[perfettoPid+2] != "job 2" {
 		t.Fatalf("per-job track groups missing: %v", groups)
 	}
-	if !sawResume {
-		t.Fatal("preempted subproblem never rendered a resume span")
+	if !sawMigrated {
+		t.Fatal("the migrated subproblem never rendered a span on its new client")
 	}
 
 	// A single-job log must not grow process_name metadata (pid stays 1).

@@ -78,9 +78,9 @@ func WritePerfetto(w io.Writer, events []FEvent) error {
 	name(perfettoPid, 0, "master")
 
 	// Ownership spans: a client's row is "solving" from the event that gave
-	// it work (assign / split-accept / recover / job-resume) until the event
-	// that took the work away (sub-unsat / migrate out / preempt / leave /
-	// verdict). Spans live inside their job's track group.
+	// it work (assign / split-accept / recover / migrate in) until the event
+	// that took the work away (sub-unsat / migrate out / leave / verdict).
+	// Spans live inside their job's track group.
 	type openSpan struct {
 		start float64
 		label string
@@ -122,9 +122,7 @@ func WritePerfetto(w io.Writer, events []FEvent) error {
 			open[ev.Client] = &openSpan{start: t, label: fmt.Sprintf("split %d", ev.SplitID), ev: ev}
 		case FEvRecover:
 			open[ev.Client] = &openSpan{start: t, label: "recovered", ev: ev}
-		case FEvJobResume:
-			open[ev.Client] = &openSpan{start: t, label: "resumed", ev: ev}
-		case FEvSubUNSAT, FEvClientLeave, FEvJobPreempt:
+		case FEvSubUNSAT, FEvClientLeave:
 			closeSpan(ev.Client, t)
 		case FEvMigrate:
 			closeSpan(ev.Client, t)

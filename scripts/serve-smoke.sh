@@ -21,7 +21,7 @@ go run ./cmd/satgen -family pigeonhole -n 7 -o "$SMOKE_DIR/php7.cnf"
 go run ./cmd/satgen -family pigeonhole -n 12 -o "$SMOKE_DIR/php12.cnf"
 
 "$SMOKE_DIR/gridsat" serve -listen "$LISTEN" -api-addr "$API" \
-  -sched fair-share -log info -trace "$SMOKE_DIR/flight.jsonl" \
+  -log info -trace "$SMOKE_DIR/flight.jsonl" \
   >"$SMOKE_DIR/serve.log" 2>&1 &
 SERVE_PID=$!
 cleanup() {
