@@ -20,7 +20,6 @@ import (
 	"gridsat/internal/proof"
 	"gridsat/internal/simplify"
 	"gridsat/internal/solver"
-	"gridsat/internal/trace"
 )
 
 // ---- Table 1: zChaff vs GridSAT on the SAT2002 stand-ins ----
@@ -355,32 +354,6 @@ func BenchmarkTransportInproc(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkInstrumentationOverhead reproduces the paper's §4.1 remark that
-// instrumentation "reduces performance by as much as 50%": the same solve
-// with and without the event hook installed.
-func BenchmarkInstrumentationOverhead(b *testing.B) {
-	f := gen.Pigeonhole(8)
-	b.Run("off", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s := solver.New(f, solver.Fidelity2003())
-			if r := s.Solve(solver.Limits{}); r.Status != solver.StatusUNSAT {
-				b.Fatal("wrong answer")
-			}
-		}
-	})
-	b.Run("on", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rec := trace.NewRecorder(1 << 14)
-			opts := solver.Fidelity2003()
-			opts.Instrument = rec.Hook()
-			s := solver.New(f, opts)
-			if r := s.Solve(solver.Limits{}); r.Status != solver.StatusUNSAT {
-				b.Fatal("wrong answer")
-			}
-		}
-	})
 }
 
 // BenchmarkAblationEngine compares the 2003-faithful engine against

@@ -53,11 +53,6 @@ type ClientConfig struct {
 	// SolverOptions tunes the engine; nil runs solver.DefaultOptions, the
 	// shipped engine (the DES passes solver.Fidelity2003 here).
 	SolverOptions *solver.Options
-	// Counters, when set, receives the always-on solver metrics
-	// (decisions, conflicts, propagations, ...) for every subproblem this
-	// client solves. Cheap enough to leave on (see internal/bench's
-	// instrumentation ablation); may be shared across clients.
-	Counters *solver.Counters
 	// Metrics, when set, receives the client's sharing-pipeline series
 	// (gridsat_client_share_dedup_total); may be shared across clients.
 	Metrics *obs.Registry
@@ -572,9 +567,6 @@ func (c *Client) startSubproblem(splitID, job int, subs []*solver.Subproblem) {
 		opts = *c.cfg.SolverOptions
 	}
 	opts.ShareMaxLen = c.cfg.ShareMaxLen
-	if c.cfg.Counters != nil {
-		opts.Counters = c.cfg.Counters
-	}
 	// One worker exports straight to the aggregator (OnLearn passes a fresh
 	// copy, so it may retain it). K > 1 diversified workers publish to the
 	// in-host pool instead, and the clauses within the cluster share bound

@@ -23,12 +23,12 @@ func TestConfigSurface(t *testing.T) {
 			"MetricsAddr Flight SplitStrategy Admission ExtraEndpoints " +
 			"HistoryPeriod Watchdog BundleDir"},
 		{ClientConfig{}, "Transport MasterAddr ListenAddr HostName FreeMemBytes SpeedHint ShareMaxLen " +
-			"SliceConflicts MinRunTime HeartbeatEvery SplitStrategy Threads SolverOptions Counters Metrics Flight"},
+			"SliceConflicts MinRunTime HeartbeatEvery SplitStrategy Threads SolverOptions Metrics Flight"},
 		{RunnerConfig{}, "Grid Master Client Jobs PropsPerVSec QuantumProps TimeoutVSec MaxClients Batch " +
 			"Failures MonitorPeriodVSec MigrationFactor P2PSharing Seed"},
 		{JobConfig{}, "Clients Threads Timeout Master Client"},
 		{solver.Options{}, "DecayInterval RestartBase RestartPolicy ShareMaxLen OnLearn PruneLevel0 " +
-			"MaxLearnts Reduce MinimizeLearnts PhaseSaving Seed Phase DecisionOverride Instrument Counters OnLemma"},
+			"MaxLearnts Reduce MinimizeLearnts PhaseSaving Seed Phase DecisionOverride OnLemma"},
 	} {
 		ty := reflect.TypeOf(tc.v)
 		names := make([]string, ty.NumField())

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,10 +18,15 @@ import (
 // timeout to fire. Whatever gets such a client out of a slice is an
 // interrupt, so the tests below need no timing — only a deadline to fail
 // by instead of hanging. inSlice blocks until the client's solver has
-// counted a conflict, i.e. until Run is inside Solve.
+// made a decision, i.e. until Run is inside Solve.
 func endlessSliceClient(t *testing.T, tr comm.Transport, addr string, threads int) (wg *sync.WaitGroup, inSlice func()) {
 	t.Helper()
-	ctr := solver.NewCounters(nil)
+	var decided atomic.Bool
+	opts := solver.DefaultOptions()
+	opts.DecisionOverride = func(*solver.Solver) cnf.Lit {
+		decided.Store(true)
+		return cnf.NoLit // VSIDS decides
+	}
 	cl, err := NewClient(ClientConfig{
 		Transport:      tr,
 		MasterAddr:     addr,
@@ -28,7 +34,7 @@ func endlessSliceClient(t *testing.T, tr comm.Transport, addr string, threads in
 		SliceConflicts: 1 << 50,
 		MinRunTime:     time.Hour,
 		Threads:        threads,
-		Counters:       ctr,
+		SolverOptions:  &opts,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +44,7 @@ func endlessSliceClient(t *testing.T, tr comm.Transport, addr string, threads in
 	go func() { defer wg.Done(); _ = cl.Run() }()
 	return wg, func() {
 		t.Helper()
-		for deadline := time.Now().Add(30 * time.Second); ctr.Conflicts.Value() == 0; time.Sleep(time.Millisecond) {
+		for deadline := time.Now().Add(30 * time.Second); !decided.Load(); time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
 				t.Fatal("client never started solving")
 			}

@@ -8,7 +8,6 @@ import (
 	"gridsat/internal/cnf"
 	"gridsat/internal/comm"
 	"gridsat/internal/obs"
-	"gridsat/internal/solver"
 )
 
 // JobConfig describes a self-contained distributed run: a master plus a
@@ -19,7 +18,7 @@ import (
 // configurations as deployed; Solve hands Master to NewMaster and Client to
 // every NewClient, writing over them only what it models: in stamp the
 // in-process transport and addresses, one registry (Master.Metrics, or a
-// private one) for the transport, master, clients and solver counters, and
+// private one) for the transport, master and clients, and
 // one split strategy (Client's) and flight recorder (Master's) for both
 // halves; at launch each client's host name. Client.FreeMemBytes 0 is
 // 256 MiB.
@@ -48,7 +47,6 @@ func (cfg *JobConfig) stamp(f *cnf.Formula, tr comm.Transport, reg *obs.Registry
 	}
 	cl.Transport, cl.MasterAddr, cl.ListenAddr = tr, "master", ""
 	cl.Metrics = reg
-	cl.Counters = solver.NewCounters(reg)
 	cl.Flight = m.Flight
 	if cfg.Threads != 0 {
 		cl.Threads = cfg.Threads

@@ -87,8 +87,8 @@ func TestJobMetricsAndReport(t *testing.T) {
 	if v := snap.CounterValue("gridsat_master_shared_clauses_total"); v != int64(res.SharedClauses) {
 		t.Errorf("registry shared %d != result %d", v, res.SharedClauses)
 	}
-	if v := snap.CounterValue("gridsat_solver_decisions_total"); v == 0 {
-		t.Error("always-on solver counters recorded nothing")
+	if v := snap.CounterValue("gridsat_client_decisions_total"); v != decisions {
+		t.Errorf("registry client decisions %d != result %d", v, decisions)
 	}
 	if v := snap.CounterValue("gridsat_comm_msgs_total"); v != res.Comm.MsgsSent+res.Comm.MsgsRecv {
 		t.Errorf("registry comm msgs %d != totals %d", v, res.Comm.MsgsSent+res.Comm.MsgsRecv)

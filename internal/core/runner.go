@@ -74,11 +74,11 @@ type RunnerConfig struct {
 	Master MasterConfig
 	// Client configures every simulated client. Client.SolverOptions nil
 	// runs solver.Fidelity2003, the paper's engine, which every
-	// virtual-time table is pinned to; its callbacks (Instrument, OnLemma,
-	// OnLearn) are invoked from the runner's worker goroutines — serially
-	// for any one solver, concurrently across clients — so one shared by
-	// all clients must synchronize what it touches (a shared Counters is
-	// atomic). Client.MinRunTime is the split-timeout floor in virtual
+	// virtual-time table is pinned to; its callbacks (OnLemma, OnLearn,
+	// DecisionOverride) are invoked from the runner's worker goroutines —
+	// serially for any one solver, concurrently across clients — so one
+	// shared by all clients must synchronize what it touches.
+	// Client.MinRunTime is the split-timeout floor in virtual
 	// seconds (0 = 10, the paper's 100 s at this scale). With Client.Threads
 	// K > 1, worker 0 (the pathfinder) drives the split, checkpoint and
 	// migration policies while workers 1..K-1 run diversified profiles,

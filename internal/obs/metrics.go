@@ -6,9 +6,9 @@
 // The paper's EveryWare instrumentation cost up to 50% of solver
 // throughput, forcing timed experiments to run blind (§4.1). This package
 // is the always-on replacement: metric handles are plain atomics that
-// callers cache once and increment on the hot path, so a fully
-// instrumented run stays within noise of an uninstrumented one (see the
-// instrumentation ablation in internal/bench).
+// callers cache once and increment off the solver's hot path (the solver
+// keeps plain Stats fields; clients ship their deltas in heartbeats and
+// the master adds them here), so runs need not go blind.
 package obs
 
 import (

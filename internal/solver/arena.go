@@ -279,10 +279,6 @@ func (s *Solver) garbageCollect() int64 {
 	s.ca.data = to.data
 	s.ca.wasted = 0
 	s.stats.ReclaimedBytes += reclaimed
-	if c := s.opts.Counters; c != nil {
-		c.Reclaimed.Add(reclaimed)
-		c.ArenaBytes.Set(s.ca.LiveBytes())
-	}
 	return reclaimed
 }
 

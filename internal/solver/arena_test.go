@@ -5,7 +5,6 @@ import (
 
 	"gridsat/internal/cnf"
 	"gridsat/internal/gen"
-	"gridsat/internal/obs"
 )
 
 // TestArenaAllocAndAccessors exercises the slab encoding round trip:
@@ -151,13 +150,10 @@ func TestMemoryBytesExact(t *testing.T) {
 
 // TestShedMemoryReportsReclaimed checks the shedding path end to end: the
 // return value is the exact byte count freed, MemoryBytes drops
-// accordingly, and the obs counter/gauge see the reclamation.
+// accordingly, and Stats sees the reclamation.
 func TestShedMemoryReportsReclaimed(t *testing.T) {
-	reg := obs.NewRegistry()
-	opts := DefaultOptions()
-	opts.Counters = NewCounters(reg)
 	f := gen.Pigeonhole(8)
-	s := New(f, opts)
+	s := New(f, DefaultOptions())
 	// Run long enough to accumulate a learned DB worth shedding.
 	for round := 0; round < 6 && s.Status() == StatusUnknown && s.NumLearnts() < 64; round++ {
 		s.Solve(Limits{MaxConflicts: 200})
@@ -182,11 +178,7 @@ func TestShedMemoryReportsReclaimed(t *testing.T) {
 		t.Fatalf("MemoryBytes %d, want %d after shedding", got, want)
 	}
 
-	snap := reg.Snapshot()
-	if v := snap.CounterValue("gridsat_solver_arena_reclaimed_bytes_total"); v < freed {
-		t.Errorf("reclaimed counter %d < bytes freed %d", v, freed)
-	}
-	if v := opts.Counters.ArenaBytes.Value(); v != s.ArenaBytes() {
-		t.Errorf("arena gauge %d != live arena bytes %d", v, s.ArenaBytes())
+	if v := s.Stats().ReclaimedBytes; v < freed {
+		t.Errorf("Stats.ReclaimedBytes %d < bytes freed %d", v, freed)
 	}
 }

@@ -227,3 +227,56 @@ func TestImportConcurrentWithSolve(t *testing.T) {
 	}
 	exp.Stop()
 }
+
+// TestImportedUsefulCountsFirstUse drives the whole import-usefulness path:
+// a donor solver's learned clauses are imported by a fresh recipient, and
+// solving must count each distinct imported clause that did work at most
+// once (the sticky header bit), beside the implications and resolutions
+// imported clauses took part in.
+func TestImportedUsefulCountsFirstUse(t *testing.T) {
+	f := gen.Pigeonhole(6)
+	donor := New(f, DefaultOptions())
+	if st := donor.Solve(Limits{}); st.Status != StatusUNSAT {
+		t.Fatalf("donor result %v", st.Status)
+	}
+	shared := donor.ExportLearnts(10, 1000)
+	if len(shared) == 0 {
+		t.Fatal("donor exported no clauses")
+	}
+
+	recipient := New(f, DefaultOptions())
+	if err := recipient.ImportClauses(shared); err != nil {
+		t.Fatal(err)
+	}
+	if st := recipient.Solve(Limits{}); st.Status != StatusUNSAT {
+		t.Fatalf("recipient result %v", st.Status)
+	}
+
+	stats := recipient.Stats()
+	if stats.Imported == 0 {
+		t.Fatal("no clauses recorded as imported")
+	}
+	if stats.ImportedUseful == 0 {
+		t.Fatal("imported clauses never recorded as useful on a conflict-heavy instance")
+	}
+	if stats.ImportedUseful > stats.Imported {
+		t.Fatalf("useful (%d) exceeds imported (%d)", stats.ImportedUseful, stats.Imported)
+	}
+	var used int64
+	for _, r := range recipient.learnts {
+		if recipient.ca.Imported(r) && recipient.ca.ImportUsed(r) {
+			used++
+		}
+	}
+	for _, r := range recipient.clauses {
+		if recipient.ca.Imported(r) && recipient.ca.ImportUsed(r) {
+			used++
+		}
+	}
+	if used > stats.ImportedUseful {
+		t.Fatalf("%d live imported clauses carry the used bit, ImportedUseful = %d", used, stats.ImportedUseful)
+	}
+	if stats.ImportedImplications == 0 && stats.ImportedResolutions == 0 {
+		t.Fatal("useful imports but no imported implications or resolutions counted")
+	}
+}

@@ -113,9 +113,6 @@ func (s *Solver) reduceDB() {
 	s.learnts = kept
 	s.maxLearnts = s.maxLearnts + s.maxLearnts/5
 	s.maybeGC()
-	if c := s.opts.Counters; c != nil {
-		c.ArenaBytes.Set(s.ca.LiveBytes())
-	}
 }
 
 // ShedMemory aggressively halves the learned-clause database and compacts

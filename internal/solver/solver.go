@@ -156,15 +156,6 @@ type Options struct {
 	// decision; returning cnf.NoLit falls through to VSIDS. Used by tests
 	// to replay the paper's worked examples.
 	DecisionOverride func(s *Solver) cnf.Lit
-	// Instrument, when non-nil, receives low-level engine events
-	// (decisions, conflicts, learned clauses, restarts, splits). The paper
-	// ran its experiments with instrumentation disabled, noting it can
-	// cost up to 50%; leave nil for production runs.
-	Instrument func(Event)
-	// Counters, when non-nil, receives cheap always-on metric increments
-	// (atomic adds; propagations batched per BCP pass). Safe to leave on
-	// in production — see internal/bench's instrumentation ablation.
-	Counters *Counters
 	// OnLemma, when non-nil, receives every learned clause in derivation
 	// order for RUP/DRUP proof logging (see internal/proof). zChaff's
 	// companion zVerify checked such traces; the same discipline lets an
@@ -172,66 +163,6 @@ type Options struct {
 	// runs only: imported clauses from other clients would break the local
 	// derivation order.
 	OnLemma func(cnf.Clause)
-}
-
-// EventKind tags an instrumentation event.
-type EventKind int
-
-// Instrumentation event kinds.
-const (
-	EvDecision EventKind = iota
-	EvConflict
-	EvLearn
-	EvRestart
-	EvSplit
-	// EvImply fires once per BCP implication — the fine-grained
-	// telemetry that made the paper's EveryWare channel cost up to 50%
-	// of solver throughput (§4.1). Only emitted when Instrument is set;
-	// the cheap Counters path batches the same information instead.
-	EvImply
-	// EvImportUse fires the first time an imported (peer-origin) clause
-	// participates in the search — its first BCP implication or conflict
-	// resolution. At most one event per imported clause, so the stream
-	// stays control-plane sized even on share-heavy runs.
-	EvImportUse
-
-	// EvKindCount is not an event kind: it is the number of kinds, for
-	// sizing per-kind tables (e.g. trace.Recorder's counters). Add new
-	// kinds ABOVE this sentinel and give them a String case, or the
-	// guard tests in internal/trace will fail.
-	EvKindCount
-)
-
-// String implements fmt.Stringer.
-func (k EventKind) String() string {
-	switch k {
-	case EvDecision:
-		return "decision"
-	case EvConflict:
-		return "conflict"
-	case EvLearn:
-		return "learn"
-	case EvRestart:
-		return "restart"
-	case EvSplit:
-		return "split"
-	case EvImply:
-		return "imply"
-	case EvImportUse:
-		return "import-use"
-	}
-	return "unknown"
-}
-
-// Event is one instrumentation record.
-type Event struct {
-	Kind EventKind
-	// Lit is the decision or asserting literal, when applicable.
-	Lit cnf.Lit
-	// Level is the decision level at the event.
-	Level int
-	// ClauseLen is the learned-clause length for EvLearn.
-	ClauseLen int
 }
 
 // RestartPolicy selects a restart-interval schedule. Together with
@@ -748,28 +679,19 @@ func (s *Solver) propagate() ClauseRef {
 			if h&flagImported != 0 {
 				// Import-usefulness: the reason clause came from a peer. The
 				// header word h is already loaded, so this is one bit-test on
-				// the hot path; first use flips the header bit so the event
-				// fires at most once per clause.
+				// the hot path; first use flips the header bit so a clause
+				// counts as useful at most once.
 				s.stats.ImportedImplications++
 				if h&flagImportUsed == 0 {
 					data[w.ref] = h | flagImportUsed
 					s.stats.ImportedUseful++
-					if s.opts.Instrument != nil {
-						s.opts.Instrument(Event{Kind: EvImportUse, Lit: first, Level: s.DecisionLevel(), ClauseLen: n})
-					}
 				}
-			}
-			if s.opts.Instrument != nil {
-				s.opts.Instrument(Event{Kind: EvImply, Lit: first, Level: s.DecisionLevel()})
 			}
 			s.uncheckedEnqueue(first, w.ref)
 		}
 		s.watches[p] = ws[:j]
 	}
 	s.stats.Propagations += popped
-	if c := s.opts.Counters; c != nil {
-		c.Propagations.Add(popped)
-	}
 	return confl
 }
 
@@ -809,9 +731,6 @@ func (s *Solver) analyze(confl ClauseRef) (learnt cnf.Clause, back int, deps []c
 			if !ca.ImportUsed(c) {
 				ca.markImportUsed(c)
 				s.stats.ImportedUseful++
-				if s.opts.Instrument != nil {
-					s.opts.Instrument(Event{Kind: EvImportUse, Level: int(cur), ClauseLen: ca.Size(c)})
-				}
 			}
 		}
 		for k, n := 0, ca.Size(c); k < n; k++ {
@@ -1024,9 +943,6 @@ func (s *Solver) backtrackTo(level int) {
 // cannot be repaired that way and are never exported.
 func (s *Solver) record(learnt cnf.Clause, deps []cnf.Lit, localUsed bool, lbd int) {
 	s.stats.Learned++
-	if c := s.opts.Counters; c != nil {
-		c.Learned.Inc()
-	}
 	// learnt and deps are analyze's scratch: what a callback receives must
 	// be its own copy.
 	if s.opts.OnLemma != nil {
@@ -1060,9 +976,6 @@ func (s *Solver) record(learnt cnf.Clause, deps []cnf.Lit, localUsed bool, lbd i
 	s.ca.SetLBD(r, lbd)
 	s.learnts = append(s.learnts, r)
 	s.attach(r)
-	if c := s.opts.Counters; c != nil {
-		c.ArenaBytes.Set(s.ca.LiveBytes())
-	}
 	s.uncheckedEnqueue(learnt[0], r)
 }
 
@@ -1103,12 +1016,6 @@ func (s *Solver) decide() bool {
 			s.newDecisionLevel()
 			s.uncheckedEnqueue(l, CRefUndef)
 			s.stats.Decisions++
-			if c := s.opts.Counters; c != nil {
-				c.Decisions.Inc()
-			}
-			if s.opts.Instrument != nil {
-				s.opts.Instrument(Event{Kind: EvDecision, Lit: l, Level: s.DecisionLevel()})
-			}
 			return true
 		}
 	}
@@ -1145,12 +1052,6 @@ func (s *Solver) decide() bool {
 		s.newDecisionLevel()
 		s.uncheckedEnqueue(l, CRefUndef)
 		s.stats.Decisions++
-		if c := s.opts.Counters; c != nil {
-			c.Decisions.Inc()
-		}
-		if s.opts.Instrument != nil {
-			s.opts.Instrument(Event{Kind: EvDecision, Lit: l, Level: s.DecisionLevel()})
-		}
 		return true
 	}
 }
@@ -1192,12 +1093,6 @@ func (s *Solver) Solve(lim Limits) Result {
 		if confl != CRefUndef {
 			s.stats.Conflicts++
 			s.conflictsSinceRestart++
-			if c := s.opts.Counters; c != nil {
-				c.Conflicts.Inc()
-			}
-			if s.opts.Instrument != nil {
-				s.opts.Instrument(Event{Kind: EvConflict, Level: s.DecisionLevel()})
-			}
 			if s.DecisionLevel() == 0 {
 				s.status = StatusUNSAT
 				return s.finished()
@@ -1205,9 +1100,6 @@ func (s *Solver) Solve(lim Limits) Result {
 			learnt, back, deps, localUsed, lbd := s.analyze(confl)
 			s.backtrackTo(back)
 			s.record(learnt, deps, localUsed, lbd)
-			if s.opts.Instrument != nil {
-				s.opts.Instrument(Event{Kind: EvLearn, Lit: learnt[0], Level: back, ClauseLen: len(learnt)})
-			}
 			if s.opts.DecayInterval > 0 && s.stats.Conflicts%int64(s.opts.DecayInterval) == 0 {
 				s.decay()
 			}
@@ -1240,14 +1132,8 @@ func (s *Solver) Solve(lim Limits) Result {
 			s.conflictsSinceRestart = 0
 			s.restartCount++
 			s.stats.Restarts++
-			if c := s.opts.Counters; c != nil {
-				c.Restarts.Inc()
-			}
 			restartLimit = s.restartThreshold()
 			s.backtrackTo(0)
-			if s.opts.Instrument != nil {
-				s.opts.Instrument(Event{Kind: EvRestart})
-			}
 			continue
 		}
 		if len(s.learnts) > s.maxLearnts {
@@ -1307,7 +1193,9 @@ func luby(i int) int {
 	}
 }
 
-// Stats is a snapshot of the engine's counters.
+// Stats is a snapshot of the engine's counters, and the engine's only
+// report: clients turn it into heartbeat deltas (StatsDelta), the master
+// aggregates those into /metrics, and the search never calls out to count.
 type Stats struct {
 	Decisions    int64
 	Conflicts    int64
@@ -1337,6 +1225,29 @@ type Stats struct {
 
 // Stats returns a snapshot of the counters.
 func (s *Solver) Stats() Stats { return s.stats }
+
+// StatsDelta returns cur - prev field-by-field; callers use it to turn
+// two Stats snapshots into heartbeat deltas.
+func StatsDelta(cur, prev Stats) Stats {
+	return Stats{
+		Decisions:      cur.Decisions - prev.Decisions,
+		Conflicts:      cur.Conflicts - prev.Conflicts,
+		Propagations:   cur.Propagations - prev.Propagations,
+		Implications:   cur.Implications - prev.Implications,
+		Learned:        cur.Learned - prev.Learned,
+		Deleted:        cur.Deleted - prev.Deleted,
+		Restarts:       cur.Restarts - prev.Restarts,
+		Imported:       cur.Imported - prev.Imported,
+		Exported:       cur.Exported - prev.Exported,
+		Simplified:     cur.Simplified - prev.Simplified,
+		Splits:         cur.Splits - prev.Splits,
+		ReclaimedBytes: cur.ReclaimedBytes - prev.ReclaimedBytes,
+
+		ImportedImplications: cur.ImportedImplications - prev.ImportedImplications,
+		ImportedResolutions:  cur.ImportedResolutions - prev.ImportedResolutions,
+		ImportedUseful:       cur.ImportedUseful - prev.ImportedUseful,
+	}
+}
 
 // PathDepth returns the solver's guiding-path depth: the number of split
 // decisions between its subspace and the root problem. Refuting this

@@ -85,9 +85,6 @@ func (s *Solver) Split(learntMaxLen, learntMaxCount int) (*Subproblem, error) {
 	s.trailLim = s.trailLim[1:]
 	s.lastSimplifyTrail = -1 // level 0 grew: force the next simplify pass
 	s.stats.Splits++
-	if s.opts.Instrument != nil {
-		s.opts.Instrument(Event{Kind: EvSplit, Lit: firstDecision, Level: s.DecisionLevel()})
-	}
 	// The promoted assignments may now satisfy clauses permanently; the
 	// next level-0 pass prunes them (Figure 2's clause removal).
 	return sub, nil

@@ -217,9 +217,6 @@ func (d *Dilemma) splitWithFilter(s *Solver, learntMaxLen, learntMaxCount int, f
 	s.pathDepth = newDepth
 	s.lastSimplifyTrail = -1 // level 0 grew: force the next simplify pass
 	s.stats.Splits++
-	if s.opts.Instrument != nil {
-		s.opts.Instrument(Event{Kind: EvSplit, Lit: cnf.PosLit(vars[0]), Level: len(batch)})
-	}
 	return batch, nil
 }
 

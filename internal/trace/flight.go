@@ -1,3 +1,7 @@
+// Package trace is the cluster flight recorder and what reads it back:
+// the JSONL event log (this file), split lineage, Perfetto export and
+// deterministic replay. It records the control plane only; the solver
+// reports through its Stats.
 package trace
 
 import (
@@ -17,8 +21,8 @@ import (
 // time. The paper's EveryWare instrumentation cost up to 50% of solver
 // performance (§4.1) because it shipped per-implication events; the flight
 // recorder stays off the solver hot path entirely (control-plane events
-// are orders of magnitude rarer than propagations) and is measured at
-// well under 5% end to end (internal/bench's flight ablation).
+// are orders of magnitude rarer than propagations); the benchmark's
+// trace.flight_overhead_pct measures what it costs end to end.
 
 // Flight-event kinds. These are the JSONL schema's "kind" vocabulary;
 // KnownKinds lists them all for validation.

@@ -6,8 +6,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-
-	"gridsat/internal/solver"
 )
 
 func TestFlightEmitAssignsSequentialIDsAndLamport(t *testing.T) {
@@ -342,67 +340,5 @@ func TestReplayVerify(t *testing.T) {
 	boom := errors.New("boom")
 	if err := ReplayVerify(recorded, func(*Flight) error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("rerun error swallowed: %v", err)
-	}
-}
-
-// --- satellite: ring wraparound + length-bucket invariants ---
-
-func TestRecorderRingWraparoundOrder(t *testing.T) {
-	rec := NewRecorder(4)
-	hook := rec.Hook()
-	// 10 events into a 4-slot ring: the ring holds the last 4, oldest
-	// first, and the counts still see all 10.
-	for i := 0; i < 10; i++ {
-		hook(solver.Event{Kind: solver.EvDecision, Level: i})
-	}
-	evs := rec.Events()
-	if len(evs) != 4 {
-		t.Fatalf("retained %d, want 4", len(evs))
-	}
-	for i, ev := range evs {
-		if ev.Level != 6+i {
-			t.Fatalf("slot %d has level %d, want %d (oldest-first after wrap)", i, ev.Level, 6+i)
-		}
-	}
-	if rec.Count(solver.EvDecision) != 10 {
-		t.Fatalf("count %d, want 10", rec.Count(solver.EvDecision))
-	}
-}
-
-func TestRecorderRingExactBoundary(t *testing.T) {
-	// Filling the ring exactly to capacity must not report a wrap.
-	rec := NewRecorder(3)
-	hook := rec.Hook()
-	for i := 0; i < 3; i++ {
-		hook(solver.Event{Kind: solver.EvConflict, Level: i})
-	}
-	evs := rec.Events()
-	if len(evs) != 3 || evs[0].Level != 0 || evs[2].Level != 2 {
-		t.Fatalf("boundary retention wrong: %+v", evs)
-	}
-}
-
-func TestLenBucketMidpointRoundTrip(t *testing.T) {
-	// bucketMidpoint must be a fixed point of lenBucket: re-bucketing the
-	// representative length lands in the same bucket. This is the "keep
-	// the two in sync" invariant the histogram's mean depends on.
-	for b := 0; b < numLenBuckets; b++ {
-		if got := lenBucket(bucketMidpoint(b)); got != b {
-			t.Errorf("bucket %d: midpoint %d re-buckets to %d", b, bucketMidpoint(b), got)
-		}
-	}
-	// Bucket boundaries: lengths 2^b .. 2^(b+1)-1 share bucket b.
-	for b := 1; b < numLenBuckets-1; b++ {
-		lo, hi := 1<<uint(b), 1<<uint(b+1)-1
-		if lenBucket(lo) != b || lenBucket(hi) != b {
-			t.Errorf("bucket %d: [%d,%d] maps to [%d,%d]", b, lo, hi, lenBucket(lo), lenBucket(hi))
-		}
-	}
-	// Degenerate and overflow lengths clamp into the first/last bucket.
-	if lenBucket(0) != 0 || lenBucket(1) != 0 {
-		t.Error("short lengths must land in bucket 0")
-	}
-	if lenBucket(1<<20) != numLenBuckets-1 {
-		t.Error("huge lengths must clamp into the last bucket")
 	}
 }
