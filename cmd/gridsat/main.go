@@ -21,7 +21,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -31,7 +30,6 @@ import (
 	"gridsat/internal/core"
 	"gridsat/internal/grid"
 	"gridsat/internal/obs"
-	"gridsat/internal/obs/history"
 	"gridsat/internal/proof"
 	"gridsat/internal/solver"
 	"gridsat/internal/trace"
@@ -433,7 +431,7 @@ type serveCmd struct {
 func serveFlags(c *serveCmd) *flag.FlagSet {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	fs.StringVar(&c.cfg.ListenAddr, "listen", ":7070", "TCP listen address for solver clients")
-	fs.StringVar(&c.cfg.MetricsAddr, "api-addr", ":8080", "HTTP address for the /jobs API (also serves /metrics, /status, /progress)")
+	fs.StringVar(&c.cfg.MetricsAddr, "api-addr", ":8080", "HTTP address for the /jobs API (also serves /metrics, /status, /history)")
 	fs.IntVar(&c.cfg.Admission.MaxActive, "max-jobs", 0, "admission cap on active jobs (0 = derive from client count)")
 	fs.Int64Var(&c.cfg.Admission.MemBudgetBytes, "mem-budget", 0, "admission cap on summed active formula bytes (0 = unbounded)")
 	fs.Int64Var(&c.cfg.MinMemBytes, "min-mem", 128<<20, "minimum client free memory (bytes)")
@@ -584,7 +582,13 @@ func cmdTop(args []string) error {
 			return fmt.Errorf("fetch %s/status: %w", base, err)
 		}
 		// /history is best-effort: without it the frame has no sparklines.
-		frame := core.RenderTop(st, fetchSparks(client, base), *width)
+		var h struct {
+			Samples []core.Sample `json:"samples"`
+		}
+		if fetchJSON(client, base+"/history", &h) != nil {
+			h.Samples = nil
+		}
+		frame := core.RenderTop(st, h.Samples, *width)
 		if *once {
 			fmt.Print(frame)
 			return nil
@@ -597,47 +601,6 @@ func cmdTop(args []string) error {
 		}
 		time.Sleep(*interval)
 	}
-}
-
-// fetchSparks pulls the master's GET /history window and extracts the
-// series the dashboard sparklines render. Best-effort: any failure (old
-// master, sampler disabled) returns nil and the frame stays spark-free.
-func fetchSparks(c *http.Client, base string) *core.TopSparks {
-	var h struct {
-		Series []history.SeriesDump `json:"series"`
-	}
-	if err := fetchJSON(c, base+"/history", &h); err != nil {
-		return nil
-	}
-	vals := func(d history.SeriesDump) []float64 {
-		if len(d.Tiers) == 0 {
-			return nil
-		}
-		pts := d.Tiers[0].Points // finest tier: the newest window
-		out := make([]float64, len(pts))
-		for i, p := range pts {
-			out[i] = p.V
-		}
-		return out
-	}
-	sp := &core.TopSparks{ClientRate: map[int][]float64{}}
-	for _, d := range h.Series {
-		switch {
-		case d.Name == "cluster.coverage":
-			sp.Coverage = vals(d)
-		case d.Name == "cluster.conflict_rate":
-			sp.Rate = vals(d)
-		case strings.HasPrefix(d.Name, "client.") && strings.HasSuffix(d.Name, ".conflict_rate"):
-			id, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(d.Name, "client."), ".conflict_rate"))
-			if err == nil {
-				sp.ClientRate[id] = vals(d)
-			}
-		}
-	}
-	if len(sp.Coverage) == 0 && len(sp.Rate) == 0 && len(sp.ClientRate) == 0 {
-		return nil
-	}
-	return sp
 }
 
 // fetchJSON GETs url and decodes the JSON body into out.

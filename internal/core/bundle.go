@@ -8,7 +8,6 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"gridsat/internal/obs/history"
 	"gridsat/internal/trace"
 )
 
@@ -16,8 +15,8 @@ import (
 // watchdog rule fires, or an operator POSTs /debug/bundle, the master
 // writes a self-contained directory that captures everything needed to
 // diagnose the run offline — the flight-log tail, pprof captures, the
-// metrics/history window, a scheduler + per-client state dump, and the
-// effective config. The DES shell writes the same bundle inline, without
+// metrics snapshot and the ring of samples, a scheduler + per-client state
+// dump, and the effective config. The DES shell writes the same bundle inline, without
 // the CPU capture, so bundles are deterministic and testable.
 
 // bundleEventTail bounds the flight-log section: the newest events are
@@ -33,12 +32,12 @@ type BundleSpec struct {
 	Name    string // bundle subdirectory name; must be unique per bundle
 	Reason  string // what triggered the capture
 	TSec    float64
-	Config  any                  // effective configuration
-	State   any                  // scheduler + per-client state dump
-	Metrics any                  // registry snapshot (nil = section records null)
-	History []history.SeriesDump // sampled time-series window
-	Alerts  []Alert              // watchdog alert feed at capture time
-	Events  []trace.FEvent       // flight log (tail is taken here)
+	Config  any            // effective configuration
+	State   any            // scheduler + per-client state dump
+	Metrics any            // registry snapshot (nil = section records null)
+	History []Sample       // the master's ring of samples, oldest first
+	Alerts  []Alert        // watchdog alert feed at capture time
+	Events  []trace.FEvent // flight log (tail is taken here)
 	// CPUProfileDur captures a CPU profile of this length into
 	// pprof/cpu.pprof. 0 skips it — the DES skips it so bundle contents
 	// stay deterministic and writing stays instant.
@@ -50,7 +49,7 @@ type bundleManifest struct {
 	Reason   string   `json:"reason"`
 	TSec     float64  `json:"t_sec"`
 	Events   int      `json:"events"`
-	Series   int      `json:"series"`
+	Samples  int      `json:"samples"`
 	Alerts   int      `json:"alerts"`
 	Sections []string `json:"sections"`
 	Errors   []string `json:"errors,omitempty"`
@@ -67,10 +66,10 @@ func WriteBundle(spec BundleSpec) (string, error) {
 		return "", err
 	}
 	man := bundleManifest{
-		Reason: spec.Reason,
-		TSec:   spec.TSec,
-		Series: len(spec.History),
-		Alerts: len(spec.Alerts),
+		Reason:  spec.Reason,
+		TSec:    spec.TSec,
+		Samples: len(spec.History),
+		Alerts:  len(spec.Alerts),
 	}
 	section := func(name string, err error) {
 		if err != nil {
@@ -106,11 +105,9 @@ func WriteBundle(spec BundleSpec) (string, error) {
 		}))
 	}
 
-	// Section 3: metrics snapshot + history window.
+	// Section 3: metrics snapshot + the ring of samples.
 	section("metrics.json", writeBundleJSON(dir, "metrics.json", spec.Metrics))
-	section("history.json", writeBundleJSON(dir, "history.json", struct {
-		Series []history.SeriesDump `json:"series"`
-	}{spec.History}))
+	section("history.json", writeBundleJSON(dir, "history.json", historyResponse{spec.History}))
 
 	// Section 4: scheduler + per-client state, with the alert feed.
 	section("state.json", writeBundleJSON(dir, "state.json", struct {

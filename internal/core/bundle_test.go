@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"gridsat/internal/obs/history"
 	"gridsat/internal/trace"
 )
 
@@ -16,9 +15,6 @@ func TestWriteBundleSections(t *testing.T) {
 	for i := 1; i <= 8; i++ {
 		events = append(events, trace.FEvent{ID: uint64(i), Lamport: uint64(i), Kind: trace.FEvHeartbeat})
 	}
-	h := history.New(history.Config{IntervalSec: 1})
-	h.Observe("cluster_coverage", 1, 0.25)
-	h.Observe("cluster_coverage", 2, 0.25)
 	spec := BundleSpec{
 		Dir:     dir,
 		Name:    "bundle-001-test",
@@ -27,7 +23,7 @@ func TestWriteBundleSections(t *testing.T) {
 		Config:  map[string]any{"sched": "fifo"},
 		State:   map[string]any{"jobs": 1},
 		Metrics: map[string]any{"counters": []any{}},
-		History: h.Dump(),
+		History: []Sample{{TSec: 1, Coverage: 0.25}, {TSec: 2, Coverage: 0.25}},
 		Alerts:  []Alert{{Rule: RuleProgressStall, Subject: "cluster", TSec: 40}},
 		Events:  events,
 	}
@@ -53,7 +49,7 @@ func TestWriteBundleSections(t *testing.T) {
 	if err := json.Unmarshal(raw, &man); err != nil {
 		t.Fatal(err)
 	}
-	if man.Reason != "unit-test" || man.Events != 8 || man.Alerts != 1 {
+	if man.Reason != "unit-test" || man.Events != 8 || man.Samples != 2 || man.Alerts != 1 {
 		t.Errorf("manifest = %+v", man)
 	}
 	if len(man.Errors) != 0 {
@@ -72,19 +68,17 @@ func TestWriteBundleSections(t *testing.T) {
 	if len(got) != 8 || got[0].Kind != trace.FEvHeartbeat {
 		t.Errorf("flight tail round-trip: %d events", len(got))
 	}
-	// The history section preserves the sampled window.
+	// The history section is the ring of samples, oldest first.
 	hraw, err := os.ReadFile(filepath.Join(path, "history.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hout struct {
-		Series []history.SeriesDump `json:"series"`
-	}
+	var hout historyResponse
 	if err := json.Unmarshal(hraw, &hout); err != nil {
 		t.Fatal(err)
 	}
-	if len(hout.Series) != 1 || hout.Series[0].Name != "cluster_coverage" {
-		t.Errorf("history section = %+v", hout.Series)
+	if len(hout.Samples) != 2 || hout.Samples[0].TSec != 1 || hout.Samples[1].Coverage != 0.25 {
+		t.Errorf("history section = %+v", hout.Samples)
 	}
 }
 

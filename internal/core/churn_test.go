@@ -249,11 +249,11 @@ func TestWatchSampleCountsSilenceFromAssignment(t *testing.T) {
 	m.order = []int{1}
 	m.now = func() float64 { return 105 }
 	st := m.state()
-	s := st.watch()
+	s := st.sample()
 	if got := s.Clients[0].LastHeartbeatSec; got != 100 {
 		t.Fatalf("silence anchored at %v, want the assignment at 100", got)
 	}
-	if alerts := evalWatchdog(DefaultWatchdogConfig(), []WatchSample{s}); len(alerts) != 0 {
+	if alerts := evalWatchdog(DefaultWatchdogConfig(), []Sample{s}); len(alerts) != 0 {
 		t.Fatalf("freshly reassigned client flagged: %+v", alerts)
 	}
 }

@@ -21,7 +21,7 @@ func TestConfigSurface(t *testing.T) {
 	}{
 		{MasterConfig{}, "Transport ListenAddr Formula MinMemBytes Timeout ExpectedClients Metrics Logger " +
 			"MetricsAddr Flight SplitStrategy Admission ExtraEndpoints " +
-			"HistoryPeriod Watchdog BundleDir"},
+			"Watchdog BundleDir"},
 		{ClientConfig{}, "Transport MasterAddr ListenAddr HostName FreeMemBytes SpeedHint ShareMaxLen " +
 			"SliceConflicts MinRunTime HeartbeatEvery SplitStrategy Threads SolverOptions Metrics Flight"},
 		{RunnerConfig{}, "Grid Master Client Jobs PropsPerVSec QuantumProps TimeoutVSec MaxClients Batch " +

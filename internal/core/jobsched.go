@@ -75,7 +75,7 @@ func (j *Job) TurnaroundSec() float64 {
 }
 
 // JobSnapshot is the JSON view of one job: a row of ClusterState.Jobs
-// (and so of /status, /progress, GET /jobs and `gridsat top`) and the
+// (and so of /status, GET /jobs and `gridsat top`) and the
 // GET /jobs/{id} document.
 type JobSnapshot struct {
 	ID       int    `json:"id"`

@@ -252,7 +252,8 @@ func TestTCPWorkerRowsReachStatus(t *testing.T) {
 			t.Fatalf("run ended (%v) before /status showed two worker rows (last saw %d)", res.Status, rows)
 		default:
 		}
-		for _, c := range m.State().Clients {
+		st, _ := m.State()
+		for _, c := range st.Clients {
 			rows = len(c.Workers)
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -453,7 +454,7 @@ func TestMasterStateSnapshot(t *testing.T) {
 	// Poll until work is visibly in flight.
 	sawBusy := false
 	for i := 0; i < 200; i++ {
-		snap := m.State()
+		snap, _ := m.State()
 		if snap.Busy > 0 && snap.Registered == 3 {
 			sawBusy = true
 			break

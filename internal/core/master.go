@@ -12,7 +12,6 @@ import (
 	"gridsat/internal/cnf"
 	"gridsat/internal/comm"
 	"gridsat/internal/obs"
-	"gridsat/internal/obs/history"
 	"gridsat/internal/solver"
 	"gridsat/internal/trace"
 )
@@ -44,8 +43,8 @@ type MasterConfig struct {
 	Logger *obs.Logger
 	// MetricsAddr, when non-empty, serves live HTTP introspection on
 	// that address (":0" picks a port — see MetricsAddr()): /metrics is
-	// Prometheus text, /status (and /progress) the JSON ClusterState,
-	// and /debug/pprof is the Go profiler.
+	// Prometheus text, /status the JSON ClusterState, /history the ring of
+	// samples, and /debug/pprof is the Go profiler.
 	MetricsAddr string
 	// Flight, when non-nil, records the master's control-plane events
 	// (joins, splits, relays, verdict) as a causal flight log. In-process
@@ -67,28 +66,15 @@ type MasterConfig struct {
 	// ExtraEndpoints adds handlers to the introspection server (the serve
 	// API installs its /jobs routes this way). Ignored without MetricsAddr.
 	ExtraEndpoints []obs.Endpoint
-	// HistoryPeriod is the time-series sampler cadence: every period the
-	// master folds the registry plus per-job/per-client series into the
-	// history store (GET /history) and feeds the anomaly watchdog.
-	// 0 = 1s; negative disables sampling (and with it the watchdog).
-	HistoryPeriod time.Duration
 	// Watchdog overrides the anomaly-rule thresholds (see
-	// DefaultWatchdogConfig, which applies when nil — the watchdog is on
-	// whenever the sampler is).
+	// DefaultWatchdogConfig, which applies when nil). The live master
+	// samples itself every second; the DES only when Watchdog is set.
 	Watchdog *WatchdogConfig
 	// BundleDir, when non-empty, enables postmortem black-box bundles:
 	// on job failure/cancellation, a fired watchdog rule, or POST
 	// /debug/bundle, a self-contained diagnosis directory is written
 	// under it (see WriteBundle).
 	BundleDir string
-}
-
-func (c *MasterConfig) withDefaults() MasterConfig {
-	out := *c
-	if out.HistoryPeriod == 0 {
-		out.HistoryPeriod = time.Second
-	}
-	return out
 }
 
 // Result is the outcome of a distributed run.
@@ -379,10 +365,10 @@ type Master struct {
 	// (zero for untraced messages).
 	inTI comm.TraceInfo
 
-	// hist is the time-series store behind GET /history (mutex-guarded:
-	// the state machine samples, HTTP reads). wd is the anomaly watchdog.
-	hist *history.Store
-	wd   *watchdog
+	// samples is the ring of sampler ticks, oldest first (see sampleTick);
+	// wd is the anomaly watchdog that judges it.
+	samples []Sample
+	wd      *watchdog
 	// bundleSeq numbers postmortem bundles so their directory names are
 	// unique and deterministic.
 	bundleSeq int
@@ -503,7 +489,6 @@ func (m *Master) updateGauges() {
 // HTTP server — wired to the given shell seams (all nil: the live shell's,
 // which are methods of the value built here).
 func newMaster(cfg MasterConfig, now func() float64, send func(int, comm.Message), writeBundle func(BundleSpec)) (*Master, error) {
-	cfg = cfg.withDefaults()
 	if _, err := solver.ParseStrategy(cfg.SplitStrategy); err != nil {
 		return nil, err
 	}
@@ -531,14 +516,11 @@ func newMaster(cfg MasterConfig, now func() float64, send func(int, comm.Message
 		met:            newMasterMetrics(reg),
 		flight:         cfg.Flight,
 	}
-	if cfg.HistoryPeriod > 0 {
-		m.hist = history.New(history.Config{IntervalSec: cfg.HistoryPeriod.Seconds()})
-		wcfg := DefaultWatchdogConfig()
-		if cfg.Watchdog != nil {
-			wcfg = cfg.Watchdog.withDefaults()
-		}
-		m.wd = newWatchdog(wcfg)
+	var wcfg WatchdogConfig // zero fields take the defaults
+	if cfg.Watchdog != nil {
+		wcfg = *cfg.Watchdog
 	}
+	m.wd = newWatchdog(wcfg)
 	if now == nil {
 		m.now, m.send, m.writeBundle = m.wallNow, m.enqueue, m.writeBundleAsync
 	}

@@ -47,9 +47,8 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 	if cfg.MetricsAddr != "" {
 		extra := append([]obs.Endpoint{}, cfg.ExtraEndpoints...)
 		extra = append(extra, []obs.Endpoint{
-			// /progress is the same document as /status, kept for the URL.
-			{Path: "/progress", H: func(w http.ResponseWriter, _ *http.Request) {
-				writeJSON(w, http.StatusOK, m.State())
+			{Path: "/status", H: func(w http.ResponseWriter, _ *http.Request) {
+				serveLoop(w, m.State)
 			}},
 			{Path: "GET /healthz", H: func(w http.ResponseWriter, _ *http.Request) {
 				// Liveness: the introspection server answering is the
@@ -60,15 +59,16 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 				})
 			}},
 			{Path: "GET /history", H: func(w http.ResponseWriter, _ *http.Request) {
-				if m.hist == nil {
-					writeError(w, http.StatusNotFound, errors.New("core: history sampling disabled"))
-					return
-				}
-				w.Header().Set("Content-Type", "application/json")
-				_ = m.hist.WriteJSON(w)
+				serveLoop(w, func() (historyResponse, error) {
+					samples, err := m.History()
+					return historyResponse{Samples: samples}, err
+				})
 			}},
 			{Path: "GET /alerts", H: func(w http.ResponseWriter, _ *http.Request) {
-				writeJSON(w, http.StatusOK, alertsResponse{Alerts: m.Alerts()})
+				serveLoop(w, func() (alertsResponse, error) {
+					alerts, err := m.Alerts()
+					return alertsResponse{Alerts: alerts}, err
+				})
 			}},
 			{Path: "POST /debug/bundle", H: func(w http.ResponseWriter, r *http.Request) {
 				dir, err := m.TriggerBundle(r.URL.Query().Get("reason"))
@@ -105,7 +105,7 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 			)
 		}
 		srv, addr, err := obs.Serve(cfg.MetricsAddr,
-			obs.Handler(m.reg, func() any { return m.State() }, extra...))
+			obs.Handler(m.reg, extra...))
 		if err != nil {
 			l.Close()
 			return nil, fmt.Errorf("core: metrics server: %w", err)
@@ -237,15 +237,11 @@ func (m *Master) Run() (Result, error) {
 			_ = m.httpSrv.Close()
 		}
 	}()
-	var sampler <-chan time.Time
-	if m.hist != nil {
-		t := time.NewTicker(m.cfg.HistoryPeriod)
-		defer t.Stop()
-		sampler = t.C
-	}
+	sampler := time.NewTicker(samplePeriod)
+	defer sampler.Stop()
 	for {
 		select {
-		case <-sampler:
+		case <-sampler.C:
 			m.sampleTick()
 		case ev := <-m.events:
 			done, err := m.handle(ev)
@@ -270,6 +266,21 @@ func (m *Master) Run() (Result, error) {
 			return m.result, nil
 		}
 	}
+}
+
+// samplePeriod is the live shell's sampler tick.
+const samplePeriod = time.Second
+
+// serveLoop answers a GET with what read took off the event loop, or 503
+// when the loop did not answer in time: a wedged master must not pass for
+// an empty one.
+func serveLoop[T any](w http.ResponseWriter, read func() (T, error)) {
+	v, err := read()
+	if err != nil {
+		writeError(w, http.StatusServiceUnavailable, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, v)
 }
 
 // wallNow is the live shell's clock: seconds since Run started (0 before).

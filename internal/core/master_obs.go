@@ -10,10 +10,10 @@ import (
 )
 
 // This file is the master's service-grade observability plumbing: the
-// periodic history sample (fed to the time-series store and the anomaly
-// watchdog), the alert feed accessor behind GET /alerts, and the
-// postmortem bundle capture behind POST /debug/bundle plus the automatic
-// failure/cancel/anomaly triggers.
+// sampler tick and the ring of samples it records (read by the anomaly
+// watchdog, GET /history, `gridsat top` and bundles), the alert feed
+// accessor behind GET /alerts, and the postmortem bundle capture behind
+// POST /debug/bundle plus the automatic failure/cancel/anomaly triggers.
 
 // ErrDraining rejects bundle captures once Shutdown has been requested —
 // the state a bundle would freeze is being torn down.
@@ -28,52 +28,86 @@ type alertsResponse struct {
 	Alerts []Alert `json:"alerts"`
 }
 
-// Alerts returns a copy of the watchdog's retained alert feed, oldest
-// first (empty when the sampler/watchdog is disabled).
-func (m *Master) Alerts() []Alert {
-	var out []Alert
-	_ = m.apply(func() {
-		if m.wd != nil {
-			out = m.wd.feed()
-		}
-	})
-	if out == nil {
-		out = []Alert{}
-	}
-	return out
+// historyResponse is the GET /history payload and a bundle's history.json:
+// the ring of samples, oldest first.
+type historyResponse struct {
+	Samples []Sample `json:"samples"`
 }
 
-// sampleTick is one sampler period: build one ClusterState, fold the
-// registry and the state's cluster/job/client series (the ones the
-// dashboard sparklines read) into the history store, and feed the same
-// state to the watchdog — and to the bundle of any alert it fires.
-// Event-loop only.
+// Alerts returns a copy of the watchdog's retained alert feed, oldest
+// first, or an error when the event loop does not answer in time.
+func (m *Master) Alerts() ([]Alert, error) {
+	var out []Alert
+	if err := m.apply(func() { out = m.wd.feed() }); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// History returns a copy of the ring of samples, oldest first, or an error
+// when the event loop does not answer in time.
+func (m *Master) History() ([]Sample, error) {
+	var out []Sample
+	if err := m.apply(func() { out = append([]Sample{}, m.samples...) }); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Sample is one sampler tick of a ClusterState, reduced to what its readers
+// read: the watchdog rules, GET /history, a bundle's history.json and the
+// `gridsat top` sparklines. A ring of them does not pin minutes of full job
+// and client lists.
+type Sample struct {
+	TSec         float64        `json:"t_sec"`
+	Coverage     float64        `json:"coverage"`
+	Busy         int            `json:"busy"`
+	MemBytes     int64          `json:"mem_bytes"`
+	ConflictRate float64        `json:"conflict_rate"`
+	Clients      []SampleClient `json:"clients,omitempty"`
+}
+
+// SampleClient is one client's slice of a Sample.
+type SampleClient struct {
+	ID               int     `json:"id"`
+	Busy             bool    `json:"busy"`
+	Straggler        bool    `json:"straggler"`
+	LastHeartbeatSec float64 `json:"last_heartbeat_sec"`
+	MemBytes         int64   `json:"mem_bytes"`
+	ConflictsPerSec  float64 `json:"conflicts_per_sec"`
+}
+
+// sample reduces a state to its Sample.
+func (st *ClusterState) sample() Sample {
+	s := Sample{TSec: st.WallSeconds, Coverage: st.Coverage, Busy: st.Busy,
+		MemBytes: st.MemBytes, ConflictRate: st.ConflictRate,
+		Clients: make([]SampleClient, len(st.Clients))}
+	for i, c := range st.Clients {
+		s.Clients[i] = SampleClient{ID: c.ID, Busy: c.Busy, Straggler: c.Straggler,
+			LastHeartbeatSec: c.LastHeartbeatSec, MemBytes: c.MemBytes,
+			ConflictsPerSec: c.ConflictsPerSec}
+	}
+	return s
+}
+
+// ringSamples is how many samples the ring keeps at least: four minutes at
+// the live shell's one-second tick.
+const ringSamples = 256
+
+// sampleTick is one sampler period: build one ClusterState, append its
+// Sample to the ring, and run the watchdog over the ring — handing the same
+// state to the bundle of any alert it fires. The ring drops its oldest
+// sample once it holds more than ringSamples and no watchdog window reaches
+// back that far. Event-loop only.
 func (m *Master) sampleTick() {
 	st := m.state()
-	t := st.WallSeconds
-	if h := m.hist; h != nil {
-		h.SampleSnapshot(t, m.reg.Snapshot())
-		for _, j := range st.Jobs {
-			if j.Searching {
-				h.Observe(fmt.Sprintf("job.%d.coverage", j.ID), t, j.Coverage)
-			}
-		}
-		for _, c := range st.Clients {
-			h.Observe(fmt.Sprintf("client.%d.conflict_rate", c.ID), t, c.ConflictsPerSec)
-		}
-		h.Observe("cluster.coverage", t, st.Coverage)
-		h.Observe("cluster.busy", t, float64(st.Busy))
-		h.Observe("cluster.queue_depth", t, float64(st.Backlog+st.SubBacklog))
-		h.Observe("cluster.conflict_rate", t, st.ConflictRate)
-		h.Observe("cluster.mem_bytes", t, float64(st.MemBytes))
-		if st.Imported > 0 {
-			h.Observe("cluster.share_efficacy", t, st.Efficacy.UsefulRatio)
-		}
+	s := st.sample()
+	m.samples = append(m.samples, s)
+	for len(m.samples) > ringSamples && s.TSec-m.samples[1].TSec > m.wd.cfg.maxWindowSec() {
+		m.samples[0] = Sample{} // release its client rows
+		m.samples = m.samples[1:]
 	}
-	if m.wd == nil {
-		return
-	}
-	for _, a := range m.wd.observe(st.watch()) {
+	for _, a := range m.wd.observe(m.samples) {
 		m.femit(trace.FEvent{Kind: trace.FEvAnomaly, Client: a.Client,
 			Detail: a.Rule + ": " + a.Detail})
 		m.log.Warn("watchdog alert", "rule", a.Rule, "subject", a.Subject,
@@ -129,13 +163,12 @@ func (m *Master) writeBundleAsync(spec BundleSpec) {
 // and scheduling knobs (the formula and transport are not serializable
 // and are captured by the state dump instead).
 type bundleConfig struct {
-	Serve            bool           `json:"serve"`
-	SplitStrategy    string         `json:"split_strategy"`
-	MinMemBytes      int64          `json:"min_mem_bytes"`
-	HistoryPeriodSec float64        `json:"history_period_sec"`
-	Watchdog         WatchdogConfig `json:"watchdog"`
-	BundleDir        string         `json:"bundle_dir"`
-	Build            any            `json:"build"`
+	Serve         bool           `json:"serve"`
+	SplitStrategy string         `json:"split_strategy"`
+	MinMemBytes   int64          `json:"min_mem_bytes"`
+	Watchdog      WatchdogConfig `json:"watchdog"`
+	BundleDir     string         `json:"bundle_dir"`
+	Build         any            `json:"build"`
 }
 
 // bundleSpec freezes everything a bundle captures out of loop state; st
@@ -148,14 +181,9 @@ func (m *Master) bundleSpec(reason string, st ClusterState) BundleSpec {
 		Serve:         m.cfg.Formula == nil,
 		SplitStrategy: m.cfg.SplitStrategy,
 		MinMemBytes:   m.cfg.MinMemBytes,
+		Watchdog:      m.wd.cfg,
 		BundleDir:     m.cfg.BundleDir,
 		Build:         m.build,
-	}
-	if m.hist != nil {
-		cfg.HistoryPeriodSec = m.cfg.HistoryPeriod.Seconds()
-	}
-	if m.wd != nil {
-		cfg.Watchdog = m.wd.cfg
 	}
 	spec := BundleSpec{
 		Dir:     m.cfg.BundleDir,
@@ -165,12 +193,8 @@ func (m *Master) bundleSpec(reason string, st ClusterState) BundleSpec {
 		Config:  cfg,
 		State:   st,
 		Metrics: m.reg.Snapshot(),
-	}
-	if m.hist != nil {
-		spec.History = m.hist.Dump()
-	}
-	if m.wd != nil {
-		spec.Alerts = m.wd.feed()
+		History: append([]Sample{}, m.samples...),
+		Alerts:  m.wd.feed(),
 	}
 	if m.flight != nil {
 		spec.Events = m.flight.Events()

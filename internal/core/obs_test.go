@@ -300,7 +300,7 @@ func TestStatusShowsPerClientReclamation(t *testing.T) {
 	const want = int64(100_000 + 23_456)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		snap := m.State()
+		snap, _ := m.State()
 		var got int64
 		for _, c := range snap.Clients {
 			if c.ID == ra.ClientID {

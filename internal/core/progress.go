@@ -58,9 +58,6 @@ type ProgressTracker struct {
 	rate     float64
 	haveRate bool
 	lastSec  float64
-	// series is one point per closure, in closure order: the coverage
-	// curve a deterministic run reproduces exactly (SimResult.Progress).
-	series []ProgressPoint
 }
 
 // progressEWMAAlpha weights the newest inter-closure rate sample; 0.25
@@ -92,8 +89,6 @@ func (p *ProgressTracker) CloseSubproblem(depth int, atSec float64) uint64 {
 		}
 		p.lastSec = atSec
 	}
-	p.series = append(p.series, ProgressPoint{VSec: atSec, Units: p.units,
-		Coverage: p.Fraction(), Depth: depth})
 	return p.units
 }
 
@@ -131,22 +126,6 @@ func (p *ProgressTracker) ETASeconds() float64 {
 		return -1
 	}
 	return (1 - p.Fraction()) / r
-}
-
-// Series returns the per-closure coverage curve recorded so far.
-func (p *ProgressTracker) Series() []ProgressPoint { return p.series }
-
-// ProgressPoint is one sample of the cluster coverage estimate — the unit
-// of the DES runner's deterministic progress series. VSec is on the
-// clock CloseSubproblem was fed (virtual seconds in the DES).
-type ProgressPoint struct {
-	VSec float64 `json:"vsec"`
-	// Units is the fixed-point coverage total (2^-62 each) after the
-	// closure; Coverage is the same value as a fraction.
-	Units    uint64  `json:"units"`
-	Coverage float64 `json:"coverage"`
-	// Depth is the guiding-path depth of the subproblem just closed.
-	Depth int `json:"depth"`
 }
 
 // ShareEfficacy summarizes whether clause sharing is paying for itself:

@@ -15,9 +15,9 @@ import (
 	"gridsat/internal/solver"
 )
 
-// TestLiveProgressEndpointAndTop drives a live master and checks the
-// /progress endpoint serves a decodable snapshot mid-run, and that the
-// dashboard renderer accepts the live payloads — the `gridsat top` data
+// TestLiveProgressEndpointAndTop drives a live master and checks that
+// /status serves a decodable snapshot, coverage included, mid-run, and that
+// the dashboard renderer accepts the live payload — the `gridsat top` data
 // path end to end. Pigeonhole(9) keeps the cluster busy for long enough
 // that polling reliably observes it working.
 func TestLiveProgressEndpointAndTop(t *testing.T) {
@@ -65,12 +65,12 @@ func TestLiveProgressEndpointAndTop(t *testing.T) {
 		launch(i)
 	}
 
-	// Poll /progress until the cluster is visibly working: all three
+	// Poll /status until the cluster is visibly working: all three
 	// clients registered and conflicts flowing through heartbeat deltas.
 	var snap ClusterState
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		resp, err := http.Get("http://" + addr + "/progress")
+		resp, err := http.Get("http://" + addr + "/status")
 		if err == nil {
 			err = json.NewDecoder(resp.Body).Decode(&snap)
 			resp.Body.Close()
@@ -79,7 +79,7 @@ func TestLiveProgressEndpointAndTop(t *testing.T) {
 			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("never saw a working cluster on /progress; last: %+v", snap)
+			t.Fatalf("never saw a working cluster on /status; last: %+v", snap)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -98,25 +98,13 @@ func TestLiveProgressEndpointAndTop(t *testing.T) {
 			t.Fatalf("client %d has negative depth", c.ID)
 		}
 	}
-	if busyRows != snap.Busy {
-		t.Fatalf("busy rows %d disagree with snapshot busy %d", busyRows, snap.Busy)
+	if busyRows != snap.Busy || len(snap.Jobs) != 1 {
+		t.Fatalf("busy rows %d disagree with snapshot busy %d, or %d job rows",
+			busyRows, snap.Busy, len(snap.Jobs))
 	}
 
-	// /status serves the same document; render it like `gridsat top` does.
-	var status ClusterState
-	resp, err := http.Get("http://" + addr + "/status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&status)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(status.Clients) != 3 || len(status.Jobs) != 1 || status.Registered != snap.Registered {
-		t.Fatalf("/status is not the /progress document: %+v", status)
-	}
-	frame := RenderTop(status, nil, TopWidth)
+	// Render it like `gridsat top` does.
+	frame := RenderTop(snap, nil, TopWidth)
 	if !strings.Contains(frame, "GridSAT running") {
 		t.Errorf("live frame missing headline:\n%s", frame)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"gridsat/internal/comm"
@@ -134,11 +135,28 @@ func TestEfficacyOf(t *testing.T) {
 	}
 }
 
+// progressRun runs cfg under a flight recorder and returns the course of
+// its coverage estimate: the FEvProgress events, one per refuted
+// subproblem in closure order, each carrying the running total in units (N)
+// and the refuted depth (Detail "depth=d").
+func progressRun(cfg RunnerConfig) (SimResult, []trace.FEvent) {
+	fl := trace.NewFlight(nil)
+	cfg.Master.Flight = fl
+	res := RunDistributed(cfg)
+	var evs []trace.FEvent
+	for _, ev := range fl.Events() {
+		if ev.Kind == trace.FEvProgress {
+			evs = append(evs, ev)
+		}
+	}
+	return res, evs
+}
+
 // TestDESProgressMonotoneReachesFull runs a Table-1 UNSAT instance
 // (grid_10_20, the paper's symmetric slowdown row) through the DES and
-// checks the acceptance property of the coverage estimate: the progress
-// series is monotonically non-decreasing and ends at exactly 1.0 — all
-// 2^62 fixed-point units — when the verdict is UNSAT.
+// checks the acceptance property of the coverage estimate: its course is
+// monotonically non-decreasing and ends at exactly 1.0 — all 2^62
+// fixed-point units — when the verdict is UNSAT.
 func TestDESProgressMonotoneReachesFull(t *testing.T) {
 	inst, ok := gen.ByName("grid_10_20")
 	if !ok {
@@ -147,36 +165,38 @@ func TestDESProgressMonotoneReachesFull(t *testing.T) {
 	cfg := desConfig(inst.Build(), 10_000)
 	cfg.Client.MinRunTime = vsecDuration(5)
 	cfg.Client.ShareMaxLen = 40
-	res := RunDistributed(cfg)
+	res, evs := progressRun(cfg)
 	if res.Outcome != OutcomeSolved || res.Status != solver.StatusUNSAT {
 		t.Fatalf("got %v/%v", res.Outcome, res.Status)
 	}
-	if len(res.Progress) == 0 {
-		t.Fatal("UNSAT run recorded no progress points")
+	if len(evs) == 0 {
+		t.Fatal("UNSAT run recorded no progress events")
 	}
 	if res.Splits == 0 {
-		t.Fatal("run never split: progress series degenerate")
+		t.Fatal("run never split: progress course degenerate")
 	}
-	var prevUnits uint64
+	var prevUnits int64
 	var prevVSec float64
-	for i, pt := range res.Progress {
-		if pt.Units < prevUnits {
-			t.Fatalf("point %d: units %d < previous %d (not monotone)", i, pt.Units, prevUnits)
+	for i, ev := range evs {
+		if ev.N < prevUnits {
+			t.Fatalf("event %d: units %d < previous %d (not monotone)", i, ev.N, prevUnits)
 		}
-		if pt.VSec < prevVSec {
-			t.Fatalf("point %d: vsec %v < previous %v", i, pt.VSec, prevVSec)
+		if ev.VSec < prevVSec {
+			t.Fatalf("event %d: vsec %v < previous %v", i, ev.VSec, prevVSec)
 		}
-		prevUnits, prevVSec = pt.Units, pt.VSec
+		if !strings.HasPrefix(ev.Detail, "depth=") {
+			t.Fatalf("event %d: detail %q lacks the refuted depth", i, ev.Detail)
+		}
+		prevUnits, prevVSec = ev.N, ev.VSec
 	}
-	last := res.Progress[len(res.Progress)-1]
-	if last.Units != coverageFull {
-		t.Fatalf("final units = %d, want exactly %d (2^62)", last.Units, coverageFull)
+	if last := evs[len(evs)-1]; uint64(last.N) != coverageFull {
+		t.Fatalf("final units = %d, want exactly %d (2^62)", last.N, coverageFull)
 	}
 	if res.CoverageUnits != coverageFull || res.Coverage != 1.0 {
 		t.Fatalf("result coverage = %v (%d units), want exactly 1.0", res.Coverage, res.CoverageUnits)
 	}
-	if res.ClosedSubproblems != int64(len(res.Progress)) {
-		t.Fatalf("closed=%d but %d progress points", res.ClosedSubproblems, len(res.Progress))
+	if res.ClosedSubproblems != int64(len(evs)) {
+		t.Fatalf("closed=%d but %d progress events", res.ClosedSubproblems, len(evs))
 	}
 	// The aggregated cluster counters must reflect real work and real
 	// sharing on this conflict-heavy instance.
@@ -193,55 +213,28 @@ func TestDESProgressMonotoneReachesFull(t *testing.T) {
 }
 
 // TestDESProgressDeterministic re-runs the same config and requires the
-// entire progress series — timestamps, depths, and unit totals — to
+// entire coverage course — timestamps, depths, and unit totals — to
 // reproduce exactly, making the curves benchmarkable.
 func TestDESProgressDeterministic(t *testing.T) {
-	build := func() SimResult {
+	build := func() (SimResult, []trace.FEvent) {
 		cfg := desConfig(gen.Pigeonhole(8), 10_000)
 		cfg.Client.MinRunTime = vsecDuration(5)
-		return RunDistributed(cfg)
+		return progressRun(cfg)
 	}
-	a, b := build(), build()
-	if len(a.Progress) != len(b.Progress) {
-		t.Fatalf("series lengths differ: %d vs %d", len(a.Progress), len(b.Progress))
+	a, aev := build()
+	b, bev := build()
+	if a.Status != solver.StatusUNSAT || len(aev) == 0 {
+		t.Fatalf("got %v with %d progress events", a.Status, len(aev))
 	}
-	for i := range a.Progress {
-		if a.Progress[i] != b.Progress[i] {
-			t.Fatalf("point %d differs: %+v vs %+v", i, a.Progress[i], b.Progress[i])
+	if len(aev) != len(bev) {
+		t.Fatalf("courses differ in length: %d vs %d", len(aev), len(bev))
+	}
+	for i := range aev {
+		if aev[i] != bev[i] {
+			t.Fatalf("event %d differs: %+v vs %+v", i, aev[i], bev[i])
 		}
 	}
 	if a.Agg != b.Agg {
 		t.Fatalf("cluster aggregates differ:\n%+v\n%+v", a.Agg, b.Agg)
-	}
-}
-
-// TestDESProgressFlightEventsMatchSeries cross-checks the flight log: every
-// progress point corresponds to one FEvProgress event carrying the same
-// running total, so ReplayVerify covers the coverage estimator too.
-func TestDESProgressFlightEventsMatchSeries(t *testing.T) {
-	fl := trace.NewFlight(nil)
-	cfg := desConfig(gen.Pigeonhole(8), 10_000)
-	cfg.Client.MinRunTime = vsecDuration(5)
-	cfg.Master.Flight = fl
-	res := RunDistributed(cfg)
-	if res.Status != solver.StatusUNSAT {
-		t.Fatalf("got %v", res.Status)
-	}
-	var progEvents []trace.FEvent
-	for _, ev := range fl.Events() {
-		if ev.Kind == trace.FEvProgress {
-			progEvents = append(progEvents, ev)
-		}
-	}
-	if len(progEvents) != len(res.Progress) {
-		t.Fatalf("%d progress events vs %d series points", len(progEvents), len(res.Progress))
-	}
-	for i, ev := range progEvents {
-		if uint64(ev.N) != res.Progress[i].Units {
-			t.Fatalf("event %d carries %d units, series says %d", i, ev.N, res.Progress[i].Units)
-		}
-	}
-	if err := trace.Validate(fl.Events()); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -56,7 +56,7 @@ import (
 // the virtual clock, the batch system, the job arrivals. RunDistributed hands
 // Master to the one newMaster and Client to every newClient, writing over
 // them only what the shell models: in stamp the heartbeat cadence, the
-// admission cap, the sampler period, and one split strategy (Client's) and
+// admission cap, and one split strategy (Client's) and
 // flight recorder (Master's) for both halves; at launch each client's host
 // (name, free memory, speed). Fields only the live shell reads (Transport,
 // addresses, Timeout, SliceConflicts, ...) are ignored.
@@ -64,9 +64,9 @@ type RunnerConfig struct {
 	Grid *grid.Grid
 	// Master configures the control plane. Master.Formula is the one-shot
 	// run's instance, the master's job 0; a non-nil Master.Watchdog turns on
-	// the history sampler
-	// and anomaly watchdog, ticked at the monitor period with thresholds in
-	// virtual seconds (zero fields take the live defaults); Master.BundleDir
+	// the sampler and anomaly watchdog, ticked at the monitor period with
+	// thresholds in virtual seconds (zero fields take the live defaults);
+	// without one the monitor never samples. Master.BundleDir
 	// writes postmortem bundles synchronously with deterministic names and
 	// no CPU profile, so a replayed run reproduces them. Master.Flight records
 	// the run's control-plane events in virtual time; the simulation is
@@ -209,9 +209,8 @@ func (c *RunnerConfig) withDefaults() RunnerConfig {
 
 // stamp writes what the DES models over the held configurations, except
 // each client's host, which launch stamps: every configured job is admitted
-// (the DES studies scheduling, not admission control); the history sampler
-// runs at the monitor period when a watchdog is configured and is off
-// otherwise; a client heartbeats every slice; the master learns the
+// (the DES studies scheduling, not admission control); a client
+// heartbeats every slice; the master learns the
 // clients' split strategy and the clients share the master's flight
 // recorder. An unknown strategy name degrades to the default — the CLI
 // rejects it at the flag boundary.
@@ -224,10 +223,6 @@ func (c *RunnerConfig) stamp() {
 		m.Formula = nil
 	}
 	m.Admission = Admission{MaxActive: len(c.Jobs)}
-	m.HistoryPeriod = -1
-	if m.Watchdog != nil {
-		m.HistoryPeriod = vsecDuration(c.MonitorPeriodVSec)
-	}
 	m.SplitStrategy = cl.SplitStrategy
 	cl.HeartbeatEvery = 1
 	cl.Flight = m.Flight
@@ -286,12 +281,10 @@ type SimResult struct {
 	// BatchStartVSec/BatchCanceled report the Table-2 batch interaction.
 	BatchStartVSec float64
 	BatchCanceled  bool
-	// Progress is the deterministic coverage series: one point per refuted
-	// subproblem, in closure order. For an UNSAT run without lost work it
-	// is monotonically non-decreasing and ends at exactly 1.0 (2^62 units).
-	Progress []ProgressPoint
 	// Coverage/CoverageUnits/ClosedSubproblems are the final totals of the
-	// same estimate (units are exact fixed-point 2^-62 fractions).
+	// coverage estimate (units are exact fixed-point 2^-62 fractions; an
+	// UNSAT run without lost work ends at exactly 1.0, 2^62 units). Its
+	// course is the run's FEvProgress flight events.
 	Coverage          float64
 	CoverageUnits     uint64
 	ClosedSubproblems int64
@@ -524,7 +517,9 @@ func RunDistributed(cfg RunnerConfig) SimResult {
 				m.noteForecast(dc.id, hi.Rank, hi.MemForecast)
 			}
 		}
-		m.sampleTick()
+		if cfg.Master.Watchdog != nil { // nil is off: no sample, no alert
+			m.sampleTick()
+		}
 		m.maybeMigrate(cfg.MigrationFactor, cfg.Client.MinRunTime.Seconds())
 		m.serveBacklog() // a fresh forecast can lift a host over MinMemBytes
 		r.settle()
@@ -1128,7 +1123,7 @@ func (r *runner) finish(outcome SimOutcome) {
 	res.Agg.Add(r.tail)
 	res.PoolPublished, res.PoolDelivered = r.pool.Published, r.pool.Delivered
 	res.PoolLost, res.PoolDropped = r.pool.Lost, r.pool.Dropped
-	if m.wd != nil {
+	if r.cfg.Master.Watchdog != nil {
 		res.Alerts = m.wd.feed()
 	}
 	res.ClosedSubproblems = st.ClosedSubproblems
@@ -1136,7 +1131,6 @@ func (r *runner) finish(outcome SimOutcome) {
 		r.finishJobs(st.Jobs)
 	} else {
 		res.Status, res.Model = m.result.Status, m.result.Model
-		res.Progress = m.jobs[0].prog.Series()
 		res.CoverageUnits, res.Coverage = st.Jobs[0].Units, st.Jobs[0].Coverage
 	}
 	r.sample(0) // every run ends with the client count collapsing to zero

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"gridsat/internal/gen"
-	"gridsat/internal/obs/history"
 	"gridsat/internal/trace"
 )
 
@@ -96,33 +95,21 @@ func TestDESWatchdogStallEmitsAnomalyAndBundle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hist struct {
-		Series []history.SeriesDump `json:"series"`
-	}
+	var hist historyResponse
 	if err := json.Unmarshal(raw, &hist); err != nil {
 		t.Fatal(err)
 	}
-	var cov *history.SeriesDump
-	for i := range hist.Series {
-		if hist.Series[i].Name == "cluster.coverage" {
-			cov = &hist.Series[i]
+	samples := hist.Samples
+	if len(samples) < 7 { // 30 vsec window at 5 vsec cadence, plus warm-up
+		t.Fatalf("bundle history has %d samples, want the stall window", len(samples))
+	}
+	for _, s := range samples {
+		if s.Coverage != 0 {
+			t.Fatalf("coverage moved (%v at t=%v); stall was not a stall", s.Coverage, s.TSec)
 		}
 	}
-	if cov == nil || len(cov.Tiers) == 0 {
-		t.Fatalf("bundle history lacks cluster.coverage: %+v", hist.Series)
-	}
-	pts := cov.Tiers[0].Points
-	if len(pts) < 7 { // 30 vsec window at 5 vsec cadence, plus warm-up
-		t.Fatalf("coverage series has %d points, want the stall window", len(pts))
-	}
-	for _, p := range pts {
-		if p.V != 0 {
-			t.Fatalf("coverage moved (%v at t=%v); stall was not a stall", p.V, p.T)
-		}
-	}
-	if pts[len(pts)-1].T-pts[0].T < cfg.Master.Watchdog.StallWindowSec {
-		t.Fatalf("history window %v vsec shorter than the stall window",
-			pts[len(pts)-1].T-pts[0].T)
+	if span := samples[len(samples)-1].TSec - samples[0].TSec; span < cfg.Master.Watchdog.StallWindowSec {
+		t.Fatalf("history window %v vsec shorter than the stall window", span)
 	}
 
 	// The anomaly event replays: an identical config (fresh bundle dir)

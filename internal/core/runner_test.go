@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"testing"
 	"time"
@@ -57,6 +59,45 @@ func TestSimSummaryIsPinned(t *testing.T) {
 			t.Errorf("sim summary moved:\n got %v max-clients=%d %s\nwant %v max-clients=%d %s",
 				res.Status, res.MaxClients, got, row.status, row.maxClients, row.want)
 		}
+	}
+}
+
+// TestDESWatchdogDefaultsArePinned holds the watchdog at its default
+// thresholds to what it fired on the bart15 row of TestSimSummaryIsPinned
+// at commit 86242e5: three rules over 34 clients on a 30-vsec monitor tick,
+// the heartbeat gaps on the slow uiuc-b hosts among them. The flight log
+// carries every FEvAnomaly, so its hash pins each alert's instant and
+// order; a change in how samples are retained cannot move one unseen.
+func TestDESWatchdogDefaultsArePinned(t *testing.T) {
+	bart15, _ := gen.ByName("bart15")
+	fl := trace.NewFlight(nil)
+	res := RunDistributed(RunnerConfig{
+		Grid:   grid.TestbedGrADS(1),
+		Master: MasterConfig{Formula: bart15.Build(), Watchdog: &WatchdogConfig{}, Flight: fl},
+		Client: ClientConfig{Threads: 1, ShareMaxLen: 10}, TimeoutVSec: 6000, Seed: 1,
+	})
+	line := func(a Alert) string {
+		return fmt.Sprintf("%.1f %s %s: %s", a.TSec, a.Rule, a.Subject, a.Detail)
+	}
+	var buf bytes.Buffer
+	if err := trace.WriteJSONL(&buf, fl.Events()); err != nil {
+		t.Fatal(err)
+	}
+	const (
+		wantAlerts = 9
+		wantFirst  = "90.0 progress-stall cluster: coverage flat at 0.000000 for 60s with 12 clients busy"
+		wantLast   = "210.0 heartbeat-gap client 32: client 32 busy but silent for 15.1s"
+		wantSHA    = "140176e0fb7031b5137a2f54b1db4785340d40f88bac6d8dc732ac1ea90b614a"
+	)
+	if len(res.Alerts) != wantAlerts {
+		t.Fatalf("fired %d alerts, want %d: %+v", len(res.Alerts), wantAlerts, res.Alerts)
+	}
+	if first, last := line(res.Alerts[0]), line(res.Alerts[wantAlerts-1]); first != wantFirst || last != wantLast {
+		t.Errorf("alerts moved:\n got first %q\n     last  %q\nwant first %q\n     last  %q",
+			first, last, wantFirst, wantLast)
+	}
+	if sum := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); sum != wantSHA {
+		t.Errorf("flight log sha256 %s, want %s", sum, wantSHA)
 	}
 }
 

@@ -166,8 +166,12 @@ func (m *Master) JobStatus(id int, withModel bool) (JobSnapshot, error) {
 	return snap, err
 }
 
-// Jobs lists every job the service has seen, in submission order.
-func (m *Master) Jobs() []JobSnapshot { return m.State().Jobs }
+// Jobs lists every job the service has seen, in submission order, or
+// returns the error of a loop that does not answer in time.
+func (m *Master) Jobs() ([]JobSnapshot, error) {
+	st, err := m.State()
+	return st.Jobs, err
+}
 
 // Shutdown stops the master: Run returns after the pool is told to shut
 // down. Queued and running jobs end where they are (their snapshots
@@ -257,7 +261,7 @@ func (m *Master) stop(c *masterClient) {
 // Service wraps a master with its HTTP/JSON job API. Install the
 // routes by passing Endpoints() through MasterConfig.ExtraEndpoints (the
 // gridsat serve command does this), so the API shares the introspection
-// server with /metrics, /status and /progress. Because ExtraEndpoints is
+// server with /metrics, /status and /history. Because ExtraEndpoints is
 // consumed by NewMaster, the service supports late binding: build it
 // unbound with NewService(nil), hand Endpoints() to the config, then
 // Attach the constructed master. Requests landing in the gap get 503.
@@ -375,7 +379,7 @@ func (s *Service) handleList(w http.ResponseWriter, _ *http.Request) {
 	if m == nil {
 		return
 	}
-	writeJSON(w, http.StatusOK, m.Jobs())
+	serveLoop(w, m.Jobs)
 }
 
 func (s *Service) handleJob(withModel bool) http.HandlerFunc {

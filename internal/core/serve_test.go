@@ -182,9 +182,9 @@ func TestServeTwoConcurrentJobs(t *testing.T) {
 		t.Fatalf("flight-log verdicts %v disagree with API", verdicts)
 	}
 
-	jobs := m.Jobs()
-	if len(jobs) != 2 || jobs[0].ID != id1 || jobs[1].ID != id2 {
-		t.Fatalf("Jobs() = %+v, want [%d %d] in submission order", jobs, id1, id2)
+	jobs, err := m.Jobs()
+	if err != nil || len(jobs) != 2 || jobs[0].ID != id1 || jobs[1].ID != id2 {
+		t.Fatalf("Jobs() = %+v, %v, want [%d %d] in submission order", jobs, err, id1, id2)
 	}
 
 	m.Shutdown()
@@ -373,8 +373,8 @@ func TestServeAdmissionAndErrors(t *testing.T) {
 	if id, err := sm.Submit("x", f, 1); err != nil || id != 1 {
 		t.Fatalf("Submit on a one-shot master: id=%d err=%v, want job 1", id, err)
 	}
-	if jobs := sm.Jobs(); len(jobs) != 2 || jobs[0].ID != 0 || jobs[0].State != "queued" {
-		t.Fatalf("jobs of a one-shot master: %+v", jobs)
+	if jobs, err := sm.Jobs(); err != nil || len(jobs) != 2 || jobs[0].ID != 0 || jobs[0].State != "queued" {
+		t.Fatalf("jobs of a one-shot master: %+v, %v", jobs, err)
 	}
 	if err := sm.CancelJob(0); err != nil {
 		t.Fatalf("CancelJob(0) on a one-shot master: %v", err)
@@ -478,7 +478,11 @@ func TestServeSecondJobAfterHeartbeats(t *testing.T) {
 		t.Fatalf("first job verdict %q, want UNSAT", snap.Verdict)
 	}
 	heartbeated := 0
-	for _, c := range m.State().Clients {
+	st, err := m.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range st.Clients {
 		if c.Conflicts > 0 {
 			heartbeated++
 			if c.MemBytes <= 0 || c.MemBytes >= 128<<20 {
@@ -499,4 +503,61 @@ func TestServeSecondJobAfterHeartbeats(t *testing.T) {
 	m.Shutdown()
 	<-done
 	wg.Wait()
+}
+
+// TestWedgedLoopAnswers503: while the event loop is held past the 2 s
+// deadline, every endpoint that reads the loop answers 503 — not a zero
+// ClusterState, a null job list or an empty alert feed that `gridsat top`
+// would paint as an idle cluster — and /healthz, which never asks the
+// loop, still answers 200. Once the loop is released it answers again.
+func TestWedgedLoopAnswers503(t *testing.T) {
+	t.Parallel()
+	svc := NewService(nil)
+	m, done := serveMaster(t, comm.NewInprocTransport(), MasterConfig{ListenAddr: "wedged-master",
+		MetricsAddr: "127.0.0.1:0", ExtraEndpoints: svc.Endpoints()})
+	svc.Attach(m)
+	base := "http://" + m.MetricsAddr()
+	get := func(path string) int {
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	held, release := make(chan struct{}), make(chan struct{})
+	m.events <- masterEvent{apply: func() bool {
+		close(held)
+		<-release
+		return false
+	}}
+	<-held
+	want := map[string]int{"/status": 503, "/jobs": 503, "/alerts": 503, "/history": 503, "/healthz": 200}
+	got := make(map[string]int, len(want))
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for path := range want {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			code := get(path)
+			mu.Lock()
+			got[path] = code
+			mu.Unlock()
+		}()
+	}
+	wg.Wait()
+	close(release)
+	for path, code := range want {
+		if got[path] != code {
+			t.Errorf("GET %s on a wedged loop: %d, want %d", path, got[path], code)
+		}
+	}
+	if code := get("/status"); code != 200 {
+		t.Errorf("GET /status after release: %d, want 200", code)
+	}
+	m.Shutdown()
+	<-done
 }

@@ -433,9 +433,9 @@ func TestMasterDropsSharesWhenQueueFull(t *testing.T) {
 	// reading: two consecutive snapshots and the registry counter agree.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		snap := m.State()
+		snap, _ := m.State()
 		counter := reg.Snapshot().CounterValue("gridsat_master_shared_dropped_total")
-		again := m.State()
+		again, _ := m.State()
 		if snap.SharedDropped > 0 && snap.SharedDropped == again.SharedDropped &&
 			counter == snap.SharedDropped {
 			break
@@ -479,9 +479,9 @@ func TestMasterShareWindowBounded(t *testing.T) {
 	// distinct, so Shared counts them all); the Status reply channel then
 	// gives the happens-before edge that makes reading the window safe.
 	deadline := time.Now().Add(10 * time.Second)
-	for m.State().Shared != 40*window {
+	for st, _ := m.State(); st.Shared != 40*window; st, _ = m.State() {
 		if time.Now().After(deadline) {
-			t.Fatalf("master processed %d shares, want %d", m.State().Shared, 40*window)
+			t.Fatalf("master processed %d shares, want %d", st.Shared, 40*window)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

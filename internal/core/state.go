@@ -10,11 +10,12 @@ import (
 // ClusterState is the master's one point-in-time view of itself: the
 // pool, the backlog, who holds which job, the coverage estimate and the
 // solver totals. Every introspection surface is a function of this value
-// — GET /status and GET /progress serve it verbatim, GET /jobs is its Jobs,
-// the history sampler and the watchdog read one per tick, a bundle's
-// state.json freezes one, `gridsat top` renders one, and Result, Report and
-// SimResult take their totals from the last one — so no two surfaces can
-// disagree about what "busy" or "coverage" means.
+// — GET /status serves it verbatim, GET /jobs is its Jobs, the sampler
+// reduces one per tick to the Sample that the watchdog, GET /history and the
+// dashboard sparklines read, a bundle's state.json freezes one, `gridsat
+// top` renders one, and Result, Report and SimResult take their totals from
+// the last one — so no two surfaces can disagree about what "busy" or
+// "coverage" means.
 type ClusterState struct {
 	// WallSeconds is the master clock at the snapshot (wall seconds since
 	// Run started, or virtual seconds under the DES).
@@ -192,12 +193,12 @@ func (m *Master) state() ClusterState {
 }
 
 // State returns the running master's ClusterState, built on its event
-// loop so it is always consistent (the zero value once the master has
-// exited).
-func (m *Master) State() ClusterState {
+// loop so it is always consistent, or an error when the loop does not
+// answer in time (a wedged or exited master).
+func (m *Master) State() (ClusterState, error) {
 	var st ClusterState
-	_ = m.apply(func() { st = m.state() })
-	return st
+	err := m.apply(func() { st = m.state() })
+	return st, err
 }
 
 // jobLoad is what a job takes from the client table: how many clients

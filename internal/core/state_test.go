@@ -220,9 +220,10 @@ func serveJobAtHalf(t *testing.T, m *Master, f *cnf.Formula) *masterJob {
 }
 
 // TestClusterCoverageHasOneDefinition: cluster coverage is the mean
-// coverage of the searching jobs, and the dashboard header, the
-// cluster.coverage series and the watchdog's stall rule all read that one
-// number. They used to read 0 (under `gridsat serve`), the mean and the sum.
+// coverage of the searching jobs, and the dashboard header and the ring's
+// samples — which the watchdog's stall rule, GET /history and the dashboard
+// trend line read — all carry that one number. They used to read 0 (under
+// `gridsat serve`), the mean and the sum.
 func TestClusterCoverageHasOneDefinition(t *testing.T) {
 	now := 1.0
 	m := bareMaster(t, &now)
@@ -235,11 +236,10 @@ func TestClusterCoverageHasOneDefinition(t *testing.T) {
 		now++
 		st := m.state()
 		m.sampleTick() // same instant, same tables: the same state
-		series := m.hist.LastValues("cluster.coverage", 1)
-		watched := m.wd.win[len(m.wd.win)-1].Coverage
-		if st.Coverage != want || len(series) != 1 || series[0] != want || watched != want {
-			t.Fatalf("coverage: state %v, series %v, watchdog %v; want %v everywhere",
-				st.Coverage, series, watched, want)
+		sampled := m.samples[len(m.samples)-1].Coverage
+		if st.Coverage != want || sampled != want {
+			t.Fatalf("coverage: state %v, newest sample %v; want %v in both",
+				st.Coverage, sampled, want)
 		}
 		if head := strings.SplitN(RenderTop(st, nil, 80), "\n", 2)[0]; !strings.Contains(head, bar) {
 			t.Fatalf("dashboard header %q lacks %q", head, bar)

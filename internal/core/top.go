@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-
-	"gridsat/internal/obs/history"
 )
 
 // This file renders the `gridsat top` dashboard: a fixed-width terminal
@@ -16,18 +14,6 @@ import (
 // TopWidth is the default dashboard frame width in columns.
 const TopWidth = 80
 
-// TopSparks carries the recent-history slices the dashboard renders as
-// sparkline columns, extracted from the master's GET /history payload.
-// A nil *TopSparks (or empty slices) renders the history-free frame.
-type TopSparks struct {
-	// Coverage and Rate are the newest cluster.coverage and
-	// cluster.conflict_rate samples, oldest first.
-	Coverage []float64
-	Rate     []float64
-	// ClientRate maps client ID to its recent conflict-rate samples.
-	ClientRate map[int][]float64
-}
-
 // topSparkWide and topSparkCell are the sparkline widths of the header
 // trend line and the per-client column.
 const (
@@ -38,10 +24,11 @@ const (
 // RenderTop renders one dashboard frame from a ClusterState. Every line is
 // padded or truncated to exactly width runes (minimum 40), so a refreshing
 // terminal fully overwrites the previous frame without clearing artifacts.
-// sp optionally adds history sparklines — a cluster trend line under the
+// hist, the master's GET /history samples oldest first, optionally adds
+// sparklines — a cluster coverage and conflict-rate trend line under the
 // counters and a per-client conflict-rate column; nil renders the
 // history-free frame.
-func RenderTop(st ClusterState, sp *TopSparks, width int) string {
+func RenderTop(st ClusterState, hist []Sample, width int) string {
 	if width < 40 {
 		width = 40
 	}
@@ -74,10 +61,18 @@ func RenderTop(st ClusterState, sp *TopSparks, width int) string {
 		fmtCount(st.Conflicts), fmtCount(st.Implications), fmtCount(e.Imported),
 		e.UsefulRatio*100, e.ImplicationShare*100), width)
 
-	if sp != nil && (len(sp.Coverage) > 0 || len(sp.Rate) > 0) {
+	var coverage, rate []float64
+	clientRate := map[int][]float64{}
+	for _, s := range hist {
+		coverage = append(coverage, s.Coverage)
+		rate = append(rate, s.ConflictRate)
+		for _, c := range s.Clients {
+			clientRate[c.ID] = append(clientRate[c.ID], c.ConflictsPerSec)
+		}
+	}
+	if len(hist) > 0 {
 		writeLine(&b, fmt.Sprintf("trend  cov [%s]  conf/s [%s]",
-			history.Spark(sp.Coverage, topSparkWide),
-			history.Spark(sp.Rate, topSparkWide)), width)
+			spark(coverage, topSparkWide), spark(rate, topSparkWide)), width)
 	}
 
 	// The per-job rows. A state whose only row is job 0 is a one-shot run's,
@@ -98,7 +93,7 @@ func RenderTop(st ClusterState, sp *TopSparks, width int) string {
 		}
 	}
 
-	clientSparks := sp != nil && len(sp.ClientRate) > 0
+	clientSparks := len(clientRate) > 0
 	writeLine(&b, "", width)
 	head2 := fmt.Sprintf("%4s  %-5s  %5s  %9s  %5s  %7s  %8s  %8s",
 		"ID", "STATE", "DEPTH", "CONF/S", "UTIL", "IMP-USE", "MEM", "LEARNTS")
@@ -119,7 +114,7 @@ func RenderTop(st ClusterState, sp *TopSparks, width int) string {
 			c.ID, state, c.Depth, c.ConflictsPerSec, c.Utilization*100,
 			c.ImportUseRatio*100, fmtBytes(c.MemBytes), c.DBLearnts)
 		if clientSparks {
-			row += "  " + history.Spark(sp.ClientRate[c.ID], topSparkCell)
+			row += "  " + spark(clientRate[c.ID], topSparkCell)
 		}
 		writeLine(&b, row, width)
 		// Portfolio clients get one indented sub-row per in-host worker,
@@ -154,6 +149,46 @@ func workerTag(profile string) string {
 		}
 	}
 	return phase + "+" + restart
+}
+
+// sparkRamp is deliberately ASCII: gridsat top frames are fixed-width
+// in *bytes*, so multi-byte block glyphs would break the layout.
+const sparkRamp = " .:-=+*#"
+
+// spark renders vals as a fixed-width ASCII sparkline, newest at the
+// right. Fewer values than width left-pads with spaces; a flat series
+// renders at the lowest ink so stalls are visually obvious.
+func spark(vals []float64, width int) string {
+	if width <= 0 {
+		return ""
+	}
+	if len(vals) > width {
+		vals = vals[len(vals)-width:]
+	}
+	lo, hi := 0.0, 0.0
+	for i, v := range vals {
+		if i == 0 || v < lo {
+			lo = v
+		}
+		if i == 0 || v > hi {
+			hi = v
+		}
+	}
+	out := make([]byte, width)
+	for i := range out {
+		out[i] = ' '
+	}
+	for i, v := range vals {
+		idx := 0
+		if hi > lo {
+			idx = int((v - lo) / (hi - lo) * float64(len(sparkRamp)-1))
+			if idx >= len(sparkRamp) {
+				idx = len(sparkRamp) - 1
+			}
+		}
+		out[width-len(vals)+i] = sparkRamp[idx]
+	}
+	return string(out)
 }
 
 // writeLine appends s padded/truncated to exactly width columns plus '\n'.
@@ -231,7 +266,7 @@ func fmtPercent(frac float64) string {
 	return fmt.Sprintf("%.2f%%", pct)
 }
 
-// fmtETA renders the /progress eta_seconds convention: -1 unknown,
+// fmtETA renders the ClusterState eta_seconds convention: -1 unknown,
 // 0 exhausted.
 func fmtETA(s float64) string {
 	switch {

@@ -179,30 +179,37 @@ func TestRenderTopVerdict(t *testing.T) {
 }
 
 // TestRenderTopSparks covers the history-backed frame: nil and empty
-// sparks render the same history-free frame, and populated sparks add the
-// cluster trend line and the per-client HISTORY column while keeping
-// every line at the fixed width.
+// histories render the same history-free frame, and samples add the
+// cluster trend line and the per-client HISTORY column while keeping every
+// line at the fixed width.
 func TestRenderTopSparks(t *testing.T) {
 	st := topTestState()
-	if RenderTop(st, &TopSparks{}, 80) != RenderTop(st, nil, 80) {
-		t.Fatal("empty sparks changed the frame")
+	if RenderTop(st, []Sample{}, 80) != RenderTop(st, nil, 80) {
+		t.Fatal("an empty history changed the frame")
 	}
-	sp := &TopSparks{
-		Coverage: []float64{0, 0.1, 0.2, 0.3, 0.42},
-		Rate:     []float64{900, 1100, 1000, 1234, 1200},
-		ClientRate: map[int][]float64{
-			1: {1000, 1100, 1234.5},
-			2: {400, 200, 123.4},
-		},
+	var hist []Sample
+	for i, cov := range []float64{0, 0.1, 0.2, 0.3, 0.42} {
+		s := Sample{TSec: float64(i), Coverage: cov, ConflictRate: 900 + 100*float64(i)}
+		if i >= 2 { // clients 1 and 2 joined at the third tick
+			s.Clients = []SampleClient{
+				{ID: 1, ConflictsPerSec: 1000 + 100*float64(i)},
+				{ID: 2, ConflictsPerSec: 400 / float64(i)},
+			}
+		}
+		hist = append(hist, s)
 	}
-	frame := RenderTop(st, sp, 80)
-	if !strings.Contains(frame, "trend  cov [") {
-		t.Error("trend line missing")
+	frame := RenderTop(st, hist, 80)
+	if !strings.Contains(frame, "trend  cov [                    .-+#]  conf/s [") {
+		t.Errorf("trend line missing or misdrawn:\n%s", frame)
 	}
 	if !strings.Contains(frame, "HISTORY") {
 		t.Error("per-client HISTORY column missing")
 	}
-	// A client with no history still renders (blank spark cell).
+	// Client 1's three samples rise; a client with no samples still renders
+	// (blank spark cell).
+	if !strings.Contains(frame, "12.0MiB      4567          -#") {
+		t.Errorf("client 1 spark missing:\n%s", frame)
+	}
 	if !strings.Contains(frame, "   4  idle") {
 		t.Error("history-less client row missing")
 	}
@@ -211,11 +218,51 @@ func TestRenderTopSparks(t *testing.T) {
 			t.Fatalf("spark frame line %d is %d columns: %q", i+1, len(line), line)
 		}
 	}
-	// Two more lines than the plain frame: trend + nothing else (the
-	// HISTORY column widens rows, it does not add them).
+	// One more line than the plain frame: the trend line (the HISTORY
+	// column widens rows, it does not add them).
 	plain := strings.Count(RenderTop(st, nil, 80), "\n")
 	if got := strings.Count(frame, "\n"); got != plain+1 {
 		t.Errorf("spark frame has %d lines, want %d", got, plain+1)
+	}
+}
+
+func TestSpark(t *testing.T) {
+	cases := []struct {
+		vals  []float64
+		width int
+		want  string
+	}{
+		{nil, 4, "    "},
+		{[]float64{1, 1, 1}, 3, "   "},                     // flat → lowest ink
+		{[]float64{0, 7}, 2, " #"},                         // full range
+		{[]float64{0, 1, 2, 3, 4, 5, 6, 7}, 8, " .:-=+*#"}, // whole ramp
+		{[]float64{5}, 4, "    "},                          // single point, left-padded
+		{[]float64{0, 1, 2, 3}, 2, " #"},                   // truncates to newest, rescaled
+	}
+	for i, c := range cases {
+		got := spark(c.vals, c.width)
+		if got != c.want {
+			t.Errorf("case %d: spark(%v, %d) = %q, want %q", i, c.vals, c.width, got, c.want)
+		}
+		if len(got) != c.width {
+			t.Errorf("case %d: width %d, want %d", i, len(got), c.width)
+		}
+	}
+	if s := spark([]float64{1, 2}, 0); s != "" {
+		t.Errorf("zero width = %q", s)
+	}
+}
+
+func TestSparkASCIIOnly(t *testing.T) {
+	// gridsat top is byte-width fixed; the ramp must stay single-byte.
+	for _, r := range sparkRamp {
+		if r > 127 {
+			t.Fatalf("spark ramp contains non-ASCII rune %q", r)
+		}
+	}
+	s := spark([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 10)
+	if len(s) != len([]rune(s)) {
+		t.Fatalf("spark output is not byte-per-column: %q", s)
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 // history window and turns slow-burn failures — a search that stopped
 // covering space, a client that stopped answering, memory creeping
 // toward the budget — into explicit alerts before they become a stuck
-// or dead run. Rules are pure functions over WatchSample windows so
-// they are table-testable and behave identically in the live master
+// or dead run. Rules are pure functions over windows of the master's
+// ring of Samples, so they are table-testable and behave identically in the live master
 // (wall seconds) and the DES (virtual seconds).
 
 // WatchdogConfig holds per-rule thresholds. Zero fields take the
@@ -86,7 +86,7 @@ func (c WatchdogConfig) withDefaults() WatchdogConfig {
 }
 
 // maxWindowSec is the widest span any rule looks back over, i.e. how
-// much history the watchdog must retain.
+// much of the ring the watchdog must find retained.
 func (c WatchdogConfig) maxWindowSec() float64 {
 	w := c.StallWindowSec
 	if c.StragglerWindowSec > w {
@@ -99,37 +99,6 @@ func (c WatchdogConfig) maxWindowSec() float64 {
 		w = c.HeartbeatGapSec
 	}
 	return w
-}
-
-// WatchClient is one client's slice of a watch sample.
-type WatchClient struct {
-	ID               int     `json:"id"`
-	Busy             bool    `json:"busy"`
-	Straggler        bool    `json:"straggler"`
-	LastHeartbeatSec float64 `json:"last_heartbeat_sec"`
-	MemBytes         int64   `json:"mem_bytes"`
-}
-
-// WatchSample is one tick of cluster state as the watchdog retains it:
-// the few ClusterState fields its rules read, so a two-minute window does
-// not pin two minutes of full job and client lists.
-type WatchSample struct {
-	TSec     float64       `json:"t_sec"`
-	Coverage float64       `json:"coverage"`
-	Busy     int           `json:"busy"`
-	MemBytes int64         `json:"mem_bytes"`
-	Clients  []WatchClient `json:"clients,omitempty"`
-}
-
-// watch reduces a state to its watchdog sample.
-func (st *ClusterState) watch() WatchSample {
-	s := WatchSample{TSec: st.WallSeconds, Coverage: st.Coverage, Busy: st.Busy,
-		MemBytes: st.MemBytes, Clients: make([]WatchClient, len(st.Clients))}
-	for i, c := range st.Clients {
-		s.Clients[i] = WatchClient{ID: c.ID, Busy: c.Busy, Straggler: c.Straggler,
-			LastHeartbeatSec: c.LastHeartbeatSec, MemBytes: c.MemBytes}
-	}
-	return s
 }
 
 // Rule names, used as the Alert.Rule discriminator and in FEvAnomaly
@@ -153,7 +122,7 @@ type Alert struct {
 // evalWatchdog evaluates every rule against the window (oldest-first
 // samples) and returns the alerts that hold at the newest sample. It is
 // pure: cooldown/dedup is the caller's (watchdog.observe) concern.
-func evalWatchdog(cfg WatchdogConfig, win []WatchSample) []Alert {
+func evalWatchdog(cfg WatchdogConfig, win []Sample) []Alert {
 	if len(win) == 0 {
 		return nil
 	}
@@ -259,7 +228,7 @@ func evalWatchdog(cfg WatchdogConfig, win []WatchSample) []Alert {
 // windowStart finds the earliest sample index whose span to the newest
 // sample covers windowSec. ok is false when the history is still too
 // short to judge the rule, which keeps rules quiet during warm-up.
-func windowStart(win []WatchSample, windowSec float64) (int, bool) {
+func windowStart(win []Sample, windowSec float64) (int, bool) {
 	last := win[len(win)-1].TSec
 	if last-win[0].TSec < windowSec {
 		return 0, false
@@ -271,14 +240,28 @@ func windowStart(win []WatchSample, windowSec float64) (int, bool) {
 	return i, true
 }
 
-// watchdog is the stateful wrapper: it retains the sample window, runs
-// the pure evaluator each tick, and applies per-(rule,subject) cooldown
-// so a persistent condition produces one alert per cooldown period, not
-// one per tick. Owned by a single goroutine (the master event loop or
-// the DES monitor); the alert feed is read through copies.
+// windowTail is the suffix of the ring the rules judge: every sample
+// within windowSec of the newest, plus the one before as the baseline
+// windowStart needs.
+func windowTail(samples []Sample, windowSec float64) []Sample {
+	if len(samples) == 0 {
+		return nil
+	}
+	last := samples[len(samples)-1].TSec
+	i := len(samples) - 1
+	for i > 0 && last-samples[i-1].TSec <= windowSec {
+		i--
+	}
+	return samples[max(i-1, 0):]
+}
+
+// watchdog is the stateful wrapper: each tick it runs the pure evaluator
+// over the tail of the master's ring and applies per-(rule,subject)
+// cooldown so a persistent condition produces one alert per cooldown
+// period, not one per tick. Owned by a single goroutine (the master event
+// loop or the DES monitor); the alert feed is read through copies.
 type watchdog struct {
 	cfg       WatchdogConfig
-	win       []WatchSample
 	lastFired map[string]float64
 	alerts    []Alert // retained feed, newest last, capped
 }
@@ -289,21 +272,11 @@ func newWatchdog(cfg WatchdogConfig) *watchdog {
 	return &watchdog{cfg: cfg.withDefaults(), lastFired: make(map[string]float64)}
 }
 
-// observe appends a sample, trims the window, and returns the alerts
-// that newly fired this tick (cooldown-filtered).
-func (w *watchdog) observe(s WatchSample) []Alert {
-	w.win = append(w.win, s)
-	// Keep one sample older than the widest rule window so windowStart
-	// always has a baseline, then trim.
-	keepFrom := 0
-	for keepFrom+1 < len(w.win) && s.TSec-w.win[keepFrom+1].TSec > w.cfg.maxWindowSec() {
-		keepFrom++
-	}
-	if keepFrom > 0 {
-		w.win = append(w.win[:0], w.win[keepFrom:]...)
-	}
+// observe judges the ring, whose newest sample is this tick's, and returns
+// the alerts that newly fired (cooldown-filtered).
+func (w *watchdog) observe(samples []Sample) []Alert {
 	var fired []Alert
-	for _, a := range evalWatchdog(w.cfg, w.win) {
+	for _, a := range evalWatchdog(w.cfg, windowTail(samples, w.cfg.maxWindowSec())) {
 		key := a.Rule + "|" + a.Subject
 		if t, ok := w.lastFired[key]; ok && a.TSec-t < w.cfg.CooldownSec {
 			continue

@@ -20,12 +20,12 @@ func testWatchCfg() WatchdogConfig {
 }
 
 // mkWindow builds n samples at 1 Hz from a per-tick shaping function.
-func mkWindow(n int, shape func(i int, s *WatchSample)) []WatchSample {
-	win := make([]WatchSample, n)
+func mkWindow(n int, shape func(i int, s *Sample)) []Sample {
+	win := make([]Sample, n)
 	for i := range win {
-		win[i] = WatchSample{TSec: float64(i), Busy: 3, Coverage: float64(i) * 0.01,
+		win[i] = Sample{TSec: float64(i), Busy: 3, Coverage: float64(i) * 0.01,
 			MemBytes: 1 << 20,
-			Clients: []WatchClient{
+			Clients: []SampleClient{
 				{ID: 1, Busy: true, LastHeartbeatSec: float64(i)},
 				{ID: 2, Busy: true, LastHeartbeatSec: float64(i)},
 				{ID: 3, Busy: true, LastHeartbeatSec: float64(i)},
@@ -46,19 +46,19 @@ func rules(alerts []Alert) map[string]int {
 func TestWatchdogRules(t *testing.T) {
 	cases := []struct {
 		name  string
-		shape func(i int, s *WatchSample)
+		shape func(i int, s *Sample)
 		want  map[string]int
 	}{
 		{
 			name:  "healthy",
-			shape: func(i int, s *WatchSample) {},
+			shape: func(i int, s *Sample) {},
 			want:  map[string]int{},
 		},
 		{
 			name: "stall",
 			// Coverage frozen from t=2 on while all clients stay busy:
 			// flat span 12s > 10s window.
-			shape: func(i int, s *WatchSample) {
+			shape: func(i int, s *Sample) {
 				if i >= 2 {
 					s.Coverage = 0.02
 				}
@@ -69,7 +69,7 @@ func TestWatchdogRules(t *testing.T) {
 			name: "stall-but-idle",
 			// Same flat coverage, but the cluster is idle — waiting for
 			// work is not a stall.
-			shape: func(i int, s *WatchSample) {
+			shape: func(i int, s *Sample) {
 				s.Coverage = 0.02
 				s.Busy = 0
 			},
@@ -78,7 +78,7 @@ func TestWatchdogRules(t *testing.T) {
 		{
 			name: "straggler",
 			// Client 2 flagged in every sample of the window.
-			shape: func(i int, s *WatchSample) {
+			shape: func(i int, s *Sample) {
 				s.Clients[1].Straggler = true
 			},
 			want: map[string]int{RuleStragglerPersist: 1},
@@ -86,7 +86,7 @@ func TestWatchdogRules(t *testing.T) {
 		{
 			name: "straggler-intermittent",
 			// Flagged most ticks but recovers periodically — no alert.
-			shape: func(i int, s *WatchSample) {
+			shape: func(i int, s *Sample) {
 				s.Clients[1].Straggler = i%4 != 0
 			},
 			want: map[string]int{},
@@ -94,7 +94,7 @@ func TestWatchdogRules(t *testing.T) {
 		{
 			name: "mem-trend",
 			// Memory doubles across the window, above the floor.
-			shape: func(i int, s *WatchSample) {
+			shape: func(i int, s *Sample) {
 				s.MemBytes = int64(1<<20) * int64(10+i)
 			},
 			want: map[string]int{RuleMemPressure: 1},
@@ -102,7 +102,7 @@ func TestWatchdogRules(t *testing.T) {
 		{
 			name: "mem-trend-below-floor",
 			// Same relative growth but absolute total under MemMinBytes.
-			shape: func(i int, s *WatchSample) {
+			shape: func(i int, s *Sample) {
 				s.MemBytes = int64(10 + i)
 			},
 			want: map[string]int{},
@@ -111,7 +111,7 @@ func TestWatchdogRules(t *testing.T) {
 			name: "heartbeat-gap",
 			// Client 3's last heartbeat frozen at t=2; by t=12 the gap
 			// is 10s > 5s threshold.
-			shape: func(i int, s *WatchSample) {
+			shape: func(i int, s *Sample) {
 				if s.Clients[2].LastHeartbeatSec > 2 {
 					s.Clients[2].LastHeartbeatSec = 2
 				}
@@ -121,7 +121,7 @@ func TestWatchdogRules(t *testing.T) {
 		{
 			name: "heartbeat-gap-idle-client",
 			// Silent but idle clients are fine (nothing assigned).
-			shape: func(i int, s *WatchSample) {
+			shape: func(i int, s *Sample) {
 				s.Clients[2].Busy = false
 				if s.Clients[2].LastHeartbeatSec > 2 {
 					s.Clients[2].LastHeartbeatSec = 2
@@ -132,7 +132,7 @@ func TestWatchdogRules(t *testing.T) {
 		{
 			name: "stall-and-straggler",
 			// Two independent conditions fire together.
-			shape: func(i int, s *WatchSample) {
+			shape: func(i int, s *Sample) {
 				if i >= 2 {
 					s.Coverage = 0.02
 				}
@@ -160,7 +160,7 @@ func TestWatchdogRules(t *testing.T) {
 func TestWatchdogWarmup(t *testing.T) {
 	// A window shorter than every rule span must stay silent even when
 	// coverage is flat — no false positives during startup.
-	win := mkWindow(5, func(i int, s *WatchSample) { s.Coverage = 0 })
+	win := mkWindow(5, func(i int, s *Sample) { s.Coverage = 0 })
 	if got := evalWatchdog(testWatchCfg(), win); len(got) != 0 {
 		t.Fatalf("warm-up window fired %v", got)
 	}
@@ -175,9 +175,10 @@ func TestWatchdogCooldown(t *testing.T) {
 	fired := 0
 	// 60 ticks of a permanent stall: with a 30s cooldown the same
 	// (rule, subject) pair fires ceil((60-10)/30) ≈ 2 times, not 50.
+	var ring []Sample
 	for i := 0; i < 60; i++ {
-		s := WatchSample{TSec: float64(i), Coverage: 0.5, Busy: 3}
-		fired += len(w.observe(s))
+		ring = append(ring, Sample{TSec: float64(i), Coverage: 0.5, Busy: 3})
+		fired += len(w.observe(ring))
 	}
 	if fired < 1 || fired > 3 {
 		t.Fatalf("cooldown let %d alerts through, want 1..3", fired)
@@ -185,16 +186,42 @@ func TestWatchdogCooldown(t *testing.T) {
 	if len(w.feed()) != fired {
 		t.Errorf("feed has %d entries, want %d", len(w.feed()), fired)
 	}
-	// The window is trimmed to the widest rule span, not unbounded.
-	if len(w.win) > 15 {
-		t.Errorf("window retained %d samples, want <= ~12", len(w.win))
+	// The rules judge the widest rule span plus one baseline sample, not
+	// the whole ring.
+	if tail := windowTail(ring, cfg.maxWindowSec()); len(tail) != 12 || tail[0].TSec != 48 {
+		t.Errorf("tail holds %d samples from t=%v, want 12 from t=48", len(tail), tail[0].TSec)
+	}
+}
+
+// TestSampleRingRetention: the ring keeps the newest ringSamples samples,
+// and more only while the widest watchdog window reaches back past them.
+func TestSampleRingRetention(t *testing.T) {
+	for _, c := range []struct {
+		memWindow float64
+		want      int
+	}{
+		{0, ringSamples},  // defaults: 120 s fits in 256 one-second ticks
+		{400, 402},        // a 400 s window and its baseline
+		{-1, ringSamples}, // disabled rules shrink nothing below the floor
+	} {
+		now := 0.0
+		m := bareMaster(t, &now)
+		m.wd = newWatchdog(WatchdogConfig{MemWindowSec: c.memWindow})
+		for i := 0; i < 600; i++ {
+			now = float64(i)
+			m.sampleTick()
+		}
+		if len(m.samples) != c.want || m.samples[len(m.samples)-1].TSec != 599 {
+			t.Errorf("mem window %v: ring holds %d samples up to t=%v, want %d up to 599",
+				c.memWindow, len(m.samples), m.samples[len(m.samples)-1].TSec, c.want)
+		}
 	}
 }
 
 func TestWatchdogDisabledRule(t *testing.T) {
 	cfg := testWatchCfg()
 	cfg.StallWindowSec = -1 // negative disables
-	win := mkWindow(13, func(i int, s *WatchSample) {
+	win := mkWindow(13, func(i int, s *Sample) {
 		if i >= 2 {
 			s.Coverage = 0.02
 		}

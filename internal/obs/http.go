@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -12,15 +11,13 @@ import (
 //
 //	/metrics        Prometheus text exposition
 //	/metrics.json   JSON snapshot of the same registry
-//	/status         JSON of the caller-supplied status value
 //	/debug/pprof/   the standard Go profiler endpoints
 //
-// status may be nil, in which case /status returns 404. Callers may mount
-// additional endpoints (the master adds /trace and /tree when a flight
-// recorder is attached) via extra. The handler is deliberately built on a
-// private mux so importing this package never mutates
-// http.DefaultServeMux.
-func Handler(reg *Registry, status func() any, extra ...Endpoint) http.Handler {
+// Callers mount their own endpoints via extra (the master adds /status,
+// /history, /alerts, and /trace and /tree when a flight recorder is
+// attached). The handler is deliberately built on a private mux so
+// importing this package never mutates http.DefaultServeMux.
+func Handler(reg *Registry, extra ...Endpoint) http.Handler {
 	mux := http.NewServeMux()
 	for _, e := range extra {
 		mux.HandleFunc(e.Path, e.H)
@@ -33,14 +30,6 @@ func Handler(reg *Registry, status func() any, extra ...Endpoint) http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		_ = reg.WriteJSON(w)
 	})
-	if status != nil {
-		mux.HandleFunc("/status", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(status())
-		})
-	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -227,7 +227,9 @@ func TestParseLevel(t *testing.T) {
 func TestHTTPHandler(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("served_total", "").Add(2)
-	h := Handler(reg, func() any { return map[string]int{"busy": 3} })
+	h := Handler(reg, Endpoint{Path: "GET /extra", H: func(w http.ResponseWriter, _ *http.Request) {
+		_, _ = io.WriteString(w, "mounted")
+	}})
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
@@ -244,8 +246,8 @@ func TestHTTPHandler(t *testing.T) {
 	if code, body := get("/metrics"); code != 200 || !strings.Contains(body, "served_total 2") {
 		t.Fatalf("/metrics: %d %q", code, body)
 	}
-	if code, body := get("/status"); code != 200 || !strings.Contains(body, `"busy": 3`) {
-		t.Fatalf("/status: %d %q", code, body)
+	if code, body := get("/extra"); code != 200 || body != "mounted" {
+		t.Fatalf("/extra: %d %q", code, body)
 	}
 	if code, body := get("/metrics.json"); code != 200 || !strings.Contains(body, "served_total") {
 		t.Fatalf("/metrics.json: %d %q", code, body)
@@ -257,7 +259,7 @@ func TestHTTPHandler(t *testing.T) {
 
 func TestServeEphemeral(t *testing.T) {
 	reg := NewRegistry()
-	srv, addr, err := Serve("127.0.0.1:0", Handler(reg, nil))
+	srv, addr, err := Serve("127.0.0.1:0", Handler(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +279,7 @@ func TestServeEphemeral(t *testing.T) {
 // holding a server goroutine for as long as it likes.
 func TestServeDropsStalledHeader(t *testing.T) {
 	t.Parallel()
-	srv, addr, err := Serve("127.0.0.1:0", Handler(NewRegistry(), nil))
+	srv, addr, err := Serve("127.0.0.1:0", Handler(NewRegistry()))
 	if err != nil {
 		t.Fatal(err)
 	}

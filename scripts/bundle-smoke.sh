@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the observability surface: boots `gridsat
-# serve` with -bundle-dir and one client, checks /healthz, /history and
-# /alerts respond, asserts a malformed DIMACS submit returns a
-# structured 400 with the parse line, then captures a bundle via POST
-# /debug/bundle and another by cancelling a long job mid-run — and
-# asserts every bundle carries all five sections (flight log, pprof,
-# metrics+history, state, config) plus its manifest, and that state.json
-# is one ClusterState with the client and the job in it. Artifacts land in
+# serve` with -bundle-dir and one client, checks /healthz and /alerts
+# respond, that /history serves the sampler's ring (two or more samples,
+# oldest first) and that `gridsat top -once` draws its trend line from it,
+# asserts a malformed DIMACS submit returns a structured 400 with the parse
+# line, then captures a bundle via POST /debug/bundle and another by
+# cancelling a long job mid-run — and asserts every bundle carries all five
+# sections (flight log, pprof, metrics+history, state, config) plus its
+# manifest counting its samples, and that state.json is one ClusterState
+# with the client and the job in it. Artifacts land in
 # $SMOKE_DIR (default /tmp/gridsat-bundle-smoke) for CI upload.
 set -euo pipefail
 
@@ -62,13 +64,16 @@ JOB_ID=$(curl -sf -X POST --data-binary @"$SMOKE_DIR/php12.cnf" \
 echo "submitted long job $JOB_ID"
 sleep 2
 
-# The sampler has ticked by now: /history serves series, /alerts the
-# (empty, healthy) watchdog feed.
+# The sampler ticks once a second and has ticked since serve came up:
+# /history serves its ring, oldest first, /alerts the (empty, healthy)
+# watchdog feed.
 # (each buffered to a file: grep -q's early exit would SIGPIPE curl under
 # pipefail on a page of tens of kilobytes — /history failed one run in five)
 curl -sf "http://$API/history" >"$SMOKE_DIR/history.json"
-grep -q '"series"' "$SMOKE_DIR/history.json" \
-  || { echo "FAIL: /history has no series"; exit 1; }
+grep -o '"t_sec": *[0-9.e+-]*' "$SMOKE_DIR/history.json" \
+  | awk -F': *' 'NR > 1 && $2 <= prev { bad = 1 } { prev = $2; n++ }
+                 END { exit !(n >= 2 && !bad) }' \
+  || { echo "FAIL: /history lacks two samples with advancing t_sec"; exit 1; }
 curl -sf "http://$API/alerts" >"$SMOKE_DIR/alerts.json"
 grep -q '"alerts"' "$SMOKE_DIR/alerts.json" \
   || { echo "FAIL: /alerts has no feed"; exit 1; }
@@ -77,6 +82,11 @@ grep -q 'gridsat_build_info' "$SMOKE_DIR/metrics.txt" \
   || { echo "FAIL: /metrics lacks gridsat_build_info"; exit 1; }
 grep -q 'gridsat_http_request_seconds' "$SMOKE_DIR/metrics.txt" \
   || { echo "FAIL: /metrics lacks endpoint latency histograms"; exit 1; }
+# The dashboard reads /status and /history: its trend line is drawn from
+# the ring's samples.
+"$SMOKE_DIR/gridsat" top -once -addr "$API" >"$SMOKE_DIR/top.txt"
+grep -q '^trend  cov \[.*\]  conf/s \[' "$SMOKE_DIR/top.txt" \
+  || { echo "FAIL: gridsat top drew no trend line"; cat "$SMOKE_DIR/top.txt"; exit 1; }
 
 # Capture 1: operator-requested bundle.
 MANUAL=$(curl -sf -X POST "http://$API/debug/bundle?reason=smoke" \
@@ -103,6 +113,8 @@ check_bundle() { # dir
   done
   grep -q '"sections"' "$dir/MANIFEST.json" \
     || { echo "FAIL: bundle $dir manifest lists no sections"; exit 1; }
+  grep -q '"samples": *[1-9]' "$dir/MANIFEST.json" \
+    || { echo "FAIL: bundle $dir manifest counts no samples"; exit 1; }
   # state.json holds one ClusterState (not a status/progress pair) with
   # the client and the job in it: indented JSON opens a non-empty array
   # with a bare "[" at the end of the line.
