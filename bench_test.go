@@ -18,7 +18,6 @@ import (
 	"gridsat/internal/gen"
 	"gridsat/internal/grid"
 	"gridsat/internal/proof"
-	"gridsat/internal/simplify"
 	"gridsat/internal/solver"
 )
 
@@ -364,18 +363,6 @@ func BenchmarkAblationEngine(b *testing.B) {
 		out := bench.AblationEngine(f, bench.Options{Seed: 1})
 		if len(out) != 3 {
 			b.Fatal("sweep incomplete")
-		}
-	}
-}
-
-// BenchmarkPreprocess measures the SatELite-style preprocessor front end.
-func BenchmarkPreprocess(b *testing.B) {
-	f := gen.Pigeonhole(9)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s := simplify.Simplify(f, simplify.DefaultOptions())
-		if s.Unsat {
-			b.Fatal("php9 is not refutable by preprocessing alone")
 		}
 	}
 }

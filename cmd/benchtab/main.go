@@ -28,7 +28,7 @@ func main() {
 		rows        = flag.String("rows", "", "comma-separated row filter")
 		scale       = flag.Float64("scale", 1.0, "budget scale factor (1.0 = paper-faithful)")
 		seed        = flag.Int64("seed", 1, "grid contention seed")
-		ablation    = flag.String("ablation", "", "sharelen | splittimeout | pruning | ranking | engine | topology | split | hybrid | sched")
+		ablation    = flag.String("ablation", "", "sharelen | splittimeout | pruning | ranking | engine | split | hybrid | sched")
 		schedJobs   = flag.Int("sched-jobs", 8, "job count for the sched ablation's Poisson workload")
 		schedGap    = flag.Float64("sched-gap", 8, "mean inter-arrival gap (vsec) for the sched ablation")
 		ablationOut = flag.String("ablation-out", "", "also write the ablation's machine-readable JSON here (split and hybrid)")
@@ -134,9 +134,6 @@ func runAblation(kind, outPath string, opts bench.Options) {
 	case "engine":
 		fmt.Print(bench.RenderAblation("engine preset (Fidelity2003 vs the shipped DefaultOptions)",
 			bench.AblationEngine(f, opts)))
-	case "topology":
-		fmt.Print(bench.RenderAblation("clause-sharing topology (master relay vs P2P)",
-			bench.AblationSharingTopology(f, opts)))
 	case "split":
 		results := bench.AblationSplitStrategy(f, opts)
 		fmt.Println("ablation: split strategy (first-decision vs dilemma fan-out)")

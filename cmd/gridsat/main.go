@@ -9,8 +9,8 @@
 //	                                      service (submit/cancel over HTTP)
 //	gridsat client -master host:7070      TCP client joining a deployment
 //	gridsat sim    problem.cnf            deterministic simulated-grid run
-//	gridsat top    -addr host:8080        live cluster dashboard (polls a
-//	                                      master's -metrics-addr endpoint)
+//	gridsat top    -addr host:8080        live dashboard of a master's /status
+//	gridsat checkproof p.cnf proof.rup    check a RUP refutation (zVerify role)
 package main
 
 import (

@@ -16,7 +16,6 @@ import (
 
 	"gridsat/internal/cnf"
 	"gridsat/internal/proof"
-	"gridsat/internal/simplify"
 	"gridsat/internal/solver"
 )
 
@@ -30,7 +29,6 @@ func main() {
 		quiet        = flag.Bool("q", false, "suppress the model and statistics")
 		seed         = flag.Int64("seed", 0, "heuristic tie-break seed")
 		proofPath    = flag.String("proof", "", "write a DRUP/RUP refutation proof here (checkable with gridsat checkproof)")
-		presimplify  = flag.Bool("presimplify", false, "run the SatELite-style preprocessor first (disables -proof)")
 	)
 	flag.Parse()
 
@@ -38,21 +36,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "zchaff:", err)
 		os.Exit(2)
-	}
-
-	var pre *simplify.Simplified
-	if *presimplify {
-		pre = simplify.Simplify(f, simplify.DefaultOptions())
-		fmt.Fprintf(os.Stderr, "c presimplify: %v (clauses %d -> %d, %d vars eliminated)\n",
-			pre.Stats, f.NumClauses(), pre.F.NumClauses(), pre.NumEliminated())
-		if pre.Unsat {
-			fmt.Println("s UNSATISFIABLE")
-			return
-		}
-		if *proofPath != "" {
-			fmt.Fprintln(os.Stderr, "zchaff: -proof is unavailable with -presimplify (the trace would not refute the original formula)")
-			os.Exit(2)
-		}
 	}
 
 	opts := solver.Fidelity2003() // the paper's sequential baseline
@@ -73,11 +56,7 @@ func main() {
 		pw = proof.NewWriter(proofFile)
 		opts.OnLemma = pw.Hook()
 	}
-	target := f
-	if pre != nil {
-		target = pre.F
-	}
-	s := solver.New(target, opts)
+	s := solver.New(f, opts)
 	start := time.Now()
 	res := s.Solve(solver.Limits{
 		MaxConflicts:   *maxConflicts,
@@ -99,16 +78,12 @@ func main() {
 	switch res.Status {
 	case solver.StatusSAT:
 		fmt.Println("s SATISFIABLE")
-		model := res.Model
-		if pre != nil {
-			model = pre.ExtendModel(model)
-			if err := f.Verify(model); err != nil {
-				fmt.Fprintln(os.Stderr, "zchaff: extended model verification FAILED:", err)
-				os.Exit(1)
-			}
+		if err := f.Verify(res.Model); err != nil {
+			fmt.Fprintln(os.Stderr, "zchaff: model verification FAILED:", err)
+			os.Exit(1)
 		}
 		if !*quiet {
-			printModel(model)
+			printModel(res.Model)
 		}
 	case solver.StatusUNSAT:
 		fmt.Println("s UNSATISFIABLE")

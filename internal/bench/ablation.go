@@ -312,21 +312,3 @@ func WriteHybridAblation(path string, results []HybridResult) error {
 	}
 	return fd.Close()
 }
-
-// AblationSharingTopology compares master-mediated clause sharing (this
-// implementation's default, one hop through the master) against direct
-// peer-to-peer delivery — the same tradeoff the paper resolves in favor of
-// P2P for the large split payloads.
-func AblationSharingTopology(f *cnf.Formula, opts Options) []AblationResult {
-	var out []AblationResult
-	for _, p2p := range []bool{false, true} {
-		cfg := ablationConfig(f, opts)
-		cfg.P2PSharing = p2p
-		label := "share-via-master"
-		if p2p {
-			label = "share-p2p"
-		}
-		out = append(out, AblationResult{Label: label, Result: core.RunDistributed(cfg)})
-	}
-	return out
-}

@@ -220,16 +220,3 @@ func TestShape2FlagsViolations(t *testing.T) {
 		t.Fatalf("false positive: %v", issues)
 	}
 }
-
-func TestAblationSharingTopologyRuns(t *testing.T) {
-	f := gen.Pigeonhole(8)
-	out := AblationSharingTopology(f, Options{Seed: 1})
-	if len(out) != 2 || out[0].Label != "share-via-master" || out[1].Label != "share-p2p" {
-		t.Fatalf("topology ablation broken: %+v", out)
-	}
-	for _, r := range out {
-		if r.Result.Outcome != core.OutcomeSolved {
-			t.Errorf("%s: %v", r.Label, r.Result.Outcome)
-		}
-	}
-}

@@ -27,16 +27,6 @@ func (c Clause) Clone() Clause {
 	return out
 }
 
-// Has reports whether c contains literal l.
-func (c Clause) Has(l Lit) bool {
-	for _, x := range c {
-		if x == l {
-			return true
-		}
-	}
-	return false
-}
-
 // Normalize sorts the literals, removes duplicates, and reports whether the
 // clause is a tautology (contains both a literal and its complement).
 // A tautologous clause is always satisfied and should be dropped by callers.

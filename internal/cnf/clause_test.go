@@ -19,16 +19,6 @@ func TestNewClause(t *testing.T) {
 	}
 }
 
-func TestClauseHas(t *testing.T) {
-	c := NewClause(1, -2)
-	if !c.Has(PosLit(0)) || !c.Has(NegLit(1)) {
-		t.Error("Has missed present literal")
-	}
-	if c.Has(NegLit(0)) || c.Has(PosLit(1)) {
-		t.Error("Has found absent literal")
-	}
-}
-
 func TestNormalizeDedups(t *testing.T) {
 	c := NewClause(3, 1, 3, -2, 1)
 	out, taut := c.Normalize()

@@ -25,7 +25,7 @@ func TestConfigSurface(t *testing.T) {
 		{ClientConfig{}, "Transport MasterAddr ListenAddr HostName FreeMemBytes SpeedHint ShareMaxLen " +
 			"SliceConflicts MinRunTime HeartbeatEvery SplitStrategy Threads SolverOptions Metrics Flight"},
 		{RunnerConfig{}, "Grid Master Client Jobs PropsPerVSec QuantumProps TimeoutVSec MaxClients Batch " +
-			"Failures MonitorPeriodVSec MigrationFactor P2PSharing Seed"},
+			"Failures MonitorPeriodVSec MigrationFactor Seed"},
 		{JobConfig{}, "Clients Threads Timeout Master Client"},
 		{solver.Options{}, "DecayInterval RestartBase RestartPolicy ShareMaxLen OnLearn PruneLevel0 " +
 			"MaxLearnts Reduce MinimizeLearnts PhaseSaving Seed Phase DecisionOverride OnLemma"},

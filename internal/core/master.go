@@ -748,12 +748,14 @@ func (m *Master) ensureBase(c *masterClient, j *masterJob) {
 }
 
 // markStarted moves a job to running on its first client assignment,
-// stamping StartedAt and the lifecycle event.
+// stamping StartedAt, the coverage rate's first interval and the lifecycle
+// event.
 func (m *Master) markStarted(j *masterJob) {
 	if j.State != JobQueued {
 		return
 	}
 	j.StartedAt = m.now()
+	j.prog.lastSec = j.StartedAt
 	j.State = JobRunning
 	m.met.queueWait.Observe(j.StartedAt - j.SubmittedAt)
 	m.femit(trace.FEvent{Kind: trace.FEvJobStart, Job: j.ID})

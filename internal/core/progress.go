@@ -44,17 +44,18 @@ func coverageUnits(depth int) uint64 {
 }
 
 // ProgressTracker accumulates refuted guiding-path prefixes into the
-// cluster coverage estimate and maintains an EWMA of the coverage rate for
-// ETA prediction. It is deterministic: identical (depth, atSec) sequences
-// produce identical state, so the DES runner's progress curves reproduce
-// exactly. Not safe for concurrent use; the master touches it only from
+// cluster coverage estimate and maintains an EWMA of the coverage rate,
+// from which Master.state projects the ETA. It is deterministic: identical
+// (depth, atSec) sequences produce identical state, so the DES runner's
+// progress curves reproduce exactly. Not safe for concurrent use; the master touches it only from
 // its event loop.
 type ProgressTracker struct {
 	units    uint64
 	closed   int64
 	maxDepth int
 	// rate is the EWMA of coverage fraction per second, updated at each
-	// closure from the fraction gained since the previous one.
+	// closure from the fraction gained since the previous one — or, for
+	// the first, since lastSec was set when the job started.
 	rate     float64
 	haveRate bool
 	lastSec  float64
@@ -106,26 +107,13 @@ func (p *ProgressTracker) Closed() int64 { return p.closed }
 // MaxDepth returns the deepest refuted guiding path seen.
 func (p *ProgressTracker) MaxDepth() int { return p.maxDepth }
 
-// Rate returns the EWMA coverage rate in fraction per second (0 until two
-// closures establish an interval).
+// Rate returns the EWMA coverage rate in fraction per second (0 until a
+// closure ends the first interval).
 func (p *ProgressTracker) Rate() float64 {
 	if !p.haveRate {
 		return 0
 	}
 	return p.rate
-}
-
-// ETASeconds projects the remaining time to full coverage at the current
-// EWMA rate: 0 when the space is exhausted, -1 while no rate is known.
-func (p *ProgressTracker) ETASeconds() float64 {
-	if p.units >= coverageFull {
-		return 0
-	}
-	r := p.Rate()
-	if r <= 0 {
-		return -1
-	}
-	return (1 - p.Fraction()) / r
 }
 
 // ShareEfficacy summarizes whether clause sharing is paying for itself:

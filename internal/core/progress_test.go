@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"gridsat/internal/cnf"
 	"gridsat/internal/comm"
 	"gridsat/internal/gen"
 	"gridsat/internal/solver"
@@ -52,9 +53,6 @@ func TestProgressTrackerReachesExactlyFull(t *testing.T) {
 	if p.Closed() != 4 || p.MaxDepth() != 3 {
 		t.Fatalf("closed=%d maxDepth=%d", p.Closed(), p.MaxDepth())
 	}
-	if eta := p.ETASeconds(); eta != 0 {
-		t.Fatalf("ETA at full coverage = %v, want 0", eta)
-	}
 }
 
 func TestProgressTrackerCapsAtFull(t *testing.T) {
@@ -66,22 +64,42 @@ func TestProgressTrackerCapsAtFull(t *testing.T) {
 	}
 }
 
-func TestProgressTrackerETA(t *testing.T) {
+func TestProgressTrackerRate(t *testing.T) {
 	var p ProgressTracker
-	if p.ETASeconds() != -1 {
-		t.Fatal("ETA should be unknown before any closure interval")
+	if p.Rate() != 0 {
+		t.Fatal("rate should be unknown before any closure interval")
 	}
 	p.CloseSubproblem(2, 10) // 1/4 in 10 s -> rate 0.025/s
-	if r := p.Rate(); r <= 0 {
-		t.Fatalf("rate = %v after first interval", r)
+	if r := p.Rate(); r != 0.025 {
+		t.Fatalf("rate = %v after first interval, want 0.025", r)
 	}
-	eta := p.ETASeconds()
-	if eta <= 0 {
-		t.Fatalf("ETA = %v, want positive projection", eta)
+}
+
+// TestCoverageRateStartsWithTheJob: a job's first coverage interval runs
+// from its start, not from the master's clock origin. A job submitted at
+// t = 0 that first gets a client at t = 100 and refutes half its space at
+// t = 110 covers 0.5 in 10 s, not in 110 s.
+func TestCoverageRateStartsWithTheJob(t *testing.T) {
+	now := 0.0
+	m := bareMaster(t, &now)
+	f := cnf.NewFormula(2)
+	f.Add(1, 2)
+	id, err := m.submit("late", f, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// 3/4 remaining at 0.025/s = 30 s.
-	if eta < 29.9 || eta > 30.1 {
-		t.Fatalf("ETA = %v, want ~30", eta)
+	now = 100
+	c := m.clients[m.connect()]
+	m.handleRegister(c, comm.Register{Addr: "a", FreeMemBytes: 64 << 20, SpeedHint: 1})
+	j := m.jobs[id]
+	if j.State != JobRunning || j.StartedAt != 100 || !c.busy {
+		t.Fatalf("job %v started at %v, client busy=%v; want running from 100", j.State, j.StartedAt, c.busy)
+	}
+	now = 110
+	j.subBacklog = append(j.subBacklog, backlogSub{job: id, sub: &solver.Subproblem{NumVars: 2, Depth: 1}})
+	m.handleSolved(c, comm.Solved{Status: solver.StatusUNSAT, Depth: 1, Job: id})
+	if st := m.state(); st.RatePerSec != 0.05 || st.ETASeconds != 10 {
+		t.Fatalf("rate %v/s, ETA %v s; want 0.05/s and 10 s", st.RatePerSec, st.ETASeconds)
 	}
 }
 

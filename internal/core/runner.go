@@ -114,13 +114,6 @@ type RunnerConfig struct {
 	// factor, the whole subproblem moves there (e.g. from a lone remote
 	// desktop to a freshly freed cluster node). 0 disables migration.
 	MigrationFactor float64
-	// P2PSharing prices each relayed share batch as if it had travelled
-	// directly from the sharing client to the recipient instead of through
-	// the master (the relay itself — dedup, fan-out — is the master's
-	// either way). The paper routes the (large) split payloads peer-to-peer
-	// for exactly this reason; sharing topology is the analogous choice
-	// for the (small, frequent) clause messages.
-	P2PSharing bool
 	// Seed drives launch jitter.
 	Seed int64
 }
@@ -829,11 +822,6 @@ func (r *runner) toClient(to int, msg comm.Message) {
 	n := r.cfg.Grid.Network
 	bytes := r.charge(e)
 	transit := n.Transfer(r.mhost, dc.host, bytes)
-	if src := r.clients[sc.From]; src != nil && r.cfg.P2PSharing {
-		// Price the batch as a direct transfer from its origin: it left
-		// there one origin→master trip ago.
-		transit = max(0, n.Transfer(src.host, dc.host, bytes)-n.Transfer(src.host, r.mhost, bytes))
-	}
 	r.deliverAt(r.fifo(0, to, transit), dc, sc)
 }
 
