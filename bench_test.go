@@ -324,22 +324,6 @@ func BenchmarkSolverConflictPath(b *testing.B) {
 	}
 }
 
-// BenchmarkDIMACSRoundtrip measures formula serialization.
-func BenchmarkDIMACSRoundtrip(b *testing.B) {
-	f := gen.RandomKSAT(300, 1278, 3, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var buf writerCounter
-		if err := cnf.WriteDIMACS(&buf, f); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-type writerCounter struct{ n int }
-
-func (w *writerCounter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
-
 // BenchmarkTransportInproc measures the messaging layer's throughput.
 func BenchmarkTransportInproc(b *testing.B) {
 	a, c := comm.NewPipe()

@@ -1,14 +1,18 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"gridsat/internal/cnf"
 	"gridsat/internal/core"
 )
 
@@ -206,5 +210,24 @@ func TestEmptyLogIsOff(t *testing.T) {
 	serve, _ := parseServe(nil)
 	if run.out.log != "" || master.out.log != "" || serve.out.log != "info" {
 		t.Fatalf("default -log: run %q, master %q, serve %q", run.out.log, master.out.log, serve.out.log)
+	}
+}
+
+// A clause longer than the solver can hold is a parse error, which main
+// prints and exits 1 on, not a panic inside solver.New.
+func TestSolveRefusesOverlongClause(t *testing.T) {
+	var b strings.Builder
+	fmt.Fprintf(&b, "p cnf %d 1\n", cnf.MaxClauseSize+1)
+	for v := 1; v <= cnf.MaxClauseSize+1; v++ {
+		fmt.Fprintf(&b, "%d ", v)
+	}
+	b.WriteString("0\n")
+	path := filepath.Join(t.TempDir(), "long.cnf")
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var pe *cnf.ParseError
+	if err := cmdSolve([]string{path}); !errors.As(err, &pe) || pe.Line != 2 {
+		t.Fatalf("gridsat solve: err = %v, want a ParseError on line 2", err)
 	}
 }

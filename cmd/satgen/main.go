@@ -46,17 +46,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "satgen:", err)
 		os.Exit(2)
 	}
-	w := os.Stdout
-	if *out != "" {
-		fd, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "satgen:", err)
-			os.Exit(2)
-		}
-		defer fd.Close()
-		w = fd
+	if *out == "" {
+		err = cnf.WriteDIMACS(os.Stdout, f)
+	} else {
+		err = cnf.WriteDIMACSFile(*out, f) // checks Close: a lost write is an error
 	}
-	if err := cnf.WriteDIMACS(w, f); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "satgen:", err)
 		os.Exit(2)
 	}

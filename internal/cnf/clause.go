@@ -7,6 +7,11 @@ import (
 	"strings"
 )
 
+// MaxClauseSize is the most literals a clause may hold: ParseDIMACS
+// rejects a longer one, the wire decoder never builds one, and the
+// solver's clause header has room for exactly this many.
+const MaxClauseSize = 1<<20 - 1
+
 // Clause is a disjunction of literals. The zero value is the empty clause,
 // which is unsatisfiable.
 type Clause []Lit
@@ -18,6 +23,31 @@ func NewClause(dimacs ...int) Clause {
 		c = append(c, LitFromDIMACS(n))
 	}
 	return c
+}
+
+// Slab carves clauses out of shared literal chunks, so a builder of many
+// clauses pays a few allocations instead of one per clause. Each chunk
+// doubles the last, from 64 up to a million literals, and is never less
+// than twice the clause that did not fit; a full chunk is left to the
+// clauses carved from it. The zero value is ready to use.
+type Slab struct{ lits []Lit }
+
+// Carve returns a clause of n zero literals, capped at its own length so
+// an append to it can never reach its neighbour.
+func (s *Slab) Carve(n int) Clause {
+	start := len(s.lits)
+	if n > cap(s.lits)-start {
+		s.lits, start = make([]Lit, 0, nextChunk(cap(s.lits), n)), 0
+	}
+	end := start + n
+	s.lits = s.lits[:end]
+	return Clause(s.lits[start:end:end])
+}
+
+// nextChunk is the capacity of the literal chunk that follows one of
+// capacity cur when a clause of need literals does not fit.
+func nextChunk(cur, need int) int {
+	return max(64, 2*need, min(2*cur, 1<<20))
 }
 
 // Clone returns an independent copy of c.

@@ -33,8 +33,9 @@ func parseErrf(line int, format string, args ...any) error {
 // dialect variations: comment lines anywhere, clauses spanning multiple
 // lines, a missing final 0, and "%"-terminated SATLIB files. The "p cnf"
 // header is optional; when present, the declared variable count is honored
-// even if larger than the maximum variable used. Malformed inputs return
-// a *ParseError carrying the offending line.
+// even if larger than the maximum variable used. Malformed inputs, and a
+// clause longer than MaxClauseSize, return a *ParseError carrying the
+// offending line.
 //
 // It sits on the submit path of the service and at the start of every
 // solve, so clause lines are scanned byte by byte into one literal slab
@@ -79,7 +80,9 @@ scan:
 		return nil, fmt.Errorf("cnf: reading DIMACS: %w", err)
 	}
 	if len(p.slab) > p.start { // final clause without terminating 0
-		p.endClause()
+		if err := p.endClause(); err != nil {
+			return nil, err
+		}
 	}
 	p.f.Comment = strings.Join(comments, "\n")
 	return p.f, nil
@@ -174,8 +177,7 @@ func (p *dimacsParser) clauseLine(line []byte) error {
 // joins it.
 func (p *dimacsParser) literal(n int) error {
 	if n == 0 {
-		p.endClause()
-		return nil
+		return p.endClause()
 	}
 	if p.sawHeader && abs(n) > p.f.NumVars {
 		return parseErrf(p.line, "literal %d exceeds declared %d variables", n, p.f.NumVars)
@@ -188,22 +190,27 @@ func (p *dimacsParser) literal(n int) error {
 }
 
 // newSlab leaves the full slab to the clauses carved from it and moves the
-// open clause to a fresh one, doubling up to a million literals.
+// open clause to a fresh one, grown as a Slab grows.
 func (p *dimacsParser) newSlab() {
 	open := p.slab[p.start:]
-	p.slab = append(make([]Lit, 0, max(4096, 2*len(open), min(2*cap(p.slab), 1<<20))), open...)
+	p.slab = append(make([]Lit, 0, nextChunk(cap(p.slab), len(open))), open...)
 	p.start = 0
 }
 
 // endClause carves the open clause off the slab, capped at its own length
-// so an append to it can never reach its neighbour.
-func (p *dimacsParser) endClause() {
+// so an append to it can never reach its neighbour. A clause longer than
+// MaxClauseSize is an error on the line that closes it.
+func (p *dimacsParser) endClause() error {
 	var c Clause
 	if end := len(p.slab); end > p.start {
+		if end-p.start > MaxClauseSize {
+			return parseErrf(p.line, "clause of %d literals exceeds the limit of %d", end-p.start, MaxClauseSize)
+		}
 		c = Clause(p.slab[p.start:end:end])
 		p.start = end
 	}
 	p.f.AddClause(c)
+	return nil
 }
 
 // isBlank reports the ASCII bytes unicode.IsSpace accepts: space and
@@ -229,33 +236,52 @@ func ParseDIMACSFile(path string) (*Formula, error) {
 	return ParseDIMACS(fd)
 }
 
-// WriteDIMACS writes f in DIMACS format.
+// WriteDIMACS writes f in DIMACS format. Each clause line is formatted
+// into one reused buffer, so writing costs no allocation per clause or
+// literal.
 func WriteDIMACS(w io.Writer, f *Formula) error {
 	bw := bufio.NewWriter(w)
 	if f.Comment != "" {
+		// bufio's errors stick: a failed comment write shows at the header.
 		for _, line := range strings.Split(f.Comment, "\n") {
-			if _, err := fmt.Fprintf(bw, "c %s\n", line); err != nil {
-				return err
-			}
+			bw.WriteString("c ")
+			bw.WriteString(line)
+			bw.WriteByte('\n')
 		}
 	}
 	if _, err := fmt.Fprintf(bw, "p cnf %d %d\n", f.NumVars, len(f.Clauses)); err != nil {
 		return err
 	}
+	var line []byte
 	for _, c := range f.Clauses {
+		line = line[:0]
 		for _, l := range c {
-			if _, err := bw.WriteString(strconv.Itoa(l.DIMACS())); err != nil {
-				return err
+			if l.Neg() {
+				line = append(line, '-')
 			}
-			if err := bw.WriteByte(' '); err != nil {
-				return err
-			}
+			line = appendUint(line, uint(l.Var())+1)
+			line = append(line, ' ')
 		}
-		if _, err := bw.WriteString("0\n"); err != nil {
+		line = append(line, '0', '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
+}
+
+// appendUint appends u in decimal. Variable numbers are short, so a digit
+// at a time beats strconv's general formatting here.
+func appendUint(b []byte, u uint) []byte {
+	var d [20]byte
+	i := len(d) - 1
+	for u >= 10 {
+		d[i] = byte('0' + u%10)
+		u /= 10
+		i--
+	}
+	d[i] = byte('0' + u)
+	return append(b, d[i:]...)
 }
 
 // WriteDIMACSFile writes f to a DIMACS CNF file on disk.

@@ -1,6 +1,9 @@
 package cnf
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Formula is a CNF formula: a conjunction of clauses over NumVars variables.
 type Formula struct {
@@ -9,23 +12,47 @@ type Formula struct {
 	// Comment is an optional free-form description (e.g. generator name and
 	// parameters); it is emitted as DIMACS "c" lines.
 	Comment string
+	// slab holds the literals of the clauses Add builds.
+	slab Slab
 }
 
 // NewFormula returns an empty formula over nVars variables.
 func NewFormula(nVars int) *Formula { return &Formula{NumVars: nVars} }
 
 // Add appends a clause built from DIMACS literals, growing NumVars as needed.
+// The clause is carved from a literal slab the formula owns.
 func (f *Formula) Add(dimacs ...int) *Formula {
-	f.AddClause(NewClause(dimacs...))
+	c := f.Carve(len(dimacs))
+	for i, n := range dimacs {
+		c[i] = LitFromDIMACS(n)
+		if n = abs(n); n > f.NumVars {
+			f.NumVars = n
+		}
+	}
+	f.appendClause(c)
 	return f
 }
 
-// AddClause appends c, growing NumVars as needed.
+// Carve returns a clause of n zero literals carved from the formula's
+// literal slab, for a builder that fills it in and places it in Clauses
+// itself.
+func (f *Formula) Carve(n int) Clause { return f.slab.Carve(n) }
+
+// AddClause appends c, growing NumVars as needed. The formula keeps c
+// itself, not a copy.
 func (f *Formula) AddClause(c Clause) {
 	for _, l := range c {
 		if d := l.Var().DIMACS(); d > f.NumVars {
 			f.NumVars = d
 		}
+	}
+	f.appendClause(c)
+}
+
+// appendClause grows Clauses by doubling, as a Slab grows.
+func (f *Formula) appendClause(c Clause) {
+	if len(f.Clauses) == cap(f.Clauses) {
+		f.Clauses = slices.Grow(f.Clauses, max(64, len(f.Clauses)))
 	}
 	f.Clauses = append(f.Clauses, c)
 }

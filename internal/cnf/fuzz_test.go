@@ -2,18 +2,21 @@ package cnf
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // FuzzParseDIMACS checks the parser never panics and that everything it
-// accepts round-trips through WriteDIMACS.
+// accepts round-trips through WriteDIMACS: parsing the written text gives
+// back the same variable count, comment and clauses, literal for literal.
 func FuzzParseDIMACS(f *testing.F) {
 	f.Add("p cnf 3 2\n1 -2 0\n2 3 0\n")
 	f.Add("c comment\n1 2\n-3 0")
 	f.Add("p cnf 0 0\n")
 	f.Add("%\n0")
 	f.Add("p cnf 2 1\n0\n")
+	f.Add("c two\nc  lines \np cnf 12 2\n-12 10 1 0\n0\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		parsed, err := ParseDIMACS(strings.NewReader(input))
 		if err != nil {
@@ -30,9 +33,12 @@ func FuzzParseDIMACS(f *testing.F) {
 		if again.NumClauses() != parsed.NumClauses() {
 			t.Fatalf("roundtrip clause count %d != %d", again.NumClauses(), parsed.NumClauses())
 		}
+		if again.NumVars != parsed.NumVars || again.Comment != parsed.Comment {
+			t.Fatalf("roundtrip gave %d vars, comment %q; want %d, %q", again.NumVars, again.Comment, parsed.NumVars, parsed.Comment)
+		}
 		for i := range parsed.Clauses {
-			if len(again.Clauses[i]) != len(parsed.Clauses[i]) {
-				t.Fatalf("clause %d length changed", i)
+			if !slices.Equal(again.Clauses[i], parsed.Clauses[i]) {
+				t.Fatalf("clause %d is %v after the roundtrip, want %v", i, again.Clauses[i], parsed.Clauses[i])
 			}
 		}
 	})

@@ -574,7 +574,8 @@ func (w *bitWriter) writeInterior(s cnf.Clause, lo, hi uint32) {
 	// wait on an explicit stack while the left spine is walked, and the
 	// bit accumulator stays in registers for the whole clause instead of
 	// round-tripping through the struct on every literal. Depth is bounded
-	// by log2 of the clause length cap (1<<20), so the stack is fixed-size.
+	// by log2 of the clause length cap (cnf.MaxClauseSize), so the stack is
+	// fixed-size.
 	acc, nacc, buf := w.acc, w.nacc, w.buf
 	start, end := int32(0), int32(len(s))
 	sp := 0
@@ -652,10 +653,11 @@ func (r *bitReader) readInterior(s cnf.Clause, lo, hi uint32) error {
 // literal whose feasible range has collapsed to one value), so a few KiB
 // can claim 2^24 clauses of 2^20 literals each. readClauseBlock therefore
 // trusts neither count: it sizes the clause slice for at most one clause
-// per byte it was given (append grows it for the rare denser block) and
-// charges every literal against this many per byte. A clause that is not a
-// tautology costs about a bit per literal or more — 8 per byte — so only a
-// block no encoder of real clauses emits runs out.
+// per byte it was given (append grows it for the rare denser block),
+// carves the clauses from a cnf.Slab that grows only as literals arrive,
+// and charges every literal against this many per byte. A clause that is
+// not a tautology costs about a bit per literal or more — 8 per byte — so
+// only a block no encoder of real clauses emits runs out.
 const blockLitsPerByte = 16
 
 // readClauseBlock decodes a clause block; buf must start at the uvarint
@@ -683,6 +685,7 @@ func readClauseBlock(buf []byte) ([]cnf.Clause, []byte, error) {
 	rest = buf[len(buf)-br.Len():]
 	r := bitReader{buf: rest}
 	out := make([]cnf.Clause, 0, min(n, uint64(len(rest))))
+	var slab cnf.Slab
 	budget := blockLitsPerByte*len(rest) + 64 // literals left to decode
 	prevLen := uint64(0)
 	prevFirst := int64(0)
@@ -692,18 +695,19 @@ func readClauseBlock(buf []byte) ([]cnf.Clause, []byte, error) {
 			return nil, nil, err
 		}
 		l := prevLen + g - 1
-		if l > 1<<20 {
-			return nil, nil, fmt.Errorf("comm: clause length %d exceeds limit", l)
-		}
-		if budget -= int(l); budget < 0 {
+		if l > uint64(budget) {
 			return nil, nil, fmt.Errorf("comm: clause block decodes to more than %d literals per byte", blockLitsPerByte)
 		}
+		budget -= int(l)
+		if l > cnf.MaxClauseSize {
+			return nil, nil, fmt.Errorf("comm: clause length %d exceeds limit", l)
+		}
 		prevLen = l
-		c := make(cnf.Clause, l)
 		if l == 0 {
-			out = append(out, c)
+			out = append(out, cnf.Clause{})
 			continue
 		}
+		c := slab.Carve(int(l))
 		g, err = r.readGamma()
 		if err != nil {
 			return nil, nil, err

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -262,7 +263,14 @@ func TestEveryKindRoundtrip(t *testing.T) {
 // so a TCP client seeds its solver exactly as the master's copy would.
 func TestBaseProblemTravelsVerbatim(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	f := &cnf.Formula{NumVars: 300, Clauses: randClauses(r, 400, 300, 9), Comment: "verbatim"}
+	// Built the way the decoder builds it, each clause carved from the
+	// formula's slab, so the whole value compares equal.
+	f := &cnf.Formula{NumVars: 300, Comment: "verbatim"}
+	for _, cl := range randClauses(r, 400, 300, 9) {
+		c := f.Carve(len(cl))
+		copy(c, cl)
+		f.Clauses = append(f.Clauses, c)
+	}
 	if reflect.DeepEqual(f.Clauses, canonClauses(f.Clauses)) {
 		t.Fatal("test formula is already canonical; it would not notice a reordering")
 	}
@@ -437,5 +445,53 @@ func TestPerKindPayloadCap(t *testing.T) {
 		if got := kindByType[reflect.TypeOf(m)].limit; got != want {
 			t.Errorf("%s: payload cap %d, want %d", m.Kind(), got, want)
 		}
+	}
+}
+
+// The decoder's clause-length limit is the parser's and the solver's,
+// cnf.MaxClauseSize: a block of real clauses one literal longer is
+// refused, one at the limit decodes.
+func TestClauseBlockLengthLimitIsMaxClauseSize(t *testing.T) {
+	for _, n := range []int{cnf.MaxClauseSize, cnf.MaxClauseSize + 1} {
+		c := make(cnf.Clause, n)
+		for i := range c {
+			c[i] = cnf.Lit(8*i + i%7) // sparse, so the block pays bits for every literal
+		}
+		e, err := EncodeMessage(ShareClauses{From: 1, Clauses: []cnf.Clause{c}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.Decode()
+		if n > cnf.MaxClauseSize {
+			if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+				t.Fatalf("clause of %d literals: err = %v, want the length limit to refuse it", n, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("clause of %d literals: %v", n, err)
+		}
+		if cs := got.(ShareClauses).Clauses; len(cs) != 1 || !slices.Equal(cs[0], c) {
+			t.Fatalf("clause of %d literals did not survive the round trip", n)
+		}
+	}
+}
+
+// A block's clauses share one slab; appending to one must not reach the next.
+func TestClauseBlockClausesDoNotAlias(t *testing.T) {
+	in := []cnf.Clause{cnf.NewClause(1, 2), cnf.NewClause(3, 4), cnf.NewClause(-5, 6, 7)}
+	e, err := EncodeMessage(ShareClauses{From: 1, Clauses: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := got.(ShareClauses).Clauses
+	next := slices.Clone(cs[1])
+	_ = append(cs[0], cnf.PosLit(0))
+	if !slices.Equal(cs[1], next) {
+		t.Fatalf("appending to clause 0 rewrote clause 1: %v, was %v", cs[1], next)
 	}
 }

@@ -370,7 +370,8 @@ func (c *coder) subs(p *[]*solver.Subproblem) {
 
 // formula moves the base problem verbatim — clause order and literal
 // order preserved — so every client, live or simulated, seeds its solver
-// from the same formula the master holds.
+// from the same formula the master holds. Decoded clauses are carved from
+// the formula's own literal slab, as Formula.Add carves them.
 func (c *coder) formula(p **cnf.Formula) {
 	if !opt(c, p) {
 		return
@@ -378,7 +379,15 @@ func (c *coder) formula(p **cnf.Formula) {
 	f := *p
 	c.int(&f.NumVars)
 	c.str(&f.Comment)
-	list(c, &f.Clauses, 1, func(c *coder, cl *cnf.Clause) { c.lits((*[]cnf.Lit)(cl)) })
+	list(c, &f.Clauses, 1, func(c *coder, cl *cnf.Clause) {
+		n := c.count(len(*cl), 1)
+		if c.dec && n > 0 {
+			*cl = f.Carve(n)
+		}
+		for i := range *cl {
+			c.lit(&(*cl)[i])
+		}
+	})
 }
 
 func (c *coder) assignment(p *cnf.Assignment) {

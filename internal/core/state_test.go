@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -318,6 +319,26 @@ func (e *endlessDIMACS) Read(p []byte) (int, error) {
 	}
 	e.read += int64(n)
 	return n, nil
+}
+
+// TestSubmitRefusesOverlongClause: a formula with a clause longer than the
+// solver can hold is the submitter's error — 400 with the line — not a job
+// every client would crash on.
+func TestSubmitRefusesOverlongClause(t *testing.T) {
+	now := 1.0
+	svc := NewService(bareMaster(t, &now))
+	var body strings.Builder
+	fmt.Fprintf(&body, "c one clause\np cnf %d 1\n", cnf.MaxClauseSize+1)
+	for v := 1; v <= cnf.MaxClauseSize+1; v++ {
+		body.WriteString(strconv.Itoa(v))
+		body.WriteByte(' ')
+	}
+	body.WriteString("0\n")
+	rec := httptest.NewRecorder()
+	svc.handleSubmit(rec, httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(body.String())))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `"line": 3`) {
+		t.Fatalf("overlong clause: HTTP %d %s, want 400 naming line 3", rec.Code, rec.Body)
+	}
 }
 
 // TestSubmitBodyIsBounded: POST /jobs stops reading at maxSubmitBytes and

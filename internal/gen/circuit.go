@@ -172,16 +172,8 @@ func (c *Circuit) AssertAnyDiff(a, b []int) {
 	for i := range a {
 		diff[i] = c.Xor(a[i], b[i])
 	}
-	c.f.AddClause(litsOf(diff))
+	c.f.Add(diff...)
 }
 
 // Formula finalizes and returns the built formula.
 func (c *Circuit) Formula() *cnf.Formula { return c.f }
-
-func litsOf(vars []int) cnf.Clause {
-	out := make(cnf.Clause, len(vars))
-	for i, v := range vars {
-		out[i] = cnf.LitFromDIMACS(v)
-	}
-	return out
-}

@@ -19,24 +19,41 @@ func RandomKSAT(nVars, nClauses, k int, seed int64) *cnf.Formula {
 	f := cnf.NewFormula(nVars)
 	f.Comment = fmt.Sprintf("random %d-SAT n=%d m=%d seed=%d", k, nVars, nClauses, seed)
 	used := make([]bool, nVars)
+	c := make([]int, 0, k)
 	for i := 0; i < nClauses; i++ {
-		c := make(cnf.Clause, 0, k)
-		var picked []int
-		for len(c) < k {
-			v := rng.Intn(nVars)
-			if used[v] {
-				continue
-			}
-			used[v] = true
-			picked = append(picked, v)
-			c = append(c, cnf.MkLit(cnf.Var(v), rng.Intn(2) == 1))
-		}
-		for _, v := range picked {
-			used[v] = false
-		}
-		f.AddClause(c)
+		c = drawClause(rng, used, c[:0], k)
+		f.Add(c...)
 	}
 	return f
+}
+
+// drawClause appends k DIMACS literals over k distinct variables, each
+// drawn uniformly with a random sign, to c. used is all false on entry and
+// on return.
+func drawClause(rng *rand.Rand, used []bool, c []int, k int) []int {
+	for len(c) < k {
+		v := rng.Intn(len(used))
+		if used[v] {
+			continue
+		}
+		used[v] = true
+		if rng.Intn(2) == 1 {
+			c = append(c, -(v + 1))
+		} else {
+			c = append(c, v+1)
+		}
+	}
+	for _, l := range c {
+		used[abs(l)-1] = false
+	}
+	return c
+}
+
+func abs(n int) int {
+	if n < 0 {
+		return -n
+	}
+	return n
 }
 
 // Pigeonhole generates PHP(holes+1, holes): holes+1 pigeons into holes
@@ -48,12 +65,12 @@ func Pigeonhole(holes int) *cnf.Formula {
 	f := cnf.NewFormula(pigeons * holes)
 	f.Comment = fmt.Sprintf("pigeonhole PHP(%d,%d) UNSAT", pigeons, holes)
 	// Every pigeon sits somewhere.
+	c := make([]int, holes)
 	for p := 0; p < pigeons; p++ {
-		c := make(cnf.Clause, holes)
-		for h := 0; h < holes; h++ {
-			c[h] = cnf.LitFromDIMACS(v(p, h))
+		for h := range c {
+			c[h] = v(p, h)
 		}
-		f.AddClause(c)
+		f.Add(c...)
 	}
 	// No two pigeons share a hole.
 	for h := 0; h < holes; h++ {
@@ -86,31 +103,19 @@ func PlantedKSAT(nVars, nClauses, k int, seed int64) *cnf.Formula {
 	f := cnf.NewFormula(nVars)
 	f.Comment = fmt.Sprintf("doubly-planted %d-SAT n=%d m=%d seed=%d", k, nVars, nClauses, seed)
 	used := make([]bool, nVars)
+	c := make([]int, 0, k)
 	for len(f.Clauses) < nClauses {
-		c := make(cnf.Clause, 0, k)
-		var picked []int
-		for len(c) < k {
-			v := rng.Intn(nVars)
-			if used[v] {
-				continue
-			}
-			used[v] = true
-			picked = append(picked, v)
-			c = append(c, cnf.MkLit(cnf.Var(v), rng.Intn(2) == 1))
-		}
-		for _, v := range picked {
-			used[v] = false
-		}
+		c = drawClause(rng, used, c[:0], k)
 		satA, satNotA := false, false
 		for _, l := range c {
-			if hidden[l.Var()] != l.Neg() { // literal true under the plant
+			if hidden[abs(l)-1] != (l < 0) { // literal true under the plant
 				satA = true
 			} else {
 				satNotA = true
 			}
 		}
 		if satA && satNotA {
-			f.AddClause(c)
+			f.Add(c...)
 		}
 	}
 	return f
@@ -127,13 +132,13 @@ func PigeonholeShuffled(holes int, seed int64) *cnf.Formula {
 	f := cnf.NewFormula(base.NumVars)
 	f.Comment = fmt.Sprintf("%s shuffled seed=%d", base.Comment, seed)
 	order := rng.Perm(len(base.Clauses))
+	var out []int
 	for _, ci := range order {
-		c := base.Clauses[ci]
-		out := make(cnf.Clause, len(c))
-		for i, l := range c {
-			out[i] = cnf.MkLit(cnf.Var(perm[l.Var()]), l.Neg())
+		out = out[:0]
+		for _, l := range base.Clauses[ci] {
+			out = append(out, cnf.MkLit(cnf.Var(perm[l.Var()]), l.Neg()).DIMACS())
 		}
-		f.AddClause(out)
+		f.Add(out...)
 	}
 	return f
 }
@@ -145,10 +150,11 @@ func xorClauses(f *cnf.Formula, vars []int, rhs bool) {
 	n := len(vars)
 	if n == 0 {
 		if rhs {
-			f.AddClause(cnf.Clause{}) // 0 = 1: empty (false) clause
+			f.Add() // 0 = 1: empty (false) clause
 		}
 		return
 	}
+	c := make([]int, n)
 	for mask := 0; mask < 1<<n; mask++ {
 		// A clause (with signs = mask) excludes the assignment where every
 		// literal is false; that assignment has parity = number of negated
@@ -167,14 +173,13 @@ func xorClauses(f *cnf.Formula, vars []int, rhs bool) {
 		if parity%2 == want {
 			continue // excluded point satisfies the XOR; don't exclude it
 		}
-		c := make(cnf.Clause, n)
 		for i, v := range vars {
-			c[i] = cnf.LitFromDIMACS(v)
+			c[i] = v
 			if mask&(1<<i) != 0 {
-				c[i] = cnf.LitFromDIMACS(-v)
+				c[i] = -v
 			}
 		}
-		f.AddClause(c)
+		f.Add(c...)
 	}
 }
 
@@ -425,12 +430,12 @@ func GraphColoring(nNodes, nEdges, k int, seed int64) *cnf.Formula {
 	v := func(node, color int) int { return node*k + color + 1 }
 	f := cnf.NewFormula(nNodes * k)
 	f.Comment = fmt.Sprintf("graph %d-coloring nodes=%d edges=%d seed=%d", k, nNodes, nEdges, seed)
+	c := make([]int, k)
 	for n := 0; n < nNodes; n++ {
-		c := make(cnf.Clause, k)
-		for col := 0; col < k; col++ {
-			c[col] = cnf.LitFromDIMACS(v(n, col))
+		for col := range c {
+			c[col] = v(n, col)
 		}
-		f.AddClause(c)
+		f.Add(c...)
 		for c1 := 0; c1 < k; c1++ {
 			for c2 := c1 + 1; c2 < k; c2++ {
 				f.Add(-v(n, c1), -v(n, c2))
@@ -477,13 +482,14 @@ func Hanoi(cells, steps int) *cnf.Formula {
 		f.Add(-at(0, c))
 	}
 	f.Add(at(steps, cells-1))
+	c := make([]int, 0, cells)
 	for t := 0; t <= steps; t++ {
 		// Exactly one position per time step.
-		c := make(cnf.Clause, cells)
+		c = c[:0]
 		for p := 0; p < cells; p++ {
-			c[p] = cnf.LitFromDIMACS(at(t, p))
+			c = append(c, at(t, p))
 		}
-		f.AddClause(c)
+		f.Add(c...)
 		for p1 := 0; p1 < cells; p1++ {
 			for p2 := p1 + 1; p2 < cells; p2++ {
 				f.Add(-at(t, p1), -at(t, p2))
@@ -493,14 +499,14 @@ func Hanoi(cells, steps int) *cnf.Formula {
 	// Transition: from cell p you may stay or move to p±1.
 	for t := 0; t < steps; t++ {
 		for p := 0; p < cells; p++ {
-			c := cnf.Clause{cnf.LitFromDIMACS(-at(t, p)), cnf.LitFromDIMACS(at(t+1, p))}
+			c = append(c[:0], -at(t, p), at(t+1, p))
 			if p > 0 {
-				c = append(c, cnf.LitFromDIMACS(at(t+1, p-1)))
+				c = append(c, at(t+1, p-1))
 			}
 			if p < cells-1 {
-				c = append(c, cnf.LitFromDIMACS(at(t+1, p+1)))
+				c = append(c, at(t+1, p+1))
 			}
-			f.AddClause(c)
+			f.Add(c...)
 		}
 	}
 	return f
@@ -565,13 +571,7 @@ func LatinSquare(n, prefill int, seed int64) *cnf.Formula {
 	v := func(r, c, k int) int { return (r*n+c)*n + k + 1 }
 	f := cnf.NewFormula(n * n * n)
 	f.Comment = fmt.Sprintf("latin square n=%d prefill=%d seed=%d", n, prefill, seed)
-	atLeastOne := func(lits []int) {
-		c := make(cnf.Clause, len(lits))
-		for i, l := range lits {
-			c[i] = cnf.LitFromDIMACS(l)
-		}
-		f.AddClause(c)
-	}
+	atLeastOne := func(lits []int) { f.Add(lits...) }
 	atMostOne := func(lits []int) {
 		for i := 0; i < len(lits); i++ {
 			for j := i + 1; j < len(lits); j++ {
@@ -579,12 +579,12 @@ func LatinSquare(n, prefill int, seed int64) *cnf.Formula {
 			}
 		}
 	}
+	buf := make([]int, n)
 	collect := func(fill func(i int) int) []int {
-		out := make([]int, n)
-		for i := 0; i < n; i++ {
-			out[i] = fill(i)
+		for i := range buf {
+			buf[i] = fill(i)
 		}
-		return out
+		return buf
 	}
 	for r := 0; r < n; r++ {
 		for c := 0; c < n; c++ {

@@ -61,11 +61,14 @@ const (
 	sizeBits = lbdShift - flagBits
 	sizeMask = 1<<sizeBits - 1
 
-	// maxClauseSize is the largest literal count the header can encode. It
-	// matches the wire codec's per-clause length limit, so any clause that
-	// fits a frame fits the header.
-	maxClauseSize = sizeMask
+	// maxClauseSize is the clause-length limit every reader of clauses
+	// shares (the DIMACS parser and the wire decoder refuse longer ones),
+	// so any clause that parses or fits a frame fits the header.
+	maxClauseSize = cnf.MaxClauseSize
 )
+
+// The size field must hold every clause the limit admits.
+var _ [sizeMask - maxClauseSize]struct{}
 
 // Arena is a contiguous clause store. It is owned by a single solver
 // goroutine; only LiveBytes/WastedBytes are safe to call concurrently.

@@ -1,7 +1,9 @@
 package solver
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 
 	"gridsat/internal/cnf"
 )
@@ -111,16 +113,27 @@ func (s *Solver) ExportLearnts(maxLen, maxCount int) []cnf.Clause {
 	if maxCount > 0 && len(refs) > maxCount {
 		refs = refs[:maxCount]
 	}
-	out := make([]cnf.Clause, 0, len(refs))
+	total := 0
 	for _, r := range refs {
-		out = append(out, s.clauseAt(r))
+		total += s.ca.Size(r)
+	}
+	// One slab for every exported literal, each clause capped at its own
+	// length so an append to it can never reach its neighbour.
+	slab := make([]cnf.Lit, 0, total)
+	out := make([]cnf.Clause, len(refs))
+	for i, r := range refs {
+		start := len(slab)
+		for j, n := 0, s.ca.Size(r); j < n; j++ {
+			slab = append(slab, s.ca.Lit(r, j))
+		}
+		out[i] = slab[start:len(slab):len(slab)]
 	}
 	return out
 }
 
 // sortRefsByQuality orders clause refs by (LBD, length) ascending — the
-// export ranking. An LBD of 0 means "never recorded" and ranks last.
-// Insertion sort: export lists are short and mostly ordered.
+// export ranking — keeping age order among equals. An LBD of 0 means
+// "never recorded" and ranks last.
 func (s *Solver) sortRefsByQuality(refs []ClauseRef) {
 	key := func(r ClauseRef) uint64 {
 		lbd := s.ca.LBD(r)
@@ -129,11 +142,7 @@ func (s *Solver) sortRefsByQuality(refs []ClauseRef) {
 		}
 		return uint64(lbd)<<32 | uint64(s.ca.Size(r))
 	}
-	for i := 1; i < len(refs); i++ {
-		for j := i; j > 0 && key(refs[j]) < key(refs[j-1]); j-- {
-			refs[j], refs[j-1] = refs[j-1], refs[j]
-		}
-	}
+	slices.SortStableFunc(refs, func(a, b ClauseRef) int { return cmp.Compare(key(a), key(b)) })
 }
 
 // NewFromSubproblem reconstructs a recipient solver: the base formula plus

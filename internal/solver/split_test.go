@@ -1,6 +1,8 @@
 package solver
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"gridsat/internal/brute"
@@ -252,5 +254,59 @@ func TestRepeatedSplits(t *testing.T) {
 		if anySAT != (want == brute.SAT) {
 			t.Fatalf("seed %d: parts say SAT=%v, brute says %v", seed, anySAT, want)
 		}
+	}
+}
+
+// insertionSortByQuality is the export ranking sortRefsByQuality replaced,
+// kept as its reference: (LBD, length) ascending, 0 LBD last, ties in the
+// order given.
+func insertionSortByQuality(a *Arena, refs []ClauseRef) {
+	key := func(r ClauseRef) uint64 {
+		lbd := a.LBD(r)
+		if lbd == 0 {
+			lbd = maxLBD + 1
+		}
+		return uint64(lbd)<<32 | uint64(a.Size(r))
+	}
+	for i := 1; i < len(refs); i++ {
+		for j := i; j > 0 && key(refs[j]) < key(refs[j-1]); j-- {
+			refs[j], refs[j-1] = refs[j-1], refs[j]
+		}
+	}
+}
+
+// The export ranking orders exactly as the insertion sort it replaced did,
+// ties and unrecorded LBDs included.
+func TestSortRefsByQualityMatchesInsertionSort(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 50; trial++ {
+		s := &Solver{ca: NewArena(0)}
+		refs := make([]ClauseRef, r.Intn(400))
+		lits := make([]cnf.Lit, 8)
+		for i := range refs {
+			refs[i] = s.ca.Alloc(lits[:1+r.Intn(len(lits))], true, false, 0)
+			s.ca.SetLBD(refs[i], r.Intn(5)) // few keys: many ties, some unrecorded
+		}
+		want := slices.Clone(refs)
+		insertionSortByQuality(s.ca, want)
+		s.sortRefsByQuality(refs)
+		if !slices.Equal(refs, want) {
+			t.Fatalf("trial %d: ranking of %d refs differs from the insertion sort", trial, len(refs))
+		}
+	}
+}
+
+// Exported clauses share one slab; appending to one must not reach the next.
+func TestExportLearntsClausesDoNotAlias(t *testing.T) {
+	s := New(gen.RandomKSAT(60, 256, 3, 3), DefaultOptions())
+	s.Solve(Limits{MaxConflicts: 200})
+	out := s.ExportLearnts(100, 0)
+	if len(out) < 2 {
+		t.Fatalf("exported %d learnts, want at least 2", len(out))
+	}
+	next := slices.Clone(out[1])
+	_ = append(out[0], cnf.PosLit(0))
+	if !slices.Equal(out[1], next) {
+		t.Fatalf("appending to clause 0 rewrote clause 1: %v, was %v", out[1], next)
 	}
 }
