@@ -207,7 +207,7 @@ func runFlags(c *runCmd) *flag.FlagSet {
 	fs.IntVar(&c.job.Client.ShareMaxLen, "share-len", 10, "maximum shared clause length")
 	fs.StringVar(&c.job.Client.SplitStrategy, "split-strategy", "", "split engine: "+solver.StrategyNames)
 	fs.DurationVar(&c.job.Master.Timeout, "timeout", 10*time.Minute, "overall budget")
-	fs.StringVar(&c.job.Master.MetricsAddr, "metrics-addr", "", "serve /metrics, /status and pprof here during the run")
+	fs.StringVar(&c.job.Master.MetricsAddr, "metrics-addr", "", "serve /metrics, /status, /jobs and pprof here during the run")
 	c.out.reportFlags(fs)
 	c.out.traceFlags(fs, true)
 	return fs
@@ -362,7 +362,7 @@ func masterFlags(c *masterCmd) *flag.FlagSet {
 	fs.DurationVar(&c.cfg.Timeout, "timeout", 0, "overall budget (0 = none)")
 	fs.IntVar(&c.cfg.ExpectedClients, "expect-clients", 0, "wait for this many registrations before starting")
 	fs.StringVar(&c.cfg.SplitStrategy, "split-strategy", "", "split engine: "+solver.StrategyNames)
-	fs.StringVar(&c.cfg.MetricsAddr, "metrics-addr", "", "serve /metrics, /status and pprof here during the run")
+	fs.StringVar(&c.cfg.MetricsAddr, "metrics-addr", "", "serve /metrics, /status, /jobs and pprof here during the run")
 	c.out.reportFlags(fs)
 	c.out.traceFlags(fs, true)
 	return fs
@@ -470,16 +470,10 @@ func cmdServe(args []string) error {
 	c.cfg.Flight = fl
 	c.cfg.Metrics = obs.NewRegistry()
 	c.cfg.Transport = comm.Instrument(comm.TCPTransport{}, comm.NewMetrics(c.cfg.Metrics))
-	// The API endpoints are consumed by NewMaster, so the service is built
-	// unbound and attached once the master exists (requests in the gap
-	// get 503).
-	svc := core.NewService(nil)
-	c.cfg.ExtraEndpoints = svc.Endpoints()
 	m, err := core.NewMaster(c.cfg)
 	if err != nil {
 		return err
 	}
-	svc.Attach(m)
 	fmt.Fprintln(os.Stderr, "gridsat serve: clients on", m.Addr())
 	fmt.Fprintln(os.Stderr, "gridsat serve: job API on http://"+m.MetricsAddr()+"/jobs")
 

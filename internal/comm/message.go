@@ -276,7 +276,9 @@ func (d *SolverDeltas) Add(o SolverDeltas) {
 // StatusReport is a periodic client heartbeat with resource telemetry.
 // MemBytes, Learnts, and Conflicts are point-in-time gauges of the
 // client's current solver; Deltas are counter increments since the last
-// report (see SolverDeltas).
+// report (see SolverDeltas). Conflicts and Busy have no reader (the master
+// takes busy from its own table); they stay on the wire because a smaller
+// frame would move every pinned virtual-time figure.
 type StatusReport struct {
 	ClientID  int
 	MemBytes  int64

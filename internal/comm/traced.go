@@ -1,7 +1,5 @@
 package comm
 
-import "sync/atomic"
-
 // This file is the causal-tracing envelope of the messaging layer. The
 // paper's EveryWare instrumentation cost up to 50% of solver performance
 // (§4.1), so GridSAT's timed runs flew blind; the flight recorder
@@ -42,30 +40,3 @@ func Unwrap(m Message) (Message, TraceInfo) {
 	}
 	return m, TraceInfo{}
 }
-
-// Clock is a Lamport logical clock: Tick stamps a local event, Observe
-// merges a received timestamp. Safe for concurrent use.
-type Clock struct {
-	v atomic.Uint64
-}
-
-// Tick advances the clock for a local event and returns the new time.
-func (c *Clock) Tick() uint64 { return c.v.Add(1) }
-
-// Observe merges a received timestamp (clock = max(clock, ts) + 1) and
-// returns the new time.
-func (c *Clock) Observe(ts uint64) uint64 {
-	for {
-		cur := c.v.Load()
-		next := cur + 1
-		if ts >= cur {
-			next = ts + 1
-		}
-		if c.v.CompareAndSwap(cur, next) {
-			return next
-		}
-	}
-}
-
-// Now returns the current time without advancing it.
-func (c *Clock) Now() uint64 { return c.v.Load() }

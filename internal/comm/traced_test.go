@@ -112,43 +112,3 @@ func TestTracedKindAndWireSize(t *testing.T) {
 		t.Fatalf("traced wire size %d vs plain %d: envelope overhead wrong", traced, plain)
 	}
 }
-
-func TestClockTickAndObserve(t *testing.T) {
-	var c Clock
-	if c.Tick() != 1 || c.Tick() != 2 {
-		t.Fatal("tick sequence wrong")
-	}
-	if got := c.Observe(10); got != 11 {
-		t.Fatalf("observe(10) = %d, want 11", got)
-	}
-	// Observing the past still advances by one.
-	if got := c.Observe(3); got != 12 {
-		t.Fatalf("observe(3) = %d, want 12", got)
-	}
-	if c.Now() != 12 {
-		t.Fatalf("now = %d", c.Now())
-	}
-}
-
-func TestClockConcurrentMonotonic(t *testing.T) {
-	var c Clock
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				if g%2 == 0 {
-					c.Tick()
-				} else {
-					c.Observe(uint64(i))
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	// 4 goroutines tick 1000 times each; observes add at least one each.
-	if c.Now() < 8000 {
-		t.Fatalf("clock lost updates: %d", c.Now())
-	}
-}

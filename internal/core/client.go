@@ -9,7 +9,6 @@ import (
 
 	"gridsat/internal/cnf"
 	"gridsat/internal/comm"
-	"gridsat/internal/obs"
 	"gridsat/internal/solver"
 	"gridsat/internal/trace"
 )
@@ -53,9 +52,6 @@ type ClientConfig struct {
 	// SolverOptions tunes the engine; nil runs solver.DefaultOptions, the
 	// shipped engine (the DES passes solver.Fidelity2003 here).
 	SolverOptions *solver.Options
-	// Metrics, when set, receives the client's sharing-pipeline series
-	// (gridsat_client_share_dedup_total); may be shared across clients.
-	Metrics *obs.Registry
 	// Flight, when non-nil, records this client's share/memory events and
 	// stamps its control messages with Lamport trace metadata so the
 	// master's flight events can name their causes. In-process jobs pass
@@ -159,9 +155,7 @@ type Client struct {
 	// shares batches OnLearn clauses for the master with duplicate
 	// suppression; it outlives individual subproblems, so clauses learned
 	// again after a re-assignment are not re-exported.
-	shares     *shareAggregator
-	shareDedup *obs.Counter // nil when ClientConfig.Metrics is unset
-	lastDedup  int64        // dedup hits already published to shareDedup
+	shares *shareAggregator
 
 	sliceCount int
 	// lastHB is the Stats snapshot at the previous heartbeat; the next
@@ -236,10 +230,6 @@ func newClient(cfg ClientConfig, now func() float64, send func(comm.SplitPeer, c
 		bases:    map[int]*cnf.Formula{},
 		shares:   newShareAggregator(shareFlushCount, shareFlushEvery, shareWindowCap, 0, now()),
 		flight:   cfg.Flight,
-	}
-	if cfg.Metrics != nil {
-		c.shareDedup = cfg.Metrics.Counter("gridsat_client_share_dedup_total",
-			"clauses suppressed by the client's share dedup window")
 	}
 	return c, nil
 }
@@ -362,7 +352,6 @@ func (c *Client) cutSlice() {
 // client, a cluster waiting to stop). Shared clauses and base formulas
 // keep merging at slice boundaries, which is the paper's design.
 func interrupts(msg comm.Message) bool {
-	msg, _ = comm.Unwrap(msg)
 	switch msg.(type) {
 	case comm.SplitAssign, comm.Migrate, comm.StopWork, comm.Shutdown:
 		return true
@@ -467,7 +456,6 @@ func (c *Client) handle(msg comm.Message) bool {
 }
 
 func (c *Client) handleIdle(msg comm.Message) bool {
-	msg, _ = comm.Unwrap(msg)
 	switch m := msg.(type) {
 	case comm.RegisterAck:
 		if m.Rejected {
@@ -503,7 +491,6 @@ func (c *Client) handleIdle(msg comm.Message) bool {
 }
 
 func (c *Client) handleBusy(msg comm.Message) bool {
-	msg, ti := comm.Unwrap(msg)
 	switch m := msg.(type) {
 	case comm.BaseProblem:
 		// A scheduling master may pre-ship another job's formula while this
@@ -529,7 +516,7 @@ func (c *Client) handleBusy(msg comm.Message) bool {
 			c.shares.NoteReceived(m.Clauses)
 			_ = c.port.ImportClauses(m.Clauses)
 			c.femit(trace.FEvent{Kind: trace.FEvShareMerge, Client: c.id, Peer: m.From,
-				Job: c.job, N: int64(len(m.Clauses)), Lamport: ti.Lamport, Parent: ti.Parent})
+				Job: c.job, N: int64(len(m.Clauses))})
 		}
 	case comm.Shutdown:
 		return true
@@ -817,22 +804,9 @@ func (c *Client) drainShares() {
 }
 
 func (c *Client) sendShareBatch(batch []cnf.Clause) {
-	c.publishShareMetrics()
 	if len(batch) == 0 {
 		return
 	}
 	c.femit(trace.FEvent{Kind: trace.FEvShareFlush, Client: c.id, Job: c.job, N: int64(len(batch))})
 	_ = c.sendMaster(comm.ShareClauses{From: c.id, Job: c.job, Clauses: batch})
-}
-
-// publishShareMetrics moves the aggregator's dedup tally into the
-// registry counter incrementally.
-func (c *Client) publishShareMetrics() {
-	if c.shareDedup == nil {
-		return
-	}
-	if hits := c.shares.DedupHits(); hits > c.lastDedup {
-		c.shareDedup.Add(hits - c.lastDedup)
-		c.lastDedup = hits
-	}
 }

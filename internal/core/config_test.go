@@ -20,11 +20,10 @@ func TestConfigSurface(t *testing.T) {
 		want string
 	}{
 		{MasterConfig{}, "Transport ListenAddr Formula MinMemBytes Timeout ExpectedClients Metrics Logger " +
-			"MetricsAddr Flight SplitStrategy Admission ExtraEndpoints " +
-			"Watchdog BundleDir"},
+			"MetricsAddr Flight SplitStrategy Admission Watchdog BundleDir"},
 		{ClientConfig{}, "Transport MasterAddr ListenAddr HostName FreeMemBytes SpeedHint ShareMaxLen " +
-			"SliceConflicts MinRunTime HeartbeatEvery SplitStrategy Threads SolverOptions Metrics Flight"},
-		{RunnerConfig{}, "Grid Master Client Jobs PropsPerVSec QuantumProps TimeoutVSec MaxClients Batch " +
+			"SliceConflicts MinRunTime HeartbeatEvery SplitStrategy Threads SolverOptions Flight"},
+		{RunnerConfig{}, "Grid Master Client Jobs TimeoutVSec MaxClients Batch " +
 			"Failures MonitorPeriodVSec MigrationFactor Seed"},
 		{JobConfig{}, "Clients Threads Timeout Master Client"},
 		{solver.Options{}, "DecayInterval RestartBase RestartPolicy ShareMaxLen OnLearn PruneLevel0 " +

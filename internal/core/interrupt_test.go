@@ -117,7 +117,7 @@ func TestShutdownInterruptsTheRunningSlice(t *testing.T) {
 }
 
 // Only the kinds somebody is blocked on cut a slice short; clause shares
-// and base formulas keep to the slice boundary, traced or not.
+// and base formulas keep to the slice boundary.
 func TestInterruptsOnlyForControlKinds(t *testing.T) {
 	for _, tc := range []struct {
 		msg  comm.Message
@@ -127,11 +127,9 @@ func TestInterruptsOnlyForControlKinds(t *testing.T) {
 		{comm.Migrate{}, true},
 		{comm.StopWork{}, true},
 		{comm.Shutdown{}, true},
-		{comm.Traced{Msg: comm.StopWork{}}, true},
 		{comm.ShareClauses{}, false},
 		{comm.BaseProblem{}, false},
 		{comm.SplitPayload{}, false},
-		{comm.Traced{Msg: comm.ShareClauses{}}, false},
 	} {
 		if got := interrupts(tc.msg); got != tc.want {
 			t.Errorf("interrupts(%s) = %v, want %v", tc.msg.Kind(), got, tc.want)

@@ -18,8 +18,7 @@ import (
 // configurations as deployed; Solve hands Master to NewMaster and Client to
 // every NewClient, writing over them only what it models: in stamp the
 // in-process transport and addresses, one registry (Master.Metrics, or a
-// private one) for the transport, master and clients, and
-// one split strategy (Client's) and flight recorder (Master's) for both
+// private one) for the transport and the master, and one split strategy (Client's) and flight recorder (Master's) for both
 // halves; at launch each client's host name. Client.FreeMemBytes 0 is
 // 256 MiB.
 type JobConfig struct {
@@ -46,7 +45,6 @@ func (cfg *JobConfig) stamp(f *cnf.Formula, tr comm.Transport, reg *obs.Registry
 		m.Timeout = cfg.Timeout
 	}
 	cl.Transport, cl.MasterAddr, cl.ListenAddr = tr, "master", ""
-	cl.Metrics = reg
 	cl.Flight = m.Flight
 	if cfg.Threads != 0 {
 		cl.Threads = cfg.Threads

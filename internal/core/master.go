@@ -24,7 +24,7 @@ type MasterConfig struct {
 	// Formula, when non-nil, makes this a one-shot master: the formula is
 	// admitted as job 0 before the first client registers, and Run returns
 	// with that job's verdict. nil builds a service that lives until
-	// Shutdown; jobs arrive through Submit (or the HTTP API — see Service).
+	// Shutdown. Either way jobs arrive through Submit (or POST /jobs).
 	Formula *cnf.Formula
 	// MinMemBytes rejects clients below this free-memory floor
 	// (128 MB in the paper; tests use small values).
@@ -37,14 +37,15 @@ type MasterConfig struct {
 	// deterministic. Zero assigns to the first registrant.
 	ExpectedClients int
 	// Metrics receives the master's counters, gauges, and histograms;
-	// nil allocates a private registry (reachable via Metrics()).
+	// nil allocates a private registry.
 	Metrics *obs.Registry
 	// Logger receives structured master events; nil discards them.
 	Logger *obs.Logger
 	// MetricsAddr, when non-empty, serves live HTTP introspection on
 	// that address (":0" picks a port — see MetricsAddr()): /metrics is
 	// Prometheus text, /status the JSON ClusterState, /history the ring of
-	// samples, and /debug/pprof is the Go profiler.
+	// samples, /jobs the job API (see serve.go), and /debug/pprof is the Go
+	// profiler.
 	MetricsAddr string
 	// Flight, when non-nil, records the master's control-plane events
 	// (joins, splits, relays, verdict) as a causal flight log. In-process
@@ -63,9 +64,6 @@ type MasterConfig struct {
 	// memory budget); the zero value derives the cap from the registered
 	// client count.
 	Admission Admission
-	// ExtraEndpoints adds handlers to the introspection server (the serve
-	// API installs its /jobs routes this way). Ignored without MetricsAddr.
-	ExtraEndpoints []obs.Endpoint
 	// Watchdog overrides the anomaly-rule thresholds (see
 	// DefaultWatchdogConfig, which applies when nil). The live master
 	// samples itself every second; the DES only when Watchdog is set.
@@ -172,10 +170,9 @@ type masterClient struct {
 	splitReqEv uint64
 
 	// Live cluster view: totals summed from heartbeat deltas plus the
-	// latest gauges, mirrored into per-client registry series.
+	// latest gauges.
 	agg       comm.SolverDeltas
 	dbLearnts int
-	gauges    *clientGauges
 	// depth is the guiding-path depth of the client's current subproblem
 	// (latest heartbeat gauge).
 	depth int
@@ -187,30 +184,6 @@ type masterClient struct {
 	// workers is the latest per-worker portfolio breakdown from the
 	// client's heartbeat (nil for single-threaded clients).
 	workers []comm.WorkerReport
-}
-
-// clientGauges are the per-client registry series behind /metrics.
-type clientGauges struct {
-	mem, learnts, busy, depth                           *obs.Gauge
-	decisions, conflicts, propagations, lrnd, reclaimed *obs.Counter
-	imported, importedUseful                            *obs.Counter
-}
-
-func newClientGauges(reg *obs.Registry, id int) *clientGauges {
-	l := obs.L("client", fmt.Sprintf("%d", id))
-	return &clientGauges{
-		mem:            reg.Gauge("gridsat_client_mem_bytes", "latest reported client memory use", l),
-		learnts:        reg.Gauge("gridsat_client_learnts", "latest reported learned-clause DB size", l),
-		busy:           reg.Gauge("gridsat_client_busy", "1 while the client holds a subproblem", l),
-		depth:          reg.Gauge("gridsat_client_path_depth", "guiding-path depth of the current subproblem", l),
-		decisions:      reg.Counter("gridsat_client_decisions_total", "client decisions (heartbeat-aggregated)", l),
-		conflicts:      reg.Counter("gridsat_client_conflicts_total", "client conflicts (heartbeat-aggregated)", l),
-		propagations:   reg.Counter("gridsat_client_propagations_total", "client propagations (heartbeat-aggregated)", l),
-		lrnd:           reg.Counter("gridsat_client_learned_total", "client learned clauses (heartbeat-aggregated)", l),
-		reclaimed:      reg.Counter("gridsat_client_arena_reclaimed_bytes_total", "client clause-arena bytes reclaimed (heartbeat-aggregated)", l),
-		imported:       reg.Counter("gridsat_client_imported_total", "peer clauses merged (heartbeat-aggregated)", l),
-		importedUseful: reg.Counter("gridsat_client_imported_useful_total", "distinct imported clauses used at least once (heartbeat-aggregated)", l),
-	}
 }
 
 // splitGroup is one in-flight transfer: the donor splits and ships one
@@ -408,10 +381,10 @@ func (m *Master) femit(ev trace.FEvent) uint64 {
 	return m.flight.Emit(ev)
 }
 
-// masterMetrics caches the master's registry handles so the event loop
-// never does a registry lookup.
+// masterMetrics caches the master's registry handles. The pool gauges and
+// the splits, shared and dropped counters are written by publish alone;
+// the rest count events where they happen.
 type masterMetrics struct {
-	msgs          map[string]*obs.Counter // by message kind
 	splits        *obs.Counter
 	shared        *obs.Counter
 	sharedDropped *obs.Counter
@@ -436,7 +409,6 @@ type masterMetrics struct {
 
 func newMasterMetrics(reg *obs.Registry) masterMetrics {
 	return masterMetrics{
-		msgs:          map[string]*obs.Counter{},
 		splits:        reg.Counter("gridsat_master_splits_total", "completed subproblem transfers"),
 		shared:        reg.Counter("gridsat_master_shared_clauses_total", "learned clauses fanned out to peers"),
 		sharedDropped: reg.Counter("gridsat_master_shared_dropped_total", "best-effort ShareClauses messages dropped on full client queues"),
@@ -455,34 +427,6 @@ func newMasterMetrics(reg *obs.Registry) masterMetrics {
 		solveLat:      reg.Histogram("gridsat_job_solve_seconds", "job start to verdict", nil),
 		turnaround:    reg.Histogram("gridsat_job_turnaround_seconds", "job submission to verdict (end-to-end)", nil),
 	}
-}
-
-// countMsg bumps the per-kind inbound message counter.
-func (m *Master) countMsg(kind string) {
-	c := m.met.msgs[kind]
-	if c == nil {
-		c = m.reg.Counter("gridsat_master_msgs_total", "protocol messages handled by kind", obs.L("kind", kind))
-		m.met.msgs[kind] = c
-	}
-	c.Inc()
-}
-
-// updateGauges republishes the pool gauges after any state change
-// (O(clients), which is tiny next to the wire).
-func (m *Master) updateGauges() {
-	t := m.tally()
-	m.met.registered.Set(int64(t.registered))
-	m.met.busy.Set(int64(t.busy))
-	m.met.reserved.Set(int64(t.reserved))
-	var backlog, subBacklog, live int
-	for _, j := range m.jobs {
-		backlog += len(j.backlog)
-		subBacklog += len(j.subBacklog)
-		live += t.outstanding(j)
-	}
-	m.met.backlog.Set(int64(backlog))
-	m.met.subBacklog.Set(int64(subBacklog))
-	m.met.live.Set(int64(live))
 }
 
 // newMaster builds the control plane alone — no listener, goroutine or
@@ -542,10 +486,6 @@ func newMaster(cfg MasterConfig, now func() float64, send func(int, comm.Message
 	return m, nil
 }
 
-// Metrics returns the master's registry (the config's, or the private
-// one allocated when none was supplied).
-func (m *Master) Metrics() *obs.Registry { return m.reg }
-
 // jobOf resolves the job a client's messages belong to (nil once the job
 // has been forgotten — terminal jobs are kept, so nil means "never
 // existed", which only unroutable traffic produces). Event-loop only.
@@ -572,7 +512,9 @@ func (m *Master) finishResult() {
 		}
 		m.result.Latency = jobLatency(j0.Job)
 	}
-	m.result.Clients = m.state().Clients
+	st := m.state()
+	m.publish(st)
+	m.result.Clients = st.Clients
 	if m.result.Threads == 0 {
 		m.result.Threads = 1 // no portfolio heartbeat seen: single-threaded
 	}
@@ -608,7 +550,6 @@ func (m *Master) handle(ev masterEvent) (done bool, err error) {
 	default:
 		m.dispatch(ev)
 	}
-	m.updateGauges()
 	if j0 := m.jobs[0]; j0 != nil && !j0.State.Active() {
 		return true, j0.cause
 	}
@@ -631,7 +572,6 @@ func (m *Master) dispatch(ev masterEvent) {
 	// payload; the metadata feeds femit's Lamport merge and Parent links.
 	unwrapped, ti := comm.Unwrap(ev.msg)
 	m.inTI = ti
-	m.countMsg(unwrapped.Kind())
 	switch msg := unwrapped.(type) {
 	case comm.Register:
 		m.handleRegister(c, msg)
@@ -682,23 +622,6 @@ func (m *Master) handleStatusReport(c *masterClient, msg comm.StatusReport) {
 		}
 		c.lastHBSec = now
 	}
-	if g := c.gauges; g != nil {
-		g.mem.Set(msg.MemBytes)
-		g.learnts.Set(int64(msg.Learnts))
-		if msg.Busy {
-			g.busy.Set(1)
-		} else {
-			g.busy.Set(0)
-		}
-		g.depth.Set(int64(msg.Depth))
-		g.decisions.Add(msg.Deltas.Decisions)
-		g.conflicts.Add(msg.Deltas.Conflicts)
-		g.propagations.Add(msg.Deltas.Propagations)
-		g.lrnd.Add(msg.Deltas.Learned)
-		g.reclaimed.Add(msg.Deltas.ReclaimedBytes)
-		g.imported.Add(msg.Deltas.Imported)
-		g.importedUseful.Add(msg.Deltas.ImportedUseful)
-	}
 	m.log.Debug("heartbeat", "client", c.id, "mem", msg.MemBytes,
 		"learnts", msg.Learnts, "conflicts+", msg.Deltas.Conflicts)
 }
@@ -719,7 +642,6 @@ func (m *Master) handleRegister(c *masterClient, msg comm.Register) {
 	c.hostName = msg.HostName
 	c.freeMem = msg.FreeMemBytes
 	c.rank = msg.SpeedHint * float64(msg.FreeMemBytes>>20)
-	c.gauges = newClientGauges(m.reg, c.id)
 	m.log.Info("client registered", "id", c.id, "host", msg.HostName,
 		"addr", msg.Addr, "free_mem", msg.FreeMemBytes)
 	m.femit(trace.FEvent{Kind: trace.FEvClientJoin, Client: c.id,
@@ -944,7 +866,6 @@ func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) {
 				Job: entry.job, Parent: entry.issueEv})
 		default:
 			m.result.Splits++
-			m.met.splits.Inc()
 			m.femit(trace.FEvent{Kind: trace.FEvSplitAccept, Client: c.id,
 				Peer: entry.donor, SplitID: entry.splitID, Parent: entry.issueEv})
 		}
@@ -1013,7 +934,6 @@ func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) {
 					Peer: c.id, Job: g.job})
 			} else {
 				m.result.Splits++
-				m.met.splits.Inc()
 				m.met.splitLat.Observe(m.now() - g.assignedAt)
 				m.femit(trace.FEvent{Kind: trace.FEvSplitAccept, Client: c.id,
 					Peer: g.donor, SplitID: msg.SplitID, Parent: g.issueEv})
@@ -1088,7 +1008,6 @@ func (m *Master) handleShare(c *masterClient, msg comm.ShareClauses) {
 		return
 	}
 	m.result.SharedClauses += n
-	m.met.shared.Add(int64(n))
 	m.femit(trace.FEvent{Kind: trace.FEvShareRelay, Client: c.id, Job: j.ID,
 		N: int64(n), Parent: m.inTI.Parent})
 	if len(to) == 0 {

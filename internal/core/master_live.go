@@ -45,8 +45,7 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 	m.links = map[int]*masterLink{}
 	m.build = obs.RegisterBuildInfo(m.reg)
 	if cfg.MetricsAddr != "" {
-		extra := append([]obs.Endpoint{}, cfg.ExtraEndpoints...)
-		extra = append(extra, []obs.Endpoint{
+		extra := append(m.jobEndpoints(), []obs.Endpoint{
 			{Path: "/status", H: func(w http.ResponseWriter, _ *http.Request) {
 				serveLoop(w, m.State)
 			}},
@@ -211,7 +210,6 @@ func (m *Master) enqueue(to int, msg comm.Message) {
 	default:
 		if msg.Kind() == (comm.ShareClauses{}).Kind() {
 			m.sharedDropped++
-			m.met.sharedDropped.Inc()
 			return
 		}
 		l.out <- msg

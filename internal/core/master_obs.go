@@ -3,15 +3,18 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
+	"gridsat/internal/obs"
 	"gridsat/internal/trace"
 )
 
 // This file is the master's service-grade observability plumbing: the
-// sampler tick and the ring of samples it records (read by the anomaly
-// watchdog, GET /history, `gridsat top` and bundles), the alert feed
+// sampler tick, the ring of samples it records (read by the anomaly
+// watchdog, GET /history, `gridsat top` and bundles) and the registry
+// series it publishes (GET /metrics), the alert feed
 // accessor behind GET /alerts, and the postmortem bundle capture behind
 // POST /debug/bundle plus the automatic failure/cancel/anomaly triggers.
 
@@ -94,13 +97,14 @@ func (st *ClusterState) sample() Sample {
 // the live shell's one-second tick.
 const ringSamples = 256
 
-// sampleTick is one sampler period: build one ClusterState, append its
-// Sample to the ring, and run the watchdog over the ring — handing the same
-// state to the bundle of any alert it fires. The ring drops its oldest
-// sample once it holds more than ringSamples and no watchdog window reaches
-// back that far. Event-loop only.
+// sampleTick is one sampler period: build one ClusterState, publish it to
+// the registry, append its Sample to the ring, and run the watchdog over the
+// ring — handing the same state to the bundle of any alert it fires. The
+// ring drops its oldest sample once it holds more than ringSamples and no
+// watchdog window reaches back that far. Event-loop only.
 func (m *Master) sampleTick() {
 	st := m.state()
+	m.publish(st)
 	s := st.sample()
 	m.samples = append(m.samples, s)
 	for len(m.samples) > ringSamples && s.TSec-m.samples[1].TSec > m.wd.cfg.maxWindowSec() {
@@ -115,6 +119,51 @@ func (m *Master) sampleTick() {
 		if m.cfg.BundleDir != "" {
 			m.writeBundle(m.bundleSpec("anomaly-"+a.Rule, st))
 		}
+	}
+}
+
+// publish sets every master and client registry series that has a field in
+// st: the pool gauges, the cluster counters (advanced to st's totals) and
+// each client row's gauges and heartbeat-summed counters. Nothing else
+// writes them, so /metrics reads what /status read at the same tick.
+// Event-loop only.
+func (m *Master) publish(st ClusterState) {
+	met := &m.met
+	met.registered.Set(int64(st.Registered))
+	met.busy.Set(int64(st.Busy))
+	met.reserved.Set(int64(st.Reserved))
+	met.backlog.Set(int64(st.Backlog))
+	met.subBacklog.Set(int64(st.SubBacklog))
+	met.live.Set(int64(st.Outstanding))
+	advance(met.splits, int64(st.Splits))
+	advance(met.shared, int64(st.Shared))
+	advance(met.sharedDropped, st.SharedDropped)
+	for _, c := range st.Clients {
+		l := obs.L("client", strconv.Itoa(c.ID))
+		gauge := func(name, help string, v int64) { m.reg.Gauge(name, help, l).Set(v) }
+		counter := func(name, help string, total int64) { advance(m.reg.Counter(name, help, l), total) }
+		busy := int64(0)
+		if c.Busy {
+			busy = 1
+		}
+		gauge("gridsat_client_mem_bytes", "latest reported client memory use", c.MemBytes)
+		gauge("gridsat_client_learnts", "latest reported learned-clause DB size", int64(c.DBLearnts))
+		gauge("gridsat_client_busy", "1 while the client holds a subproblem", busy)
+		gauge("gridsat_client_path_depth", "guiding-path depth of the current subproblem", int64(c.Depth))
+		counter("gridsat_client_decisions_total", "client decisions (heartbeat-aggregated)", c.Decisions)
+		counter("gridsat_client_conflicts_total", "client conflicts (heartbeat-aggregated)", c.Conflicts)
+		counter("gridsat_client_propagations_total", "client propagations (heartbeat-aggregated)", c.Propagations)
+		counter("gridsat_client_learned_total", "client learned clauses (heartbeat-aggregated)", c.Learned)
+		counter("gridsat_client_arena_reclaimed_bytes_total", "client clause-arena bytes reclaimed (heartbeat-aggregated)", c.ReclaimedBytes)
+		counter("gridsat_client_imported_total", "peer clauses merged (heartbeat-aggregated)", c.Imported)
+		counter("gridsat_client_imported_useful_total", "distinct imported clauses used at least once (heartbeat-aggregated)", c.ImportedUseful)
+	}
+}
+
+// advance moves a counter up to total; a counter never goes down.
+func advance(c *obs.Counter, total int64) {
+	if d := total - c.Value(); d > 0 {
+		c.Add(d)
 	}
 }
 
@@ -172,11 +221,12 @@ type bundleConfig struct {
 }
 
 // bundleSpec freezes everything a bundle captures out of loop state; st
-// becomes its state.json. The state machine's own triggers (job failure,
-// cancellation, watchdog alert) hand the spec to the shell's writeBundle.
-// Event-loop only.
+// becomes its state.json and is published first, so metrics.json agrees
+// with it. The state machine's own triggers (job failure, cancellation,
+// watchdog alert) hand the spec to the shell's writeBundle. Event-loop only.
 func (m *Master) bundleSpec(reason string, st ClusterState) BundleSpec {
 	m.bundleSeq++
+	m.publish(st)
 	cfg := bundleConfig{
 		Serve:         m.cfg.Formula == nil,
 		SplitStrategy: m.cfg.SplitStrategy,

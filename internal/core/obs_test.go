@@ -241,8 +241,9 @@ func TestLiveMetricsEndpoint(t *testing.T) {
 // client connection whose heartbeats carry ReclaimedBytes deltas (what a
 // real client reports after ShedMemory frees arena space) and checks the
 // figures surface in both views: the /status snapshot's per-client
-// reclaimed_bytes total and the per-client registry counter behind
-// /metrics. Deltas from successive heartbeats must sum.
+// reclaimed_bytes total and, once a sampler tick has published it, the
+// per-client registry counter behind /metrics. Deltas from successive
+// heartbeats must sum.
 func TestStatusShowsPerClientReclamation(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := comm.NewInprocTransport()
@@ -315,9 +316,18 @@ func TestStatusShowsPerClientReclamation(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+	// The registry is published at the sampler's tick, so it catches up
+	// within a second.
 	label := obs.L("client", fmt.Sprintf("%d", ra.ClientID))
-	if v := reg.Snapshot().CounterValue("gridsat_client_arena_reclaimed_bytes_total", label); v != want {
-		t.Errorf("registry per-client reclaimed counter = %d, want %d", v, want)
+	for {
+		v := reg.Snapshot().CounterValue("gridsat_client_arena_reclaimed_bytes_total", label)
+		if v == want {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("registry per-client reclaimed counter = %d, want %d", v, want)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 // Network.Transfer of the message's real wire size, FIFO per link),
 // compute time (a quantum of w propagations on a host with relative speed
 // s and current availability a takes w/(R·s·a) virtual seconds, where R is
-// PropsPerVSec), NWS forecasts feeding the master's placement ranks, the
+// propsPerVSec), NWS forecasts feeding the master's placement ranks, the
 // batch system, failure injection, and timeline sampling.
 //
 // One goroutine — RunDistributed's — runs every event: the master, every
@@ -90,13 +90,6 @@ type RunnerConfig struct {
 	// and the result carries one row per job. Empty = a one-shot run of
 	// Master.Formula, the master's job 0.
 	Jobs []SimJob
-	// PropsPerVSec is R: solver propagations per virtual second on a
-	// dedicated speed-1.0 host. The benchmark harness uses 1000, which
-	// maps the synthetic instances onto the paper's time scale (paper
-	// seconds ≈ 10 × virtual seconds).
-	PropsPerVSec float64
-	// QuantumProps is the client work slice between control-plane checks.
-	QuantumProps int64
 	// TimeoutVSec bounds the run in virtual seconds.
 	TimeoutVSec float64
 	// MaxClients caps the pool (0 = all hosts).
@@ -117,6 +110,15 @@ type RunnerConfig struct {
 	// Seed drives launch jitter.
 	Seed int64
 }
+
+// propsPerVSec is R: solver propagations per virtual second on a dedicated
+// speed-1.0 host. 1000 maps the synthetic instances onto the paper's time
+// scale (paper seconds ≈ 10 × virtual seconds).
+const propsPerVSec = 1000
+
+// quantumProps is the simulated client's work slice, in propagations,
+// between control-plane checks.
+const quantumProps = 5000
 
 // memDivisor scales host memory down to solver-budget scale, keeping the
 // paper's memory-pressure dynamics at our reduced problem sizes.
@@ -181,12 +183,6 @@ type BatchPlan struct {
 
 func (c *RunnerConfig) withDefaults() RunnerConfig {
 	out := *c
-	if out.PropsPerVSec == 0 {
-		out.PropsPerVSec = 1000
-	}
-	if out.QuantumProps == 0 {
-		out.QuantumProps = 5000
-	}
 	if out.Client.MinRunTime == 0 {
 		out.Client.MinRunTime = 10 * time.Second // the paper's 100 s at 1/10 time scale
 	}
@@ -341,12 +337,12 @@ func RunSequential(cfg RunnerConfig) SimResult {
 	for {
 		before := s.Stats().Propagations
 		res := s.Solve(solver.Limits{
-			MaxPropagations: cfg.QuantumProps,
+			MaxPropagations: quantumProps,
 			MaxMemoryBytes:  memBudget,
 		})
 		delta := s.Stats().Propagations - before
 		props += delta
-		vsec += float64(delta) / (cfg.PropsPerVSec * host.Speed) // dedicated: availability 1
+		vsec += float64(delta) / (propsPerVSec * host.Speed) // dedicated: availability 1
 		switch {
 		case res.Status != solver.StatusUnknown:
 			return SimResult{Outcome: OutcomeSolved, Status: res.Status, Model: res.Model,
@@ -754,7 +750,7 @@ func (r *runner) launch(h *grid.Host) {
 			return // unreachable: stamp normalized the strategy name
 		}
 		cl.addr = h.Name
-		cl.slice = solver.Limits{MaxPropagations: r.cfg.QuantumProps}
+		cl.slice = solver.Limits{MaxPropagations: quantumProps}
 		cl.sequential = true
 		dc.cl = cl
 		r.clients[dc.id] = dc
@@ -999,7 +995,7 @@ func (r *runner) step(dc *desClient) {
 	dc.stepping = true
 	avail := r.cfg.Grid.Availability(dc.host, r.sim.Now())
 	var res solver.Result // written by the worker, read after the quantum has landed
-	r.launchQuantum(r.cfg.PropsPerVSec*dc.host.Speed*avail, func(publish func(int64)) (longest, total int64) {
+	r.launchQuantum(propsPerVSec*dc.host.Speed*avail, func(publish func(int64)) (longest, total int64) {
 		res, longest, total = searchQuantum(cl, publish)
 		return longest, total
 	}, func() {

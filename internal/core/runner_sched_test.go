@@ -19,8 +19,6 @@ func desSchedConfig(jobs []SimJob, timeout float64) RunnerConfig {
 		Client:            ClientConfig{ShareMaxLen: 10},
 		Jobs:              jobs,
 		TimeoutVSec:       timeout,
-		PropsPerVSec:      1000,
-		QuantumProps:      5000,
 		MonitorPeriodVSec: 10,
 		Seed:              1,
 	}

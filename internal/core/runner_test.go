@@ -17,13 +17,11 @@ import (
 
 func desConfig(f *cnf.Formula, timeout float64) RunnerConfig {
 	return RunnerConfig{
-		Grid:         grid.TestbedGrADS(1),
-		Master:       MasterConfig{Formula: f},
-		Client:       ClientConfig{ShareMaxLen: 10},
-		TimeoutVSec:  timeout,
-		PropsPerVSec: 1000,
-		QuantumProps: 5000,
-		Seed:         1,
+		Grid:        grid.TestbedGrADS(1),
+		Master:      MasterConfig{Formula: f},
+		Client:      ClientConfig{ShareMaxLen: 10},
+		TimeoutVSec: timeout,
+		Seed:        1,
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"gridsat/internal/cnf"
@@ -17,7 +16,7 @@ import (
 )
 
 // This file is the job half of the master: the scheduling service. Jobs
-// arrive through Submit (or the HTTP API in Endpoints), wait in the
+// arrive through Submit (or the HTTP API in jobEndpoints), wait in the
 // admission-controlled queue, and are served by idle clients in priority
 // order (serveBacklog). Like GridSAT's master, the service never takes a
 // client off running work: a job's clients come back when its subproblems
@@ -258,38 +257,6 @@ func (m *Master) stop(c *masterClient) {
 	m.send(c.id, comm.StopWork{Job: c.job, Seq: c.stopSeq})
 }
 
-// Service wraps a master with its HTTP/JSON job API. Install the
-// routes by passing Endpoints() through MasterConfig.ExtraEndpoints (the
-// gridsat serve command does this), so the API shares the introspection
-// server with /metrics, /status and /history. Because ExtraEndpoints is
-// consumed by NewMaster, the service supports late binding: build it
-// unbound with NewService(nil), hand Endpoints() to the config, then
-// Attach the constructed master. Requests landing in the gap get 503.
-type Service struct {
-	m atomic.Pointer[Master]
-}
-
-// NewService builds the HTTP facade; m may be nil if Attach follows.
-func NewService(m *Master) *Service {
-	s := &Service{}
-	if m != nil {
-		s.m.Store(m)
-	}
-	return s
-}
-
-// Attach binds (or rebinds) the master the endpoints serve.
-func (s *Service) Attach(m *Master) { s.m.Store(m) }
-
-// master fetches the bound master, answering 503 when there is none yet.
-func (s *Service) master(w http.ResponseWriter) *Master {
-	m := s.m.Load()
-	if m == nil {
-		writeError(w, http.StatusServiceUnavailable, errors.New("core: job service not attached yet"))
-	}
-	return m
-}
-
 // maxSubmitBytes bounds a POST /jobs body: what the wire allows the
 // BaseProblem frame that ships the formula to a client — one that cannot be
 // framed cannot be solved. A variable only so a test can shrink it.
@@ -319,28 +286,26 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, errorResponse{Error: err.Error()})
 }
 
-// Endpoints returns the job API routes:
+// jobEndpoints are the job API routes, which NewMaster mounts on every
+// introspection server — a one-shot master's too, where a submission is
+// one more job of a service that ends with job 0:
 //
 //	POST /jobs?name=N&priority=P   submit a DIMACS CNF body; returns {"id": n}
 //	GET  /jobs                     list all jobs (submission order)
 //	GET  /jobs/{id}                one job's status
 //	POST /jobs/{id}/cancel         cancel a queued or running job
 //	GET  /jobs/{id}/result         status incl. a SAT model; 404 unknown id
-func (s *Service) Endpoints() []obs.Endpoint {
+func (m *Master) jobEndpoints() []obs.Endpoint {
 	return []obs.Endpoint{
-		{Path: "POST /jobs", H: s.handleSubmit},
-		{Path: "GET /jobs", H: s.handleList},
-		{Path: "GET /jobs/{id}", H: s.handleJob(false)},
-		{Path: "GET /jobs/{id}/result", H: s.handleJob(true)},
-		{Path: "POST /jobs/{id}/cancel", H: s.handleCancel},
+		{Path: "POST /jobs", H: m.handleSubmit},
+		{Path: "GET /jobs", H: m.handleList},
+		{Path: "GET /jobs/{id}", H: m.handleJob(false)},
+		{Path: "GET /jobs/{id}/result", H: m.handleJob(true)},
+		{Path: "POST /jobs/{id}/cancel", H: m.handleCancel},
 	}
 }
 
-func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	m := s.master(w)
-	if m == nil {
-		return
-	}
+func (m *Master) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	f, err := cnf.ParseDIMACS(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
@@ -374,20 +339,12 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, submitResponse{ID: id})
 }
 
-func (s *Service) handleList(w http.ResponseWriter, _ *http.Request) {
-	m := s.master(w)
-	if m == nil {
-		return
-	}
+func (m *Master) handleList(w http.ResponseWriter, _ *http.Request) {
 	serveLoop(w, m.Jobs)
 }
 
-func (s *Service) handleJob(withModel bool) http.HandlerFunc {
+func (m *Master) handleJob(withModel bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		m := s.master(w)
-		if m == nil {
-			return
-		}
 		id, err := strconv.Atoi(r.PathValue("id"))
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
@@ -402,11 +359,7 @@ func (s *Service) handleJob(withModel bool) http.HandlerFunc {
 	}
 }
 
-func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
-	m := s.master(w)
-	if m == nil {
-		return
-	}
+func (m *Master) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -198,13 +199,10 @@ func TestServeTwoConcurrentJobs(t *testing.T) {
 // for unknown IDs, double cancels, and garbage bodies.
 func TestServeHTTPAPI(t *testing.T) {
 	tr := comm.NewInprocTransport()
-	svc := NewService(nil) // late-bound: endpoints go into the config first
 	m, done := serveMaster(t, tr, MasterConfig{
-		ListenAddr:     "serve-http",
-		MetricsAddr:    "127.0.0.1:0",
-		ExtraEndpoints: svc.Endpoints(),
+		ListenAddr:  "serve-http",
+		MetricsAddr: "127.0.0.1:0",
 	})
-	svc.Attach(m)
 	wg := serveClients(t, tr, "serve-http", 2, nil)
 	base := "http://" + m.MetricsAddr()
 
@@ -512,10 +510,8 @@ func TestServeSecondJobAfterHeartbeats(t *testing.T) {
 // loop, still answers 200. Once the loop is released it answers again.
 func TestWedgedLoopAnswers503(t *testing.T) {
 	t.Parallel()
-	svc := NewService(nil)
 	m, done := serveMaster(t, comm.NewInprocTransport(), MasterConfig{ListenAddr: "wedged-master",
-		MetricsAddr: "127.0.0.1:0", ExtraEndpoints: svc.Endpoints()})
-	svc.Attach(m)
+		MetricsAddr: "127.0.0.1:0"})
 	base := "http://" + m.MetricsAddr()
 	get := func(path string) int {
 		resp, err := http.Get(base + path)
@@ -557,6 +553,28 @@ func TestWedgedLoopAnswers503(t *testing.T) {
 	}
 	if code := get("/status"); code != 200 {
 		t.Errorf("GET /status after release: %d, want 200", code)
+	}
+	m.Shutdown()
+	<-done
+}
+
+// TestOneShotMasterServesJobs: a one-shot master with an HTTP address
+// serves the job API like any other, its own formula listed as job 0.
+func TestOneShotMasterServesJobs(t *testing.T) {
+	m, done := serveMaster(t, comm.NewInprocTransport(), MasterConfig{ListenAddr: "one-shot-jobs",
+		MetricsAddr: "127.0.0.1:0", Formula: gen.Pigeonhole(4), ExpectedClients: 1})
+	resp, err := http.Get("http://" + m.MetricsAddr() + "/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jobs []JobSnapshot
+	err = json.NewDecoder(resp.Body).Decode(&jobs)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /jobs: HTTP %d, %v", resp.StatusCode, err)
+	}
+	if len(jobs) != 1 || jobs[0].ID != 0 || jobs[0].State != "queued" {
+		t.Fatalf("GET /jobs = %+v, want job 0 alone, queued", jobs)
 	}
 	m.Shutdown()
 	<-done

@@ -227,7 +227,7 @@ func (a *shareAggregator) takeLocked(now float64) []cnf.Clause {
 }
 
 // DedupHits returns the number of clauses suppressed by the receive
-// window (fed to gridsat_client_share_dedup_total).
+// window.
 func (a *shareAggregator) DedupHits() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()

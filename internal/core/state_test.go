@@ -13,6 +13,7 @@ import (
 
 	"gridsat/internal/cnf"
 	"gridsat/internal/comm"
+	"gridsat/internal/obs"
 	"gridsat/internal/solver"
 	"gridsat/internal/trace"
 )
@@ -326,7 +327,7 @@ func (e *endlessDIMACS) Read(p []byte) (int, error) {
 // every client would crash on.
 func TestSubmitRefusesOverlongClause(t *testing.T) {
 	now := 1.0
-	svc := NewService(bareMaster(t, &now))
+	m := bareMaster(t, &now)
 	var body strings.Builder
 	fmt.Fprintf(&body, "c one clause\np cnf %d 1\n", cnf.MaxClauseSize+1)
 	for v := 1; v <= cnf.MaxClauseSize+1; v++ {
@@ -335,7 +336,7 @@ func TestSubmitRefusesOverlongClause(t *testing.T) {
 	}
 	body.WriteString("0\n")
 	rec := httptest.NewRecorder()
-	svc.handleSubmit(rec, httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(body.String())))
+	m.handleSubmit(rec, httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(body.String())))
 	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `"line": 3`) {
 		t.Fatalf("overlong clause: HTTP %d %s, want 400 naming line 3", rec.Code, rec.Body)
 	}
@@ -348,11 +349,11 @@ func TestSubmitBodyIsBounded(t *testing.T) {
 	defer func(old int64) { maxSubmitBytes = old }(maxSubmitBytes)
 	maxSubmitBytes = 4 << 10
 	now := 1.0
-	svc := NewService(bareMaster(t, &now))
+	m := bareMaster(t, &now)
 
 	body := &endlessDIMACS{}
 	rec := httptest.NewRecorder()
-	svc.handleSubmit(rec, httptest.NewRequest(http.MethodPost, "/jobs", io.NopCloser(body)))
+	m.handleSubmit(rec, httptest.NewRequest(http.MethodPost, "/jobs", io.NopCloser(body)))
 	if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), `"error"`) {
 		t.Fatalf("oversize submit: HTTP %d %s", rec.Code, rec.Body)
 	}
@@ -362,8 +363,133 @@ func TestSubmitBodyIsBounded(t *testing.T) {
 
 	// Under the limit the body is parsed as before.
 	rec = httptest.NewRecorder()
-	svc.handleSubmit(rec, httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader("p cnf zero 3")))
+	m.handleSubmit(rec, httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader("p cnf zero 3")))
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("malformed small submit: HTTP %d, want 400", rec.Code)
+	}
+}
+
+// seriesValue reads one counter or gauge series off a registry snapshot;
+// ok is false when no series of that name carries every label.
+func seriesValue(snap obs.Snapshot, name string, labels ...obs.Label) (v int64, ok bool) {
+	for _, p := range append(snap.Counters, snap.Gauges...) {
+		if p.Name != name {
+			continue
+		}
+		match := true
+		for _, l := range labels {
+			match = match && p.Labels[l.Key] == l.Value
+		}
+		if match {
+			return p.Value, true
+		}
+	}
+	return 0, false
+}
+
+// TestPublishedBusyIsTheMasters: a client the master has put to work reads
+// gridsat_client_busy 1 after the next sampler tick, as it does on /status,
+// before it has sent a single heartbeat.
+func TestPublishedBusyIsTheMasters(t *testing.T) {
+	now := 1.0
+	m := bareMaster(t, &now)
+	f := cnf.NewFormula(2)
+	f.Add(1, 2)
+	c := m.clients[m.connect()]
+	m.handleRegister(c, comm.Register{Addr: "a", FreeMemBytes: 64 << 20, SpeedHint: 1})
+	if _, err := m.submit("busy", f, 1); err != nil {
+		t.Fatal(err)
+	}
+	now++
+	m.sampleTick()
+	if st := m.state(); len(st.Clients) != 1 || !st.Clients[0].Busy {
+		t.Fatalf("/status clients %+v, want the one client busy", st.Clients)
+	}
+	label := obs.L("client", strconv.Itoa(c.id))
+	if v, ok := seriesValue(m.reg.Snapshot(), "gridsat_client_busy", label); !ok || v != 1 {
+		t.Fatalf("gridsat_client_busy = %d (present %v), want 1 as on /status", v, ok)
+	}
+}
+
+// TestPublishIsTheState: one sampler tick publishes every master and
+// client series that has a ClusterState field equal to that field — after
+// heartbeats that moved the counters since an earlier tick — and no series
+// for a connection still mid-registration.
+func TestPublishIsTheState(t *testing.T) {
+	now := 1.0
+	m := bareMaster(t, &now)
+	populate(m, 7, 3)
+	m.sampleTick()
+	for _, id := range m.order {
+		if m.clients[id].addr == "" {
+			continue
+		}
+		now += 0.5
+		m.handleStatusReport(m.clients[id], comm.StatusReport{ClientID: id, MemBytes: int64(id) << 21,
+			Learnts: 7 * id, Depth: id % 5, Deltas: comm.SolverDeltas{Decisions: int64(id), Conflicts: 3,
+				Propagations: 900, Learned: 2, ReclaimedBytes: 64, Imported: 5, ImportedUseful: 1}})
+	}
+	m.result.Splits++
+	m.result.SharedClauses += 4
+	m.sharedDropped++
+	now++
+	m.sampleTick()
+	st := m.state() // same instant, same tables: the tick's state
+	snap := m.reg.Snapshot()
+
+	for _, row := range []struct {
+		name string
+		want int64
+	}{
+		{"gridsat_master_registered_clients", int64(st.Registered)},
+		{"gridsat_master_busy_clients", int64(st.Busy)},
+		{"gridsat_master_reserved_clients", int64(st.Reserved)},
+		{"gridsat_master_split_backlog", int64(st.Backlog)},
+		{"gridsat_master_sub_backlog", int64(st.SubBacklog)},
+		{"gridsat_master_outstanding_subproblems", int64(st.Outstanding)},
+		{"gridsat_master_splits_total", int64(st.Splits)},
+		{"gridsat_master_shared_clauses_total", int64(st.Shared)},
+		{"gridsat_master_shared_dropped_total", st.SharedDropped},
+	} {
+		if got, ok := seriesValue(snap, row.name); !ok || got != row.want {
+			t.Errorf("%s = %d (present %v), want %d", row.name, got, ok, row.want)
+		}
+	}
+	clientSeries := []struct {
+		name  string
+		field func(ClientState) int64
+	}{
+		{"gridsat_client_mem_bytes", func(c ClientState) int64 { return c.MemBytes }},
+		{"gridsat_client_learnts", func(c ClientState) int64 { return int64(c.DBLearnts) }},
+		{"gridsat_client_busy", func(c ClientState) int64 {
+			if c.Busy {
+				return 1
+			}
+			return 0
+		}},
+		{"gridsat_client_path_depth", func(c ClientState) int64 { return int64(c.Depth) }},
+		{"gridsat_client_decisions_total", func(c ClientState) int64 { return c.Decisions }},
+		{"gridsat_client_conflicts_total", func(c ClientState) int64 { return c.Conflicts }},
+		{"gridsat_client_propagations_total", func(c ClientState) int64 { return c.Propagations }},
+		{"gridsat_client_learned_total", func(c ClientState) int64 { return c.Learned }},
+		{"gridsat_client_arena_reclaimed_bytes_total", func(c ClientState) int64 { return c.ReclaimedBytes }},
+		{"gridsat_client_imported_total", func(c ClientState) int64 { return c.Imported }},
+		{"gridsat_client_imported_useful_total", func(c ClientState) int64 { return c.ImportedUseful }},
+	}
+	if len(st.Clients) != 6 {
+		t.Fatalf("state has %d client rows, want 6", len(st.Clients))
+	}
+	for _, c := range st.Clients {
+		label := obs.L("client", strconv.Itoa(c.ID))
+		for _, s := range clientSeries {
+			if got, ok := seriesValue(snap, s.name, label); !ok || got != s.field(c) {
+				t.Errorf("%s{client=%d} = %d (present %v), want %d", s.name, c.ID, got, ok, s.field(c))
+			}
+		}
+	}
+	for _, s := range clientSeries {
+		if _, ok := seriesValue(snap, s.name, obs.L("client", "2")); ok {
+			t.Errorf("%s has a series for client 2, which never registered", s.name)
+		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 //	/debug/pprof/   the standard Go profiler endpoints
 //
 // Callers mount their own endpoints via extra (the master adds /status,
-// /history, /alerts, and /trace and /tree when a flight recorder is
+// /jobs, /history, /alerts, and /trace and /tree when a flight recorder is
 // attached). The handler is deliberately built on a private mux so
 // importing this package never mutates http.DefaultServeMux.
 func Handler(reg *Registry, extra ...Endpoint) http.Handler {

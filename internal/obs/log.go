@@ -70,8 +70,8 @@ type Logger struct {
 	lt   LamportSource
 }
 
-// LamportSource supplies a logical timestamp for log lines. Both
-// comm.Clock and trace.Flight satisfy it.
+// LamportSource supplies a logical timestamp for log lines; trace.Flight
+// satisfies it.
 type LamportSource interface{ Now() uint64 }
 
 // NewLogger writes events at or above lvl to w.

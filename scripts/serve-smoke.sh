@@ -2,8 +2,8 @@
 # End-to-end smoke test of the multi-job scheduling service: boots
 # `gridsat serve` with three TCP clients, drives the HTTP job API
 # (submit a SAT and an UNSAT instance, cancel a long one mid-run),
-# asserts every verdict, and shuts the service down cleanly with
-# SIGINT. Artifacts (job list JSON, flight log, server log) land in
+# asserts every verdict, checks /metrics against /status, and shuts the
+# service down cleanly with SIGINT. Artifacts (job list JSON, flight log, server log) land in
 # $SMOKE_DIR (default /tmp/gridsat-serve-smoke) for CI upload.
 set -euo pipefail
 
@@ -77,6 +77,19 @@ cat "$SMOKE_DIR/jobs.json"
 # A SAT result must ship a model that round-trips through /result.
 curl -sf "http://$API/jobs/$SAT_ID/result" | grep -q '"model"' \
   || { echo "FAIL: SAT result has no model"; exit 1; }
+
+# /metrics is published from the state the sampler builds once a second:
+# one tick after the jobs, its pool gauge reads /status's count and every
+# client has its own series.
+sleep 1.5
+curl -sf "http://$API/metrics" >"$SMOKE_DIR/metrics.txt"
+REGISTERED=$(curl -sf "http://$API/status" | sed -n 's/^  "registered": *\([0-9]*\).*/\1/p')
+GAUGE=$(sed -n 's/^gridsat_master_registered_clients \([0-9]*\)$/\1/p' "$SMOKE_DIR/metrics.txt")
+[ "$REGISTERED" = 3 ] && [ "$GAUGE" = "$REGISTERED" ] \
+  || { echo "FAIL: /metrics registered_clients $GAUGE, /status registered $REGISTERED, want 3"; exit 1; }
+SERIES=$(grep -c '^gridsat_client_decisions_total{client="[0-9]*"} ' "$SMOKE_DIR/metrics.txt" || true)
+[ "$SERIES" = 3 ] \
+  || { echo "FAIL: $SERIES gridsat_client_decisions_total series, want one per client (3)"; exit 1; }
 
 # Clean shutdown: SIGINT must stop the server (and its clients) promptly.
 kill -INT "$SERVE_PID"
