@@ -174,7 +174,7 @@ func BenchmarkFigure3SplitProtocol(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Status != solver.StatusUNSAT || res.Splits == 0 {
+		if res.Status != solver.StatusUNSAT || res.State.Splits == 0 {
 			b.Fatalf("protocol run degenerate: %+v", res)
 		}
 	}

@@ -79,8 +79,8 @@ func main() {
 	}
 	fmt.Printf("\nresult: %v in %.2fs wall time\n", o.res.Status, o.res.Wall.Seconds())
 	fmt.Printf("max simultaneous clients: %d\n", o.res.MaxClients)
-	fmt.Printf("completed subproblem splits: %d\n", o.res.Splits)
-	fmt.Printf("learned clauses shared globally: %d\n", o.res.SharedClauses)
+	fmt.Printf("completed subproblem splits: %d\n", o.res.State.Splits)
+	fmt.Printf("learned clauses shared globally: %d\n", o.res.State.Shared)
 	if o.res.Status != solver.StatusUNSAT {
 		log.Fatal("expected UNSAT for the pigeonhole principle")
 	}

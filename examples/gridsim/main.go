@@ -60,5 +60,5 @@ func runScenario(title string, f *cnf.Formula, queueWaitVSec float64) {
 		fmt.Printf("blue horizon: allocation started at %.1f vsec and joined the pool\n", res.BatchStartVSec)
 	}
 	fmt.Printf("peak clients: %d, splits: %d, clauses shared: %d, work: %d propagations\n\n",
-		res.MaxClients, res.Splits, res.Shared, res.TotalProps)
+		res.MaxClients, res.State.Splits, res.State.Shared, res.TotalProps)
 }

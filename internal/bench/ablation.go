@@ -108,7 +108,7 @@ func RenderAblation(name string, results []AblationResult) string {
 	for _, r := range results {
 		fmt.Fprintf(&b, "  %-22s %-9s vsec=%-9.1f clients=%-3d splits=%-4d shared=%d\n",
 			r.Label, r.Result.Outcome, r.Result.VSec, r.Result.MaxClients,
-			r.Result.Splits, r.Result.Shared)
+			r.Result.State.Splits, r.Result.State.Shared)
 	}
 	return b.String()
 }
@@ -165,7 +165,7 @@ func AblationSplitStrategy(f *cnf.Formula, opts Options) []StrategyResult {
 			Result:   res,
 			Outcome:  res.Outcome.String(),
 			VSec:     res.VSec,
-			Splits:   res.Splits,
+			Splits:   res.State.Splits,
 			Lineage:  trace.BuildLineage(fl.Events()).Metrics(),
 		})
 	}
@@ -255,7 +255,7 @@ func AblationHybrid(f *cnf.Formula, name string, opts Options) []HybridResult {
 			Status:        res.Status.String(),
 			VSec:          res.VSec,
 			Clients:       res.MaxClients,
-			Splits:        res.Splits,
+			Splits:        res.State.Splits,
 			PoolPublished: res.PoolPublished,
 			PoolDelivered: res.PoolDelivered,
 		})

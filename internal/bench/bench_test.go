@@ -115,10 +115,10 @@ func TestAblationShareLenRuns(t *testing.T) {
 			t.Errorf("%s did not solve: %v", r.Label, r.Result.Outcome)
 		}
 	}
-	if out[0].Result.Shared != 0 {
+	if out[0].Result.State.Shared != 0 {
 		t.Error("share-len=0 still shared clauses")
 	}
-	if out[1].Result.Shared == 0 {
+	if out[1].Result.State.Shared == 0 {
 		t.Error("share-len=10 shared nothing")
 	}
 	text := RenderAblation("x", out)
@@ -142,9 +142,9 @@ func TestAblationSplitTimeoutRuns(t *testing.T) {
 		t.Fatal("sweep incomplete")
 	}
 	// A tighter split timeout must split at least as eagerly.
-	if out[0].Result.Splits < out[1].Result.Splits {
+	if out[0].Result.State.Splits < out[1].Result.State.Splits {
 		t.Errorf("timeout=2 split %d times, timeout=40 split %d times",
-			out[0].Result.Splits, out[1].Result.Splits)
+			out[0].Result.State.Splits, out[1].Result.State.Splits)
 	}
 }
 

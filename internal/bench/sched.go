@@ -50,7 +50,9 @@ func PoissonWorkload(n int, meanGapVSec float64, seed int64) []core.SimJob {
 }
 
 // SchedResult is the scheduler's row in the ablation: the run plus the
-// aggregate service metrics of the workload.
+// aggregate service metrics of the workload, computed from the run's job
+// rows (Result.State.Jobs). MakespanVSec spans first submission to last
+// finish.
 type SchedResult struct {
 	Jobs               int     `json:"jobs"`
 	Solved             int     `json:"solved"`
@@ -74,17 +76,25 @@ func AblationSched(jobs []core.SimJob, opts Options) SchedResult {
 	cfg.MaxClients = SchedWorkloadClients
 	cfg.MonitorPeriodVSec = 10
 	res := core.RunDistributed(cfg)
-	r := SchedResult{Jobs: len(res.Jobs), MakespanVSec: res.MakespanVSec, Result: res}
-	var sum float64
-	for _, j := range res.Jobs {
+	rows := res.State.Jobs
+	r := SchedResult{Jobs: len(rows), Result: res}
+	firstSubmit, lastFinish, sum := -1.0, 0.0, 0.0
+	for _, j := range rows {
 		if j.Verdict == "SAT" || j.Verdict == "UNSAT" {
 			r.Solved++
 		}
-		sum += j.TurnaroundVSec
-		r.MaxTurnaroundVSec = max(r.MaxTurnaroundVSec, j.TurnaroundVSec)
+		sum += j.TurnaroundSec
+		r.MaxTurnaroundVSec = max(r.MaxTurnaroundVSec, j.TurnaroundSec)
+		if firstSubmit < 0 || j.SubmittedAt < firstSubmit {
+			firstSubmit = j.SubmittedAt
+		}
+		lastFinish = max(lastFinish, j.FinishedAt)
 	}
-	if len(res.Jobs) > 0 {
-		r.MeanTurnaroundVSec = sum / float64(len(res.Jobs))
+	if firstSubmit >= 0 && lastFinish > firstSubmit {
+		r.MakespanVSec = lastFinish - firstSubmit
+	}
+	if len(rows) > 0 {
+		r.MeanTurnaroundVSec = sum / float64(len(rows))
 	}
 	if opts.Progress != nil {
 		opts.Progress("sched ablation done")

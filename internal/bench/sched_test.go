@@ -33,7 +33,7 @@ func TestAblationSched(t *testing.T) {
 	run := func() SchedResult { return AblationSched(jobs, Options{Seed: 1}) }
 	r := run()
 	if r.Jobs != 4 || r.Solved != 4 {
-		t.Fatalf("solved %d/%d jobs: %+v", r.Solved, r.Jobs, r.Result.Jobs)
+		t.Fatalf("solved %d/%d jobs: %+v", r.Solved, r.Jobs, r.Result.State.Jobs)
 	}
 	if r.MakespanVSec <= 0 || r.MeanTurnaroundVSec <= 0 {
 		t.Fatalf("empty service metrics: %+v", r)

@@ -161,9 +161,7 @@ func (l *instrumentedListener) Addr() string { return l.inner.Addr() }
 
 // sizedRecver is what this package's own connections add to Conn: a Recv
 // that also reports the length of the frame it consumed, so counting the
-// bytes received does not mean encoding the message again. The length is
-// negative when the message never was a frame (an in-process pipe passing
-// a value by reference).
+// bytes received does not mean encoding the message again.
 type sizedRecver interface {
 	recvFrame() (m Message, frameLen int, err error)
 }
@@ -180,8 +178,7 @@ func newInstrumentedConn(c Conn, m *Metrics) *instrumentedConn {
 }
 
 // Send encodes m once and ships the frame, so the bytes counted are the
-// bytes written — and an in-process pipe carries real frames, which its
-// receiver decodes, instead of passing the value by reference.
+// bytes written.
 func (c *instrumentedConn) Send(m Message) error {
 	e, err := EncodeMessage(m)
 	if err != nil {
@@ -201,20 +198,17 @@ func (c *instrumentedConn) SendEncoded(e *EncodedMessage) error {
 }
 
 func (c *instrumentedConn) Recv() (m Message, err error) {
-	n := -1
+	var n int
 	if c.sized != nil {
 		m, n, err = c.sized.recvFrame()
-	} else {
-		m, err = c.inner.Recv()
+	} else if m, err = c.inner.Recv(); err == nil {
+		n = int(WireSize(m)) // a foreign Conn reads no frame we see: size the message
 	}
 	if err != nil {
 		return nil, err
 	}
 	kc := c.m.kind(m.Kind())
 	kc.recvMsgs.Inc()
-	if n < 0 {
-		n = int(WireSize(m)) // no frame was read: size the message itself
-	}
 	kc.recvBytes.Add(int64(n))
 	return m, nil
 }

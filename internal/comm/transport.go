@@ -201,10 +201,13 @@ func (l *inprocListener) Close() error {
 
 func (l *inprocListener) Addr() string { return l.addr }
 
-// NewPipe returns two connected in-process conn endpoints.
+// NewPipe returns two connected in-process conn endpoints. They carry
+// frames, not values: Send encodes, Recv decodes, so what crosses a pipe
+// went through the codec TCP uses and no receiver shares storage with the
+// sender or with another receiver of the same frame.
 func NewPipe() (Conn, Conn) {
-	ab := make(chan Message, 64)
-	ba := make(chan Message, 64)
+	ab := make(chan *EncodedMessage, 64)
+	ba := make(chan *EncodedMessage, 64)
 	done := make(chan struct{})
 	var once sync.Once
 	closeFn := func() { once.Do(func() { close(done) }) }
@@ -214,31 +217,32 @@ func NewPipe() (Conn, Conn) {
 }
 
 type pipeConn struct {
-	out   chan Message
-	in    chan Message
+	out   chan *EncodedMessage
+	in    chan *EncodedMessage
 	done  chan struct{}
 	close func()
 }
 
 func (p *pipeConn) Send(m Message) error {
+	e, err := EncodeMessage(m)
+	if err != nil {
+		return err
+	}
+	return p.SendEncoded(e)
+}
+
+func (p *pipeConn) SendEncoded(e *EncodedMessage) error {
 	select {
 	case <-p.done:
 		return errors.New("comm: pipe closed")
 	default:
 	}
 	select {
-	case p.out <- m:
+	case p.out <- e:
 		return nil
 	case <-p.done:
 		return errors.New("comm: pipe closed")
 	}
-}
-
-// SendEncoded delivers the frame itself; the receiving end decodes it in
-// Recv, so every receiver of a fanned-out EncodedMessage gets its own
-// fresh copy with no shared clause storage.
-func (p *pipeConn) SendEncoded(e *EncodedMessage) error {
-	return p.Send(e)
 }
 
 func (p *pipeConn) Recv() (Message, error) {
@@ -246,31 +250,22 @@ func (p *pipeConn) Recv() (Message, error) {
 	return m, err
 }
 
-// recvFrame is Recv plus the length of the frame it decoded, or -1 for a
-// message that crossed by reference and never had one (see sizedRecver).
+// recvFrame is Recv plus the length of the frame it decoded (see
+// sizedRecver).
 func (p *pipeConn) recvFrame() (Message, int, error) {
+	var e *EncodedMessage
 	select {
-	case m := <-p.in:
-		return pipeDecode(m)
+	case e = <-p.in:
 	case <-p.done:
 		// Drain anything already queued before reporting closure.
 		select {
-		case m := <-p.in:
-			return pipeDecode(m)
+		case e = <-p.in:
 		default:
 			return nil, 0, errors.New("comm: pipe closed")
 		}
 	}
-}
-
-// pipeDecode unwraps frames that arrived via SendEncoded. Plain messages
-// pass through by reference (the in-process fast path).
-func pipeDecode(m Message) (Message, int, error) {
-	if e, ok := m.(*EncodedMessage); ok {
-		m, err := e.Decode()
-		return m, e.WireLen(), err
-	}
-	return m, -1, nil
+	m, err := e.Decode()
+	return m, e.WireLen(), err
 }
 
 func (p *pipeConn) Close() error {

@@ -228,7 +228,7 @@ func newClient(cfg ClientConfig, now func() float64, send func(comm.SplitPeer, c
 		slice:    solver.Limits{MaxConflicts: cfg.SliceConflicts},
 		strategy: strategy,
 		bases:    map[int]*cnf.Formula{},
-		shares:   newShareAggregator(shareFlushCount, shareFlushEvery, shareWindowCap, 0, now()),
+		shares:   newShareAggregator(shareFlushCount, shareFlushEvery, 0, now()),
 		flight:   cfg.Flight,
 	}
 	return c, nil

@@ -66,9 +66,9 @@ func TestDESFlightLogValidatesAndMatchesResult(t *testing.T) {
 	if counts[trace.FEvRunStart] != 1 || counts[trace.FEvVerdict] != 1 {
 		t.Fatalf("run-start/verdict counts wrong: %v", counts)
 	}
-	if int(counts[trace.FEvSplitAccept]) != res.Splits {
+	if int(counts[trace.FEvSplitAccept]) != res.State.Splits {
 		t.Fatalf("split-accept events %d != result splits %d",
-			counts[trace.FEvSplitAccept], res.Splits)
+			counts[trace.FEvSplitAccept], res.State.Splits)
 	}
 	if counts[trace.FEvSubUNSAT] == 0 {
 		t.Fatal("UNSAT run recorded no sub-unsat events")
@@ -98,16 +98,16 @@ func TestDESFlightLineageLeafCount(t *testing.T) {
 	cfg.Master.Flight = f
 	res := RunDistributed(cfg)
 	defer dumpFlight(t, f)
-	if res.Splits == 0 {
+	if res.State.Splits == 0 {
 		t.Skip("instance solved without splitting; lineage is trivial")
 	}
 	tree := trace.BuildLineage(f.Events())
-	if got := len(tree.Leaves()); got != res.Splits+1 {
-		t.Fatalf("lineage leaves = %d, want splits+1 = %d", got, res.Splits+1)
+	if got := len(tree.Leaves()); got != res.State.Splits+1 {
+		t.Fatalf("lineage leaves = %d, want splits+1 = %d", got, res.State.Splits+1)
 	}
-	if len(tree.Nodes()) != 2*res.Splits+1 {
+	if len(tree.Nodes()) != 2*res.State.Splits+1 {
 		t.Fatalf("lineage nodes = %d, want 2*splits+1 = %d",
-			len(tree.Nodes()), 2*res.Splits+1)
+			len(tree.Nodes()), 2*res.State.Splits+1)
 	}
 }
 

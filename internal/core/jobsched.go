@@ -6,8 +6,8 @@ import (
 	"gridsat/internal/cnf"
 )
 
-// This file is the scheduler's vocabulary: the explicit Job entity
-// (queued → running → done/cancelled) and the admission control that
+// This file is the scheduler's vocabulary: the job lifecycle (queued →
+// running → done/cancelled), a job's JSON row, and the admission control that
 // bounds how much work the service accepts. Which job an idle client
 // serves is Master.serveBacklog's one rule: higher priority first, then
 // submission order, and nobody is taken off running work. The master
@@ -47,33 +47,6 @@ func (s JobState) Active() bool {
 	return s == JobQueued || s == JobRunning
 }
 
-// Job is one SAT instance moving through the scheduler. The solving
-// bookkeeping (backlog, coverage, aggregates) lives with the runtime that
-// owns the job; this is the shared identity and lifecycle record.
-type Job struct {
-	ID       int
-	Name     string
-	Priority int // >= 1; idle clients serve higher priorities first
-	Formula  *cnf.Formula
-	State    JobState
-	// Timestamps in the owning runtime's clock (wall seconds for the live
-	// master, virtual seconds in the DES). FirstAssignAt is when the root
-	// subproblem was first handed out — with StartedAt it decomposes the
-	// queue-wait SLO from the assignment latency.
-	SubmittedAt   float64
-	StartedAt     float64
-	FirstAssignAt float64
-	FinishedAt    float64
-}
-
-// TurnaroundSec is submission-to-finish latency (0 while unfinished).
-func (j *Job) TurnaroundSec() float64 {
-	if j.State != JobDone && j.State != JobCancelled {
-		return 0
-	}
-	return j.FinishedAt - j.SubmittedAt
-}
-
 // JobSnapshot is the JSON view of one job: a row of ClusterState.Jobs
 // (and so of /status, GET /jobs and `gridsat top`) and the
 // GET /jobs/{id} document.
@@ -107,7 +80,8 @@ type JobSnapshot struct {
 	// CANCELLED).
 	Verdict string `json:"verdict,omitempty"`
 	// Model carries a SAT verdict's satisfying assignment as DIMACS
-	// literals, only on the /jobs/<id>/result view.
+	// literals, only on the /jobs/<id>/result view and in a finished run's
+	// final state (Result.State, SimResult.State).
 	Model []int `json:"model,omitempty"`
 }
 

@@ -72,13 +72,13 @@ func TestJobLifecycleStates(t *testing.T) {
 			t.Errorf("%v should be terminal", s)
 		}
 	}
-	j := &Job{SubmittedAt: 2, FinishedAt: 10, State: JobDone}
-	if j.TurnaroundSec() != 8 {
-		t.Fatalf("turnaround %v", j.TurnaroundSec())
+	j := &masterJob{SubmittedAt: 2, StartedAt: 3, FinishedAt: 10, State: JobDone}
+	if snap := j.snapshot(jobLoad{}); snap.QueueWaitSec != 1 || snap.SolveSec != 7 || snap.TurnaroundSec != 8 {
+		t.Fatalf("queue wait %v, solve %v, turnaround %v; want 1, 7, 8", snap.QueueWaitSec, snap.SolveSec, snap.TurnaroundSec)
 	}
-	j.State = JobRunning
-	if j.TurnaroundSec() != 0 {
-		t.Fatal("unfinished job has a turnaround")
+	j.State, j.FinishedAt = JobRunning, 0
+	if snap := j.snapshot(jobLoad{}); snap.SolveSec != 0 || snap.TurnaroundSec != 0 {
+		t.Fatal("unfinished job has a solve time or a turnaround")
 	}
 }
 

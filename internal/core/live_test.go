@@ -57,7 +57,7 @@ func TestJobSolveUNSATWithSplits(t *testing.T) {
 	if res.Status != solver.StatusUNSAT {
 		t.Fatalf("got %v", res.Status)
 	}
-	if res.Splits == 0 {
+	if res.State.Splits == 0 {
 		t.Error("eager split config produced no splits")
 	}
 	if res.MaxClients < 2 {
@@ -88,7 +88,7 @@ func TestJobClauseSharingHappens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SharedClauses == 0 {
+	if res.State.Shared == 0 {
 		t.Error("no clauses shared on a conflict-heavy instance")
 	}
 }
@@ -151,7 +151,7 @@ func TestMasterNeedsFormulaAndTransport(t *testing.T) {
 			t.Fatalf("formula %v: jobs %v, want %v", tc.formula != nil, m.jobOrder, tc.jobs)
 		}
 		if j := m.jobs[0]; j != nil && (j.State != JobQueued || j.Formula != f || j.Priority != 1) {
-			t.Fatalf("job 0 admitted as %+v", j.Job)
+			t.Fatalf("job 0 admitted as %+v", j)
 		}
 		_ = m.listener.Close()
 	}
@@ -486,7 +486,7 @@ func TestJobSolveDilemmaUNSAT(t *testing.T) {
 			if res.Status != solver.StatusUNSAT {
 				t.Fatalf("got %v", res.Status)
 			}
-			if res.Splits == 0 {
+			if res.State.Splits == 0 {
 				t.Error("eager split config produced no splits")
 			}
 			if res.MaxClients < 2 {

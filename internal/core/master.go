@@ -75,7 +75,8 @@ type MasterConfig struct {
 	BundleDir string
 }
 
-// Result is the outcome of a distributed run.
+// Result is the outcome of a distributed run: the master's last
+// ClusterState plus what the shell measured around it.
 type Result struct {
 	Status solver.Status
 	Model  cnf.Assignment
@@ -83,54 +84,16 @@ type Result struct {
 	// MaxClients is the peak number of simultaneously busy clients —
 	// the last column of the paper's Table 1.
 	MaxClients int
-	// Splits counts completed subproblem transfers; Migrations counts
-	// whole-subproblem moves to better resources (§3.4).
-	Splits     int
-	Migrations int
-	// SharedClauses counts clauses the master fanned out.
-	SharedClauses int
 	// Threads is the widest in-host portfolio observed across the run's
 	// clients (1 when every client ran single-threaded).
 	Threads int
-	// Clients holds the end-of-run per-client rows of the final
-	// ClusterState, sorted by ID.
-	Clients []ClientState
 	// Comm is the wire-traffic summary, filled by runners that instrument
 	// their transport (Solve, cmd/gridsat); zero when uninstrumented.
 	Comm comm.Totals
-	// Latency decomposes job 0's lifecycle SLOs (nil without one; every
-	// job carries its own in its JobSnapshot).
-	Latency *JobLatency
-}
-
-// JobLatency is the lifecycle SLO decomposition of one job, in the
-// owning runtime's clock seconds.
-type JobLatency struct {
-	// QueueWaitSec is submission to first client allocation;
-	// FirstAssignSec is submission to the root subproblem going out.
-	QueueWaitSec   float64 `json:"queue_wait_sec"`
-	FirstAssignSec float64 `json:"first_assign_sec"`
-	// SolveSec is start to verdict; TurnaroundSec is end to end.
-	SolveSec      float64 `json:"solve_sec"`
-	TurnaroundSec float64 `json:"turnaround_sec"`
-}
-
-// jobLatency derives the SLO decomposition from a job's timestamps.
-func jobLatency(j *Job) *JobLatency {
-	l := &JobLatency{}
-	if j.StartedAt > 0 {
-		l.QueueWaitSec = j.StartedAt - j.SubmittedAt
-	}
-	if j.FirstAssignAt > 0 {
-		l.FirstAssignSec = j.FirstAssignAt - j.SubmittedAt
-	}
-	if j.FinishedAt > 0 {
-		if j.StartedAt > 0 {
-			l.SolveSec = j.FinishedAt - j.StartedAt
-		}
-		l.TurnaroundSec = j.FinishedAt - j.SubmittedAt
-	}
-	return l
+	// State is the master's ClusterState at the end of the run: splits,
+	// migrations, shared clauses, the per-client rows and job 0's row
+	// (its lifecycle timestamps and SLO decomposition) in State.Jobs[0].
+	State ClusterState
 }
 
 type masterClient struct {
@@ -254,12 +217,24 @@ type masterEvent struct {
 	apply func() bool
 }
 
-// masterJob is one job's solving state at the master: the Job identity
-// plus its split backlog, leftover cofactors, coverage estimator,
+// masterJob is one SAT instance moving through the scheduler: its identity
+// and lifecycle, its split backlog, leftover cofactors, coverage estimator,
 // clause-dedup window and verdict. Who holds its subproblems is read off
 // the client table (see tally), not kept here.
 type masterJob struct {
-	*Job
+	ID       int
+	Name     string
+	Priority int // >= 1; idle clients serve higher priorities first
+	Formula  *cnf.Formula
+	State    JobState
+	// Timestamps in the master's clock (wall seconds for the live master,
+	// virtual seconds in the DES). FirstAssignAt is when the root
+	// subproblem was first handed out — with StartedAt it decomposes the
+	// queue-wait SLO from the assignment latency.
+	SubmittedAt   float64
+	StartedAt     float64
+	FirstAssignAt float64
+	FinishedAt    float64
 	// backlog queues unserved split requests from this job's clients;
 	// subBacklog queues its root, leftover cofactors and salvage.
 	backlog    []BacklogEntry
@@ -324,7 +299,13 @@ type Master struct {
 	sharedDropped int64
 	// shareTo is handleShare's recipient list, reused from batch to batch.
 	shareTo []int
-	result  Result
+	// splits counts completed subproblem transfers, migrations
+	// whole-subproblem moves to better resources (§3.4), shared the clauses
+	// fanned out; state reports them.
+	splits     int
+	migrations int
+	shared     int
+	result     Result
 	// clusterAgg sums every heartbeat delta ever received, independent of
 	// the clients map, so totals survive client churn (a departed client's
 	// contribution is never lost).
@@ -500,9 +481,10 @@ func (m *Master) timeOut() {
 	m.finishResult()
 }
 
-// finishResult freezes the Result: the per-client aggregates, and what a
-// one-shot run reports of its job 0 — verdict, model and SLO decomposition,
-// with the end time stamped here when the run ended before the job did.
+// finishResult freezes the Result: what a one-shot run reports of its job
+// 0 — verdict and model, with the end time stamped here when the run ended
+// before the job did — and the ClusterState the run ends in, each SAT job's
+// row carrying its model, as on GET /jobs/{id}/result.
 func (m *Master) finishResult() {
 	if j0 := m.jobs[0]; j0 != nil {
 		m.result.Status, m.result.Model = j0.status, j0.model
@@ -510,11 +492,13 @@ func (m *Master) finishResult() {
 			j0.FinishedAt = m.now()
 			j0.observeEnd(&m.met)
 		}
-		m.result.Latency = jobLatency(j0.Job)
 	}
 	st := m.state()
 	m.publish(st)
-	m.result.Clients = st.Clients
+	for i := range st.Jobs {
+		st.Jobs[i].Model = m.jobs[st.Jobs[i].ID].modelLits()
+	}
+	m.result.State = st
 	if m.result.Threads == 0 {
 		m.result.Threads = 1 // no portfolio heartbeat seen: single-threaded
 	}
@@ -865,7 +849,7 @@ func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) {
 			m.femit(trace.FEvent{Kind: trace.FEvRecover, Client: c.id,
 				Job: entry.job, Parent: entry.issueEv})
 		default:
-			m.result.Splits++
+			m.splits++
 			m.femit(trace.FEvent{Kind: trace.FEvSplitAccept, Client: c.id,
 				Peer: entry.donor, SplitID: entry.splitID, Parent: entry.issueEv})
 		}
@@ -929,11 +913,11 @@ func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) {
 			c.busy = true
 			c.assignedAt = m.now()
 			if g.migrate {
-				m.result.Migrations++
+				m.migrations++
 				m.femit(trace.FEvent{Kind: trace.FEvMigrate, Client: g.donor,
 					Peer: c.id, Job: g.job})
 			} else {
-				m.result.Splits++
+				m.splits++
 				m.met.splitLat.Observe(m.now() - g.assignedAt)
 				m.femit(trace.FEvent{Kind: trace.FEvSplitAccept, Client: c.id,
 					Peer: g.donor, SplitID: msg.SplitID, Parent: g.issueEv})
@@ -1007,7 +991,7 @@ func (m *Master) handleShare(c *masterClient, msg comm.ShareClauses) {
 	if n == 0 {
 		return
 	}
-	m.result.SharedClauses += n
+	m.shared += n
 	m.femit(trace.FEvent{Kind: trace.FEvShareRelay, Client: c.id, Job: j.ID,
 		N: int64(n), Parent: m.inTI.Parent})
 	if len(to) == 0 {

@@ -252,7 +252,7 @@ func (m *Master) Run() (Result, error) {
 				m.result.Wall = time.Since(m.started)
 				m.finishResult()
 				m.log.Info("run decided", "status", m.result.Status,
-					"wall", m.result.Wall, "splits", m.result.Splits)
+					"wall", m.result.Wall, "splits", m.splits)
 				m.shutdownAll()
 				return m.result, nil
 			}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
@@ -39,9 +40,10 @@ func checkPromText(t *testing.T, body string) {
 }
 
 // TestJobMetricsAndReport covers the Solve-level wiring end to end: the
-// instrumented transport fills Result.Comm, heartbeat deltas fill
-// Result.Clients, the registry carries matching series, and the report
-// built from the Result round-trips through JSON consistently.
+// instrumented transport fills Result.Comm, heartbeat deltas fill the final
+// state's client rows, the registry carries matching series, job 0's row is
+// the run's verdict, and the state — the body of the -report file —
+// round-trips through JSON.
 func TestJobMetricsAndReport(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := quickJob(4)
@@ -67,11 +69,11 @@ func TestJobMetricsAndReport(t *testing.T) {
 	}
 
 	// Heartbeat deltas aggregated into per-client totals.
-	if len(res.Clients) == 0 {
+	if len(res.State.Clients) == 0 {
 		t.Fatal("no per-client aggregates in the result")
 	}
 	var decisions, conflicts int64
-	for _, c := range res.Clients {
+	for _, c := range res.State.Clients {
 		decisions += c.Decisions
 		conflicts += c.Conflicts
 	}
@@ -81,11 +83,11 @@ func TestJobMetricsAndReport(t *testing.T) {
 
 	// The registry agrees with the Result.
 	snap := reg.Snapshot()
-	if v := snap.CounterValue("gridsat_master_splits_total"); v != int64(res.Splits) {
-		t.Errorf("registry splits %d != result %d", v, res.Splits)
+	if v := snap.CounterValue("gridsat_master_splits_total"); v != int64(res.State.Splits) {
+		t.Errorf("registry splits %d != result %d", v, res.State.Splits)
 	}
-	if v := snap.CounterValue("gridsat_master_shared_clauses_total"); v != int64(res.SharedClauses) {
-		t.Errorf("registry shared %d != result %d", v, res.SharedClauses)
+	if v := snap.CounterValue("gridsat_master_shared_clauses_total"); v != int64(res.State.Shared) {
+		t.Errorf("registry shared %d != result %d", v, res.State.Shared)
 	}
 	if v := snap.CounterValue("gridsat_client_decisions_total"); v != decisions {
 		t.Errorf("registry client decisions %d != result %d", v, decisions)
@@ -94,28 +96,51 @@ func TestJobMetricsAndReport(t *testing.T) {
 		t.Errorf("registry comm msgs %d != totals %d", v, res.Comm.MsgsSent+res.Comm.MsgsRecv)
 	}
 
-	// Report: build, serialize, re-read, and validate against the Result.
-	rep := BuildReport("pigeonhole-8", res)
-	var buf strings.Builder
-	if err := rep.WriteJSON(&buf); err != nil {
+	// The final state is job 0's record: its verdict and lifecycle.
+	if len(res.State.Jobs) != 1 {
+		t.Fatalf("final state has %d job rows, want job 0 alone", len(res.State.Jobs))
+	}
+	j0 := res.State.Jobs[0]
+	if j0.ID != 0 || j0.Verdict != res.Status.String() || j0.State != "done" {
+		t.Errorf("job 0 row %+v, want done with verdict %s", j0, res.Status)
+	}
+	if j0.TurnaroundSec <= 0 || j0.FirstAssignAt < j0.SubmittedAt || j0.FinishedAt <= j0.StartedAt {
+		t.Errorf("job 0 lifecycle %+v is not ordered", j0)
+	}
+	if res.State.Verdict != res.Status.String() || res.State.WallSeconds <= 0 {
+		t.Errorf("final state verdict %q at %vs, want %s after a positive wall", res.State.Verdict, res.State.WallSeconds, res.Status)
+	}
+
+	// The -report file's "state" key is this value: it round-trips through
+	// JSON, and the moved keys are where README says.
+	buf, err := json.Marshal(res.State)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var back Report
-	if err := json.Unmarshal([]byte(buf.String()), &back); err != nil {
-		t.Fatalf("report does not round-trip: %v", err)
+	var back ClusterState
+	if err := json.Unmarshal(buf, &back); err != nil {
+		t.Fatalf("state does not round-trip: %v", err)
 	}
-	if back.Status != res.Status.String() || back.Splits != res.Splits ||
-		back.SharedClauses != res.SharedClauses || back.MaxClients != res.MaxClients {
-		t.Errorf("report %+v disagrees with result", back)
+	if !reflect.DeepEqual(back, res.State) {
+		t.Errorf("state after a JSON round trip:\n%+v\nwant\n%+v", back, res.State)
 	}
-	if back.Comm.MsgsSent != res.Comm.MsgsSent || back.Comm.BytesSent != res.Comm.BytesSent {
-		t.Errorf("report comm %+v != result comm %+v", back.Comm, res.Comm)
+	var keys struct {
+		Splits  *int `json:"splits"`
+		Shared  *int `json:"shared"`
+		Clients []map[string]any
+		Jobs    []map[string]any
 	}
-	if len(back.Clients) != len(res.Clients) {
-		t.Errorf("report has %d clients, result %d", len(back.Clients), len(res.Clients))
+	if err := json.Unmarshal(buf, &keys); err != nil {
+		t.Fatal(err)
 	}
-	if back.WallSeconds <= 0 {
-		t.Error("report wall_seconds not positive")
+	if keys.Splits == nil || *keys.Splits != res.State.Splits || keys.Shared == nil || *keys.Shared != res.State.Shared ||
+		len(keys.Clients) != len(res.State.Clients) || len(keys.Jobs) != 1 {
+		t.Errorf("state JSON keys %+v disagree with the result", keys)
+	}
+	for _, k := range []string{"verdict", "first_assign_at", "queue_wait_sec", "solve_sec", "turnaround_sec"} {
+		if _, ok := keys.Jobs[0][k]; !ok {
+			t.Errorf("state.jobs[0] has no %q key: %v", k, keys.Jobs[0])
+		}
 	}
 }
 

@@ -190,7 +190,7 @@ func TestDESProgressMonotoneReachesFull(t *testing.T) {
 	if len(evs) == 0 {
 		t.Fatal("UNSAT run recorded no progress events")
 	}
-	if res.Splits == 0 {
+	if res.State.Splits == 0 {
 		t.Fatal("run never split: progress course degenerate")
 	}
 	var prevUnits int64
@@ -210,11 +210,11 @@ func TestDESProgressMonotoneReachesFull(t *testing.T) {
 	if last := evs[len(evs)-1]; uint64(last.N) != coverageFull {
 		t.Fatalf("final units = %d, want exactly %d (2^62)", last.N, coverageFull)
 	}
-	if res.CoverageUnits != coverageFull || res.Coverage != 1.0 {
-		t.Fatalf("result coverage = %v (%d units), want exactly 1.0", res.Coverage, res.CoverageUnits)
+	if res.State.Jobs[0].Units != coverageFull || res.State.Jobs[0].Coverage != 1.0 {
+		t.Fatalf("result coverage = %v (%d units), want exactly 1.0", res.State.Jobs[0].Coverage, res.State.Jobs[0].Units)
 	}
-	if res.ClosedSubproblems != int64(len(evs)) {
-		t.Fatalf("closed=%d but %d progress events", res.ClosedSubproblems, len(evs))
+	if res.State.ClosedSubproblems != int64(len(evs)) {
+		t.Fatalf("closed=%d but %d progress events", res.State.ClosedSubproblems, len(evs))
 	}
 	// The aggregated cluster counters must reflect real work and real
 	// sharing on this conflict-heavy instance.
@@ -224,7 +224,7 @@ func TestDESProgressMonotoneReachesFull(t *testing.T) {
 	if res.Agg.Imported == 0 {
 		t.Fatal("no imported clauses recorded despite sharing")
 	}
-	eff := res.Efficacy()
+	eff := efficacyOf(res.Agg)
 	if eff.UsefulRatio < 0 || eff.UsefulRatio > 1 {
 		t.Fatalf("useful ratio %v out of range", eff.UsefulRatio)
 	}

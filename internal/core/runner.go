@@ -149,25 +149,6 @@ type SimJob struct {
 	CancelVSec float64
 }
 
-// SimJobResult is one job's outcome in a multi-job simulated run.
-type SimJobResult struct {
-	ID   int
-	Name string
-	// Verdict is SAT/UNSAT/UNKNOWN, CANCELLED, or "" if the run's virtual
-	// time budget expired before the job finished.
-	Verdict string
-	Status  solver.Status
-	Model   cnf.Assignment
-	// Lifecycle timestamps in virtual seconds; TurnaroundVSec is
-	// submission to finish (0 while unfinished).
-	SubmitVSec     float64
-	StartVSec      float64
-	FinishVSec     float64
-	TurnaroundVSec float64
-	// Coverage is the job's refuted search-space fraction at the end.
-	Coverage float64
-}
-
 // BatchPlan describes the Table-2 batch submission.
 type BatchPlan struct {
 	// Nodes requested from the batch machine (each becomes one client).
@@ -240,17 +221,17 @@ func (o SimOutcome) String() string {
 	return "unknown"
 }
 
-// SimResult is the outcome of a simulated run.
+// SimResult is the outcome of a simulated run: the master's last
+// ClusterState plus what the DES alone measures.
 type SimResult struct {
 	Outcome SimOutcome
 	Status  solver.Status
 	Model   cnf.Assignment
 	// VSec is the virtual solve time (the paper's seconds column ÷ 10).
 	VSec float64
-	// MaxClients is the paper's "Max # of clients" column.
+	// MaxClients is the paper's "Max # of clients" column: the peak of
+	// Timeline.
 	MaxClients int
-	Splits     int
-	Shared     int
 	// TotalProps is the real work executed across all clients.
 	TotalProps int64
 	// Msgs/Bytes total the protocol traffic: every message the master and
@@ -259,8 +240,6 @@ type SimResult struct {
 	// instrumented-transport counters.
 	Msgs  int64
 	Bytes int64
-	// Migrations counts whole-subproblem moves to better resources (§3.4).
-	Migrations int
 	// Timeline samples the number of simultaneously busy clients over
 	// virtual time (taken at each monitor tick plus every busy-count
 	// change). The paper describes exactly this curve: "this number starts
@@ -270,13 +249,6 @@ type SimResult struct {
 	// BatchStartVSec/BatchCanceled report the Table-2 batch interaction.
 	BatchStartVSec float64
 	BatchCanceled  bool
-	// Coverage/CoverageUnits/ClosedSubproblems are the final totals of the
-	// coverage estimate (units are exact fixed-point 2^-62 fractions; an
-	// UNSAT run without lost work ends at exactly 1.0, 2^62 units). Its
-	// course is the run's FEvProgress flight events.
-	Coverage          float64
-	CoverageUnits     uint64
-	ClosedSubproblems int64
 	// Agg sums solver counters across every client solver the run created:
 	// the master's churn-proof heartbeat totals plus whatever live solvers
 	// had not yet reported when the run ended. Its import-usefulness
@@ -293,22 +265,18 @@ type SimResult struct {
 	PoolDelivered int64
 	PoolLost      int64
 	PoolDropped   int64
-	// Jobs carries per-job outcomes for multi-job runs (nil otherwise),
-	// in submission order; MakespanVSec spans first submission to last
-	// finish.
-	Jobs         []SimJobResult
-	MakespanVSec float64
 	// Alerts is the watchdog's alert feed (virtual-time stamps; nil when
 	// RunnerConfig.Master.Watchdog was nil) and Bundles the postmortem bundle
 	// directories written during the run, in capture order.
 	Alerts  []Alert
 	Bundles []string
-}
-
-// Efficacy derives the share-efficacy ratios from the run's aggregated
-// solver counters.
-func (r SimResult) Efficacy() ShareEfficacy {
-	return efficacyOf(r.Agg)
+	// State is the master's ClusterState at the end of the run (zero for
+	// RunSequential): splits, migrations, shares, the closed-subproblem
+	// count and one row per job in submission order — a one-shot run's
+	// coverage is State.Jobs[0]'s (units are exact fixed-point 2^-62
+	// fractions; an UNSAT run without lost work ends at exactly 1.0, 2^62
+	// units, and its course is the run's FEvProgress flight events).
+	State ClusterState
 }
 
 // RunSequential simulates the paper's zChaff baseline: the engine on the
@@ -453,8 +421,6 @@ type runner struct {
 
 // errCrashed is the error a simulated host failure hands the master.
 var errCrashed = errors.New("core: simulated host failure")
-
-func vsecDuration(v float64) time.Duration { return time.Duration(v * float64(time.Second)) }
 
 // RunDistributed simulates a full GridSAT run over the configured grid.
 func RunDistributed(cfg RunnerConfig) SimResult {
@@ -1088,8 +1054,7 @@ func (r *runner) finish(outcome SimOutcome) {
 	// inline kernel: TotalProps and each client's unreported tail count them.
 	r.joinQuanta()
 	m := r.m
-	multi := len(r.cfg.Jobs) > 0
-	if outcome == OutcomeSolved || multi {
+	if outcome == OutcomeSolved || len(r.cfg.Jobs) > 0 {
 		m.finishResult()
 	} else {
 		m.timeOut() // a one-shot run's UNKNOWN verdict
@@ -1099,23 +1064,15 @@ func (r *runner) finish(outcome SimOutcome) {
 			r.retire(dc)
 		}
 	}
-	st := m.state()
 	res := &r.res
 	res.Outcome = outcome
-	res.Splits, res.Shared, res.Migrations = st.Splits, st.Shared, st.Migrations
-	res.Agg = st.SolverDeltas
+	res.Status, res.Model, res.State = m.result.Status, m.result.Model, m.result.State
+	res.Agg = res.State.SolverDeltas
 	res.Agg.Add(r.tail)
 	res.PoolPublished, res.PoolDelivered = r.pool.Published, r.pool.Delivered
 	res.PoolLost, res.PoolDropped = r.pool.Lost, r.pool.Dropped
 	if r.cfg.Master.Watchdog != nil {
 		res.Alerts = m.wd.feed()
-	}
-	res.ClosedSubproblems = st.ClosedSubproblems
-	if multi {
-		r.finishJobs(st.Jobs)
-	} else {
-		res.Status, res.Model = m.result.Status, m.result.Model
-		res.CoverageUnits, res.Coverage = st.Jobs[0].Units, st.Jobs[0].Coverage
 	}
 	r.sample(0) // every run ends with the client count collapsing to zero
 	// Solved before the batch allocation arrived: withdraw the job
@@ -1123,32 +1080,5 @@ func (r *runner) finish(outcome SimOutcome) {
 	if outcome == OutcomeSolved && r.batchJob != nil && r.batchJob.State == grid.JobQueued {
 		r.batchSys.Cancel(r.batchJob)
 		res.BatchCanceled = true
-	}
-}
-
-// finishJobs freezes per-job outcomes into the result (multi-job runs).
-func (r *runner) finishJobs(rows []JobSnapshot) {
-	firstSubmit, lastFinish := -1.0, 0.0
-	for _, row := range rows {
-		j := r.m.jobs[row.ID]
-		r.res.Jobs = append(r.res.Jobs, SimJobResult{
-			ID:             row.ID,
-			Name:           row.Name,
-			Verdict:        row.Verdict,
-			Status:         j.status,
-			Model:          j.model,
-			SubmitVSec:     row.SubmittedAt,
-			StartVSec:      row.StartedAt,
-			FinishVSec:     row.FinishedAt,
-			TurnaroundVSec: row.TurnaroundSec,
-			Coverage:       row.Coverage,
-		})
-		if firstSubmit < 0 || row.SubmittedAt < firstSubmit {
-			firstSubmit = row.SubmittedAt
-		}
-		lastFinish = max(lastFinish, row.FinishedAt)
-	}
-	if firstSubmit >= 0 && lastFinish > firstSubmit {
-		r.res.MakespanVSec = lastFinish - firstSubmit
 	}
 }

@@ -75,7 +75,7 @@ func TestParallelDESIsTheSerialDES(t *testing.T) {
 			cfg.Batch = &BatchPlan{Nodes: 8, WalltimeVSec: 100_000, MeanQueueWaitVSec: 15}
 			return cfg
 		}, func(t *testing.T, res SimResult, _ []trace.FEvent) {
-			if res.Migrations == 0 {
+			if res.State.Migrations == 0 {
 				t.Fatal("config no longer migrates; pick one that does")
 			}
 		}},
@@ -93,7 +93,7 @@ func TestParallelDESIsTheSerialDES(t *testing.T) {
 			cfg.MaxClients = 2
 			return cfg
 		}, func(t *testing.T, res SimResult, _ []trace.FEvent) {
-			if doomed := res.Jobs[2]; doomed.Verdict != "CANCELLED" || doomed.StartVSec == 0 {
+			if doomed := res.State.Jobs[2]; doomed.Verdict != "CANCELLED" || doomed.StartedAt == 0 {
 				t.Fatalf("doomed job %+v; pick a config that cancels a job that is computing", doomed)
 			}
 		}},

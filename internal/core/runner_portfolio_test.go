@@ -31,8 +31,8 @@ func TestRunDistributedPortfolioUNSATCoverageExact(t *testing.T) {
 	if res.Threads != 4 {
 		t.Fatalf("Threads = %d, want 4", res.Threads)
 	}
-	if res.CoverageUnits != coverageFull {
-		t.Fatalf("coverage %d units, want exactly %d", res.CoverageUnits, coverageFull)
+	if res.State.Jobs[0].Units != coverageFull {
+		t.Fatalf("coverage %d units, want exactly %d", res.State.Jobs[0].Units, coverageFull)
 	}
 	if res.PoolPublished == 0 {
 		t.Fatal("portfolio run published nothing to the in-host pool")
@@ -69,9 +69,9 @@ func TestRunDistributedPortfolioAgainstBrute(t *testing.T) {
 func TestRunDistributedPortfolioDeterministic(t *testing.T) {
 	a := RunDistributed(portfolioDESConfig(gen.Pigeonhole(8), 4))
 	b := RunDistributed(portfolioDESConfig(gen.Pigeonhole(8), 4))
-	if a.Status != b.Status || a.VSec != b.VSec || a.Splits != b.Splits ||
-		a.Shared != b.Shared || a.TotalProps != b.TotalProps ||
-		a.CoverageUnits != b.CoverageUnits ||
+	if a.Status != b.Status || a.VSec != b.VSec || a.State.Splits != b.State.Splits ||
+		a.State.Shared != b.State.Shared || a.TotalProps != b.TotalProps ||
+		a.State.Jobs[0].Units != b.State.Jobs[0].Units ||
 		a.PoolPublished != b.PoolPublished || a.PoolDelivered != b.PoolDelivered ||
 		a.PoolLost != b.PoolLost || a.PoolDropped != b.PoolDropped {
 		t.Fatalf("nondeterministic portfolio DES:\n%+v\nvs\n%+v", a, b)
@@ -118,7 +118,7 @@ func TestRunDistributedThreadsOneBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res0.VSec != res1.VSec || res0.TotalProps != res1.TotalProps ||
-		res0.Splits != res1.Splits || res0.Shared != res1.Shared {
+		res0.State.Splits != res1.State.Splits || res0.State.Shared != res1.State.Shared {
 		t.Fatalf("-threads=1 diverged from single-solver runner:\n%+v\nvs\n%+v", res0, res1)
 	}
 	if res1.PoolPublished != 0 {
@@ -149,11 +149,11 @@ func TestRunDistributedPortfolioMigration(t *testing.T) {
 	if res.Outcome != OutcomeSolved {
 		t.Fatalf("got %v", res.Outcome)
 	}
-	if res.Migrations == 0 {
+	if res.State.Migrations == 0 {
 		t.Error("no migrations despite dominant idle batch nodes")
 	}
-	if res.Status != solver.StatusUNSAT || res.CoverageUnits != coverageFull {
-		t.Fatalf("verdict %v, coverage %d units", res.Status, res.CoverageUnits)
+	if res.Status != solver.StatusUNSAT || res.State.Jobs[0].Units != coverageFull {
+		t.Fatalf("verdict %v, coverage %d units", res.Status, res.State.Jobs[0].Units)
 	}
 }
 
@@ -167,7 +167,7 @@ func TestRunDistributedPortfolioCrashRecovery(t *testing.T) {
 	if res.Outcome != OutcomeSolved || res.Status != solver.StatusUNSAT {
 		t.Fatalf("got %v/%v", res.Outcome, res.Status)
 	}
-	if res.CoverageUnits != coverageFull {
-		t.Fatalf("coverage %d units after crash recovery, want %d", res.CoverageUnits, coverageFull)
+	if res.State.Jobs[0].Units != coverageFull {
+		t.Fatalf("coverage %d units after crash recovery, want %d", res.State.Jobs[0].Units, coverageFull)
 	}
 }

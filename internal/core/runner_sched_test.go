@@ -2,6 +2,7 @@ package core
 
 import (
 	"os"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -36,15 +37,15 @@ func schedSATFormula(t *testing.T) *cnf.Formula {
 	return f
 }
 
-func jobByID(t *testing.T, res SimResult, id int) SimJobResult {
+func jobByID(t *testing.T, res SimResult, id int) JobSnapshot {
 	t.Helper()
-	for _, jr := range res.Jobs {
+	for _, jr := range res.State.Jobs {
 		if jr.ID == id {
 			return jr
 		}
 	}
-	t.Fatalf("no result for job %d in %+v", id, res.Jobs)
-	return SimJobResult{}
+	t.Fatalf("no row for job %d in %+v", id, res.State.Jobs)
+	return JobSnapshot{}
 }
 
 // TestRunDistributedTwoConcurrentJobs is the DES half of the multi-job
@@ -61,10 +62,10 @@ func TestRunDistributedTwoConcurrentJobs(t *testing.T) {
 	cfg.Master.Flight = fl
 	res := RunDistributed(cfg)
 	if res.Outcome != OutcomeSolved {
-		t.Fatalf("outcome %v, want solved (jobs: %+v)", res.Outcome, res.Jobs)
+		t.Fatalf("outcome %v, want solved (jobs: %+v)", res.Outcome, res.State.Jobs)
 	}
-	if len(res.Jobs) != 2 {
-		t.Fatalf("got %d job results, want 2", len(res.Jobs))
+	if len(res.State.Jobs) != 2 {
+		t.Fatalf("got %d job rows, want 2", len(res.State.Jobs))
 	}
 	j1, j2 := jobByID(t, res, 1), jobByID(t, res, 2)
 	if j1.Verdict != "UNSAT" {
@@ -73,16 +74,13 @@ func TestRunDistributedTwoConcurrentJobs(t *testing.T) {
 	if j2.Verdict != "SAT" {
 		t.Fatalf("job 2 verdict %q, want SAT", j2.Verdict)
 	}
-	if err := sat.Verify(j2.Model); err != nil {
-		t.Fatalf("job 2 model does not satisfy its formula: %v", err)
+	if !modelSatisfies(sat, j2.Model) {
+		t.Fatalf("job 2 model does not satisfy its formula: %v", j2.Model)
 	}
 	// Both jobs ran concurrently: job 2 started before job 1 finished.
-	if j2.StartVSec >= j1.FinishVSec {
+	if j2.StartedAt >= j1.FinishedAt {
 		t.Fatalf("jobs never overlapped: job 2 started at %v, job 1 finished at %v",
-			j2.StartVSec, j1.FinishVSec)
-	}
-	if res.MakespanVSec <= 0 {
-		t.Fatal("makespan not recorded")
+			j2.StartedAt, j1.FinishedAt)
 	}
 	// The flight log's job verdicts agree with the result.
 	verdicts := trace.JobVerdicts(fl.Events())
@@ -100,7 +98,7 @@ func TestRunDistributedSchedCancel(t *testing.T) {
 	}
 	res := RunDistributed(desSchedConfig(jobs, 200_000))
 	if res.Outcome != OutcomeSolved {
-		t.Fatalf("outcome %v (jobs: %+v)", res.Outcome, res.Jobs)
+		t.Fatalf("outcome %v (jobs: %+v)", res.Outcome, res.State.Jobs)
 	}
 	if v := jobByID(t, res, 1).Verdict; v != "CANCELLED" {
 		t.Fatalf("job 1 verdict %q, want CANCELLED", v)
@@ -128,12 +126,12 @@ func TestRunDistributedSchedDeterministic(t *testing.T) {
 	}
 	r1, e1 := mk()
 	r2, e2 := mk()
-	if r1.VSec != r2.VSec || len(r1.Jobs) != len(r2.Jobs) {
+	if r1.VSec != r2.VSec || len(r1.State.Jobs) != len(r2.State.Jobs) {
 		t.Fatalf("results diverge: %+v vs %+v", r1, r2)
 	}
-	for i := range r1.Jobs {
-		if r1.Jobs[i].Verdict != r2.Jobs[i].Verdict || r1.Jobs[i].FinishVSec != r2.Jobs[i].FinishVSec {
-			t.Fatalf("job %d diverges: %+v vs %+v", i, r1.Jobs[i], r2.Jobs[i])
+	for i := range r1.State.Jobs {
+		if r1.State.Jobs[i].Verdict != r2.State.Jobs[i].Verdict || r1.State.Jobs[i].FinishedAt != r2.State.Jobs[i].FinishedAt {
+			t.Fatalf("job %d diverges: %+v vs %+v", i, r1.State.Jobs[i], r2.State.Jobs[i])
 		}
 	}
 	if len(e1) != len(e2) {
@@ -160,8 +158,8 @@ func TestRunDistributedSingleJobUnchanged(t *testing.T) {
 	if res.Outcome != OutcomeSolved || res.Status != solver.StatusUNSAT {
 		t.Fatalf("got %v/%v", res.Outcome, res.Status)
 	}
-	if res.Jobs != nil {
-		t.Fatalf("one-shot run grew per-job results: %+v", res.Jobs)
+	if len(res.State.Jobs) != 1 || res.State.Jobs[0].ID != 0 {
+		t.Fatalf("one-shot run's job rows %+v, want job 0 alone", res.State.Jobs)
 	}
 	var got []trace.FEvent
 	var lifecycle []string
@@ -221,15 +219,22 @@ func TestOneShotIsAOneJobService(t *testing.T) {
 				cfg.Master.Formula = nil
 				cfg.Jobs = []SimJob{{Name: inst.name, Formula: inst.formula, Priority: 1}}
 				svc := RunDistributed(cfg)
-				if len(svc.Jobs) != 1 || shot.Jobs != nil {
-					t.Fatalf("per-job rows: one-shot %+v, service %+v", shot.Jobs, svc.Jobs)
+				if len(svc.State.Jobs) != 1 || len(shot.State.Jobs) != 1 {
+					t.Fatalf("job rows: one-shot %+v, service %+v", shot.State.Jobs, svc.State.Jobs)
 				}
-				job := svc.Jobs[0]
-				if shot.Outcome != OutcomeSolved || svc.Outcome != OutcomeSolved || job.Status != shot.Status ||
-					job.Verdict != shot.Status.String() {
-					t.Fatalf("one-shot %v/%v, service %v/%v (%q)", shot.Outcome, shot.Status, svc.Outcome, job.Status, job.Verdict)
+				// The job's row is the same row, field by field, bar who it is.
+				job, shotJob := svc.State.Jobs[0], shot.State.Jobs[0]
+				if job.ID != 1 || shotJob.ID != 0 || job.Name != inst.name || shotJob.Name != "" {
+					t.Fatalf("job identities: one-shot %d %q, service %d %q", shotJob.ID, shotJob.Name, job.ID, job.Name)
 				}
-				if shot.Status == solver.StatusSAT && inst.formula.Verify(job.Model) != nil {
+				job.ID, job.Name = shotJob.ID, shotJob.Name
+				if !reflect.DeepEqual(job, shotJob) {
+					t.Fatalf("job rows differ:\none-shot %+v\n service %+v", shotJob, job)
+				}
+				if shot.Outcome != OutcomeSolved || svc.Outcome != OutcomeSolved || job.Verdict != shot.Status.String() {
+					t.Fatalf("one-shot %v/%v, service %v/%q", shot.Outcome, shot.Status, svc.Outcome, job.Verdict)
+				}
+				if shot.Status == solver.StatusSAT && !modelSatisfies(inst.formula, job.Model) {
 					t.Fatal("the service's model does not satisfy the formula")
 				}
 				type totals struct {
@@ -237,10 +242,10 @@ func TestOneShotIsAOneJobService(t *testing.T) {
 					splits, shared, maxClients int
 					props                      int64
 				}
-				a := totals{shot.VSec, shot.Splits, shot.Shared, shot.MaxClients, shot.TotalProps}
-				b := totals{svc.VSec, svc.Splits, svc.Shared, svc.MaxClients, svc.TotalProps}
-				if a != b || job.FinishVSec != shot.VSec {
-					t.Fatalf("one-shot %+v\n service %+v (job finished at %v)", a, b, job.FinishVSec)
+				a := totals{shot.VSec, shot.State.Splits, shot.State.Shared, shot.MaxClients, shot.TotalProps}
+				b := totals{svc.VSec, svc.State.Splits, svc.State.Shared, svc.MaxClients, svc.TotalProps}
+				if a != b || job.FinishedAt != shot.VSec {
+					t.Fatalf("one-shot %+v\n service %+v (job finished at %v)", a, b, job.FinishedAt)
 				}
 				if !slices.Equal(shot.Timeline, svc.Timeline) {
 					t.Fatalf("timelines differ: %d points vs %d", len(shot.Timeline), len(svc.Timeline))
@@ -270,7 +275,7 @@ func TestRunDistributedAssignmentAtSliceBoundary(t *testing.T) {
 	cfg.Master.Flight = fl
 	res := RunDistributed(cfg)
 	if res.Outcome != OutcomeSolved {
-		t.Fatalf("outcome %v (jobs: %+v)", res.Outcome, res.Jobs)
+		t.Fatalf("outcome %v (jobs: %+v)", res.Outcome, res.State.Jobs)
 	}
 	for id := 1; id <= 2; id++ {
 		jr := jobByID(t, res, id)

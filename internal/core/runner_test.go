@@ -52,7 +52,7 @@ func TestSimSummaryIsPinned(t *testing.T) {
 			Client: ClientConfig{Threads: 1, ShareMaxLen: 10}, Seed: 1,
 		})
 		got := fmt.Sprintf("outcome=%s vsec=%.1f splits=%d shared=%d work=%d-props msgs=%d bytes=%d",
-			res.Outcome, res.VSec, res.Splits, res.Shared, res.TotalProps, res.Msgs, res.Bytes)
+			res.Outcome, res.VSec, res.State.Splits, res.State.Shared, res.TotalProps, res.Msgs, res.Bytes)
 		if got != row.want || res.Status != row.status || res.MaxClients != row.maxClients {
 			t.Errorf("sim summary moved:\n got %v max-clients=%d %s\nwant %v max-clients=%d %s",
 				res.Status, res.MaxClients, got, row.status, row.maxClients, row.want)
@@ -187,8 +187,8 @@ func TestRunDistributedDeterministic(t *testing.T) {
 	f := gen.Pigeonhole(8)
 	a := RunDistributed(desConfig(f, 10_000))
 	b := RunDistributed(desConfig(f, 10_000))
-	if a.VSec != b.VSec || a.Splits != b.Splits || a.MaxClients != b.MaxClients ||
-		a.Shared != b.Shared || a.TotalProps != b.TotalProps {
+	if a.VSec != b.VSec || a.State.Splits != b.State.Splits || a.MaxClients != b.MaxClients ||
+		a.State.Shared != b.State.Shared || a.TotalProps != b.TotalProps {
 		t.Fatalf("nondeterministic DES: %+v vs %+v", a, b)
 	}
 }
@@ -204,13 +204,13 @@ func TestRunDistributedSplitsOnHardInstance(t *testing.T) {
 	if res.Outcome != OutcomeSolved {
 		t.Fatalf("got %v", res.Outcome)
 	}
-	if res.Splits == 0 || res.MaxClients < 2 {
-		t.Fatalf("no parallelism: splits=%d maxClients=%d", res.Splits, res.MaxClients)
+	if res.State.Splits == 0 || res.MaxClients < 2 {
+		t.Fatalf("no parallelism: splits=%d maxClients=%d", res.State.Splits, res.MaxClients)
 	}
 	if res.MaxClients > 34 {
 		t.Fatalf("max clients %d exceeds the 34-host testbed", res.MaxClients)
 	}
-	if res.Shared == 0 {
+	if res.State.Shared == 0 {
 		t.Fatal("no clauses shared")
 	}
 }
@@ -241,7 +241,7 @@ func TestRunDistributedSpeedupOnHardUNSAT(t *testing.T) {
 		t.Errorf("no speedup: seq=%.1f vsec dist=%.1f vsec", seq.VSec, dist.VSec)
 	}
 	t.Logf("seq=%.1f dist=%.1f speedup=%.2f maxClients=%d splits=%d shared=%d",
-		seq.VSec, dist.VSec, seq.VSec/dist.VSec, dist.MaxClients, dist.Splits, dist.Shared)
+		seq.VSec, dist.VSec, seq.VSec/dist.VSec, dist.MaxClients, dist.State.Splits, dist.State.Shared)
 }
 
 func TestRunDistributedSlowdownOnSymmetricInstance(t *testing.T) {
@@ -256,8 +256,8 @@ func TestRunDistributedSlowdownOnSymmetricInstance(t *testing.T) {
 	if seq.Outcome != OutcomeSolved || dist.Outcome != OutcomeSolved {
 		t.Fatalf("outcomes: seq=%v dist=%v", seq.Outcome, dist.Outcome)
 	}
-	t.Logf("seq=%.1f dist=%.1f ratio=%.2f splits=%d", seq.VSec, dist.VSec, seq.VSec/dist.VSec, dist.Splits)
-	if dist.Splits == 0 {
+	t.Logf("seq=%.1f dist=%.1f ratio=%.2f splits=%d", seq.VSec, dist.VSec, seq.VSec/dist.VSec, dist.State.Splits)
+	if dist.State.Splits == 0 {
 		t.Error("expected heavy splitting on the symmetric instance")
 	}
 }
@@ -416,7 +416,7 @@ func TestRunDistributedMigration(t *testing.T) {
 	if res.Outcome != OutcomeSolved {
 		t.Fatalf("got %v", res.Outcome)
 	}
-	if res.Migrations == 0 {
+	if res.State.Migrations == 0 {
 		t.Error("no migrations despite dominant idle batch nodes")
 	}
 }
@@ -598,8 +598,8 @@ func TestLiveAndSimulatedRuntimesAgree(t *testing.T) {
 	cfg.Client.MinRunTime = vsecDuration(2)
 	cfg.Master.Flight = simFlight
 	sim := RunDistributed(cfg)
-	if sim.Outcome != OutcomeSolved || sim.Status != solver.StatusUNSAT || sim.CoverageUnits != coverageFull {
-		t.Fatalf("DES: %v/%v, %d coverage units", sim.Outcome, sim.Status, sim.CoverageUnits)
+	if sim.Outcome != OutcomeSolved || sim.Status != solver.StatusUNSAT || sim.State.Jobs[0].Units != coverageFull {
+		t.Fatalf("DES: %v/%v, %d coverage units", sim.Outcome, sim.Status, sim.State.Jobs[0].Units)
 	}
 	liveFlight := trace.NewFlight(nil)
 	live, err := Solve(f, JobConfig{
@@ -628,3 +628,7 @@ func TestLiveAndSimulatedRuntimesAgree(t *testing.T) {
 		}
 	}
 }
+
+// vsecDuration converts virtual seconds to the time.Duration that
+// ClientConfig.MinRunTime holds them in under the DES.
+func vsecDuration(v float64) time.Duration { return time.Duration(v * float64(time.Second)) }

@@ -86,11 +86,8 @@ func (m *Master) submit(name string, f *cnf.Formula, priority int) (int, error) 
 
 // admit queues f as job id, submitted now.
 func (m *Master) admit(id int, name string, f *cnf.Formula, priority int) {
-	m.jobs[id] = &masterJob{
-		Job: &Job{ID: id, Name: name, Priority: priority, Formula: f,
-			State: JobQueued, SubmittedAt: m.now()},
-		seenShared: newClauseWindow(shareWindowCap),
-	}
+	m.jobs[id] = &masterJob{ID: id, Name: name, Priority: priority, Formula: f,
+		State: JobQueued, SubmittedAt: m.now(), seenShared: newClauseWindow(shareWindowCap)}
 	m.jobOrder = append(m.jobOrder, id)
 	m.femit(trace.FEvent{Kind: trace.FEvJobSubmit, Job: id, Detail: name, N: int64(priority)})
 	m.log.Info("job submitted", "job", id, "name", name, "priority", priority,
@@ -226,7 +223,7 @@ func (m *Master) finishJob(j *masterJob, status solver.Status, model cnf.Assignm
 	j.observeEnd(&m.met)
 	m.femit(trace.FEvent{Kind: trace.FEvJobDone, Job: j.ID, Detail: status.String()})
 	m.log.Info("job finished", "job", j.ID, "verdict", status,
-		"turnaround", j.TurnaroundSec())
+		"turnaround", j.FinishedAt-j.SubmittedAt)
 	if status == solver.StatusUnknown && m.cfg.BundleDir != "" {
 		// A job that ends without a verdict (lost client, invalid model)
 		// is exactly what a postmortem bundle is for.

@@ -88,9 +88,6 @@ type shareAggregator struct {
 	flushEvery float64
 	lastFlush  float64
 	window     *clauseWindow
-
-	dedupHits int64 // clauses suppressed as already seen
-	overflow  int64 // clauses dropped from a full pending batch
 }
 
 // A client flushes its aggregator once shareFlushCount fresh clauses are
@@ -103,7 +100,7 @@ const (
 
 // newShareAggregator builds an aggregator with the given flush policy; a
 // pendingMax below flushCount means 64 batches' worth.
-func newShareAggregator(flushCount int, flushEvery float64, windowCap, pendingMax int, now float64) *shareAggregator {
+func newShareAggregator(flushCount int, flushEvery float64, pendingMax int, now float64) *shareAggregator {
 	if pendingMax < flushCount {
 		pendingMax = 64 * flushCount
 	}
@@ -112,7 +109,7 @@ func newShareAggregator(flushCount int, flushEvery float64, windowCap, pendingMa
 		flushCount: flushCount,
 		flushEvery: flushEvery,
 		lastFlush:  now,
-		window:     newClauseWindow(windowCap),
+		window:     newClauseWindow(shareWindowCap),
 	}
 }
 
@@ -143,7 +140,6 @@ func (a *shareAggregator) Learn(c cnf.Clause, lbd int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if !a.window.Add(fp) {
-		a.dedupHits++
 		return
 	}
 	// Insert keeping the pending batch ranked best-first by (LBD, length).
@@ -156,7 +152,6 @@ func (a *shareAggregator) Learn(c cnf.Clause, lbd int) {
 		// Drop the worst-ranked pending clause — the tail of the batch.
 		a.pending[len(a.pending)-1] = pendingShare{}
 		a.pending = a.pending[:len(a.pending)-1]
-		a.overflow++
 	}
 }
 
@@ -177,11 +172,9 @@ func (a *shareAggregator) NoteReceived(cs []cnf.Clause) {
 	}
 	kept := a.pending[:0]
 	for _, p := range a.pending {
-		if _, dup := recv[p.c.Fingerprint()]; dup {
-			a.dedupHits++
-			continue
+		if _, dup := recv[p.c.Fingerprint()]; !dup {
+			kept = append(kept, p)
 		}
-		kept = append(kept, p)
 	}
 	for i := len(kept); i < len(a.pending); i++ {
 		a.pending[i] = pendingShare{}
@@ -224,19 +217,4 @@ func (a *shareAggregator) takeLocked(now float64) []cnf.Clause {
 	a.pending = nil
 	a.lastFlush = now
 	return out
-}
-
-// DedupHits returns the number of clauses suppressed by the receive
-// window.
-func (a *shareAggregator) DedupHits() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.dedupHits
-}
-
-// Overflow returns the number of clauses dropped from a full batch.
-func (a *shareAggregator) Overflow() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.overflow
 }

@@ -56,7 +56,7 @@ func clauseOfLen(start, n int) cnf.Clause {
 }
 
 func TestShareAggregatorFlushByCount(t *testing.T) {
-	a := newShareAggregator(3, 3600, 0, 0, 0)
+	a := newShareAggregator(3, 3600, 0, 0)
 	now := 0.0
 	a.Learn(cnf.NewClause(1, 2), 0)
 	a.Learn(cnf.NewClause(3, 4), 0)
@@ -74,7 +74,7 @@ func TestShareAggregatorFlushByCount(t *testing.T) {
 }
 
 func TestShareAggregatorFlushByInterval(t *testing.T) {
-	a := newShareAggregator(100, 0.010, 0, 0, 0)
+	a := newShareAggregator(100, 0.010, 0, 0)
 	start := 0.0
 	a.Learn(cnf.NewClause(1, 2), 0)
 	if got := a.TakeBatch(start); got != nil {
@@ -87,7 +87,7 @@ func TestShareAggregatorFlushByInterval(t *testing.T) {
 }
 
 func TestShareAggregatorShortestFirst(t *testing.T) {
-	a := newShareAggregator(100, 3600, 0, 0, 0)
+	a := newShareAggregator(100, 3600, 0, 0)
 	a.Learn(clauseOfLen(1, 5), 0)
 	a.Learn(clauseOfLen(10, 2), 0)
 	a.Learn(clauseOfLen(20, 8), 0)
@@ -104,42 +104,32 @@ func TestShareAggregatorShortestFirst(t *testing.T) {
 }
 
 func TestShareAggregatorOverflowDropsLongest(t *testing.T) {
-	a := newShareAggregator(2, 3600, 0, 2, 0)
+	a := newShareAggregator(2, 3600, 2, 0)
 	a.Learn(clauseOfLen(1, 6), 0) // the long one — should be evicted
 	a.Learn(clauseOfLen(10, 2), 0)
 	a.Learn(clauseOfLen(20, 3), 0)
-	if a.Overflow() != 1 {
-		t.Fatalf("overflow = %d, want 1", a.Overflow())
-	}
 	got := a.Drain(0)
-	if len(got) != 2 {
-		t.Fatalf("kept %d clauses, want 2", len(got))
-	}
-	for _, c := range got {
-		if len(c) == 6 {
-			t.Fatal("the longest clause survived overflow; the shortest should win")
-		}
+	if len(got) != 2 || len(got[0]) != 2 || len(got[1]) != 3 {
+		t.Fatalf("batch after overflow = %v, want the 2- and 3-literal clauses, shortest first", got)
 	}
 }
 
 func TestShareAggregatorDedupAndPrune(t *testing.T) {
-	a := newShareAggregator(100, 3600, 0, 0, 0)
+	a := newShareAggregator(100, 3600, 0, 0)
 	c1, c2 := cnf.NewClause(1, 2), cnf.NewClause(3, 4, 5)
 	a.Learn(c1, 0)
-	a.Learn(c2, 0)
 	// Learning the same clause again is suppressed by the window.
 	a.Learn(cnf.NewClause(2, 1), 0)
-	if a.DedupHits() != 1 {
-		t.Fatalf("dedup hits = %d after relearn, want 1", a.DedupHits())
+	if got := a.Drain(0); len(got) != 1 || got[0].Key() != c1.Key() {
+		t.Fatalf("batch after relearn = %v, want just %v", got, c1)
 	}
-	// A peer sends us c2: it must be pruned from pending and never re-learned.
+	// A peer sends us c2 while it is pending: it must be pruned from the
+	// batch and never re-learned.
+	a.Learn(c1.Clone(), 0)
+	a.Learn(c2, 0)
 	a.NoteReceived([]cnf.Clause{cnf.NewClause(5, 4, 3)})
-	if a.DedupHits() != 2 {
-		t.Fatalf("dedup hits = %d after NoteReceived prune, want 2", a.DedupHits())
-	}
-	got := a.Drain(0)
-	if len(got) != 1 || got[0].Key() != c1.Key() {
-		t.Fatalf("pending after prune = %v, want just %v", got, c1)
+	if got := a.Drain(0); got != nil {
+		t.Fatalf("pending after prune = %v, want nothing (c1 already shared, c2 received)", got)
 	}
 	a.Learn(cnf.NewClause(3, 4, 5), 0)
 	if got := a.Drain(0); got != nil {
@@ -530,14 +520,14 @@ func TestMasterShareRelayPicksRecipientsFirst(t *testing.T) {
 			admitted := fl.Len() // job 0's submit event
 
 			m.handleShare(sender, batch(0))
-			if got := m.result.SharedClauses; got != batchLen {
+			if got := m.shared; got != batchLen {
 				t.Fatalf("shared counter = %d, want %d", got, batchLen)
 			}
 			if evs := fl.Events()[admitted:]; len(evs) != 1 || evs[0].Kind != trace.FEvShareRelay || evs[0].N != batchLen {
 				t.Fatalf("flight log after one batch: %+v", evs)
 			}
 			m.handleShare(sender, batch(0)) // all duplicates now
-			if m.result.SharedClauses != batchLen || fl.Len() != admitted+1 {
+			if m.shared != batchLen || fl.Len() != admitted+1 {
 				t.Fatal("a replayed batch got past the dedup window")
 			}
 			if len(outbox) != holders-1 {

@@ -13,8 +13,9 @@ import (
 // — GET /status serves it verbatim, GET /jobs is its Jobs, the sampler
 // reduces one per tick to the Sample that the watchdog, GET /history and the
 // dashboard sparklines read, a bundle's state.json freezes one, `gridsat
-// top` renders one, and Result, Report and SimResult take their totals from
-// the last one — so no two surfaces can disagree about what "busy" or
+// top` renders one — and the last one, built by finishResult, is the body
+// of both run records (Result.State, SimResult.State) and of -report's
+// "state" key, so no two surfaces can disagree about what "busy" or
 // "coverage" means.
 type ClusterState struct {
 	// WallSeconds is the master clock at the snapshot (wall seconds since
@@ -125,9 +126,9 @@ func (m *Master) state() ClusterState {
 		Reserved:      t.reserved,
 		MemBytes:      t.memBytes,
 		ConflictRate:  t.confRate,
-		Splits:        m.result.Splits,
-		Migrations:    m.result.Migrations,
-		Shared:        m.result.SharedClauses,
+		Splits:        m.splits,
+		Migrations:    m.migrations,
+		Shared:        m.shared,
 		SharedDropped: m.sharedDropped,
 		ETASeconds:    -1,
 		SolverDeltas:  m.clusterAgg,
@@ -274,9 +275,10 @@ func (m *Master) tally() poolTally {
 	return t
 }
 
-// snapshot builds the job's external row around its load.
+// snapshot builds the job's external row around its load: its lifecycle
+// timestamps and the SLO phases each pair of them spans (zero until the
+// phase ends).
 func (j *masterJob) snapshot(load jobLoad) JobSnapshot {
-	lat := jobLatency(j.Job)
 	snap := JobSnapshot{
 		ID:            j.ID,
 		Name:          j.Name,
@@ -288,12 +290,18 @@ func (j *masterJob) snapshot(load jobLoad) JobSnapshot {
 		StartedAt:     j.StartedAt,
 		FirstAssignAt: j.FirstAssignAt,
 		FinishedAt:    j.FinishedAt,
-		QueueWaitSec:  lat.QueueWaitSec,
-		SolveSec:      lat.SolveSec,
-		TurnaroundSec: lat.TurnaroundSec,
 		Coverage:      j.prog.Fraction(),
 		Units:         j.prog.Units(),
 		ConflictRate:  load.rate,
+	}
+	if j.StartedAt > 0 {
+		snap.QueueWaitSec = j.StartedAt - j.SubmittedAt
+	}
+	if j.FinishedAt > 0 {
+		if j.StartedAt > 0 {
+			snap.SolveSec = j.FinishedAt - j.StartedAt
+		}
+		snap.TurnaroundSec = j.FinishedAt - j.SubmittedAt
 	}
 	switch {
 	case j.State == JobCancelled:
@@ -309,10 +317,21 @@ func (j *masterJob) snapshot(load jobLoad) JobSnapshot {
 // a SAT verdict's assignment. Event-loop only.
 func (m *Master) jobSnapshot(j *masterJob, withModel bool) JobSnapshot {
 	snap := j.snapshot(m.tally().load(j.ID))
-	if withModel && snap.Verdict == "SAT" {
-		for _, l := range j.model.TrueLits() {
-			snap.Model = append(snap.Model, l.DIMACS())
-		}
+	if withModel {
+		snap.Model = j.modelLits()
 	}
 	return snap
+}
+
+// modelLits renders a SAT verdict's assignment as DIMACS literals (nil for
+// any other verdict).
+func (j *masterJob) modelLits() []int {
+	if j.status != solver.StatusSAT {
+		return nil
+	}
+	var lits []int
+	for _, l := range j.model.TrueLits() {
+		lits = append(lits, l.DIMACS())
+	}
+	return lits
 }

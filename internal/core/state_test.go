@@ -37,8 +37,8 @@ func bareMaster(t *testing.T, now *float64) *Master {
 // one connection still mid-registration.
 func populate(m *Master, nClients, nJobs int) {
 	for id := 1; id <= nJobs; id++ {
-		j := &masterJob{Job: &Job{ID: id, Name: fmt.Sprintf("job-%d", id), Priority: 1 + id%3,
-			State: JobState(id % 4), SubmittedAt: float64(id)}}
+		j := &masterJob{ID: id, Name: fmt.Sprintf("job-%d", id), Priority: 1 + id%3,
+			State: JobState(id % 4), SubmittedAt: float64(id)}
 		j.assigned = j.State != JobQueued || id%2 == 0
 		if j.State != JobQueued {
 			j.StartedAt, j.FirstAssignAt = j.SubmittedAt+1, j.SubmittedAt+2
@@ -77,7 +77,7 @@ func populate(m *Master, nClients, nJobs int) {
 			Imported: int64(id % 7), ImportedUseful: int64(id % 3)}
 		m.clusterAgg.Add(c.agg)
 	}
-	m.result.Splits, m.result.Migrations, m.result.SharedClauses = 3*nClients, nJobs, 17*nClients
+	m.splits, m.migrations, m.shared = 3*nClients, nJobs, 17*nClients
 	m.sharedDropped = int64(nClients / 2)
 	m.femit(trace.FEvent{Kind: trace.FEvRunStart})
 }
@@ -429,8 +429,8 @@ func TestPublishIsTheState(t *testing.T) {
 			Learnts: 7 * id, Depth: id % 5, Deltas: comm.SolverDeltas{Decisions: int64(id), Conflicts: 3,
 				Propagations: 900, Learned: 2, ReclaimedBytes: 64, Imported: 5, ImportedUseful: 1}})
 	}
-	m.result.Splits++
-	m.result.SharedClauses += 4
+	m.splits++
+	m.shared += 4
 	m.sharedDropped++
 	now++
 	m.sampleTick()

@@ -58,12 +58,12 @@ func TestRunDistributedDilemmaUNSATCoverageExact(t *testing.T) {
 			if res.Outcome != OutcomeSolved || res.Status != solver.StatusUNSAT {
 				t.Fatalf("got %v/%v", res.Outcome, res.Status)
 			}
-			if res.Splits == 0 {
+			if res.State.Splits == 0 {
 				t.Fatal("run never split")
 			}
-			if res.CoverageUnits != coverageFull || res.Coverage != 1.0 {
+			if res.State.Jobs[0].Units != coverageFull || res.State.Jobs[0].Coverage != 1.0 {
 				t.Fatalf("coverage = %v (%d units), want exactly 1.0 (%d units)",
-					res.Coverage, res.CoverageUnits, coverageFull)
+					res.State.Jobs[0].Coverage, res.State.Jobs[0].Units, coverageFull)
 			}
 		})
 	}
@@ -158,9 +158,9 @@ func TestRunDistributedStrategyDeterministic(t *testing.T) {
 	for _, strategy := range []string{"dilemma", "dilemma-veto"} {
 		a := RunDistributed(dilemmaDESConfig(strategy))
 		b := RunDistributed(dilemmaDESConfig(strategy))
-		if a.VSec != b.VSec || a.Splits != b.Splits || a.MaxClients != b.MaxClients ||
-			a.Shared != b.Shared || a.TotalProps != b.TotalProps ||
-			a.CoverageUnits != b.CoverageUnits {
+		if a.VSec != b.VSec || a.State.Splits != b.State.Splits || a.MaxClients != b.MaxClients ||
+			a.State.Shared != b.State.Shared || a.TotalProps != b.TotalProps ||
+			a.State.Jobs[0].Units != b.State.Jobs[0].Units {
 			t.Fatalf("%s: nondeterministic DES: %+v vs %+v", strategy, a, b)
 		}
 	}

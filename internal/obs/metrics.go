@@ -86,9 +86,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// Bounds returns the configured bucket upper bounds (without +Inf).
-func (h *Histogram) Bounds() []float64 { return h.bounds }
-
 // DefaultLatencyBounds covers microseconds to minutes, for wall-clock
 // latencies measured in seconds.
 func DefaultLatencyBounds() []float64 {
