@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -13,7 +14,11 @@ import (
 	"time"
 
 	"gridsat/internal/cnf"
+	"gridsat/internal/comm"
 	"gridsat/internal/core"
+	"gridsat/internal/gen"
+	"gridsat/internal/solver"
+	"gridsat/internal/trace"
 )
 
 // mode is one command's parse step and the flag set it parses with.
@@ -229,5 +234,81 @@ func TestSolveRefusesOverlongClause(t *testing.T) {
 	var pe *cnf.ParseError
 	if err := cmdSolve([]string{path}); !errors.As(err, &pe) || pe.Line != 2 {
 		t.Fatalf("gridsat solve: err = %v, want a ParseError on line 2", err)
+	}
+}
+
+// TestReportMatchesResult writes the -report file of a finished live run
+// and reads it back: every top-level key agrees with the Result, the run's
+// final ClusterState sits under "state" with the keys earlier reports kept
+// at the top level, and job rows carry no model.
+func TestReportMatchesResult(t *testing.T) {
+	fl := trace.NewFlight(nil)
+	cfg := core.JobConfig{Clients: 4, Timeout: time.Minute, Client: core.ClientConfig{
+		FreeMemBytes: 64 << 20, MinRunTime: 5 * time.Millisecond, SliceConflicts: 200,
+	}}
+	cfg.Master.Flight = fl
+	res, err := core.Solve(gen.Pigeonhole(8), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != solver.StatusUNSAT || len(res.State.Jobs) != 1 {
+		t.Fatalf("got %v with %d job rows, want UNSAT and job 0 alone", res.Status, len(res.State.Jobs))
+	}
+	res.State.Jobs[0].Model = []int{1, -2} // a SAT row's model stays out of the report
+	path := filepath.Join(t.TempDir(), "run.json")
+	if err := writeReport(path, "pigeonhole-8", res, fl); err != nil {
+		t.Fatal(err)
+	}
+	if res.State.Jobs[0].Model == nil {
+		t.Error("writeReport cleared the Result's own model")
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		Instance    string              `json:"instance"`
+		Status      string              `json:"status"`
+		WallSeconds float64             `json:"wall_seconds"`
+		MaxClients  int                 `json:"max_clients"`
+		Threads     int                 `json:"threads"`
+		Comm        comm.Totals         `json:"comm"`
+		Flight      trace.FlightSummary `json:"flight"`
+		State       struct {
+			Splits  *int             `json:"splits"`
+			Shared  *int             `json:"shared"`
+			Clients []map[string]any `json:"clients"`
+			Jobs    []map[string]any `json:"jobs"`
+		} `json:"state"`
+	}
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatalf("report is not JSON: %v", err)
+	}
+	if rep.Instance != "pigeonhole-8" || rep.Status != res.Status.String() || rep.WallSeconds <= 0 ||
+		rep.MaxClients != res.MaxClients || rep.Threads != res.Threads {
+		t.Errorf("report header %+v disagrees with the result", rep)
+	}
+	if !reflect.DeepEqual(rep.Comm, res.Comm) || rep.Comm.MsgsSent == 0 || rep.Comm.BytesSent == 0 {
+		t.Errorf("report comm %+v != result comm %+v", rep.Comm, res.Comm)
+	}
+	if rep.Flight.Events != int64(fl.Len()) || rep.Flight.Verdict != res.Status.String() {
+		t.Errorf("report flight %+v, want %d events ending %s", rep.Flight, fl.Len(), res.Status)
+	}
+	st := rep.State
+	if st.Splits == nil || *st.Splits != res.State.Splits || st.Shared == nil || *st.Shared != res.State.Shared ||
+		len(st.Clients) != len(res.State.Clients) || len(st.Jobs) != 1 {
+		t.Fatalf("report state %+v disagrees with the result's", st)
+	}
+	j0 := st.Jobs[0]
+	if j0["verdict"] != res.Status.String() {
+		t.Errorf("state.jobs[0].verdict = %v, want %s", j0["verdict"], res.Status)
+	}
+	for _, k := range []string{"first_assign_at", "queue_wait_sec", "solve_sec", "turnaround_sec"} {
+		if _, ok := j0[k]; !ok {
+			t.Errorf("state.jobs[0] has no %q key: %v", k, j0)
+		}
+	}
+	if _, ok := j0["model"]; ok {
+		t.Errorf("state.jobs[0] carries a model: %v", j0["model"])
 	}
 }
