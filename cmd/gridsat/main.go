@@ -695,6 +695,14 @@ func (c *simCmd) config(f *cnf.Formula, fl *trace.Flight) (core.RunnerConfig, er
 	return cfg, nil
 }
 
+// simSummary is sim's `c outcome=...` line: what the run cost in virtual
+// time, splits, shared clauses, propagations and modeled traffic.
+func simSummary(res core.SimResult) string {
+	return fmt.Sprintf("c outcome=%s vsec=%.1f max-clients=%d threads=%d splits=%d shared=%d work=%d-props msgs=%d bytes=%d",
+		res.Outcome, res.VSec, res.MaxClients, res.Threads, res.State.Splits, res.State.Shared, res.TotalProps,
+		res.Msgs, res.Bytes)
+}
+
 func cmdSim(args []string) error {
 	c, err := parseSim(args)
 	if err != nil {
@@ -746,9 +754,7 @@ func cmdSim(args []string) error {
 		fmt.Fprintf(os.Stderr, "gridsat: replay verified — re-run reproduced all %d flight events\n", fl.Len())
 	}
 	report(res.Status, res.Model, f)
-	fmt.Printf("c outcome=%s vsec=%.1f max-clients=%d threads=%d splits=%d shared=%d work=%d-props msgs=%d bytes=%d\n",
-		res.Outcome, res.VSec, res.MaxClients, res.Threads, res.State.Splits, res.State.Shared, res.TotalProps,
-		res.Msgs, res.Bytes)
+	fmt.Println(simSummary(res))
 	for _, a := range res.Alerts {
 		fmt.Printf("c alert rule=%s subject=%q vsec=%.1f detail=%q\n", a.Rule, a.Subject, a.TSec, a.Detail)
 	}

@@ -25,44 +25,9 @@ func desConfig(f *cnf.Formula, timeout float64) RunnerConfig {
 	}
 }
 
-// TestSimSummaryIsPinned holds `gridsat sim -threads 1 -testbed grads` to
-// the summary lines it printed at commit 16d7597 (PR 14) for Pigeonhole(8)
-// and at 836712f (PR 19) for bart15 — the run that saturates the 34-client
-// pool, ends SAT with 11 clients still busy (each gets one StopWork, the
-// only traffic PR 19 did not have: it printed msgs=12895 bytes=1165355) and
-// diverges at flight event 6691 if serveSplitBacklog skips its stale-entry
-// sweep when the job is at its target. Virtual time is charged per
-// propagation, so a solver change that alters the search by one step moves
-// these numbers; one that only makes steps cheaper cannot.
-func TestSimSummaryIsPinned(t *testing.T) {
-	bart15, _ := gen.ByName("bart15")
-	for _, row := range []struct {
-		formula    *cnf.Formula
-		status     solver.Status
-		maxClients int
-		want       string
-	}{
-		{gen.Pigeonhole(8), solver.StatusUNSAT, 3,
-			"outcome=solved vsec=239.5 splits=13 shared=5 work=261686-props msgs=366 bytes=48820"},
-		{bart15.Build(), solver.StatusSAT, 34,
-			"outcome=solved vsec=222.9 splits=96 shared=1928 work=2132250-props msgs=12906 bytes=1165399"},
-	} {
-		res := RunDistributed(RunnerConfig{
-			Grid: grid.TestbedGrADS(1), Master: MasterConfig{Formula: row.formula}, TimeoutVSec: 6000,
-			Client: ClientConfig{Threads: 1, ShareMaxLen: 10}, Seed: 1,
-		})
-		got := fmt.Sprintf("outcome=%s vsec=%.1f splits=%d shared=%d work=%d-props msgs=%d bytes=%d",
-			res.Outcome, res.VSec, res.State.Splits, res.State.Shared, res.TotalProps, res.Msgs, res.Bytes)
-		if got != row.want || res.Status != row.status || res.MaxClients != row.maxClients {
-			t.Errorf("sim summary moved:\n got %v max-clients=%d %s\nwant %v max-clients=%d %s",
-				res.Status, res.MaxClients, got, row.status, row.maxClients, row.want)
-		}
-	}
-}
-
 // TestDESWatchdogDefaultsArePinned holds the watchdog at its default
-// thresholds to what it fired on the bart15 row of TestSimSummaryIsPinned
-// at commit 86242e5: three rules over 34 clients on a 30-vsec monitor tick,
+// thresholds to what it fired on the `sim -threads 1 bart15` run of
+// cmd/gridsat's golden file at commit 86242e5: three rules over 34 clients on a 30-vsec monitor tick,
 // the heartbeat gaps on the slow uiuc-b hosts among them. The flight log
 // carries every FEvAnomaly, so its hash pins each alert's instant and
 // order; a change in how samples are retained cannot move one unseen.
