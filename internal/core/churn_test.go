@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -245,7 +246,7 @@ func TestRootNackIsRequeued(t *testing.T) {
 // otherwise the heartbeat-gap rule fires the moment it goes busy.
 func TestWatchSampleCountsSilenceFromAssignment(t *testing.T) {
 	m := newChurnMaster(t)
-	m.clients[1] = &masterClient{id: 1, addr: "a", busy: true, lastHBSec: 10, assignedAt: 100}
+	m.clients[1] = &masterClient{id: 1, addr: "a", busy: true, lastHBSec: 10, assignment: assignment{assignedAt: 100}}
 	m.order = []int{1}
 	m.now = func() float64 { return 105 }
 	st := m.state()
@@ -313,47 +314,150 @@ func TestClientLostRequeuesSalvage(t *testing.T) {
 	}
 }
 
-// TestSplitBacklogSweepsStaleHeadAtLimitZero: a pass that can place
-// nothing — no client is idle — must still drop the stale requests ahead of
-// the first live one. An entry left behind keeps its old AssignedAt; if its
-// client goes busy again before the next look, it splits the new subproblem
-// ahead of clients that have run longer (what moved bart15 at flight event
-// 6691 when a draft returned before sweeping).
-func TestSplitBacklogSweepsStaleHeadAtLimitZero(t *testing.T) {
-	now := 100.0
-	m := bareMaster(t, &now)
-	var sent []comm.Message
-	m.send = func(_ int, msg comm.Message) { sent = append(sent, msg) }
+// splitBench is a bare master with one job whose client table a test lays
+// out by hand, and the donor of every SplitAssign the master sends.
+type splitBench struct {
+	t       *testing.T
+	m       *Master
+	j       *masterJob
+	now     float64
+	assigns []int
+}
+
+func newSplitBench(t *testing.T) *splitBench {
+	b := &splitBench{t: t, now: 1}
+	b.m = bareMaster(t, &b.now)
+	b.m.send = func(to int, msg comm.Message) {
+		if _, ok := msg.(comm.SplitAssign); ok {
+			b.assigns = append(b.assigns, to)
+		}
+	}
 	f := cnf.NewFormula(2)
 	f.Add(1, 2)
-	id, err := m.submit("j", f, 1)
+	id, err := b.m.submit("j", f, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := m.jobs[id]
-	join := func() *masterClient {
-		c := m.clients[m.connect()]
-		c.addr, c.busy, c.job, c.freeMem = "a", true, id, 1<<20
-		return c
+	b.j = b.m.jobs[id]
+	b.j.assigned = true // the busy clients below hold its search space
+	return b
+}
+
+// busy adds a registered client that has worked on the job since
+// assignedAt.
+func (b *splitBench) busy(assignedAt float64) *masterClient {
+	c := b.m.clients[b.m.connect()]
+	c.addr, c.freeMem, c.busy, c.job = "a", 1<<20, true, b.j.ID
+	c.assignment = assignment{assignedAt: assignedAt}
+	return c
+}
+
+// step hands the master one event at time at.
+func (b *splitBench) step(at float64, ev masterEvent) {
+	b.t.Helper()
+	b.now = at
+	if done, err := b.m.handle(ev); done || err != nil {
+		b.t.Fatalf("client %d at %v: done=%v err=%v", ev.clientID, at, done, err)
 	}
-	gone, live, other := join(), join(), join()
-	gone.pendingSplit, live.pendingSplit = true, true
-	j.backlog = []BacklogEntry{
-		{ClientID: live.id, AssignedAt: 20, RequestedAt: 40},
-		{ClientID: gone.id, AssignedAt: 10, RequestedAt: 30}, // longest-running: the head
+}
+
+// ask delivers c's split request at time at.
+func (b *splitBench) ask(c *masterClient, at float64) {
+	b.t.Helper()
+	b.step(at, from(c.id, comm.SplitRequest{ClientID: c.id}))
+}
+
+// idle registers a fresh client, which serves the split backlog, and
+// returns the donors the master sent a SplitAssign meanwhile.
+func (b *splitBench) idle() []int {
+	b.t.Helper()
+	b.assigns = nil
+	id := b.m.connect()
+	b.step(b.now, from(id, comm.Register{Addr: "a", FreeMemBytes: 1 << 20, SpeedHint: 1}))
+	return b.assigns
+}
+
+// TestSplitBacklogServesLongestRunningFirst: §3.4's master gives "more
+// resources to those parts of the search space that take the longest" —
+// the requester assigned earliest is split first, then the one that asked
+// earliest, then the lowest ID.
+func TestSplitBacklogServesLongestRunningFirst(t *testing.T) {
+	b := newSplitBench(t)
+	c1, c2, c3, c4 := b.busy(50), b.busy(10), b.busy(10), b.busy(10)
+	b.ask(c1, 60)
+	b.ask(c3, 61)
+	b.ask(c4, 61)
+	b.ask(c2, 62)
+	if got := b.m.state().Backlog; got != 4 {
+		t.Fatalf("split backlog %d with nothing idle, want the 4 requests", got)
 	}
-	m.forget(gone.id) // its subproblem ended and it left; every other client is busy
-	m.serveSplitBacklog(j)
-	if len(j.backlog) != 1 || j.backlog[0].ClientID != live.id {
-		t.Fatalf("backlog after a pass with nothing idle: %+v, want only the live request", j.backlog)
+	var order []int
+	for range 4 {
+		order = append(order, b.idle()...)
 	}
-	if len(sent) != 0 || len(m.pendingSplits) != 0 || !live.pendingSplit {
-		t.Fatalf("a pass with nothing idle served something: sent %v, transfers %d", sent, len(m.pendingSplits))
+	if want := []int{c3.id, c4.id, c2.id, c1.id}; !slices.Equal(order, want) {
+		t.Fatalf("donors served %v, want %v", order, want)
 	}
-	// With a client idle the live request is served to it.
-	other.busy = false
-	m.serveSplitBacklog(j)
-	if len(j.backlog) != 0 || !other.reserved || len(sent) == 0 {
-		t.Fatalf("with client %d idle: backlog %+v, reserved=%v, sent %v", other.id, j.backlog, other.reserved, sent)
+	if got := b.idle(); len(got) != 0 || b.m.state().Backlog != 0 {
+		t.Fatalf("served requests served again: %v, backlog %d", got, b.m.state().Backlog)
+	}
+}
+
+// TestSplitBacklogIsTheLiveRequests: the backlog is read off the client
+// table, so a request whose client left or is being stopped is in nobody's
+// way and counts for nothing. A pass with no idle client serves nothing and
+// leaves the live requests standing; the next idle client goes to the
+// longest-running of them.
+func TestSplitBacklogIsTheLiveRequests(t *testing.T) {
+	b := newSplitBench(t)
+	gone, stopped, done, live := b.busy(10), b.busy(11), b.busy(12), b.busy(20)
+	for _, c := range []*masterClient{gone, stopped, done, live} {
+		b.ask(c, 30)
+	}
+	b.m.forget(gone.id)
+	b.m.stop(stopped)
+	b.m.serveBacklog()
+	if len(b.assigns) != 0 || len(b.m.pendingSplits) != 0 {
+		t.Fatalf("a pass with nothing idle served donors %v", b.assigns)
+	}
+	if got := b.m.state().Backlog; got != 2 {
+		t.Fatalf("split backlog %d, want the 2 requests of clients still working", got)
+	}
+	// done refutes its subproblem: its request ends with it, and it is the
+	// idle client the live request gets.
+	b.step(40, from(done.id, comm.Solved{Status: solver.StatusUNSAT, Depth: 1, Job: b.j.ID}))
+	if !slices.Equal(b.assigns, []int{live.id}) || !done.reserved {
+		t.Fatalf("donors served %v, client %d reserved=%v; want donor %d with it", b.assigns, done.id, done.reserved, live.id)
+	}
+	if got := b.m.state().Backlog; got != 0 {
+		t.Fatalf("split backlog %d after the live request was served", got)
+	}
+}
+
+// TestSplitRequestEndsWithItsSubproblem: a client that refutes its
+// subproblem while its split request waits, and takes the next one, is not
+// split on the old request — it would split work nobody asked help with,
+// ahead of clients that have run longer. When it asks again, it waits its
+// turn by its new assignment.
+func TestSplitRequestEndsWithItsSubproblem(t *testing.T) {
+	b := newSplitBench(t)
+	c1, c2, c3 := b.busy(10), b.busy(15), b.busy(20)
+	b.ask(c1, 25)
+	b.j.subBacklog = append(b.j.subBacklog, backlogSub{sub: &solver.Subproblem{NumVars: 2, Depth: 1}, job: b.j.ID})
+	b.step(30, from(c1.id, comm.Solved{Status: solver.StatusUNSAT, Depth: 1, Job: b.j.ID}))
+	if !c1.busy || c1.assignedAt != 30 {
+		t.Fatalf("client %d busy=%v assigned at %v, want the queued subproblem at 30", c1.id, c1.busy, c1.assignedAt)
+	}
+	if got := b.m.state().Backlog; got != 0 {
+		t.Fatalf("split backlog %d: the request outlived its subproblem", got)
+	}
+	b.ask(c2, 35)
+	if got := b.idle(); !slices.Equal(got, []int{c2.id}) {
+		t.Fatalf("donors served %v, want %d: the only request made for the work it is doing", got, c2.id)
+	}
+	b.ask(c1, 40)
+	b.ask(c3, 45)
+	if got := append(b.idle(), b.idle()...); !slices.Equal(got, []int{c3.id, c1.id}) {
+		t.Fatalf("donors served %v, want %d (assigned at 20) before %d (assigned at 30)", got, c3.id, c1.id)
 	}
 }

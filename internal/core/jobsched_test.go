@@ -129,8 +129,8 @@ func TestIdleClientsServeHigherPriorityFirst(t *testing.T) {
 	low := submit(1)
 	step("root accepted", from(a.id, comm.SplitDone{ClientID: a.id, OK: true}))
 	step("split request", from(a.id, comm.SplitRequest{ClientID: a.id}))
-	if !a.busy || a.job != low || len(m.jobs[low].backlog) != 1 {
-		t.Fatalf("setup: client %d busy=%v on job %d, job %d backlog %d", a.id, a.busy, a.job, low, len(m.jobs[low].backlog))
+	if !a.busy || a.job != low || m.state().Backlog != 1 {
+		t.Fatalf("setup: client %d busy=%v on job %d, split backlog %d", a.id, a.busy, a.job, m.state().Backlog)
 	}
 
 	// Two priority-2 jobs arrive; the busy client is left alone.

@@ -109,9 +109,8 @@ type masterClient struct {
 	freeMem      int64
 	usedMem      int64
 	busy         bool
-	reserved     bool    // chosen as split recipient; payload in flight
-	assignedAt   float64 // master clock seconds
-	pendingSplit bool    // has an unserved split request
+	reserved     bool // chosen as split recipient; payload in flight
+	assignment
 	// job is the job this client is (or was last) working for. The zero
 	// value names job 0 — see newMaster on what that does to a one-shot run.
 	job int
@@ -128,9 +127,6 @@ type masterClient struct {
 	// sentBase records which jobs' base formulas this client has cached, so
 	// the scheduler sends each BaseProblem at most once per client.
 	sentBase map[int]bool
-	// splitReqEv is the flight-log ID of the client's pending split
-	// request, the causal parent of the split-issue it produces.
-	splitReqEv uint64
 
 	// Live cluster view: totals summed from heartbeat deltas plus the
 	// latest gauges.
@@ -148,6 +144,26 @@ type masterClient struct {
 	// client's heartbeat (nil for single-threaded clients).
 	workers []comm.WorkerReport
 }
+
+// assignment is a client's current subproblem as the master sees it: when
+// it was handed out and, once the client asked for help with it, when it
+// asked. Handing the client a new subproblem replaces the whole value, so a
+// split request is only ever about the subproblem it was made for, and
+// nothing that ends a subproblem has to withdraw one.
+type assignment struct {
+	assignedAt float64 // master clock seconds
+	// splitAt is when the client asked to have this subproblem split; 0
+	// until it asks, and again once a split serves it. (Every request
+	// follows a solver slice, so none is made at time 0.)
+	splitAt float64
+	// splitReqEv is the request's flight-log ID, the causal parent of the
+	// split-issue that serves it.
+	splitReqEv uint64
+}
+
+// wantsSplit reports whether c's split request can be served: it asked
+// about the subproblem it holds, and it is not being stopped.
+func (c *masterClient) wantsSplit() bool { return c.splitAt > 0 && c.busy && !c.stopping }
 
 // splitGroup is one in-flight transfer: the donor splits and ships one
 // cofactor to each reserved recipient. A first-decision split reserves one
@@ -218,9 +234,9 @@ type masterEvent struct {
 }
 
 // masterJob is one SAT instance moving through the scheduler: its identity
-// and lifecycle, its split backlog, leftover cofactors, coverage estimator,
-// clause-dedup window and verdict. Who holds its subproblems is read off
-// the client table (see tally), not kept here.
+// and lifecycle, leftover cofactors, coverage estimator, clause-dedup
+// window and verdict. Who holds its subproblems, and which of them want
+// splitting, is read off the client table (see tally), not kept here.
 type masterJob struct {
 	ID       int
 	Name     string
@@ -235,9 +251,7 @@ type masterJob struct {
 	StartedAt     float64
 	FirstAssignAt float64
 	FinishedAt    float64
-	// backlog queues unserved split requests from this job's clients;
-	// subBacklog queues its root, leftover cofactors and salvage.
-	backlog    []BacklogEntry
+	// subBacklog queues the job's root, leftover cofactors and salvage.
 	subBacklog []backlogSub
 	// assigned is set once the root subproblem was queued for handing out.
 	assigned bool
@@ -690,17 +704,12 @@ func (m *Master) assignRoot(j *masterJob) {
 
 func (m *Master) handleSplitRequest(c *masterClient, msg comm.SplitRequest) {
 	j := m.jobOf(c)
-	if j == nil || !c.busy || c.pendingSplit || c.stopping {
+	if j == nil || !c.busy || c.stopping || c.splitAt > 0 {
 		return // idle clients cannot split; duplicates are ignored
 	}
-	c.pendingSplit = true
+	c.splitAt = m.now()
 	c.splitReqEv = m.femit(trace.FEvent{Kind: trace.FEvSplitRequest,
 		Client: c.id, Job: j.ID, Detail: msg.Why.String(), Parent: m.inTI.Parent})
-	j.backlog = append(j.backlog, BacklogEntry{
-		ClientID:    c.id,
-		AssignedAt:  c.assignedAt,
-		RequestedAt: m.now(),
-	})
 	m.serveBacklog()
 }
 
@@ -733,23 +742,27 @@ func (m *Master) serveBacklog() {
 	}
 }
 
-// serveSplitBacklog serves a job's queued split requests, longest-running
-// requester first. A request reserves up to the strategy's fanout in idle
-// recipients, so a dilemma donor can shed all its cofactors in one
-// exchange. Stale requests ahead of the first live one are dropped even
-// when no client is idle: an entry left behind keeps its AssignedAt and
-// would jump the queue if its client went busy again.
+// serveSplitBacklog serves a job's split requests, read off the client
+// table: the longest-running requester first — "giving more resources to
+// those parts of the search space that take the longest" (§3.4) — that is
+// the earliest assignment, then the earliest request, then the lowest ID.
+// A request reserves up to the strategy's fanout in idle recipients, so a
+// dilemma donor can shed all its cofactors in one exchange.
 func (m *Master) serveSplitBacklog(j *masterJob) {
 	for {
-		i := NextFromBacklog(j.backlog)
-		if i < 0 {
-			return
+		var donor *masterClient
+		for _, id := range m.order {
+			c := m.clients[id]
+			if c.job != j.ID || !c.wantsSplit() {
+				continue
+			}
+			if donor == nil || c.assignedAt < donor.assignedAt ||
+				(c.assignedAt == donor.assignedAt && c.splitAt < donor.splitAt) {
+				donor = c
+			}
 		}
-		donor := m.clients[j.backlog[i].ClientID]
-		if donor == nil || !donor.busy || donor.job != j.ID || donor.stopping {
-			// Requester vanished, finished, or was reassigned; drop the entry.
-			j.backlog = append(j.backlog[:i], j.backlog[i+1:]...)
-			continue
+		if donor == nil {
+			return
 		}
 		var peers []comm.SplitPeer
 		cands := m.idleCandidates()
@@ -774,8 +787,7 @@ func (m *Master) serveSplitBacklog(j *masterJob) {
 		if len(peers) == 0 {
 			return // nothing idle; keep waiting
 		}
-		j.backlog = append(j.backlog[:i], j.backlog[i+1:]...)
-		donor.pendingSplit = false
+		donor.splitAt = 0
 		m.nextSplitID++
 		g := &splitGroup{donor: donor.id, job: j.ID, settled: map[int]bool{},
 			assignedAt: m.now()}
@@ -810,7 +822,7 @@ func (m *Master) serveSubBacklog(j *masterJob) {
 			Job: j.ID, Subs: []*solver.Subproblem{entry.sub}})
 		c.busy = true
 		c.job = j.ID
-		c.assignedAt = m.now()
+		c.assignment = assignment{assignedAt: m.now()}
 		m.markStarted(j)
 		if entry.origin == fromRoot && j.FirstAssignAt == 0 {
 			j.FirstAssignAt = m.now()
@@ -911,7 +923,7 @@ func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) {
 			m.stop(c)
 		case msg.OK:
 			c.busy = true
-			c.assignedAt = m.now()
+			c.assignment = assignment{assignedAt: m.now()}
 			if g.migrate {
 				m.migrations++
 				m.femit(trace.FEvent{Kind: trace.FEvMigrate, Client: g.donor,
@@ -1016,7 +1028,6 @@ func (m *Master) handleSolved(c *masterClient, msg comm.Solved) {
 		return
 	}
 	c.busy = false
-	c.pendingSplit = false
 	c.stopping = false // a verdict beat any in-flight stop
 	if !j.State.Active() {
 		// The job ended (cancelled, or decided by a peer) while this client

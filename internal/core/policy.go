@@ -107,29 +107,3 @@ func PickSplitTarget(cands []Candidate, minMemBytes int64) (Candidate, bool) {
 	}
 	return cands[best], true
 }
-
-// BacklogEntry is a queued split request the master could not serve
-// immediately because every resource was busy (paper §3.4).
-type BacklogEntry struct {
-	ClientID int
-	// AssignedAt is when the requesting client started its current
-	// subproblem; the master serves the longest-running client first,
-	// "giving more resources to those parts of the search space that take
-	// the longest".
-	AssignedAt float64
-	// RequestedAt orders ties deterministically.
-	RequestedAt float64
-}
-
-// NextFromBacklog returns the index of the entry to serve next, or -1.
-func NextFromBacklog(backlog []BacklogEntry) int {
-	best := -1
-	for i, e := range backlog {
-		if best < 0 ||
-			e.AssignedAt < backlog[best].AssignedAt ||
-			(e.AssignedAt == backlog[best].AssignedAt && e.RequestedAt < backlog[best].RequestedAt) {
-			best = i
-		}
-	}
-	return best
-}

@@ -73,20 +73,6 @@ func TestPickSplitTargetTieBreak(t *testing.T) {
 	}
 }
 
-func TestNextFromBacklog(t *testing.T) {
-	if NextFromBacklog(nil) != -1 {
-		t.Fatal("empty backlog")
-	}
-	backlog := []BacklogEntry{
-		{ClientID: 1, AssignedAt: 50, RequestedAt: 1},
-		{ClientID: 2, AssignedAt: 10, RequestedAt: 3}, // longest-running
-		{ClientID: 3, AssignedAt: 10, RequestedAt: 2}, // tie: earlier request
-	}
-	if i := NextFromBacklog(backlog); backlog[i].ClientID != 3 {
-		t.Fatalf("picked client %d, want 3", backlog[i].ClientID)
-	}
-}
-
 func TestSplitWhyString(t *testing.T) {
 	if WhyMemory.String() != "memory" || WhyTimeout.String() != "timeout" || WhyNone.String() != "none" {
 		t.Error("SplitWhy strings wrong")

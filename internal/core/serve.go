@@ -130,7 +130,7 @@ func (m *Master) cancel(id int) error {
 // verdict, model and snapshot fields stay.
 func (j *masterJob) end(state JobState, now float64) {
 	j.State, j.FinishedAt = state, now
-	j.backlog, j.subBacklog = nil, nil
+	j.subBacklog = nil
 	j.Formula, j.seenShared = nil, nil
 }
 
@@ -202,7 +202,6 @@ func (m *Master) handleStopped(c *masterClient, msg comm.Stopped) {
 	// clears busy clears stopping), on the job the table says.
 	c.busy = false
 	c.stopping = false
-	c.pendingSplit = false
 	if j := m.jobOf(c); j != nil && j.State.Active() {
 		m.finishJob(j, solver.StatusUnknown, nil,
 			fmt.Errorf("core: client %d acknowledged a stop of job %d, which was still running", c.id, j.ID))

@@ -32,7 +32,7 @@ type ClusterState struct {
 	Reserved     int     `json:"reserved"`
 	MemBytes     int64   `json:"mem_bytes"`
 	ConflictRate float64 `json:"conflict_rate"`
-	// Backlog counts queued split requests, SubBacklog the subproblems the
+	// Backlog counts unserved split requests, SubBacklog the subproblems the
 	// master holds for the next idle client (roots, leftover cofactors,
 	// checkpoints), Outstanding every live subproblem (busy + in flight +
 	// queued), each summed over jobs.
@@ -126,6 +126,7 @@ func (m *Master) state() ClusterState {
 		Reserved:      t.reserved,
 		MemBytes:      t.memBytes,
 		ConflictRate:  t.confRate,
+		Backlog:       t.splitRequests,
 		Splits:        m.splits,
 		Migrations:    m.migrations,
 		Shared:        m.shared,
@@ -168,7 +169,6 @@ func (m *Master) state() ClusterState {
 	for _, id := range m.jobOrder {
 		j := m.jobs[id]
 		row := j.snapshot(t.load(id))
-		st.Backlog += len(j.backlog)
 		st.SubBacklog += len(j.subBacklog)
 		st.Outstanding += t.outstanding(j)
 		st.ClosedSubproblems += j.prog.Closed()
@@ -217,6 +217,7 @@ type jobLoad struct {
 // this job exhausted" cannot disagree with "who holds this job".
 type poolTally struct {
 	registered, busy, reserved int
+	splitRequests              int // clients whose split request is servable
 	memBytes                   int64
 	confRate                   float64   // summed over busy clients
 	loads                      []jobLoad // one per job a client is down for
@@ -267,6 +268,9 @@ func (m *Master) tally() poolTally {
 		}
 		if c.reserved {
 			t.reserved++
+		}
+		if c.wantsSplit() {
+			t.splitRequests++
 		}
 		if c.busy || c.reserved {
 			l.held++

@@ -52,7 +52,6 @@ func populate(m *Master, nClients, nJobs int) {
 		for d := 1; d <= id%4; d++ {
 			j.prog.CloseSubproblem(d+1, float64(10*id+d))
 		}
-		j.backlog = make([]BacklogEntry, id%3)
 		j.subBacklog = make([]backlogSub, id%2)
 		m.jobs[id] = j
 		m.jobOrder = append(m.jobOrder, id)
@@ -73,6 +72,9 @@ func populate(m *Master, nClients, nJobs int) {
 		c.usedMem, c.dbLearnts, c.depth = int64(id)<<20, 100*id, id%9
 		c.confRate = 37.5 * float64(id%11)
 		c.lastHBSec, c.assignedAt = float64(id%4), float64(id%6)
+		if id%4 != 0 {
+			c.splitAt = c.assignedAt + 1 // asked: counts while busy and not stopping
+		}
 		c.agg = comm.SolverDeltas{Conflicts: int64(10 * id), Implications: int64(1000 * id),
 			Imported: int64(id % 7), ImportedUseful: int64(id % 3)}
 		m.clusterAgg.Add(c.agg)
@@ -121,6 +123,9 @@ func TestStateMatchesBruteForceRecount(t *testing.T) {
 				want.Registered++
 				want.MemBytes += c.usedMem
 				want.SolverDeltas.Add(c.agg)
+				if c.splitAt > 0 && c.busy && !c.stopping {
+					want.Backlog++
+				}
 				if c.busy {
 					want.Busy++
 					want.ConflictRate += c.confRate
@@ -135,7 +140,6 @@ func TestStateMatchesBruteForceRecount(t *testing.T) {
 			}
 			searching := 0
 			for _, j := range m.jobs {
-				want.Backlog += len(j.backlog)
 				want.SubBacklog += len(j.subBacklog)
 				if j.State.Active() {
 					want.Outstanding += held[j.ID] + len(j.subBacklog)
