@@ -136,7 +136,6 @@ func TestSplitPayloadBinaryRoundtrip(t *testing.T) {
 	}
 	in := SplitPayload{
 		SplitID: 1234,
-		From:    -7,
 		Subs: []*solver.Subproblem{{
 			NumVars:     5000,
 			Depth:       11,
@@ -153,7 +152,7 @@ func TestSplitPayloadBinaryRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := got.(SplitPayload)
-	if out.SplitID != in.SplitID || out.From != in.From {
+	if out.SplitID != in.SplitID || out.Job != in.Job {
 		t.Fatalf("header mangled: %+v", out)
 	}
 	if len(out.Subs) != 1 {
@@ -190,7 +189,7 @@ func TestSplitPayloadBinaryRoundtrip(t *testing.T) {
 // in one frame, order preserved.
 func TestSplitPayloadMultiSubRoundtrip(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
-	in := SplitPayload{SplitID: 88, From: 3}
+	in := SplitPayload{SplitID: 88}
 	for i := 0; i < 7; i++ {
 		assum := make([]cnf.Lit, 3+i)
 		for j := range assum {
@@ -212,7 +211,7 @@ func TestSplitPayloadMultiSubRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := got.(SplitPayload)
-	if out.SplitID != in.SplitID || out.From != in.From || len(out.Subs) != len(in.Subs) {
+	if out.SplitID != in.SplitID || out.Job != in.Job || len(out.Subs) != len(in.Subs) {
 		t.Fatalf("header/batch mangled: %+v", out)
 	}
 	for i, sub := range out.Subs {

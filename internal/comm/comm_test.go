@@ -36,16 +36,16 @@ func allMessages() []Message {
 		BaseProblem{Formula: f, Job: 2},
 		SplitRequest{ClientID: 2, Why: SplitTimeout},
 		SplitAssign{SplitID: 9, Peers: []SplitPeer{{ID: 4, Addr: "b:2"}, {ID: 5, Addr: "b:3"}}},
-		SplitPayload{SplitID: 9, From: 2, Job: 2, Subs: []*solver.Subproblem{sub(1), sub(2)}},
-		SplitDone{ClientID: 4, SplitID: 9, OK: true, Err: "boom", Used: 1, Leftover: []*solver.Subproblem{sub(3)}},
+		SplitPayload{SplitID: 9, Job: 2, Subs: []*solver.Subproblem{sub(1), sub(2)}},
+		SplitDone{SplitID: 9, OK: true, Err: "boom", Used: 1, Leftover: []*solver.Subproblem{sub(3)}},
 		ShareClauses{From: 1, Job: 2, Clauses: canonicalize([]cnf.Clause{cnf.NewClause(-1, 2), cnf.NewClause(3)}, nil)},
-		Solved{ClientID: 1, Status: solver.StatusSAT, Model: cnf.Assignment{cnf.True, cnf.False, cnf.Undef, cnf.True},
+		Solved{Status: solver.StatusSAT, Model: cnf.Assignment{cnf.True, cnf.False, cnf.Undef, cnf.True},
 			Depth: 3, Worker: 1, Job: 2},
 		Migrate{SplitID: 11, PeerID: 7, PeerAddr: "c:3"},
 		Shutdown{},
-		Stopped{ClientID: 3, Job: 2, Seq: 5},
+		Stopped{Job: 2, Seq: 5},
 		StopWork{Job: 2, Seq: 6},
-		StatusReport{ClientID: 2, MemBytes: 42, Learnts: 7, Conflicts: 99, Busy: true, Depth: 2, Job: 2,
+		StatusReport{MemBytes: 42, Learnts: 7, Depth: 2, Job: 2,
 			Deltas: SolverDeltas{Decisions: 1, Conflicts: 2, Propagations: 1 << 40, Implications: 4, Learned: 5,
 				ReclaimedBytes: -6, Imported: 7, ImportedImplications: 8, ImportedResolutions: 9, ImportedUseful: 10},
 			Workers: []WorkerReport{
@@ -339,7 +339,7 @@ func TestConcurrentSendsOneConn(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < n/4; j++ {
-				if err := client.Send(StatusReport{ClientID: j}); err != nil {
+				if err := client.Send(StatusReport{}); err != nil {
 					t.Errorf("send: %v", err)
 					return
 				}

@@ -27,7 +27,7 @@ func FuzzSplitPayloadRoundTrip(f *testing.F) {
 			t.Skip()
 		}
 		r := rand.New(rand.NewSource(seed))
-		in := SplitPayload{SplitID: int(r.Int31()), From: r.Intn(100) - 50, Job: r.Intn(4)}
+		in := SplitPayload{SplitID: int(r.Int31()), Job: r.Intn(4)}
 		for i := 0; i < nSubs; i++ {
 			sub := &solver.Subproblem{NumVars: nVars, Depth: r.Intn(64)}
 			for j := r.Intn(20); j > 0; j-- {
@@ -51,9 +51,8 @@ func FuzzSplitPayloadRoundTrip(f *testing.F) {
 		if !ok {
 			t.Fatalf("decoded %T", got)
 		}
-		if out.SplitID != in.SplitID || out.From != in.From {
-			t.Fatalf("header mangled: got %d/%d, want %d/%d",
-				out.SplitID, out.From, in.SplitID, in.From)
+		if out.SplitID != in.SplitID {
+			t.Fatalf("split ID mangled: got %d, want %d", out.SplitID, in.SplitID)
 		}
 		if out.Job != in.Job {
 			t.Fatalf("job tag mangled: got %d, want %d", out.Job, in.Job)

@@ -108,7 +108,7 @@ func TestInstrumentOverTCP(t *testing.T) {
 	defer server.Close()
 
 	for i := 0; i < 3; i++ {
-		if err := client.Send(StatusReport{ClientID: i, Deltas: SolverDeltas{Conflicts: 10}}); err != nil {
+		if err := client.Send(StatusReport{Deltas: SolverDeltas{Conflicts: 10}}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := server.Recv(); err != nil {
@@ -122,7 +122,7 @@ func TestInstrumentOverTCP(t *testing.T) {
 	// Counters must report the exact frame bytes written, per message.
 	var want int64
 	for i := 0; i < 3; i++ {
-		want += WireSize(StatusReport{ClientID: i, Deltas: SolverDeltas{Conflicts: 10}})
+		want += WireSize(StatusReport{Deltas: SolverDeltas{Conflicts: 10}})
 	}
 	if kt.BytesSent != want || kt.BytesRecv != want {
 		t.Errorf("status bytes sent=%d recv=%d, want exact frame total %d", kt.BytesSent, kt.BytesRecv, want)
@@ -187,7 +187,7 @@ func TestRecvBytesAreTheFrameRead(t *testing.T) {
 			t.Errorf("%s: %+v, want 2 messages and %d bytes each way", k, kt, n)
 		}
 	}
-	const pinned = 560
+	const pinned = 544
 	snap := reg.Snapshot()
 	for _, dir := range []string{"send", "recv"} {
 		if got := snap.CounterValue("gridsat_comm_bytes_total", obs.L("dir", dir)); got != pinned {

@@ -70,16 +70,12 @@ var kinds = []*kind{
 	}),
 	kindOf(0x02, CapBulk, func(c *coder, m *SplitPayload) {
 		c.int(&m.SplitID)
-		c.int(&m.From)
 		c.int(&m.Job)
 		c.subs(&m.Subs)
 	}),
 	kindOf(0x03, capControl, func(c *coder, m *StatusReport) {
-		c.int(&m.ClientID)
 		c.i64(&m.MemBytes)
 		c.int(&m.Learnts)
-		c.i64(&m.Conflicts)
-		c.bool(&m.Busy)
 		c.int(&m.Depth)
 		d := &m.Deltas
 		c.i64(&d.Decisions)
@@ -130,7 +126,6 @@ var kinds = []*kind{
 		})
 	}),
 	kindOf(0x09, CapBulk, func(c *coder, m *SplitDone) {
-		c.int(&m.ClientID)
 		c.int(&m.SplitID)
 		c.bool(&m.OK)
 		c.str(&m.Err)
@@ -138,7 +133,6 @@ var kinds = []*kind{
 		c.subs(&m.Leftover)
 	}),
 	kindOf(0x0a, CapBulk, func(c *coder, m *Solved) {
-		c.int(&m.ClientID)
 		c.int((*int)(&m.Status))
 		c.assignment(&m.Model)
 		c.int(&m.Depth)
@@ -153,7 +147,6 @@ var kinds = []*kind{
 	kindOf(0x0c, capControl, func(*coder, *Shutdown) {}),
 	// 0x0d is retired: no frame may reuse it.
 	kindOf(0x0e, capControl, func(c *coder, m *Stopped) {
-		c.int(&m.ClientID)
 		c.int(&m.Job)
 		c.int(&m.Seq)
 	}),

@@ -63,6 +63,10 @@ func (BaseProblem) Kind() string { return "base-problem" }
 // SplitRequest is Figure 3's message (1): a client predicts resource
 // exhaustion or hits its split timeout and asks the master for help.
 type SplitRequest struct {
+	// ClientID has no reader: the master knows every sender by its
+	// connection. It stays because benchmark/probes times the control-frame
+	// round trip with a SplitRequest{ClientID: 1}, and that module pins the
+	// frame it sends.
 	ClientID int
 	// Why distinguishes the paper's two triggers.
 	Why SplitReason
@@ -118,7 +122,6 @@ func (SplitAssign) Kind() string { return "split-assign" }
 // idle clients to take them).
 type SplitPayload struct {
 	SplitID int // 0 for the master's initial whole-problem assignment
-	From    int
 	// Job tags the subproblems with their scheduler job (0 = job 0 of a
 	// one-shot run), so the recipient solves against the right base
 	// formula.
@@ -132,7 +135,6 @@ func (SplitPayload) Kind() string { return "split-payload" }
 // SplitDone covers Figure 3's messages (4) and (5): each recipient and the
 // donor notify the master whether their leg of the transfer succeeded.
 type SplitDone struct {
-	ClientID int
 	// SplitID echoes the assignment being acknowledged so the master can
 	// correlate donor and recipient notifications even when recipients are
 	// released and re-reserved quickly; 0 acknowledges the master's
@@ -170,9 +172,8 @@ func (ShareClauses) Kind() string { return "share-clauses" }
 // result carries the model for the master to verify; an UNSAT result
 // makes the client idle.
 type Solved struct {
-	ClientID int
-	Status   solver.Status
-	Model    cnf.Assignment
+	Status solver.Status
+	Model  cnf.Assignment
 	// Depth is the guiding-path depth of the subproblem this verdict
 	// closes. An UNSAT verdict at depth d refutes 2^-d of the root search
 	// space; the master folds that into its cluster progress estimate.
@@ -213,8 +214,7 @@ func (Shutdown) Kind() string { return "shutdown" }
 // Stopped is the client's answer to StopWork: it dropped the subproblem
 // and is idle again.
 type Stopped struct {
-	ClientID int
-	Job      int
+	Job int
 	// Seq echoes the token from the StopWork being acknowledged.
 	Seq int
 }
@@ -274,17 +274,13 @@ func (d *SolverDeltas) Add(o SolverDeltas) {
 }
 
 // StatusReport is a periodic client heartbeat with resource telemetry.
-// MemBytes, Learnts, and Conflicts are point-in-time gauges of the
-// client's current solver; Deltas are counter increments since the last
-// report (see SolverDeltas). Conflicts and Busy have no reader (the master
-// takes busy from its own table); they stay on the wire because a smaller
-// frame would move every pinned virtual-time figure.
+// MemBytes and Learnts are point-in-time gauges of the client's current
+// solver; Deltas are counter increments since the last report (see
+// SolverDeltas). Who sent it, and whether that client is busy, the master
+// reads off its own client table.
 type StatusReport struct {
-	ClientID  int
-	MemBytes  int64
-	Learnts   int
-	Conflicts int64
-	Busy      bool
+	MemBytes int64
+	Learnts  int
 	// Depth is the guiding-path depth of the subproblem the client is
 	// currently working (0 when idle or on the root problem).
 	Depth  int

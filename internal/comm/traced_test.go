@@ -8,7 +8,7 @@ import (
 )
 
 func TestTracedEnvelopeBinaryRoundtrip(t *testing.T) {
-	inner := StatusReport{ClientID: 3, Busy: true, Deltas: SolverDeltas{Conflicts: 42}}
+	inner := StatusReport{Depth: 3, Deltas: SolverDeltas{Conflicts: 42}}
 	in := Traced{Info: TraceInfo{Lamport: 1234, Parent: 77}, Msg: inner}
 	e, err := EncodeMessage(in)
 	if err != nil {
@@ -26,7 +26,7 @@ func TestTracedEnvelopeBinaryRoundtrip(t *testing.T) {
 		t.Fatalf("trace info %+v, want %+v", ti, in.Info)
 	}
 	out, ok := msg.(StatusReport)
-	if !ok || out.ClientID != 3 || out.Deltas.Conflicts != 42 || !out.Busy {
+	if !ok || out.Depth != 3 || out.Deltas.Conflicts != 42 {
 		t.Fatalf("payload mangled: %+v", msg)
 	}
 }
@@ -64,7 +64,7 @@ func TestTracedEnvelopeOverTCP(t *testing.T) {
 		_ = client.Send(SplitRequest{ClientID: 1, Why: SplitMemoryPressure})
 		_ = client.Send(Traced{
 			Info: TraceInfo{Lamport: 11},
-			Msg:  Solved{ClientID: 1, Status: solver.StatusUNSAT},
+			Msg:  Solved{Status: solver.StatusUNSAT},
 		})
 	}()
 

@@ -60,9 +60,9 @@ func TestHeartbeatAggregationSurvivesChurn(t *testing.T) {
 
 	// Client 1 and 2 join and report work.
 	c1, c2 := join(1), join(2)
-	m.handleStatusReport(c1, comm.StatusReport{ClientID: 1, Busy: true, Depth: 2,
+	m.handleStatusReport(c1, comm.StatusReport{Depth: 2,
 		Deltas: churnDeltas(100, 1000, 40, 10)})
-	m.handleStatusReport(c2, comm.StatusReport{ClientID: 2, Busy: true, Depth: 3,
+	m.handleStatusReport(c2, comm.StatusReport{Depth: 3,
 		Deltas: churnDeltas(50, 600, 20, 5)})
 
 	snap := m.state()
@@ -91,7 +91,7 @@ func TestHeartbeatAggregationSurvivesChurn(t *testing.T) {
 	// A replacement joins (new ID, as live rejoins get) and reports its
 	// own work from a clean slate: added once, not merged into anything.
 	c3 := join(3)
-	m.handleStatusReport(c3, comm.StatusReport{ClientID: 3, Busy: true, Depth: 1,
+	m.handleStatusReport(c3, comm.StatusReport{Depth: 1,
 		Deltas: churnDeltas(25, 200, 10, 4)})
 	snap = m.state()
 	if snap.Conflicts != 175 || snap.Implications != 1800 {
@@ -110,9 +110,9 @@ func TestHeartbeatAggregationSurvivesChurn(t *testing.T) {
 	}
 
 	// Two more heartbeats from the same survivor accumulate, not replace.
-	m.handleStatusReport(c2, comm.StatusReport{ClientID: 2, Busy: true, Depth: 3,
+	m.handleStatusReport(c2, comm.StatusReport{Depth: 3,
 		Deltas: churnDeltas(5, 40, 0, 0)})
-	m.handleStatusReport(c2, comm.StatusReport{ClientID: 2, Busy: true, Depth: 3,
+	m.handleStatusReport(c2, comm.StatusReport{Depth: 3,
 		Deltas: churnDeltas(5, 40, 0, 0)})
 	snap = m.state()
 	if snap.Conflicts != 185 || snap.Implications != 1880 {
@@ -140,10 +140,10 @@ func TestStateCoverageFromSolved(t *testing.T) {
 		m.handle(from(id, comm.Register{Addr: "a", FreeMemBytes: 1 << 20, SpeedHint: 1}))
 	}
 	for _, ev := range []masterEvent{
-		from(1, comm.SplitDone{ClientID: 1, OK: true}), // the root is accepted
-		from(1, comm.SplitRequest{ClientID: 1}),        // reserves client 2
-		from(1, comm.SplitDone{ClientID: 1, SplitID: 1, OK: true, Used: 1}),
-		from(2, comm.SplitDone{ClientID: 2, SplitID: 1, OK: true}),
+		from(1, comm.SplitDone{OK: true}),       // the root is accepted
+		from(1, comm.SplitRequest{ClientID: 1}), // reserves client 2
+		from(1, comm.SplitDone{SplitID: 1, OK: true, Used: 1}),
+		from(2, comm.SplitDone{SplitID: 1, OK: true}),
 	} {
 		if done, err := m.handle(ev); done || err != nil {
 			t.Fatalf("splitting the root: %s gave done=%v err=%v", ev.msg.Kind(), done, err)
@@ -153,7 +153,7 @@ func TestStateCoverageFromSolved(t *testing.T) {
 		t.Fatalf("after the split: %d busy, %d outstanding; want 2 and 2", st.Busy, st.Outstanding)
 	}
 
-	done, err := m.handle(from(1, comm.Solved{ClientID: 1, Status: solver.StatusUNSAT, Depth: 1}))
+	done, err := m.handle(from(1, comm.Solved{Status: solver.StatusUNSAT, Depth: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestStateCoverageFromSolved(t *testing.T) {
 		t.Fatalf("verdict %q before exhaustion", snap.Jobs[0].Verdict)
 	}
 
-	done, err = m.handle(from(2, comm.Solved{ClientID: 2, Status: solver.StatusUNSAT, Depth: 1}))
+	done, err = m.handle(from(2, comm.Solved{Status: solver.StatusUNSAT, Depth: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestRootNackIsRequeued(t *testing.T) {
 	// floor meanwhile, so the requeue must move on.
 	m.cfg.MinMemBytes = 1 << 10
 	m.noteForecast(1, c1.rank, 0)
-	if done, _ := m.handle(from(1, comm.SplitDone{ClientID: 1, OK: false, Err: "already busy"})); done {
+	if done, _ := m.handle(from(1, comm.SplitDone{OK: false, Err: "already busy"})); done {
 		t.Fatal("a bounced root ended the run")
 	}
 	if c1.busy {
@@ -228,10 +228,10 @@ func TestRootNackIsRequeued(t *testing.T) {
 	if got := m.state().Outstanding; !c2.busy || got != 1 || len(j.subBacklog) != 0 {
 		t.Fatalf("root not reassigned: c2.busy=%v outstanding=%d queued=%d", c2.busy, got, len(j.subBacklog))
 	}
-	if done, _ := m.handle(from(2, comm.SplitDone{ClientID: 2, OK: true})); done {
+	if done, _ := m.handle(from(2, comm.SplitDone{OK: true})); done {
 		t.Fatal("root ack ended the run")
 	}
-	done, err := m.handle(from(2, comm.Solved{ClientID: 2, Status: solver.StatusUNSAT}))
+	done, err := m.handle(from(2, comm.Solved{Status: solver.StatusUNSAT}))
 	if err != nil || !done {
 		t.Fatalf("refuting the requeued root: done=%v err=%v", done, err)
 	}
@@ -295,7 +295,7 @@ func TestClientLostRequeuesSalvage(t *testing.T) {
 		t.Fatalf("outstanding=%d queued=%d after requeue, want 1 and 0 (double-counted salvage?)", got, len(j.subBacklog))
 	}
 	// Client 2 starts it, then dies mid-run leaving a checkpoint.
-	m.handle(from(2, comm.SplitDone{ClientID: 2, OK: true}))
+	m.handle(from(2, comm.SplitDone{OK: true}))
 	c3 := join()
 	cp := &solver.Subproblem{NumVars: 2, Depth: 0}
 	lose(c2, cp)
@@ -305,8 +305,8 @@ func TestClientLostRequeuesSalvage(t *testing.T) {
 	if got := m.state().Outstanding; got != 1 {
 		t.Fatalf("outstanding=%d, want 1", got)
 	}
-	m.handle(from(3, comm.SplitDone{ClientID: 3, OK: true}))
-	if done, err := m.handle(from(3, comm.Solved{ClientID: 3, Status: solver.StatusUNSAT})); err != nil || !done {
+	m.handle(from(3, comm.SplitDone{OK: true}))
+	if done, err := m.handle(from(3, comm.Solved{Status: solver.StatusUNSAT})); err != nil || !done {
 		t.Fatalf("refuting the recovered subproblem: done=%v err=%v", done, err)
 	}
 	if m.jobs[0].status != solver.StatusUNSAT || c3.busy {

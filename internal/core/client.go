@@ -473,15 +473,15 @@ func (c *Client) handleIdle(msg comm.Message) bool {
 	case comm.SplitAssign:
 		// The assignment raced with this client finishing its subproblem;
 		// report failure so the master releases the reserved recipient.
-		_ = c.sendMaster(comm.SplitDone{ClientID: c.id, SplitID: m.SplitID, OK: false,
+		_ = c.sendMaster(comm.SplitDone{SplitID: m.SplitID, OK: false,
 			Err: "donor already idle"})
 	case comm.Migrate:
-		_ = c.sendMaster(comm.SplitDone{ClientID: c.id, SplitID: m.SplitID, OK: false,
+		_ = c.sendMaster(comm.SplitDone{SplitID: m.SplitID, OK: false,
 			Err: "donor already idle"})
 	case comm.StopWork:
 		// The stop raced with this client going idle; the ack still lets
 		// the master return it to the pool.
-		_ = c.sendMaster(comm.Stopped{ClientID: c.id, Job: m.Job, Seq: m.Seq})
+		_ = c.sendMaster(comm.Stopped{Job: m.Job, Seq: m.Seq})
 	case comm.ShareClauses:
 		// Idle clients have no solver; drop (they get a fresh split later).
 	case comm.Shutdown:
@@ -532,19 +532,19 @@ func (c *Client) startSubproblem(splitID, job int, subs []*solver.Subproblem) {
 	// can requeue them: an unstartable cofactor is still live search
 	// space, and dropping it could declare UNSAT without searching it.
 	if len(subs) != 1 {
-		_ = c.sendMaster(comm.SplitDone{ClientID: c.id, SplitID: splitID, OK: false,
+		_ = c.sendMaster(comm.SplitDone{SplitID: splitID, OK: false,
 			Err: fmt.Sprintf("expected one subproblem, got %d", len(subs)), Leftover: subs})
 		return
 	}
 	sub := subs[0]
 	if c.busy() {
-		_ = c.sendMaster(comm.SplitDone{ClientID: c.id, SplitID: splitID, OK: false,
+		_ = c.sendMaster(comm.SplitDone{SplitID: splitID, OK: false,
 			Err: "already busy", Leftover: subs})
 		return
 	}
 	c.base = c.bases[job]
 	if c.base == nil {
-		_ = c.sendMaster(comm.SplitDone{ClientID: c.id, SplitID: splitID, OK: false,
+		_ = c.sendMaster(comm.SplitDone{SplitID: splitID, OK: false,
 			Err: "no base problem cached", Leftover: subs})
 		return
 	}
@@ -561,7 +561,7 @@ func (c *Client) startSubproblem(splitID, job int, subs []*solver.Subproblem) {
 	opts.OnLearn = c.shares.Learn
 	port, err := newPortfolio(c.base, sub, opts, max(1, c.cfg.Threads), c.cfg.ShareMaxLen)
 	if err != nil {
-		_ = c.sendMaster(comm.SplitDone{ClientID: c.id, SplitID: splitID, OK: false, Err: err.Error()})
+		_ = c.sendMaster(comm.SplitDone{SplitID: splitID, OK: false, Err: err.Error()})
 		return
 	}
 	port.sequential = c.sequential
@@ -575,7 +575,7 @@ func (c *Client) startSubproblem(splitID, job int, subs []*solver.Subproblem) {
 	// microsecond per assumption, 16 per learnt clause); a root assignment
 	// carries neither, so it waits out the bare floor.
 	c.xferTime = float64(len(sub.Assumptions)+16*len(sub.Learnts)) * 1e-6
-	_ = c.sendMaster(comm.SplitDone{ClientID: c.id, SplitID: splitID, OK: true})
+	_ = c.sendMaster(comm.SplitDone{SplitID: splitID, OK: true})
 }
 
 // solveSlice advances the solver one quantum and handles terminal states
@@ -605,15 +605,15 @@ func (c *Client) finishSlice(res solver.Result) error {
 	c.flushShares()
 	c.sliceCount++
 	if c.cfg.HeartbeatEvery > 0 && c.sliceCount%c.cfg.HeartbeatEvery == 0 {
-		c.sendHeartbeat(true)
+		c.sendHeartbeat()
 	}
 	if res.Status != solver.StatusUnknown {
-		c.drainShares()        // don't strand learned clauses in the aggregator
-		c.sendHeartbeat(false) // flush the tail deltas before Solved
+		c.drainShares()   // don't strand learned clauses in the aggregator
+		c.sendHeartbeat() // flush the tail deltas before Solved
 		// An extra worker's UNSAT refutes a (possibly pre-split) superset
 		// of the pathfinder's subspace, so reporting at the pathfinder's
 		// depth never over-counts coverage.
-		solved := comm.Solved{ClientID: c.id, Status: res.Status, Model: res.Model,
+		solved := comm.Solved{Status: res.Status, Model: res.Model,
 			Depth: c.port.Pathfinder().PathDepth(), Worker: worker, Job: c.job}
 		c.dropSolver()
 		return c.sendMaster(solved)
@@ -658,7 +658,7 @@ func (c *Client) dropSolver() {
 // sendHeartbeat reports the current solver gauges plus the counter
 // increments since the previous heartbeat; the master aggregates the
 // deltas into its live cluster view.
-func (c *Client) sendHeartbeat(busy bool) {
+func (c *Client) sendHeartbeat() {
 	if !c.busy() {
 		return
 	}
@@ -666,15 +666,12 @@ func (c *Client) sendHeartbeat(busy bool) {
 	d := solver.StatsDelta(st, c.lastHB)
 	c.lastHB = st
 	_ = c.sendMaster(comm.StatusReport{
-		ClientID:  c.id,
-		MemBytes:  c.port.MemoryBytes(),
-		Learnts:   c.port.NumLearnts(),
-		Conflicts: st.Conflicts,
-		Busy:      busy,
-		Depth:     c.port.Pathfinder().PathDepth(),
-		Job:       c.job,
-		Deltas:    heartbeatDeltas(d),
-		Workers:   c.port.WorkerReports(),
+		MemBytes: c.port.MemoryBytes(),
+		Learnts:  c.port.NumLearnts(),
+		Depth:    c.port.Pathfinder().PathDepth(),
+		Job:      c.job,
+		Deltas:   heartbeatDeltas(d),
+		Workers:  c.port.WorkerReports(),
 	})
 }
 
@@ -711,12 +708,12 @@ func (c *Client) requestSplit(why comm.SplitReason) {
 func (c *Client) performSplit(splitID int, peers []comm.SplitPeer) {
 	c.splitAsked = false
 	if !c.busy() {
-		_ = c.sendMaster(comm.SplitDone{ClientID: c.id, SplitID: splitID, OK: false, Err: "no active subproblem"})
+		_ = c.sendMaster(comm.SplitDone{SplitID: splitID, OK: false, Err: "no active subproblem"})
 		return
 	}
 	batch, err := c.strategy.Split(c.port.Pathfinder(), c.cfg.ShareMaxLen, splitLearntMaxCount)
 	if err != nil {
-		_ = c.sendMaster(comm.SplitDone{ClientID: c.id, SplitID: splitID, OK: false, Err: err.Error()})
+		_ = c.sendMaster(comm.SplitDone{SplitID: splitID, OK: false, Err: err.Error()})
 		return
 	}
 	// The strategy has already committed the donor to its own cofactor, so
@@ -732,7 +729,7 @@ func (c *Client) performSplit(splitID int, peers []comm.SplitPeer) {
 		used++
 	}
 	c.recvAt = c.now() // the narrowed problem restarts the timeout clock
-	_ = c.sendMaster(comm.SplitDone{ClientID: c.id, SplitID: splitID, OK: true,
+	_ = c.sendMaster(comm.SplitDone{SplitID: splitID, OK: true,
 		Used: used, Leftover: batch[used:]})
 }
 
@@ -760,19 +757,19 @@ func (c *Client) stopSolving() {
 // hears SplitDone from both ends, then this client's Solved(unknown).
 func (c *Client) performMigrate(splitID int, peer comm.SplitPeer) {
 	if !c.busy() {
-		_ = c.sendMaster(comm.SplitDone{ClientID: c.id, SplitID: splitID, OK: false, Err: "no active subproblem"})
+		_ = c.sendMaster(comm.SplitDone{SplitID: splitID, OK: false, Err: "no active subproblem"})
 		return
 	}
 	if err := c.sendToPeer(splitID, peer, c.checkpointSub()); err != nil {
 		// Keep solving; the master releases the reserved peer.
-		_ = c.sendMaster(comm.SplitDone{ClientID: c.id, SplitID: splitID, OK: false, Err: err.Error()})
+		_ = c.sendMaster(comm.SplitDone{SplitID: splitID, OK: false, Err: err.Error()})
 		return
 	}
-	c.drainShares()        // don't strand learned clauses
-	c.sendHeartbeat(false) // flush the tail deltas while the solver lives
+	c.drainShares()   // don't strand learned clauses
+	c.sendHeartbeat() // flush the tail deltas while the solver lives
 	c.stopSolving()
-	_ = c.sendMaster(comm.SplitDone{ClientID: c.id, SplitID: splitID, OK: true, Used: 1})
-	_ = c.sendMaster(comm.Solved{ClientID: c.id, Status: solver.StatusUnknown, Job: c.job})
+	_ = c.sendMaster(comm.SplitDone{SplitID: splitID, OK: true, Used: 1})
+	_ = c.sendMaster(comm.Solved{Status: solver.StatusUnknown, Job: c.job})
 }
 
 // performStop discards the current subproblem outright — its job is done
@@ -780,14 +777,14 @@ func (c *Client) performMigrate(splitID int, peer comm.SplitPeer) {
 // master returns this client to the pool.
 func (c *Client) performStop(job, seq int) {
 	if c.busy() && job == c.job {
-		c.sendHeartbeat(false)
+		c.sendHeartbeat()
 		c.stopSolving()
 	}
-	_ = c.sendMaster(comm.Stopped{ClientID: c.id, Job: job, Seq: seq})
+	_ = c.sendMaster(comm.Stopped{Job: job, Seq: seq})
 }
 
 func (c *Client) sendToPeer(splitID int, peer comm.SplitPeer, sub *solver.Subproblem) error {
-	return c.send(peer, comm.SplitPayload{SplitID: splitID, From: c.id, Job: c.job,
+	return c.send(peer, comm.SplitPayload{SplitID: splitID, Job: c.job,
 		Subs: []*solver.Subproblem{sub}})
 }
 

@@ -230,7 +230,7 @@ func (w *exhaustWorld) receive(c *scriptedClient, msg comm.Message) {
 		if msg.Job == c.job {
 			c.sub = nil // the job is over; so is tracking it
 		}
-		c.queue(comm.Stopped{ClientID: c.id, Job: msg.Job, Seq: msg.Seq}, nil)
+		c.queue(comm.Stopped{Job: msg.Job, Seq: msg.Seq}, nil)
 	}
 }
 
@@ -244,7 +244,7 @@ func (w *exhaustWorld) drop(job, by int) {
 
 // start is a client receiving one subproblem, from the master or a peer.
 func (w *exhaustWorld) start(c *scriptedClient, splitID, job int, sub *solver.Subproblem, fromMaster bool) {
-	done := comm.SplitDone{ClientID: c.id, SplitID: splitID}
+	done := comm.SplitDone{SplitID: splitID}
 	c.job = job
 	switch {
 	case c.sub != nil:
@@ -276,7 +276,7 @@ func (w *exhaustWorld) split(c *scriptedClient, msg comm.SplitAssign) {
 	if c.gone {
 		return
 	}
-	done := comm.SplitDone{ClientID: c.id, SplitID: msg.SplitID}
+	done := comm.SplitDone{SplitID: msg.SplitID}
 	made := 0
 	switch {
 	case c.sub == nil:
@@ -330,7 +330,7 @@ func (w *exhaustWorld) migrate(c *scriptedClient, msg comm.Migrate) {
 	off := func() { w.remove(p.job, moved); settle() }
 	peer := w.clients[msg.PeerID]
 	if c.sub == nil || peer.gone || w.rng.Intn(8) == 0 {
-		c.queue(comm.SplitDone{ClientID: c.id, SplitID: msg.SplitID, Err: "the move is off"}, off)
+		c.queue(comm.SplitDone{SplitID: msg.SplitID, Err: "the move is off"}, off)
 		return
 	}
 	if w.hostile && w.rng.Intn(4) == 0 {
@@ -343,8 +343,8 @@ func (w *exhaustWorld) migrate(c *scriptedClient, msg comm.Migrate) {
 	w.start(peer, msg.SplitID, p.job, moved, false)
 	old, job := c.sub, c.job
 	c.sub = nil
-	c.queue(comm.SplitDone{ClientID: c.id, SplitID: msg.SplitID, OK: true, Used: 1}, settle)
-	c.queue(comm.Solved{ClientID: c.id, Status: solver.StatusUnknown, Job: job},
+	c.queue(comm.SplitDone{SplitID: msg.SplitID, OK: true, Used: 1}, settle)
+	c.queue(comm.Solved{Status: solver.StatusUnknown, Job: job},
 		func() { w.remove(job, old) })
 }
 
@@ -355,8 +355,8 @@ func (w *exhaustWorld) bareAck(c *scriptedClient, splitID int, off func()) {
 	w.did["bare ack"]++
 	job, by := c.job, c.id
 	c.sub = nil
-	c.queue(comm.Stopped{ClientID: c.id, Job: job, Seq: w.m.clients[c.id].stopSeq}, func() { w.drop(job, by) })
-	c.queue(comm.SplitDone{ClientID: c.id, SplitID: splitID, Err: "the move is off"}, off)
+	c.queue(comm.Stopped{Job: job, Seq: w.m.clients[c.id].stopSeq}, func() { w.drop(job, by) })
+	c.queue(comm.SplitDone{SplitID: splitID, Err: "the move is off"}, off)
 }
 
 // Environment actions. Each returns false when it does not apply now.
@@ -431,7 +431,7 @@ func (w *exhaustWorld) refute() bool {
 	}
 	sub, job := c.sub, c.job
 	c.sub = nil
-	c.queue(comm.Solved{ClientID: c.id, Status: solver.StatusUNSAT, Depth: sub.Depth, Job: job},
+	c.queue(comm.Solved{Status: solver.StatusUNSAT, Depth: sub.Depth, Job: job},
 		func() { w.remove(job, sub) })
 	return true
 }
@@ -445,7 +445,7 @@ func (w *exhaustWorld) satisfy() bool {
 	model.Set(cnf.LitFromDIMACS(1))
 	model.Set(cnf.LitFromDIMACS(2))
 	c.sub = nil
-	c.queue(comm.Solved{ClientID: c.id, Status: solver.StatusSAT, Model: model, Job: c.job}, nil)
+	c.queue(comm.Solved{Status: solver.StatusSAT, Model: model, Job: c.job}, nil)
 	return true
 }
 

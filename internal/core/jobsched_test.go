@@ -127,7 +127,7 @@ func TestIdleClientsServeHigherPriorityFirst(t *testing.T) {
 	// A priority-1 job holds the only client, which asks for help.
 	a := join()
 	low := submit(1)
-	step("root accepted", from(a.id, comm.SplitDone{ClientID: a.id, OK: true}))
+	step("root accepted", from(a.id, comm.SplitDone{OK: true}))
 	step("split request", from(a.id, comm.SplitRequest{ClientID: a.id}))
 	if !a.busy || a.job != low || m.state().Backlog != 1 {
 		t.Fatalf("setup: client %d busy=%v on job %d, split backlog %d", a.id, a.busy, a.job, m.state().Backlog)

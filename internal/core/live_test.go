@@ -546,7 +546,7 @@ func TestOneShotRunNamesWhyItHasNoVerdict(t *testing.T) {
 		{"lost client", func(conn comm.Conn) { _ = conn.Close() },
 			"core: lost client 1 while it held a subproblem"},
 		{"invalid model", func(conn comm.Conn) {
-			_ = conn.Send(comm.Solved{ClientID: 1, Status: solver.StatusSAT, Model: cnf.NewAssignment(3)})
+			_ = conn.Send(comm.Solved{Status: solver.StatusSAT, Model: cnf.NewAssignment(3)})
 		}, "core: client 1 reported an invalid model"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -568,7 +568,7 @@ func TestOneShotRunNamesWhyItHasNoVerdict(t *testing.T) {
 						return
 					}
 					if p, ok := msg.(comm.SplitPayload); ok { // the root
-						_ = conn.Send(comm.SplitDone{ClientID: 1, SplitID: p.SplitID, OK: true})
+						_ = conn.Send(comm.SplitDone{SplitID: p.SplitID, OK: true})
 						tc.misbehave(conn)
 					}
 				}

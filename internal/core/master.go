@@ -105,11 +105,11 @@ type masterClient struct {
 	// whenever the shell hands over a fresher forecast (noteForecast).
 	// usedMem is the latest heartbeat's arena size — a different quantity,
 	// reported in /status and to the watchdog, never ranked or admitted on.
-	rank         float64
-	freeMem      int64
-	usedMem      int64
-	busy         bool
-	reserved     bool // chosen as split recipient; payload in flight
+	rank     float64
+	freeMem  int64
+	usedMem  int64
+	busy     bool
+	reserved bool // chosen as split recipient; payload in flight
 	assignment
 	// job is the job this client is (or was last) working for. The zero
 	// value names job 0 — see newMaster on what that does to a one-shot run.
@@ -818,7 +818,7 @@ func (m *Master) serveSubBacklog(j *masterJob) {
 		c := m.clients[target.ID]
 		m.ensureBase(c, j)
 		m.pendingAssigns[c.id] = entry
-		m.send(c.id, comm.SplitPayload{SplitID: entry.splitID, From: entry.donor,
+		m.send(c.id, comm.SplitPayload{SplitID: entry.splitID,
 			Job: j.ID, Subs: []*solver.Subproblem{entry.sub}})
 		c.busy = true
 		c.job = j.ID

@@ -314,9 +314,7 @@ func TestStatusShowsPerClientReclamation(t *testing.T) {
 
 	for _, delta := range []int64{100_000, 23_456} {
 		if err := conn.Send(comm.StatusReport{
-			ClientID: ra.ClientID,
 			MemBytes: 1 << 20,
-			Busy:     true,
 			Deltas:   comm.SolverDeltas{Conflicts: 10, ReclaimedBytes: delta},
 		}); err != nil {
 			t.Fatal(err)

@@ -29,10 +29,10 @@ func desConfig(f *cnf.Formula, timeout float64) RunnerConfig {
 // thresholds to what it fires on the `sim -threads 1 bart15` run of
 // cmd/gridsat's golden file: three rules over 34 clients on a 30-vsec
 // monitor tick, the heartbeat gaps on the slow uiuc-b hosts among them (the
-// alerts of commit 86242e5; the hash moved with the run when a split
-// request became valid only for the subproblem it was made for). The flight
-// log carries every FEvAnomaly, so its hash pins each alert's instant and
-// order; a change in how samples are retained cannot move one unseen.
+// nine alerts of commit 86242e5). The flight log carries every FEvAnomaly,
+// so its hash pins each alert's instant and order; a change in how samples
+// are retained cannot move one unseen. The hash also moves with the run
+// itself, together with the bart15 golden row.
 func TestDESWatchdogDefaultsArePinned(t *testing.T) {
 	bart15, _ := gen.ByName("bart15")
 	fl := trace.NewFlight(nil)
@@ -52,7 +52,7 @@ func TestDESWatchdogDefaultsArePinned(t *testing.T) {
 		wantAlerts = 9
 		wantFirst  = "90.0 progress-stall cluster: coverage flat at 0.000000 for 60s with 12 clients busy"
 		wantLast   = "210.0 heartbeat-gap client 32: client 32 busy but silent for 15.1s"
-		wantSHA    = "3bb40a1d8065a8204acd65fec23d7c4907856e1da8e7604ad2822d8e3ddeb356"
+		wantSHA    = "6532c3ac79d98ed69fad87015e131a08933b9e74334aee68efed0ac2878e7c62"
 	)
 	if len(res.Alerts) != wantAlerts {
 		t.Fatalf("fired %d alerts, want %d: %+v", len(res.Alerts), wantAlerts, res.Alerts)

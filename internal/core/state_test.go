@@ -298,7 +298,7 @@ func TestFinishedJobDropsItsInput(t *testing.T) {
 	c.job, c.busy = sat, true
 	m.handleShare(c, comm.ShareClauses{From: c.id, Job: sat, Clauses: []cnf.Clause{cnf.NewClause(1, 2)}})
 	for _, late := range []comm.Message{
-		comm.SplitDone{ClientID: c.id, SplitID: 99, OK: true},
+		comm.SplitDone{SplitID: 99, OK: true},
 		comm.Solved{Status: solver.StatusSAT, Model: model, Job: sat},
 	} {
 		if done, err := m.handle(from(c.id, late)); done || err != nil {
@@ -429,7 +429,7 @@ func TestPublishIsTheState(t *testing.T) {
 			continue
 		}
 		now += 0.5
-		m.handleStatusReport(m.clients[id], comm.StatusReport{ClientID: id, MemBytes: int64(id) << 21,
+		m.handleStatusReport(m.clients[id], comm.StatusReport{MemBytes: int64(id) << 21,
 			Learnts: 7 * id, Depth: id % 5, Deltas: comm.SolverDeltas{Decisions: int64(id), Conflicts: 3,
 				Propagations: 900, Learned: 2, ReclaimedBytes: 64, Imported: 5, ImportedUseful: 1}})
 	}
