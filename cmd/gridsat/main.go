@@ -383,7 +383,6 @@ func masterFlags(c *masterCmd) *flag.FlagSet {
 	fs.Int64Var(&c.cfg.MinMemBytes, "min-mem", 128<<20, "minimum client free memory (bytes)")
 	fs.DurationVar(&c.cfg.Timeout, "timeout", 0, "overall budget (0 = none)")
 	fs.IntVar(&c.cfg.ExpectedClients, "expect-clients", 0, "wait for this many registrations before starting")
-	fs.StringVar(&c.cfg.SplitStrategy, "split-strategy", "", "split engine: "+solver.StrategyNames)
 	fs.StringVar(&c.cfg.MetricsAddr, "metrics-addr", "", "serve /metrics, /status, /jobs and pprof here during the run")
 	c.out.reportFlags(fs)
 	c.out.traceFlags(fs, true)
@@ -395,7 +394,7 @@ func parseMaster(args []string) (masterCmd, error) {
 	fs := masterFlags(&c)
 	fs.Parse(args)
 	c.instance = fs.Arg(0)
-	return c, validate(c.cfg.SplitStrategy, c.out.log)
+	return c, validate("", c.out.log)
 }
 
 func cmdMaster(args []string) error {
@@ -458,7 +457,6 @@ func serveFlags(c *serveCmd) *flag.FlagSet {
 	fs.Int64Var(&c.cfg.Admission.MemBudgetBytes, "mem-budget", 0, "admission cap on summed active formula bytes (0 = unbounded)")
 	fs.Int64Var(&c.cfg.MinMemBytes, "min-mem", 128<<20, "minimum client free memory (bytes)")
 	fs.DurationVar(&c.cfg.Timeout, "timeout", 0, "shut the service down after this long (0 = run until interrupted)")
-	fs.StringVar(&c.cfg.SplitStrategy, "split-strategy", "", "split engine: "+solver.StrategyNames)
 	fs.StringVar(&c.out.log, "log", "info", "structured log level (debug|info|warn|error; empty = off)")
 	c.out.traceFlags(fs, false)
 	fs.StringVar(&c.cfg.BundleDir, "bundle-dir", "", "write postmortem black-box bundles here on job failure/cancel, watchdog alerts, and POST /debug/bundle (empty = off)")
@@ -471,7 +469,7 @@ func parseServe(args []string) (serveCmd, error) {
 	if c.cfg.MetricsAddr == "" {
 		return c, fmt.Errorf("serve needs -api-addr: the /jobs API rides the introspection server")
 	}
-	return c, validate(c.cfg.SplitStrategy, c.out.log)
+	return c, validate("", c.out.log)
 }
 
 // cmdServe boots the long-lived multi-job scheduling service: a master

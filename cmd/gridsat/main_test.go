@@ -73,7 +73,6 @@ var flagTable = map[string][]flagRow{
 		{"min-mem", "1024", "cfg.MinMemBytes", "1024"},
 		{"timeout", "90s", "cfg.Timeout", "1m30s"},
 		{"expect-clients", "5", "cfg.ExpectedClients", "5"},
-		{"split-strategy", "dilemma-veto", "cfg.SplitStrategy", "dilemma-veto"},
 		{"metrics-addr", "127.0.0.1:9", "cfg.MetricsAddr", "127.0.0.1:9"},
 		{"report", "r.json", "out.report", "r.json"},
 		{"log", "warn", "out.log", "warn"},
@@ -88,7 +87,6 @@ var flagTable = map[string][]flagRow{
 		{"mem-budget", "4096", "cfg.Admission.MemBudgetBytes", "4096"},
 		{"min-mem", "0", "cfg.MinMemBytes", "0"},
 		{"timeout", "90s", "cfg.Timeout", "1m30s"},
-		{"split-strategy", "dilemma", "cfg.SplitStrategy", "dilemma"},
 		{"log", "", "out.log", ""},
 		{"trace", "f.jsonl", "out.trace", "f.jsonl"},
 		{"trace-perfetto", "p.json", "out.perfetto", "p.json"},
@@ -189,8 +187,6 @@ func TestBadNamesAreRejected(t *testing.T) {
 		want string
 	}{
 		{"run", []string{"-split-strategy", "halves"}, "halves"},
-		{"master", []string{"-split-strategy", "halves"}, "halves"},
-		{"serve", []string{"-split-strategy", "halves"}, "halves"},
 		{"client", []string{"-split-strategy", "halves"}, "halves"},
 		{"sim", []string{"-split-strategy", "halves"}, "halves"},
 		{"run", []string{"-log", "degub"}, "degub"},

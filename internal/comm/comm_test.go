@@ -31,7 +31,7 @@ func allMessages() []Message {
 		}
 	}
 	return []Message{
-		Register{Addr: "a:1", HostName: "h", FreeMemBytes: 1 << 30, SpeedHint: 1.5},
+		Register{Addr: "a:1", HostName: "h", FreeMemBytes: 1 << 30, SpeedHint: 1.5, Fanout: 3},
 		RegisterAck{ClientID: 3, Rejected: true, Reason: "below minimum memory"},
 		BaseProblem{Formula: f, Job: 2},
 		SplitRequest{ClientID: 2, Why: SplitTimeout},

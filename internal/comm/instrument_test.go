@@ -187,7 +187,7 @@ func TestRecvBytesAreTheFrameRead(t *testing.T) {
 			t.Errorf("%s: %+v, want 2 messages and %d bytes each way", k, kt, n)
 		}
 	}
-	const pinned = 544
+	const pinned = 546
 	snap := reg.Snapshot()
 	for _, dir := range []string{"send", "recv"} {
 		if got := snap.CounterValue("gridsat_comm_bytes_total", obs.L("dir", dir)); got != pinned {

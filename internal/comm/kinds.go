@@ -104,6 +104,7 @@ var kinds = []*kind{
 		c.str(&m.HostName)
 		c.i64(&m.FreeMemBytes)
 		c.f64(&m.SpeedHint)
+		c.int(&m.Fanout)
 	}),
 	kindOf(0x05, capControl, func(c *coder, m *RegisterAck) {
 		c.int(&m.ClientID)

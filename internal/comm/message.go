@@ -30,6 +30,10 @@ type Register struct {
 	// refuses clients below the minimum (128 MB in the paper).
 	FreeMemBytes int64
 	SpeedHint    float64
+	// Fanout is the most cofactors one split of this client hands out (its
+	// strategy's batch size: 1 for first-decision, 2^k-1 for a 2^k
+	// dilemma), so the master reserves that many idle recipients for it.
+	Fanout int
 }
 
 // Kind implements Message.

@@ -461,3 +461,46 @@ func TestSplitRequestEndsWithItsSubproblem(t *testing.T) {
 		t.Fatalf("donors served %v, want %d (assigned at 20) before %d (assigned at 30)", got, c3.id, c1.id)
 	}
 }
+
+// TestDonorStatesItsFanout: a split request reserves as many idle peers as
+// its donor hands cofactors out, which the donor stated when it registered
+// — the master is configured with no strategy, so a zero MasterConfig gives
+// a dilemma donor three recipients and a first-decision donor one.
+func TestDonorStatesItsFanout(t *testing.T) {
+	type split struct{ donor, peers int }
+	var splits []split
+	m := newMaster(MasterConfig{}, func() float64 { return 1 },
+		func(to int, msg comm.Message) {
+			if a, ok := msg.(comm.SplitAssign); ok {
+				splits = append(splits, split{to, len(a.Peers)})
+			}
+		}, func(BundleSpec) {})
+	step := func(ev masterEvent) {
+		t.Helper()
+		if done, err := m.handle(ev); done || err != nil {
+			t.Fatalf("client %d: done=%v err=%v", ev.clientID, done, err)
+		}
+	}
+	f := cnf.NewFormula(2)
+	f.Add(1, 2)
+	if _, err := m.submit("j", f, 1); err != nil {
+		t.Fatal(err)
+	}
+	join := func(fanout int) int {
+		id := m.connect()
+		step(from(id, comm.Register{Addr: "a", FreeMemBytes: 1 << 20, SpeedHint: 1, Fanout: fanout}))
+		return id
+	}
+	dilemma := join(3)
+	step(from(dilemma, comm.SplitDone{OK: true})) // it took the root
+	peer := join(1)
+	for range 4 {
+		join(1)
+	}
+	step(from(dilemma, comm.SplitRequest{}))
+	step(from(peer, comm.SplitDone{SplitID: 1, OK: true})) // the first cofactor's recipient
+	step(from(peer, comm.SplitRequest{}))
+	if want := []split{{dilemma, 3}, {peer, 1}}; !slices.Equal(splits, want) {
+		t.Fatalf("splits (donor, recipients) %v, want %v", splits, want)
+	}
+}

@@ -241,6 +241,7 @@ func (c *Client) register() error {
 		HostName:     c.cfg.HostName,
 		FreeMemBytes: c.cfg.FreeMemBytes,
 		SpeedHint:    c.cfg.SpeedHint,
+		Fanout:       c.strategy.MaxBatch(),
 	})
 }
 

@@ -20,7 +20,7 @@ func TestConfigSurface(t *testing.T) {
 		want string
 	}{
 		{MasterConfig{}, "Transport ListenAddr Formula MinMemBytes Timeout ExpectedClients Metrics Logger " +
-			"MetricsAddr Flight SplitStrategy Admission Watchdog BundleDir"},
+			"MetricsAddr Flight Admission Watchdog BundleDir"},
 		{ClientConfig{}, "Transport MasterAddr ListenAddr HostName FreeMemBytes SpeedHint ShareMaxLen " +
 			"SliceConflicts MinRunTime HeartbeatEvery SplitStrategy Threads SolverOptions Flight"},
 		{RunnerConfig{}, "Grid Master Client Jobs TimeoutVSec MaxClients Batch " +

@@ -55,6 +55,7 @@ type exhaustWorld struct {
 	now     float64
 	formula *cnf.Formula
 	hostile bool // scripts may drop a subproblem they hold
+	fanout  int  // every client's split batch, as its Register states it
 	sent    []struct {
 		to  int
 		msg comm.Message
@@ -83,7 +84,12 @@ func newExhaustWorld(t *testing.T, seed int64, strategy string, hostile bool) *e
 		dropped: map[int]int{}, unsalvaged: map[int]bool{}, did: map[string]int{}}
 	w.formula = cnf.NewFormula(2)
 	w.formula.Add(1, 2)
-	m, err := newMaster(MasterConfig{SplitStrategy: strategy, Flight: trace.NewFlight(nil)},
+	st, err := solver.ParseStrategy(strategy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.fanout = st.MaxBatch()
+	w.m = newMaster(MasterConfig{Flight: trace.NewFlight(nil)},
 		func() float64 { return w.now },
 		func(to int, msg comm.Message) {
 			w.sent = append(w.sent, struct {
@@ -92,10 +98,6 @@ func newExhaustWorld(t *testing.T, seed int64, strategy string, hostile bool) *e
 			}{to, msg})
 		},
 		func(BundleSpec) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.m = m
 	return w
 }
 
@@ -285,7 +287,7 @@ func (w *exhaustWorld) split(c *scriptedClient, msg comm.SplitAssign) {
 		done.Err = "nothing to split on"
 	default:
 		done.OK = true
-		made = 1 + w.rng.Intn(max(1, w.m.fanout))
+		made = 1 + w.rng.Intn(w.fanout)
 		for done.Used < min(made, len(p.peers)) {
 			peer := w.clients[p.peers[done.Used]]
 			if peer.gone || w.rng.Intn(12) == 0 {
@@ -366,7 +368,7 @@ func (w *exhaustWorld) register() bool {
 	w.clients[id] = &scriptedClient{id: id}
 	w.ids = append(w.ids, id)
 	w.step("register", from(id, comm.Register{Addr: fmt.Sprintf("c%d", id),
-		FreeMemBytes: 1 << 20, SpeedHint: 1 + w.rng.Float64()}), nil)
+		FreeMemBytes: 1 << 20, SpeedHint: 1 + w.rng.Float64(), Fanout: w.fanout}), nil)
 	return true
 }
 

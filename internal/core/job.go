@@ -18,8 +18,8 @@ import (
 // configurations as deployed; Solve hands Master to NewMaster and Client to
 // every NewClient, writing over them only what it models: in stamp the
 // in-process transport and addresses, one registry (Master.Metrics, or a
-// private one) for the transport and the master, and one split strategy (Client's) and flight recorder (Master's) for both
-// halves; at launch each client's host name. Client.FreeMemBytes 0 is
+// private one) for the transport and the master, and one flight recorder
+// (Master's) for both halves; at launch each client's host name. Client.FreeMemBytes 0 is
 // 256 MiB.
 type JobConfig struct {
 	// Clients is the pool size (the paper's testbed had 34; 0 = 4).
@@ -40,7 +40,6 @@ func (cfg *JobConfig) stamp(f *cnf.Formula, tr comm.Transport, reg *obs.Registry
 	m.Formula = f
 	m.ExpectedClients = cfg.Clients
 	m.Metrics = reg
-	m.SplitStrategy = cl.SplitStrategy
 	if cfg.Timeout != 0 {
 		m.Timeout = cfg.Timeout
 	}

@@ -92,11 +92,8 @@ func TestIdleClientsServeHigherPriorityFirst(t *testing.T) {
 		msg comm.Message
 	}
 	var outbox []sent
-	m, err := newMaster(MasterConfig{Flight: trace.NewFlight(nil)}, func() float64 { return 1 },
+	m := newMaster(MasterConfig{Flight: trace.NewFlight(nil)}, func() float64 { return 1 },
 		func(to int, msg comm.Message) { outbox = append(outbox, sent{to, msg}) }, func(BundleSpec) {})
-	if err != nil {
-		t.Fatal(err)
-	}
 	step := func(what string, ev masterEvent) {
 		t.Helper()
 		if done, err := m.handle(ev); done || err != nil {

@@ -54,12 +54,6 @@ type MasterConfig struct {
 	// introspection server additionally exposes /trace, /trace.json (Chrome
 	// trace-event format) and /tree (split lineage).
 	Flight *trace.Flight
-	// SplitStrategy names the split engine clients run ("first-decision",
-	// "dilemma", "dilemma-veto"; "" = first-decision). The master only uses
-	// its fanout: a 2^k dilemma strategy can hand cofactors to up to 2^k-1
-	// idle peers per split, so that many recipients are reserved per
-	// assignment when available.
-	SplitStrategy string
 	// Admission bounds what Submit accepts (active-job cap and formula
 	// memory budget); the zero value derives the cap from the registered
 	// client count.
@@ -105,9 +99,12 @@ type masterClient struct {
 	// whenever the shell hands over a fresher forecast (noteForecast).
 	// usedMem is the latest heartbeat's arena size — a different quantity,
 	// reported in /status and to the watchdog, never ranked or admitted on.
-	rank     float64
-	freeMem  int64
-	usedMem  int64
+	rank    float64
+	freeMem int64
+	usedMem int64
+	// fanout is how many cofactors one split of this client hands out, as
+	// its Register stated: the recipients a request of it reserves.
+	fanout   int
 	busy     bool
 	reserved bool // chosen as split recipient; payload in flight
 	assignment
@@ -291,9 +288,6 @@ type Master struct {
 	order       []int
 	nextID      int
 	nextSplitID int
-	// fanout is the per-split recipient budget of the configured strategy
-	// (1 for first-decision, 2^k-1 for a 2^k dilemma).
-	fanout int
 	// jobs holds every job by ID (terminal ones included, so results stay
 	// queryable); jobOrder is submission order.
 	jobs     map[int]*masterJob
@@ -427,10 +421,7 @@ func newMasterMetrics(reg *obs.Registry) masterMetrics {
 // newMaster builds the control plane alone — no listener, goroutine or
 // HTTP server — wired to the given shell seams (all nil: the live shell's,
 // which are methods of the value built here).
-func newMaster(cfg MasterConfig, now func() float64, send func(int, comm.Message), writeBundle func(BundleSpec)) (*Master, error) {
-	if _, err := solver.ParseStrategy(cfg.SplitStrategy); err != nil {
-		return nil, err
-	}
+func newMaster(cfg MasterConfig, now func() float64, send func(int, comm.Message), writeBundle func(BundleSpec)) *Master {
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -445,7 +436,6 @@ func newMaster(cfg MasterConfig, now func() float64, send func(int, comm.Message
 		send:           send,
 		writeBundle:    writeBundle,
 		clients:        map[int]*masterClient{},
-		fanout:         solver.StrategyFanout(cfg.SplitStrategy),
 		jobs:           map[int]*masterJob{},
 		admission:      cfg.Admission,
 		pendingSplits:  map[int]*splitGroup{},
@@ -478,7 +468,7 @@ func newMaster(cfg MasterConfig, now func() float64, send func(int, comm.Message
 		// des_msgs/des_bytes and every virtual-time table pin that traffic.
 		m.admit(0, "", cfg.Formula, 1)
 	}
-	return m, nil
+	return m
 }
 
 // jobOf resolves the job a client's messages belong to (nil once the job
@@ -640,6 +630,7 @@ func (m *Master) handleRegister(c *masterClient, msg comm.Register) {
 	c.hostName = msg.HostName
 	c.freeMem = msg.FreeMemBytes
 	c.rank = msg.SpeedHint * float64(msg.FreeMemBytes>>20)
+	c.fanout = msg.Fanout
 	m.log.Info("client registered", "id", c.id, "host", msg.HostName,
 		"addr", msg.Addr, "free_mem", msg.FreeMemBytes)
 	m.femit(trace.FEvent{Kind: trace.FEvClientJoin, Client: c.id,
@@ -746,7 +737,7 @@ func (m *Master) serveBacklog() {
 // table: the longest-running requester first — "giving more resources to
 // those parts of the search space that take the longest" (§3.4) — that is
 // the earliest assignment, then the earliest request, then the lowest ID.
-// A request reserves up to the strategy's fanout in idle recipients, so a
+// A request reserves up to its donor's fanout in idle recipients, so a
 // dilemma donor can shed all its cofactors in one exchange.
 func (m *Master) serveSplitBacklog(j *masterJob) {
 	for {
@@ -766,7 +757,7 @@ func (m *Master) serveSplitBacklog(j *masterJob) {
 		}
 		var peers []comm.SplitPeer
 		cands := m.idleCandidates()
-		for len(peers) < max(1, m.fanout) {
+		for len(peers) < max(1, donor.fanout) {
 			target, ok := PickSplitTarget(cands, m.cfg.MinMemBytes)
 			if !ok {
 				break

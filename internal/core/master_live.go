@@ -31,10 +31,7 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 	if cfg.Transport == nil {
 		return nil, errors.New("core: master needs a transport")
 	}
-	m, err := newMaster(cfg, nil, nil, nil)
-	if err != nil {
-		return nil, err
-	}
+	m := newMaster(cfg, nil, nil, nil)
 	l, err := cfg.Transport.Listen(cfg.ListenAddr)
 	if err != nil {
 		return nil, err

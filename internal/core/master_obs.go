@@ -212,12 +212,11 @@ func (m *Master) writeBundleAsync(spec BundleSpec) {
 // and scheduling knobs (the formula and transport are not serializable
 // and are captured by the state dump instead).
 type bundleConfig struct {
-	Serve         bool           `json:"serve"`
-	SplitStrategy string         `json:"split_strategy"`
-	MinMemBytes   int64          `json:"min_mem_bytes"`
-	Watchdog      WatchdogConfig `json:"watchdog"`
-	BundleDir     string         `json:"bundle_dir"`
-	Build         any            `json:"build"`
+	Serve       bool           `json:"serve"`
+	MinMemBytes int64          `json:"min_mem_bytes"`
+	Watchdog    WatchdogConfig `json:"watchdog"`
+	BundleDir   string         `json:"bundle_dir"`
+	Build       any            `json:"build"`
 }
 
 // bundleSpec freezes everything a bundle captures out of loop state; st
@@ -228,12 +227,11 @@ func (m *Master) bundleSpec(reason string, st ClusterState) BundleSpec {
 	m.bundleSeq++
 	m.publish(st)
 	cfg := bundleConfig{
-		Serve:         m.cfg.Formula == nil,
-		SplitStrategy: m.cfg.SplitStrategy,
-		MinMemBytes:   m.cfg.MinMemBytes,
-		Watchdog:      m.wd.cfg,
-		BundleDir:     m.cfg.BundleDir,
-		Build:         m.build,
+		Serve:       m.cfg.Formula == nil,
+		MinMemBytes: m.cfg.MinMemBytes,
+		Watchdog:    m.wd.cfg,
+		BundleDir:   m.cfg.BundleDir,
+		Build:       m.build,
 	}
 	spec := BundleSpec{
 		Dir:     m.cfg.BundleDir,

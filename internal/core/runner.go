@@ -56,8 +56,8 @@ import (
 // the virtual clock, the batch system, the job arrivals. RunDistributed hands
 // Master to the one newMaster and Client to every newClient, writing over
 // them only what the shell models: in stamp the heartbeat cadence, the
-// admission cap, and one split strategy (Client's) and
-// flight recorder (Master's) for both halves; at launch each client's host
+// admission cap, and one flight recorder (Master's) for both halves; at
+// launch each client's host
 // (name, free memory, speed). Fields only the live shell reads (Transport,
 // addresses, Timeout, SliceConflicts, ...) are ignored.
 type RunnerConfig struct {
@@ -180,10 +180,9 @@ func (c *RunnerConfig) withDefaults() RunnerConfig {
 // stamp writes what the DES models over the held configurations, except
 // each client's host, which launch stamps: every configured job is admitted
 // (the DES studies scheduling, not admission control); a client
-// heartbeats every slice; the master learns the
-// clients' split strategy and the clients share the master's flight
-// recorder. An unknown strategy name degrades to the default — the CLI
-// rejects it at the flag boundary.
+// heartbeats every slice; the clients share the master's flight recorder.
+// An unknown strategy name degrades to the default — the CLI rejects it at
+// the flag boundary.
 func (c *RunnerConfig) stamp() {
 	m, cl := &c.Master, &c.Client
 	if _, err := solver.ParseStrategy(cl.SplitStrategy); err != nil {
@@ -193,7 +192,6 @@ func (c *RunnerConfig) stamp() {
 		m.Formula = nil
 	}
 	m.Admission = Admission{MaxActive: len(c.Jobs)}
-	m.SplitStrategy = cl.SplitStrategy
 	cl.HeartbeatEvery = 1
 	cl.Flight = m.Flight
 }
@@ -438,15 +436,12 @@ func RunDistributed(cfg RunnerConfig) SimResult {
 	// A client computes at most one quantum at a time and a host runs at
 	// most one client, so a queue of len(Hosts) never blocks the loop.
 	defer r.startWorkers(runtime.GOMAXPROCS(0), len(cfg.Grid.Hosts))()
-	m, err := newMaster(cfg.Master, r.sim.Now, r.toClient, func(spec BundleSpec) {
+	m := newMaster(cfg.Master, r.sim.Now, r.toClient, func(spec BundleSpec) {
 		// Written inline: no goroutine, so bundle contents are reproducible.
 		if dir, err := WriteBundle(spec); err == nil {
 			r.res.Bundles = append(r.res.Bundles, dir)
 		}
 	})
-	if err != nil {
-		panic(err) // unreachable: stamp normalized both names
-	}
 	r.m = m
 	if n := len(cfg.Grid.Hosts); n > 0 {
 		r.mhost = cfg.Grid.Hosts[n-1] // the paper ran its master at UCSD

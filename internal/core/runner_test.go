@@ -52,7 +52,7 @@ func TestDESWatchdogDefaultsArePinned(t *testing.T) {
 		wantAlerts = 9
 		wantFirst  = "90.0 progress-stall cluster: coverage flat at 0.000000 for 60s with 12 clients busy"
 		wantLast   = "210.0 heartbeat-gap client 32: client 32 busy but silent for 15.1s"
-		wantSHA    = "6532c3ac79d98ed69fad87015e131a08933b9e74334aee68efed0ac2878e7c62"
+		wantSHA    = "1c36a47be0a1bf63ea6b2d2b6ca7817ab23bb0992dce751e8b392c5c89266c55"
 	)
 	if len(res.Alerts) != wantAlerts {
 		t.Fatalf("fired %d alerts, want %d: %+v", len(res.Alerts), wantAlerts, res.Alerts)

@@ -504,13 +504,10 @@ func TestMasterShareRelayPicksRecipientsFirst(t *testing.T) {
 		t.Run(fmt.Sprintf("holders=%d", holders), func(t *testing.T) {
 			var outbox []sent
 			fl := trace.NewFlight(nil)
-			m, err := newMaster(MasterConfig{Formula: gen.Pigeonhole(4), Flight: fl},
+			m := newMaster(MasterConfig{Formula: gen.Pigeonhole(4), Flight: fl},
 				func() float64 { return 0 },
 				func(to int, msg comm.Message) { outbox = append(outbox, sent{to, msg}) },
 				func(BundleSpec) {})
-			if err != nil {
-				t.Fatal(err)
-			}
 			for i := 0; i < holders; i++ {
 				c := m.clients[m.connect()]
 				c.addr, c.busy = fmt.Sprintf("addr-%d", c.id), true

@@ -22,12 +22,9 @@ import (
 // handlers directly, at a clock it sets, and the outbox goes nowhere.
 func bareMaster(t *testing.T, now *float64) *Master {
 	t.Helper()
-	m, err := newMaster(MasterConfig{Flight: trace.NewFlight(nil)},
+	m := newMaster(MasterConfig{Flight: trace.NewFlight(nil)},
 		func() float64 { return *now },
 		func(int, comm.Message) {}, func(BundleSpec) {})
-	if err != nil {
-		t.Fatal(err)
-	}
 	return m
 }
 

@@ -62,17 +62,6 @@ func ParseStrategy(name string) (SplitStrategy, error) {
 	return nil, fmt.Errorf("solver: unknown split strategy %q (want %s)", name, StrategyNames)
 }
 
-// StrategyFanout returns the recipient fan-out of a -split-strategy flag
-// value (1 for unknown names, so a misconfigured scheduler degrades to
-// binary splitting instead of over-reserving).
-func StrategyFanout(name string) int {
-	st, err := ParseStrategy(name)
-	if err != nil {
-		return 1
-	}
-	return st.MaxBatch()
-}
-
 // FirstDecision is the paper's Figure-2 strategy: fork one binary
 // subproblem on the donor's first decision. It delegates to Solver.Split,
 // which advances the guiding-path depth by 1 — the binary special case of

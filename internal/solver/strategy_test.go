@@ -270,15 +270,9 @@ func TestParseStrategy(t *testing.T) {
 		if st.Name() != c.name || st.MaxBatch() != c.fanout {
 			t.Fatalf("%q -> %s/%d, want %s/%d", c.flag, st.Name(), st.MaxBatch(), c.name, c.fanout)
 		}
-		if got := StrategyFanout(c.flag); got != c.fanout {
-			t.Fatalf("StrategyFanout(%q) = %d, want %d", c.flag, got, c.fanout)
-		}
 	}
 	if _, err := ParseStrategy("bogus"); err == nil {
 		t.Fatal("unknown strategy accepted")
-	}
-	if got := StrategyFanout("bogus"); got != 1 {
-		t.Fatalf("unknown strategy fan-out = %d, want the degraded 1", got)
 	}
 }
 

@@ -3,7 +3,10 @@
 # `gridsat serve` with three TCP clients, drives the HTTP job API
 # (submit a SAT and an UNSAT instance, cancel a long one mid-run),
 # asserts every verdict, checks /metrics against /status, and shuts the
-# service down cleanly with SIGINT. Artifacts (job list JSON, flight log, server log) land in
+# service down cleanly with SIGINT. The clients split with the dilemma
+# strategy, which serve is never told: each states its own fan-out when it
+# registers, and the flight log must show a split shared among two or more
+# idle peers. Artifacts (job list JSON, flight log, server log) land in
 # $SMOKE_DIR (default /tmp/gridsat-serve-smoke) for CI upload.
 set -euo pipefail
 
@@ -37,7 +40,7 @@ done
 
 CLIENT_PIDS=""
 for i in 1 2 3; do
-  "$SMOKE_DIR/gridsat" client -master "$LISTEN" -threads 1 \
+  "$SMOKE_DIR/gridsat" client -master "$LISTEN" -threads 1 -split-strategy dilemma \
     >"$SMOKE_DIR/client$i.log" 2>&1 &
   CLIENT_PIDS="$CLIENT_PIDS $!"
 done
@@ -101,5 +104,11 @@ if kill -0 "$SERVE_PID" 2>/dev/null; then
   echo "FAIL: serve did not exit after SIGINT"
   exit 1
 fi
+
+# The flight log is complete once serve has exited: some split must have
+# reserved a recipient per cofactor a dilemma donor hands out (up to
+# three), not the one a first-decision split uses.
+grep '"kind":"split-issue"' "$SMOKE_DIR/flight.jsonl" | grep -q '"n":[2-9]' \
+  || { echo "FAIL: no split-issue with n >= 2: the dilemma clients' fan-out was not used"; exit 1; }
 
 echo "serve smoke OK: SAT=$SAT_ID UNSAT=$UNSAT_ID CANCELLED=$LONG_ID, clean shutdown"
