@@ -123,11 +123,14 @@ type Client struct {
 	// addr is this client's P2P endpoint as peers are told it.
 	addr string
 
-	// base is the current subproblem's formula; bases caches every
-	// BaseProblem received, keyed by job (the master ships one formula per
-	// job; a one-shot run's only job is 0).
-	base  *cnf.Formula
-	bases map[int]*cnf.Formula
+	// base is the current subproblem's formula; cached is the last
+	// BaseProblem received, the formula of job cachedJob. The master ships a
+	// job's formula before the client's first work for that job, and again
+	// whenever the client comes back to it from another job's, so with base
+	// the client holds at most two formulas, however many jobs it serves.
+	base      *cnf.Formula
+	cached    *cnf.Formula
+	cachedJob int
 	// job is the job the current (or last) subproblem belongs to; tagged
 	// onto every outbound Solved/StatusReport/ShareClauses/SplitPayload.
 	job      int
@@ -227,7 +230,6 @@ func newClient(cfg ClientConfig, now func() float64, send func(comm.SplitPeer, c
 		send:     send,
 		slice:    solver.Limits{MaxConflicts: cfg.SliceConflicts},
 		strategy: strategy,
-		bases:    map[int]*cnf.Formula{},
 		shares:   newShareAggregator(shareFlushCount, shareFlushEvery, 0, now()),
 		flight:   cfg.Flight,
 	}
@@ -465,10 +467,7 @@ func (c *Client) handleIdle(msg comm.Message) bool {
 		}
 		c.id = m.ClientID
 	case comm.BaseProblem:
-		c.bases[m.Job] = m.Formula
-		if m.Job == 0 {
-			c.base = m.Formula
-		}
+		c.cached, c.cachedJob = m.Formula, m.Job
 	case comm.SplitPayload:
 		c.startSubproblem(m.SplitID, m.Job, m.Subs)
 	case comm.SplitAssign:
@@ -496,7 +495,7 @@ func (c *Client) handleBusy(msg comm.Message) bool {
 	case comm.BaseProblem:
 		// A scheduling master may pre-ship another job's formula while this
 		// client is still busy (reserved as a split recipient).
-		c.bases[m.Job] = m.Formula
+		c.cached, c.cachedJob = m.Formula, m.Job
 	case comm.SplitPayload:
 		// Only a confused sender assigns to a busy client; bounce the
 		// payload (startSubproblem hands it back as leftover) so the
@@ -543,13 +542,12 @@ func (c *Client) startSubproblem(splitID, job int, subs []*solver.Subproblem) {
 			Err: "already busy", Leftover: subs})
 		return
 	}
-	c.base = c.bases[job]
-	if c.base == nil {
+	if c.cached == nil || c.cachedJob != job {
 		_ = c.sendMaster(comm.SplitDone{SplitID: splitID, OK: false,
 			Err: "no base problem cached", Leftover: subs})
 		return
 	}
-	c.job = job
+	c.base, c.job = c.cached, job
 	opts := solver.DefaultOptions()
 	if c.cfg.SolverOptions != nil {
 		opts = *c.cfg.SolverOptions

@@ -121,9 +121,10 @@ type masterClient struct {
 	// time a stale ack lands, and honoring it would wrongly free a busy
 	// client.
 	stopSeq int
-	// sentBase records which jobs' base formulas this client has cached, so
-	// the scheduler sends each BaseProblem at most once per client.
-	sentBase map[int]bool
+	// baseJob is the job whose base formula the client has cached (-1:
+	// none yet). The client caches one, so ensureBase sends a job's formula
+	// again when the client comes back to that job from another.
+	baseJob int
 
 	// Live cluster view: totals summed from heartbeat deltas plus the
 	// latest gauges.
@@ -512,7 +513,7 @@ func (m *Master) finishResult() {
 // shell routes that ID's traffic from then on.
 func (m *Master) connect() int {
 	m.nextID++
-	m.clients[m.nextID] = &masterClient{id: m.nextID, sentBase: map[int]bool{}}
+	m.clients[m.nextID] = &masterClient{id: m.nextID, baseJob: -1}
 	m.order = append(m.order, m.nextID)
 	return m.nextID
 }
@@ -647,14 +648,15 @@ func (m *Master) handleRegister(c *masterClient, msg comm.Register) {
 	m.serveBacklog()
 }
 
-// ensureBase sends a job's base formula to a client that has not cached
-// it yet; called right before the client is reserved or assigned for the
-// job (and at registration, for the job first in serving order).
+// ensureBase sends a job's base formula to a client whose cache holds
+// another's (or none); called right before the client is reserved or
+// assigned for the job (and at registration, for the job first in serving
+// order).
 func (m *Master) ensureBase(c *masterClient, j *masterJob) {
-	if c.sentBase[j.ID] {
+	if c.baseJob == j.ID {
 		return
 	}
-	c.sentBase[j.ID] = true
+	c.baseJob = j.ID
 	m.send(c.id, comm.BaseProblem{Formula: j.Formula, Job: j.ID})
 }
 
