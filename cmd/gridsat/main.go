@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -188,10 +189,20 @@ func validate(strategy, level string) error {
 		return err
 	}
 	if level != "" {
-		_, err := obs.ParseLevel(level)
+		_, err := parseLevel(level)
 		return err
 	}
 	return nil
+}
+
+// parseLevel reads a -log value with slog's level names (case-insensitive);
+// anything else is an error naming the accepted levels.
+func parseLevel(s string) (slog.Level, error) {
+	var lvl slog.Level
+	if err := lvl.UnmarshalText([]byte(s)); err != nil {
+		return 0, fmt.Errorf("%w (want debug, info, warn or error)", err)
+	}
+	return lvl, nil
 }
 
 // runCmd is `gridsat run` parsed: the in-process job and its outputs.
@@ -257,15 +268,15 @@ func cmdRun(args []string) error {
 }
 
 // runLogger builds the stderr structured logger for -log; "" disables.
-func runLogger(level string) (*obs.Logger, error) {
+func runLogger(level string) (*slog.Logger, error) {
 	if level == "" {
 		return nil, nil
 	}
-	lvl, err := obs.ParseLevel(level)
+	lvl, err := parseLevel(level)
 	if err != nil {
 		return nil, err
 	}
-	return obs.NewLogger(os.Stderr, lvl), nil
+	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})), nil
 }
 
 // flightRecorder opens the -trace flight recorder streaming JSONL to path;

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -211,6 +212,22 @@ func TestEmptyLogIsOff(t *testing.T) {
 	serve, _ := parseServe(nil)
 	if run.out.log != "" || master.out.log != "" || serve.out.log != "info" {
 		t.Fatalf("default -log: run %q, master %q, serve %q", run.out.log, master.out.log, serve.out.log)
+	}
+}
+
+// TestLogLevelNames: -log takes slog's four level names in any case; any
+// other value is an error that lists them.
+func TestLogLevelNames(t *testing.T) {
+	for in, want := range map[string]slog.Level{"debug": slog.LevelDebug,
+		"INFO": slog.LevelInfo, "Warn": slog.LevelWarn, "error": slog.LevelError} {
+		if got, err := parseLevel(in); got != want || err != nil {
+			t.Errorf("parseLevel(%q) = %v, %v, want %v", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"bogus", "degub", "warning"} {
+		if _, err := parseLevel(in); err == nil || !strings.Contains(err.Error(), "debug, info, warn or error") {
+			t.Errorf("parseLevel(%q) error = %v, want one listing the accepted levels", in, err)
+		}
 	}
 }
 

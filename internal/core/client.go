@@ -635,11 +635,7 @@ func (c *Client) finishSlice(res solver.Result) error {
 		return nil
 	}
 	if ask, why := dec.ShouldSplit(c.port.MemoryBytes(), c.now()-c.recvAt); ask {
-		reason := comm.SplitTimeout
-		if why == WhyMemory {
-			reason = comm.SplitMemoryPressure
-		}
-		c.requestSplit(reason)
+		c.requestSplit(why)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"log/slog"
 	"maps"
 	"net/http"
 	"slices"
@@ -39,8 +40,9 @@ type MasterConfig struct {
 	// Metrics receives the master's counters, gauges, and histograms;
 	// nil allocates a private registry.
 	Metrics *obs.Registry
-	// Logger receives structured master events; nil discards them.
-	Logger *obs.Logger
+	// Logger receives structured master events, tagged component=master
+	// and, when Flight is set, lamport=N; nil discards them.
+	Logger *slog.Logger
 	// MetricsAddr, when non-empty, serves live HTTP introspection on
 	// that address (":0" picks a port — see MetricsAddr()): /metrics is
 	// Prometheus text, /status the JSON ClusterState, /history the ring of
@@ -321,7 +323,7 @@ type Master struct {
 	clusterAgg comm.SolverDeltas
 
 	reg    *obs.Registry
-	log    *obs.Logger
+	log    *slog.Logger
 	met    masterMetrics
 	flight *trace.Flight
 	// inTI is the trace metadata of the message currently being handled
@@ -429,7 +431,10 @@ func newMaster(cfg MasterConfig, now func() float64, send func(int, comm.Message
 	}
 	log := cfg.Logger
 	if log == nil {
-		log = obs.Nop()
+		log = slog.New(slog.DiscardHandler)
+	}
+	if cfg.Flight != nil {
+		log = slog.New(lamportHandler{log.Handler(), cfg.Flight})
 	}
 	m := &Master{
 		cfg:            cfg,
@@ -442,7 +447,7 @@ func newMaster(cfg MasterConfig, now func() float64, send func(int, comm.Message
 		pendingSplits:  map[int]*splitGroup{},
 		pendingAssigns: map[int]backlogSub{},
 		reg:            reg,
-		log:            log.Named("master"),
+		log:            log.With("component", "master"),
 		met:            newMasterMetrics(reg),
 		flight:         cfg.Flight,
 	}
@@ -453,11 +458,6 @@ func newMaster(cfg MasterConfig, now func() float64, send func(int, comm.Message
 	m.wd = newWatchdog(wcfg)
 	if now == nil {
 		m.now, m.send, m.writeBundle = m.wallNow, m.enqueue, m.writeBundleAsync
-	}
-	if cfg.Flight != nil {
-		// Stamp log lines with the recorder's Lamport time so they can be
-		// placed against the flight log's causal order.
-		m.log = m.log.WithLamport(cfg.Flight)
 	}
 	if cfg.Formula != nil {
 		// A one-shot run is a service with one job, admitted here unchecked

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"strconv"
 	"strings"
 	"time"
@@ -25,6 +27,27 @@ var ErrDraining = errors.New("core: master is draining")
 // ErrNoBundleDir rejects bundle captures on a master configured without
 // MasterConfig.BundleDir.
 var ErrNoBundleDir = errors.New("core: no bundle directory configured (set MasterConfig.BundleDir)")
+
+// lamportHandler stamps every log record with the flight recorder's
+// Lamport time as lamport=N. Wall clocks skew across grid sites; the stamp
+// is what places a log line against the flight log's causal order.
+type lamportHandler struct {
+	slog.Handler
+	clock *trace.Flight
+}
+
+func (h lamportHandler) Handle(ctx context.Context, r slog.Record) error {
+	r.AddAttrs(slog.Uint64("lamport", h.clock.Now()))
+	return h.Handler.Handle(ctx, r)
+}
+
+func (h lamportHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
+	return lamportHandler{h.Handler.WithAttrs(attrs), h.clock}
+}
+
+func (h lamportHandler) WithGroup(name string) slog.Handler {
+	return lamportHandler{h.Handler.WithGroup(name), h.clock}
+}
 
 // alertsResponse is the GET /alerts payload.
 type alertsResponse struct {

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +20,7 @@ import (
 	"gridsat/internal/gen"
 	"gridsat/internal/obs"
 	"gridsat/internal/solver"
+	"gridsat/internal/trace"
 )
 
 // promSample matches one Prometheus exposition sample line.
@@ -366,5 +371,44 @@ func TestSimTrafficCounters(t *testing.T) {
 	}
 	if res.Bytes < res.Msgs {
 		t.Errorf("bytes (%d) < msgs (%d): every message has a positive size", res.Bytes, res.Msgs)
+	}
+}
+
+// TestLogLinesCarryComponentAndLamport: with a flight recorder attached,
+// every master log line is tagged component=master and ends in the
+// recorder's Lamport time, which never runs backwards; a nil Logger is off
+// at every level, flight recorder or not.
+func TestLogLinesCarryComponentAndLamport(t *testing.T) {
+	var buf bytes.Buffer
+	cfg := desConfig(gen.Pigeonhole(8), 10_000)
+	cfg.Master.Flight = trace.NewFlight(nil)
+	cfg.Master.Logger = slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
+	if res := RunDistributed(cfg); res.Outcome != OutcomeSolved {
+		t.Fatalf("run: %v", res.Outcome)
+	}
+	stamp := regexp.MustCompile(` lamport=(\d+)$`)
+	var last uint64
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	for _, line := range lines {
+		m := stamp.FindStringSubmatch(line)
+		if m == nil || !strings.Contains(line, " component=master ") {
+			t.Fatalf("line lacks component=master or a trailing lamport: %q", line)
+		}
+		n, _ := strconv.ParseUint(m[1], 10, 64)
+		if n < last {
+			t.Fatalf("lamport ran backwards %d -> %d: %q", last, n, line)
+		}
+		last = n
+	}
+	if !strings.Contains(buf.String(), `msg="client registered"`) || !strings.Contains(buf.String(), `msg=heartbeat`) {
+		t.Fatalf("missing the registration or debug lines in %d lines", len(lines))
+	}
+
+	for _, fl := range []*trace.Flight{nil, trace.NewFlight(nil)} {
+		m := newMaster(MasterConfig{Flight: fl}, func() float64 { return 0 },
+			func(int, comm.Message) {}, func(BundleSpec) {})
+		if m.log.Enabled(context.Background(), slog.LevelError) {
+			t.Errorf("nil Logger (flight %v) is enabled", fl != nil)
+		}
 	}
 }

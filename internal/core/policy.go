@@ -19,6 +19,8 @@
 // paper's tables, bit for bit on however many cores it is given.
 package core
 
+import "gridsat/internal/comm"
+
 // SplitDecision captures the client-side split trigger policy (paper
 // §3.3): request help when the clause database is predicted to outgrow
 // the memory budget, or when the subproblem has run for twice the time it
@@ -40,42 +42,18 @@ type SplitDecision struct {
 
 // ShouldSplit evaluates the trigger given the solver's current estimated
 // memory and how long the client has been running its subproblem.
-// The bool reports whether to ask the master for a split; the reason
-// distinguishes the paper's two triggers (memory wins ties).
-func (d SplitDecision) ShouldSplit(memBytes int64, runTime float64) (bool, SplitWhy) {
+// The bool reports whether to ask the master for a split; the reason, read
+// only when it is true, names which of the paper's two triggers fired
+// (memory wins ties).
+func (d SplitDecision) ShouldSplit(memBytes int64, runTime float64) (bool, comm.SplitReason) {
 	if d.MemBudgetBytes > 0 && float64(memBytes) >= d.MemPressureFraction*float64(d.MemBudgetBytes) {
-		return true, WhyMemory
+		return true, comm.SplitMemoryPressure
 	}
 	timeout := 2 * d.TransferTime
 	if timeout < d.MinRunTime {
 		timeout = d.MinRunTime
 	}
-	if runTime >= timeout {
-		return true, WhyTimeout
-	}
-	return false, WhyNone
-}
-
-// SplitWhy is the trigger that fired.
-type SplitWhy int
-
-// Split triggers.
-const (
-	WhyNone SplitWhy = iota
-	WhyMemory
-	WhyTimeout
-)
-
-// String implements fmt.Stringer.
-func (w SplitWhy) String() string {
-	switch w {
-	case WhyMemory:
-		return "memory"
-	case WhyTimeout:
-		return "timeout"
-	default:
-		return "none"
-	}
+	return runTime >= timeout, comm.SplitTimeout
 }
 
 // Candidate describes an idle resource the scheduler can place work on.

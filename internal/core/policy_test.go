@@ -1,10 +1,14 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"gridsat/internal/comm"
+)
 
 func TestSplitDecisionMemoryTrigger(t *testing.T) {
 	d := SplitDecision{MemBudgetBytes: 1000, MemPressureFraction: 0.8, TransferTime: 100, MinRunTime: 1}
-	if ask, why := d.ShouldSplit(800, 0); !ask || why != WhyMemory {
+	if ask, why := d.ShouldSplit(800, 0); !ask || why != comm.SplitMemoryPressure {
 		t.Fatalf("at 80%% budget: ask=%v why=%v", ask, why)
 	}
 	if ask, _ := d.ShouldSplit(799, 0); ask {
@@ -18,7 +22,7 @@ func TestSplitDecisionTimeoutTrigger(t *testing.T) {
 		t.Fatal("below 2x transfer time should not trigger")
 	}
 	ask, why := d.ShouldSplit(0, 100)
-	if !ask || why != WhyTimeout {
+	if !ask || why != comm.SplitTimeout {
 		t.Fatalf("at 2x transfer time: ask=%v why=%v", ask, why)
 	}
 }
@@ -35,14 +39,14 @@ func TestSplitDecisionMinRunTimeFloor(t *testing.T) {
 
 func TestSplitDecisionMemoryWinsTies(t *testing.T) {
 	d := SplitDecision{MemBudgetBytes: 100, MemPressureFraction: 0.5, TransferTime: 1, MinRunTime: 0}
-	if _, why := d.ShouldSplit(50, 100); why != WhyMemory {
+	if _, why := d.ShouldSplit(50, 100); why != comm.SplitMemoryPressure {
 		t.Fatalf("why = %v, want memory", why)
 	}
 }
 
 func TestSplitDecisionNoBudget(t *testing.T) {
 	d := SplitDecision{MemBudgetBytes: 0, MemPressureFraction: 0.8, TransferTime: 10, MinRunTime: 0}
-	if ask, why := d.ShouldSplit(1<<40, 5); ask || why != WhyNone {
+	if ask, _ := d.ShouldSplit(1<<40, 5); ask {
 		t.Fatal("zero budget should disable the memory trigger")
 	}
 }
@@ -70,11 +74,5 @@ func TestPickSplitTargetTieBreak(t *testing.T) {
 	got, _ := PickSplitTarget(cands, 0)
 	if got.ID != 2 {
 		t.Fatalf("tie broke to %d, want lower ID 2", got.ID)
-	}
-}
-
-func TestSplitWhyString(t *testing.T) {
-	if WhyMemory.String() != "memory" || WhyTimeout.String() != "timeout" || WhyNone.String() != "none" {
-		t.Error("SplitWhy strings wrong")
 	}
 }

@@ -227,8 +227,9 @@ type SimResult struct {
 	Model   cnf.Assignment
 	// VSec is the virtual solve time (the paper's seconds column ÷ 10).
 	VSec float64
-	// MaxClients is the paper's "Max # of clients" column: the peak of
-	// Timeline.
+	// MaxClients is the paper's "Max # of clients" column: the master's
+	// peak of simultaneously busy clients (Result.MaxClients), which is also
+	// the peak of Timeline.
 	MaxClients int
 	// TotalProps is the real work executed across all clients.
 	TotalProps int64
@@ -1014,8 +1015,7 @@ func (r *runner) fail(hostID int) {
 	r.joinQuanta() // the checkpoint is of the state the running quantum leaves
 	salvage := []*solver.Subproblem{}
 	if dc.cl.busy() {
-		cp := dc.cl.port.Pathfinder().Checkpoint(solver.LightCheckpoint, 0)
-		salvage = append(salvage, &solver.Subproblem{NumVars: cp.NumVars, Assumptions: cp.Level0, Depth: cp.Depth})
+		salvage = append(salvage, dc.cl.port.Pathfinder().Checkpoint(solver.LightCheckpoint, 0).Subproblem())
 	}
 	salvage = append(salvage, dc.inflight...)
 	r.retire(dc)
@@ -1026,7 +1026,7 @@ func (r *runner) fail(hostID int) {
 
 // sample appends a timeline point, collapsing consecutive equal counts.
 // The curve starts when the first client goes busy ("this number starts
-// at one") and its peak is the run's MaxClients.
+// at one").
 func (r *runner) sample(busy int) {
 	tl := r.res.Timeline
 	if len(tl) == 0 && busy == 0 {
@@ -1035,7 +1035,6 @@ func (r *runner) sample(busy int) {
 	if len(tl) > 0 && tl[len(tl)-1].Busy == busy {
 		return
 	}
-	r.res.MaxClients = max(r.res.MaxClients, busy)
 	r.res.Timeline = append(tl, TimelinePoint{VSec: r.sim.Now(), Busy: busy})
 }
 
@@ -1062,6 +1061,7 @@ func (r *runner) finish(outcome SimOutcome) {
 	res := &r.res
 	res.Outcome = outcome
 	res.Status, res.Model, res.State = m.result.Status, m.result.Model, m.result.State
+	res.MaxClients = m.result.MaxClients
 	res.Agg = res.State.SolverDeltas
 	res.Agg.Add(r.tail)
 	res.PoolPublished, res.PoolDelivered = r.pool.Published, r.pool.Delivered

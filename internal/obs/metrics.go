@@ -1,7 +1,7 @@
 // Package obs is GridSAT's dependency-free observability layer: atomic
 // counters, gauges, and bounded histograms collected in a Registry with
-// Prometheus text and JSON snapshot exposition, plus a small leveled
-// structured logger and an HTTP introspection handler.
+// Prometheus text and JSON snapshot exposition, plus an HTTP
+// introspection handler. Logs go through the standard library's log/slog.
 //
 // The paper's EveryWare instrumentation cost up to 50% of solver
 // throughput, forcing timed experiments to run blind (§4.1). This package

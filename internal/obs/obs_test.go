@@ -180,50 +180,6 @@ func TestConcurrentCounters(t *testing.T) {
 	}
 }
 
-func TestLoggerFormatAndLevels(t *testing.T) {
-	var b strings.Builder
-	l := NewLogger(&b, LevelInfo)
-	l.now = func() time.Time { return time.Date(2003, 11, 15, 10, 20, 30, 123e6, time.UTC) }
-	l.Debug("dropped")
-	master := l.Named("master")
-	master.Info("client registered", "id", 3, "host", "node a")
-	if got := b.String(); got != `2003-11-15T10:20:30.123Z INFO  [master] client registered id=3 host="node a"`+"\n" {
-		t.Fatalf("log line: %q", got)
-	}
-	b.Reset()
-	l.SetLevel(LevelError)
-	master.Warn("dropped too")
-	if b.Len() != 0 {
-		t.Fatalf("level filter leaked: %q", b.String())
-	}
-	if !master.Enabled(LevelError) || master.Enabled(LevelWarn) {
-		t.Fatal("Enabled disagrees with SetLevel")
-	}
-}
-
-func TestNopLoggerSilent(t *testing.T) {
-	l := Nop()
-	l.Error("nothing", "k", "v") // must not panic or write anywhere
-	if l.Enabled(LevelError) {
-		t.Fatal("Nop logger claims to be enabled")
-	}
-}
-
-func TestParseLevel(t *testing.T) {
-	cases := map[string]Level{"debug": LevelDebug, "INFO": LevelInfo,
-		"Warning": LevelWarn, "error": LevelError}
-	for in, want := range cases {
-		if got, err := ParseLevel(in); got != want || err != nil {
-			t.Errorf("ParseLevel(%q) = %v, %v, want %v", in, got, err, want)
-		}
-	}
-	for _, in := range []string{"bogus", "degub", ""} {
-		if _, err := ParseLevel(in); err == nil || !strings.Contains(err.Error(), "debug, info, warn or error") {
-			t.Errorf("ParseLevel(%q) error = %v, want one listing the accepted levels", in, err)
-		}
-	}
-}
-
 func TestHTTPHandler(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("served_total", "").Add(2)

@@ -2,7 +2,6 @@ package solver
 
 import (
 	"encoding/gob"
-	"errors"
 	"io"
 
 	"gridsat/internal/cnf"
@@ -75,21 +74,13 @@ func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	return &cp, nil
 }
 
+// Subproblem is the checkpoint as the subproblem it restarts: its level-0
+// assignments as assumptions, its learned clauses (heavy only) and depth.
+func (cp *Checkpoint) Subproblem() *Subproblem {
+	return &Subproblem{NumVars: cp.NumVars, Assumptions: cp.Level0, Learnts: cp.Learnts, Depth: cp.Depth}
+}
+
 // Restore rebuilds a solver from the problem formula and a checkpoint.
 func Restore(base *cnf.Formula, cp *Checkpoint, opts Options) (*Solver, error) {
-	if base.NumVars != cp.NumVars {
-		return nil, errors.New("solver: checkpoint variable count mismatch")
-	}
-	s := New(base, opts)
-	s.pathDepth = cp.Depth
-	if s.status != StatusUnknown {
-		return s, nil
-	}
-	if err := s.Assume(cp.Level0...); err != nil {
-		return nil, err
-	}
-	if err := s.ImportClausesLocal(cp.Learnts); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return NewFromSubproblem(base, cp.Subproblem(), opts)
 }

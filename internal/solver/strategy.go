@@ -1,8 +1,10 @@
 package solver
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"gridsat/internal/cnf"
 )
@@ -256,22 +258,11 @@ func (d *Dilemma) candidates(s *Solver) []splitCandidate {
 }
 
 // sortCandidates orders best-first: votes desc, activity desc, var asc.
-// Insertion sort keeps it allocation-free; the pool is per-split only.
+// Variables are distinct, so the order is total.
 func sortCandidates(cands []splitCandidate) {
-	better := func(a, b splitCandidate) bool {
-		if a.votes != b.votes {
-			return a.votes > b.votes
-		}
-		if a.act != b.act {
-			return a.act > b.act
-		}
-		return a.v < b.v
-	}
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && better(cands[j], cands[j-1]); j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
-		}
-	}
+	slices.SortFunc(cands, func(a, b splitCandidate) int {
+		return cmp.Or(cmp.Compare(b.votes, a.votes), cmp.Compare(b.act, a.act), cmp.Compare(a.v, b.v))
+	})
 }
 
 // Veto decorates a Dilemma with the Kotthoff & Moore candidate filter:
@@ -338,11 +329,6 @@ func medianOcc(cands []splitCandidate) int {
 	for i, c := range cands {
 		occs[i] = c.occ
 	}
-	// Insertion sort; candidate pools are one-per-split.
-	for i := 1; i < len(occs); i++ {
-		for j := i; j > 0 && occs[j] < occs[j-1]; j-- {
-			occs[j], occs[j-1] = occs[j-1], occs[j]
-		}
-	}
+	slices.Sort(occs)
 	return occs[len(occs)/2]
 }

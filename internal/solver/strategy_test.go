@@ -2,6 +2,8 @@ package solver
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"gridsat/internal/brute"
@@ -385,6 +387,58 @@ func TestDilemmaRepeatedSplits(t *testing.T) {
 		}
 		if anySAT != (want == brute.SAT) {
 			t.Fatalf("seed %d: parts say SAT=%v, brute says %v", seed, anySAT, want)
+		}
+	}
+}
+
+// insertionSortCandidates is the candidate ranking sortCandidates replaced,
+// kept as its reference: votes desc, activity desc, var asc.
+func insertionSortCandidates(cands []splitCandidate) {
+	better := func(a, b splitCandidate) bool {
+		if a.votes != b.votes {
+			return a.votes > b.votes
+		}
+		if a.act != b.act {
+			return a.act > b.act
+		}
+		return a.v < b.v
+	}
+	for i := 1; i < len(cands); i++ {
+		for j := i; j > 0 && better(cands[j], cands[j-1]); j-- {
+			cands[j], cands[j-1] = cands[j-1], cands[j]
+		}
+	}
+}
+
+// The split-candidate ranking and the veto's median order exactly as the
+// insertion sorts they replaced did, on pools full of tied votes,
+// activities and occurrence counts.
+func TestSortCandidatesMatchesInsertionSort(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		cands := make([]splitCandidate, 1+r.Intn(400))
+		for i, v := range r.Perm(len(cands)) {
+			cands[i] = splitCandidate{v: cnf.Var(v), votes: r.Intn(4),
+				act: float64(r.Intn(3)), occ: r.Intn(6)}
+		}
+		want := slices.Clone(cands)
+		insertionSortCandidates(want)
+		got := slices.Clone(cands)
+		sortCandidates(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: ranking of %d candidates differs from the insertion sort", trial, len(cands))
+		}
+		occs := make([]int, len(cands))
+		for i, c := range cands {
+			occs[i] = c.occ
+		}
+		for i := 1; i < len(occs); i++ {
+			for j := i; j > 0 && occs[j] < occs[j-1]; j-- {
+				occs[j], occs[j-1] = occs[j-1], occs[j]
+			}
+		}
+		if med := medianOcc(cands); med != occs[len(occs)/2] {
+			t.Fatalf("trial %d: median occurrence %d, insertion sort says %d", trial, med, occs[len(occs)/2])
 		}
 	}
 }

@@ -6,8 +6,10 @@
 # service down cleanly with SIGINT. The clients split with the dilemma
 # strategy, which serve is never told: each states its own fan-out when it
 # registers, and the flight log must show a split shared among two or more
-# idle peers. Artifacts (job list JSON, flight log, server log) land in
-# $SMOKE_DIR (default /tmp/gridsat-serve-smoke) for CI upload.
+# idle peers. serve's -log info lines must record both verdicts and the
+# cancel, each tagged component=master and stamped with the flight
+# recorder's Lamport time. Artifacts (job list JSON, flight log, server
+# log) land in $SMOKE_DIR (default /tmp/gridsat-serve-smoke) for CI upload.
 set -euo pipefail
 
 SMOKE_DIR="${SMOKE_DIR:-/tmp/gridsat-serve-smoke}"
@@ -110,5 +112,16 @@ fi
 # three), not the one a first-decision split uses.
 grep '"kind":"split-issue"' "$SMOKE_DIR/flight.jsonl" | grep -q '"n":[2-9]' \
   || { echo "FAIL: no split-issue with n >= 2: the dilemma clients' fan-out was not used"; exit 1; }
+
+# serve's log is complete once it has exited: one line per verdict and one
+# for the cancel, each from the master and carrying its Lamport stamp.
+FINISHED=$(grep -c 'msg="job finished"' "$SMOKE_DIR/serve.log" || true)
+CANCELLED=$(grep -c 'msg="job cancelled"' "$SMOKE_DIR/serve.log" || true)
+[ "$FINISHED" = 2 ] && [ "$CANCELLED" = 1 ] \
+  || { echo "FAIL: serve.log has $FINISHED job finished and $CANCELLED job cancelled lines, want 2 and 1"; exit 1; }
+UNTAGGED=$(grep -E 'msg="job (finished|cancelled)"' "$SMOKE_DIR/serve.log" \
+  | grep -cvE ' component=master .* lamport=[0-9]+$' || true)
+[ "$UNTAGGED" = 0 ] \
+  || { echo "FAIL: $UNTAGGED job lines in serve.log lack component=master or a lamport= stamp"; exit 1; }
 
 echo "serve smoke OK: SAT=$SAT_ID UNSAT=$UNSAT_ID CANCELLED=$LONG_ID, clean shutdown"
