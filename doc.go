@@ -17,7 +17,8 @@
 //   - internal/bench   — Table-1/Table-2 regeneration and ablations
 //
 // Executables: cmd/gridsat (solve/run/master/client/sim), cmd/zchaff,
-// cmd/satgen, cmd/benchtab. Runnable walkthroughs are in examples/.
+// cmd/satgen, cmd/benchtab. The Example functions of internal/cnf and
+// internal/solver are the runnable walkthroughs of the engine API.
 // See DESIGN.md for the system inventory and per-experiment index, and
 // EXPERIMENTS.md for paper-vs-measured results.
 package gridsat

@@ -138,7 +138,7 @@ func TestSplitPayloadBinaryRoundtrip(t *testing.T) {
 		SplitID: 1234,
 		Subs: []*solver.Subproblem{{
 			NumVars:     5000,
-			Depth:       11,
+			Cube:        assum[29:],
 			Assumptions: assum,
 			Learnts:     randClauses(r, 64, 5000, 8),
 		}},
@@ -158,9 +158,9 @@ func TestSplitPayloadBinaryRoundtrip(t *testing.T) {
 	if len(out.Subs) != 1 {
 		t.Fatalf("decoded %d subproblems, want 1", len(out.Subs))
 	}
-	if out.Subs[0].NumVars != in.Subs[0].NumVars || out.Subs[0].Depth != in.Subs[0].Depth {
-		t.Errorf("NumVars/Depth = %d/%d, want %d/%d",
-			out.Subs[0].NumVars, out.Subs[0].Depth, in.Subs[0].NumVars, in.Subs[0].Depth)
+	if out.Subs[0].NumVars != in.Subs[0].NumVars || !reflect.DeepEqual(out.Subs[0].Cube, in.Subs[0].Cube) {
+		t.Errorf("NumVars/Cube = %d/%v, want %d/%v",
+			out.Subs[0].NumVars, out.Subs[0].Cube, in.Subs[0].NumVars, in.Subs[0].Cube)
 	}
 	if !reflect.DeepEqual(out.Subs[0].Assumptions, in.Subs[0].Assumptions) {
 		t.Error("assumption order not preserved")
@@ -197,7 +197,7 @@ func TestSplitPayloadMultiSubRoundtrip(t *testing.T) {
 		}
 		in.Subs = append(in.Subs, &solver.Subproblem{
 			NumVars:     900,
-			Depth:       4 + i,
+			Cube:        assum[:i],
 			Assumptions: assum,
 			Learnts:     randClauses(r, 1+i%3, 900, 6),
 		})
@@ -215,9 +215,9 @@ func TestSplitPayloadMultiSubRoundtrip(t *testing.T) {
 		t.Fatalf("header/batch mangled: %+v", out)
 	}
 	for i, sub := range out.Subs {
-		if sub.NumVars != in.Subs[i].NumVars || sub.Depth != in.Subs[i].Depth {
-			t.Errorf("sub %d NumVars/Depth = %d/%d, want %d/%d",
-				i, sub.NumVars, sub.Depth, in.Subs[i].NumVars, in.Subs[i].Depth)
+		if sub.NumVars != in.Subs[i].NumVars || !slices.Equal(sub.Cube, in.Subs[i].Cube) {
+			t.Errorf("sub %d NumVars/Cube = %d/%v, want %d/%v",
+				i, sub.NumVars, sub.Cube, in.Subs[i].NumVars, in.Subs[i].Cube)
 		}
 		if !reflect.DeepEqual(sub.Assumptions, in.Subs[i].Assumptions) {
 			t.Errorf("sub %d assumptions mangled", i)

@@ -22,10 +22,11 @@ func allMessages() []Message {
 	f := cnf.NewFormula(5)
 	f.Add(4, -2, 1).Add(-5, 3, 3).Add(2).Add(1, -4)
 	f.Comment = "fixture"
+	cube := []cnf.Lit{cnf.NegLit(3), cnf.PosLit(0), cnf.NegLit(1)}
 	sub := func(depth int) *solver.Subproblem {
 		return &solver.Subproblem{
 			NumVars:     5,
-			Depth:       depth,
+			Cube:        cube[:depth],
 			Assumptions: []cnf.Lit{cnf.NegLit(3), cnf.PosLit(0), cnf.PosLit(2)},
 			Learnts:     canonicalize([]cnf.Clause{cnf.NewClause(2, 3), cnf.NewClause(-1, 4, 5), cnf.NewClause(-2)}, nil),
 		}
@@ -37,15 +38,16 @@ func allMessages() []Message {
 		SplitRequest{ClientID: 2, Why: SplitTimeout},
 		SplitAssign{SplitID: 9, Peers: []SplitPeer{{ID: 4, Addr: "b:2"}, {ID: 5, Addr: "b:3"}}},
 		SplitPayload{SplitID: 9, Job: 2, Subs: []*solver.Subproblem{sub(1), sub(2)}},
-		SplitDone{SplitID: 9, OK: true, Err: "boom", Used: 1, Leftover: []*solver.Subproblem{sub(3)}},
+		SplitDone{SplitID: 9, OK: true, Err: "boom", Cube: cube[:2], Used: 1,
+			Served: [][]cnf.Lit{{cnf.PosLit(4), cnf.NegLit(2)}}, Leftover: []*solver.Subproblem{sub(3)}},
 		ShareClauses{From: 1, Job: 2, Clauses: canonicalize([]cnf.Clause{cnf.NewClause(-1, 2), cnf.NewClause(3)}, nil)},
 		Solved{Status: solver.StatusSAT, Model: cnf.Assignment{cnf.True, cnf.False, cnf.Undef, cnf.True},
-			Depth: 3, Worker: 1, Job: 2},
+			Worker: 1, Job: 2},
 		Migrate{SplitID: 11, PeerID: 7, PeerAddr: "c:3"},
 		Shutdown{},
 		Stopped{Job: 2, Seq: 5},
 		StopWork{Job: 2, Seq: 6},
-		StatusReport{MemBytes: 42, Learnts: 7, Depth: 2, Job: 2,
+		StatusReport{MemBytes: 42, Learnts: 7, Job: 2,
 			Deltas: SolverDeltas{Decisions: 1, Conflicts: 2, Propagations: 1 << 40, Implications: 4, Learned: 5,
 				ReclaimedBytes: -6, Imported: 7, ImportedImplications: 8, ImportedResolutions: 9, ImportedUseful: 10},
 			Workers: []WorkerReport{

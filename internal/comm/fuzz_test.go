@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -29,7 +30,10 @@ func FuzzSplitPayloadRoundTrip(f *testing.F) {
 		r := rand.New(rand.NewSource(seed))
 		in := SplitPayload{SplitID: int(r.Int31()), Job: r.Intn(4)}
 		for i := 0; i < nSubs; i++ {
-			sub := &solver.Subproblem{NumVars: nVars, Depth: r.Intn(64)}
+			sub := &solver.Subproblem{NumVars: nVars}
+			for j := r.Intn(64); j > 0; j-- {
+				sub.Cube = append(sub.Cube, cnf.MkLit(cnf.Var(r.Intn(nVars)), r.Intn(2) == 0))
+			}
 			for j := r.Intn(20); j > 0; j-- {
 				sub.Assumptions = append(sub.Assumptions,
 					cnf.MkLit(cnf.Var(r.Intn(nVars)), r.Intn(2) == 0))
@@ -62,9 +66,9 @@ func FuzzSplitPayloadRoundTrip(f *testing.F) {
 		}
 		for i, sub := range out.Subs {
 			want := in.Subs[i]
-			if sub.NumVars != want.NumVars || sub.Depth != want.Depth {
-				t.Fatalf("sub %d NumVars/Depth %d/%d, want %d/%d",
-					i, sub.NumVars, sub.Depth, want.NumVars, want.Depth)
+			if sub.NumVars != want.NumVars || !slices.Equal(sub.Cube, want.Cube) {
+				t.Fatalf("sub %d NumVars/Cube %d/%v, want %d/%v",
+					i, sub.NumVars, sub.Cube, want.NumVars, want.Cube)
 			}
 			if len(sub.Assumptions) != len(want.Assumptions) ||
 				(len(want.Assumptions) > 0 && !reflect.DeepEqual(sub.Assumptions, want.Assumptions)) {

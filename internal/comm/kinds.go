@@ -76,7 +76,6 @@ var kinds = []*kind{
 	kindOf(0x03, capControl, func(c *coder, m *StatusReport) {
 		c.i64(&m.MemBytes)
 		c.int(&m.Learnts)
-		c.int(&m.Depth)
 		d := &m.Deltas
 		c.i64(&d.Decisions)
 		c.i64(&d.Conflicts)
@@ -130,13 +129,14 @@ var kinds = []*kind{
 		c.int(&m.SplitID)
 		c.bool(&m.OK)
 		c.str(&m.Err)
+		c.lits(&m.Cube)
 		c.int(&m.Used)
+		list(c, &m.Served, 1, (*coder).lits)
 		c.subs(&m.Leftover)
 	}),
 	kindOf(0x0a, CapBulk, func(c *coder, m *Solved) {
 		c.int((*int)(&m.Status))
 		c.assignment(&m.Model)
-		c.int(&m.Depth)
 		c.int(&m.Worker)
 		c.int(&m.Job)
 	}),
@@ -343,7 +343,7 @@ func (c *coder) clauses(p *[]cnf.Clause) {
 
 func (c *coder) sub(s *solver.Subproblem) {
 	c.int(&s.NumVars)
-	c.int(&s.Depth)
+	c.lits(&s.Cube)
 	c.lits(&s.Assumptions)
 	c.clauses(&s.Learnts)
 }

@@ -146,12 +146,17 @@ type SplitDone struct {
 	SplitID int
 	OK      bool
 	Err     string
+	// Cube is, when OK, the sender's guiding path as it stands now: the
+	// cube a recipient started, or the one a donor kept.
+	Cube []cnf.Lit
 	// Donor-only fields. Used is how many of the assigned peers actually
 	// received a subproblem — a strategy may produce a smaller batch than
 	// the master reserved recipients for, and the master releases the
-	// unused ones. Leftover carries cofactors beyond the assigned peers
-	// for the master to backlog and hand to clients as they go idle.
+	// unused ones; Served lists those Used cofactors' cubes in peer order.
+	// Leftover carries cofactors beyond the assigned peers for the master
+	// to backlog and hand to clients as they go idle.
 	Used     int
+	Served   [][]cnf.Lit
 	Leftover []*solver.Subproblem
 }
 
@@ -174,14 +179,10 @@ func (ShareClauses) Kind() string { return "share-clauses" }
 
 // Solved reports a client's terminal result for its subproblem. A SAT
 // result carries the model for the master to verify; an UNSAT result
-// makes the client idle.
+// makes the client idle and refutes the cube the master holds for it.
 type Solved struct {
 	Status solver.Status
 	Model  cnf.Assignment
-	// Depth is the guiding-path depth of the subproblem this verdict
-	// closes. An UNSAT verdict at depth d refutes 2^-d of the root search
-	// space; the master folds that into its cluster progress estimate.
-	Depth int
 	// Worker is the portfolio worker that produced the verdict (0 on
 	// single-threaded clients — the pathfinder), for the flight log's
 	// worker attribution.
@@ -285,10 +286,7 @@ func (d *SolverDeltas) Add(o SolverDeltas) {
 type StatusReport struct {
 	MemBytes int64
 	Learnts  int
-	// Depth is the guiding-path depth of the subproblem the client is
-	// currently working (0 when idle or on the root problem).
-	Depth  int
-	Deltas SolverDeltas
+	Deltas   SolverDeltas
 	// Job is the scheduler job the client is currently working for
 	// (0 = job 0 of a one-shot run).
 	Job int

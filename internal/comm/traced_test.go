@@ -8,7 +8,7 @@ import (
 )
 
 func TestTracedEnvelopeBinaryRoundtrip(t *testing.T) {
-	inner := StatusReport{Depth: 3, Deltas: SolverDeltas{Conflicts: 42}}
+	inner := StatusReport{Learnts: 3, Deltas: SolverDeltas{Conflicts: 42}}
 	in := Traced{Info: TraceInfo{Lamport: 1234, Parent: 77}, Msg: inner}
 	e, err := EncodeMessage(in)
 	if err != nil {
@@ -26,7 +26,7 @@ func TestTracedEnvelopeBinaryRoundtrip(t *testing.T) {
 		t.Fatalf("trace info %+v, want %+v", ti, in.Info)
 	}
 	out, ok := msg.(StatusReport)
-	if !ok || out.Depth != 3 || out.Deltas.Conflicts != 42 {
+	if !ok || out.Learnts != 3 || out.Deltas.Conflicts != 42 {
 		t.Fatalf("payload mangled: %+v", msg)
 	}
 }

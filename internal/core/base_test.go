@@ -94,7 +94,7 @@ func TestOneBaseFormulaPerClient(t *testing.T) {
 	toClient = toClient[:0]
 	j2, j3 := submit(2), submit(2)
 	m.jobs[j1].subBacklog = append(m.jobs[j1].subBacklog,
-		backlogSub{sub: &solver.Subproblem{NumVars: 1, Depth: 1}, origin: fromSplit, job: j1})
+		backlogSub{sub: &solver.Subproblem{NumVars: 1, Cube: []cnf.Lit{cnf.PosLit(0)}}, origin: fromSplit, job: j1})
 	pump()
 
 	if want := []int{j1, j2, j3, j1}; !slices.Equal(bases, want) {

@@ -60,9 +60,9 @@ func TestHeartbeatAggregationSurvivesChurn(t *testing.T) {
 
 	// Client 1 and 2 join and report work.
 	c1, c2 := join(1), join(2)
-	m.handleStatusReport(c1, comm.StatusReport{Depth: 2,
+	m.handleStatusReport(c1, comm.StatusReport{
 		Deltas: churnDeltas(100, 1000, 40, 10)})
-	m.handleStatusReport(c2, comm.StatusReport{Depth: 3,
+	m.handleStatusReport(c2, comm.StatusReport{
 		Deltas: churnDeltas(50, 600, 20, 5)})
 
 	snap := m.state()
@@ -76,7 +76,7 @@ func TestHeartbeatAggregationSurvivesChurn(t *testing.T) {
 	// Client 1 goes idle and is lost. Its lifetime contribution must
 	// survive the departure.
 	c1.busy = false
-	m.clientLost(c1, nil)
+	m.clientLost(c1)
 	if m.clients[1] != nil {
 		t.Fatal("lost client still registered")
 	}
@@ -91,7 +91,7 @@ func TestHeartbeatAggregationSurvivesChurn(t *testing.T) {
 	// A replacement joins (new ID, as live rejoins get) and reports its
 	// own work from a clean slate: added once, not merged into anything.
 	c3 := join(3)
-	m.handleStatusReport(c3, comm.StatusReport{Depth: 1,
+	m.handleStatusReport(c3, comm.StatusReport{
 		Deltas: churnDeltas(25, 200, 10, 4)})
 	snap = m.state()
 	if snap.Conflicts != 175 || snap.Implications != 1800 {
@@ -110,9 +110,9 @@ func TestHeartbeatAggregationSurvivesChurn(t *testing.T) {
 	}
 
 	// Two more heartbeats from the same survivor accumulate, not replace.
-	m.handleStatusReport(c2, comm.StatusReport{Depth: 3,
+	m.handleStatusReport(c2, comm.StatusReport{
 		Deltas: churnDeltas(5, 40, 0, 0)})
-	m.handleStatusReport(c2, comm.StatusReport{Depth: 3,
+	m.handleStatusReport(c2, comm.StatusReport{
 		Deltas: churnDeltas(5, 40, 0, 0)})
 	snap = m.state()
 	if snap.Conflicts != 185 || snap.Implications != 1880 {
@@ -129,8 +129,8 @@ func from(id int, msg comm.Message) masterEvent { return masterEvent{clientID: i
 // TestStateCoverageFromSolved checks the master's coverage accounting
 // through handle: refuting depth-1 halves adds exactly half the space each,
 // the job is done UNSAT — and the one-shot run with it — at full coverage
-// (after which it is no longer in the cluster mean), and depth reported by
-// the client is what the estimator uses.
+// (after which it is no longer in the cluster mean), and the cubes the
+// clients acknowledged are what the estimator closes.
 func TestStateCoverageFromSolved(t *testing.T) {
 	m := newChurnMaster(t)
 	m.started = time.Now()
@@ -142,8 +142,9 @@ func TestStateCoverageFromSolved(t *testing.T) {
 	for _, ev := range []masterEvent{
 		from(1, comm.SplitDone{OK: true}),       // the root is accepted
 		from(1, comm.SplitRequest{ClientID: 1}), // reserves client 2
-		from(1, comm.SplitDone{SplitID: 1, OK: true, Used: 1}),
-		from(2, comm.SplitDone{SplitID: 1, OK: true}),
+		from(1, comm.SplitDone{SplitID: 1, OK: true, Cube: []cnf.Lit{cnf.PosLit(0)},
+			Used: 1, Served: [][]cnf.Lit{{cnf.NegLit(0)}}}),
+		from(2, comm.SplitDone{SplitID: 1, OK: true, Cube: []cnf.Lit{cnf.NegLit(0)}}),
 	} {
 		if done, err := m.handle(ev); done || err != nil {
 			t.Fatalf("splitting the root: %s gave done=%v err=%v", ev.msg.Kind(), done, err)
@@ -153,7 +154,7 @@ func TestStateCoverageFromSolved(t *testing.T) {
 		t.Fatalf("after the split: %d busy, %d outstanding; want 2 and 2", st.Busy, st.Outstanding)
 	}
 
-	done, err := m.handle(from(1, comm.Solved{Status: solver.StatusUNSAT, Depth: 1}))
+	done, err := m.handle(from(1, comm.Solved{Status: solver.StatusUNSAT}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestStateCoverageFromSolved(t *testing.T) {
 		t.Fatalf("verdict %q before exhaustion", snap.Jobs[0].Verdict)
 	}
 
-	done, err = m.handle(from(2, comm.Solved{Status: solver.StatusUNSAT, Depth: 1}))
+	done, err = m.handle(from(2, comm.Solved{Status: solver.StatusUNSAT}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,58 +260,101 @@ func TestWatchSampleCountsSilenceFromAssignment(t *testing.T) {
 	}
 }
 
-// TestClientLostRequeuesSalvage drives the recovery path the DES shell
-// feeds: an assignment the lost client never acknowledged goes back
-// exactly once (whether or not the shell also caught it on the wire), a
-// running subproblem comes back as its salvaged checkpoint, and the
-// outstanding count — what UNSAT-by-exhaustion rests on — stays exact.
-func TestClientLostRequeuesSalvage(t *testing.T) {
+// TestClientLostRequeuesItsCube drives the one recovery path both shells
+// take: an assignment the lost client never acknowledged goes back as it
+// was; a lost recipient's cofactor goes back, as a leftover of its split,
+// once the donor has said it shipped it; a lost client's running subproblem goes back as its cube; a
+// donor lost before its SplitDone leaves the part of its cube no accepted
+// recipient holds, and its unsettled recipient is stopped, not counted
+// twice. The refutations then add up to the whole space, exactly.
+func TestClientLostRequeuesItsCube(t *testing.T) {
 	m := newChurnMaster(t)
-	join := func() *masterClient {
+	m.started = time.Now()
+	join := func(fanout int) *masterClient {
 		id := m.connect()
-		if _, err := m.handle(from(id, comm.Register{Addr: "a", FreeMemBytes: 1 << 20, SpeedHint: float64(10 - id)})); err != nil {
-			t.Fatal(err)
-		}
+		m.handle(from(id, comm.Register{Addr: "a", FreeMemBytes: 1 << 20, SpeedHint: float64(10 - id), Fanout: fanout}))
 		return m.clients[id]
 	}
-	lose := func(c *masterClient, salvage ...*solver.Subproblem) {
+	step := func(ev masterEvent) {
 		t.Helper()
-		if done, err := m.handle(masterEvent{clientID: c.id, err: errCrashed, salvage: salvage}); done || err != nil {
-			t.Fatalf("losing client %d: done=%v err=%v", c.id, done, err)
+		if done, err := m.handle(ev); done || err != nil {
+			t.Fatalf("client %d: done=%v err=%v", ev.clientID, done, err)
 		}
 	}
-	c1, c2 := join(), join()
-	j := m.jobs[0]
-	root := m.pendingAssigns[1].sub
-	if root == nil || !c1.busy {
-		t.Fatal("root not in flight to client 1")
+	lose := func(c *masterClient) { t.Helper(); step(masterEvent{clientID: c.id, err: errCrashed}) }
+	x, y := cnf.PosLit(0), cnf.PosLit(1)
+	cube := func(lits ...cnf.Lit) []cnf.Lit { return lits }
+	sent := func(c *masterClient) backlogSub {
+		t.Helper()
+		got, ok := m.pendingAssigns[c.id]
+		if !ok || !c.busy {
+			t.Fatalf("nothing in flight to client %d", c.id)
+		}
+		return got
 	}
-	// Client 1 dies before acking; the payload was still on the wire, so
-	// the shell's salvage names the very subproblem the master holds.
-	lose(c1, root)
-	if got := m.pendingAssigns[2]; got.sub != root || got.origin != fromRoot || !c2.busy {
-		t.Fatalf("root not requeued to client 2 as a root: %+v", got)
+	ack := func(c *masterClient) {
+		t.Helper()
+		got := sent(c)
+		step(from(c.id, comm.SplitDone{SplitID: got.splitID, OK: true, Cube: got.sub.Cube}))
 	}
-	if got := m.state().Outstanding; got != 1 || len(j.subBacklog) != 0 {
-		t.Fatalf("outstanding=%d queued=%d after requeue, want 1 and 0 (double-counted salvage?)", got, len(j.subBacklog))
+
+	c1, c2 := join(1), join(1)
+	root := sent(c1).sub
+	lose(c1) // before it acked: the root goes to client 2, as a root
+	if got := sent(c2); got.sub != root || got.origin != fromRoot || m.state().Outstanding != 1 {
+		t.Fatalf("root not requeued to client 2 as it was: %+v", got)
 	}
-	// Client 2 starts it, then dies mid-run leaving a checkpoint.
-	m.handle(from(2, comm.SplitDone{OK: true}))
-	c3 := join()
-	cp := &solver.Subproblem{NumVars: 2, Depth: 0}
-	lose(c2, cp)
-	if got := m.pendingAssigns[3]; got.sub != cp || got.origin != fromCrash || got.donor != 2 {
-		t.Fatalf("checkpoint not handed to client 3 as crash recovery: %+v", got)
+	ack(c2)
+
+	// Client 2 splits x off to client 3, which is lost before it acks.
+	c3 := join(1)
+	step(from(c2.id, comm.SplitRequest{ClientID: c2.id}))
+	step(from(c2.id, comm.SplitDone{SplitID: 1, OK: true, Cube: cube(x), Used: 1, Served: [][]cnf.Lit{cube(x.Not())}}))
+	lose(c3)
+	c4 := join(2)
+	if got := sent(c4); got.origin != fromSplit || got.donor != c2.id || !slices.Equal(got.sub.Cube, cube(x.Not())) ||
+		!slices.Equal(got.sub.Assumptions, got.sub.Cube) {
+		t.Fatalf("the lost recipient's cofactor went to client 4 as %+v", got)
 	}
-	if got := m.state().Outstanding; got != 1 {
-		t.Fatalf("outstanding=%d, want 1", got)
+	ack(c4)
+
+	// Client 2 is lost mid-run: its cube goes to client 5.
+	c5 := join(1)
+	lose(c2)
+	if got := sent(c5); got.origin != fromCrash || !slices.Equal(got.sub.Cube, cube(x)) {
+		t.Fatalf("client 2's cube went to client 5 as %+v", got)
 	}
-	m.handle(from(3, comm.SplitDone{OK: true}))
-	if done, err := m.handle(from(3, comm.Solved{Status: solver.StatusUNSAT})); err != nil || !done {
-		t.Fatalf("refuting the recovered subproblem: done=%v err=%v", done, err)
+	ack(c5)
+
+	// Client 4 splits ¬x over y two ways; client 6 accepts its cofactor and
+	// client 7's payload is still on the wire when client 4 is lost.
+	c6, c7 := join(1), join(1)
+	step(from(c4.id, comm.SplitRequest{ClientID: c4.id}))
+	step(from(c6.id, comm.SplitDone{SplitID: 2, OK: true, Cube: cube(x.Not(), y)}))
+	c8 := join(1)
+	lose(c4)
+	if got := sent(c8); got.origin != fromCrash || !slices.Equal(got.sub.Cube, cube(x.Not(), y.Not())) {
+		t.Fatalf("client 4's remainder went to client 8 as %+v", got)
 	}
-	if m.jobs[0].status != solver.StatusUNSAT || c3.busy {
-		t.Fatalf("job 0 status %v, client 3 busy=%v; want UNSAT and idle", m.jobs[0].status, c3.busy)
+	if !c7.reserved || !c7.stopping {
+		t.Fatalf("client 7, whose cofactor of a lost donor may be on the wire: reserved=%v stopping=%v", c7.reserved, c7.stopping)
+	}
+	step(from(c7.id, comm.SplitDone{SplitID: 2, OK: true, Cube: cube(x.Not(), y.Not())}))
+	step(from(c7.id, comm.Stopped{Seq: c7.stopSeq}))
+	if c7.busy || c7.reserved || m.state().Outstanding != 3 {
+		t.Fatalf("client 7 busy=%v reserved=%v, outstanding %d; want a free client 7 and 3 cubes held",
+			c7.busy, c7.reserved, m.state().Outstanding)
+	}
+
+	ack(c8)
+	for _, c := range []*masterClient{c5, c6} {
+		step(from(c.id, comm.Solved{Status: solver.StatusUNSAT}))
+	}
+	if done, err := m.handle(from(c8.id, comm.Solved{Status: solver.StatusUNSAT})); err != nil || !done {
+		t.Fatalf("refuting the last cube: done=%v err=%v", done, err)
+	}
+	if j := m.jobs[0]; j.status != solver.StatusUNSAT || j.prog.Units() != coverageFull {
+		t.Fatalf("job 0 %v at %d units; want UNSAT at %d", j.status, j.prog.Units(), coverageFull)
 	}
 }
 
@@ -425,7 +469,7 @@ func TestSplitBacklogIsTheLiveRequests(t *testing.T) {
 	}
 	// done refutes its subproblem: its request ends with it, and it is the
 	// idle client the live request gets.
-	b.step(40, from(done.id, comm.Solved{Status: solver.StatusUNSAT, Depth: 1, Job: b.j.ID}))
+	b.step(40, from(done.id, comm.Solved{Status: solver.StatusUNSAT, Job: b.j.ID}))
 	if !slices.Equal(b.assigns, []int{live.id}) || !done.reserved {
 		t.Fatalf("donors served %v, client %d reserved=%v; want donor %d with it", b.assigns, done.id, done.reserved, live.id)
 	}
@@ -443,8 +487,8 @@ func TestSplitRequestEndsWithItsSubproblem(t *testing.T) {
 	b := newSplitBench(t)
 	c1, c2, c3 := b.busy(10), b.busy(15), b.busy(20)
 	b.ask(c1, 25)
-	b.j.subBacklog = append(b.j.subBacklog, backlogSub{sub: &solver.Subproblem{NumVars: 2, Depth: 1}, job: b.j.ID})
-	b.step(30, from(c1.id, comm.Solved{Status: solver.StatusUNSAT, Depth: 1, Job: b.j.ID}))
+	b.j.subBacklog = append(b.j.subBacklog, backlogSub{sub: &solver.Subproblem{NumVars: 2}, job: b.j.ID})
+	b.step(30, from(c1.id, comm.Solved{Status: solver.StatusUNSAT, Job: b.j.ID}))
 	if !c1.busy || c1.assignedAt != 30 {
 		t.Fatalf("client %d busy=%v assigned at %v, want the queued subproblem at 30", c1.id, c1.busy, c1.assignedAt)
 	}

@@ -150,7 +150,6 @@ type Client struct {
 	cut        atomic.Pointer[func()]
 	recvAt     float64 // when the current subproblem arrived
 	xferTime   float64
-	splitWhy   comm.SplitReason
 	splitAsked bool
 	// regErr records a rejected registration.
 	regErr error
@@ -574,7 +573,7 @@ func (c *Client) startSubproblem(splitID, job int, subs []*solver.Subproblem) {
 	// microsecond per assumption, 16 per learnt clause); a root assignment
 	// carries neither, so it waits out the bare floor.
 	c.xferTime = float64(len(sub.Assumptions)+16*len(sub.Learnts)) * 1e-6
-	_ = c.sendMaster(comm.SplitDone{SplitID: splitID, OK: true})
+	_ = c.sendMaster(comm.SplitDone{SplitID: splitID, OK: true, Cube: sub.Cube})
 }
 
 // solveSlice advances the solver one quantum and handles terminal states
@@ -610,10 +609,9 @@ func (c *Client) finishSlice(res solver.Result) error {
 		c.drainShares()   // don't strand learned clauses in the aggregator
 		c.sendHeartbeat() // flush the tail deltas before Solved
 		// An extra worker's UNSAT refutes a (possibly pre-split) superset
-		// of the pathfinder's subspace, so reporting at the pathfinder's
-		// depth never over-counts coverage.
-		solved := comm.Solved{Status: res.Status, Model: res.Model,
-			Depth: c.port.Pathfinder().PathDepth(), Worker: worker, Job: c.job}
+		// of the pathfinder's subspace, so the master's closing the
+		// pathfinder's cube never over-counts coverage.
+		solved := comm.Solved{Status: res.Status, Model: res.Model, Worker: worker, Job: c.job}
 		c.dropSolver()
 		return c.sendMaster(solved)
 	}
@@ -663,7 +661,6 @@ func (c *Client) sendHeartbeat() {
 	_ = c.sendMaster(comm.StatusReport{
 		MemBytes: c.port.MemoryBytes(),
 		Learnts:  c.port.NumLearnts(),
-		Depth:    c.port.Pathfinder().PathDepth(),
 		Job:      c.job,
 		Deltas:   heartbeatDeltas(d),
 		Workers:  c.port.WorkerReports(),
@@ -692,7 +689,6 @@ func (c *Client) requestSplit(why comm.SplitReason) {
 		return
 	}
 	c.splitAsked = true
-	c.splitWhy = why
 	_ = c.sendMaster(comm.SplitRequest{ClientID: c.id, Why: why})
 }
 
@@ -717,28 +713,17 @@ func (c *Client) performSplit(splitID int, peers []comm.SplitPeer) {
 	// of the batch rides back to the master as leftover instead of being
 	// lost. The master releases the unserved peers (the suffix after Used).
 	used := 0
+	var served [][]cnf.Lit
 	for used < len(peers) && used < len(batch) {
 		if err := c.sendToPeer(splitID, peers[used], batch[used]); err != nil {
 			break
 		}
+		served = append(served, batch[used].Cube)
 		used++
 	}
 	c.recvAt = c.now() // the narrowed problem restarts the timeout clock
-	_ = c.sendMaster(comm.SplitDone{SplitID: splitID, OK: true,
-		Used: used, Leftover: batch[used:]})
-}
-
-// checkpointSub freezes the current search state as a transferable
-// subproblem: the guiding path (level-0 literals) plus the bounded
-// learnt-clause export (§3.4 HeavyCheckpoint over the wire).
-func (c *Client) checkpointSub() *solver.Subproblem {
-	slv := c.port.Pathfinder()
-	return &solver.Subproblem{
-		NumVars:     c.base.NumVars,
-		Assumptions: slv.Level0Lits(),
-		Learnts:     slv.ExportLearnts(c.cfg.ShareMaxLen, splitLearntMaxCount),
-		Depth:       slv.PathDepth(),
-	}
+	_ = c.sendMaster(comm.SplitDone{SplitID: splitID, OK: true, Cube: c.port.Pathfinder().Path(),
+		Used: used, Served: served, Leftover: batch[used:]})
 }
 
 // stopSolving tears the active solver (or portfolio) down and goes idle.
@@ -755,7 +740,12 @@ func (c *Client) performMigrate(splitID int, peer comm.SplitPeer) {
 		_ = c.sendMaster(comm.SplitDone{SplitID: splitID, OK: false, Err: "no active subproblem"})
 		return
 	}
-	if err := c.sendToPeer(splitID, peer, c.checkpointSub()); err != nil {
+	// The whole search state travels: the level-0 literals and the bounded
+	// learnt-clause export (§3.4 HeavyCheckpoint over the wire), same cube.
+	slv := c.port.Pathfinder()
+	sub := &solver.Subproblem{NumVars: c.base.NumVars, Assumptions: slv.Level0Lits(),
+		Learnts: slv.ExportLearnts(c.cfg.ShareMaxLen, splitLearntMaxCount), Cube: slv.Path()}
+	if err := c.sendToPeer(splitID, peer, sub); err != nil {
 		// Keep solving; the master releases the reserved peer.
 		_ = c.sendMaster(comm.SplitDone{SplitID: splitID, OK: false, Err: err.Error()})
 		return
@@ -763,7 +753,8 @@ func (c *Client) performMigrate(splitID int, peer comm.SplitPeer) {
 	c.drainShares()   // don't strand learned clauses
 	c.sendHeartbeat() // flush the tail deltas while the solver lives
 	c.stopSolving()
-	_ = c.sendMaster(comm.SplitDone{SplitID: splitID, OK: true, Used: 1})
+	_ = c.sendMaster(comm.SplitDone{SplitID: splitID, OK: true, Cube: sub.Cube,
+		Used: 1, Served: [][]cnf.Lit{sub.Cube}})
 	_ = c.sendMaster(comm.Solved{Status: solver.StatusUnknown, Job: c.job})
 }
 

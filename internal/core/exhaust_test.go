@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,23 +13,33 @@ import (
 	"gridsat/internal/trace"
 )
 
-// The world below is the master's environment written a second time, as
-// locations instead of counts: scripted clients that hold subproblem
-// *pointers*, and a set of the pointers nobody has refuted yet. The master
-// is driven through handle alone and read through ClusterState alone.
+// The world below is the master's environment written a second time:
+// scripted clients that hold cubes and split them, lose them, bounce them
+// and refute them. The master is driven through handle alone.
 //
 // What the master sends is acted on at once (a split is made, a payload
-// started or bounced, a checkpoint taken); what a client sends, a
-// recipient's accept included, waits in its FIFO uplink until the schedule
-// delivers it. So the master always acts on
-// old news — a verdict, a loss or an ack it has not seen yet — which is
-// where every accounting defect so far has lived.
+// started or bounced); what a client sends, a recipient's accept included,
+// waits in its FIFO uplink until the schedule delivers it. So the master
+// always acts on old news — a verdict, a loss or an ack it has not seen
+// yet — which is where every accounting defect so far has lived.
+//
+// Every cube is a path in one tree: its i-th literal is on variable i, so
+// two cubes are contradictory exactly when neither is a prefix of the
+// other (partition).
 
-// upMsg is one event on a client's uplink, with what its arrival does to
-// the set of unrefuted subproblems (nil: nothing).
+// exhaustVars is the formula's width, and with exhaustMaxDepth bounds the
+// tree: a donor that deep has nothing to split on.
+const (
+	exhaustVars     = 64
+	exhaustMaxDepth = 40
+)
+
+// upMsg is one event on a client's uplink. refutes, on an UNSAT verdict,
+// is the cube the client searched.
 type upMsg struct {
-	ev     masterEvent
-	effect func()
+	ev      masterEvent
+	effect  func()
+	refutes []cnf.Lit
 }
 
 type scriptedClient struct {
@@ -39,15 +50,6 @@ type scriptedClient struct {
 	gone bool // lost; the master learns when the uplink drains to the marker
 }
 
-// promise is one SplitAssign or Migrate the master issued: a placeholder
-// per reserved peer, which the donor's cofactors become if it makes them.
-type promise struct {
-	donor, job int
-	peers      []int
-	subs       []*solver.Subproblem
-	delivered  []bool // reached its peer (who then acks for itself)
-}
-
 type exhaustWorld struct {
 	t       *testing.T
 	rng     *rand.Rand
@@ -55,34 +57,29 @@ type exhaustWorld struct {
 	now     float64
 	formula *cnf.Formula
 	hostile bool // scripts may drop a subproblem they hold
+	crashy  bool // a donor may be lost between its payloads and its SplitDone
 	fanout  int  // every client's split batch, as its Register states it
 	sent    []struct {
 		to  int
 		msg comm.Message
 	}
-	clients  map[int]*scriptedClient
-	ids      []int // every client ever connected, in order
-	promises map[int]*promise
-	// live[job] is the job's unrefuted subproblems wherever they are; a job
-	// leaves the map when it ends. root[job] stands in for the whole
-	// problem until the master names it; dropped[job] names the client that
-	// lost one of the job's subproblems for good. unsalvaged is the job a
-	// client was last sent work for when the step is its loss with nothing
-	// recovered: the master cannot know what it held and may give up.
-	live       map[int]map[*solver.Subproblem]bool
-	root       map[int]*solver.Subproblem
-	dropped    map[int]int
-	unsalvaged map[int]bool
-	jobs       []int
-	did        map[string]int
+	clients map[int]*scriptedClient
+	ids     []int // every client ever connected, in order
+	// refuted[job] lists the cubes the master credited refutations to,
+	// each checked against the cube its client searched; dropped[job] names
+	// the client that lost one of the job's subproblems for good.
+	refuted map[int][][]cnf.Lit
+	dropped map[int]int
+	jobs    []int
+	did     map[string]int
+	label   string // the schedule, for failure messages
 }
 
 func newExhaustWorld(t *testing.T, seed int64, strategy string, hostile bool) *exhaustWorld {
 	w := &exhaustWorld{t: t, rng: rand.New(rand.NewSource(seed)), now: 1, hostile: hostile,
-		clients: map[int]*scriptedClient{}, promises: map[int]*promise{},
-		live: map[int]map[*solver.Subproblem]bool{}, root: map[int]*solver.Subproblem{},
-		dropped: map[int]int{}, unsalvaged: map[int]bool{}, did: map[string]int{}}
-	w.formula = cnf.NewFormula(2)
+		clients: map[int]*scriptedClient{}, refuted: map[int][][]cnf.Lit{},
+		dropped: map[int]int{}, did: map[string]int{}}
+	w.formula = cnf.NewFormula(exhaustVars)
 	w.formula.Add(1, 2)
 	st, err := solver.ParseStrategy(strategy)
 	if err != nil {
@@ -101,16 +98,8 @@ func newExhaustWorld(t *testing.T, seed int64, strategy string, hostile bool) *e
 	return w
 }
 
-func (w *exhaustWorld) add(job int, sub *solver.Subproblem) {
-	if set := w.live[job]; set != nil {
-		set[sub] = true
-	}
-}
-
-func (w *exhaustWorld) remove(job int, sub *solver.Subproblem) { delete(w.live[job], sub) }
-
-// step hands the master one event, applies what its arrival means for the
-// set, lets the clients act on everything the master sent, and checks.
+// step hands the master one event, applies what its arrival means, lets the
+// clients act on everything the master sent, and checks.
 func (w *exhaustWorld) step(what string, ev masterEvent, effect func()) {
 	w.t.Helper()
 	w.now += 0.25
@@ -134,64 +123,105 @@ func (w *exhaustWorld) apply(what string, fn func()) {
 	w.step(what, masterEvent{apply: func() bool { fn(); return false }}, nil)
 }
 
-// check is the safety property, after every step: a job is UNSAT exactly
-// when none of its subproblems is left unrefuted, a dropped subproblem ends
-// its job UNKNOWN with a cause, and the master's count of live subproblems
-// is the size of the set.
-func (w *exhaustWorld) check(what string) {
-	w.t.Helper()
-	st := w.m.state()
-	want := 0
-	for _, row := range st.Jobs {
-		set, tracked := w.live[row.ID]
-		if !tracked {
-			continue
-		}
-		ended := row.State == "done" || row.State == "cancelled"
-		unsat := row.State == "done" && row.Verdict == "UNSAT"
-		gaveUp := row.Verdict == "UNKNOWN" && w.unsalvaged[row.ID]
-		if unsat && len(set) != 0 || len(set) == 0 && !unsat && !gaveUp {
-			w.t.Fatalf("after %s: job %d is %s/%q with %d subproblems unrefuted\n%s",
-				what, row.ID, row.State, row.Verdict, len(set), w.flightTail())
-		}
-		if by, lost := w.dropped[row.ID]; lost {
-			cause := w.m.jobs[row.ID].cause
-			if row.State != "done" || row.Verdict != "UNKNOWN" || cause == nil ||
-				!strings.Contains(cause.Error(), fmt.Sprintf("client %d", by)) {
-				w.t.Fatalf("after %s: client %d dropped a subproblem of job %d, which is %s/%q (cause %v)",
-					what, by, row.ID, row.State, row.Verdict, cause)
-			}
-		}
-		if ended {
-			delete(w.live, row.ID)
-		} else if row.Searching {
-			want += len(set)
+// held lists the cubes the master holds for an active job: its clients'
+// (holding), the cofactors a donor reported shipping to recipients that
+// have not acknowledged, and its backlog.
+func (w *exhaustWorld) held(j *masterJob) [][]cnf.Lit {
+	var out [][]cnf.Lit
+	for _, id := range w.m.order {
+		if c := w.m.clients[id]; c.job == j.ID {
+			out = append(out, w.m.holding(c)...)
 		}
 	}
-	clear(w.unsalvaged)
-	if st.Outstanding != want {
-		for job, set := range w.live {
-			w.t.Logf("job %d: %d unrefuted %v, root %p", job, len(set), set, w.root[job])
-			for id, p := range w.promises {
-				w.t.Logf("promise %d: %+v", id, *p)
+	for _, g := range w.m.pendingSplits {
+		for i, rid := range g.recipients {
+			if g.job == j.ID && g.donorDone && !g.settled[rid] && i < len(g.served) {
+				out = append(out, g.served[i])
 			}
 		}
-		for _, id := range w.ids {
-			c := w.clients[id]
-			w.t.Logf("client %d sub=%p job=%d gone=%v up=%d master=%+v", id, c.sub, c.job, c.gone, len(c.up), w.m.clients[id])
+	}
+	for _, e := range j.subBacklog {
+		out = append(out, e.sub.Cube)
+	}
+	return out
+}
+
+// partition says why cubes do not partition the root, or nil when they
+// do: each is a path of the tree, none extends another, and their masses
+// 2^-len add up to the whole.
+func partition(cubes [][]cnf.Lit) error {
+	bits := make([]string, len(cubes))
+	var mass uint64
+	for i, c := range cubes {
+		var b strings.Builder
+		for v, l := range c {
+			if l.Var() != cnf.Var(v) {
+				return fmt.Errorf("cube %v is not a path: literal %d on variable %d", c, v, l.Var())
+			}
+			b.WriteByte("01"[l&1])
 		}
-		w.t.Fatalf("after %s: the master counts %d live subproblems, %d are unrefuted\n%s",
-			what, st.Outstanding, want, w.flightTail())
+		bits[i] = b.String()
+		mass += coverageFull >> len(c)
+	}
+	slices.Sort(bits)
+	for i := 1; i < len(bits); i++ {
+		if strings.HasPrefix(bits[i], bits[i-1]) {
+			return fmt.Errorf("cubes %q and %q overlap", bits[i-1], bits[i])
+		}
+	}
+	if mass != coverageFull {
+		return fmt.Errorf("cubes %q cover %d of %d units", bits, mass, coverageFull)
+	}
+	return nil
+}
+
+// check is the safety property, after every step: an active job's refuted
+// cubes and the cubes the master holds for it partition the root, with at
+// least one client or queued entry still counted; an UNSAT job's refuted
+// cubes alone do; and a job ends UNKNOWN only when a client dropped a
+// subproblem, naming it.
+func (w *exhaustWorld) check(what string) {
+	w.t.Helper()
+	tally := w.m.tally()
+	for _, id := range w.jobs {
+		j := w.m.jobs[id]
+		refuted := w.refuted[id]
+		switch {
+		case j.State.Active() && j.assigned:
+			if err := partition(append(slices.Clone(refuted), w.held(j)...)); err != nil {
+				w.fail("after %s: job %d's refuted and held cubes: %v", what, id, err)
+			}
+			if tally.outstanding(j) == 0 {
+				w.fail("after %s: job %d counts nothing outstanding and is still %s", what, id, j.State)
+			}
+		case j.status == solver.StatusUNSAT:
+			if err := partition(refuted); err != nil {
+				w.fail("after %s: job %d is UNSAT, but its refuted cubes: %v", what, id, err)
+			}
+		case j.State == JobDone && j.status == solver.StatusUnknown:
+			by, lost := w.dropped[id]
+			if !lost || j.cause == nil || !strings.Contains(j.cause.Error(), fmt.Sprintf("client %d", by)) {
+				w.fail("after %s: job %d ended UNKNOWN (cause %v); dropped by %v %v", what, id, j.cause, by, lost)
+			}
+		}
 	}
 }
 
-func (w *exhaustWorld) flightTail() string {
+func (w *exhaustWorld) fail(format string, args ...any) {
+	w.t.Helper()
+	for _, id := range w.ids {
+		c := w.clients[id]
+		w.t.Logf("client %d sub=%v job=%d gone=%v up=%d master=%+v", id, c.sub, c.job, c.gone, len(c.up), w.m.clients[id])
+	}
+	for id, g := range w.m.pendingSplits {
+		w.t.Logf("split %d: %+v", id, *g)
+	}
 	evs := w.m.flight.Events()
 	var b strings.Builder
 	for _, ev := range evs[max(0, len(evs)-25):] {
 		fmt.Fprintf(&b, "  %+v\n", ev)
 	}
-	return b.String()
+	w.t.Fatalf("%s: "+format+"\n%s", append(append([]any{w.label}, args...), b.String())...)
 }
 
 // queue puts a message on the client's uplink.
@@ -201,164 +231,124 @@ func (c *scriptedClient) queue(msg comm.Message, effect func()) {
 
 // receive is a client acting on one master message.
 func (w *exhaustWorld) receive(c *scriptedClient, msg comm.Message) {
-	if c == nil {
-		return
+	if c == nil || c.gone {
+		return // the master requeues what it sent on the loss
 	}
 	switch msg := msg.(type) {
 	case comm.SplitPayload:
-		sub := msg.Subs[0]
-		if set := w.live[msg.Job]; set != nil && !set[sub] {
-			// The only subproblem the master makes itself is a job's root.
-			if w.root[msg.Job] == nil {
-				w.t.Fatalf("the master handed out a subproblem of job %d nobody gave it", msg.Job)
-			}
-			w.remove(msg.Job, w.root[msg.Job])
-			w.add(msg.Job, sub)
-			w.root[msg.Job] = nil
-		}
-		if c.gone { // still the master's, which requeues it on the loss
-			c.job = msg.Job
-			return
-		}
-		w.start(c, msg.SplitID, msg.Job, sub, true)
+		w.start(c, msg.SplitID, msg.Job, msg.Subs[0], true)
 	case comm.SplitAssign:
 		w.split(c, msg)
 	case comm.Migrate:
 		w.migrate(c, msg)
 	case comm.StopWork:
-		if c.gone {
-			return
-		}
 		if msg.Job == c.job {
-			c.sub = nil // the job is over; so is tracking it
+			c.sub = nil
 		}
 		c.queue(comm.Stopped{Job: msg.Job, Seq: msg.Seq}, nil)
-	}
-}
-
-// drop records that a client lost a subproblem of job for good, if the job
-// is still there to care.
-func (w *exhaustWorld) drop(job, by int) {
-	if w.live[job] != nil {
-		w.dropped[job] = by
 	}
 }
 
 // start is a client receiving one subproblem, from the master or a peer.
 func (w *exhaustWorld) start(c *scriptedClient, splitID, job int, sub *solver.Subproblem, fromMaster bool) {
 	done := comm.SplitDone{SplitID: splitID}
-	c.job = job
 	switch {
 	case c.sub != nil:
 		done.Err, done.Leftover = "already busy", []*solver.Subproblem{sub}
 	case w.rng.Intn(10) == 0:
+		c.job = job
 		done.Err, done.Leftover = "no base problem cached", []*solver.Subproblem{sub}
 	case w.hostile && !fromMaster && w.rng.Intn(25) == 0:
 		w.did["dropped cofactor"]++
 		done.Err = "subproblem variable count mismatch"
-		c.queue(done, func() { w.drop(job, c.id) })
+		by := c.id
+		c.queue(done, func() { w.dropped[job] = by })
 		return
 	default:
-		c.sub, done.OK = sub, true
+		c.job = job
+		c.sub, done.OK, done.Cube = sub, true, sub.Cube
 	}
 	c.queue(done, nil)
 }
 
-// split is a donor answering SplitAssign: the master reserved one peer per
-// placeholder the moment it sent this.
+// split is a donor answering SplitAssign: it forks its cube over the next
+// one or two variables, keeps the all-positive cofactor, ships one of the
+// others to each peer in order until a dial fails, and hands the master
+// what it did not ship. Now and then it is lost between its payloads and
+// its SplitDone.
 func (w *exhaustWorld) split(c *scriptedClient, msg comm.SplitAssign) {
-	p := &promise{donor: c.id, job: c.job, delivered: make([]bool, len(msg.Peers))}
-	for _, peer := range msg.Peers {
-		p.peers = append(p.peers, peer.ID)
-		sub := &solver.Subproblem{NumVars: 2, Depth: 1}
-		p.subs = append(p.subs, sub)
-		w.add(p.job, sub)
-	}
-	w.promises[msg.SplitID] = p
-	if c.gone {
-		return
-	}
 	done := comm.SplitDone{SplitID: msg.SplitID}
-	made := 0
 	switch {
 	case c.sub == nil:
 		done.Err = "donor already idle"
-	case w.rng.Intn(10) == 0:
+	case w.rng.Intn(10) == 0 || len(c.sub.Cube)+2 > exhaustMaxDepth:
 		done.Err = "nothing to split on"
 	default:
-		done.OK = true
-		made = 1 + w.rng.Intn(w.fanout)
-		for done.Used < min(made, len(p.peers)) {
-			peer := w.clients[p.peers[done.Used]]
-			if peer.gone || w.rng.Intn(12) == 0 {
-				break // the dial failed
-			}
-			p.delivered[done.Used] = true
-			w.start(peer, msg.SplitID, p.job, p.subs[done.Used], false)
-			done.Used++
+		pre := c.sub.Cube
+		k := 1
+		if w.fanout > 1 {
+			k += w.rng.Intn(2)
 		}
-		// What was made and not shipped rides back to the master.
-		for i := done.Used; i < made; i++ {
-			if i < len(p.subs) {
-				done.Leftover = append(done.Leftover, p.subs[i])
-			} else {
-				done.Leftover = append(done.Leftover, &solver.Subproblem{NumVars: 2, Depth: 1})
+		var cubes [][]cnf.Lit
+		for combo := range 1 << k {
+			cube := slices.Clone(pre)
+			for i := range k {
+				cube = append(cube, cnf.MkLit(cnf.Var(len(pre)+i), combo&(1<<i) != 0))
 			}
+			cubes = append(cubes, cube)
+		}
+		own := cubes[0]
+		c.sub = &solver.Subproblem{NumVars: exhaustVars, Cube: own}
+		done.OK, done.Cube = true, own
+		for _, cube := range cubes[1:] {
+			sub := &solver.Subproblem{NumVars: exhaustVars, Assumptions: cube, Cube: cube}
+			if len(done.Leftover) == 0 && done.Used < len(msg.Peers) {
+				if peer := w.clients[msg.Peers[done.Used].ID]; !peer.gone && w.rng.Intn(12) != 0 {
+					w.start(peer, msg.SplitID, c.job, sub, false)
+					done.Served = append(done.Served, cube)
+					done.Used++
+					continue
+				}
+			}
+			done.Leftover = append(done.Leftover, sub) // the dial failed, or no peer is left
+		}
+		if w.crashy && done.Used > 0 && w.rng.Intn(8) == 0 {
+			w.did["lost mid-split"]++
+			w.loseNow(c)
+			return
 		}
 	}
-	used, leftover := done.Used, done.Leftover
-	c.queue(done, func() {
-		for _, sub := range p.subs[used:] {
-			w.remove(p.job, sub)
-		}
-		for _, sub := range leftover {
-			w.add(p.job, sub)
-		}
-		delete(w.promises, msg.SplitID)
-	})
+	c.queue(done, nil)
 }
 
 // migrate is a donor answering Migrate: its whole subproblem moves.
 func (w *exhaustWorld) migrate(c *scriptedClient, msg comm.Migrate) {
-	moved := &solver.Subproblem{NumVars: 2}
-	p := &promise{donor: c.id, job: c.job, peers: []int{msg.PeerID},
-		subs: []*solver.Subproblem{moved}, delivered: []bool{false}}
-	w.add(p.job, moved)
-	w.promises[msg.SplitID] = p
-	if c.gone {
-		return
-	}
-	settle := func() { delete(w.promises, msg.SplitID) }
-	off := func() { w.remove(p.job, moved); settle() }
 	peer := w.clients[msg.PeerID]
 	if c.sub == nil || peer.gone || w.rng.Intn(8) == 0 {
-		c.queue(comm.SplitDone{SplitID: msg.SplitID, Err: "the move is off"}, off)
+		c.queue(comm.SplitDone{SplitID: msg.SplitID, Err: "the move is off"}, nil)
 		return
 	}
 	if w.hostile && w.rng.Intn(4) == 0 {
-		w.bareAck(c, msg.SplitID, off)
+		w.bareAck(c, msg.SplitID)
 		return
 	}
 	w.did["migrate"]++
-	moved.Depth = c.sub.Depth
-	p.delivered[0] = true
-	w.start(peer, msg.SplitID, p.job, moved, false)
-	old, job := c.sub, c.job
+	cube := c.sub.Cube
+	w.start(peer, msg.SplitID, c.job, &solver.Subproblem{NumVars: exhaustVars, Cube: cube}, false)
 	c.sub = nil
-	c.queue(comm.SplitDone{SplitID: msg.SplitID, OK: true, Used: 1}, settle)
-	c.queue(comm.Solved{Status: solver.StatusUnknown, Job: job},
-		func() { w.remove(job, old) })
+	c.queue(comm.SplitDone{SplitID: msg.SplitID, OK: true, Cube: cube, Used: 1, Served: [][]cnf.Lit{cube}}, nil)
+	c.queue(comm.Solved{Status: solver.StatusUnknown, Job: c.job}, nil)
 }
 
 // bareAck is a donor answering Migrate by dropping its subproblem and
 // acknowledging a stop it was never sent, echoing the master's stop token
 // so the ack is not stale; then it calls the move off.
-func (w *exhaustWorld) bareAck(c *scriptedClient, splitID int, off func()) {
+func (w *exhaustWorld) bareAck(c *scriptedClient, splitID int) {
 	w.did["bare ack"]++
 	job, by := c.job, c.id
 	c.sub = nil
-	c.queue(comm.Stopped{Job: job, Seq: w.m.clients[c.id].stopSeq}, func() { w.drop(job, by) })
-	c.queue(comm.SplitDone{SplitID: splitID, Err: "the move is off"}, off)
+	c.queue(comm.Stopped{Job: job, Seq: w.m.clients[c.id].stopSeq}, func() { w.dropped[job] = by })
+	c.queue(comm.SplitDone{SplitID: splitID, Err: "the move is off"}, nil)
 }
 
 // Environment actions. Each returns false when it does not apply now.
@@ -373,18 +363,19 @@ func (w *exhaustWorld) register() bool {
 }
 
 func (w *exhaustWorld) submit() bool {
-	var id int
 	w.apply("submit", func() {
-		var err error
-		if id, err = w.m.submit("", w.formula, 1); err != nil {
+		id, err := w.m.submit("", w.formula, 1)
+		if err != nil {
 			w.t.Fatal(err)
 		}
-		// Tracked before the step's check sees the new job.
-		w.root[id] = &solver.Subproblem{}
-		w.live[id] = map[*solver.Subproblem]bool{w.root[id]: true}
 		w.jobs = append(w.jobs, id)
 	})
 	return true
+}
+
+// active reports whether any job is still running.
+func (w *exhaustWorld) active() bool {
+	return slices.ContainsFunc(w.jobs, func(id int) bool { return w.m.jobs[id].State.Active() })
 }
 
 // pick returns a random client satisfying ok, nil when none does.
@@ -413,6 +404,8 @@ func (w *exhaustWorld) deliver() bool {
 	return true
 }
 
+// deliverFrom steps the head of c's uplink. When the master credits a
+// refutation to the client, the cube it closes must be the one searched.
 func (w *exhaustWorld) deliverFrom(c *scriptedClient) {
 	head := c.up[0]
 	c.up = c.up[1:]
@@ -423,7 +416,21 @@ func (w *exhaustWorld) deliverFrom(c *scriptedClient) {
 			what += " (failed)"
 		}
 	}
-	w.step(what, head.ev, head.effect)
+	if head.refutes == nil {
+		w.step(what, head.ev, head.effect)
+		return
+	}
+	j := w.m.jobs[head.ev.msg.(comm.Solved).Job]
+	closed, credited := j.prog.Closed(), slices.Clone(w.m.clients[c.id].cube)
+	w.step(what, head.ev, func() {
+		if j.prog.Closed() == closed {
+			return
+		}
+		if !slices.Equal(credited, head.refutes) {
+			w.fail("client %d refuted %v; the master closed %v", c.id, head.refutes, credited)
+		}
+		w.refuted[j.ID] = append(w.refuted[j.ID], credited)
+	})
 }
 
 func (w *exhaustWorld) refute() bool {
@@ -431,10 +438,9 @@ func (w *exhaustWorld) refute() bool {
 	if c == nil {
 		return false
 	}
-	sub, job := c.sub, c.job
+	c.up = append(c.up, upMsg{ev: from(c.id, comm.Solved{Status: solver.StatusUNSAT, Job: c.job}),
+		refutes: append([]cnf.Lit{}, c.sub.Cube...)})
 	c.sub = nil
-	c.queue(comm.Solved{Status: solver.StatusUNSAT, Depth: sub.Depth, Job: job},
-		func() { w.remove(job, sub) })
 	return true
 }
 
@@ -443,9 +449,10 @@ func (w *exhaustWorld) satisfy() bool {
 	if c == nil {
 		return false
 	}
-	model := cnf.NewAssignment(2)
-	model.Set(cnf.LitFromDIMACS(1))
-	model.Set(cnf.LitFromDIMACS(2))
+	model := cnf.NewAssignment(exhaustVars)
+	for v := range exhaustVars {
+		model.Set(cnf.PosLit(cnf.Var(v)))
+	}
 	c.sub = nil
 	c.queue(comm.Solved{Status: solver.StatusSAT, Model: model, Job: c.job}, nil)
 	return true
@@ -460,48 +467,29 @@ func (w *exhaustWorld) requestSplit() bool {
 	return true
 }
 
-// lose crashes a client. With salvage the shell recovers what it was
-// searching; the master hears of the loss behind everything already sent.
-func (w *exhaustWorld) lose(salvage bool) bool {
+// lose crashes a client; the master hears of the loss behind everything
+// already sent, and nothing of what it held comes with the news.
+func (w *exhaustWorld) lose() bool {
 	c := w.pick(func(c *scriptedClient) bool { return !c.gone })
 	if c == nil {
 		return false
 	}
-	c.gone = true
-	ev := masterEvent{clientID: c.id, err: errCrashed}
-	if salvage {
-		ev.salvage = []*solver.Subproblem{}
-		if c.sub != nil {
-			ev.salvage = append(ev.salvage, c.sub)
-		}
-	} else if c.sub != nil {
-		w.did["lost with its subproblem"]++
+	if c.sub != nil {
+		w.did["lost while searching"]++
 	}
-	c.up = append(c.up, upMsg{ev: ev, effect: func() {
-		w.unsalvaged[c.job] = !salvage
-		// Promises die with their maker, or with the peer they were made
-		// to unless it got the cofactor (then it answered for itself).
-		for id, p := range w.promises {
-			for i, sub := range p.subs {
-				if p.donor == c.id || p.peers[i] == c.id && !p.delivered[i] {
-					w.remove(p.job, sub)
-				}
-				if p.peers[i] == c.id && !salvage {
-					w.unsalvaged[p.job] = true // reserved counts as holding
-				}
-			}
-			if p.donor == c.id {
-				delete(w.promises, id)
-			}
-		}
-	}})
+	w.loseNow(c)
 	return true
+}
+
+func (w *exhaustWorld) loseNow(c *scriptedClient) {
+	c.gone, c.sub = true, nil
+	c.up = append(c.up, upMsg{ev: masterEvent{clientID: c.id, err: errCrashed}})
 }
 
 func (w *exhaustWorld) cancel() bool {
 	var active []int
 	for _, id := range w.jobs {
-		if w.live[id] != nil {
+		if w.m.jobs[id].State.Active() {
 			active = append(active, id)
 		}
 	}
@@ -541,9 +529,9 @@ func (w *exhaustWorld) forecast() bool {
 // within a bounded number of steps.
 func (w *exhaustWorld) drain() {
 	w.t.Helper()
-	for i := 0; len(w.live) > 0; i++ {
+	for i := 0; w.active(); i++ {
 		if i == 2000 {
-			w.t.Fatalf("jobs %v never ended; the master's view:\n%+v\n%s", w.jobs, w.m.state().Jobs, w.flightTail())
+			w.fail("jobs %v never ended; the master's view:\n%+v", w.jobs, w.m.state().Jobs)
 		}
 		switch {
 		case w.deliver():
@@ -557,10 +545,12 @@ func (w *exhaustWorld) drain() {
 }
 
 // TestUNSATOnlyWhenEverySubproblemIsRefuted: the master may call a job
-// unsatisfiable only when every subproblem of it has been refuted — not
-// merely given up, bounced, lost or promised — and must do so as soon as
-// that is the case. Random schedules of everything that moves a subproblem
-// are run against a master that is told nothing but its own messages.
+// unsatisfiable only when the cubes it credited refutations to partition the
+// root, and after every event the cubes it holds for a running job fill the
+// rest of the root exactly — whatever was split, bounced, lost, moved or
+// promised. A lost client never fails a job. Random schedules of everything
+// that moves a subproblem are run against a master that is told nothing but
+// its own messages.
 func TestUNSATOnlyWhenEverySubproblemIsRefuted(t *testing.T) {
 	t.Run("a bare ack from a busy client ends its job UNKNOWN", func(t *testing.T) {
 		w := newExhaustWorld(t, 1, "first-decision", false)
@@ -583,14 +573,14 @@ func TestUNSATOnlyWhenEverySubproblemIsRefuted(t *testing.T) {
 		}
 		// The idle client looks far faster, so the master moves the weakest
 		// busy client's subproblem there; that donor drops it and acks a stop.
-		idle := w.pick(func(c *scriptedClient) bool { return c.sub == nil })
+		idle := w.pick(func(c *scriptedClient) bool { return c.sub == nil && !w.m.clients[c.id].reserved })
 		w.m.noteForecast(idle.id, 1e6, 1<<20)
 		w.m.maybeMigrate(2, 0)
 		var victim *scriptedClient
 		for _, s := range w.sent {
 			if mig, ok := s.msg.(comm.Migrate); ok {
 				victim = w.clients[s.to]
-				w.bareAck(victim, mig.SplitID, nil)
+				w.bareAck(victim, mig.SplitID)
 			}
 		}
 		w.sent = nil
@@ -615,8 +605,7 @@ func TestUNSATOnlyWhenEverySubproblemIsRefuted(t *testing.T) {
 		{12, (*exhaustWorld).tick},
 		{5, (*exhaustWorld).register},
 		{6, (*exhaustWorld).forecast},
-		{4, func(w *exhaustWorld) bool { return w.lose(true) }},
-		{1, func(w *exhaustWorld) bool { return w.lose(false) }},
+		{5, (*exhaustWorld).lose},
 		{1, (*exhaustWorld).cancel},
 		{1, (*exhaustWorld).satisfy},
 	}
@@ -630,13 +619,21 @@ func TestUNSATOnlyWhenEverySubproblemIsRefuted(t *testing.T) {
 		for _, nJobs := range []int{1, 3} {
 			for seed := int64(1); seed <= 75; seed++ {
 				w := newExhaustWorld(t, seed, strategy, seed%2 == 0)
+				w.label = fmt.Sprintf("%s, %d jobs, seed %d", strategy, nJobs, seed)
+				w.crashy = true
 				for range 4 {
 					w.register()
 				}
 				w.submit()
 				for steps := 0; steps < 300; steps++ {
 					// Up to nJobs at a time, six in all.
-					if len(w.live) < nJobs && len(w.jobs) < 6 && w.rng.Intn(10) == 0 {
+					running := 0
+					for _, id := range w.jobs {
+						if w.m.jobs[id].State.Active() {
+							running++
+						}
+					}
+					if running < nJobs && len(w.jobs) < 6 && w.rng.Intn(10) == 0 {
 						w.submit()
 					}
 					n := w.rng.Intn(total)
@@ -659,7 +656,7 @@ func TestUNSATOnlyWhenEverySubproblemIsRefuted(t *testing.T) {
 	}
 	// The schedules must have gone where the accounting is hard.
 	for _, what := range []string{"split-done (failed)", "stopped", "client lost", "migrate",
-		"bare ack", "dropped cofactor", "lost with its subproblem", "cancel"} {
+		"bare ack", "dropped cofactor", "lost while searching", "lost mid-split", "cancel"} {
 		if did[what] == 0 {
 			t.Errorf("no schedule exercised %q: %v", what, did)
 		}

@@ -171,7 +171,8 @@ func TestRootAssignmentForgetsThePreviousTransferTime(t *testing.T) {
 		learnts[i] = cnf.NewClause(1, 2, 3)
 	}
 	c.handleIdle(comm.SplitPayload{SplitID: 1, Subs: []*solver.Subproblem{{
-		NumVars: f.NumVars, Assumptions: []cnf.Lit{cnf.LitFromDIMACS(1)}, Learnts: learnts, Depth: 1}}})
+		NumVars: f.NumVars, Assumptions: []cnf.Lit{cnf.LitFromDIMACS(1)}, Learnts: learnts,
+		Cube: []cnf.Lit{cnf.LitFromDIMACS(1)}}}})
 	if !c.busy() {
 		t.Fatalf("split subproblem did not start: %v", sent)
 	}

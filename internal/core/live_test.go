@@ -13,6 +13,7 @@ import (
 	"gridsat/internal/comm"
 	"gridsat/internal/gen"
 	"gridsat/internal/solver"
+	"gridsat/internal/trace"
 )
 
 func quickJob(clients int) JobConfig {
@@ -529,72 +530,97 @@ func TestJobUnknownStrategyRejected(t *testing.T) {
 	}
 }
 
-// TestOneShotRunNamesWhyItHasNoVerdict: job 0 of a one-shot master can end
-// without a verdict in two ways — a client is lost holding the only copy of
-// a subproblem (the live shell has no checkpoint to salvage), or a model
-// fails Verify — and Run, whose error Solve returns as it is, must name the
-// cause. The scripted client speaks the registration handshake and takes
-// the root like a real one, then misbehaves.
+// TestOneShotRunNamesWhyItHasNoVerdict: job 0 of a one-shot master ends
+// without a verdict when a model fails Verify, and Run, whose error Solve
+// returns as it is, must name the cause. A lost client is no such ending:
+// the master holds the cube of what it was searching and hands it to the
+// next client. The scripted clients speak the registration handshake and
+// take the root like real ones, then misbehave or answer.
 func TestOneShotRunNamesWhyItHasNoVerdict(t *testing.T) {
 	f := cnf.NewFormula(2)
 	f.Add(1, 2)
-	for _, tc := range []struct {
-		name      string
-		misbehave func(conn comm.Conn)
-		want      string
-	}{
-		{"lost client", func(conn comm.Conn) { _ = conn.Close() },
-			"core: lost client 1 while it held a subproblem"},
-		{"invalid model", func(conn comm.Conn) {
-			_ = conn.Send(comm.Solved{Status: solver.StatusSAT, Model: cnf.NewAssignment(3)})
-		}, "core: client 1 reported an invalid model"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			tr := comm.NewInprocTransport()
-			m, err := NewMaster(MasterConfig{Transport: tr, ListenAddr: "m", Formula: f, Timeout: time.Minute})
-			if err != nil {
-				t.Fatal(err)
-			}
-			conn, err := tr.Dial("m")
-			if err != nil {
-				t.Fatal(err)
-			}
-			go func() {
-				defer conn.Close()
-				_ = conn.Send(comm.Register{Addr: "nowhere", HostName: "scripted", FreeMemBytes: 1 << 30, SpeedHint: 1})
-				for {
-					msg, err := conn.Recv()
-					if err != nil {
-						return
-					}
-					if p, ok := msg.(comm.SplitPayload); ok { // the root
-						_ = conn.Send(comm.SplitDone{SplitID: p.SplitID, OK: true})
-						tc.misbehave(conn)
-					}
+	model := cnf.NewAssignment(2)
+	model.Set(cnf.LitFromDIMACS(1))
+	model.Set(cnf.LitFromDIMACS(2))
+	// scripted registers a client over tr that calls onRoot with the
+	// payload of its first subproblem, acknowledged.
+	scripted := func(t *testing.T, tr comm.Transport, onRoot func(conn comm.Conn, p comm.SplitPayload)) {
+		conn, err := tr.Dial("m")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		go func() {
+			defer conn.Close()
+			_ = conn.Send(comm.Register{Addr: "nowhere", HostName: "scripted", FreeMemBytes: 1 << 30, SpeedHint: 1})
+			for {
+				msg, err := conn.Recv()
+				if err != nil {
+					return
 				}
-			}()
-			res, err := m.Run()
-			if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
-				t.Fatalf("Run error %v, want %q", err, tc.want)
+				if p, ok := msg.(comm.SplitPayload); ok {
+					_ = conn.Send(comm.SplitDone{SplitID: p.SplitID, OK: true, Cube: p.Subs[0].Cube})
+					onRoot(conn, p)
+				}
 			}
-			if res.Status != solver.StatusUnknown || res.Model != nil {
-				t.Fatalf("result %v with a model of %d: want UNKNOWN and none", res.Status, len(res.Model))
-			}
-		})
+		}()
 	}
+	newMasterOn := func(t *testing.T, tr comm.Transport) *Master {
+		m, err := NewMaster(MasterConfig{Transport: tr, ListenAddr: "m", Formula: f, Timeout: time.Minute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+
+	t.Run("invalid model", func(t *testing.T) {
+		tr := comm.NewInprocTransport()
+		m := newMasterOn(t, tr)
+		scripted(t, tr, func(conn comm.Conn, _ comm.SplitPayload) {
+			_ = conn.Send(comm.Solved{Status: solver.StatusSAT, Model: cnf.NewAssignment(3)})
+		})
+		res, err := m.Run()
+		if want := "core: client 1 reported an invalid model"; err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("Run error %v, want %q", err, want)
+		}
+		if res.Status != solver.StatusUnknown || res.Model != nil {
+			t.Fatalf("result %v with a model of %d: want UNKNOWN and none", res.Status, len(res.Model))
+		}
+	})
+	t.Run("lost client", func(t *testing.T) {
+		tr := comm.NewInprocTransport()
+		m := newMasterOn(t, tr)
+		scripted(t, tr, func(conn comm.Conn, _ comm.SplitPayload) {
+			_ = conn.Close() // lost with the root; the run waits for a client
+			scripted(t, tr, func(conn comm.Conn, p comm.SplitPayload) {
+				if len(p.Subs[0].Cube) != 0 {
+					t.Errorf("client 2 got cube %v, want the root's", p.Subs[0].Cube)
+				}
+				_ = conn.Send(comm.Solved{Status: solver.StatusSAT, Model: model})
+			})
+		})
+		res, err := m.Run()
+		if err != nil || res.Status != solver.StatusSAT || f.Verify(res.Model) != nil {
+			t.Fatalf("Run = %v (model %v), %v; want client 2's SAT", res.Status, res.Model, err)
+		}
+	})
 }
 
-// TestSolveReturnsTheLostClientError takes the same loss through Solve: the
-// one client's Run goroutine exits from inside its first conflict, which
-// hangs up on the master the way a killed process does.
-func TestSolveReturnsTheLostClientError(t *testing.T) {
+// TestSolveRecoversALostClient takes a loss through Solve: one of two
+// clients' Run goroutine exits from inside its first conflict, which hangs
+// up on the master the way a killed process does. The master restarts the
+// cube the client held on the other client, and the run ends UNSAT.
+func TestSolveRecoversALostClient(t *testing.T) {
 	opts := solver.DefaultOptions()
-	opts.OnLemma = func(cnf.Clause) { runtime.Goexit() }
-	res, err := Solve(gen.Pigeonhole(6), JobConfig{Clients: 1, Timeout: time.Minute, Client: ClientConfig{SolverOptions: &opts}})
-	if err == nil || err.Error() != "core: lost client 1 while it held a subproblem" {
-		t.Fatalf("Solve error %v, want the lost-client error", err)
+	var once sync.Once
+	opts.OnLemma = func(cnf.Clause) { once.Do(runtime.Goexit) }
+	cfg := JobConfig{Clients: 2, Timeout: time.Minute, Client: ClientConfig{SolverOptions: &opts}}
+	cfg.Master.Flight = trace.NewFlight(nil)
+	res, err := Solve(gen.Pigeonhole(6), cfg)
+	if err != nil || res.Status != solver.StatusUNSAT {
+		t.Fatalf("Solve = %v, %v; want UNSAT", res.Status, err)
 	}
-	if res.Status != solver.StatusUnknown {
-		t.Fatalf("status %v, want UNKNOWN", res.Status)
+	if n := trace.CountByKind(cfg.Master.Flight.Events())[trace.FEvRecover]; n == 0 {
+		t.Fatal("no recover event in the flight log")
 	}
 }

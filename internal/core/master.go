@@ -108,7 +108,7 @@ type masterClient struct {
 	// its Register stated: the recipients a request of it reserves.
 	fanout   int
 	busy     bool
-	reserved bool // chosen as split recipient; payload in flight
+	reserved bool // split recipient, payload in flight (or stopped: see clientLost)
 	assignment
 	// job is the job this client is (or was last) working for. The zero
 	// value names job 0 — see newMaster on what that does to a one-shot run.
@@ -132,9 +132,6 @@ type masterClient struct {
 	// latest gauges.
 	agg       comm.SolverDeltas
 	dbLearnts int
-	// depth is the guiding-path depth of the client's current subproblem
-	// (latest heartbeat gauge).
-	depth int
 	// confRate is the EWMA conflict throughput from heartbeat deltas;
 	// lastHBSec anchors the next interval.
 	confRate  float64
@@ -145,13 +142,16 @@ type masterClient struct {
 	workers []comm.WorkerReport
 }
 
-// assignment is a client's current subproblem as the master sees it: when
-// it was handed out and, once the client asked for help with it, when it
-// asked. Handing the client a new subproblem replaces the whole value, so a
-// split request is only ever about the subproblem it was made for, and
-// nothing that ends a subproblem has to withdraw one.
+// assignment is a client's current subproblem as the master sees it: its
+// cube, when it was handed out and, once the client asked for help with it,
+// when it asked. Handing the client a new subproblem replaces the whole
+// value, so a split request is only ever about the subproblem it was made
+// for, and nothing that ends a subproblem has to withdraw one.
 type assignment struct {
 	assignedAt float64 // master clock seconds
+	// cube is the subproblem's guiding path as sent or acknowledged, narrowed
+	// by each OK SplitDone of the client as a donor (FIFO: before any verdict).
+	cube []cnf.Lit
 	// splitAt is when the client asked to have this subproblem split; 0
 	// until it asks, and again once a split serves it. (Every request
 	// follows a solver slice, so none is made at time 0.)
@@ -177,14 +177,19 @@ type splitGroup struct {
 	recipients []int
 	settled    map[int]bool
 	// donorDone is set once the donor's SplitDone arrived.
-	donorDone  bool
+	donorDone bool
+	// made: legs' cubes counted elsewhere before the donor reports (accepted
+	// or bounced); served: the cubes its SplitDone says it shipped, in order.
+	made       [][]cnf.Lit
+	served     [][]cnf.Lit
 	assignedAt float64
 	// issueEv is the split-issue flight event, parent of the accept/fail.
 	issueEv uint64
 	// migrate marks a §3.4 whole-problem move riding the same exchange: one
 	// recipient, the donor goes idle, and the accept is logged as a
-	// migration instead of a split.
+	// migration instead of a split, under the donor's stop token seq.
 	migrate bool
+	seq     int
 }
 
 // done reports whether the group can be forgotten: the donor reported and
@@ -200,14 +205,14 @@ type subOrigin int
 const (
 	fromSplit subOrigin = iota // leftover cofactor: split-accept under its split
 	fromRoot                   // a job's whole search space: assign
-	fromCrash                  // salvaged from a lost client: recover under the client-leave
+	fromCrash                  // a lost client's cube: recover under the client-leave
 )
 
 // backlogSub is one subproblem the master holds until a client goes idle:
-// a job's root, a leftover cofactor from an over-producing split, or what
-// a lost client left behind. donor and issueEv name the client it came
-// from and the flight event (split-issue or client-leave) its assignment
-// hangs under.
+// a job's root, a leftover cofactor from an over-producing split, or a cube
+// a lost client held. donor and issueEv name the client it came from and
+// the flight event (split-issue or client-leave) its assignment hangs
+// under.
 type backlogSub struct {
 	sub     *solver.Subproblem
 	origin  subOrigin
@@ -221,12 +226,8 @@ type backlogSub struct {
 type masterEvent struct {
 	clientID int
 	msg      comm.Message
-	err      error
-	// salvage rides on a client-lost event (err != nil) when the shell could
-	// recover the dead client's work: its §3.4 checkpoint and any payloads
-	// it never started. nil means nothing is recoverable (the live shell).
-	salvage []*solver.Subproblem
-	conn    comm.Conn // set for new connections (live shell only)
+	err      error     // the client is lost: a dropped connection, a DES host failure
+	conn     comm.Conn // set for new connections (live shell only)
 	// apply, when non-nil, runs a request (submit, cancel, state and job
 	// queries, shutdown) on the event loop; its return value ends Run when
 	// true. The closure owns its own reply channel.
@@ -251,13 +252,14 @@ type masterJob struct {
 	StartedAt     float64
 	FirstAssignAt float64
 	FinishedAt    float64
-	// subBacklog queues the job's root, leftover cofactors and salvage.
+	// subBacklog queues the job's root, leftover cofactors and lost
+	// clients' cubes.
 	subBacklog []backlogSub
 	// assigned is set once the root subproblem was queued for handing out.
 	assigned bool
 	// status and model are the job's verdict (StatusUnknown while running);
-	// cause says why a job is done without one (a client lost with the only
-	// copy of a subproblem, a model that failed Verify).
+	// cause says why a job is done without one (a dropped cofactor, a model
+	// that failed Verify).
 	status solver.Status
 	model  cnf.Assignment
 	cause  error
@@ -554,7 +556,7 @@ func (m *Master) dispatch(ev masterEvent) {
 	}
 	if ev.err != nil {
 		m.inTI = comm.TraceInfo{}
-		m.clientLost(c, ev.salvage)
+		m.clientLost(c)
 		return
 	}
 	// Strip the trace envelope (if any) so the dispatch below sees the
@@ -593,7 +595,6 @@ func (m *Master) handleStatusReport(c *masterClient, msg comm.StatusReport) {
 	}
 	c.usedMem = msg.MemBytes
 	c.dbLearnts = msg.Learnts
-	c.depth = msg.Depth
 	c.workers = msg.Workers
 	if len(msg.Workers) > m.result.Threads {
 		m.result.Threads = len(msg.Workers)
@@ -796,7 +797,7 @@ func (m *Master) serveSplitBacklog(j *masterJob) {
 }
 
 // serveSubBacklog hands a job's master-held subproblems (its root,
-// leftover split products, salvage from lost clients) to idle clients —
+// leftover split products, lost clients' cubes) to idle clients —
 // cheaper than asking a busy client to split. A queued subproblem is live
 // search space where it lies; assignment moves it from the queue to the
 // recipient, busy from the moment it is sent.
@@ -815,7 +816,7 @@ func (m *Master) serveSubBacklog(j *masterJob) {
 			Job: j.ID, Subs: []*solver.Subproblem{entry.sub}})
 		c.busy = true
 		c.job = j.ID
-		c.assignment = assignment{assignedAt: m.now()}
+		c.assignment = assignment{assignedAt: m.now(), cube: entry.sub.Cube}
 		m.markStarted(j)
 		if entry.origin == fromRoot && j.FirstAssignAt == 0 {
 			j.FirstAssignAt = m.now()
@@ -827,7 +828,7 @@ func (m *Master) serveSubBacklog(j *masterJob) {
 
 func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) {
 	// A master-held subproblem acks with the split ID it descended from
-	// (0 for roots and salvage).
+	// (0 for roots and lost clients' cubes).
 	if entry, ok := m.pendingAssigns[c.id]; ok && entry.splitID == msg.SplitID {
 		delete(m.pendingAssigns, c.id)
 		j := m.jobs[entry.job]
@@ -863,7 +864,13 @@ func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) {
 	}
 	g, ok := m.pendingSplits[msg.SplitID]
 	if !ok {
-		return // a leg of a transfer that has settled already
+		// A settled leg — or an accept of a lost donor's split whose payload
+		// came after clientLost's stop: its cube is requeued, so stop it too.
+		if msg.OK && !c.busy && !c.reserved {
+			c.reserved = true
+			m.stop(c)
+		}
+		return
 	}
 	// A transfer outlives its job: its legs still report, and a recipient
 	// is not free while a payload may be on its way to it.
@@ -875,10 +882,11 @@ func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) {
 		used := 0
 		if msg.OK {
 			used = min(msg.Used, len(g.recipients))
+			c.cube, g.served = msg.Cube, msg.Served
 		} else {
 			m.femit(trace.FEvent{Kind: trace.FEvSplitFail, Client: g.donor,
 				SplitID: msg.SplitID, Parent: g.issueEv, Detail: msg.Err})
-			if g.migrate {
+			if g.migrate && c.stopSeq == g.seq {
 				c.stopping = false // the move is off; the donor solves on…
 				if !live && c.busy && c.job == g.job {
 					m.stop(c) // …a job that has ended since
@@ -903,6 +911,7 @@ func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) {
 			m.femit(trace.FEvent{Kind: trace.FEvSplitBacklog, Client: g.donor,
 				SplitID: msg.SplitID, N: int64(len(msg.Leftover)), Parent: g.issueEv})
 		}
+		m.requeueShipped(msg.SplitID, g)
 	} else { // Figure 3, message (4): one recipient's leg concluded
 		if !slices.Contains(g.recipients, c.id) || g.settled[c.id] {
 			return
@@ -916,7 +925,10 @@ func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) {
 			m.stop(c)
 		case msg.OK:
 			c.busy = true
-			c.assignment = assignment{assignedAt: m.now()}
+			c.assignment = assignment{assignedAt: m.now(), cube: msg.Cube}
+			if !g.donorDone {
+				g.made = append(g.made, msg.Cube)
+			}
 			if g.migrate {
 				m.migrations++
 				m.femit(trace.FEvent{Kind: trace.FEvMigrate, Client: g.donor,
@@ -952,6 +964,9 @@ func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) {
 		for _, sub := range msg.Leftover {
 			j.subBacklog = append(j.subBacklog, backlogSub{sub: sub,
 				splitID: msg.SplitID, donor: g.donor, issueEv: g.issueEv, job: g.job})
+			if !g.donorDone {
+				g.made = append(g.made, sub.Cube)
+			}
 		}
 	}
 	m.serveBacklog()
@@ -1013,8 +1028,8 @@ func (m *Master) handleShare(c *masterClient, msg comm.ShareClauses) {
 }
 
 func (m *Master) handleSolved(c *masterClient, msg comm.Solved) {
-	if !c.busy || msg.Job != c.job {
-		return // idle already, or a verdict on another job's subproblem
+	if _, unacked := m.pendingAssigns[c.id]; unacked || !c.busy || msg.Job != c.job {
+		return // idle already, or a verdict on what the master does not hold it to
 	}
 	j := m.jobOf(c)
 	if j == nil {
@@ -1047,11 +1062,11 @@ func (m *Master) handleSolved(c *masterClient, msg comm.Solved) {
 	case solver.StatusUNSAT:
 		ev := m.femit(trace.FEvent{Kind: trace.FEvSubUNSAT, Client: c.id, Worker: msg.Worker,
 			Job: j.ID, Parent: m.inTI.Parent})
-		// Fold the refuted prefix into the job's coverage estimate: a
-		// depth-d subproblem retires 2^-d of the root search space.
-		units := j.prog.CloseSubproblem(msg.Depth, m.now())
+		// A refuted cube of length d retires 2^-d of the root search space.
+		depth := len(c.cube)
+		units := j.prog.CloseSubproblem(depth, m.now())
 		m.femit(trace.FEvent{Kind: trace.FEvProgress, Client: c.id, Job: j.ID,
-			N: int64(units), Detail: fmt.Sprintf("depth=%d", msg.Depth), Parent: ev})
+			N: int64(units), Detail: fmt.Sprintf("depth=%d", depth), Parent: ev})
 	}
 	// This part of the space is exhausted — or, with StatusUnknown, handed
 	// whole to a peer (migration), who may have refuted it already. If
@@ -1077,87 +1092,112 @@ func (m *Master) checkExhausted(j *masterJob) bool {
 	return true
 }
 
-// clientLost handles a client's departure. An idle client with no transfer
-// in flight is simply forgotten. For one that held work, what happens
-// depends on whether the shell could salvage it (ev.salvage: the §3.4
-// checkpoint of its running subproblem plus any payloads it never started):
-// salvaged subproblems go back on the job's backlog for the next idle
-// client; with nothing salvaged — the live shell, where a dead process
-// leaves no checkpoint — the search space is gone, and the job ends without
-// a verdict.
-func (m *Master) clientLost(c *masterClient, salvage []*solver.Subproblem) {
-	held := c.busy || c.reserved
-	m.log.Warn("client lost", "client", c.id, "host", c.hostName, "held", held, "job", c.job)
+// clientLost requeues at the head of the backlog what a lost client held:
+// an unacknowledged assignment as it was, else its cubes (holding), for the
+// next idle client to restart from the base formula alone. A lost
+// recipient's cofactor goes back once the donor says it shipped it; a donor
+// lost before its SplitDone may have shipped some, so its unsettled
+// recipients are stopped, reserved until they acknowledge.
+func (m *Master) clientLost(c *masterClient) {
+	m.log.Warn("client lost", "client", c.id, "host", c.hostName, "held", c.busy || c.reserved, "job", c.job)
 	leaveEv := m.femit(trace.FEvent{Kind: trace.FEvClientLeave, Client: c.id, Detail: c.hostName})
-	m.forget(c.id)
-	j := m.jobOf(c)
-	if !held || j == nil || !j.State.Active() {
-		j = nil // it held nothing anybody still wants
-	} else if salvage == nil {
-		// The lost subproblem's search space is unrecoverable, so the job
-		// cannot conclude soundly: end it UNKNOWN, its transfers with it.
-		m.finishJob(j, solver.StatusUnknown, nil,
-			fmt.Errorf("core: lost client %d while it held a subproblem", c.id))
-		j = nil
-	}
-	// Everything the client held left the table with it (its running
-	// subproblem or a master-held assignment in flight to it; its legs of
-	// in-flight transfers settle below), and everything recoverable goes
-	// to the head of the backlog: an assignment it never acknowledged goes
-	// back as it was (the master still holds it, whether or not the shell
-	// caught it on the wire), the salvage as recover-on-crash entries.
 	pending, unacked := m.pendingAssigns[c.id]
 	delete(m.pendingAssigns, c.id)
-	unwound := j != nil
-	if unwound {
-		var requeue []backlogSub
-		if unacked {
-			requeue = append(requeue, pending)
-		}
-		for _, sub := range salvage {
-			if !unacked || sub != pending.sub {
-				requeue = append(requeue, backlogSub{sub: sub, origin: fromCrash, donor: c.id, issueEv: leaveEv, job: j.ID})
+	if j := m.jobOf(c); j != nil && j.State.Active() {
+		requeue := []backlogSub{pending}
+		if !unacked {
+			requeue = nil
+			for _, cube := range m.holding(c) {
+				requeue = append(requeue, backlogSub{sub: &solver.Subproblem{NumVars: j.Formula.NumVars,
+					Assumptions: cube, Cube: cube}, origin: fromCrash, donor: c.id, issueEv: leaveEv, job: j.ID})
 			}
 		}
 		j.subBacklog = append(requeue, j.subBacklog...)
 	}
+	m.forget(c.id)
 	for _, splitID := range m.sortedSplitIDs() {
 		g := m.pendingSplits[splitID]
 		switch {
 		case g.donor == c.id && !g.donorDone:
-			// Links are FIFO, so a donor whose SplitDone has not arrived
-			// never split: none of its recipients will get a payload. (The
-			// donor may hold nothing any more: its verdict passed the
-			// SplitAssign on the wire.)
-			unwound = true
 			m.femit(trace.FEvent{Kind: trace.FEvSplitFail, Client: g.donor,
 				Peer: g.recipients[0], SplitID: splitID, Parent: g.issueEv, Detail: "client lost"})
 			for _, rid := range g.recipients {
-				if g.settled[rid] {
-					continue
-				}
-				if r := m.clients[rid]; r != nil {
-					r.reserved = false
+				if r := m.clients[rid]; r != nil && !g.settled[rid] {
+					m.stop(r)
 				}
 			}
 			delete(m.pendingSplits, splitID)
 		case !g.settled[c.id] && slices.Contains(g.recipients, c.id):
-			unwound = true
-			g.settled[c.id] = true
 			m.femit(trace.FEvent{Kind: trace.FEvSplitFail, Client: c.id, Peer: g.donor,
 				SplitID: splitID, Parent: g.issueEv, Detail: "client lost"})
+			if g.donorDone { // else its SplitDone settles the leg
+				m.requeueShipped(splitID, g)
+			}
 			if g.done() {
 				delete(m.pendingSplits, splitID)
 			}
 		}
 	}
-	if !unwound {
-		return
-	}
 	m.serveBacklog()
 	for _, id := range m.jobOrder {
 		m.checkExhausted(m.jobs[id])
 	}
+}
+
+// requeueShipped settles g's legs whose recipients are gone, requeueing
+// the cofactor the donor says it shipped each as a leftover of the split:
+// its cube is all it assumes.
+func (m *Master) requeueShipped(splitID int, g *splitGroup) {
+	j := m.jobs[g.job]
+	for i, id := range g.recipients[:min(len(g.served), len(g.recipients))] {
+		if m.clients[id] == nil && !g.settled[id] {
+			g.settled[id] = true
+			if cube := g.served[i]; j.State.Active() {
+				j.subBacklog = append(j.subBacklog, backlogSub{sub: &solver.Subproblem{NumVars: j.Formula.NumVars,
+					Assumptions: cube, Cube: cube}, splitID: splitID, donor: g.donor, issueEv: g.issueEv, job: g.job})
+			}
+		}
+	}
+}
+
+// holding lists the cubes client c holds: a donor awaiting its SplitDone
+// its cube less the legs counted elsewhere, a stopping client (one whose
+// migration is reported) or an idle one none, any other its cube.
+func (m *Master) holding(c *masterClient) [][]cnf.Lit {
+	var made [][]cnf.Lit
+	open := false
+	for _, splitID := range m.sortedSplitIDs() {
+		if g := m.pendingSplits[splitID]; g.donor == c.id && !g.donorDone {
+			open = true
+			made = append(made, g.made...)
+		}
+	}
+	if !c.busy || c.stopping && !open {
+		return nil
+	}
+	return rest(c.cube, made)
+}
+
+// rest partitions what is left of cube pre once the cubes of made, each
+// extending it, are taken out. Cubes of one split tree nest or contradict;
+// m out of a q it extends leaves m's prefixes past q, last literal negated.
+func rest(pre []cnf.Lit, made [][]cnf.Lit) [][]cnf.Lit {
+	out := [][]cnf.Lit{pre}
+	for _, m := range made {
+		var next [][]cnf.Lit
+		for _, q := range out {
+			switch {
+			case len(m) >= len(q) && slices.Equal(m[:len(q)], q):
+				for i := len(q); i < len(m); i++ {
+					next = append(next, append(slices.Clone(m[:i]), m[i].Not()))
+				}
+			case !(len(q) > len(m) && slices.Equal(q[:len(m)], m)):
+				next = append(next, q) // contradicts m
+			}
+		}
+		out = next
+	}
+	return out
 }
 
 // sortedSplitIDs lists the in-flight transfer tokens ascending, so walks
@@ -1207,7 +1247,7 @@ func (m *Master) maybeMigrate(factor, minHeld float64) {
 	weakest.stopSeq++ // no ack answers a Migrate: one still in flight is from an older stop
 	m.nextSplitID++
 	m.pendingSplits[m.nextSplitID] = &splitGroup{donor: weakest.id, job: j.ID,
-		recipients: []int{r.id}, settled: map[int]bool{}, assignedAt: m.now(), migrate: true}
+		recipients: []int{r.id}, settled: map[int]bool{}, assignedAt: m.now(), migrate: true, seq: weakest.stopSeq}
 	m.send(weakest.id, comm.Migrate{SplitID: m.nextSplitID, PeerID: r.id, PeerAddr: r.addr})
 }
 

@@ -126,7 +126,7 @@ func TestPortfolioCheckpointRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		sub := &solver.Subproblem{NumVars: got.NumVars, Assumptions: got.Level0,
-			Learnts: got.Learnts, Depth: got.Depth}
+			Learnts: got.Learnts, Cube: got.Cube}
 		p2, err := newPortfolio(f, sub, solver.DefaultOptions(), 3, 10)
 		if err != nil {
 			t.Fatal(err)

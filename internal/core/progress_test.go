@@ -96,8 +96,11 @@ func TestCoverageRateStartsWithTheJob(t *testing.T) {
 		t.Fatalf("job %v started at %v, client busy=%v; want running from 100", j.State, j.StartedAt, c.busy)
 	}
 	now = 110
-	j.subBacklog = append(j.subBacklog, backlogSub{job: id, sub: &solver.Subproblem{NumVars: 2, Depth: 1}})
-	m.handleSolved(c, comm.Solved{Status: solver.StatusUNSAT, Depth: 1, Job: id})
+	m.handleSplitDone(c, comm.SplitDone{OK: true})
+	c.cube = []cnf.Lit{cnf.PosLit(0)}
+	j.subBacklog = append(j.subBacklog, backlogSub{job: id,
+		sub: &solver.Subproblem{NumVars: 2, Cube: []cnf.Lit{cnf.NegLit(0)}}})
+	m.handleSolved(c, comm.Solved{Status: solver.StatusUNSAT, Job: id})
 	if st := m.state(); st.RatePerSec != 0.05 || st.ETASeconds != 10 {
 		t.Fatalf("rate %v/s, ETA %v s; want 0.05/s and 10 s", st.RatePerSec, st.ETASeconds)
 	}

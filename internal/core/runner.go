@@ -42,9 +42,9 @@ import (
 //  2. a quantum's end event takes its place in the scheduling order when
 //     the quantum is launched (grid.Sim.Reserve), so equal-time ties break
 //     as if the end had been scheduled then;
-//  3. whatever reads a computing client from the loop — a crash's
-//     checkpoint, the unreported tail, the verdict's TotalProps — first
-//     waits for that quantum to finish.
+//  3. whatever reads a computing client from the loop — a crash's or the
+//     run's unreported tail, the verdict's TotalProps — first waits for
+//     that quantum to finish.
 //
 // So a 34-host distributed run reproduces exactly, event for event, on one
 // core or on many — this is the apparatus behind the Table-1/Table-2
@@ -97,8 +97,8 @@ type RunnerConfig struct {
 	// Batch, when non-nil, adds a Blue Horizon-style batch job (Table 2).
 	Batch *BatchPlan
 	// Failures schedules client crashes — the fault-tolerance extension of
-	// paper §3.4: a lost busy client's subproblem is recovered from its
-	// light checkpoint and reassigned to an idle resource.
+	// paper §3.4: as for a dropped connection live, the master requeues the
+	// cube a lost client held for an idle resource to restart.
 	Failures []FailurePlan
 	// MonitorPeriodVSec is the NWS sampling period.
 	MonitorPeriodVSec float64
@@ -336,10 +336,6 @@ type desClient struct {
 	inbox    []comm.Message
 	stepping bool
 	dead     bool
-	// inflight holds subproblems sent to this client that it has not
-	// started yet (on the wire or in the inbox). If the host crashes they
-	// are salvaged along with its checkpoint.
-	inflight []*solver.Subproblem
 }
 
 // quantum is one compute quantum in flight: launched by the event loop at
@@ -805,12 +801,8 @@ func (r *runner) fromClient(dc *desClient, to comm.SplitPeer, msg comm.Message) 
 	return nil
 }
 
-// deliverAt schedules msg's arrival at dc. Subproblems are tracked from
-// send to start so a crash in between loses nothing.
+// deliverAt schedules msg's arrival at dc.
 func (r *runner) deliverAt(at float64, dc *desClient, msg comm.Message) {
-	if p, ok := msg.(comm.SplitPayload); ok {
-		dc.inflight = append(dc.inflight, p.Subs...)
-	}
 	r.sim.At(at, func() {
 		if r.done || dc.dead {
 			return
@@ -819,21 +811,9 @@ func (r *runner) deliverAt(at float64, dc *desClient, msg comm.Message) {
 			dc.inbox = append(dc.inbox, msg)
 			return
 		}
-		r.hand(dc, msg, dc.cl.handleIdle) // not stepping means idle
+		dc.cl.handleIdle(msg) // not stepping means idle
 		r.step(dc)
 	})
-}
-
-// hand passes one message to the client through the given handler.
-func (r *runner) hand(dc *desClient, msg comm.Message, handle func(comm.Message) bool) {
-	if p, ok := msg.(comm.SplitPayload); ok {
-		for _, sub := range p.Subs {
-			if i := slices.Index(dc.inflight, sub); i >= 0 {
-				dc.inflight = slices.Delete(dc.inflight, i, i+1)
-			}
-		}
-	}
-	handle(msg)
 }
 
 // stepMaster steps the master by one event and folds the consequences
@@ -977,7 +957,7 @@ func (r *runner) step(dc *desClient) {
 			inbox := dc.inbox
 			dc.inbox = nil
 			for _, msg := range inbox {
-				r.hand(dc, msg, cl.handle)
+				cl.handle(msg)
 			}
 			r.step(dc)
 		})
@@ -1001,26 +981,18 @@ func (r *runner) retire(dc *desClient) {
 	dc.dead = true
 }
 
-// fail simulates a host crash (paper §3.4). What can be recovered — the
-// light checkpoint of a running subproblem (level-0 assignments; the
-// initial clauses are re-read from the problem file) and any subproblem
-// still on its way to the host — rides to the master on the client-lost
-// event, which arrives behind everything the client already sent, the way
-// a dropped connection is noticed live.
+// fail simulates a host crash (paper §3.4): the client and whatever was on
+// its way to it are gone, and the master hears of the loss behind what the
+// client already sent, the way a dropped connection is noticed live.
 func (r *runner) fail(hostID int) {
 	dc := r.byHost[hostID]
 	if r.done || dc == nil || dc.dead {
 		return
 	}
-	r.joinQuanta() // the checkpoint is of the state the running quantum leaves
-	salvage := []*solver.Subproblem{}
-	if dc.cl.busy() {
-		salvage = append(salvage, dc.cl.port.Pathfinder().Checkpoint(solver.LightCheckpoint, 0).Subproblem())
-	}
-	salvage = append(salvage, dc.inflight...)
+	r.joinQuanta() // the unreported tail is of the state the running quantum leaves
 	r.retire(dc)
 	r.sim.At(r.fifo(dc.id, 0, r.cfg.Grid.Network.Transfer(dc.host, r.mhost, 0)), func() {
-		r.stepMaster(masterEvent{clientID: dc.id, err: errCrashed, salvage: salvage})
+		r.stepMaster(masterEvent{clientID: dc.id, err: errCrashed})
 	})
 }
 

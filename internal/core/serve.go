@@ -198,16 +198,17 @@ func (m *Master) handleStopped(c *masterClient, msg comm.Stopped) {
 		// orphan that new assignment, so the ack is dropped outright.
 		return
 	}
-	// A stopping client is busy (only busy clients are stopped, and what
-	// clears busy clears stopping), on the job the table says.
-	c.busy = false
-	c.stopping = false
-	if j := m.jobOf(c); j != nil && j.State.Active() {
+	// A stopping client is busy on the job the table says, or reserved and
+	// holding nothing (see clientLost); what clears busy clears stopping.
+	j, held := m.jobOf(c), c.busy
+	c.busy, c.reserved, c.stopping = false, false, false
+	if held && j != nil && j.State.Active() {
 		m.finishJob(j, solver.StatusUnknown, nil,
 			fmt.Errorf("core: client %d acknowledged a stop of job %d, which was still running", c.id, j.ID))
 		return
 	}
 	m.serveBacklog()
+	m.checkExhausted(j)
 }
 
 // finishJob records a job's verdict — or, with StatusUnknown, the cause of
@@ -222,7 +223,7 @@ func (m *Master) finishJob(j *masterJob, status solver.Status, model cnf.Assignm
 	j.observeEnd(&m.met)
 	m.femit(trace.FEvent{Kind: trace.FEvJobDone, Job: j.ID, Detail: status.String()})
 	m.log.Info("job finished", "job", j.ID, "verdict", status,
-		"turnaround", j.FinishedAt-j.SubmittedAt)
+		"turnaround", time.Duration((j.FinishedAt-j.SubmittedAt)*float64(time.Second)))
 	if status == solver.StatusUnknown && m.cfg.BundleDir != "" {
 		// A job that ends without a verdict (lost client, invalid model)
 		// is exactly what a postmortem bundle is for.
@@ -246,7 +247,8 @@ func (m *Master) releaseJob(j *masterJob) {
 	}
 }
 
-// stop tells a busy client to abandon its subproblem, whose job has ended.
+// stop tells a client to abandon its subproblem: its job has ended, or it
+// is a copy of a cube the master has requeued (see clientLost).
 func (m *Master) stop(c *masterClient) {
 	c.stopping = true
 	c.stopSeq++

@@ -85,7 +85,7 @@ type ClientState struct {
 	Busy     bool   `json:"busy"`
 	Reserved bool   `json:"reserved"`
 	// MemBytes and DBLearnts are the latest reported gauges; Depth is the
-	// guiding-path depth of the client's current subproblem.
+	// length of the cube of the client's current (or last) subproblem.
 	MemBytes  int64 `json:"mem_bytes"`
 	DBLearnts int   `json:"db_learnts"`
 	Depth     int   `json:"depth"`
@@ -151,7 +151,7 @@ func (m *Master) state() ClusterState {
 		}
 		row := ClientState{
 			ID: c.id, Host: c.hostName, Busy: c.busy, Reserved: c.reserved,
-			MemBytes: c.usedMem, DBLearnts: c.dbLearnts, Depth: c.depth,
+			MemBytes: c.usedMem, DBLearnts: c.dbLearnts, Depth: len(c.cube),
 			ConflictsPerSec:  c.confRate,
 			ImportUseRatio:   efficacyOf(c.agg).UsefulRatio,
 			LastHeartbeatSec: max(c.lastHBSec, c.assignedAt),

@@ -66,7 +66,7 @@ func populate(m *Master, nClients, nJobs int) {
 		c.busy = id%3 != 0
 		c.reserved = !c.busy && id%2 == 0
 		c.stopping = c.busy && id%5 == 0
-		c.usedMem, c.dbLearnts, c.depth = int64(id)<<20, 100*id, id%9
+		c.usedMem, c.dbLearnts, c.cube = int64(id)<<20, 100*id, make([]cnf.Lit, id%9)
 		c.confRate = 37.5 * float64(id%11)
 		c.lastHBSec, c.assignedAt = float64(id%4), float64(id%6)
 		if id%4 != 0 {
@@ -173,7 +173,7 @@ func TestStateMatchesBruteForceRecount(t *testing.T) {
 				c := m.clients[rows[i]]
 				if row.ID != c.id || row.Host != c.hostName || row.Busy != c.busy ||
 					row.Reserved != c.reserved || row.MemBytes != c.usedMem ||
-					row.DBLearnts != c.dbLearnts || row.Depth != c.depth ||
+					row.DBLearnts != c.dbLearnts || row.Depth != len(c.cube) ||
 					row.ConflictsPerSec != c.confRate || row.SolverDeltas != c.agg {
 					t.Errorf("client row %d = %+v, client %+v", i, row, c)
 				}
@@ -212,9 +212,11 @@ func serveJobAtHalf(t *testing.T, m *Master, f *cnf.Formula) *masterJob {
 	j := m.jobs[id]
 	for _, c := range m.clients {
 		if c.busy && c.job == id {
+			m.handleSplitDone(c, comm.SplitDone{OK: true})
+			c.cube = []cnf.Lit{cnf.PosLit(0)}
 			j.subBacklog = append(j.subBacklog, backlogSub{job: id,
-				sub: &solver.Subproblem{NumVars: f.NumVars, Depth: 1}})
-			m.handleSolved(c, comm.Solved{Status: solver.StatusUNSAT, Depth: 1, Job: id})
+				sub: &solver.Subproblem{NumVars: f.NumVars, Cube: []cnf.Lit{cnf.NegLit(0)}}})
+			m.handleSolved(c, comm.Solved{Status: solver.StatusUNSAT, Job: id})
 			return j
 		}
 	}
@@ -277,6 +279,7 @@ func TestFinishedJobDropsItsInput(t *testing.T) {
 	model := cnf.NewAssignment(2)
 	model.Set(cnf.LitFromDIMACS(1))
 	model.Set(cnf.LitFromDIMACS(2))
+	m.handleSplitDone(c, comm.SplitDone{OK: true})
 	m.handleSolved(c, comm.Solved{Status: solver.StatusSAT, Model: model, Job: sat})
 	cancelled, _ := m.submit("cancelled", f, 1)
 	if err := m.cancel(cancelled); err != nil {
@@ -291,8 +294,10 @@ func TestFinishedJobDropsItsInput(t *testing.T) {
 	if res.Verdict != "SAT" || !slices.Equal(res.Model, []int{1, 2}) {
 		t.Fatalf("result of the finished job: %+v", res)
 	}
-	// Late traffic from a client still tagged with the finished job.
+	// Late traffic from a client still tagged with the finished job (and
+	// nothing in flight to it: the cancelled job's root was).
 	c.job, c.busy = sat, true
+	delete(m.pendingAssigns, c.id)
 	m.handleShare(c, comm.ShareClauses{From: c.id, Job: sat, Clauses: []cnf.Clause{cnf.NewClause(1, 2)}})
 	for _, late := range []comm.Message{
 		comm.SplitDone{SplitID: 99, OK: true},
@@ -427,7 +432,7 @@ func TestPublishIsTheState(t *testing.T) {
 		}
 		now += 0.5
 		m.handleStatusReport(m.clients[id], comm.StatusReport{MemBytes: int64(id) << 21,
-			Learnts: 7 * id, Depth: id % 5, Deltas: comm.SolverDeltas{Decisions: int64(id), Conflicts: 3,
+			Learnts: 7 * id, Deltas: comm.SolverDeltas{Decisions: int64(id), Conflicts: 3,
 				Propagations: 900, Learned: 2, ReclaimedBytes: 64, Imported: 5, ImportedUseful: 1}})
 	}
 	m.splits++

@@ -30,9 +30,9 @@ type Checkpoint struct {
 	Level0 []cnf.Lit
 	// Learnts is populated for heavy checkpoints only.
 	Learnts []cnf.Clause
-	// Depth is the solver's guiding-path depth at checkpoint time, so a
-	// restored subproblem keeps its 2^-d weight in the progress estimate.
-	Depth int
+	// Cube is the solver's guiding path at checkpoint time, so a restored
+	// subproblem keeps its place (and 2^-d weight) in the split tree.
+	Cube []cnf.Lit
 }
 
 // Checkpoint captures the solver's current progress. For a heavy
@@ -42,7 +42,7 @@ func (s *Solver) Checkpoint(kind CheckpointKind, learntMaxCount int) *Checkpoint
 		Kind:    kind,
 		NumVars: s.nVars,
 		Level0:  s.Level0Lits(),
-		Depth:   s.pathDepth,
+		Cube:    s.path,
 	}
 	if kind == HeavyCheckpoint {
 		for _, r := range s.learnts {
@@ -74,13 +74,9 @@ func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	return &cp, nil
 }
 
-// Subproblem is the checkpoint as the subproblem it restarts: its level-0
-// assignments as assumptions, its learned clauses (heavy only) and depth.
-func (cp *Checkpoint) Subproblem() *Subproblem {
-	return &Subproblem{NumVars: cp.NumVars, Assumptions: cp.Level0, Learnts: cp.Learnts, Depth: cp.Depth}
-}
-
-// Restore rebuilds a solver from the problem formula and a checkpoint.
+// Restore rebuilds a solver from the problem formula and a checkpoint: its
+// level-0 assignments as assumptions, its learned clauses and cube.
 func Restore(base *cnf.Formula, cp *Checkpoint, opts Options) (*Solver, error) {
-	return NewFromSubproblem(base, cp.Subproblem(), opts)
+	return NewFromSubproblem(base, &Subproblem{NumVars: cp.NumVars, Assumptions: cp.Level0,
+		Learnts: cp.Learnts, Cube: cp.Cube}, opts)
 }

@@ -355,12 +355,10 @@ type Solver struct {
 	// guiding-path assumptions rather than the base formula alone.
 	tainted    []bool
 	numTainted int
-	// pathDepth is this solver's guiding-path depth: the number of split
-	// decisions separating its subspace from the root problem. A refuted
-	// subproblem at depth d closes 2^-d of the original search space, the
-	// unit of the cluster progress estimate. 0 for the root problem;
-	// installed by NewFromSubproblem and bumped by Split.
-	pathDepth int
+	// path is this solver's guiding path: the split literals separating
+	// its subspace from the root problem (Subproblem.Cube). Empty for the
+	// root; installed by NewFromSubproblem and extended by every split.
+	path []cnf.Lit
 	// savedPhase remembers each variable's last polarity for PhaseSaving.
 	savedPhase []cnf.LBool
 	// phaseFlip is the Seed-derived per-variable polarity mask consulted
@@ -1252,4 +1250,8 @@ func StatsDelta(cur, prev Stats) Stats {
 // PathDepth returns the solver's guiding-path depth: the number of split
 // decisions between its subspace and the root problem. Refuting this
 // subproblem closes 2^-PathDepth of the original search space.
-func (s *Solver) PathDepth() int { return s.pathDepth }
+func (s *Solver) PathDepth() int { return len(s.path) }
+
+// Path returns the solver's guiding path, the cube of its subproblem (see
+// Subproblem.Cube). The caller must not modify it.
+func (s *Solver) Path() []cnf.Lit { return s.path }

@@ -23,12 +23,11 @@ type Subproblem struct {
 	// Learnts are donor learned clauses forwarded to seed the recipient's
 	// database (filtered by length, like shared clauses).
 	Learnts []cnf.Clause
-	// Depth is the guiding-path depth of this subproblem: the number of
-	// split decisions between it and the root problem. Both halves of a
-	// depth-d split sit at depth d+1, so refuting a subproblem at depth d
-	// accounts for exactly 2^-d of the root search space — the unit of the
-	// cluster progress estimate.
-	Depth int
+	// Cube is the guiding path: the split literals from the root (empty)
+	// down to this subproblem, no implied units. Its length d is the depth,
+	// so refuting it retires exactly 2^-d of the root search space, and the
+	// cubes one split makes are pairwise contradictory.
+	Cube []cnf.Lit
 }
 
 // ErrNothingToSplit is returned by Split when the solver has no decision
@@ -63,8 +62,8 @@ func (s *Solver) Split(learntMaxLen, learntMaxCount int) (*Subproblem, error) {
 	// Both halves of the split descend one level in the guiding-path tree:
 	// the recipient takes the complement branch, and the donor's promoted
 	// first decision is a new path commitment of its own.
-	sub.Depth = s.pathDepth + 1
-	s.pathDepth++
+	sub.Cube = slices.Concat(s.path, []cnf.Lit{firstDecision.Not()})
+	s.path = slices.Concat(s.path, []cnf.Lit{firstDecision})
 
 	// Donor: promote decision level 1 into level 0 and shift every higher
 	// level down by one, exactly as Figure 2 shows — the donor keeps its
@@ -154,7 +153,7 @@ func NewFromSubproblem(base *cnf.Formula, sub *Subproblem, opts Options) (*Solve
 		return nil, errors.New("solver: subproblem variable count mismatch")
 	}
 	s := New(base, opts)
-	s.pathDepth = sub.Depth
+	s.path = sub.Cube
 	if s.status != StatusUnknown {
 		return s, nil
 	}

@@ -25,11 +25,12 @@ import (
 // search space they partition exactly the donor's pre-split space, so the
 // combined verdict of donor + batch equals a single solver's verdict.
 //
-// Depth bookkeeping is owned by the strategy: a strategy that forks the
-// space over k variables (2^k cofactors, donor keeps one) must advance the
-// donor's pathDepth by k and stamp every shipped Subproblem with the same
-// new depth, so that closing all 2^k cofactors at depth d+k accounts for
-// exactly 2^-d of the root search space.
+// Guiding-path bookkeeping is owned by the strategy: a strategy that forks
+// the space over k variables (2^k cofactors, donor keeps one) must extend
+// the donor's path by its own k split literals and stamp every shipped
+// Subproblem with the pre-split path plus that cofactor's k literals, so
+// that closing all 2^k cofactors at depth d+k accounts for exactly 2^-d of
+// the root search space.
 type SplitStrategy interface {
 	// Name is the strategy's flag value (e.g. "first-decision").
 	Name() string
@@ -66,8 +67,8 @@ func ParseStrategy(name string) (SplitStrategy, error) {
 
 // FirstDecision is the paper's Figure-2 strategy: fork one binary
 // subproblem on the donor's first decision. It delegates to Solver.Split,
-// which advances the guiding-path depth by 1 — the binary special case of
-// the strategy depth contract.
+// which extends the guiding path by one literal — the binary special case
+// of the strategy's path contract.
 type FirstDecision struct{}
 
 // Name implements SplitStrategy.
@@ -108,8 +109,8 @@ type candidateFilter func(s *Solver, cands []splitCandidate) []splitCandidate
 // vote aggregation over the most recent learned clauses (VSIDS activity
 // breaks ties), fan the search space out over all 2^K assignments of those
 // variables in one shot, keep one cofactor on the donor and ship the other
-// 2^K-1. Every cofactor — donor's included — descends K guiding-path
-// levels.
+// 2^K-1. Every cofactor — donor's included — extends the guiding path by
+// its K literals.
 type Dilemma struct {
 	// K is the number of jointly forked variables; values below 1 mean
 	// DefaultDilemmaK. The batch size is 2^K-1.
@@ -172,8 +173,6 @@ func (d *Dilemma) splitWithFilter(s *Solver, learntMaxLen, learntMaxCount int, f
 	// *pre-split* guiding path, valid for every cofactor.
 	level0 := s.Level0Lits()
 	learnts := s.ExportLearnts(learntMaxLen, learntMaxCount)
-	depthBefore := s.pathDepth
-	newDepth := depthBefore + k
 
 	// The donor keeps the cofactor matching its preferred polarities
 	// (saved phase when available, Chaff's false-first default otherwise);
@@ -189,11 +188,9 @@ func (d *Dilemma) splitWithFilter(s *Solver, learntMaxLen, learntMaxCount int, f
 		if combo == donorCombo {
 			continue
 		}
-		sub := &Subproblem{NumVars: s.nVars, Depth: newDepth, Learnts: learnts}
-		sub.Assumptions = make([]cnf.Lit, 0, len(level0)+k)
-		sub.Assumptions = append(sub.Assumptions, level0...)
-		sub.Assumptions = append(sub.Assumptions, comboLits(vars, combo)...)
-		batch = append(batch, sub)
+		lits := comboLits(vars, combo)
+		batch = append(batch, &Subproblem{NumVars: s.nVars, Learnts: learnts,
+			Assumptions: slices.Concat(level0, lits), Cube: slices.Concat(s.path, lits)})
 	}
 
 	// Commit the donor to its own cofactor. Assume taints the new facts,
@@ -201,11 +198,12 @@ func (d *Dilemma) splitWithFilter(s *Solver, learntMaxLen, learntMaxCount int, f
 	// promoted first decisions. A contradiction with existing level-0
 	// facts legitimately refutes the donor's cofactor (status UNSAT); the
 	// shipped cofactors are unaffected.
-	if err := s.Assume(comboLits(vars, donorCombo)...); err != nil {
+	own := comboLits(vars, donorCombo)
+	if err := s.Assume(own...); err != nil {
 		// Unreachable: vars are in range and unassigned.
 		return nil, err
 	}
-	s.pathDepth = newDepth
+	s.path = slices.Concat(s.path, own)
 	s.lastSimplifyTrail = -1 // level 0 grew: force the next simplify pass
 	s.stats.Splits++
 	return batch, nil

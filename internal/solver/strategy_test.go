@@ -93,6 +93,7 @@ func checkPartition(t *testing.T, f *cnf.Formula, st SplitStrategy, want brute.R
 	if len(batch) > st.MaxBatch() {
 		t.Fatalf("batch of %d exceeds MaxBatch %d", len(batch), st.MaxBatch())
 	}
+	checkCubes(t, nil, donor, batch)
 	gotSAT := false
 	if r := donor.Solve(Limits{}); r.Status == StatusSAT {
 		gotSAT = true
@@ -161,33 +162,75 @@ func TestStrategyPartitionRandomSweep(t *testing.T) {
 	}
 }
 
-// TestDilemmaDepthBookkeeping pins the strategy depth contract: a k-way
-// dilemma split advances the donor's guiding-path depth by exactly k and
-// stamps every shipped cofactor with the same new depth, so closing all
-// 2^k cofactors at depth d+k accounts for exactly 2^-d of the root space.
+// TestDilemmaDepthBookkeeping pins the strategy path contract for both
+// strategies, over two splits in a row so the pre-split cube is not the
+// root's: see checkCubes.
 func TestDilemmaDepthBookkeeping(t *testing.T) {
-	f := gen.Pigeonhole(8)
-	donor := New(f, DefaultOptions())
-	donor.Solve(Limits{MaxConflicts: 50})
-	if donor.Status() != StatusUnknown {
-		t.Fatal("instance decided before split")
+	for _, st := range []SplitStrategy{FirstDecision{}, &Dilemma{K: 2}} {
+		t.Run(st.Name(), func(t *testing.T) {
+			f := gen.Pigeonhole(8)
+			donor := New(f, DefaultOptions())
+			for split := 0; split < 2; split++ {
+				donor.Solve(Limits{MaxConflicts: 50})
+				if donor.Status() != StatusUnknown || donor.DecisionLevel() == 0 {
+					t.Fatal("nothing to split")
+				}
+				pre := donor.Path()
+				batch, err := st.Split(donor, 10, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(batch) != st.MaxBatch() {
+					t.Fatalf("%s shipped %d cofactors, want %d", st.Name(), len(batch), st.MaxBatch())
+				}
+				checkCubes(t, pre, donor, batch)
+			}
+		})
 	}
-	depthBefore := donor.PathDepth()
-	d := &Dilemma{K: 2}
-	batch, err := d.Split(donor, 10, 0)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// checkCubes checks the cubes one split leaves behind, the donor's and each
+// cofactor's: every one extends the pre-split cube by exactly the split
+// literals (k of them, log2 of the number of parts, the depth each part's
+// old depth field held), they are pairwise contradictory, and their masses
+// 2^-len sum to the pre-split cube's.
+func checkCubes(t *testing.T, pre []cnf.Lit, donor *Solver, batch []*Subproblem) {
+	t.Helper()
+	cubes := [][]cnf.Lit{donor.Path()}
+	for _, sub := range batch {
+		cubes = append(cubes, sub.Cube)
 	}
-	if len(batch) != 3 {
-		t.Fatalf("k=2 dilemma shipped %d cofactors, want 3", len(batch))
+	k := 0
+	for 1<<k < len(cubes) {
+		k++
 	}
-	if donor.PathDepth() != depthBefore+2 {
-		t.Fatalf("donor depth %d after split, want %d", donor.PathDepth(), depthBefore+2)
+	if 1<<k != len(cubes) {
+		t.Fatalf("%d parts, not a power of two", len(cubes))
 	}
-	for i, sub := range batch {
-		if sub.Depth != depthBefore+2 {
-			t.Fatalf("cofactor %d depth %d, want %d", i, sub.Depth, depthBefore+2)
+	mass := func(c []cnf.Lit) uint64 { return 1 << (62 - len(c)) }
+	var sum uint64
+	for i, c := range cubes {
+		if len(c) != len(pre)+k || !slices.Equal(c[:len(pre)], pre) {
+			t.Fatalf("part %d cube %v does not extend %v by %d literals", i, c, pre, k)
 		}
+		vars := func(c []cnf.Lit) (vs []cnf.Var) {
+			for _, l := range c[len(pre):] {
+				vs = append(vs, l.Var())
+			}
+			return vs
+		}
+		if !slices.Equal(vars(c), vars(cubes[0])) {
+			t.Fatalf("part %d split on %v, the donor on %v", i, vars(c), vars(cubes[0]))
+		}
+		for j, d := range cubes[:i] {
+			if !slices.ContainsFunc(c, func(l cnf.Lit) bool { return slices.Contains(d, l.Not()) }) {
+				t.Fatalf("parts %d and %d (%v, %v) do not contradict", j, i, d, c)
+			}
+		}
+		sum += mass(c)
+	}
+	if sum != mass(pre) {
+		t.Fatalf("parts' mass %d, the pre-split cube's %d", sum, mass(pre))
 	}
 }
 

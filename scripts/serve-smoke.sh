@@ -8,8 +8,12 @@
 # registers, and the flight log must show a split shared among two or more
 # idle peers. serve's -log info lines must record both verdicts and the
 # cancel, each tagged component=master and stamped with the flight
-# recorder's Lamport time. Artifacts (job list JSON, flight log, server
-# log) land in $SMOKE_DIR (default /tmp/gridsat-serve-smoke) for CI upload.
+# recorder's Lamport time, each verdict's turnaround= a Go duration. Last,
+# one client is killed with -9 in the middle of a split UNSAT job, which
+# must still end UNSAT: the master requeues the dead client's cube (a
+# recover event in the flight log). Artifacts (job list JSON, flight log,
+# server log) land in $SMOKE_DIR (default /tmp/gridsat-serve-smoke) for CI
+# upload. Needs curl and jq.
 set -euo pipefail
 
 SMOKE_DIR="${SMOKE_DIR:-/tmp/gridsat-serve-smoke}"
@@ -24,6 +28,10 @@ go run ./cmd/satgen -family pigeonhole -n 7 -o "$SMOKE_DIR/php7.cnf"
 # PHP(13,12) runs for minutes even distributed — the cancel a second
 # after submit provably lands mid-run, never after a verdict.
 go run ./cmd/satgen -family pigeonhole -n 12 -o "$SMOKE_DIR/php12.cnf"
+# PHP(12,11) takes about 13 s over three dilemma clients (gridsat run
+# -clients 3 -threads 1 -split-strategy dilemma: 12.8 s on a 2-core box),
+# so a client killed once it has split dies mid-run.
+go run ./cmd/satgen -family pigeonhole -n 11 -o "$SMOKE_DIR/php11.cnf"
 
 "$SMOKE_DIR/gridsat" serve -listen "$LISTEN" -api-addr "$API" \
   -log info -trace "$SMOKE_DIR/flight.jsonl" \
@@ -96,6 +104,37 @@ SERIES=$(grep -c '^gridsat_client_decisions_total{client="[0-9]*"} ' "$SMOKE_DIR
 [ "$SERIES" = 3 ] \
   || { echo "FAIL: $SERIES gridsat_client_decisions_total series, want one per client (3)"; exit 1; }
 
+# Lose a client mid-job: once the flight log shows the job split, kill -9
+# a busy client (its ID is in its log) and wait for the verdict.
+KILL_ID=$(submit php11.cnf php11 "")
+SPLITS=0
+for _ in $(seq 100); do
+  SPLITS=$(curl -sf "http://$API/trace" | jq -s --argjson job "$KILL_ID" \
+    '(map(select(.kind == "job-submit" and .job == $job))[0].id) as $at
+     | map(select(.kind == "split-accept" and .id > $at)) | length')
+  [ "$SPLITS" -gt 0 ] && break
+  sleep 0.1
+done
+[ "$SPLITS" -gt 0 ] || { echo "FAIL: job $KILL_ID never split"; exit 1; }
+VICTIM=$(curl -sf "http://$API/status" | jq '[.clients[] | select(.busy)][0].id')
+i=0
+KILLED=""
+for pid in $CLIENT_PIDS; do
+  i=$((i + 1))
+  if grep -q "gridsat client $VICTIM registered" "$SMOKE_DIR/client$i.log"; then
+    kill -9 "$pid"
+    KILLED=$pid
+  fi
+done
+[ -n "$KILLED" ] || { echo "FAIL: no busy client ($VICTIM) to kill"; exit 1; }
+for _ in $(seq 120); do
+  [ "$(verdict "$KILL_ID")" = "UNSAT" ] && break
+  sleep 1
+done
+[ "$(verdict "$KILL_ID")" = "UNSAT" ] \
+  || { echo "FAIL: job $KILL_ID verdict $(verdict "$KILL_ID") after client $VICTIM was killed, want UNSAT"; exit 1; }
+echo "job $KILL_ID survived client $VICTIM: UNSAT in $(curl -sf "http://$API/jobs/$KILL_ID" | jq .turnaround_sec) s"
+
 # Clean shutdown: SIGINT must stop the server (and its clients) promptly.
 kill -INT "$SERVE_PID"
 for _ in $(seq 50); do
@@ -112,16 +151,23 @@ fi
 # three), not the one a first-decision split uses.
 grep '"kind":"split-issue"' "$SMOKE_DIR/flight.jsonl" | grep -q '"n":[2-9]' \
   || { echo "FAIL: no split-issue with n >= 2: the dilemma clients' fan-out was not used"; exit 1; }
+grep -q '"kind":"recover"' "$SMOKE_DIR/flight.jsonl" \
+  || { echo "FAIL: no recover event: the killed client's cube was not restarted"; exit 1; }
 
 # serve's log is complete once it has exited: one line per verdict and one
 # for the cancel, each from the master and carrying its Lamport stamp.
 FINISHED=$(grep -c 'msg="job finished"' "$SMOKE_DIR/serve.log" || true)
 CANCELLED=$(grep -c 'msg="job cancelled"' "$SMOKE_DIR/serve.log" || true)
-[ "$FINISHED" = 2 ] && [ "$CANCELLED" = 1 ] \
-  || { echo "FAIL: serve.log has $FINISHED job finished and $CANCELLED job cancelled lines, want 2 and 1"; exit 1; }
+[ "$FINISHED" = 3 ] && [ "$CANCELLED" = 1 ] \
+  || { echo "FAIL: serve.log has $FINISHED job finished and $CANCELLED job cancelled lines, want 3 and 1"; exit 1; }
 UNTAGGED=$(grep -E 'msg="job (finished|cancelled)"' "$SMOKE_DIR/serve.log" \
   | grep -cvE ' component=master .* lamport=[0-9]+$' || true)
 [ "$UNTAGGED" = 0 ] \
   || { echo "FAIL: $UNTAGGED job lines in serve.log lack component=master or a lamport= stamp"; exit 1; }
+# turnaround= is a time.Duration, in the unit run decided's wall= has.
+NOTDUR=$(grep 'msg="job finished"' "$SMOKE_DIR/serve.log" \
+  | grep -cvE ' turnaround=([0-9]+h)?([0-9]+m)?[0-9]+(\.[0-9]+)?(ns|µs|ms|s) ' || true)
+[ "$NOTDUR" = 0 ] \
+  || { echo "FAIL: $NOTDUR job finished lines in serve.log have a turnaround= that is not a Go duration"; exit 1; }
 
-echo "serve smoke OK: SAT=$SAT_ID UNSAT=$UNSAT_ID CANCELLED=$LONG_ID, clean shutdown"
+echo "serve smoke OK: SAT=$SAT_ID UNSAT=$UNSAT_ID CANCELLED=$LONG_ID, UNSAT=$KILL_ID after a kill -9, clean shutdown"
