@@ -346,6 +346,7 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 		{0x00},                          // the retired gob codec ID
 		{0x00, 0x00},                    // ... with an empty payload
 		{0x42, 0x00},                    // unknown kind ID
+		{0x0b, 0x00},                    // a retired kind ID (Migrate)
 		{share, 0xff, 0xff, 0xff, 0x7f}, // length prefix >> body
 		{share, 0x03, 0x00, 0x00, 0xff}, // clause count then garbage
 		{split, 0x01, 0x02},             // truncated header
@@ -361,6 +362,10 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 		if _, err := e.Decode(); err == nil {
 			t.Errorf("hostile frame %d decoded", i)
 		}
+	}
+	if _, err := (&EncodedMessage{frame: []byte{0x0b, 0x00}}).Decode(); err == nil ||
+		!strings.Contains(err.Error(), "unknown frame kind 0x0b") {
+		t.Errorf("retired kind 0x0b: %v, want an unknown frame kind", err)
 	}
 }
 

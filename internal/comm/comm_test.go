@@ -43,7 +43,6 @@ func allMessages() []Message {
 		ShareClauses{From: 1, Job: 2, Clauses: canonicalize([]cnf.Clause{cnf.NewClause(-1, 2), cnf.NewClause(3)}, nil)},
 		Solved{Status: solver.StatusSAT, Model: cnf.Assignment{cnf.True, cnf.False, cnf.Undef, cnf.True},
 			Worker: 1, Job: 2},
-		Migrate{SplitID: 11, PeerID: 7, PeerAddr: "c:3"},
 		Shutdown{},
 		Stopped{Job: 2, Seq: 5},
 		StopWork{Job: 2, Seq: 6},
@@ -111,8 +110,8 @@ func TestFixtureSetsEveryField(t *testing.T) {
 			t.Errorf("fixture leaves %s zero", path)
 		}
 	}
-	if len(kinds) != 14 || len(kindByID) != len(kinds) || len(kindByType) != len(kinds) {
-		t.Fatalf("kind table: %d rows, %d distinct IDs, %d distinct types; want 14 of each",
+	if len(kinds) != 13 || len(kindByID) != len(kinds) || len(kindByType) != len(kinds) {
+		t.Fatalf("kind table: %d rows, %d distinct IDs, %d distinct types; want 13 of each",
 			len(kinds), len(kindByID), len(kindByType))
 	}
 	for _, k := range kinds {

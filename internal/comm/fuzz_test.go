@@ -99,7 +99,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	split := frameID(SplitPayload{})
 	f.Add([]byte{0x00})                         // the retired gob codec ID
-	f.Add([]byte{0x0d, 0x00})                   // a retired kind ID
+	f.Add([]byte{0x0b, 0x00})                   // a retired kind ID
+	f.Add([]byte{0x0b | frameTracedFlag, 0x00}) // the same, traced
+	f.Add([]byte{0x0d, 0x00})                   // another
 	f.Add([]byte{0x0d | frameTracedFlag, 0x00}) // the same, traced
 	f.Add([]byte{split})
 	f.Add([]byte{split, 0xff, 0xff, 0xff, 0xff, 0xff})

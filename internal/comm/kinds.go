@@ -140,13 +140,8 @@ var kinds = []*kind{
 		c.int(&m.Worker)
 		c.int(&m.Job)
 	}),
-	kindOf(0x0b, capControl, func(c *coder, m *Migrate) {
-		c.int(&m.SplitID)
-		c.int(&m.PeerID)
-		c.str(&m.PeerAddr)
-	}),
+	// 0x0b and 0x0d are retired: no frame may reuse them.
 	kindOf(0x0c, capControl, func(*coder, *Shutdown) {}),
-	// 0x0d is retired: no frame may reuse it.
 	kindOf(0x0e, capControl, func(c *coder, m *Stopped) {
 		c.int(&m.Job)
 		c.int(&m.Seq)

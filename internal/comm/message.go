@@ -196,20 +196,6 @@ type Solved struct {
 // Kind implements Message.
 func (Solved) Kind() string { return "solved" }
 
-// Migrate directs a client to hand its whole problem (not a split) to the
-// given peer — the master's migration of long-running subproblems toward
-// better-connected resources (paper §3.4).
-type Migrate struct {
-	// SplitID is the transfer token the master tracks the move under; the
-	// donor echoes it in its SplitDone and in the payload it ships.
-	SplitID  int
-	PeerID   int
-	PeerAddr string
-}
-
-// Kind implements Message.
-func (Migrate) Kind() string { return "migrate" }
-
 // Shutdown tells a client to exit.
 type Shutdown struct{}
 
@@ -217,7 +203,8 @@ type Shutdown struct{}
 func (Shutdown) Kind() string { return "shutdown" }
 
 // Stopped is the client's answer to StopWork: it dropped the subproblem
-// and is idle again.
+// and is idle again. For a job still running, the ack hands the
+// subproblem back: the master requeues its cube.
 type Stopped struct {
 	Job int
 	// Seq echoes the token from the StopWork being acknowledged.
@@ -227,9 +214,11 @@ type Stopped struct {
 // Kind implements Message.
 func (Stopped) Kind() string { return "stopped" }
 
-// StopWork tells a client to abandon its current subproblem without
-// returning it — the owning job already reached a verdict or was
-// cancelled. The client acknowledges with Stopped.
+// StopWork tells a client to abandon its current subproblem: the owning
+// job already reached a verdict or was cancelled, or the master moves the
+// subproblem to a better client (§3.4 migration) by requeueing its cube.
+// Nothing travels back with the ack but the clauses the client shared
+// before it; the client acknowledges with Stopped.
 type StopWork struct {
 	Job int
 	// Seq is the master's per-client stop token, echoed back in Stopped so

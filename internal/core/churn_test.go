@@ -548,3 +548,46 @@ func TestDonorStatesItsFanout(t *testing.T) {
 		t.Fatalf("splits (donor, recipients) %v, want %v", splits, want)
 	}
 }
+
+// TestSolvedUnknownHandsTheCubeBack: a Solved without a verdict refutes
+// nothing. The job keeps running with the client's cube — here the root —
+// back at the head of its backlog, and ends on the verdict of whoever
+// searches it next.
+func TestSolvedUnknownHandsTheCubeBack(t *testing.T) {
+	now := 1.0
+	m := bareMaster(t, &now)
+	f := cnf.NewFormula(2)
+	f.Add(1, 2)
+	id, err := m.submit("", f, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := m.jobs[id]
+	c := m.clients[m.connect()]
+	step := func(ev masterEvent) {
+		t.Helper()
+		now++
+		if done, err := m.handle(ev); done || err != nil {
+			t.Fatalf("%s: done=%v err=%v", ev.msg.Kind(), done, err)
+		}
+	}
+	step(from(c.id, comm.Register{Addr: "a", FreeMemBytes: 1 << 20, SpeedHint: 1}))
+	step(from(c.id, comm.SplitDone{OK: true})) // the root is accepted
+	step(from(c.id, comm.Solved{Status: solver.StatusUnknown, Job: id}))
+	if j.State != JobRunning {
+		t.Fatalf("job %s (%v) after a Solved without a verdict; want it running", j.State, j.status)
+	}
+	// The only idle client takes the root off the backlog again.
+	got, ok := m.pendingAssigns[c.id]
+	if !ok || len(got.sub.Cube) != 0 || len(j.subBacklog) != 0 || m.state().Outstanding != 1 {
+		t.Fatalf("root not handed out again: %+v (sent %v), backlog %d", got, ok, len(j.subBacklog))
+	}
+	step(from(c.id, comm.SplitDone{OK: true}))
+	model := cnf.NewAssignment(2)
+	model.Set(cnf.PosLit(0))
+	model.Set(cnf.PosLit(1))
+	step(from(c.id, comm.Solved{Status: solver.StatusSAT, Model: model, Job: id}))
+	if j.State != JobDone || j.status != solver.StatusSAT {
+		t.Fatalf("job %s (%v); want done SAT", j.State, j.status)
+	}
+}

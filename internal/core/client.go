@@ -75,9 +75,9 @@ type ClientConfig struct {
 // costs them nothing.
 const liveSplitFloor = 100 * time.Millisecond
 
-// splitLearntMaxCount caps the learnt clauses a subproblem carries to its
-// recipient (a split cofactor or a migration checkpoint); their
-// length is bounded like any shared clause's, by ShareMaxLen.
+// splitLearntMaxCount caps the learnt clauses a split cofactor carries to
+// its recipient; their length is bounded like any shared clause's, by
+// ShareMaxLen.
 const splitLearntMaxCount = 10000
 
 func (c *ClientConfig) withDefaults() ClientConfig {
@@ -138,9 +138,8 @@ type Client struct {
 	// port is the in-host portfolio solving the current subproblem (one
 	// worker unless Threads > 1), nil while idle: holding one is what being
 	// busy means. Searching, sharing and the heartbeat totals go through
-	// port; splits, migration and depth/coverage reporting through its
-	// pathfinder. pool totals the exchange telemetry of every portfolio
-	// already torn down.
+	// port; splits and depth/coverage reporting through its pathfinder. pool
+	// totals the exchange telemetry of every portfolio already torn down.
 	port *portfolio
 	pool poolStats
 	// cut stops every worker of the portfolio in flight and is nil while
@@ -355,7 +354,7 @@ func (c *Client) cutSlice() {
 // keep merging at slice boundaries, which is the paper's design.
 func interrupts(msg comm.Message) bool {
 	switch msg.(type) {
-	case comm.SplitAssign, comm.Migrate, comm.StopWork, comm.Shutdown:
+	case comm.SplitAssign, comm.StopWork, comm.Shutdown:
 		return true
 	}
 	return false
@@ -474,9 +473,6 @@ func (c *Client) handleIdle(msg comm.Message) bool {
 		// report failure so the master releases the reserved recipient.
 		_ = c.sendMaster(comm.SplitDone{SplitID: m.SplitID, OK: false,
 			Err: "donor already idle"})
-	case comm.Migrate:
-		_ = c.sendMaster(comm.SplitDone{SplitID: m.SplitID, OK: false,
-			Err: "donor already idle"})
 	case comm.StopWork:
 		// The stop raced with this client going idle; the ack still lets
 		// the master return it to the pool.
@@ -502,8 +498,6 @@ func (c *Client) handleBusy(msg comm.Message) bool {
 		c.startSubproblem(m.SplitID, m.Job, m.Subs)
 	case comm.SplitAssign:
 		c.performSplit(m.SplitID, m.Peers)
-	case comm.Migrate:
-		c.performMigrate(m.SplitID, comm.SplitPeer{ID: m.PeerID, Addr: m.PeerAddr})
 	case comm.StopWork:
 		c.performStop(m.Job, m.Seq)
 	case comm.ShareClauses:
@@ -732,37 +726,13 @@ func (c *Client) stopSolving() {
 	c.dropSolver()
 }
 
-// performMigrate ships the whole current problem to the peer and goes
-// idle (§3.4). The master tracks the move like a one-recipient split: it
-// hears SplitDone from both ends, then this client's Solved(unknown).
-func (c *Client) performMigrate(splitID int, peer comm.SplitPeer) {
-	if !c.busy() {
-		_ = c.sendMaster(comm.SplitDone{SplitID: splitID, OK: false, Err: "no active subproblem"})
-		return
-	}
-	// The whole search state travels: the level-0 literals and the bounded
-	// learnt-clause export (§3.4 HeavyCheckpoint over the wire), same cube.
-	slv := c.port.Pathfinder()
-	sub := &solver.Subproblem{NumVars: c.base.NumVars, Assumptions: slv.Level0Lits(),
-		Learnts: slv.ExportLearnts(c.cfg.ShareMaxLen, splitLearntMaxCount), Cube: slv.Path()}
-	if err := c.sendToPeer(splitID, peer, sub); err != nil {
-		// Keep solving; the master releases the reserved peer.
-		_ = c.sendMaster(comm.SplitDone{SplitID: splitID, OK: false, Err: err.Error()})
-		return
-	}
-	c.drainShares()   // don't strand learned clauses
-	c.sendHeartbeat() // flush the tail deltas while the solver lives
-	c.stopSolving()
-	_ = c.sendMaster(comm.SplitDone{SplitID: splitID, OK: true, Cube: sub.Cube,
-		Used: 1, Served: [][]cnf.Lit{sub.Cube}})
-	_ = c.sendMaster(comm.Solved{Status: solver.StatusUnknown, Job: c.job})
-}
-
-// performStop discards the current subproblem outright — its job is done
-// or cancelled, so the work is worthless — and acks with Stopped so the
-// master returns this client to the pool.
+// performStop drops the current subproblem and acks with Stopped: its job
+// is done or cancelled, or the master moves the subproblem elsewhere (§3.4
+// migration) and requeues its cube on the ack. The clauses it learnt still
+// go out first, for the peers that keep searching.
 func (c *Client) performStop(job, seq int) {
 	if c.busy() && job == c.job {
+		c.drainShares()
 		c.sendHeartbeat()
 		c.stopSolving()
 	}

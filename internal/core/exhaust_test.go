@@ -239,11 +239,13 @@ func (w *exhaustWorld) receive(c *scriptedClient, msg comm.Message) {
 		w.start(c, msg.SplitID, msg.Job, msg.Subs[0], true)
 	case comm.SplitAssign:
 		w.split(c, msg)
-	case comm.Migrate:
-		w.migrate(c, msg)
 	case comm.StopWork:
-		if msg.Job == c.job {
+		if msg.Job == c.job && c.sub != nil {
 			c.sub = nil
+			if w.hostile && w.rng.Intn(4) == 0 {
+				w.did["gave up"]++ // and answers the stop without a verdict first
+				c.queue(comm.Solved{Status: solver.StatusUnknown, Job: msg.Job}, nil)
+			}
 		}
 		c.queue(comm.Stopped{Job: msg.Job, Seq: msg.Seq}, nil)
 	}
@@ -319,36 +321,6 @@ func (w *exhaustWorld) split(c *scriptedClient, msg comm.SplitAssign) {
 		}
 	}
 	c.queue(done, nil)
-}
-
-// migrate is a donor answering Migrate: its whole subproblem moves.
-func (w *exhaustWorld) migrate(c *scriptedClient, msg comm.Migrate) {
-	peer := w.clients[msg.PeerID]
-	if c.sub == nil || peer.gone || w.rng.Intn(8) == 0 {
-		c.queue(comm.SplitDone{SplitID: msg.SplitID, Err: "the move is off"}, nil)
-		return
-	}
-	if w.hostile && w.rng.Intn(4) == 0 {
-		w.bareAck(c, msg.SplitID)
-		return
-	}
-	w.did["migrate"]++
-	cube := c.sub.Cube
-	w.start(peer, msg.SplitID, c.job, &solver.Subproblem{NumVars: exhaustVars, Cube: cube}, false)
-	c.sub = nil
-	c.queue(comm.SplitDone{SplitID: msg.SplitID, OK: true, Cube: cube, Used: 1, Served: [][]cnf.Lit{cube}}, nil)
-	c.queue(comm.Solved{Status: solver.StatusUnknown, Job: c.job}, nil)
-}
-
-// bareAck is a donor answering Migrate by dropping its subproblem and
-// acknowledging a stop it was never sent, echoing the master's stop token
-// so the ack is not stale; then it calls the move off.
-func (w *exhaustWorld) bareAck(c *scriptedClient, splitID int) {
-	w.did["bare ack"]++
-	job, by := c.job, c.id
-	c.sub = nil
-	c.queue(comm.Stopped{Job: job, Seq: w.m.clients[c.id].stopSeq}, func() { w.dropped[job] = by })
-	c.queue(comm.SplitDone{SplitID: splitID, Err: "the move is off"}, nil)
 }
 
 // Environment actions. Each returns false when it does not apply now.
@@ -458,6 +430,19 @@ func (w *exhaustWorld) satisfy() bool {
 	return true
 }
 
+// giveUp is a hostile client dropping its subproblem unsearched and saying
+// so with a Solved that carries no verdict.
+func (w *exhaustWorld) giveUp() bool {
+	c := w.pick(searching)
+	if c == nil || !w.hostile {
+		return false
+	}
+	w.did["gave up"]++
+	c.queue(comm.Solved{Status: solver.StatusUnknown, Job: c.job}, nil)
+	c.sub = nil
+	return true
+}
+
 func (w *exhaustWorld) requestSplit() bool {
 	c := w.pick(searching)
 	if c == nil {
@@ -511,7 +496,8 @@ func (w *exhaustWorld) tick() bool {
 }
 
 // forecast makes one idle client look much faster, then lets the master
-// consider moving somebody's subproblem there (§3.4).
+// consider moving somebody's subproblem there (§3.4): a StopWork, whose
+// ack hands the cube back.
 func (w *exhaustWorld) forecast() bool {
 	c := w.pick(func(c *scriptedClient) bool { return !c.gone && c.sub == nil })
 	if c == nil {
@@ -547,12 +533,12 @@ func (w *exhaustWorld) drain() {
 // TestUNSATOnlyWhenEverySubproblemIsRefuted: the master may call a job
 // unsatisfiable only when the cubes it credited refutations to partition the
 // root, and after every event the cubes it holds for a running job fill the
-// rest of the root exactly — whatever was split, bounced, lost, moved or
-// promised. A lost client never fails a job. Random schedules of everything
-// that moves a subproblem are run against a master that is told nothing but
-// its own messages.
+// rest of the root exactly — whatever was split, bounced, lost, moved,
+// given up or promised. A lost client never fails a job. Random schedules
+// of everything that moves a subproblem are run against a master that is
+// told nothing but its own messages.
 func TestUNSATOnlyWhenEverySubproblemIsRefuted(t *testing.T) {
-	t.Run("a bare ack from a busy client ends its job UNKNOWN", func(t *testing.T) {
+	t.Run("a moved client hands its cube back", func(t *testing.T) {
 		w := newExhaustWorld(t, 1, "first-decision", false)
 		for range 3 {
 			w.register()
@@ -571,27 +557,31 @@ func TestUNSATOnlyWhenEverySubproblemIsRefuted(t *testing.T) {
 		if st := w.m.state(); st.Busy != 2 || st.Outstanding != 2 {
 			t.Fatalf("setup: %d busy, %d outstanding; want 2 and 2", st.Busy, st.Outstanding)
 		}
-		// The idle client looks far faster, so the master moves the weakest
-		// busy client's subproblem there; that donor drops it and acks a stop.
+		// The idle client looks far faster, so the master stops the weakest
+		// busy client; its ack hands the cube to the fast client.
 		idle := w.pick(func(c *scriptedClient) bool { return c.sub == nil && !w.m.clients[c.id].reserved })
-		w.m.noteForecast(idle.id, 1e6, 1<<20)
-		w.m.maybeMigrate(2, 0)
-		var victim *scriptedClient
-		for _, s := range w.sent {
-			if mig, ok := s.msg.(comm.Migrate); ok {
-				victim = w.clients[s.to]
-				w.bareAck(victim, mig.SplitID)
-			}
-		}
-		w.sent = nil
+		w.apply("forecast", func() {
+			w.m.noteForecast(idle.id, 1e6, 1<<20)
+			w.m.maybeMigrate(2, 0)
+		})
+		victim := w.pick(func(c *scriptedClient) bool { return w.m.clients[c.id].stopping })
 		if victim == nil {
-			t.Fatalf("no busy client was asked to migrate: %+v", w.m.state().Clients)
+			t.Fatalf("no busy client was stopped to migrate: %+v", w.m.state().Clients)
 		}
-		w.deliver() // check: job 1 is done/UNKNOWN and names the client
-		w.submit()
-		w.drain() // the service keeps serving: job 2 gets the clients
-		if row := w.m.state().Jobs[1]; row.Verdict != "UNSAT" {
-			t.Fatalf("job 2 after job 1 failed: %+v", row)
+		cube := slices.Clone(w.m.clients[victim.id].cube)
+		for w.deliver() {
+		}
+		if got := w.clients[idle.id].sub; got == nil || !slices.Equal(got.Cube, cube) || w.m.migrations != 1 {
+			t.Fatalf("client %d's cube %v did not move to client %d (%v); %d migrations",
+				victim.id, cube, idle.id, got, w.m.migrations)
+		}
+		evs := w.m.flight.Events()
+		if ev := evs[len(evs)-1]; ev.Kind != trace.FEvMigrate || ev.Client != victim.id || ev.Peer != idle.id {
+			t.Fatalf("last event %+v, want a migrate from client %d to %d", ev, victim.id, idle.id)
+		}
+		w.drain()
+		if row := w.m.state().Jobs[0]; row.Verdict != "UNSAT" {
+			t.Fatalf("job 1 after the migration: %+v", row)
 		}
 	})
 
@@ -605,6 +595,7 @@ func TestUNSATOnlyWhenEverySubproblemIsRefuted(t *testing.T) {
 		{12, (*exhaustWorld).tick},
 		{5, (*exhaustWorld).register},
 		{6, (*exhaustWorld).forecast},
+		{2, (*exhaustWorld).giveUp},
 		{5, (*exhaustWorld).lose},
 		{1, (*exhaustWorld).cancel},
 		{1, (*exhaustWorld).satisfy},
@@ -648,6 +639,7 @@ func TestUNSATOnlyWhenEverySubproblemIsRefuted(t *testing.T) {
 				for what, n := range w.did {
 					did[what] += n
 				}
+				did["migration"] += w.m.migrations
 				for _, row := range w.m.state().Jobs {
 					verdicts[row.Verdict]++
 				}
@@ -655,8 +647,8 @@ func TestUNSATOnlyWhenEverySubproblemIsRefuted(t *testing.T) {
 		}
 	}
 	// The schedules must have gone where the accounting is hard.
-	for _, what := range []string{"split-done (failed)", "stopped", "client lost", "migrate",
-		"bare ack", "dropped cofactor", "lost while searching", "lost mid-split", "cancel"} {
+	for _, what := range []string{"split-done (failed)", "stopped", "client lost", "migration",
+		"gave up", "dropped cofactor", "lost while searching", "lost mid-split", "cancel"} {
 		if did[what] == 0 {
 			t.Errorf("no schedule exercised %q: %v", what, did)
 		}

@@ -124,7 +124,6 @@ func TestInterruptsOnlyForControlKinds(t *testing.T) {
 		want bool
 	}{
 		{comm.SplitAssign{}, true},
-		{comm.Migrate{}, true},
 		{comm.StopWork{}, true},
 		{comm.Shutdown{}, true},
 		{comm.ShareClauses{}, false},

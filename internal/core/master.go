@@ -113,9 +113,9 @@ type masterClient struct {
 	// job is the job this client is (or was last) working for. The zero
 	// value names job 0 — see newMaster on what that does to a one-shot run.
 	job int
-	// stopping marks a StopWork or Migrate in flight: the client stays busy
-	// (its subproblem is live until the ack or the verdict arrives) but
-	// must not be stopped again or offered new work.
+	// stopping marks a StopWork in flight: the client stays busy (its
+	// subproblem is live until the ack or the verdict arrives) but must not
+	// be stopped again or offered new work.
 	stopping bool
 	// stopSeq numbers this client's StopWork sends. The client echoes it in
 	// Stopped, letting the master drop acks from stops that a racing
@@ -185,11 +185,6 @@ type splitGroup struct {
 	assignedAt float64
 	// issueEv is the split-issue flight event, parent of the accept/fail.
 	issueEv uint64
-	// migrate marks a §3.4 whole-problem move riding the same exchange: one
-	// recipient, the donor goes idle, and the accept is logged as a
-	// migration instead of a split, under the donor's stop token seq.
-	migrate bool
-	seq     int
 }
 
 // done reports whether the group can be forgotten: the donor reported and
@@ -203,16 +198,17 @@ func (g *splitGroup) done() bool {
 type subOrigin int
 
 const (
-	fromSplit subOrigin = iota // leftover cofactor: split-accept under its split
-	fromRoot                   // a job's whole search space: assign
-	fromCrash                  // a lost client's cube: recover under the client-leave
+	fromSplit   subOrigin = iota // leftover cofactor: split-accept under its split
+	fromRoot                     // a job's whole search space: assign
+	fromCrash                    // a lost client's cube: recover under the client-leave
+	fromMigrate                  // a cube its client handed back: migrate from that client
 )
 
 // backlogSub is one subproblem the master holds until a client goes idle:
 // a job's root, a leftover cofactor from an over-producing split, or a cube
-// a lost client held. donor and issueEv name the client it came from and
-// the flight event (split-issue or client-leave) its assignment hangs
-// under.
+// a client lost or handed back. donor and issueEv name the client it came
+// from and the flight event (split-issue or client-leave) its assignment
+// hangs under.
 type backlogSub struct {
 	sub     *solver.Subproblem
 	origin  subOrigin
@@ -312,8 +308,8 @@ type Master struct {
 	sharedDropped int64
 	// shareTo is handleShare's recipient list, reused from batch to batch.
 	shareTo []int
-	// splits counts completed subproblem transfers, migrations
-	// whole-subproblem moves to better resources (§3.4), shared the clauses
+	// splits counts completed subproblem transfers, migrations handed-back
+	// cubes (§3.4 moves) a new owner acknowledged, shared the clauses
 	// fanned out; state reports them.
 	splits     int
 	migrations int
@@ -835,14 +831,13 @@ func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) {
 		switch {
 		case !j.State.Active():
 			// The job ended while the payload travelled. The client has been
-			// busy since the send, so releaseJob stopped it (unless a Migrate
-			// had, which settles on its own) and its ack frees it; whatever
-			// it bounced ended with the job.
+			// busy since the send, so it is being stopped and its ack frees
+			// it; whatever it bounced ended with the job.
 			return
 		case !msg.OK:
 			// The assignment bounced; requeue the subproblem — it is still
-			// live search space. The client is idle again: a Migrate sent
-			// behind the payload fails at it.
+			// live search space. The client is idle again: a stop sent behind
+			// the payload finds it idle, and its ack is stale.
 			c.busy = false
 			c.stopping = false
 			m.femit(trace.FEvent{Kind: trace.FEvSplitFail, Client: c.id,
@@ -854,6 +849,10 @@ func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) {
 		case entry.origin == fromCrash:
 			m.femit(trace.FEvent{Kind: trace.FEvRecover, Client: c.id,
 				Job: entry.job, Parent: entry.issueEv})
+		case entry.origin == fromMigrate:
+			m.migrations++
+			m.femit(trace.FEvent{Kind: trace.FEvMigrate, Client: entry.donor,
+				Peer: c.id, Job: entry.job})
 		default:
 			m.splits++
 			m.femit(trace.FEvent{Kind: trace.FEvSplitAccept, Client: c.id,
@@ -886,12 +885,6 @@ func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) {
 		} else {
 			m.femit(trace.FEvent{Kind: trace.FEvSplitFail, Client: g.donor,
 				SplitID: msg.SplitID, Parent: g.issueEv, Detail: msg.Err})
-			if g.migrate && c.stopSeq == g.seq {
-				c.stopping = false // the move is off; the donor solves on…
-				if !live && c.busy && c.job == g.job {
-					m.stop(c) // …a job that has ended since
-				}
-			}
 		}
 		// Peers are served in assignment order, so everyone beyond the Used
 		// prefix will never get a payload: release their reservations. What
@@ -929,16 +922,10 @@ func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) {
 			if !g.donorDone {
 				g.made = append(g.made, msg.Cube)
 			}
-			if g.migrate {
-				m.migrations++
-				m.femit(trace.FEvent{Kind: trace.FEvMigrate, Client: g.donor,
-					Peer: c.id, Job: g.job})
-			} else {
-				m.splits++
-				m.met.splitLat.Observe(m.now() - g.assignedAt)
-				m.femit(trace.FEvent{Kind: trace.FEvSplitAccept, Client: c.id,
-					Peer: g.donor, SplitID: msg.SplitID, Parent: g.issueEv})
-			}
+			m.splits++
+			m.met.splitLat.Observe(m.now() - g.assignedAt)
+			m.femit(trace.FEvent{Kind: trace.FEvSplitAccept, Client: c.id,
+				Peer: g.donor, SplitID: msg.SplitID, Parent: g.issueEv})
 			m.result.MaxClients = max(m.result.MaxClients, m.tally().busy)
 		default:
 			m.femit(trace.FEvent{Kind: trace.FEvSplitFail, Client: c.id,
@@ -1035,6 +1022,9 @@ func (m *Master) handleSolved(c *masterClient, msg comm.Solved) {
 	if j == nil {
 		return
 	}
+	if msg.Status != solver.StatusSAT && msg.Status != solver.StatusUNSAT {
+		m.handBack(c, fromMigrate, 0) // no verdict: the cube goes out again
+	}
 	c.busy = false
 	c.stopping = false // a verdict beat any in-flight stop
 	if !j.State.Active() {
@@ -1068,10 +1058,8 @@ func (m *Master) handleSolved(c *masterClient, msg comm.Solved) {
 		m.femit(trace.FEvent{Kind: trace.FEvProgress, Client: c.id, Job: j.ID,
 			N: int64(units), Detail: fmt.Sprintf("depth=%d", depth), Parent: ev})
 	}
-	// This part of the space is exhausted — or, with StatusUnknown, handed
-	// whole to a peer (migration), who may have refuted it already. If
-	// nothing else is live the job is unsatisfiable; else the client is idle
-	// and may take queued work.
+	// If nothing else is live the job is unsatisfiable; else the client is
+	// idle and may take queued work.
 	if !m.checkExhausted(j) {
 		m.serveBacklog()
 	}
@@ -1092,28 +1080,36 @@ func (m *Master) checkExhausted(j *masterJob) bool {
 	return true
 }
 
-// clientLost requeues at the head of the backlog what a lost client held:
-// an unacknowledged assignment as it was, else its cubes (holding), for the
-// next idle client to restart from the base formula alone. A lost
+// handBack requeues at the head of the backlog what client c holds of a
+// live job: an unacknowledged assignment as it was, else its cubes
+// (holding), for the next idle client to restart from the base formula
+// alone. The cubes go out as origin, from c, under the flight event issueEv.
+func (m *Master) handBack(c *masterClient, origin subOrigin, issueEv uint64) {
+	pending, unacked := m.pendingAssigns[c.id]
+	delete(m.pendingAssigns, c.id)
+	j := m.jobOf(c)
+	if j == nil || !j.State.Active() {
+		return
+	}
+	requeue := []backlogSub{pending}
+	if !unacked {
+		requeue = nil
+		for _, cube := range m.holding(c) {
+			requeue = append(requeue, backlogSub{sub: &solver.Subproblem{NumVars: j.Formula.NumVars,
+				Assumptions: cube, Cube: cube}, origin: origin, donor: c.id, issueEv: issueEv, job: j.ID})
+		}
+	}
+	j.subBacklog = append(requeue, j.subBacklog...)
+}
+
+// clientLost hands back what a lost client held (handBack). A lost
 // recipient's cofactor goes back once the donor says it shipped it; a donor
 // lost before its SplitDone may have shipped some, so its unsettled
 // recipients are stopped, reserved until they acknowledge.
 func (m *Master) clientLost(c *masterClient) {
 	m.log.Warn("client lost", "client", c.id, "host", c.hostName, "held", c.busy || c.reserved, "job", c.job)
 	leaveEv := m.femit(trace.FEvent{Kind: trace.FEvClientLeave, Client: c.id, Detail: c.hostName})
-	pending, unacked := m.pendingAssigns[c.id]
-	delete(m.pendingAssigns, c.id)
-	if j := m.jobOf(c); j != nil && j.State.Active() {
-		requeue := []backlogSub{pending}
-		if !unacked {
-			requeue = nil
-			for _, cube := range m.holding(c) {
-				requeue = append(requeue, backlogSub{sub: &solver.Subproblem{NumVars: j.Formula.NumVars,
-					Assumptions: cube, Cube: cube}, origin: fromCrash, donor: c.id, issueEv: leaveEv, job: j.ID})
-			}
-		}
-		j.subBacklog = append(requeue, j.subBacklog...)
-	}
+	m.handBack(c, fromCrash, leaveEv)
 	m.forget(c.id)
 	for _, splitID := range m.sortedSplitIDs() {
 		g := m.pendingSplits[splitID]
@@ -1160,20 +1156,18 @@ func (m *Master) requeueShipped(splitID int, g *splitGroup) {
 	}
 }
 
-// holding lists the cubes client c holds: a donor awaiting its SplitDone
-// its cube less the legs counted elsewhere, a stopping client (one whose
-// migration is reported) or an idle one none, any other its cube.
+// holding lists the cubes client c holds: an idle one none, a donor
+// awaiting its SplitDone its cube less the legs counted elsewhere, any
+// other its cube.
 func (m *Master) holding(c *masterClient) [][]cnf.Lit {
+	if !c.busy {
+		return nil
+	}
 	var made [][]cnf.Lit
-	open := false
 	for _, splitID := range m.sortedSplitIDs() {
 		if g := m.pendingSplits[splitID]; g.donor == c.id && !g.donorDone {
-			open = true
 			made = append(made, g.made...)
 		}
-	}
-	if !c.busy || c.stopping && !open {
-		return nil
 	}
 	return rest(c.cube, made)
 }
@@ -1209,9 +1203,11 @@ func (m *Master) sortedSplitIDs() []int {
 // maybeMigrate is the paper's §3.4 migration decision: when the best idle
 // client outranks the weakest busy one by factor — Blue Horizon nodes just
 // joined, a cluster freed up — the weakest's whole subproblem moves there
-// instead of being split. Only clients that have held their subproblem for
-// minHeld seconds are candidates. The shell calls this after refreshing
-// forecasts (noteForecast); factor <= 0 disables migration.
+// instead of being split. The move is a stop: the ack hands the cube back
+// (handleStopped), and the best-ranked idle client takes it from the
+// backlog's head. Only clients that have held their subproblem for minHeld
+// seconds are candidates. The shell calls this after refreshing forecasts
+// (noteForecast); factor <= 0 disables migration.
 func (m *Master) maybeMigrate(factor, minHeld float64) {
 	if factor <= 0 {
 		return
@@ -1230,25 +1226,9 @@ func (m *Master) maybeMigrate(factor, minHeld float64) {
 			weakest = c
 		}
 	}
-	if weakest == nil || target.Rank < factor*weakest.rank {
-		return
+	if weakest != nil && target.Rank >= factor*weakest.rank {
+		m.stop(weakest)
 	}
-	j := m.jobOf(weakest)
-	if j == nil || !j.State.Active() {
-		return
-	}
-	// The move rides the split exchange with one recipient: the donor
-	// ships its checkpoint peer-to-peer and reports Solved(unknown).
-	r := m.clients[target.ID]
-	r.reserved = true
-	r.job = j.ID
-	m.ensureBase(r, j)
-	weakest.stopping = true
-	weakest.stopSeq++ // no ack answers a Migrate: one still in flight is from an older stop
-	m.nextSplitID++
-	m.pendingSplits[m.nextSplitID] = &splitGroup{donor: weakest.id, job: j.ID,
-		recipients: []int{r.id}, settled: map[int]bool{}, assignedAt: m.now(), migrate: true, seq: weakest.stopSeq}
-	m.send(weakest.id, comm.Migrate{SplitID: m.nextSplitID, PeerID: r.id, PeerAddr: r.addr})
 }
 
 func (m *Master) idleCandidates() []Candidate {

@@ -14,8 +14,8 @@ import (
 // clauses through the lock-free hostPool, first finisher wins. To the
 // rest of the cluster the whole portfolio is a single client: worker 0 —
 // the pathfinder — runs the unmodified base configuration and is the only
-// worker splits, checkpoints and migration ever touch, so guiding-path
-// semantics (taint/deps soundness, coverage algebra) are unchanged.
+// worker splits and checkpoints ever touch, so guiding-path semantics
+// (taint/deps soundness, coverage algebra) are unchanged.
 //
 // Soundness of the race: every worker solves base ∧ (guiding-path
 // assumptions at portfolio construction). A SAT model from any worker
@@ -106,8 +106,8 @@ func newPortfolio(base *cnf.Formula, sub *solver.Subproblem, baseOpts solver.Opt
 	return p, nil
 }
 
-// Pathfinder returns worker 0's solver — the one splits, checkpoints and
-// migration operate on.
+// Pathfinder returns worker 0's solver — the one splits and checkpoints
+// operate on.
 func (p *portfolio) Pathfinder() *solver.Solver { return p.workers[0].slv }
 
 // Winner returns the index of the worker that produced the last verdict
@@ -193,7 +193,7 @@ func (p *portfolio) Solve(lim solver.Limits) solver.Result {
 	return results[0]
 }
 
-// StopAll requests cancellation on every worker (teardown/migration).
+// StopAll requests cancellation on every worker (a cut slice or a stop).
 func (p *portfolio) StopAll() {
 	for _, w := range p.workers {
 		w.slv.Stop()

@@ -100,8 +100,8 @@ func TestPortfolioSlicedRace(t *testing.T) {
 }
 
 // TestPortfolioCheckpointRoundTrip interrupts a K=3 portfolio mid-run,
-// checkpoints the pathfinder (the only worker checkpoint/migration ever
-// serve), round-trips it through Save/Load, and restores a fresh portfolio
+// checkpoints the pathfinder (the only worker a checkpoint ever serves),
+// round-trips it through Save/Load, and restores a fresh portfolio
 // from the resulting subproblem: the verdict must match the oracle.
 func TestPortfolioCheckpointRoundTrip(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {

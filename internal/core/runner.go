@@ -80,8 +80,8 @@ type RunnerConfig struct {
 	// shared by all clients must synchronize what it touches.
 	// Client.MinRunTime is the split-timeout floor in virtual
 	// seconds (0 = 10, the paper's 100 s at this scale). With Client.Threads
-	// K > 1, worker 0 (the pathfinder) drives the split, checkpoint and
-	// migration policies while workers 1..K-1 run diversified profiles,
+	// K > 1, worker 0 (the pathfinder) drives the split and checkpoint
+	// policies while workers 1..K-1 run diversified profiles,
 	// stepped in worker-index order so the run stays deterministic.
 	Client ClientConfig
 	// Jobs makes the run a multi-job workload: Master.Formula is ignored and
@@ -104,8 +104,9 @@ type RunnerConfig struct {
 	MonitorPeriodVSec float64
 	// MigrationFactor enables the paper's §3.4 migration: when an idle
 	// host's forecast rank exceeds a busy client's host rank by this
-	// factor, the whole subproblem moves there (e.g. from a lone remote
-	// desktop to a freshly freed cluster node). 0 disables migration.
+	// factor, the master stops that client and requeues its cube for the
+	// best-ranked idle client to restart (e.g. from a lone remote desktop
+	// to a freshly freed cluster node). 0 disables migration.
 	MigrationFactor float64
 	// Seed drives launch jitter.
 	Seed int64

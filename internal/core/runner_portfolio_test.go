@@ -127,9 +127,9 @@ func TestRunDistributedThreadsOneBitIdentical(t *testing.T) {
 }
 
 // TestRunDistributedPortfolioMigration moves a portfolio client's
-// subproblem mid-run: the pathfinder's checkpoint migrates, the donor's
-// extras are retired, and the recipient rebuilds a full-width portfolio —
-// with the verdict intact.
+// subproblem mid-run: the donor's workers are all stopped, and the
+// recipient rebuilds a full-width portfolio from the cube — with the
+// verdict intact.
 func TestRunDistributedPortfolioMigration(t *testing.T) {
 	g := grid.TestbedTable2(4)
 	for _, h := range g.Hosts {

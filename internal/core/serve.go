@@ -184,12 +184,11 @@ func (m *Master) Shutdown() {
 	}
 }
 
-// handleStopped folds a client's stop ack back into the pool. Only
-// StopWork is acknowledged, and only a terminal job's clients are stopped,
-// so an ack that names the outstanding stop while the client's job is
-// still active is outside input — a client that gave a live subproblem up
-// and returned nothing. Its search space is gone as surely as with a lost
-// client, and the job ends without a verdict. Event-loop only.
+// handleStopped folds a client's stop ack back into the pool. A busy
+// client of a live job is stopped only to move its subproblem (maybeMigrate),
+// so its ack hands the cube back (handBack) for the best-ranked idle client.
+// Any other stopped client held nothing the master still counts on it: a
+// terminal job's, or a copy of a cube already requeued. Event-loop only.
 func (m *Master) handleStopped(c *masterClient, msg comm.Stopped) {
 	if !c.stopping || msg.Seq != c.stopSeq {
 		// Stale ack: the stop this answers was beaten by a verdict
@@ -200,13 +199,9 @@ func (m *Master) handleStopped(c *masterClient, msg comm.Stopped) {
 	}
 	// A stopping client is busy on the job the table says, or reserved and
 	// holding nothing (see clientLost); what clears busy clears stopping.
-	j, held := m.jobOf(c), c.busy
+	j := m.jobOf(c)
+	m.handBack(c, fromMigrate, 0)
 	c.busy, c.reserved, c.stopping = false, false, false
-	if held && j != nil && j.State.Active() {
-		m.finishJob(j, solver.StatusUnknown, nil,
-			fmt.Errorf("core: client %d acknowledged a stop of job %d, which was still running", c.id, j.ID))
-		return
-	}
 	m.serveBacklog()
 	m.checkExhausted(j)
 }
@@ -247,8 +242,9 @@ func (m *Master) releaseJob(j *masterJob) {
 	}
 }
 
-// stop tells a client to abandon its subproblem: its job has ended, or it
-// is a copy of a cube the master has requeued (see clientLost).
+// stop tells a client to abandon its subproblem: its job has ended, it is a
+// copy of a cube the master has requeued (see clientLost), or it moves to a
+// better client (maybeMigrate).
 func (m *Master) stop(c *masterClient) {
 	c.stopping = true
 	c.stopSeq++

@@ -6,14 +6,14 @@ import "fmt"
 // HordeSat's within-host half of the hybrid): given a worker index, derive
 // a deterministic per-worker tuning so K workers on one subproblem explore
 // it in genuinely different orders. Worker 0 — the "pathfinder" — always
-// runs the unmodified base configuration, so splits, checkpoints and
-// migration (which serve the pathfinder) behave exactly as a single-solver
-// client would.
+// runs the unmodified base configuration, so splits and checkpoints
+// (which serve the pathfinder) behave exactly as a single-solver client
+// would.
 
 // Profile is one worker's diversification: the knobs it overrides on the
 // client's base solver options. Profiles are pure data, generated
 // deterministically from (worker, baseSeed) by ProfileFor, so a restored
-// or migrated portfolio rebuilds the identical lineup.
+// portfolio rebuilds the identical lineup.
 type Profile struct {
 	// Worker is the index this profile was generated for; 0 is the
 	// pathfinder (identity profile).

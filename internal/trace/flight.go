@@ -9,7 +9,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 )
 
@@ -305,15 +304,5 @@ func JobVerdicts(events []FEvent) map[int]string {
 			out[ev.Job] = "CANCELLED"
 		}
 	}
-	return out
-}
-
-// sortedKinds returns the map's keys in stable order for rendering.
-func sortedKinds(m map[string]int64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }

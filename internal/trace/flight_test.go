@@ -306,39 +306,70 @@ func TestCompareLogsNamesDivergence(t *testing.T) {
 	if err == nil {
 		t.Fatal("divergence undetected")
 	}
-	if !strings.Contains(err.Error(), "verdict") {
-		t.Fatalf("error does not name the verdict: %v", err)
+	if msg := err.Error(); !strings.Contains(msg, "at event 16 of 16/15") ||
+		!strings.Contains(msg, "Kind:verdict") || !strings.Contains(msg, "(end of log)") {
+		t.Fatalf("error does not name the missing verdict: %v", err)
+	}
+	// One field of one event is a divergence too.
+	b = synthSplitLog()
+	b[8].N++
+	if err := CompareLogs(a, b); err == nil || !strings.Contains(err.Error(), "at event 9 of 16/16") {
+		t.Fatalf("a changed share-flush count: %v", err)
 	}
 }
 
 func TestReplayVerify(t *testing.T) {
 	recorded := synthSplitLog()
-	// A faithful rerun passes.
-	if err := ReplayVerify(recorded, func(f *Flight) error {
-		for _, ev := range recorded {
-			f.Emit(FEvent{Kind: ev.Kind, Client: ev.Client, Peer: ev.Peer,
-				SplitID: ev.SplitID, N: ev.N, Detail: ev.Detail, Parent: ev.Parent})
+	// A faithful rerun passes: the recorder stamps IDs and Lamport times.
+	rerun := func(skip func(FEvent) bool) func(*Flight) error {
+		return func(f *Flight) error {
+			for _, ev := range recorded {
+				if !skip(ev) {
+					ev.ID, ev.Lamport = 0, 0
+					f.Emit(ev)
+				}
+			}
+			return nil
 		}
-		return nil
-	}); err != nil {
+	}
+	if err := ReplayVerify(recorded, rerun(func(FEvent) bool { return false })); err != nil {
 		t.Fatalf("faithful replay rejected: %v", err)
 	}
-	// A rerun that loses a split fails, naming the kind.
-	err := ReplayVerify(recorded, func(f *Flight) error {
-		for _, ev := range recorded {
-			if ev.Kind == FEvSplitAccept && ev.SplitID == 2 {
-				continue
-			}
-			f.Emit(FEvent{Kind: ev.Kind, Detail: ev.Detail})
-		}
-		return nil
-	})
-	if err == nil || !strings.Contains(err.Error(), FEvSplitAccept) {
+	// A rerun that loses a split fails at that split, naming it.
+	err := ReplayVerify(recorded, rerun(func(ev FEvent) bool {
+		return ev.Kind == FEvSplitAccept && ev.SplitID == 2
+	}))
+	if err == nil || !strings.Contains(err.Error(), "at event 12 of 16/15") ||
+		!strings.Contains(err.Error(), "Kind:"+FEvSplitAccept) {
 		t.Fatalf("lost split not reported: %v", err)
 	}
 	// A rerun that errors surfaces the error.
 	boom := errors.New("boom")
 	if err := ReplayVerify(recorded, func(*Flight) error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("rerun error swallowed: %v", err)
+	}
+}
+
+// TestWritePerfettoIsDeterministic renders one log whose eight ownership
+// spans are still open at its end, again and again: the spans closed there
+// must come out in the same order, so every render is the same bytes.
+func TestWritePerfettoIsDeterministic(t *testing.T) {
+	f := NewFlight(nil)
+	f.Emit(FEvent{Kind: FEvAssign, Client: 1, VSec: 1})
+	for c := 2; c <= 8; c++ {
+		f.Emit(FEvent{Kind: FEvSplitAccept, Client: c, Peer: 1, SplitID: c - 1, VSec: float64(c)})
+	}
+	var first bytes.Buffer
+	if err := WritePerfetto(&first, f.Events()); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 10 {
+		var b bytes.Buffer
+		if err := WritePerfetto(&b, f.Events()); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b.Bytes(), first.Bytes()) {
+			t.Fatalf("render %d differs from the first", i+2)
+		}
 	}
 }

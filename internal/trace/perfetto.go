@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 )
 
 // This file exports a flight log in the Chrome trace-event JSON format, so
@@ -161,8 +163,9 @@ func WritePerfetto(w io.Writer, events []FEvent) error {
 			)
 		}
 	}
-	// Close anything still open at the end of the log.
-	for client := range open {
+	// Close anything still open at the end of the log, in client order so
+	// one log always renders to the same bytes.
+	for _, client := range slices.Sorted(maps.Keys(open)) {
 		closeSpan(client, lastTs+1)
 	}
 

@@ -1,15 +1,11 @@
 package trace
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "fmt"
 
 // This file is the deterministic replay verifier. A DES run is a pure
 // function of its configuration and seed, so re-driving the same
 // configuration must reproduce the recorded flight log event for event —
-// same verdict, same per-kind counts, same Lamport horizon. A divergence
+// same kinds, clients, stamps and details, in the same order. A divergence
 // means nondeterminism leaked into the simulation (map iteration, wall
 // clocks, unseeded randomness), which is exactly the class of bug that
 // makes distributed solver results unreproducible.
@@ -34,67 +30,29 @@ func ReplayVerify(recorded []FEvent, rerun func(*Flight) error) error {
 	return CompareLogs(recorded, replayed)
 }
 
-// CompareLogs checks that two flight logs describe the same run: identical
-// verdict (per job, for multi-job logs), identical per-kind event counts,
-// and identical final Lamport time. It deliberately compares aggregates
-// rather than raw byte equality so the error on mismatch names what
-// diverged.
+// CompareLogs checks that two flight logs record the same run, event for
+// event and field for field, and names the first event where they part.
 func CompareLogs(recorded, replayed []FEvent) error {
-	var diffs []string
-	if rv, pv := Verdict(recorded), Verdict(replayed); rv != pv {
-		diffs = append(diffs, fmt.Sprintf("verdict: recorded %q, replayed %q", rv, pv))
-	}
-	rj, pj := JobVerdicts(recorded), JobVerdicts(replayed)
-	jobs := map[int]bool{}
-	for j := range rj {
-		jobs[j] = true
-	}
-	for j := range pj {
-		jobs[j] = true
-	}
-	for _, j := range sortedJobs(jobs) {
-		if rj[j] != pj[j] {
-			diffs = append(diffs, fmt.Sprintf("job %d verdict: recorded %q, replayed %q", j, rj[j], pj[j]))
+	for i := range max(len(recorded), len(replayed)) {
+		var r, p *FEvent
+		if i < len(recorded) {
+			r = &recorded[i]
 		}
-	}
-	rc, pc := CountByKind(recorded), CountByKind(replayed)
-	kinds := map[string]int64{}
-	for k, v := range rc {
-		kinds[k] = v
-	}
-	for k, v := range pc {
-		if _, ok := kinds[k]; !ok {
-			kinds[k] = v
+		if i < len(replayed) {
+			p = &replayed[i]
 		}
-	}
-	for _, k := range sortedKinds(kinds) {
-		if rc[k] != pc[k] {
-			diffs = append(diffs, fmt.Sprintf("%s: recorded %d, replayed %d", k, rc[k], pc[k]))
+		if r == nil || p == nil || *r != *p {
+			return fmt.Errorf("trace: replay diverged from recording at event %d of %d/%d:\n  recorded %s\n  replayed %s",
+				i+1, len(recorded), len(replayed), showEvent(r), showEvent(p))
 		}
-	}
-	if len(recorded) == len(replayed) && len(diffs) == 0 {
-		if rl, pl := lastLamport(recorded), lastLamport(replayed); rl != pl {
-			diffs = append(diffs, fmt.Sprintf("final lamport: recorded %d, replayed %d", rl, pl))
-		}
-	}
-	if len(diffs) > 0 {
-		return fmt.Errorf("trace: replay diverged from recording:\n  %s", strings.Join(diffs, "\n  "))
 	}
 	return nil
 }
 
-func sortedJobs(set map[int]bool) []int {
-	out := make([]int, 0, len(set))
-	for j := range set {
-		out = append(out, j)
+// showEvent renders one side of a divergence; nil is a log that ended.
+func showEvent(ev *FEvent) string {
+	if ev == nil {
+		return "(end of log)"
 	}
-	sort.Ints(out)
-	return out
-}
-
-func lastLamport(events []FEvent) uint64 {
-	if len(events) == 0 {
-		return 0
-	}
-	return events[len(events)-1].Lamport
+	return fmt.Sprintf("%+v", *ev)
 }
