@@ -157,16 +157,16 @@ func TestEfficacyOf(t *testing.T) {
 }
 
 // progressRun runs cfg under a flight recorder and returns the course of
-// its coverage estimate: the FEvProgress events, one per refuted
+// its coverage estimate: the FEvSubUNSAT events, one per refuted
 // subproblem in closure order, each carrying the running total in units (N)
-// and the refuted depth (Detail "depth=d").
+// and the refuted cube, whose length is the refuted depth.
 func progressRun(cfg RunnerConfig) (SimResult, []trace.FEvent) {
 	fl := trace.NewFlight(nil)
 	cfg.Master.Flight = fl
 	res := RunDistributed(cfg)
 	var evs []trace.FEvent
 	for _, ev := range fl.Events() {
-		if ev.Kind == trace.FEvProgress {
+		if ev.Kind == trace.FEvSubUNSAT {
 			evs = append(evs, ev)
 		}
 	}
@@ -205,8 +205,8 @@ func TestDESProgressMonotoneReachesFull(t *testing.T) {
 		if ev.VSec < prevVSec {
 			t.Fatalf("event %d: vsec %v < previous %v", i, ev.VSec, prevVSec)
 		}
-		if !strings.HasPrefix(ev.Detail, "depth=") {
-			t.Fatalf("event %d: detail %q lacks the refuted depth", i, ev.Detail)
+		if depth := len(strings.Fields(ev.Cube)); ev.N-prevUnits != int64(coverageUnits(depth)) {
+			t.Fatalf("event %d: units rose by %d, not the 2^-%d its cube %q retires", i, ev.N-prevUnits, depth, ev.Cube)
 		}
 		prevUnits, prevVSec = ev.N, ev.VSec
 	}

@@ -6,7 +6,6 @@ import (
 	"gridsat/internal/brute"
 	"gridsat/internal/cnf"
 	"gridsat/internal/gen"
-	"gridsat/internal/grid"
 	"gridsat/internal/solver"
 	"gridsat/internal/trace"
 )
@@ -131,21 +130,7 @@ func TestRunDistributedThreadsOneBitIdentical(t *testing.T) {
 // recipient rebuilds a full-width portfolio from the cube — with the
 // verdict intact.
 func TestRunDistributedPortfolioMigration(t *testing.T) {
-	g := grid.TestbedTable2(4)
-	for _, h := range g.Hosts {
-		h.Speed = 0.3
-		h.MemBytes = 64 << 20
-		h.BaseAvail = 0.4
-	}
-	g.AddBlueHorizon(8)
-	cfg := desConfig(gen.Pigeonhole(10), 100_000)
-	cfg.Grid = g
-	cfg.MaxClients = 2
-	cfg.Client.Threads = 2
-	cfg.MigrationFactor = 2
-	cfg.MonitorPeriodVSec = 10
-	cfg.Batch = &BatchPlan{Nodes: 8, WalltimeVSec: 100_000, MeanQueueWaitVSec: 15}
-	res := RunDistributed(cfg)
+	res := RunDistributed(migrationDESConfig(2))
 	if res.Outcome != OutcomeSolved {
 		t.Fatalf("got %v", res.Outcome)
 	}

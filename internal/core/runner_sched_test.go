@@ -264,12 +264,13 @@ func TestRunDistributedAssignmentAtSliceBoundary(t *testing.T) {
 	units := map[int]int64{}
 	for _, ev := range fl.Events() {
 		switch {
-		case ev.Kind == trace.FEvSubUNSAT && ev.Job == 1:
-			lastUNSAT = ev.VSec
+		case ev.Kind == trace.FEvSubUNSAT:
+			units[ev.Job] = ev.N
+			if ev.Job == 1 {
+				lastUNSAT = ev.VSec
+			}
 		case ev.Kind == trace.FEvJobStart && ev.Job == 2:
 			secondStart = ev.VSec
-		case ev.Kind == trace.FEvProgress:
-			units[ev.Job] = ev.N
 		}
 	}
 	if secondStart == 0 || secondStart != lastUNSAT {

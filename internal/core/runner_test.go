@@ -52,7 +52,7 @@ func TestDESWatchdogDefaultsArePinned(t *testing.T) {
 		wantAlerts = 9
 		wantFirst  = "90.0 progress-stall cluster: coverage flat at 0.000000 for 60s with 12 clients busy"
 		wantLast   = "210.0 heartbeat-gap client 32: client 32 busy but silent for 15.1s"
-		wantSHA    = "8b1746c9cb2f4f283b0cfbd81ee387b92f1e611fccc7c17ee350493063880a35"
+		wantSHA    = "e1a6e989cdc9960bd1f091371fce26c0eb54da3e5068eb7a420a5787537a9d1d"
 	)
 	if len(res.Alerts) != wantAlerts {
 		t.Fatalf("fired %d alerts, want %d: %+v", len(res.Alerts), wantAlerts, res.Alerts)
@@ -360,10 +360,10 @@ func TestRunDistributedIdleCrashIgnored(t *testing.T) {
 	}
 }
 
-// TestRunDistributedMigration: when far better resources join (dedicated
-// batch nodes), the master migrates a long-running subproblem to them —
-// the paper's §3.4 policy.
-func TestRunDistributedMigration(t *testing.T) {
+// migrationDESConfig is PH(10) on two handicapped interactive hosts while
+// eight dedicated batch nodes queue: when they join they dominate, and
+// the master migrates long-running subproblems to them.
+func migrationDESConfig(threads int) RunnerConfig {
 	g := grid.TestbedTable2(4)
 	// Handicap the interactive hosts so the batch nodes dominate.
 	for _, h := range g.Hosts {
@@ -372,14 +372,21 @@ func TestRunDistributedMigration(t *testing.T) {
 		h.BaseAvail = 0.4
 	}
 	g.AddBlueHorizon(8)
-	f := gen.Pigeonhole(10)
-	cfg := desConfig(f, 100_000)
+	cfg := desConfig(gen.Pigeonhole(10), 100_000)
 	cfg.Grid = g
 	cfg.MaxClients = 2
+	cfg.Client.Threads = threads
 	cfg.MigrationFactor = 2
 	cfg.MonitorPeriodVSec = 10
 	cfg.Batch = &BatchPlan{Nodes: 8, WalltimeVSec: 100_000, MeanQueueWaitVSec: 15}
-	res := RunDistributed(cfg)
+	return cfg
+}
+
+// TestRunDistributedMigration: when far better resources join (dedicated
+// batch nodes), the master migrates a long-running subproblem to them —
+// the paper's §3.4 policy.
+func TestRunDistributedMigration(t *testing.T) {
+	res := RunDistributed(migrationDESConfig(1))
 	if res.Outcome != OutcomeSolved {
 		t.Fatalf("got %v", res.Outcome)
 	}
@@ -532,7 +539,7 @@ func checkFlightShape(t *testing.T, runtime string, evs []trace.FEvent) map[stri
 	}
 	var units int64
 	for _, ev := range evs {
-		if ev.Kind == trace.FEvProgress {
+		if ev.Kind == trace.FEvSubUNSAT {
 			units = ev.N
 		}
 	}

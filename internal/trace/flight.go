@@ -32,20 +32,19 @@ const (
 	FEvAssign       = "assign"        // Client received the whole problem
 	FEvSplitRequest = "split-request" // Client asked to shed work (Detail = why)
 	FEvSplitIssue   = "split-issue"   // master paired donor Client with Peer
-	FEvSplitAccept  = "split-accept"  // recipient Client started donor Peer's cofactor
+	FEvSplitAccept  = "split-accept"  // recipient Client started donor Peer's cofactor Cube
 	FEvSplitFail    = "split-fail"    // an issued split leg never completed
-	FEvSplitBacklog = "split-backlog" // donor Client returned N leftover cofactors to the master
+	FEvSplitDone    = "split-done"    // donor Client kept Cube and returned N leftover cofactors
 	FEvShareFlush   = "share-flush"   // Client flushed a batch of N learned clauses
 	FEvShareRelay   = "share-relay"   // master fanned out N deduped clauses from Client
 	FEvShareMerge   = "share-merge"   // Client imported N clauses from Peer
 	FEvHeartbeat    = "heartbeat"     // liveness/telemetry tick
 	FEvMemShed      = "mem-shed"      // Client's arena GC reclaimed N bytes
-	FEvMigrate      = "migrate"       // whole subproblem moved Client -> Peer
-	FEvRecover      = "recover"       // orphaned subproblem restarted on Client
-	FEvSubUNSAT     = "sub-unsat"     // Client exhausted its subproblem
-	FEvProgress     = "progress"      // coverage advanced; N = fixed-point units (2^-62)
+	FEvMigrate      = "migrate"       // subproblem Cube moved Client -> Peer
+	FEvRecover      = "recover"       // orphaned subproblem Cube restarted on Client
+	FEvSubUNSAT     = "sub-unsat"     // Client refuted Cube; N = coverage so far in fixed-point units (2^-62)
 	FEvImportUse    = "import-use"    // Client first used an imported clause; N = uses this window
-	FEvVerdict      = "verdict"       // run decided (Detail = SAT/UNSAT/UNKNOWN)
+	FEvVerdict      = "verdict"       // run decided (Detail = SAT/UNSAT/UNKNOWN; SAT names the Cube)
 
 	// Job lifecycle kinds. A one-shot run emits submit, start and done
 	// once each, for its job 0.
@@ -64,11 +63,11 @@ const (
 var KnownKinds = map[string]bool{
 	FEvRunStart: true, FEvClientJoin: true, FEvClientLeave: true,
 	FEvAssign: true, FEvSplitRequest: true, FEvSplitIssue: true,
-	FEvSplitAccept: true, FEvSplitFail: true, FEvSplitBacklog: true,
+	FEvSplitAccept: true, FEvSplitFail: true, FEvSplitDone: true,
 	FEvShareFlush: true,
 	FEvShareRelay: true, FEvShareMerge: true, FEvHeartbeat: true,
 	FEvMemShed: true, FEvMigrate: true, FEvRecover: true,
-	FEvSubUNSAT: true, FEvProgress: true, FEvImportUse: true,
+	FEvSubUNSAT: true, FEvImportUse: true,
 	FEvVerdict:   true,
 	FEvJobSubmit: true, FEvJobStart: true, FEvJobDone: true, FEvJobCancel: true,
 	FEvAnomaly: true,
@@ -99,6 +98,10 @@ type FEvent struct {
 	N       int64   `json:"n,omitempty"`
 	VSec    float64 `json:"vsec,omitempty"`
 	Detail  string  `json:"detail,omitempty"`
+	// Cube is the guiding path of the subproblem the event hands over,
+	// keeps or closes: its DIMACS literals from the root, separated by
+	// spaces ("" is the root). A string keeps FEvent comparable with ==.
+	Cube string `json:"cube,omitempty"`
 }
 
 // Flight is the recorder. Events accumulate in memory (a run's

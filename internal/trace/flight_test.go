@@ -123,7 +123,8 @@ func TestSummarizeAndVerdict(t *testing.T) {
 }
 
 // synthSplitLog builds a small but complete flight log: client 1 gets the
-// problem, splits twice (to 2, then 2 splits to 3), everyone exhausts.
+// problem, splits twice (to 2, then 2 splits to 3), everyone exhausts. The
+// first donor reports after its recipient accepted, the second before.
 func synthSplitLog() []FEvent {
 	f := NewFlight(nil)
 	f.Emit(FEvent{Kind: FEvRunStart, N: 3})
@@ -133,14 +134,16 @@ func synthSplitLog() []FEvent {
 	f.Emit(FEvent{Kind: FEvAssign, Client: 1})
 	req := f.Emit(FEvent{Kind: FEvSplitRequest, Client: 1, Detail: "timeout"})
 	iss := f.Emit(FEvent{Kind: FEvSplitIssue, Client: 1, Peer: 2, SplitID: 1, Parent: req})
-	f.Emit(FEvent{Kind: FEvSplitAccept, Client: 2, Peer: 1, SplitID: 1, Parent: iss})
+	f.Emit(FEvent{Kind: FEvSplitAccept, Client: 2, Peer: 1, SplitID: 1, Parent: iss, Cube: "-1"})
 	f.Emit(FEvent{Kind: FEvShareFlush, Client: 2, N: 4})
+	f.Emit(FEvent{Kind: FEvSplitDone, Client: 1, SplitID: 1, Parent: iss, Cube: "1"})
 	req2 := f.Emit(FEvent{Kind: FEvSplitRequest, Client: 2, Detail: "mem-pressure"})
 	iss2 := f.Emit(FEvent{Kind: FEvSplitIssue, Client: 2, Peer: 3, SplitID: 2, Parent: req2})
-	f.Emit(FEvent{Kind: FEvSplitAccept, Client: 3, Peer: 2, SplitID: 2, Parent: iss2})
-	f.Emit(FEvent{Kind: FEvSubUNSAT, Client: 1})
-	f.Emit(FEvent{Kind: FEvSubUNSAT, Client: 3})
-	f.Emit(FEvent{Kind: FEvSubUNSAT, Client: 2})
+	f.Emit(FEvent{Kind: FEvSplitDone, Client: 2, SplitID: 2, Parent: iss2, Cube: "-1 2"})
+	f.Emit(FEvent{Kind: FEvSplitAccept, Client: 3, Peer: 2, SplitID: 2, Parent: iss2, Cube: "-1 -2"})
+	f.Emit(FEvent{Kind: FEvSubUNSAT, Client: 1, Cube: "1"})
+	f.Emit(FEvent{Kind: FEvSubUNSAT, Client: 3, Cube: "-1 -2"})
+	f.Emit(FEvent{Kind: FEvSubUNSAT, Client: 2, Cube: "-1 2"})
 	f.Emit(FEvent{Kind: FEvVerdict, Detail: "UNSAT"})
 	return f.Events()
 }
@@ -178,13 +181,14 @@ func TestLineageLeavesEqualSplitsPlusOne(t *testing.T) {
 func TestLineageSurvivesDonorFinishRace(t *testing.T) {
 	// The donor exhausts its (already halved) piece before the recipient's
 	// accept lands; the builder must still attach the recipient under the
-	// donor's last node and keep leaves = accepts+1.
+	// donor's old node and keep leaves = accepts+1.
 	f := NewFlight(nil)
 	f.Emit(FEvent{Kind: FEvAssign, Client: 1})
 	f.Emit(FEvent{Kind: FEvSplitIssue, Client: 1, Peer: 2, SplitID: 1})
-	f.Emit(FEvent{Kind: FEvSubUNSAT, Client: 1})
-	f.Emit(FEvent{Kind: FEvSplitAccept, Client: 2, Peer: 1, SplitID: 1})
-	f.Emit(FEvent{Kind: FEvSubUNSAT, Client: 2})
+	f.Emit(FEvent{Kind: FEvSplitDone, Client: 1, SplitID: 1, Cube: "3"})
+	f.Emit(FEvent{Kind: FEvSubUNSAT, Client: 1, Cube: "3"})
+	f.Emit(FEvent{Kind: FEvSplitAccept, Client: 2, Peer: 1, SplitID: 1, Cube: "-3"})
+	f.Emit(FEvent{Kind: FEvSubUNSAT, Client: 2, Cube: "-3"})
 	tree := BuildLineage(f.Events())
 	if got := len(tree.Leaves()); got != 2 {
 		t.Fatalf("leaves = %d, want 2", got)
@@ -192,7 +196,7 @@ func TestLineageSurvivesDonorFinishRace(t *testing.T) {
 	if tree.Root.Status != NodeSplit {
 		t.Fatalf("root status %q", tree.Root.Status)
 	}
-	// The donor-continuation child inherits the already-recorded unsat.
+	// The donor-continuation child keeps its recorded unsat.
 	if tree.Root.Children[0].Status != NodeUNSAT {
 		t.Fatalf("continuation status %q", tree.Root.Children[0].Status)
 	}
@@ -281,8 +285,8 @@ func TestWritePerfetto(t *testing.T) {
 	if instants != len(synthSplitLog()) {
 		t.Errorf("instants = %d, want %d", instants, len(synthSplitLog()))
 	}
-	if flows != 4 {
-		t.Errorf("flow sources = %d, want 4", flows)
+	if flows != 6 {
+		t.Errorf("flow sources = %d, want 6", flows)
 	}
 	// No virtual time in the synthetic log: timestamps must be strictly
 	// increasing Lamport fallbacks, never equal.
@@ -306,14 +310,14 @@ func TestCompareLogsNamesDivergence(t *testing.T) {
 	if err == nil {
 		t.Fatal("divergence undetected")
 	}
-	if msg := err.Error(); !strings.Contains(msg, "at event 16 of 16/15") ||
+	if msg := err.Error(); !strings.Contains(msg, "at event 18 of 18/17") ||
 		!strings.Contains(msg, "Kind:verdict") || !strings.Contains(msg, "(end of log)") {
 		t.Fatalf("error does not name the missing verdict: %v", err)
 	}
 	// One field of one event is a divergence too.
 	b = synthSplitLog()
 	b[8].N++
-	if err := CompareLogs(a, b); err == nil || !strings.Contains(err.Error(), "at event 9 of 16/16") {
+	if err := CompareLogs(a, b); err == nil || !strings.Contains(err.Error(), "at event 9 of 18/18") {
 		t.Fatalf("a changed share-flush count: %v", err)
 	}
 }
@@ -339,7 +343,7 @@ func TestReplayVerify(t *testing.T) {
 	err := ReplayVerify(recorded, rerun(func(ev FEvent) bool {
 		return ev.Kind == FEvSplitAccept && ev.SplitID == 2
 	}))
-	if err == nil || !strings.Contains(err.Error(), "at event 12 of 16/15") ||
+	if err == nil || !strings.Contains(err.Error(), "at event 14 of 18/17") ||
 		!strings.Contains(err.Error(), "Kind:"+FEvSplitAccept) {
 		t.Fatalf("lost split not reported: %v", err)
 	}

@@ -6,23 +6,24 @@ import (
 	"testing"
 )
 
-// synthDilemmaLog models a k=2 dilemma split: one issue to two live peers,
-// a leftover cofactor returned to the master's backlog and served to a
-// third peer later. All three accepts carry the same split ID.
+// synthDilemmaLog models a k=2 dilemma split on variables 1 and 2: one
+// issue to two live peers, the donor keeping one cofactor and returning a
+// leftover to the master's backlog, served to a third peer later. All
+// three accepts carry the same split ID.
 func synthDilemmaLog() []FEvent {
 	f := NewFlight(nil)
 	f.Emit(FEvent{Kind: FEvRunStart, N: 4})
 	f.Emit(FEvent{Kind: FEvAssign, Client: 1})
 	req := f.Emit(FEvent{Kind: FEvSplitRequest, Client: 1, Detail: "timeout"})
 	iss := f.Emit(FEvent{Kind: FEvSplitIssue, Client: 1, Peer: 2, SplitID: 1, N: 2, Parent: req})
-	f.Emit(FEvent{Kind: FEvSplitAccept, Client: 2, Peer: 1, SplitID: 1, Parent: iss})
-	f.Emit(FEvent{Kind: FEvSplitAccept, Client: 3, Peer: 1, SplitID: 1, Parent: iss})
-	f.Emit(FEvent{Kind: FEvSplitBacklog, Client: 1, SplitID: 1, N: 1, Parent: iss})
-	f.Emit(FEvent{Kind: FEvSplitAccept, Client: 4, Peer: 1, SplitID: 1, Parent: iss})
-	f.Emit(FEvent{Kind: FEvSubUNSAT, Client: 1})
-	f.Emit(FEvent{Kind: FEvSubUNSAT, Client: 2})
-	f.Emit(FEvent{Kind: FEvSubUNSAT, Client: 3})
-	f.Emit(FEvent{Kind: FEvSubUNSAT, Client: 4})
+	f.Emit(FEvent{Kind: FEvSplitDone, Client: 1, SplitID: 1, N: 1, Parent: iss, Cube: "1 2"})
+	f.Emit(FEvent{Kind: FEvSplitAccept, Client: 2, Peer: 1, SplitID: 1, Parent: iss, Cube: "1 -2"})
+	f.Emit(FEvent{Kind: FEvSplitAccept, Client: 3, Peer: 1, SplitID: 1, Parent: iss, Cube: "-1 2"})
+	f.Emit(FEvent{Kind: FEvSplitAccept, Client: 4, Peer: 1, SplitID: 1, Parent: iss, Cube: "-1 -2"})
+	f.Emit(FEvent{Kind: FEvSubUNSAT, Client: 1, Cube: "1 2"})
+	f.Emit(FEvent{Kind: FEvSubUNSAT, Client: 2, Cube: "1 -2"})
+	f.Emit(FEvent{Kind: FEvSubUNSAT, Client: 3, Cube: "-1 2"})
+	f.Emit(FEvent{Kind: FEvSubUNSAT, Client: 4, Cube: "-1 -2"})
 	f.Emit(FEvent{Kind: FEvVerdict, Detail: "UNSAT"})
 	return f.Events()
 }
@@ -99,14 +100,15 @@ func TestLineageMetricsBinaryChain(t *testing.T) {
 	}
 }
 
-// TestSplitBacklogKindKnown guards the flight-log schema: the
-// split-backlog kind added for multi-way splits must validate and render.
-func TestSplitBacklogKindKnown(t *testing.T) {
-	if !KnownKinds[FEvSplitBacklog] {
-		t.Fatal("FEvSplitBacklog missing from KnownKinds")
+// TestSplitDoneKindKnown guards the flight-log schema: the split-done
+// kind, the donor's record of the cofactor it kept, must validate and
+// render with its cube.
+func TestSplitDoneKindKnown(t *testing.T) {
+	if !KnownKinds[FEvSplitDone] {
+		t.Fatal("FEvSplitDone missing from KnownKinds")
 	}
 	f := NewFlight(nil)
-	f.Emit(FEvent{Kind: FEvSplitBacklog, Client: 1, SplitID: 7, N: 3})
+	f.Emit(FEvent{Kind: FEvSplitDone, Client: 1, SplitID: 7, N: 3, Cube: "4 -9"})
 	if err := Validate(f.Events()); err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +116,7 @@ func TestSplitBacklogKindKnown(t *testing.T) {
 	if err := f.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"kind":"split-backlog"`) {
-		t.Fatalf("JSONL missing the kind: %s", buf.String())
+	if !strings.Contains(buf.String(), `"kind":"split-done"`) || !strings.Contains(buf.String(), `"cube":"4 -9"`) {
+		t.Fatalf("JSONL missing the kind or the cube: %s", buf.String())
 	}
 }
