@@ -184,11 +184,10 @@ func (m *Master) Shutdown() {
 	}
 }
 
-// handleStopped folds a client's stop ack back into the pool. A busy
-// client of a live job is stopped only to move its subproblem (maybeMigrate),
-// so its ack hands the cube back (handBack) for the best-ranked idle client.
-// Any other stopped client held nothing the master still counts on it: a
-// terminal job's, or a copy of a cube already requeued. Event-loop only.
+// handleStopped folds a client's stop ack back into the pool. A stopped
+// client holds nothing the master still counts on it: a terminal job's
+// subproblem, a copy of a cube already requeued (clientLost), or one that
+// moved to a better client (maybeMigrate). Event-loop only.
 func (m *Master) handleStopped(c *masterClient, msg comm.Stopped) {
 	if !c.stopping || msg.Seq != c.stopSeq {
 		// Stale ack: the stop this answers was beaten by a verdict
@@ -197,10 +196,10 @@ func (m *Master) handleStopped(c *masterClient, msg comm.Stopped) {
 		// orphan that new assignment, so the ack is dropped outright.
 		return
 	}
-	// A stopping client is busy on the job the table says, or reserved and
-	// holding nothing (see clientLost); what clears busy clears stopping.
+	// A stopping client is busy on a terminal job, or reserved and holding
+	// nothing (see clientLost and maybeMigrate); what clears busy clears
+	// stopping.
 	j := m.jobOf(c)
-	m.handBack(c, fromMigrate, 0)
 	c.busy, c.reserved, c.stopping = false, false, false
 	m.serveBacklog()
 	m.checkExhausted(j)
