@@ -275,7 +275,7 @@ type SimResult struct {
 	// count and one row per job in submission order — a one-shot run's
 	// coverage is State.Jobs[0]'s (units are exact fixed-point 2^-62
 	// fractions; an UNSAT run without lost work ends at exactly 1.0, 2^62
-	// units, and its course is the run's FEvProgress flight events).
+	// units, and its course is the N of the run's FEvSubUNSAT flight events).
 	State ClusterState
 }
 
