@@ -3,16 +3,17 @@
 # `git diff --exit-code docs/` afterwards says whether a change moved a
 # table. Runs are deterministic; a diff is a behaviour change.
 #
-#   scripts/benchtab-docs.sh                      all five files
-#   scripts/benchtab-docs.sh ablations bhonly split
+#   scripts/benchtab-docs.sh                      all seven files
+#   scripts/benchtab-docs.sh ablations bhonly split hybrid sched
 #                                                 just these (a few seconds,
-#                                                 ~25 s and ~2 s on two cores)
+#                                                 ~25 s, ~2 s, ~10 s and
+#                                                 under 1 s on two cores)
 #   scripts/benchtab-docs.sh table1 table2        the paper's tables (minutes)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 docs=("$@")
-[ ${#docs[@]} -gt 0 ] || docs=(ablations bhonly split table1 table2)
+[ ${#docs[@]} -gt 0 ] || docs=(ablations bhonly split hybrid sched table1 table2)
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -35,10 +36,14 @@ for doc in "${docs[@]}"; do
     # The split-strategy ablation: each strategy's lineage tree (leaves,
     # fan-out, balance, kill depth), read off its flight log.
     split) bt -ablation split >"$tmp/out" ;;
+    # Split-only vs portfolio-only vs hybrid over the four HybridRows.
+    hybrid) bt -ablation hybrid >"$tmp/out" ;;
+    # The default 8-job Poisson workload on the 4-client cluster.
+    sched) bt -ablation sched >"$tmp/out" ;;
     table1) bt -table 1 >"$tmp/out" ;;
     table2) bt -table 2 >"$tmp/out" ;;
     *)
-      echo "benchtab-docs: unknown doc $doc (want ablations, bhonly, split, table1 or table2)" >&2
+      echo "benchtab-docs: unknown doc $doc (want ablations, bhonly, split, hybrid, sched, table1 or table2)" >&2
       exit 2
       ;;
   esac
