@@ -59,10 +59,10 @@ func TestDESFlightLogValidatesAndMatchesResult(t *testing.T) {
 	if err := trace.Validate(evs); err != nil {
 		t.Fatalf("flight log invalid: %v", err)
 	}
-	if got := trace.Verdict(evs); got != "UNSAT" {
+	if got := trace.Summarize(evs).Verdict; got != "UNSAT" {
 		t.Fatalf("flight verdict %q, want UNSAT", got)
 	}
-	counts := trace.CountByKind(evs)
+	counts := trace.Summarize(evs).PerKind
 	if counts[trace.FEvRunStart] != 1 || counts[trace.FEvVerdict] != 1 {
 		t.Fatalf("run-start/verdict counts wrong: %v", counts)
 	}
@@ -159,7 +159,7 @@ func TestDESFlightRecordsFailureRecovery(t *testing.T) {
 	if res.Outcome != OutcomeSolved {
 		t.Fatalf("run with failure did not solve: %+v", res.Outcome)
 	}
-	counts := trace.CountByKind(f.Events())
+	counts := trace.Summarize(f.Events()).PerKind
 	if counts[trace.FEvClientLeave] == 0 {
 		t.Fatal("client crash left no client-leave event")
 	}
@@ -226,7 +226,7 @@ func TestLineageIsTheMastersCubes(t *testing.T) {
 			} else if res.Outcome != OutcomeSolved || res.Status != solver.StatusUNSAT {
 				t.Fatalf("got %v/%v", res.Outcome, res.Status)
 			}
-			counts := trace.CountByKind(f.Events())
+			counts := trace.Summarize(f.Events()).PerKind
 			if counts[trace.FEvClientLeave]+counts[trace.FEvMigrate] == 0 {
 				t.Fatalf("no client left and no cube migrated; the run shows no churn: %v", counts)
 			}
@@ -286,12 +286,12 @@ func TestLiveSolveSharedFlight(t *testing.T) {
 	if err := trace.Validate(evs); err != nil {
 		t.Fatalf("live flight log invalid: %v", err)
 	}
-	counts := trace.CountByKind(evs)
+	counts := trace.Summarize(evs).PerKind
 	if counts[trace.FEvClientJoin] != 3 {
 		t.Fatalf("client-join events = %d, want 3", counts[trace.FEvClientJoin])
 	}
-	if trace.Verdict(evs) != "UNSAT" {
-		t.Fatalf("flight verdict %q", trace.Verdict(evs))
+	if v := trace.Summarize(evs).Verdict; v != "UNSAT" {
+		t.Fatalf("flight verdict %q", v)
 	}
 	// Live envelopes carry Lamport stamps: at least one event must have
 	// merged a remote clock (its Lamport jumps by more than 1).

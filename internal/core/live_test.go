@@ -620,7 +620,7 @@ func TestSolveRecoversALostClient(t *testing.T) {
 	if err != nil || res.Status != solver.StatusUNSAT {
 		t.Fatalf("Solve = %v, %v; want UNSAT", res.Status, err)
 	}
-	if n := trace.CountByKind(cfg.Master.Flight.Events())[trace.FEvRecover]; n == 0 {
+	if n := trace.Summarize(cfg.Master.Flight.Events()).PerKind[trace.FEvRecover]; n == 0 {
 		t.Fatal("no recover event in the flight log")
 	}
 }

@@ -56,7 +56,7 @@ func TestParallelDESIsTheSerialDES(t *testing.T) {
 			cfg.Failures = []FailurePlan{{HostID: 20, AtVSec: 8}, {HostID: 31, AtVSec: 30}}
 			return cfg
 		}, func(t *testing.T, _ SimResult, evs []trace.FEvent) {
-			if n := trace.CountByKind(evs)[trace.FEvRecover]; n != 1 {
+			if n := trace.Summarize(evs).PerKind[trace.FEvRecover]; n != 1 {
 				t.Fatalf("%d recoveries, want 1: one crash of a computing client, one of an idle one", n)
 			}
 		}},

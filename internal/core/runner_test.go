@@ -494,7 +494,7 @@ func TestRunDistributedFlightLogsRepeat(t *testing.T) {
 			if r1.Outcome != OutcomeSolved {
 				t.Fatalf("outcome %v", r1.Outcome)
 			}
-			if name == "crash-recovery" && trace.CountByKind(e1)[trace.FEvRecover] == 0 {
+			if name == "crash-recovery" && trace.Summarize(e1).PerKind[trace.FEvRecover] == 0 {
 				t.Fatal("config no longer recovers a crashed client's work; pick one that does")
 			}
 			if r1.VSec != r2.VSec || r1.TotalProps != r2.TotalProps || r1.Msgs != r2.Msgs || r1.Bytes != r2.Bytes {
@@ -527,10 +527,10 @@ func checkFlightShape(t *testing.T, runtime string, evs []trace.FEvent) map[stri
 	if err := trace.Validate(evs); err != nil {
 		t.Fatalf("%s flight log invalid: %v", runtime, err)
 	}
-	if v := trace.Verdict(evs); v != "UNSAT" {
+	if v := trace.Summarize(evs).Verdict; v != "UNSAT" {
 		t.Fatalf("%s flight verdict %q, want UNSAT", runtime, v)
 	}
-	counts := trace.CountByKind(evs)
+	counts := trace.Summarize(evs).PerKind
 	if counts[trace.FEvSplitAccept] == 0 {
 		t.Fatalf("%s run never split; the comparison would be vacuous", runtime)
 	}

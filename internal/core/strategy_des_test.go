@@ -105,7 +105,7 @@ func TestRunDistributedDilemmaReplayVerify(t *testing.T) {
 		t.Fatalf("got %v", res.Status)
 	}
 	recorded := record.Events()
-	counts := trace.CountByKind(recorded)
+	counts := trace.Summarize(recorded).PerKind
 	if counts[trace.FEvSplitAccept] == 0 {
 		t.Fatal("dilemma run accepted no splits")
 	}
@@ -135,7 +135,7 @@ func TestRunDistributedDilemmaLineage(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree := trace.BuildLineage(events)
-	accepts := trace.CountByKind(events)[trace.FEvSplitAccept]
+	accepts := trace.Summarize(events).PerKind[trace.FEvSplitAccept]
 	if got := int64(len(tree.Leaves())); got != accepts+1 {
 		t.Fatalf("leaves = %d, want accepts+1 = %d", got, accepts+1)
 	}

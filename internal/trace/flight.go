@@ -273,27 +273,6 @@ func Summarize(events []FEvent) FlightSummary {
 	return s
 }
 
-// CountByKind returns per-kind event totals, the unit of comparison for
-// the replay verifier.
-func CountByKind(events []FEvent) map[string]int64 {
-	out := map[string]int64{}
-	for _, ev := range events {
-		out[ev.Kind]++
-	}
-	return out
-}
-
-// Verdict returns the Detail of the last verdict event ("" when the log
-// has none — a run that was killed before deciding).
-func Verdict(events []FEvent) string {
-	for i := len(events) - 1; i >= 0; i-- {
-		if events[i].Kind == FEvVerdict {
-			return events[i].Detail
-		}
-	}
-	return ""
-}
-
 // JobVerdicts returns the per-job outcomes recorded in a log: the Detail
 // of each job's job-done (or job-cancel, as "CANCELLED") event. A one-shot
 // log has the one entry of its job 0.

@@ -117,7 +117,7 @@ func TestSummarizeAndVerdict(t *testing.T) {
 	if s.Lamport != 4 {
 		t.Fatalf("lamport horizon %d", s.Lamport)
 	}
-	if Verdict(f.Events()[:3]) != "" {
+	if Summarize(f.Events()[:3]).Verdict != "" {
 		t.Fatal("verdict before the verdict event")
 	}
 }
