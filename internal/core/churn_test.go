@@ -247,7 +247,7 @@ func TestRootNackIsRequeued(t *testing.T) {
 // otherwise the heartbeat-gap rule fires the moment it goes busy.
 func TestWatchSampleCountsSilenceFromAssignment(t *testing.T) {
 	m := newChurnMaster(t)
-	m.clients[1] = &masterClient{id: 1, addr: "a", busy: true, lastHBSec: 10, assignment: assignment{assignedAt: 100}}
+	m.clients[1] = &masterClient{id: 1, addr: "a", busy: true, conf: ewma{at: 10}, assignment: assignment{assignedAt: 100}}
 	m.order = []int{1}
 	m.now = func() float64 { return 105 }
 	st := m.state()

@@ -133,11 +133,9 @@ type masterClient struct {
 	// latest gauges.
 	agg       comm.SolverDeltas
 	dbLearnts int
-	// confRate is the EWMA conflict throughput from heartbeat deltas;
-	// lastHBSec anchors the next interval.
-	confRate  float64
-	haveRate  bool
-	lastHBSec float64
+	// conf is the EWMA conflict throughput from heartbeat deltas; conf.at
+	// is the last heartbeat that counted.
+	conf ewma
 	// workers is the latest per-worker portfolio breakdown from the
 	// client's heartbeat (nil for single-threaded clients).
 	workers []comm.WorkerReport
@@ -609,16 +607,7 @@ func (m *Master) handleStatusReport(c *masterClient, msg comm.StatusReport) {
 	c.agg.Add(msg.Deltas)
 	m.clusterAgg.Add(msg.Deltas)
 	// Conflict-rate EWMA for utilization and straggler detection.
-	now := m.now()
-	if dt := now - c.lastHBSec; dt > 0 {
-		inst := float64(msg.Deltas.Conflicts) / dt
-		if c.haveRate {
-			c.confRate = progressEWMAAlpha*inst + (1-progressEWMAAlpha)*c.confRate
-		} else {
-			c.confRate, c.haveRate = inst, true
-		}
-		c.lastHBSec = now
-	}
+	c.conf.update(float64(msg.Deltas.Conflicts), m.now())
 	m.log.Debug("heartbeat", "client", c.id, "mem", msg.MemBytes,
 		"learnts", msg.Learnts, "conflicts+", msg.Deltas.Conflicts)
 }
@@ -676,7 +665,7 @@ func (m *Master) markStarted(j *masterJob) {
 		return
 	}
 	j.StartedAt = m.now()
-	j.prog.lastSec = j.StartedAt
+	j.prog.cov.at = j.StartedAt
 	j.State = JobRunning
 	m.met.queueWait.Observe(j.StartedAt - j.SubmittedAt)
 	m.femit(trace.FEvent{Kind: trace.FEvJobStart, Job: j.ID})

@@ -53,17 +53,39 @@ type ProgressTracker struct {
 	units    uint64
 	closed   int64
 	maxDepth int
-	// rate is the EWMA of coverage fraction per second, updated at each
+	// cov is the EWMA of coverage fraction per second, updated at each
 	// closure from the fraction gained since the previous one — or, for
-	// the first, since lastSec was set when the job started.
-	rate     float64
-	haveRate bool
-	lastSec  float64
+	// the first, since cov.at was set when the job started.
+	cov ewma
 }
 
-// progressEWMAAlpha weights the newest inter-closure rate sample; 0.25
-// smooths over roughly the last four closures.
+// progressEWMAAlpha weights the newest rate sample; 0.25 smooths over
+// roughly the last four.
 const progressEWMAAlpha = 0.25
+
+// ewma is a rate smoothed over its updates: the master's per-client
+// conflict rate and a job's coverage rate.
+type ewma struct {
+	rate float64 // 0 until the first update counts
+	have bool
+	at   float64 // when the last counted update came; the next interval's start
+}
+
+// update folds amount gained by now into the rate, as amount/(now-at). An
+// update at or before at counts nothing and leaves at where it is.
+func (e *ewma) update(amount, now float64) {
+	dt := now - e.at
+	if dt <= 0 {
+		return
+	}
+	inst := amount / dt
+	if e.have {
+		e.rate = progressEWMAAlpha*inst + (1-progressEWMAAlpha)*e.rate
+	} else {
+		e.rate, e.have = inst, true
+	}
+	e.at = now
+}
 
 // CloseSubproblem records the refutation of a subproblem at the given
 // guiding-path depth and timestamp (seconds; virtual or wall — the caller
@@ -81,15 +103,7 @@ func (p *ProgressTracker) CloseSubproblem(depth int, atSec float64) uint64 {
 	if depth > p.maxDepth {
 		p.maxDepth = depth
 	}
-	if dt := atSec - p.lastSec; dt > 0 {
-		inst := float64(add) / float64(coverageFull) / dt
-		if p.haveRate {
-			p.rate = progressEWMAAlpha*inst + (1-progressEWMAAlpha)*p.rate
-		} else {
-			p.rate, p.haveRate = inst, true
-		}
-		p.lastSec = atSec
-	}
+	p.cov.update(float64(add)/float64(coverageFull), atSec)
 	return p.units
 }
 
@@ -109,12 +123,7 @@ func (p *ProgressTracker) MaxDepth() int { return p.maxDepth }
 
 // Rate returns the EWMA coverage rate in fraction per second (0 until a
 // closure ends the first interval).
-func (p *ProgressTracker) Rate() float64 {
-	if !p.haveRate {
-		return 0
-	}
-	return p.rate
-}
+func (p *ProgressTracker) Rate() float64 { return p.cov.rate }
 
 // ShareEfficacy summarizes whether clause sharing is paying for itself:
 // how many imported clauses the cluster merged, and how much BCP and

@@ -152,9 +152,9 @@ func (m *Master) state() ClusterState {
 		row := ClientState{
 			ID: c.id, Host: c.hostName, Busy: c.busy, Reserved: c.reserved,
 			MemBytes: c.usedMem, DBLearnts: c.dbLearnts, Depth: len(c.cube),
-			ConflictsPerSec:  c.confRate,
+			ConflictsPerSec:  c.conf.rate,
 			ImportUseRatio:   efficacyOf(c.agg).UsefulRatio,
-			LastHeartbeatSec: max(c.lastHBSec, c.assignedAt),
+			LastHeartbeatSec: max(c.conf.at, c.assignedAt),
 			SolverDeltas:     c.agg,
 			Workers:          c.workers,
 		}
@@ -263,8 +263,8 @@ func (m *Master) tally() poolTally {
 		l := &t.loads[i]
 		if c.busy {
 			t.busy++
-			t.confRate += c.confRate
-			l.rate += c.confRate
+			t.confRate += c.conf.rate
+			l.rate += c.conf.rate
 		}
 		if c.reserved {
 			t.reserved++

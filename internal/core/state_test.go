@@ -67,8 +67,8 @@ func populate(m *Master, nClients, nJobs int) {
 		c.reserved = !c.busy && id%2 == 0
 		c.stopping = c.busy && id%5 == 0
 		c.usedMem, c.dbLearnts, c.cube = int64(id)<<20, 100*id, make([]cnf.Lit, id%9)
-		c.confRate = 37.5 * float64(id%11)
-		c.lastHBSec, c.assignedAt = float64(id%4), float64(id%6)
+		c.conf.rate = 37.5 * float64(id%11)
+		c.conf.at, c.assignedAt = float64(id%4), float64(id%6)
 		if id%4 != 0 {
 			c.splitAt = c.assignedAt + 1 // asked: counts while busy and not stopping
 		}
@@ -125,8 +125,8 @@ func TestStateMatchesBruteForceRecount(t *testing.T) {
 				}
 				if c.busy {
 					want.Busy++
-					want.ConflictRate += c.confRate
-					rate[c.job] += c.confRate
+					want.ConflictRate += c.conf.rate
+					rate[c.job] += c.conf.rate
 				}
 				if c.reserved {
 					want.Reserved++
@@ -174,10 +174,10 @@ func TestStateMatchesBruteForceRecount(t *testing.T) {
 				if row.ID != c.id || row.Host != c.hostName || row.Busy != c.busy ||
 					row.Reserved != c.reserved || row.MemBytes != c.usedMem ||
 					row.DBLearnts != c.dbLearnts || row.Depth != len(c.cube) ||
-					row.ConflictsPerSec != c.confRate || row.SolverDeltas != c.agg {
+					row.ConflictsPerSec != c.conf.rate || row.SolverDeltas != c.agg {
 					t.Errorf("client row %d = %+v, client %+v", i, row, c)
 				}
-				if last := max(c.lastHBSec, c.assignedAt); last != 0 && row.LastHeartbeatSec != last ||
+				if last := max(c.conf.at, c.assignedAt); last != 0 && row.LastHeartbeatSec != last ||
 					last == 0 && row.LastHeartbeatSec != now {
 					t.Errorf("client %d last heard at %v", c.id, row.LastHeartbeatSec)
 				}
