@@ -182,52 +182,20 @@ func BenchmarkFigure3SplitProtocol(b *testing.B) {
 
 // ---- Ablations (design choices the paper calls out) ----
 
-func ablationFormula() *cnf.Formula {
+// BenchmarkAblations sweeps each ablation's arms (bench.Ablations: share
+// length §3.2, split timeout §3.3, pruning §3.1, ranking, engine preset,
+// split strategy, hybrid) over homer11.
+func BenchmarkAblations(b *testing.B) {
 	inst, _ := gen.ByName("homer11")
-	return inst.Build()
-}
-
-// BenchmarkAblationShareLen sweeps the clause-share length bound (§3.2).
-func BenchmarkAblationShareLen(b *testing.B) {
-	f := ablationFormula()
-	for i := 0; i < b.N; i++ {
-		out := bench.AblationShareLen(f, []int{0, 3, 10}, bench.Options{Seed: 1})
-		if len(out) != 3 {
-			b.Fatal("sweep incomplete")
-		}
-	}
-}
-
-// BenchmarkAblationSplitTimeout sweeps the split-timeout floor (§3.3).
-func BenchmarkAblationSplitTimeout(b *testing.B) {
-	f := ablationFormula()
-	for i := 0; i < b.N; i++ {
-		out := bench.AblationSplitTimeout(f, []float64{2, 10, 40}, bench.Options{Seed: 1})
-		if len(out) != 3 {
-			b.Fatal("sweep incomplete")
-		}
-	}
-}
-
-// BenchmarkAblationPruning toggles level-0 clause pruning (§3.1).
-func BenchmarkAblationPruning(b *testing.B) {
-	f := ablationFormula()
-	for i := 0; i < b.N; i++ {
-		out := bench.AblationPruning(f, bench.Options{Seed: 1})
-		if len(out) != 2 {
-			b.Fatal("sweep incomplete")
-		}
-	}
-}
-
-// BenchmarkAblationRanking compares NWS ranking with flat placement.
-func BenchmarkAblationRanking(b *testing.B) {
-	f := ablationFormula()
-	for i := 0; i < b.N; i++ {
-		out := bench.AblationRanking(f, bench.Options{Seed: 1})
-		if len(out) != 2 {
-			b.Fatal("sweep incomplete")
-		}
+	f := inst.Build()
+	for _, a := range bench.Ablations {
+		b.Run(a.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if out := bench.Sweep(inst.Name, f, a.Arms, bench.Options{Seed: 1}); len(out) != len(a.Arms) {
+					b.Fatal("sweep incomplete")
+				}
+			}
+		})
 	}
 }
 
@@ -335,18 +303,6 @@ func BenchmarkTransportInproc(b *testing.B) {
 		}
 		if _, err := c.Recv(); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationEngine compares the 2003-faithful engine against
-// learned-clause minimization alone and against the shipped preset.
-func BenchmarkAblationEngine(b *testing.B) {
-	f := ablationFormula()
-	for i := 0; i < b.N; i++ {
-		out := bench.AblationEngine(f, bench.Options{Seed: 1})
-		if len(out) != 3 {
-			b.Fatal("sweep incomplete")
 		}
 	}
 }

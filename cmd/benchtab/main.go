@@ -1,12 +1,23 @@
 // Command benchtab regenerates the GridSAT paper's evaluation tables and
 // ablation studies on the simulated grid.
 //
-//	benchtab -table 1              regenerate Table 1 (all 42 rows)
-//	benchtab -table 2              regenerate Table 2 (9 rows + batch)
+//	benchtab -table 1                regenerate Table 1 (all 42 rows)
+//	benchtab -table 2                regenerate Table 2 (9 rows + batch)
 //	benchtab -table 1 -rows 6pipe,dp12s12
-//	benchtab -ablation sharelen    clause-share-length sweep
-//	benchtab -ablation sched       multi-job scheduling (Poisson workload)
-//	benchtab -bhonly               par32-1-c Blue-Horizon-only rerun
+//	benchtab -ablation sharelen      clause-share-length sweep (§3.2)
+//	benchtab -ablation splittimeout  split-timeout floor (§3.3)
+//	benchtab -ablation pruning       level-0 clause pruning on/off (§3.1)
+//	benchtab -ablation ranking       NWS host ranking vs flat placement
+//	benchtab -ablation engine        Fidelity2003 vs the shipped engine preset
+//	benchtab -ablation split         split strategies and their split trees
+//	benchtab -ablation hybrid        split-only vs portfolio-only vs hybrid
+//	benchtab -ablation sched         multi-job scheduling (Poisson workload)
+//	benchtab -ablation engine -ablation-out rows.json
+//	benchtab -bhonly                 par32-1-c Blue-Horizon-only rerun
+//
+// Every ablation but sched is a list of arms swept over the same base run
+// (bench.Ablations); -ablation-out writes its rows, one bench.ArmRow per
+// (instance, arm), as JSON, and -rows replaces its instances.
 //
 // Times are virtual seconds at the fixed scale (1 vsec ≈ 10 paper
 // seconds); runs are deterministic.
@@ -31,7 +42,7 @@ func main() {
 		ablation    = flag.String("ablation", "", "sharelen | splittimeout | pruning | ranking | engine | split | hybrid | sched")
 		schedJobs   = flag.Int("sched-jobs", 8, "job count for the sched ablation's Poisson workload")
 		schedGap    = flag.Float64("sched-gap", 8, "mean inter-arrival gap (vsec) for the sched ablation")
-		ablationOut = flag.String("ablation-out", "", "also write the ablation's machine-readable JSON here (split and hybrid)")
+		ablationOut = flag.String("ablation-out", "", "also write the ablation's rows as JSON here (every ablation but sched)")
 		threads     = flag.Int("threads", 0, "portfolio workers per simulated client (0/1 = single-solver)")
 		bhOnly      = flag.Bool("bhonly", false, "rerun par32-1-c on Blue Horizon alone")
 		quiet       = flag.Bool("q", false, "suppress per-row progress")
@@ -97,56 +108,23 @@ func main() {
 	}
 }
 
-func runAblation(kind, outPath string, opts bench.Options) {
-	// The hybrid ablation sweeps its own multi-family row set (or -rows).
-	if kind == "hybrid" {
-		results := bench.AblationHybridSuite(opts.Rows, opts)
-		fmt.Println("ablation: split-only vs portfolio-only vs hybrid (splits × in-host portfolio)")
-		fmt.Print(bench.RenderHybridAblation(results))
+func runAblation(name, outPath string, opts bench.Options) {
+	for _, a := range bench.Ablations {
+		if a.Name != name {
+			continue
+		}
+		rows := a.Run(opts)
+		fmt.Printf("ablation: %s\n", a.Title)
+		fmt.Print(a.Render(rows))
 		if outPath != "" {
-			if err := bench.WriteHybridAblation(outPath, results); err != nil {
+			if err := bench.WriteAblation(outPath, rows); err != nil {
 				fmt.Fprintln(os.Stderr, "benchtab:", err)
 				os.Exit(1)
 			}
-			fmt.Fprintf(os.Stderr, "benchtab: hybrid ablation JSON written to %s\n", outPath)
+			fmt.Fprintf(os.Stderr, "benchtab: %s ablation JSON written to %s\n", name, outPath)
 		}
 		return
 	}
-	inst, ok := gen.ByName("homer12") // a large both-solved row
-	if !ok {
-		fmt.Fprintln(os.Stderr, "benchtab: ablation instance missing")
-		os.Exit(1)
-	}
-	f := inst.Build()
-	switch kind {
-	case "sharelen":
-		fmt.Print(bench.RenderAblation("clause-share length (paper §3.2)",
-			bench.AblationShareLen(f, []int{0, 3, 10, 50}, opts)))
-	case "splittimeout":
-		fmt.Print(bench.RenderAblation("split timeout (paper §3.3, ping-pong guard)",
-			bench.AblationSplitTimeout(f, []float64{1, 5, 10, 40}, opts)))
-	case "pruning":
-		fmt.Print(bench.RenderAblation("level-0 clause pruning (paper §3.1)",
-			bench.AblationPruning(f, opts)))
-	case "ranking":
-		fmt.Print(bench.RenderAblation("NWS scheduler ranking vs flat placement",
-			bench.AblationRanking(f, opts)))
-	case "engine":
-		fmt.Print(bench.RenderAblation("engine preset (Fidelity2003 vs the shipped DefaultOptions)",
-			bench.AblationEngine(f, opts)))
-	case "split":
-		results := bench.AblationSplitStrategy(f, opts)
-		fmt.Println("ablation: split strategy (first-decision vs dilemma fan-out)")
-		fmt.Print(bench.RenderStrategyAblation(results))
-		if outPath != "" {
-			if err := bench.WriteStrategyAblation(outPath, results); err != nil {
-				fmt.Fprintln(os.Stderr, "benchtab:", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "benchtab: strategy ablation JSON written to %s\n", outPath)
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "benchtab: unknown ablation %q\n", kind)
-		os.Exit(2)
-	}
+	fmt.Fprintf(os.Stderr, "benchtab: unknown ablation %q\n", name)
+	os.Exit(2)
 }

@@ -1,9 +1,12 @@
 // Package bench regenerates the GridSAT paper's evaluation: Table 1
 // (zChaff vs GridSAT on the 42-instance SAT2002 suite over the GrADS
 // testbed), Table 2 (the unsolved rows re-attempted with the Blue Horizon
-// batch machine), and the ablation sweeps for the design choices the paper
-// calls out (clause-share length, split timeout, level-0 pruning,
-// scheduler ranking).
+// batch machine), and the ablations. Ablations holds the arm sweeps: the
+// design choices the paper calls out (clause-share length, split timeout,
+// level-0 pruning, scheduler ranking) and the extensions' (engine preset,
+// split strategy, split vs portfolio vs hybrid), each a list of arms over
+// one base run that Sweep runs into ArmRows. The scheduling ablation
+// (AblationSched) replays a multi-job workload instead.
 //
 // All runs use the deterministic discrete-event runtime: times are virtual
 // seconds at the repository's fixed scale (1 virtual second ≈ 10 paper
@@ -15,6 +18,7 @@ import (
 	"fmt"
 	"strings"
 
+	"gridsat/internal/cnf"
 	"gridsat/internal/core"
 	"gridsat/internal/gen"
 	"gridsat/internal/grid"
@@ -106,22 +110,14 @@ func Table1(opts Options) []Row {
 }
 
 func runTable1Row(inst gen.Instance, opts Options) Row {
-	f := inst.Build()
-	g := grid.TestbedGrADS(opts.Seed + 1)
 	budget := float64(SolvableBudgetVSec)
 	if inst.Challenge {
 		budget = ChallengeBudgetVSec
 	}
-	seqCfg := core.RunnerConfig{
-		Grid:        g,
-		Master:      core.MasterConfig{Formula: f},
-		Client:      core.ClientConfig{ShareMaxLen: Table1ShareLen},
-		TimeoutVSec: ZChaffBudgetVSec * opts.scale(),
-		Seed:        opts.Seed,
-	}
-	distCfg := seqCfg
-	distCfg.TimeoutVSec = budget * opts.scale()
-	distCfg.Client.Threads = opts.Threads // the sequential baseline stays single-solver
+	distCfg := table1Config(inst.Build(), budget, opts)
+	seqCfg := distCfg         // the same grid
+	seqCfg.Client.Threads = 0 // the sequential baseline stays single-solver
+	seqCfg.TimeoutVSec = ZChaffBudgetVSec * opts.scale()
 	row := Row{
 		Inst:    inst,
 		ZChaff:  core.RunSequential(seqCfg),
@@ -132,6 +128,19 @@ func runTable1Row(inst gen.Instance, opts Options) Row {
 		row.SpeedUp = row.ZChaff.VSec / row.GridSAT.VSec
 	}
 	return row
+}
+
+// table1Config is the first experiment's distributed run: the 34-host
+// GrADS testbed and clause-share length 10, under budgetVSec scaled. Every
+// ablation arm starts from it at the challenge budget.
+func table1Config(f *cnf.Formula, budgetVSec float64, opts Options) core.RunnerConfig {
+	return core.RunnerConfig{
+		Grid:        grid.TestbedGrADS(opts.Seed + 1),
+		Master:      core.MasterConfig{Formula: f},
+		Client:      core.ClientConfig{Threads: opts.Threads, ShareMaxLen: Table1ShareLen},
+		TimeoutVSec: budgetVSec * opts.scale(),
+		Seed:        opts.Seed,
+	}
 }
 
 // Table2 reruns the paper's second experiment on the Table-2 rows: the
@@ -154,49 +163,41 @@ func Table2(opts Options) []Row {
 }
 
 func runTable2Row(inst gen.Instance, opts Options) Row {
-	f := inst.Build()
 	g := grid.TestbedTable2(opts.Seed + 2)
 	g.AddBlueHorizon(Table2BatchNodes)
-	cfg := core.RunnerConfig{
-		Grid:        g,
-		Master:      core.MasterConfig{Formula: f},
-		Client:      core.ClientConfig{Threads: opts.Threads, ShareMaxLen: Table2ShareLen},
-		TimeoutVSec: (Table2QueueWaitVSec*1.8 + Table2WalltimeVSec) * opts.scale(),
-		Batch: &core.BatchPlan{
-			Nodes:             Table2BatchNodes,
-			WalltimeVSec:      Table2WalltimeVSec * opts.scale(),
-			MeanQueueWaitVSec: Table2QueueWaitVSec * opts.scale(),
-			TerminateOnEnd:    true,
-		},
-		Seed: opts.Seed,
-	}
-	return Row{Inst: inst, GridSAT: core.RunDistributed(cfg)}
+	return Row{Inst: inst, GridSAT: core.RunDistributed(batchConfig(inst.Build(), g, Table2WalltimeVSec, opts))}
 }
 
 // BlueHorizonOnly reruns a Table-2 instance on the batch nodes alone — the
 // paper's re-launch of par32-1-c used to compute the 3200-CPU-hour saving.
 func BlueHorizonOnly(inst gen.Instance, opts Options) core.SimResult {
-	f := inst.Build()
 	g := &grid.Grid{Network: grid.DefaultNetwork(), Seed: opts.Seed + 3}
 	g.AddBlueHorizon(Table2BatchNodes)
 	// The paper re-queued for the same machine and let the job run to
 	// completion (~12 h); model that with a generous walltime so the
 	// comparison measures batch time consumed, not the wall limit.
-	wall := Table2WalltimeVSec * 8 * opts.scale()
-	cfg := core.RunnerConfig{
+	cfg := batchConfig(inst.Build(), g, Table2WalltimeVSec*8, opts)
+	cfg.Client.Threads = 0 // the paper's single-solver re-launch
+	return core.RunDistributed(cfg)
+}
+
+// batchConfig is the second experiment's run on g: clause-share length 3
+// and a Blue Horizon batch job of walltimeVSec, ended by its walltime, with
+// the run's budget covering the queue wait and the walltime (all scaled).
+func batchConfig(f *cnf.Formula, g *grid.Grid, walltimeVSec float64, opts Options) core.RunnerConfig {
+	return core.RunnerConfig{
 		Grid:        g,
 		Master:      core.MasterConfig{Formula: f},
-		Client:      core.ClientConfig{ShareMaxLen: Table2ShareLen},
-		TimeoutVSec: Table2QueueWaitVSec*1.8*opts.scale() + wall,
+		Client:      core.ClientConfig{Threads: opts.Threads, ShareMaxLen: Table2ShareLen},
+		TimeoutVSec: (Table2QueueWaitVSec*1.8 + walltimeVSec) * opts.scale(),
 		Batch: &core.BatchPlan{
 			Nodes:             Table2BatchNodes,
-			WalltimeVSec:      wall,
+			WalltimeVSec:      walltimeVSec * opts.scale(),
 			MeanQueueWaitVSec: Table2QueueWaitVSec * opts.scale(),
 			TerminateOnEnd:    true,
 		},
 		Seed: opts.Seed,
 	}
-	return core.RunDistributed(cfg)
 }
 
 // outcomeCell renders a run outcome the way the paper's tables do.

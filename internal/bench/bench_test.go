@@ -1,6 +1,10 @@
 package bench
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -104,58 +108,6 @@ func TestShapeFlagsViolations(t *testing.T) {
 	}
 }
 
-func TestAblationShareLenRuns(t *testing.T) {
-	f := gen.Pigeonhole(8)
-	out := AblationShareLen(f, []int{0, 10}, Options{Seed: 1})
-	if len(out) != 2 {
-		t.Fatalf("got %d results", len(out))
-	}
-	for _, r := range out {
-		if r.Result.Outcome != core.OutcomeSolved {
-			t.Errorf("%s did not solve: %v", r.Label, r.Result.Outcome)
-		}
-	}
-	if out[0].Result.State.Shared != 0 {
-		t.Error("share-len=0 still shared clauses")
-	}
-	if out[1].Result.State.Shared == 0 {
-		t.Error("share-len=10 shared nothing")
-	}
-	text := RenderAblation("x", out)
-	if !strings.Contains(text, "share-len=0") {
-		t.Error("render missing labels")
-	}
-}
-
-func TestAblationPruningRuns(t *testing.T) {
-	f := gen.Pigeonhole(8)
-	out := AblationPruning(f, Options{Seed: 1})
-	if len(out) != 2 || out[0].Result.Outcome != core.OutcomeSolved {
-		t.Fatalf("pruning ablation broken: %+v", out)
-	}
-}
-
-func TestAblationSplitTimeoutRuns(t *testing.T) {
-	f := gen.Pigeonhole(8)
-	out := AblationSplitTimeout(f, []float64{2, 40}, Options{Seed: 1})
-	if len(out) != 2 {
-		t.Fatal("sweep incomplete")
-	}
-	// A tighter split timeout must split at least as eagerly.
-	if out[0].Result.State.Splits < out[1].Result.State.Splits {
-		t.Errorf("timeout=2 split %d times, timeout=40 split %d times",
-			out[0].Result.State.Splits, out[1].Result.State.Splits)
-	}
-}
-
-func TestAblationRankingRuns(t *testing.T) {
-	f := gen.Pigeonhole(8)
-	out := AblationRanking(f, Options{Seed: 1})
-	if len(out) != 2 || out[0].Label != "nws-ranked" {
-		t.Fatalf("ranking ablation broken: %+v", out)
-	}
-}
-
 func TestBlueHorizonOnly(t *testing.T) {
 	inst, ok := gen.ByName("par32-1-c")
 	if !ok {
@@ -183,19 +135,6 @@ func TestOutcomeCells(t *testing.T) {
 	}
 }
 
-func TestAblationEngineRuns(t *testing.T) {
-	f := gen.Pigeonhole(8)
-	out := AblationEngine(f, Options{Seed: 1})
-	if len(out) != 3 {
-		t.Fatal("sweep incomplete")
-	}
-	for _, r := range out {
-		if r.Result.Outcome != core.OutcomeSolved {
-			t.Errorf("%s: %v", r.Label, r.Result.Outcome)
-		}
-	}
-}
-
 func TestShape2FlagsViolations(t *testing.T) {
 	rows := []Row{{
 		Inst:    gen.Instance{Name: "sha1"},
@@ -218,5 +157,91 @@ func TestShape2FlagsViolations(t *testing.T) {
 	}}
 	if issues := Shape2(rows); len(issues) != 0 {
 		t.Fatalf("false positive: %v", issues)
+	}
+}
+
+// TestAblationsRun sweeps every ablation's arms over PH8 at a quarter of
+// the budget: each arm solves under its label, the ablation's renderer
+// shows every label, and the JSON the rows are written as reads back to
+// the same rows.
+func TestAblationsRun(t *testing.T) {
+	f := gen.Pigeonhole(8)
+	opts := Options{Scale: 0.25, Seed: 1}
+	// What an arm must change, where the ablation exists to show it.
+	checks := map[string]func(t *testing.T, rows []ArmRow){
+		"sharelen": func(t *testing.T, rows []ArmRow) {
+			if rows[0].Result.State.Shared != 0 {
+				t.Error("share-len=0 still shared clauses")
+			}
+			if rows[2].Result.State.Shared == 0 {
+				t.Error("share-len=10 shared nothing")
+			}
+		},
+		"splittimeout": func(t *testing.T, rows []ArmRow) {
+			// A tighter split timeout must split at least as eagerly.
+			if first, last := rows[0].Result.State.Splits, rows[len(rows)-1].Result.State.Splits; first < last {
+				t.Errorf("%s split %d times, %s split %d times", rows[0].Label, first, rows[len(rows)-1].Label, last)
+			}
+		},
+		"split": func(t *testing.T, rows []ArmRow) {
+			for _, r := range rows {
+				if r.Result.State.Splits > 0 && r.Lineage.Leaves <= 1 {
+					t.Errorf("%s split %d times but its lineage has %d leaves", r.Label, r.Result.State.Splits, r.Lineage.Leaves)
+				}
+			}
+		},
+	}
+	for _, a := range Ablations {
+		t.Run(a.Name, func(t *testing.T) {
+			rows := Sweep("php8", f, a.Arms, opts)
+			if len(rows) != len(a.Arms) {
+				t.Fatalf("%d rows for %d arms", len(rows), len(a.Arms))
+			}
+			text := a.Render(rows)
+			for i, r := range rows {
+				if r.Instance != "php8" || r.Label != a.Arms[i].Label {
+					t.Errorf("row %d is %s/%s, want php8/%s", i, r.Instance, r.Label, a.Arms[i].Label)
+				}
+				if r.Result.Outcome != core.OutcomeSolved {
+					t.Errorf("%s: %v", r.Label, r.Result.Outcome)
+				}
+				if !strings.Contains(text, r.Label) {
+					t.Errorf("render misses %s:\n%s", r.Label, text)
+				}
+			}
+			if check := checks[a.Name]; check != nil {
+				check(t, rows)
+			}
+			path := filepath.Join(t.TempDir(), "rows.json")
+			if err := WriteAblation(path, rows); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var back []ArmRow
+			if err := json.Unmarshal(data, &back); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(back, rows) {
+				t.Errorf("rows changed through JSON:\n%+v\n%+v", back, rows)
+			}
+		})
+	}
+}
+
+// TestAblationRowsOverride: -rows replaces an ablation's instances, and an
+// unknown name is skipped.
+func TestAblationRowsOverride(t *testing.T) {
+	a := Ablations[0]
+	rows := a.Run(Options{Rows: []string{"no-such-row", "glassy-sat-sel_N210_n"}, Scale: 0.05, Seed: 1})
+	if len(rows) != len(a.Arms) {
+		t.Fatalf("%d rows for %d arms", len(rows), len(a.Arms))
+	}
+	for _, r := range rows {
+		if r.Instance != "glassy-sat-sel_N210_n" {
+			t.Errorf("row on %s", r.Instance)
+		}
 	}
 }

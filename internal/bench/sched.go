@@ -67,7 +67,7 @@ type SchedResult struct {
 // scheduling rule — idle clients serve the highest-priority job first,
 // nobody is taken off running work — fares when jobs contend.
 func AblationSched(jobs []core.SimJob, opts Options) SchedResult {
-	cfg := ablationConfig(nil, opts)
+	cfg := table1Config(nil, ChallengeBudgetVSec, opts)
 	// Unscaled budget: Scale shrinks per-instance budgets for CI speed, but
 	// the run's CPU cost is already bounded by the small workload, and a
 	// truncated run would corrupt every turnaround number it reports.
