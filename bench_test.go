@@ -115,7 +115,9 @@ func BenchmarkFigure1ConflictAnalysis(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		j := 0
+		var learnt cnf.Clause
 		opts := solver.Fidelity2003()
+		opts.OnLemma = func(c cnf.Clause) { learnt = c }
 		opts.DecisionOverride = func(*solver.Solver) cnf.Lit {
 			if j < len(script) {
 				l := script[j]
@@ -126,7 +128,6 @@ func BenchmarkFigure1ConflictAnalysis(b *testing.B) {
 		}
 		s := solver.New(f, opts)
 		s.Solve(solver.Limits{MaxConflicts: 1})
-		learnt := s.LastLearnt()
 		if len(learnt) != 5 || s.DecisionLevel() != 4 {
 			b.Fatalf("figure-1 replay drifted: learnt=%v level=%d", learnt, s.DecisionLevel())
 		}
@@ -169,7 +170,7 @@ func BenchmarkFigure3SplitProtocol(b *testing.B) {
 			Clients: 3,
 			Timeout: 2 * time.Minute,
 			Client: core.ClientConfig{FreeMemBytes: 64 << 20, ShareMaxLen: 10,
-				MinRunTime: time.Millisecond, SliceConflicts: 200},
+				MinRunTime: time.Millisecond},
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -644,11 +644,11 @@ func fetchJSON(c *http.Client, url string, out any) error {
 // simCmd is `gridsat sim` parsed: the run's configuration less the parts
 // config builds fresh for every run, and what the command does around it.
 type simCmd struct {
-	cfg                                 core.RunnerConfig
-	testbed, timeline                   string
-	sequential, batch, replay, watchdog bool
-	out                                 outputs
-	instance                            string
+	cfg                       core.RunnerConfig
+	testbed, timeline         string
+	sequential, batch, replay bool
+	out                       outputs
+	instance                  string
 }
 
 func simFlags(c *simCmd) *flag.FlagSet {
@@ -664,7 +664,7 @@ func simFlags(c *simCmd) *flag.FlagSet {
 	fs.StringVar(&c.timeline, "timeline", "", "write the active-clients-over-time curve as CSV")
 	c.out.traceFlags(fs, true)
 	fs.BoolVar(&c.replay, "replay", false, "re-run the simulation and verify it reproduces the flight log exactly")
-	fs.BoolVar(&c.watchdog, "watchdog", false, "run the anomaly watchdog over the simulated cluster (virtual-time thresholds)")
+	fs.BoolVar(&c.cfg.Watchdog, "watchdog", false, "run the anomaly watchdog over the simulated cluster (virtual-time thresholds)")
 	fs.StringVar(&c.cfg.Master.BundleDir, "bundle-dir", "", "write deterministic postmortem bundles here on anomalies and job failure/cancel (implies -watchdog)")
 	return fs
 }
@@ -692,14 +692,10 @@ func (c *simCmd) config(f *cnf.Formula, fl *trace.Flight) (core.RunnerConfig, er
 		return cfg, fmt.Errorf("unknown testbed %q", c.testbed)
 	}
 	cfg.Master.Formula, cfg.Master.Flight = f, fl
-	if c.watchdog || cfg.Master.BundleDir != "" {
-		cfg.Master.Watchdog = &core.WatchdogConfig{}
-	}
+	cfg.Watchdog = cfg.Watchdog || cfg.Master.BundleDir != ""
 	if c.batch {
 		cfg.Grid.AddBlueHorizon(64)
-		cfg.Batch = &core.BatchPlan{
-			Nodes: 64, WalltimeVSec: 720, MeanQueueWaitVSec: 1980, TerminateOnEnd: true,
-		}
+		cfg.Batch = &core.BatchPlan{Nodes: 64, WalltimeVSec: 720, MeanQueueWaitVSec: 1980}
 	}
 	return cfg, nil
 }

@@ -116,7 +116,7 @@ var flagTable = map[string][]flagRow{
 		{"trace-perfetto", "p.json", "out.perfetto", "p.json"},
 		{"trace-dot", "t.dot", "out.dot", "t.dot"},
 		{"replay", "true", "replay", "true"},
-		{"watchdog", "true", "watchdog", "true"},
+		{"watchdog", "true", "cfg.Watchdog", "true"},
 		{"bundle-dir", "bundles", "cfg.Master.BundleDir", "bundles"},
 	},
 }
@@ -257,7 +257,7 @@ func TestSolveRefusesOverlongClause(t *testing.T) {
 func TestReportMatchesResult(t *testing.T) {
 	fl := trace.NewFlight(nil)
 	cfg := core.JobConfig{Clients: 4, Timeout: time.Minute, Client: core.ClientConfig{
-		FreeMemBytes: 64 << 20, MinRunTime: 5 * time.Millisecond, SliceConflicts: 200,
+		FreeMemBytes: 64 << 20, MinRunTime: 5 * time.Millisecond,
 	}}
 	cfg.Master.Flight = fl
 	res, err := core.Solve(gen.Pigeonhole(8), cfg)

@@ -255,7 +255,7 @@ func TestWatchSampleCountsSilenceFromAssignment(t *testing.T) {
 	if got := s.Clients[0].LastHeartbeatSec; got != 100 {
 		t.Fatalf("silence anchored at %v, want the assignment at 100", got)
 	}
-	if alerts := evalWatchdog(DefaultWatchdogConfig(), []Sample{s}); len(alerts) != 0 {
+	if alerts := evalWatchdog([]Sample{s}); len(alerts) != 0 {
 		t.Fatalf("freshly reassigned client flagged: %+v", alerts)
 	}
 }

@@ -28,16 +28,10 @@ type ClientConfig struct {
 	// ShareMaxLen bounds exported learned clauses (paper: 10 and 3);
 	// 0 uses the default, negative disables sharing entirely.
 	ShareMaxLen int
-	// SliceConflicts is the solver quantum between control-plane checks
-	// (clause merges and share flushes; control kinds cut a slice short).
-	SliceConflicts int64
 	// MinRunTime floors the split timeout (see SplitDecision); 0 uses
 	// liveSplitFloor. It is read on the shell's clock: wall time live,
 	// virtual seconds under the DES (the paper's 100 s is 10 there).
 	MinRunTime time.Duration
-	// HeartbeatEvery sends a StatusReport to the master after this many
-	// solver slices (0 = every 8 slices).
-	HeartbeatEvery int
 	// SplitStrategy names the split engine used when the master asks this
 	// client to shed work: "first-decision" (default, the paper's Figure-2
 	// transform), "dilemma" (2^k-way cofactor split), or "dilemma-veto"
@@ -75,6 +69,15 @@ type ClientConfig struct {
 // costs them nothing.
 const liveSplitFloor = 100 * time.Millisecond
 
+// liveSliceConflicts is the live client's solver quantum between
+// control-plane checks (clause merges and share flushes; control kinds cut
+// a slice short), and liveHeartbeatEvery how many slices pass between its
+// StatusReports. The DES sets its own cadence at launch.
+const (
+	liveSliceConflicts = 2000
+	liveHeartbeatEvery = 8
+)
+
 // splitLearntMaxCount caps the learnt clauses a split cofactor carries to
 // its recipient; their length is bounded like any shared clause's, by
 // ShareMaxLen.
@@ -82,9 +85,6 @@ const splitLearntMaxCount = 10000
 
 func (c *ClientConfig) withDefaults() ClientConfig {
 	out := *c
-	if out.SliceConflicts == 0 {
-		out.SliceConflicts = 2000
-	}
 	if out.SpeedHint == 0 {
 		out.SpeedHint = 1
 	}
@@ -93,9 +93,6 @@ func (c *ClientConfig) withDefaults() ClientConfig {
 	}
 	if out.ShareMaxLen == 0 {
 		out.ShareMaxLen = 10
-	}
-	if out.HeartbeatEvery == 0 {
-		out.HeartbeatEvery = 8
 	}
 	return out
 }
@@ -114,12 +111,14 @@ type Client struct {
 	now  func() float64
 	send func(to comm.SplitPeer, msg comm.Message) error
 	// slice bounds one solver quantum (the memory cap is added per slice);
+	// a StatusReport goes to the master every heartbeatEvery slices;
 	// sequential makes a portfolio step its workers one after another in
-	// index order instead of racing them on goroutines. Both are the
-	// shell's choice: the DES budgets propagations and needs the total
-	// order to stay deterministic at Threads > 1.
-	slice      solver.Limits
-	sequential bool
+	// index order instead of racing them on goroutines. All three are the
+	// shell's choice: the DES budgets propagations, heartbeats every slice
+	// and needs the total order to stay deterministic at Threads > 1.
+	slice          solver.Limits
+	heartbeatEvery int
+	sequential     bool
 	// addr is this client's P2P endpoint as peers are told it.
 	addr string
 
@@ -215,7 +214,7 @@ func (c *Client) sendMaster(msg comm.Message) error {
 }
 
 // newClient builds the worker alone — no connection, listener or
-// goroutine — wired to the given shell seams.
+// goroutine — wired to the given shell seams, at the live cadence.
 func newClient(cfg ClientConfig, now func() float64, send func(comm.SplitPeer, comm.Message) error) (*Client, error) {
 	cfg = cfg.withDefaults()
 	strategy, err := solver.ParseStrategy(cfg.SplitStrategy)
@@ -223,13 +222,14 @@ func newClient(cfg ClientConfig, now func() float64, send func(comm.SplitPeer, c
 		return nil, err
 	}
 	c := &Client{
-		cfg:      cfg,
-		now:      now,
-		send:     send,
-		slice:    solver.Limits{MaxConflicts: cfg.SliceConflicts},
-		strategy: strategy,
-		shares:   newShareAggregator(shareFlushCount, shareFlushEvery, 0, now()),
-		flight:   cfg.Flight,
+		cfg:            cfg,
+		now:            now,
+		send:           send,
+		slice:          solver.Limits{MaxConflicts: liveSliceConflicts},
+		heartbeatEvery: liveHeartbeatEvery,
+		strategy:       strategy,
+		shares:         newShareAggregator(shareFlushCount, shareFlushEvery, 0, now()),
+		flight:         cfg.Flight,
 	}
 	return c, nil
 }
@@ -596,7 +596,7 @@ func (c *Client) finishSlice(res solver.Result) error {
 	worker := max(c.port.Winner(), 0)
 	c.flushShares()
 	c.sliceCount++
-	if c.cfg.HeartbeatEvery > 0 && c.sliceCount%c.cfg.HeartbeatEvery == 0 {
+	if c.sliceCount%c.heartbeatEvery == 0 {
 		c.sendHeartbeat()
 	}
 	if res.Status != solver.StatusUnknown {

@@ -8,11 +8,12 @@ import (
 	"gridsat/internal/solver"
 )
 
-// TestConfigSurface pins the tunable surface: the top-level fields of the
-// master's, the client's and the engine's configurations and of the two
-// shells that hold them. A knob added, removed or renamed shows up in this
-// table's diff. Run with -v it logs the counts (CI's line-count artifact
-// records them).
+// TestConfigSurface pins the tunable surface: the fields of the master's,
+// the client's and the engine's configurations, of the two shells that hold
+// them, and of the structs one level down (Admission, BatchPlan, SimJob,
+// FailurePlan). A knob added, removed or renamed shows up in this table's
+// diff. Run with -v it logs the counts (CI's line-count artifact records
+// them).
 func TestConfigSurface(t *testing.T) {
 	total := 0
 	for _, tc := range []struct {
@@ -20,14 +21,18 @@ func TestConfigSurface(t *testing.T) {
 		want string
 	}{
 		{MasterConfig{}, "Transport ListenAddr Formula MinMemBytes Timeout ExpectedClients Metrics Logger " +
-			"MetricsAddr Flight Admission Watchdog BundleDir"},
+			"MetricsAddr Flight Admission BundleDir"},
 		{ClientConfig{}, "Transport MasterAddr ListenAddr HostName FreeMemBytes SpeedHint ShareMaxLen " +
-			"SliceConflicts MinRunTime HeartbeatEvery SplitStrategy Threads SolverOptions Flight"},
+			"MinRunTime SplitStrategy Threads SolverOptions Flight"},
 		{RunnerConfig{}, "Grid Master Client Jobs TimeoutVSec MaxClients Batch " +
-			"Failures MonitorPeriodVSec MigrationFactor Seed"},
+			"Failures MonitorPeriodVSec Watchdog MigrationFactor Seed"},
 		{JobConfig{}, "Clients Threads Timeout Master Client"},
 		{solver.Options{}, "DecayInterval RestartBase RestartPolicy ShareMaxLen OnLearn PruneLevel0 " +
 			"MaxLearnts Reduce MinimizeLearnts PhaseSaving Seed Phase DecisionOverride OnLemma"},
+		{Admission{}, "MaxActive MemBudgetBytes"},
+		{BatchPlan{}, "Nodes WalltimeVSec MeanQueueWaitVSec"},
+		{SimJob{}, "Name Formula Priority ArrivalVSec CancelVSec"},
+		{FailurePlan{}, "HostID AtVSec"},
 	} {
 		ty := reflect.TypeOf(tc.v)
 		names := make([]string, ty.NumField())

@@ -340,14 +340,12 @@ func TestLiveTraceEndpoints(t *testing.T) {
 	var wg sync.WaitGroup
 	launch := func(i int) {
 		cl, err := NewClient(ClientConfig{
-			Transport:      tr,
-			MasterAddr:     "master",
-			HostName:       fmt.Sprintf("host-%d", i),
-			FreeMemBytes:   64 << 20,
-			SliceConflicts: 200,
-			MinRunTime:     5 * time.Millisecond,
-			HeartbeatEvery: 1,
-			Flight:         fl,
+			Transport:    tr,
+			MasterAddr:   "master",
+			HostName:     fmt.Sprintf("host-%d", i),
+			FreeMemBytes: 64 << 20,
+			MinRunTime:   5 * time.Millisecond,
+			Flight:       fl,
 		})
 		if err != nil {
 			t.Fatal(err)

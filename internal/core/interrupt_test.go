@@ -28,17 +28,17 @@ func endlessSliceClient(t *testing.T, tr comm.Transport, addr string, threads in
 		return cnf.NoLit // VSIDS decides
 	}
 	cl, err := NewClient(ClientConfig{
-		Transport:      tr,
-		MasterAddr:     addr,
-		FreeMemBytes:   1 << 40,
-		SliceConflicts: 1 << 50,
-		MinRunTime:     time.Hour,
-		Threads:        threads,
-		SolverOptions:  &opts,
+		Transport:     tr,
+		MasterAddr:    addr,
+		FreeMemBytes:  1 << 40,
+		MinRunTime:    time.Hour,
+		Threads:       threads,
+		SolverOptions: &opts,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cl.slice = solver.Limits{MaxConflicts: 1 << 50} // set before Run reads it
 	wg = &sync.WaitGroup{}
 	wg.Add(1)
 	go func() { defer wg.Done(); _ = cl.Run() }()

@@ -21,10 +21,9 @@ func quickJob(clients int) JobConfig {
 		Clients: clients,
 		Timeout: 60 * time.Second,
 		Client: ClientConfig{
-			FreeMemBytes:   64 << 20,
-			ShareMaxLen:    10,
-			MinRunTime:     5 * time.Millisecond, // split eagerly in tests
-			SliceConflicts: 200,
+			FreeMemBytes: 64 << 20,
+			ShareMaxLen:  10,
+			MinRunTime:   5 * time.Millisecond, // split eagerly in tests
 		},
 	}
 }
@@ -186,12 +185,11 @@ func TestTCPEndToEnd(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		cl, err := NewClient(ClientConfig{
-			Transport:      tr,
-			MasterAddr:     m.Addr(),
-			ListenAddr:     "127.0.0.1:0",
-			FreeMemBytes:   64 << 20,
-			MinRunTime:     5 * time.Millisecond,
-			SliceConflicts: 200,
+			Transport:    tr,
+			MasterAddr:   m.Addr(),
+			ListenAddr:   "127.0.0.1:0",
+			FreeMemBytes: 64 << 20,
+			MinRunTime:   5 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -233,17 +231,18 @@ func TestTCPWorkerRowsReachStatus(t *testing.T) {
 		done <- r
 	}()
 	cl, err := NewClient(ClientConfig{
-		Transport:      tr,
-		MasterAddr:     m.Addr(),
-		ListenAddr:     "127.0.0.1:0",
-		FreeMemBytes:   64 << 20,
-		SliceConflicts: 200,
-		HeartbeatEvery: 1,
-		Threads:        2,
+		Transport:    tr,
+		MasterAddr:   m.Addr(),
+		ListenAddr:   "127.0.0.1:0",
+		FreeMemBytes: 64 << 20,
+		Threads:      2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// PH9 falls within a few live heartbeats: report every 200 conflicts
+	// so the rows reach /status well before the verdict.
+	cl.slice, cl.heartbeatEvery = solver.Limits{MaxConflicts: 200}, 1
 	go func() { _ = cl.Run() }()
 
 	var res Result
@@ -295,11 +294,10 @@ func TestFigure3SplitProtocol(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		cl, err := NewClient(ClientConfig{
-			Transport:      rec,
-			MasterAddr:     "master",
-			FreeMemBytes:   64 << 20,
-			MinRunTime:     time.Millisecond,
-			SliceConflicts: 100,
+			Transport:    rec,
+			MasterAddr:   "master",
+			FreeMemBytes: 64 << 20,
+			MinRunTime:   time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -441,7 +439,6 @@ func TestMasterStateSnapshot(t *testing.T) {
 		cl, err := NewClient(ClientConfig{
 			Transport: tr, MasterAddr: "status-master",
 			FreeMemBytes: 64 << 20, MinRunTime: 5 * time.Millisecond,
-			SliceConflicts: 200, HeartbeatEvery: 2,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -61,10 +61,6 @@ type MasterConfig struct {
 	// memory budget); the zero value derives the cap from the registered
 	// client count.
 	Admission Admission
-	// Watchdog overrides the anomaly-rule thresholds (see
-	// DefaultWatchdogConfig, which applies when nil). The live master
-	// samples itself every second; the DES only when Watchdog is set.
-	Watchdog *WatchdogConfig
 	// BundleDir, when non-empty, enables postmortem black-box bundles:
 	// on job failure/cancellation, a fired watchdog rule, or POST
 	// /debug/bundle, a self-contained diagnosis directory is written
@@ -457,12 +453,8 @@ func newMaster(cfg MasterConfig, now func() float64, send func(int, comm.Message
 		log:            log.With("component", "master"),
 		met:            newMasterMetrics(reg),
 		flight:         cfg.Flight,
+		wd:             newWatchdog(),
 	}
-	var wcfg WatchdogConfig // zero fields take the defaults
-	if cfg.Watchdog != nil {
-		wcfg = *cfg.Watchdog
-	}
-	m.wd = newWatchdog(wcfg)
 	if now == nil {
 		m.now, m.send, m.writeBundle = m.wallNow, m.enqueue, m.writeBundleAsync
 	}

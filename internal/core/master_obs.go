@@ -130,7 +130,7 @@ func (m *Master) sampleTick() {
 	m.publish(st)
 	s := st.sample()
 	m.samples = append(m.samples, s)
-	for len(m.samples) > ringSamples && s.TSec-m.samples[1].TSec > m.wd.cfg.maxWindowSec() {
+	for len(m.samples) > ringSamples && s.TSec-m.samples[1].TSec > maxWindowSec {
 		m.samples[0] = Sample{} // release its client rows
 		m.samples = m.samples[1:]
 	}
@@ -235,11 +235,11 @@ func (m *Master) writeBundleAsync(spec BundleSpec) {
 // and scheduling knobs (the formula and transport are not serializable
 // and are captured by the state dump instead).
 type bundleConfig struct {
-	Serve       bool           `json:"serve"`
-	MinMemBytes int64          `json:"min_mem_bytes"`
-	Watchdog    WatchdogConfig `json:"watchdog"`
-	BundleDir   string         `json:"bundle_dir"`
-	Build       any            `json:"build"`
+	Serve       bool               `json:"serve"`
+	MinMemBytes int64              `json:"min_mem_bytes"`
+	Watchdog    watchdogThresholds `json:"watchdog"`
+	BundleDir   string             `json:"bundle_dir"`
+	Build       any                `json:"build"`
 }
 
 // bundleSpec freezes everything a bundle captures out of loop state; st
@@ -252,7 +252,7 @@ func (m *Master) bundleSpec(reason string, st ClusterState) BundleSpec {
 	cfg := bundleConfig{
 		Serve:       m.cfg.Formula == nil,
 		MinMemBytes: m.cfg.MinMemBytes,
-		Watchdog:    m.wd.cfg,
+		Watchdog:    bundleThresholds,
 		BundleDir:   m.cfg.BundleDir,
 		Build:       m.build,
 	}

@@ -47,13 +47,11 @@ func TestLiveProgressEndpointAndTop(t *testing.T) {
 	var wg sync.WaitGroup
 	launch := func(i int) {
 		cl, err := NewClient(ClientConfig{
-			Transport:      tr,
-			MasterAddr:     "progress-master",
-			HostName:       fmt.Sprintf("host-%d", i),
-			FreeMemBytes:   64 << 20,
-			SliceConflicts: 200,
-			MinRunTime:     5 * time.Millisecond,
-			HeartbeatEvery: 1,
+			Transport:    tr,
+			MasterAddr:   "progress-master",
+			HostName:     fmt.Sprintf("host-%d", i),
+			FreeMemBytes: 64 << 20,
+			MinRunTime:   5 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -55,18 +55,15 @@ import (
 // deployed, and adds only what the DES models: the grid and its failures,
 // the virtual clock, the batch system, the job arrivals. RunDistributed hands
 // Master to the one newMaster and Client to every newClient, writing over
-// them only what the shell models: in stamp the heartbeat cadence, the
-// admission cap, and one flight recorder (Master's) for both halves; at
-// launch each client's host
-// (name, free memory, speed). Fields only the live shell reads (Transport,
-// addresses, Timeout, SliceConflicts, ...) are ignored.
+// them only what the shell models: in stamp the admission cap and one
+// flight recorder (Master's) for both halves; at launch each client's host
+// (name, free memory, speed) and its cadence (quantumProps propagations a
+// slice, a heartbeat every slice). Fields only the live shell reads
+// (Transport, addresses, Timeout, ...) are ignored.
 type RunnerConfig struct {
 	Grid *grid.Grid
 	// Master configures the control plane. Master.Formula is the one-shot
-	// run's instance, the master's job 0; a non-nil Master.Watchdog turns on
-	// the sampler and anomaly watchdog, ticked at the monitor period with
-	// thresholds in virtual seconds (zero fields take the live defaults);
-	// without one the monitor never samples. Master.BundleDir
+	// run's instance, the master's job 0. Master.BundleDir
 	// writes postmortem bundles synchronously with deterministic names and
 	// no CPU profile, so a replayed run reproduces them. Master.Flight records
 	// the run's control-plane events in virtual time; the simulation is
@@ -102,6 +99,10 @@ type RunnerConfig struct {
 	Failures []FailurePlan
 	// MonitorPeriodVSec is the NWS sampling period.
 	MonitorPeriodVSec float64
+	// Watchdog turns on the sampler and the anomaly watchdog, ticked at the
+	// monitor period with the live thresholds read as virtual seconds;
+	// without it the monitor never samples.
+	Watchdog bool
 	// MigrationFactor enables the paper's §3.4 migration: when an idle
 	// host's forecast rank exceeds a busy client's host rank by this
 	// factor, the master stops that client and requeues its cube for the
@@ -150,7 +151,8 @@ type SimJob struct {
 	CancelVSec float64
 }
 
-// BatchPlan describes the Table-2 batch submission.
+// BatchPlan describes the Table-2 batch submission. As in the paper's
+// Table-2 protocol, the run ends when the batch job's walltime expires.
 type BatchPlan struct {
 	// Nodes requested from the batch machine (each becomes one client).
 	Nodes int
@@ -158,9 +160,6 @@ type BatchPlan struct {
 	WalltimeVSec float64
 	// MeanQueueWaitVSec is the average queue delay (paper: ~33 hours).
 	MeanQueueWaitVSec float64
-	// TerminateOnEnd stops the whole run when the batch job's walltime
-	// expires, as the paper's Table-2 protocol did.
-	TerminateOnEnd bool
 }
 
 func (c *RunnerConfig) withDefaults() RunnerConfig {
@@ -180,8 +179,8 @@ func (c *RunnerConfig) withDefaults() RunnerConfig {
 
 // stamp writes what the DES models over the held configurations, except
 // each client's host, which launch stamps: every configured job is admitted
-// (the DES studies scheduling, not admission control); a client
-// heartbeats every slice; the clients share the master's flight recorder.
+// (the DES studies scheduling, not admission control); the clients share
+// the master's flight recorder.
 // An unknown strategy name degrades to the default — the CLI rejects it at
 // the flag boundary.
 func (c *RunnerConfig) stamp() {
@@ -193,7 +192,6 @@ func (c *RunnerConfig) stamp() {
 		m.Formula = nil
 	}
 	m.Admission = Admission{MaxActive: len(c.Jobs)}
-	cl.HeartbeatEvery = 1
 	cl.Flight = m.Flight
 }
 
@@ -266,7 +264,7 @@ type SimResult struct {
 	PoolLost      int64
 	PoolDropped   int64
 	// Alerts is the watchdog's alert feed (virtual-time stamps; nil when
-	// RunnerConfig.Master.Watchdog was nil) and Bundles the postmortem bundle
+	// RunnerConfig.Watchdog was off) and Bundles the postmortem bundle
 	// directories written during the run, in capture order.
 	Alerts  []Alert
 	Bundles []string
@@ -465,7 +463,7 @@ func RunDistributed(cfg RunnerConfig) SimResult {
 				m.noteForecast(dc.id, hi.Rank, hi.MemForecast)
 			}
 		}
-		if cfg.Master.Watchdog != nil { // nil is off: no sample, no alert
+		if cfg.Watchdog { // off: no sample, no alert
 			m.sampleTick()
 		}
 		m.maybeMigrate(cfg.MigrationFactor, cfg.Client.MinRunTime.Seconds())
@@ -676,11 +674,7 @@ func (r *runner) submitBatch() {
 				r.launch(h)
 			}
 		},
-		func(*grid.BatchJob) {
-			if plan.TerminateOnEnd {
-				r.finish(OutcomeTimeout)
-			}
-		})
+		func(*grid.BatchJob) { r.finish(OutcomeTimeout) })
 	if err == nil {
 		r.batchJob, r.batchSys = job, bs
 	}
@@ -710,6 +704,7 @@ func (r *runner) launch(h *grid.Host) {
 		}
 		cl.addr = h.Name
 		cl.slice = solver.Limits{MaxPropagations: quantumProps}
+		cl.heartbeatEvery = 1
 		cl.sequential = true
 		dc.cl = cl
 		r.clients[dc.id] = dc
@@ -1039,7 +1034,7 @@ func (r *runner) finish(outcome SimOutcome) {
 	res.Agg.Add(r.tail)
 	res.PoolPublished, res.PoolDelivered = r.pool.Published, r.pool.Delivered
 	res.PoolLost, res.PoolDropped = r.pool.Lost, r.pool.Dropped
-	if r.cfg.Master.Watchdog != nil {
+	if r.cfg.Watchdog {
 		res.Alerts = m.wd.feed()
 	}
 	r.sample(0) // every run ends with the client count collapsing to zero

@@ -13,21 +13,13 @@ import (
 
 // desStallConfig builds a run that deterministically stalls: one client
 // on a hard UNSAT instance never splits, so cluster coverage stays flat
-// at zero until the virtual-time budget runs out. Only the
-// progress-stall rule is armed; the huge cooldown pins the alert count
-// at one.
+// at zero until the virtual-time budget runs out. The budget ends the run
+// before the progress-stall cooldown would let the rule fire again.
 func desStallConfig(bundleDir string) RunnerConfig {
 	cfg := desConfig(gen.Pigeonhole(10), 100)
 	cfg.MaxClients = 1
 	cfg.MonitorPeriodVSec = 5
-	cfg.Master.Watchdog = &WatchdogConfig{
-		StallWindowSec:     30,
-		StallMinBusy:       1,
-		StragglerWindowSec: -1,
-		MemWindowSec:       -1,
-		HeartbeatGapSec:    -1,
-		CooldownSec:        1e9,
-	}
+	cfg.Watchdog = true
 	cfg.Master.BundleDir = bundleDir
 	return cfg
 }
@@ -100,7 +92,7 @@ func TestDESWatchdogStallEmitsAnomalyAndBundle(t *testing.T) {
 		t.Fatal(err)
 	}
 	samples := hist.Samples
-	if len(samples) < 7 { // 30 vsec window at 5 vsec cadence, plus warm-up
+	if len(samples) < 13 { // 60 vsec window at 5 vsec cadence, plus warm-up
 		t.Fatalf("bundle history has %d samples, want the stall window", len(samples))
 	}
 	for _, s := range samples {
@@ -108,7 +100,7 @@ func TestDESWatchdogStallEmitsAnomalyAndBundle(t *testing.T) {
 			t.Fatalf("coverage moved (%v at t=%v); stall was not a stall", s.Coverage, s.TSec)
 		}
 	}
-	if span := samples[len(samples)-1].TSec - samples[0].TSec; span < cfg.Master.Watchdog.StallWindowSec {
+	if span := samples[len(samples)-1].TSec - samples[0].TSec; span < stallWindowSec {
 		t.Fatalf("history window %v vsec shorter than the stall window", span)
 	}
 
@@ -124,27 +116,27 @@ func TestDESWatchdogStallEmitsAnomalyAndBundle(t *testing.T) {
 	}
 }
 
-// TestDESWatchdogNilIsOff pins the gate: without a watchdog config the
-// run produces no alerts, no bundles, and (critically) a flight log
+// TestDESWatchdogNilIsOff pins the gate: without the watchdog the run
+// produces no alerts, no bundles, and (critically) a flight log
 // byte-identical to a pre-observability run.
 func TestDESWatchdogNilIsOff(t *testing.T) {
-	run := func(wd *WatchdogConfig, bundleDir string) ([]trace.FEvent, SimResult) {
+	run := func(wd bool, bundleDir string) ([]trace.FEvent, SimResult) {
 		fl := trace.NewFlight(nil)
 		cfg := desConfig(gen.Pigeonhole(8), 10_000)
 		cfg.MonitorPeriodVSec = 5
-		cfg.Master.Watchdog = wd
+		cfg.Watchdog = wd
 		cfg.Master.BundleDir = bundleDir
 		cfg.Master.Flight = fl
 		return fl.Events(), RunDistributed(cfg)
 	}
-	offEvents, offRes := run(nil, "")
+	offEvents, offRes := run(false, "")
 	if offRes.Alerts != nil || offRes.Bundles != nil {
 		t.Fatalf("watchdog-off run produced alerts/bundles: %+v %+v",
 			offRes.Alerts, offRes.Bundles)
 	}
 	// A healthy solved run with the watchdog armed fires nothing and —
 	// because no anomaly events land — keeps the same event stream.
-	onEvents, onRes := run(&WatchdogConfig{}, t.TempDir())
+	onEvents, onRes := run(true, t.TempDir())
 	if len(onRes.Alerts) != 0 {
 		t.Fatalf("healthy run fired alerts: %+v", onRes.Alerts)
 	}

@@ -41,7 +41,7 @@ func TestParallelDESIsTheSerialDES(t *testing.T) {
 			g.AddBlueHorizon(8)
 			cfg := desConfig(gen.Pigeonhole(12), 100_000)
 			cfg.Grid = g
-			cfg.Batch = &BatchPlan{Nodes: 8, WalltimeVSec: 30, MeanQueueWaitVSec: 20, TerminateOnEnd: true}
+			cfg.Batch = &BatchPlan{Nodes: 8, WalltimeVSec: 30, MeanQueueWaitVSec: 20}
 			return cfg
 		}, func(t *testing.T, res SimResult, _ []trace.FEvent) {
 			if res.Outcome != OutcomeTimeout || res.TotalProps == 0 {

@@ -38,8 +38,9 @@ func TestDESWatchdogDefaultsArePinned(t *testing.T) {
 	fl := trace.NewFlight(nil)
 	res := RunDistributed(RunnerConfig{
 		Grid:   grid.TestbedGrADS(1),
-		Master: MasterConfig{Formula: bart15.Build(), Watchdog: &WatchdogConfig{}, Flight: fl},
+		Master: MasterConfig{Formula: bart15.Build(), Flight: fl},
 		Client: ClientConfig{Threads: 1, ShareMaxLen: 10}, TimeoutVSec: 6000, Seed: 1,
+		Watchdog: true,
 	})
 	line := func(a Alert) string {
 		return fmt.Sprintf("%.1f %s %s: %s", a.TSec, a.Rule, a.Subject, a.Detail)
@@ -291,7 +292,7 @@ func TestRunDistributedBatchTerminateOnEnd(t *testing.T) {
 	f := gen.Pigeonhole(12) // far beyond the budgets
 	cfg := desConfig(f, 100_000)
 	cfg.Grid = g
-	cfg.Batch = &BatchPlan{Nodes: 8, WalltimeVSec: 30, MeanQueueWaitVSec: 20, TerminateOnEnd: true}
+	cfg.Batch = &BatchPlan{Nodes: 8, WalltimeVSec: 30, MeanQueueWaitVSec: 20}
 	res := RunDistributed(cfg)
 	if res.Outcome != OutcomeTimeout {
 		t.Fatalf("got %v", res.Outcome)
@@ -580,7 +581,7 @@ func TestLiveAndSimulatedRuntimesAgree(t *testing.T) {
 		Clients: 3,
 		Master:  MasterConfig{Timeout: time.Minute, Flight: liveFlight},
 		Client: ClientConfig{FreeMemBytes: 64 << 20, ShareMaxLen: 10,
-			MinRunTime: 2 * time.Millisecond, SliceConflicts: 100},
+			MinRunTime: 2 * time.Millisecond},
 	})
 	defer dumpFlight(t, liveFlight)
 	if err != nil {

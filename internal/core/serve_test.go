@@ -45,15 +45,13 @@ func serveClients(t *testing.T, tr comm.Transport, addr string, n int, fl *trace
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		cl, err := NewClient(ClientConfig{
-			Transport:      tr,
-			MasterAddr:     addr,
-			ListenAddr:     clientListenAddr(tr),
-			HostName:       fmt.Sprintf("host-%d", i),
-			FreeMemBytes:   64 << 20,
-			SliceConflicts: 200,
-			MinRunTime:     5 * time.Millisecond,
-			HeartbeatEvery: 1,
-			Flight:         fl,
+			Transport:    tr,
+			MasterAddr:   addr,
+			ListenAddr:   clientListenAddr(tr),
+			HostName:     fmt.Sprintf("host-%d", i),
+			FreeMemBytes: 64 << 20,
+			MinRunTime:   5 * time.Millisecond,
+			Flight:       fl,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -454,13 +452,11 @@ func TestServeSecondJobAfterHeartbeats(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		cl, err := NewClient(ClientConfig{
-			Transport:      tr,
-			MasterAddr:     "master",
-			HostName:       fmt.Sprintf("host-%d", i),
-			FreeMemBytes:   256 << 20,
-			SliceConflicts: 100,
-			MinRunTime:     5 * time.Millisecond,
-			HeartbeatEvery: 1,
+			Transport:    tr,
+			MasterAddr:   "master",
+			HostName:     fmt.Sprintf("host-%d", i),
+			FreeMemBytes: 256 << 20,
+			MinRunTime:   5 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -13,93 +13,49 @@ import (
 // ring of Samples, so they are table-testable and behave identically in the live master
 // (wall seconds) and the DES (virtual seconds).
 
-// WatchdogConfig holds per-rule thresholds. Zero fields take the
-// defaults from DefaultWatchdogConfig; a negative threshold disables
-// that rule.
-type WatchdogConfig struct {
-	// StallWindowSec fires progress-stall when cluster coverage is flat
-	// across a window of at least this span while >= StallMinBusy
-	// clients stayed busy the whole time.
-	StallWindowSec float64 `json:"stall_window_sec"`
-	StallMinBusy   int     `json:"stall_min_busy"`
-	// StragglerWindowSec fires straggler-persist when the same client
-	// is marked a straggler in every sample across the window.
+// The rule thresholds, documented in DESIGN.md. They are read as wall
+// seconds in the live master and virtual seconds in the DES.
+const (
+	// progress-stall fires when cluster coverage is flat across a window
+	// of at least stallWindowSec while >= stallMinBusy clients stayed busy
+	// the whole time.
+	stallWindowSec = 60
+	stallMinBusy   = 1
+	// straggler-persist fires when the same client is marked a straggler
+	// in every sample across the window.
+	stragglerWindowSec = 45
+	// mem-pressure fires when cluster memory grew by at least
+	// memGrowthFactor across the window and the current total is at least
+	// memMinBytes (the floor keeps tiny absolute growth from alerting at
+	// startup).
+	memWindowSec    = 120
+	memGrowthFactor = 1.5
+	memMinBytes     = 256 << 20
+	// heartbeat-gap fires when a busy client has not reported for this
+	// long.
+	heartbeatGapSec = 15
+	// cooldownSec suppresses re-firing the same (rule, subject) pair until
+	// this much time has passed since it last fired.
+	cooldownSec = 60
+	// maxWindowSec is the widest span any rule looks back over, i.e. how
+	// much of the ring the watchdog must find retained.
+	maxWindowSec = max(stallWindowSec, stragglerWindowSec, memWindowSec, heartbeatGapSec)
+)
+
+// watchdogThresholds is how a bundle's config.json records the constants.
+type watchdogThresholds struct {
+	StallWindowSec     float64 `json:"stall_window_sec"`
+	StallMinBusy       int     `json:"stall_min_busy"`
 	StragglerWindowSec float64 `json:"straggler_window_sec"`
-	// MemWindowSec/MemGrowthFactor fire mem-pressure when cluster
-	// memory grew by at least the factor across the window and the
-	// current total is at least MemMinBytes (the floor keeps tiny
-	// absolute growth from alerting at startup).
-	MemWindowSec    float64 `json:"mem_window_sec"`
-	MemGrowthFactor float64 `json:"mem_growth_factor"`
-	MemMinBytes     int64   `json:"mem_min_bytes"`
-	// HeartbeatGapSec fires heartbeat-gap when a busy client has not
-	// reported for this long.
-	HeartbeatGapSec float64 `json:"heartbeat_gap_sec"`
-	// CooldownSec suppresses re-firing the same (rule, subject) pair
-	// until this much time has passed since it last fired.
-	CooldownSec float64 `json:"cooldown_sec"`
+	MemWindowSec       float64 `json:"mem_window_sec"`
+	MemGrowthFactor    float64 `json:"mem_growth_factor"`
+	MemMinBytes        int64   `json:"mem_min_bytes"`
+	HeartbeatGapSec    float64 `json:"heartbeat_gap_sec"`
+	CooldownSec        float64 `json:"cooldown_sec"`
 }
 
-// DefaultWatchdogConfig returns the thresholds documented in DESIGN.md.
-// They are interpreted as wall seconds in the live master and virtual
-// seconds in the DES.
-func DefaultWatchdogConfig() WatchdogConfig {
-	return WatchdogConfig{
-		StallWindowSec:     60,
-		StallMinBusy:       1,
-		StragglerWindowSec: 45,
-		MemWindowSec:       120,
-		MemGrowthFactor:    1.5,
-		MemMinBytes:        256 << 20,
-		HeartbeatGapSec:    15,
-		CooldownSec:        60,
-	}
-}
-
-func (c WatchdogConfig) withDefaults() WatchdogConfig {
-	d := DefaultWatchdogConfig()
-	if c.StallWindowSec == 0 {
-		c.StallWindowSec = d.StallWindowSec
-	}
-	if c.StallMinBusy == 0 {
-		c.StallMinBusy = d.StallMinBusy
-	}
-	if c.StragglerWindowSec == 0 {
-		c.StragglerWindowSec = d.StragglerWindowSec
-	}
-	if c.MemWindowSec == 0 {
-		c.MemWindowSec = d.MemWindowSec
-	}
-	if c.MemGrowthFactor == 0 {
-		c.MemGrowthFactor = d.MemGrowthFactor
-	}
-	if c.MemMinBytes == 0 {
-		c.MemMinBytes = d.MemMinBytes
-	}
-	if c.HeartbeatGapSec == 0 {
-		c.HeartbeatGapSec = d.HeartbeatGapSec
-	}
-	if c.CooldownSec == 0 {
-		c.CooldownSec = d.CooldownSec
-	}
-	return c
-}
-
-// maxWindowSec is the widest span any rule looks back over, i.e. how
-// much of the ring the watchdog must find retained.
-func (c WatchdogConfig) maxWindowSec() float64 {
-	w := c.StallWindowSec
-	if c.StragglerWindowSec > w {
-		w = c.StragglerWindowSec
-	}
-	if c.MemWindowSec > w {
-		w = c.MemWindowSec
-	}
-	if c.HeartbeatGapSec > w {
-		w = c.HeartbeatGapSec
-	}
-	return w
-}
+var bundleThresholds = watchdogThresholds{stallWindowSec, stallMinBusy, stragglerWindowSec,
+	memWindowSec, memGrowthFactor, memMinBytes, heartbeatGapSec, cooldownSec}
 
 // Rule names, used as the Alert.Rule discriminator and in FEvAnomaly
 // details.
@@ -122,7 +78,7 @@ type Alert struct {
 // evalWatchdog evaluates every rule against the window (oldest-first
 // samples) and returns the alerts that hold at the newest sample. It is
 // pure: cooldown/dedup is the caller's (watchdog.observe) concern.
-func evalWatchdog(cfg WatchdogConfig, win []Sample) []Alert {
+func evalWatchdog(win []Sample) []Alert {
 	if len(win) == 0 {
 		return nil
 	}
@@ -131,95 +87,87 @@ func evalWatchdog(cfg WatchdogConfig, win []Sample) []Alert {
 
 	// progress-stall: coverage flat over the stall window while enough
 	// clients stayed busy for the whole span.
-	if cfg.StallWindowSec > 0 {
-		if i, ok := windowStart(win, cfg.StallWindowSec); ok {
-			flat, busyAll := true, true
-			for _, s := range win[i:] {
-				if s.Coverage > win[i].Coverage+1e-12 {
-					flat = false
-				}
-				if s.Busy < cfg.StallMinBusy {
-					busyAll = false
-				}
+	if i, ok := windowStart(win, stallWindowSec); ok {
+		flat, busyAll := true, true
+		for _, s := range win[i:] {
+			if s.Coverage > win[i].Coverage+1e-12 {
+				flat = false
 			}
-			if flat && busyAll {
-				out = append(out, Alert{
-					Rule: RuleProgressStall, Subject: "cluster", TSec: last.TSec,
-					Detail: fmt.Sprintf("coverage flat at %.6f for %.0fs with %d clients busy",
-						last.Coverage, last.TSec-win[i].TSec, last.Busy),
-				})
+			if s.Busy < stallMinBusy {
+				busyAll = false
 			}
+		}
+		if flat && busyAll {
+			out = append(out, Alert{
+				Rule: RuleProgressStall, Subject: "cluster", TSec: last.TSec,
+				Detail: fmt.Sprintf("coverage flat at %.6f for %.0fs with %d clients busy",
+					last.Coverage, last.TSec-win[i].TSec, last.Busy),
+			})
 		}
 	}
 
 	// straggler-persist: the same client flagged in every sample across
 	// the straggler window.
-	if cfg.StragglerWindowSec > 0 {
-		if i, ok := windowStart(win, cfg.StragglerWindowSec); ok {
-			always := map[int]bool{}
-			for _, c := range win[i].Clients {
+	if i, ok := windowStart(win, stragglerWindowSec); ok {
+		always := map[int]bool{}
+		for _, c := range win[i].Clients {
+			if c.Straggler {
+				always[c.ID] = true
+			}
+		}
+		for _, s := range win[i+1:] {
+			seen := map[int]bool{}
+			for _, c := range s.Clients {
 				if c.Straggler {
-					always[c.ID] = true
+					seen[c.ID] = true
 				}
 			}
-			for _, s := range win[i+1:] {
-				seen := map[int]bool{}
-				for _, c := range s.Clients {
-					if c.Straggler {
-						seen[c.ID] = true
-					}
-				}
-				for id := range always {
-					if !seen[id] {
-						delete(always, id)
-					}
-				}
-			}
-			ids := make([]int, 0, len(always))
 			for id := range always {
-				ids = append(ids, id)
+				if !seen[id] {
+					delete(always, id)
+				}
 			}
-			sort.Ints(ids)
-			for _, id := range ids {
-				out = append(out, Alert{
-					Rule: RuleStragglerPersist, Subject: fmt.Sprintf("client %d", id),
-					Client: id, TSec: last.TSec,
-					Detail: fmt.Sprintf("client %d below straggler threshold for %.0fs",
-						id, last.TSec-win[i].TSec),
-				})
-			}
+		}
+		ids := make([]int, 0, len(always))
+		for id := range always {
+			ids = append(ids, id)
+		}
+		sort.Ints(ids)
+		for _, id := range ids {
+			out = append(out, Alert{
+				Rule: RuleStragglerPersist, Subject: fmt.Sprintf("client %d", id),
+				Client: id, TSec: last.TSec,
+				Detail: fmt.Sprintf("client %d below straggler threshold for %.0fs",
+					id, last.TSec-win[i].TSec),
+			})
 		}
 	}
 
 	// mem-pressure: cluster memory grew by the factor over the window
 	// and is above the absolute floor.
-	if cfg.MemWindowSec > 0 && cfg.MemGrowthFactor > 0 {
-		if i, ok := windowStart(win, cfg.MemWindowSec); ok {
-			base := win[i].MemBytes
-			if last.MemBytes >= cfg.MemMinBytes && base > 0 &&
-				float64(last.MemBytes) >= cfg.MemGrowthFactor*float64(base) {
-				out = append(out, Alert{
-					Rule: RuleMemPressure, Subject: "cluster", TSec: last.TSec,
-					Detail: fmt.Sprintf("cluster memory %d -> %d bytes (%.2fx) over %.0fs",
-						base, last.MemBytes, float64(last.MemBytes)/float64(base),
-						last.TSec-win[i].TSec),
-				})
-			}
+	if i, ok := windowStart(win, memWindowSec); ok {
+		base := win[i].MemBytes
+		if last.MemBytes >= memMinBytes && base > 0 &&
+			float64(last.MemBytes) >= memGrowthFactor*float64(base) {
+			out = append(out, Alert{
+				Rule: RuleMemPressure, Subject: "cluster", TSec: last.TSec,
+				Detail: fmt.Sprintf("cluster memory %d -> %d bytes (%.2fx) over %.0fs",
+					base, last.MemBytes, float64(last.MemBytes)/float64(base),
+					last.TSec-win[i].TSec),
+			})
 		}
 	}
 
 	// heartbeat-gap: a busy client silent past the gap threshold, judged
 	// on the newest sample only.
-	if cfg.HeartbeatGapSec > 0 {
-		for _, c := range last.Clients {
-			if c.Busy && last.TSec-c.LastHeartbeatSec > cfg.HeartbeatGapSec {
-				out = append(out, Alert{
-					Rule: RuleHeartbeatGap, Subject: fmt.Sprintf("client %d", c.ID),
-					Client: c.ID, TSec: last.TSec,
-					Detail: fmt.Sprintf("client %d busy but silent for %.1fs",
-						c.ID, last.TSec-c.LastHeartbeatSec),
-				})
-			}
+	for _, c := range last.Clients {
+		if c.Busy && last.TSec-c.LastHeartbeatSec > heartbeatGapSec {
+			out = append(out, Alert{
+				Rule: RuleHeartbeatGap, Subject: fmt.Sprintf("client %d", c.ID),
+				Client: c.ID, TSec: last.TSec,
+				Detail: fmt.Sprintf("client %d busy but silent for %.1fs",
+					c.ID, last.TSec-c.LastHeartbeatSec),
+			})
 		}
 	}
 	return out
@@ -261,24 +209,23 @@ func windowTail(samples []Sample, windowSec float64) []Sample {
 // period, not one per tick. Owned by a single goroutine (the master event
 // loop or the DES monitor); the alert feed is read through copies.
 type watchdog struct {
-	cfg       WatchdogConfig
 	lastFired map[string]float64
 	alerts    []Alert // retained feed, newest last, capped
 }
 
 const watchdogFeedCap = 256
 
-func newWatchdog(cfg WatchdogConfig) *watchdog {
-	return &watchdog{cfg: cfg.withDefaults(), lastFired: make(map[string]float64)}
+func newWatchdog() *watchdog {
+	return &watchdog{lastFired: make(map[string]float64)}
 }
 
 // observe judges the ring, whose newest sample is this tick's, and returns
 // the alerts that newly fired (cooldown-filtered).
 func (w *watchdog) observe(samples []Sample) []Alert {
 	var fired []Alert
-	for _, a := range evalWatchdog(w.cfg, windowTail(samples, w.cfg.maxWindowSec())) {
+	for _, a := range evalWatchdog(windowTail(samples, maxWindowSec)) {
 		key := a.Rule + "|" + a.Subject
-		if t, ok := w.lastFired[key]; ok && a.TSec-t < w.cfg.CooldownSec {
+		if t, ok := w.lastFired[key]; ok && a.TSec-t < cooldownSec {
 			continue
 		}
 		w.lastFired[key] = a.TSec

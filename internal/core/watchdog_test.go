@@ -4,31 +4,22 @@ import (
 	"testing"
 )
 
-// testWatchCfg is a small, fast rule set used by the synthetic-window
-// tests: every rule judges over a 10s window with a 5s heartbeat gap.
-func testWatchCfg() WatchdogConfig {
-	return WatchdogConfig{
-		StallWindowSec:     10,
-		StallMinBusy:       2,
-		StragglerWindowSec: 10,
-		MemWindowSec:       10,
-		MemGrowthFactor:    1.5,
-		MemMinBytes:        1 << 20,
-		HeartbeatGapSec:    5,
-		CooldownSec:        30,
-	}
-}
+// windowTick is the sample spacing of the synthetic windows: 13 samples
+// span 120 s, every rule's window.
+const windowTick = 10
 
-// mkWindow builds n samples at 1 Hz from a per-tick shaping function.
+// mkWindow builds n samples windowTick seconds apart from a per-tick
+// shaping function.
 func mkWindow(n int, shape func(i int, s *Sample)) []Sample {
 	win := make([]Sample, n)
 	for i := range win {
-		win[i] = Sample{TSec: float64(i), Busy: 3, Coverage: float64(i) * 0.01,
+		t := float64(i * windowTick)
+		win[i] = Sample{TSec: t, Busy: 3, Coverage: float64(i) * 0.01,
 			MemBytes: 1 << 20,
 			Clients: []SampleClient{
-				{ID: 1, Busy: true, LastHeartbeatSec: float64(i)},
-				{ID: 2, Busy: true, LastHeartbeatSec: float64(i)},
-				{ID: 3, Busy: true, LastHeartbeatSec: float64(i)},
+				{ID: 1, Busy: true, LastHeartbeatSec: t},
+				{ID: 2, Busy: true, LastHeartbeatSec: t},
+				{ID: 3, Busy: true, LastHeartbeatSec: t},
 			}}
 		shape(i, &win[i])
 	}
@@ -56,8 +47,8 @@ func TestWatchdogRules(t *testing.T) {
 		},
 		{
 			name: "stall",
-			// Coverage frozen from t=2 on while all clients stay busy:
-			// flat span 12s > 10s window.
+			// Coverage frozen from t=20 on while all clients stay busy:
+			// flat across the whole 60 s stall window.
 			shape: func(i int, s *Sample) {
 				if i >= 2 {
 					s.Coverage = 0.02
@@ -93,15 +84,15 @@ func TestWatchdogRules(t *testing.T) {
 		},
 		{
 			name: "mem-trend",
-			// Memory doubles across the window, above the floor.
+			// Memory grows 2.2x across the window, above the floor.
 			shape: func(i int, s *Sample) {
-				s.MemBytes = int64(1<<20) * int64(10+i)
+				s.MemBytes = int64(64<<20) * int64(10+i)
 			},
 			want: map[string]int{RuleMemPressure: 1},
 		},
 		{
 			name: "mem-trend-below-floor",
-			// Same relative growth but absolute total under MemMinBytes.
+			// Same relative growth but absolute total under memMinBytes.
 			shape: func(i int, s *Sample) {
 				s.MemBytes = int64(10 + i)
 			},
@@ -109,11 +100,11 @@ func TestWatchdogRules(t *testing.T) {
 		},
 		{
 			name: "heartbeat-gap",
-			// Client 3's last heartbeat frozen at t=2; by t=12 the gap
-			// is 10s > 5s threshold.
+			// Client 3's last heartbeat frozen at t=20; by t=120 the gap
+			// is 100 s > 15 s threshold.
 			shape: func(i int, s *Sample) {
-				if s.Clients[2].LastHeartbeatSec > 2 {
-					s.Clients[2].LastHeartbeatSec = 2
+				if s.Clients[2].LastHeartbeatSec > 20 {
+					s.Clients[2].LastHeartbeatSec = 20
 				}
 			},
 			want: map[string]int{RuleHeartbeatGap: 1},
@@ -123,8 +114,8 @@ func TestWatchdogRules(t *testing.T) {
 			// Silent but idle clients are fine (nothing assigned).
 			shape: func(i int, s *Sample) {
 				s.Clients[2].Busy = false
-				if s.Clients[2].LastHeartbeatSec > 2 {
-					s.Clients[2].LastHeartbeatSec = 2
+				if s.Clients[2].LastHeartbeatSec > 20 {
+					s.Clients[2].LastHeartbeatSec = 20
 				}
 			},
 			want: map[string]int{},
@@ -144,7 +135,7 @@ func TestWatchdogRules(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			win := mkWindow(13, c.shape)
-			got := rules(evalWatchdog(testWatchCfg(), win))
+			got := rules(evalWatchdog(win))
 			if len(got) != len(c.want) {
 				t.Fatalf("fired %v, want %v", got, c.want)
 			}
@@ -161,35 +152,34 @@ func TestWatchdogWarmup(t *testing.T) {
 	// A window shorter than every rule span must stay silent even when
 	// coverage is flat — no false positives during startup.
 	win := mkWindow(5, func(i int, s *Sample) { s.Coverage = 0 })
-	if got := evalWatchdog(testWatchCfg(), win); len(got) != 0 {
+	if got := evalWatchdog(win); len(got) != 0 {
 		t.Fatalf("warm-up window fired %v", got)
 	}
-	if got := evalWatchdog(testWatchCfg(), nil); got != nil {
+	if got := evalWatchdog(nil); got != nil {
 		t.Fatalf("empty window fired %v", got)
 	}
 }
 
 func TestWatchdogCooldown(t *testing.T) {
-	cfg := testWatchCfg()
-	w := newWatchdog(cfg)
+	w := newWatchdog()
 	fired := 0
-	// 60 ticks of a permanent stall: with a 30s cooldown the same
-	// (rule, subject) pair fires ceil((60-10)/30) ≈ 2 times, not 50.
+	// 200 one-second ticks of a permanent stall: with a 60 s cooldown the
+	// same (rule, subject) pair fires at t=60, 120 and 180, not 140 times.
 	var ring []Sample
-	for i := 0; i < 60; i++ {
+	for i := 0; i < 200; i++ {
 		ring = append(ring, Sample{TSec: float64(i), Coverage: 0.5, Busy: 3})
 		fired += len(w.observe(ring))
 	}
-	if fired < 1 || fired > 3 {
-		t.Fatalf("cooldown let %d alerts through, want 1..3", fired)
+	if fired != 3 {
+		t.Fatalf("cooldown let %d alerts through, want 3", fired)
 	}
 	if len(w.feed()) != fired {
 		t.Errorf("feed has %d entries, want %d", len(w.feed()), fired)
 	}
 	// The rules judge the widest rule span plus one baseline sample, not
 	// the whole ring.
-	if tail := windowTail(ring, cfg.maxWindowSec()); len(tail) != 12 || tail[0].TSec != 48 {
-		t.Errorf("tail holds %d samples from t=%v, want 12 from t=48", len(tail), tail[0].TSec)
+	if tail := windowTail(ring, maxWindowSec); len(tail) != 122 || tail[0].TSec != 78 {
+		t.Errorf("tail holds %d samples from t=%v, want 122 from t=78", len(tail), tail[0].TSec)
 	}
 }
 
@@ -197,48 +187,21 @@ func TestWatchdogCooldown(t *testing.T) {
 // and more only while the widest watchdog window reaches back past them.
 func TestSampleRingRetention(t *testing.T) {
 	for _, c := range []struct {
-		memWindow float64
-		want      int
+		tick float64
+		want int
 	}{
-		{0, ringSamples},  // defaults: 120 s fits in 256 one-second ticks
-		{400, 402},        // a 400 s window and its baseline
-		{-1, ringSamples}, // disabled rules shrink nothing below the floor
+		{1, ringSamples}, // the live tick: 120 s fits in 256 samples
+		{0.25, 482},      // a 120 s window and its baseline
 	} {
 		now := 0.0
 		m := bareMaster(t, &now)
-		m.wd = newWatchdog(WatchdogConfig{MemWindowSec: c.memWindow})
 		for i := 0; i < 600; i++ {
-			now = float64(i)
+			now = float64(i) * c.tick
 			m.sampleTick()
 		}
-		if len(m.samples) != c.want || m.samples[len(m.samples)-1].TSec != 599 {
-			t.Errorf("mem window %v: ring holds %d samples up to t=%v, want %d up to 599",
-				c.memWindow, len(m.samples), m.samples[len(m.samples)-1].TSec, c.want)
+		if last := m.samples[len(m.samples)-1].TSec; len(m.samples) != c.want || last != 599*c.tick {
+			t.Errorf("tick %v: ring holds %d samples up to t=%v, want %d up to %v",
+				c.tick, len(m.samples), last, c.want, 599*c.tick)
 		}
-	}
-}
-
-func TestWatchdogDisabledRule(t *testing.T) {
-	cfg := testWatchCfg()
-	cfg.StallWindowSec = -1 // negative disables
-	win := mkWindow(13, func(i int, s *Sample) {
-		if i >= 2 {
-			s.Coverage = 0.02
-		}
-	})
-	if got := evalWatchdog(cfg, win); len(got) != 0 {
-		t.Fatalf("disabled stall rule fired %v", got)
-	}
-}
-
-func TestWatchdogDefaults(t *testing.T) {
-	got := WatchdogConfig{}.withDefaults()
-	if got != DefaultWatchdogConfig() {
-		t.Fatalf("zero config does not default: %+v", got)
-	}
-	// Explicit values survive defaulting.
-	c := WatchdogConfig{StallWindowSec: 3}
-	if c.withDefaults().StallWindowSec != 3 {
-		t.Fatal("explicit StallWindowSec overwritten")
 	}
 }

@@ -79,7 +79,9 @@ func TestFigure1ConflictAnalysis(t *testing.T) {
 		cnf.PosLit(10), // L6: V11 = true → cascade → conflict
 	}
 	i := 0
+	var learnt cnf.Clause
 	opts := Fidelity2003()
+	opts.OnLemma = func(c cnf.Clause) { learnt = c } // a root solver has no deps to append
 	opts.DecisionOverride = func(s *Solver) cnf.Lit {
 		if i < len(script) {
 			l := script[i]
@@ -105,7 +107,6 @@ func TestFigure1ConflictAnalysis(t *testing.T) {
 		cnf.PosLit(8): true, // V9
 		cnf.NegLit(4): true, // ¬V5 (the FirstUIP literal)
 	}
-	learnt := s.LastLearnt()
 	if len(learnt) != len(want) {
 		t.Fatalf("learned clause %v, want literals %v", learnt, want)
 	}

@@ -7,15 +7,11 @@ import (
 	"gridsat/internal/cnf"
 )
 
-// ImportClause queues a clause learned by another GridSAT client for merge
-// into this solver's database. Safe to call from any goroutine while Solve
-// runs. Per the paper (§3.2), imported clauses are merged in batches only
-// when the search is back at the first decision level.
-func (s *Solver) ImportClause(c cnf.Clause) error {
-	return s.importOne(c, false)
-}
-
-// ImportClauses queues a batch of globally valid clauses; see ImportClause.
+// ImportClauses queues clauses learned by other GridSAT clients (globally
+// valid) for merge into this solver's database. Safe to call from any
+// goroutine while Solve runs. Per the paper (§3.2), imported clauses are
+// merged in batches only when the search is back at the first decision
+// level.
 func (s *Solver) ImportClauses(cs []cnf.Clause) error {
 	for _, c := range cs {
 		if err := s.importOne(c, false); err != nil {

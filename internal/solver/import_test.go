@@ -21,15 +21,15 @@ func TestImportFourCases(t *testing.T) {
 	}
 
 	// Case 4: clause satisfied at level 0 → discarded.
-	if err := s.ImportClause(cnf.NewClause(1, 3)); err != nil {
+	if err := s.ImportClauses([]cnf.Clause{cnf.NewClause(1, 3)}); err != nil {
 		t.Fatal(err)
 	}
 	// Case 2: two unknowns → added to the database.
-	if err := s.ImportClause(cnf.NewClause(3, 4)); err != nil {
+	if err := s.ImportClauses([]cnf.Clause{cnf.NewClause(3, 4)}); err != nil {
 		t.Fatal(err)
 	}
 	// Case 1: one unknown, rest false → implication at level 0.
-	if err := s.ImportClause(cnf.NewClause(2, 5)); err != nil {
+	if err := s.ImportClauses([]cnf.Clause{cnf.NewClause(2, 5)}); err != nil {
 		t.Fatal(err)
 	}
 	if s.DecisionLevel() != 0 {
@@ -50,7 +50,7 @@ func TestImportFourCases(t *testing.T) {
 	}
 
 	// Case 3: all-false clause → subproblem UNSAT.
-	if err := s.ImportClause(cnf.NewClause(-1, 2)); err != nil {
+	if err := s.ImportClauses([]cnf.Clause{cnf.NewClause(-1, 2)}); err != nil {
 		t.Fatal(err)
 	}
 	if s.mergeImports() {
@@ -60,7 +60,7 @@ func TestImportFourCases(t *testing.T) {
 
 func TestImportOutOfRangeRejected(t *testing.T) {
 	s := New(cnf.NewFormula(2), DefaultOptions())
-	if err := s.ImportClause(cnf.NewClause(5)); err == nil {
+	if err := s.ImportClauses([]cnf.Clause{cnf.NewClause(5)}); err == nil {
 		t.Fatal("out-of-range import accepted")
 	}
 	if err := s.ImportClauses([]cnf.Clause{cnf.NewClause(1), cnf.NewClause(9)}); err == nil {
@@ -72,7 +72,7 @@ func TestImportTautologyDiscarded(t *testing.T) {
 	f := cnf.NewFormula(3)
 	f.Add(1, 2, 3)
 	s := New(f, DefaultOptions())
-	if err := s.ImportClause(cnf.NewClause(1, -1)); err != nil {
+	if err := s.ImportClauses([]cnf.Clause{cnf.NewClause(1, -1)}); err != nil {
 		t.Fatal(err)
 	}
 	before := len(s.learnts)
@@ -105,7 +105,7 @@ func TestImportHonoredInResult(t *testing.T) {
 		} else {
 			l = cnf.NegLit(cnf.Var(v))
 		}
-		if err := s.ImportClause(cnf.Clause{l}); err != nil {
+		if err := s.ImportClauses([]cnf.Clause{{l}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -169,7 +169,7 @@ func TestImportMergeForcedRestart(t *testing.T) {
 	s := New(f, opts)
 	s.importMergeAfter = 16
 	s.Solve(Limits{MaxConflicts: 8}) // get into the search
-	if err := s.ImportClause(cnf.NewClause(1, 2, 3)); err != nil {
+	if err := s.ImportClauses([]cnf.Clause{cnf.NewClause(1, 2, 3)}); err != nil {
 		t.Fatal(err)
 	}
 	s.Solve(Limits{MaxConflicts: 200})

@@ -197,7 +197,7 @@ func TestInvariantsSurviveSplitAndImport(t *testing.T) {
 			}
 			checkInvariants(t, s)
 		}
-		if err := s.ImportClause(cnf.NewClause(1, 2, 3)); err != nil {
+		if err := s.ImportClauses([]cnf.Clause{cnf.NewClause(1, 2, 3)}); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.ImportClausesLocal([]cnf.Clause{cnf.NewClause(-4, 5)}); err != nil {

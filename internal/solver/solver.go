@@ -286,7 +286,7 @@ type watcher struct {
 }
 
 // Solver is a single CDCL engine instance. It is not safe for concurrent
-// use except for Stop, ImportClause, ImportClauses, and the read-only
+// use except for Stop, ImportClauses, and the read-only
 // stats/memory accessors, which may be called from other goroutines.
 type Solver struct {
 	opts Options
@@ -315,7 +315,6 @@ type Solver struct {
 	actInc   float64
 
 	maxLearnts  int
-	lastLearnt  cnf.Clause // own buffer: a copy of the last clause record saw
 	model       cnf.Assignment
 	status      Status
 	emptyClause bool // an empty clause was added: trivially UNSAT
@@ -503,9 +502,6 @@ func (s *Solver) Status() Status { return s.status }
 
 // Model returns the satisfying assignment found by a SAT result.
 func (s *Solver) Model() cnf.Assignment { return s.model.Clone() }
-
-// LastLearnt returns a copy of the most recently learned clause.
-func (s *Solver) LastLearnt() cnf.Clause { return s.lastLearnt.Clone() }
 
 // NumLearnts returns the live learned-clause count.
 func (s *Solver) NumLearnts() int {
@@ -953,7 +949,6 @@ func (s *Solver) record(learnt cnf.Clause, deps []cnf.Lit, localUsed bool, lbd i
 		s.stats.Exported++
 	}
 	if len(learnt) == 1 {
-		s.lastLearnt = append(s.lastLearnt[:0], learnt...)
 		s.uncheckedEnqueue(learnt[0], CRefUndef)
 		if local {
 			s.taint(learnt[0].Var())
@@ -969,7 +964,6 @@ func (s *Solver) record(learnt cnf.Clause, deps []cnf.Lit, localUsed bool, lbd i
 		}
 	}
 	learnt[1], learnt[best] = learnt[best], learnt[1]
-	s.lastLearnt = append(s.lastLearnt[:0], learnt...)
 	r := s.ca.Alloc(learnt, true, local, clauseAct(s.actInc))
 	s.ca.SetLBD(r, lbd)
 	s.learnts = append(s.learnts, r)
@@ -1247,11 +1241,7 @@ func StatsDelta(cur, prev Stats) Stats {
 	}
 }
 
-// PathDepth returns the solver's guiding-path depth: the number of split
-// decisions between its subspace and the root problem. Refuting this
-// subproblem closes 2^-PathDepth of the original search space.
-func (s *Solver) PathDepth() int { return len(s.path) }
-
 // Path returns the solver's guiding path, the cube of its subproblem (see
-// Subproblem.Cube). The caller must not modify it.
+// Subproblem.Cube): refuting the subproblem closes 2^-len(Path()) of the
+// root's search space. The caller must not modify it.
 func (s *Solver) Path() []cnf.Lit { return s.path }

@@ -398,7 +398,7 @@ func TestDilemmaRepeatedSplits(t *testing.T) {
 			if donor.Status() != StatusUnknown {
 				break
 			}
-			wantDepth := donor.PathDepth() + 2
+			wantDepth := len(donor.Path()) + 2
 			batch, err := d.Split(donor, 10, 0)
 			if err != nil {
 				if donor.Status() == StatusUNSAT {
@@ -410,8 +410,8 @@ func TestDilemmaRepeatedSplits(t *testing.T) {
 				}
 				t.Fatalf("seed %d round %d: %v", seed, round, err)
 			}
-			if donor.PathDepth() != wantDepth {
-				t.Fatalf("seed %d round %d: depth %d, want %d", seed, round, donor.PathDepth(), wantDepth)
+			if len(donor.Path()) != wantDepth {
+				t.Fatalf("seed %d round %d: depth %d, want %d", seed, round, len(donor.Path()), wantDepth)
 			}
 			subs = append(subs, batch...)
 		}
