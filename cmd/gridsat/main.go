@@ -350,22 +350,16 @@ func writeReport(path, instance string, res core.Result, fl *trace.Flight) error
 	if instance == "" {
 		instance = "-"
 	}
-	st := res.State
-	st.Jobs = slices.Clone(st.Jobs)
-	for i := range st.Jobs {
-		st.Jobs[i].Model = nil
+	res.State.Jobs = slices.Clone(res.State.Jobs)
+	for i := range res.State.Jobs {
+		res.State.Jobs[i].Model = nil
 	}
 	rep := struct {
-		Instance    string               `json:"instance"`
-		Status      string               `json:"status"`
+		Instance string `json:"instance"`
+		core.Result
 		WallSeconds float64              `json:"wall_seconds"`
-		MaxClients  int                  `json:"max_clients"`
-		Threads     int                  `json:"threads"`
-		Comm        comm.Totals          `json:"comm"`
 		Flight      *trace.FlightSummary `json:"flight,omitempty"`
-		State       core.ClusterState    `json:"state"`
-	}{Instance: instance, Status: res.Status.String(), WallSeconds: res.Wall.Seconds(),
-		MaxClients: res.MaxClients, Threads: res.Threads, Comm: res.Comm, State: st}
+	}{Instance: instance, Result: res, WallSeconds: res.Wall.Seconds()}
 	if fl != nil {
 		s := trace.Summarize(fl.Events())
 		rep.Flight = &s
@@ -705,7 +699,7 @@ func (c *simCmd) config(f *cnf.Formula, fl *trace.Flight) (core.RunnerConfig, er
 func simSummary(res core.SimResult) string {
 	return fmt.Sprintf("c outcome=%s vsec=%.1f max-clients=%d threads=%d splits=%d shared=%d work=%d-props msgs=%d bytes=%d",
 		res.Outcome, res.VSec, res.MaxClients, res.Threads, res.State.Splits, res.State.Shared, res.TotalProps,
-		res.Msgs, res.Bytes)
+		res.Comm.MsgsSent, res.Comm.BytesSent)
 }
 
 func cmdSim(args []string) error {

@@ -325,3 +325,59 @@ func TestReportMatchesResult(t *testing.T) {
 		t.Errorf("state.jobs[0] carries a model: %v", j0["model"])
 	}
 }
+
+// TestSimTimelineCSV runs `gridsat sim -timeline` end to end and reads the
+// busy-clients CSV back: its header, a first sample with a busy client, a
+// last one at zero (every run ends with the count collapsing), times that
+// never decrease, and one row per point of the run's Timeline.
+func TestSimTimelineCSV(t *testing.T) {
+	dir := t.TempDir()
+	instance, csvPath := filepath.Join(dir, "ph8.cnf"), filepath.Join(dir, "busy.csv")
+	if err := cnf.WriteDIMACSFile(instance, gen.Pigeonhole(8)); err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-threads", "1", "-timeline", csvPath, instance}
+	if err := cmdSim(args); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(csvPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if lines[0] != "vsec,busy_clients" {
+		t.Fatalf("header %q, want vsec,busy_clients", lines[0])
+	}
+	rows := lines[1:]
+	busy := make([]int, len(rows))
+	last := 0.0
+	for i, row := range rows {
+		var vsec float64
+		if _, err := fmt.Sscanf(row, "%g,%d", &vsec, &busy[i]); err != nil {
+			t.Fatalf("row %d %q: %v", i, row, err)
+		}
+		if vsec < last {
+			t.Fatalf("row %d at %g vsec, after %g", i, vsec, last)
+		}
+		last = vsec
+	}
+	if len(rows) < 2 || busy[0] < 1 || busy[len(busy)-1] != 0 {
+		t.Fatalf("busy counts %v: want a first sample >= 1 and a last at 0", busy)
+	}
+
+	c, err := parseSim(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := loadCNF(instance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := c.config(f, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(core.RunDistributed(cfg).Timeline); len(rows) != n {
+		t.Errorf("%d CSV rows, the run's Timeline has %d points", len(rows), n)
+	}
+}

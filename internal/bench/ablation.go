@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -222,14 +223,20 @@ func RenderHybridAblation(rows []ArmRow) string {
 	for _, r := range rows {
 		fmt.Fprintf(&b, "| %s | %s | %d | %s | %.1f | %d | %d | %d / %d |\n",
 			r.Instance, r.Label, r.Result.Threads, r.Result.Outcome, r.Result.VSec,
-			r.Result.MaxClients, r.Result.State.Splits, r.Result.PoolPublished, r.Result.PoolDelivered)
+			r.Result.MaxClients, r.Result.State.Splits, r.Result.Pool.Published, r.Result.Pool.Delivered)
 	}
 	return b.String()
 }
 
 // WriteAblation writes a sweep's rows as a JSON artifact (the CI smoke
-// steps upload it so regressions are diffable across runs).
+// steps upload it so regressions are diffable across runs). Each row's
+// final state goes without its per-client rows: they are most of a row's
+// bytes, and no arm is compared by them.
 func WriteAblation(path string, rows []ArmRow) error {
+	rows = slices.Clone(rows)
+	for i := range rows {
+		rows[i].Result.State.Clients = nil
+	}
 	fd, err := os.Create(path)
 	if err != nil {
 		return err

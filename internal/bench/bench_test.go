@@ -224,6 +224,25 @@ func TestAblationsRun(t *testing.T) {
 			if err := json.Unmarshal(data, &back); err != nil {
 				t.Fatal(err)
 			}
+			var schema []struct {
+				Result struct {
+					Outcome, Status any
+					State           map[string]any
+				}
+			}
+			if err := json.Unmarshal(data, &schema); err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range schema {
+				_, outcome := r.Result.Outcome.(string)
+				_, status := r.Result.Status.(string)
+				if _, clients := r.Result.State["clients"]; !outcome || !status || clients {
+					t.Errorf("row %d: outcome %v, status %v as text, state.clients written %v", i, outcome, status, clients)
+				}
+			}
+			for i := range rows {
+				rows[i].Result.State.Clients = nil // WriteAblation leaves them out
+			}
 			if !reflect.DeepEqual(back, rows) {
 				t.Errorf("rows changed through JSON:\n%+v\n%+v", back, rows)
 			}

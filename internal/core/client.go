@@ -140,7 +140,7 @@ type Client struct {
 	// port; splits and depth/coverage reporting through its pathfinder. pool
 	// totals the exchange telemetry of every portfolio already torn down.
 	port *portfolio
-	pool poolStats
+	pool PoolStats
 	// cut stops every worker of the portfolio in flight and is nil while
 	// there is none. It is the one piece of solving state another goroutine
 	// may touch: the live shell's masterLoop calls it to end a slice early

@@ -164,24 +164,26 @@ func (p *hostPool) Drain(cur *poolCursor, self, budget int) []poolEntry {
 	return out
 }
 
-// poolStats is the pool's aggregate telemetry snapshot.
-type poolStats struct {
-	Published int64
-	Delivered int64
-	Lost      int64
-	Dropped   int64
+// PoolStats is the pool's aggregate telemetry snapshot. Lost counts
+// entries skipped under the pool's lapping window; Dropped counts
+// import-budget rank-outs.
+type PoolStats struct {
+	Published int64 `json:"published"`
+	Delivered int64 `json:"delivered"`
+	Lost      int64 `json:"lost"`
+	Dropped   int64 `json:"dropped"`
 }
 
 // add accumulates another snapshot into s.
-func (s *poolStats) add(o poolStats) {
+func (s *PoolStats) add(o PoolStats) {
 	s.Published += o.Published
 	s.Delivered += o.Delivered
 	s.Lost += o.Lost
 	s.Dropped += o.Dropped
 }
 
-func (p *hostPool) Stats() poolStats {
-	return poolStats{
+func (p *hostPool) Stats() PoolStats {
+	return PoolStats{
 		Published: p.published.Load(),
 		Delivered: p.delivered.Load(),
 		Lost:      p.lost.Load(),

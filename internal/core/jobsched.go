@@ -81,7 +81,7 @@ type JobSnapshot struct {
 	Verdict string `json:"verdict,omitempty"`
 	// Model carries a SAT verdict's satisfying assignment as DIMACS
 	// literals, only on the /jobs/<id>/result view and in a finished run's
-	// final state (Result.State, SimResult.State).
+	// final state (Result.State, in both shells).
 	Model []int `json:"model,omitempty"`
 }
 

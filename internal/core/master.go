@@ -69,24 +69,31 @@ type MasterConfig struct {
 }
 
 // Result is the outcome of a distributed run: the master's last
-// ClusterState plus what the shell measured around it.
+// ClusterState plus what the shell measured around it. Both shells end with
+// it: a live run returns it, a simulated run's SimResult embeds it. Its JSON
+// form is a -report's and an ablation row's; Model and Wall stay out of it
+// (a SAT job's row in State.Jobs carries its model).
 type Result struct {
-	Status solver.Status
-	Model  cnf.Assignment
-	Wall   time.Duration
+	Status solver.Status  `json:"status"`
+	Model  cnf.Assignment `json:"-"`
+	Wall   time.Duration  `json:"-"`
 	// MaxClients is the peak number of simultaneously busy clients —
 	// the last column of the paper's Table 1.
-	MaxClients int
-	// Threads is the widest in-host portfolio observed across the run's
-	// clients (1 when every client ran single-threaded).
-	Threads int
-	// Comm is the wire-traffic summary, filled by runners that instrument
-	// their transport (Solve, cmd/gridsat); zero when uninstrumented.
-	Comm comm.Totals
+	MaxClients int `json:"max_clients"`
+	// Threads is the widest in-host portfolio the master saw in a
+	// heartbeat (1 when every client ran single-threaded, or when no client
+	// reported before the run ended). The DES heartbeats every slice, so
+	// there it is the configured width once any client has run a slice.
+	Threads int `json:"threads"`
+	// Comm is the wire-traffic summary. The live shells fill it from their
+	// instrumented transport (Solve, cmd/gridsat); the DES counts the sent
+	// side only, every message at its real wire size, and leaves MsgsRecv,
+	// BytesRecv and PerKind zero. Zero when uninstrumented.
+	Comm comm.Totals `json:"comm"`
 	// State is the master's ClusterState at the end of the run: splits,
 	// migrations, shared clauses, the per-client rows and job 0's row
 	// (its lifecycle timestamps and SLO decomposition) in State.Jobs[0].
-	State ClusterState
+	State ClusterState `json:"state"`
 }
 
 type masterClient struct {
@@ -454,6 +461,7 @@ func newMaster(cfg MasterConfig, now func() float64, send func(int, comm.Message
 		met:            newMasterMetrics(reg),
 		flight:         cfg.Flight,
 		wd:             newWatchdog(),
+		result:         Result{Threads: 1}, // widened by portfolio heartbeats
 	}
 	if now == nil {
 		m.now, m.send, m.writeBundle = m.wallNow, m.enqueue, m.writeBundleAsync
@@ -503,9 +511,6 @@ func (m *Master) finishResult() {
 		st.Jobs[i].Model = m.jobs[st.Jobs[i].ID].modelLits()
 	}
 	m.result.State = st
-	if m.result.Threads == 0 {
-		m.result.Threads = 1 // no portfolio heartbeat seen: single-threaded
-	}
 }
 
 // connect admits a new, not yet registered client and issues its ID; the

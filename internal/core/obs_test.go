@@ -364,11 +364,12 @@ func TestSimTrafficCounters(t *testing.T) {
 	if res.Outcome != OutcomeSolved || res.Status != solver.StatusUNSAT {
 		t.Fatalf("got %v/%v", res.Outcome, res.Status)
 	}
-	if res.Msgs == 0 || res.Bytes == 0 {
-		t.Fatalf("sim recorded msgs=%d bytes=%d, want both > 0", res.Msgs, res.Bytes)
+	c := res.Comm
+	if c.MsgsSent == 0 || c.BytesSent == 0 {
+		t.Fatalf("sim recorded msgs=%d bytes=%d, want both > 0", c.MsgsSent, c.BytesSent)
 	}
-	if res.Bytes < res.Msgs {
-		t.Errorf("bytes (%d) < msgs (%d): every message has a positive size", res.Bytes, res.Msgs)
+	if c.BytesSent < c.MsgsSent {
+		t.Errorf("bytes (%d) < msgs (%d): every message has a positive size", c.BytesSent, c.MsgsSent)
 	}
 }
 

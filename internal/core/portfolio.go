@@ -14,7 +14,7 @@ import (
 // clauses through the lock-free hostPool, first finisher wins. To the
 // rest of the cluster the whole portfolio is a single client: worker 0 —
 // the pathfinder — runs the unmodified base configuration and is the only
-// worker splits and checkpoints ever touch, so guiding-path semantics
+// worker splits ever touch, so guiding-path semantics
 // (taint/deps soundness, coverage algebra) are unchanged.
 //
 // Soundness of the race: every worker solves base ∧ (guiding-path
@@ -106,8 +106,7 @@ func newPortfolio(base *cnf.Formula, sub *solver.Subproblem, baseOpts solver.Opt
 	return p, nil
 }
 
-// Pathfinder returns worker 0's solver — the one splits and checkpoints
-// operate on.
+// Pathfinder returns worker 0's solver — the one splits operate on.
 func (p *portfolio) Pathfinder() *solver.Solver { return p.workers[0].slv }
 
 // Winner returns the index of the worker that produced the last verdict
@@ -269,9 +268,9 @@ func (p *portfolio) ShedMemory() int64 {
 }
 
 // PoolStats returns the exchange telemetry snapshot (zero without a pool).
-func (p *portfolio) PoolStats() poolStats {
+func (p *portfolio) PoolStats() PoolStats {
 	if p.pool == nil {
-		return poolStats{}
+		return PoolStats{}
 	}
 	return p.pool.Stats()
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -77,9 +78,9 @@ type RunnerConfig struct {
 	// shared by all clients must synchronize what it touches.
 	// Client.MinRunTime is the split-timeout floor in virtual
 	// seconds (0 = 10, the paper's 100 s at this scale). With Client.Threads
-	// K > 1, worker 0 (the pathfinder) drives the split and checkpoint
-	// policies while workers 1..K-1 run diversified profiles,
-	// stepped in worker-index order so the run stays deterministic.
+	// K > 1, worker 0 (the pathfinder) drives the split policy while
+	// workers 1..K-1 run diversified profiles, stepped in worker-index
+	// order so the run stays deterministic.
 	Client ClientConfig
 	// Jobs makes the run a multi-job workload: Master.Formula is ignored and
 	// each SimJob arrives at its ArrivalVSec, contending for idle clients
@@ -128,8 +129,8 @@ const memDivisor = 100
 
 // TimelinePoint is one sample of the active-client count.
 type TimelinePoint struct {
-	VSec float64
-	Busy int
+	VSec float64 `json:"vsec"`
+	Busy int     `json:"busy"`
 }
 
 // FailurePlan kills the client on a host at a virtual time.
@@ -218,63 +219,56 @@ func (o SimOutcome) String() string {
 	return "unknown"
 }
 
-// SimResult is the outcome of a simulated run: the master's last
-// ClusterState plus what the DES alone measures.
+// MarshalText renders the outcome as String does, so an outcome reads as
+// text in JSON.
+func (o SimOutcome) MarshalText() ([]byte, error) { return []byte(o.String()), nil }
+
+// UnmarshalText parses what MarshalText writes.
+func (o *SimOutcome) UnmarshalText(b []byte) error {
+	for _, v := range []SimOutcome{OutcomeSolved, OutcomeTimeout, OutcomeMemOut} {
+		if string(b) == v.String() {
+			*o = v
+			return nil
+		}
+	}
+	return fmt.Errorf("core: unknown outcome %q", b)
+}
+
+// SimResult is the record of a simulated run: the master's Result, as a
+// live run ends with it, plus what the DES alone measures. Under the DES,
+// Wall stays zero (VSec is the run's time), Comm counts the sent side only
+// (see charge), and State is zero for RunSequential; a one-shot UNSAT run
+// without lost work ends with State.Jobs[0].Units at exactly 2^62.
+// MaxClients is the paper's "Max # of clients" column, the peak of Timeline.
 type SimResult struct {
-	Outcome SimOutcome
-	Status  solver.Status
-	Model   cnf.Assignment
+	Result
+	Outcome SimOutcome `json:"outcome"`
 	// VSec is the virtual solve time (the paper's seconds column ÷ 10).
-	VSec float64
-	// MaxClients is the paper's "Max # of clients" column: the master's
-	// peak of simultaneously busy clients (Result.MaxClients), which is also
-	// the peak of Timeline.
-	MaxClients int
+	VSec float64 `json:"vsec"`
 	// TotalProps is the real work executed across all clients.
-	TotalProps int64
-	// Msgs/Bytes total the protocol traffic: every message the master and
-	// clients sent, at its real wire size (comm.WireSize, trace envelope
-	// excluded) — the DES counterpart of the live runtime's
-	// instrumented-transport counters.
-	Msgs  int64
-	Bytes int64
+	TotalProps int64 `json:"total_props"`
 	// Timeline samples the number of simultaneously busy clients over
 	// virtual time (taken at each monitor tick plus every busy-count
 	// change). The paper describes exactly this curve: "this number starts
 	// at one and varies during the run… When a problem is solved the
 	// number of active clients collapses to zero."
-	Timeline []TimelinePoint
+	Timeline []TimelinePoint `json:"timeline"`
 	// BatchStartVSec/BatchCanceled report the Table-2 batch interaction.
-	BatchStartVSec float64
-	BatchCanceled  bool
+	BatchStartVSec float64 `json:"batch_start_vsec"`
+	BatchCanceled  bool    `json:"batch_canceled"`
 	// Agg sums solver counters across every client solver the run created:
-	// the master's churn-proof heartbeat totals plus whatever live solvers
-	// had not yet reported when the run ended. Its import-usefulness
-	// fields feed the share-efficacy view.
-	Agg comm.SolverDeltas
-	// Threads is the per-client portfolio width the run was configured
-	// with (1 = single-solver clients).
-	Threads int
-	// PoolPublished/PoolDelivered/PoolLost/PoolDropped total the in-host
-	// clause-pool exchange across every portfolio client (all zero for
-	// single-threaded runs). Lost counts entries skipped under the pool's
-	// documented lapping window; Dropped counts import-budget rank-outs.
-	PoolPublished int64
-	PoolDelivered int64
-	PoolLost      int64
-	PoolDropped   int64
+	// the master's churn-proof heartbeat totals plus whatever a client had
+	// not yet reported when it crashed or the run ended. Its
+	// import-usefulness fields feed the share-efficacy view.
+	Agg comm.SolverDeltas `json:"agg"`
+	// Pool totals the in-host clause-pool exchange across every portfolio
+	// client (zero for single-threaded runs).
+	Pool PoolStats `json:"pool"`
 	// Alerts is the watchdog's alert feed (virtual-time stamps; nil when
 	// RunnerConfig.Watchdog was off) and Bundles the postmortem bundle
 	// directories written during the run, in capture order.
-	Alerts  []Alert
-	Bundles []string
-	// State is the master's ClusterState at the end of the run (zero for
-	// RunSequential): splits, migrations, shares, the closed-subproblem
-	// count and one row per job in submission order — a one-shot run's
-	// coverage is State.Jobs[0]'s (units are exact fixed-point 2^-62
-	// fractions; an UNSAT run without lost work ends at exactly 1.0, 2^62
-	// units, and its course is the N of the run's FEvSubUNSAT flight events).
-	State ClusterState
+	Alerts  []Alert  `json:"alerts"`
+	Bundles []string `json:"bundles"`
 }
 
 // RunSequential simulates the paper's zChaff baseline: the engine on the
@@ -309,15 +303,18 @@ func RunSequential(cfg RunnerConfig) SimResult {
 		delta := s.Stats().Propagations - before
 		props += delta
 		vsec += float64(delta) / (propsPerVSec * host.Speed) // dedicated: availability 1
+		outcome := OutcomeSolved
 		switch {
 		case res.Status != solver.StatusUnknown:
-			return SimResult{Outcome: OutcomeSolved, Status: res.Status, Model: res.Model,
-				VSec: vsec, MaxClients: 1, Threads: 1, TotalProps: props}
 		case res.Reason == solver.ReasonMemLimit:
-			return SimResult{Outcome: OutcomeMemOut, VSec: vsec, MaxClients: 1, Threads: 1, TotalProps: props}
+			outcome = OutcomeMemOut
 		case vsec >= cfg.TimeoutVSec:
-			return SimResult{Outcome: OutcomeTimeout, VSec: vsec, MaxClients: 1, Threads: 1, TotalProps: props}
+			outcome = OutcomeTimeout
+		default:
+			continue
 		}
+		return SimResult{Result: Result{Status: res.Status, Model: res.Model, MaxClients: 1, Threads: 1},
+			Outcome: outcome, VSec: vsec, TotalProps: props}
 	}
 }
 
@@ -388,10 +385,6 @@ type runner struct {
 	// submitted counts cfg.Jobs arrivals so far (multi-job runs end when
 	// every job has arrived and is terminal).
 	submitted int
-	// tail sums solver work the master never heard about: deltas a client
-	// had not heartbeated when it crashed or the run ended.
-	tail comm.SolverDeltas
-	pool poolStats
 
 	// quanta lists the compute quanta in flight, in launch order; work
 	// feeds them to the workers first in, first out. Only the event loop
@@ -442,7 +435,6 @@ func RunDistributed(cfg RunnerConfig) SimResult {
 	if n := len(cfg.Grid.Hosts); n > 0 {
 		r.mhost = cfg.Grid.Hosts[n-1] // the paper ran its master at UCSD
 	}
-	r.res.Threads = max(1, cfg.Client.Threads)
 
 	// Jobs are submitted at their arrival times, in arrival order.
 	for _, sj := range cfg.Jobs {
@@ -722,15 +714,15 @@ func (r *runner) host(id int) *grid.Host {
 	return r.clients[id].host
 }
 
-// charge accrues one protocol message to the traffic totals at its real
-// frame size and returns that size. The trace envelope is observability,
+// charge accrues one protocol message to the run's sent traffic
+// (Result.Comm) at its real frame size and returns that size. The trace envelope is observability,
 // not protocol, and is not charged: tracing must not change what it
 // observes.
 func (r *runner) charge(msg comm.Message) int64 {
 	inner, _ := comm.Unwrap(msg)
 	bytes := comm.WireSize(inner)
-	r.res.Msgs++
-	r.res.Bytes += bytes
+	r.res.Comm.MsgsSent++
+	r.res.Comm.BytesSent += bytes
 	return bytes
 }
 
@@ -969,11 +961,12 @@ func unreported(c *Client) comm.SolverDeltas {
 }
 
 // retire takes a client out of the run for good (crash or end of run),
-// keeping the solver and pool counters the master never saw.
+// adding to the record the solver work the master never heard about and
+// the client's pool totals.
 func (r *runner) retire(dc *desClient) {
-	r.tail.Add(unreported(dc.cl))
+	r.res.Agg.Add(unreported(dc.cl))
 	dc.cl.dropSolver()
-	r.pool.add(dc.cl.pool)
+	r.res.Pool.add(dc.cl.pool)
 	dc.dead = true
 }
 
@@ -1027,13 +1020,11 @@ func (r *runner) finish(outcome SimOutcome) {
 		}
 	}
 	res := &r.res
+	traffic := res.Comm // the master's record carries no traffic of the DES's
+	res.Result = m.result
+	res.Comm = traffic
 	res.Outcome = outcome
-	res.Status, res.Model, res.State = m.result.Status, m.result.Model, m.result.State
-	res.MaxClients = m.result.MaxClients
-	res.Agg = res.State.SolverDeltas
-	res.Agg.Add(r.tail)
-	res.PoolPublished, res.PoolDelivered = r.pool.Published, r.pool.Delivered
-	res.PoolLost, res.PoolDropped = r.pool.Lost, r.pool.Dropped
+	res.Agg.Add(res.State.SolverDeltas)
 	if r.cfg.Watchdog {
 		res.Alerts = m.wd.feed()
 	}

@@ -33,10 +33,10 @@ func TestRunDistributedPortfolioUNSATCoverageExact(t *testing.T) {
 	if res.State.Jobs[0].Units != coverageFull {
 		t.Fatalf("coverage %d units, want exactly %d", res.State.Jobs[0].Units, coverageFull)
 	}
-	if res.PoolPublished == 0 {
+	if res.Pool.Published == 0 {
 		t.Fatal("portfolio run published nothing to the in-host pool")
 	}
-	if res.PoolDelivered == 0 {
+	if res.Pool.Delivered == 0 {
 		t.Fatal("in-host pool delivered nothing despite publishes")
 	}
 }
@@ -71,8 +71,7 @@ func TestRunDistributedPortfolioDeterministic(t *testing.T) {
 	if a.Status != b.Status || a.VSec != b.VSec || a.State.Splits != b.State.Splits ||
 		a.State.Shared != b.State.Shared || a.TotalProps != b.TotalProps ||
 		a.State.Jobs[0].Units != b.State.Jobs[0].Units ||
-		a.PoolPublished != b.PoolPublished || a.PoolDelivered != b.PoolDelivered ||
-		a.PoolLost != b.PoolLost || a.PoolDropped != b.PoolDropped {
+		a.Pool != b.Pool {
 		t.Fatalf("nondeterministic portfolio DES:\n%+v\nvs\n%+v", a, b)
 	}
 }
@@ -120,8 +119,8 @@ func TestRunDistributedThreadsOneBitIdentical(t *testing.T) {
 		res0.State.Splits != res1.State.Splits || res0.State.Shared != res1.State.Shared {
 		t.Fatalf("-threads=1 diverged from single-solver runner:\n%+v\nvs\n%+v", res0, res1)
 	}
-	if res1.PoolPublished != 0 {
-		t.Fatalf("Threads=1 used the in-host pool: %d publishes", res1.PoolPublished)
+	if res1.Pool.Published != 0 {
+		t.Fatalf("Threads=1 used the in-host pool: %d publishes", res1.Pool.Published)
 	}
 }
 

@@ -498,9 +498,10 @@ func TestRunDistributedFlightLogsRepeat(t *testing.T) {
 			if name == "crash-recovery" && trace.Summarize(e1).PerKind[trace.FEvRecover] == 0 {
 				t.Fatal("config no longer recovers a crashed client's work; pick one that does")
 			}
-			if r1.VSec != r2.VSec || r1.TotalProps != r2.TotalProps || r1.Msgs != r2.Msgs || r1.Bytes != r2.Bytes {
-				t.Fatalf("results diverge: %v/%d/%d/%d vs %v/%d/%d/%d", r1.VSec, r1.TotalProps, r1.Msgs, r1.Bytes,
-					r2.VSec, r2.TotalProps, r2.Msgs, r2.Bytes)
+			c1, c2 := r1.Comm, r2.Comm
+			if r1.VSec != r2.VSec || r1.TotalProps != r2.TotalProps || c1.MsgsSent != c2.MsgsSent || c1.BytesSent != c2.BytesSent {
+				t.Fatalf("results diverge: %v/%d/%d/%d vs %v/%d/%d/%d", r1.VSec, r1.TotalProps, c1.MsgsSent, c1.BytesSent,
+					r2.VSec, r2.TotalProps, c2.MsgsSent, c2.BytesSent)
 			}
 			if len(e1) != len(e2) {
 				t.Fatalf("flight logs diverge: %d vs %d events", len(e1), len(e2))

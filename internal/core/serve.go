@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"gridsat/internal/cnf"
@@ -27,26 +28,39 @@ import (
 // ErrNoSuchJob is returned for job IDs the service has never issued.
 var ErrNoSuchJob = errors.New("core: no such job")
 
-// apply runs fn on the master's event loop and waits for it to finish
-// (or gives up when the loop is gone). fn must signal completion itself;
-// done is closed by the caller-side wrapper.
+// ErrLoopUnavailable is returned when the master's event loop does not
+// answer within 2 s: the master is wedged or gone, whatever was asked.
+var ErrLoopUnavailable = errors.New("core: master event loop unavailable")
+
+// apply runs fn on the master's event loop and waits for it to finish, or
+// gives up with ErrLoopUnavailable when the loop does not answer. Given up,
+// fn never runs: the loop and the deadline race for claimed, so a request
+// answered 503 cannot take effect when the loop comes back.
 func (m *Master) apply(fn func()) error {
+	var claimed atomic.Bool
 	done := make(chan struct{})
 	ev := masterEvent{apply: func() bool {
-		fn()
-		close(done)
+		if claimed.CompareAndSwap(false, true) {
+			fn()
+			close(done)
+		}
 		return false
 	}}
+	deadline := time.After(2 * time.Second)
 	select {
 	case m.events <- ev:
 		select {
 		case <-done:
 			return nil
-		case <-time.After(2 * time.Second):
+		case <-deadline:
 		}
-	case <-time.After(2 * time.Second):
+	case <-deadline:
 	}
-	return errors.New("core: master event loop unavailable")
+	if claimed.CompareAndSwap(false, true) {
+		return ErrLoopUnavailable
+	}
+	<-done // the loop claimed fn first and is running it
+	return nil
 }
 
 // Submit queues a formula as a new job and returns its ID. Priority
@@ -275,7 +289,13 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
+// writeError answers err with code, or with 503 when err is
+// ErrLoopUnavailable: a wedged event loop is the server's failure on every
+// route, not a missing job, a finished one or a full queue.
 func writeError(w http.ResponseWriter, code int, err error) {
+	if errors.Is(err, ErrLoopUnavailable) {
+		code = http.StatusServiceUnavailable
+	}
 	writeJSON(w, code, errorResponse{Error: err.Error()})
 }
 
@@ -288,6 +308,8 @@ func writeError(w http.ResponseWriter, code int, err error) {
 //	GET  /jobs/{id}                one job's status
 //	POST /jobs/{id}/cancel         cancel a queued or running job
 //	GET  /jobs/{id}/result         status incl. a SAT model; 404 unknown id
+//
+// Each answers 503 when the event loop does not (ErrLoopUnavailable).
 func (m *Master) jobEndpoints() []obs.Endpoint {
 	return []obs.Endpoint{
 		{Path: "POST /jobs", H: m.handleSubmit},

@@ -500,17 +500,25 @@ func TestServeSecondJobAfterHeartbeats(t *testing.T) {
 }
 
 // TestWedgedLoopAnswers503: while the event loop is held past the 2 s
-// deadline, every endpoint that reads the loop answers 503 — not a zero
+// deadline, every endpoint that asks the loop answers 503 — not a zero
 // ClusterState, a null job list or an empty alert feed that `gridsat top`
-// would paint as an idle cluster — and /healthz, which never asks the
-// loop, still answers 200. Once the loop is released it answers again.
+// would paint as an idle cluster, nor a 404, 409 or 429 that blames the
+// request — and /healthz, which never asks the loop, still answers 200.
+// Once the loop is released it answers again, and what it was asked while
+// held has not happened.
 func TestWedgedLoopAnswers503(t *testing.T) {
 	t.Parallel()
 	m, done := serveMaster(t, comm.NewInprocTransport(), MasterConfig{ListenAddr: "wedged-master",
-		MetricsAddr: "127.0.0.1:0"})
+		MetricsAddr: "127.0.0.1:0", BundleDir: t.TempDir(), Admission: Admission{MaxActive: 4}})
 	base := "http://" + m.MetricsAddr()
-	get := func(path string) int {
-		resp, err := http.Get(base + path)
+	do := func(route string) int {
+		method, path, _ := strings.Cut(route, " ")
+		req, err := http.NewRequest(method, base+path, strings.NewReader("p cnf 1 1\n1 0\n"))
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Error(err)
 			return 0
@@ -526,29 +534,34 @@ func TestWedgedLoopAnswers503(t *testing.T) {
 		return false
 	}}
 	<-held
-	want := map[string]int{"/status": 503, "/jobs": 503, "/alerts": 503, "/history": 503, "/healthz": 200}
+	want := map[string]int{"GET /status": 503, "GET /jobs": 503, "GET /alerts": 503, "GET /history": 503,
+		"GET /jobs/1": 503, "GET /jobs/1/result": 503, "POST /jobs/1/cancel": 503, "POST /jobs": 503,
+		"POST /debug/bundle": 503, "GET /healthz": 200}
 	got := make(map[string]int, len(want))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for path := range want {
+	for route := range want {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			code := get(path)
+			code := do(route)
 			mu.Lock()
-			got[path] = code
+			got[route] = code
 			mu.Unlock()
 		}()
 	}
 	wg.Wait()
 	close(release)
-	for path, code := range want {
-		if got[path] != code {
-			t.Errorf("GET %s on a wedged loop: %d, want %d", path, got[path], code)
+	for route, code := range want {
+		if got[route] != code {
+			t.Errorf("%s on a wedged loop: %d, want %d", route, got[route], code)
 		}
 	}
-	if code := get("/status"); code != 200 {
+	if code := do("GET /status"); code != 200 {
 		t.Errorf("GET /status after release: %d, want 200", code)
+	}
+	if jobs, err := m.Jobs(); err != nil || len(jobs) != 0 {
+		t.Errorf("after release: jobs %v (%v), want none: a submission answered 503 took effect", jobs, err)
 	}
 	m.Shutdown()
 	<-done

@@ -14,7 +14,7 @@ import (
 // reduces one per tick to the Sample that the watchdog, GET /history and the
 // dashboard sparklines read, a bundle's state.json freezes one, `gridsat
 // top` renders one — and the last one, built by finishResult, is the body
-// of both run records (Result.State, SimResult.State) and of -report's
+// of the run record (Result.State, in both shells) and of -report's
 // "state" key, so no two surfaces can disagree about what "busy" or
 // "coverage" means.
 type ClusterState struct {
@@ -33,9 +33,9 @@ type ClusterState struct {
 	MemBytes     int64   `json:"mem_bytes"`
 	ConflictRate float64 `json:"conflict_rate"`
 	// Backlog counts unserved split requests, SubBacklog the subproblems the
-	// master holds for the next idle client (roots, leftover cofactors,
-	// checkpoints), Outstanding every live subproblem (busy + in flight +
-	// queued), each summed over jobs.
+	// master holds for the next idle client (roots, leftover cofactors, the
+	// cubes of lost and migrated clients), Outstanding every live
+	// subproblem (busy + in flight + queued), each summed over jobs.
 	Backlog     int `json:"backlog"`
 	SubBacklog  int `json:"sub_backlog"`
 	Outstanding int `json:"outstanding"`
@@ -71,9 +71,11 @@ type ClusterState struct {
 	Efficacy ShareEfficacy `json:"efficacy"`
 
 	// Jobs are the per-job rows in submission order (one row, job 0, for a
-	// one-shot run); Clients the registered clients sorted by ID.
+	// one-shot run); Clients the registered clients sorted by ID, its key
+	// absent when nil (no client registered, or rows dropped from an
+	// ablation artifact).
 	Jobs    []JobSnapshot `json:"jobs"`
-	Clients []ClientState `json:"clients"`
+	Clients []ClientState `json:"clients,omitzero"`
 }
 
 // ClientState is one registered client's row in a ClusterState: identity,

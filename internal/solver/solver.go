@@ -46,6 +46,21 @@ func (s Status) String() string {
 	}
 }
 
+// MarshalText renders the status as String does, so a status reads as text
+// in JSON.
+func (s Status) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText parses what MarshalText writes.
+func (s *Status) UnmarshalText(b []byte) error {
+	for _, v := range []Status{StatusUnknown, StatusSAT, StatusUNSAT} {
+		if string(b) == v.String() {
+			*s = v
+			return nil
+		}
+	}
+	return fmt.Errorf("solver: unknown status %q", b)
+}
+
 // StopReason explains why Solve returned.
 type StopReason int
 

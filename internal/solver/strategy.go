@@ -32,8 +32,6 @@ import (
 // that closing all 2^k cofactors at depth d+k accounts for exactly 2^-d of
 // the root search space.
 type SplitStrategy interface {
-	// Name is the strategy's flag value (e.g. "first-decision").
-	Name() string
 	// Split carves a batch of subproblems off the donor s, mutating s to
 	// own only its remaining cofactor. learntMaxLen/learntMaxCount bound
 	// the learned clauses forwarded with each subproblem, as in
@@ -44,9 +42,9 @@ type SplitStrategy interface {
 	MaxBatch() int
 }
 
-// DefaultDilemmaK is the number of jointly forked variables of the dilemma
+// dilemmaK is the number of jointly forked variables of the dilemma
 // strategies: 2^2 cofactors per split, donor keeps one and ships three.
-const DefaultDilemmaK = 2
+const dilemmaK = 2
 
 // StrategyNames lists the -split-strategy flag vocabulary.
 const StrategyNames = "first-decision | dilemma | dilemma-veto"
@@ -58,9 +56,9 @@ func ParseStrategy(name string) (SplitStrategy, error) {
 	case "", "first-decision":
 		return FirstDecision{}, nil
 	case "dilemma":
-		return &Dilemma{K: DefaultDilemmaK}, nil
+		return Dilemma{}, nil
 	case "dilemma-veto":
-		return Veto{Inner: &Dilemma{K: DefaultDilemmaK}}, nil
+		return Dilemma{veto: true}, nil
 	}
 	return nil, fmt.Errorf("solver: unknown split strategy %q (want %s)", name, StrategyNames)
 }
@@ -70,9 +68,6 @@ func ParseStrategy(name string) (SplitStrategy, error) {
 // which extends the guiding path by one literal — the binary special case
 // of the strategy's path contract.
 type FirstDecision struct{}
-
-// Name implements SplitStrategy.
-func (FirstDecision) Name() string { return "first-decision" }
 
 // MaxBatch implements SplitStrategy.
 func (FirstDecision) MaxBatch() int { return 1 }
@@ -101,45 +96,33 @@ type splitCandidate struct {
 	occ int
 }
 
-// candidateFilter narrows a candidate pool before the top-k pick; the
-// slice is ordered best-first and the filter must preserve that order.
-type candidateFilter func(s *Solver, cands []splitCandidate) []splitCandidate
-
-// Dilemma is the Dissolve-style multi-way strategy: pick K variables by
-// vote aggregation over the most recent learned clauses (VSIDS activity
-// breaks ties), fan the search space out over all 2^K assignments of those
-// variables in one shot, keep one cofactor on the donor and ship the other
-// 2^K-1. Every cofactor — donor's included — extends the guiding path by
-// its K literals.
+// Dilemma is the Dissolve-style multi-way strategy: pick dilemmaK
+// variables by vote aggregation over the most recent learned clauses (VSIDS
+// activity breaks ties), fan the search space out over all 2^k assignments
+// of those variables in one shot, keep one cofactor on the donor and ship
+// the other 2^k-1. Every cofactor — donor's included — extends the guiding
+// path by its k literals.
 type Dilemma struct {
-	// K is the number of jointly forked variables; values below 1 mean
-	// DefaultDilemmaK. The batch size is 2^K-1.
-	K int
+	// veto applies the Kotthoff & Moore candidate filter before the pick
+	// ("dilemma-veto"): bad split variables are reliably identifiable even
+	// when good ones are not, so instead of trying to pick winners it
+	// removes candidates whose structural profile marks them as losers —
+	// variables occurring in fewer problem clauses than the candidate
+	// median (forking on them barely constrains either cofactor) and
+	// variables the search has never touched (zero VSIDS activity and zero
+	// learnt votes). See vetoFilter.
+	veto bool
 }
-
-// Name implements SplitStrategy.
-func (d *Dilemma) Name() string { return "dilemma" }
 
 // MaxBatch implements SplitStrategy.
-func (d *Dilemma) MaxBatch() int { return 1<<d.k() - 1 }
-
-func (d *Dilemma) k() int {
-	if d.K < 1 {
-		return DefaultDilemmaK
-	}
-	return d.K
-}
+func (Dilemma) MaxBatch() int { return 1<<dilemmaK - 1 }
 
 // recentLearntWindow bounds the vote-aggregation scan to the newest
 // learned clauses, where the search's current locality lives.
 const recentLearntWindow = 256
 
 // Split implements SplitStrategy.
-func (d *Dilemma) Split(s *Solver, learntMaxLen, learntMaxCount int) ([]*Subproblem, error) {
-	return d.splitWithFilter(s, learntMaxLen, learntMaxCount, nil)
-}
-
-func (d *Dilemma) splitWithFilter(s *Solver, learntMaxLen, learntMaxCount int, filter candidateFilter) ([]*Subproblem, error) {
+func (d Dilemma) Split(s *Solver, learntMaxLen, learntMaxCount int) ([]*Subproblem, error) {
 	if s.status != StatusUnknown {
 		return nil, errors.New("solver: cannot split a decided problem")
 	}
@@ -152,14 +135,11 @@ func (d *Dilemma) splitWithFilter(s *Solver, learntMaxLen, learntMaxCount int, f
 		return nil, errors.New("solver: subproblem refuted while preparing split")
 	}
 
-	cands := d.candidates(s)
-	if filter != nil {
-		cands = filter(s, cands)
+	cands := candidates(s)
+	if d.veto {
+		cands = vetoFilter(s, cands)
 	}
-	k := d.k()
-	if len(cands) < k {
-		k = len(cands)
-	}
+	k := min(dilemmaK, len(cands))
 	if k == 0 {
 		return nil, ErrNothingToSplit
 	}
@@ -226,7 +206,7 @@ func comboLits(vars []cnf.Var, combo int) []cnf.Lit {
 // candidates scores every unassigned variable by learnt-clause votes with
 // VSIDS-activity tie-breaks and returns them best-first. Deterministic:
 // equal (votes, activity) falls back to variable order.
-func (d *Dilemma) candidates(s *Solver) []splitCandidate {
+func candidates(s *Solver) []splitCandidate {
 	votes := make(map[cnf.Var]int)
 	start := len(s.learnts) - recentLearntWindow
 	if start < 0 {
@@ -263,30 +243,8 @@ func sortCandidates(cands []splitCandidate) {
 	})
 }
 
-// Veto decorates a Dilemma with the Kotthoff & Moore candidate filter:
-// bad split variables are reliably identifiable even when good ones are
-// not, so instead of trying to pick winners it removes candidates whose
-// structural profile marks them as losers — variables occurring in fewer
-// problem clauses than the candidate median (forking on them barely
-// constrains either cofactor) and variables the search has never touched
-// (zero VSIDS activity and zero learnt votes).
-type Veto struct {
-	Inner *Dilemma
-}
-
-// Name implements SplitStrategy.
-func (v Veto) Name() string { return v.Inner.Name() + "-veto" }
-
-// MaxBatch implements SplitStrategy.
-func (v Veto) MaxBatch() int { return v.Inner.MaxBatch() }
-
-// Split implements SplitStrategy.
-func (v Veto) Split(s *Solver, learntMaxLen, learntMaxCount int) ([]*Subproblem, error) {
-	return v.Inner.splitWithFilter(s, learntMaxLen, learntMaxCount, vetoFilter)
-}
-
-// vetoFilter applies the occurrence/activity veto. It never empties the
-// pool: when every candidate would be vetoed, the unfiltered pool stands
+// vetoFilter applies the occurrence/activity veto, preserving the pool's
+// best-first order. It never empties the pool: when every candidate would be vetoed, the unfiltered pool stands
 // (a bad split still beats no split when a client must shed memory).
 func vetoFilter(s *Solver, cands []splitCandidate) []splitCandidate {
 	if len(cands) == 0 {

@@ -1,7 +1,6 @@
 package solver
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -11,19 +10,17 @@ import (
 	"gridsat/internal/gen"
 )
 
-// strategyUnderTest builds a fresh strategy per run (Dilemma carries no
-// state, but pointer strategies should not be shared across donors).
-func strategiesUnderTest(t *testing.T) []SplitStrategy {
+// strategyFlags is the -split-strategy vocabulary the tests sweep, each
+// subtest named by its flag.
+var strategyFlags = []string{"first-decision", "dilemma", "dilemma-veto"}
+
+func mustParseStrategy(t *testing.T, flag string) SplitStrategy {
 	t.Helper()
-	var out []SplitStrategy
-	for _, name := range []string{"first-decision", "dilemma", "dilemma-veto"} {
-		st, err := ParseStrategy(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, st)
+	st, err := ParseStrategy(flag)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	return st
 }
 
 // oracleFormulas is the cross-generator suite for the partition property:
@@ -52,8 +49,9 @@ func oracleFormulas() map[string]*cnf.Formula {
 func TestStrategyPartitionProperty(t *testing.T) {
 	for name, f := range oracleFormulas() {
 		want, _ := brute.Solve(f, 0)
-		for _, st := range strategiesUnderTest(t) {
-			t.Run(fmt.Sprintf("%s/%s", name, st.Name()), func(t *testing.T) {
+		for _, flag := range strategyFlags {
+			st := mustParseStrategy(t, flag)
+			t.Run(name+"/"+flag, func(t *testing.T) {
 				underEachPreset(t, func(t *testing.T, preset func() Options) {
 					checkPartition(t, f, st, want, preset)
 				})
@@ -64,7 +62,7 @@ func TestStrategyPartitionProperty(t *testing.T) {
 
 func checkPartition(t *testing.T, f *cnf.Formula, st SplitStrategy, want brute.Result, preset func() Options) {
 	donor := New(f, preset())
-	if st.Name() == "first-decision" {
+	if st == (FirstDecision{}) {
 		// First-decision needs a decision on the stack; the
 		// dilemma strategies can carve up a fresh donor.
 		donor.Solve(Limits{MaxConflicts: 4})
@@ -122,8 +120,9 @@ func checkPartition(t *testing.T, f *cnf.Formula, st SplitStrategy, want brute.R
 // sweep of random 3-SAT near the phase transition, where both verdicts and
 // both donor-refuted edge cases occur.
 func TestStrategyPartitionRandomSweep(t *testing.T) {
-	for _, st := range strategiesUnderTest(t) {
-		t.Run(st.Name(), func(t *testing.T) {
+	for _, flag := range strategyFlags {
+		st := mustParseStrategy(t, flag)
+		t.Run(flag, func(t *testing.T) {
 			underEachPreset(t, func(t *testing.T, preset func() Options) {
 				for seed := int64(0); seed < 30; seed++ {
 					f := gen.RandomKSAT(10, 42, 3, seed)
@@ -133,7 +132,7 @@ func TestStrategyPartitionRandomSweep(t *testing.T) {
 					if donor.Status() != StatusUnknown {
 						continue
 					}
-					if st.Name() == "first-decision" && donor.DecisionLevel() == 0 {
+					if st == (FirstDecision{}) && donor.DecisionLevel() == 0 {
 						continue
 					}
 					batch, err := st.Split(donor, 10, 0)
@@ -166,8 +165,9 @@ func TestStrategyPartitionRandomSweep(t *testing.T) {
 // strategies, over two splits in a row so the pre-split cube is not the
 // root's: see checkCubes.
 func TestDilemmaDepthBookkeeping(t *testing.T) {
-	for _, st := range []SplitStrategy{FirstDecision{}, &Dilemma{K: 2}} {
-		t.Run(st.Name(), func(t *testing.T) {
+	for _, flag := range []string{"first-decision", "dilemma"} {
+		st := mustParseStrategy(t, flag)
+		t.Run(flag, func(t *testing.T) {
 			f := gen.Pigeonhole(8)
 			donor := New(f, DefaultOptions())
 			for split := 0; split < 2; split++ {
@@ -181,7 +181,7 @@ func TestDilemmaDepthBookkeeping(t *testing.T) {
 					t.Fatal(err)
 				}
 				if len(batch) != st.MaxBatch() {
-					t.Fatalf("%s shipped %d cofactors, want %d", st.Name(), len(batch), st.MaxBatch())
+					t.Fatalf("%s shipped %d cofactors, want %d", flag, len(batch), st.MaxBatch())
 				}
 				checkCubes(t, pre, donor, batch)
 			}
@@ -244,13 +244,12 @@ func TestDilemmaCofactorsDisjoint(t *testing.T) {
 	if donor.Status() != StatusUnknown {
 		t.Fatal("instance decided before split")
 	}
-	d := &Dilemma{K: 2}
-	batch, err := d.Split(donor, 0, 0)
+	batch, err := Dilemma{}.Split(donor, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The split variables are the trailing k assumptions of any cofactor.
-	k := 2
+	k := dilemmaK
 	combos := make(map[int]bool)
 	var vars []cnf.Var
 	for _, sub := range batch {
@@ -299,21 +298,21 @@ func TestDilemmaCofactorsDisjoint(t *testing.T) {
 func TestParseStrategy(t *testing.T) {
 	cases := []struct {
 		flag   string
-		name   string
+		want   SplitStrategy
 		fanout int
 	}{
-		{"", "first-decision", 1},
-		{"first-decision", "first-decision", 1},
-		{"dilemma", "dilemma", 3},
-		{"dilemma-veto", "dilemma-veto", 3},
+		{"", FirstDecision{}, 1},
+		{"first-decision", FirstDecision{}, 1},
+		{"dilemma", Dilemma{}, 3},
+		{"dilemma-veto", Dilemma{veto: true}, 3},
 	}
 	for _, c := range cases {
 		st, err := ParseStrategy(c.flag)
 		if err != nil {
 			t.Fatalf("%q: %v", c.flag, err)
 		}
-		if st.Name() != c.name || st.MaxBatch() != c.fanout {
-			t.Fatalf("%q -> %s/%d, want %s/%d", c.flag, st.Name(), st.MaxBatch(), c.name, c.fanout)
+		if st != c.want || st.MaxBatch() != c.fanout {
+			t.Fatalf("%q -> %#v/%d, want %#v/%d", c.flag, st, st.MaxBatch(), c.want, c.fanout)
 		}
 	}
 	if _, err := ParseStrategy("bogus"); err == nil {
@@ -376,8 +375,7 @@ func TestDilemmaOnDecidedProblemFails(t *testing.T) {
 	f.Add(1)
 	s := New(f, DefaultOptions())
 	s.Solve(Limits{})
-	d := &Dilemma{K: 2}
-	if _, err := d.Split(s, 0, 0); err == nil {
+	if _, err := (Dilemma{}).Split(s, 0, 0); err == nil {
 		t.Fatal("dilemma split of a decided problem accepted")
 	}
 }
@@ -390,7 +388,6 @@ func TestDilemmaRepeatedSplits(t *testing.T) {
 		f := gen.RandomKSAT(12, 51, 3, seed)
 		want, _ := brute.Solve(f, 0)
 		donor := New(f, DefaultOptions())
-		d := &Dilemma{K: 2}
 		var subs []*Subproblem
 		refuted := false
 		for round := 0; round < 3; round++ {
@@ -398,8 +395,8 @@ func TestDilemmaRepeatedSplits(t *testing.T) {
 			if donor.Status() != StatusUnknown {
 				break
 			}
-			wantDepth := len(donor.Path()) + 2
-			batch, err := d.Split(donor, 10, 0)
+			wantDepth := len(donor.Path()) + dilemmaK
+			batch, err := Dilemma{}.Split(donor, 10, 0)
 			if err != nil {
 				if donor.Status() == StatusUNSAT {
 					refuted = true
