@@ -27,6 +27,7 @@ import (
 	"syscall"
 	"time"
 
+	"gridsat/internal/bench"
 	"gridsat/internal/cnf"
 	"gridsat/internal/comm"
 	"gridsat/internal/core"
@@ -688,8 +689,8 @@ func (c *simCmd) config(f *cnf.Formula, fl *trace.Flight) (core.RunnerConfig, er
 	cfg.Master.Formula, cfg.Master.Flight = f, fl
 	cfg.Watchdog = cfg.Watchdog || cfg.Master.BundleDir != ""
 	if c.batch {
-		cfg.Grid.AddBlueHorizon(64)
-		cfg.Batch = &core.BatchPlan{Nodes: 64, WalltimeVSec: 720, MeanQueueWaitVSec: 1980}
+		cfg.Grid.AddBlueHorizon(bench.Table2BatchNodes)
+		cfg.Batch = bench.Table2Batch(bench.Table2WalltimeVSec, 1)
 	}
 	return cfg, nil
 }

@@ -189,13 +189,16 @@ func batchConfig(f *cnf.Formula, g *grid.Grid, walltimeVSec float64, opts Option
 		Master:      core.MasterConfig{Formula: f},
 		Client:      core.ClientConfig{Threads: opts.Threads, ShareMaxLen: Table2ShareLen},
 		TimeoutVSec: (Table2QueueWaitVSec*1.8 + walltimeVSec) * opts.scale(),
-		Batch: &core.BatchPlan{
-			Nodes:             Table2BatchNodes,
-			WalltimeVSec:      walltimeVSec * opts.scale(),
-			MeanQueueWaitVSec: Table2QueueWaitVSec * opts.scale(),
-		},
-		Seed: opts.Seed,
+		Batch:       Table2Batch(walltimeVSec, opts.scale()),
+		Seed:        opts.Seed,
 	}
+}
+
+// Table2Batch is every run's Blue Horizon batch job (Table 2, -bhonly, sim
+// -batch): walltimeVSec and the mean queue wait, both multiplied by scale.
+func Table2Batch(walltimeVSec, scale float64) *core.BatchPlan {
+	return &core.BatchPlan{Nodes: Table2BatchNodes, WalltimeVSec: walltimeVSec * scale,
+		MeanQueueWaitVSec: Table2QueueWaitVSec * scale}
 }
 
 // outcomeCell renders a run outcome the way the paper's tables do.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"gridsat/internal/cnf"
 	"gridsat/internal/comm"
 	"gridsat/internal/solver"
+	"gridsat/internal/trace"
 )
 
 // newChurnMaster builds a non-running master whose handlers the test
@@ -75,7 +77,7 @@ func TestHeartbeatAggregationSurvivesChurn(t *testing.T) {
 
 	// Client 1 goes idle and is lost. Its lifetime contribution must
 	// survive the departure.
-	c1.busy = false
+	c1.state = idle
 	m.clientLost(c1)
 	if m.clients[1] != nil {
 		t.Fatal("lost client still registered")
@@ -213,8 +215,8 @@ func TestRootNackIsRequeued(t *testing.T) {
 	}
 	j := m.jobs[0]
 	c1, c2 := m.clients[1], m.clients[2]
-	if got := m.state().Outstanding; !c1.busy || c2.busy || got != 1 {
-		t.Fatalf("root not handed to the first registrant: busy=%v,%v outstanding=%d", c1.busy, c2.busy, got)
+	if got := m.state().Outstanding; c1.state != busy || c2.state != idle || got != 1 {
+		t.Fatalf("root not handed to the first registrant: states %v,%v outstanding=%d", c1.state, c2.state, got)
 	}
 	// Client 1 bounces it, and its memory forecast has dropped under the
 	// floor meanwhile, so the requeue must move on.
@@ -223,11 +225,11 @@ func TestRootNackIsRequeued(t *testing.T) {
 	if done, _ := m.handle(from(1, comm.SplitDone{OK: false, Err: "already busy"})); done {
 		t.Fatal("a bounced root ended the run")
 	}
-	if c1.busy {
+	if c1.state != idle {
 		t.Fatal("nacking client still marked busy")
 	}
-	if got := m.state().Outstanding; !c2.busy || got != 1 || len(j.subBacklog) != 0 {
-		t.Fatalf("root not reassigned: c2.busy=%v outstanding=%d queued=%d", c2.busy, got, len(j.subBacklog))
+	if got := m.state().Outstanding; c2.state != busy || got != 1 || len(j.subBacklog) != 0 {
+		t.Fatalf("root not reassigned: c2.state=%v outstanding=%d queued=%d", c2.state, got, len(j.subBacklog))
 	}
 	if done, _ := m.handle(from(2, comm.SplitDone{OK: true})); done {
 		t.Fatal("root ack ended the run")
@@ -247,7 +249,7 @@ func TestRootNackIsRequeued(t *testing.T) {
 // otherwise the heartbeat-gap rule fires the moment it goes busy.
 func TestWatchSampleCountsSilenceFromAssignment(t *testing.T) {
 	m := newChurnMaster(t)
-	m.clients[1] = &masterClient{id: 1, addr: "a", busy: true, conf: ewma{at: 10}, assignment: assignment{assignedAt: 100}}
+	m.clients[1] = &masterClient{id: 1, addr: "a", state: busy, conf: ewma{at: 10}, assignment: assignment{assignedAt: 100}}
 	m.order = []int{1}
 	m.now = func() float64 { return 105 }
 	st := m.state()
@@ -286,11 +288,10 @@ func TestClientLostRequeuesItsCube(t *testing.T) {
 	cube := func(lits ...cnf.Lit) []cnf.Lit { return lits }
 	sent := func(c *masterClient) backlogSub {
 		t.Helper()
-		got, ok := m.pendingAssigns[c.id]
-		if !ok || !c.busy {
+		if c.unacked == nil || c.state != busy {
 			t.Fatalf("nothing in flight to client %d", c.id)
 		}
-		return got
+		return *c.unacked
 	}
 	ack := func(c *masterClient) {
 		t.Helper()
@@ -336,14 +337,14 @@ func TestClientLostRequeuesItsCube(t *testing.T) {
 	if got := sent(c8); got.origin != fromCrash || !slices.Equal(got.sub.Cube, cube(x.Not(), y.Not())) {
 		t.Fatalf("client 4's remainder went to client 8 as %+v", got)
 	}
-	if !c7.reserved || !c7.stopping {
-		t.Fatalf("client 7, whose cofactor of a lost donor may be on the wire: reserved=%v stopping=%v", c7.reserved, c7.stopping)
+	if c7.state != parked {
+		t.Fatalf("client 7, whose cofactor of a lost donor may be on the wire: state %v, want parked", c7.state)
 	}
 	step(from(c7.id, comm.SplitDone{SplitID: 2, OK: true, Cube: cube(x.Not(), y.Not())}))
 	step(from(c7.id, comm.Stopped{Seq: c7.stopSeq}))
-	if c7.busy || c7.reserved || m.state().Outstanding != 3 {
-		t.Fatalf("client 7 busy=%v reserved=%v, outstanding %d; want a free client 7 and 3 cubes held",
-			c7.busy, c7.reserved, m.state().Outstanding)
+	if c7.state != idle || m.state().Outstanding != 3 {
+		t.Fatalf("client 7 state %v, outstanding %d; want a free client 7 and 3 cubes held",
+			c7.state, m.state().Outstanding)
 	}
 
 	ack(c8)
@@ -355,6 +356,188 @@ func TestClientLostRequeuesItsCube(t *testing.T) {
 	}
 	if j := m.jobs[0]; j.status != solver.StatusUNSAT || j.prog.Units() != coverageFull {
 		t.Fatalf("job 0 %v at %d units; want UNSAT at %d", j.status, j.prog.Units(), coverageFull)
+	}
+}
+
+// lossBench is a service master with three registered clients (client 1
+// the best ranked) and one job, whose root client 1 has acknowledged. What
+// the master sends waits in outbox until the test answers it or settle
+// does.
+type lossBench struct {
+	t       *testing.T
+	m       *Master
+	j       *masterJob
+	now     float64
+	outbox  []sent
+	refuted [][]cnf.Lit
+}
+
+// String names a state in test failures.
+func (s clientState) String() string {
+	return [...]string{"idle", "reserved", "busy", "stopping", "parked"}[s]
+}
+
+// sent is one message a master sent, and to whom.
+type sent struct {
+	to  int
+	msg comm.Message
+}
+
+func newLossBench(t *testing.T) *lossBench {
+	b := &lossBench{t: t, now: 1}
+	b.m = newMaster(MasterConfig{Flight: trace.NewFlight(nil)}, func() float64 { return b.now },
+		func(to int, msg comm.Message) { b.outbox = append(b.outbox, sent{to, msg}) },
+		func(BundleSpec) {})
+	for id := 1; id <= 3; id++ {
+		b.m.connect()
+		b.step(id, comm.Register{Addr: fmt.Sprintf("c%d", id), FreeMemBytes: 1 << 20,
+			SpeedHint: float64(4 - id), Fanout: 1})
+	}
+	b.j = b.m.jobs[b.submit()]
+	b.settle()
+	return b
+}
+
+// step hands the master one message from client id.
+func (b *lossBench) step(id int, msg comm.Message) {
+	b.t.Helper()
+	b.now++
+	if done, err := b.m.handle(from(id, msg)); done || err != nil {
+		b.t.Fatalf("%s from client %d: done=%v err=%v", msg.Kind(), id, done, err)
+	}
+}
+
+// submit admits a job over two variables and returns its ID.
+func (b *lossBench) submit() int {
+	b.t.Helper()
+	f := cnf.NewFormula(2)
+	f.Add(1, 2)
+	id, err := b.m.submit("", f, 1)
+	if err != nil {
+		b.t.Fatal(err)
+	}
+	return id
+}
+
+// settle has every live client answer what the master sent it, until
+// nothing is left: a payload is started, a stop acknowledged. Split
+// assignments are the test's to answer.
+func (b *lossBench) settle() {
+	b.t.Helper()
+	for len(b.outbox) > 0 {
+		s := b.outbox[0]
+		b.outbox = b.outbox[1:]
+		if b.m.clients[s.to] == nil {
+			continue
+		}
+		switch msg := s.msg.(type) {
+		case comm.SplitPayload:
+			b.step(s.to, comm.SplitDone{SplitID: msg.SplitID, OK: true, Cube: msg.Subs[0].Cube})
+		case comm.StopWork:
+			b.step(s.to, comm.Stopped{Job: msg.Job, Seq: msg.Seq})
+		}
+	}
+}
+
+// check asserts that the job's refuted, held and queued cubes partition the
+// root and, unless a client is parked (counted, holding nothing), that the
+// master counts one live subproblem for each cube it holds.
+func (b *lossBench) check(when string) {
+	b.t.Helper()
+	cubes := held(b.m, b.j)
+	if err := partition(append(slices.Clone(b.refuted), cubes...)); err != nil {
+		b.t.Fatalf("%s: refuted %v and held %v: %v", when, b.refuted, cubes, err)
+	}
+	for _, c := range b.m.clients {
+		if c.state == parked {
+			return
+		}
+	}
+	if got := b.m.tally().outstanding(b.j); got != len(cubes) {
+		b.t.Fatalf("%s: %d outstanding, %d cubes held (%v)", when, got, len(cubes), cubes)
+	}
+}
+
+// TestClientLostInEveryState loses a client in each state of the master's
+// client table, reached through the master's own handlers: the job's
+// refuted, held and queued cubes still partition the root, the master
+// counts each of them once, and refuting them all ends the job UNSAT
+// exactly once.
+func TestClientLostInEveryState(t *testing.T) {
+	x := cnf.PosLit(0)
+	for _, tc := range []struct {
+		state clientState
+		reach func(*lossBench) int // returns the client in state
+	}{
+		{idle, func(*lossBench) int { return 2 }},
+		{busy, func(*lossBench) int { return 1 }},
+		{reserved, func(b *lossBench) int {
+			// Client 2 is reserved for client 1's cofactor, which the donor
+			// reports shipped before client 2 acknowledges it.
+			b.step(1, comm.SplitRequest{ClientID: 1})
+			b.step(1, comm.SplitDone{SplitID: 1, OK: true, Cube: []cnf.Lit{x}, Used: 1,
+				Served: [][]cnf.Lit{{x.Not()}}})
+			return 2
+		}},
+		{stopping, func(b *lossBench) int {
+			// A second job's root goes to client 2, and the job is cancelled.
+			other := b.submit()
+			b.settle()
+			if err := b.m.cancel(other); err != nil {
+				b.t.Fatal(err)
+			}
+			return 2
+		}},
+		{parked, func(b *lossBench) int {
+			// Client 3 outranks client 1, whose root moves there.
+			b.m.noteForecast(3, 1e6, 1<<20)
+			b.m.maybeMigrate(2, 0)
+			return 1
+		}},
+	} {
+		t.Run(tc.state.String(), func(t *testing.T) {
+			b := newLossBench(t)
+			id := tc.reach(b)
+			if got := b.m.clients[id].state; got != tc.state {
+				t.Fatalf("client %d is %v, want %v", id, got, tc.state)
+			}
+			b.check("before the loss")
+			b.now++
+			if done, err := b.m.handle(masterEvent{clientID: id, err: errCrashed}); done || err != nil {
+				t.Fatalf("loss: done=%v err=%v", done, err)
+			}
+			b.check("after the loss")
+			for range 10 {
+				b.settle()
+				b.check("settled")
+				if !b.j.State.Active() {
+					break
+				}
+				for _, cid := range b.m.order {
+					if c := b.m.clients[cid]; c.job == b.j.ID && c.state == busy {
+						b.refuted = append(b.refuted, c.cube)
+						b.step(cid, comm.Solved{Status: solver.StatusUNSAT, Job: b.j.ID})
+						break
+					}
+				}
+			}
+			b.settle()
+			if b.j.status != solver.StatusUNSAT {
+				t.Fatalf("job %s %v after refuting %v", b.j.State, b.j.status, b.refuted)
+			}
+			if err := partition(b.refuted); err != nil {
+				t.Fatalf("refuted %v: %v", b.refuted, err)
+			}
+			verdicts := 0
+			for _, ev := range b.m.flight.Events() {
+				if ev.Job == b.j.ID && (ev.Kind == trace.FEvVerdict || ev.Kind == trace.FEvJobDone) {
+					verdicts++
+				}
+			}
+			if verdicts != 2 {
+				t.Fatalf("%d verdict and job-done events for job %d, want one each", verdicts, b.j.ID)
+			}
+		})
 	}
 }
 
@@ -391,7 +574,7 @@ func newSplitBench(t *testing.T) *splitBench {
 // assignedAt.
 func (b *splitBench) busy(assignedAt float64) *masterClient {
 	c := b.m.clients[b.m.connect()]
-	c.addr, c.freeMem, c.busy, c.job = "a", 1<<20, true, b.j.ID
+	c.addr, c.freeMem, c.state, c.job = "a", 1<<20, busy, b.j.ID
 	c.assignment = assignment{assignedAt: assignedAt}
 	return c
 }
@@ -470,8 +653,8 @@ func TestSplitBacklogIsTheLiveRequests(t *testing.T) {
 	// done refutes its subproblem: its request ends with it, and it is the
 	// idle client the live request gets.
 	b.step(40, from(done.id, comm.Solved{Status: solver.StatusUNSAT, Job: b.j.ID}))
-	if !slices.Equal(b.assigns, []int{live.id}) || !done.reserved {
-		t.Fatalf("donors served %v, client %d reserved=%v; want donor %d with it", b.assigns, done.id, done.reserved, live.id)
+	if !slices.Equal(b.assigns, []int{live.id}) || done.state != reserved {
+		t.Fatalf("donors served %v, client %d %v; want donor %d with it reserved", b.assigns, done.id, done.state, live.id)
 	}
 	if got := b.m.state().Backlog; got != 0 {
 		t.Fatalf("split backlog %d after the live request was served", got)
@@ -489,8 +672,8 @@ func TestSplitRequestEndsWithItsSubproblem(t *testing.T) {
 	b.ask(c1, 25)
 	b.j.subBacklog = append(b.j.subBacklog, backlogSub{sub: &solver.Subproblem{NumVars: 2}, job: b.j.ID})
 	b.step(30, from(c1.id, comm.Solved{Status: solver.StatusUNSAT, Job: b.j.ID}))
-	if !c1.busy || c1.assignedAt != 30 {
-		t.Fatalf("client %d busy=%v assigned at %v, want the queued subproblem at 30", c1.id, c1.busy, c1.assignedAt)
+	if c1.state != busy || c1.assignedAt != 30 {
+		t.Fatalf("client %d %v assigned at %v, want the queued subproblem at 30", c1.id, c1.state, c1.assignedAt)
 	}
 	if got := b.m.state().Backlog; got != 0 {
 		t.Fatalf("split backlog %d: the request outlived its subproblem", got)
@@ -578,9 +761,9 @@ func TestSolvedUnknownHandsTheCubeBack(t *testing.T) {
 		t.Fatalf("job %s (%v) after a Solved without a verdict; want it running", j.State, j.status)
 	}
 	// The only idle client takes the root off the backlog again.
-	got, ok := m.pendingAssigns[c.id]
-	if !ok || len(got.sub.Cube) != 0 || len(j.subBacklog) != 0 || m.state().Outstanding != 1 {
-		t.Fatalf("root not handed out again: %+v (sent %v), backlog %d", got, ok, len(j.subBacklog))
+	got := c.unacked
+	if got == nil || len(got.sub.Cube) != 0 || len(j.subBacklog) != 0 || m.state().Outstanding != 1 {
+		t.Fatalf("root not handed out again: %+v, backlog %d", got, len(j.subBacklog))
 	}
 	step(from(c.id, comm.SplitDone{OK: true}))
 	model := cnf.NewAssignment(2)

@@ -97,12 +97,11 @@ func (c *ClientConfig) withDefaults() ClientConfig {
 	return out
 }
 
-// Client is one GridSAT worker: a state machine stepped by handleIdle (a
-// control message while waiting for work), solveSlice (one solver quantum)
-// and handle (a control message at a slice boundary). Like Master it
-// touches the world only through a clock and an outbox, so the same value
-// runs under NewClient + Run (goroutines, comm.Transport, wall clock) and
-// under RunDistributed (grid.Sim events, virtual clock).
+// Client is one GridSAT worker: a state machine stepped by handle (a control
+// message, idle or at a slice boundary) and solveSlice (one solver quantum).
+// Like Master it touches the world only through a clock and an outbox, so the
+// same value runs under NewClient + Run (goroutines, comm.Transport, wall
+// clock) and under RunDistributed (grid.Sim events, virtual clock).
 type Client struct {
 	cfg ClientConfig
 	id  int
@@ -286,7 +285,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if _, ok := ack.(comm.RegisterAck); !ok {
 		return fail(fmt.Errorf("core: expected register-ack, got %s", ack.Kind()))
 	}
-	if c.handleIdle(ack); c.regErr != nil {
+	if c.handle(ack); c.regErr != nil {
 		return fail(c.regErr)
 	}
 	c.loops.Add(2)
@@ -444,68 +443,37 @@ func (c *Client) Run() error {
 	}
 }
 
-// handle takes one control message between slices. It dispatches on
-// the client's state now, not the state the slice started in: the slice
-// may just have ended the subproblem (or an earlier message in the same
-// drain may have stopped it), and an assignment that lands in that window
-// must start, not be dropped.
+// handle takes one control message, idle or between slices. What a message
+// does depends on the client's state now, not the state a slice started in:
+// the slice may just have ended the subproblem (or an earlier message in the
+// same drain may have stopped it), and an assignment that lands in that
+// window must start, not be dropped.
 func (c *Client) handle(msg comm.Message) bool {
-	if c.busy() {
-		return c.handleBusy(msg)
-	}
-	return c.handleIdle(msg)
-}
-
-func (c *Client) handleIdle(msg comm.Message) bool {
 	switch m := msg.(type) {
 	case comm.RegisterAck:
+		// The master sends one, before any work.
 		if m.Rejected {
 			c.regErr = fmt.Errorf("core: registration rejected: %s", m.Reason)
 			return true
 		}
 		c.id = m.ClientID
 	case comm.BaseProblem:
-		c.cached, c.cachedJob = m.Formula, m.Job
-	case comm.SplitPayload:
-		c.startSubproblem(m.SplitID, m.Job, m.Subs)
-	case comm.SplitAssign:
-		// The assignment raced with this client finishing its subproblem;
-		// report failure so the master releases the reserved recipient.
-		_ = c.sendMaster(comm.SplitDone{SplitID: m.SplitID, OK: false,
-			Err: "donor already idle"})
-	case comm.StopWork:
-		// The stop raced with this client going idle; the ack still lets
-		// the master return it to the pool.
-		_ = c.sendMaster(comm.Stopped{Job: m.Job, Seq: m.Seq})
-	case comm.ShareClauses:
-		// Idle clients have no solver; drop (they get a fresh split later).
-	case comm.Shutdown:
-		return true
-	}
-	return false
-}
-
-func (c *Client) handleBusy(msg comm.Message) bool {
-	switch m := msg.(type) {
-	case comm.BaseProblem:
 		// A scheduling master may pre-ship another job's formula while this
 		// client is still busy (reserved as a split recipient).
 		c.cached, c.cachedJob = m.Formula, m.Job
 	case comm.SplitPayload:
-		// Only a confused sender assigns to a busy client; bounce the
-		// payload (startSubproblem hands it back as leftover) so the
-		// search space is requeued rather than lost.
+		// A busy client bounces the payload (startSubproblem hands it back as
+		// leftover) so the search space is requeued rather than lost.
 		c.startSubproblem(m.SplitID, m.Job, m.Subs)
 	case comm.SplitAssign:
 		c.performSplit(m.SplitID, m.Peers)
 	case comm.StopWork:
 		c.performStop(m.Job, m.Seq)
 	case comm.ShareClauses:
-		if m.Job == c.job {
-			// Remember what arrived before importing: clauses received
-			// from peers must never be re-exported by this client. Shares
-			// are sound only within their own job's formula, hence the tag
-			// filter.
+		// An idle client drops the batch. Shares are sound only within their
+		// job's formula, and what arrived is noted before importing: a peer's
+		// clauses must never be re-exported by this client.
+		if c.busy() && m.Job == c.job {
 			c.shares.NoteReceived(m.Clauses)
 			_ = c.port.ImportClauses(m.Clauses)
 			c.femit(trace.FEvent{Kind: trace.FEvShareMerge, Client: c.id, Peer: m.From,
@@ -611,10 +579,9 @@ func (c *Client) finishSlice(res solver.Result) error {
 	}
 	// Still unknown: evaluate the split triggers.
 	dec := SplitDecision{
-		MemBudgetBytes:      c.memBudget(),
-		MemPressureFraction: 0.8,
-		TransferTime:        c.xferTime,
-		MinRunTime:          c.cfg.MinRunTime.Seconds(),
+		MemBudgetBytes: c.memBudget(),
+		TransferTime:   c.xferTime,
+		MinRunTime:     c.cfg.MinRunTime.Seconds(),
 	}
 	if res.Reason == solver.ReasonMemLimit {
 		// Out of budget right now: ask for a split and shed inactive
@@ -693,7 +660,9 @@ func (c *Client) requestSplit(why comm.SplitReason) {
 func (c *Client) performSplit(splitID int, peers []comm.SplitPeer) {
 	c.splitAsked = false
 	if !c.busy() {
-		_ = c.sendMaster(comm.SplitDone{SplitID: splitID, OK: false, Err: "no active subproblem"})
+		// The assignment raced with this client finishing its subproblem;
+		// report failure so the master releases the reserved recipient.
+		_ = c.sendMaster(comm.SplitDone{SplitID: splitID, OK: false, Err: "donor already idle"})
 		return
 	}
 	batch, err := c.strategy.Split(c.port.Pathfinder(), c.cfg.ShareMaxLen, splitLearntMaxCount)
@@ -728,8 +697,10 @@ func (c *Client) stopSolving() {
 
 // performStop drops the current subproblem and acks with Stopped: its job
 // is done or cancelled, or the master moves the subproblem elsewhere (§3.4
-// migration) and requeues its cube on the ack. The clauses it learnt still
-// go out first, for the peers that keep searching.
+// migration), its cube already requeued. The clauses it learnt still
+// go out first, for the peers that keep searching. A stop that raced with
+// the client going idle is acked all the same, so the master can return the
+// client to the pool.
 func (c *Client) performStop(job, seq int) {
 	if c.busy() && job == c.job {
 		c.drainShares()

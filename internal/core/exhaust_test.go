@@ -59,10 +59,7 @@ type exhaustWorld struct {
 	hostile bool // scripts may drop a subproblem they hold
 	crashy  bool // a donor may be lost between its payloads and its SplitDone
 	fanout  int  // every client's split batch, as its Register states it
-	sent    []struct {
-		to  int
-		msg comm.Message
-	}
+	sent    []sent
 	clients map[int]*scriptedClient
 	ids     []int // every client ever connected, in order
 	// refuted[job] lists the cubes the master credited refutations to,
@@ -89,10 +86,7 @@ func newExhaustWorld(t *testing.T, seed int64, strategy string, hostile bool) *e
 	w.m = newMaster(MasterConfig{Flight: trace.NewFlight(nil)},
 		func() float64 { return w.now },
 		func(to int, msg comm.Message) {
-			w.sent = append(w.sent, struct {
-				to  int
-				msg comm.Message
-			}{to, msg})
+			w.sent = append(w.sent, sent{to, msg})
 		},
 		func(BundleSpec) {})
 	return w
@@ -123,17 +117,17 @@ func (w *exhaustWorld) apply(what string, fn func()) {
 	w.step(what, masterEvent{apply: func() bool { fn(); return false }}, nil)
 }
 
-// held lists the cubes the master holds for an active job: its clients'
-// (holding), the cofactors a donor reported shipping to recipients that
-// have not acknowledged, and its backlog.
-func (w *exhaustWorld) held(j *masterJob) [][]cnf.Lit {
+// held lists the cubes m holds for an active job: its clients' (holding),
+// the cofactors a donor reported shipping to recipients that have not
+// acknowledged, and its backlog.
+func held(m *Master, j *masterJob) [][]cnf.Lit {
 	var out [][]cnf.Lit
-	for _, id := range w.m.order {
-		if c := w.m.clients[id]; c.job == j.ID {
-			out = append(out, w.m.holding(c)...)
+	for _, id := range m.order {
+		if c := m.clients[id]; c.job == j.ID {
+			out = append(out, m.holding(c)...)
 		}
 	}
-	for _, g := range w.m.pendingSplits {
+	for _, g := range m.pendingSplits {
 		for i, rid := range g.recipients {
 			if g.job == j.ID && g.donorDone && !g.settled[rid] && i < len(g.served) {
 				out = append(out, g.served[i])
@@ -188,7 +182,7 @@ func (w *exhaustWorld) check(what string) {
 		refuted := w.refuted[id]
 		switch {
 		case j.State.Active() && j.assigned:
-			if err := partition(append(slices.Clone(refuted), w.held(j)...)); err != nil {
+			if err := partition(append(slices.Clone(refuted), held(w.m, j)...)); err != nil {
 				w.fail("after %s: job %d's refuted and held cubes: %v", what, id, err)
 			}
 			if tally.outstanding(j) == 0 {
@@ -559,25 +553,25 @@ func TestUNSATOnlyWhenEverySubproblemIsRefuted(t *testing.T) {
 		}
 		// The idle client looks far faster, so the master stops the weakest
 		// busy client; its ack hands the cube to the fast client.
-		idle := w.pick(func(c *scriptedClient) bool { return c.sub == nil && !w.m.clients[c.id].reserved })
+		fast := w.pick(func(c *scriptedClient) bool { return c.sub == nil && w.m.clients[c.id].state == idle })
 		w.apply("forecast", func() {
-			w.m.noteForecast(idle.id, 1e6, 1<<20)
+			w.m.noteForecast(fast.id, 1e6, 1<<20)
 			w.m.maybeMigrate(2, 0)
 		})
-		victim := w.pick(func(c *scriptedClient) bool { return w.m.clients[c.id].stopping })
+		victim := w.pick(func(c *scriptedClient) bool { return w.m.clients[c.id].state == parked })
 		if victim == nil {
 			t.Fatalf("no busy client was stopped to migrate: %+v", w.m.state().Clients)
 		}
 		cube := slices.Clone(w.m.clients[victim.id].cube)
 		for w.deliver() {
 		}
-		if got := w.clients[idle.id].sub; got == nil || !slices.Equal(got.Cube, cube) || w.m.migrations != 1 {
+		if got := w.clients[fast.id].sub; got == nil || !slices.Equal(got.Cube, cube) || w.m.migrations != 1 {
 			t.Fatalf("client %d's cube %v did not move to client %d (%v); %d migrations",
-				victim.id, cube, idle.id, got, w.m.migrations)
+				victim.id, cube, fast.id, got, w.m.migrations)
 		}
 		evs := w.m.flight.Events()
-		if ev := evs[len(evs)-1]; ev.Kind != trace.FEvMigrate || ev.Client != victim.id || ev.Peer != idle.id {
-			t.Fatalf("last event %+v, want a migrate from client %d to %d", ev, victim.id, idle.id)
+		if ev := evs[len(evs)-1]; ev.Kind != trace.FEvMigrate || ev.Client != victim.id || ev.Peer != fast.id {
+			t.Fatalf("last event %+v, want a migrate from client %d to %d", ev, victim.id, fast.id)
 		}
 		w.drain()
 		if row := w.m.state().Jobs[0]; row.Verdict != "UNSAT" {

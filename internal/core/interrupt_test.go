@@ -152,7 +152,7 @@ func TestRootAssignmentForgetsThePreviousTransferTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := gen.Pigeonhole(9)
-	c.handleIdle(comm.BaseProblem{Formula: f})
+	c.handle(comm.BaseProblem{Formula: f})
 	splitRequests := func() int {
 		n := 0
 		for _, msg := range sent {
@@ -169,7 +169,7 @@ func TestRootAssignmentForgetsThePreviousTransferTime(t *testing.T) {
 	for i := range learnts {
 		learnts[i] = cnf.NewClause(1, 2, 3)
 	}
-	c.handleIdle(comm.SplitPayload{SplitID: 1, Subs: []*solver.Subproblem{{
+	c.handle(comm.SplitPayload{SplitID: 1, Subs: []*solver.Subproblem{{
 		NumVars: f.NumVars, Assumptions: []cnf.Lit{cnf.LitFromDIMACS(1)}, Learnts: learnts,
 		Cube: []cnf.Lit{cnf.LitFromDIMACS(1)}}}})
 	if !c.busy() {
@@ -188,7 +188,7 @@ func TestRootAssignmentForgetsThePreviousTransferTime(t *testing.T) {
 	}
 
 	// The root of the next job on the same client: floor only.
-	c.handleIdle(comm.SplitPayload{SplitID: 2, Subs: []*solver.Subproblem{{NumVars: f.NumVars}}})
+	c.handle(comm.SplitPayload{SplitID: 2, Subs: []*solver.Subproblem{{NumVars: f.NumVars}}})
 	if !c.busy() {
 		t.Fatalf("root subproblem did not start: %v", sent)
 	}

@@ -87,10 +87,6 @@ func TestJobLifecycleStates(t *testing.T) {
 // in submission order, and nothing is taken from a busy client when a more
 // important job arrives.
 func TestIdleClientsServeHigherPriorityFirst(t *testing.T) {
-	type sent struct {
-		to  int
-		msg comm.Message
-	}
 	var outbox []sent
 	m := newMaster(MasterConfig{Flight: trace.NewFlight(nil)}, func() float64 { return 1 },
 		func(to int, msg comm.Message) { outbox = append(outbox, sent{to, msg}) }, func(BundleSpec) {})
@@ -126,8 +122,8 @@ func TestIdleClientsServeHigherPriorityFirst(t *testing.T) {
 	low := submit(1)
 	step("root accepted", from(a.id, comm.SplitDone{OK: true}))
 	step("split request", from(a.id, comm.SplitRequest{ClientID: a.id}))
-	if !a.busy || a.job != low || m.state().Backlog != 1 {
-		t.Fatalf("setup: client %d busy=%v on job %d, split backlog %d", a.id, a.busy, a.job, m.state().Backlog)
+	if a.state != busy || a.job != low || m.state().Backlog != 1 {
+		t.Fatalf("setup: client %d %v on job %d, split backlog %d", a.id, a.state, a.job, m.state().Backlog)
 	}
 
 	// Two priority-2 jobs arrive; the busy client is left alone.
@@ -138,8 +134,8 @@ func TestIdleClientsServeHigherPriorityFirst(t *testing.T) {
 			t.Fatalf("busy client %d of job %d was sent %s when jobs %d and %d arrived", a.id, low, s.msg.Kind(), high, twin)
 		}
 	}
-	if !a.busy || a.stopping || a.job != low {
-		t.Fatalf("busy client %d: busy=%v stopping=%v job=%d, want still on job %d", a.id, a.busy, a.stopping, a.job, low)
+	if a.state != busy || a.job != low {
+		t.Fatalf("busy client %d: %v on job %d, want still busy on job %d", a.id, a.state, a.job, low)
 	}
 
 	// Each new idle client goes to the first job in priority, then
@@ -154,9 +150,9 @@ func TestIdleClientsServeHigherPriorityFirst(t *testing.T) {
 		{low, "the priority-1 split request once the priority-2 jobs have their clients", false},
 	} {
 		c := join()
-		if c.job != want.job || c.busy != want.root || c.reserved == want.root {
-			t.Fatalf("idle client %d went to job %d (busy=%v reserved=%v), want job %d: %s",
-				c.id, c.job, c.busy, c.reserved, want.job, want.why)
+		if wantState := map[bool]clientState{true: busy, false: reserved}[want.root]; c.job != want.job || c.state != wantState {
+			t.Fatalf("idle client %d went to job %d (%v), want job %d %v: %s",
+				c.id, c.job, c.state, want.job, wantState, want.why)
 		}
 	}
 }

@@ -110,17 +110,15 @@ type masterClient struct {
 	usedMem int64
 	// fanout is how many cofactors one split of this client hands out, as
 	// its Register stated: the recipients a request of it reserves.
-	fanout   int
-	busy     bool
-	reserved bool // split recipient, payload in flight (or stopped: see clientLost, maybeMigrate)
+	fanout int
+	state  clientState
 	assignment
+	// unacked is the master-held subproblem (a root included) in flight to
+	// this client until its SplitDone settles (or requeues) it.
+	unacked *backlogSub
 	// job is the job this client is (or was last) working for. The zero
 	// value names job 0 — see newMaster on what that does to a one-shot run.
 	job int
-	// stopping marks a StopWork in flight: the client stays busy (its
-	// subproblem is live until the ack or the verdict arrives) but must not
-	// be stopped again or offered new work.
-	stopping bool
 	// stopSeq numbers this client's StopWork sends. The client echoes it in
 	// Stopped, letting the master drop acks from stops that a racing
 	// verdict already beat — the client may have been reassigned by the
@@ -144,6 +142,23 @@ type masterClient struct {
 	workers []comm.WorkerReport
 }
 
+// clientState is where a client stands in the master's table. Only an idle
+// client is offered work; every other state counts as one live subproblem of
+// its job in the UNSAT test. A parked client holds nothing (its cube was
+// requeued: a lost donor's recipient, a late accept, a migrated client).
+type clientState int
+
+const (
+	idle     clientState = iota
+	reserved             // recipient of one unsettled leg of a pendingSplits group
+	busy                 // holds its cube
+	stopping             // busy with a StopWork in flight: holds its cube until the ack or a verdict
+	parked               // reserved with a StopWork in flight
+)
+
+// holds reports whether the client holds its cube: it is busy, or stopping.
+func (c *masterClient) holds() bool { return c.state == busy || c.state == stopping }
+
 // assignment is a client's current subproblem as the master sees it: its
 // cube, when it was handed out and, once the client asked for help with it,
 // when it asked. Handing the client a new subproblem replaces the whole
@@ -165,7 +180,7 @@ type assignment struct {
 
 // wantsSplit reports whether c's split request can be served: it asked
 // about the subproblem it holds, and it is not being stopped.
-func (c *masterClient) wantsSplit() bool { return c.splitAt > 0 && c.busy && !c.stopping }
+func (c *masterClient) wantsSplit() bool { return c.splitAt > 0 && c.state == busy }
 
 // splitGroup is one in-flight transfer: the donor splits and ships one
 // cofactor to each reserved recipient. A first-decision split reserves one
@@ -301,10 +316,6 @@ type Master struct {
 	admission Admission
 	// pendingSplits tracks in-flight subproblem transfers by token.
 	pendingSplits map[int]*splitGroup
-	// pendingAssigns tracks master-held subproblems (roots included) in
-	// flight to a recipient, by recipient ID, until its SplitDone settles
-	// (or requeues) them.
-	pendingAssigns map[int]backlogSub
 	// sharedDropped counts best-effort ShareClauses messages discarded
 	// because a client's outbound queue was full.
 	sharedDropped int64
@@ -447,21 +458,20 @@ func newMaster(cfg MasterConfig, now func() float64, send func(int, comm.Message
 		log = slog.New(lamportHandler{log.Handler(), cfg.Flight})
 	}
 	m := &Master{
-		cfg:            cfg,
-		now:            now,
-		send:           send,
-		writeBundle:    writeBundle,
-		clients:        map[int]*masterClient{},
-		jobs:           map[int]*masterJob{},
-		admission:      cfg.Admission,
-		pendingSplits:  map[int]*splitGroup{},
-		pendingAssigns: map[int]backlogSub{},
-		reg:            reg,
-		log:            log.With("component", "master"),
-		met:            newMasterMetrics(reg),
-		flight:         cfg.Flight,
-		wd:             newWatchdog(),
-		result:         Result{Threads: 1}, // widened by portfolio heartbeats
+		cfg:           cfg,
+		now:           now,
+		send:          send,
+		writeBundle:   writeBundle,
+		clients:       map[int]*masterClient{},
+		jobs:          map[int]*masterJob{},
+		admission:     cfg.Admission,
+		pendingSplits: map[int]*splitGroup{},
+		reg:           reg,
+		log:           log.With("component", "master"),
+		met:           newMasterMetrics(reg),
+		flight:        cfg.Flight,
+		wd:            newWatchdog(),
+		result:        Result{Threads: 1}, // widened by portfolio heartbeats
 	}
 	if now == nil {
 		m.now, m.send, m.writeBundle = m.wallNow, m.enqueue, m.writeBundleAsync
@@ -691,7 +701,7 @@ func (m *Master) assignRoot(j *masterJob) {
 
 func (m *Master) handleSplitRequest(c *masterClient, msg comm.SplitRequest) {
 	j := m.jobOf(c)
-	if j == nil || !c.busy || c.stopping || c.splitAt > 0 {
+	if j == nil || c.state != busy || c.splitAt > 0 {
 		return // idle clients cannot split; duplicates are ignored
 	}
 	c.splitAt = m.now()
@@ -759,7 +769,7 @@ func (m *Master) serveSplitBacklog(j *masterJob) {
 				break
 			}
 			r := m.clients[target.ID]
-			r.reserved = true
+			r.state = reserved
 			r.job = j.ID
 			m.ensureBase(r, j)
 			peers = append(peers, comm.SplitPeer{ID: r.id, Addr: r.addr})
@@ -804,10 +814,10 @@ func (m *Master) serveSubBacklog(j *masterJob) {
 		j.subBacklog = j.subBacklog[1:]
 		c := m.clients[target.ID]
 		m.ensureBase(c, j)
-		m.pendingAssigns[c.id] = entry
+		c.unacked = &entry
 		m.send(c.id, comm.SplitPayload{SplitID: entry.splitID,
 			Job: j.ID, Subs: []*solver.Subproblem{entry.sub}})
-		c.busy = true
+		c.state = busy
 		c.job = j.ID
 		c.assignment = assignment{assignedAt: m.now(), cube: entry.sub.Cube}
 		m.markStarted(j)
@@ -822,8 +832,8 @@ func (m *Master) serveSubBacklog(j *masterJob) {
 func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) {
 	// A master-held subproblem acks with the split ID it descended from
 	// (0 for roots and lost clients' cubes).
-	if entry, ok := m.pendingAssigns[c.id]; ok && entry.splitID == msg.SplitID {
-		delete(m.pendingAssigns, c.id)
+	if entry := c.unacked; entry != nil && entry.splitID == msg.SplitID {
+		c.unacked = nil
 		j := m.jobs[entry.job]
 		switch {
 		case !j.State.Active():
@@ -835,11 +845,10 @@ func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) {
 			// The assignment bounced; requeue the subproblem — it is still
 			// live search space. The client is idle again: a stop sent behind
 			// the payload finds it idle, and its ack is stale.
-			c.busy = false
-			c.stopping = false
+			c.state = idle
 			m.femit(trace.FEvent{Kind: trace.FEvSplitFail, Client: c.id,
 				Peer: entry.donor, SplitID: entry.splitID, Parent: entry.issueEv, Detail: msg.Err})
-			j.subBacklog = append(j.subBacklog, entry)
+			j.subBacklog = append(j.subBacklog, *entry)
 			m.serveBacklog()
 		case entry.origin == fromRoot:
 			m.femitCube(trace.FEvent{Kind: trace.FEvAssign, Client: c.id, Job: entry.job}, entry.sub.Cube)
@@ -861,9 +870,8 @@ func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) {
 	g, ok := m.pendingSplits[msg.SplitID]
 	if !ok {
 		// A settled leg — or an accept of a lost donor's split whose payload
-		// came after clientLost's stop: its cube is requeued, so stop it too.
-		if msg.OK && !c.busy && !c.reserved {
-			c.reserved = true
+		// came after clientLost's stop: its cube is requeued, so park it too.
+		if msg.OK && c.state == idle {
 			m.stop(c)
 		}
 		return
@@ -894,7 +902,7 @@ func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) {
 			}
 			g.settled[id] = true
 			if r := m.clients[id]; r != nil {
-				r.reserved = false
+				r.state = idle
 			}
 			m.femit(trace.FEvent{Kind: trace.FEvSplitFail, Client: id,
 				Peer: g.donor, SplitID: msg.SplitID, Parent: g.issueEv, Detail: "released unused"})
@@ -905,14 +913,13 @@ func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) {
 			return
 		}
 		g.settled[c.id] = true
-		c.reserved = false
 		switch {
 		case msg.OK && !live:
 			// The recipient started a subproblem of a job that has ended.
-			c.busy = true
+			c.state = busy
 			m.stop(c)
 		case msg.OK:
-			c.busy = true
+			c.state = busy
 			c.assignment = assignment{assignedAt: m.now(), cube: msg.Cube}
 			if !g.donorDone {
 				g.made = append(g.made, msg.Cube)
@@ -923,6 +930,7 @@ func (m *Master) handleSplitDone(c *masterClient, msg comm.SplitDone) {
 				Job: g.job, SplitID: msg.SplitID, Parent: g.issueEv}, msg.Cube)
 			m.result.MaxClients = max(m.result.MaxClients, m.tally().busy)
 		default:
+			c.state = idle
 			m.femit(trace.FEvent{Kind: trace.FEvSplitFail, Client: c.id,
 				Peer: g.donor, SplitID: msg.SplitID, Parent: g.issueEv, Detail: msg.Err})
 			if len(msg.Leftover) == 0 && live {
@@ -1010,7 +1018,7 @@ func (m *Master) handleShare(c *masterClient, msg comm.ShareClauses) {
 }
 
 func (m *Master) handleSolved(c *masterClient, msg comm.Solved) {
-	if _, unacked := m.pendingAssigns[c.id]; unacked || !c.busy || msg.Job != c.job {
+	if c.unacked != nil || !c.holds() || msg.Job != c.job {
 		return // idle already, or a verdict on what the master does not hold it to
 	}
 	j := m.jobOf(c)
@@ -1020,8 +1028,7 @@ func (m *Master) handleSolved(c *masterClient, msg comm.Solved) {
 	if msg.Status != solver.StatusSAT && msg.Status != solver.StatusUNSAT {
 		m.handBack(c, fromMigrate, 0) // no verdict: the cube goes out again
 	}
-	c.busy = false
-	c.stopping = false // a verdict beat any in-flight stop
+	c.state = idle // a verdict beat any in-flight stop
 	if !j.State.Active() {
 		// The job ended (cancelled, or decided by a peer) while this client
 		// was still solving; the stale verdict just frees the client.
@@ -1077,15 +1084,16 @@ func (m *Master) checkExhausted(j *masterJob) bool {
 // (holding), for the next idle client to restart from the base formula
 // alone. The cubes go out as origin, from c, under the flight event issueEv.
 func (m *Master) handBack(c *masterClient, origin subOrigin, issueEv uint64) {
-	pending, unacked := m.pendingAssigns[c.id]
-	delete(m.pendingAssigns, c.id)
+	pending := c.unacked
+	c.unacked = nil
 	j := m.jobOf(c)
 	if j == nil || !j.State.Active() {
 		return
 	}
-	requeue := []backlogSub{pending}
-	if !unacked {
-		requeue = nil
+	var requeue []backlogSub
+	if pending != nil {
+		requeue = []backlogSub{*pending}
+	} else {
 		for _, cube := range m.holding(c) {
 			requeue = append(requeue, backlogSub{sub: &solver.Subproblem{NumVars: j.Formula.NumVars,
 				Assumptions: cube, Cube: cube}, origin: origin, donor: c.id, issueEv: issueEv, job: j.ID})
@@ -1097,9 +1105,9 @@ func (m *Master) handBack(c *masterClient, origin subOrigin, issueEv uint64) {
 // clientLost hands back what a lost client held (handBack). A lost
 // recipient's cofactor goes back once the donor says it shipped it; a donor
 // lost before its SplitDone may have shipped some, so its unsettled
-// recipients are stopped, reserved until they acknowledge.
+// recipients are stopped, parked until they acknowledge.
 func (m *Master) clientLost(c *masterClient) {
-	m.log.Warn("client lost", "client", c.id, "host", c.hostName, "held", c.busy || c.reserved, "job", c.job)
+	m.log.Warn("client lost", "client", c.id, "host", c.hostName, "held", c.state != idle, "job", c.job)
 	leaveEv := m.femit(trace.FEvent{Kind: trace.FEvClientLeave, Client: c.id, Detail: c.hostName})
 	m.handBack(c, fromCrash, leaveEv)
 	m.forget(c.id)
@@ -1152,7 +1160,7 @@ func (m *Master) requeueShipped(splitID int, g *splitGroup) {
 // awaiting its SplitDone its cube less the legs counted elsewhere, any
 // other its cube.
 func (m *Master) holding(c *masterClient) [][]cnf.Lit {
-	if !c.busy {
+	if !c.holds() {
 		return nil
 	}
 	var made [][]cnf.Lit
@@ -1206,7 +1214,7 @@ func (m *Master) sortedSplitIDs() []int {
 // client outranks the weakest busy one by factor — Blue Horizon nodes just
 // joined, a cluster freed up — the weakest's whole subproblem moves there
 // instead of being split: its cube goes to the backlog's head for the
-// best-ranked idle client, and it is stopped, reserved until its ack so it
+// best-ranked idle client, and it is stopped, parked until its ack so it
 // cannot take the cube back. Candidates have held their subproblem for
 // minHeld seconds and await no SplitDone (which would requeue legs the cube
 // covers). The shell calls this after refreshing forecasts (noteForecast);
@@ -1222,7 +1230,7 @@ func (m *Master) maybeMigrate(factor, minHeld float64) {
 	var weakest *masterClient
 	for _, id := range m.order {
 		c := m.clients[id]
-		if !c.busy || c.stopping || m.now()-c.assignedAt < minHeld || len(m.donating(c)) > 0 {
+		if c.state != busy || m.now()-c.assignedAt < minHeld || len(m.donating(c)) > 0 {
 			continue
 		}
 		if weakest == nil || c.rank < weakest.rank {
@@ -1231,7 +1239,7 @@ func (m *Master) maybeMigrate(factor, minHeld float64) {
 	}
 	if weakest != nil && target.Rank >= factor*weakest.rank {
 		m.handBack(weakest, fromMigrate, 0)
-		weakest.busy, weakest.reserved = false, true
+		weakest.state = idle // the backlog holds its cube now
 		m.stop(weakest)
 		m.serveBacklog()
 	}
@@ -1241,7 +1249,7 @@ func (m *Master) idleCandidates() []Candidate {
 	var out []Candidate
 	for _, id := range m.order {
 		c := m.clients[id]
-		if c.busy || c.reserved || c.addr == "" {
+		if c.state != idle || c.addr == "" {
 			continue
 		}
 		out = append(out, Candidate{ID: c.id, Rank: c.rank, MemBytes: c.freeMem})

@@ -30,9 +30,6 @@ type SplitDecision struct {
 	// MemBudgetBytes is the client's memory allowance (60% of free memory
 	// in the paper).
 	MemBudgetBytes int64
-	// MemPressureFraction of the budget at which a split is requested;
-	// requesting at 100% would be too late to transfer hundreds of MB.
-	MemPressureFraction float64
 	// TransferTime is how long the current subproblem took to receive.
 	TransferTime float64
 	// MinRunTime floors the timeout so trivially fast transfers do not
@@ -40,13 +37,17 @@ type SplitDecision struct {
 	MinRunTime float64
 }
 
+// memPressureFraction is the share of the memory budget at which a split is
+// requested; requesting at 100% would be too late to transfer hundreds of MB.
+const memPressureFraction = 0.8
+
 // ShouldSplit evaluates the trigger given the solver's current estimated
 // memory and how long the client has been running its subproblem.
 // The bool reports whether to ask the master for a split; the reason, read
 // only when it is true, names which of the paper's two triggers fired
 // (memory wins ties).
 func (d SplitDecision) ShouldSplit(memBytes int64, runTime float64) (bool, comm.SplitReason) {
-	if d.MemBudgetBytes > 0 && float64(memBytes) >= d.MemPressureFraction*float64(d.MemBudgetBytes) {
+	if d.MemBudgetBytes > 0 && float64(memBytes) >= memPressureFraction*float64(d.MemBudgetBytes) {
 		return true, comm.SplitMemoryPressure
 	}
 	timeout := 2 * d.TransferTime

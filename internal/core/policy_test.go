@@ -7,7 +7,7 @@ import (
 )
 
 func TestSplitDecisionMemoryTrigger(t *testing.T) {
-	d := SplitDecision{MemBudgetBytes: 1000, MemPressureFraction: 0.8, TransferTime: 100, MinRunTime: 1}
+	d := SplitDecision{MemBudgetBytes: 1000, TransferTime: 100, MinRunTime: 1}
 	if ask, why := d.ShouldSplit(800, 0); !ask || why != comm.SplitMemoryPressure {
 		t.Fatalf("at 80%% budget: ask=%v why=%v", ask, why)
 	}
@@ -17,7 +17,7 @@ func TestSplitDecisionMemoryTrigger(t *testing.T) {
 }
 
 func TestSplitDecisionTimeoutTrigger(t *testing.T) {
-	d := SplitDecision{MemBudgetBytes: 1 << 30, MemPressureFraction: 0.8, TransferTime: 50, MinRunTime: 1}
+	d := SplitDecision{MemBudgetBytes: 1 << 30, TransferTime: 50, MinRunTime: 1}
 	if ask, _ := d.ShouldSplit(0, 99); ask {
 		t.Fatal("below 2x transfer time should not trigger")
 	}
@@ -28,7 +28,7 @@ func TestSplitDecisionTimeoutTrigger(t *testing.T) {
 }
 
 func TestSplitDecisionMinRunTimeFloor(t *testing.T) {
-	d := SplitDecision{MemBudgetBytes: 1 << 30, MemPressureFraction: 0.8, TransferTime: 0.001, MinRunTime: 10}
+	d := SplitDecision{MemBudgetBytes: 1 << 30, TransferTime: 0.001, MinRunTime: 10}
 	if ask, _ := d.ShouldSplit(0, 5); ask {
 		t.Fatal("floor ignored: instant transfers must not cause split storms")
 	}
@@ -38,14 +38,14 @@ func TestSplitDecisionMinRunTimeFloor(t *testing.T) {
 }
 
 func TestSplitDecisionMemoryWinsTies(t *testing.T) {
-	d := SplitDecision{MemBudgetBytes: 100, MemPressureFraction: 0.5, TransferTime: 1, MinRunTime: 0}
-	if _, why := d.ShouldSplit(50, 100); why != comm.SplitMemoryPressure {
+	d := SplitDecision{MemBudgetBytes: 100, TransferTime: 1, MinRunTime: 0}
+	if _, why := d.ShouldSplit(80, 100); why != comm.SplitMemoryPressure {
 		t.Fatalf("why = %v, want memory", why)
 	}
 }
 
 func TestSplitDecisionNoBudget(t *testing.T) {
-	d := SplitDecision{MemBudgetBytes: 0, MemPressureFraction: 0.8, TransferTime: 10, MinRunTime: 0}
+	d := SplitDecision{MemBudgetBytes: 0, TransferTime: 10, MinRunTime: 0}
 	if ask, _ := d.ShouldSplit(1<<40, 5); ask {
 		t.Fatal("zero budget should disable the memory trigger")
 	}

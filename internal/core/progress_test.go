@@ -92,8 +92,8 @@ func TestCoverageRateStartsWithTheJob(t *testing.T) {
 	c := m.clients[m.connect()]
 	m.handleRegister(c, comm.Register{Addr: "a", FreeMemBytes: 64 << 20, SpeedHint: 1})
 	j := m.jobs[id]
-	if j.State != JobRunning || j.StartedAt != 100 || !c.busy {
-		t.Fatalf("job %v started at %v, client busy=%v; want running from 100", j.State, j.StartedAt, c.busy)
+	if j.State != JobRunning || j.StartedAt != 100 || c.state != busy {
+		t.Fatalf("job %v started at %v, client %v; want running from 100", j.State, j.StartedAt, c.state)
 	}
 	now = 110
 	m.handleSplitDone(c, comm.SplitDone{OK: true})

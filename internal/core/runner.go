@@ -799,7 +799,7 @@ func (r *runner) deliverAt(at float64, dc *desClient, msg comm.Message) {
 			dc.inbox = append(dc.inbox, msg)
 			return
 		}
-		dc.cl.handleIdle(msg) // not stepping means idle
+		dc.cl.handle(msg) // not stepping means idle
 		r.step(dc)
 	})
 }

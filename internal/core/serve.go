@@ -203,18 +203,16 @@ func (m *Master) Shutdown() {
 // subproblem, a copy of a cube already requeued (clientLost), or one that
 // moved to a better client (maybeMigrate). Event-loop only.
 func (m *Master) handleStopped(c *masterClient, msg comm.Stopped) {
-	if !c.stopping || msg.Seq != c.stopSeq {
-		// Stale ack: the stop this answers was beaten by a verdict
-		// (handleSolved cleared stopping and freed the client), and the
-		// client may since have been reassigned. Clearing busy here would
-		// orphan that new assignment, so the ack is dropped outright.
+	if (c.state != stopping && c.state != parked) || msg.Seq != c.stopSeq {
+		// Stale ack: a verdict beat the stop it answers (handleSolved freed
+		// the client), and the client may since have been reassigned, which
+		// freeing it here would orphan.
 		return
 	}
-	// A stopping client is busy on a terminal job, or reserved and holding
-	// nothing (see clientLost and maybeMigrate); what clears busy clears
-	// stopping.
+	// A stopping client holds a terminal job's subproblem, a parked one
+	// nothing (see clientLost and maybeMigrate).
 	j := m.jobOf(c)
-	c.busy, c.reserved, c.stopping = false, false, false
+	c.state = idle
 	m.serveBacklog()
 	m.checkExhausted(j)
 }
@@ -242,14 +240,14 @@ func (m *Master) finishJob(j *masterJob, status solver.Status, model cnf.Assignm
 }
 
 // releaseJob stops a terminal job's busy clients. Each gets StopWork and
-// stays busy master-side until its ack, so new work is never raced against
-// a still-running solver. The job's transfers stay until each leg reports
+// stays stopping master-side until its ack, so new work is never raced
+// against a still-running solver. The job's transfers stay until each leg reports
 // (handleSplitDone stops a recipient that started a payload of it) or its
 // client is lost: a reserved recipient is not free while a payload may
 // still reach it. Event-loop only.
 func (m *Master) releaseJob(j *masterJob) {
 	for _, id := range m.order {
-		if c := m.clients[id]; c.job == j.ID && c.busy && !c.stopping {
+		if c := m.clients[id]; c.job == j.ID && c.state == busy {
 			m.stop(c)
 		}
 	}
@@ -257,9 +255,14 @@ func (m *Master) releaseJob(j *masterJob) {
 
 // stop tells a client to abandon its subproblem: its job has ended, it is a
 // copy of a cube the master has requeued (see clientLost), or it moves to a
-// better client (maybeMigrate).
+// better client (maybeMigrate). A client that holds its cube keeps it until
+// the ack (stopping); any other holds nothing and is parked.
 func (m *Master) stop(c *masterClient) {
-	c.stopping = true
+	if c.holds() {
+		c.state = stopping
+	} else {
+		c.state = parked
+	}
 	c.stopSeq++
 	m.send(c.id, comm.StopWork{Job: c.job, Seq: c.stopSeq})
 }

@@ -488,10 +488,6 @@ func TestMasterShareWindowBounded(t *testing.T) {
 // while the dedup window, the shared counters and the relay event behave as
 // with an audience. With other holders the batch is encoded once.
 func TestMasterShareRelayPicksRecipientsFirst(t *testing.T) {
-	type sent struct {
-		to  int
-		msg comm.Message
-	}
 	const batchLen = 64
 	batch := func(round int) comm.ShareClauses {
 		cs := make([]cnf.Clause, batchLen)
@@ -510,7 +506,7 @@ func TestMasterShareRelayPicksRecipientsFirst(t *testing.T) {
 				func(BundleSpec) {})
 			for i := 0; i < holders; i++ {
 				c := m.clients[m.connect()]
-				c.addr, c.busy = fmt.Sprintf("addr-%d", c.id), true
+				c.addr, c.state = fmt.Sprintf("addr-%d", c.id), busy
 			}
 			m.clients[m.connect()].job = 7 // registered elsewhere: never a recipient
 			sender := m.clients[1]

@@ -152,7 +152,7 @@ func (m *Master) state() ClusterState {
 			continue // connection still mid-registration
 		}
 		row := ClientState{
-			ID: c.id, Host: c.hostName, Busy: c.busy, Reserved: c.reserved,
+			ID: c.id, Host: c.hostName, Busy: c.holds(), Reserved: c.state == reserved || c.state == parked,
 			MemBytes: c.usedMem, DBLearnts: c.dbLearnts, Depth: len(c.cube),
 			ConflictsPerSec:  c.conf.rate,
 			ImportUseRatio:   efficacyOf(c.agg).UsefulRatio,
@@ -205,8 +205,8 @@ func (m *Master) State() (ClusterState, error) {
 }
 
 // jobLoad is what a job takes from the client table: how many clients
-// hold it (busy or reserved, including ones being stopped) and the summed
-// conflict throughput of the busy ones.
+// are down for it in any state but idle, and the summed conflict throughput
+// of the ones that hold their cube.
 type jobLoad struct {
 	job  int
 	held int
@@ -235,8 +235,8 @@ func (t poolTally) load(jobID int) jobLoad {
 	return jobLoad{}
 }
 
-// outstanding counts an active job's live subproblems: one per client busy
-// on it, one per client reserved for it (one unsettled leg of a
+// outstanding counts an active job's live subproblems: one per client down
+// for it in any state but idle (a reserved one is an unsettled leg of a
 // pendingSplits group: a cofactor in the making or on its way) and one per
 // subproblem queued for it. A terminal job has none, whoever still acks.
 func (t poolTally) outstanding(j *masterJob) int {
@@ -263,18 +263,18 @@ func (m *Master) tally() poolTally {
 			t.loads = append(t.loads, jobLoad{job: c.job})
 		}
 		l := &t.loads[i]
-		if c.busy {
+		switch c.state {
+		case busy, stopping:
 			t.busy++
 			t.confRate += c.conf.rate
 			l.rate += c.conf.rate
-		}
-		if c.reserved {
+		case reserved, parked:
 			t.reserved++
 		}
 		if c.wantsSplit() {
 			t.splitRequests++
 		}
-		if c.busy || c.reserved {
+		if c.state != idle {
 			l.held++
 		}
 	}

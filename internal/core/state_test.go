@@ -30,8 +30,8 @@ func bareMaster(t *testing.T, now *float64) *Master {
 
 // populate fills m with nClients × nJobs of hand-built state in every
 // shape the view has to count: jobs in all four lifecycle states with and
-// without a root issued, clients idle, busy, reserved and stopping, and
-// one connection still mid-registration.
+// without a root issued, clients in each of the five states, and one
+// connection still mid-registration.
 func populate(m *Master, nClients, nJobs int) {
 	for id := 1; id <= nJobs; id++ {
 		j := &masterJob{ID: id, Name: fmt.Sprintf("job-%d", id), Priority: 1 + id%3,
@@ -63,9 +63,16 @@ func populate(m *Master, nClients, nJobs int) {
 		if nJobs > 0 {
 			c.job = 1 + id%nJobs
 		}
-		c.busy = id%3 != 0
-		c.reserved = !c.busy && id%2 == 0
-		c.stopping = c.busy && id%5 == 0
+		switch {
+		case id%3 != 0 && id%5 == 0:
+			c.state = stopping
+		case id%3 != 0:
+			c.state = busy
+		case id%2 == 0 && id%5 == 0:
+			c.state = parked
+		case id%2 == 0:
+			c.state = reserved
+		}
 		c.usedMem, c.dbLearnts, c.cube = int64(id)<<20, 100*id, make([]cnf.Lit, id%9)
 		c.conf.rate = 37.5 * float64(id%11)
 		c.conf.at, c.assignedAt = float64(id%4), float64(id%6)
@@ -120,18 +127,18 @@ func TestStateMatchesBruteForceRecount(t *testing.T) {
 				want.Registered++
 				want.MemBytes += c.usedMem
 				want.SolverDeltas.Add(c.agg)
-				if c.splitAt > 0 && c.busy && !c.stopping {
+				if c.splitAt > 0 && c.state == busy {
 					want.Backlog++
 				}
-				if c.busy {
+				if c.state == busy || c.state == stopping {
 					want.Busy++
 					want.ConflictRate += c.conf.rate
 					rate[c.job] += c.conf.rate
 				}
-				if c.reserved {
+				if c.state == reserved || c.state == parked {
 					want.Reserved++
 				}
-				if c.busy || c.reserved {
+				if c.state != idle {
 					held[c.job]++
 				}
 			}
@@ -171,8 +178,8 @@ func TestStateMatchesBruteForceRecount(t *testing.T) {
 			}
 			for i, row := range st.Clients {
 				c := m.clients[rows[i]]
-				if row.ID != c.id || row.Host != c.hostName || row.Busy != c.busy ||
-					row.Reserved != c.reserved || row.MemBytes != c.usedMem ||
+				if row.ID != c.id || row.Host != c.hostName || row.Busy != (c.state == busy || c.state == stopping) ||
+					row.Reserved != (c.state == reserved || c.state == parked) || row.MemBytes != c.usedMem ||
 					row.DBLearnts != c.dbLearnts || row.Depth != len(c.cube) ||
 					row.ConflictsPerSec != c.conf.rate || row.SolverDeltas != c.agg {
 					t.Errorf("client row %d = %+v, client %+v", i, row, c)
@@ -211,7 +218,7 @@ func serveJobAtHalf(t *testing.T, m *Master, f *cnf.Formula) *masterJob {
 	}
 	j := m.jobs[id]
 	for _, c := range m.clients {
-		if c.busy && c.job == id {
+		if c.state == busy && c.job == id {
 			m.handleSplitDone(c, comm.SplitDone{OK: true})
 			c.cube = []cnf.Lit{cnf.PosLit(0)}
 			j.subBacklog = append(j.subBacklog, backlogSub{job: id,
@@ -296,8 +303,7 @@ func TestFinishedJobDropsItsInput(t *testing.T) {
 	}
 	// Late traffic from a client still tagged with the finished job (and
 	// nothing in flight to it: the cancelled job's root was).
-	c.job, c.busy = sat, true
-	delete(m.pendingAssigns, c.id)
+	c.job, c.state, c.unacked = sat, busy, nil
 	m.handleShare(c, comm.ShareClauses{From: c.id, Job: sat, Clauses: []cnf.Clause{cnf.NewClause(1, 2)}})
 	for _, late := range []comm.Message{
 		comm.SplitDone{SplitID: 99, OK: true},

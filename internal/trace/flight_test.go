@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -375,5 +376,40 @@ func TestWritePerfettoIsDeterministic(t *testing.T) {
 		if !bytes.Equal(b.Bytes(), first.Bytes()) {
 			t.Fatalf("render %d differs from the first", i+2)
 		}
+	}
+}
+
+// TestWritePerfettoKeepsEverySpan: a client's span ends when its job is
+// cancelled (job-cancel names no client), and a new assignment to the same
+// client opens a second span instead of overwriting the first.
+func TestWritePerfettoKeepsEverySpan(t *testing.T) {
+	f := NewFlight(nil)
+	f.Emit(FEvent{Kind: FEvAssign, Client: 1, Job: 1, VSec: 2})
+	f.Emit(FEvent{Kind: FEvJobCancel, Job: 1, VSec: 3})
+	f.Emit(FEvent{Kind: FEvAssign, Client: 1, Job: 2, VSec: 5})
+	f.Emit(FEvent{Kind: FEvSubUNSAT, Client: 1, Job: 2, VSec: 6})
+	var b bytes.Buffer
+	if err := WritePerfetto(&b, f.Events()); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []perfettoEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(b.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	type span struct {
+		pid        int
+		start, end float64
+	}
+	var got []span
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" {
+			got = append(got, span{ev.Pid, ev.Ts, ev.Ts + ev.Dur})
+		}
+	}
+	want := []span{{perfettoPid + 1, 2e6, 3e6}, {perfettoPid + 2, 5e6, 6e6}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("ownership spans %+v, want %+v", got, want)
 	}
 }

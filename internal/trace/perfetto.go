@@ -81,8 +81,8 @@ func WritePerfetto(w io.Writer, events []FEvent) error {
 
 	// Ownership spans: a client's row is "solving" from the event that gave
 	// it work (assign / split-accept / recover / migrate in) until the event
-	// that took the work away (sub-unsat / migrate out / leave / verdict).
-	// Spans live inside their job's track group.
+	// that took the work away (sub-unsat / migrate out / leave / verdict /
+	// job end) or gave it new work, inside their job's track group.
 	type openSpan struct {
 		start float64
 		label string
@@ -105,6 +105,19 @@ func WritePerfetto(w io.Writer, events []FEvent) error {
 			Args: map[string]any{"split": s.ev.SplitID, "event": s.ev.ID},
 		})
 	}
+	begin := func(client int, s *openSpan) {
+		closeSpan(client, s.start)
+		open[client] = s
+	}
+	// closeAll closes the open spans whose job match accepts, in client
+	// order so one log always renders to the same bytes.
+	closeAll := func(end float64, match func(job int) bool) {
+		for _, client := range slices.Sorted(maps.Keys(open)) {
+			if match(open[client].ev.Job) {
+				closeSpan(client, end)
+			}
+		}
+	}
 
 	lastTs := 0.0
 	for i, ev := range events {
@@ -119,19 +132,20 @@ func WritePerfetto(w io.Writer, events []FEvent) error {
 		}
 		switch ev.Kind {
 		case FEvAssign:
-			open[ev.Client] = &openSpan{start: t, label: "root", ev: ev}
+			begin(ev.Client, &openSpan{start: t, label: "root", ev: ev})
 		case FEvSplitAccept:
-			open[ev.Client] = &openSpan{start: t, label: fmt.Sprintf("split %d", ev.SplitID), ev: ev}
+			begin(ev.Client, &openSpan{start: t, label: fmt.Sprintf("split %d", ev.SplitID), ev: ev})
 		case FEvRecover:
-			open[ev.Client] = &openSpan{start: t, label: "recovered", ev: ev}
-		case FEvSubUNSAT, FEvClientLeave:
+			begin(ev.Client, &openSpan{start: t, label: "recovered", ev: ev})
+		case FEvSubUNSAT, FEvClientLeave, FEvVerdict:
 			closeSpan(ev.Client, t)
 		case FEvMigrate:
 			closeSpan(ev.Client, t)
-			open[ev.Peer] = &openSpan{start: t, label: "migrated-in", ev: FEvent{Client: ev.Peer, ID: ev.ID, Job: ev.Job}}
+			begin(ev.Peer, &openSpan{start: t, label: "migrated-in", ev: FEvent{Client: ev.Peer, ID: ev.ID, Job: ev.Job}})
 			name(pid, ev.Peer, fmt.Sprintf("client %d", ev.Peer))
-		case FEvVerdict, FEvJobDone, FEvJobCancel:
-			closeSpan(ev.Client, t)
+		case FEvJobDone, FEvJobCancel:
+			// These carry no client: every span of the job ends here.
+			closeAll(t, func(job int) bool { return job == ev.Job })
 		}
 
 		// Every event also appears as an instant on its row (master events
@@ -163,11 +177,8 @@ func WritePerfetto(w io.Writer, events []FEvent) error {
 			)
 		}
 	}
-	// Close anything still open at the end of the log, in client order so
-	// one log always renders to the same bytes.
-	for _, client := range slices.Sorted(maps.Keys(open)) {
-		closeSpan(client, lastTs+1)
-	}
+	// Close anything still open at the end of the log.
+	closeAll(lastTs+1, func(int) bool { return true })
 
 	doc := struct {
 		TraceEvents []perfettoEvent `json:"traceEvents"`
