@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"testing"
-	"time"
 
 	"gridsat/internal/cnf"
 	"gridsat/internal/comm"
@@ -12,23 +11,15 @@ import (
 	"gridsat/internal/trace"
 )
 
-// newChurnMaster builds a non-running master whose handlers the test
-// drives directly — the event loop is single-threaded, so calling them
-// from the test goroutine exercises exactly the production accounting.
-func newChurnMaster(t *testing.T) *Master {
-	t.Helper()
+// newChurnMaster builds a one-shot master with no shell — no listener,
+// goroutine or clock of its own — whose handlers the test drives directly:
+// the event loop is single-threaded, so calling them from the test
+// goroutine exercises exactly the production accounting.
+func newChurnMaster() *Master {
 	f := cnf.NewFormula(2)
 	f.Add(1, 2)
-	m, err := NewMaster(MasterConfig{
-		Transport:  comm.NewInprocTransport(),
-		ListenAddr: "churn-master",
-		Formula:    f,
-		Timeout:    time.Minute,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
+	return newMaster(MasterConfig{Formula: f},
+		func() float64 { return 1 }, func(int, comm.Message) {}, func(BundleSpec) {})
 }
 
 func churnDeltas(conflicts, implications, imported, useful int64) comm.SolverDeltas {
@@ -51,7 +42,7 @@ func churnDeltas(conflicts, implications, imported, useful int64) comm.SolverDel
 // rejoining client starts a fresh per-client aggregate, and its deltas
 // are added exactly once).
 func TestHeartbeatAggregationSurvivesChurn(t *testing.T) {
-	m := newChurnMaster(t)
+	m := newChurnMaster()
 
 	join := func(id int) *masterClient {
 		c := &masterClient{id: id, addr: "addr"}
@@ -134,8 +125,7 @@ func from(id int, msg comm.Message) masterEvent { return masterEvent{clientID: i
 // (after which it is no longer in the cluster mean), and the cubes the
 // clients acknowledged are what the estimator closes.
 func TestStateCoverageFromSolved(t *testing.T) {
-	m := newChurnMaster(t)
-	m.started = time.Now()
+	m := newChurnMaster()
 	// Client 1 takes the root and splits it with client 2: two holders.
 	for id := 1; id <= 2; id++ {
 		m.connect()
@@ -206,7 +196,7 @@ func TestStateCoverageFromSolved(t *testing.T) {
 // root now travels like any other master-held subproblem, so a nack puts
 // it back on the backlog and the next idle client gets it.
 func TestRootNackIsRequeued(t *testing.T) {
-	m := newChurnMaster(t)
+	m := newChurnMaster()
 	for id := 1; id <= 2; id++ {
 		m.connect()
 		if _, err := m.handle(from(id, comm.Register{Addr: "a", FreeMemBytes: 1 << 20, SpeedHint: float64(3 - id)})); err != nil {
@@ -248,7 +238,7 @@ func TestRootNackIsRequeued(t *testing.T) {
 // judged from its assignment, not from the stale report before the gap —
 // otherwise the heartbeat-gap rule fires the moment it goes busy.
 func TestWatchSampleCountsSilenceFromAssignment(t *testing.T) {
-	m := newChurnMaster(t)
+	m := newChurnMaster()
 	m.clients[1] = &masterClient{id: 1, addr: "a", state: busy, conf: ewma{at: 10}, assignment: assignment{assignedAt: 100}}
 	m.order = []int{1}
 	m.now = func() float64 { return 105 }
@@ -270,8 +260,7 @@ func TestWatchSampleCountsSilenceFromAssignment(t *testing.T) {
 // recipient holds, and its unsettled recipient is stopped, not counted
 // twice. The refutations then add up to the whole space, exactly.
 func TestClientLostRequeuesItsCube(t *testing.T) {
-	m := newChurnMaster(t)
-	m.started = time.Now()
+	m := newChurnMaster()
 	join := func(fanout int) *masterClient {
 		id := m.connect()
 		m.handle(from(id, comm.Register{Addr: "a", FreeMemBytes: 1 << 20, SpeedHint: float64(10 - id), Fanout: fanout}))

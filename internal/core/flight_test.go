@@ -46,227 +46,6 @@ func dumpFlight(t *testing.T, f *trace.Flight) {
 	t.Logf("flight log dumped to %s (%d events)", path, f.Len())
 }
 
-func TestDESFlightLogValidatesAndMatchesResult(t *testing.T) {
-	f := trace.NewFlight(nil)
-	cfg := desConfig(gen.Pigeonhole(8), 10_000)
-	cfg.Master.Flight = f
-	res := RunDistributed(cfg)
-	defer dumpFlight(t, f)
-	if res.Outcome != OutcomeSolved || res.Status != solver.StatusUNSAT {
-		t.Fatalf("run failed: %+v", res.Outcome)
-	}
-	evs := f.Events()
-	if err := trace.Validate(evs); err != nil {
-		t.Fatalf("flight log invalid: %v", err)
-	}
-	if got := trace.Summarize(evs).Verdict; got != "UNSAT" {
-		t.Fatalf("flight verdict %q, want UNSAT", got)
-	}
-	counts := trace.Summarize(evs).PerKind
-	if counts[trace.FEvRunStart] != 1 || counts[trace.FEvVerdict] != 1 {
-		t.Fatalf("run-start/verdict counts wrong: %v", counts)
-	}
-	if int(counts[trace.FEvSplitAccept]) != res.State.Splits {
-		t.Fatalf("split-accept events %d != result splits %d",
-			counts[trace.FEvSplitAccept], res.State.Splits)
-	}
-	if counts[trace.FEvSubUNSAT] == 0 {
-		t.Fatal("UNSAT run recorded no sub-unsat events")
-	}
-	// Every event but the first has a live virtual timestamp horizon.
-	if evs[len(evs)-1].VSec <= 0 {
-		t.Fatal("events missing virtual time")
-	}
-	// The JSONL form must round-trip losslessly (the CI artifact is the
-	// JSONL file, so it has to carry everything the validator needs).
-	var b bytes.Buffer
-	if err := f.WriteJSONL(&b); err != nil {
-		t.Fatal(err)
-	}
-	back, err := trace.ReadJSONL(&b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.Validate(back); err != nil {
-		t.Fatalf("JSONL round trip broke the log: %v", err)
-	}
-}
-
-func TestDESFlightLineageLeafCount(t *testing.T) {
-	f := trace.NewFlight(nil)
-	cfg := desConfig(gen.Pigeonhole(8), 10_000)
-	cfg.Master.Flight = f
-	res := RunDistributed(cfg)
-	defer dumpFlight(t, f)
-	if res.State.Splits == 0 {
-		t.Skip("instance solved without splitting; lineage is trivial")
-	}
-	tree := trace.BuildLineage(f.Events())
-	if got := len(tree.Leaves()); got != res.State.Splits+1 {
-		t.Fatalf("lineage leaves = %d, want splits+1 = %d", got, res.State.Splits+1)
-	}
-	if len(tree.Nodes()) != 2*res.State.Splits+1 {
-		t.Fatalf("lineage nodes = %d, want 2*splits+1 = %d",
-			len(tree.Nodes()), 2*res.State.Splits+1)
-	}
-}
-
-func TestDESFlightReplayVerify(t *testing.T) {
-	mk := func() RunnerConfig {
-		cfg := desConfig(gen.Pigeonhole(8), 10_000)
-		return cfg
-	}
-	rec := trace.NewFlight(nil)
-	cfg := mk()
-	cfg.Master.Flight = rec
-	res := RunDistributed(cfg)
-	defer dumpFlight(t, rec)
-	if res.Outcome != OutcomeSolved {
-		t.Fatalf("recording run failed: %+v", res.Outcome)
-	}
-	err := trace.ReplayVerify(rec.Events(), func(f *trace.Flight) error {
-		cfg := mk()
-		cfg.Master.Flight = f
-		if r := RunDistributed(cfg); r.Outcome != OutcomeSolved {
-			return fmt.Errorf("replay run did not solve: %v", r.Outcome)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("replay diverged: %v", err)
-	}
-	// A run under a different config (single client, so no splits happen)
-	// must NOT replay clean — otherwise the verifier is vacuous.
-	err = trace.ReplayVerify(rec.Events(), func(f *trace.Flight) error {
-		cfg := mk()
-		cfg.MaxClients = 1
-		cfg.Master.Flight = f
-		RunDistributed(cfg)
-		return nil
-	})
-	if err == nil {
-		t.Fatal("replay verifier accepted a structurally different run")
-	}
-}
-
-func TestDESFlightRecordsFailureRecovery(t *testing.T) {
-	f := trace.NewFlight(nil)
-	cfg := desConfig(gen.Pigeonhole(8), 10_000)
-	cfg.Failures = []FailurePlan{{HostID: 0, AtVSec: 5}}
-	cfg.Master.Flight = f
-	res := RunDistributed(cfg)
-	defer dumpFlight(t, f)
-	if res.Outcome != OutcomeSolved {
-		t.Fatalf("run with failure did not solve: %+v", res.Outcome)
-	}
-	counts := trace.Summarize(f.Events()).PerKind
-	if counts[trace.FEvClientLeave] == 0 {
-		t.Fatal("client crash left no client-leave event")
-	}
-	// Each recover event's parent must be a client-leave event.
-	byID := make(map[uint64]trace.FEvent, f.Len())
-	for _, ev := range f.Events() {
-		byID[ev.ID] = ev
-	}
-	for _, ev := range f.Events() {
-		if ev.Kind != trace.FEvRecover {
-			continue
-		}
-		if parent, ok := byID[ev.Parent]; !ok || parent.Kind != trace.FEvClientLeave {
-			t.Fatalf("recover event %d has parent %d (%+v), want a client-leave",
-				ev.ID, ev.Parent, parent)
-		}
-	}
-}
-
-// TestLineageIsTheMastersCubes reads the split tree off the flight logs of
-// runs under churn: clients crash mid-run (three schedules, each under
-// first-decision and dilemma splitting), or subproblems migrate to better
-// hosts. A node's place in the tree is its cube: under first-decision
-// splitting its depth is the cube's length, and in every UNSAT run the
-// refuted leaves partition the root, their 2^-len summing to exactly 1.
-// A migration moves its cube to another client, never back to its own.
-// One run submits its formula as a served job (job 1, not the one-shot
-// job 0), so the tree must key every subproblem by the job it belongs to.
-func TestLineageIsTheMastersCubes(t *testing.T) {
-	type run struct {
-		name string
-		cfg  RunnerConfig
-	}
-	var runs []run
-	for i, failures := range [][]FailurePlan{
-		{{HostID: 0, AtVSec: 30}, {HostID: 1, AtVSec: 45}},
-		{{HostID: 20, AtVSec: 8}, {HostID: 31, AtVSec: 30}},
-		{{HostID: 0, AtVSec: 10}, {HostID: 2, AtVSec: 14}},
-	} {
-		for _, strategy := range []string{"first-decision", "dilemma"} {
-			cfg := desConfig(gen.Pigeonhole(9), 100_000)
-			cfg.Client.MinRunTime = vsecDuration(2)
-			cfg.Client.SplitStrategy = strategy
-			cfg.Failures = failures
-			runs = append(runs, run{fmt.Sprintf("crashes-%d/%s", i+1, strategy), cfg})
-		}
-	}
-	runs = append(runs, run{"migration/first-decision", migrationDESConfig(1)})
-	served := desConfig(nil, 100_000)
-	served.Jobs = []SimJob{{Name: "ph9", Formula: gen.Pigeonhole(9), Priority: 1, ArrivalVSec: 1}}
-	served.Client.MinRunTime = vsecDuration(2)
-	served.Failures = runs[0].cfg.Failures
-	runs = append(runs, run{"served/first-decision", served})
-	for _, r := range runs {
-		t.Run(r.name, func(t *testing.T) {
-			f := trace.NewFlight(nil)
-			r.cfg.Master.Flight = f
-			res := RunDistributed(r.cfg)
-			defer dumpFlight(t, f)
-			if r.cfg.Jobs != nil {
-				if j := jobByID(t, res, 1); res.Outcome != OutcomeSolved || j.Verdict != "UNSAT" {
-					t.Fatalf("got %v/%s", res.Outcome, j.Verdict)
-				}
-			} else if res.Outcome != OutcomeSolved || res.Status != solver.StatusUNSAT {
-				t.Fatalf("got %v/%v", res.Outcome, res.Status)
-			}
-			counts := trace.Summarize(f.Events()).PerKind
-			if counts[trace.FEvClientLeave]+counts[trace.FEvMigrate] == 0 {
-				t.Fatalf("no client left and no cube migrated; the run shows no churn: %v", counts)
-			}
-			for _, ev := range f.Events() {
-				if ev.Kind == trace.FEvMigrate && ev.Client == ev.Peer {
-					t.Errorf("event %d moves cube %q from client %d back to itself", ev.ID, ev.Cube, ev.Client)
-				}
-			}
-			tree := trace.BuildLineage(f.Events())
-			firstDecision := strings.HasSuffix(r.name, "/first-decision")
-			var refuted uint64
-			reached := 0
-			var walk func(n *trace.LineageNode, depth int)
-			walk = func(n *trace.LineageNode, depth int) {
-				reached++
-				cubeLen := len(strings.Fields(n.Cube))
-				if firstDecision && depth != cubeLen {
-					t.Errorf("node #%d (cube %q) sits at depth %d, not its cube's length %d", n.ID, n.Cube, depth, cubeLen)
-				}
-				if len(n.Children) == 0 {
-					if n.Status != trace.NodeUNSAT {
-						t.Errorf("leaf #%d (cube %q) is %s in an UNSAT run", n.ID, n.Cube, n.Status)
-					}
-					refuted += coverageUnits(cubeLen)
-				}
-				for _, c := range n.Children {
-					walk(c, depth+1)
-				}
-			}
-			walk(tree.Root, 0)
-			if reached != len(tree.Nodes()) {
-				t.Errorf("%d of %d nodes hang off the root", reached, len(tree.Nodes()))
-			}
-			if refuted != coverageFull {
-				t.Errorf("refuted leaves cover %d units, want exactly %d", refuted, coverageFull)
-			}
-		})
-	}
-}
-
 func TestLiveSolveSharedFlight(t *testing.T) {
 	f := trace.NewFlight(nil)
 	res, err := Solve(gen.Pigeonhole(7), JobConfig{

@@ -55,6 +55,35 @@ func TestProgressTrackerReachesExactlyFull(t *testing.T) {
 	}
 }
 
+// TestCoverageKWaySplitBitExact pins the strategy depth contract at the
+// estimator: a depth-d subproblem forked k ways yields 2^k cofactors at
+// depth d+k, and closing all of them must reproduce the parent's
+// fixed-point weight bit for bit — no rounding drift, ever.
+func TestCoverageKWaySplitBitExact(t *testing.T) {
+	for _, c := range []struct{ d, k int }{
+		{0, 1}, {0, 2}, {3, 2}, {7, 3}, {20, 2}, {40, 4},
+	} {
+		var p ProgressTracker
+		for i := 0; i < 1<<c.k; i++ {
+			p.CloseSubproblem(c.d+c.k, float64(i))
+		}
+		if got, want := p.Units(), coverageUnits(c.d); got != want {
+			t.Errorf("d=%d k=%d: closed 2^%d children at depth %d, units %d != parent's %d",
+				c.d, c.k, c.k, c.d+c.k, got, want)
+		}
+	}
+	// Mixed arity: a depth-0 space split 2-way, one half split 4-way,
+	// still sums to exactly 1.0.
+	var p ProgressTracker
+	p.CloseSubproblem(1, 1)
+	for i := 0; i < 4; i++ {
+		p.CloseSubproblem(3, float64(2+i))
+	}
+	if p.Units() != coverageFull {
+		t.Fatalf("mixed-arity closures sum to %d, want exactly %d", p.Units(), coverageFull)
+	}
+}
+
 func TestProgressTrackerCapsAtFull(t *testing.T) {
 	var p ProgressTracker
 	p.CloseSubproblem(0, 1) // the whole space
@@ -230,32 +259,5 @@ func TestDESProgressMonotoneReachesFull(t *testing.T) {
 	eff := efficacyOf(res.Agg)
 	if eff.UsefulRatio < 0 || eff.UsefulRatio > 1 {
 		t.Fatalf("useful ratio %v out of range", eff.UsefulRatio)
-	}
-}
-
-// TestDESProgressDeterministic re-runs the same config and requires the
-// entire coverage course — timestamps, depths, and unit totals — to
-// reproduce exactly, making the curves benchmarkable.
-func TestDESProgressDeterministic(t *testing.T) {
-	build := func() (SimResult, []trace.FEvent) {
-		cfg := desConfig(gen.Pigeonhole(8), 10_000)
-		cfg.Client.MinRunTime = vsecDuration(5)
-		return progressRun(cfg)
-	}
-	a, aev := build()
-	b, bev := build()
-	if a.Status != solver.StatusUNSAT || len(aev) == 0 {
-		t.Fatalf("got %v with %d progress events", a.Status, len(aev))
-	}
-	if len(aev) != len(bev) {
-		t.Fatalf("courses differ in length: %d vs %d", len(aev), len(bev))
-	}
-	for i := range aev {
-		if aev[i] != bev[i] {
-			t.Fatalf("event %d differs: %+v vs %+v", i, aev[i], bev[i])
-		}
-	}
-	if a.Agg != b.Agg {
-		t.Fatalf("cluster aggregates differ:\n%+v\n%+v", a.Agg, b.Agg)
 	}
 }

@@ -84,13 +84,11 @@ func TestRunSequentialSolves(t *testing.T) {
 func TestRunSequentialSAT(t *testing.T) {
 	f := gen.RandomKSAT(50, 210, 3, 5)
 	res := RunSequential(desConfig(f, 10_000))
-	if res.Outcome != OutcomeSolved {
-		t.Fatalf("got %v", res.Outcome)
+	if res.Outcome != OutcomeSolved || res.Status != solver.StatusSAT {
+		t.Fatalf("got %v/%v on a satisfiable instance", res.Outcome, res.Status)
 	}
-	if res.Status == solver.StatusSAT {
-		if err := f.Verify(res.Model); err != nil {
-			t.Fatal(err)
-		}
+	if err := f.Verify(res.Model); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -113,73 +111,56 @@ func TestRunSequentialMemOut(t *testing.T) {
 	}
 }
 
-func TestRunDistributedUNSAT(t *testing.T) {
-	f := gen.Pigeonhole(8)
-	res := RunDistributed(desConfig(f, 10_000))
-	if res.Outcome != OutcomeSolved || res.Status != solver.StatusUNSAT {
-		t.Fatalf("got %v/%v", res.Outcome, res.Status)
-	}
-	if res.MaxClients < 1 {
-		t.Fatal("no clients went busy")
-	}
-}
-
-func TestRunDistributedSAT(t *testing.T) {
-	f := gen.RandomKSAT(60, 255, 3, 9)
-	res := RunDistributed(desConfig(f, 10_000))
-	if res.Outcome != OutcomeSolved {
-		t.Fatalf("got %v", res.Outcome)
-	}
-	if res.Status == solver.StatusSAT {
-		if err := f.Verify(res.Model); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
+// TestRunDistributedAgainstBrute checks the DES's verdict against brute
+// force on small random instances, under each way of dividing the search
+// space or of taking work off a client, each at its own seeds; a SAT
+// verdict's model must satisfy the formula.
 func TestRunDistributedAgainstBrute(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		f := gen.RandomKSAT(20, 85, 3, seed)
-		want, _ := brute.Solve(f, 0)
-		res := RunDistributed(desConfig(f, 10_000))
-		if res.Outcome != OutcomeSolved {
-			t.Fatalf("seed %d: %v", seed, res.Outcome)
-		}
-		if (res.Status == solver.StatusSAT) != (want == brute.SAT) {
-			t.Fatalf("seed %d: DES says %v, brute %v", seed, res.Status, want)
-		}
-	}
-}
-
-func TestRunDistributedDeterministic(t *testing.T) {
-	f := gen.Pigeonhole(8)
-	a := RunDistributed(desConfig(f, 10_000))
-	b := RunDistributed(desConfig(f, 10_000))
-	if a.VSec != b.VSec || a.State.Splits != b.State.Splits || a.MaxClients != b.MaxClients ||
-		a.State.Shared != b.State.Shared || a.TotalProps != b.TotalProps {
-		t.Fatalf("nondeterministic DES: %+v vs %+v", a, b)
-	}
-}
-
-func TestRunDistributedSplitsOnHardInstance(t *testing.T) {
-	f := gen.Pigeonhole(9)
-	cfg := desConfig(f, 10_000)
-	cfg.Client.MinRunTime = vsecDuration(5)
-	// Pigeonhole learns long clauses, and globally valid exports carry
-	// their guiding-path literals; a wider share bound keeps them flowing.
-	cfg.Client.ShareMaxLen = 40
-	res := RunDistributed(cfg)
-	if res.Outcome != OutcomeSolved {
-		t.Fatalf("got %v", res.Outcome)
-	}
-	if res.State.Splits == 0 || res.MaxClients < 2 {
-		t.Fatalf("no parallelism: splits=%d maxClients=%d", res.State.Splits, res.MaxClients)
-	}
-	if res.MaxClients > 34 {
-		t.Fatalf("max clients %d exceeds the 34-host testbed", res.MaxClients)
-	}
-	if res.State.Shared == 0 {
-		t.Fatal("no clauses shared")
+	for _, v := range []struct {
+		name       string
+		seed, till int64
+		mk         func(*cnf.Formula) RunnerConfig
+	}{
+		{"first-decision", 0, 6, func(f *cnf.Formula) RunnerConfig { return desConfig(f, 10_000) }},
+		{"dilemma", 0, 6, func(f *cnf.Formula) RunnerConfig {
+			cfg := desConfig(f, 10_000)
+			cfg.Client.MinRunTime = vsecDuration(5)
+			cfg.Client.SplitStrategy = "dilemma"
+			return cfg
+		}},
+		{"portfolio-k3", 0, 6, func(f *cnf.Formula) RunnerConfig { return portfolioDESConfig(f, 3) }},
+		{"crashes", 0, 5, func(f *cnf.Formula) RunnerConfig {
+			cfg := desConfig(f, 100_000)
+			cfg.Client.MinRunTime = vsecDuration(2)
+			cfg.Failures = []FailurePlan{{HostID: 0, AtVSec: 10}, {HostID: 2, AtVSec: 14}}
+			return cfg
+		}},
+		{"migration", 10, 14, func(f *cnf.Formula) RunnerConfig {
+			cfg := desConfig(f, 100_000)
+			cfg.MigrationFactor = 1.2
+			cfg.MonitorPeriodVSec = 5
+			cfg.Client.MinRunTime = vsecDuration(2)
+			return cfg
+		}},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			for seed := v.seed; seed < v.till; seed++ {
+				f := gen.RandomKSAT(20, 85, 3, seed)
+				want, _ := brute.Solve(f, 0)
+				res := RunDistributed(v.mk(f))
+				if res.Outcome != OutcomeSolved {
+					t.Fatalf("seed %d: %v", seed, res.Outcome)
+				}
+				if (res.Status == solver.StatusSAT) != (want == brute.SAT) {
+					t.Fatalf("seed %d: DES says %v, brute %v", seed, res.Status, want)
+				}
+				if res.Status == solver.StatusSAT {
+					if err := f.Verify(res.Model); err != nil {
+						t.Fatalf("seed %d: %v", seed, err)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -286,23 +267,6 @@ func TestRunDistributedBatchNodesJoin(t *testing.T) {
 	}
 }
 
-func TestRunDistributedBatchTerminateOnEnd(t *testing.T) {
-	g := grid.TestbedTable2(3)
-	g.AddBlueHorizon(8)
-	f := gen.Pigeonhole(12) // far beyond the budgets
-	cfg := desConfig(f, 100_000)
-	cfg.Grid = g
-	cfg.Batch = &BatchPlan{Nodes: 8, WalltimeVSec: 30, MeanQueueWaitVSec: 20}
-	res := RunDistributed(cfg)
-	if res.Outcome != OutcomeTimeout {
-		t.Fatalf("got %v", res.Outcome)
-	}
-	// The run must have ended near the batch end, far before the timeout.
-	if res.VSec > 10_000 {
-		t.Errorf("run did not terminate with the batch job (vsec=%v)", res.VSec)
-	}
-}
-
 func TestSimOutcomeString(t *testing.T) {
 	if OutcomeSolved.String() != "solved" || OutcomeTimeout.String() != "TIME_OUT" ||
 		OutcomeMemOut.String() != "MEM_OUT" || SimOutcome(9).String() != "unknown" {
@@ -310,46 +274,8 @@ func TestSimOutcomeString(t *testing.T) {
 	}
 }
 
-// TestRunDistributedCrashRecovery kills busy clients mid-run; the master
-// must recover their subproblems from light checkpoints and still reach
-// the correct answer (the paper's §3.4 fault-tolerance extension).
-func TestRunDistributedCrashRecovery(t *testing.T) {
-	f := gen.Pigeonhole(9)
-	cfg := desConfig(f, 100_000)
-	cfg.Client.MinRunTime = vsecDuration(5)
-	cfg.Failures = []FailurePlan{
-		{HostID: 0, AtVSec: 30},
-		{HostID: 1, AtVSec: 45},
-		{HostID: 5, AtVSec: 60},
-	}
-	res := RunDistributed(cfg)
-	if res.Outcome != OutcomeSolved || res.Status != solver.StatusUNSAT {
-		t.Fatalf("crash run: %v/%v", res.Outcome, res.Status)
-	}
-}
-
-// TestRunDistributedCrashRecoveryPreservesAnswer cross-checks SAT/UNSAT
-// against the oracle with failures injected.
-func TestRunDistributedCrashRecoveryPreservesAnswer(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		f := gen.RandomKSAT(20, 85, 3, seed)
-		want, _ := brute.Solve(f, 0)
-		cfg := desConfig(f, 100_000)
-		cfg.Client.MinRunTime = vsecDuration(2)
-		cfg.Failures = []FailurePlan{{HostID: 0, AtVSec: 10}, {HostID: 2, AtVSec: 14}}
-		res := RunDistributed(cfg)
-		if res.Outcome != OutcomeSolved {
-			t.Fatalf("seed %d: %v", seed, res.Outcome)
-		}
-		if (res.Status == solver.StatusSAT) != (want == brute.SAT) {
-			t.Fatalf("seed %d: got %v, brute %v", seed, res.Status, want)
-		}
-	}
-}
-
-// TestRunDistributedAllClientsCrash: losing every client (and every piece
-// to orphan recovery with no survivors) must not deadlock — the run times
-// out rather than hanging.
+// TestRunDistributedIdleCrashIgnored: losing clients that hold no work
+// costs the run nothing to recover — it still solves.
 func TestRunDistributedIdleCrashIgnored(t *testing.T) {
 	f := gen.RandomKSAT(30, 128, 3, 3)
 	cfg := desConfig(f, 5_000)
@@ -358,60 +284,6 @@ func TestRunDistributedIdleCrashIgnored(t *testing.T) {
 	res := RunDistributed(cfg)
 	if res.Outcome != OutcomeSolved {
 		t.Fatalf("idle crashes broke the run: %v", res.Outcome)
-	}
-}
-
-// migrationDESConfig is PH(10) on two handicapped interactive hosts while
-// eight dedicated batch nodes queue: when they join they dominate, and
-// the master migrates long-running subproblems to them.
-func migrationDESConfig(threads int) RunnerConfig {
-	g := grid.TestbedTable2(4)
-	// Handicap the interactive hosts so the batch nodes dominate.
-	for _, h := range g.Hosts {
-		h.Speed = 0.3
-		h.MemBytes = 64 << 20
-		h.BaseAvail = 0.4
-	}
-	g.AddBlueHorizon(8)
-	cfg := desConfig(gen.Pigeonhole(10), 100_000)
-	cfg.Grid = g
-	cfg.MaxClients = 2
-	cfg.Client.Threads = threads
-	cfg.MigrationFactor = 2
-	cfg.MonitorPeriodVSec = 10
-	cfg.Batch = &BatchPlan{Nodes: 8, WalltimeVSec: 100_000, MeanQueueWaitVSec: 15}
-	return cfg
-}
-
-// TestRunDistributedMigration: when far better resources join (dedicated
-// batch nodes), the master migrates a long-running subproblem to them —
-// the paper's §3.4 policy.
-func TestRunDistributedMigration(t *testing.T) {
-	res := RunDistributed(migrationDESConfig(1))
-	if res.Outcome != OutcomeSolved {
-		t.Fatalf("got %v", res.Outcome)
-	}
-	if res.State.Migrations == 0 {
-		t.Error("no migrations despite dominant idle batch nodes")
-	}
-}
-
-// TestRunDistributedMigrationPreservesAnswer cross-checks against brute.
-func TestRunDistributedMigrationPreservesAnswer(t *testing.T) {
-	for seed := int64(10); seed < 14; seed++ {
-		f := gen.RandomKSAT(20, 85, 3, seed)
-		want, _ := brute.Solve(f, 0)
-		cfg := desConfig(f, 100_000)
-		cfg.MigrationFactor = 1.2
-		cfg.MonitorPeriodVSec = 5
-		cfg.Client.MinRunTime = vsecDuration(2)
-		res := RunDistributed(cfg)
-		if res.Outcome != OutcomeSolved {
-			t.Fatalf("seed %d: %v", seed, res.Outcome)
-		}
-		if (res.Status == solver.StatusSAT) != (want == brute.SAT) {
-			t.Fatalf("seed %d: got %v, brute %v", seed, res.Status, want)
-		}
 	}
 }
 
@@ -446,72 +318,6 @@ func TestRunDistributedTimeline(t *testing.T) {
 	}
 	if peak != res.MaxClients {
 		t.Errorf("timeline peak %d != MaxClients %d", peak, res.MaxClients)
-	}
-}
-
-// TestRunDistributedFlightLogsRepeat is the determinism guard for the
-// shared control plane: the same config must produce the same flight log,
-// event for event, on every path that walks the master's client, job and
-// transfer tables — plain splitting, K=4 portfolios, multi-job scheduling
-// and crash recovery. (CI also runs it at -count=2.)
-func TestRunDistributedFlightLogsRepeat(t *testing.T) {
-	configs := map[string]func() RunnerConfig{
-		"single-job": func() RunnerConfig {
-			cfg := desConfig(gen.Pigeonhole(8), 10_000)
-			cfg.Client.MinRunTime = vsecDuration(5)
-			return cfg
-		},
-		"portfolio-k4": func() RunnerConfig {
-			cfg := desConfig(gen.Pigeonhole(8), 10_000)
-			cfg.Client.MinRunTime = vsecDuration(5)
-			cfg.Client.Threads = 4
-			return cfg
-		},
-		"multi-job": func() RunnerConfig {
-			cfg := desSchedConfig([]SimJob{
-				{Name: "long", Formula: gen.Pigeonhole(8), Priority: 1, ArrivalVSec: 1},
-				{Name: "late", Formula: gen.Pigeonhole(7), Priority: 1, ArrivalVSec: 25},
-			}, 100_000)
-			cfg.MaxClients = 2
-			return cfg
-		},
-		"crash-recovery": func() RunnerConfig {
-			cfg := desConfig(gen.Pigeonhole(8), 10_000)
-			cfg.Client.MinRunTime = vsecDuration(5)
-			cfg.Failures = []FailurePlan{{HostID: 0, AtVSec: 30}, {HostID: 1, AtVSec: 45}}
-			return cfg
-		},
-	}
-	for name, mk := range configs {
-		t.Run(name, func(t *testing.T) {
-			run := func() (SimResult, []trace.FEvent) {
-				fl := trace.NewFlight(nil)
-				cfg := mk()
-				cfg.Master.Flight = fl
-				return RunDistributed(cfg), fl.Events()
-			}
-			r1, e1 := run()
-			r2, e2 := run()
-			if r1.Outcome != OutcomeSolved {
-				t.Fatalf("outcome %v", r1.Outcome)
-			}
-			if name == "crash-recovery" && trace.Summarize(e1).PerKind[trace.FEvRecover] == 0 {
-				t.Fatal("config no longer recovers a crashed client's work; pick one that does")
-			}
-			c1, c2 := r1.Comm, r2.Comm
-			if r1.VSec != r2.VSec || r1.TotalProps != r2.TotalProps || c1.MsgsSent != c2.MsgsSent || c1.BytesSent != c2.BytesSent {
-				t.Fatalf("results diverge: %v/%d/%d/%d vs %v/%d/%d/%d", r1.VSec, r1.TotalProps, c1.MsgsSent, c1.BytesSent,
-					r2.VSec, r2.TotalProps, c2.MsgsSent, c2.BytesSent)
-			}
-			if len(e1) != len(e2) {
-				t.Fatalf("flight logs diverge: %d vs %d events", len(e1), len(e2))
-			}
-			for i := range e1 {
-				if e1[i] != e2[i] {
-					t.Fatalf("flight event %d diverges:\n%+v\n%+v", i, e1[i], e2[i])
-				}
-			}
-		})
 	}
 }
 
