@@ -15,15 +15,10 @@ import (
 // solving and the one it last received), and the master ships job 1's
 // formula a second time when job 1 comes back to it.
 func TestOneBaseFormulaPerClient(t *testing.T) {
-	var toClient, toMaster []comm.Message
+	var toMaster []comm.Message
 	var bases []int
-	m := newMaster(MasterConfig{}, func() float64 { return 1 },
-		func(_ int, msg comm.Message) {
-			if b, ok := msg.(comm.BaseProblem); ok {
-				bases = append(bases, b.Job)
-			}
-			toClient = append(toClient, msg)
-		}, func(BundleSpec) {})
+	h := newHarness(t, MasterConfig{})
+	m := h.m
 	cl, err := newClient(ClientConfig{}, func() float64 { return 1 },
 		func(_ comm.SplitPeer, msg comm.Message) error {
 			toMaster = append(toMaster, msg)
@@ -40,28 +35,33 @@ func TestOneBaseFormulaPerClient(t *testing.T) {
 		f := cnf.NewFormula(len(formulas) + 1) // unsatisfiable, and each job's its own
 		f.Add(1)
 		f.Add(-1)
-		jid, err := m.submit("", f, priority)
-		if err != nil {
-			t.Fatal(err)
-		}
+		jid := h.submit(f, priority)
 		formulas[jid] = f
 		return jid
+	}
+	// toClient delivers the master's outbox to the client, noting the base
+	// formulas in it.
+	toClient := func() {
+		for len(h.outbox) > 0 {
+			msg := h.outbox[0].msg
+			h.outbox = h.outbox[1:]
+			if b, ok := msg.(comm.BaseProblem); ok {
+				bases = append(bases, b.Job)
+			}
+			cl.handle(msg)
+		}
 	}
 	// pump delivers both outboxes and lets the client solve until the two
 	// machines have nothing left to say to each other.
 	pump := func() {
 		t.Helper()
-		for len(toClient)+len(toMaster) > 0 || cl.busy() {
+		for len(h.outbox)+len(toMaster) > 0 || cl.busy() {
 			for len(toMaster) > 0 {
 				msg := toMaster[0]
 				toMaster = toMaster[1:]
-				m.handle(from(id, msg))
+				h.step(id, msg)
 			}
-			for len(toClient) > 0 {
-				msg := toClient[0]
-				toClient = toClient[1:]
-				cl.handle(msg)
-			}
+			toClient()
 			if cl.busy() {
 				if err := cl.solveSlice(); err != nil {
 					t.Fatal(err)
@@ -86,12 +86,9 @@ func TestOneBaseFormulaPerClient(t *testing.T) {
 	// Deliver the registration and job 1's root, and hold the root there:
 	// the client starts it but has not solved it when two more important
 	// jobs arrive and job 1 gets a second subproblem to hand out.
-	m.handle(from(id, toMaster[0]))
+	h.step(id, toMaster[0])
 	toMaster = toMaster[:0]
-	for _, msg := range toClient {
-		cl.handle(msg)
-	}
-	toClient = toClient[:0]
+	toClient()
 	j2, j3 := submit(2), submit(2)
 	m.jobs[j1].subBacklog = append(m.jobs[j1].subBacklog,
 		backlogSub{sub: &solver.Subproblem{NumVars: 1, Cube: []cnf.Lit{cnf.PosLit(0)}}, origin: fromSplit, job: j1})

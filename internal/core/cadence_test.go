@@ -1,11 +1,9 @@
 package core
 
 import (
-	"sync"
 	"testing"
 	"time"
 
-	"gridsat/internal/comm"
 	"gridsat/internal/gen"
 	"gridsat/internal/trace"
 )
@@ -19,15 +17,8 @@ func TestLiveCadence(t *testing.T) {
 	if perHeartbeat != 2000*8 {
 		t.Fatalf("live cadence is %d conflicts a heartbeat, want 2,000-conflict slices, every 8th reported", perHeartbeat)
 	}
-	tr := comm.NewInprocTransport()
-	m, done := serveMaster(t, tr, MasterConfig{ListenAddr: "m"})
-	cl, err := NewClient(ClientConfig{Transport: tr, MasterAddr: "m", FreeMemBytes: 1 << 40, MinRunTime: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { defer wg.Done(); _ = cl.Run() }()
+	m, done := serveMaster(t, MasterConfig{})
+	wg := serveClients(t, m, 1, ClientConfig{FreeMemBytes: 1 << 40, MinRunTime: time.Hour})
 	if _, err := m.Submit("hard", gen.Pigeonhole(12), 1); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 	"testing"
 
@@ -10,17 +9,6 @@ import (
 	"gridsat/internal/solver"
 	"gridsat/internal/trace"
 )
-
-// newChurnMaster builds a one-shot master with no shell — no listener,
-// goroutine or clock of its own — whose handlers the test drives directly:
-// the event loop is single-threaded, so calling them from the test
-// goroutine exercises exactly the production accounting.
-func newChurnMaster() *Master {
-	f := cnf.NewFormula(2)
-	f.Add(1, 2)
-	return newMaster(MasterConfig{Formula: f},
-		func() float64 { return 1 }, func(int, comm.Message) {}, func(BundleSpec) {})
-}
 
 func churnDeltas(conflicts, implications, imported, useful int64) comm.SolverDeltas {
 	return comm.SolverDeltas{
@@ -42,7 +30,7 @@ func churnDeltas(conflicts, implications, imported, useful int64) comm.SolverDel
 // rejoining client starts a fresh per-client aggregate, and its deltas
 // are added exactly once).
 func TestHeartbeatAggregationSurvivesChurn(t *testing.T) {
-	m := newChurnMaster()
+	m := newHarness(t, MasterConfig{Formula: twoVars()}).m
 
 	join := func(id int) *masterClient {
 		c := &masterClient{id: id, addr: "addr"}
@@ -116,32 +104,22 @@ func TestHeartbeatAggregationSurvivesChurn(t *testing.T) {
 	}
 }
 
-// from drives the master's one entry point with a message from client id.
-func from(id int, msg comm.Message) masterEvent { return masterEvent{clientID: id, msg: msg} }
-
 // TestStateCoverageFromSolved checks the master's coverage accounting
 // through handle: refuting depth-1 halves adds exactly half the space each,
 // the job is done UNSAT — and the one-shot run with it — at full coverage
 // (after which it is no longer in the cluster mean), and the cubes the
 // clients acknowledged are what the estimator closes.
 func TestStateCoverageFromSolved(t *testing.T) {
-	m := newChurnMaster()
+	h := newHarness(t, MasterConfig{Formula: twoVars()})
+	m := h.m
 	// Client 1 takes the root and splits it with client 2: two holders.
-	for id := 1; id <= 2; id++ {
-		m.connect()
-		m.handle(from(id, comm.Register{Addr: "a", FreeMemBytes: 1 << 20, SpeedHint: 1}))
-	}
-	for _, ev := range []masterEvent{
-		from(1, comm.SplitDone{OK: true}),       // the root is accepted
-		from(1, comm.SplitRequest{ClientID: 1}), // reserves client 2
-		from(1, comm.SplitDone{SplitID: 1, OK: true, Cube: []cnf.Lit{cnf.PosLit(0)},
-			Used: 1, Served: [][]cnf.Lit{{cnf.NegLit(0)}}}),
-		from(2, comm.SplitDone{SplitID: 1, OK: true, Cube: []cnf.Lit{cnf.NegLit(0)}}),
-	} {
-		if done, err := m.handle(ev); done || err != nil {
-			t.Fatalf("splitting the root: %s gave done=%v err=%v", ev.msg.Kind(), done, err)
-		}
-	}
+	h.register(1, 0)
+	h.register(1, 0)
+	h.step(1, comm.SplitDone{OK: true})       // the root is accepted
+	h.step(1, comm.SplitRequest{ClientID: 1}) // reserves client 2
+	h.step(1, comm.SplitDone{SplitID: 1, OK: true, Cube: []cnf.Lit{cnf.PosLit(0)},
+		Used: 1, Served: [][]cnf.Lit{{cnf.NegLit(0)}}})
+	h.step(2, comm.SplitDone{SplitID: 1, OK: true, Cube: []cnf.Lit{cnf.NegLit(0)}})
 	if st := m.state(); st.Busy != 2 || st.Outstanding != 2 {
 		t.Fatalf("after the split: %d busy, %d outstanding; want 2 and 2", st.Busy, st.Outstanding)
 	}
@@ -196,15 +174,10 @@ func TestStateCoverageFromSolved(t *testing.T) {
 // root now travels like any other master-held subproblem, so a nack puts
 // it back on the backlog and the next idle client gets it.
 func TestRootNackIsRequeued(t *testing.T) {
-	m := newChurnMaster()
-	for id := 1; id <= 2; id++ {
-		m.connect()
-		if _, err := m.handle(from(id, comm.Register{Addr: "a", FreeMemBytes: 1 << 20, SpeedHint: float64(3 - id)})); err != nil {
-			t.Fatal(err)
-		}
-	}
+	h := newHarness(t, MasterConfig{Formula: twoVars()})
+	m := h.m
+	c1, c2 := h.register(2, 0), h.register(1, 0)
 	j := m.jobs[0]
-	c1, c2 := m.clients[1], m.clients[2]
 	if got := m.state().Outstanding; c1.state != busy || c2.state != idle || got != 1 {
 		t.Fatalf("root not handed to the first registrant: states %v,%v outstanding=%d", c1.state, c2.state, got)
 	}
@@ -212,18 +185,14 @@ func TestRootNackIsRequeued(t *testing.T) {
 	// floor meanwhile, so the requeue must move on.
 	m.cfg.MinMemBytes = 1 << 10
 	m.noteForecast(1, c1.rank, 0)
-	if done, _ := m.handle(from(1, comm.SplitDone{OK: false, Err: "already busy"})); done {
-		t.Fatal("a bounced root ended the run")
-	}
+	h.step(1, comm.SplitDone{OK: false, Err: "already busy"}) // must not end the run
 	if c1.state != idle {
 		t.Fatal("nacking client still marked busy")
 	}
 	if got := m.state().Outstanding; c2.state != busy || got != 1 || len(j.subBacklog) != 0 {
 		t.Fatalf("root not reassigned: c2.state=%v outstanding=%d queued=%d", c2.state, got, len(j.subBacklog))
 	}
-	if done, _ := m.handle(from(2, comm.SplitDone{OK: true})); done {
-		t.Fatal("root ack ended the run")
-	}
+	h.step(2, comm.SplitDone{OK: true})
 	done, err := m.handle(from(2, comm.Solved{Status: solver.StatusUNSAT}))
 	if err != nil || !done {
 		t.Fatalf("refuting the requeued root: done=%v err=%v", done, err)
@@ -238,10 +207,11 @@ func TestRootNackIsRequeued(t *testing.T) {
 // judged from its assignment, not from the stale report before the gap —
 // otherwise the heartbeat-gap rule fires the moment it goes busy.
 func TestWatchSampleCountsSilenceFromAssignment(t *testing.T) {
-	m := newChurnMaster()
+	h := newHarness(t, MasterConfig{Formula: twoVars()})
+	m := h.m
 	m.clients[1] = &masterClient{id: 1, addr: "a", state: busy, conf: ewma{at: 10}, assignment: assignment{assignedAt: 100}}
 	m.order = []int{1}
-	m.now = func() float64 { return 105 }
+	h.now = 105
 	st := m.state()
 	s := st.sample()
 	if got := s.Clients[0].LastHeartbeatSec; got != 100 {
@@ -260,19 +230,10 @@ func TestWatchSampleCountsSilenceFromAssignment(t *testing.T) {
 // recipient holds, and its unsettled recipient is stopped, not counted
 // twice. The refutations then add up to the whole space, exactly.
 func TestClientLostRequeuesItsCube(t *testing.T) {
-	m := newChurnMaster()
-	join := func(fanout int) *masterClient {
-		id := m.connect()
-		m.handle(from(id, comm.Register{Addr: "a", FreeMemBytes: 1 << 20, SpeedHint: float64(10 - id), Fanout: fanout}))
-		return m.clients[id]
-	}
-	step := func(ev masterEvent) {
-		t.Helper()
-		if done, err := m.handle(ev); done || err != nil {
-			t.Fatalf("client %d: done=%v err=%v", ev.clientID, done, err)
-		}
-	}
-	lose := func(c *masterClient) { t.Helper(); step(masterEvent{clientID: c.id, err: errCrashed}) }
+	h := newHarness(t, MasterConfig{Formula: twoVars()})
+	m := h.m
+	// Client id registers at speed 10-id: the earlier, the better ranked.
+	join := func(fanout int) *masterClient { return h.register(float64(9-m.nextID), fanout) }
 	x, y := cnf.PosLit(0), cnf.PosLit(1)
 	cube := func(lits ...cnf.Lit) []cnf.Lit { return lits }
 	sent := func(c *masterClient) backlogSub {
@@ -285,12 +246,12 @@ func TestClientLostRequeuesItsCube(t *testing.T) {
 	ack := func(c *masterClient) {
 		t.Helper()
 		got := sent(c)
-		step(from(c.id, comm.SplitDone{SplitID: got.splitID, OK: true, Cube: got.sub.Cube}))
+		h.step(c.id, comm.SplitDone{SplitID: got.splitID, OK: true, Cube: got.sub.Cube})
 	}
 
 	c1, c2 := join(1), join(1)
 	root := sent(c1).sub
-	lose(c1) // before it acked: the root goes to client 2, as a root
+	h.lose(c1.id) // before it acked: the root goes to client 2, as a root
 	if got := sent(c2); got.sub != root || got.origin != fromRoot || m.state().Outstanding != 1 {
 		t.Fatalf("root not requeued to client 2 as it was: %+v", got)
 	}
@@ -298,9 +259,9 @@ func TestClientLostRequeuesItsCube(t *testing.T) {
 
 	// Client 2 splits x off to client 3, which is lost before it acks.
 	c3 := join(1)
-	step(from(c2.id, comm.SplitRequest{ClientID: c2.id}))
-	step(from(c2.id, comm.SplitDone{SplitID: 1, OK: true, Cube: cube(x), Used: 1, Served: [][]cnf.Lit{cube(x.Not())}}))
-	lose(c3)
+	h.step(c2.id, comm.SplitRequest{ClientID: c2.id})
+	h.step(c2.id, comm.SplitDone{SplitID: 1, OK: true, Cube: cube(x), Used: 1, Served: [][]cnf.Lit{cube(x.Not())}})
+	h.lose(c3.id)
 	c4 := join(2)
 	if got := sent(c4); got.origin != fromSplit || got.donor != c2.id || !slices.Equal(got.sub.Cube, cube(x.Not())) ||
 		!slices.Equal(got.sub.Assumptions, got.sub.Cube) {
@@ -310,7 +271,7 @@ func TestClientLostRequeuesItsCube(t *testing.T) {
 
 	// Client 2 is lost mid-run: its cube goes to client 5.
 	c5 := join(1)
-	lose(c2)
+	h.lose(c2.id)
 	if got := sent(c5); got.origin != fromCrash || !slices.Equal(got.sub.Cube, cube(x)) {
 		t.Fatalf("client 2's cube went to client 5 as %+v", got)
 	}
@@ -319,18 +280,18 @@ func TestClientLostRequeuesItsCube(t *testing.T) {
 	// Client 4 splits ¬x over y two ways; client 6 accepts its cofactor and
 	// client 7's payload is still on the wire when client 4 is lost.
 	c6, c7 := join(1), join(1)
-	step(from(c4.id, comm.SplitRequest{ClientID: c4.id}))
-	step(from(c6.id, comm.SplitDone{SplitID: 2, OK: true, Cube: cube(x.Not(), y)}))
+	h.step(c4.id, comm.SplitRequest{ClientID: c4.id})
+	h.step(c6.id, comm.SplitDone{SplitID: 2, OK: true, Cube: cube(x.Not(), y)})
 	c8 := join(1)
-	lose(c4)
+	h.lose(c4.id)
 	if got := sent(c8); got.origin != fromCrash || !slices.Equal(got.sub.Cube, cube(x.Not(), y.Not())) {
 		t.Fatalf("client 4's remainder went to client 8 as %+v", got)
 	}
 	if c7.state != parked {
 		t.Fatalf("client 7, whose cofactor of a lost donor may be on the wire: state %v, want parked", c7.state)
 	}
-	step(from(c7.id, comm.SplitDone{SplitID: 2, OK: true, Cube: cube(x.Not(), y.Not())}))
-	step(from(c7.id, comm.Stopped{Seq: c7.stopSeq}))
+	h.step(c7.id, comm.SplitDone{SplitID: 2, OK: true, Cube: cube(x.Not(), y.Not())})
+	h.step(c7.id, comm.Stopped{Seq: c7.stopSeq})
 	if c7.state != idle || m.state().Outstanding != 3 {
 		t.Fatalf("client 7 state %v, outstanding %d; want a free client 7 and 3 cubes held",
 			c7.state, m.state().Outstanding)
@@ -338,7 +299,7 @@ func TestClientLostRequeuesItsCube(t *testing.T) {
 
 	ack(c8)
 	for _, c := range []*masterClient{c5, c6} {
-		step(from(c.id, comm.Solved{Status: solver.StatusUNSAT}))
+		h.step(c.id, comm.Solved{Status: solver.StatusUNSAT})
 	}
 	if done, err := m.handle(from(c8.id, comm.Solved{Status: solver.StatusUNSAT})); err != nil || !done {
 		t.Fatalf("refuting the last cube: done=%v err=%v", done, err)
@@ -349,83 +310,22 @@ func TestClientLostRequeuesItsCube(t *testing.T) {
 }
 
 // lossBench is a service master with three registered clients (client 1
-// the best ranked) and one job, whose root client 1 has acknowledged. What
-// the master sends waits in outbox until the test answers it or settle
-// does.
+// the best ranked) and one job, whose root client 1 has acknowledged, and
+// the cubes the test refuted.
 type lossBench struct {
-	t       *testing.T
-	m       *Master
+	*harness
 	j       *masterJob
-	now     float64
-	outbox  []sent
 	refuted [][]cnf.Lit
 }
 
-// String names a state in test failures.
-func (s clientState) String() string {
-	return [...]string{"idle", "reserved", "busy", "stopping", "parked"}[s]
-}
-
-// sent is one message a master sent, and to whom.
-type sent struct {
-	to  int
-	msg comm.Message
-}
-
 func newLossBench(t *testing.T) *lossBench {
-	b := &lossBench{t: t, now: 1}
-	b.m = newMaster(MasterConfig{Flight: trace.NewFlight(nil)}, func() float64 { return b.now },
-		func(to int, msg comm.Message) { b.outbox = append(b.outbox, sent{to, msg}) },
-		func(BundleSpec) {})
+	b := &lossBench{harness: newHarness(t, MasterConfig{Flight: trace.NewFlight(nil)})}
 	for id := 1; id <= 3; id++ {
-		b.m.connect()
-		b.step(id, comm.Register{Addr: fmt.Sprintf("c%d", id), FreeMemBytes: 1 << 20,
-			SpeedHint: float64(4 - id), Fanout: 1})
+		b.register(float64(4-id), 1)
 	}
-	b.j = b.m.jobs[b.submit()]
+	b.j = b.m.jobs[b.submit(twoVars(), 1)]
 	b.settle()
 	return b
-}
-
-// step hands the master one message from client id.
-func (b *lossBench) step(id int, msg comm.Message) {
-	b.t.Helper()
-	b.now++
-	if done, err := b.m.handle(from(id, msg)); done || err != nil {
-		b.t.Fatalf("%s from client %d: done=%v err=%v", msg.Kind(), id, done, err)
-	}
-}
-
-// submit admits a job over two variables and returns its ID.
-func (b *lossBench) submit() int {
-	b.t.Helper()
-	f := cnf.NewFormula(2)
-	f.Add(1, 2)
-	id, err := b.m.submit("", f, 1)
-	if err != nil {
-		b.t.Fatal(err)
-	}
-	return id
-}
-
-// settle has every live client answer what the master sent it, until
-// nothing is left: a payload is started, a stop acknowledged. Split
-// assignments are the test's to answer.
-func (b *lossBench) settle() {
-	b.t.Helper()
-	for len(b.outbox) > 0 {
-		s := b.outbox[0]
-		b.outbox = b.outbox[1:]
-		if b.m.clients[s.to] == nil {
-			continue
-		}
-		switch msg := s.msg.(type) {
-		case comm.SplitPayload:
-			b.step(s.to, comm.SplitDone{SplitID: msg.SplitID, OK: true, Cube: msg.Subs[0].Cube})
-		case comm.StopWork:
-			b.step(s.to, comm.Stopped{Job: msg.Job, Seq: msg.Seq})
-		}
-	}
 }
 
 // check asserts that the job's refuted, held and queued cubes partition the
@@ -470,7 +370,7 @@ func TestClientLostInEveryState(t *testing.T) {
 		}},
 		{stopping, func(b *lossBench) int {
 			// A second job's root goes to client 2, and the job is cancelled.
-			other := b.submit()
+			other := b.submit(twoVars(), 1)
 			b.settle()
 			if err := b.m.cancel(other); err != nil {
 				b.t.Fatal(err)
@@ -491,10 +391,7 @@ func TestClientLostInEveryState(t *testing.T) {
 				t.Fatalf("client %d is %v, want %v", id, got, tc.state)
 			}
 			b.check("before the loss")
-			b.now++
-			if done, err := b.m.handle(masterEvent{clientID: id, err: errCrashed}); done || err != nil {
-				t.Fatalf("loss: done=%v err=%v", done, err)
-			}
+			b.lose(id)
 			b.check("after the loss")
 			for range 10 {
 				b.settle()
@@ -531,30 +428,15 @@ func TestClientLostInEveryState(t *testing.T) {
 }
 
 // splitBench is a bare master with one job whose client table a test lays
-// out by hand, and the donor of every SplitAssign the master sends.
+// out by hand.
 type splitBench struct {
-	t       *testing.T
-	m       *Master
-	j       *masterJob
-	now     float64
-	assigns []int
+	*harness
+	j *masterJob
 }
 
 func newSplitBench(t *testing.T) *splitBench {
-	b := &splitBench{t: t, now: 1}
-	b.m = bareMaster(t, &b.now)
-	b.m.send = func(to int, msg comm.Message) {
-		if _, ok := msg.(comm.SplitAssign); ok {
-			b.assigns = append(b.assigns, to)
-		}
-	}
-	f := cnf.NewFormula(2)
-	f.Add(1, 2)
-	id, err := b.m.submit("j", f, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.j = b.m.jobs[id]
+	b := &splitBench{harness: newHarness(t, MasterConfig{Flight: trace.NewFlight(nil)})}
+	b.j = b.m.jobs[b.submit(twoVars(), 1)]
 	b.j.assigned = true // the busy clients below hold its search space
 	return b
 }
@@ -568,29 +450,30 @@ func (b *splitBench) busy(assignedAt float64) *masterClient {
 	return c
 }
 
-// step hands the master one event at time at.
-func (b *splitBench) step(at float64, ev masterEvent) {
-	b.t.Helper()
-	b.now = at
-	if done, err := b.m.handle(ev); done || err != nil {
-		b.t.Fatalf("client %d at %v: done=%v err=%v", ev.clientID, at, done, err)
-	}
-}
-
 // ask delivers c's split request at time at.
 func (b *splitBench) ask(c *masterClient, at float64) {
 	b.t.Helper()
-	b.step(at, from(c.id, comm.SplitRequest{ClientID: c.id}))
+	b.stepAt(at, from(c.id, comm.SplitRequest{ClientID: c.id}))
+}
+
+// assigns returns the donors of the SplitAssigns in the outbox.
+func (b *splitBench) assigns() []int {
+	var donors []int
+	for _, s := range b.outbox {
+		if _, ok := s.msg.(comm.SplitAssign); ok {
+			donors = append(donors, s.to)
+		}
+	}
+	return donors
 }
 
 // idle registers a fresh client, which serves the split backlog, and
 // returns the donors the master sent a SplitAssign meanwhile.
 func (b *splitBench) idle() []int {
 	b.t.Helper()
-	b.assigns = nil
-	id := b.m.connect()
-	b.step(b.now, from(id, comm.Register{Addr: "a", FreeMemBytes: 1 << 20, SpeedHint: 1}))
-	return b.assigns
+	b.outbox = nil
+	b.register(1, 0)
+	return b.assigns()
 }
 
 // TestSplitBacklogServesLongestRunningFirst: §3.4's master gives "more
@@ -633,17 +516,17 @@ func TestSplitBacklogIsTheLiveRequests(t *testing.T) {
 	b.m.forget(gone.id)
 	b.m.stop(stopped)
 	b.m.serveBacklog()
-	if len(b.assigns) != 0 || len(b.m.pendingSplits) != 0 {
-		t.Fatalf("a pass with nothing idle served donors %v", b.assigns)
+	if len(b.assigns()) != 0 || len(b.m.pendingSplits) != 0 {
+		t.Fatalf("a pass with nothing idle served donors %v", b.assigns())
 	}
 	if got := b.m.state().Backlog; got != 2 {
 		t.Fatalf("split backlog %d, want the 2 requests of clients still working", got)
 	}
 	// done refutes its subproblem: its request ends with it, and it is the
 	// idle client the live request gets.
-	b.step(40, from(done.id, comm.Solved{Status: solver.StatusUNSAT, Job: b.j.ID}))
-	if !slices.Equal(b.assigns, []int{live.id}) || done.state != reserved {
-		t.Fatalf("donors served %v, client %d %v; want donor %d with it reserved", b.assigns, done.id, done.state, live.id)
+	b.stepAt(40, from(done.id, comm.Solved{Status: solver.StatusUNSAT, Job: b.j.ID}))
+	if !slices.Equal(b.assigns(), []int{live.id}) || done.state != reserved {
+		t.Fatalf("donors served %v, client %d %v; want donor %d with it reserved", b.assigns(), done.id, done.state, live.id)
 	}
 	if got := b.m.state().Backlog; got != 0 {
 		t.Fatalf("split backlog %d after the live request was served", got)
@@ -660,7 +543,7 @@ func TestSplitRequestEndsWithItsSubproblem(t *testing.T) {
 	c1, c2, c3 := b.busy(10), b.busy(15), b.busy(20)
 	b.ask(c1, 25)
 	b.j.subBacklog = append(b.j.subBacklog, backlogSub{sub: &solver.Subproblem{NumVars: 2}, job: b.j.ID})
-	b.step(30, from(c1.id, comm.Solved{Status: solver.StatusUNSAT, Job: b.j.ID}))
+	b.stepAt(30, from(c1.id, comm.Solved{Status: solver.StatusUNSAT, Job: b.j.ID}))
 	if c1.state != busy || c1.assignedAt != 30 {
 		t.Fatalf("client %d %v assigned at %v, want the queued subproblem at 30", c1.id, c1.state, c1.assignedAt)
 	}
@@ -683,39 +566,24 @@ func TestSplitRequestEndsWithItsSubproblem(t *testing.T) {
 // — the master is configured with no strategy, so a zero MasterConfig gives
 // a dilemma donor three recipients and a first-decision donor one.
 func TestDonorStatesItsFanout(t *testing.T) {
+	h := newHarness(t, MasterConfig{})
+	h.submit(twoVars(), 1)
+	dilemma := h.register(1, 3).id
+	h.step(dilemma, comm.SplitDone{OK: true}) // it took the root
+	peer := h.register(1, 1).id
+	for range 4 {
+		h.register(1, 1)
+	}
+	h.step(dilemma, comm.SplitRequest{})
+	h.step(peer, comm.SplitDone{SplitID: 1, OK: true}) // the first cofactor's recipient
+	h.step(peer, comm.SplitRequest{})
 	type split struct{ donor, peers int }
 	var splits []split
-	m := newMaster(MasterConfig{}, func() float64 { return 1 },
-		func(to int, msg comm.Message) {
-			if a, ok := msg.(comm.SplitAssign); ok {
-				splits = append(splits, split{to, len(a.Peers)})
-			}
-		}, func(BundleSpec) {})
-	step := func(ev masterEvent) {
-		t.Helper()
-		if done, err := m.handle(ev); done || err != nil {
-			t.Fatalf("client %d: done=%v err=%v", ev.clientID, done, err)
+	for _, s := range h.outbox {
+		if a, ok := s.msg.(comm.SplitAssign); ok {
+			splits = append(splits, split{s.to, len(a.Peers)})
 		}
 	}
-	f := cnf.NewFormula(2)
-	f.Add(1, 2)
-	if _, err := m.submit("j", f, 1); err != nil {
-		t.Fatal(err)
-	}
-	join := func(fanout int) int {
-		id := m.connect()
-		step(from(id, comm.Register{Addr: "a", FreeMemBytes: 1 << 20, SpeedHint: 1, Fanout: fanout}))
-		return id
-	}
-	dilemma := join(3)
-	step(from(dilemma, comm.SplitDone{OK: true})) // it took the root
-	peer := join(1)
-	for range 4 {
-		join(1)
-	}
-	step(from(dilemma, comm.SplitRequest{}))
-	step(from(peer, comm.SplitDone{SplitID: 1, OK: true})) // the first cofactor's recipient
-	step(from(peer, comm.SplitRequest{}))
 	if want := []split{{dilemma, 3}, {peer, 1}}; !slices.Equal(splits, want) {
 		t.Fatalf("splits (donor, recipients) %v, want %v", splits, want)
 	}
@@ -726,26 +594,13 @@ func TestDonorStatesItsFanout(t *testing.T) {
 // back at the head of its backlog, and ends on the verdict of whoever
 // searches it next.
 func TestSolvedUnknownHandsTheCubeBack(t *testing.T) {
-	now := 1.0
-	m := bareMaster(t, &now)
-	f := cnf.NewFormula(2)
-	f.Add(1, 2)
-	id, err := m.submit("", f, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := newHarness(t, MasterConfig{Flight: trace.NewFlight(nil)})
+	m := h.m
+	id := h.submit(twoVars(), 1)
 	j := m.jobs[id]
-	c := m.clients[m.connect()]
-	step := func(ev masterEvent) {
-		t.Helper()
-		now++
-		if done, err := m.handle(ev); done || err != nil {
-			t.Fatalf("%s: done=%v err=%v", ev.msg.Kind(), done, err)
-		}
-	}
-	step(from(c.id, comm.Register{Addr: "a", FreeMemBytes: 1 << 20, SpeedHint: 1}))
-	step(from(c.id, comm.SplitDone{OK: true})) // the root is accepted
-	step(from(c.id, comm.Solved{Status: solver.StatusUnknown, Job: id}))
+	c := h.register(1, 0)
+	h.step(c.id, comm.SplitDone{OK: true}) // the root is accepted
+	h.step(c.id, comm.Solved{Status: solver.StatusUnknown, Job: id})
 	if j.State != JobRunning {
 		t.Fatalf("job %s (%v) after a Solved without a verdict; want it running", j.State, j.status)
 	}
@@ -754,11 +609,11 @@ func TestSolvedUnknownHandsTheCubeBack(t *testing.T) {
 	if got == nil || len(got.sub.Cube) != 0 || len(j.subBacklog) != 0 || m.state().Outstanding != 1 {
 		t.Fatalf("root not handed out again: %+v, backlog %d", got, len(j.subBacklog))
 	}
-	step(from(c.id, comm.SplitDone{OK: true}))
+	h.step(c.id, comm.SplitDone{OK: true})
 	model := cnf.NewAssignment(2)
 	model.Set(cnf.PosLit(0))
 	model.Set(cnf.PosLit(1))
-	step(from(c.id, comm.Solved{Status: solver.StatusSAT, Model: model, Job: id}))
+	h.step(c.id, comm.Solved{Status: solver.StatusSAT, Model: model, Job: id})
 	if j.State != JobDone || j.status != solver.StatusSAT {
 		t.Fatalf("job %s (%v); want done SAT", j.State, j.status)
 	}

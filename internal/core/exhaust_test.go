@@ -22,10 +22,6 @@ import (
 // waits in its FIFO uplink until the schedule delivers it. So the master
 // always acts on old news — a verdict, a loss or an ack it has not seen
 // yet — which is where every accounting defect so far has lived.
-//
-// Every cube is a path in one tree: its i-th literal is on variable i, so
-// two cubes are contradictory exactly when neither is a prefix of the
-// other (partition).
 
 // exhaustVars is the formula's width, and with exhaustMaxDepth bounds the
 // tree: a donor that deep has nothing to split on.
@@ -51,15 +47,12 @@ type scriptedClient struct {
 }
 
 type exhaustWorld struct {
-	t       *testing.T
+	*harness
 	rng     *rand.Rand
-	m       *Master
-	now     float64
 	formula *cnf.Formula
 	hostile bool // scripts may drop a subproblem they hold
 	crashy  bool // a donor may be lost between its payloads and its SplitDone
 	fanout  int  // every client's split batch, as its Register states it
-	sent    []sent
 	clients map[int]*scriptedClient
 	ids     []int // every client ever connected, in order
 	// refuted[job] lists the cubes the master credited refutations to,
@@ -73,7 +66,8 @@ type exhaustWorld struct {
 }
 
 func newExhaustWorld(t *testing.T, seed int64, strategy string, hostile bool) *exhaustWorld {
-	w := &exhaustWorld{t: t, rng: rand.New(rand.NewSource(seed)), now: 1, hostile: hostile,
+	w := &exhaustWorld{harness: newHarness(t, MasterConfig{Flight: trace.NewFlight(nil)}),
+		rng: rand.New(rand.NewSource(seed)), hostile: hostile,
 		clients: map[int]*scriptedClient{}, refuted: map[int][][]cnf.Lit{},
 		dropped: map[int]int{}, did: map[string]int{}}
 	w.formula = cnf.NewFormula(exhaustVars)
@@ -83,30 +77,21 @@ func newExhaustWorld(t *testing.T, seed int64, strategy string, hostile bool) *e
 		t.Fatal(err)
 	}
 	w.fanout = st.MaxBatch()
-	w.m = newMaster(MasterConfig{Flight: trace.NewFlight(nil)},
-		func() float64 { return w.now },
-		func(to int, msg comm.Message) {
-			w.sent = append(w.sent, sent{to, msg})
-		},
-		func(BundleSpec) {})
 	return w
 }
 
-// step hands the master one event, applies what its arrival means, lets the
-// clients act on everything the master sent, and checks.
-func (w *exhaustWorld) step(what string, ev masterEvent, effect func()) {
+// handle hands the master one event, applies what its arrival means, lets
+// the clients act on everything the master sent, and checks.
+func (w *exhaustWorld) handle(what string, ev masterEvent, effect func()) {
 	w.t.Helper()
-	w.now += 0.25
 	w.did[what]++
-	if done, err := w.m.handle(ev); done || err != nil {
-		w.t.Fatalf("%s: a service master returned done=%v err=%v", what, done, err)
-	}
+	w.stepAt(w.now+0.25, ev)
 	if effect != nil {
 		effect()
 	}
-	for len(w.sent) > 0 {
-		s := w.sent[0]
-		w.sent = w.sent[1:]
+	for len(w.outbox) > 0 {
+		s := w.outbox[0]
+		w.outbox = w.outbox[1:]
 		w.receive(w.clients[s.to], s.msg)
 	}
 	w.check(what)
@@ -114,59 +99,7 @@ func (w *exhaustWorld) step(what string, ev masterEvent, effect func()) {
 
 func (w *exhaustWorld) apply(what string, fn func()) {
 	w.t.Helper()
-	w.step(what, masterEvent{apply: func() bool { fn(); return false }}, nil)
-}
-
-// held lists the cubes m holds for an active job: its clients' (holding),
-// the cofactors a donor reported shipping to recipients that have not
-// acknowledged, and its backlog.
-func held(m *Master, j *masterJob) [][]cnf.Lit {
-	var out [][]cnf.Lit
-	for _, id := range m.order {
-		if c := m.clients[id]; c.job == j.ID {
-			out = append(out, m.holding(c)...)
-		}
-	}
-	for _, g := range m.pendingSplits {
-		for i, rid := range g.recipients {
-			if g.job == j.ID && g.donorDone && !g.settled[rid] && i < len(g.served) {
-				out = append(out, g.served[i])
-			}
-		}
-	}
-	for _, e := range j.subBacklog {
-		out = append(out, e.sub.Cube)
-	}
-	return out
-}
-
-// partition says why cubes do not partition the root, or nil when they
-// do: each is a path of the tree, none extends another, and their masses
-// 2^-len add up to the whole.
-func partition(cubes [][]cnf.Lit) error {
-	bits := make([]string, len(cubes))
-	var mass uint64
-	for i, c := range cubes {
-		var b strings.Builder
-		for v, l := range c {
-			if l.Var() != cnf.Var(v) {
-				return fmt.Errorf("cube %v is not a path: literal %d on variable %d", c, v, l.Var())
-			}
-			b.WriteByte("01"[l&1])
-		}
-		bits[i] = b.String()
-		mass += coverageFull >> len(c)
-	}
-	slices.Sort(bits)
-	for i := 1; i < len(bits); i++ {
-		if strings.HasPrefix(bits[i], bits[i-1]) {
-			return fmt.Errorf("cubes %q and %q overlap", bits[i-1], bits[i])
-		}
-	}
-	if mass != coverageFull {
-		return fmt.Errorf("cubes %q cover %d of %d units", bits, mass, coverageFull)
-	}
-	return nil
+	w.handle(what, masterEvent{apply: func() bool { fn(); return false }}, nil)
 }
 
 // check is the safety property, after every step: an active job's refuted
@@ -319,23 +252,17 @@ func (w *exhaustWorld) split(c *scriptedClient, msg comm.SplitAssign) {
 
 // Environment actions. Each returns false when it does not apply now.
 
-func (w *exhaustWorld) register() bool {
+func (w *exhaustWorld) join() bool {
 	id := w.m.connect()
 	w.clients[id] = &scriptedClient{id: id}
 	w.ids = append(w.ids, id)
-	w.step("register", from(id, comm.Register{Addr: fmt.Sprintf("c%d", id),
+	w.handle("register", from(id, comm.Register{Addr: fmt.Sprintf("c%d", id),
 		FreeMemBytes: 1 << 20, SpeedHint: 1 + w.rng.Float64(), Fanout: w.fanout}), nil)
 	return true
 }
 
-func (w *exhaustWorld) submit() bool {
-	w.apply("submit", func() {
-		id, err := w.m.submit("", w.formula, 1)
-		if err != nil {
-			w.t.Fatal(err)
-		}
-		w.jobs = append(w.jobs, id)
-	})
+func (w *exhaustWorld) arrive() bool {
+	w.apply("submit", func() { w.jobs = append(w.jobs, w.submit(w.formula, 1)) })
 	return true
 }
 
@@ -383,12 +310,12 @@ func (w *exhaustWorld) deliverFrom(c *scriptedClient) {
 		}
 	}
 	if head.refutes == nil {
-		w.step(what, head.ev, head.effect)
+		w.handle(what, head.ev, head.effect)
 		return
 	}
 	j := w.m.jobs[head.ev.msg.(comm.Solved).Job]
 	closed, credited := j.prog.Closed(), slices.Clone(w.m.clients[c.id].cube)
-	w.step(what, head.ev, func() {
+	w.handle(what, head.ev, func() {
 		if j.prog.Closed() == closed {
 			return
 		}
@@ -517,7 +444,7 @@ func (w *exhaustWorld) drain() {
 		case w.deliver():
 		case w.refute():
 		case w.pick(func(c *scriptedClient) bool { return !c.gone }) == nil:
-			w.register()
+			w.join()
 		default:
 			w.tick()
 		}
@@ -535,9 +462,9 @@ func TestUNSATOnlyWhenEverySubproblemIsRefuted(t *testing.T) {
 	t.Run("a moved client hands its cube back", func(t *testing.T) {
 		w := newExhaustWorld(t, 1, "first-decision", false)
 		for range 3 {
-			w.register()
+			w.join()
 		}
-		w.submit()
+		w.arrive()
 		for w.deliver() { // the root is accepted
 		}
 		for try := 0; w.m.state().Busy < 2; try++ { // …and split: job 1 holds two clients, the third is idle
@@ -587,7 +514,7 @@ func TestUNSATOnlyWhenEverySubproblemIsRefuted(t *testing.T) {
 		{20, (*exhaustWorld).refute},
 		{30, (*exhaustWorld).requestSplit},
 		{12, (*exhaustWorld).tick},
-		{5, (*exhaustWorld).register},
+		{5, (*exhaustWorld).join},
 		{6, (*exhaustWorld).forecast},
 		{2, (*exhaustWorld).giveUp},
 		{5, (*exhaustWorld).lose},
@@ -607,9 +534,9 @@ func TestUNSATOnlyWhenEverySubproblemIsRefuted(t *testing.T) {
 				w.label = fmt.Sprintf("%s, %d jobs, seed %d", strategy, nJobs, seed)
 				w.crashy = true
 				for range 4 {
-					w.register()
+					w.join()
 				}
-				w.submit()
+				w.arrive()
 				for steps := 0; steps < 300; steps++ {
 					// Up to nJobs at a time, six in all.
 					running := 0
@@ -619,7 +546,7 @@ func TestUNSATOnlyWhenEverySubproblemIsRefuted(t *testing.T) {
 						}
 					}
 					if running < nJobs && len(w.jobs) < 6 && w.rng.Intn(10) == 0 {
-						w.submit()
+						w.arrive()
 					}
 					n := w.rng.Intn(total)
 					for _, a := range actions {

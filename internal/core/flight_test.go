@@ -3,12 +3,10 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -92,49 +90,14 @@ func TestLiveSolveSharedFlight(t *testing.T) {
 // endpoints stay up while we fetch.
 func TestLiveTraceEndpoints(t *testing.T) {
 	reg := obs.NewRegistry()
-	tr := comm.Instrument(comm.NewInprocTransport(), comm.NewMetrics(reg))
 	fl := trace.NewFlight(nil)
-	m, err := NewMaster(MasterConfig{
-		Transport:       tr,
-		ListenAddr:      "master",
-		Formula:         gen.Pigeonhole(8),
-		Timeout:         60 * time.Second,
-		ExpectedClients: 4,
-		Metrics:         reg,
-		MetricsAddr:     "127.0.0.1:0",
-		Flight:          fl,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, done := serveMaster(t, MasterConfig{Transport: comm.Instrument(comm.NewInprocTransport(), comm.NewMetrics(reg)),
+		Formula: gen.Pigeonhole(8), ExpectedClients: 4, Metrics: reg, MetricsAddr: "127.0.0.1:0", Flight: fl})
 	addr := m.MetricsAddr()
 	if addr == "" {
 		t.Fatal("master bound no metrics address")
 	}
-	done := make(chan Result, 1)
-	go func() {
-		res, _ := m.Run()
-		done <- res
-	}()
-	var wg sync.WaitGroup
-	launch := func(i int) {
-		cl, err := NewClient(ClientConfig{
-			Transport:    tr,
-			MasterAddr:   "master",
-			HostName:     fmt.Sprintf("host-%d", i),
-			FreeMemBytes: 64 << 20,
-			MinRunTime:   5 * time.Millisecond,
-			Flight:       fl,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() { defer wg.Done(); _ = cl.Run() }()
-	}
-	for i := 0; i < 3; i++ {
-		launch(i)
-	}
+	wg := serveClients(t, m, 3, ClientConfig{Flight: fl})
 
 	fetch := func(path string) string {
 		t.Helper()
@@ -194,9 +157,10 @@ func TestLiveTraceEndpoints(t *testing.T) {
 		t.Error("/status reports zero flight events mid-run")
 	}
 
-	launch(3)
-	res := <-done
+	wg4 := serveClients(t, m, 1, ClientConfig{HostName: "host-3", Flight: fl})
+	res := (<-done).res
 	wg.Wait()
+	wg4.Wait()
 	if res.Status != solver.StatusUNSAT {
 		t.Fatalf("run ended %v", res.Status)
 	}

@@ -19,7 +19,7 @@ import (
 // interrupt, so the tests below need no timing — only a deadline to fail
 // by instead of hanging. inSlice blocks until the client's solver has
 // made a decision, i.e. until Run is inside Solve.
-func endlessSliceClient(t *testing.T, tr comm.Transport, addr string, threads int) (wg *sync.WaitGroup, inSlice func()) {
+func endlessSliceClient(t *testing.T, m *Master, threads int) (wg *sync.WaitGroup, inSlice func()) {
 	t.Helper()
 	var decided atomic.Bool
 	opts := solver.DefaultOptions()
@@ -27,21 +27,8 @@ func endlessSliceClient(t *testing.T, tr comm.Transport, addr string, threads in
 		decided.Store(true)
 		return cnf.NoLit // VSIDS decides
 	}
-	cl, err := NewClient(ClientConfig{
-		Transport:     tr,
-		MasterAddr:    addr,
-		FreeMemBytes:  1 << 40,
-		MinRunTime:    time.Hour,
-		Threads:       threads,
-		SolverOptions: &opts,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.slice = solver.Limits{MaxConflicts: 1 << 50} // set before Run reads it
-	wg = &sync.WaitGroup{}
-	wg.Add(1)
-	go func() { defer wg.Done(); _ = cl.Run() }()
+	wg = serveClients(t, m, 1, ClientConfig{FreeMemBytes: 1 << 40, MinRunTime: time.Hour, Threads: threads, SolverOptions: &opts},
+		func(cl *Client) { cl.slice = solver.Limits{MaxConflicts: 1 << 50} })
 	return wg, func() {
 		t.Helper()
 		for deadline := time.Now().Add(30 * time.Second); !decided.Load(); time.Sleep(time.Millisecond) {
@@ -70,9 +57,8 @@ func joins(t *testing.T, wg *sync.WaitGroup, what string) {
 func TestCancelInterruptsTheRunningSlice(t *testing.T) {
 	for _, threads := range []int{1, 2} {
 		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
-			tr := comm.NewInprocTransport()
-			m, done := serveMaster(t, tr, MasterConfig{ListenAddr: "m"})
-			wg, inSlice := endlessSliceClient(t, tr, "m", threads)
+			m, done := serveMaster(t, MasterConfig{})
+			wg, inSlice := endlessSliceClient(t, m, threads)
 
 			hard, err := m.Submit("hard", gen.Pigeonhole(13), 1)
 			if err != nil {
@@ -102,9 +88,8 @@ func TestCancelInterruptsTheRunningSlice(t *testing.T) {
 func TestShutdownInterruptsTheRunningSlice(t *testing.T) {
 	for _, threads := range []int{1, 2} {
 		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
-			tr := comm.NewInprocTransport()
-			m, done := serveMaster(t, tr, MasterConfig{ListenAddr: "m"})
-			wg, inSlice := endlessSliceClient(t, tr, "m", threads)
+			m, done := serveMaster(t, MasterConfig{})
+			wg, inSlice := endlessSliceClient(t, m, threads)
 			if _, err := m.Submit("hard", gen.Pigeonhole(13), 1); err != nil {
 				t.Fatal(err)
 			}

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
-	"gridsat/internal/cnf"
 	"gridsat/internal/comm"
 	"gridsat/internal/gen"
 	"gridsat/internal/trace"
@@ -87,49 +85,23 @@ func TestJobLifecycleStates(t *testing.T) {
 // in submission order, and nothing is taken from a busy client when a more
 // important job arrives.
 func TestIdleClientsServeHigherPriorityFirst(t *testing.T) {
-	var outbox []sent
-	m := newMaster(MasterConfig{Flight: trace.NewFlight(nil)}, func() float64 { return 1 },
-		func(to int, msg comm.Message) { outbox = append(outbox, sent{to, msg}) }, func(BundleSpec) {})
-	step := func(what string, ev masterEvent) {
-		t.Helper()
-		if done, err := m.handle(ev); done || err != nil {
-			t.Fatalf("%s: done=%v err=%v", what, done, err)
-		}
-	}
-	f := cnf.NewFormula(2)
-	f.Add(1, 2)
-	submit := func(priority int) int {
-		t.Helper()
-		var id int
-		step("submit", masterEvent{apply: func() bool {
-			var err error
-			if id, err = m.submit("", f, priority); err != nil {
-				t.Fatal(err)
-			}
-			return false
-		}})
-		return id
-	}
-	join := func() *masterClient {
-		t.Helper()
-		id := m.connect()
-		step("register", from(id, comm.Register{Addr: fmt.Sprintf("c%d", id), FreeMemBytes: 1 << 20, SpeedHint: 1}))
-		return m.clients[id]
-	}
+	h := newHarness(t, MasterConfig{Flight: trace.NewFlight(nil)})
+	m := h.m
+	f := twoVars()
 
 	// A priority-1 job holds the only client, which asks for help.
-	a := join()
-	low := submit(1)
-	step("root accepted", from(a.id, comm.SplitDone{OK: true}))
-	step("split request", from(a.id, comm.SplitRequest{ClientID: a.id}))
+	a := h.register(1, 0)
+	low := h.submit(f, 1)
+	h.step(a.id, comm.SplitDone{OK: true}) // the root is accepted
+	h.step(a.id, comm.SplitRequest{ClientID: a.id})
 	if a.state != busy || a.job != low || m.state().Backlog != 1 {
 		t.Fatalf("setup: client %d %v on job %d, split backlog %d", a.id, a.state, a.job, m.state().Backlog)
 	}
 
 	// Two priority-2 jobs arrive; the busy client is left alone.
-	outbox = nil
-	high, twin := submit(2), submit(2)
-	for _, s := range outbox {
+	h.outbox = nil
+	high, twin := h.submit(f, 2), h.submit(f, 2)
+	for _, s := range h.outbox {
 		if s.to == a.id {
 			t.Fatalf("busy client %d of job %d was sent %s when jobs %d and %d arrived", a.id, low, s.msg.Kind(), high, twin)
 		}
@@ -149,7 +121,7 @@ func TestIdleClientsServeHigherPriorityFirst(t *testing.T) {
 		{twin, "the other priority-2 job before the priority-1 one", true},
 		{low, "the priority-1 split request once the priority-2 jobs have their clients", false},
 	} {
-		c := join()
+		c := h.register(1, 0)
 		if wantState := map[bool]clientState{true: busy, false: reserved}[want.root]; c.job != want.job || c.state != wantState {
 			t.Fatalf("idle client %d went to job %d (%v), want job %d %v: %s",
 				c.id, c.job, c.state, want.job, wantState, want.why)

@@ -106,23 +106,10 @@ func TestJobTimeout(t *testing.T) {
 }
 
 func TestMasterRejectsLowMemoryClient(t *testing.T) {
-	tr := comm.NewInprocTransport()
-	f := cnf.NewFormula(2)
-	f.Add(1, 2)
-	m, err := NewMaster(MasterConfig{
-		Transport:   tr,
-		ListenAddr:  "m",
-		Formula:     f,
-		MinMemBytes: 128 << 20,
-		Timeout:     2 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go m.Run()
-	_, err = NewClient(ClientConfig{
-		Transport:    tr,
-		MasterAddr:   "m",
+	m, _ := serveMaster(t, MasterConfig{Formula: twoVars(), MinMemBytes: 128 << 20, Timeout: 2 * time.Second})
+	_, err := NewClient(ClientConfig{
+		Transport:    m.cfg.Transport,
+		MasterAddr:   m.Addr(),
 		FreeMemBytes: 1 << 20, // far below the floor
 	})
 	if err == nil {
@@ -161,45 +148,9 @@ func TestTCPEndToEnd(t *testing.T) {
 	f := gen.RandomKSAT(30, 126, 3, 7)
 	want, _ := brute.Solve(f, 0)
 
-	tr := comm.TCPTransport{}
-	m, err := NewMaster(MasterConfig{
-		Transport:       tr,
-		ListenAddr:      "127.0.0.1:0",
-		Formula:         f,
-		Timeout:         60 * time.Second,
-		ExpectedClients: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	type out struct {
-		res Result
-		err error
-	}
-	done := make(chan out, 1)
-	go func() {
-		r, err := m.Run()
-		done <- out{r, err}
-	}()
-
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		cl, err := NewClient(ClientConfig{
-			Transport:    tr,
-			MasterAddr:   m.Addr(),
-			ListenAddr:   "127.0.0.1:0",
-			FreeMemBytes: 64 << 20,
-			MinRunTime:   5 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = cl.Run()
-		}()
-	}
+	m, done := serveMaster(t, MasterConfig{Transport: comm.TCPTransport{}, ListenAddr: "127.0.0.1:0",
+		Formula: f, Timeout: 60 * time.Second, ExpectedClients: 2})
+	wg := serveClients(t, m, 2, ClientConfig{})
 	o := <-done
 	wg.Wait()
 	if o.err != nil {
@@ -214,42 +165,18 @@ func TestTCPEndToEnd(t *testing.T) {
 // rows must survive the real wire, not only the by-reference in-process
 // pipe — /status shows both workers and the result reports the width.
 func TestTCPWorkerRowsReachStatus(t *testing.T) {
-	tr := comm.TCPTransport{}
-	m, err := NewMaster(MasterConfig{
-		Transport:       tr,
-		ListenAddr:      "127.0.0.1:0",
-		Formula:         gen.Pigeonhole(9),
-		Timeout:         60 * time.Second,
-		ExpectedClients: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan Result, 1)
-	go func() {
-		r, _ := m.Run()
-		done <- r
-	}()
-	cl, err := NewClient(ClientConfig{
-		Transport:    tr,
-		MasterAddr:   m.Addr(),
-		ListenAddr:   "127.0.0.1:0",
-		FreeMemBytes: 64 << 20,
-		Threads:      2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, done := serveMaster(t, MasterConfig{Transport: comm.TCPTransport{}, ListenAddr: "127.0.0.1:0",
+		Formula: gen.Pigeonhole(9), Timeout: 60 * time.Second, ExpectedClients: 1})
 	// PH9 falls within a few live heartbeats: report every 200 conflicts
 	// so the rows reach /status well before the verdict.
-	cl.slice, cl.heartbeatEvery = solver.Limits{MaxConflicts: 200}, 1
-	go func() { _ = cl.Run() }()
+	serveClients(t, m, 1, ClientConfig{Threads: 2}, func(cl *Client) {
+		cl.slice, cl.heartbeatEvery = solver.Limits{MaxConflicts: 200}, 1
+	})
 
-	var res Result
 	for rows := 0; rows != 2; {
 		select {
-		case res = <-done:
-			t.Fatalf("run ended (%v) before /status showed two worker rows (last saw %d)", res.Status, rows)
+		case o := <-done:
+			t.Fatalf("run ended (%v) before /status showed two worker rows (last saw %d)", o.res.Status, rows)
 		default:
 		}
 		st, _ := m.State()
@@ -258,7 +185,7 @@ func TestTCPWorkerRowsReachStatus(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	res = <-done
+	res := (<-done).res
 	if res.Status != solver.StatusUNSAT {
 		t.Fatalf("run ended %v", res.Status)
 	}
@@ -273,51 +200,22 @@ func TestTCPWorkerRowsReachStatus(t *testing.T) {
 // (3) the split-payload sent peer-to-peer (not through the master),
 // (4)+(5) split-done notifications from both clients to the master.
 func TestFigure3SplitProtocol(t *testing.T) {
-	rec := newRecordingTransport()
-	f := gen.Pigeonhole(8) // conflict-heavy: guaranteed to run long enough
-
-	m, err := NewMaster(MasterConfig{
-		Transport:       rec,
-		ListenAddr:      "master",
-		Formula:         f,
-		Timeout:         60 * time.Second,
-		ExpectedClients: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan Result, 1)
-	go func() {
-		r, _ := m.Run()
-		done <- r
-	}()
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		cl, err := NewClient(ClientConfig{
-			Transport:    rec,
-			MasterAddr:   "master",
-			FreeMemBytes: 64 << 20,
-			MinRunTime:   time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = cl.Run()
-		}()
-	}
-	res := <-done
+	rec := &recordingTransport{Transport: comm.NewInprocTransport()}
+	cm := comm.NewMetrics(nil) // the master's side of every connection
+	m, done := serveMaster(t, MasterConfig{Transport: comm.Instrument(rec, cm),
+		Formula: gen.Pigeonhole(8), ExpectedClients: 2}) // conflict-heavy: guaranteed to run long enough
+	wg := serveClients(t, m, 2, ClientConfig{Transport: rec, MinRunTime: time.Millisecond})
+	res := (<-done).res
 	wg.Wait()
 	if res.Status != solver.StatusUNSAT {
 		t.Fatalf("run result %v", res.Status)
 	}
 
-	trace := rec.snapshot()
+	var kinds []string
 	count := map[string]int{}
-	for _, e := range trace {
-		count[e.kind]++
+	for _, r := range rec.log() {
+		kinds = append(kinds, r.kind)
+		count[r.kind]++
 	}
 	for _, k := range []string{"split-request", "split-assign", "split-payload", "split-done"} {
 		if count[k] == 0 {
@@ -330,57 +228,67 @@ func TestFigure3SplitProtocol(t *testing.T) {
 	// subsequence starting from the first split-request.
 	want := []string{"split-request", "split-assign", "split-payload", "split-done", "split-done"}
 	wi := 0
-	for _, e := range trace {
-		if wi < len(want) && e.kind == want[wi] {
+	for _, k := range kinds {
+		if wi < len(want) && k == want[wi] {
 			wi++
 		}
 	}
 	if wi != len(want) {
-		kinds := make([]string, len(trace))
-		for i, e := range trace {
-			kinds[i] = e.kind
-		}
 		t.Errorf("five-message exchange incomplete (matched %d of %d) in trace %v", wi, len(want), kinds)
 	}
-	// Message (3) must be peer-to-peer: after the initial assignment, no
-	// client-sent payload targets the master.
-	for _, e := range trace {
-		if e.kind == "split-payload" && e.dst == "master" && e.srcIsClient {
-			t.Error("split payload routed through the master; must be P2P")
-		}
+	// Message (3) must be peer-to-peer: the master receives no payload.
+	if n := cm.Totals().PerKind["split-payload"].MsgsRecv; n != 0 {
+		t.Errorf("%d split payloads routed through the master; must be P2P", n)
 	}
 }
 
-// recordingTransport wraps the in-process transport, logging every Send.
+// recordingTransport wraps a transport and logs every message sent over a
+// connection it made, dialled or accepted, in the order sent.
 type recordingTransport struct {
-	inner *comm.InprocTransport
-	mu    sync.Mutex
-	log   []traceEntry
+	comm.Transport
+	mu   sync.Mutex
+	sent []record
 }
 
-type traceEntry struct {
-	kind        string
-	dst         string
-	srcIsClient bool
-}
-
-func newRecordingTransport() *recordingTransport {
-	return &recordingTransport{inner: comm.NewInprocTransport()}
+// record is one message a recordingTransport saw sent: its kind and, when
+// it went out encoded (SendEncoded), the frame.
+type record struct {
+	kind  string
+	frame []byte
 }
 
 func (r *recordingTransport) Listen(addr string) (comm.Listener, error) {
-	l, err := r.inner.Listen(addr)
+	l, err := r.Transport.Listen(addr)
 	if err != nil {
 		return nil, err
 	}
-	return &recordingListener{Listener: l, tr: r}, nil
+	return &recordingListener{l, r}, nil
 }
 
-// recordingListener wraps accepted conns so replies (e.g. the master's
-// split-assign) are traced too.
+func (r *recordingTransport) Dial(addr string) (comm.Conn, error) {
+	c, err := r.Transport.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &recordingConn{c, r}, nil
+}
+
+func (r *recordingTransport) note(rec record) {
+	r.mu.Lock()
+	r.sent = append(r.sent, rec)
+	r.mu.Unlock()
+}
+
+// log returns what was sent so far.
+func (r *recordingTransport) log() []record {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return slices.Clone(r.sent)
+}
+
 type recordingListener struct {
 	comm.Listener
-	tr *recordingTransport
+	r *recordingTransport
 }
 
 func (l *recordingListener) Accept() (comm.Conn, error) {
@@ -388,67 +296,28 @@ func (l *recordingListener) Accept() (comm.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &recordingConn{Conn: c, tr: l.tr, dst: "peer-of-" + l.Addr(), srcIsListener: true}, nil
-}
-
-func (r *recordingTransport) Dial(addr string) (comm.Conn, error) {
-	c, err := r.inner.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	return &recordingConn{Conn: c, tr: r, dst: addr}, nil
+	return &recordingConn{c, l.r}, nil
 }
 
 type recordingConn struct {
 	comm.Conn
-	tr            *recordingTransport
-	dst           string
-	srcIsListener bool
+	r *recordingTransport
 }
 
 func (c *recordingConn) Send(m comm.Message) error {
-	c.tr.mu.Lock()
-	c.tr.log = append(c.tr.log, traceEntry{kind: m.Kind(), dst: c.dst, srcIsClient: !c.srcIsListener})
-	c.tr.mu.Unlock()
+	c.r.note(record{kind: m.Kind()})
 	return c.Conn.Send(m)
 }
 
-func (r *recordingTransport) snapshot() []traceEntry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]traceEntry(nil), r.log...)
+func (c *recordingConn) SendEncoded(e *comm.EncodedMessage) error {
+	c.r.note(record{kind: e.Kind(), frame: e.Frame()})
+	return c.Conn.SendEncoded(e)
 }
 
 func TestMasterStateSnapshot(t *testing.T) {
-	tr := comm.NewInprocTransport()
-	f := gen.Pigeonhole(8) // light enough to finish under -race slowdown
-	m, err := NewMaster(MasterConfig{
-		Transport: tr, ListenAddr: "status-master", Formula: f,
-		Timeout: 5 * time.Minute, ExpectedClients: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan Result, 1)
-	go func() {
-		r, _ := m.Run()
-		done <- r
-	}()
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		cl, err := NewClient(ClientConfig{
-			Transport: tr, MasterAddr: "status-master",
-			FreeMemBytes: 64 << 20, MinRunTime: 5 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = cl.Run()
-		}()
-	}
+	m, done := serveMaster(t, MasterConfig{Formula: gen.Pigeonhole(8), // light enough to finish under -race slowdown
+		Timeout: 5 * time.Minute, ExpectedClients: 3})
+	wg := serveClients(t, m, 3, ClientConfig{})
 	// Poll until work is visibly in flight.
 	sawBusy := false
 	for i := 0; i < 200; i++ {
@@ -459,7 +328,7 @@ func TestMasterStateSnapshot(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	res := <-done
+	res := (<-done).res
 	wg.Wait()
 	if !sawBusy {
 		t.Error("status snapshots never showed a busy client")
@@ -534,15 +403,14 @@ func TestJobUnknownStrategyRejected(t *testing.T) {
 // next client. The scripted clients speak the registration handshake and
 // take the root like real ones, then misbehave or answer.
 func TestOneShotRunNamesWhyItHasNoVerdict(t *testing.T) {
-	f := cnf.NewFormula(2)
-	f.Add(1, 2)
+	f := twoVars()
 	model := cnf.NewAssignment(2)
 	model.Set(cnf.LitFromDIMACS(1))
 	model.Set(cnf.LitFromDIMACS(2))
-	// scripted registers a client over tr that calls onRoot with the
+	// scripted registers a client with m that calls onRoot with the
 	// payload of its first subproblem, acknowledged.
-	scripted := func(t *testing.T, tr comm.Transport, onRoot func(conn comm.Conn, p comm.SplitPayload)) {
-		conn, err := tr.Dial("m")
+	scripted := func(t *testing.T, m *Master, onRoot func(conn comm.Conn, p comm.SplitPayload)) {
+		conn, err := m.cfg.Transport.Dial(m.Addr())
 		if err != nil {
 			t.Error(err)
 			return
@@ -562,21 +430,14 @@ func TestOneShotRunNamesWhyItHasNoVerdict(t *testing.T) {
 			}
 		}()
 	}
-	newMasterOn := func(t *testing.T, tr comm.Transport) *Master {
-		m, err := NewMaster(MasterConfig{Transport: tr, ListenAddr: "m", Formula: f, Timeout: time.Minute})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
 
 	t.Run("invalid model", func(t *testing.T) {
-		tr := comm.NewInprocTransport()
-		m := newMasterOn(t, tr)
-		scripted(t, tr, func(conn comm.Conn, _ comm.SplitPayload) {
+		m, done := serveMaster(t, MasterConfig{Formula: f, Timeout: time.Minute})
+		scripted(t, m, func(conn comm.Conn, _ comm.SplitPayload) {
 			_ = conn.Send(comm.Solved{Status: solver.StatusSAT, Model: cnf.NewAssignment(3)})
 		})
-		res, err := m.Run()
+		o := <-done
+		res, err := o.res, o.err
 		if want := "core: client 1 reported an invalid model"; err == nil || !strings.HasPrefix(err.Error(), want) {
 			t.Fatalf("Run error %v, want %q", err, want)
 		}
@@ -585,18 +446,18 @@ func TestOneShotRunNamesWhyItHasNoVerdict(t *testing.T) {
 		}
 	})
 	t.Run("lost client", func(t *testing.T) {
-		tr := comm.NewInprocTransport()
-		m := newMasterOn(t, tr)
-		scripted(t, tr, func(conn comm.Conn, _ comm.SplitPayload) {
+		m, done := serveMaster(t, MasterConfig{Formula: f, Timeout: time.Minute})
+		scripted(t, m, func(conn comm.Conn, _ comm.SplitPayload) {
 			_ = conn.Close() // lost with the root; the run waits for a client
-			scripted(t, tr, func(conn comm.Conn, p comm.SplitPayload) {
+			scripted(t, m, func(conn comm.Conn, p comm.SplitPayload) {
 				if len(p.Subs[0].Cube) != 0 {
 					t.Errorf("client 2 got cube %v, want the root's", p.Subs[0].Cube)
 				}
 				_ = conn.Send(comm.Solved{Status: solver.StatusSAT, Model: model})
 			})
 		})
-		res, err := m.Run()
+		o := <-done
+		res, err := o.res, o.err
 		if err != nil || res.Status != solver.StatusSAT || f.Verify(res.Model) != nil {
 			t.Fatalf("Run = %v (model %v), %v; want client 2's SAT", res.Status, res.Model, err)
 		}

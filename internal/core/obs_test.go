@@ -12,7 +12,6 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -159,49 +158,14 @@ func TestJobMetricsAndReport(t *testing.T) {
 // succeeds.
 func TestLiveMetricsEndpoint(t *testing.T) {
 	reg := obs.NewRegistry()
-	cm := comm.NewMetrics(reg)
-	tr := comm.Instrument(comm.NewInprocTransport(), cm)
-	f := gen.Pigeonhole(8)
-	m, err := NewMaster(MasterConfig{
-		Transport:       tr,
-		ListenAddr:      "master",
-		Formula:         f,
-		Timeout:         60 * time.Second,
-		ExpectedClients: 4,
-		Metrics:         reg,
-		MetricsAddr:     "127.0.0.1:0",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := comm.Instrument(comm.NewInprocTransport(), comm.NewMetrics(reg))
+	m, done := serveMaster(t, MasterConfig{Transport: tr, Formula: gen.Pigeonhole(8), ExpectedClients: 4,
+		Metrics: reg, MetricsAddr: "127.0.0.1:0"})
 	addr := m.MetricsAddr()
 	if addr == "" {
 		t.Fatal("master bound no metrics address")
 	}
-
-	done := make(chan Result, 1)
-	go func() {
-		res, _ := m.Run()
-		done <- res
-	}()
-	var wg sync.WaitGroup
-	launch := func(i int) {
-		cl, err := NewClient(ClientConfig{
-			Transport:    tr,
-			MasterAddr:   "master",
-			HostName:     fmt.Sprintf("host-%d", i),
-			FreeMemBytes: 64 << 20,
-			MinRunTime:   5 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() { defer wg.Done(); _ = cl.Run() }()
-	}
-	for i := 0; i < 3; i++ {
-		launch(i)
-	}
+	wg := serveClients(t, m, 3, ClientConfig{})
 
 	// Scrape until a body carries every expected series. The master is
 	// still waiting for its fourth client, so the endpoint stays up.
@@ -257,9 +221,10 @@ func TestLiveMetricsEndpoint(t *testing.T) {
 	}
 
 	// Release the held-back client and let the run finish.
-	launch(3)
-	res := <-done
+	wg4 := serveClients(t, m, 1, ClientConfig{HostName: "host-3"})
+	res := (<-done).res
 	wg.Wait()
+	wg4.Wait()
 	if res.Status != solver.StatusUNSAT {
 		t.Fatalf("run ended %v", res.Status)
 	}
@@ -274,46 +239,9 @@ func TestLiveMetricsEndpoint(t *testing.T) {
 // heartbeats must sum.
 func TestStatusShowsPerClientReclamation(t *testing.T) {
 	reg := obs.NewRegistry()
-	tr := comm.NewInprocTransport()
-	f := gen.Pigeonhole(6)
-	m, err := NewMaster(MasterConfig{
-		Transport:       tr,
-		ListenAddr:      "reclaim-master",
-		Formula:         f,
-		Timeout:         60 * time.Second,
-		ExpectedClients: 1,
-		Metrics:         reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go m.Run()
-
-	conn, err := tr.Dial("reclaim-master")
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, _ := serveMaster(t, MasterConfig{Formula: gen.Pigeonhole(6), ExpectedClients: 1, Metrics: reg})
+	conn, id := fakeClient(t, m, 0, true)
 	defer conn.Close()
-	if err := conn.Send(comm.Register{Addr: "fake-peer", HostName: "h0", FreeMemBytes: 64 << 20, SpeedHint: 1}); err != nil {
-		t.Fatal(err)
-	}
-	ack, err := conn.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra, ok := ack.(comm.RegisterAck)
-	if !ok || ra.Rejected {
-		t.Fatalf("registration failed: %#v", ack)
-	}
-	// Drain the master's pushes (base problem, initial assignment) so its
-	// writer never blocks.
-	go func() {
-		for {
-			if _, err := conn.Recv(); err != nil {
-				return
-			}
-		}
-	}()
 
 	for _, delta := range []int64{100_000, 23_456} {
 		if err := conn.Send(comm.StatusReport{
@@ -330,7 +258,7 @@ func TestStatusShowsPerClientReclamation(t *testing.T) {
 		snap, _ := m.State()
 		var got int64
 		for _, c := range snap.Clients {
-			if c.ID == ra.ClientID {
+			if c.ID == id {
 				got = c.ReclaimedBytes
 			}
 		}
@@ -344,7 +272,7 @@ func TestStatusShowsPerClientReclamation(t *testing.T) {
 	}
 	// The registry is published at the sampler's tick, so it catches up
 	// within a second.
-	label := obs.L("client", fmt.Sprintf("%d", ra.ClientID))
+	label := obs.L("client", fmt.Sprintf("%d", id))
 	for {
 		v := reg.Snapshot().CounterValue("gridsat_client_arena_reclaimed_bytes_total", label)
 		if v == want {
@@ -404,8 +332,7 @@ func TestLogLinesCarryComponentAndLamport(t *testing.T) {
 	}
 
 	for _, fl := range []*trace.Flight{nil, trace.NewFlight(nil)} {
-		m := newMaster(MasterConfig{Flight: fl}, func() float64 { return 0 },
-			func(int, comm.Message) {}, func(BundleSpec) {})
+		m := newHarness(t, MasterConfig{Flight: fl}).m
 		if m.log.Enabled(context.Background(), slog.LevelError) {
 			t.Errorf("nil Logger (flight %v) is enabled", fl != nil)
 		}

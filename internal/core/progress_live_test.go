@@ -2,14 +2,11 @@ package core
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	"gridsat/internal/comm"
 	"gridsat/internal/gen"
 	"gridsat/internal/obs"
 	"gridsat/internal/solver"
@@ -21,47 +18,13 @@ import (
 // path end to end. Pigeonhole(9) keeps the cluster busy for long enough
 // that polling reliably observes it working.
 func TestLiveProgressEndpointAndTop(t *testing.T) {
-	reg := obs.NewRegistry()
-	tr := comm.NewInprocTransport()
-	m, err := NewMaster(MasterConfig{
-		Transport:       tr,
-		ListenAddr:      "progress-master",
-		Formula:         gen.Pigeonhole(9),
-		Timeout:         120 * time.Second,
-		ExpectedClients: 3,
-		Metrics:         reg,
-		MetricsAddr:     "127.0.0.1:0",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, done := serveMaster(t, MasterConfig{Formula: gen.Pigeonhole(9), ExpectedClients: 3,
+		Metrics: obs.NewRegistry(), MetricsAddr: "127.0.0.1:0"})
 	addr := m.MetricsAddr()
 	if addr == "" {
 		t.Fatal("master bound no metrics address")
 	}
-	done := make(chan Result, 1)
-	go func() {
-		res, _ := m.Run()
-		done <- res
-	}()
-	var wg sync.WaitGroup
-	launch := func(i int) {
-		cl, err := NewClient(ClientConfig{
-			Transport:    tr,
-			MasterAddr:   "progress-master",
-			HostName:     fmt.Sprintf("host-%d", i),
-			FreeMemBytes: 64 << 20,
-			MinRunTime:   5 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() { defer wg.Done(); _ = cl.Run() }()
-	}
-	for i := 0; i < 3; i++ {
-		launch(i)
-	}
+	wg := serveClients(t, m, 3, ClientConfig{})
 
 	// Poll /status until the cluster is visibly working: all three
 	// clients registered and conflicts flowing through heartbeat deltas.
@@ -112,7 +75,7 @@ func TestLiveProgressEndpointAndTop(t *testing.T) {
 		}
 	}
 
-	res := <-done
+	res := (<-done).res
 	wg.Wait()
 	if res.Status != solver.StatusUNSAT {
 		t.Fatalf("run ended %v", res.Status)

@@ -109,22 +109,18 @@ func TestProgressTrackerRate(t *testing.T) {
 // t = 0 that first gets a client at t = 100 and refutes half its space at
 // t = 110 covers 0.5 in 10 s, not in 110 s.
 func TestCoverageRateStartsWithTheJob(t *testing.T) {
-	now := 0.0
-	m := bareMaster(t, &now)
-	f := cnf.NewFormula(2)
-	f.Add(1, 2)
-	id, err := m.submit("late", f, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now = 100
+	h := newHarness(t, MasterConfig{Flight: trace.NewFlight(nil)})
+	h.now = 0
+	m := h.m
+	id := h.submit(twoVars(), 1)
+	h.now = 100
 	c := m.clients[m.connect()]
 	m.handleRegister(c, comm.Register{Addr: "a", FreeMemBytes: 64 << 20, SpeedHint: 1})
 	j := m.jobs[id]
 	if j.State != JobRunning || j.StartedAt != 100 || c.state != busy {
 		t.Fatalf("job %v started at %v, client %v; want running from 100", j.State, j.StartedAt, c.state)
 	}
-	now = 110
+	h.now = 110
 	m.handleSplitDone(c, comm.SplitDone{OK: true})
 	c.cube = []cnf.Lit{cnf.PosLit(0)}
 	j.subBacklog = append(j.subBacklog, backlogSub{job: id,

@@ -332,9 +332,11 @@ func mustMatch(t *testing.T, got, want simRun, what string) {
 // checkSimRun asserts what every simulated run's record shows: a valid log
 // that survives its JSONL form, one split-accept per split the master
 // counted, a client-leave behind every recovery, no cube migrated to the
-// client it came from, job verdicts as the log has them; and for each
-// UNSAT job, a split tree whose refuted leaves partition the root exactly,
-// as the master's coverage says. What the row's config turns on must show:
+// client it came from, job verdicts as the log has them, an active-client
+// curve that starts at the root's one client, runs forward in time, peaks
+// at MaxClients and ends at none; and for each UNSAT job, a split tree
+// whose refuted leaves partition the root exactly, as the master's
+// coverage says. What the row's config turns on must show:
 // a crash leaves a client-leave, migration migrates, a K-wide portfolio is
 // K wide and exchanges clauses in the host — and K ≤ 1 exchanges none.
 func checkSimRun(t *testing.T, r simRun) {
@@ -373,6 +375,20 @@ func checkSimRun(t *testing.T, r simRun) {
 			r.res.Threads, k, r.res.Pool.Published, r.res.Pool.Delivered)
 	} else if k <= 1 && r.res.Pool.Published != 0 {
 		t.Errorf("Threads=%d used the in-host pool: %d publishes", k, r.res.Pool.Published)
+	}
+	tl := r.res.Timeline
+	if len(tl) == 0 || tl[0].Busy != 1 || tl[len(tl)-1].Busy != 0 {
+		t.Errorf("active-client curve %v: want it to start at 1 busy client and end at 0", tl)
+	}
+	peak := 0
+	for i, p := range tl {
+		peak = max(peak, p.Busy)
+		if i > 0 && p.VSec < tl[i-1].VSec {
+			t.Errorf("active-client curve not time-ordered at point %d: %v after %v", i, p, tl[i-1])
+		}
+	}
+	if peak != r.res.MaxClients {
+		t.Errorf("active-client curve peaks at %d, MaxClients is %d", peak, r.res.MaxClients)
 	}
 	byID := make(map[uint64]trace.FEvent, len(evs))
 	for _, ev := range evs {

@@ -140,6 +140,36 @@ func TestRunDistributedBatchTerminateOnEnd(t *testing.T) {
 	}
 }
 
+// TestRunDistributedBatchNodesJoin: the batch nodes join once their job
+// leaves the queue and go busy beside the interactive hosts, past the cap
+// on those.
+func TestRunDistributedBatchNodesJoin(t *testing.T) {
+	r := runsOf(t, "ph10-migration")[0]
+	if r.res.Outcome != OutcomeSolved {
+		t.Fatalf("got %v", r.res.Outcome)
+	}
+	if r.res.BatchStartVSec <= 0 {
+		t.Fatal("batch job never started")
+	}
+	if r.res.MaxClients <= r.cfg.MaxClients {
+		t.Errorf("batch nodes never went busy: maxClients=%d", r.res.MaxClients)
+	}
+}
+
+// TestRunDistributedTimeline checks the paper's described active-client
+// curve, which checkSimRun holds every run to: starts at one client, peaks
+// at MaxClients, collapses to zero.
+func TestRunDistributedTimeline(t *testing.T) {
+	r := runsOf(t, "first-decision")[0]
+	if r.res.Outcome != OutcomeSolved {
+		t.Fatalf("got %v", r.res.Outcome)
+	}
+	if tl := r.res.Timeline; len(tl) < 3 {
+		t.Fatalf("timeline too sparse: %v", tl)
+	}
+	checkSimRun(t, r)
+}
+
 func TestRunDistributedMigration(t *testing.T) {
 	r := runsOf(t, "ph10-migration")[0]
 	if r.res.Outcome != OutcomeSolved {

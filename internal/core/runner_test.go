@@ -246,27 +246,6 @@ func TestRunDistributedBatchCanceledWhenSolvedEarly(t *testing.T) {
 	}
 }
 
-func TestRunDistributedBatchNodesJoin(t *testing.T) {
-	g := grid.TestbedTable2(2)
-	g.AddBlueHorizon(16)
-	f := gen.Pigeonhole(10) // hard enough to outlast the short queue wait
-	cfg := desConfig(f, 100_000)
-	cfg.Grid = g
-	cfg.Client.MinRunTime = vsecDuration(5)
-	cfg.MaxClients = 4
-	cfg.Batch = &BatchPlan{Nodes: 16, WalltimeVSec: 100_000, MeanQueueWaitVSec: 20}
-	res := RunDistributed(cfg)
-	if res.Outcome != OutcomeSolved {
-		t.Fatalf("got %v", res.Outcome)
-	}
-	if res.BatchStartVSec <= 0 {
-		t.Fatal("batch job never started")
-	}
-	if res.MaxClients <= 4 {
-		t.Errorf("batch nodes never went busy: maxClients=%d", res.MaxClients)
-	}
-}
-
 func TestSimOutcomeString(t *testing.T) {
 	if OutcomeSolved.String() != "solved" || OutcomeTimeout.String() != "TIME_OUT" ||
 		OutcomeMemOut.String() != "MEM_OUT" || SimOutcome(9).String() != "unknown" {
@@ -284,40 +263,6 @@ func TestRunDistributedIdleCrashIgnored(t *testing.T) {
 	res := RunDistributed(cfg)
 	if res.Outcome != OutcomeSolved {
 		t.Fatalf("idle crashes broke the run: %v", res.Outcome)
-	}
-}
-
-// TestRunDistributedTimeline checks the paper's described active-client
-// curve: starts at one client, peaks at MaxClients, collapses to zero.
-func TestRunDistributedTimeline(t *testing.T) {
-	f := gen.Pigeonhole(9)
-	cfg := desConfig(f, 100_000)
-	cfg.Client.MinRunTime = vsecDuration(5)
-	res := RunDistributed(cfg)
-	if res.Outcome != OutcomeSolved {
-		t.Fatalf("got %v", res.Outcome)
-	}
-	tl := res.Timeline
-	if len(tl) < 3 {
-		t.Fatalf("timeline too sparse: %v", tl)
-	}
-	if tl[0].Busy != 1 {
-		t.Errorf("run started with %d busy clients, want 1", tl[0].Busy)
-	}
-	if tl[len(tl)-1].Busy != 0 {
-		t.Errorf("run ended with %d busy clients, want 0", tl[len(tl)-1].Busy)
-	}
-	peak := 0
-	for i, p := range tl {
-		if p.Busy > peak {
-			peak = p.Busy
-		}
-		if i > 0 && p.VSec < tl[i-1].VSec {
-			t.Fatal("timeline not time-ordered")
-		}
-	}
-	if peak != res.MaxClients {
-		t.Errorf("timeline peak %d != MaxClients %d", peak, res.MaxClients)
 	}
 }
 

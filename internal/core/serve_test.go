@@ -18,11 +18,21 @@ import (
 	"gridsat/internal/trace"
 )
 
-// serveMaster boots a master without a job of its own on tr and runs its
-// event loop. The returned channel yields Run's result after Shutdown (or timeout).
-func serveMaster(t *testing.T, tr comm.Transport, cfg MasterConfig) (*Master, chan Result) {
+// runResult is what a master's Run returned.
+type runResult struct {
+	res Result
+	err error
+}
+
+// serveMaster boots a master — on an in-process transport and with a
+// two-minute timeout unless cfg sets them — and runs its event loop. The
+// channel yields what Run returned: after Shutdown, the end of the job
+// cfg.Formula admits, or the timeout.
+func serveMaster(t *testing.T, cfg MasterConfig) (*Master, <-chan runResult) {
 	t.Helper()
-	cfg.Transport = tr
+	if cfg.Transport == nil {
+		cfg.Transport = comm.NewInprocTransport()
+	}
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 2 * time.Minute
 	}
@@ -30,31 +40,48 @@ func serveMaster(t *testing.T, tr comm.Transport, cfg MasterConfig) (*Master, ch
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan Result, 1)
+	done := make(chan runResult, 1)
 	go func() {
-		res, _ := m.Run()
-		done <- res
+		res, err := m.Run()
+		done <- runResult{res, err}
 	}()
 	return m, done
 }
 
-// serveClients launches n clients against the master and returns a
-// WaitGroup that drains once the master shuts the pool down.
-func serveClients(t *testing.T, tr comm.Transport, addr string, n int, fl *trace.Flight) *sync.WaitGroup {
+// serveClients launches n clients against m, each configured as tmpl with
+// what it leaves zero filled in: m's transport and address, a listen
+// address the transport dials back, host-<i>, 64 MiB free and a 5 ms split
+// floor. Each tune edits every client before it runs. The WaitGroup drains
+// once every client's Run has returned.
+func serveClients(t *testing.T, m *Master, n int, tmpl ClientConfig, tune ...func(*Client)) *sync.WaitGroup {
 	t.Helper()
+	if tmpl.Transport == nil {
+		tmpl.Transport = m.cfg.Transport
+	}
+	if tmpl.MasterAddr == "" {
+		tmpl.MasterAddr = m.Addr()
+	}
+	if tmpl.ListenAddr == "" {
+		tmpl.ListenAddr = clientListenAddr(tmpl.Transport)
+	}
+	if tmpl.FreeMemBytes == 0 {
+		tmpl.FreeMemBytes = 64 << 20
+	}
+	if tmpl.MinRunTime == 0 {
+		tmpl.MinRunTime = 5 * time.Millisecond
+	}
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		cl, err := NewClient(ClientConfig{
-			Transport:    tr,
-			MasterAddr:   addr,
-			ListenAddr:   clientListenAddr(tr),
-			HostName:     fmt.Sprintf("host-%d", i),
-			FreeMemBytes: 64 << 20,
-			MinRunTime:   5 * time.Millisecond,
-			Flight:       fl,
-		})
+	for i := range n {
+		cfg := tmpl
+		if cfg.HostName == "" {
+			cfg.HostName = fmt.Sprintf("host-%d", i)
+		}
+		cl, err := NewClient(cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, f := range tune {
+			f(cl)
 		}
 		wg.Add(1)
 		go func() { defer wg.Done(); _ = cl.Run() }()
@@ -140,13 +167,9 @@ func satTestFormula(t *testing.T) *cnf.Formula {
 // both reach correct verdicts — the UNSAT one by exhaustion, the SAT one
 // with a model that satisfies its formula.
 func TestServeTwoConcurrentJobs(t *testing.T) {
-	tr := comm.NewInprocTransport()
 	fl := trace.NewFlight(nil)
-	m, done := serveMaster(t, tr, MasterConfig{
-		ListenAddr: "serve-master",
-		Flight:     fl,
-	})
-	wg := serveClients(t, tr, "serve-master", 3, fl)
+	m, done := serveMaster(t, MasterConfig{Flight: fl})
+	wg := serveClients(t, m, 3, ClientConfig{Flight: fl})
 
 	unsat := gen.Pigeonhole(7)
 	sat := satTestFormula(t)
@@ -196,12 +219,8 @@ func TestServeTwoConcurrentJobs(t *testing.T) {
 // jobs, cancel a long-running job mid-run, and get proper error codes
 // for unknown IDs, double cancels, and garbage bodies.
 func TestServeHTTPAPI(t *testing.T) {
-	tr := comm.NewInprocTransport()
-	m, done := serveMaster(t, tr, MasterConfig{
-		ListenAddr:  "serve-http",
-		MetricsAddr: "127.0.0.1:0",
-	})
-	wg := serveClients(t, tr, "serve-http", 2, nil)
+	m, done := serveMaster(t, MasterConfig{MetricsAddr: "127.0.0.1:0"})
+	wg := serveClients(t, m, 2, ClientConfig{})
 	base := "http://" + m.MetricsAddr()
 
 	dimacs := func(f *cnf.Formula) *bytes.Buffer {
@@ -318,14 +337,8 @@ func TestServeHTTPAPI(t *testing.T) {
 // rejects past the active cap and frees a slot when a job ends; a
 // one-shot master takes the same calls, job 0 included.
 func TestServeAdmissionAndErrors(t *testing.T) {
-	tr := comm.NewInprocTransport()
-	m, done := serveMaster(t, tr, MasterConfig{
-		ListenAddr: "serve-admit",
-		Admission:  Admission{MaxActive: 1},
-	})
-
-	f := cnf.NewFormula(2)
-	f.Add(1, 2)
+	m, done := serveMaster(t, MasterConfig{Admission: Admission{MaxActive: 1}})
+	f := twoVars()
 	id1, err := m.Submit("one", f, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -351,21 +364,7 @@ func TestServeAdmissionAndErrors(t *testing.T) {
 
 	// A one-shot master is the same service with job 0 already admitted: it
 	// takes a second job behind it, and cancelling job 0 ends its run.
-	sm, err := NewMaster(MasterConfig{
-		Transport:  tr,
-		ListenAddr: "serve-one-shot",
-		Formula:    f,
-		Timeout:    time.Minute,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	type runResult struct {
-		res Result
-		err error
-	}
-	sdone := make(chan runResult, 1)
-	go func() { res, err := sm.Run(); sdone <- runResult{res, err} }()
+	sm, sdone := serveMaster(t, MasterConfig{Formula: f, Timeout: time.Minute})
 	if id, err := sm.Submit("x", f, 1); err != nil || id != 1 {
 		t.Fatalf("Submit on a one-shot master: id=%d err=%v, want job 1", id, err)
 	}
@@ -386,12 +385,8 @@ func TestServeAdmissionAndErrors(t *testing.T) {
 // job must still reach a terminal state and the verdicts that do land must
 // be correct.
 func TestServeSchedulerChurn(t *testing.T) {
-	tr := comm.NewInprocTransport()
-	m, done := serveMaster(t, tr, MasterConfig{
-		ListenAddr: "serve-churn",
-		Admission:  Admission{MaxActive: 16},
-	})
-	wg := serveClients(t, tr, "serve-churn", 2, nil)
+	m, done := serveMaster(t, MasterConfig{Admission: Admission{MaxActive: 16}})
+	wg := serveClients(t, m, 2, ClientConfig{})
 
 	type want struct {
 		id      int
@@ -421,7 +416,7 @@ func TestServeSchedulerChurn(t *testing.T) {
 		wants = append(wants, want{id, verdict})
 		if i == 2 {
 			// Two more clients join mid-stream.
-			wg2 := serveClients(t, tr, "serve-churn", 2, nil)
+			wg2 := serveClients(t, m, 2, ClientConfig{})
 			defer wg2.Wait()
 		}
 		time.Sleep(3 * time.Millisecond)
@@ -447,23 +442,8 @@ func TestServeSchedulerChurn(t *testing.T) {
 // placement rejected every client that had ever reported and no job after
 // the first was ever assigned.
 func TestServeSecondJobAfterHeartbeats(t *testing.T) {
-	tr := comm.NewInprocTransport()
-	m, done := serveMaster(t, tr, MasterConfig{ListenAddr: "master", MinMemBytes: 128 << 20})
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		cl, err := NewClient(ClientConfig{
-			Transport:    tr,
-			MasterAddr:   "master",
-			HostName:     fmt.Sprintf("host-%d", i),
-			FreeMemBytes: 256 << 20,
-			MinRunTime:   5 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() { defer wg.Done(); _ = cl.Run() }()
-	}
+	m, done := serveMaster(t, MasterConfig{MinMemBytes: 128 << 20})
+	wg := serveClients(t, m, 2, ClientConfig{FreeMemBytes: 256 << 20})
 	first, err := m.Submit("first", gen.Pigeonhole(7), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -508,8 +488,7 @@ func TestServeSecondJobAfterHeartbeats(t *testing.T) {
 // held has not happened.
 func TestWedgedLoopAnswers503(t *testing.T) {
 	t.Parallel()
-	m, done := serveMaster(t, comm.NewInprocTransport(), MasterConfig{ListenAddr: "wedged-master",
-		MetricsAddr: "127.0.0.1:0", BundleDir: t.TempDir(), Admission: Admission{MaxActive: 4}})
+	m, done := serveMaster(t, MasterConfig{MetricsAddr: "127.0.0.1:0", BundleDir: t.TempDir(), Admission: Admission{MaxActive: 4}})
 	base := "http://" + m.MetricsAddr()
 	do := func(route string) int {
 		method, path, _ := strings.Cut(route, " ")
@@ -570,8 +549,7 @@ func TestWedgedLoopAnswers503(t *testing.T) {
 // TestOneShotMasterServesJobs: a one-shot master with an HTTP address
 // serves the job API like any other, its own formula listed as job 0.
 func TestOneShotMasterServesJobs(t *testing.T) {
-	m, done := serveMaster(t, comm.NewInprocTransport(), MasterConfig{ListenAddr: "one-shot-jobs",
-		MetricsAddr: "127.0.0.1:0", Formula: gen.Pigeonhole(4), ExpectedClients: 1})
+	m, done := serveMaster(t, MasterConfig{MetricsAddr: "127.0.0.1:0", Formula: gen.Pigeonhole(4), ExpectedClients: 1})
 	resp, err := http.Get("http://" + m.MetricsAddr() + "/jobs")
 	if err != nil {
 		t.Fatal(err)

@@ -137,71 +137,14 @@ func TestShareAggregatorDedupAndPrune(t *testing.T) {
 	}
 }
 
-// encRecorder captures every SendEncoded frame the master writes, keyed
-// by connection, so tests can prove encode-once fan-out: the same frame
-// backing array must reach every peer.
-type encRecorder struct {
-	mu     sync.Mutex
-	frames map[comm.Conn][][]byte
-}
-
-func (r *encRecorder) note(c comm.Conn, e *comm.EncodedMessage) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.frames == nil {
-		r.frames = map[comm.Conn][][]byte{}
-	}
-	r.frames[c] = append(r.frames[c], e.Frame())
-}
-
-type captureConn struct {
-	comm.Conn
-	rec  *encRecorder
-	kind string
-}
-
-func (c *captureConn) SendEncoded(e *comm.EncodedMessage) error {
-	if e.Kind() == c.kind {
-		c.rec.note(c, e)
-	}
-	return c.Conn.SendEncoded(e)
-}
-
-type captureListener struct {
-	comm.Listener
-	rec  *encRecorder
-	kind string
-}
-
-func (l *captureListener) Accept() (comm.Conn, error) {
-	conn, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return &captureConn{Conn: conn, rec: l.rec, kind: l.kind}, nil
-}
-
-type captureTransport struct {
-	comm.Transport
-	rec  *encRecorder
-	kind string
-}
-
-func (t *captureTransport) Listen(addr string) (comm.Listener, error) {
-	l, err := t.Transport.Listen(addr)
-	if err != nil {
-		return nil, err
-	}
-	return &captureListener{Listener: l, rec: t.rec, kind: t.kind}, nil
-}
-
-// fakeClient registers a hand-rolled client connection with the master.
-// When drain is true a goroutine keeps reading the master's pushes so its
-// writer never blocks; when false the connection goes deaf after the ack,
-// which eventually fills the master-side outbound queue.
-func fakeClient(t *testing.T, tr comm.Transport, addr string, i int, drain bool) comm.Conn {
+// fakeClient registers a hand-rolled client connection with m and returns
+// it with the client's ID. When drain is true a goroutine keeps reading the
+// master's pushes so its writer never blocks; when false the connection
+// goes deaf after the ack, which eventually fills the master-side outbound
+// queue.
+func fakeClient(t *testing.T, m *Master, i int, drain bool) (comm.Conn, int) {
 	t.Helper()
-	conn, err := tr.Dial(addr)
+	conn, err := m.cfg.Transport.Dial(m.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +158,8 @@ func fakeClient(t *testing.T, tr comm.Transport, addr string, i int, drain bool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ra, ok := ack.(comm.RegisterAck); !ok || ra.Rejected {
+	ra, ok := ack.(comm.RegisterAck)
+	if !ok || ra.Rejected {
 		t.Fatalf("registration failed: %#v", ack)
 	}
 	if drain {
@@ -227,7 +171,7 @@ func fakeClient(t *testing.T, tr comm.Transport, addr string, i int, drain bool)
 			}
 		}()
 	}
-	return conn
+	return conn, ra.ClientID
 }
 
 // TestMasterShareFanoutEncodeOnce is the acceptance check for encode-once
@@ -236,27 +180,11 @@ func fakeClient(t *testing.T, tr comm.Transport, addr string, i int, drain bool)
 // AND sharing one backing array, proving the batch was serialized exactly
 // once regardless of peer count.
 func TestMasterShareFanoutEncodeOnce(t *testing.T) {
-	rec := &encRecorder{}
-	tr := &captureTransport{
-		Transport: comm.NewInprocTransport(),
-		rec:       rec,
-		kind:      (comm.ShareClauses{}).Kind(),
-	}
-	m, err := NewMaster(MasterConfig{
-		Transport:       tr,
-		ListenAddr:      "enc-master",
-		Formula:         gen.Pigeonhole(6),
-		Timeout:         60 * time.Second,
-		ExpectedClients: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go m.Run()
-
+	rec := &recordingTransport{Transport: comm.NewInprocTransport()}
+	m, _ := serveMaster(t, MasterConfig{Transport: rec, Formula: gen.Pigeonhole(6), ExpectedClients: 3})
 	conns := make([]comm.Conn, 3)
 	for i := range conns {
-		conns[i] = fakeClient(t, tr, "enc-master", i, true)
+		conns[i], _ = fakeClient(t, m, i, true)
 		defer conns[i].Close()
 	}
 
@@ -269,12 +197,12 @@ func TestMasterShareFanoutEncodeOnce(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	var frames [][]byte
 	for {
-		rec.mu.Lock()
 		frames = frames[:0]
-		for _, fs := range rec.frames {
-			frames = append(frames, fs...)
+		for _, r := range rec.log() {
+			if r.kind == (comm.ShareClauses{}).Kind() && r.frame != nil {
+				frames = append(frames, r.frame)
+			}
 		}
-		rec.mu.Unlock()
 		if len(frames) >= 2 {
 			break
 		}
@@ -299,24 +227,12 @@ func TestMasterShareFanoutEncodeOnce(t *testing.T) {
 // broadcast batch and mutate their copies concurrently (run under -race in
 // CI); neither the other receiver nor the sender's original may change.
 func TestInprocFanOutDeliversFreshCopies(t *testing.T) {
-	tr := comm.NewInprocTransport()
-	m, err := NewMaster(MasterConfig{
-		Transport:       tr,
-		ListenAddr:      "alias-master",
-		Formula:         gen.Pigeonhole(6),
-		Timeout:         60 * time.Second,
-		ExpectedClients: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go m.Run()
-
-	sender := fakeClient(t, tr, "alias-master", 0, true)
+	m, _ := serveMaster(t, MasterConfig{Formula: gen.Pigeonhole(6), ExpectedClients: 3})
+	sender, _ := fakeClient(t, m, 0, true)
 	defer sender.Close()
 	recv := make([]comm.Conn, 2)
 	for i := range recv {
-		recv[i] = fakeClient(t, tr, "alias-master", i+1, false)
+		recv[i], _ = fakeClient(t, m, i+1, false)
 		defer recv[i].Close()
 	}
 
@@ -391,25 +307,12 @@ func TestInprocFanOutDeliversFreshCopies(t *testing.T) {
 // block its event loop), count the drop, and surface it in /status.
 func TestMasterDropsSharesWhenQueueFull(t *testing.T) {
 	reg := obs.NewRegistry()
-	tr := comm.NewInprocTransport()
-	m, err := NewMaster(MasterConfig{
-		Transport:       tr,
-		ListenAddr:      "drop-master",
-		Formula:         gen.Pigeonhole(6),
-		Timeout:         60 * time.Second,
-		ExpectedClients: 2,
-		Metrics:         reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go m.Run()
-
-	sender := fakeClient(t, tr, "drop-master", 0, true)
+	m, _ := serveMaster(t, MasterConfig{Formula: gen.Pigeonhole(6), ExpectedClients: 2, Metrics: reg})
+	sender, _ := fakeClient(t, m, 0, true)
 	defer sender.Close()
 	// The deaf client's writeLoop blocks on its first push; the 1024-deep
 	// outbound queue then fills and further shares must be dropped.
-	deaf := fakeClient(t, tr, "drop-master", 1, false)
+	deaf, _ := fakeClient(t, m, 1, false)
 	defer deaf.Close()
 
 	for i := 0; i < 1200; i++ {
@@ -457,7 +360,7 @@ func TestMasterShareWindowBounded(t *testing.T) {
 	m.jobs[0].seenShared = newClauseWindow(window) // before Run: nothing else reads it yet
 	go m.Run()
 
-	sender := fakeClient(t, m.cfg.Transport, "bound-master", 0, true)
+	sender, _ := fakeClient(t, m, 0, true)
 	defer sender.Close()
 	for i := 0; i < 40*window; i++ {
 		c := cnf.NewClause(2*i+1, -(2*i + 2))
@@ -498,12 +401,9 @@ func TestMasterShareRelayPicksRecipientsFirst(t *testing.T) {
 	}
 	for _, holders := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("holders=%d", holders), func(t *testing.T) {
-			var outbox []sent
 			fl := trace.NewFlight(nil)
-			m := newMaster(MasterConfig{Formula: gen.Pigeonhole(4), Flight: fl},
-				func() float64 { return 0 },
-				func(to int, msg comm.Message) { outbox = append(outbox, sent{to, msg}) },
-				func(BundleSpec) {})
+			h := newHarness(t, MasterConfig{Formula: gen.Pigeonhole(4), Flight: fl})
+			m := h.m
 			for i := 0; i < holders; i++ {
 				c := m.clients[m.connect()]
 				c.addr, c.state = fmt.Sprintf("addr-%d", c.id), busy
@@ -523,14 +423,14 @@ func TestMasterShareRelayPicksRecipientsFirst(t *testing.T) {
 			if m.shared != batchLen || fl.Len() != admitted+1 {
 				t.Fatal("a replayed batch got past the dedup window")
 			}
-			if len(outbox) != holders-1 {
-				t.Fatalf("%d sends, want %d", len(outbox), holders-1)
+			if len(h.outbox) != holders-1 {
+				t.Fatalf("%d sends, want %d", len(h.outbox), holders-1)
 			}
-			for _, s := range outbox {
+			for _, s := range h.outbox {
 				if s.to == sender.id {
 					t.Fatal("batch relayed back to its sender")
 				}
-				if s.msg != outbox[0].msg {
+				if s.msg != h.outbox[0].msg {
 					t.Fatal("recipients got separately encoded frames")
 				}
 				if _, ok := s.msg.(*comm.EncodedMessage); !ok {

@@ -18,16 +18,6 @@ import (
 	"gridsat/internal/trace"
 )
 
-// bareMaster builds a master with no job and no shell: the test steps its
-// handlers directly, at a clock it sets, and the outbox goes nowhere.
-func bareMaster(t *testing.T, now *float64) *Master {
-	t.Helper()
-	m := newMaster(MasterConfig{Flight: trace.NewFlight(nil)},
-		func() float64 { return *now },
-		func(int, comm.Message) {}, func(BundleSpec) {})
-	return m
-}
-
 // populate fills m with nClients × nJobs of hand-built state in every
 // shape the view has to count: jobs in all four lifecycle states with and
 // without a root issued, clients in each of the five states, and one
@@ -96,8 +86,9 @@ func TestStateMatchesBruteForceRecount(t *testing.T) {
 	for _, size := range [][2]int{{0, 0}, {1, 1}, {3, 0}, {7, 3}, {40, 12}} {
 		nClients, nJobs := size[0], size[1]
 		t.Run(fmt.Sprintf("%dx%d", nClients, nJobs), func(t *testing.T) {
-			now := 123.0
-			m := bareMaster(t, &now)
+			h := newHarness(t, MasterConfig{Flight: trace.NewFlight(nil)})
+			h.now = 123
+			m := h.m
 			populate(m, nClients, nJobs)
 			events := m.flight.Len()
 			st := m.state()
@@ -108,7 +99,7 @@ func TestStateMatchesBruteForceRecount(t *testing.T) {
 				t.Fatalf("building a state emitted %d flight events", m.flight.Len()-events)
 			}
 
-			want := ClusterState{WallSeconds: now, FlightEvents: events, ETASeconds: -1,
+			want := ClusterState{WallSeconds: h.now, FlightEvents: events, ETASeconds: -1,
 				Splits: 3 * nClients, Migrations: nJobs, Shared: 17 * nClients,
 				SharedDropped: int64(nClients / 2)}
 			ids := make([]int, 0, len(m.clients))
@@ -185,7 +176,7 @@ func TestStateMatchesBruteForceRecount(t *testing.T) {
 					t.Errorf("client row %d = %+v, client %+v", i, row, c)
 				}
 				if last := max(c.conf.at, c.assignedAt); last != 0 && row.LastHeartbeatSec != last ||
-					last == 0 && row.LastHeartbeatSec != now {
+					last == 0 && row.LastHeartbeatSec != h.now {
 					t.Errorf("client %d last heard at %v", c.id, row.LastHeartbeatSec)
 				}
 			}
@@ -204,18 +195,15 @@ func TestStateMatchesBruteForceRecount(t *testing.T) {
 	}
 }
 
-// serveJobAtHalf adds a client to a bare master and submits a
-// job; whichever idle client gets its root, the test splits it in two by
-// hand — the other half queued at the master — and refutes one depth-1
-// half: the job is running at exactly 50 % coverage.
-func serveJobAtHalf(t *testing.T, m *Master, f *cnf.Formula) *masterJob {
-	t.Helper()
-	c := m.clients[m.connect()]
-	m.handleRegister(c, comm.Register{Addr: "a", FreeMemBytes: 64 << 20, SpeedHint: 1})
-	id, err := m.submit("half", f, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+// serveJobAtHalf registers a client and submits a job; whichever idle
+// client gets its root, the test splits it in two by hand — the other half
+// queued at the master — and refutes one depth-1 half: the job is running
+// at exactly 50 % coverage.
+func serveJobAtHalf(h *harness, f *cnf.Formula) *masterJob {
+	h.t.Helper()
+	m := h.m
+	h.register(1, 0)
+	id := h.submit(f, 1)
 	j := m.jobs[id]
 	for _, c := range m.clients {
 		if c.state == busy && c.job == id {
@@ -227,7 +215,7 @@ func serveJobAtHalf(t *testing.T, m *Master, f *cnf.Formula) *masterJob {
 			return j
 		}
 	}
-	t.Fatalf("root of job %d not handed to an idle client", id)
+	h.t.Fatalf("root of job %d not handed to an idle client", id)
 	return nil
 }
 
@@ -237,15 +225,14 @@ func serveJobAtHalf(t *testing.T, m *Master, f *cnf.Formula) *masterJob {
 // trend line read — all carry that one number. They used to read 0 (under
 // `gridsat serve`), the mean and the sum.
 func TestClusterCoverageHasOneDefinition(t *testing.T) {
-	now := 1.0
-	m := bareMaster(t, &now)
-	f := cnf.NewFormula(2)
-	f.Add(1, 2)
-	serveJobAtHalf(t, m, f)
+	h := newHarness(t, MasterConfig{Flight: trace.NewFlight(nil)})
+	m := h.m
+	f := twoVars()
+	serveJobAtHalf(h, f)
 
 	check := func(want float64, bar string) {
 		t.Helper()
-		now++
+		h.now++
 		st := m.state()
 		m.sampleTick() // same instant, same tables: the same state
 		sampled := m.samples[len(m.samples)-1].Coverage
@@ -262,13 +249,11 @@ func TestClusterCoverageHasOneDefinition(t *testing.T) {
 
 	// A second job at 50 % and a third that has not started: the mean is
 	// over the two searching ones.
-	serveJobAtHalf(t, m, f)
-	if _, err := m.submit("queued", f, 1); err != nil {
-		t.Fatal(err)
-	}
+	serveJobAtHalf(h, f)
+	h.submit(f, 1)
 	check(0.5, " 50.0%")
 	j2 := m.jobs[2]
-	j2.prog.CloseSubproblem(2, now)
+	j2.prog.CloseSubproblem(2, h.now)
 	check(0.625, " 62.5%")
 }
 
@@ -276,19 +261,17 @@ func TestClusterCoverageHasOneDefinition(t *testing.T) {
 // and snapshot but no longer pins its formula or its share-dedup window,
 // and traffic that arrives for it afterwards is still harmless.
 func TestFinishedJobDropsItsInput(t *testing.T) {
-	now := 1.0
-	m := bareMaster(t, &now)
-	f := cnf.NewFormula(2)
-	f.Add(1, 2)
-	c := m.clients[m.connect()]
-	m.handleRegister(c, comm.Register{Addr: "a", FreeMemBytes: 64 << 20, SpeedHint: 1})
-	sat, _ := m.submit("sat", f, 1)
+	h := newHarness(t, MasterConfig{Flight: trace.NewFlight(nil)})
+	m := h.m
+	f := twoVars()
+	c := h.register(1, 0)
+	sat := h.submit(f, 1)
 	model := cnf.NewAssignment(2)
 	model.Set(cnf.LitFromDIMACS(1))
 	model.Set(cnf.LitFromDIMACS(2))
 	m.handleSplitDone(c, comm.SplitDone{OK: true})
 	m.handleSolved(c, comm.Solved{Status: solver.StatusSAT, Model: model, Job: sat})
-	cancelled, _ := m.submit("cancelled", f, 1)
+	cancelled := h.submit(f, 1)
 	if err := m.cancel(cancelled); err != nil {
 		t.Fatal(err)
 	}
@@ -338,8 +321,7 @@ func (e *endlessDIMACS) Read(p []byte) (int, error) {
 // solver can hold is the submitter's error — 400 with the line — not a job
 // every client would crash on.
 func TestSubmitRefusesOverlongClause(t *testing.T) {
-	now := 1.0
-	m := bareMaster(t, &now)
+	m := newHarness(t, MasterConfig{}).m
 	var body strings.Builder
 	fmt.Fprintf(&body, "c one clause\np cnf %d 1\n", cnf.MaxClauseSize+1)
 	for v := 1; v <= cnf.MaxClauseSize+1; v++ {
@@ -360,8 +342,7 @@ func TestSubmitRefusesOverlongClause(t *testing.T) {
 func TestSubmitBodyIsBounded(t *testing.T) {
 	defer func(old int64) { maxSubmitBytes = old }(maxSubmitBytes)
 	maxSubmitBytes = 4 << 10
-	now := 1.0
-	m := bareMaster(t, &now)
+	m := newHarness(t, MasterConfig{}).m
 
 	body := &endlessDIMACS{}
 	rec := httptest.NewRecorder()
@@ -403,16 +384,11 @@ func seriesValue(snap obs.Snapshot, name string, labels ...obs.Label) (v int64, 
 // gridsat_client_busy 1 after the next sampler tick, as it does on /status,
 // before it has sent a single heartbeat.
 func TestPublishedBusyIsTheMasters(t *testing.T) {
-	now := 1.0
-	m := bareMaster(t, &now)
-	f := cnf.NewFormula(2)
-	f.Add(1, 2)
-	c := m.clients[m.connect()]
-	m.handleRegister(c, comm.Register{Addr: "a", FreeMemBytes: 64 << 20, SpeedHint: 1})
-	if _, err := m.submit("busy", f, 1); err != nil {
-		t.Fatal(err)
-	}
-	now++
+	h := newHarness(t, MasterConfig{Flight: trace.NewFlight(nil)})
+	m := h.m
+	c := h.register(1, 0)
+	h.submit(twoVars(), 1)
+	h.now++
 	m.sampleTick()
 	if st := m.state(); len(st.Clients) != 1 || !st.Clients[0].Busy {
 		t.Fatalf("/status clients %+v, want the one client busy", st.Clients)
@@ -428,15 +404,15 @@ func TestPublishedBusyIsTheMasters(t *testing.T) {
 // heartbeats that moved the counters since an earlier tick — and no series
 // for a connection still mid-registration.
 func TestPublishIsTheState(t *testing.T) {
-	now := 1.0
-	m := bareMaster(t, &now)
+	h := newHarness(t, MasterConfig{Flight: trace.NewFlight(nil)})
+	m := h.m
 	populate(m, 7, 3)
 	m.sampleTick()
 	for _, id := range m.order {
 		if m.clients[id].addr == "" {
 			continue
 		}
-		now += 0.5
+		h.now += 0.5
 		m.handleStatusReport(m.clients[id], comm.StatusReport{MemBytes: int64(id) << 21,
 			Learnts: 7 * id, Deltas: comm.SolverDeltas{Decisions: int64(id), Conflicts: 3,
 				Propagations: 900, Learned: 2, ReclaimedBytes: 64, Imported: 5, ImportedUseful: 1}})
@@ -444,7 +420,7 @@ func TestPublishIsTheState(t *testing.T) {
 	m.splits++
 	m.shared += 4
 	m.sharedDropped++
-	now++
+	h.now++
 	m.sampleTick()
 	st := m.state() // same instant, same tables: the tick's state
 	snap := m.reg.Snapshot()

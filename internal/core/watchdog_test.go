@@ -193,10 +193,10 @@ func TestSampleRingRetention(t *testing.T) {
 		{1, ringSamples}, // the live tick: 120 s fits in 256 samples
 		{0.25, 482},      // a 120 s window and its baseline
 	} {
-		now := 0.0
-		m := bareMaster(t, &now)
+		h := newHarness(t, MasterConfig{})
+		m := h.m
 		for i := 0; i < 600; i++ {
-			now = float64(i) * c.tick
+			h.now = float64(i) * c.tick
 			m.sampleTick()
 		}
 		if last := m.samples[len(m.samples)-1].TSec; len(m.samples) != c.want || last != 599*c.tick {
