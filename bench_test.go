@@ -23,15 +23,26 @@ import (
 
 // ---- Table 1: zChaff vs GridSAT on the SAT2002 stand-ins ----
 
-// benchTable1Rows regenerates a set of Table-1 rows once per iteration.
-func benchTable1Rows(b *testing.B, rows []string, scale float64) {
+// benchSweep runs the experiment called name over rows once per
+// iteration, checking one output row per (row, arm).
+func benchSweep(b *testing.B, name string, rows []string, scale float64) {
+	e, _ := bench.Lookup(name)
+	insts, err := e.Instances(rows)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		out := bench.Table1(bench.Options{Rows: rows, Scale: scale, Seed: 1})
-		if len(out) != len(rows) {
-			b.Fatalf("expected %d rows, got %d", len(rows), len(out))
+		out := bench.Sweep(e, insts, bench.Options{Scale: scale, Seed: 1})
+		if len(out) != len(rows)*len(e.Arms) {
+			b.Fatalf("expected %d rows, got %d", len(rows)*len(e.Arms), len(out))
 		}
 	}
+}
+
+// benchTable1Rows regenerates a set of Table-1 rows once per iteration.
+func benchTable1Rows(b *testing.B, rows []string, scale float64) {
+	benchSweep(b, "table1", rows, scale)
 }
 
 // BenchmarkTable1Small covers the small rows where the paper reports
@@ -69,13 +80,7 @@ func BenchmarkTable1Unsolved(b *testing.B) {
 // BenchmarkTable2SolvedRow regenerates the rand_net70-25-5 row, which the
 // paper solved on the interactive testbed before the batch job started.
 func BenchmarkTable2SolvedRow(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		out := bench.Table2(bench.Options{Rows: []string{"rand_net70-25-5"}, Scale: 0.25, Seed: 1})
-		if len(out) != 1 {
-			b.Fatal("missing row")
-		}
-	}
+	benchSweep(b, "table2", []string{"rand_net70-25-5"}, 0.25)
 }
 
 // BenchmarkTable2BatchJoin regenerates the batch-arrival machinery: a
@@ -183,20 +188,12 @@ func BenchmarkFigure3SplitProtocol(b *testing.B) {
 
 // ---- Ablations (design choices the paper calls out) ----
 
-// BenchmarkAblations sweeps each ablation's arms (bench.Ablations: share
-// length §3.2, split timeout §3.3, pruning §3.1, ranking, engine preset,
-// split strategy, hybrid) over homer11.
+// BenchmarkAblations sweeps each ablation's arms (share length §3.2, split
+// timeout §3.3, pruning §3.1, ranking, engine preset, split strategy,
+// hybrid) over homer11.
 func BenchmarkAblations(b *testing.B) {
-	inst, _ := gen.ByName("homer11")
-	f := inst.Build()
-	for _, a := range bench.Ablations {
-		b.Run(a.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if out := bench.Sweep(inst.Name, f, a.Arms, bench.Options{Seed: 1}); len(out) != len(a.Arms) {
-					b.Fatal("sweep incomplete")
-				}
-			}
-		})
+	for _, name := range []string{"sharelen", "splittimeout", "pruning", "ranking", "engine", "split", "hybrid"} {
+		b.Run(name, func(b *testing.B) { benchSweep(b, name, []string{"homer11"}, 1) })
 	}
 }
 

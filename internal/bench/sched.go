@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 
@@ -10,11 +11,15 @@ import (
 	"gridsat/internal/gen"
 )
 
-// SchedWorkloadClients caps the simulated cluster for the scheduler
-// ablation. A small cluster makes the jobs contend: with the full GrADS
-// testbed every job gets idle hosts and the order in which they are
-// served never matters.
-const SchedWorkloadClients = 4
+// The sched ablation's workload and cluster.
+const (
+	// SchedWorkloadClients caps the simulated cluster. A small cluster
+	// makes the jobs contend: with the full GrADS testbed every job gets
+	// idle hosts and the order in which they are served never matters.
+	SchedWorkloadClients = 4
+	// SchedJobs is the length of the Poisson job trace.
+	SchedJobs = 8
+)
 
 // PoissonWorkload generates an n-job arrival trace with exponential
 // inter-arrival gaps of the given mean (the classic M/G/k open-arrival
@@ -49,66 +54,43 @@ func PoissonWorkload(n int, meanGapVSec float64, seed int64) []core.SimJob {
 	return jobs
 }
 
-// SchedResult is the scheduler's row in the ablation: the run plus the
-// aggregate service metrics of the workload, computed from the run's job
-// rows (Result.State.Jobs). MakespanVSec spans first submission to last
-// finish.
-type SchedResult struct {
-	Jobs               int     `json:"jobs"`
-	Solved             int     `json:"solved"`
-	MakespanVSec       float64 `json:"makespan_vsec"`
-	MeanTurnaroundVSec float64 `json:"mean_turnaround_vsec"`
-	MaxTurnaroundVSec  float64 `json:"max_turnaround_vsec"`
-	Result             core.SimResult
-}
-
-// AblationSched replays a job trace on a deliberately small cluster
-// (SchedWorkloadClients) and reports makespan and turnaround: how the one
-// scheduling rule — idle clients serve the highest-priority job first,
-// nobody is taken off running work — fares when jobs contend.
-func AblationSched(jobs []core.SimJob, opts Options) SchedResult {
-	cfg := table1Config(nil, ChallengeBudgetVSec, opts)
+// schedBase replays a SchedJobs-long Poisson trace on a deliberately small
+// cluster (SchedWorkloadClients): how the one scheduling rule — idle
+// clients serve the highest-priority job first, nobody is taken off
+// running work — fares when jobs contend. The instance is only a name.
+func schedBase(_ gen.Instance, o Options) core.RunnerConfig {
+	cfg := table1Config(nil, ChallengeBudgetVSec, o)
 	// Unscaled budget: Scale shrinks per-instance budgets for CI speed, but
 	// the run's CPU cost is already bounded by the small workload, and a
 	// truncated run would corrupt every turnaround number it reports.
 	cfg.TimeoutVSec = ChallengeBudgetVSec
-	cfg.Jobs = jobs
+	cfg.Jobs = PoissonWorkload(SchedJobs, o.SchedGapVSec, o.Seed)
 	cfg.MaxClients = SchedWorkloadClients
 	cfg.MonitorPeriodVSec = 10
-	res := core.RunDistributed(cfg)
-	rows := res.State.Jobs
-	r := SchedResult{Jobs: len(rows), Result: res}
-	firstSubmit, lastFinish, sum := -1.0, 0.0, 0.0
-	for _, j := range rows {
-		if j.Verdict == "SAT" || j.Verdict == "UNSAT" {
-			r.Solved++
-		}
-		sum += j.TurnaroundSec
-		r.MaxTurnaroundVSec = max(r.MaxTurnaroundVSec, j.TurnaroundSec)
-		if firstSubmit < 0 || j.SubmittedAt < firstSubmit {
-			firstSubmit = j.SubmittedAt
-		}
-		lastFinish = max(lastFinish, j.FinishedAt)
-	}
-	if firstSubmit >= 0 && lastFinish > firstSubmit {
-		r.MakespanVSec = lastFinish - firstSubmit
-	}
-	if len(rows) > 0 {
-		r.MeanTurnaroundVSec = sum / float64(len(rows))
-	}
-	if opts.Progress != nil {
-		opts.Progress("sched ablation done")
-	}
-	return r
+	return cfg
 }
 
-// RenderSchedAblation formats the run as the EXPERIMENTS.md markdown
-// table.
-func RenderSchedAblation(r SchedResult) string {
+// renderSched formats each run's service metrics, computed from its job
+// rows, as the EXPERIMENTS.md markdown table: jobs solved, makespan (first
+// submission to last finish) and turnaround.
+func renderSched(rows []ArmRow, o Options) string {
 	var b strings.Builder
+	fmt.Fprintf(&b, "ablation: scheduling a %d-job Poisson workload (mean gap %gvs, %d clients)\n",
+		SchedJobs, o.SchedGapVSec, SchedWorkloadClients)
 	b.WriteString("| jobs | solved | makespan (vsec) | mean turnaround | max turnaround |\n")
 	b.WriteString("|---|---|---|---|---|\n")
-	fmt.Fprintf(&b, "| %d | %d | %.1f | %.1f | %.1f |\n",
-		r.Jobs, r.Solved, r.MakespanVSec, r.MeanTurnaroundVSec, r.MaxTurnaroundVSec)
+	for _, r := range rows {
+		jobs, solved := r.Result.State.Jobs, 0
+		first, last, sum, worst := math.Inf(1), 0.0, 0.0, 0.0
+		for _, j := range jobs {
+			if j.Verdict == "SAT" || j.Verdict == "UNSAT" {
+				solved++
+			}
+			sum += j.TurnaroundSec
+			first, last, worst = min(first, j.SubmittedAt), max(last, j.FinishedAt), max(worst, j.TurnaroundSec)
+		}
+		fmt.Fprintf(&b, "| %d | %d | %.1f | %.1f | %.1f |\n",
+			len(jobs), solved, max(0, last-first), sum/float64(max(1, len(jobs))), worst)
+	}
 	return b.String()
 }
